@@ -19,10 +19,18 @@ pub struct FxHasher {
     state: u64,
 }
 
+/// One Fx step: folds `word` into `state`. [`FxHasher`] is a `state`
+/// plus this; callers that keep many states side by side (one per row
+/// of a column batch) use it directly.
+#[inline]
+pub fn fx_mix(state: u64, word: u64) -> u64 {
+    (state.rotate_left(5) ^ word).wrapping_mul(SEED)
+}
+
 impl FxHasher {
     #[inline]
     fn add_word(&mut self, word: u64) {
-        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(SEED);
+        self.state = fx_mix(self.state, word);
     }
 }
 

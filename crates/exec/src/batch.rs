@@ -24,6 +24,7 @@
 //! representatives, mirroring the legacy tuple executor byte for byte;
 //! weight and accumulator columns are appended after them.
 
+use crate::hash::{hash_rows, GroupTable};
 use ofw_catalog::AttrId;
 
 /// A column reference: what a [`ColTable`] column holds.
@@ -154,18 +155,15 @@ impl ColTable {
     /// VLDB'04 grouping-satisfaction condition.
     pub fn satisfies_grouping(&self, attrs: &[AttrId]) -> bool {
         let cols = self.attr_cols(attrs);
-        let key = |r: usize| -> Vec<i64> { cols.iter().map(|c| c[r]).collect() };
-        let mut seen: std::collections::HashSet<Vec<i64>> = std::collections::HashSet::new();
-        let mut prev: Option<Vec<i64>> = None;
-        for r in 0..self.rows {
-            let k = key(r);
-            if prev.as_ref() == Some(&k) {
-                continue;
-            }
-            if !seen.insert(k.clone()) {
+        let hashes = hash_rows(&cols, 0..self.rows);
+        let mut groups = GroupTable::with_capacity(self.rows);
+        let mut prev = None;
+        for (r, &h) in hashes.iter().enumerate() {
+            let (g, new) = groups.find_or_insert(&cols, h, r as u32);
+            if !new && prev != Some(g) {
                 return false; // the group resumed after a break
             }
-            prev = Some(k);
+            prev = Some(g);
         }
         true
     }

@@ -19,8 +19,9 @@
 //! reference plan.
 
 use crate::batch::{ColRef, ColTable};
+use crate::hash::{hash_rows, ChainTable, GroupTable};
 use ofw_catalog::{AttrId, Catalog};
-use ofw_common::{morsel_ranges, FxHashMap, OrderedExecutor, SerialExecutor};
+use ofw_common::{morsel_ranges, OrderedExecutor, SerialExecutor};
 use ofw_obs::Trace;
 use ofw_plangen::exec::CONST_VALUE;
 use ofw_plangen::plan::PlanArena;
@@ -233,32 +234,58 @@ fn cmp_rows(cols: &[&[i64]], a: u32, b: u32) -> std::cmp::Ordering {
     std::cmp::Ordering::Equal
 }
 
-/// Merges index runs, each sorted by `(key, index)`, into the global
-/// stable sort order. Correct for *any* run partition of the input —
-/// fixed morsels (full sort) or head-group blocks (partial sort).
-fn merge_sorted_runs(cols: &[&[i64]], mut runs: Vec<Vec<u32>>) -> Vec<u32> {
-    if runs.len() <= 1 {
-        return runs.pop().unwrap_or_default();
-    }
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let key = |i: u32| -> Vec<i64> { cols.iter().map(|c| c[i as usize]).collect() };
-    let mut heap: BinaryHeap<Reverse<(Vec<i64>, u32, usize)>> = BinaryHeap::new();
-    let mut pos = vec![0usize; runs.len()];
-    for (r, run) in runs.iter().enumerate() {
-        if let Some(&i) = run.first() {
-            heap.push(Reverse((key(i), i, r)));
+/// Batches consecutive `runs` into tasks of at least `morsel` rows (the
+/// last may be shorter), as ranges of run indices: a fixed-morsel run is
+/// its own task, thousands of tiny head blocks share one.
+fn batch_runs(runs: &[Range<usize>], morsel: usize) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let mut from = 0;
+    for (i, run) in runs.iter().enumerate() {
+        if run.end - runs[from].start >= morsel {
+            out.push(from..i + 1);
+            from = i + 1;
         }
     }
-    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    while let Some(Reverse((_, i, r))) = heap.pop() {
-        out.push(i);
-        pos[r] += 1;
-        if let Some(&j) = runs[r].get(pos[r]) {
-            heap.push(Reverse((key(j), j, r)));
-        }
+    if from < runs.len() {
+        out.push(from..runs.len());
     }
     out
+}
+
+/// Merges the sorted runs of `idx` into the global stable sort order.
+/// `runs` cuts `idx` into adjacent slices, run `i` holding exactly the
+/// row indices `runs[i]` sorted by `(key, index)`. Rounds of pairwise
+/// merges of *adjacent* runs: every index of the left run is below every
+/// index of the right one, so taking the left element on a key tie is
+/// the `(key, index)` order. That order is total, so the result is the
+/// one sorted sequence whatever the run partition was — fixed morsels
+/// (full sort) or head-group blocks (partial sort).
+fn merge_sorted_runs(cols: &[&[i64]], mut idx: Vec<u32>, mut runs: Vec<Range<usize>>) -> Vec<u32> {
+    let mut buf = vec![0u32; if runs.len() > 1 { idx.len() } else { 0 }];
+    while runs.len() > 1 {
+        let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
+        for pair in runs.chunks(2) {
+            // An odd last run merges with nothing: `right` is empty.
+            let whole = pair[0].start..pair[pair.len() - 1].end;
+            let (left, right) = idx[whole.clone()].split_at(pair[0].len());
+            let (mut i, mut j) = (0, 0);
+            for slot in &mut buf[whole.clone()] {
+                let take_right = i == left.len()
+                    || (j < right.len() && cmp_rows(cols, right[j], left[i]).is_lt());
+                if take_right {
+                    *slot = right[j];
+                    j += 1;
+                } else {
+                    *slot = left[i];
+                    i += 1;
+                }
+            }
+            merged.push(whole);
+        }
+        std::mem::swap(&mut idx, &mut buf);
+        runs = merged;
+    }
+    idx
 }
 
 /// Maximal consecutive runs of rows equal on `cols` — the blocks a
@@ -278,20 +305,12 @@ fn head_blocks(cols: &[&[i64]], n: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// What a join pair-list materialization writes into each output column.
-enum OutSrc {
-    /// Left input column, gathered by the pair's left index.
-    L(usize),
-    /// Right input column, gathered by the pair's right index.
-    R(usize),
-    /// Product of both sides' weights (an absent column means 1).
-    Weight,
-    /// Left accumulator column, optionally scaled by the right weight
-    /// (`sum` accumulators scale; `min`/`max` pass through).
-    AccL(usize, bool),
-    /// Right accumulator column, optionally scaled by the left weight.
-    AccR(usize, bool),
-}
+/// What a join pair-list materialization writes into one output column:
+/// the product of a left column read at the pair's left index and a
+/// right column read at its right index, an absent factor being 1. A
+/// plain gather has one factor; a weight, or a `sum` accumulator scaled
+/// by the partner side's weight, has two.
+type OutSrc<'a> = (Option<&'a [i64]>, Option<&'a [i64]>);
 
 enum JoinKind {
     Merge(usize),
@@ -316,15 +335,40 @@ struct FoldSpec {
     raw: Option<usize>,
 }
 
-/// Per-group aggregation state.
-struct Group {
-    /// Global row index of the group's first row (the attribute
-    /// representative, mirroring the legacy first-row-per-group rule).
-    first: u32,
-    /// Σ weight — the number of logical tuples in the group.
-    weight: i64,
-    /// Fold values, parallel to the operator's `FoldSpec` list.
+fn combine(func: AggFunc, a: i64, b: i64) -> i64 {
+    match func {
+        AggFunc::Sum | AggFunc::Count => a + b,
+        AggFunc::Min => a.min(b),
+        AggFunc::Max => a.max(b),
+    }
+}
+
+/// Aggregation state of all groups, flat, indexed by the dense group id
+/// of a [`GroupTable`] (which holds each group's representative row).
+#[derive(Default)]
+struct GroupState {
+    /// Per group: Σ weight — the number of logical tuples in the group.
+    weight: Vec<i64>,
+    /// Fold values, `folds[g * specs.len() + slot]`.
     folds: Vec<i64>,
+}
+
+impl GroupState {
+    /// Adds `w` logical tuples with fold values `val(slot)` to group `g`
+    /// — appended when `new` (ids are dense and first-seen, so `g` is
+    /// then the next index), combined otherwise.
+    fn add(&mut self, specs: &[FoldSpec], g: usize, new: bool, w: i64, val: impl Fn(usize) -> i64) {
+        if new {
+            self.weight.push(w);
+            self.folds.extend((0..specs.len()).map(val));
+        } else {
+            self.weight[g] += w;
+            let folds = &mut self.folds[g * specs.len()..][..specs.len()];
+            for (slot, (f, s)) in folds.iter_mut().zip(specs).enumerate() {
+                *f = combine(s.func, *f, val(slot));
+            }
+        }
+    }
 }
 
 struct Engine<'a, S, E: OrderedExecutor> {
@@ -424,29 +468,51 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         }
     }
 
+    /// Relation `qrel`'s base columns as a table, checked against the
+    /// catalog: base data is outside input, so a wrong shape is a located
+    /// error, not a panic in [`ColTable::new`].
+    fn base_table(
+        &self,
+        plan: PlanId,
+        op: &'static str,
+        qrel: usize,
+    ) -> Result<ColTable, ExecError> {
+        let rel = self.catalog.relation(self.query.relations[qrel]);
+        let base = self
+            .data
+            .get(qrel)
+            .ok_or_else(|| self.err(plan, op, None, format!("no base data for {}", rel.name)))?;
+        if base.len() != rel.attrs.len() {
+            return Err(self.err(
+                plan,
+                op,
+                None,
+                format!(
+                    "base data for relation {} has {} columns, catalog declares {}",
+                    rel.name,
+                    base.len(),
+                    rel.attrs.len()
+                ),
+            ));
+        }
+        if base.iter().any(|c| c.len() != base[0].len()) {
+            return Err(self.err(
+                plan,
+                op,
+                None,
+                format!("base data for relation {} has ragged columns", rel.name),
+            ));
+        }
+        let schema: Vec<ColRef> = rel.attrs.iter().map(|&a| ColRef::Attr(a)).collect();
+        Ok(ColTable::new(schema, base.clone()))
+    }
+
     /// Heap scan: base columns in insertion order, then the relation's
     /// constant (`= CONST_VALUE`) and filter (`≤ 1`) predicates, applied
     /// vectorized per morsel.
     fn scan(&mut self, plan: PlanId, qrel: usize) -> Result<ColTable, ExecError> {
-        let rel = self.query.relations[qrel];
-        let attrs = self.catalog.relation(rel).attrs.clone();
-        let base = &self.data[qrel];
-        if base.len() != attrs.len() {
-            return Err(self.err(
-                plan,
-                "Scan",
-                None,
-                format!(
-                    "base data for relation {} has {} columns, catalog declares {}",
-                    self.catalog.relation(rel).name,
-                    base.len(),
-                    attrs.len()
-                ),
-            ));
-        }
-        let schema: Vec<ColRef> = attrs.iter().map(|&a| ColRef::Attr(a)).collect();
-        let t = ColTable::new(schema, base.clone());
-        self.selections(plan, qrel, t, &attrs)
+        let t = self.base_table(plan, "Scan", qrel)?;
+        self.selections(plan, qrel, t)
     }
 
     /// Index scan: stable sort by the index key, then the selections —
@@ -457,14 +523,11 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         qrel: usize,
         index: usize,
     ) -> Result<ColTable, ExecError> {
+        let t = self.base_table(plan, "IndexScan", qrel)?;
         let rel = self.query.relations[qrel];
-        let attrs = self.catalog.relation(rel).attrs.clone();
         let key = self.catalog.relation(rel).indexes[index].key.clone();
-        let base = &self.data[qrel];
-        let schema: Vec<ColRef> = attrs.iter().map(|&a| ColRef::Attr(a)).collect();
-        let t = ColTable::new(schema, base.clone());
         let sorted = self.sort(plan, "IndexScan", t, &key, None)?;
-        self.selections(plan, qrel, sorted, &attrs)
+        self.selections(plan, qrel, sorted)
     }
 
     fn selections(
@@ -472,7 +535,6 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         plan: PlanId,
         qrel: usize,
         t: ColTable,
-        attrs: &[AttrId],
     ) -> Result<ColTable, ExecError> {
         // (column, is_constant): constants keep `== CONST_VALUE`,
         // filters keep `<= 1` — the legacy oracle's predicate stand-ins.
@@ -487,7 +549,6 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
                 preds.push((self.attr_col(plan, "Scan", &t, f.attr)?, false));
             }
         }
-        let _ = attrs;
         let n = t.num_rows();
         if preds.is_empty() {
             self.stats
@@ -552,13 +613,20 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
             None => morsel_ranges(n, self.morsel),
         };
         let key_cols_ref = &key_cols;
-        let sorted_runs: Vec<Vec<u32>> = self.pool.run_ordered(runs.len(), &|i| {
-            let mut idx: Vec<u32> = (runs[i].start as u32..runs[i].end as u32).collect();
-            idx.sort_unstable_by(|&a, &b| cmp_rows(key_cols_ref, a, b).then(a.cmp(&b)));
+        let tasks = batch_runs(&runs, self.morsel);
+        let chunks: Vec<Vec<u32>> = self.pool.run_ordered(tasks.len(), &|i| {
+            let task = &runs[tasks[i].clone()];
+            let base = task[0].start;
+            let mut idx: Vec<u32> = (base as u32..task[task.len() - 1].end as u32).collect();
+            for run in task {
+                idx[run.start - base..run.end - base]
+                    .sort_unstable_by(|&a, &b| cmp_rows(key_cols_ref, a, b).then(a.cmp(&b)));
+            }
             idx
         });
+        // A batch is a sorted run, however the runs were scheduled.
         let batches = runs.len() as u64;
-        let idx = merge_sorted_runs(&key_cols, sorted_runs);
+        let idx = merge_sorted_runs(&key_cols, chunks.concat(), runs);
         let (out, gb) = gather_par(self.pool, self.morsel, &t, &idx);
         self.stats.record(op, batches + gb, out.num_rows() as u64);
         Ok(out)
@@ -597,21 +665,20 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         // outer, matching right rows in right-table order.
         let (pair_chunks, batches) = match kind {
             JoinKind::Hash => {
-                let key_of = |r: usize| -> Vec<i64> {
-                    edges.iter().map(|&(_, _, rc)| rt.cols[rc][r]).collect()
-                };
-                let mut table: FxHashMap<Vec<i64>, Vec<u32>> = FxHashMap::default();
-                for r in 0..rt.num_rows() {
-                    table.entry(key_of(r)).or_default().push(r as u32);
-                }
+                let lkeys: Vec<&[i64]> = edges.iter().map(|e| &lt.cols[e.1][..]).collect();
+                let rkeys: Vec<&[i64]> = edges.iter().map(|e| &rt.cols[e.2][..]).collect();
+                let table = ChainTable::build(&hash_rows(&rkeys, 0..rt.num_rows()));
                 run_morsels(self.pool, lt.num_rows(), self.morsel, &|range| {
+                    let hashes = hash_rows(&lkeys, range.clone());
                     let mut pairs: Vec<(u32, u32)> = Vec::new();
-                    for l in range {
-                        let key: Vec<i64> =
-                            edges.iter().map(|&(_, lc, _)| lt.cols[lc][l]).collect();
-                        if let Some(rs) = table.get(&key) {
-                            pairs.extend(rs.iter().map(|&r| (l as u32, r)));
-                        }
+                    for (l, &h) in range.zip(&hashes) {
+                        let matches = table.candidates(h).filter(|&r| {
+                            lkeys
+                                .iter()
+                                .zip(&rkeys)
+                                .all(|(lc, rc)| lc[l] == rc[r as usize])
+                        });
+                        pairs.extend(matches.map(|r| (l as u32, r)));
                     }
                     pairs
                 })
@@ -685,38 +752,39 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
     /// invariant that makes eager partial aggregates compose (see
     /// [`crate::batch`]).
     fn join_output(&self, lt: &ColTable, rt: &ColTable, pairs: &[(u32, u32)]) -> (ColTable, u64) {
-        let lw = lt.col_index(ColRef::Weight);
-        let rw = rt.col_index(ColRef::Weight);
+        let lw = lt.col(ColRef::Weight);
+        let rw = rt.col(ColRef::Weight);
         let mut schema: Vec<ColRef> = Vec::new();
         let mut srcs: Vec<OutSrc> = Vec::new();
-        for (i, c) in lt.schema.iter().enumerate() {
-            if let ColRef::Attr(a) = c {
-                schema.push(ColRef::Attr(*a));
-                srcs.push(OutSrc::L(i));
+        for (c, col) in lt.schema.iter().zip(&lt.cols) {
+            if let ColRef::Attr(_) = c {
+                schema.push(*c);
+                srcs.push((Some(col), None));
             }
         }
-        for (i, c) in rt.schema.iter().enumerate() {
-            if let ColRef::Attr(a) = c {
-                schema.push(ColRef::Attr(*a));
-                srcs.push(OutSrc::R(i));
+        for (c, col) in rt.schema.iter().zip(&rt.cols) {
+            if let ColRef::Attr(_) = c {
+                schema.push(*c);
+                srcs.push((None, Some(col)));
             }
         }
         if lw.is_some() || rw.is_some() {
             schema.push(ColRef::Weight);
-            srcs.push(OutSrc::Weight);
+            srcs.push((lw, rw));
         }
-        // Accumulators, merged across sides in call order.
+        // Accumulators, merged across sides in call order; `sum`
+        // accumulators scale by the partner weight, `min`/`max` pass
+        // through.
+        let is_sum = |call: usize| self.query.aggregates[call].func == AggFunc::Sum;
         let mut accs: Vec<(usize, OutSrc)> = Vec::new();
-        for (i, c) in lt.schema.iter().enumerate() {
-            if let ColRef::Acc(call) = c {
-                let scale = self.query.aggregates[*call].func == AggFunc::Sum && rw.is_some();
-                accs.push((*call, OutSrc::AccL(i, scale)));
+        for (c, col) in lt.schema.iter().zip(&lt.cols) {
+            if let ColRef::Acc(call) = *c {
+                accs.push((call, (Some(col), rw.filter(|_| is_sum(call)))));
             }
         }
-        for (i, c) in rt.schema.iter().enumerate() {
-            if let ColRef::Acc(call) = c {
-                let scale = self.query.aggregates[*call].func == AggFunc::Sum && lw.is_some();
-                accs.push((*call, OutSrc::AccR(i, scale)));
+        for (c, col) in rt.schema.iter().zip(&rt.cols) {
+            if let ColRef::Acc(call) = *c {
+                accs.push((call, (lw.filter(|_| is_sum(call)), Some(col))));
             }
         }
         accs.sort_by_key(|&(call, _)| call);
@@ -728,37 +796,14 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         let (chunks, batches) = run_morsels(self.pool, pairs.len(), self.morsel, &|range| {
             let slice = &pairs[range];
             srcs.iter()
-                .map(|src| {
-                    slice
+                .map(|&src| match src {
+                    (Some(a), None) => slice.iter().map(|&(l, _)| a[l as usize]).collect(),
+                    (None, Some(b)) => slice.iter().map(|&(_, r)| b[r as usize]).collect(),
+                    (Some(a), Some(b)) => slice
                         .iter()
-                        .map(|&(l, r)| {
-                            let (l, r) = (l as usize, r as usize);
-                            match *src {
-                                OutSrc::L(c) => lt.cols[c][l],
-                                OutSrc::R(c) => rt.cols[c][r],
-                                OutSrc::Weight => {
-                                    lw.map_or(1, |c| lt.cols[c][l])
-                                        * rw.map_or(1, |c| rt.cols[c][r])
-                                }
-                                OutSrc::AccL(c, scale) => {
-                                    let v = lt.cols[c][l];
-                                    if scale {
-                                        v * rw.map_or(1, |c| rt.cols[c][r])
-                                    } else {
-                                        v
-                                    }
-                                }
-                                OutSrc::AccR(c, scale) => {
-                                    let v = rt.cols[c][r];
-                                    if scale {
-                                        v * lw.map_or(1, |c| lt.cols[c][l])
-                                    } else {
-                                        v
-                                    }
-                                }
-                            }
-                        })
-                        .collect::<Vec<i64>>()
+                        .map(|&(l, r)| a[l as usize] * b[r as usize])
+                        .collect(),
+                    (None, None) => vec![1; slice.len()],
                 })
                 .collect::<Vec<Vec<i64>>>()
         });
@@ -782,9 +827,9 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         partial: bool,
         scramble: bool,
     ) -> Result<ColTable, ExecError> {
-        let mut key_cols: Vec<usize> = Vec::with_capacity(key.len());
+        let mut key_cols: Vec<&[i64]> = Vec::with_capacity(key.len());
         for &a in key {
-            key_cols.push(self.attr_col(plan, op, &t, a)?);
+            key_cols.push(&t.cols[self.attr_col(plan, op, &t, a)?]);
         }
         let w_col = t.col_index(ColRef::Weight);
 
@@ -844,75 +889,41 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
                 AggFunc::Count => unreachable!("count never folds"),
             }
         };
-        let combine = |func: AggFunc, a: i64, b: i64| -> i64 {
-            match func {
-                AggFunc::Sum | AggFunc::Count => a + b,
-                AggFunc::Min => a.min(b),
-                AggFunc::Max => a.max(b),
-            }
-        };
 
         // Per-morsel local aggregation, merged serially in morsel order
         // (= the global first-seen order of a single pass).
-        type LocalGroups = (Vec<(Vec<i64>, Group)>,);
-        let (chunks, batches): (Vec<LocalGroups>, u64) =
+        let (chunks, batches): (Vec<(GroupTable, GroupState)>, u64) =
             run_morsels(self.pool, t.num_rows(), self.morsel, &|range| {
-                let mut index: FxHashMap<Vec<i64>, usize> = FxHashMap::default();
-                let mut groups: Vec<(Vec<i64>, Group)> = Vec::new();
-                for r in range {
-                    let k: Vec<i64> = key_cols.iter().map(|&c| t.cols[c][r]).collect();
+                let hashes = hash_rows(&key_cols, range.clone());
+                let mut table = GroupTable::with_capacity(range.len());
+                let mut state = GroupState::default();
+                for (r, &h) in range.zip(&hashes) {
+                    let (g, new) = table.find_or_insert(&key_cols, h, r as u32);
                     let w = w_col.map_or(1, |c| t.cols[c][r]);
-                    match index.entry(k.clone()) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(groups.len());
-                            groups.push((
-                                k,
-                                Group {
-                                    first: r as u32,
-                                    weight: w,
-                                    folds: folds.iter().map(|s| contrib(s, r)).collect(),
-                                },
-                            ));
-                        }
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            let g = &mut groups[*e.get()].1;
-                            g.weight += w;
-                            for (f, s) in g.folds.iter_mut().zip(&folds) {
-                                *f = combine(s.func, *f, contrib(s, r));
-                            }
-                        }
-                    }
+                    state.add(&folds, g as usize, new, w, |slot| contrib(&folds[slot], r));
                 }
-                (groups,)
+                (table, state)
             });
-        let mut index: FxHashMap<Vec<i64>, usize> = FxHashMap::default();
-        let mut groups: Vec<Group> = Vec::new();
-        for (chunk,) in chunks {
-            for (k, g) in chunk {
-                match index.entry(k) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(groups.len());
-                        groups.push(g);
-                    }
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let dst = &mut groups[*e.get()];
-                        dst.weight += g.weight;
-                        for (f, (s, v)) in dst.folds.iter_mut().zip(folds.iter().zip(g.folds)) {
-                            *f = combine(s.func, *f, v);
-                        }
-                    }
-                }
+        let mut table = GroupTable::with_capacity(chunks.iter().map(|(l, _)| l.len()).sum());
+        let mut state = GroupState::default();
+        let nf = folds.len();
+        for (local, ls) in &chunks {
+            for (lg, (hash, first)) in local.groups().enumerate() {
+                let (g, new) = table.find_or_insert(&key_cols, hash, first);
+                state.add(&folds, g as usize, new, ls.weight[lg], |slot| {
+                    ls.folds[lg * nf + slot]
+                });
             }
         }
 
         let order: Vec<usize> = if scramble {
-            scramble_order(groups.len())
+            scramble_order(table.len())
         } else {
-            (0..groups.len()).collect()
+            (0..table.len()).collect()
         };
 
         // Attribute columns: the group's first row, in output order.
-        let first_rows: Vec<u32> = order.iter().map(|&g| groups[g].first).collect();
+        let first_rows: Vec<u32> = order.iter().map(|&g| table.first_rows()[g]).collect();
         let attr_keep: Vec<usize> = t
             .schema
             .iter()
@@ -926,13 +937,13 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
             .collect();
         if partial {
             schema.push(ColRef::Weight);
-            cols.push(order.iter().map(|&g| groups[g].weight).collect());
+            cols.push(order.iter().map(|&g| state.weight[g]).collect());
         }
         for (call, emit) in emits {
             schema.push(ColRef::Acc(call));
             cols.push(match emit {
-                Emit::FromWeight => order.iter().map(|&g| groups[g].weight).collect(),
-                Emit::Fold(slot) => order.iter().map(|&g| groups[g].folds[slot]).collect(),
+                Emit::FromWeight => order.iter().map(|&g| state.weight[g]).collect(),
+                Emit::Fold(slot) => order.iter().map(|&g| state.folds[g * nf + slot]).collect(),
             });
         }
         let out = ColTable::new(schema, cols);
@@ -949,46 +960,50 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         t: ColTable,
         key: &[AttrId],
     ) -> Result<ColTable, ExecError> {
-        let mut key_cols: Vec<usize> = Vec::with_capacity(key.len());
+        let mut key_cols: Vec<&[i64]> = Vec::with_capacity(key.len());
         for &a in key {
-            key_cols.push(self.attr_col(plan, "HashGroup", &t, a)?);
+            key_cols.push(&t.cols[self.attr_col(plan, "HashGroup", &t, a)?]);
         }
+        // Per morsel: a local group table and every row's local group.
         let (chunks, batches) = run_morsels(self.pool, t.num_rows(), self.morsel, &|range| {
-            let mut index: FxHashMap<Vec<i64>, usize> = FxHashMap::default();
-            let mut blocks: Vec<(Vec<i64>, Vec<u32>)> = Vec::new();
-            for r in range {
-                let k: Vec<i64> = key_cols.iter().map(|&c| t.cols[c][r]).collect();
-                match index.entry(k.clone()) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(blocks.len());
-                        blocks.push((k, vec![r as u32]));
-                    }
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        blocks[*e.get()].1.push(r as u32);
-                    }
-                }
-            }
-            blocks
+            let hashes = hash_rows(&key_cols, range.clone());
+            let mut table = GroupTable::with_capacity(range.len());
+            let gids: Vec<u32> = range
+                .zip(&hashes)
+                .map(|(r, &h)| table.find_or_insert(&key_cols, h, r as u32).0)
+                .collect();
+            (table, gids)
         });
-        let mut index: FxHashMap<Vec<i64>, usize> = FxHashMap::default();
-        let mut blocks: Vec<Vec<u32>> = Vec::new();
-        for chunk in chunks {
-            for (k, rows) in chunk {
-                match index.entry(k) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(blocks.len());
-                        blocks.push(rows);
-                    }
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        blocks[*e.get()].extend(rows);
-                    }
-                }
-            }
+        // Local ids renumbered in morsel order (= global first-seen
+        // order): every row's global group, and the group sizes.
+        let mut table = GroupTable::with_capacity(chunks.iter().map(|(l, _)| l.len()).sum());
+        let mut gid: Vec<u32> = Vec::with_capacity(t.num_rows());
+        let mut global: Vec<u32> = Vec::new();
+        for (local, gids) in &chunks {
+            global.clear();
+            global.extend(
+                local
+                    .groups()
+                    .map(|(hash, first)| table.find_or_insert(&key_cols, hash, first).0),
+            );
+            gid.extend(gids.iter().map(|&lg| global[lg as usize]));
         }
-        let idx: Vec<u32> = scramble_order(blocks.len())
-            .into_iter()
-            .flat_map(|b| blocks[b].to_vec())
-            .collect();
+        // Counting sort into scrambled block order: group sizes become
+        // block start offsets, then each row drops into its block's next
+        // free slot — rows keep their order inside a block.
+        let mut slot = vec![0u32; table.len()];
+        for &g in &gid {
+            slot[g as usize] += 1;
+        }
+        let mut at = 0;
+        for b in scramble_order(table.len()) {
+            at += std::mem::replace(&mut slot[b], at);
+        }
+        let mut idx = vec![0u32; gid.len()];
+        for (r, &g) in gid.iter().enumerate() {
+            idx[slot[g as usize] as usize] = r as u32;
+            slot[g as usize] += 1;
+        }
         let (out, gb) = gather_par(self.pool, self.morsel, &t, &idx);
         self.stats
             .record("HashGroup", batches + gb, out.num_rows() as u64);
@@ -999,6 +1014,7 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn scramble_matches_the_legacy_reverse_interleave() {
@@ -1010,19 +1026,108 @@ mod tests {
         assert_eq!(scramble_order(2), vec![1, 0]);
     }
 
+    /// What `Engine::sort` does with a run partition: sort each run by
+    /// `(key, index)`, then merge.
+    fn sort_by_runs(cols: &[&[i64]], runs: Vec<Range<usize>>) -> Vec<u32> {
+        let n = runs.last().map_or(0, |r| r.end);
+        let mut idx: Vec<u32> = (0..n as u32).collect();
+        for run in &runs {
+            idx[run.clone()].sort_unstable_by(|&a, &b| cmp_rows(cols, a, b).then(a.cmp(&b)));
+        }
+        merge_sorted_runs(cols, idx, runs)
+    }
+
+    fn stable_sort(cols: &[&[i64]], n: usize) -> Vec<u32> {
+        let mut expect: Vec<u32> = (0..n as u32).collect();
+        expect.sort_by(|&a, &b| cmp_rows(cols, a, b));
+        expect
+    }
+
     #[test]
     fn merge_sorted_runs_is_a_stable_sort() {
         let col: Vec<i64> = vec![3, 1, 2, 1, 3, 0, 2, 1];
         let cols: Vec<&[i64]> = vec![&col];
-        // Two runs, each sorted by (key, index).
-        let mut r1: Vec<u32> = vec![0, 1, 2, 3];
-        let mut r2: Vec<u32> = vec![4, 5, 6, 7];
-        r1.sort_unstable_by(|&a, &b| cmp_rows(&cols, a, b).then(a.cmp(&b)));
-        r2.sort_unstable_by(|&a, &b| cmp_rows(&cols, a, b).then(a.cmp(&b)));
-        let merged = merge_sorted_runs(&cols, vec![r1, r2]);
-        let mut expect: Vec<u32> = (0..8).collect();
-        expect.sort_by(|&a, &b| cmp_rows(&cols, a, b).then(a.cmp(&b)));
-        assert_eq!(merged, expect);
+        let expect = stable_sort(&cols, 8);
+        assert_eq!(expect, vec![5, 1, 3, 7, 2, 6, 0, 4]);
+        assert_eq!(sort_by_runs(&cols, vec![0..4, 4..8]), expect);
+        assert_eq!(sort_by_runs(&cols, vec![0..3, 3..4, 4..8]), expect);
+        assert_eq!(sort_by_runs(&cols, std::iter::once(0..8).collect()), expect);
+        assert!(sort_by_runs(&cols, Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn merging_thousands_of_one_row_runs_is_a_stable_sort() {
+        // The partial-sort shape: every head block a single row.
+        let a: Vec<i64> = (0..3001).map(|r| (r * 7919) % 13 - 6).collect();
+        let b: Vec<i64> = (0..3001).map(|r| (r * 104729) % 5).collect();
+        let cols: Vec<&[i64]> = vec![&a, &b];
+        let runs: Vec<Range<usize>> = (0..3001).map(|r| r..r + 1).collect();
+        assert_eq!(sort_by_runs(&cols, runs), stable_sort(&cols, 3001));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Any run partition merges to the one global stable sort.
+        #[test]
+        fn any_run_partition_merges_to_the_stable_sort(
+            col in proptest::collection::vec(prop_oneof![-4i64..5, Just(i64::MIN), Just(i64::MAX)], 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..80),
+        ) {
+            let n = col.len();
+            let mut bounds: Vec<usize> = cuts.into_iter().filter(|&c| c > 0 && c < n).collect();
+            bounds.extend([0, n]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            let runs: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+            let cols: Vec<&[i64]> = vec![&col];
+            prop_assert_eq!(sort_by_runs(&cols, runs), stable_sort(&cols, n));
+        }
+    }
+
+    #[test]
+    fn batch_runs_groups_tiny_runs_and_keeps_morsels_apart() {
+        assert_eq!(batch_runs(&[0..4, 4..8, 8..10], 4), vec![0..1, 1..2, 2..3]);
+        let tiny: Vec<Range<usize>> = (0..10).map(|r| r..r + 1).collect();
+        assert_eq!(batch_runs(&tiny, 4), vec![0..4, 4..8, 8..10]);
+        assert_eq!(batch_runs(&[0..1, 1..9, 9..10], 4), vec![0..2, 2..3]);
+        assert!(batch_runs(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn malformed_base_data_is_a_located_error_on_both_scans() {
+        let mut catalog = Catalog::new();
+        let rel = catalog.add_relation("r", 3.0, &["a", "b"]);
+        catalog.add_index(rel, vec![catalog.attr("r.a")], false);
+        let mut query = Query::new();
+        query.add_relation(&catalog, rel);
+        let mut arena: PlanArena<()> = PlanArena::new();
+        let mut push = |op: PlanOp| {
+            arena.push(ofw_plangen::PlanNode {
+                op,
+                mask: query.relation_set(0),
+                cost: 0.0,
+                card: 0.0,
+                state: (),
+                agg: ofw_plangen::plan::AggMark::NONE,
+                applied_fds: Default::default(),
+            })
+        };
+        let scans = [
+            (push(PlanOp::Scan { qrel: 0 }), "Scan"),
+            (push(PlanOp::IndexScan { qrel: 0, index: 0 }), "IndexScan"),
+        ];
+        let good = vec![vec![vec![3, 1, 2], vec![7, 8, 9]]];
+        let one_column = vec![vec![vec![3, 1, 2]]];
+        let ragged = vec![vec![vec![3, 1, 2], vec![7, 8]]];
+        for (plan, op) in scans {
+            let (out, _) = execute_serial(&arena, plan, &catalog, &query, &good).unwrap();
+            assert_eq!(out.num_rows(), 3);
+            for bad in [&one_column, &ragged, &Vec::new()] {
+                let err = execute_serial(&arena, plan, &catalog, &query, bad).unwrap_err();
+                assert_eq!((err.plan, err.op), (plan, op), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   morsel-parallel on any [`OrderedExecutor`](ofw_common::OrderedExecutor)
 //!   with fixed-size morsels merged in index order, so output is
 //!   **byte-identical at any thread count**.
+//! * `hash` (private) — the flat bucket/chain hash kernels behind hash
+//!   join, group join, both aggregates, hash grouping and the grouping
+//!   check: keys are compared through the input columns, never copied.
 //! * [`mod@reference`] — the canonical left-deep, root-only-aggregation
 //!   reference plan and the multiset [`result_signature`] the
 //!   differential correctness harness compares across the DP plan, the
@@ -23,6 +26,7 @@
 
 pub mod batch;
 pub mod engine;
+mod hash;
 pub mod reference;
 
 pub use batch::{columns_from_tables, ColRef, ColTable};
