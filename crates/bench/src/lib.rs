@@ -16,7 +16,6 @@
 //! | GJ1 | aggregation-placement sweep (group-join + eager push-down) | `table_groupjoin` | [`groupjoin_cell`] |
 //! | PS1 | partial-sort sweep (head/tail properties, `GROUP BY k ORDER BY k`) | `table_partialsort` | [`partialsort_cell`] |
 //! | H1 | enumerator sweep (DPhyp vs DPsize + budgeted linearized fallback) | `table_hypergraph` | [`hypergraph_cell`] |
-//! | PR1 | preparation sweep (lazy / minimized / interned automata) | `table_prepare` | [`prepare_cell`] |
 //! | TR1 | observability overhead (disabled vs recording trace sink) | `table_trace` | [`trace_cell`] |
 //!
 //! Every table binary also emits its rows as machine-readable
@@ -48,12 +47,10 @@ use std::time::{Duration, Instant};
 pub mod hypergraph;
 pub mod json;
 pub mod parallel;
-pub mod prepare;
 pub mod trace;
 
 pub use hypergraph::{hypergraph_cell, hypergraph_row_json, hypergraph_row_line, HypergraphRow};
 pub use parallel::{parallel_cell, parallel_row_json, parallel_row_line, ParallelRow};
-pub use prepare::{prepare_cell, prepare_row_json, prepare_row_line, PrepareRow};
 pub use trace::{trace_cell, trace_row_json, trace_row_line, TraceRow};
 
 /// One row of the §6.2 preparation table.

@@ -106,7 +106,7 @@ pub fn trace_cell(
 ) -> (TraceRow, Trace) {
     let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).expect("prepare");
 
-    // One untimed warm-up run first (allocator, lazy DFSM, page cache):
+    // One untimed warm-up run first (allocator, page cache):
     // it becomes the byte-identity reference, and keeps cold-start cost
     // out of the timings the overhead is computed from.
     let ref_result = PlanGen::new(catalog, query, ex, &fw)

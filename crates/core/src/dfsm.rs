@@ -21,87 +21,31 @@
 //! start row mapping each *produced* order to its entry state (the `*`
 //! row of Fig. 10).
 //!
-//! The construction itself is factored into a reusable engine
-//! (`SubsetCtx` + `SubsetTables`) shared by three drivers that all
-//! produce **identical state numbering**:
-//!
-//! * the eager serial build ([`Dfsm::build`]),
-//! * the eager parallel-frontier build ([`Dfsm::build_with`]), which
-//!   computes successor subsets for a whole BFS frontier on an executor
-//!   but interns them serially in `(state, symbol)` order, and
-//! * the lazy on-demand build (`LazyDfsm` in [`crate::lazy`]), which is
-//!   simply the same BFS truncated at the highest state a probe has
-//!   touched so far.
-//!
-//! Because every driver interns subsets in the same `(state, symbol)`
-//! BFS order starting from the same entry states, state ids are a pure
-//! function of the NFSM — lazy numbering is always a prefix of eager
-//! numbering, which is what keeps plan tables byte-identical across
-//! preparation modes and thread counts.
+//! The construction interns subsets in BFS `(state, symbol)` order from
+//! a fixed seeding (the empty stream, then the produced properties in
+//! NFSM insertion order), so state ids are a pure function of the NFSM —
+//! which is what keeps plan tables byte-identical from run to run and
+//! across thread counts.
 
 use crate::nfsm::{BuildError, Nfsm, NodeId};
 use crate::property::LogicalProperty;
 use crate::prune::PruneConfig;
-use ofw_common::{BitMatrix, BitSet, FxHashMap, Interner, OrderedExecutor};
+use ofw_common::{BitMatrix, BitSet, FxHashMap, Interner};
 
-/// Object-safe executor seam for preparation parallelism.
-///
-/// [`OrderedExecutor::run_ordered`] is generic over the result type and
-/// therefore not object-safe; preparation only ever fans out "compute
-/// the successor subsets of one frontier state", so this narrows the
-/// interface to that single shape and gains `dyn`-compatibility. Every
-/// `OrderedExecutor` (the serial executor, the `ofw-parallel` pool) is a
-/// `PrepExecutor` for free via the blanket impl.
-pub trait PrepExecutor: Send + Sync {
-    /// Runs `f(i)` for every `i in 0..n` and returns the results in
-    /// index order; each result is one frontier state's successor
-    /// subsets, one per symbol.
-    fn run_subsets(&self, n: usize, f: &(dyn Fn(usize) -> Vec<BitSet> + Sync)) -> Vec<Vec<BitSet>>;
-}
-
-impl<E: OrderedExecutor + Send + Sync> PrepExecutor for E {
-    fn run_subsets(&self, n: usize, f: &(dyn Fn(usize) -> Vec<BitSet> + Sync)) -> Vec<Vec<BitSet>> {
-        self.run_ordered(n, f)
-    }
-}
-
-/// Immutable context of one subset construction: everything derived
-/// from the NFSM alone, shared by all drivers.
-pub(crate) struct SubsetCtx {
+/// The in-progress subset construction behind [`Dfsm::build`].
+struct SubsetConstruction<'a> {
+    nfsm: &'a Nfsm,
     /// ε-closure per NFSM node (transitive; pruning may relink chains).
     eps_closure: Vec<BitSet>,
-    pub(crate) num_symbols: usize,
     max_states: usize,
-    /// Contains-column per NFSM node, `u32::MAX` when not interesting.
-    col_of_node: Vec<u32>,
-    pub(crate) num_cols: usize,
-    /// `u64` words per contains row (≥ 1 so row addressing stays valid
-    /// even with zero columns).
-    pub(crate) words_per_row: usize,
+    states: Interner<BitSet>,
+    /// Row-major `state × symbol`; a row is `u32::MAX` until the BFS
+    /// reaches its state.
+    transitions: Vec<u32>,
 }
 
-/// Mutable tables of an in-progress subset construction. States below
-/// `processed` have complete transition rows; states at or above it are
-/// interned (their subset and contains row exist) but their outgoing
-/// transitions are still `u32::MAX`.
-pub(crate) struct SubsetTables {
-    pub(crate) states: Interner<BitSet>,
-    pub(crate) transitions: Vec<u32>,
-    /// Flat contains rows, `words_per_row` words per state; filled the
-    /// moment a state is interned (a probe may ask before the BFS
-    /// processes the state).
-    pub(crate) contains: Vec<u64>,
-    pub(crate) processed: u32,
-}
-
-impl SubsetCtx {
-    /// Derives the construction context and the interesting-property
-    /// column map from an NFSM. Column indices follow `nfsm.props`
-    /// insertion order, as ever.
-    pub(crate) fn new(
-        nfsm: &Nfsm,
-        config: &PruneConfig,
-    ) -> (SubsetCtx, FxHashMap<LogicalProperty, u32>) {
+impl<'a> SubsetConstruction<'a> {
+    fn new(nfsm: &'a Nfsm, config: &PruneConfig) -> Self {
         let n = nfsm.num_nodes();
         let eps_closure: Vec<BitSet> = (0..n)
             .map(|v| {
@@ -119,178 +63,68 @@ impl SubsetCtx {
                 set
             })
             .collect();
-
-        let mut columns: FxHashMap<LogicalProperty, u32> = FxHashMap::default();
-        let mut col_of_node: Vec<u32> = vec![u32::MAX; n];
-        for (node, prop) in nfsm.props.iter() {
-            if nfsm.info[node as usize].interesting {
-                let col = columns.len() as u32;
-                columns.insert(prop.clone(), col);
-                col_of_node[node as usize] = col;
-            }
-        }
-        let num_cols = columns.len();
-        let ctx = SubsetCtx {
+        SubsetConstruction {
+            nfsm,
             eps_closure,
-            num_symbols: nfsm.num_symbols,
             max_states: config.max_dfsm_states,
-            col_of_node,
-            num_cols,
-            words_per_row: num_cols.div_ceil(64).max(1),
-        };
-        (ctx, columns)
-    }
-
-    /// Interns the entry states — the empty stream first, then one per
-    /// produced property in `nfsm.props` insertion order. This fixed
-    /// seeding order is the root of the cross-driver numbering contract.
-    pub(crate) fn start_tables(
-        &self,
-        nfsm: &Nfsm,
-    ) -> Result<(SubsetTables, u32, FxHashMap<LogicalProperty, u32>), BuildError> {
-        let mut tables = SubsetTables {
             states: Interner::new(),
             transitions: Vec::new(),
-            contains: Vec::new(),
-            processed: 0,
-        };
-        let empty_state = self.intern(&mut tables, self.eps_closure[0].clone())?;
-        let mut start: FxHashMap<LogicalProperty, u32> = FxHashMap::default();
-        for (node, prop) in nfsm.props.iter() {
-            if nfsm.info[node as usize].produced {
-                let id = self.intern(&mut tables, self.eps_closure[node as usize].clone())?;
-                start.insert(prop.clone(), id);
-            }
         }
-        Ok((tables, empty_state, start))
     }
 
     /// Interns a subset, extending the transition table with an
-    /// unfilled row and materializing the contains row when it is new.
-    fn intern(&self, t: &mut SubsetTables, set: BitSet) -> Result<u32, BuildError> {
-        let before = t.states.len();
-        let id = t.states.intern(set);
-        if t.states.len() > before {
-            if t.states.len() > self.max_states {
+    /// unfilled row when it is new.
+    fn intern(&mut self, set: BitSet) -> Result<u32, BuildError> {
+        let before = self.states.len();
+        let id = self.states.intern(set);
+        if self.states.len() > before {
+            if self.states.len() > self.max_states {
                 return Err(BuildError::TooManyDfsmStates(self.max_states));
             }
-            t.transitions
-                .extend(std::iter::repeat_n(u32::MAX, self.num_symbols));
-            let base = t.contains.len();
-            t.contains
-                .extend(std::iter::repeat_n(0u64, self.words_per_row));
-            for v in t.states.resolve(id).iter() {
-                let col = self.col_of_node[v];
-                if col != u32::MAX {
-                    t.contains[base + col as usize / 64] |= 1u64 << (col % 64);
-                }
-            }
+            self.transitions
+                .extend(std::iter::repeat_n(u32::MAX, self.nfsm.num_symbols));
         }
         Ok(id)
     }
 
     /// Successor subset of `subset` under `sym`: self-retention plus the
     /// ε-closures of all edge targets.
-    fn successor(&self, nfsm: &Nfsm, subset: &BitSet, sym: usize) -> BitSet {
+    fn successor(&self, subset: &BitSet, sym: usize) -> BitSet {
         let mut succ = subset.clone();
         for v in subset.iter() {
-            for &t in &nfsm.edges[v][sym] {
+            for &t in &self.nfsm.edges[v][sym] {
                 succ.union_with(&self.eps_closure[t as usize]);
             }
         }
         succ
     }
 
-    /// Processes the next unprocessed state: computes and interns its
-    /// successors in symbol order, filling its transition row.
-    pub(crate) fn process_next(&self, nfsm: &Nfsm, t: &mut SubsetTables) -> Result<(), BuildError> {
-        let state = t.processed;
-        let subset = t.states.resolve(state).clone();
-        for sym in 0..self.num_symbols {
-            let succ = self.successor(nfsm, &subset, sym);
-            let target = if succ == subset {
-                state
-            } else {
-                self.intern(t, succ)?
-            };
-            t.transitions[state as usize * self.num_symbols + sym] = target;
-        }
-        t.processed += 1;
-        Ok(())
-    }
-
-    /// Runs the BFS to the fixpoint serially.
-    pub(crate) fn run_to_fixpoint(
-        &self,
-        nfsm: &Nfsm,
-        t: &mut SubsetTables,
-    ) -> Result<(), BuildError> {
-        while (t.processed as usize) < t.states.len() {
-            self.process_next(nfsm, t)?;
-        }
-        Ok(())
-    }
-
-    /// Runs the BFS to the fixpoint with frontier parallelism: each BFS
-    /// wave's successor subsets are computed concurrently (pure reads),
-    /// then interned serially in `(state, symbol)` order — the same
-    /// splice discipline the DP drivers use, so state numbering is
-    /// identical to the serial build regardless of thread count.
-    pub(crate) fn run_to_fixpoint_with(
-        &self,
-        nfsm: &Nfsm,
-        t: &mut SubsetTables,
-        exec: &dyn PrepExecutor,
-    ) -> Result<(), BuildError> {
-        while (t.processed as usize) < t.states.len() {
-            let lo = t.processed as usize;
-            let hi = t.states.len();
-            let frontier: Vec<BitSet> = (lo..hi)
-                .map(|s| t.states.resolve(s as u32).clone())
-                .collect();
-            let rows = exec.run_subsets(hi - lo, &|i| {
-                (0..self.num_symbols)
-                    .map(|sym| self.successor(nfsm, &frontier[i], sym))
-                    .collect()
-            });
-            for (i, row) in rows.into_iter().enumerate() {
-                let state = (lo + i) as u32;
-                for (sym, succ) in row.into_iter().enumerate() {
-                    let target = if succ == frontier[i] {
-                        state
-                    } else {
-                        self.intern(t, succ)?
-                    };
-                    t.transitions[state as usize * self.num_symbols + sym] = target;
-                }
-                t.processed += 1;
+    /// Runs the BFS to the fixpoint: each state's successors are
+    /// computed and interned in symbol order, filling its transition row.
+    fn run_to_fixpoint(&mut self) -> Result<(), BuildError> {
+        let num_symbols = self.nfsm.num_symbols;
+        let mut state = 0u32;
+        while (state as usize) < self.states.len() {
+            let subset = self.states.resolve(state).clone();
+            for sym in 0..num_symbols {
+                let succ = self.successor(&subset, sym);
+                let target = if succ == subset {
+                    state
+                } else {
+                    self.intern(succ)?
+                };
+                self.transitions[state as usize * num_symbols + sym] = target;
             }
+            state += 1;
         }
         Ok(())
-    }
-
-    /// Reads one bit of the flat contains rows.
-    #[inline]
-    pub(crate) fn contains_bit(&self, t: &SubsetTables, state: u32, col: u32) -> bool {
-        let base = state as usize * self.words_per_row;
-        t.contains[base + col as usize / 64] & (1u64 << (col % 64)) != 0
-    }
-
-    /// Runtime bytes of the tables built so far (mirrors
-    /// [`Dfsm::precomputed_bytes`] for the lazy path).
-    pub(crate) fn table_bytes(&self, t: &SubsetTables, num_start: usize) -> usize {
-        t.transitions.len() * std::mem::size_of::<u32>()
-            + t.contains.len() * std::mem::size_of::<u64>()
-            + num_start * std::mem::size_of::<u32>()
     }
 }
 
 /// The deterministic FSM plus the §5.5 precomputed tables.
 pub struct Dfsm {
     /// Subset of NFSM nodes per DFSM state (kept for introspection,
-    /// examples, tests and on-demand dominance; after
-    /// [`minimize`](Dfsm::minimize) each entry is the subset of the
-    /// block's representative — its lowest-numbered member).
+    /// examples, tests and on-demand dominance).
     pub states: Vec<BitSet>,
     /// Row-major transition table: `transitions[state * num_symbols + sym]`.
     pub transitions: Vec<u32>,
@@ -340,148 +174,56 @@ fn dominance_matrix(state_sets: &[BitSet]) -> Option<BitMatrix> {
 }
 
 impl Dfsm {
-    /// Runs the subset construction over `nfsm`, serially.
+    /// Runs the subset construction over `nfsm`. Fails with
+    /// [`BuildError::TooManyDfsmStates`] when the powerset grows past
+    /// [`PruneConfig::max_dfsm_states`].
     pub fn build(nfsm: &Nfsm, config: &PruneConfig) -> Result<Dfsm, BuildError> {
-        Self::build_with(nfsm, config, None)
-    }
-
-    /// Runs the subset construction, optionally fanning each BFS
-    /// frontier out on an executor. Produces bit-identical tables with
-    /// and without an executor, at any thread count.
-    pub fn build_with(
-        nfsm: &Nfsm,
-        config: &PruneConfig,
-        exec: Option<&dyn PrepExecutor>,
-    ) -> Result<Dfsm, BuildError> {
-        let (ctx, columns) = SubsetCtx::new(nfsm, config);
-        let (mut tables, empty_state, start) = ctx.start_tables(nfsm)?;
-        match exec {
-            None => ctx.run_to_fixpoint(nfsm, &mut tables)?,
-            Some(e) => ctx.run_to_fixpoint_with(nfsm, &mut tables, e)?,
+        let mut sc = SubsetConstruction::new(nfsm, config);
+        // Entry states first — the empty stream, then one per produced
+        // property in `nfsm.props` insertion order. This fixed seeding
+        // order is the root of the state-numbering contract.
+        let empty_state = sc.intern(sc.eps_closure[0].clone())?;
+        let mut start: FxHashMap<LogicalProperty, u32> = FxHashMap::default();
+        for (node, prop) in nfsm.props.iter() {
+            if nfsm.info[node as usize].produced {
+                let id = sc.intern(sc.eps_closure[node as usize].clone())?;
+                start.insert(prop.clone(), id);
+            }
         }
-        Ok(Self::freeze(&ctx, tables, columns, empty_state, start))
-    }
+        sc.run_to_fixpoint()?;
 
-    /// Freezes completed subset-construction tables into the dense
-    /// runtime representation.
-    pub(crate) fn freeze(
-        ctx: &SubsetCtx,
-        tables: SubsetTables,
-        columns: FxHashMap<LogicalProperty, u32>,
-        empty_state: u32,
-        start: FxHashMap<LogicalProperty, u32>,
-    ) -> Dfsm {
-        debug_assert_eq!(tables.processed as usize, tables.states.len());
-        let n_states = tables.states.len();
-        let state_sets: Vec<BitSet> = (0..n_states as u32)
-            .map(|s| tables.states.resolve(s).clone())
-            .collect();
-        let mut contains = BitMatrix::new(n_states, ctx.num_cols);
-        for (state, set) in state_sets.iter().enumerate() {
+        // Contains column per interesting NFSM node, in `nfsm.props`
+        // insertion order (`u32::MAX` when not interesting).
+        let mut columns: FxHashMap<LogicalProperty, u32> = FxHashMap::default();
+        let mut col_of_node: Vec<u32> = vec![u32::MAX; nfsm.num_nodes()];
+        for (node, prop) in nfsm.props.iter() {
+            if nfsm.info[node as usize].interesting {
+                let col = columns.len() as u32;
+                columns.insert(prop.clone(), col);
+                col_of_node[node as usize] = col;
+            }
+        }
+        let states: Vec<BitSet> = sc.states.iter().map(|(_, set)| set.clone()).collect();
+        let mut contains = BitMatrix::new(states.len(), columns.len());
+        for (state, set) in states.iter().enumerate() {
             for v in set.iter() {
-                let col = ctx.col_of_node[v];
+                let col = col_of_node[v];
                 if col != u32::MAX {
                     contains.set(state, col as usize);
                 }
             }
         }
-        let dominance = dominance_matrix(&state_sets);
-        Dfsm {
-            states: state_sets,
-            transitions: tables.transitions,
-            num_symbols: ctx.num_symbols,
+        let dominance = dominance_matrix(&states);
+        Ok(Dfsm {
+            states,
+            transitions: sc.transitions,
+            num_symbols: nfsm.num_symbols,
             empty_state,
             start,
             contains,
             columns,
             dominance,
-        }
-    }
-
-    /// Hopcroft-style partition refinement: merges states that are
-    /// probe-equivalent (identical contains rows now and after every
-    /// possible symbol sequence). Returns the state count *before*
-    /// minimization.
-    ///
-    /// The initial partition groups states by contains row (the only
-    /// observable output); each round refines blocks by their successor
-    /// blocks per symbol until stable. Surviving blocks are renumbered
-    /// by the lowest old state id they contain, so minimized ids are
-    /// deterministic; each block keeps its representative's (lowest
-    /// member's) NFSM subset for dominance, which stays *sound* —
-    /// a representative-subset inclusion still witnesses future-proof
-    /// domination — but may prune slightly less than the unminimized
-    /// matrix, since merged states can lose incomparable subsets.
-    ///
-    /// Note that minimization changes `State` handle values, so a
-    /// minimized framework is **not** byte-compatible with an
-    /// unminimized one (it is probe-equivalent instead); the prepare
-    /// surface keeps it opt-in for exactly that reason.
-    pub fn minimize(&mut self) -> usize {
-        let n = self.num_states();
-        // Initial partition: states with equal contains rows share a
-        // block. Block ids are assigned by first occurrence in state
-        // order, an invariant maintained through every refinement round.
-        let mut block_of: Vec<u32> = vec![0; n];
-        let mut by_row: FxHashMap<Vec<usize>, u32> = FxHashMap::default();
-        for (s, b) in block_of.iter_mut().enumerate() {
-            let row: Vec<usize> = self.contains.row_iter(s).collect();
-            let next = by_row.len() as u32;
-            *b = *by_row.entry(row).or_insert(next);
-        }
-        let mut num_blocks = by_row.len();
-        drop(by_row);
-        loop {
-            let mut by_sig: FxHashMap<(u32, Vec<u32>), u32> = FxHashMap::default();
-            let mut new_block_of = vec![0u32; n];
-            for s in 0..n {
-                let succs: Vec<u32> = (0..self.num_symbols)
-                    .map(|sym| block_of[self.step(s as u32, sym) as usize])
-                    .collect();
-                let next = by_sig.len() as u32;
-                new_block_of[s] = *by_sig.entry((block_of[s], succs)).or_insert(next);
-            }
-            let refined = by_sig.len();
-            block_of = new_block_of;
-            if refined == num_blocks {
-                break;
-            }
-            num_blocks = refined;
-        }
-        if num_blocks == n {
-            return n;
-        }
-
-        // Representative of each block: its lowest-numbered member
-        // (which, by the first-occurrence numbering, is also the state
-        // that named the block).
-        let mut repr: Vec<u32> = vec![u32::MAX; num_blocks];
-        for (s, &b) in block_of.iter().enumerate() {
-            if repr[b as usize] == u32::MAX {
-                repr[b as usize] = s as u32;
-            }
-        }
-        let mut transitions = vec![0u32; num_blocks * self.num_symbols];
-        let mut contains = BitMatrix::new(num_blocks, self.contains.cols());
-        let mut state_sets = Vec::with_capacity(num_blocks);
-        for (b, &r) in repr.iter().enumerate() {
-            for sym in 0..self.num_symbols {
-                transitions[b * self.num_symbols + sym] = block_of[self.step(r, sym) as usize];
-            }
-            for col in self.contains.row_iter(r as usize) {
-                contains.set(b, col);
-            }
-            state_sets.push(self.states[r as usize].clone());
-        }
-        self.empty_state = block_of[self.empty_state as usize];
-        for s in self.start.values_mut() {
-            *s = block_of[*s as usize];
-        }
-        self.dominance = dominance_matrix(&state_sets);
-        self.states = state_sets;
-        self.transitions = transitions;
-        self.contains = contains;
-        n
+        })
     }
 
     /// Number of DFSM states.
@@ -528,7 +270,6 @@ mod tests {
     use crate::prune::{prune_fds, prune_nfsm};
     use crate::spec::InputSpec;
     use ofw_catalog::AttrId;
-    use ofw_common::SerialExecutor;
 
     const A: AttrId = AttrId(0);
     const B: AttrId = AttrId(1);
@@ -646,82 +387,5 @@ mod tests {
         let bytes = dfsm.precomputed_bytes();
         assert!(bytes >= dfsm.transitions.len() * 4);
         assert!(bytes < 16 * 1024, "tiny example must stay tiny: {bytes}");
-    }
-
-    /// The parallel-frontier build must be bit-identical to the serial
-    /// one: same state numbering, transitions, contains rows and starts.
-    #[test]
-    fn frontier_build_matches_serial_build() {
-        let config = PruneConfig::default();
-        let (nfsm, serial) = running_example_dfsm(&config);
-        let exec = SerialExecutor;
-        let frontier = Dfsm::build_with(&nfsm, &config, Some(&exec)).unwrap();
-        assert_eq!(frontier.states, serial.states);
-        assert_eq!(frontier.transitions, serial.transitions);
-        assert_eq!(frontier.start, serial.start);
-        assert_eq!(frontier.empty_state, serial.empty_state);
-        for s in 0..serial.num_states() {
-            let a: Vec<usize> = serial.contains.row_iter(s).collect();
-            let b: Vec<usize> = frontier.contains.row_iter(s).collect();
-            assert_eq!(a, b);
-        }
-    }
-
-    /// Minimization merges probe-equivalent states while preserving
-    /// every probe answer along every symbol sequence. The *unpruned*
-    /// running example is full of such redundancy: artificial nodes
-    /// like (b,c) ride along in states whose interesting-order rows and
-    /// futures are indistinguishable — NFSM pruning removes most of it
-    /// up front, minimization mops up what determinization still
-    /// duplicates.
-    #[test]
-    fn minimize_merges_equivalent_states_and_preserves_probes() {
-        let config = PruneConfig::none();
-        let (nfsm, full) = running_example_dfsm(&config);
-        let mut min = Dfsm::build(&nfsm, &config).unwrap();
-        let before = min.minimize();
-        assert_eq!(before, full.num_states());
-        assert!(
-            min.num_states() < full.num_states(),
-            "artificial-node redundancy must merge: {} vs {}",
-            min.num_states(),
-            full.num_states()
-        );
-
-        // Probe-equivalence along every symbol sequence up to length 3.
-        let props: Vec<&LogicalProperty> = full.columns.keys().collect();
-        for (prop, &s_full) in &full.start {
-            for syms in [
-                vec![],
-                vec![0],
-                vec![1],
-                vec![0, 1],
-                vec![1, 0],
-                vec![0, 0, 1],
-            ] {
-                let mut sf = s_full;
-                let mut sm = min.start[prop];
-                for &sym in &syms {
-                    sf = full.step(sf, sym);
-                    sm = min.step(sm, sym);
-                }
-                for p in &props {
-                    assert_eq!(
-                        full.contains.get(sf as usize, full.columns[*p] as usize),
-                        min.contains.get(sm as usize, min.columns[*p] as usize),
-                        "probe {p:?} diverged after {syms:?} from start {prop:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A DFSM with nothing to merge reports the unchanged count.
-    #[test]
-    fn minimize_is_identity_on_distinct_states() {
-        let (_, mut dfsm) = running_example_dfsm(&PruneConfig::default());
-        let n = dfsm.num_states();
-        assert_eq!(dfsm.minimize(), n);
-        assert_eq!(dfsm.num_states(), n);
     }
 }

@@ -19,35 +19,23 @@
 //! the stream satisfies — the orderings it is sorted by and the
 //! groupings it is grouped by — still in four bytes.
 //!
-//! # Preparation modes
+//! # Preparation
 //!
-//! Determinization is the framework's only real cost, and
-//! [`prepare_opts`](OrderingFramework::prepare_opts) lets the caller
-//! pick how to pay it ([`PrepareMode`]):
-//!
-//! * **Eager** — the classic full subset construction, optionally with
-//!   frontier parallelism on a [`PrepExecutor`]. Required for
-//!   [`dfsm`](OrderingFramework::dfsm) introspection and for
-//!   [`PrepareOptions::minimize`].
-//! * **Lazy** — only the entry states are built; further DFSM states
-//!   materialize on first probe (see [`crate::lazy`]). State numbering
-//!   is always a prefix of the eager numbering, so handles, probe
-//!   answers and plan tables are bit-identical across modes and thread
-//!   counts.
-//! * **Auto** (default) — lazy, but a construction that grows past
-//!   [`PrepareOptions::auto_threshold`] states completes eagerly at
-//!   once.
+//! Determinization is the framework's only real cost, and there is one
+//! way to pay it: the full subset construction at prepare time
+//! ([`Dfsm::build`]), so a prepared framework is immutable and every
+//! probe is a lookup. [`prepare_opts`](OrderingFramework::prepare_opts)
+//! is the same preparation with a span sink attached.
 //!
 //! Structurally identical specs can additionally share one prepared
 //! automaton through a [`PreparedCache`]
 //! ([`prepare_cached`](OrderingFramework::prepare_cached)): warm
 //! preparation is a canonicalization pass plus a hash lookup.
 
-use crate::dfsm::{Dfsm, PrepExecutor};
+use crate::dfsm::Dfsm;
 use crate::eqclass::EqClasses;
 use crate::fd::FdSetId;
 use crate::intern::{canonicalize, AttrCanonMap, CacheKey, PreparedCache};
-use crate::lazy::LazyDfsm;
 use crate::nfsm::{BuildError, Nfsm};
 use crate::ordering::Ordering;
 use crate::property::{Grouping, HeadTail, LogicalProperty};
@@ -92,117 +80,21 @@ impl std::fmt::Display for PrepareError {
 
 impl std::error::Error for PrepareError {}
 
-/// When (and how far) to run the subset construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PrepareMode {
-    /// Full determinization at prepare time.
-    Eager,
-    /// Entry states only; everything else on first probe.
-    Lazy,
-    /// Lazy until [`PrepareOptions::auto_threshold`] states exist, then
-    /// complete eagerly.
-    #[default]
-    Auto,
-}
-
-/// Default [`PrepareOptions::auto_threshold`]: past this many DFSM
-/// states the lattice is evidently being explored broadly and per-probe
-/// laziness stops paying for its locking.
-pub const DEFAULT_AUTO_MATERIALIZE_THRESHOLD: usize = 1024;
-
-/// Knobs of [`OrderingFramework::prepare_opts`].
-#[derive(Clone)]
+/// Options of [`OrderingFramework::prepare_opts`] and
+/// [`OrderingFramework::prepare_cached`].
+#[derive(Clone, Debug, Default)]
 pub struct PrepareOptions {
-    /// Eager, lazy or auto determinization (default auto).
-    pub mode: PrepareMode,
-    /// Run Hopcroft-style minimization after (full) determinization.
-    /// Implies eager construction. Minimization preserves every probe
-    /// answer but renumbers states, so it is opt-in: a minimized
-    /// framework is probe-equivalent, not byte-identical, to an
-    /// unminimized one.
-    pub minimize: bool,
-    /// Auto-mode materialization threshold (states).
-    pub auto_threshold: usize,
-    /// Executor for preparation parallelism: eager builds (and lazy
-    /// builds crossing the threshold) fan each subset-construction
-    /// frontier out on it, with state numbering identical to the serial
-    /// build at any thread count.
-    pub exec: Option<Arc<dyn PrepExecutor>>,
-    /// Span sink for preparation phases (nfsm / determinize / minimize
-    /// / intern). Disabled by default; never affects the prepared
-    /// result and is excluded from interning cache keys.
+    /// Span sink for preparation phases (nfsm / determinize / intern).
+    /// Disabled by default; never affects the prepared result and is
+    /// excluded from interning cache keys.
     pub trace: Trace,
 }
 
-impl Default for PrepareOptions {
-    fn default() -> Self {
-        PrepareOptions {
-            mode: PrepareMode::Auto,
-            minimize: false,
-            auto_threshold: DEFAULT_AUTO_MATERIALIZE_THRESHOLD,
-            exec: None,
-            trace: Trace::disabled(),
-        }
-    }
-}
-
 impl PrepareOptions {
-    /// Eager determinization (the classic behavior of
-    /// [`OrderingFramework::prepare`]).
-    pub fn eager() -> Self {
-        PrepareOptions {
-            mode: PrepareMode::Eager,
-            ..Self::default()
-        }
-    }
-
-    /// Pure lazy determinization, no auto completion.
-    pub fn lazy() -> Self {
-        PrepareOptions {
-            mode: PrepareMode::Lazy,
-            ..Self::default()
-        }
-    }
-
-    /// Auto determinization with the default threshold.
-    pub fn auto() -> Self {
-        Self::default()
-    }
-
-    /// Enables DFSM minimization (implies eager construction).
-    pub fn minimize(mut self, on: bool) -> Self {
-        self.minimize = on;
-        self
-    }
-
-    /// Sets the auto-mode materialization threshold.
-    pub fn auto_threshold(mut self, states: usize) -> Self {
-        self.auto_threshold = states;
-        self
-    }
-
-    /// Attaches a preparation executor.
-    pub fn exec(mut self, exec: Arc<dyn PrepExecutor>) -> Self {
-        self.exec = Some(exec);
-        self
-    }
-
     /// Attaches a span sink (default: disabled).
     pub fn trace(mut self, trace: &Trace) -> Self {
         self.trace = trace.clone();
         self
-    }
-}
-
-impl std::fmt::Debug for PrepareOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrepareOptions")
-            .field("mode", &self.mode)
-            .field("minimize", &self.minimize)
-            .field("auto_threshold", &self.auto_threshold)
-            .field("exec", &self.exec.is_some())
-            .field("trace", &self.trace.is_enabled())
-            .finish()
     }
 }
 
@@ -216,88 +108,28 @@ pub struct PrepStats {
     pub nfsm_nodes: usize,
     /// NFSM FD-edge count after pruning.
     pub nfsm_edges: usize,
-    /// DFSM states materialized at the end of preparation (including
-    /// the empty-stream state). For eager modes this is the total; for
-    /// lazy modes it is just the entry states —
-    /// [`OrderingFramework::dfsm_states_materialized`] reports the
-    /// live count as probes materialize more.
+    /// Reachable DFSM states (including the empty-stream state) — a
+    /// pure function of the spec and the pruning configuration.
     pub dfsm_states: usize,
-    /// Total reachable DFSM states, when known at prepare time (eager
-    /// modes; `None` for a lazy automaton until materialized).
-    pub dfsm_states_total: Option<usize>,
-    /// State count before minimization, when it ran and merged states.
-    pub minimized_from: Option<usize>,
     /// Whether preparation was satisfied from a [`PreparedCache`] hit.
     pub interned_hit: bool,
     /// Functional dependencies removed by step 2(b).
     pub pruned_fds: usize,
-    /// Bytes of precomputed runtime data (transition + contains tables)
-    /// at the end of preparation.
+    /// Bytes of precomputed runtime data (transition, contains and
+    /// dominance tables).
     pub precomputed_bytes: usize,
     /// Wall-clock time of the whole preparation phase.
     pub prep_time: Duration,
 }
 
-/// The automaton behind a prepared framework: one fully-built DFSM or
-/// its lazily-materializing twin. Both expose identical state ids.
-pub(crate) enum Automaton {
-    Eager(Dfsm),
-    Lazy(LazyDfsm),
-}
-
-impl Automaton {
-    fn columns(&self) -> &FxHashMap<LogicalProperty, u32> {
-        match self {
-            Automaton::Eager(d) => &d.columns,
-            Automaton::Lazy(l) => l.columns(),
-        }
-    }
-
-    fn start(&self) -> &FxHashMap<LogicalProperty, u32> {
-        match self {
-            Automaton::Eager(d) => &d.start,
-            Automaton::Lazy(l) => l.start(),
-        }
-    }
-
-    fn empty_state(&self) -> u32 {
-        match self {
-            Automaton::Eager(d) => d.empty_state,
-            Automaton::Lazy(l) => l.empty_state(),
-        }
-    }
-
-    fn materialized_states(&self) -> usize {
-        match self {
-            Automaton::Eager(d) => d.num_states(),
-            Automaton::Lazy(l) => l.materialized_states(),
-        }
-    }
-
-    fn total_states(&self) -> Option<usize> {
-        match self {
-            Automaton::Eager(d) => Some(d.num_states()),
-            Automaton::Lazy(l) => l.total_states(),
-        }
-    }
-
-    fn precomputed_bytes(&self) -> usize {
-        match self {
-            Automaton::Eager(d) => d.precomputed_bytes(),
-            Automaton::Lazy(l) => l.precomputed_bytes(),
-        }
-    }
-}
-
-/// One preparation result: the pruned NFSM, its automaton, and the
-/// spec-independent metrics. Shareable across queries through a
-/// [`PreparedCache`].
+/// One preparation result: the pruned NFSM, its DFSM, and the
+/// spec-independent metrics. Immutable once built, so it is shareable
+/// across queries (and threads) through a [`PreparedCache`].
 pub(crate) struct Prepared {
-    pub(crate) nfsm: Nfsm,
-    pub(crate) automaton: Automaton,
+    nfsm: Nfsm,
+    dfsm: Dfsm,
     nfsm_nodes_before_prune: usize,
     pruned_fds: usize,
-    minimized_from: Option<usize>,
 }
 
 /// The prepared order-and-grouping framework for one query.
@@ -324,19 +156,15 @@ pub struct OrderingFramework {
 
 impl OrderingFramework {
     /// Runs the preparation phase of Fig. 3: FD filtering, NFSM
-    /// construction, NFSM pruning, eager determinization,
-    /// precomputation. Equivalent to
-    /// [`prepare_opts`](Self::prepare_opts) with
-    /// [`PrepareOptions::eager`] — the classic entry point, kept eager
-    /// so [`dfsm`](Self::dfsm) introspection always works.
+    /// construction, NFSM pruning, determinization, precomputation.
+    /// Fails — never panics — when the spec exceeds a [`PruneConfig`]
+    /// budget (`max_nodes`, `max_dfsm_states`).
     pub fn prepare(spec: &InputSpec, config: PruneConfig) -> Result<Self, PrepareError> {
-        Self::prepare_opts(spec, config, &PrepareOptions::eager())
+        Self::prepare_opts(spec, config, &PrepareOptions::default())
     }
 
-    /// Preparation with explicit [`PrepareOptions`] (mode, minimization,
-    /// parallelism). All modes expose bit-identical handles, states and
-    /// probe answers — except under `minimize`, which renumbers states
-    /// while preserving every probe answer.
+    /// [`prepare`](Self::prepare) with explicit [`PrepareOptions`]: the
+    /// traced entry point.
     pub fn prepare_opts(
         spec: &InputSpec,
         config: PruneConfig,
@@ -344,12 +172,9 @@ impl OrderingFramework {
     ) -> Result<Self, PrepareError> {
         let t0 = Instant::now();
         let mut sp = options.trace.span("prepare");
-        let prepared = Arc::new(Self::build_prepared(spec, &config, options)?);
+        let prepared = Arc::new(Self::build_prepared(spec, &config, &options.trace)?);
         sp.count("nfsm_nodes", prepared.nfsm.num_nodes() as u64);
-        sp.count(
-            "dfsm_states",
-            prepared.automaton.materialized_states() as u64,
-        );
+        sp.count("dfsm_states", prepared.dfsm.num_states() as u64);
         Ok(Self::from_prepared(prepared, None, false, t0))
     }
 
@@ -361,7 +186,8 @@ impl OrderingFramework {
     /// be numbered differently from an uncached prepare of the same spec
     /// (canonical renaming can reorder set-valued properties), so mix
     /// cached and uncached frameworks only through their probe answers,
-    /// never by comparing raw handle values.
+    /// never by comparing raw handle values. A failed build caches
+    /// nothing.
     pub fn prepare_cached(
         spec: &InputSpec,
         config: PruneConfig,
@@ -373,27 +199,21 @@ impl OrderingFramework {
         let (canon_spec, map, key) = {
             let _intern = sp.child("intern");
             let (canon_spec, map) = canonicalize(spec);
-            let key = CacheKey::new(&canon_spec, &config, options.minimize);
+            let key = CacheKey::new(&canon_spec, &config);
             (canon_spec, map, key)
         };
-        let (prepared, hit) =
-            cache.get_or_build(key, || Self::build_prepared(&canon_spec, &config, options))?;
+        let (prepared, hit) = cache.get_or_build(key, || {
+            Self::build_prepared(&canon_spec, &config, &options.trace)
+        })?;
         sp.count("interned_hit", u64::from(hit));
-        if hit && options.mode == PrepareMode::Eager {
-            // The cached entry may have been prepared lazily; an eager
-            // request still guarantees a complete automaton.
-            if let Automaton::Lazy(l) = &prepared.automaton {
-                l.materialize_all(&prepared.nfsm);
-            }
-        }
         Ok(Self::from_prepared(prepared, Some(&map), hit, t0))
     }
 
-    /// The mode-dispatched core of every prepare entry point.
+    /// The core of every prepare entry point.
     fn build_prepared(
         spec: &InputSpec,
         config: &PruneConfig,
-        options: &PrepareOptions,
+        trace: &Trace,
     ) -> Result<Prepared, PrepareError> {
         let eq = EqClasses::from_fds(spec.fd_sets().iter().flat_map(|s| s.fds().iter()));
         let (fd_sets, pruned_fds) = if config.prune_fds {
@@ -402,7 +222,7 @@ impl OrderingFramework {
             (spec.fd_sets().to_vec(), 0)
         };
         let (nfsm, nfsm_nodes_before_prune) = {
-            let mut sp = options.trace.span_at("nfsm", 1);
+            let mut sp = trace.span_at("nfsm", 1);
             let nfsm = Nfsm::build(spec, &fd_sets, &eq, config).map_err(PrepareError)?;
             let before = nfsm.num_nodes();
             let nfsm = prune_nfsm(nfsm, config);
@@ -411,44 +231,17 @@ impl OrderingFramework {
             sp.count("pruned_fds", pruned_fds as u64);
             (nfsm, before)
         };
-
-        let eager = options.minimize || options.mode == PrepareMode::Eager;
-        let (automaton, minimized_from) = if eager {
-            let mut dfsm = {
-                let mut sp = options.trace.span_at("determinize", 1);
-                let dfsm = Dfsm::build_with(&nfsm, config, options.exec.as_deref())
-                    .map_err(PrepareError)?;
-                sp.count("states", dfsm.num_states() as u64);
-                dfsm
-            };
-            let minimized_from = if options.minimize {
-                let mut sp = options.trace.span_at("minimize", 1);
-                let before = dfsm.minimize();
-                sp.count("states_before", before as u64);
-                sp.count("states", dfsm.num_states() as u64);
-                (before > dfsm.num_states()).then_some(before)
-            } else {
-                None
-            };
-            (Automaton::Eager(dfsm), minimized_from)
-        } else {
-            let threshold = match options.mode {
-                PrepareMode::Auto => Some(options.auto_threshold.max(1)),
-                _ => None,
-            };
-            let mut sp = options.trace.span_at("determinize", 1);
-            let lazy = LazyDfsm::new(&nfsm, config, threshold, options.exec.clone())
-                .map_err(PrepareError)?;
-            sp.count("states", lazy.materialized_states() as u64);
-            sp.label("lazy");
-            (Automaton::Lazy(lazy), None)
+        let dfsm = {
+            let mut sp = trace.span_at("determinize", 1);
+            let dfsm = Dfsm::build(&nfsm, config).map_err(PrepareError)?;
+            sp.count("states", dfsm.num_states() as u64);
+            dfsm
         };
         Ok(Prepared {
             nfsm,
-            automaton,
+            dfsm,
             nfsm_nodes_before_prune,
             pruned_fds,
-            minimized_from,
         })
     }
 
@@ -462,7 +255,7 @@ impl OrderingFramework {
         t0: Instant,
     ) -> Self {
         let mut handles: FxHashMap<LogicalProperty, OrderHandle> = FxHashMap::default();
-        for (p, &col) in prepared.automaton.columns() {
+        for (p, &col) in &prepared.dfsm.columns {
             let p = match map {
                 Some(m) => m.prop_to_original(p),
                 None => p.clone(),
@@ -470,7 +263,7 @@ impl OrderingFramework {
             handles.insert(p, OrderHandle(col));
         }
         let mut start_of: FxHashMap<OrderHandle, State> = FxHashMap::default();
-        for (p, &s) in prepared.automaton.start() {
+        for (p, &s) in &prepared.dfsm.start {
             let p = match map {
                 Some(m) => m.prop_to_original(p),
                 None => p.clone(),
@@ -481,12 +274,10 @@ impl OrderingFramework {
             nfsm_nodes_before_prune: prepared.nfsm_nodes_before_prune,
             nfsm_nodes: prepared.nfsm.num_nodes(),
             nfsm_edges: prepared.nfsm.num_edges(),
-            dfsm_states: prepared.automaton.materialized_states(),
-            dfsm_states_total: prepared.automaton.total_states(),
-            minimized_from: prepared.minimized_from,
+            dfsm_states: prepared.dfsm.num_states(),
             interned_hit,
             pruned_fds: prepared.pruned_fds,
-            precomputed_bytes: prepared.automaton.precomputed_bytes(),
+            precomputed_bytes: prepared.dfsm.precomputed_bytes(),
             prep_time: t0.elapsed(),
         };
         OrderingFramework {
@@ -556,28 +347,21 @@ impl OrderingFramework {
     /// ADT constructor for an unordered tuple stream (heap scan).
     #[inline]
     pub fn produce_empty(&self) -> State {
-        State(self.prepared.automaton.empty_state())
+        State(self.prepared.dfsm.empty_state)
     }
 
     /// `inferNewLogicalOrderings`: applies an operator's FD set — one
-    /// transition-table lookup (lazy mode materializes the row on first
-    /// use).
+    /// transition-table lookup.
     #[inline]
     pub fn infer(&self, s: State, f: FdSetId) -> State {
-        match &self.prepared.automaton {
-            Automaton::Eager(d) => State(d.step(s.0, f.index())),
-            Automaton::Lazy(l) => State(l.step(&self.prepared.nfsm, s.0, f.index())),
-        }
+        State(self.prepared.dfsm.step(s.0, f.index()))
     }
 
     /// `contains`: does a stream in state `s` satisfy the interesting
     /// order `h`? One bit probe.
     #[inline]
     pub fn satisfies(&self, s: State, h: OrderHandle) -> bool {
-        match &self.prepared.automaton {
-            Automaton::Eager(d) => d.contains.get(s.0 as usize, h.0 as usize),
-            Automaton::Lazy(l) => l.contains(s.0, h.0),
-        }
+        self.prepared.dfsm.contains.get(s.0 as usize, h.0 as usize)
     }
 
     /// `contains` for groupings: does a stream in state `s` satisfy the
@@ -602,19 +386,15 @@ impl OrderingFramework {
     /// Plan-domination: `a`'s underlying NFSM node set is a superset of
     /// `b`'s, so `a` satisfies at least every interesting order `b` does
     /// — now and after any further FD application (transitions are
-    /// monotone in the node set). One precomputed bit probe on the eager
-    /// path, an on-demand subset comparison on the lazy path — the same
-    /// relation either way. Because DFSM states carry only
+    /// monotone in the node set). One precomputed bit probe (an on-demand
+    /// subset comparison past the dominance-matrix size limit — the same
+    /// relation either way). Because DFSM states carry only
     /// query-relevant information, this prunes more plans than Simmen's
     /// ordering+FD-set comparability — the paper's explanation for the
     /// lower `#Plans` in §7.
     #[inline]
     pub fn dominates(&self, a: State, b: State) -> bool {
-        a == b
-            || match &self.prepared.automaton {
-                Automaton::Eager(d) => d.state_dominates(a.0, b.0),
-                Automaton::Lazy(l) => l.dominates(a.0, b.0),
-            }
+        a == b || self.prepared.dfsm.state_dominates(a.0, b.0)
     }
 
     /// All interesting *orderings* (prefix-closed) with their handles.
@@ -649,49 +429,22 @@ impl OrderingFramework {
         &self.stats
     }
 
-    /// DFSM states materialized *right now* — equals the total for
-    /// eager modes, grows with probes for lazy ones.
-    pub fn dfsm_states_materialized(&self) -> usize {
-        self.prepared.automaton.materialized_states()
-    }
-
-    /// Total reachable DFSM states, when known (always for eager modes;
-    /// for lazy ones only once fully materialized).
-    pub fn dfsm_states_total(&self) -> Option<usize> {
-        self.prepared.automaton.total_states()
-    }
-
-    /// Forces full determinization of a lazy automaton (no-op when
-    /// eager). Makes [`dfsm_states_total`](Self::dfsm_states_total)
-    /// available.
-    pub fn materialize_all(&self) {
-        if let Automaton::Lazy(l) = &self.prepared.automaton {
-            l.materialize_all(&self.prepared.nfsm);
-        }
-    }
-
     /// The pruned NFSM (introspection for examples/tests).
     pub fn nfsm(&self) -> &Nfsm {
         &self.prepared.nfsm
     }
 
-    /// The DFSM (introspection for examples/tests). Panics for lazily
-    /// prepared frameworks, which have no dense `Dfsm` even when fully
-    /// materialized — prepare eagerly when introspection is needed.
+    /// The DFSM (introspection for examples/tests). Infallible: every
+    /// prepared framework holds a complete one.
     pub fn dfsm(&self) -> &Dfsm {
-        match &self.prepared.automaton {
-            Automaton::Eager(d) => d,
-            Automaton::Lazy(_) => {
-                panic!("dfsm() introspection requires eager preparation (PrepareOptions::eager)")
-            }
-        }
+        &self.prepared.dfsm
     }
 
     /// Bytes of order-annotation storage a plan with `num_plan_nodes`
     /// nodes needs under this framework: 4 bytes per node plus the
-    /// shared precomputed tables (as currently materialized).
+    /// shared precomputed tables.
     pub fn memory_bytes(&self, num_plan_nodes: usize) -> usize {
-        num_plan_nodes * std::mem::size_of::<State>() + self.prepared.automaton.precomputed_bytes()
+        num_plan_nodes * std::mem::size_of::<State>() + self.prepared.dfsm.precomputed_bytes()
     }
 }
 
@@ -896,7 +649,6 @@ mod tests {
         let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
         let st = fw.stats();
         assert_eq!(st.dfsm_states, 4);
-        assert_eq!(st.dfsm_states_total, Some(4));
         assert!(!st.interned_hit);
         assert!(st.nfsm_nodes <= st.nfsm_nodes_before_prune);
         assert!(st.precomputed_bytes > 0);
@@ -904,73 +656,44 @@ mod tests {
         assert_eq!(fw.memory_bytes(1000) - fw.memory_bytes(0), 4000);
     }
 
-    /// Lazy and auto preparation answer the §5.6 walkthrough with the
-    /// exact same handle and state values as eager preparation.
+    /// The DFSM state budget fails every prepare entry point with a
+    /// typed error — at prepare time, never as a panic mid-probe — and a
+    /// failed build leaves the cache untouched.
     #[test]
-    fn prepare_modes_are_byte_identical() {
-        let (spec, f_bc, f_bd) = running_example();
-        let eager = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-        for options in [PrepareOptions::lazy(), PrepareOptions::auto()] {
-            let fw =
-                OrderingFramework::prepare_opts(&spec, PruneConfig::default(), &options).unwrap();
-            // Identical handle spaces...
-            for (p, h) in eager.properties() {
-                assert_eq!(fw.handle_property(p), Some(h));
-            }
-            assert_eq!(fw.produce_empty(), eager.produce_empty());
-            // ...and identical states along probe paths.
-            for (o, h) in eager.orders() {
-                if !eager.is_producible(h) {
-                    continue;
-                }
-                let _ = o;
-                let (se, sl) = (eager.produce(h), fw.produce(h));
-                assert_eq!(se, sl);
-                for f in [f_bc, f_bd] {
-                    assert_eq!(eager.infer(se, f), fw.infer(sl, f));
-                }
-                for (_, hh) in eager.properties() {
-                    assert_eq!(eager.satisfies(se, hh), fw.satisfies(sl, hh));
-                }
-            }
-            // Lazy starts small; probes materialize more; totals agree.
-            assert!(fw.dfsm_states_materialized() <= eager.dfsm_states_materialized());
-            fw.materialize_all();
-            assert_eq!(fw.dfsm_states_total(), eager.dfsm_states_total());
-        }
-    }
+    fn state_budget_is_a_typed_prepare_error() {
+        let (spec, _, _) = running_example();
+        let tight = || PruneConfig {
+            max_dfsm_states: 2,
+            ..PruneConfig::default()
+        };
+        let refused = PrepareError(BuildError::TooManyDfsmStates(2));
+        let options = PrepareOptions::default();
+        let cache = PreparedCache::new();
 
-    /// Minimization merges probe-equivalent states while preserving the
-    /// walkthrough's probe answers. Redundancy comes from artificial
-    /// nodes, so the test disables NFSM pruning (which removes most of
-    /// it before determinization) to give minimization something to do.
-    #[test]
-    fn minimized_framework_is_probe_equivalent() {
-        let (spec, f_bc, _) = running_example();
-        let plain = OrderingFramework::prepare(&spec, PruneConfig::none()).unwrap();
-        let min = OrderingFramework::prepare_opts(
-            &spec,
-            PruneConfig::none(),
-            &PrepareOptions::eager().minimize(true),
-        )
-        .unwrap();
-        let st = min.stats();
-        assert!(st.minimized_from.is_some(), "redundant orders must merge");
-        assert!(st.dfsm_states < st.minimized_from.unwrap());
-        for (p, h_plain) in plain.properties() {
-            let h_min = min.handle_property(p).unwrap();
-            if !plain.is_producible(h_plain) {
-                continue;
-            }
-            let (sp, sm) = (plain.produce(h_plain), min.produce(h_min));
-            for (q, hq_plain) in plain.properties() {
-                let hq_min = min.handle_property(q).unwrap();
-                assert_eq!(plain.satisfies(sp, hq_plain), min.satisfies(sm, hq_min));
-                assert_eq!(
-                    plain.satisfies(plain.infer(sp, f_bc), hq_plain),
-                    min.satisfies(min.infer(sm, f_bc), hq_min)
-                );
-            }
-        }
+        assert_eq!(
+            OrderingFramework::prepare(&spec, tight()).err(),
+            Some(refused.clone())
+        );
+        assert_eq!(
+            OrderingFramework::prepare_opts(&spec, tight(), &options).err(),
+            Some(refused.clone())
+        );
+        assert_eq!(
+            OrderingFramework::prepare_cached(&spec, tight(), &options, &cache).err(),
+            Some(refused)
+        );
+        assert_eq!((cache.len(), cache.misses()), (0, 0));
+
+        // A retry under the default budget builds, and is then served warm.
+        let cold =
+            OrderingFramework::prepare_cached(&spec, PruneConfig::default(), &options, &cache)
+                .unwrap();
+        assert!(!cold.stats().interned_hit);
+        let warm =
+            OrderingFramework::prepare_cached(&spec, PruneConfig::default(), &options, &cache)
+                .unwrap();
+        assert!(warm.stats().interned_hit);
+        assert_eq!(warm.stats().dfsm_states, 4);
+        assert_eq!((cache.len(), cache.misses(), cache.hits()), (1, 1, 1));
     }
 }

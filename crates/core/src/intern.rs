@@ -123,8 +123,8 @@ pub(crate) fn canonicalize(spec: &InputSpec) -> (InputSpec, AttrCanonMap) {
     (canon, map)
 }
 
-/// Cache key: the canonicalized spec shape plus every preparation knob
-/// that changes the resulting automaton.
+/// Cache key: the canonicalized spec shape plus the pruning
+/// configuration — everything that determines the resulting automaton.
 #[derive(PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     produced: Vec<LogicalProperty>,
@@ -132,11 +132,10 @@ pub(crate) struct CacheKey {
     fd_sets: Vec<crate::fd::FdSet>,
     /// `PruneConfig` fields, flattened (the struct itself keeps no `Eq`).
     config: (bool, bool, bool, bool, bool, usize, usize),
-    minimize: bool,
 }
 
 impl CacheKey {
-    pub(crate) fn new(canon_spec: &InputSpec, config: &PruneConfig, minimize: bool) -> Self {
+    pub(crate) fn new(canon_spec: &InputSpec, config: &PruneConfig) -> Self {
         CacheKey {
             produced: canon_spec.produced().to_vec(),
             tested: canon_spec.tested().to_vec(),
@@ -150,7 +149,6 @@ impl CacheKey {
                 config.max_nodes,
                 config.max_dfsm_states,
             ),
-            minimize,
         }
     }
 }
@@ -242,7 +240,7 @@ mod tests {
     #[test]
     fn shifted_shapes_share_one_automaton() {
         let cache = PreparedCache::new();
-        let options = PrepareOptions::eager();
+        let options = PrepareOptions::default();
         let cfg = PruneConfig::default;
         let first =
             OrderingFramework::prepare_cached(&shifted_spec(0), cfg(), &options, &cache).unwrap();
@@ -273,14 +271,14 @@ mod tests {
         let _ = OrderingFramework::prepare_cached(
             &shifted_spec(0),
             PruneConfig::default(),
-            &PrepareOptions::eager(),
+            &PrepareOptions::default(),
             &cache,
         )
         .unwrap();
         let cached = OrderingFramework::prepare_cached(
             &spec,
             PruneConfig::default(),
-            &PrepareOptions::eager(),
+            &PrepareOptions::default(),
             &cache,
         )
         .unwrap();
@@ -305,12 +303,11 @@ mod tests {
         }
     }
 
-    /// Different shapes, configs and minimize flags get distinct
-    /// entries.
+    /// Different shapes and configs get distinct entries.
     #[test]
     fn distinct_shapes_do_not_collide() {
         let cache = PreparedCache::new();
-        let options = PrepareOptions::eager();
+        let options = PrepareOptions::default();
         let a = shifted_spec(0);
         let mut b = shifted_spec(0);
         b.add_tested(o(&[5]));
@@ -318,17 +315,9 @@ mod tests {
         let fw_b = OrderingFramework::prepare_cached(&b, PruneConfig::default(), &options, &cache)
             .unwrap();
         assert!(!fw_b.stats().interned_hit);
-        let fw_min = OrderingFramework::prepare_cached(
-            &a,
-            PruneConfig::default(),
-            &options.clone().minimize(true),
-            &cache,
-        )
-        .unwrap();
-        assert!(!fw_min.stats().interned_hit, "minimize is part of the key");
         let fw_cfg =
             OrderingFramework::prepare_cached(&a, PruneConfig::none(), &options, &cache).unwrap();
         assert!(!fw_cfg.stats().interned_hit, "config is part of the key");
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.len(), 3);
     }
 }

@@ -146,23 +146,20 @@ pub mod fd;
 pub mod filter;
 pub mod framework;
 pub mod intern;
-pub mod lazy;
 pub mod nfsm;
 pub mod ordering;
 pub mod property;
 pub mod prune;
 pub mod spec;
 
-pub use dfsm::{Dfsm, PrepExecutor};
+pub use dfsm::Dfsm;
 pub use eqclass::EqClasses;
 pub use explicit::ExplicitOrderings;
 pub use fd::{Fd, FdSet, FdSetId};
 pub use framework::{
-    OrderHandle, OrderingFramework, PrepStats, PrepareError, PrepareMode, PrepareOptions, State,
-    DEFAULT_AUTO_MATERIALIZE_THRESHOLD,
+    OrderHandle, OrderingFramework, PrepStats, PrepareError, PrepareOptions, State,
 };
 pub use intern::PreparedCache;
-pub use lazy::LazyDfsm;
 pub use nfsm::Nfsm;
 pub use ordering::Ordering;
 pub use property::{Grouping, HeadTail, LogicalProperty};

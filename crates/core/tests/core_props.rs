@@ -234,77 +234,6 @@ proptest! {
         }
     }
 
-    /// Lazy determinization is a *truncated eager BFS*, so along any
-    /// probe sequence over a random spec mixing all three property
-    /// kinds, a lazily (or auto-) prepared framework must return the
-    /// exact same 4-byte state ids and probe answers as the eager one —
-    /// not just equivalent answers — while never materializing more
-    /// states than the full automaton holds.
-    #[test]
-    fn lazy_preparation_is_probe_identical_to_eager(
-        produced_orderings in proptest::collection::vec(arb_ordering(), 1..=2),
-        produced_groupings in proptest::collection::vec(arb_grouping(), 0..=2),
-        tested_head_tails in proptest::collection::vec(
-            (arb_grouping(), arb_ordering()),
-            0..=2
-        ),
-        fd_sets in proptest::collection::vec(proptest::collection::vec(arb_fd(), 1..=2), 1..=3),
-        ops in proptest::collection::vec(0usize..3, 0..=5),
-    ) {
-        let mut spec = InputSpec::new();
-        for o in &produced_orderings {
-            spec.add_produced(o.clone());
-        }
-        for g in &produced_groupings {
-            spec.add_produced(g.clone());
-        }
-        for (head, tail) in &tested_head_tails {
-            if tail.attrs().iter().any(|a| head.attrs().contains(a)) {
-                continue; // head/tail pairs need disjoint attribute sets
-            }
-            spec.add_tested(ofw_core::HeadTail::new(head.clone(), tail.clone()));
-        }
-        let set_ids: Vec<_> = fd_sets.iter().map(|f| spec.add_fd_set(f.clone())).collect();
-        // A spec over a size cap has nothing to compare — skip it.
-        if let Ok(eager) = OrderingFramework::prepare(&spec, PruneConfig::default()) {
-            let total = eager.dfsm_states_total().expect("eager automata are complete");
-            let options = [
-                ofw_core::PrepareOptions::lazy(),
-                ofw_core::PrepareOptions::auto(),
-                ofw_core::PrepareOptions::auto().auto_threshold(2),
-            ];
-            for opt in &options {
-                let fw = OrderingFramework::prepare_opts(&spec, PruneConfig::default(), opt)
-                    .expect("mode changes cannot change whether preparation fits its caps");
-                prop_assert_eq!(fw.produce_empty(), eager.produce_empty());
-                for p in spec.produced() {
-                    let h = fw.handle_property(p).expect("produced properties are interesting");
-                    prop_assert_eq!(eager.handle_property(p), Some(h));
-                    let mut sl = fw.produce(h);
-                    let mut se = eager.produce(h);
-                    prop_assert_eq!(sl, se, "start state for {:?}", p);
-                    for &op in &ops {
-                        if op >= set_ids.len() {
-                            continue;
-                        }
-                        sl = fw.infer(sl, set_ids[op]);
-                        se = eager.infer(se, set_ids[op]);
-                        prop_assert_eq!(sl, se, "state after ops diverged for {:?}", p);
-                        for (q, hq) in eager.properties() {
-                            let got = match q {
-                                LogicalProperty::Ordering(_) => fw.satisfies(sl, hq),
-                                LogicalProperty::Grouping(_) => fw.satisfies_grouping(sl, hq),
-                                LogicalProperty::HeadTail(_) => fw.satisfies_head_tail(sl, hq),
-                            };
-                            prop_assert_eq!(got, eager.satisfies(se, hq), "probe {:?}", q);
-                        }
-                    }
-                }
-                prop_assert!(fw.dfsm_states_materialized() <= total);
-            }
-        }
-    }
-
     /// The domination matrix is a partial order consistent with
     /// `satisfies`: if A dominates B, A satisfies everything B does.
     #[test]

@@ -23,9 +23,9 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
     /// Static span name (the taxonomy: "plangen", "prepare", "nfsm",
-    /// "determinize", "minimize", "intern", "extract", "base_plans",
-    /// "enumerate", "dp_layer", "union", "finalize_aggregates",
-    /// "pick_final", and the vectorized executor's "execute").
+    /// "determinize", "intern", "extract", "base_plans", "enumerate",
+    /// "dp_layer", "union", "finalize_aggregates", "pick_final", and the
+    /// vectorized executor's "execute").
     pub name: &'static str,
     /// Free-form label ("layer 3", enumerator name, ...). Empty if unset.
     pub label: String,

@@ -202,15 +202,10 @@ pub struct PlanGenStats {
     /// NFSM nodes of the oracle's prepared automaton (0 for oracles
     /// without a preparation automaton). Deterministic per query.
     pub nfsm_states: usize,
-    /// DFSM states materialized by the end of the run — for an eager
-    /// preparation this equals the total; for a lazy one it counts only
-    /// the states plan generation actually touched. Deterministic per
-    /// query: the probe set is schedule-independent. 0 for
-    /// automaton-less oracles.
-    pub dfsm_states_materialized: usize,
-    /// Total reachable DFSM states, when the oracle knows it (eager
-    /// preparation, or a lazy automaton that materialized fully).
-    pub dfsm_states_total: Option<usize>,
+    /// Reachable DFSM states of the oracle's prepared automaton (0 for
+    /// automaton-less oracles). Deterministic per query: a pure function
+    /// of its property spec.
+    pub dfsm_states: usize,
     /// Whether the oracle's preparation was served from an interning
     /// cache (see `ofw_core::PreparedCache`).
     pub prep_interned_hits: u64,
@@ -1141,8 +1136,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             best
         };
         let cost = self.arena.node(best).cost;
-        // Preparation counters are read *after* the run so a lazy
-        // oracle reports the states this query's probes materialized.
         let prep = self.oracle.prep_counters();
         root.count("plans", self.arena.len() as u64);
         root.count("unions", unions);
@@ -1157,8 +1150,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             unions,
             fallback,
             nfsm_states: prep.nfsm_states,
-            dfsm_states_materialized: prep.dfsm_states_materialized,
-            dfsm_states_total: prep.dfsm_states_total,
+            dfsm_states: prep.dfsm_states,
             prep_interned_hits: prep.interned_hits,
             phases,
             decisions: run_dc,

@@ -25,20 +25,16 @@ use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::Mutex;
 
-/// Preparation-side counters an oracle can report after a run. Only the
-/// DFSM framework has a non-trivial preparation phase; the other arms
-/// return the default (all zero / unknown), which the stats plumbing
-/// passes through unchanged.
+/// Preparation-side counters an oracle can report. Only the DFSM
+/// framework has a non-trivial preparation phase; the other arms return
+/// the default (all zero), which the stats plumbing passes through
+/// unchanged.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrepCounters {
     /// NFSM nodes after pruning (0 when the arm has no NFSM).
     pub nfsm_states: usize,
-    /// DFSM states materialized so far — under lazy preparation, the
-    /// states this query's probes actually forced into existence.
-    pub dfsm_states_materialized: usize,
-    /// Total DFSM states, when known (`None` until a lazy automaton
-    /// reaches its fixpoint).
-    pub dfsm_states_total: Option<usize>,
+    /// Reachable DFSM states (0 when the arm has no DFSM).
+    pub dfsm_states: usize,
     /// Preparation-cache hits that served this oracle (0 or 1 for a
     /// single prepared framework).
     pub interned_hits: u64,
@@ -106,9 +102,8 @@ pub trait OrderOracle {
     /// including shared structures.
     fn memory_bytes(&self, plan_nodes: usize) -> usize;
 
-    /// Preparation counters, read *after* a DP run so lazy automata
-    /// report what the run materialized. Defaults to all-zero for arms
-    /// without a preparation phase.
+    /// Preparation counters. Defaults to all-zero for arms without a
+    /// preparation phase.
     fn prep_counters(&self) -> PrepCounters {
         PrepCounters::default()
     }
@@ -182,8 +177,7 @@ impl OrderOracle for ofw_core::OrderingFramework {
         let stats = self.stats();
         PrepCounters {
             nfsm_states: stats.nfsm_nodes,
-            dfsm_states_materialized: self.dfsm_states_materialized(),
-            dfsm_states_total: self.dfsm_states_total(),
+            dfsm_states: stats.dfsm_states,
             interned_hits: stats.interned_hit as u64,
         }
     }

@@ -24,7 +24,8 @@
 //!   vectorized executor's differential harness and benches.
 //! * [`prep`] — preparation-stress `InputSpec`s made of independent
 //!   property families over disjoint attribute blocks, sized into the
-//!   hundreds of interesting orders for the `table_prepare` bench.
+//!   hundreds of interesting orders for the pipeline benchmark's
+//!   `prep_heavy` workload.
 
 pub mod aggregation;
 pub mod data;

@@ -1,20 +1,15 @@
 //! Preparation-stress workloads: large `InputSpec`s built from
 //! independent property *families*.
 //!
-//! The `table_prepare` bench needs specs whose NFSM→DFSM preparation
-//! cost can be dialed into the hundreds of interesting properties while
-//! staying predictable. The generator builds `families` independent
-//! groups, each over its own disjoint attribute block, with
-//! family-local orderings, groupings, head/tail pairs and functional
-//! dependencies. Because no FD crosses a family boundary, the DFSM
-//! decomposes: its reachable states are (up to the shared empty state)
-//! the disjoint union of each family's states, so
-//!
-//! * total preparation cost grows linearly in the family count, and
-//! * a query that probes only the first few families touches only a
-//!   prefix of the DFSM's state numbering — exactly the shape where
-//!   lazy determinization materializes a small fraction of the
-//!   automaton.
+//! The pipeline benchmark's `prep_heavy` workload needs specs whose
+//! NFSM→DFSM preparation cost can be dialed into the hundreds of
+//! interesting properties while staying predictable. The generator
+//! builds `families` independent groups, each over its own disjoint
+//! attribute block, with family-local orderings, groupings, head/tail
+//! pairs and functional dependencies. Because no FD crosses a family
+//! boundary, the DFSM decomposes: its reachable states are (up to the
+//! shared empty state) the disjoint union of each family's states, so
+//! total preparation cost grows linearly in the family count.
 //!
 //! Everything is index-arithmetic deterministic (no RNG): the same
 //! config always yields the same spec, and shifting `attr_base` yields
@@ -51,9 +46,7 @@ impl PrepSpecConfig {
     /// chain (`a0→a1→a2→a3`) whose tested extensions form a per-family
     /// chain of DFSM states (~18 per family; wider attribute blocks
     /// blow up the artificial head/tail closure combinatorially).
-    /// Scale `families` to scale the automaton; the chain depth is
-    /// what makes shallow probes materialize only a fraction of it
-    /// under lazy preparation.
+    /// Scale `families` to scale the automaton.
     pub fn with_families(families: usize) -> Self {
         PrepSpecConfig {
             families,
@@ -92,9 +85,7 @@ pub fn prep_spec(config: &PrepSpecConfig) -> InputSpec {
             spec.add_produced(Ordering::new(rot(start, len)));
             // Every longer rotation is reachable by chaining the
             // family's FDs — all tested, so the automaton grows a
-            // *deep* per-family chain of interesting states (the shape
-            // where lazy determinization pays off: probes that stop at
-            // a shallow depth never force the deep tail).
+            // *deep* per-family chain of interesting states.
             for longer in (len + 1)..=k {
                 spec.add_tested(Ordering::new(rot(start, longer)));
             }

@@ -95,14 +95,6 @@ COUNTERS = {
     "enforcers_admitted",
     "enforcers_won",
     "spans",
-    # Preparation sweep (table_prepare): automaton sizes, the lazy arm's
-    # materialization count and probe checksum, and warm cache hits are
-    # all index-arithmetic deterministic.
-    "nfsm_states",
-    "dfsm_states_total",
-    "dfsm_states_materialized",
-    "probes",
-    "prep_interned_hits",
     # Branch-and-bound DP: candidates rejected by the cost upper bound
     # and dominance checks answered without an oracle probe.
     "bound_pruned",
@@ -291,7 +283,6 @@ def identity_label(row):
 RECORD_BINS = [
     ("table_hypergraph", ["--smoke"], "BENCH_hypergraph.json"),
     ("table_parallel", ["--smoke"], "BENCH_parallel.json"),
-    ("table_prepare", ["--smoke"], "BENCH_prepare.json"),
     ("table_trace", ["--smoke"], "BENCH_trace.json"),
     ("table_groupjoin", ["2", "3"], "BENCH_groupjoin.json"),
     ("table_partialsort", ["3", "3"], "BENCH_partialsort.json"),
