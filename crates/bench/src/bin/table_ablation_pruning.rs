@@ -88,7 +88,6 @@ fn main() {
         "{:<26} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "configuration", "NFSM pre", "NFSM", "DFSM", "bytes", "time(ms)"
     );
-    let mut sink = ofw_bench::json::BenchSink::new("table_ablation_pruning");
     for (label, config) in variants {
         let row = ofw_bench::prep_q8_with(label, config);
         println!(
@@ -100,7 +99,5 @@ fn main() {
             row.precomputed_bytes,
             ofw_bench::ms(row.total_time)
         );
-        sink.push(ofw_bench::prep_row_json(&row));
     }
-    sink.finish();
 }

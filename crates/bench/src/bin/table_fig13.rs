@@ -5,10 +5,11 @@
 //! Usage: `table_fig13 [queries_per_cell] [max_n]` (defaults 10 and 10;
 //! the paper averaged 100 runs for small queries, 10 for large ones).
 
+const USAGE: &str = "table_fig13 [queries_per_cell] [max_n]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let queries: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
-    let max_n: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(10);
+    let queries = ofw_bench::count_arg(1, 10, USAGE);
+    let max_n = ofw_bench::count_arg(2, 10, USAGE);
 
     println!("Fig. 13 — plan generation for different join graphs ({queries} queries/cell)");
     println!();
@@ -26,18 +27,10 @@ fn main() {
         "% #Plans",
         "% t/plan"
     );
-    let mut sink = ofw_bench::json::BenchSink::new("table_fig13");
     for extra in 0..=2usize {
         let edge_label = ["n-1", "n", "n+1"][extra];
         for n in 5..=max_n {
             let cell = ofw_bench::sweep_cell(n, extra, queries, 0xF13 + (n * 10 + extra) as u64);
-            sink.push(
-                ofw_bench::json::Obj::new()
-                    .int("n", n)
-                    .str("edges", edge_label)
-                    .raw("simmen", ofw_bench::plan_row_json(&cell.simmen).build())
-                    .raw("ours", ofw_bench::plan_row_json(&cell.ours).build()),
-            );
             let s = &cell.simmen;
             let o = &cell.ours;
             println!(
@@ -58,5 +51,4 @@ fn main() {
         println!();
     }
     println!("S = Simmen et al., O = ours; %x = Simmen / ours (higher = larger win)");
-    sink.finish();
 }

@@ -4,10 +4,11 @@
 //!
 //! Usage: `table_fig14 [queries_per_cell] [max_n]` (defaults 10, 10).
 
+const USAGE: &str = "table_fig14 [queries_per_cell] [max_n]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let queries: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
-    let max_n: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(10);
+    let queries = ofw_bench::count_arg(1, 10, USAGE);
+    let max_n = ofw_bench::count_arg(2, 10, USAGE);
 
     println!("Fig. 14 — memory consumption (KB, {queries} queries/cell)");
     println!();
@@ -15,21 +16,12 @@ fn main() {
         "{:>2} {:>7} | {:>10} {:>14} {:>8}",
         "n", "#Edges", "Simmen", "Our Algorithm", "DFSM"
     );
-    let mut sink = ofw_bench::json::BenchSink::new("table_fig14");
     for extra in 0..=2usize {
         let label = ["n-1", "n+0", "n+1"][extra];
         for n in 5..=max_n {
             // Same seeds as table_fig13 so the two tables describe the
             // same queries, as in the paper.
             let cell = ofw_bench::sweep_cell(n, extra, queries, 0xF13 + (n * 10 + extra) as u64);
-            sink.push(
-                ofw_bench::json::Obj::new()
-                    .int("n", n)
-                    .str("edges", label)
-                    .int("simmen_memory_bytes", cell.simmen.memory_bytes)
-                    .int("ours_memory_bytes", cell.ours.memory_bytes)
-                    .int("dfsm_bytes", cell.dfsm_bytes),
-            );
             println!(
                 "{:>2} {:>7} | {:>10} {:>14} {:>8}",
                 n,
@@ -43,5 +35,4 @@ fn main() {
     }
     println!("paper shape: our algorithm uses roughly half of Simmen's memory;");
     println!("the DFSM itself stays tiny (a few KB).");
-    sink.finish();
 }

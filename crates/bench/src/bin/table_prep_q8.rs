@@ -36,8 +36,4 @@ fn main() {
     );
     println!();
     println!("paper: NFSM 376 -> 38, DFSM 80 -> 24, time 16ms -> 0.2ms, bytes 3040 -> 912");
-    let mut sink = ofw_bench::json::BenchSink::new("table_prep_q8");
-    sink.push(ofw_bench::prep_row_json(&without));
-    sink.push(ofw_bench::prep_row_json(&with));
-    sink.finish();
 }

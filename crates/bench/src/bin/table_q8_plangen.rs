@@ -44,8 +44,4 @@ fn main() {
         simmen.memory_bytes as f64 / ours.memory_bytes.max(1) as f64,
     );
     println!("paper: t 262->52 ms, #Plans 200536->123954, t/plan 1.31->0.42 us, mem 329->136 KB");
-    let mut sink = ofw_bench::json::BenchSink::new("table_q8_plangen");
-    sink.push(ofw_bench::plan_row_json(&simmen));
-    sink.push(ofw_bench::plan_row_json(&ours));
-    sink.finish();
 }

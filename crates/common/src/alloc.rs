@@ -3,15 +3,14 @@
 //! [`CountingAlloc`] wraps [`System`] and counts every allocation and
 //! allocated byte in relaxed atomics — two uncontended fetch-adds per
 //! allocation, cheap enough to leave on for benchmark binaries. The
-//! `ofw-bench` crate installs it as the `#[global_allocator]` so every
-//! `BENCH_*.json` row can carry an `allocs` column: a deterministic
-//! allocation-pressure proxy that the trend gate tracks alongside plan
-//! and probe counts, catching allocation regressions that wall-clock
-//! noise would hide.
+//! `ofw-bench` crate installs it as the `#[global_allocator]` so its
+//! allocation guard (`tests/exec_allocs.rs`) can bound the allocations
+//! of the executor's hash operators: a deterministic allocation-pressure
+//! proxy that catches regressions wall-clock noise would hide.
 //!
 //! Counts are process-global and monotone; callers measure a region by
 //! differencing [`allocation_count`] snapshots. Deallocations are not
-//! tracked — the column measures allocator traffic, not live footprint
+//! tracked — the count measures allocator traffic, not live footprint
 //! (that is [`crate::mem::MemoryMeter`]'s job).
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -60,8 +60,8 @@ pub struct OpStat {
     pub rows: u64,
 }
 
-/// Deterministic execution counters: identical at any thread count, so
-/// the bench trend gate can treat them like `plans` or `allocs`.
+/// Deterministic execution counters: identical at any thread count and
+/// on any machine, like the plan generator's `plans`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Total morsel batches across all operators.
@@ -79,11 +79,6 @@ impl ExecStats {
         let e = self.ops.entry(op).or_default();
         e.batches += batches;
         e.rows += rows;
-    }
-
-    /// Total batches across operators (equals [`ExecStats::morsels`]).
-    pub fn op_batches(&self) -> u64 {
-        self.ops.values().map(|s| s.batches).sum()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Decision telemetry: plain-old-data counters the optimizer fills in
 //! while it works. Everything here is deterministic (no wall clock):
 //! the same query on the same build produces the same counts at any
-//! thread count, which is what lets `scripts/bench_trend.py` gate them
-//! across machines.
+//! thread count and on any machine, which is what lets the root crate's
+//! `tests/golden_counters.rs` pin them to exact values.
 
 use std::time::Duration;
 

@@ -2,7 +2,7 @@
 //! executed on the work-stealing pool.
 //!
 //! The DP core schedules work as **csg-cmp work-list batches**: each
-//! enumerator ([`Enumerator`]) emits batches of union work items whose
+//! [`ofw_plangen::Enumerator`] emits batches of union work items whose
 //! input subsets are all committed by earlier batches — one batch per
 //! subset size for the exhaustive enumerators, one per window×size for
 //! the linearized fallback. Within a batch every item is independent,
@@ -22,8 +22,7 @@
 
 use crate::pool::ThreadPool;
 use ofw_catalog::Catalog;
-use ofw_obs::Trace;
-use ofw_plangen::{Enumerator, OrderOracle, PlanGen, PlanGenResult};
+use ofw_plangen::{OrderOracle, PlanGen, PlanGenResult};
 use ofw_query::{ExtractedQuery, Query};
 
 /// Plans `query` with the DP sharded across `pool`. Produces exactly the
@@ -49,56 +48,11 @@ where
     PlanGen::new(catalog, query, ex, oracle).run_with(pool)
 }
 
-/// [`plan_parallel`] with an explicit enumeration strategy — the
-/// parallel entry point for DPhyp runs and for `Auto`'s budgeted
-/// fallback on queries too wide for exhaustive enumeration.
-pub fn plan_parallel_with<O>(
-    catalog: &Catalog,
-    query: &Query,
-    ex: &ExtractedQuery,
-    oracle: &O,
-    pool: &ThreadPool,
-    enumerator: Enumerator,
-) -> PlanGenResult<O::State>
-where
-    O: OrderOracle + Sync,
-    O::Key: Sync,
-    O::State: Send + Sync,
-{
-    PlanGen::new(catalog, query, ex, oracle)
-        .enumerator(enumerator)
-        .run_with(pool)
-}
-
-/// [`plan_parallel_with`] under a span sink: per-worker span buffers
-/// are merged at each batch barrier in deterministic item order, so the
-/// trace *skeleton* (names, labels, depths, counters) — like the plan
-/// table itself — is identical at every thread count; only timestamps
-/// and thread lanes differ.
-pub fn plan_parallel_traced<O>(
-    catalog: &Catalog,
-    query: &Query,
-    ex: &ExtractedQuery,
-    oracle: &O,
-    pool: &ThreadPool,
-    enumerator: Enumerator,
-    trace: &Trace,
-) -> PlanGenResult<O::State>
-where
-    O: OrderOracle + Sync,
-    O::Key: Sync,
-    O::State: Send + Sync,
-{
-    PlanGen::new(catalog, query, ex, oracle)
-        .enumerator(enumerator)
-        .trace(trace)
-        .run_with(pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ofw_core::{OrderingFramework, PruneConfig};
+    use ofw_plangen::Enumerator;
     use ofw_query::extract::ExtractOptions;
     use ofw_query::QueryBuilder;
 
@@ -145,7 +99,9 @@ mod tests {
         assert_eq!(serial.stats.enumerator, "dpsize");
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
-            let par = plan_parallel_with(&c, &q, &ex, &fw, &pool, Enumerator::DpHyp);
+            let par = PlanGen::new(&c, &q, &ex, &fw)
+                .enumerator(Enumerator::DpHyp)
+                .run_with(&pool);
             assert_eq!(par.stats.enumerator, "dphyp");
             assert_eq!(par.best, serial.best, "threads={threads}");
             assert_eq!(par.cost.to_bits(), serial.cost.to_bits());

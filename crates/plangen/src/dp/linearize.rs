@@ -36,10 +36,15 @@
 //! whatever slack the budget leaves is spent on better local plans
 //! instead of being thrown away.
 
-use super::{UnionWork, WorkSchedule, DEFAULT_LINEARIZE_WINDOW};
+use super::{UnionWork, WorkSchedule};
 use ofw_catalog::Catalog;
 use ofw_common::{BitSet, FxHashMap};
 use ofw_query::Query;
+
+/// Width the budget-adaptive refinement window starts from: each
+/// sliding window runs a local DP over this many consecutive relations
+/// of the greedy linear order.
+const DEFAULT_LINEARIZE_WINDOW: usize = 6;
 
 /// Local DP windows wider than this would overflow the `u64`
 /// local-mask arithmetic long after the table (`2^w` entries) became

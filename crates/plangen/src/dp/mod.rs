@@ -121,11 +121,6 @@ pub(crate) use linearize::LinearizedSchedule;
 /// ~14-relation stars; dense graphs beyond that linearize.
 pub const DEFAULT_ENUMERATION_BUDGET: u64 = 1_000_000;
 
-/// Default linearized-fallback refinement-window width (see
-/// [`Enumerator::Linearized`]): each sliding window runs a local DP over
-/// this many consecutive relations of the greedy linear order.
-pub const DEFAULT_LINEARIZE_WINDOW: usize = 6;
-
 /// Join-enumeration strategy behind the DP core (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Enumerator {
@@ -552,9 +547,9 @@ pub struct PlanGen<'a, O: OrderOracle> {
     /// csg-cmp pair budget for [`Enumerator::Auto`].
     budget: u64,
     /// Refinement-window width for [`Enumerator::Linearized`]. `None`
-    /// (the default) adapts the width to the enumeration budget: the
-    /// schedule widens past [`DEFAULT_LINEARIZE_WINDOW`] as long as the
-    /// projected pair count stays within `budget`.
+    /// adapts the width to the enumeration budget (see
+    /// [`LinearizedSchedule::new`]); only the bound provider's nested
+    /// run pins it, to the cheapest width.
     window: Option<usize>,
     targets: Vec<EnforcerTarget<O::Key>>,
     /// Aggregation context (`Some` iff the query computes aggregates
@@ -723,18 +718,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// tripping the budget is cheap.
     pub fn enumeration_budget(mut self, pairs: u64) -> Self {
         self.budget = pairs;
-        self
-    }
-
-    /// Pins the linearized fallback's refinement-window width (capped
-    /// at 16): wider windows explore more local join orders per window
-    /// at exponentially more work per window. Without this call the
-    /// width is budget-adaptive: it starts at
-    /// [`DEFAULT_LINEARIZE_WINDOW`] and widens while the projected pair
-    /// count stays within the enumeration budget — spending whatever
-    /// budget the DPhyp trip left unused on better local plans.
-    pub fn linearize_window(mut self, relations: usize) -> Self {
-        self.window = Some(relations);
         self
     }
 
@@ -922,13 +905,13 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         if self.bounding && n >= 3 {
             let mut sp = root.child("bound");
             let tp = Instant::now();
-            let provider = PlanGen::new(self.catalog, self.query, self.ex, self.oracle)
+            let mut provider = PlanGen::new(self.catalog, self.query, self.ex, self.oracle)
                 .enumerator(Enumerator::Linearized)
-                .linearize_window(2)
                 .cost_bounding(false)
                 .aggregation_placement(self.placement)
-                .partial_sort(self.partial_sort)
-                .run();
+                .partial_sort(self.partial_sort);
+            provider.window = Some(2);
+            let provider = provider.run();
             self.bound = provider.cost;
             sp.count("plans", provider.stats.plans as u64);
             phases.push(PhaseStats {

@@ -24,7 +24,8 @@
 //!
 //! The arm invariant the whole experiment rests on: **for the same
 //! query, all three arms find equally cheap optimal plans** (asserted
-//! across the test suite and the `table_*` binaries), even though their
+//! across the test suite and by the pipeline benchmark's per-operation
+//! verification), even though their
 //! probe costs differ by orders of magnitude. The DP itself is
 //! deterministic — byte-identical plan tables at any thread count.
 //!
@@ -63,10 +64,7 @@ pub mod explain;
 pub mod oracle;
 pub mod plan;
 
-pub use dp::{
-    Enumerator, PlanGen, PlanGenResult, PlanGenStats, DEFAULT_ENUMERATION_BUDGET,
-    DEFAULT_LINEARIZE_WINDOW,
-};
+pub use dp::{Enumerator, PlanGen, PlanGenResult, PlanGenStats, DEFAULT_ENUMERATION_BUDGET};
 pub use exec::{execute, synthetic_data, try_execute, ExecError, MissingAttr, Table};
 pub use explain::{Explain, ExplainNode};
 pub use oracle::{ExplicitKey, ExplicitOracle, ExplicitStateId, OrderOracle, PrepCounters};

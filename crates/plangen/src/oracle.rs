@@ -282,11 +282,11 @@ struct ExplicitStore {
 /// every state is a fully materialized, closed set of orderings and
 /// groupings, and `infer` recomputes the closure. Unusable at scale (the
 /// paper's motivation) but the perfect third arm for cross-checking the
-/// DFSM framework *inside* the plan generator — the `table_grouping`
-/// binary and the integration tests assert all arms agree on the
-/// optimal plan cost. The state store sits behind a mutex so the oracle
-/// is `Sync`; interning is content-addressed, so which thread interns a
-/// set first never changes what any state *means*.
+/// DFSM framework *inside* the plan generator — the integration tests
+/// assert all arms agree on the optimal plan cost. The state store sits
+/// behind a mutex so the oracle is `Sync`; interning is
+/// content-addressed, so which thread interns a set first never changes
+/// what any state *means*.
 pub struct ExplicitOracle {
     fd_sets: Vec<FdSet>,
     props: Vec<LogicalProperty>,

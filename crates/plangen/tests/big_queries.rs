@@ -48,8 +48,8 @@ fn seventy_relation_chain_plans_through_both_drivers() {
     // env-superset dominance cannot see that FDs applied on the build
     // side are irrelevant, so its Pareto widths — and plan allocations —
     // grow with subset size until 70 relations are out of reach. That
-    // asymmetry is the paper's point, and `table_parallel` measures it
-    // at the sizes the baseline can still handle.)
+    // asymmetry is the paper's point; `tests/golden_counters.rs` pins it
+    // at a size the baseline can still handle, a 10-relation chain.)
 }
 
 /// The 100-relation clique: exhaustive enumeration is out of the
@@ -68,8 +68,8 @@ fn hundred_relation_clique_falls_back_and_plans() {
 
     // An explicit (smaller) budget keeps the debug-mode budget trip
     // cheap; the clique exceeds the default budget by orders of
-    // magnitude either way (`table_hypergraph` measures that in
-    // release mode). No window is pinned, so this also exercises the
+    // magnitude either way (`examples/large_join` trips the default one
+    // in release mode). No window is pinned, so this also exercises the
     // budget-adaptive width: the fallback may widen past the default
     // only while its pair count fits the same budget.
     let budget = 25_000;

@@ -79,6 +79,11 @@ where
     let records = serial_trace.records();
     assert!(!records.is_empty(), "{label}: recording sink saw no spans");
     assert_eq!(records[0].name, "plangen");
+    assert_eq!(
+        serial_trace.chrome_json().matches("\"ph\":\"X\"").count(),
+        records.len(),
+        "{label}: the Chrome export must hold one complete event per span record"
+    );
 
     // Traced pool runs: same bytes at every thread count, and one
     // skeleton shared by all thread counts.

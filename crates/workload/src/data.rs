@@ -2,8 +2,8 @@
 //!
 //! [`generate_columns`] materializes column-major base tables for a
 //! query's relations, shaped so the differential executor harness and
-//! the `table_exec` bench exercise the statistics the planner reasoned
-//! with: each relation's row count tracks its catalog *cardinality*
+//! the `table_calibration` binary exercise the statistics the planner
+//! reasoned with: each relation's row count tracks its catalog *cardinality*
 //! (scaled by [`DataConfig::scale`] into the 10⁵–10⁷ range for release
 //! benches, or clamped down for debug-mode tests), and each attribute's
 //! value domain tracks the catalog's *distinct-value* estimate, so

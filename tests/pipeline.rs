@@ -1,15 +1,59 @@
 //! End-to-end integration: query → extraction → both order frameworks →
 //! DP plan generation, across workload families.
 
+use ofw::catalog::Catalog;
 use ofw::core::{OrderingFramework, PruneConfig};
-use ofw::plangen::{PlanGen, PlanOp};
+use ofw::plangen::{ExplicitOracle, PlanGen, PlanOp};
 use ofw::query::extract::ExtractOptions;
+use ofw::query::Query;
 use ofw::simmen::SimmenFramework;
-use ofw::workload::{q8_query, random_query, RandomQueryConfig};
+use ofw::workload::{
+    grouping_query, q8_query, random_query, GroupingQueryConfig, RandomQueryConfig,
+};
+
+/// Plans `query` under the DFSM framework and the Simmen baseline and
+/// asserts equal optima with the DFSM side pruning at least as hard;
+/// with `check_explicit`, the naive explicit-set oracle must reach the
+/// same optimum too (exponential — small queries only).
+fn assert_arms_agree(case: &str, catalog: &Catalog, query: &Query, check_explicit: bool) {
+    let ex = ofw::query::extract(catalog, query, &ExtractOptions::default());
+
+    let ours_fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
+    let ours = PlanGen::new(catalog, query, &ex, &ours_fw).run();
+
+    let simmen_fw = SimmenFramework::prepare(&ex.spec);
+    let simmen = PlanGen::new(catalog, query, &ex, &simmen_fw).run();
+
+    let rel = (ours.cost - simmen.cost).abs() / ours.cost.max(1.0);
+    assert!(
+        rel < 1e-9,
+        "{case}: ours={} simmen={}",
+        ours.cost,
+        simmen.cost
+    );
+    assert!(
+        ours.stats.plans <= simmen.stats.plans,
+        "{case}: the DFSM framework must prune at least as hard ({} vs {})",
+        ours.stats.plans,
+        simmen.stats.plans
+    );
+    if check_explicit {
+        let explicit_fw = ExplicitOracle::prepare(&ex.spec);
+        let explicit = PlanGen::new(catalog, query, &ex, &explicit_fw).run();
+        let rel = (ours.cost - explicit.cost).abs() / ours.cost.max(1.0);
+        assert!(
+            rel < 1e-9,
+            "{case}: ours={} explicit={}",
+            ours.cost,
+            explicit.cost
+        );
+    }
+}
 
 /// §7's setup invariant: both order frameworks, run through the same
 /// plan generator, find equally cheap plans — checked across a spread of
-/// random join graphs.
+/// random join graphs, and across grouping queries small enough to ask
+/// the explicit-set oracle as well.
 #[test]
 fn both_frameworks_agree_on_optimal_cost_across_seeds() {
     for n in [3usize, 5, 7] {
@@ -20,28 +64,21 @@ fn both_frameworks_agree_on_optimal_cost_across_seeds() {
                     extra_edges: extra,
                     seed,
                 });
-                let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::default());
-
-                let ours_fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
-                let ours = PlanGen::new(&catalog, &query, &ex, &ours_fw).run();
-
-                let simmen_fw = SimmenFramework::prepare(&ex.spec);
-                let simmen = PlanGen::new(&catalog, &query, &ex, &simmen_fw).run();
-
-                let rel = (ours.cost - simmen.cost).abs() / ours.cost.max(1.0);
-                assert!(
-                    rel < 1e-9,
-                    "n={n} extra={extra} seed={seed}: ours={} simmen={}",
-                    ours.cost,
-                    simmen.cost
-                );
-                assert!(
-                    ours.stats.plans <= simmen.stats.plans,
-                    "n={n} extra={extra} seed={seed}: the DFSM framework must prune \
-                     at least as hard ({} vs {})",
-                    ours.stats.plans,
-                    simmen.stats.plans
-                );
+                let case = format!("random n={n} extra={extra} seed={seed}");
+                assert_arms_agree(&case, &catalog, &query, false);
+            }
+        }
+    }
+    for n in [4usize, 5] {
+        for extra in 0..=1usize {
+            for seed in 2000..2002u64 {
+                let (catalog, query) = grouping_query(&GroupingQueryConfig {
+                    num_relations: n,
+                    extra_edges: extra,
+                    seed,
+                });
+                let case = format!("grouping n={n} extra={extra} seed={seed}");
+                assert_arms_agree(&case, &catalog, &query, true);
             }
         }
     }
