@@ -361,6 +361,12 @@ impl Nfsm {
             .sum()
     }
 
+    /// FD-edge targets of `node` under symbol `sym`, ascending and
+    /// duplicate-free (empty when the symbol derives nothing there).
+    pub fn targets(&self, node: NodeId, sym: usize) -> &[NodeId] {
+        &self.edges[node as usize][sym]
+    }
+
     /// Node lookup by ordering.
     pub fn node_of(&self, o: &Ordering) -> Option<NodeId> {
         self.props.get(&o.clone().into())
