@@ -10,8 +10,11 @@
 //!   subsets during determinization.
 //! * [`bitmatrix`] — a dense 2-D bit matrix used for the precomputed
 //!   `contains` table (DFSM state × interesting order).
+//! * [`horn`] — incremental forward chaining over dense ids with entry
+//!   levels (the constant closures of the admission filters).
 //! * [`interner`] — a generic value interner handing out dense `u32`
-//!   handles so hot-path comparisons are integer comparisons.
+//!   handles so hot-path comparisons are integer comparisons, and an
+//!   arena-backed one for tagged slices that allocates nothing per key.
 //! * [`smallset`] — a bit set with a single inline word that spills to
 //!   the heap past 64 elements (per-plan-node applied-FD masks).
 //! * [`mem`] — a byte-accurate, thread-shareable memory meter used to
@@ -30,6 +33,7 @@ pub mod bitmatrix;
 pub mod bitset;
 pub mod exec;
 pub mod hash;
+pub mod horn;
 pub mod interner;
 pub mod mem;
 pub mod smallset;
@@ -38,6 +42,6 @@ pub use bitmatrix::BitMatrix;
 pub use bitset::BitSet;
 pub use exec::{chunk_ranges, morsel_ranges, OrderedExecutor, SerialExecutor};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use interner::Interner;
+pub use interner::{Interner, SliceInterner};
 pub use mem::MemoryMeter;
 pub use smallset::SmallBitSet;

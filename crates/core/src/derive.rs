@@ -17,13 +17,118 @@
 //! profit from (with truncation to the longest matching interesting
 //! order). Both heuristics are toggleable so the paper's "without
 //! pruning" configuration can be measured.
+//!
+//! The rules are written once, over `(head_len, attrs)` *views* — the
+//! sorted head set followed by the tail sequence; an ordering has no
+//! head, a grouping no tail — and hand each derivation to a sink. The
+//! closures run them against one reusable [`Scratch`] and allocate only
+//! what they report; the `apply_fd_*` functions materialize every
+//! derivation. Emission order is a contract: NFSM numbering follows it.
 
 use crate::eqclass::EqClasses;
-use crate::fd::Fd;
+use crate::fd::{Fd, FdSet};
 use crate::filter::{GroupingFilter, HeadTailFilter, PrefixFilter};
 use crate::ordering::Ordering;
 use crate::property::{Grouping, HeadTail, LogicalProperty};
-use ofw_common::FxHashSet;
+use ofw_catalog::AttrId;
+use ofw_common::{FxHashMap, FxHashSet, SliceInterner};
+
+/// Which dependencies (or dependency sets) can fire on a property: a
+/// derivation rule needs one of the dependency's attributes present, or
+/// a dependency that fires anywhere (a constant, an empty left-hand
+/// side). Items are whatever the caller numbers — FD sets for NFSM
+/// construction, single dependencies for FD pruning.
+#[derive(Default)]
+pub(crate) struct Applicability {
+    by_attr: FxHashMap<AttrId, Vec<u32>>,
+    everywhere: Vec<u32>,
+}
+
+impl Applicability {
+    /// Indexes `(item, dependency)` pairs; items must ascend.
+    pub(crate) fn new<'a>(deps: impl Iterator<Item = (u32, &'a Fd)>) -> Self {
+        let mut index = Applicability::default();
+        let push = |list: &mut Vec<u32>, item| {
+            if list.last() != Some(&item) {
+                list.push(item);
+            }
+        };
+        for (item, fd) in deps {
+            match fd {
+                Fd::Functional { lhs, .. } if lhs.is_empty() => push(&mut index.everywhere, item),
+                Fd::Constant(_) => push(&mut index.everywhere, item),
+                _ => {
+                    for a in fd.attrs() {
+                        push(index.by_attr.entry(a).or_default(), item);
+                    }
+                }
+            }
+        }
+        index
+    }
+
+    /// Indexes FD sets by their position: the sets that can fire.
+    pub(crate) fn over_sets(sets: &[FdSet]) -> Self {
+        let sets = (0..).zip(sets);
+        Self::new(sets.flat_map(|(sym, set)| set.fds().iter().map(move |fd| (sym, fd))))
+    }
+
+    /// The items that can fire on a property over `attrs`, ascending.
+    pub(crate) fn of(&self, attrs: &[AttrId], out: &mut Vec<u32>) {
+        out.clear();
+        out.extend_from_slice(&self.everywhere);
+        let lists = attrs.iter().filter_map(|a| self.by_attr.get(a));
+        lists.for_each(|items| out.extend_from_slice(items));
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
+/// The reusable working memory of the closures: pass one instance to
+/// any number of closure calls. Holds nothing a result refers to.
+#[derive(Default)]
+pub struct Scratch {
+    /// Every view met in this closure, keyed `(head_len, attrs)`.
+    seen: SliceInterner<AttrId>,
+    /// Unexpanded members of `seen` (LIFO).
+    work: Vec<u32>,
+    /// Reported members of `seen`, in report order.
+    result: Vec<u32>,
+    /// The view being expanded (copied out of the arena).
+    cur: Vec<AttrId>,
+    /// The candidate under construction.
+    buf: Vec<AttrId>,
+    /// The dependencies tried on `cur`.
+    selected: Vec<u32>,
+}
+
+impl Scratch {
+    fn reset(&mut self) {
+        self.seen.reset();
+        self.work.clear();
+        self.result.clear();
+    }
+
+    /// The views the last closure reported, in report order.
+    pub(crate) fn reported(&self) -> impl Iterator<Item = (usize, &[AttrId])> {
+        let views = self.result.iter().map(|&id| self.seen.resolve(id));
+        views.map(|(head_len, attrs)| (head_len as usize, attrs))
+    }
+
+    /// Pops the next view to expand into `cur` and selects the
+    /// dependencies to try on it: all `n`, or the applicable ones.
+    fn next(&mut self, n: usize, index: Option<&Applicability>) -> Option<usize> {
+        let (head_len, attrs) = self.seen.resolve(self.work.pop()?);
+        self.cur.clear();
+        self.cur.extend_from_slice(attrs);
+        self.selected.clear();
+        match index {
+            Some(index) => index.of(&self.cur, &mut self.selected),
+            None => self.selected.extend(0..n as u32),
+        }
+        Some(head_len as usize)
+    }
+}
 
 /// Shared context for derivation: equivalence classes, the prefix filter,
 /// and the global length cutoff.
@@ -37,114 +142,125 @@ pub struct DeriveCtx<'a> {
     pub max_len: usize,
 }
 
-impl<'a> DeriveCtx<'a> {
-    /// Applies a single dependency to `o` once, appending each derived
-    /// ordering to `out`. Results never equal `o`.
-    ///
-    /// Besides the paper's insertion and substitution rules, we derive
-    /// *removals*: an occurrence of a functionally determined attribute
-    /// whose determinants all precede it never decides a lexicographic
-    /// comparison (when the comparison reaches it, the determinants are
-    /// tied, so it is tied too), and the same holds for constants
-    /// anywhere. This matches the power of Simmen's reduction — e.g.
-    /// `(a,b,c)` under `a→b` also satisfies `(a,c)`.
-    pub fn apply_fd(&self, o: &Ordering, fd: &Fd, out: &mut Vec<Ordering>) {
-        match fd {
-            Fd::Functional { lhs, rhs } => {
-                if let Some(p) = o.position(*rhs) {
-                    let implied = lhs.iter().all(|&l| o.position(l).is_some_and(|q| q < p));
-                    if implied {
-                        out.push(o.remove_at(p));
-                    }
-                } else {
-                    self.insertions(o, lhs, *rhs, out);
-                }
-            }
-            Fd::Constant(a) => {
-                if let Some(p) = o.position(*a) {
-                    out.push(o.remove_at(p));
-                } else {
-                    self.insertions(o, &[], *a, out);
-                }
-            }
-            Fd::Equation(a, b) => {
-                self.insertions(o, std::slice::from_ref(a), *b, out);
-                self.insertions(o, std::slice::from_ref(b), *a, out);
-                self.substitutions(o, *a, *b, out);
-                self.substitutions(o, *b, *a, out);
-            }
-        }
-    }
+fn position(seq: &[AttrId], a: AttrId) -> Option<usize> {
+    seq.iter().position(|&x| x == a)
+}
 
-    /// Insertion rule: add `rhs` at any position after all of `lhs`.
-    fn insertions(
-        &self,
-        o: &Ordering,
-        lhs: &[ofw_catalog::AttrId],
-        rhs: ofw_catalog::AttrId,
-        out: &mut Vec<Ordering>,
-    ) {
-        if o.contains_attr(rhs) {
+/// The positional rules on the sequence `seq`, with the sorted set
+/// `head` as ambient constants (empty for a plain ordering): inside a
+/// head group every head attribute is constant, so head members act as
+/// always-satisfied determinants — a dependency whose left-hand side
+/// sits (partly) in the head can insert its right-hand side at *any*
+/// position, and an attribute determined by head members alone is
+/// removable anywhere.
+///
+/// Besides the paper's insertion and substitution rules, we derive
+/// *removals*: an occurrence of a functionally determined attribute
+/// whose determinants all precede it never decides a lexicographic
+/// comparison (when the comparison reaches it, the determinants are
+/// tied, so it is tied too), and the same holds for constants
+/// anywhere. This matches the power of Simmen's reduction — e.g.
+/// `(a,b,c)` under `a→b` also satisfies `(a,c)`.
+///
+/// Each derivation is built in `buf` as `head ++ sequence` and emitted
+/// with the head's length. A sequence that *gained* an attribute at
+/// `pos` first goes through `keep(sequence, pos)`: how much of it to
+/// keep, or `None` to drop it. Insert positions stop at `max_len`.
+fn positional_rules(
+    (head, seq): (&[AttrId], &[AttrId]),
+    fd: &Fd,
+    max_len: usize,
+    keep: &impl Fn(&[AttrId], usize) -> Option<usize>,
+    buf: &mut Vec<AttrId>,
+    emit: &mut impl FnMut(usize, &[AttrId]),
+) {
+    let h = head.len();
+    let in_head = |a: &AttrId| head.binary_search(a).is_ok();
+    // Emits `seq` with `seq[at]` replaced by `with`.
+    let mut splice = |at: std::ops::Range<usize>, with: Option<AttrId>| {
+        buf.clear();
+        buf.extend_from_slice(head);
+        buf.extend_from_slice(&seq[..at.start]);
+        buf.extend(with);
+        buf.extend_from_slice(&seq[at.end..]);
+        if let Some(kept) = with.map_or(Some(buf.len() - h), |_| keep(&buf[h..], at.start)) {
+            emit(h, &buf[..h + kept]);
+        }
+    };
+    let mut functional = |lhs: &[AttrId], rhs: AttrId| {
+        if in_head(&rhs) {
+            return; // constant inside a group: adds no information
+        }
+        if let Some(p) = position(seq, rhs) {
+            // Removal: every determinant is a head member (constant in
+            // the group) or precedes the occurrence.
+            let implied = |l: &AttrId| in_head(l) || position(seq, *l).is_some_and(|q| q < p);
+            if lhs.iter().all(implied) {
+                splice(p..p + 1, None);
+            }
             return;
         }
-        // Earliest legal insert position: one past the last lhs attribute.
+        // Insertion: head determinants impose no position, the others
+        // must precede — earliest at one past the last of them.
         let mut first = 0usize;
-        for &l in lhs {
-            match o.position(l) {
+        for l in lhs.iter().filter(|l| !in_head(l)) {
+            match position(seq, *l) {
                 Some(p) => first = first.max(p + 1),
-                None => return, // lhs not satisfied by o
+                None => return, // lhs not satisfied
             }
         }
-        let last = o.len().min(self.max_len.saturating_sub(1));
-        for pos in first..=last {
-            let candidate = o.insert_at(pos, rhs);
-            let allowed = self
-                .filter
-                .admitted_len(candidate.attrs(), self.eq, self.max_len);
-            // The inserted attribute itself must survive the truncation,
-            // otherwise the result carries no new information.
-            if allowed > pos {
-                let derived = candidate.truncate(allowed);
-                debug_assert!(derived.contains_attr(rhs));
-                out.push(derived);
+        for pos in first..=seq.len().min(max_len.saturating_sub(1)) {
+            splice(pos..pos, Some(rhs));
+        }
+    };
+    match fd {
+        Fd::Functional { lhs, rhs } => functional(lhs, *rhs),
+        Fd::Constant(a) => functional(&[], *a),
+        Fd::Equation(a, b) => {
+            functional(std::slice::from_ref(a), *b);
+            functional(std::slice::from_ref(b), *a);
+            // Substitution, the equation's extra power over the FD
+            // pair: replace an occurrence of `from` by `to` in place.
+            // When `to` is a within-group constant or precedes `from`,
+            // `from` can never decide a comparison (its equal partner
+            // already tied) and is dropped instead — e.g. `(a,b)` under
+            // `a = b` also satisfies `(a)`, and transitively `(b)` and
+            // `(b,a)`; the symmetric turn covers `to` following `from`.
+            for (from, to) in [(*a, *b), (*b, *a)] {
+                let Some(pos) = position(seq, from) else {
+                    continue;
+                };
+                match position(seq, to) {
+                    _ if in_head(&to) => splice(pos..pos + 1, None),
+                    Some(to_pos) if to_pos < pos => splice(pos..pos + 1, None),
+                    None if pos < max_len => splice(pos..pos + 1, Some(to)),
+                    _ => {}
+                }
             }
         }
     }
+}
 
-    /// Substitution rule for equations: replace an occurrence of `from`
-    /// by `to` in place. When *both* attributes occur, the later one can
-    /// never decide a lexicographic comparison (the earlier occurrence
-    /// of its equal partner already tied), so it may be dropped — e.g.
-    /// `(a,b)` under `a = b` also satisfies `(a)`, and transitively
-    /// `(b)` and `(b,a)`.
-    fn substitutions(
+impl<'a> DeriveCtx<'a> {
+    /// Applies a single dependency to the ordering `o` once — the
+    /// positional rules, bounded by the prefix filter and the length
+    /// cutoff — handing each derived ordering (built in `buf`) to
+    /// `emit`. Results never equal `o`.
+    pub fn apply_fd(
         &self,
-        o: &Ordering,
-        from: ofw_catalog::AttrId,
-        to: ofw_catalog::AttrId,
-        out: &mut Vec<Ordering>,
+        o: &[AttrId],
+        fd: &Fd,
+        buf: &mut Vec<AttrId>,
+        emit: &mut impl FnMut(&[AttrId]),
     ) {
-        let Some(pos) = o.position(from) else {
-            return;
+        // The new attribute itself must survive the truncation,
+        // otherwise the result carries no new information.
+        let keep = |candidate: &[AttrId], pos: usize| {
+            let allowed = self.filter.admitted_len(candidate, self.eq, self.max_len);
+            (allowed > pos).then_some(allowed.min(candidate.len()))
         };
-        if let Some(to_pos) = o.position(to) {
-            // `from` is redundant only if `to` precedes it; the
-            // symmetric substitution call covers the other orientation.
-            if to_pos < pos {
-                out.push(o.remove_at(pos));
-            }
-            return;
-        }
-        if pos >= self.max_len {
-            return;
-        }
-        let candidate = o.replace_at(pos, to);
-        let allowed = self
-            .filter
-            .admitted_len(candidate.attrs(), self.eq, self.max_len);
-        if allowed > pos {
-            out.push(candidate.truncate(allowed));
-        }
+        let derived = &mut |_, d: &[AttrId]| emit(d);
+        positional_rules((&[], o), fd, self.max_len, &keep, buf, derived);
     }
 
     /// The bounded transitive closure `Ω({o}, fds) \ prefix-closure(o)`:
@@ -156,43 +272,93 @@ impl<'a> DeriveCtx<'a> {
     /// derived orderings are reported — in the NFSM, prefixes are separate
     /// nodes reached by ε-edges.
     pub fn closure(&self, o: &Ordering, fds: &[Fd]) -> Vec<Ordering> {
-        let mut seen: FxHashSet<Ordering> = FxHashSet::default();
-        let mut result: Vec<Ordering> = Vec::new();
-        let mut work: Vec<Ordering> = vec![o.clone()];
-        seen.insert(o.clone());
+        self.closure_in(&mut Scratch::default(), o, fds)
+    }
+
+    /// [`closure`](Self::closure) against a reusable scratch.
+    pub fn closure_in(&self, s: &mut Scratch, o: &Ordering, fds: &[Fd]) -> Vec<Ordering> {
+        self.expand(s, o.attrs(), fds, None);
+        let reported = s.reported();
+        reported.map(|(_, d)| Ordering::new(d.to_vec())).collect()
+    }
+
+    /// The worklist behind [`closure`](Self::closure); the derived
+    /// orderings are left in `s` ([`Scratch::reported`]). With an
+    /// `index` over `fds` (items = positions in `fds`) each ordering
+    /// only tries the dependencies that can fire on it — same result,
+    /// same order, since the others derive nothing.
+    pub(crate) fn expand(
+        &self,
+        s: &mut Scratch,
+        o: &[AttrId],
+        fds: &[Fd],
+        index: Option<&Applicability>,
+    ) {
+        s.reset();
         // Prefixes of o are separate NFSM nodes with their own edges, but
         // mark them seen so we do not re-derive and report them.
-        for p in o.proper_prefixes() {
-            seen.insert(p.clone());
-            work.push(p);
+        for len in std::iter::once(o.len()).chain(1..o.len()) {
+            let (id, _) = s.seen.intern(0, &o[..len]);
+            s.work.push(id);
         }
-        let mut buf: Vec<Ordering> = Vec::new();
-        while let Some(cur) = work.pop() {
-            for fd in fds {
-                buf.clear();
-                self.apply_fd(&cur, fd, &mut buf);
-                for d in buf.drain(..) {
-                    if seen.insert(d.clone()) {
-                        // Report the derivation and recurse both into it
-                        // and into its prefixes (prefix closure of Ω).
-                        for p in d.proper_prefixes() {
-                            if seen.insert(p.clone()) {
-                                work.push(p.clone());
-                                result.push(p);
-                            }
-                        }
-                        work.push(d.clone());
-                        result.push(d);
+        while s.next(fds.len(), index).is_some() {
+            let (seen, work, result) = (&mut s.seen, &mut s.work, &mut s.result);
+            for &f in &s.selected {
+                self.apply_fd(&s.cur, &fds[f as usize], &mut s.buf, &mut |d| {
+                    let (id, new) = seen.intern(0, d);
+                    if !new {
+                        return;
                     }
-                }
+                    // Report the derivation and recurse both into it
+                    // and into its prefixes (prefix closure of Ω).
+                    for len in 1..d.len() {
+                        let (prefix, new) = seen.intern(0, &d[..len]);
+                        if new {
+                            work.push(prefix);
+                            result.push(prefix);
+                        }
+                    }
+                    work.push(id);
+                    result.push(id);
+                });
             }
         }
         // Everything reported must be genuinely new (not o, not a prefix
         // of o) — guaranteed because those were pre-seeded into `seen`,
-        // except prefixes of derived orderings that happen to be prefixes
-        // of o; filter those.
-        result.retain(|r| !(r.is_prefix_of(o)));
-        result
+        // except the empty ordering, a prefix of everything.
+        let seen = &s.seen;
+        s.result.retain(|&id| !o.starts_with(seen.resolve(id).1));
+    }
+}
+
+/// A set-rule derivation from a grouping.
+enum SetEdit {
+    /// The attribute joins the set.
+    Insert(AttrId),
+    /// The attribute leaves the set.
+    Remove(AttrId),
+}
+
+/// The VLDB'04 set rules on the sorted attribute set `g` — see
+/// [`apply_fd_grouping`].
+fn set_rules(g: &[AttrId], fd: &Fd, emit: &mut impl FnMut(SetEdit)) {
+    let has = |a: &AttrId| g.binary_search(a).is_ok();
+    let mut functional = |lhs: &[AttrId], rhs: AttrId| {
+        if has(&rhs) {
+            if lhs.iter().all(|l| *l != rhs && has(l)) {
+                emit(SetEdit::Remove(rhs));
+            }
+        } else if lhs.iter().all(has) {
+            emit(SetEdit::Insert(rhs));
+        }
+    };
+    match fd {
+        Fd::Functional { lhs, rhs } => functional(lhs, *rhs),
+        Fd::Constant(a) => functional(&[], *a),
+        Fd::Equation(a, b) => {
+            functional(std::slice::from_ref(a), *b);
+            functional(std::slice::from_ref(b), *a);
+        }
     }
 }
 
@@ -210,38 +376,58 @@ impl<'a> DeriveCtx<'a> {
 ///
 /// Results never equal `g`.
 pub fn apply_fd_grouping(g: &Grouping, fd: &Fd, out: &mut Vec<Grouping>) {
-    let functional = |g: &Grouping, lhs: &[ofw_catalog::AttrId], rhs, out: &mut Vec<Grouping>| {
-        if g.contains_attr(rhs) {
-            let rest = g.without(rhs);
-            if lhs.iter().all(|&l| rest.contains_attr(l)) {
-                out.push(rest);
+    set_rules(g.attrs(), fd, &mut |edit| {
+        out.push(match edit {
+            SetEdit::Insert(a) => g.with(a),
+            SetEdit::Remove(a) => g.without(a),
+        })
+    });
+}
+
+/// The set rules on the head of the view `(head, tail)`, the tail
+/// unchanged (an attribute joining the head leaves the tail — it is
+/// constant inside a group). A removal that would empty the head is
+/// dropped: the degenerate consequence (a constant head collapses the
+/// stream into one group, so the tail becomes a plain ordering) is
+/// sound, but it is a power the pair-free pipeline cannot mirror —
+/// deriving it would make `contains` answers depend on whether pair
+/// nodes happen to be materialized. All three oracle arms share this
+/// rule set, so the conservative choice keeps them in exact agreement.
+fn head_rules(
+    (head, tail): (&[AttrId], &[AttrId]),
+    fd: &Fd,
+    buf: &mut Vec<AttrId>,
+    emit: &mut impl FnMut(usize, &[AttrId]),
+) {
+    set_rules(head, fd, &mut |edit| {
+        buf.clear();
+        let joined = match edit {
+            SetEdit::Insert(a) => {
+                let at = head.partition_point(|&x| x < a);
+                buf.extend_from_slice(&head[..at]);
+                buf.push(a);
+                buf.extend_from_slice(&head[at..]);
+                Some(a)
             }
-        } else if lhs.iter().all(|&l| g.contains_attr(l)) {
-            out.push(g.with(rhs));
-        }
-    };
-    match fd {
-        Fd::Functional { lhs, rhs } => functional(g, lhs, *rhs, out),
-        Fd::Constant(a) => {
-            if g.contains_attr(*a) {
-                out.push(g.without(*a));
-            } else {
-                out.push(g.with(*a));
+            SetEdit::Remove(a) => {
+                buf.extend(head.iter().filter(|&&x| x != a));
+                None
             }
+        };
+        let head_len = buf.len();
+        buf.extend(tail.iter().filter(|&&t| Some(t) != joined));
+        if head_len > 0 {
+            emit(head_len, buf);
         }
-        Fd::Equation(a, b) => {
-            functional(g, std::slice::from_ref(a), *b, out);
-            functional(g, std::slice::from_ref(b), *a, out);
-        }
-    }
+    });
 }
 
 /// The classical attribute closure `seed⁺` under `fds`: every attribute
 /// functionally determined by `seed`. Equations count in both
 /// directions; constants are determined by anything (including the
 /// empty set).
-pub fn attr_closure(seed: &[ofw_catalog::AttrId], fds: &[Fd]) -> FxHashSet<ofw_catalog::AttrId> {
-    let mut set: FxHashSet<ofw_catalog::AttrId> = seed.iter().copied().collect();
+pub fn attr_closure(seed: &[AttrId], fds: &[Fd]) -> FxHashSet<AttrId> {
+    let mut set: FxHashSet<AttrId> = seed.iter().copied().collect();
     loop {
         let mut grew = false;
         for fd in fds {
@@ -276,11 +462,7 @@ pub fn attr_closure(seed: &[ofw_catalog::AttrId], fds: &[Fd]) -> FxHashSet<ofw_c
 /// Whether `key` functionally determines every attribute of `targets`
 /// under `fds` — the admission test behind group-join ("the join key
 /// functionally determines the group") and eager aggregation keys.
-pub fn determines(
-    key: &[ofw_catalog::AttrId],
-    targets: &[ofw_catalog::AttrId],
-    fds: &[Fd],
-) -> bool {
+pub fn determines(key: &[AttrId], targets: &[AttrId], fds: &[Fd]) -> bool {
     let closure = attr_closure(key, fds);
     targets.iter().all(|t| closure.contains(t))
 }
@@ -293,10 +475,10 @@ pub fn determines(
 /// *same* canonical key for the same subset and the grouping registered
 /// as interesting is the grouping the partial aggregate produces.
 pub fn minimize_grouping_key(key: &Grouping, fds: &[Fd]) -> Grouping {
-    let mut attrs: Vec<ofw_catalog::AttrId> = key.attrs().to_vec();
+    let mut attrs: Vec<AttrId> = key.attrs().to_vec();
     let mut i = 0;
     while i < attrs.len() {
-        let rest: Vec<ofw_catalog::AttrId> = attrs
+        let rest: Vec<AttrId> = attrs
             .iter()
             .enumerate()
             .filter_map(|(j, &a)| (j != i).then_some(a))
@@ -310,6 +492,18 @@ pub fn minimize_grouping_key(key: &Grouping, fds: &[Fd]) -> Grouping {
     Grouping::new(attrs)
 }
 
+/// The positional rules on a pair's tail (or, for a grouping, on the
+/// empty tail: an attribute the head determines starts one).
+fn tail_rules(
+    view: (&[AttrId], &[AttrId]),
+    fd: &Fd,
+    buf: &mut Vec<AttrId>,
+    emit: &mut impl FnMut(usize, &[AttrId]),
+) {
+    let keep = |grown: &[AttrId], _| Some(grown.len());
+    positional_rules(view, fd, usize::MAX, &keep, buf, emit);
+}
+
 /// Applies one dependency to a *head/tail pair* once, appending each
 /// derived property to `out`. The two components react to a dependency
 /// independently — that is the pair's derivation signature:
@@ -318,108 +512,18 @@ pub fn minimize_grouping_key(key: &Grouping, fds: &[Fd]) -> Grouping {
 ///   [`apply_fd_grouping`] (insert a determined attribute, remove a
 ///   determined member, toggle constants) — the head groups are
 ///   untouched by any of these, so the tail ordering inside them
-///   survives verbatim;
+///   survives verbatim (heads never empty, though);
 /// * the **tail** follows the positional *ordering* rules of
-///   [`DeriveCtx::apply_fd`], with one extra power: inside a head group
-///   every head attribute is constant, so head members act as
-///   always-satisfied determinants — a dependency whose left-hand side
-///   sits (partly) in the head can insert its right-hand side at *any*
-///   tail position, and a tail attribute determined by head members
-///   alone is removable anywhere.
+///   [`DeriveCtx::apply_fd`], unbounded and with the head members as
+///   always-satisfied determinants.
 ///
-/// Results may degenerate: removing the last head member (a constant
-/// head) yields the plain tail [`Ordering`] — the whole stream is one
-/// group — and removing the last tail attribute yields the plain head
-/// [`Grouping`]. Results never equal the input pair.
+/// Results may degenerate: removing the last tail attribute yields the
+/// plain head [`Grouping`]. Results never equal the input pair.
 pub fn apply_fd_head_tail(ht: &HeadTail, fd: &Fd, out: &mut Vec<LogicalProperty>) {
-    let head = ht.head();
-    let tail = ht.tail();
-    // Head component: set insertion / removal, tail unchanged. A
-    // removal that would empty the head is dropped: the degenerate
-    // consequence (a constant head collapses the stream into one group,
-    // so the tail becomes a plain ordering) is sound, but it is a power
-    // the pair-free pipeline cannot mirror — deriving it would make
-    // `contains` answers depend on whether pair nodes happen to be
-    // materialized. All three oracle arms share this rule set, so the
-    // conservative choice keeps them in exact agreement.
-    let mut head_buf: Vec<Grouping> = Vec::new();
-    apply_fd_grouping(&head, fd, &mut head_buf);
-    for h in head_buf {
-        if !h.is_empty() {
-            out.push(LogicalProperty::head_tail(h, tail.clone()));
-        }
-    }
-    // Tail component: positional rules with the head as an ambient
-    // constant set.
-    let functional =
-        |lhs: &[ofw_catalog::AttrId], rhs: ofw_catalog::AttrId, out: &mut Vec<LogicalProperty>| {
-            if head.contains_attr(rhs) {
-                return; // constant inside a group: adds no tail information
-            }
-            if let Some(p) = tail.position(rhs) {
-                // Removal: every determinant is a head member (constant in
-                // the group) or precedes the occurrence in the tail.
-                let implied = lhs
-                    .iter()
-                    .all(|&l| head.contains_attr(l) || tail.position(l).is_some_and(|q| q < p));
-                if implied {
-                    out.push(LogicalProperty::head_tail(head.clone(), tail.remove_at(p)));
-                }
-            } else {
-                // Insertion: head determinants impose no position, tail
-                // determinants must precede.
-                let mut first = 0usize;
-                for &l in lhs {
-                    if head.contains_attr(l) {
-                        continue;
-                    }
-                    match tail.position(l) {
-                        Some(p) => first = first.max(p + 1),
-                        None => return, // lhs satisfied by neither component
-                    }
-                }
-                for pos in first..=tail.len() {
-                    out.push(LogicalProperty::head_tail(
-                        head.clone(),
-                        tail.insert_at(pos, rhs),
-                    ));
-                }
-            }
-        };
-    match fd {
-        Fd::Functional { lhs, rhs } => functional(lhs, *rhs, out),
-        Fd::Constant(a) => functional(&[], *a, out),
-        Fd::Equation(a, b) => {
-            functional(std::slice::from_ref(a), *b, out);
-            functional(std::slice::from_ref(b), *a, out);
-            // In-place tail substitution (the equation's extra power
-            // over the FD pair, as for plain orderings).
-            for (from, to) in [(*a, *b), (*b, *a)] {
-                let Some(pos) = tail.position(from) else {
-                    continue;
-                };
-                if head.contains_attr(to) {
-                    // `from` equals a within-group constant: removable.
-                    out.push(LogicalProperty::head_tail(
-                        head.clone(),
-                        tail.remove_at(pos),
-                    ));
-                } else if let Some(to_pos) = tail.position(to) {
-                    if to_pos < pos {
-                        out.push(LogicalProperty::head_tail(
-                            head.clone(),
-                            tail.remove_at(pos),
-                        ));
-                    }
-                } else {
-                    out.push(LogicalProperty::head_tail(
-                        head.clone(),
-                        tail.replace_at(pos, to),
-                    ));
-                }
-            }
-        }
-    }
+    let view = (ht.head_attrs(), ht.tail_attrs());
+    let emit = &mut |head_len, attrs: &[AttrId]| out.push(materialize(head_len, attrs));
+    head_rules(view, fd, &mut Vec::new(), emit);
+    tail_rules(view, fd, &mut Vec::new(), emit);
 }
 
 /// Applies one dependency to a *grouping* to derive head/tail pairs:
@@ -429,29 +533,29 @@ pub fn apply_fd_head_tail(ht: &HeadTail, fd: &Fd, out: &mut Vec<LogicalProperty>
 /// This is the crossover that lets grouped-but-unsorted streams (hash
 /// aggregation output) start accumulating within-group order.
 pub fn apply_fd_grouping_tails(g: &Grouping, fd: &Fd, out: &mut Vec<LogicalProperty>) {
-    let mut push = |rhs: ofw_catalog::AttrId| {
-        if !g.contains_attr(rhs) {
-            out.push(LogicalProperty::head_tail(
-                g.clone(),
-                Ordering::new(vec![rhs]),
-            ));
-        }
+    let emit = &mut |head_len, attrs: &[AttrId]| out.push(materialize(head_len, attrs));
+    tail_rules((g.attrs(), &[]), fd, &mut Vec::new(), emit);
+}
+
+/// The `(head_len, attrs)` view of a property.
+pub(crate) fn view(p: &LogicalProperty) -> (usize, &[AttrId]) {
+    let head_len = match p {
+        LogicalProperty::Ordering(_) => 0,
+        LogicalProperty::Grouping(g) => g.len(),
+        LogicalProperty::HeadTail(h) => h.head_attrs().len(),
     };
-    match fd {
-        Fd::Functional { lhs, rhs } => {
-            if lhs.iter().all(|&l| g.contains_attr(l)) {
-                push(*rhs);
-            }
-        }
-        Fd::Constant(a) => push(*a),
-        Fd::Equation(a, b) => {
-            if g.contains_attr(*a) {
-                push(*b);
-            }
-            if g.contains_attr(*b) {
-                push(*a);
-            }
-        }
+    (head_len, p.attrs())
+}
+
+/// The property a `(head_len, attrs)` view denotes.
+pub(crate) fn materialize(head_len: usize, attrs: &[AttrId]) -> LogicalProperty {
+    let (head, tail) = attrs.split_at(head_len);
+    if head.is_empty() {
+        Ordering::new(tail.to_vec()).into()
+    } else if tail.is_empty() {
+        Grouping::new(head.to_vec()).into()
+    } else {
+        HeadTail::new(Grouping::new(head.to_vec()), Ordering::new(tail.to_vec())).into()
     }
 }
 
@@ -462,14 +566,11 @@ pub fn apply_fd_grouping_tails(g: &Grouping, fd: &Fd, out: &mut Vec<LogicalPrope
 /// [`apply_fd_grouping_tails`]). Each admission filter bounds its own
 /// kind; the source itself is not reported.
 ///
-/// The `Ordering` arms exist for totality over the public
-/// `LogicalProperty` input (an ordering *source* chases the positional
-/// rules of `ctx`), but the current rule set never *derives* an
-/// ordering from a pair or grouping — head removal deliberately keeps
-/// heads non-empty (see [`apply_fd_head_tail`]), so with a pair or
-/// grouping source the ordering branches stay cold. They are kept, not
-/// `unreachable!`, so a future property kind whose rules do emit
-/// orderings degrades gracefully instead of aborting.
+/// The rule set never *derives* an ordering from a pair or grouping —
+/// head removal deliberately keeps heads non-empty (see
+/// [`apply_fd_head_tail`]). An ordering *source* is accepted for
+/// totality over the public `LogicalProperty` input and chases the
+/// positional rules of `ctx`.
 pub fn mixed_closure(
     src: &LogicalProperty,
     fds: &[Fd],
@@ -477,55 +578,13 @@ pub fn mixed_closure(
     gfilter: &GroupingFilter,
     hfilter: &HeadTailFilter,
 ) -> Vec<LogicalProperty> {
-    let mut seen: FxHashSet<LogicalProperty> = FxHashSet::default();
-    let mut result: Vec<LogicalProperty> = Vec::new();
-    let mut work: Vec<LogicalProperty> = vec![src.clone()];
-    seen.insert(src.clone());
-    let mut buf: Vec<LogicalProperty> = Vec::new();
-    while let Some(cur) = work.pop() {
-        buf.clear();
-        match &cur {
-            LogicalProperty::HeadTail(ht) => {
-                for fd in fds {
-                    apply_fd_head_tail(ht, fd, &mut buf);
-                }
-            }
-            LogicalProperty::Grouping(g) => {
-                let mut gbuf: Vec<Grouping> = Vec::new();
-                for fd in fds {
-                    apply_fd_grouping(g, fd, &mut gbuf);
-                    apply_fd_grouping_tails(g, fd, &mut buf);
-                }
-                buf.extend(gbuf.into_iter().map(LogicalProperty::Grouping));
-            }
-            LogicalProperty::Ordering(o) => {
-                // Orderings only ever derive orderings; the bounded
-                // ordering closure is transitive already, so report its
-                // results without re-queueing them.
-                for d in ctx.closure(o, fds) {
-                    let p = LogicalProperty::Ordering(d);
-                    if seen.insert(p.clone()) {
-                        result.push(p);
-                    }
-                }
-                continue;
-            }
-        }
-        for d in buf.drain(..) {
-            let admitted = match &d {
-                LogicalProperty::HeadTail(h) => hfilter.admits(h),
-                LogicalProperty::Grouping(g) => !g.is_empty() && gfilter.admits(g),
-                LogicalProperty::Ordering(o) => {
-                    !o.is_empty() && ctx.filter.admitted_len(o.attrs(), ctx.eq, ctx.max_len) > 0
-                }
-            };
-            if admitted && seen.insert(d.clone()) {
-                work.push(d.clone());
-                result.push(d);
-            }
-        }
+    let s = &mut Scratch::default();
+    match view(src) {
+        (0, o) => ctx.expand(s, o, fds, None),
+        (head_len, attrs) => expand_sets(s, head_len, attrs, fds, None, gfilter, Some(hfilter)),
     }
-    result
+    let reported = s.reported();
+    reported.map(|(hl, attrs)| materialize(hl, attrs)).collect()
 }
 
 /// The transitive closure of grouping derivation: every grouping
@@ -533,33 +592,67 @@ pub fn mixed_closure(
 /// the admission `filter` (a derived grouping no interesting grouping
 /// can ever be completed from is dropped). `g` itself is not reported.
 pub fn grouping_closure(g: &Grouping, fds: &[Fd], filter: &GroupingFilter) -> Vec<Grouping> {
-    let mut seen: FxHashSet<Grouping> = FxHashSet::default();
-    let mut result: Vec<Grouping> = Vec::new();
-    let mut work: Vec<Grouping> = vec![g.clone()];
-    seen.insert(g.clone());
-    let mut buf: Vec<Grouping> = Vec::new();
-    while let Some(cur) = work.pop() {
-        for fd in fds {
-            buf.clear();
-            apply_fd_grouping(&cur, fd, &mut buf);
-            for d in buf.drain(..) {
-                if d.is_empty() || !filter.admits(&d) {
-                    continue;
+    let s = &mut Scratch::default();
+    expand_sets(s, g.len(), g.attrs(), fds, None, filter, None);
+    let reported = s.reported();
+    reported.map(|(_, d)| Grouping::new(d.to_vec())).collect()
+}
+
+/// The worklist behind [`grouping_closure`] and [`mixed_closure`]; the
+/// derived properties are left in `s` ([`Scratch::reported`]). Without
+/// `hfilter` the pure grouping pipeline runs: the set rules alone, from
+/// a grouping. With it, groupings additionally spawn pairs (all of them
+/// before the set-rule derivations, for every dependency) and pairs
+/// derive across both components. `index` as for
+/// [`DeriveCtx::expand`].
+pub(crate) fn expand_sets(
+    s: &mut Scratch,
+    head_len: usize,
+    attrs: &[AttrId],
+    fds: &[Fd],
+    index: Option<&Applicability>,
+    gfilter: &GroupingFilter,
+    hfilter: Option<&HeadTailFilter>,
+) {
+    s.reset();
+    let (src, _) = s.seen.intern(head_len as u32, attrs);
+    s.work.push(src);
+    while let Some(head_len) = s.next(fds.len(), index) {
+        let (seen, work, result, buf) = (&mut s.seen, &mut s.work, &mut s.result, &mut s.buf);
+        let admit = &mut |head_len: usize, d: &[AttrId]| {
+            let admitted = match hfilter {
+                Some(hfilter) if head_len < d.len() => hfilter.0.admits_attrs(d),
+                _ => gfilter.admits_attrs(d),
+            };
+            if admitted {
+                let (id, new) = seen.intern(head_len as u32, d);
+                if new {
+                    work.push(id);
+                    result.push(id);
                 }
-                if seen.insert(d.clone()) {
-                    work.push(d.clone());
-                    result.push(d);
-                }
+            }
+        };
+        let view = s.cur.split_at(head_len);
+        let selected = s.selected.iter().map(|&f| &fds[f as usize]);
+        let is_pair = !view.1.is_empty();
+        if hfilter.is_some() && !is_pair {
+            selected
+                .clone()
+                .for_each(|fd| tail_rules(view, fd, buf, admit));
+        }
+        for fd in selected {
+            head_rules(view, fd, buf, admit);
+            if is_pair {
+                tail_rules(view, fd, buf, admit);
             }
         }
     }
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofw_catalog::AttrId;
+    use AttrId;
 
     const A: AttrId = AttrId(0);
     const B: AttrId = AttrId(1);

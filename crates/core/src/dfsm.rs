@@ -36,31 +36,34 @@ use ofw_common::{BitMatrix, BitSet, FxHashMap, Interner};
 struct SubsetConstruction<'a> {
     nfsm: &'a Nfsm,
     /// ε-closure per NFSM node (transitive; pruning may relink chains).
-    eps_closure: Vec<BitSet>,
+    eps_closure: Vec<Vec<NodeId>>,
     max_states: usize,
     states: Interner<BitSet>,
-    /// Row-major `state × symbol`; a row is `u32::MAX` until the BFS
-    /// reaches its state.
+    /// Row-major `state × symbol`; a row starts out as all self-loops
+    /// and the BFS overwrites the symbols that lead elsewhere.
     transitions: Vec<u32>,
 }
 
 impl<'a> SubsetConstruction<'a> {
     fn new(nfsm: &'a Nfsm, config: &PruneConfig) -> Self {
         let n = nfsm.num_nodes();
-        let eps_closure: Vec<BitSet> = (0..n)
+        // visited[u] == v + 1: u was reached in v's traversal.
+        let mut visited = vec![0u32; n];
+        let eps_closure: Vec<Vec<NodeId>> = (0..n as NodeId)
             .map(|v| {
-                let mut set = BitSet::new(n);
-                let mut work = vec![v as NodeId];
-                set.insert(v);
-                while let Some(u) = work.pop() {
+                let mut closure = vec![v];
+                visited[v as usize] = v + 1;
+                let mut next = 0;
+                while let Some(&u) = closure.get(next) {
                     for &p in &nfsm.eps[u as usize] {
-                        if !set.contains(p as usize) {
-                            set.insert(p as usize);
-                            work.push(p);
+                        if visited[p as usize] != v + 1 {
+                            visited[p as usize] = v + 1;
+                            closure.push(p);
                         }
                     }
+                    next += 1;
                 }
-                set
+                closure
             })
             .collect();
         SubsetConstruction {
@@ -72,8 +75,17 @@ impl<'a> SubsetConstruction<'a> {
         }
     }
 
-    /// Interns a subset, extending the transition table with an
-    /// unfilled row when it is new.
+    /// The entry subset of a stream shaped like `node`: its ε-closure.
+    fn entry(&self, node: NodeId) -> BitSet {
+        let mut set = BitSet::new(self.nfsm.num_nodes());
+        for &v in &self.eps_closure[node as usize] {
+            set.insert(v as usize);
+        }
+        set
+    }
+
+    /// Interns a subset, extending the transition table with a row of
+    /// self-loops when it is new.
     fn intern(&mut self, set: BitSet) -> Result<u32, BuildError> {
         let before = self.states.len();
         let id = self.states.intern(set);
@@ -82,38 +94,43 @@ impl<'a> SubsetConstruction<'a> {
                 return Err(BuildError::TooManyDfsmStates(self.max_states));
             }
             self.transitions
-                .extend(std::iter::repeat_n(u32::MAX, self.nfsm.num_symbols));
+                .extend(std::iter::repeat_n(id, self.nfsm.num_symbols));
         }
         Ok(id)
     }
 
-    /// Successor subset of `subset` under `sym`: self-retention plus the
-    /// ε-closures of all edge targets.
-    fn successor(&self, subset: &BitSet, sym: usize) -> BitSet {
-        let mut succ = subset.clone();
-        for v in subset.iter() {
-            for &t in &self.nfsm.edges[v][sym] {
-                succ.union_with(&self.eps_closure[t as usize]);
-            }
-        }
-        succ
-    }
-
     /// Runs the BFS to the fixpoint: each state's successors are
     /// computed and interned in symbol order, filling its transition row.
+    ///
+    /// The successor of `subset` under `sym` is self-retention plus the
+    /// ε-closures of all edge targets, so a symbol under which no member
+    /// has an edge — nearly all of them — leads back to the state
+    /// itself: only the runs of the members are looked at, and a subset
+    /// is only copied when a target actually adds a node.
     fn run_to_fixpoint(&mut self) -> Result<(), BuildError> {
-        let num_symbols = self.nfsm.num_symbols;
+        let nfsm = self.nfsm;
+        let mut fired: Vec<(usize, &[NodeId])> = Vec::new();
+        let mut successors: Vec<(usize, BitSet)> = Vec::new();
         let mut state = 0u32;
         while (state as usize) < self.states.len() {
-            let subset = self.states.resolve(state).clone();
-            for sym in 0..num_symbols {
-                let succ = self.successor(&subset, sym);
-                let target = if succ == subset {
-                    state
-                } else {
-                    self.intern(succ)?
-                };
-                self.transitions[state as usize * num_symbols + sym] = target;
+            let subset = self.states.resolve(state);
+            fired.clear();
+            fired.extend(subset.iter().flat_map(|v| nfsm.runs(v as NodeId)));
+            fired.sort_by_key(|&(sym, _)| sym);
+            for runs in fired.chunk_by(|a, b| a.0 == b.0) {
+                let mut succ: Option<BitSet> = None;
+                let targets = runs.iter().flat_map(|&(_, targets)| targets);
+                for &c in targets.flat_map(|&t| &self.eps_closure[t as usize]) {
+                    if !succ.as_ref().unwrap_or(subset).contains(c as usize) {
+                        succ.get_or_insert_with(|| subset.clone())
+                            .insert(c as usize);
+                    }
+                }
+                successors.extend(succ.map(|succ| (runs[0].0, succ)));
+            }
+            for (sym, succ) in successors.drain(..) {
+                let target = self.intern(succ)?;
+                self.transitions[state as usize * nfsm.num_symbols + sym] = target;
             }
             state += 1;
         }
@@ -158,14 +175,26 @@ pub struct Dfsm {
 const DOMINANCE_STATE_LIMIT: usize = 1 << 12;
 
 /// Pairwise subset-inclusion matrix over state subsets, when small
-/// enough to precompute.
+/// enough to precompute. A superset of `b` contains `b`'s rarest node,
+/// so only the states holding that node are compared against `b`.
 fn dominance_matrix(state_sets: &[BitSet]) -> Option<BitMatrix> {
     (state_sets.len() <= DOMINANCE_STATE_LIMIT).then(|| {
+        // (node, state holding it), sorted: a node's holders are a range.
+        let mut holders: Vec<(u32, u32)> = Vec::new();
+        for (state, set) in state_sets.iter().enumerate() {
+            holders.extend(set.iter().map(|v| (v as u32, state as u32)));
+        }
+        holders.sort_unstable();
+        let holding = |v: usize| {
+            let from = holders.partition_point(|h| (h.0 as usize) < v);
+            &holders[from..holders.partition_point(|h| h.0 as usize <= v)]
+        };
         let mut m = BitMatrix::new(state_sets.len(), state_sets.len());
-        for (a, sa) in state_sets.iter().enumerate() {
-            for (b, sb) in state_sets.iter().enumerate() {
-                if sa.is_superset(sb) {
-                    m.set(a, b);
+        for (b, sb) in state_sets.iter().enumerate() {
+            let rarest = sb.iter().min_by_key(|&v| holding(v).len());
+            for &(_, a) in holding(rarest.expect("a state holds its entry node")) {
+                if state_sets[a as usize].is_superset(sb) {
+                    m.set(a as usize, b);
                 }
             }
         }
@@ -182,11 +211,11 @@ impl Dfsm {
         // Entry states first — the empty stream, then one per produced
         // property in `nfsm.props` insertion order. This fixed seeding
         // order is the root of the state-numbering contract.
-        let empty_state = sc.intern(sc.eps_closure[0].clone())?;
+        let empty_state = sc.intern(sc.entry(0))?;
         let mut start: FxHashMap<LogicalProperty, u32> = FxHashMap::default();
         for (node, prop) in nfsm.props.iter() {
             if nfsm.info[node as usize].produced {
-                let id = sc.intern(sc.eps_closure[node as usize].clone())?;
+                let id = sc.intern(sc.entry(node))?;
                 start.insert(prop.clone(), id);
             }
         }

@@ -32,38 +32,143 @@
 //! determinants precede it). Because match/strip can conflict, this is a
 //! small reachability DP, not a greedy scan — candidates are at most as
 //! long as the longest interesting order, so the state space is tiny.
+//!
+//! Both filters reason in *representative space* over filter-local
+//! dense ids (`RepSpace`; nothing is sized by an `AttrId` value),
+//! close constants through an lhs-attribute → FD index ([`Derived`]),
+//! compare a candidate only against the interesting orders/groupings it
+//! shares a representative with, and compute every answer once.
 
 use crate::eqclass::EqClasses;
 use crate::fd::Fd;
 use crate::ordering::Ordering;
 use crate::property::{Grouping, HeadTail};
 use ofw_catalog::AttrId;
-use ofw_common::FxHashSet;
+use ofw_common::horn::{Derived, HornRules, UNDERIVED};
+use ofw_common::FxHashMap;
+use std::cell::RefCell;
 
-/// One dependency in representative space.
-#[derive(Debug)]
-struct RepFd {
-    lhs: Vec<AttrId>,
-    rhs: AttrId,
+/// An answer memo keyed by the attribute list asked about.
+type Memo<V> = FxHashMap<Box<[AttrId]>, V>;
+
+/// The representative space of one filter: local dense ids (every
+/// attribute class the filter has seen, in first-occurrence order) and
+/// the constants and dependencies over those ids.
+#[derive(Debug, Default)]
+struct RepSpace {
+    /// Attribute (and its class representative) → local id of the class.
+    ids: FxHashMap<AttrId, u32>,
+    /// Per id: bound to a constant.
+    is_const: Vec<bool>,
+    /// Per id: member of a *multi-attribute* left-hand side.
+    multi_lhs: Vec<bool>,
+    /// Per id: the left-hand sides determining it (trivial ones dropped).
+    determinants: Vec<Vec<Vec<u32>>>,
+    /// `∅ → constant` and `lhs → rhs` as rules: a *constant closure* is
+    /// a [`Derived`] set under them, level 0 holding what the constants
+    /// alone determine.
+    rules: HornRules,
+}
+
+impl RepSpace {
+    fn len(&self) -> usize {
+        self.is_const.len()
+    }
+
+    /// Local id of `a`'s class, assigned at first sight.
+    fn id(&mut self, a: AttrId, eq: &EqClasses) -> u32 {
+        if let Some(&id) = self.ids.get(&a) {
+            return id;
+        }
+        let next = self.len() as u32;
+        let id = *self.ids.entry(eq.find(a)).or_insert(next);
+        if id == next {
+            self.is_const.push(false);
+            self.multi_lhs.push(false);
+            self.determinants.push(Vec::new());
+        }
+        self.ids.insert(a, id);
+        id
+    }
+
+    /// Local id of `a`'s class if the filter has ever seen it.
+    fn lookup(&self, a: AttrId, eq: &EqClasses) -> Option<u32> {
+        let id = self.ids.get(&a).or_else(|| self.ids.get(&eq.find(a)));
+        id.copied()
+    }
+
+    /// Registers the dependencies in representative space.
+    fn add_fds(&mut self, fds: &[Fd], eq: &EqClasses) {
+        for fd in fds {
+            match fd {
+                Fd::Constant(a) => {
+                    let id = self.id(*a, eq);
+                    self.is_const[id as usize] = true;
+                    self.rules.add(Vec::new(), id);
+                }
+                Fd::Functional { lhs, rhs } => {
+                    let lhs: Vec<u32> = lhs.iter().map(|&a| self.id(a, eq)).collect();
+                    let rhs = self.id(*rhs, eq);
+                    if lhs.len() >= 2 {
+                        for &l in &lhs {
+                            self.multi_lhs[l as usize] = true;
+                        }
+                    }
+                    if !lhs.contains(&rhs) {
+                        self.determinants[rhs as usize].push(lhs.clone());
+                        self.rules.add(lhs, rhs);
+                    }
+                }
+                // In representative space an equation is the identity.
+                Fd::Equation(_, _) => {}
+            }
+        }
+    }
+
+    /// Per id, the `lists` (of ids) containing it.
+    fn containing(&self, lists: &[Vec<u32>]) -> Vec<Vec<u32>> {
+        let mut with = vec![Vec::new(); self.len()];
+        for (i, list) in lists.iter().enumerate() {
+            for &r in list {
+                if with[r as usize].last() != Some(&(i as u32)) {
+                    with[r as usize].push(i as u32);
+                }
+            }
+        }
+        with
+    }
 }
 
 /// Bounded-derivation filter over the interesting orders.
 #[derive(Debug)]
 pub struct PrefixFilter {
+    /// Classes, constants and dependencies. Classes participating in a
+    /// *multi-attribute* left-hand side are tracked too: derivation
+    /// matches left-hand sides on concrete attributes, so an ordering
+    /// may need several equal-by-equation attributes present at once —
+    /// e.g. `[a,b] → c` with `a = b` fires only from orderings
+    /// containing both `a` and `b`, which in representative space look
+    /// like useless duplicates.
+    space: RepSpace,
     /// Representative-mapped interesting orders.
-    orders: Vec<Vec<AttrId>>,
-    /// Representatives of constant-bound attributes.
-    const_reps: FxHashSet<AttrId>,
-    /// Representative-space FDs.
-    rep_fds: Vec<RepFd>,
-    /// Classes (representatives) participating in a *multi-attribute*
-    /// left-hand side. Derivation matches left-hand sides on concrete
-    /// attributes, so an ordering may need several equal-by-equation
-    /// attributes present at once — e.g. `[a,b] → c` with `a = b` fires
-    /// only from orderings containing both `a` and `b`, which in
-    /// representative space look like useless duplicates.
-    multi_lhs_reps: FxHashSet<AttrId>,
+    orders: Vec<Vec<u32>>,
+    /// Per id: the interesting orders containing it.
+    orders_with: Vec<Vec<u32>>,
+    /// Whether any interesting order is non-empty.
+    has_order: bool,
     enabled: bool,
+    scratch: RefCell<PrefixScratch>,
+}
+
+/// Reused buffers and the answer memo of [`PrefixFilter::admitted_len`].
+#[derive(Debug, Default)]
+struct PrefixScratch {
+    avail: Derived,
+    /// Candidate → (cap it was asked under, admitted length).
+    memo: Memo<(usize, usize)>,
+    cand: Vec<u32>,
+    strippable: Vec<bool>,
+    reach: Vec<bool>,
 }
 
 impl PrefixFilter {
@@ -78,37 +183,23 @@ impl PrefixFilter {
         eq: &EqClasses,
         enabled: bool,
     ) -> Self {
-        let orders: Vec<Vec<AttrId>> = interesting.map(|o| eq.map_slice(o.attrs())).collect();
-        let mut const_reps = FxHashSet::default();
-        let mut rep_fds = Vec::new();
-        let mut multi_lhs_reps = FxHashSet::default();
-        for fd in fds {
-            match fd {
-                Fd::Constant(a) => {
-                    const_reps.insert(eq.find(*a));
-                }
-                Fd::Functional { lhs, rhs } => {
-                    if lhs.len() >= 2 {
-                        for &l in lhs.iter() {
-                            multi_lhs_reps.insert(eq.find(l));
-                        }
-                    }
-                    let lhs: Vec<AttrId> = lhs.iter().map(|&a| eq.find(a)).collect();
-                    let rhs = eq.find(*rhs);
-                    if !lhs.contains(&rhs) {
-                        rep_fds.push(RepFd { lhs, rhs });
-                    }
-                }
-                // In representative space an equation is the identity.
-                Fd::Equation(_, _) => {}
-            }
-        }
+        let mut space = RepSpace::default();
+        let orders: Vec<Vec<u32>> = interesting
+            .map(|o| o.attrs().iter().map(|&a| space.id(a, eq)).collect())
+            .collect();
+        space.add_fds(fds, eq);
+        let orders_with = space.containing(&orders);
+        let scratch = PrefixScratch {
+            avail: Derived::new(&space.rules, space.len()),
+            ..PrefixScratch::default()
+        };
         PrefixFilter {
+            has_order: orders.iter().any(|o| !o.is_empty()),
+            space,
             orders,
-            const_reps,
-            rep_fds,
-            multi_lhs_reps,
+            orders_with,
             enabled,
+            scratch: RefCell::new(scratch),
         }
     }
 
@@ -117,48 +208,71 @@ impl PrefixFilter {
     /// (0 = the candidate serves no interesting order at all). A useful
     /// prefix always ends in an attribute that *matches* an interesting-
     /// order position — trailing strippable attributes are dead weight
-    /// and cut. Returns `cap` itself when the filter is disabled.
+    /// and cut. Returns `cap` itself when the filter is disabled. `eq`
+    /// must be the classes the filter was built with.
     pub fn admitted_len(&self, candidate: &[AttrId], eq: &EqClasses, cap: usize) -> usize {
         if !self.enabled {
             return cap;
         }
-        let cand: Vec<AttrId> = candidate.iter().map(|&a| eq.find(a)).collect();
-
-        // avail[i]: constant closure of the candidate's first i attrs —
-        // everything insertable *somewhere after position i*.
-        let mut avail: Vec<FxHashSet<AttrId>> = Vec::with_capacity(cand.len() + 1);
-        let mut cur: FxHashSet<AttrId> = self.const_reps.clone();
-        self.close(&mut cur);
-        avail.push(cur.clone());
-        for &c in &cand {
-            cur.insert(c);
-            self.close(&mut cur);
-            avail.push(cur.clone());
+        let PrefixScratch {
+            avail,
+            memo,
+            cand,
+            strippable,
+            reach,
+        } = &mut *self.scratch.borrow_mut();
+        if let Some(&(_, len)) = memo.get(candidate).filter(|&&(c, _)| c == cap) {
+            return len;
+        }
+        let space = &self.space;
+        let n = space.len() as u32;
+        cand.clear();
+        for (i, &a) in candidate.iter().enumerate() {
+            // A class the filter has never seen matches and fills
+            // nothing; only a repetition of it inside the candidate
+            // matters, so it gets an id past the space, per class.
+            cand.push(space.lookup(a, eq).unwrap_or_else(|| {
+                let first = candidate[..i].iter().position(|&b| eq.same(a, b));
+                n + first.unwrap_or(i) as u32
+            }));
         }
 
+        // avail.level(x) ≤ i: x lies in the constant closure of the
+        // candidate's first i attributes — insertable *somewhere after
+        // position i*.
+        for (i, &c) in cand.iter().enumerate() {
+            if c < n {
+                avail.add(&space.rules, c, i as u32 + 1);
+            }
+        }
         // strippable[i]: candidate attr i is removable given what
-        // precedes it.
-        let prefix_reps = |i: usize| -> FxHashSet<AttrId> { cand[..i].iter().copied().collect() };
-        let strippable: Vec<bool> = cand
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let before = prefix_reps(i);
-                if self.const_reps.contains(&c) || before.contains(&c) {
-                    return true;
-                }
-                self.rep_fds
-                    .iter()
-                    .any(|fd| fd.rhs == c && fd.lhs.iter().all(|l| before.contains(l)))
-            })
-            .collect();
+        // precedes it (a constant, a duplicate class member, or an FD
+        // rhs whose determinants all precede it).
+        strippable.clear();
+        for (i, &c) in cand.iter().enumerate() {
+            let before = &cand[..i];
+            let determined = |lhs: &Vec<u32>| lhs.iter().all(|l| before.contains(l));
+            strippable.push(
+                before.contains(&c)
+                    || (c < n
+                        && (space.is_const[c as usize]
+                            || space.determinants[c as usize].iter().any(determined))),
+            );
+        }
 
-        let mut best = 0usize;
-        for io in &self.orders {
-            best = best.max(self.align(&cand, io, &avail, &strippable, cap));
+        // An order sharing no representative with the candidate can only
+        // be aligned by stripping, which reaches exactly the candidate's
+        // leading strippable run — every non-empty order grants that
+        // much, so only the sharing orders need the search.
+        let lead = strippable.iter().take_while(|&&s| s).count();
+        let mut best = if self.has_order { lead.min(cap) } else { 0 };
+        let known = cand.iter().filter(|&&c| c < n);
+        for &io in known.flat_map(|&c| &self.orders_with[c as usize]) {
             if best >= cand.len().min(cap) {
                 break;
             }
+            let io = &self.orders[io as usize];
+            best = best.max(align(cand, io, avail, strippable, cap, reach));
         }
         // Multi-attribute-lhs enablers: a duplicate class member right
         // after the useful prefix is kept if its class participates in a
@@ -166,85 +280,70 @@ impl PrefixFilter {
         // both equal attributes physically present.
         while best > 0 && best < cand.len() && best < cap {
             let r = cand[best];
-            if self.multi_lhs_reps.contains(&r) && cand[..best].contains(&r) {
+            if r < n && space.multi_lhs[r as usize] && cand[..best].contains(&r) {
                 best += 1;
             } else {
                 break;
             }
         }
+        avail.reset();
+        memo.insert(candidate.into(), (cap, best));
         best
     }
+}
 
-    /// Reachability DP over (candidate index, io index). Returns the
-    /// largest candidate index ≤ `cap` reached by a *match* move.
-    fn align(
-        &self,
-        cand: &[AttrId],
-        io: &[AttrId],
-        avail: &[FxHashSet<AttrId>],
-        strippable: &[bool],
-        cap: usize,
-    ) -> usize {
-        let nc = cand.len();
-        let ni = io.len();
-        let mut reach = vec![false; (nc + 1) * (ni + 1)];
-        let idx = |ci: usize, ii: usize| ci * (ni + 1) + ii;
-        reach[idx(0, 0)] = true;
-        let mut best = 0usize;
-        // All moves increase ci or ii, so row-major order is topological.
-        for ci in 0..=nc {
-            for ii in 0..=ni {
-                if !reach[idx(ci, ii)] || ci == nc {
-                    continue;
+/// Reachability DP over (candidate index, io index) in the reused
+/// `reach` grid. Returns the largest candidate index ≤ `cap` reached by
+/// a *match* move (or by stripping while the io still has open
+/// positions).
+fn align(
+    cand: &[u32],
+    io: &[u32],
+    avail: &Derived,
+    strippable: &[bool],
+    cap: usize,
+    reach: &mut Vec<bool>,
+) -> usize {
+    let nc = cand.len();
+    let ni = io.len();
+    reach.clear();
+    reach.resize((nc + 1) * (ni + 1), false);
+    let idx = |ci: usize, ii: usize| ci * (ni + 1) + ii;
+    reach[idx(0, 0)] = true;
+    let mut best = 0usize;
+    // All moves increase ci or ii, so row-major order is topological.
+    for ci in 0..nc {
+        for ii in 0..=ni {
+            if !reach[idx(ci, ii)] {
+                continue;
+            }
+            // Strip cand[ci] (removable later). While the io still
+            // has open positions, the stripped attribute may be the
+            // *enabler* of a later fill (inserted, used as a
+            // determinant, removed again), so it extends the useful
+            // prefix; once the io is exhausted it is dead weight.
+            if strippable[ci] {
+                reach[idx(ci + 1, ii)] = true;
+                if ii < ni && ci < cap {
+                    best = best.max(ci + 1);
                 }
-                // Strip cand[ci] (removable later). While the io still
-                // has open positions, the stripped attribute may be the
-                // *enabler* of a later fill (inserted, used as a
-                // determinant, removed again), so it extends the useful
-                // prefix; once the io is exhausted it is dead weight.
-                if strippable[ci] {
-                    reach[idx(ci + 1, ii)] = true;
-                    if ii < ni && ci < cap {
+            }
+            if ii < ni {
+                // Match equal representatives.
+                if io[ii] == cand[ci] {
+                    reach[idx(ci + 1, ii + 1)] = true;
+                    if ci < cap {
                         best = best.max(ci + 1);
                     }
                 }
-                if ii < ni {
-                    // Match equal representatives.
-                    if io[ii] == cand[ci] {
-                        reach[idx(ci + 1, ii + 1)] = true;
-                        if ci < cap {
-                            best = best.max(ci + 1);
-                        }
-                    }
-                    // Skip a fillable io position.
-                    if avail[ci].contains(&io[ii]) {
-                        reach[idx(ci, ii + 1)] = true;
-                    }
+                // Skip an io position fillable from the first ci attrs.
+                if avail.level(io[ii]) <= ci as u32 {
+                    reach[idx(ci, ii + 1)] = true;
                 }
             }
         }
-        best
     }
-
-    fn close(&self, set: &mut FxHashSet<AttrId>) {
-        loop {
-            let mut grew = false;
-            for fd in &self.rep_fds {
-                if !set.contains(&fd.rhs) && fd.lhs.iter().all(|l| set.contains(l)) {
-                    set.insert(fd.rhs);
-                    grew = true;
-                }
-            }
-            if !grew {
-                return;
-            }
-        }
-    }
-
-    /// Whether the filter is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
+    best
 }
 
 /// Admission filter for derived *groupings* — the set analogue of
@@ -261,15 +360,19 @@ impl PrefixFilter {
 /// lose completeness, so the test is deliberately permissive.
 #[derive(Debug)]
 pub struct GroupingFilter {
+    space: RepSpace,
     /// Representative sets of the interesting groupings.
-    interesting: Vec<FxHashSet<AttrId>>,
-    /// Representatives of constant-bound attributes.
-    const_reps: FxHashSet<AttrId>,
-    /// Representative-space FDs (for the closure).
-    rep_fds: Vec<(Vec<AttrId>, AttrId)>,
+    interesting: Vec<Vec<u32>>,
+    /// Per id: the interesting groupings containing it.
+    interesting_with: Vec<Vec<u32>>,
+    /// Some interesting grouping lies inside the constant closure, so
+    /// every candidate is admitted.
+    always: bool,
     /// Equivalence classes (candidates are mapped on the fly).
     eq: EqClasses,
     enabled: bool,
+    /// The closure scratch and the answer memo (attribute list → admitted).
+    scratch: RefCell<(Derived, Memo<bool>)>,
 }
 
 impl GroupingFilter {
@@ -283,69 +386,62 @@ impl GroupingFilter {
         eq: &EqClasses,
         enabled: bool,
     ) -> Self {
-        let interesting: Vec<FxHashSet<AttrId>> = interesting
-            .map(|g| g.attrs().iter().map(|&a| eq.find(a)).collect())
+        let mut space = RepSpace::default();
+        let interesting: Vec<Vec<u32>> = interesting
+            .map(|g| g.attrs().iter().map(|&a| space.id(a, eq)).collect())
             .collect();
-        let mut const_reps = FxHashSet::default();
-        let mut rep_fds = Vec::new();
-        for fd in fds {
-            match fd {
-                Fd::Constant(a) => {
-                    const_reps.insert(eq.find(*a));
-                }
-                Fd::Functional { lhs, rhs } => {
-                    let lhs: Vec<AttrId> = lhs.iter().map(|&a| eq.find(a)).collect();
-                    let rhs = eq.find(*rhs);
-                    if !lhs.contains(&rhs) {
-                        rep_fds.push((lhs, rhs));
-                    }
-                }
-                // Identity in representative space.
-                Fd::Equation(_, _) => {}
-            }
-        }
+        space.add_fds(fds, eq);
+        let interesting_with = space.containing(&interesting);
+        let base = Derived::new(&space.rules, space.len());
+        let always = interesting
+            .iter()
+            .any(|set| set.iter().all(|&r| base.level(r) == 0));
         GroupingFilter {
+            space,
             interesting,
-            const_reps,
-            rep_fds,
+            interesting_with,
+            always,
             eq: eq.clone(),
             enabled,
+            scratch: RefCell::new((base, FxHashMap::default())),
         }
     }
 
     /// A filter admitting everything (no interesting groupings known).
     pub fn permissive() -> Self {
-        GroupingFilter {
-            interesting: Vec::new(),
-            const_reps: FxHashSet::default(),
-            rep_fds: Vec::new(),
-            eq: EqClasses::new(),
-            enabled: false,
-        }
+        GroupingFilter::new(std::iter::empty(), &[], &EqClasses::new(), false)
     }
 
     /// Whether some interesting grouping is still reachable from `g`.
     pub fn admits(&self, g: &Grouping) -> bool {
-        if !self.enabled {
+        self.admits_attrs(g.attrs())
+    }
+
+    /// [`admits`](Self::admits) over any listing of the attribute set.
+    pub(crate) fn admits_attrs(&self, attrs: &[AttrId]) -> bool {
+        if !self.enabled || self.always {
             return true;
         }
-        let mut closure: FxHashSet<AttrId> = g.attrs().iter().map(|&a| self.eq.find(a)).collect();
-        closure.extend(self.const_reps.iter().copied());
-        loop {
-            let mut grew = false;
-            for (lhs, rhs) in &self.rep_fds {
-                if !closure.contains(rhs) && lhs.iter().all(|l| closure.contains(l)) {
-                    closure.insert(*rhs);
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
+        let (avail, memo) = &mut *self.scratch.borrow_mut();
+        if let Some(&admitted) = memo.get(attrs) {
+            return admitted;
+        }
+        for &a in attrs {
+            if let Some(id) = self.space.lookup(a, &self.eq) {
+                avail.add(&self.space.rules, id, 1);
             }
         }
-        self.interesting
-            .iter()
-            .any(|i| i.iter().all(|a| closure.contains(a)))
+        // An interesting grouping inside the closure but not inside the
+        // constant closure contains an id this call made available.
+        let inside = |i: &u32| {
+            let set = &self.interesting[*i as usize];
+            set.iter().all(|&r| avail.level(r) != UNDERIVED)
+        };
+        let mut added = avail.added().iter();
+        let admitted = added.any(|&t| self.interesting_with[t as usize].iter().any(inside));
+        avail.reset();
+        memo.insert(attrs.into(), admitted);
+        admitted
     }
 
     /// Whether the filter is active.
@@ -367,7 +463,7 @@ impl GroupingFilter {
 /// completeness. Tails stay naturally bounded: a tail is duplicate-free
 /// and disjoint from its head, so no pair outgrows the closure.
 #[derive(Debug)]
-pub struct HeadTailFilter(GroupingFilter);
+pub struct HeadTailFilter(pub(crate) GroupingFilter);
 
 impl HeadTailFilter {
     /// Builds the filter over the interesting pairs (each contributing
@@ -394,15 +490,7 @@ impl HeadTailFilter {
 
     /// Whether some interesting pair is still reachable from `h`.
     pub fn admits(&self, h: &HeadTail) -> bool {
-        if !self.0.is_enabled() {
-            return true;
-        }
-        self.0.admits(&Grouping::new(h.attrs().to_vec()))
-    }
-
-    /// Whether the filter is active.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_enabled()
+        self.0.admits_attrs(h.attrs())
     }
 }
 

@@ -84,7 +84,8 @@ impl std::error::Error for PrepareError {}
 /// [`OrderingFramework::prepare_cached`].
 #[derive(Clone, Debug, Default)]
 pub struct PrepareOptions {
-    /// Span sink for preparation phases (nfsm / determinize / intern).
+    /// Span sink for preparation phases (prune_fds / nfsm / determinize /
+    /// intern).
     /// Disabled by default; never affects the prepared result and is
     /// excluded from interning cache keys.
     pub trace: Trace,
@@ -216,10 +217,16 @@ impl OrderingFramework {
         trace: &Trace,
     ) -> Result<Prepared, PrepareError> {
         let eq = EqClasses::from_fds(spec.fd_sets().iter().flat_map(|s| s.fds().iter()));
-        let (fd_sets, pruned_fds) = if config.prune_fds {
-            prune_fds(spec, &eq, config)
-        } else {
-            (spec.fd_sets().to_vec(), 0)
+        let (fd_sets, pruned_fds) = {
+            let mut sp = trace.span_at("prune_fds", 1);
+            let pruned = if config.prune_fds {
+                prune_fds(spec, &eq, config)
+            } else {
+                (spec.fd_sets().to_vec(), 0)
+            };
+            sp.count("fd_sets", pruned.0.len() as u64);
+            sp.count("pruned_fds", pruned.1 as u64);
+            pruned
         };
         let (nfsm, nfsm_nodes_before_prune) = {
             let mut sp = trace.span_at("nfsm", 1);

@@ -37,8 +37,14 @@
 //! The artificial start node `q0` with its produced-property entry edges
 //! is kept virtual; the DFSM construction materializes its row (`*` in
 //! Fig. 10).
+//!
+//! FD edges are sparse — a node has edges under the few symbols that
+//! mention one of its attributes — and stored as per-node runs
+//! ([`Nfsm::runs`], [`Nfsm::targets`]). The traversal order (nodes in
+//! worklist order, symbols ascending, derivations in rule order) is the
+//! numbering contract; the tables behind it are free.
 
-use crate::derive::{grouping_closure, mixed_closure, DeriveCtx};
+use crate::derive::{expand_sets, materialize, view, Applicability, DeriveCtx, Scratch};
 use crate::eqclass::EqClasses;
 use crate::fd::FdSet;
 use crate::filter::{GroupingFilter, HeadTailFilter, PrefixFilter};
@@ -46,7 +52,8 @@ use crate::ordering::Ordering;
 use crate::property::{Grouping, HeadTail, LogicalProperty};
 use crate::prune::PruneConfig;
 use crate::spec::InputSpec;
-use ofw_common::Interner;
+use ofw_catalog::AttrId;
+use ofw_common::{Interner, SliceInterner};
 
 /// Index of an NFSM node.
 pub type NodeId = u32;
@@ -70,11 +77,15 @@ pub struct Nfsm {
     /// ε-edges: ordering node → proper prefixes and prefix-set
     /// groupings (incl. node 0).
     pub eps: Vec<Vec<NodeId>>,
-    /// FD edges: `edges[node][fd_set_id]` → derivable nodes.
-    pub edges: Vec<Vec<Vec<NodeId>>>,
+    /// FD edges, sparse: per node its `(symbol, targets)` runs in
+    /// ascending symbol order, every run non-empty.
+    pub(crate) edges: Vec<Vec<Run>>,
     /// Number of FD-set symbols (fixed for the query).
     pub num_symbols: usize,
 }
+
+/// The targets of one node under one symbol, ascending, duplicate-free.
+pub(crate) type Run = (u32, Box<[NodeId]>);
 
 /// Construction failure: the state space exceeded a configured cap
 /// (only plausible with pruning disabled on adversarial inputs).
@@ -100,6 +111,57 @@ impl std::fmt::Display for BuildError {
 }
 
 impl std::error::Error for BuildError {}
+
+/// The automaton under construction plus what only construction needs.
+struct Builder<'a> {
+    nfsm: Nfsm,
+    /// `(head_len, attrs)` view → node id. Ids coincide with
+    /// `nfsm.props` handles; a lookup allocates nothing, so only *new*
+    /// nodes are ever materialized.
+    index: SliceInterner<AttrId>,
+    config: &'a PruneConfig,
+}
+
+impl Builder<'_> {
+    /// Interns the property a view denotes as a node, growing the side
+    /// tables; errors out past the configured cap.
+    fn add_node(&mut self, head_len: usize, attrs: &[AttrId]) -> Result<NodeId, BuildError> {
+        let (id, new) = self.index.intern(head_len as u32, attrs);
+        if new {
+            if self.index.len() > self.config.max_nodes {
+                return Err(BuildError::TooManyNodes(self.config.max_nodes));
+            }
+            let handle = self.nfsm.props.intern(materialize(head_len, attrs));
+            debug_assert_eq!(handle, id);
+            self.nfsm.info.push(NodeInfo::default());
+            self.nfsm.eps.push(Vec::new());
+            self.nfsm.edges.push(Vec::new());
+        }
+        Ok(id)
+    }
+}
+
+/// The lengths of the proper prefixes that are nodes of their own: an
+/// ordering's (a view without a head), nobody else's.
+fn prefix_lens(head_len: usize, len: usize) -> std::ops::Range<usize> {
+    1..if head_len == 0 { len } else { 0 }
+}
+
+/// Builds in `view` the head set `head ∪ tail[..absorb]` followed by
+/// the tail `tail[absorb..cut]`.
+fn absorb_into(
+    view: &mut Vec<AttrId>,
+    head: &[AttrId],
+    tail: &[AttrId],
+    absorb: usize,
+    cut: usize,
+) {
+    view.clear();
+    view.extend_from_slice(head);
+    view.extend_from_slice(&tail[..absorb]);
+    view.sort_unstable();
+    view.extend_from_slice(&tail[absorb..cut]);
+}
 
 impl Nfsm {
     /// Builds the NFSM for `spec` (steps 2(a)–2(c) of Fig. 3). FD
@@ -165,187 +227,131 @@ impl Nfsm {
             filter: &filter,
             max_len,
         };
+        // Which symbols can fire on a node: the others derive nothing
+        // from it and are never tried.
+        let symbols = Applicability::over_sets(fd_sets);
 
-        let mut nfsm = Nfsm {
-            props: Interner::new(),
-            info: Vec::new(),
-            eps: Vec::new(),
-            edges: Vec::new(),
-            num_symbols: fd_sets.len(),
+        let mut b = Builder {
+            nfsm: Nfsm {
+                props: Interner::new(),
+                info: Vec::new(),
+                eps: Vec::new(),
+                edges: Vec::new(),
+                num_symbols: fd_sets.len(),
+            },
+            index: SliceInterner::default(),
+            config,
         };
         // Node 0: the empty ordering.
-        let root = nfsm.add_node(Ordering::empty().into(), config)?;
+        let root = b.add_node(0, &[])?;
         debug_assert_eq!(root, 0);
 
         // Interesting nodes: prefix closure of the interesting orderings
         // plus the interesting groupings as-is.
         for p in spec.interesting() {
-            let id = nfsm.add_node(p.clone(), config)?;
-            nfsm.info[id as usize].interesting = true;
-            if let LogicalProperty::Ordering(o) = p {
-                for prefix in o.proper_prefixes() {
-                    let pid = nfsm.add_node(prefix.into(), config)?;
-                    nfsm.info[pid as usize].interesting = true;
-                }
+            let (head_len, attrs) = view(p);
+            let id = b.add_node(head_len, attrs)?;
+            b.nfsm.info[id as usize].interesting = true;
+            for len in prefix_lens(head_len, attrs.len()) {
+                let pid = b.add_node(0, &attrs[..len])?;
+                b.nfsm.info[pid as usize].interesting = true;
             }
         }
         for p in spec.produced() {
-            let id = nfsm.add_node(p.clone(), config)?;
-            nfsm.info[id as usize].produced = true;
+            let (head_len, attrs) = view(p);
+            let id = b.add_node(head_len, attrs)?;
+            b.nfsm.info[id as usize].produced = true;
         }
 
         // Worklist closure: compute FD edges, materializing new nodes
         // (and, for orderings, their prefixes and prefix-set groupings)
         // as they appear.
-        let mut next: u32 = 0;
-        while (next as usize) < nfsm.props.len() {
-            let node = next;
-            next += 1;
-            let prop = nfsm.props.resolve(node).clone();
-            match &prop {
-                LogicalProperty::Ordering(ordering) => {
-                    if grouping_mode && node != 0 {
-                        // Seed the grouping nodes this ordering implies
-                        // (its prefix attribute sets) — the crossover
-                        // sources for grouping derivation.
-                        for len in 1..=ordering.len() {
-                            let g = Grouping::new(ordering.attrs()[..len].to_vec());
-                            if gfilter.admits(&g) {
-                                nfsm.add_node(g.into(), config)?;
-                            }
-                        }
-                    }
-                    if headtail_mode && node != 0 {
-                        // Seed the pair nodes this ordering implies —
-                        // every (prefix set, continuation) decomposition
-                        // — so pair derivation has its crossover sources
-                        // (a pair can reach properties the positional
-                        // ordering rules cannot, e.g. inserting a
-                        // head-determined attribute at the tail front).
-                        for pair in HeadTail::decompositions(ordering) {
-                            if hfilter.admits(&pair) {
-                                nfsm.add_node(pair.into(), config)?;
-                            }
-                        }
-                    }
-                    for (sym, fd_set) in fd_sets.iter().enumerate() {
-                        if fd_set.is_empty() {
-                            continue;
-                        }
-                        let derived = ctx.closure(ordering, fd_set.fds());
-                        let mut targets: Vec<NodeId> = Vec::with_capacity(derived.len());
-                        for d in derived {
-                            // Materialize the target and its prefixes.
-                            for p in d.proper_prefixes() {
-                                nfsm.add_node(p.into(), config)?;
-                            }
-                            targets.push(nfsm.add_node(d.into(), config)?);
-                        }
-                        targets.sort_unstable();
-                        targets.dedup();
-                        nfsm.edges[node as usize][sym] = targets;
-                    }
-                }
-                LogicalProperty::Grouping(_) | LogicalProperty::HeadTail(_) => {
-                    for (sym, fd_set) in fd_sets.iter().enumerate() {
-                        if fd_set.is_empty() {
-                            continue;
-                        }
-                        // Pure grouping pipeline: the set rules alone.
-                        // With pairs in play, groupings additionally
-                        // derive pairs (within-group constants become
-                        // one-attribute tails) and pairs derive across
-                        // both components — the mixed closure.
-                        let derived: Vec<LogicalProperty> = if headtail_mode {
-                            mixed_closure(&prop, fd_set.fds(), &ctx, &gfilter, &hfilter)
-                        } else {
-                            let g = prop.as_grouping().expect("pair without headtail_mode");
-                            grouping_closure(g, fd_set.fds(), &gfilter)
-                                .into_iter()
-                                .map(LogicalProperty::Grouping)
-                                .collect()
-                        };
-                        let mut targets: Vec<NodeId> = Vec::with_capacity(derived.len());
-                        for d in derived {
-                            if let LogicalProperty::Ordering(o) = &d {
-                                for p in o.proper_prefixes() {
-                                    nfsm.add_node(p.into(), config)?;
-                                }
-                            }
-                            targets.push(nfsm.add_node(d, config)?);
-                        }
-                        targets.sort_unstable();
-                        targets.dedup();
-                        nfsm.edges[node as usize][sym] = targets;
+        let mut scratch = Scratch::default();
+        let mut applicable: Vec<u32> = Vec::new();
+        let (mut cur, mut implied): (Vec<AttrId>, Vec<AttrId>) = (Vec::new(), Vec::new());
+        let mut targets: Vec<NodeId> = Vec::new();
+        let mut node: NodeId = 0;
+        while (node as usize) < b.index.len() {
+            let (head_len, attrs) = b.index.resolve(node);
+            let head_len = head_len as usize;
+            cur.clear();
+            cur.extend_from_slice(attrs);
+            if head_len == 0 {
+                // Seed the grouping nodes this ordering implies (its
+                // prefix attribute sets) — the crossover sources for
+                // grouping derivation — and the pair nodes: every
+                // (prefix set, continuation) decomposition, so pair
+                // derivation has its crossover sources too (a pair can
+                // reach properties the positional ordering rules
+                // cannot, e.g. inserting a head-determined attribute at
+                // the tail front). The first `split` attributes become
+                // the head set, `cur[split..end]` the tail: groupings
+                // first, then pairs in `HeadTail::decompositions` order.
+                let n = cur.len();
+                let sets = (1..=n).map(|l| (l, l)).filter(|_| grouping_mode);
+                let pairs = (1..n).flat_map(|split| (split + 1..=n).map(move |end| (split, end)));
+                for (split, end) in sets.chain(pairs.filter(|_| headtail_mode)) {
+                    absorb_into(&mut implied, &[], &cur, split, end);
+                    let filter = if split == end { &gfilter } else { &hfilter.0 };
+                    if filter.admits_attrs(&implied) {
+                        b.add_node(split, &implied)?;
                     }
                 }
             }
+            symbols.of(&cur, &mut applicable);
+            for &sym in &applicable {
+                let fds = fd_sets[sym as usize].fds();
+                if head_len == 0 {
+                    ctx.expand(&mut scratch, &cur, fds, None);
+                } else {
+                    // Pure grouping pipeline: the set rules alone.
+                    // With pairs in play, groupings additionally
+                    // derive pairs (within-group constants become
+                    // one-attribute tails) and pairs derive across
+                    // both components — the mixed closure.
+                    debug_assert!(headtail_mode || head_len == cur.len());
+                    let hfilter = headtail_mode.then_some(&hfilter);
+                    expand_sets(&mut scratch, head_len, &cur, fds, None, &gfilter, hfilter);
+                }
+                targets.clear();
+                for (head_len, derived) in scratch.reported() {
+                    // Materialize the target and, for an ordering, its
+                    // prefixes.
+                    for len in prefix_lens(head_len, derived.len()) {
+                        b.add_node(0, &derived[..len])?;
+                    }
+                    targets.push(b.add_node(head_len, derived)?);
+                }
+                targets.sort_unstable();
+                targets.dedup();
+                if !targets.is_empty() {
+                    b.nfsm.edges[node as usize].push((sym, targets[..].into()));
+                }
+            }
+            node += 1;
         }
-        // ε-edges: node 0, every existing proper prefix, (for orderings)
-        // every existing prefix-set grouping node and — with pairs in
-        // play — every existing decomposition node: an ordering implies
-        // each (prefix set, continuation) pair, and a pair implies each
-        // of its sub-decompositions (tail prefix truncated and/or
-        // absorbed into the head).
-        for node in 0..nfsm.props.len() as u32 {
-            let prop = nfsm.props.resolve(node).clone();
-            let mut eps: Vec<NodeId> = Vec::new();
-            if node != 0 {
-                eps.push(0);
-            }
-            match &prop {
-                LogicalProperty::Ordering(ordering) => {
-                    for p in ordering.proper_prefixes() {
-                        if let Some(pid) = nfsm.props.get(&p.into()) {
-                            eps.push(pid);
-                        }
-                    }
-                    if grouping_mode {
-                        for len in 1..=ordering.len() {
-                            let g = Grouping::new(ordering.attrs()[..len].to_vec());
-                            if let Some(gid) = nfsm.props.get(&g.into()) {
-                                eps.push(gid);
-                            }
-                        }
-                    }
-                    if headtail_mode {
-                        for pair in HeadTail::decompositions(ordering) {
-                            if let Some(pid) = nfsm.props.get(&pair.into()) {
-                                eps.push(pid);
-                            }
-                        }
-                    }
-                }
-                LogicalProperty::HeadTail(ht) => {
-                    for implied in ht.implications() {
-                        if let Some(pid) = nfsm.props.get(&implied) {
-                            eps.push(pid);
-                        }
-                    }
-                }
-                LogicalProperty::Grouping(_) => {}
+        // ε-edges: node 0 and every existing node a view `(H, t₁..tₙ)`
+        // implies by truncating its tail and/or absorbing a tail prefix
+        // into the head — `{H ∪ t₁..tₐ}(tₐ₊₁..t_c)` for all `a ≤ c` but
+        // itself. For an ordering these are its proper prefixes, its
+        // prefix-set groupings and its (prefix set, continuation) pairs;
+        // for a pair its sub-decompositions and absorbed heads.
+        let mut eps = targets;
+        for node in 0..b.index.len() as NodeId {
+            let (head_len, attrs) = b.index.resolve(node);
+            let (head, tail) = attrs.split_at(head_len as usize);
+            eps.clear();
+            eps.extend((node != 0).then_some(0));
+            let shapes = (0..=tail.len()).flat_map(|a| (a..=tail.len()).map(move |c| (a, c)));
+            for (absorb, cut) in shapes.filter(|&shape| shape != (0, tail.len())) {
+                absorb_into(&mut implied, head, tail, absorb, cut);
+                eps.extend(b.index.get((head.len() + absorb) as u32, &implied));
             }
             eps.sort_unstable();
             eps.dedup();
-            nfsm.eps[node as usize] = eps;
+            b.nfsm.eps[node as usize] = eps.clone();
         }
-        Ok(nfsm)
-    }
-
-    /// Interns `p` as a node, growing the side tables; errors out past
-    /// the configured cap.
-    fn add_node(&mut self, p: LogicalProperty, config: &PruneConfig) -> Result<NodeId, BuildError> {
-        let before = self.props.len();
-        let id = self.props.intern(p);
-        if self.props.len() > before {
-            if self.props.len() > config.max_nodes {
-                return Err(BuildError::TooManyNodes(config.max_nodes));
-            }
-            self.info.push(NodeInfo::default());
-            self.eps.push(Vec::new());
-            self.edges.push(vec![Vec::new(); self.num_symbols]);
-        }
-        Ok(id)
+        Ok(b.nfsm)
     }
 
     /// Number of nodes, counting the implicit empty-ordering node.
@@ -355,16 +361,24 @@ impl Nfsm {
 
     /// Total FD-edge count (each target counted once).
     pub fn num_edges(&self) -> usize {
-        self.edges
-            .iter()
-            .map(|per_sym| per_sym.iter().map(Vec::len).sum::<usize>())
-            .sum()
+        let runs = self.edges.iter().flatten();
+        runs.map(|(_, targets)| targets.len()).sum()
+    }
+
+    /// The FD edges of `node`: its `(symbol, targets)` runs in
+    /// ascending symbol order; every run is non-empty, ascending and
+    /// duplicate-free.
+    pub fn runs(&self, node: NodeId) -> impl Iterator<Item = (usize, &[NodeId])> + Clone {
+        let runs = self.edges[node as usize].iter();
+        runs.map(|(sym, targets)| (*sym as usize, &targets[..]))
     }
 
     /// FD-edge targets of `node` under symbol `sym`, ascending and
     /// duplicate-free (empty when the symbol derives nothing there).
     pub fn targets(&self, node: NodeId, sym: usize) -> &[NodeId] {
-        &self.edges[node as usize][sym]
+        let runs = &self.edges[node as usize];
+        let run = runs.binary_search_by_key(&(sym as u32), |run| run.0);
+        run.map_or(&[], |at| &runs[at].1)
     }
 
     /// Node lookup by ordering.
@@ -387,6 +401,37 @@ impl Nfsm {
         self.props.get(p)
     }
 
+    /// The ε and FD tables of `nodes` (in order; `false` = the node
+    /// loses its lists), every target passed through `map` — which
+    /// appends what the target becomes, nothing to drop it — and every
+    /// list re-sorted and deduplicated.
+    pub(crate) fn mapped(
+        &self,
+        nodes: impl Iterator<Item = (NodeId, bool)>,
+        map: impl Fn(NodeId, &mut Vec<NodeId>),
+    ) -> (Vec<Vec<NodeId>>, Vec<Vec<Run>>) {
+        let mut list: Vec<NodeId> = Vec::new();
+        let mut map_list = |targets: &[NodeId]| {
+            list.clear();
+            targets.iter().for_each(|&t| map(t, &mut list));
+            list.sort_unstable();
+            list.dedup();
+            list.clone()
+        };
+        let tables = nodes.map(|(node, with_lists)| {
+            let eps: &[NodeId] = if with_lists {
+                &self.eps[node as usize]
+            } else {
+                &[]
+            };
+            let runs = self.runs(node).filter(|_| with_lists);
+            let runs = runs.map(|(sym, targets)| (sym as u32, map_list(targets).into()));
+            let runs: Vec<Run> = runs.filter(|run: &Run| !run.1.is_empty()).collect();
+            (map_list(eps), runs)
+        });
+        tables.unzip()
+    }
+
     /// Rebuilds the NFSM keeping only nodes with `keep[node] == true`,
     /// renumbering densely. Edge targets pointing at dropped nodes must
     /// already have been redirected by the caller. Node 0 must be kept.
@@ -397,27 +442,14 @@ impl Nfsm {
         let mut info = Vec::new();
         for (old, p) in self.props.iter() {
             if keep[old as usize] {
-                let new = props.intern(p.clone());
-                remap[old as usize] = Some(new);
+                remap[old as usize] = Some(props.intern(p.clone()));
                 info.push(self.info[old as usize]);
             }
         }
-        let map_list = |list: &[NodeId]| -> Vec<NodeId> {
-            let mut v: Vec<NodeId> = list.iter().filter_map(|&t| remap[t as usize]).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let mut eps = vec![Vec::new(); props.len()];
-        let mut edges = vec![vec![Vec::new(); self.num_symbols]; props.len()];
-        #[allow(clippy::needless_range_loop)] // old indexes three parallel tables
-        for old in 0..self.props.len() {
-            let Some(new) = remap[old] else { continue };
-            eps[new as usize] = map_list(&self.eps[old]);
-            for sym in 0..self.num_symbols {
-                edges[new as usize][sym] = map_list(&self.edges[old][sym]);
-            }
-        }
+        let kept = (0..self.num_nodes() as NodeId).filter(|&n| keep[n as usize]);
+        let (eps, edges) = self.mapped(kept.map(|n| (n, true)), |t, out| {
+            out.extend(remap[t as usize]);
+        });
         Nfsm {
             props,
             info,
@@ -482,10 +514,10 @@ mod tests {
         // The {b→c} edge from (a,b) to (a,b,c) of Fig. 7.
         let ab = nfsm.node_of(&o(&[A, B])).unwrap();
         let abc = nfsm.node_of(&o(&[A, B, C])).unwrap();
-        assert_eq!(nfsm.edges[ab as usize][0], vec![abc]);
+        assert_eq!(nfsm.targets(ab, 0), vec![abc]);
         // No {b→d} edges anywhere.
         for n in 0..nfsm.num_nodes() {
-            assert!(nfsm.edges[n][1].is_empty());
+            assert!(nfsm.targets(n as NodeId, 1).is_empty());
         }
     }
 
@@ -501,7 +533,7 @@ mod tests {
         // (b) --{b→c}--> (b,c) edge of Fig. 5.
         let b = nfsm.node_of(&o(&[B])).unwrap();
         let bc = nfsm.node_of(&o(&[B, C])).unwrap();
-        assert!(nfsm.edges[b as usize][0].contains(&bc));
+        assert!(nfsm.targets(b, 0).contains(&bc));
         // {b→d} creates d-orderings, e.g. (a,b,d).
         assert!(nfsm.node_of(&o(&[A, B, D])).is_some());
     }
@@ -551,7 +583,7 @@ mod tests {
         let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &PruneConfig::default()).unwrap();
         let ga = nfsm.node_of_grouping(&g(&[A])).expect("seeded grouping");
         let gab = nfsm.node_of_grouping(&g(&[A, B])).unwrap();
-        assert!(nfsm.edges[ga as usize][0].contains(&gab));
+        assert!(nfsm.targets(ga, 0).contains(&gab));
     }
 
     fn ht(head: &[AttrId], tail: &[AttrId]) -> HeadTail {
@@ -601,7 +633,7 @@ mod tests {
         assert!(nfsm.eps[ab as usize].contains(&pair));
         // FD edge: {a} --{a→b}--> {a}(b).
         let ga = nfsm.node_of_grouping(&g(&[A])).unwrap();
-        assert!(nfsm.edges[ga as usize][0].contains(&pair));
+        assert!(nfsm.targets(ga, 0).contains(&pair));
         // The pair's own ε covers node 0 and its head grouping (plus
         // any materialized absorbed-prefix grouping) — never an
         // ordering node.
@@ -694,6 +726,6 @@ mod tests {
         let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &PruneConfig::default()).unwrap();
         let a = nfsm.node_of(&o(&[A])).unwrap();
         let abc = nfsm.node_of(&o(&[A, B, C])).unwrap();
-        assert!(nfsm.edges[a as usize][0].contains(&abc));
+        assert!(nfsm.targets(a, 0).contains(&abc));
     }
 }

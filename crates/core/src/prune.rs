@@ -17,7 +17,7 @@
 //! 4. **Closure bounding** (`prefix_filter`, `length_cutoff`): applied
 //!    during derivation, see [`crate::filter`] and [`crate::derive`].
 
-use crate::derive::{grouping_closure, DeriveCtx};
+use crate::derive::{expand_sets, Applicability, DeriveCtx, Scratch};
 use crate::eqclass::EqClasses;
 use crate::fd::{Fd, FdSet};
 use crate::filter::{GroupingFilter, PrefixFilter};
@@ -187,12 +187,32 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     survivors.sort();
     survivors.dedup();
 
+    // Orderings derivable from `w` under `fds`, as a canonical set (each
+    // dependency only tried on what it can fire on, given an index).
+    let mut scratch = Scratch::default();
+    let reach = |s: &mut Scratch, w: &Ordering, fds: &[Fd], index: Option<&Applicability>| {
+        ctx.expand(s, w.attrs(), fds, index);
+        let derived = s.reported().map(|(_, d)| Ordering::new(d.to_vec()));
+        let mut derived: Vec<Ordering> = derived.collect();
+        derived.sort();
+        derived
+    };
+    // Groupings derivable from `w` under `fds`, unfiltered, likewise.
+    let gfilter = GroupingFilter::permissive();
+    let greach = |s: &mut Scratch, w: &Grouping, fds: &[Fd], index: Option<&Applicability>| {
+        expand_sets(s, w.len(), w.attrs(), fds, index, &gfilter, None);
+        let mut derived: Vec<Grouping> = s.reported().map(|(_, d)| d.to_vec().into()).collect();
+        derived.sort();
+        derived
+    };
+
     // Reachable orderings U: interesting orders plus everything the full
     // surviving set derives from them (a superset of anything any
     // operator sequence can reach).
+    let by_fd = Applicability::new((0..).zip(&survivors));
     let mut universe: Vec<Ordering> = interesting.clone();
     for o in &interesting {
-        universe.extend(ctx.closure(o, &survivors));
+        universe.extend(reach(&mut scratch, o, &survivors, Some(&by_fd)));
     }
     universe.sort();
     universe.dedup();
@@ -203,7 +223,6 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     // spec declares no groupings — then the grouping comparison below is
     // a no-op and phase 2 behaves exactly like the ordering-only
     // framework.
-    let gfilter = GroupingFilter::permissive();
     let mut guniverse: Vec<Grouping> = Vec::new();
     if !interesting_groupings.is_empty() {
         guniverse.extend(interesting_groupings.iter().cloned());
@@ -214,27 +233,27 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
         }
         guniverse.sort();
         guniverse.dedup();
-        let seeds = guniverse.clone();
-        for g in &seeds {
-            guniverse.extend(grouping_closure(g, &survivors, &gfilter));
+        for g in &guniverse.clone() {
+            guniverse.extend(greach(&mut scratch, g, &survivors, Some(&by_fd)));
         }
         guniverse.sort();
         guniverse.dedup();
     }
 
-    // Orderings derivable from `w` under `fds`, as a canonical set.
-    let reach = |w: &Ordering, fds: &[Fd]| -> Vec<Ordering> {
-        let mut r = ctx.closure(w, fds);
-        r.sort();
-        r.dedup();
-        r
-    };
-    // Groupings derivable from `w` under `fds`, as a canonical set.
-    let greach = |w: &Grouping, fds: &[Fd]| -> Vec<Grouping> {
-        let mut r = grouping_closure(w, fds, &gfilter);
-        r.sort();
-        r
-    };
+    // A set derives nothing — with or without any one dependency — from
+    // a universe member none of its dependencies can fire on, so the
+    // leave-one-out below only re-derives the members a set can touch.
+    let by_set = Applicability::over_sets(spec.fd_sets());
+    let mut touched = vec![(Vec::new(), Vec::new()); spec.fd_sets().len()];
+    let mut syms: Vec<u32> = Vec::new();
+    for w in &universe {
+        by_set.of(w.attrs(), &mut syms);
+        syms.iter().for_each(|&s| touched[s as usize].0.push(w));
+    }
+    for w in &guniverse {
+        by_set.of(w.attrs(), &mut syms);
+        syms.iter().for_each(|&s| touched[s as usize].1.push(w));
+    }
 
     // Phase 2: per-set sequential leave-one-out. Sequential because two
     // mutually redundant dependencies in one set must not both go. A
@@ -245,30 +264,35 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     let sets = spec
         .fd_sets()
         .iter()
-        .map(|set| {
+        .zip(&touched)
+        .map(|(set, (orderings, groupings))| {
             // Start from the quick-test survivors of this set.
             let mut current: Vec<Fd> = set
                 .fds()
                 .iter()
-                .filter(|fd| survivors.contains(fd))
+                .filter(|fd| survivors.binary_search(fd).is_ok())
                 .cloned()
                 .collect();
-            let baseline: Vec<Vec<Ordering>> =
-                universe.iter().map(|w| reach(w, &current)).collect();
-            let gbaseline: Vec<Vec<Grouping>> =
-                guniverse.iter().map(|w| greach(w, &current)).collect();
+            let baseline: Vec<Vec<Ordering>> = orderings
+                .iter()
+                .map(|w| reach(&mut scratch, w, &current, None))
+                .collect();
+            let gbaseline: Vec<Vec<Grouping>> = groupings
+                .iter()
+                .map(|w| greach(&mut scratch, w, &current, None))
+                .collect();
             let mut i = 0;
             while i < current.len() {
                 let mut without = current.clone();
                 without.remove(i);
-                let redundant = universe
+                let redundant = orderings
                     .iter()
-                    .enumerate()
-                    .all(|(w_i, w)| reach(w, &without) == baseline[w_i])
-                    && guniverse
+                    .zip(&baseline)
+                    .all(|(w, base)| reach(&mut scratch, w, &without, None) == *base)
+                    && groupings
                         .iter()
-                        .enumerate()
-                        .all(|(w_i, w)| greach(w, &without) == gbaseline[w_i]);
+                        .zip(&gbaseline)
+                        .all(|(w, base)| greach(&mut scratch, w, &without, None) == *base);
                 if redundant {
                     current.remove(i);
                 } else {
@@ -309,27 +333,24 @@ fn merge_artificial_once(nfsm: &mut Nfsm) -> bool {
     // folded into each target list — determinization keeps the source
     // alive on every transition (self-retention), so two nodes that
     // merely cross-reference each other (e.g. (a,b)/(a,c) under
-    // {a→b, a→c}) are behaviourally identical.
-    let mut by_sig: FxHashMap<(Vec<NodeId>, Vec<Vec<NodeId>>), NodeId> = FxHashMap::default();
+    // {a→b, a→c}) are behaviourally identical. Under a symbol a node
+    // has no edges for, its list is the node alone, which no other node
+    // can equal: only nodes with a run under every symbol can merge.
+    let mut by_sig: FxHashMap<Vec<NodeId>, NodeId> = FxHashMap::default();
     let mut replace: FxHashMap<NodeId, NodeId> = FxHashMap::default();
     for node in 1..nfsm.num_nodes() as NodeId {
-        if nfsm.info[node as usize].interesting {
+        if nfsm.info[node as usize].interesting || nfsm.runs(node).count() < nfsm.num_symbols {
             continue;
         }
-        let with_self = |list: &[NodeId]| -> Vec<NodeId> {
-            let mut v = list.to_vec();
-            if let Err(pos) = v.binary_search(&node) {
-                v.insert(pos, node);
-            }
-            v
-        };
-        let sig = (
-            nfsm.eps[node as usize].clone(),
-            nfsm.edges[node as usize]
-                .iter()
-                .map(|t| with_self(t))
-                .collect::<Vec<_>>(),
-        );
+        // Lists never hold `NodeId::MAX`, so it separates them.
+        let mut sig = nfsm.eps[node as usize].clone();
+        for (_, targets) in nfsm.runs(node) {
+            sig.push(NodeId::MAX);
+            let at = targets.partition_point(|&t| t < node);
+            sig.extend_from_slice(&targets[..at]);
+            sig.push(node);
+            sig.extend(targets[at..].iter().filter(|&&t| t != node));
+        }
         match by_sig.entry(sig) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 replace.insert(node, *e.get());
@@ -342,116 +363,80 @@ fn merge_artificial_once(nfsm: &mut Nfsm) -> bool {
     if replace.is_empty() {
         return false;
     }
-    redirect(nfsm, |t| replace.get(&t).map(|&r| vec![r]));
+    let redirect = |t: NodeId, out: &mut Vec<NodeId>| out.push(*replace.get(&t).unwrap_or(&t));
+    let all = (0..nfsm.num_nodes() as NodeId).map(|n| (n, true));
+    (nfsm.eps, nfsm.edges) = nfsm.mapped(all, redirect);
     true
 }
 
 /// Deletes artificial nodes whose non-ε behaviour is subsumed by their
 /// prefixes; incoming edges are relinked to the prefixes.
 fn eps_replace_once(nfsm: &mut Nfsm) -> bool {
-    let mut removed: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-    'nodes: for node in 1..nfsm.num_nodes() as NodeId {
+    let mut removed: FxHashMap<NodeId, &[NodeId]> = FxHashMap::default();
+    for node in 1..nfsm.num_nodes() as NodeId {
         if nfsm.info[node as usize].interesting {
             continue;
         }
-        let eps = nfsm.eps[node as usize].clone();
-        for sym in 0..nfsm.num_symbols {
-            // Everything this node derives must also be derivable from
-            // one of its prefixes (which travel with it in every DFSM
-            // state, since ε-closure pulls them in).
-            let mine = &nfsm.edges[node as usize][sym];
-            let subsumed = mine.iter().all(|t| {
-                *t == node || eps.iter().any(|&p| nfsm.edges[p as usize][sym].contains(t))
-            });
-            if !subsumed {
-                continue 'nodes;
-            }
+        let eps = &nfsm.eps[node as usize];
+        // Everything this node derives must also be derivable from
+        // one of its prefixes (which travel with it in every DFSM
+        // state, since ε-closure pulls them in).
+        let subsumed = nfsm.runs(node).all(|(sym, mine)| {
+            let by_prefix = |t: &NodeId| {
+                let derives = |&p: &NodeId| nfsm.targets(p, sym).binary_search(t).is_ok();
+                *t == node || eps.iter().any(derives)
+            };
+            mine.iter().all(by_prefix)
+        });
+        if subsumed {
+            removed.insert(node, eps);
         }
-        removed.insert(node, eps);
     }
     if removed.is_empty() {
         return false;
     }
     // Avoid cascading removals referencing each other in one pass:
-    // resolve replacement lists transitively.
-    let resolve = |t: NodeId| -> Option<Vec<NodeId>> {
-        removed.get(&t).map(|eps| {
-            let mut out: Vec<NodeId> = Vec::new();
-            let mut work = eps.clone();
-            while let Some(p) = work.pop() {
-                if let Some(more) = removed.get(&p) {
-                    work.extend_from_slice(more);
-                } else {
-                    out.push(p);
-                }
+    // resolve replacement lists transitively. Removed nodes are detached
+    // entirely.
+    let resolve = |t: NodeId, out: &mut Vec<NodeId>| {
+        let Some(eps) = removed.get(&t) else {
+            return out.push(t);
+        };
+        let mut work = eps.to_vec();
+        while let Some(p) = work.pop() {
+            match removed.get(&p) {
+                Some(more) => work.extend_from_slice(more),
+                None => out.push(p),
             }
-            out
-        })
-    };
-    redirect(nfsm, resolve);
-    // Detach the removed nodes entirely.
-    for (&node, _) in removed.iter() {
-        nfsm.eps[node as usize].clear();
-        for sym in 0..nfsm.num_symbols {
-            nfsm.edges[node as usize][sym].clear();
         }
-    }
+    };
+    let all = (0..nfsm.num_nodes() as NodeId).map(|n| (n, !removed.contains_key(&n)));
+    let tables = nfsm.mapped(all, resolve);
+    (nfsm.eps, nfsm.edges) = tables;
     true
-}
-
-/// Rewrites every edge/ε target through `map` (None = keep as is).
-fn redirect(nfsm: &mut Nfsm, map: impl Fn(NodeId) -> Option<Vec<NodeId>>) {
-    let rewrite = |list: &mut Vec<NodeId>| {
-        let mut out: Vec<NodeId> = Vec::with_capacity(list.len());
-        for &t in list.iter() {
-            match map(t) {
-                Some(repl) => out.extend(repl),
-                None => out.push(t),
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        *list = out;
-    };
-    for node in 0..nfsm.num_nodes() {
-        rewrite(&mut nfsm.eps[node]);
-        for sym in 0..nfsm.num_symbols {
-            rewrite(&mut nfsm.edges[node][sym]);
-        }
-    }
 }
 
 /// Drops nodes that are neither interesting nor referenced by any other
 /// node (merge/replace leave such orphans behind).
 fn compact_unreferenced(nfsm: Nfsm) -> Nfsm {
-    let n = nfsm.num_nodes();
     let mut keep: Vec<bool> = nfsm
         .info
         .iter()
         .map(|i| i.interesting || i.produced)
         .collect();
     keep[0] = true;
-    // Anything referenced from a kept node must stay; iterate since
+    // Anything referenced from a kept node must stay, transitively:
     // reachability chains through artificial nodes.
-    loop {
-        let mut changed = false;
-        #[allow(clippy::needless_range_loop)] // node indexes parallel tables
-        for node in 0..n {
-            if !keep[node] {
-                continue;
+    let mut work: Vec<NodeId> = (0..nfsm.num_nodes() as NodeId)
+        .filter(|&n| keep[n as usize])
+        .collect();
+    while let Some(node) = work.pop() {
+        let fd_targets = nfsm.runs(node).flat_map(|(_, targets)| targets);
+        for &t in nfsm.eps[node as usize].iter().chain(fd_targets) {
+            if !keep[t as usize] {
+                keep[t as usize] = true;
+                work.push(t);
             }
-            for &t in nfsm.eps[node]
-                .iter()
-                .chain(nfsm.edges[node].iter().flatten())
-            {
-                if !keep[t as usize] {
-                    keep[t as usize] = true;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
         }
     }
     nfsm.compact(&keep)

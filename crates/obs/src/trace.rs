@@ -22,8 +22,8 @@ use std::time::Instant;
 /// One recorded span: a named, labelled interval with counters.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
-    /// Static span name (the taxonomy: "plangen", "prepare", "nfsm",
-    /// "determinize", "intern", "extract", "base_plans", "enumerate",
+    /// Static span name (the taxonomy: "plangen", "prepare", "prune_fds",
+    /// "nfsm", "determinize", "intern", "extract", "base_plans", "enumerate",
     /// "dp_layer", "union", "finalize_aggregates", "pick_final", and the
     /// vectorized executor's "execute").
     pub name: &'static str,

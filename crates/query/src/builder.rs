@@ -76,16 +76,32 @@ impl<'a> QueryBuilder<'a> {
         self
     }
 
-    /// Sets the `group by` attribute list.
+    /// Resolves a key list, keeping the first occurrence of each
+    /// attribute: a repeated key adds no ordering or grouping
+    /// information (once the earlier occurrence ties, all rows agree on
+    /// it), and duplicate-free lists are the invariant every derivation
+    /// rule assumes (`Ordering::new` asserts it).
+    fn keys(&self, attrs: &[&str]) -> Vec<ofw_catalog::AttrId> {
+        let mut keys = Vec::with_capacity(attrs.len());
+        for attr in attrs.iter().map(|a| self.catalog.attr(a)) {
+            if !keys.contains(&attr) {
+                keys.push(attr);
+            }
+        }
+        keys
+    }
+
+    /// Sets the `group by` attribute list (repeated attributes count once).
     pub fn group_by(mut self, attrs: &[&str]) -> Self {
-        self.query.group_by = attrs.iter().map(|a| self.catalog.attr(a)).collect();
+        self.query.group_by = self.keys(attrs);
         self
     }
 
     /// Sets the `select distinct` attribute list (duplicate elimination
-    /// over these columns — a grouping-shaped requirement).
+    /// over these columns — a grouping-shaped requirement; repeated
+    /// attributes count once).
     pub fn distinct(mut self, attrs: &[&str]) -> Self {
-        self.query.distinct = attrs.iter().map(|a| self.catalog.attr(a)).collect();
+        self.query.distinct = self.keys(attrs);
         self
     }
 
@@ -108,9 +124,10 @@ impl<'a> QueryBuilder<'a> {
         self
     }
 
-    /// Sets the `order by` attribute list.
+    /// Sets the `order by` attribute list (a repeated attribute keeps
+    /// its first position).
     pub fn order_by(mut self, attrs: &[&str]) -> Self {
-        self.query.order_by = attrs.iter().map(|a| self.catalog.attr(a)).collect();
+        self.query.order_by = self.keys(attrs);
         self
     }
 
@@ -129,6 +146,22 @@ mod tests {
         c.add_relation("persons", 10_000.0, &["id", "name", "jobid"]);
         c.add_relation("jobs", 100.0, &["id", "salary"]);
         c
+    }
+
+    #[test]
+    fn repeated_keys_keep_their_first_occurrence() {
+        // `order by name, id, name` sorts exactly like `order by name, id`.
+        let c = catalog();
+        let q = QueryBuilder::new(&c)
+            .relation("persons")
+            .order_by(&["persons.name", "persons.id", "persons.name"])
+            .group_by(&["persons.jobid", "persons.jobid"])
+            .distinct(&["persons.id", "persons.name", "persons.id"])
+            .build();
+        let attrs = |names: &[&str]| names.iter().map(|n| c.attr(n)).collect::<Vec<_>>();
+        assert_eq!(q.order_by, attrs(&["persons.name", "persons.id"]));
+        assert_eq!(q.group_by, attrs(&["persons.jobid"]));
+        assert_eq!(q.distinct, attrs(&["persons.id", "persons.name"]));
     }
 
     #[test]

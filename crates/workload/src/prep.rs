@@ -8,8 +8,10 @@
 //! attribute block, with family-local orderings, groupings, head/tail
 //! pairs and functional dependencies. Because no FD crosses a family
 //! boundary, the DFSM decomposes: its reachable states are (up to the
-//! shared empty state) the disjoint union of each family's states, so
-//! total preparation cost grows linearly in the family count.
+//! shared empty state) the disjoint union of each family's states, and
+//! NFSM nodes, edges and preparation's allocation count grow linearly in
+//! the family count (`crates/bench/tests/prep_allocs.rs` enforces the
+//! allocation form: 4 × the families, at most 4.6 × the allocations).
 //!
 //! Everything is index-arithmetic deterministic (no RNG): the same
 //! config always yields the same spec, and shifting `attr_base` yields
@@ -158,5 +160,39 @@ mod tests {
         let f2 = OrderingFramework::prepare(&shifted, PruneConfig::default()).unwrap();
         assert_eq!(f1.stats().nfsm_nodes, f2.stats().nfsm_nodes);
         assert_eq!(f1.stats().dfsm_states, f2.stats().dfsm_states);
+    }
+
+    /// The largest shift the pipeline benchmark draws (65 472): the
+    /// shifted copy prepares to the same automaton sizes and the same
+    /// probe answers — ids are sparse, nothing may be sized by them.
+    #[test]
+    fn shifted_specs_prepare_identically() {
+        let prepare = |attr_base: u32| {
+            let spec = prep_spec(&PrepSpecConfig::with_families(3).shifted(attr_base));
+            let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
+            (spec, fw)
+        };
+        let ((base_spec, base), (shifted_spec, shifted)) = (prepare(0), prepare(65_472));
+        let sizes = |fw: &OrderingFramework| {
+            let s = fw.stats();
+            let nfsm = (s.nfsm_nodes_before_prune, s.nfsm_nodes, s.nfsm_edges);
+            (nfsm, s.dfsm_states, s.pruned_fds, s.precomputed_bytes)
+        };
+        assert_eq!(sizes(&base), sizes(&shifted));
+        let interesting = |spec: &InputSpec| spec.interesting().cloned().collect::<Vec<_>>();
+        let probes = interesting(&base_spec);
+        let shifted_probes = interesting(&shifted_spec);
+        for (p, sp) in base_spec.produced().iter().zip(shifted_spec.produced()) {
+            let mut s = base.produce(base.handle_property(p).unwrap());
+            let mut ss = shifted.produce(shifted.handle_property(sp).unwrap());
+            for set in (0..base_spec.fd_sets().len() as u32).map(ofw_core::FdSetId) {
+                (s, ss) = (base.infer(s, set), shifted.infer(ss, set));
+                for (q, sq) in probes.iter().zip(&shifted_probes) {
+                    let h = base.handle_property(q).unwrap();
+                    let sh = shifted.handle_property(sq).unwrap();
+                    assert_eq!(base.satisfies(s, h), shifted.satisfies(ss, sh), "{q:?}");
+                }
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@ fn automaton_fingerprint(fw: &OrderingFramework) -> String {
             "n{node} {:?} eps={:?} edges={:?}",
             nfsm.props.resolve(node),
             nfsm.eps[node as usize],
-            nfsm.edges[node as usize],
+            nfsm.runs(node).collect::<Vec<_>>(),
         );
     }
     let dfsm = fw.dfsm();

@@ -108,6 +108,35 @@ fn pruning_does_not_change_the_optimal_plan() {
     }
 }
 
+/// The query front door keeps the first occurrence of a repeated key:
+/// `ORDER BY a, b, a` used to trip `Ordering::new`'s duplicate-free
+/// assertion in the dev profile (and build an ordering that breaks the
+/// invariant every derivation rule assumes in release). It must plan to
+/// the same cost and the same winner as `ORDER BY a, b`.
+#[test]
+fn repeated_order_by_keys_plan_like_their_first_occurrences() {
+    let mut catalog = Catalog::new();
+    catalog.add_relation("r", 10_000.0, &["a", "b", "k"]);
+    catalog.add_relation("s", 1_000.0, &["k", "c"]);
+    let plan = |order_by: &[&str]| {
+        let query = ofw::query::QueryBuilder::new(&catalog)
+            .relation("r")
+            .relation("s")
+            .join("r.k", "s.k", 0.001)
+            .order_by(order_by)
+            .build();
+        let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::default());
+        let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
+        let r = PlanGen::new(&catalog, &query, &ex, &fw).run();
+        (
+            r.cost.to_bits(),
+            r.explain(&catalog, &query, &ex, &fw).text(),
+        )
+    };
+    assert_eq!(plan(&["r.a", "r.b", "r.a"]), plan(&["r.a", "r.b"]));
+    assert_eq!(plan(&["s.c", "s.c"]), plan(&["s.c"]));
+}
+
 /// Q8 end to end: valid complete plan covering all eight relations, the
 /// final operator chain honors the group-by/order-by requirement, and
 /// the DFSM framework uses far less memory.
