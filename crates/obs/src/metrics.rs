@@ -159,9 +159,7 @@ pub struct PhaseStats {
     pub time: Duration,
     /// Unions (DP table entries) processed in the phase.
     pub unions: u64,
-    /// Enumerator pairs considered for the phase's layer.
-    pub pairs_considered: u64,
-    /// Enumerator pairs emitted for the phase's layer.
+    /// Ordered csg-cmp pairs planned in the phase's layer.
     pub pairs_emitted: u64,
     /// Plan nodes materialized during the phase.
     pub plans: u64,

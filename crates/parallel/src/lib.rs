@@ -1,12 +1,13 @@
 //! # ofw-parallel — parallel plan enumeration
 //!
 //! A dependency-free, deterministic work-stealing [`ThreadPool`]
-//! ([`pool`]) and the parallel DP driver layered on it ([`driver`]).
+//! ([`pool`]); handing it to `ofw_plangen::PlanGen::run_with` is the
+//! parallel DP driver.
 //!
 //! The pool implements `ofw_common::OrderedExecutor`, the seam the
-//! plan generator's size-layered DP is written against: a layer is a
-//! list of independent connected subsets, the pool runs them as chunks
-//! on per-worker queues with back-stealing, and the layer barrier merges
+//! plan generator's DP is written against: a schedule batch is a list
+//! of independent connected subsets, the pool runs them as chunks on
+//! per-worker queues with back-stealing, and the batch barrier merges
 //! the per-subset results in a fixed order. The final plan table —
 //! operators, masks, costs, cardinalities, applied FDs, winner — is
 //! **byte-identical to the serial driver at any thread count**, and so
@@ -19,8 +20,6 @@
 //! different numeric handles. See the determinism property tests in
 //! `ofw-plangen` (which pin the warm-instance protocol).
 
-pub mod driver;
 pub mod pool;
 
-pub use driver::plan_parallel;
 pub use pool::{available_threads, ThreadPool};

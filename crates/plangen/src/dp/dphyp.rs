@@ -1,56 +1,57 @@
-//! Connected-subgraph / complement-pair enumeration (DPccp/DPhyp-style)
-//! over [`JoinGraph`] neighborhoods.
+//! The exhaustive schedule: connected-subgraph / complement-pair
+//! enumeration (DPccp/DPhyp-style) over [`JoinGraph`] neighborhoods,
+//! replayed in the size-layered order the plan table is defined by.
 //!
 //! Instead of pairing all smaller subsets and rejecting the
-//! overlapping/disconnected combinations (the DPsize candidate loop),
-//! this enumerator *grows* connected subgraphs along the join graph:
-//! for every start relation (descending index), connected subgraphs
-//! (csg) are expanded through their neighborhood, and for each csg the
-//! connected complement subgraphs (cmp) are expanded the same way from
-//! the csg's higher-indexed neighbors. Min-index forbidden sets make
-//! every unordered csg-cmp pair appear exactly once, so enumeration
-//! time is proportional to the number of *valid* pairs — the quantity
-//! the optional budget counts and the reason `pairs_considered ==
-//! pairs_emitted` here.
+//! overlapping/disconnected combinations (the classic size-layered
+//! candidate loop, Θ(3ⁿ) rejected candidates on cliques), enumeration
+//! *grows* connected subgraphs along the join graph: for every start
+//! relation (descending index), connected subgraphs (csg) are expanded
+//! through their neighborhood, and for each csg the connected
+//! complement subgraphs (cmp) are expanded the same way from the csg's
+//! higher-indexed neighbors. Min-index forbidden sets make every
+//! unordered csg-cmp pair appear exactly once, so enumeration time is
+//! proportional to the number of *valid* pairs — the quantity the
+//! budget counts.
 //!
-//! The emitted pair set is exactly DPsize's (every ordered partition of
-//! every connected subset, both directions), just discovered in a
-//! different order. A canonicalization pass restores DPsize's order —
-//! batches by subset size; within a layer, unions ranked by their
-//! minimal ordered-pair key `(left size, left rank, right rank)` and
-//! each union's pairs sorted by that key; ranks assigned per layer
-//! recursively — so the downstream plan table, arena layout and winner
-//! are **byte-identical** to the size-layered enumerator wherever both
-//! run.
+//! The emitted pair set is every ordered partition of every connected
+//! subset, both directions. A canonicalization pass puts it into the
+//! order the size-layered loop would have discovered it in — batches by
+//! subset size; within a layer, unions ranked by their minimal
+//! ordered-pair key `(left size, left rank, right rank)` and each
+//! union's pairs sorted by that key; ranks assigned per layer
+//! recursively. **That order is a contract**: arena layout, tie-breaks,
+//! every golden counter row and the benchmark's `inputs.lock` digests
+//! depend on it. The reference loop it is defined against lives in this
+//! file's test module.
 
-use super::{UnionWork, WorkSchedule};
+use super::{Schedule, UnionWork, CSG_VISIT_BACKSTOP};
 use ofw_common::{BitSet, FxHashMap};
-use ofw_query::{JoinGraph, Query};
+use ofw_query::JoinGraph;
 
-/// Enumeration exceeded its csg-cmp pair budget — the signal that flips
-/// [`Enumerator::Auto`](super::Enumerator::Auto) to the linearized
-/// fallback. Carries nothing: the point is aborting *before* planning
-/// work is spent.
+/// Enumeration exceeded its budget — the signal to plan with the
+/// linearized fallback instead. Carries nothing: the point is aborting
+/// *before* planning work is spent.
 #[derive(Debug)]
 pub(crate) struct BudgetExceeded;
 
 /// csg-cmp enumeration state: interned connected subsets plus the
-/// unordered pair list in discovery order.
-struct CsgCmp {
-    graph: JoinGraph,
+/// unordered pairs in discovery order.
+struct CsgCmp<'g> {
+    graph: &'g JoinGraph,
     n: usize,
     /// Interned subset → index into `sets` (singletons first, `0..n`).
     index: FxHashMap<BitSet, u32>,
     sets: Vec<BitSet>,
     /// Unordered csg-cmp pairs as interned indices, discovery order.
     pairs: Vec<(u32, u32)>,
-    /// csg visits — the backstop counter for graphs whose rare barren
-    /// subgraphs (no emittable complement) outnumber their pairs.
+    /// csg visits, held under [`CSG_VISIT_BACKSTOP`].
     visits: u64,
-    budget: Option<u64>,
+    /// Ceiling on `pairs.len()`.
+    budget: u64,
 }
 
-impl CsgCmp {
+impl CsgCmp<'_> {
     fn intern(&mut self, s: &BitSet) -> u32 {
         if let Some(&i) = self.index.get(s) {
             return i;
@@ -77,10 +78,10 @@ impl CsgCmp {
     }
 
     /// Calls `f` with `base ∪ S'` for every non-empty subset `S'` of
-    /// `members`, in counter order. Wide frontiers only ever matter on
-    /// graphs far past any exhaustible size, where the budget (checked
-    /// inside `f` via the emit counters) aborts the loop long before the
-    /// counter space is exhausted.
+    /// `members`, in counter order. A frontier no `u128` counter can
+    /// walk (a hub with ≥ 128 neighbors) is the budget overflow it is
+    /// about to become; narrower wide frontiers trip the budget inside
+    /// `f` long before the counter space is exhausted.
     fn for_each_extension(
         &mut self,
         base: &BitSet,
@@ -88,14 +89,6 @@ impl CsgCmp {
         mut f: impl FnMut(&mut Self, BitSet) -> Result<(), BudgetExceeded>,
     ) -> Result<(), BudgetExceeded> {
         if members.len() >= 128 {
-            // No u128 counter can walk this frontier. Budgeted runs
-            // treat it as the budget overflow it is about to become;
-            // unbudgeted explicit DpHyp has no sane continuation.
-            assert!(
-                self.budget.is_some(),
-                "DpHyp neighborhood of {} relations needs a budget (use Enumerator::Auto)",
-                members.len()
-            );
             return Err(BudgetExceeded);
         }
         for bits in 1u128..(1u128 << members.len()) {
@@ -112,13 +105,10 @@ impl CsgCmp {
     }
 
     fn emit_pair(&mut self, s1: &BitSet, s2: &BitSet) -> Result<(), BudgetExceeded> {
-        let a = self.intern(s1);
-        let b = self.intern(s2);
+        let (a, b) = (self.intern(s1), self.intern(s2));
         self.pairs.push((a, b));
-        if let Some(budget) = self.budget {
-            if self.pairs.len() as u64 > budget {
-                return Err(BudgetExceeded);
-            }
+        if self.pairs.len() as u64 > self.budget {
+            return Err(BudgetExceeded);
         }
         Ok(())
     }
@@ -138,12 +128,8 @@ impl CsgCmp {
     /// start relations that already covered those pairs).
     fn emit_csg(&mut self, s1: &BitSet) -> Result<(), BudgetExceeded> {
         self.visits += 1;
-        if let Some(budget) = self.budget {
-            // Backstop: barren csgs emit nothing, so on adversarial
-            // graphs the pair counter alone might never trip.
-            if self.visits > budget.saturating_mul(2) + 10_000 {
-                return Err(BudgetExceeded);
-            }
+        if self.visits > CSG_VISIT_BACKSTOP {
+            return Err(BudgetExceeded);
         }
         let min = s1.iter().next().expect("csg is non-empty");
         let mut x = self.prefix(min);
@@ -202,274 +188,298 @@ impl CsgCmp {
     }
 }
 
-/// The canonicalized schedule: all batches precomputed (enumeration
-/// needs only the graph), drained one per subset size.
-pub(crate) struct DpHypSchedule {
-    batches: std::vec::IntoIter<Vec<UnionWork>>,
-    emitted: u64,
-}
+/// Enumerates `graph`'s csg-cmp pairs and canonicalizes them into
+/// size-layered batches. `Err` iff `budget` unordered pairs (or the
+/// visit backstop) were exceeded — before any planning work happened.
+pub(crate) fn schedule(graph: &JoinGraph, budget: u64) -> Result<Schedule, BudgetExceeded> {
+    let n = graph.num_relations();
+    let mut enumeration = CsgCmp {
+        graph,
+        n,
+        index: FxHashMap::default(),
+        sets: Vec::new(),
+        pairs: Vec::new(),
+        visits: 0,
+        budget,
+    };
+    // Singletons interned first: indices 0..n, matching the driver's
+    // flat numbering.
+    for q in 0..n {
+        let s = enumeration.singleton(q);
+        enumeration.intern(&s);
+    }
+    enumeration.run()?;
 
-impl DpHypSchedule {
-    /// Enumerates `query`'s csg-cmp pairs and canonicalizes them into
-    /// size-layered batches in DPsize order. `Err` iff the budget was
-    /// exceeded — before any planning work happened.
-    pub(crate) fn new(query: &Query, budget: Option<u64>) -> Result<Self, BudgetExceeded> {
-        let n = query.num_relations();
-        let mut enumeration = CsgCmp {
-            graph: JoinGraph::new(query),
-            n,
-            index: FxHashMap::default(),
-            sets: Vec::new(),
-            pairs: Vec::new(),
-            visits: 0,
-            budget,
-        };
-        // Singletons interned first: indices 0..n, matching the
-        // driver's flat numbering.
-        for q in 0..n {
-            let s = query.relation_set(q);
-            enumeration.intern(&s);
-        }
-        enumeration.run()?;
-        let CsgCmp {
-            mut index,
-            mut sets,
-            pairs,
-            ..
-        } = enumeration;
+    // `(union size, union, csg, cmp)` per unordered pair: one sort
+    // groups the pairs by union and the unions by size layer. Unions
+    // are interned only now that the pairs are known to fit the budget
+    // (on a trip most of them were never visited as a csg).
+    let mut pairs: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(enumeration.pairs.len());
+    for (a, b) in std::mem::take(&mut enumeration.pairs) {
+        let mut union = enumeration.sets[a as usize].clone();
+        union.union_with(&enumeration.sets[b as usize]);
+        pairs.push((union.len() as u32, enumeration.intern(&union), a, b));
+    }
+    pairs.sort_unstable();
+    let CsgCmp { sets, .. } = enumeration;
+    let sizes: Vec<u32> = sets.iter().map(|s| s.len() as u32).collect();
 
-        // Union of each pair (unions are csgs too, but the root set may
-        // not have been interned as a pair side).
-        let mut pair_union: Vec<u32> = Vec::with_capacity(pairs.len());
-        for &(a, b) in &pairs {
-            let mut u = sets[a as usize].clone();
-            u.union_with(&sets[b as usize]);
-            let ui = match index.get(&u) {
-                Some(&i) => i,
-                None => {
-                    let i = sets.len() as u32;
-                    index.insert(u.clone(), i);
-                    sets.push(u);
-                    i
-                }
-            };
-            pair_union.push(ui);
-        }
-        let sizes: Vec<u32> = sets.iter().map(|s| s.len() as u32).collect();
-        let mut members: FxHashMap<u32, Vec<(u32, u32)>> = FxHashMap::default();
-        for (i, &(a, b)) in pairs.iter().enumerate() {
-            members.entry(pair_union[i]).or_default().push((a, b));
-        }
-        let mut unions_by_size: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
-        for &u in members.keys() {
-            unions_by_size[sizes[u as usize] as usize].push(u);
-        }
-
-        // Rank (position within the size layer) and flat global index
-        // per subset, assigned in DPsize discovery order layer by layer.
-        let mut rank: Vec<u32> = vec![u32::MAX; sets.len()];
-        let mut global: Vec<u32> = vec![u32::MAX; sets.len()];
-        for q in 0..n {
-            rank[q] = q as u32;
-            global[q] = q as u32;
-        }
-        let mut next_global = n as u32;
-        let mut batches: Vec<Vec<UnionWork>> = Vec::new();
-        let mut emitted = 0u64;
-        // Each union's ordered pairs, keyed and sorted the way the
-        // DPsize pair loop would discover them: `(left size, left
-        // rank, right rank)` ascending. Both directions of every
-        // unordered pair are planned, exactly like DPsize.
-        type KeyedPair = ((u32, u32, u32), (u32, u32));
-        for layer_unions in unions_by_size.iter_mut().take(n + 1).skip(2) {
-            let mut layer: Vec<(Vec<KeyedPair>, u32)> = Vec::new();
-            for u in std::mem::take(layer_unions) {
-                let mut ordered = Vec::with_capacity(members[&u].len() * 2);
-                for &(a, b) in &members[&u] {
-                    let (ra, rb) = (rank[a as usize], rank[b as usize]);
-                    debug_assert!(ra != u32::MAX && rb != u32::MAX, "side from a later layer");
-                    ordered.push(((sizes[a as usize], ra, rb), (a, b)));
-                    ordered.push(((sizes[b as usize], rb, ra), (b, a)));
-                }
-                ordered.sort_unstable_by_key(|&(key, _)| key);
-                layer.push((ordered, u));
+    // Rank (position within the size layer) and flat global index per
+    // subset, assigned in size-layered discovery order layer by layer.
+    let mut rank: Vec<u32> = vec![u32::MAX; sets.len()];
+    let mut global: Vec<u32> = vec![u32::MAX; sets.len()];
+    for q in 0..n {
+        rank[q] = q as u32;
+        global[q] = q as u32;
+    }
+    let mut next_global = n as u32;
+    let mut batches: Vec<Vec<UnionWork>> = Vec::new();
+    let mut emitted = 0u64;
+    // Each union's ordered pairs, keyed and sorted the way the
+    // size-layered pair loop would discover them: `(left size, left
+    // rank, right rank)` ascending, both directions of every unordered
+    // pair.
+    type KeyedPair = ((u32, u32, u32), (u32, u32));
+    for layer_pairs in pairs.chunk_by(|x, y| x.0 == y.0) {
+        let mut layer: Vec<(Vec<KeyedPair>, u32)> = Vec::new();
+        for union_pairs in layer_pairs.chunk_by(|x, y| x.1 == y.1) {
+            let mut ordered = Vec::with_capacity(union_pairs.len() * 2);
+            for &(_, _, a, b) in union_pairs {
+                let (ra, rb) = (rank[a as usize], rank[b as usize]);
+                debug_assert!(ra != u32::MAX && rb != u32::MAX, "side from a later layer");
+                ordered.push(((sizes[a as usize], ra, rb), (a, b)));
+                ordered.push(((sizes[b as usize], rb, ra), (b, a)));
             }
-            // A union's first discovery is its minimal pair key; no two
-            // unions share one (the key identifies both sides).
-            layer.sort_unstable_by_key(|(ordered, _)| ordered[0].0);
-            let mut batch = Vec::with_capacity(layer.len());
-            for (ordered, u) in layer {
-                rank[u as usize] = batch.len() as u32;
-                global[u as usize] = next_global;
-                next_global += 1;
-                emitted += ordered.len() as u64;
-                let pairs = ordered
+            ordered.sort_unstable_by_key(|&(key, _)| key);
+            layer.push((ordered, union_pairs[0].1));
+        }
+        // A union's first discovery is its minimal pair key; no two
+        // unions share one (the key identifies both sides).
+        layer.sort_unstable_by_key(|(ordered, _)| ordered[0].0);
+        let mut batch = Vec::with_capacity(layer.len());
+        for (ordered, u) in layer {
+            rank[u as usize] = batch.len() as u32;
+            global[u as usize] = next_global;
+            next_global += 1;
+            emitted += ordered.len() as u64;
+            batch.push(UnionWork {
+                union: sets[u as usize].clone(),
+                seed: false,
+                pairs: ordered
                     .into_iter()
                     .map(|(_, (a, b))| (global[a as usize], global[b as usize]))
-                    .collect();
-                batch.push(UnionWork::new(sets[u as usize].clone(), false, pairs));
-            }
-            batches.push(batch);
+                    .collect(),
+            });
         }
-        Ok(DpHypSchedule {
-            batches: batches.into_iter(),
-            emitted,
-        })
+        batches.push(batch);
     }
-}
-
-impl WorkSchedule for DpHypSchedule {
-    fn next_batch(&mut self) -> Option<Vec<UnionWork>> {
-        self.batches.next()
-    }
-
-    fn pairs_considered(&self) -> u64 {
-        // Neighborhood expansion never examines an invalid pair.
-        self.emitted
-    }
-
-    fn pairs_emitted(&self) -> u64 {
-        self.emitted
-    }
+    Ok(Schedule { batches, emitted })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::DpSizeSchedule;
+    use super::super::ENUMERATION_BUDGET;
     use super::*;
-    use ofw_catalog::Catalog;
-    use ofw_query::QueryBuilder;
+    use ofw_common::FxHashSet;
+    use ofw_workload::{
+        grouping_query, large_query, random_query, GroupingQueryConfig, LargeQueryConfig,
+        RandomQueryConfig, Topology,
+    };
+    use proptest::prelude::*;
 
-    /// Builds an n-relation query with the given edges (0.01 selectivity
-    /// each); attributes are one column per incident edge.
-    fn graph_query(n: usize, edges: &[(usize, usize)]) -> Query {
-        let mut c = Catalog::new();
-        let mut degree = vec![0usize; n];
-        for &(a, b) in edges {
-            degree[a] += 1;
-            degree[b] += 1;
-        }
-        for (i, &d) in degree.iter().enumerate() {
-            let cols: Vec<String> = (0..d.max(1)).map(|k| format!("c{k}")).collect();
-            let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-            c.add_relation(&format!("r{i}"), 1000.0, &col_refs);
-        }
-        let mut used = vec![0usize; n];
-        let mut qb = QueryBuilder::new(&c);
-        for i in 0..n {
-            qb = qb.relation(&format!("r{i}"));
-        }
-        for &(a, b) in edges {
-            let left = format!("r{a}.c{}", used[a]);
-            let right = format!("r{b}.c{}", used[b]);
-            used[a] += 1;
-            used[b] += 1;
-            qb = qb.join(&left, &right, 0.01);
-        }
-        qb.build()
+    const TOPOLOGIES: [Topology; 4] = [
+        Topology::Chain,
+        Topology::Cycle,
+        Topology::Star,
+        Topology::Clique,
+    ];
+
+    fn large_graph(topology: Topology, num_relations: usize, seed: u64) -> JoinGraph {
+        let (_, query) = large_query(&LargeQueryConfig {
+            topology,
+            num_relations,
+            seed,
+        });
+        JoinGraph::new(&query)
     }
 
-    /// Drains a schedule into (per-batch) resolved `(union, s1, s2)`
-    /// triples so two enumerators can be compared structurally.
-    fn drain(schedule: &mut dyn WorkSchedule, query: &Query) -> Vec<Vec<(BitSet, BitSet, BitSet)>> {
-        let n = query.num_relations();
-        let mut subsets: Vec<BitSet> = (0..n).map(|q| query.relation_set(q)).collect();
-        let mut out = Vec::new();
-        while let Some(batch) = schedule.next_batch() {
-            let mut resolved = Vec::new();
-            for work in &batch {
-                for &(l, r) in &work.pairs {
-                    resolved.push((
-                        work.union.clone(),
-                        subsets[l as usize].clone(),
-                        subsets[r as usize].clone(),
-                    ));
+    /// The classic size-layered enumerator (DPsize, Lohman-style), the
+    /// loop the DP core was once hard-wired to — kept as the reference
+    /// the canonical emission order is defined against. Every connected
+    /// set of size `s` is the union of two disjoint connected sets
+    /// joined by a predicate, so pairing every size-`k` subset with
+    /// every size-`s−k` subset visits all ordered partitions once: one
+    /// batch per size, unions in first-discovery order, pairs in loop
+    /// order `(k, left index, right index)`. Also returns the number of
+    /// candidates *considered* — most overlap or are disconnected.
+    fn dpsize_reference(graph: &JoinGraph) -> (Schedule, u64) {
+        let n = graph.num_relations();
+        let mut subsets: Vec<BitSet> = Vec::new();
+        let mut by_size: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
+        for q in 0..n {
+            let mut s = BitSet::new(n);
+            s.insert(q);
+            subsets.push(s);
+            by_size[1].push(q as u32);
+        }
+        let mut batches = Vec::new();
+        let (mut considered, mut emitted) = (0u64, 0u64);
+        for size in 2..=n {
+            let mut index: FxHashMap<BitSet, usize> = FxHashMap::default();
+            let mut layer: Vec<UnionWork> = Vec::new();
+            for k in 1..size {
+                for &li in &by_size[k] {
+                    for &ri in &by_size[size - k] {
+                        let (s1, s2) = (&subsets[li as usize], &subsets[ri as usize]);
+                        considered += 1;
+                        if s1.intersects(s2) || !graph.connects(s1, s2) {
+                            continue;
+                        }
+                        let mut union = s1.clone();
+                        union.union_with(s2);
+                        let at = *index.entry(union.clone()).or_insert(layer.len());
+                        if at == layer.len() {
+                            layer.push(UnionWork {
+                                union,
+                                seed: false,
+                                pairs: Vec::new(),
+                            });
+                        }
+                        layer[at].pairs.push((li, ri));
+                        emitted += 1;
+                    }
                 }
             }
-            for work in batch {
-                subsets.push(work.union);
+            for work in &layer {
+                by_size[size].push(subsets.len() as u32);
+                subsets.push(work.union.clone());
             }
-            out.push(resolved);
+            batches.push(layer);
         }
-        out
+        (Schedule { batches, emitted }, considered)
     }
 
-    /// DpHyp must reproduce DpSize's batches *exactly* — same unions,
-    /// same pairs, same order — on every small graph shape.
-    #[test]
-    fn dphyp_batches_equal_dpsize_batches() {
-        type Shape = (&'static str, usize, Vec<(usize, usize)>);
-        let shapes: Vec<Shape> = vec![
-            ("chain", 5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]),
-            ("star", 5, vec![(0, 1), (0, 2), (0, 3), (0, 4)]),
-            (
-                "cycle",
-                6,
-                vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
-            ),
-            (
-                "clique",
-                5,
-                (0..5)
-                    .flat_map(|a| ((a + 1)..5).map(move |b| (a, b)))
-                    .collect(),
-            ),
-            (
-                "two-triangles",
-                6,
-                vec![(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)],
-            ),
-            ("pair", 2, vec![(0, 1)]),
-        ];
-        for (name, n, edges) in shapes {
-            let q = graph_query(n, &edges);
-            let mut dpsize = DpSizeSchedule::new(&q);
-            let mut dphyp = DpHypSchedule::new(&q, None).unwrap_or_else(|_| unreachable!());
-            let a = drain(&mut dpsize, &q);
-            let b = drain(&mut dphyp, &q);
-            assert_eq!(a, b, "{name}: canonicalized DpHyp diverged from DpSize");
-            assert_eq!(
-                dpsize.pairs_emitted(),
-                dphyp.pairs_emitted(),
-                "{name}: emitted pair counts diverged"
-            );
-            assert!(
-                dpsize.pairs_considered() >= dphyp.pairs_considered(),
-                "{name}: DpSize must consider at least as many candidates"
-            );
+    /// Independent of both enumerators: every pair references only
+    /// subsets committed by earlier batches, and a brute-force sweep
+    /// over all 2ⁿ relation subsets confirms every connected subset is
+    /// a union exactly once and every ordered partition of it into two
+    /// connected halves a pair exactly once.
+    fn assert_exact_cover(graph: &JoinGraph, schedule: &Schedule) {
+        let n = graph.num_relations();
+        let bits = |s: &BitSet| s.iter().fold(0u32, |m, i| m | 1 << i);
+        let adjacent: Vec<u32> = (0..n).map(|q| bits(graph.neighbors(q))).collect();
+        let connected = |mask: u32| {
+            let mut reached = 1u32 << mask.trailing_zeros();
+            loop {
+                let mut grown = reached;
+                for (q, &adj) in adjacent.iter().enumerate() {
+                    if reached >> q & 1 == 1 {
+                        grown |= adj & mask;
+                    }
+                }
+                if grown == reached {
+                    return reached == mask;
+                }
+                reached = grown;
+            }
+        };
+
+        let mut committed: Vec<u32> = (0..n).map(|q| 1 << q).collect();
+        let mut pairs_of: FxHashMap<u32, FxHashSet<(u32, u32)>> = FxHashMap::default();
+        for batch in &schedule.batches {
+            let frozen = committed.len();
+            for work in batch {
+                let union = bits(&work.union);
+                let pairs = pairs_of.entry(union).or_default();
+                assert!(pairs.is_empty(), "{union:#b} is planned twice");
+                for &(l, r) in &work.pairs {
+                    assert!((l as usize) < frozen && (r as usize) < frozen);
+                    let (l, r) = (committed[l as usize], committed[r as usize]);
+                    assert_eq!((l | r, l & r), (union, 0), "not a partition of the union");
+                    assert!(pairs.insert((l, r)), "pair emitted twice");
+                }
+                committed.push(union);
+            }
+        }
+        for mask in 1u32..1 << n {
+            let mut want = FxHashSet::default();
+            if mask.count_ones() >= 2 && connected(mask) {
+                let mut left = (mask - 1) & mask;
+                while left != 0 {
+                    if connected(left) && connected(mask ^ left) {
+                        want.insert((left, mask ^ left));
+                    }
+                    left = (left - 1) & mask;
+                }
+            }
+            let got = pairs_of.remove(&mask).unwrap_or_default();
+            assert_eq!(got, want, "ordered partitions of {mask:#b}");
         }
     }
 
-    /// On a cycle DPsize wades through quadratically many disconnected
-    /// candidates; DPhyp considers none.
+    fn assert_matches_reference(label: &str, graph: &JoinGraph) {
+        let dphyp = schedule(graph, ENUMERATION_BUDGET).expect("fits the budget");
+        let (dpsize, considered) = dpsize_reference(graph);
+        assert_eq!(
+            dphyp.batches, dpsize.batches,
+            "{label}: unions, pairs or their order diverged from the reference"
+        );
+        assert_eq!(dphyp.emitted, dpsize.emitted, "{label}");
+        assert!(considered >= dpsize.emitted, "{label}");
+        if graph.num_relations() <= 9 {
+            assert_exact_cover(graph, &dphyp);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The canonicalized schedule reproduces the reference loop's
+        /// batches *exactly* — same unions, same pairs, same order — on
+        /// the random join workload (its grouping twin shares the join
+        /// graph generator) and on all four `large_query` topologies.
+        #[test]
+        fn dphyp_batches_equal_dpsize_batches(
+            seed in 0u64..1000,
+            num_relations in 2usize..=10,
+            extra_edges in 0usize..=2,
+            wide in 2usize..=12,
+        ) {
+            let (_, query) = random_query(&RandomQueryConfig { num_relations, extra_edges, seed });
+            assert_matches_reference("random", &JoinGraph::new(&query));
+            let (_, query) =
+                grouping_query(&GroupingQueryConfig { num_relations, extra_edges, seed: seed + 1 });
+            assert_matches_reference("grouping", &JoinGraph::new(&query));
+            for topology in TOPOLOGIES {
+                assert_matches_reference("large", &large_graph(topology, wide, seed));
+            }
+        }
+    }
+
+    /// On a cycle the size-layered loop wades through quadratically
+    /// many disconnected candidates; neighborhood expansion considers
+    /// none — the one column that told the two enumerators apart.
     #[test]
     fn dphyp_skips_the_disconnected_candidates() {
-        let n = 12;
-        let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-        let q = graph_query(n, &edges);
-        let mut dpsize = DpSizeSchedule::new(&q);
-        let mut dphyp = DpHypSchedule::new(&q, None).unwrap_or_else(|_| unreachable!());
-        while dpsize.next_batch().is_some() {}
-        while dphyp.next_batch().is_some() {}
-        assert_eq!(dpsize.pairs_emitted(), dphyp.pairs_emitted());
+        let graph = large_graph(Topology::Cycle, 12, 12);
+        let dphyp = schedule(&graph, ENUMERATION_BUDGET).expect("fits the budget");
+        let (dpsize, considered) = dpsize_reference(&graph);
+        assert_eq!(dpsize.emitted, dphyp.emitted);
         assert!(
-            dpsize.pairs_considered() > 4 * dphyp.pairs_considered(),
-            "cycle-12: dpsize considered {} vs dphyp {}",
-            dpsize.pairs_considered(),
-            dphyp.pairs_considered()
+            considered > 4 * dphyp.emitted,
+            "cycle-12: the reference considered {considered} vs {} emitted",
+            dphyp.emitted
         );
     }
 
     /// The budget trips before any batch exists, and a generous budget
-    /// does not.
+    /// does not — `u64::MAX` included (the public setter this constant
+    /// replaced overflowed there and tripped at 9,999 visits).
     #[test]
     fn budget_trips_on_dense_graphs() {
-        let edges: Vec<(usize, usize)> = (0..10)
-            .flat_map(|a| ((a + 1)..10).map(move |b| (a, b)))
-            .collect();
-        let q = graph_query(10, &edges);
-        assert!(DpHypSchedule::new(&q, Some(100)).is_err());
-        let ok = DpHypSchedule::new(&q, Some(10_000_000));
-        assert!(ok.is_ok());
+        let graph = large_graph(Topology::Clique, 10, 10);
+        assert!(schedule(&graph, 100).is_err());
+        assert!(schedule(&graph, ENUMERATION_BUDGET).is_ok());
+        assert!(schedule(&graph, u64::MAX).is_ok());
     }
 }

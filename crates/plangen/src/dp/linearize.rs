@@ -1,11 +1,11 @@
-//! Budget-fallback enumerator: greedy linearization plus a sliding
-//! local-DP window.
+//! The fallback schedule: greedy linearization plus a sliding local-DP
+//! window.
 //!
 //! When even neighborhood-driven enumeration would emit more csg-cmp
 //! pairs than the budget allows (dense graphs past ~13 relations have
 //! exponentially many connected complements), exhaustive join ordering
-//! is off the table. This enumerator trades optimality for a linear
-//! pair count:
+//! is off the table. This schedule trades optimality for a linear pair
+//! count:
 //!
 //! 1. **Linearize** — order the relations greedily by estimated
 //!    intermediate cardinality (start at the smallest effective
@@ -23,20 +23,22 @@
 //!    instead of starting over.
 //!
 //! The result explores left-deep orders globally and all bushy-free
-//! local reorderings, with pair counts linear in `n · 2^w`: the
-//! 100-relation clique plans in milliseconds where both exact
-//! enumerators are unreachable.
+//! local reorderings, with pair counts linear in `n · 2^w` where exact
+//! enumeration is unreachable. Linear is not free once the window has
+//! widened into the budget: a 50-relation clique (lean extraction,
+//! `examples/large_join`) spends 747,494 pairs on 183,221 plans and
+//! 9–15 s in a release build on a 2-core box.
 //!
 //! **Budget-adaptive width.** When no explicit window is pinned, the
 //! schedule starts at [`DEFAULT_LINEARIZE_WINDOW`] and widens one
 //! relation at a time while the *projected* pair count of the wider
 //! schedule still fits the enumeration budget (with 2× headroom before
 //! probing, so the probe itself never balloons). A fallback trip only
-//! happens because the exact enumerators would blow the budget — so
+//! happens because exact enumeration would blow the budget — so
 //! whatever slack the budget leaves is spent on better local plans
 //! instead of being thrown away.
 
-use super::{UnionWork, WorkSchedule};
+use super::{Schedule, UnionWork};
 use ofw_catalog::Catalog;
 use ofw_common::{BitSet, FxHashMap};
 use ofw_query::Query;
@@ -50,12 +52,6 @@ const DEFAULT_LINEARIZE_WINDOW: usize = 6;
 /// local-mask arithmetic long after the table (`2^w` entries) became
 /// the real problem.
 const MAX_WINDOW: usize = 16;
-
-/// Precomputed window-DP schedule over a greedy linearization.
-pub(crate) struct LinearizedSchedule {
-    batches: std::vec::IntoIter<Vec<UnionWork>>,
-    emitted: u64,
-}
 
 /// Effective cardinality of each query relation: base cardinality
 /// scaled by its constant and filter predicate selectivities.
@@ -136,15 +132,10 @@ fn linearize(eff: &[f64], adj: &[Vec<(usize, f64)>]) -> Vec<usize> {
     order
 }
 
-/// Builds the window-DP batch sequence for one fixed window width.
-/// Returns the batches plus the total csg-cmp pair count they emit —
-/// the quantity the adaptive widening loop compares against the budget.
-fn build_windows(
-    n: usize,
-    order: &[usize],
-    adj: &[Vec<(usize, f64)>],
-    w: usize,
-) -> (Vec<Vec<UnionWork>>, u64) {
+/// Builds the window-DP schedule for one fixed window width. Its
+/// ordered pair count is the quantity the adaptive widening loop
+/// compares against the budget.
+fn build_windows(n: usize, order: &[usize], adj: &[Vec<(usize, f64)>], w: usize) -> Schedule {
     let stride = (w / 2).max(1);
 
     // Committed subset → the *latest* flat global index the driver
@@ -244,7 +235,11 @@ fn build_windows(
                 idx_of[mask] = next_idx;
                 known.insert(mset.clone(), next_idx);
                 next_idx += 1;
-                batch.push(UnionWork::new(mset, seed, pairs));
+                batch.push(UnionWork {
+                    union: mset,
+                    seed,
+                    pairs,
+                });
             }
             if !batch.is_empty() {
                 batches.push(batch);
@@ -256,67 +251,42 @@ fn build_windows(
         p += stride;
     }
 
-    (batches, emitted)
+    Schedule { batches, emitted }
 }
 
-impl LinearizedSchedule {
-    /// Builds the schedule. `window: Some(w)` pins the width to `w`
-    /// (clamped to `[2, MAX_WINDOW]` and the relation count); `None`
-    /// adapts it: start at [`DEFAULT_LINEARIZE_WINDOW`] and widen while
-    /// the wider schedule's pair count still fits `budget`.
-    pub(crate) fn new(
-        catalog: &Catalog,
-        query: &Query,
-        window: Option<usize>,
-        budget: u64,
-    ) -> Self {
-        let n = query.num_relations();
-        let eff = effective_cards(catalog, query);
-        let adj = adjacency(query);
-        let order = linearize(&eff, &adj);
-        let cap = MAX_WINDOW.min(n.max(2));
-
-        let (batches, emitted) = match window {
-            Some(w) => build_windows(n, &order, &adj, w.clamp(2, cap)),
-            None => {
-                let mut w = DEFAULT_LINEARIZE_WINDOW.clamp(2, cap);
-                let (mut batches, mut emitted) = build_windows(n, &order, &adj, w);
-                // Widen only while the *current* schedule leaves 2×
-                // headroom — each +1 roughly doubles per-window work,
-                // so anything tighter would probe widths that cannot
-                // fit. Reject a probe that overshoots the budget.
-                while w < cap && emitted.saturating_mul(2) <= budget {
-                    let (wider, wider_emitted) = build_windows(n, &order, &adj, w + 1);
-                    if wider_emitted > budget {
-                        break;
-                    }
-                    w += 1;
-                    batches = wider;
-                    emitted = wider_emitted;
-                }
-                (batches, emitted)
-            }
-        };
-
-        LinearizedSchedule {
-            batches: batches.into_iter(),
-            emitted,
+/// Builds the fallback schedule. `window: Some(w)` pins the width to
+/// `w` (clamped to `[2, MAX_WINDOW]` and the relation count); `None`
+/// adapts it: start at [`DEFAULT_LINEARIZE_WINDOW`] and widen while the
+/// wider schedule's pair count still fits `budget`.
+pub(crate) fn schedule(
+    catalog: &Catalog,
+    query: &Query,
+    window: Option<usize>,
+    budget: u64,
+) -> Schedule {
+    let n = query.num_relations();
+    let eff = effective_cards(catalog, query);
+    let adj = adjacency(query);
+    let order = linearize(&eff, &adj);
+    let cap = MAX_WINDOW.min(n.max(2));
+    if let Some(w) = window {
+        return build_windows(n, &order, &adj, w.clamp(2, cap));
+    }
+    let mut w = DEFAULT_LINEARIZE_WINDOW.clamp(2, cap);
+    let mut schedule = build_windows(n, &order, &adj, w);
+    // Widen only while the *current* schedule leaves 2× headroom —
+    // each +1 roughly doubles per-window work, so anything tighter
+    // would probe widths that cannot fit. Reject a probe that
+    // overshoots the budget.
+    while w < cap && schedule.emitted.saturating_mul(2) <= budget {
+        let wider = build_windows(n, &order, &adj, w + 1);
+        if wider.emitted > budget {
+            break;
         }
+        w += 1;
+        schedule = wider;
     }
-}
-
-impl WorkSchedule for LinearizedSchedule {
-    fn next_batch(&mut self) -> Option<Vec<UnionWork>> {
-        self.batches.next()
-    }
-
-    fn pairs_considered(&self) -> u64 {
-        self.emitted
-    }
-
-    fn pairs_emitted(&self) -> u64 {
-        self.emitted
-    }
+    schedule
 }
 
 #[cfg(test)]
@@ -371,23 +341,18 @@ mod tests {
         let n = 30;
         let cards: Vec<f64> = (0..n).map(|i| 1000.0 + i as f64).collect();
         let (c, q) = clique_query(&cards);
-        let mut schedule = LinearizedSchedule::new(&c, &q, Some(6), 1_000_000);
-        let mut covered = false;
-        let mut total_pairs = 0u64;
-        while let Some(batch) = schedule.next_batch() {
-            for work in batch {
-                total_pairs += work.num_pairs() as u64;
-                if work.union.len() == n {
-                    covered = true;
-                }
-            }
-        }
-        assert!(covered, "the full relation set is never planned");
-        assert_eq!(total_pairs, schedule.pairs_emitted());
+        let schedule = schedule(&c, &q, Some(6), 1_000_000);
+        let works = || schedule.batches.iter().flatten();
         assert!(
-            schedule.pairs_emitted() < 20_000,
+            works().any(|work| work.union.len() == n),
+            "the full relation set is never planned"
+        );
+        let total_pairs: u64 = works().map(|work| work.pairs.len() as u64).sum();
+        assert_eq!(total_pairs, schedule.emitted);
+        assert!(
+            schedule.emitted < 20_000,
             "pair count should be linear-ish, got {}",
-            schedule.pairs_emitted()
+            schedule.emitted
         );
     }
 
@@ -400,10 +365,10 @@ mod tests {
         let n = 30;
         let cards: Vec<f64> = (0..n).map(|i| 1000.0 + i as f64).collect();
         let (c, q) = clique_query(&cards);
-        let pinned = LinearizedSchedule::new(&c, &q, Some(DEFAULT_LINEARIZE_WINDOW), 1_000_000);
+        let pinned = schedule(&c, &q, Some(DEFAULT_LINEARIZE_WINDOW), 1_000_000);
         let baseline = pinned.emitted;
 
-        let roomy = LinearizedSchedule::new(&c, &q, None, 1_000_000);
+        let roomy = schedule(&c, &q, None, 1_000_000);
         assert!(
             roomy.emitted > baseline,
             "a 1M budget should widen past the default ({} vs {baseline})",
@@ -411,7 +376,7 @@ mod tests {
         );
         assert!(roomy.emitted <= 1_000_000, "never overshoots the budget");
 
-        let tight = LinearizedSchedule::new(&c, &q, None, baseline);
+        let tight = schedule(&c, &q, None, baseline);
         assert_eq!(
             tight.emitted, baseline,
             "a budget with no headroom keeps the default width"

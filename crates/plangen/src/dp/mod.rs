@@ -36,34 +36,31 @@
 //! replicates the root-only search exactly, which is why enabling
 //! placement can never yield a costlier winner.
 //!
-//! # The enumerator seam and the two-driver batch API
+//! # The schedule and the two-driver batch API
 //!
 //! *Which* subsets get planned, and from *which* ordered partitions, is
-//! a strategy choice behind the [`Enumerator`] seam. An enumerator is a
-//! pure function of the join graph: it produces **batches** of
-//! [`UnionWork`] items (a connected subset plus its ordered partitions,
-//! referencing earlier subsets by flat index — singletons `0..n` first,
-//! then unions in emission order). The driver loop is enumerator-
-//! agnostic: each batch is *executed* — each union's Pareto set built
-//! independently in a thread-local [`ArenaView`] — and spliced onto the
-//! global arena **in batch order** at the batch barrier. Execution is
-//! delegated to an [`ofw_common::OrderedExecutor`]: [`SerialExecutor`]
-//! for the classic single-threaded driver ([`PlanGen::run`]), the
-//! `ofw-parallel` work-stealing pool for the sharded driver
-//! ([`PlanGen::run_with`]). Three enumerators exist:
+//! a pure function of the join graph, computed once before any plan is
+//! built: a `Schedule` of **batches** of `UnionWork` items (a
+//! connected subset plus its ordered partitions, referencing earlier
+//! subsets by flat index — singletons `0..n` first, then unions in
+//! emission order). One path produces it. While the graph's csg-cmp
+//! pairs fit the enumeration budget (1 M pairs — exact through
+//! ~13-relation cliques and 100-relation chains), the schedule is
+//! exhaustive: connected-subgraph/complement-pair enumeration over
+//! [`ofw_query::JoinGraph`] neighborhoods (DPhyp), which touches only
+//! valid pairs, canonicalized into the size-layered order the plan
+//! table's layout is defined by (`dphyp.rs`). Beyond the budget it is
+//! the greedy linearization with a sliding, budget-adaptive local-DP
+//! window (`linearize.rs`) — not exhaustive, but it plans 100-relation
+//! cliques — and [`PlanGenStats::fallback`] says so.
 //!
-//! * [`Enumerator::DpSize`] (default) — the classic size-layered DP
-//!   (batch = size layer), byte-identical to the historical generator;
-//! * [`Enumerator::DpHyp`] — connected-subgraph/complement-pair
-//!   enumeration over [`ofw_query::JoinGraph`] neighborhoods, emitting
-//!   only valid csg-cmp pairs (no disconnected/overlapping candidates),
-//!   canonicalized to DpSize's discovery order so the output stays
-//!   byte-identical;
-//! * [`Enumerator::Linearized`] — greedy join-order linearization plus a
-//!   sliding local-DP refinement window; not exhaustive, but plans
-//!   100-relation cliques. [`Enumerator::Auto`] runs DpHyp under an
-//!   enumeration budget (counted in emitted csg-cmp pairs) and falls
-//!   back to Linearized beyond it.
+//! The driver loop *executes* each batch — each union's Pareto set
+//! built independently in a thread-local [`ArenaView`] — and splices
+//! the results onto the global arena **in batch order** at the batch
+//! barrier. Execution is delegated to an
+//! [`ofw_common::OrderedExecutor`]: [`SerialExecutor`] for the classic
+//! single-threaded driver ([`PlanGen::run`]), the `ofw-parallel`
+//! work-stealing pool for the sharded driver ([`PlanGen::run_with`]).
 //!
 //! Because the splice order and the per-union work are both schedule-
 //! independent, the final plan table — operators, masks, costs,
@@ -94,7 +91,6 @@
 //! work actually performed.
 
 mod dphyp;
-mod dpsize;
 mod linearize;
 
 use crate::cost;
@@ -111,58 +107,34 @@ use ofw_obs::{DecisionCounters, PhaseStats, Trace};
 use ofw_query::{ExtractedQuery, JoinGraph, Query};
 use std::time::{Duration, Instant};
 
-pub(crate) use dphyp::DpHypSchedule;
-pub(crate) use dpsize::DpSizeSchedule;
-pub(crate) use linearize::LinearizedSchedule;
+/// Ceiling on enumeration work before exhaustive enumeration is
+/// abandoned for the linearized fallback. Exact through ~13-relation
+/// cliques, 100-relation chains and cycles, and ~14-relation stars;
+/// dense graphs beyond that linearize.
+///
+/// The unit, once: the exact path counts *unordered* csg-cmp pairs as
+/// it discovers them (each becomes two ordered pairs, so a schedule
+/// that fits reports at most twice this in
+/// [`PlanGenStats::pairs_emitted`]); the fallback's widening loop
+/// compares its *ordered* pair count against the same number.
+const ENUMERATION_BUDGET: u64 = 1_000_000;
 
-/// Default ceiling on emitted csg-cmp pairs before [`Enumerator::Auto`]
-/// abandons exhaustive enumeration for the linearized fallback. Exact
-/// through ~13-relation cliques, 100-relation chains and cycles, and
-/// ~14-relation stars; dense graphs beyond that linearize.
-pub const DEFAULT_ENUMERATION_BUDGET: u64 = 1_000_000;
+/// Backstop on connected subgraphs visited by the exact path: barren
+/// ones (no emittable complement) emit nothing, so on adversarial
+/// graphs the pair counter alone might never trip.
+const CSG_VISIT_BACKSTOP: u64 = 2 * ENUMERATION_BUDGET + 10_000;
 
-/// Join-enumeration strategy behind the DP core (see the module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Enumerator {
-    /// Classic size-layered exhaustive DP — the default, byte-identical
-    /// to the historical generator. Θ(3ⁿ) on cliques.
-    DpSize,
-    /// Connected-subgraph/complement-pair (csg-cmp) enumeration over
-    /// join-graph neighborhoods: exhaustive like DpSize (and
-    /// canonicalized to its exact output), but it never *considers*
-    /// disconnected or overlapping candidate pairs, so sparse and
-    /// cyclic graphs enumerate in time proportional to the valid pairs.
-    DpHyp,
-    /// Greedy join-order linearization (smallest effective cardinality
-    /// first, then repeatedly append the adjacent relation minimizing
-    /// the running intermediate cardinality) refined by a sliding
-    /// local-DP window over the linear order. Not exhaustive; bounded
-    /// work even on 100-relation cliques.
-    Linearized,
-    /// DpHyp when it fits the enumeration budget, Linearized beyond it
-    /// (the budget is counted in emitted csg-cmp pairs; see
-    /// [`PlanGen::enumeration_budget`]).
-    Auto,
-}
-
-impl Enumerator {
-    /// Lower-case name for stats, tables and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Enumerator::DpSize => "dpsize",
-            Enumerator::DpHyp => "dphyp",
-            Enumerator::Linearized => "linearized",
-            Enumerator::Auto => "auto",
-        }
-    }
-}
+/// Relative slack on the seeded cost bound `B`. The provider's plan is
+/// in the outer search space, but the outer search may evaluate it
+/// through a different association order of the same cardinality
+/// products and cost sums, landing a few ulps *above* `B` — and when
+/// nothing beats the greedy plan (a wide star under the fallback),
+/// strict pruning against the raw `B` then rejects every complete plan.
+/// Far above accumulated rounding (~n·ε), far below any real cost gap.
+const BOUND_SLACK: f64 = 1e-9;
 
 /// Plan-generation metrics — the paper's §7 table columns plus the
 /// deterministic enumeration counters.
-///
-/// The derived default is honest: `enumerator` is `""` (no enumerator
-/// has run — `run_with` always overwrites it with what actually ran),
-/// every counter is zero and the phase ledger is empty.
 #[derive(Clone, Debug, Default)]
 pub struct PlanGenStats {
     /// Total subplans generated (`#Plans`).
@@ -173,26 +145,21 @@ pub struct PlanGenStats {
     /// Bytes of order-annotation memory (per-plan states + shared
     /// structures of the order framework).
     pub memory_bytes: usize,
-    /// Name of the enumerator that actually ran (`"dpsize"`, `"dphyp"`
-    /// or `"linearized"` — [`Enumerator::Auto`] resolves to one of the
-    /// latter two).
-    pub enumerator: &'static str,
-    /// Candidate ordered partitions *examined* — for DpSize this
-    /// includes the disjointness/connectedness rejects its nested size
-    /// loops wade through; for DpHyp and Linearized every considered
-    /// pair is valid, so it equals `pairs_emitted`. Deterministic per
-    /// query.
+    /// Always equal to [`pairs_emitted`](Self::pairs_emitted): the
+    /// schedule never examines an invalid pair. Kept for one reader
+    /// only — the frozen `benchmark/src/ops.rs` fills its
+    /// `plangen.pairs_considered` metric from it — and goes with the
+    /// next `benchmark` change.
     pub pairs_considered: u64,
-    /// Valid ordered csg-cmp pairs handed to plan construction.
-    /// Identical between DpSize and DpHyp on every graph (they
-    /// enumerate the same pair set). Deterministic per query.
+    /// Ordered csg-cmp pairs handed to plan construction (both
+    /// directions of every unordered pair). Deterministic per query.
     pub pairs_emitted: u64,
     /// Union work items processed (connected subsets planned, counting
     /// re-visits by the linearized fallback's overlapping windows).
     /// Deterministic per query.
     pub unions: u64,
-    /// Whether [`Enumerator::Auto`] exceeded the enumeration budget and
-    /// fell back to the linearized enumerator.
+    /// Whether exhaustive enumeration exceeded the enumeration budget
+    /// and the query was planned by the linearized window DP instead.
     pub fallback: bool,
     /// NFSM nodes of the oracle's prepared automaton (0 for oracles
     /// without a preparation automaton). Deterministic per query.
@@ -205,9 +172,9 @@ pub struct PlanGenStats {
     /// cache (see `ofw_core::PreparedCache`).
     pub prep_interned_hits: u64,
     /// Per-phase breakdown: base relations, each DP layer, aggregate
-    /// finalization, final pick (plus an "enumerate" entry carrying the
-    /// schedule-construction counters). Everything but
-    /// [`PhaseStats::time`] is deterministic per query.
+    /// finalization, final pick (plus an "enumerate" entry timing the
+    /// schedule's construction). Everything but [`PhaseStats::time`] is
+    /// deterministic per query.
     pub phases: Vec<PhaseStats>,
     /// Whole-run decision telemetry: Pareto-pruning outcomes per
     /// comparability class, enforcer admissions/wins, oracle probe
@@ -259,49 +226,30 @@ struct PartialSortProbe<K> {
 /// the executor schedules. Pairs reference earlier subsets by **flat
 /// global index**: singletons occupy `0..n` in query-relation order,
 /// and every union takes the next index in batch-emission order (the
-/// order the driver commits them). Pair order within a work item is the
-/// enumerator's deterministic emission order.
-pub struct UnionWork {
+/// order the driver commits them).
+#[derive(Debug, PartialEq)]
+pub(crate) struct UnionWork {
     /// The connected subset this work item builds plans for.
-    pub union: BitSet,
+    union: BitSet,
     /// Seed the Pareto set from the subset's existing plan-table entry
-    /// instead of starting empty — the linearized enumerator re-visits
+    /// instead of starting empty — the linearized fallback re-visits
     /// subsets shared between overlapping refinement windows and merges
     /// rather than discards the earlier window's plans.
     seed: bool,
+    /// Ordered partitions `(left, right)`, in emission order.
     pairs: Vec<(u32, u32)>,
 }
 
-impl UnionWork {
-    pub(crate) fn new(union: BitSet, seed: bool, pairs: Vec<(u32, u32)>) -> Self {
-        UnionWork { union, seed, pairs }
-    }
-
-    /// Number of ordered partitions feeding this subset.
-    pub fn num_pairs(&self) -> usize {
-        self.pairs.len()
-    }
-
-    pub(crate) fn push_pair(&mut self, left: u32, right: u32) {
-        self.pairs.push((left, right));
-    }
-}
-
-/// The enumerator side of the driver contract: a pure function of the
-/// join graph producing batches of [`UnionWork`]. Within a batch every
-/// pair may only reference subsets that were *committed before the
-/// batch started* (singletons `0..n`, then one index per union in
-/// emission order across all earlier batches); the driver executes the
-/// batch — possibly in parallel — then commits its unions in batch
-/// order. Counters must be deterministic per query.
-pub(crate) trait WorkSchedule {
-    /// The next batch of union work, or `None` when enumeration is
-    /// complete.
-    fn next_batch(&mut self) -> Option<Vec<UnionWork>>;
-    /// Candidate ordered partitions examined so far.
-    fn pairs_considered(&self) -> u64;
-    /// Valid ordered partitions emitted so far.
-    fn pairs_emitted(&self) -> u64;
+/// What gets planned and in which order — a pure function of the join
+/// graph, complete before the first plan is built. Within a batch every
+/// pair only references subsets *committed before the batch started*
+/// (singletons `0..n`, then one index per union in emission order
+/// across all earlier batches); the driver executes the batch —
+/// possibly in parallel — then commits its unions in batch order.
+pub(crate) struct Schedule {
+    batches: Vec<Vec<UnionWork>>,
+    /// Σ pairs over all batches.
+    emitted: u64,
 }
 
 /// Pre-resolved aggregation context: what placement enumeration needs
@@ -542,14 +490,13 @@ pub struct PlanGen<'a, O: OrderOracle> {
     /// the pair loops and `emit_joins` ask crossing-edge questions
     /// millions of times).
     graph: JoinGraph,
-    /// Join-enumeration strategy (see [`Enumerator`]).
-    enumerator: Enumerator,
-    /// csg-cmp pair budget for [`Enumerator::Auto`].
+    /// Enumeration budget ([`ENUMERATION_BUDGET`]; in-crate tests lower
+    /// it to make the fallback trip cheaply).
     budget: u64,
-    /// Refinement-window width for [`Enumerator::Linearized`]. `None`
-    /// adapts the width to the enumeration budget (see
-    /// [`LinearizedSchedule::new`]); only the bound provider's nested
-    /// run pins it, to the cheapest width.
+    /// `Some(w)` pins the schedule to the linearized window DP at width
+    /// `w` — only the bound provider's nested run does, at the cheapest
+    /// width. `None` is the normal path: exhaustive within the budget,
+    /// the budget-adaptive window beyond it.
     window: Option<usize>,
     targets: Vec<EnforcerTarget<O::Key>>,
     /// Aggregation context (`Some` iff the query computes aggregates
@@ -677,8 +624,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             ex,
             oracle,
             graph: JoinGraph::new(query),
-            enumerator: Enumerator::DpSize,
-            budget: DEFAULT_ENUMERATION_BUDGET,
+            budget: ENUMERATION_BUDGET,
             window: None,
             targets,
             agg,
@@ -699,25 +645,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// boundaries, not decisions.
     pub fn trace(mut self, trace: &Trace) -> Self {
         self.trace = trace.clone();
-        self
-    }
-
-    /// Selects the join-enumeration strategy (default
-    /// [`Enumerator::DpSize`], the legacy byte-identical behavior).
-    pub fn enumerator(mut self, e: Enumerator) -> Self {
-        self.enumerator = e;
-        self
-    }
-
-    /// Sets the [`Enumerator::Auto`] budget: the number of emitted
-    /// csg-cmp pairs beyond which exhaustive DpHyp enumeration is
-    /// abandoned for the linearized fallback (default
-    /// [`DEFAULT_ENUMERATION_BUDGET`]). Emitted pairs are a faithful
-    /// work proxy — every pair costs at least one join alternative
-    /// downstream — and are counted *before* any planning happens, so
-    /// tripping the budget is cheap.
-    pub fn enumeration_budget(mut self, pairs: u64) -> Self {
-        self.budget = pairs;
         self
     }
 
@@ -888,14 +815,14 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         let mut run_dc = DecisionCounters::default();
 
         // Subsets committed so far, in flat global-index order: the
-        // numbering every enumerator's pair references use (singletons
+        // numbering the schedule's pair references use (singletons
         // `0..n` first, then unions in batch-emission order).
         let mut subsets: Vec<BitSet> = Vec::with_capacity(n);
 
         // Bound provider: one cheap greedy linearized run (window 2,
         // itself unbounded) seeds the global upper bound `B` every
         // later phase prunes against. Its plan space is a subset of
-        // every enumerator's search space, so `B` is always achievable
+        // the outer schedule's search space, so `B` is always achievable
         // — the admissibility contract lives in ARCHITECTURE.md, "The
         // pruning seam". Serial, and run before anything else: on
         // memoizing oracles this also warms the state interner
@@ -906,19 +833,17 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             let mut sp = root.child("bound");
             let tp = Instant::now();
             let mut provider = PlanGen::new(self.catalog, self.query, self.ex, self.oracle)
-                .enumerator(Enumerator::Linearized)
                 .cost_bounding(false)
                 .aggregation_placement(self.placement)
                 .partial_sort(self.partial_sort);
             provider.window = Some(2);
             let provider = provider.run();
-            self.bound = provider.cost;
+            self.bound = provider.cost * (1.0 + BOUND_SLACK);
             sp.count("plans", provider.stats.plans as u64);
             phases.push(PhaseStats {
                 name: "bound".into(),
                 time: tp.elapsed(),
                 unions: provider.stats.unions,
-                pairs_considered: provider.stats.pairs_considered,
                 pairs_emitted: provider.stats.pairs_emitted,
                 plans: provider.stats.plans as u64,
                 decisions: provider.stats.decisions.clone(),
@@ -950,7 +875,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 name: "base".into(),
                 time: tp.elapsed(),
                 unions: n as u64,
-                pairs_considered: 0,
                 pairs_emitted: 0,
                 plans,
                 decisions: dc.clone(),
@@ -958,38 +882,33 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             run_dc.merge(&dc);
         }
 
-        // Enumerator-agnostic driver loop: the schedule hands over
-        // batches of union work whose pairs only reference committed
-        // subsets, so each batch's unions are independent of each other.
-        // Each union is one executor chunk; the batch barrier splices
-        // the thread-local arenas in batch order, which makes the arena
-        // independent of the parallel schedule.
-        let (mut schedule, enumerator_name, fallback) = {
+        // The driver loop: the schedule hands over batches of union
+        // work whose pairs only reference committed subsets, so each
+        // batch's unions are independent of each other. Each union is
+        // one executor chunk; the batch barrier splices the thread-local
+        // arenas in batch order, which makes the arena independent of
+        // the parallel schedule.
+        let (schedule, fallback) = {
             let mut sp = root.child("enumerate");
             let tp = Instant::now();
-            let (schedule, name, fallback) = self.make_schedule();
-            // DpHyp counts its full pair set at construction; DpSize and
-            // Linearized count during batching — so this entry carries
-            // the pre-counted totals and the layer entries the diffs.
-            sp.label(name);
-            sp.count("pairs_considered", schedule.pairs_considered());
-            sp.count("pairs_emitted", schedule.pairs_emitted());
+            let (schedule, fallback) = self.schedule();
+            if fallback {
+                sp.label("fallback");
+            }
+            sp.count("pairs_emitted", schedule.emitted);
             phases.push(PhaseStats {
                 name: "enumerate".into(),
                 time: tp.elapsed(),
                 unions: 0,
-                pairs_considered: schedule.pairs_considered(),
-                pairs_emitted: schedule.pairs_emitted(),
+                pairs_emitted: 0,
                 plans: 0,
                 decisions: DecisionCounters::default(),
             });
-            (schedule, name, fallback)
+            (schedule, fallback)
         };
         let mut unions = 0u64;
         let mut layer = 0usize;
-        let (mut prev_considered, mut prev_emitted) =
-            (schedule.pairs_considered(), schedule.pairs_emitted());
-        while let Some(batch) = schedule.next_batch() {
+        for batch in schedule.batches {
             layer += 1;
             let mut sp = root.child("dp_layer");
             if trace.is_enabled() {
@@ -998,6 +917,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             let tp = Instant::now();
             let plans_before = self.arena.len();
             let batch_len = batch.len() as u64;
+            let batch_pairs: u64 = batch.iter().map(|w| w.pairs.len() as u64).sum();
             let results = {
                 let this = &self;
                 let subsets = &subsets;
@@ -1014,7 +934,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                     if started.is_some() {
                         spans.push(
                             "union",
-                            format!("|{}| pairs={}", batch[i].union.len(), batch[i].num_pairs()),
+                            format!("|{}| pairs={}", batch[i].union.len(), batch[i].pairs.len()),
                             started,
                             vec![
                                 ("plans", local.len() as u64),
@@ -1038,7 +958,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 dc.merge(&union_dc);
                 trace.absorb(spans);
             }
-            let (considered, emitted) = (schedule.pairs_considered(), schedule.pairs_emitted());
             let plans = (self.arena.len() - plans_before) as u64;
             // Pruning work (kept/dominated) is charged once, on the
             // per-union spans — repeating the totals here would
@@ -1051,13 +970,11 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 name: format!("layer {layer}"),
                 time: tp.elapsed(),
                 unions: batch_len,
-                pairs_considered: considered - prev_considered,
-                pairs_emitted: emitted - prev_emitted,
+                pairs_emitted: batch_pairs,
                 plans,
                 decisions: dc.clone(),
             });
             run_dc.merge(&dc);
-            (prev_considered, prev_emitted) = (considered, emitted);
         }
 
         // Aggregation: a streaming aggregate exploits an input ordered
@@ -1081,7 +998,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 name: "finalize".into(),
                 time: tp.elapsed(),
                 unions: 0,
-                pairs_considered: 0,
                 pairs_emitted: 0,
                 plans,
                 decisions: dc.clone(),
@@ -1110,7 +1026,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 name: "pick_final".into(),
                 time: tp.elapsed(),
                 unions: 0,
-                pairs_considered: 0,
                 pairs_emitted: 0,
                 plans,
                 decisions: dc.clone(),
@@ -1127,9 +1042,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             plans: self.arena.len(),
             time: t0.elapsed(),
             memory_bytes: self.oracle.memory_bytes(self.arena.len()),
-            enumerator: enumerator_name,
-            pairs_considered: schedule.pairs_considered(),
-            pairs_emitted: schedule.pairs_emitted(),
+            pairs_considered: schedule.emitted,
+            pairs_emitted: schedule.emitted,
             unions,
             fallback,
             nfsm_states: prep.nfsm_states,
@@ -1146,32 +1060,17 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         }
     }
 
-    /// Instantiates the configured enumerator: the schedule, the name of
-    /// what actually runs, and whether the auto budget forced the
-    /// linearized fallback. Enumeration is a pure function of the join
-    /// graph, so (for [`Enumerator::Auto`]) the budget trips before any
-    /// planning work is spent.
-    fn make_schedule(&self) -> (Box<dyn WorkSchedule + 'a>, &'static str, bool) {
-        let linearized =
-            || LinearizedSchedule::new(self.catalog, self.query, self.window, self.budget);
-        match self.enumerator {
-            Enumerator::DpSize => (
-                Box::new(DpSizeSchedule::new(self.query)),
-                Enumerator::DpSize.name(),
-                false,
-            ),
-            Enumerator::DpHyp => {
-                let s = DpHypSchedule::new(self.query, None)
-                    .expect("DpHyp without a budget cannot exceed it");
-                (Box::new(s), Enumerator::DpHyp.name(), false)
-            }
-            Enumerator::Linearized => {
-                (Box::new(linearized()), Enumerator::Linearized.name(), false)
-            }
-            Enumerator::Auto => match DpHypSchedule::new(self.query, Some(self.budget)) {
-                Ok(s) => (Box::new(s), Enumerator::DpHyp.name(), false),
-                Err(_) => (Box::new(linearized()), Enumerator::Linearized.name(), true),
-            },
+    /// Builds the schedule, and says whether the budget forced the
+    /// linearized fallback. Enumeration needs only the join graph, so
+    /// the budget trips before any planning work is spent.
+    fn schedule(&self) -> (Schedule, bool) {
+        let linearized = || linearize::schedule(self.catalog, self.query, self.window, self.budget);
+        if self.window.is_some() {
+            return (linearized(), false);
+        }
+        match dphyp::schedule(&self.graph, self.budget) {
+            Ok(exact) => (exact, false),
+            Err(dphyp::BudgetExceeded) => (linearized(), true),
         }
     }
 
@@ -2189,9 +2088,11 @@ mod tests {
     use crate::oracle::ExplicitOracle;
     use crate::plan::PlanOp;
     use ofw_core::{OrderingFramework, PruneConfig};
+    use ofw_parallel::ThreadPool;
     use ofw_query::extract::ExtractOptions;
     use ofw_query::QueryBuilder;
     use ofw_simmen::SimmenFramework;
+    use ofw_workload::{large_query, LargeQueryConfig, Topology};
 
     fn persons_jobs() -> (Catalog, Query) {
         let mut c = Catalog::new();
@@ -2675,18 +2576,108 @@ mod tests {
         let q = qb.build();
         // Chain of 5: connected subsets of size s are the 6-s intervals,
         // each with 2(s-1) ordered partitions; one batch per size.
-        let mut schedule = DpSizeSchedule::new(&q);
-        for size in 2..=5usize {
-            let layer = schedule.next_batch().expect("one batch per size");
+        let schedule = dphyp::schedule(&JoinGraph::new(&q), ENUMERATION_BUDGET).unwrap();
+        assert_eq!(schedule.batches.len(), 4, "one batch per size");
+        for (layer, size) in schedule.batches.iter().zip(2..=5usize) {
             assert_eq!(layer.len(), 6 - size, "intervals of length {size}");
-            for work in &layer {
+            for work in layer {
                 assert_eq!(work.union.len(), size);
-                assert_eq!(work.num_pairs(), 2 * (size - 1));
+                assert_eq!(work.pairs.len(), 2 * (size - 1));
             }
         }
-        assert!(schedule.next_batch().is_none());
         // Σ over sizes of (#intervals × 2(size−1)) ordered partitions.
-        assert_eq!(schedule.pairs_emitted(), 8 + 12 + 12 + 8);
-        assert!(schedule.pairs_considered() >= schedule.pairs_emitted());
+        assert_eq!(schedule.emitted, 8 + 12 + 12 + 8);
+    }
+
+    /// A lean-extracted `large_query`, prepared for the DFSM arm.
+    fn large(
+        topology: Topology,
+        num_relations: usize,
+    ) -> (Catalog, Query, ExtractedQuery, OrderingFramework) {
+        let (c, q) = large_query(&LargeQueryConfig {
+            topology,
+            num_relations,
+            seed: num_relations as u64,
+        });
+        let ex = ofw_query::extract(&c, &q, &ExtractOptions::lean());
+        let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
+        (c, q, ex, fw)
+    }
+
+    /// The 100-relation clique: exhaustive enumeration is out of the
+    /// question, so the budget must trip and the linearized window DP
+    /// plan the query — end to end, through both drivers, with
+    /// identical output. The lowered budget keeps the debug-mode trip
+    /// cheap (the clique exceeds the real one by orders of magnitude
+    /// either way; `examples/large_join` trips that in release mode) and
+    /// bounds the budget-adaptive window the same way.
+    #[test]
+    fn hundred_relation_clique_falls_back_and_plans() {
+        let (c, q, ex, fw) = large(Topology::Clique, 100);
+        let budgeted = || {
+            let mut pg = PlanGen::new(&c, &q, &ex, &fw);
+            pg.budget = 25_000;
+            pg
+        };
+        let serial = budgeted().run();
+        assert!(serial.stats.fallback, "the budget must trip");
+        assert_eq!(
+            serial.arena.node(serial.best).mask,
+            q.all_relations_set(),
+            "the winner covers all 100 relations"
+        );
+        assert!(serial.cost.is_finite() && serial.cost > 0.0);
+        assert!(
+            serial.stats.pairs_emitted < 100_000,
+            "fallback pair counts stay linear-ish, got {}",
+            serial.stats.pairs_emitted
+        );
+
+        let parallel = budgeted().run_with(&ThreadPool::new(2));
+        assert_eq!(parallel.best, serial.best);
+        assert_eq!(parallel.cost.to_bits(), serial.cost.to_bits());
+        assert_eq!(parallel.stats.plans, serial.stats.plans);
+        assert_eq!(parallel.stats.pairs_emitted, serial.stats.pairs_emitted);
+        assert!(parallel.stats.fallback);
+    }
+
+    /// On a graph both paths can plan, the fallback's plan space is a
+    /// subset of the exact one — and so is the bound provider's, whose
+    /// `B` is admissible for exactly that reason.
+    #[test]
+    fn fallback_and_bound_never_beat_the_exact_optimum() {
+        let (c, q, ex, fw) = large(Topology::Clique, 8);
+        let exact = PlanGen::new(&c, &q, &ex, &fw).run();
+        assert!(!exact.stats.fallback);
+
+        let mut forced = PlanGen::new(&c, &q, &ex, &fw);
+        forced.budget = 100;
+        let fallback = forced.run();
+        assert!(fallback.stats.fallback);
+        assert_eq!(
+            fallback.arena.node(fallback.best).mask,
+            q.all_relations_set()
+        );
+        assert!(fallback.cost >= exact.cost);
+
+        let mut provider = PlanGen::new(&c, &q, &ex, &fw).cost_bounding(false);
+        provider.window = Some(2);
+        assert!(provider.run().cost >= exact.cost);
+    }
+
+    /// A hub with 129 neighbors: no `u128` counter can walk that csg
+    /// frontier, which is a budget trip like any other — not a panic.
+    /// (The frontier trips before the budget's value matters; the small
+    /// one keeps the fallback's widening loop cheap in debug mode. At
+    /// exactly this width nothing beats the greedy plan, and without
+    /// [`BOUND_SLACK`] every complete plan lost to the bound by ulps.)
+    #[test]
+    fn star_hub_wider_than_the_frontier_counter_falls_back() {
+        let (c, q, ex, fw) = large(Topology::Star, 130);
+        let mut pg = PlanGen::new(&c, &q, &ex, &fw);
+        pg.budget = 25_000;
+        let r = pg.run();
+        assert!(r.stats.fallback);
+        assert_eq!(r.arena.node(r.best).mask, q.all_relations_set());
     }
 }

@@ -64,7 +64,7 @@ pub mod explain;
 pub mod oracle;
 pub mod plan;
 
-pub use dp::{Enumerator, PlanGen, PlanGenResult, PlanGenStats, DEFAULT_ENUMERATION_BUDGET};
+pub use dp::{PlanGen, PlanGenResult, PlanGenStats};
 pub use exec::{execute, synthetic_data, try_execute, ExecError, MissingAttr, Table};
 pub use explain::{Explain, ExplainNode};
 pub use oracle::{ExplicitKey, ExplicitOracle, ExplicitStateId, OrderOracle, PrepCounters};

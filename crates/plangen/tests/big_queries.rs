@@ -51,54 +51,3 @@ fn seventy_relation_chain_plans_through_both_drivers() {
     // asymmetry is the paper's point; `tests/golden_counters.rs` pins it
     // at a size the baseline can still handle, a 10-relation chain.)
 }
-
-/// The 100-relation clique: exhaustive enumeration is out of the
-/// question (Θ(3ⁿ) candidate pairs), so `Enumerator::Auto` must trip
-/// its csg-cmp budget and fall back to the linearized window DP —
-/// end to end, through both drivers, with identical output.
-#[test]
-fn hundred_relation_clique_falls_back_and_plans() {
-    let (catalog, query) = large_query(&LargeQueryConfig {
-        topology: Topology::Clique,
-        num_relations: 100,
-        seed: 100,
-    });
-    let ex = ofw_query::extract(&catalog, &query, &ExtractOptions::lean());
-    let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
-
-    // An explicit (smaller) budget keeps the debug-mode budget trip
-    // cheap; the clique exceeds the default budget by orders of
-    // magnitude either way (`examples/large_join` trips the default one
-    // in release mode). No window is pinned, so this also exercises the
-    // budget-adaptive width: the fallback may widen past the default
-    // only while its pair count fits the same budget.
-    let budget = 25_000;
-    let serial = PlanGen::new(&catalog, &query, &ex, &fw)
-        .enumerator(ofw_plangen::Enumerator::Auto)
-        .enumeration_budget(budget)
-        .run();
-    assert!(serial.stats.fallback, "the budget must trip");
-    assert_eq!(serial.stats.enumerator, "linearized");
-    assert_eq!(
-        serial.arena.node(serial.best).mask,
-        query.all_relations_set(),
-        "the winner covers all 100 relations"
-    );
-    assert!(serial.cost.is_finite() && serial.cost > 0.0);
-    assert!(
-        serial.stats.pairs_emitted < 100_000,
-        "fallback pair counts stay linear-ish, got {}",
-        serial.stats.pairs_emitted
-    );
-
-    let pool = ThreadPool::new(2);
-    let parallel = PlanGen::new(&catalog, &query, &ex, &fw)
-        .enumerator(ofw_plangen::Enumerator::Auto)
-        .enumeration_budget(budget)
-        .run_with(&pool);
-    assert_eq!(parallel.best, serial.best);
-    assert_eq!(parallel.cost.to_bits(), serial.cost.to_bits());
-    assert_eq!(parallel.stats.plans, serial.stats.plans);
-    assert_eq!(parallel.stats.pairs_emitted, serial.stats.pairs_emitted);
-    assert!(parallel.stats.fallback);
-}

@@ -8,7 +8,7 @@
 
 use ofw_catalog::Catalog;
 use ofw_core::{OrderingFramework, PruneConfig};
-use ofw_plangen::{ExplicitOracle, PlanGen, PlanGenStats};
+use ofw_plangen::{ExplicitOracle, PlanGen};
 use ofw_query::extract::ExtractOptions;
 use ofw_query::QueryBuilder;
 
@@ -83,19 +83,4 @@ fn explain_json_has_the_expected_shape() {
         json.matches('}').count(),
         "unbalanced JSON: {json}"
     );
-}
-
-/// `PlanGenStats::default()` must not claim an enumerator ran: stats
-/// that never went through a DP run carry the empty string, and only
-/// `run`/`run_with` fill in `dpsize`/`dphyp`/`linearized`.
-#[test]
-fn default_stats_claim_no_enumerator() {
-    let stats = PlanGenStats::default();
-    assert_eq!(stats.enumerator, "");
-
-    let (c, q) = persons_jobs();
-    let ex = ofw_query::extract(&c, &q, &ExtractOptions::default());
-    let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
-    let r = PlanGen::new(&c, &q, &ex, &fw).run();
-    assert_eq!(r.stats.enumerator, "dpsize");
 }

@@ -1,95 +1,54 @@
-//! Large joins through the enumerator seam: exhaustive where possible,
-//! budgeted fallback where not.
-//!
-//! Two walkthroughs over the `workload::large` generators:
+//! Large joins through the one planning path: exhaustive where the
+//! graph allows it, the budgeted fallback where not — same builder,
+//! nothing to choose.
 //!
 //! 1. a **50-relation cycle** — wide, but sparse: only O(n²) connected
-//!    subsets exist, so both exhaustive enumerators finish. DPsize's
-//!    candidate loop *considers* two orders of magnitude more pairs
-//!    than it emits; DPhyp walks the join-graph neighborhoods and
-//!    considers only what it emits — while producing the bit-identical
-//!    plan table and winner.
+//!    subsets exist, so csg-cmp enumeration over the join-graph
+//!    neighborhoods stays far inside the enumeration budget and the
+//!    query is planned exactly.
 //! 2. a **50-relation clique** — dense: the csg-cmp pair count is
-//!    astronomically past the enumeration budget, so `Enumerator::Auto`
-//!    falls back to greedy linearization + a sliding local-DP window
-//!    and still plans the query end to end.
+//!    astronomically past the budget, so the planner falls back to
+//!    greedy linearization + a sliding local-DP window
+//!    (`stats.fallback`) and still plans the query end to end.
 //!
 //! Run with: `cargo run --release --example large_join`
 
 use ofw::core::{OrderingFramework, PruneConfig};
-use ofw::plangen::{Enumerator, PlanGen};
+use ofw::plangen::PlanGen;
 use ofw::query::extract::ExtractOptions;
 use ofw::workload::{large_query, LargeQueryConfig, Topology};
 use std::time::Instant;
 
 fn main() {
-    // ── 1. The 50-relation cycle: two exhaustive enumerators, one
-    //       answer ─────────────────────────────────────────────────
-    let (catalog, query) = large_query(&LargeQueryConfig {
-        topology: Topology::Cycle,
-        num_relations: 50,
-        seed: 50,
-    });
-    // Lean extraction (no per-join interesting orders) keeps Pareto
-    // sets narrow enough for a 50-wide sweep.
-    let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::lean());
-    let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
+    for topology in [Topology::Cycle, Topology::Clique] {
+        let (catalog, query) = large_query(&LargeQueryConfig {
+            topology,
+            num_relations: 50,
+            seed: 50,
+        });
+        // Lean extraction (no per-join interesting orders) keeps Pareto
+        // sets narrow enough for a 50-wide sweep.
+        let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::lean());
+        let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
 
-    println!("cycle-50, DFSM arm:");
-    let mut reference = None;
-    for e in [Enumerator::DpSize, Enumerator::DpHyp] {
         let t0 = Instant::now();
-        let r = PlanGen::new(&catalog, &query, &ex, &fw).enumerator(e).run();
+        let r = PlanGen::new(&catalog, &query, &ex, &fw).run();
         println!(
-            "  {:>6}: {:>8.1}ms  plans={}  pairs={}  considered={}  cost={:.3e}",
-            e.name(),
+            "{topology:?}-50, DFSM arm: fallback={}  {:.1}ms  plans={}  pairs={}  unions={}  cost={:.3e}",
+            r.stats.fallback,
             t0.elapsed().as_secs_f64() * 1e3,
             r.stats.plans,
             r.stats.pairs_emitted,
-            r.stats.pairs_considered,
+            r.stats.unions,
             r.cost,
         );
-        match reference {
-            None => reference = Some(r),
-            Some(ref dpsize) => {
-                // Not just the same optimum — the same plan table,
-                // byte for byte.
-                assert_eq!(r.cost.to_bits(), dpsize.cost.to_bits());
-                assert_eq!(r.best, dpsize.best);
-                assert_eq!(r.stats.plans, dpsize.stats.plans);
-                assert_eq!(r.stats.pairs_emitted, dpsize.stats.pairs_emitted);
-                println!(
-                    "  -> identical plans; DPhyp skipped {} rejected candidates",
-                    dpsize.stats.pairs_considered - r.stats.pairs_considered
-                );
+        assert_eq!(r.arena.node(r.best).mask, query.all_relations_set());
+        match topology {
+            Topology::Cycle => {
+                assert!(!r.stats.fallback, "a 50-cycle fits the budget");
+                assert_eq!((r.stats.pairs_emitted, r.stats.plans), (120_050, 43_477));
             }
+            _ => assert!(r.stats.fallback, "a 50-clique must exceed the budget"),
         }
     }
-
-    // ── 2. The 50-relation clique: budget trip + linearized fallback ─
-    let (catalog, query) = large_query(&LargeQueryConfig {
-        topology: Topology::Clique,
-        num_relations: 50,
-        seed: 50,
-    });
-    let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::lean());
-    let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
-
-    println!("\nclique-50, DFSM arm, Enumerator::Auto:");
-    let t0 = Instant::now();
-    let r = PlanGen::new(&catalog, &query, &ex, &fw)
-        .enumerator(Enumerator::Auto)
-        .run();
-    assert!(r.stats.fallback, "a 50-clique must exceed the budget");
-    assert_eq!(r.arena.node(r.best).mask, query.all_relations_set());
-    println!(
-        "  resolved={}  {:.1}ms  plans={}  pairs={}  unions={}  cost={:.3e}",
-        r.stats.enumerator,
-        t0.elapsed().as_secs_f64() * 1e3,
-        r.stats.plans,
-        r.stats.pairs_emitted,
-        r.stats.unions,
-        r.cost,
-    );
-    println!("  -> planned end to end where exhaustive enumeration cannot run");
 }
