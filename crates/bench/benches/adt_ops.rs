@@ -5,8 +5,7 @@
 //! cache warm, it pays hash lookups instead of array indexing).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ofw_core::{OrderingFramework, PruneConfig};
-use ofw_plangen::OrderOracle;
+use ofw_core::{OrderOracle, OrderingFramework, PruneConfig};
 use ofw_query::extract::ExtractOptions;
 use ofw_simmen::SimmenFramework;
 use ofw_workload::q8_query;
@@ -28,11 +27,7 @@ fn bench_oracle<O: OrderOracle>(
     let keys: Vec<O::Key> = spec
         .produced()
         .iter()
-        .filter_map(|p| match p {
-            ofw_core::LogicalProperty::Ordering(o) => fw.resolve(o),
-            ofw_core::LogicalProperty::Grouping(g) => fw.resolve_grouping(g),
-            ofw_core::LogicalProperty::HeadTail(h) => fw.resolve_head_tail(h),
-        })
+        .filter_map(|p| fw.resolve(p))
         .collect();
     let producible: Vec<O::Key> = keys
         .iter()

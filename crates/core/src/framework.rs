@@ -3,21 +3,21 @@
 //!
 //! [`OrderingFramework::prepare`] runs the whole preparation phase of
 //! Fig. 3 once per query; afterwards the ADT `LogicalOrderings` is the
-//! 4-byte [`State`], and all plan-generation operations are single array
-//! or bit lookups:
+//! 4-byte [`State`], and every [`OrderOracle`] operation is a single
+//! array or bit lookup:
 //!
-//! | paper operation              | here                    | cost |
-//! |------------------------------|-------------------------|------|
-//! | constructor (scan/sort)      | [`OrderingFramework::produce`] | O(1) |
-//! | constructor (hash grouping)  | [`OrderingFramework::produce_grouping`] | O(1) |
-//! | `contains(o)`                | [`OrderingFramework::satisfies`] | O(1) |
-//! | `contains(g)` (grouping)     | [`OrderingFramework::satisfies_grouping`] | O(1) |
-//! | `inferNewLogicalOrderings(F)`| [`OrderingFramework::infer`] | O(1) |
+//! | paper operation                    | here                          | cost |
+//! |------------------------------------|-------------------------------|------|
+//! | handle of an interesting property  | [`OrderOracle::resolve`]      | one hash lookup (cold path) |
+//! | constructor (scan/sort/hash group) | [`OrderOracle::produce`]      | O(1) |
+//! | `contains(p)`                      | [`OrderOracle::satisfies`]    | O(1) |
+//! | `inferNewLogicalOrderings(F)`      | [`OrderOracle::infer`]        | O(1) |
 //!
-//! Orderings and groupings share one handle space ([`OrderHandle`]) and
-//! one state space: a [`State`] annotates a plan node with *everything*
-//! the stream satisfies — the orderings it is sorted by and the
-//! groupings it is grouped by — still in four bytes.
+//! Orderings, groupings and head/tail pairs share one handle space
+//! ([`OrderHandle`]) and one state space: a [`State`] annotates a plan
+//! node with *everything* the stream satisfies — the orderings it is
+//! sorted by, the groupings it is grouped by, the pairs it is sorted by
+//! within groups — still in four bytes.
 //!
 //! # Preparation
 //!
@@ -37,6 +37,7 @@ use crate::eqclass::EqClasses;
 use crate::fd::FdSetId;
 use crate::intern::{canonicalize, AttrCanonMap, CacheKey, PreparedCache};
 use crate::nfsm::{BuildError, Nfsm};
+use crate::oracle::OrderOracle;
 use crate::ordering::Ordering;
 use crate::property::{Grouping, HeadTail, LogicalProperty};
 use crate::prune::{prune_fds, prune_nfsm, PruneConfig};
@@ -136,15 +137,14 @@ pub(crate) struct Prepared {
 /// The prepared order-and-grouping framework for one query.
 ///
 /// Besides the ICDE'04 ordering operations, the framework answers
-/// grouping questions at the same O(1) cost on the same DFSM path:
-/// [`handle_grouping`](Self::handle_grouping) resolves an interesting
-/// grouping once (cold path), then
-/// [`satisfies_grouping`](Self::satisfies_grouping) is a single bit
-/// probe and [`produce_grouping`](Self::produce_grouping) a single row
-/// lookup, exactly like their ordering counterparts. An ordering on
-/// `(a,b)` satisfies the groupings `{a}` and `{a,b}`; FDs and
-/// equivalences apply to attribute *sets* (insertion and removal of
-/// determined attributes, constants, equation substitution).
+/// grouping and head/tail questions at the same O(1) cost on the same
+/// DFSM path: every interesting property is a contains-matrix column, so
+/// [`OrderOracle::satisfies`] is a single bit probe and
+/// [`OrderOracle::produce`] a single row lookup whatever the property's
+/// kind. An ordering on `(a,b)` satisfies the groupings `{a}` and
+/// `{a,b}`; FDs and equivalences apply to attribute *sets* (insertion
+/// and removal of determined attributes, constants, equation
+/// substitution).
 pub struct OrderingFramework {
     prepared: Arc<Prepared>,
     /// Interesting property (orderings prefix-closed, groupings as-is)
@@ -295,115 +295,6 @@ impl OrderingFramework {
         }
     }
 
-    /// Handle of an interesting order (or of a prefix of one — `Q_I` is
-    /// prefix-closed). `None` if the ordering was never interesting,
-    /// meaning no operator may ask about it.
-    pub fn handle(&self, o: &Ordering) -> Option<OrderHandle> {
-        self.handles
-            .get(&LogicalProperty::Ordering(o.clone()))
-            .copied()
-    }
-
-    /// Handle of an interesting grouping. `None` if the grouping was
-    /// never declared interesting.
-    pub fn handle_grouping(&self, g: &Grouping) -> Option<OrderHandle> {
-        self.handles
-            .get(&LogicalProperty::Grouping(g.clone()))
-            .copied()
-    }
-
-    /// Handle of an interesting head/tail pair. `None` if the pair was
-    /// never declared interesting.
-    pub fn handle_head_tail(&self, h: &HeadTail) -> Option<OrderHandle> {
-        self.handles
-            .get(&LogicalProperty::HeadTail(h.clone()))
-            .copied()
-    }
-
-    /// Handle of an interesting property of either kind.
-    pub fn handle_property(&self, p: &LogicalProperty) -> Option<OrderHandle> {
-        self.handles.get(p).copied()
-    }
-
-    /// ADT constructor for an operator that *physically produces* an
-    /// ordering (sort, ordered index scan): the `*`-row lookup of
-    /// Fig. 10. Panics if `h` is not a produced interesting property —
-    /// plan generators must only sort on members of `O_P`.
-    #[inline]
-    pub fn produce(&self, h: OrderHandle) -> State {
-        self.start_of
-            .get(&h)
-            .copied()
-            .unwrap_or_else(|| panic!("{h:?} is not a produced interesting property"))
-    }
-
-    /// ADT constructor for an operator that *physically groups* its
-    /// output (hash aggregation, hash-based partitioning): same `*`-row
-    /// lookup as [`produce`](Self::produce), O(1). Panics if `h` is not
-    /// a produced interesting grouping.
-    #[inline]
-    pub fn produce_grouping(&self, h: OrderHandle) -> State {
-        self.produce(h)
-    }
-
-    /// Whether `h` may be produced (is in `O_P`).
-    pub fn is_producible(&self, h: OrderHandle) -> bool {
-        self.start_of.contains_key(&h)
-    }
-
-    /// ADT constructor for an unordered tuple stream (heap scan).
-    #[inline]
-    pub fn produce_empty(&self) -> State {
-        State(self.prepared.dfsm.empty_state)
-    }
-
-    /// `inferNewLogicalOrderings`: applies an operator's FD set — one
-    /// transition-table lookup.
-    #[inline]
-    pub fn infer(&self, s: State, f: FdSetId) -> State {
-        State(self.prepared.dfsm.step(s.0, f.index()))
-    }
-
-    /// `contains`: does a stream in state `s` satisfy the interesting
-    /// order `h`? One bit probe.
-    #[inline]
-    pub fn satisfies(&self, s: State, h: OrderHandle) -> bool {
-        self.prepared.dfsm.contains.get(s.0 as usize, h.0 as usize)
-    }
-
-    /// `contains` for groupings: does a stream in state `s` satisfy the
-    /// interesting grouping `h`? Same single bit probe as
-    /// [`satisfies`](Self::satisfies) — groupings live in the same
-    /// contains matrix, so the grouping test is O(1) on the DFSM path.
-    #[inline]
-    pub fn satisfies_grouping(&self, s: State, h: OrderHandle) -> bool {
-        self.satisfies(s, h)
-    }
-
-    /// `contains` for head/tail pairs: is a stream in state `s` grouped
-    /// by the pair's head *and* sorted by its tail within each group?
-    /// Same single bit probe on the same 4-byte state — pair properties
-    /// are contains-matrix columns like everything else, which is what
-    /// keeps the partial-sort admission test O(1) in the plan generator.
-    #[inline]
-    pub fn satisfies_head_tail(&self, s: State, h: OrderHandle) -> bool {
-        self.satisfies(s, h)
-    }
-
-    /// Plan-domination: `a`'s underlying NFSM node set is a superset of
-    /// `b`'s, so `a` satisfies at least every interesting order `b` does
-    /// — now and after any further FD application (transitions are
-    /// monotone in the node set). One precomputed bit probe (an on-demand
-    /// subset comparison past the dominance-matrix size limit — the same
-    /// relation either way). Because DFSM states carry only
-    /// query-relevant information, this prunes more plans than Simmen's
-    /// ordering+FD-set comparability — the paper's explanation for the
-    /// lower `#Plans` in §7.
-    #[inline]
-    pub fn dominates(&self, a: State, b: State) -> bool {
-        a == b || self.prepared.dfsm.state_dominates(a.0, b.0)
-    }
-
     /// All interesting *orderings* (prefix-closed) with their handles.
     pub fn orders(&self) -> impl Iterator<Item = (&Ordering, OrderHandle)> {
         self.handles
@@ -446,12 +337,83 @@ impl OrderingFramework {
     pub fn dfsm(&self) -> &Dfsm {
         &self.prepared.dfsm
     }
+}
 
-    /// Bytes of order-annotation storage a plan with `num_plan_nodes`
-    /// nodes needs under this framework: 4 bytes per node plus the
-    /// shared precomputed tables.
-    pub fn memory_bytes(&self, num_plan_nodes: usize) -> usize {
-        num_plan_nodes * std::mem::size_of::<State>() + self.prepared.dfsm.precomputed_bytes()
+impl OrderOracle for OrderingFramework {
+    type State = State;
+    type Key = OrderHandle;
+
+    /// Handle of an interesting property of any kind (orderings
+    /// prefix-closed — `Q_I` is). `None` if the property was never
+    /// interesting, meaning no operator may ask about it.
+    fn resolve(&self, p: &LogicalProperty) -> Option<OrderHandle> {
+        self.handles.get(p).copied()
+    }
+
+    /// Whether `h` may be produced (is in `O_P`).
+    fn is_producible(&self, h: OrderHandle) -> bool {
+        self.start_of.contains_key(&h)
+    }
+
+    /// ADT constructor for an unordered tuple stream (heap scan).
+    #[inline]
+    fn produce_empty(&self) -> State {
+        State(self.prepared.dfsm.empty_state)
+    }
+
+    /// ADT constructor for an operator that *physically produces* a
+    /// property — sorts or ordered index scans an ordering, hash
+    /// aggregation or hash grouping a grouping: the `*`-row lookup of
+    /// Fig. 10. Panics if `h` is not a produced interesting property —
+    /// plan generators must only produce members of `O_P`.
+    #[inline]
+    fn produce(&self, h: OrderHandle) -> State {
+        self.start_of
+            .get(&h)
+            .copied()
+            .unwrap_or_else(|| panic!("{h:?} is not a produced interesting property"))
+    }
+
+    /// `inferNewLogicalOrderings`: applies an operator's FD set — one
+    /// transition-table lookup.
+    #[inline]
+    fn infer(&self, s: State, f: FdSetId) -> State {
+        State(self.prepared.dfsm.step(s.0, f.index()))
+    }
+
+    /// `contains`: does a stream in state `s` satisfy the interesting
+    /// property `h`? One bit probe for every kind — orderings, groupings
+    /// and head/tail pairs are all columns of the contains matrix, which
+    /// is what keeps the grouping and partial-sort admission tests O(1)
+    /// in the plan generator.
+    #[inline]
+    fn satisfies(&self, s: State, h: OrderHandle) -> bool {
+        self.prepared.dfsm.contains.get(s.0 as usize, h.0 as usize)
+    }
+
+    /// Plan-domination: `a`'s underlying NFSM node set is a superset of
+    /// `b`'s, so `a` satisfies at least every interesting order `b` does
+    /// — now and after any further FD application (transitions are
+    /// monotone in the node set). One precomputed bit probe (an on-demand
+    /// subset comparison past the dominance-matrix size limit — the same
+    /// relation either way). Because DFSM states carry only
+    /// query-relevant information, this prunes more plans than Simmen's
+    /// ordering+FD-set comparability — the paper's explanation for the
+    /// lower `#Plans` in §7.
+    #[inline]
+    fn dominates(&self, a: State, b: State) -> bool {
+        a == b || self.prepared.dfsm.state_dominates(a.0, b.0)
+    }
+
+    /// Bytes of order-annotation storage a plan with `plan_nodes` nodes
+    /// needs under this framework: 4 bytes per node plus the shared
+    /// precomputed tables.
+    fn memory_bytes(&self, plan_nodes: usize) -> usize {
+        plan_nodes * std::mem::size_of::<State>() + self.prepared.dfsm.precomputed_bytes()
+    }
+
+    fn name(&self) -> &'static str {
+        "nfsm/dfsm (ours)"
     }
 }
 
@@ -487,10 +449,10 @@ mod tests {
         // to 3, which also satisfies (a,b,c)".
         let (spec, f_bc, _) = running_example();
         let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-        let h_a = fw.handle(&o(&[A])).unwrap();
-        let h_ab = fw.handle(&o(&[A, B])).unwrap();
-        let h_abc = fw.handle(&o(&[A, B, C])).unwrap();
-        let h_b = fw.handle(&o(&[B])).unwrap();
+        let h_a = fw.resolve(&o(&[A]).into()).unwrap();
+        let h_ab = fw.resolve(&o(&[A, B]).into()).unwrap();
+        let h_abc = fw.resolve(&o(&[A, B, C]).into()).unwrap();
+        let h_b = fw.resolve(&o(&[B]).into()).unwrap();
 
         let s = fw.produce(h_ab);
         assert!(fw.satisfies(s, h_a));
@@ -509,7 +471,7 @@ mod tests {
     fn pruned_fd_set_is_identity() {
         let (spec, _, f_bd) = running_example();
         let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-        let s = fw.produce(fw.handle(&o(&[A, B])).unwrap());
+        let s = fw.produce(fw.resolve(&o(&[A, B]).into()).unwrap());
         assert_eq!(fw.infer(s, f_bd), s);
         assert_eq!(fw.stats().pruned_fds, 1);
     }
@@ -518,19 +480,19 @@ mod tests {
     fn tested_only_orders_are_not_producible() {
         let (spec, _, _) = running_example();
         let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-        let h_abc = fw.handle(&o(&[A, B, C])).unwrap();
+        let h_abc = fw.resolve(&o(&[A, B, C]).into()).unwrap();
         assert!(!fw.is_producible(h_abc));
-        assert!(fw.is_producible(fw.handle(&o(&[B])).unwrap()));
+        assert!(fw.is_producible(fw.resolve(&o(&[B]).into()).unwrap()));
         // (a) is interesting (prefix) but not producible either.
-        assert!(!fw.is_producible(fw.handle(&o(&[A])).unwrap()));
+        assert!(!fw.is_producible(fw.resolve(&o(&[A]).into()).unwrap()));
     }
 
     #[test]
     fn domination_is_contains_superset() {
         let (spec, f_bc, _) = running_example();
         let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-        let s_ab = fw.produce(fw.handle(&o(&[A, B])).unwrap());
-        let s_b = fw.produce(fw.handle(&o(&[B])).unwrap());
+        let s_ab = fw.produce(fw.resolve(&o(&[A, B]).into()).unwrap());
+        let s_b = fw.produce(fw.resolve(&o(&[B]).into()).unwrap());
         let s_abc = fw.infer(s_ab, f_bc);
         assert!(fw.dominates(s_abc, s_ab));
         assert!(!fw.dominates(s_ab, s_abc));
@@ -557,25 +519,25 @@ mod tests {
         let f_bc = spec.add_fd_set(vec![Fd::functional(&[B], C)]);
         let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
 
-        let h_ab = fw.handle(&o(&[A, B])).unwrap();
-        let hg_ab = fw.handle_grouping(&Grouping::new(vec![A, B])).unwrap();
-        let hg_abc = fw.handle_grouping(&Grouping::new(vec![A, B, C])).unwrap();
+        let h_ab = fw.resolve(&o(&[A, B]).into()).unwrap();
+        let hg_ab = fw.resolve(&Grouping::new(vec![A, B]).into()).unwrap();
+        let hg_abc = fw.resolve(&Grouping::new(vec![A, B, C]).into()).unwrap();
 
         // A sorted stream is grouped (by every prefix set)...
         let s = fw.produce(h_ab);
         assert!(fw.satisfies(s, h_ab));
-        assert!(fw.satisfies_grouping(s, hg_ab));
-        assert!(!fw.satisfies_grouping(s, hg_abc));
+        assert!(fw.satisfies(s, hg_ab));
+        assert!(!fw.satisfies(s, hg_abc));
         // ...and FDs extend groupings by set insertion.
         let s2 = fw.infer(s, f_bc);
-        assert!(fw.satisfies_grouping(s2, hg_abc));
+        assert!(fw.satisfies(s2, hg_abc));
         assert!(fw.satisfies(s2, h_ab), "ordering survives");
 
         // A hash-grouped stream satisfies its grouping but no ordering.
-        let sg = fw.produce_grouping(hg_ab);
-        assert!(fw.satisfies_grouping(sg, hg_ab));
+        let sg = fw.produce(hg_ab);
+        assert!(fw.satisfies(sg, hg_ab));
         assert!(!fw.satisfies(sg, h_ab));
-        assert!(fw.satisfies_grouping(fw.infer(sg, f_bc), hg_abc));
+        assert!(fw.satisfies(fw.infer(sg, f_bc), hg_abc));
         // The sorted state dominates the merely-grouped one, never the
         // other way around.
         assert!(fw.dominates(s, sg));
@@ -601,22 +563,22 @@ mod tests {
         let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
 
         let pair = HeadTail::new(Grouping::new(vec![A]), Ordering::new(vec![B]));
-        let h_pair = fw.handle_head_tail(&pair).expect("interesting pair");
+        let h_pair = fw.resolve(&pair.into()).expect("interesting pair");
         assert!(!fw.is_producible(h_pair), "pairs are tested-only here");
 
         // A stream sorted by (a,b) satisfies the pair (decomposition).
-        let s_sorted = fw.produce(fw.handle(&o(&[A, B])).unwrap());
-        assert!(fw.satisfies_head_tail(s_sorted, h_pair));
+        let s_sorted = fw.produce(fw.resolve(&o(&[A, B]).into()).unwrap());
+        assert!(fw.satisfies(s_sorted, h_pair));
         // A stream merely grouped by {a} does not…
-        let hg_a = fw.handle_grouping(&Grouping::new(vec![A])).unwrap();
-        let s_grouped = fw.produce_grouping(hg_a);
-        assert!(!fw.satisfies_head_tail(s_grouped, h_pair));
+        let hg_a = fw.resolve(&Grouping::new(vec![A]).into()).unwrap();
+        let s_grouped = fw.produce(hg_a);
+        assert!(!fw.satisfies(s_grouped, h_pair));
         // …until a→b holds: b is constant inside every a-group, so the
         // grouped stream is trivially sorted by (b) within groups.
         let s2 = fw.infer(s_grouped, f_ab);
-        assert!(fw.satisfies_head_tail(s2, h_pair));
+        assert!(fw.satisfies(s2, h_pair));
         assert!(
-            !fw.satisfies(s2, fw.handle(&o(&[A, B])).unwrap()),
+            !fw.satisfies(s2, fw.resolve(&o(&[A, B]).into()).unwrap()),
             "the pair is weaker than the full ordering"
         );
         // Sorted dominates pair-satisfying-grouped, not vice versa.
@@ -634,20 +596,20 @@ mod tests {
         spec.add_produced(o(&[B, A]));
         spec.add_tested(Grouping::new(vec![A, B]));
         let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-        let s = fw.produce(fw.handle(&o(&[B, A])).unwrap());
-        let hg = fw.handle_grouping(&Grouping::new(vec![A, B])).unwrap();
-        assert!(fw.satisfies_grouping(s, hg));
+        let s = fw.produce(fw.resolve(&o(&[B, A]).into()).unwrap());
+        let hg = fw.resolve(&Grouping::new(vec![A, B]).into()).unwrap();
+        assert!(fw.satisfies(s, hg));
         // But {a} alone is NOT implied — only prefix sets are groupings,
         // and (b,a)'s prefix sets are {b} and {a,b}.
-        assert!(fw.handle_grouping(&Grouping::new(vec![A])).is_none());
+        assert!(fw.resolve(&Grouping::new(vec![A]).into()).is_none());
     }
 
     #[test]
     fn unknown_ordering_has_no_handle() {
         let (spec, _, _) = running_example();
         let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-        assert!(fw.handle(&o(&[C])).is_none());
-        assert!(fw.handle(&o(&[B, A])).is_none());
+        assert!(fw.resolve(&o(&[C]).into()).is_none());
+        assert!(fw.resolve(&o(&[B, A]).into()).is_none());
     }
 
     #[test]

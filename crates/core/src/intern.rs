@@ -220,6 +220,7 @@ impl PreparedCache {
 mod tests {
     use super::*;
     use crate::framework::{OrderingFramework, PrepareOptions};
+    use crate::oracle::OrderOracle;
     use crate::ordering::Ordering;
 
     fn o(ids: &[u32]) -> Ordering {
@@ -251,10 +252,10 @@ mod tests {
                     .unwrap();
             assert!(fw.stats().interned_hit, "shape base={base} must hit");
             // The shared automaton answers in the shifted attr space.
-            let h = fw.handle(&o(&[base, base + 1])).unwrap();
+            let h = fw.resolve(&o(&[base, base + 1]).into()).unwrap();
             let s = fw.produce(h);
-            assert!(fw.satisfies(s, fw.handle(&o(&[base])).unwrap()));
-            assert!(!fw.satisfies(s, fw.handle(&o(&[base + 1])).unwrap()));
+            assert!(fw.satisfies(s, fw.resolve(&o(&[base]).into()).unwrap()));
+            assert!(!fw.satisfies(s, fw.resolve(&o(&[base + 1]).into()).unwrap()));
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.hits(), 3);
@@ -286,14 +287,14 @@ mod tests {
         let plain = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
         let f0 = crate::fd::FdSetId(0);
         for (p, hp) in plain.properties() {
-            let hc = cached.handle_property(p).expect("same handle space");
+            let hc = cached.resolve(p).expect("same handle space");
             if !plain.is_producible(hp) {
                 assert!(!cached.is_producible(hc));
                 continue;
             }
             let (sp, sc) = (plain.produce(hp), cached.produce(hc));
             for (q, hq) in plain.properties() {
-                let hqc = cached.handle_property(q).unwrap();
+                let hqc = cached.resolve(q).unwrap();
                 assert_eq!(plain.satisfies(sp, hq), cached.satisfies(sc, hqc));
                 assert_eq!(
                     plain.satisfies(plain.infer(sp, f0), hq),

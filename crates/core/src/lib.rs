@@ -7,8 +7,7 @@
 //! the questions a plan generator asks millions of times:
 //!
 //! 1. `contains` — does the output of a subplan satisfy a required logical
-//!    ordering ([`OrderingFramework::satisfies`]) or a required logical
-//!    grouping ([`OrderingFramework::satisfies_grouping`])?
+//!    ordering, grouping or head/tail pair ([`OrderOracle::satisfies`])?
 //! 2. `inferNewLogicalOrderings` — how does the set of logical properties
 //!    change when an operator introduces functional dependencies?
 //!
@@ -30,29 +29,30 @@
 //! ```
 //!
 //! The public entry point is [`OrderingFramework::prepare`], which runs the
-//! whole pipeline and exposes the O(1) ADT of §5.6.
+//! whole pipeline and exposes the O(1) ADT of §5.6 through the
+//! [`OrderOracle`] trait defined here.
 //!
 //! ## This crate as an oracle arm
 //!
 //! `OrderingFramework` is one of three interchangeable implementations
-//! of the plan generator's `OrderOracle` interface (the others live in
-//! `ofw-simmen` and `ofw-plangen`). Its arm invariants:
+//! of [`OrderOracle`], the ADT the plan generator programs against (the
+//! others live in `ofw-simmen` and `ofw-plangen`). Its arm invariants:
 //!
 //! * **immutable after preparation** — probes contend on nothing, so
 //!   the parallel DP driver runs it without locks;
 //! * **sequential FD semantics** — `infer` applies an operator's FD set
 //!   exactly once, at the operator (§5.6); enforcers must *replay* the
 //!   FD sets holding below them onto freshly produced states;
-//! * **exact agreement with the ground truth** — every
-//!   `satisfies`/`satisfies_grouping`/`satisfies_head_tail` answer
-//!   matches [`ExplicitOrderings`] after the same operator sequence
+//! * **exact agreement with the ground truth** — every `satisfies`
+//!   answer, on every property kind, matches [`ExplicitOrderings`] after
+//!   the same operator sequence
 //!   (property-tested); derivations all three arms deliberately refuse
 //!   (see `derive`) are refused here too.
 //!
 //! ## Example (the paper's running example, §5)
 //!
 //! ```
-//! use ofw_core::{Fd, InputSpec, Ordering, OrderingFramework, PruneConfig};
+//! use ofw_core::{Fd, InputSpec, OrderOracle, Ordering, OrderingFramework, PruneConfig};
 //! use ofw_catalog::AttrId;
 //!
 //! let [a, b, c, d] = [AttrId(0), AttrId(1), AttrId(2), AttrId(3)];
@@ -64,8 +64,8 @@
 //! let _f_bd = spec.add_fd_set(vec![Fd::functional(&[b], d)]);
 //!
 //! let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-//! let ab = fw.handle(&Ordering::new(vec![a, b])).unwrap();
-//! let abc = fw.handle(&Ordering::new(vec![a, b, c])).unwrap();
+//! let ab = fw.resolve(&Ordering::new(vec![a, b]).into()).unwrap();
+//! let abc = fw.resolve(&Ordering::new(vec![a, b, c]).into()).unwrap();
 //!
 //! // sort by (a,b):
 //! let s = fw.produce(ab);
@@ -79,7 +79,7 @@
 //! ## Groupings (the VLDB'04 extension)
 //!
 //! ```
-//! use ofw_core::{Fd, Grouping, InputSpec, Ordering, OrderingFramework, PruneConfig};
+//! use ofw_core::{Fd, Grouping, InputSpec, OrderOracle, Ordering, OrderingFramework, PruneConfig};
 //! use ofw_catalog::AttrId;
 //!
 //! let [a, b, c] = [AttrId(0), AttrId(1), AttrId(2)];
@@ -90,17 +90,17 @@
 //! let f_bc = spec.add_fd_set(vec![Fd::functional(&[b], c)]);
 //!
 //! let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-//! let g_ab = fw.handle_grouping(&Grouping::new(vec![a, b])).unwrap();
-//! let g_abc = fw.handle_grouping(&Grouping::new(vec![a, b, c])).unwrap();
+//! let g_ab = fw.resolve(&Grouping::new(vec![a, b]).into()).unwrap();
+//! let g_abc = fw.resolve(&Grouping::new(vec![a, b, c]).into()).unwrap();
 //!
 //! // A sorted stream is grouped by every prefix set…
-//! let s = fw.produce(fw.handle(&Ordering::new(vec![a, b])).unwrap());
-//! assert!(fw.satisfies_grouping(s, g_ab));
+//! let s = fw.produce(fw.resolve(&Ordering::new(vec![a, b]).into()).unwrap());
+//! assert!(fw.satisfies(s, g_ab));
 //! // …a hash-grouped stream satisfies its grouping but no ordering…
-//! let s = fw.produce_grouping(g_ab);
-//! assert!(fw.satisfies_grouping(s, g_ab));
+//! let s = fw.produce(g_ab);
+//! assert!(fw.satisfies(s, g_ab));
 //! // …and FDs extend groupings by set insertion, still in O(1).
-//! assert!(fw.satisfies_grouping(fw.infer(s, f_bc), g_abc));
+//! assert!(fw.satisfies(fw.infer(s, f_bc), g_abc));
 //! ```
 //!
 //! ## Head/tail pairs (the property lattice's middle rung)
@@ -113,7 +113,9 @@
 //! *partial* sort, and its probe is the same one-bit `contains` lookup:
 //!
 //! ```
-//! use ofw_core::{Fd, Grouping, HeadTail, InputSpec, Ordering, OrderingFramework, PruneConfig};
+//! use ofw_core::{
+//!     Fd, Grouping, HeadTail, InputSpec, OrderOracle, Ordering, OrderingFramework, PruneConfig,
+//! };
 //! use ofw_catalog::AttrId;
 //!
 //! let [a, b] = [AttrId(0), AttrId(1)];
@@ -125,17 +127,17 @@
 //! let f_ab = spec.add_fd_set(vec![Fd::functional(&[a], b)]);
 //!
 //! let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-//! let h = fw.handle_head_tail(&pair).unwrap();
+//! let h = fw.resolve(&pair.into()).unwrap();
 //!
 //! // A sorted stream satisfies every decomposition of its prefixes…
-//! let sorted = fw.produce(fw.handle(&Ordering::new(vec![a, b])).unwrap());
-//! assert!(fw.satisfies_head_tail(sorted, h));
+//! let sorted = fw.produce(fw.resolve(&Ordering::new(vec![a, b]).into()).unwrap());
+//! assert!(fw.satisfies(sorted, h));
 //! // …a merely grouped stream does not…
-//! let grouped = fw.produce_grouping(fw.handle_grouping(&Grouping::new(vec![a])).unwrap());
-//! assert!(!fw.satisfies_head_tail(grouped, h));
+//! let grouped = fw.produce(fw.resolve(&Grouping::new(vec![a]).into()).unwrap());
+//! assert!(!fw.satisfies(grouped, h));
 //! // …until a→b holds: b is constant inside every a-group, so the
 //! // stream is trivially sorted by (b) within groups — one lookup.
-//! assert!(fw.satisfies_head_tail(fw.infer(grouped, f_ab), h));
+//! assert!(fw.satisfies(fw.infer(grouped, f_ab), h));
 //! ```
 
 pub mod derive;
@@ -147,6 +149,7 @@ pub mod filter;
 pub mod framework;
 pub mod intern;
 pub mod nfsm;
+pub mod oracle;
 pub mod ordering;
 pub mod property;
 pub mod prune;
@@ -161,6 +164,7 @@ pub use framework::{
 };
 pub use intern::PreparedCache;
 pub use nfsm::Nfsm;
+pub use oracle::OrderOracle;
 pub use ordering::Ordering;
 pub use property::{Grouping, HeadTail, LogicalProperty};
 pub use prune::PruneConfig;

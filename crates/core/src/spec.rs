@@ -63,7 +63,7 @@ impl InputSpec {
 
     /// Registers the FD set of one operator and returns its handle — the
     /// value the plan generator later feeds to
-    /// [`OrderingFramework::infer`](crate::OrderingFramework::infer).
+    /// [`OrderOracle::infer`](crate::OrderOracle::infer).
     /// Identical sets share a handle (O(1) hash probe).
     pub fn add_fd_set(&mut self, fds: Vec<Fd>) -> FdSetId {
         let set = FdSet::new(fds);

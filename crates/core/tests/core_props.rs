@@ -11,7 +11,8 @@ use ofw_core::filter::{GroupingFilter, PrefixFilter};
 use ofw_core::ordering::Ordering;
 use ofw_core::property::{Grouping, HeadTail, LogicalProperty};
 use ofw_core::{
-    ExplicitOrderings, FdSet, InputSpec, OrderingFramework, PrepareOptions, PruneConfig,
+    ExplicitOrderings, FdSet, InputSpec, OrderOracle, OrderingFramework, PrepareOptions,
+    PruneConfig,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -266,8 +267,8 @@ fn sparse_attribute_ids_prepare_like_dense_ones() {
     let interesting = |spec: &InputSpec| spec.interesting().cloned().collect::<Vec<_>>();
     let sequence = [0usize, 3, 1, 2, 0, 1];
     for (dp, sp) in dense_spec.produced().iter().zip(sparse_spec.produced()) {
-        let mut ds = dense.produce(dense.handle_property(dp).unwrap());
-        let mut ss = sparse.produce(sparse.handle_property(sp).unwrap());
+        let mut ds = dense.produce(dense.resolve(dp).unwrap());
+        let mut ss = sparse.produce(sparse.resolve(sp).unwrap());
         for &op in &sequence {
             ds = dense.infer(ds, sets[op]);
             ss = sparse.infer(ss, sets[op]);
@@ -275,8 +276,8 @@ fn sparse_attribute_ids_prepare_like_dense_ones() {
                 .iter()
                 .zip(&interesting(&sparse_spec))
             {
-                let dh = dense.handle_property(d).unwrap();
-                let sh = sparse.handle_property(s).unwrap();
+                let dh = dense.resolve(d).unwrap();
+                let sh = sparse.resolve(s).unwrap();
                 assert_eq!(dense.satisfies(ds, dh), sparse.satisfies(ss, sh), "{d:?}");
             }
         }
@@ -414,12 +415,12 @@ proptest! {
         let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
 
         for o in &produced {
-            let h = fw.handle(o).expect("produced orders are interesting");
+            let h = fw.resolve(&o.clone().into()).expect("produced orders are interesting");
             let mut s = fw.produce(h);
             prop_assert!(fw.satisfies(s, h), "produce({:?}) must satisfy it", o);
             // Prefixes are satisfied too.
             for p in o.proper_prefixes() {
-                let hp = fw.handle(&p).expect("prefixes are interesting");
+                let hp = fw.resolve(&p.into()).expect("prefixes are interesting");
                 prop_assert!(fw.satisfies(s, hp));
             }
             // Monotonicity: applying operators never loses orders.
@@ -455,7 +456,7 @@ proptest! {
     /// The combined framework's grouping answers agree with the
     /// explicit-set ground truth: for random specs mixing produced
     /// orderings and produced/tested groupings, every DFSM
-    /// `satisfies`/`satisfies_grouping` probe after every `infer`
+    /// `satisfies` probe after every `infer`
     /// sequence matches the oracle — from sorted *and* from
     /// hash-grouped start states.
     #[test]
@@ -484,7 +485,7 @@ proptest! {
             .produced()
             .iter()
             .map(|p| {
-                let h = fw.handle_property(p).expect("produced properties are interesting");
+                let h = fw.resolve(p).expect("produced properties are interesting");
                 let truth = match p {
                     LogicalProperty::Ordering(o) => ExplicitOrderings::from_physical(o),
                     LogicalProperty::Grouping(g) => ExplicitOrderings::from_grouping(g),
@@ -505,11 +506,7 @@ proptest! {
             // Every interesting property — orderings and groupings —
             // must agree between the O(1) DFSM path and the oracle.
             for (prop, handle) in fw.properties() {
-                let got = match prop {
-                    LogicalProperty::Ordering(_) => fw.satisfies(state, handle),
-                    LogicalProperty::Grouping(_) => fw.satisfies_grouping(state, handle),
-                    LogicalProperty::HeadTail(_) => fw.satisfies_head_tail(state, handle),
-                };
+                let got = fw.satisfies(state, handle);
                 let want = match prop {
                     LogicalProperty::Ordering(o) => truth.contains(o),
                     LogicalProperty::Grouping(g) => truth.contains_grouping(g),
@@ -540,7 +537,7 @@ proptest! {
         // Collect a handful of reachable states.
         let mut states = vec![fw.produce_empty()];
         for o in &produced {
-            let mut s = fw.produce(fw.handle(o).unwrap());
+            let mut s = fw.produce(fw.resolve(&o.clone().into()).unwrap());
             states.push(s);
             for &f in &ids {
                 s = fw.infer(s, f);

@@ -89,14 +89,14 @@ impl EnforcerCounters {
     }
 }
 
-/// Oracle probe counts, by probe family.
+/// Oracle probe counts, by ADT operation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProbeCounters {
-    /// `produce` / `produce_grouping` / `produce_empty` calls.
+    /// `produce` / `produce_empty` calls.
     pub produce: u64,
     /// `infer` calls (one per FD applied to a stream).
     pub infer: u64,
-    /// `satisfies` / `satisfies_grouping` / `satisfies_head_tail` calls.
+    /// `satisfies` calls, on every property kind.
     pub satisfies: u64,
     /// `dominates` calls (one per Pareto comparison that actually
     /// reached the oracle).

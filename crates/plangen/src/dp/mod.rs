@@ -94,10 +94,10 @@ mod dphyp;
 mod linearize;
 
 use crate::cost;
-use crate::oracle::OrderOracle;
 use crate::plan::{
     AggMark, ArenaView, CandidatePlan, PlanArena, PlanId, PlanNode, PlanOp, LOCAL_PLAN_BIT,
 };
+use crate::OrderOracle;
 use ofw_catalog::{AttrId, Catalog};
 use ofw_common::{BitSet, FxHashMap, OrderedExecutor, SerialExecutor, SmallBitSet};
 use ofw_core::fd::FdSetId;
@@ -161,16 +161,6 @@ pub struct PlanGenStats {
     /// Whether exhaustive enumeration exceeded the enumeration budget
     /// and the query was planned by the linearized window DP instead.
     pub fallback: bool,
-    /// NFSM nodes of the oracle's prepared automaton (0 for oracles
-    /// without a preparation automaton). Deterministic per query.
-    pub nfsm_states: usize,
-    /// Reachable DFSM states of the oracle's prepared automaton (0 for
-    /// automaton-less oracles). Deterministic per query: a pure function
-    /// of its property spec.
-    pub dfsm_states: usize,
-    /// Whether the oracle's preparation was served from an interning
-    /// cache (see `ofw_core::PreparedCache`).
-    pub prep_interned_hits: u64,
     /// Per-phase breakdown: base relations, each DP layer, aggregate
     /// finalization, final pick (plus an "enumerate" entry timing the
     /// schedule's construction). Everything but [`PhaseStats::time`] is
@@ -500,7 +490,7 @@ pub struct PlanGen<'a, O: OrderOracle> {
     window: Option<usize>,
     targets: Vec<EnforcerTarget<O::Key>>,
     /// Aggregation context (`Some` iff the query computes aggregates
-    /// over a group-by and extraction ran with placement enabled).
+    /// over a group-by).
     agg: Option<AggInfo<O::Key>>,
     /// Enumerate aggregation placements (eager/eager-count partial
     /// aggregates per subset, group-joins at the root)? Off restricts
@@ -550,20 +540,13 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // enforcer targets themselves.
         let mut targets = Vec::new();
         for p in ex.spec.produced() {
-            let (key, grouping) = match p {
-                LogicalProperty::Ordering(o) => match oracle.resolve(o) {
-                    Some(k) => (k, false),
-                    None => continue,
-                },
-                LogicalProperty::Grouping(g) => match oracle.resolve_grouping(g) {
-                    Some(k) => (k, true),
-                    None => continue,
-                },
-                LogicalProperty::HeadTail(_) => continue,
-            };
-            if !oracle.is_producible(key) {
+            if p.is_head_tail() {
                 continue;
             }
+            let Some(key) = oracle.resolve(p).filter(|&k| oracle.is_producible(k)) else {
+                continue;
+            };
+            let grouping = p.is_grouping();
             let mut rel_mask = BitSet::new(query.num_relations());
             for &a in p.attrs() {
                 rel_mask.insert(query.owner(a));
@@ -593,8 +576,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 input_owners.insert(query.owner(a));
             }
             AggInfo {
-                order_key: oracle.resolve(&Ordering::new(group_by.clone())),
-                group_key: oracle.resolve_grouping(&Grouping::new(group_by.clone())),
+                order_key: oracle.resolve(&Ordering::new(group_by.clone()).into()),
+                group_key: oracle.resolve(&Grouping::new(group_by.clone()).into()),
                 group_by,
                 input_owners,
                 decomposable: query.aggregates.iter().all(|a| a.func.is_decomposable()),
@@ -658,21 +641,20 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// enforcer behaves exactly as before). Probes are ordered by
     /// descending coverage so the first satisfied probe is the best.
     fn partial_sort_probes(oracle: &O, attrs: &[AttrId]) -> Vec<PartialSortProbe<O::Key>> {
-        let mut probes: Vec<PartialSortProbe<O::Key>> = Vec::new();
-        for k in 1..=attrs.len() {
-            let head = Grouping::new(attrs[..k].to_vec());
-            if let Some(key) = oracle.resolve_grouping(&head) {
-                probes.push(PartialSortProbe { key, covered: k });
-            }
-        }
-        for pair in HeadTail::decompositions(&Ordering::new(attrs.to_vec())) {
-            if let Some(key) = oracle.resolve_head_tail(&pair) {
-                probes.push(PartialSortProbe {
-                    key,
-                    covered: pair.attrs().len(),
-                });
-            }
-        }
+        let heads = (1..=attrs.len()).map(|k| (Grouping::new(attrs[..k].to_vec()).into(), k));
+        let pairs = HeadTail::decompositions(&Ordering::new(attrs.to_vec()))
+            .into_iter()
+            .map(|pair| {
+                let covered = pair.attrs().len();
+                (pair.into(), covered)
+            });
+        let mut probes: Vec<PartialSortProbe<O::Key>> = heads
+            .chain(pairs)
+            .filter_map(|(p, covered): (LogicalProperty, usize)| {
+                let key = oracle.resolve(&p)?;
+                Some(PartialSortProbe { key, covered })
+            })
+            .collect();
         probes.sort_by_key(|p| std::cmp::Reverse(p.covered));
         probes
     }
@@ -696,7 +678,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         }
         for p in probes {
             dc.probes.satisfies += 1;
-            if self.oracle.satisfies_head_tail(state, p.key) {
+            if self.oracle.satisfies(state, p.key) {
                 let groups = self.group_count(card, &attrs[..p.covered]);
                 return Some((cost::partial_sort(card, groups), p.covered));
             }
@@ -1034,7 +1016,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             best
         };
         let cost = self.arena.node(best).cost;
-        let prep = self.oracle.prep_counters();
         root.count("plans", self.arena.len() as u64);
         root.count("unions", unions);
         drop(root);
@@ -1046,9 +1027,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             pairs_emitted: schedule.emitted,
             unions,
             fallback,
-            nfsm_states: prep.nfsm_states,
-            dfsm_states: prep.dfsm_states,
-            prep_interned_hits: prep.interned_hits,
             phases,
             decisions: run_dc,
         };
@@ -1136,8 +1114,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// output state from (tested-only groupings may be probed but never
     /// produced).
     fn resolve_agg_key(&self, attrs: Vec<AttrId>) -> AggKeyHandles<O::Key> {
-        let order = self.oracle.resolve(&Ordering::new(attrs.clone()));
-        let group = self.oracle.resolve_grouping(&Grouping::new(attrs.clone()));
+        let order = self.oracle.resolve(&Ordering::new(attrs.clone()).into());
+        let group = self.oracle.resolve(&Grouping::new(attrs.clone()).into());
         let producible = group.filter(|&k| self.oracle.is_producible(k));
         AggKeyHandles {
             attrs,
@@ -1191,14 +1169,14 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             self.oracle.satisfies(st, k)
         }) || keys.group.is_some_and(|k| {
             dc.probes.satisfies += 1;
-            self.oracle.satisfies_grouping(st, k)
+            self.oracle.satisfies(st, k)
         });
         let (op_cost, state, fds_out) = if streaming {
             (cost::streaming_aggregate(d), st, fd_bits)
         } else {
             dc.probes.produce += 1;
             let state = match keys.producible {
-                Some(k) => self.replay_fds(self.oracle.produce_grouping(k), &fd_bits, dc),
+                Some(k) => self.replay_fds(self.oracle.produce(k), &fd_bits, dc),
                 None => self.oracle.produce_empty(),
             };
             (cost::hash_aggregate(d), state, SmallBitSet::new())
@@ -1406,7 +1384,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // the heap scan dominates). Bound-checked before the state is
         // produced: the cost needs no oracle.
         for (idx, index) in self.catalog.relation(rel).indexes.iter().enumerate() {
-            let ordering = Ordering::new(index.key.clone());
+            let ordering = Ordering::new(index.key.clone()).into();
             let Some(key) = self.oracle.resolve(&ordering) else {
                 continue;
             };
@@ -1603,7 +1581,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                                 self.oracle.satisfies(state, k)
                             }) || agg.group_key.is_some_and(|k| {
                                 dc.probes.satisfies += 1;
-                                self.oracle.satisfies_grouping(state, k)
+                                self.oracle.satisfies(state, k)
                             });
                             if streaming_ok {
                                 let gj = CandidatePlan {
@@ -1646,8 +1624,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                         (j.right, j.left)
                     };
                     let (Some(kl), Some(kr)) = (
-                        self.oracle.resolve(&Ordering::new(vec![la])),
-                        self.oracle.resolve(&Ordering::new(vec![ra])),
+                        self.oracle.resolve(&Ordering::new(vec![la]).into()),
+                        self.oracle.resolve(&Ordering::new(vec![ra]).into()),
                     ) else {
                         continue;
                     };
@@ -1772,11 +1750,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 .filter(|m| m.agg.is_none())
                 .map(|m| {
                     dc.probes.satisfies += 1;
-                    let sat = if grouping {
-                        self.oracle.satisfies_grouping(m.state, key)
-                    } else {
-                        self.oracle.satisfies(m.state, key)
-                    };
+                    let sat = self.oracle.satisfies(m.state, key);
                     (m.id, m.cost, m.card, m.state, sat)
                 })
                 .collect();
@@ -1798,12 +1772,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 } else {
                     let fd_bits = view.node(cheapest).applied_fds.clone();
                     dc.probes.produce += 1;
-                    let produced = if grouping {
-                        self.oracle.produce_grouping(key)
-                    } else {
-                        self.oracle.produce(key)
-                    };
-                    let state = self.replay_fds(produced, &fd_bits, dc);
+                    let state = self.replay_fds(self.oracle.produce(key), &fd_bits, dc);
                     let cand = CandidatePlan {
                         cost: enforced_cost,
                         card: d,
@@ -2008,7 +1977,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         required: Option<&Ordering>,
         dc: &mut DecisionCounters,
     ) -> PlanId {
-        let required_key = required.and_then(|o| self.oracle.resolve(o));
+        let required_key = required.and_then(|o| self.oracle.resolve(&o.clone().into()));
         let probes = required
             .map(|o| Self::partial_sort_probes(self.oracle, o.attrs()))
             .unwrap_or_default();
@@ -2294,8 +2263,8 @@ mod tests {
         let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
         let r2 = PlanGen::new(&c, &q, &ex, &fw).run();
         let g = Grouping::new(vec![c.attr("f.g")]);
-        let hg = fw.handle_grouping(&g).expect("{f.g} is interesting");
-        assert!(fw.satisfies_grouping(r2.arena.node(r2.best).state, hg));
+        let hg = fw.resolve(&g.into()).expect("{f.g} is interesting");
+        assert!(fw.satisfies(r2.arena.node(r2.best).state, hg));
     }
 
     #[test]
@@ -2414,8 +2383,8 @@ mod tests {
         let g = Grouping::new(vec![c.attr("f.g")]);
         let pair = ofw_core::HeadTail::new(g.clone(), Ordering::new(vec![c.attr("f.h")]));
         let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
-        assert!(fw.handle_grouping(&g).is_some());
-        assert!(fw.handle_head_tail(&pair).is_some());
+        assert!(fw.resolve(&g.into()).is_some());
+        assert!(fw.resolve(&pair.into()).is_some());
         let r = PlanGen::new(&c, &q, &ex, &fw).run();
         let mut found_partial_sort = false;
         let mut stack = vec![r.best];

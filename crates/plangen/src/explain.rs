@@ -3,9 +3,8 @@
 //!
 //! The DP stores one opaque order state per plan node (4 bytes for the
 //! DFSM arm). [`PlanGenResult::explain`] re-probes that state against
-//! every interesting property of the query — the same O(1)
-//! `satisfies` / `satisfies_grouping` / `satisfies_head_tail` calls
-//! the DP itself makes — and renders the plan tree with per-node
+//! every interesting property of the query — the same O(1) `satisfies`
+//! call the DP itself makes — and renders the plan tree with per-node
 //! operator, cost, cardinality and the list of *held* logical
 //! properties. That makes the framework's bookkeeping visible: you can
 //! watch an ordering appear at an index scan, survive a merge join,
@@ -17,8 +16,8 @@
 //! are pure views — building an `Explain` never mutates the plan table
 //! or the oracle.
 
-use crate::oracle::OrderOracle;
 use crate::plan::{PlanId, PlanOp};
+use crate::OrderOracle;
 use crate::PlanGenResult;
 use ofw_catalog::{AttrId, Catalog};
 use ofw_core::LogicalProperty;
@@ -126,17 +125,10 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// One interesting property, pre-resolved to an oracle key with its
-/// probe kind and rendering.
+/// rendering.
 struct ProbedProp<K> {
     key: K,
-    kind: PropKind,
     rendered: String,
-}
-
-enum PropKind {
-    Ordering,
-    Grouping,
-    HeadTail,
 }
 
 fn render_grouping(catalog: &Catalog, attrs: &[AttrId]) -> String {
@@ -177,32 +169,17 @@ impl<S: Copy> PlanGenResult<S> {
             .spec
             .interesting()
             .filter_map(|p| {
-                let (key, kind, rendered) = match p {
-                    LogicalProperty::Ordering(o) => (
-                        oracle.resolve(o)?,
-                        PropKind::Ordering,
-                        catalog.render_ordering(o.attrs()),
-                    ),
-                    LogicalProperty::Grouping(g) => (
-                        oracle.resolve_grouping(g)?,
-                        PropKind::Grouping,
-                        render_grouping(catalog, g.attrs()),
-                    ),
-                    LogicalProperty::HeadTail(h) => (
-                        oracle.resolve_head_tail(h)?,
-                        PropKind::HeadTail,
-                        format!(
-                            "{}{}",
-                            render_grouping(catalog, h.head_attrs()),
-                            catalog.render_ordering(h.tail_attrs())
-                        ),
+                let key = oracle.resolve(p)?;
+                let rendered = match p {
+                    LogicalProperty::Ordering(o) => catalog.render_ordering(o.attrs()),
+                    LogicalProperty::Grouping(g) => render_grouping(catalog, g.attrs()),
+                    LogicalProperty::HeadTail(h) => format!(
+                        "{}{}",
+                        render_grouping(catalog, h.head_attrs()),
+                        catalog.render_ordering(h.tail_attrs())
                     ),
                 };
-                Some(ProbedProp {
-                    key,
-                    kind,
-                    rendered,
-                })
+                Some(ProbedProp { key, rendered })
             })
             .collect();
         let node = self.build_node(root, catalog, query, oracle, &probes);
@@ -269,11 +246,7 @@ impl<S: Copy> PlanGenResult<S> {
         };
         let properties = probes
             .iter()
-            .filter(|p| match p.kind {
-                PropKind::Ordering => oracle.satisfies(n.state, p.key),
-                PropKind::Grouping => oracle.satisfies_grouping(n.state, p.key),
-                PropKind::HeadTail => oracle.satisfies_head_tail(n.state, p.key),
-            })
+            .filter(|p| oracle.satisfies(n.state, p.key))
             .map(|p| p.rendered.clone())
             .collect();
         let children =

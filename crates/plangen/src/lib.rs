@@ -13,8 +13,9 @@
 //! ## The oracle seam
 //!
 //! Order optimization is accessed exclusively through the
-//! [`OrderOracle`] trait, so every arm runs under *identical* call
-//! patterns — the fairness requirement of §7. Three arms implement it:
+//! [`OrderOracle`] trait — the paper's ADT, defined in `ofw-core` and
+//! re-exported here — so every arm runs under *identical* call
+//! patterns, the fairness requirement of §7. Three arms implement it:
 //!
 //! * [`ofw_core::OrderingFramework`] — the paper's DFSM, O(1) per call,
 //!   immutable after preparation (lock-free under the parallel driver);
@@ -45,8 +46,8 @@
 //! // Any arm slots into the same generic code — here the DFSM and the
 //! // explicit-set ground truth, answering identically.
 //! fn probe<O: OrderOracle>(oracle: &O, f: ofw_core::FdSetId) -> (bool, bool) {
-//!     let a = oracle.resolve(&Ordering::new(vec![AttrId(0)])).unwrap();
-//!     let ab = oracle.resolve(&Ordering::new(vec![AttrId(0), AttrId(1)])).unwrap();
+//!     let a = oracle.resolve(&Ordering::new(vec![AttrId(0)]).into()).unwrap();
+//!     let ab = oracle.resolve(&Ordering::new(vec![AttrId(0), AttrId(1)]).into()).unwrap();
 //!     let scan = oracle.produce(a);          // ordered index scan
 //!     let joined = oracle.infer(scan, f);    // join applies a → b
 //!     (oracle.satisfies(scan, ab), oracle.satisfies(joined, ab))
@@ -67,5 +68,6 @@ pub mod plan;
 pub use dp::{PlanGen, PlanGenResult, PlanGenStats};
 pub use exec::{execute, synthetic_data, try_execute, ExecError, MissingAttr, Table};
 pub use explain::{Explain, ExplainNode};
-pub use oracle::{ExplicitKey, ExplicitOracle, ExplicitStateId, OrderOracle, PrepCounters};
+pub use ofw_core::OrderOracle;
+pub use oracle::{ExplicitKey, ExplicitOracle, ExplicitStateId};
 pub use plan::{PlanArena, PlanId, PlanNode, PlanOp};

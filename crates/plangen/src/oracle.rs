@@ -1,12 +1,7 @@
-//! The order-optimization interface the plan generator programs against.
-//!
-//! This is the ADT of the paper's §2 (`contains`,
-//! `inferNewLogicalOrderings`, constructors), extended with the grouping
-//! operations of the combined VLDB'04 framework, plus the
-//! plan-domination test of §7 and memory accounting for Fig. 14. The
-//! DFSM framework, the Simmen baseline, and the naive explicit-set
-//! oracle all implement it, so the DP code is shared verbatim between
-//! every experiment arm.
+//! The explicit-set oracle: the §2 "intuitive approach" behind the
+//! plan generator's [`OrderOracle`] seam, kept as the ground-truth arm
+//! next to the DFSM framework (`ofw-core`) and the Simmen baseline
+//! (`ofw-simmen`), which implement the same trait in their own crates.
 //!
 //! All three implementations are `Sync` (statically asserted below), so
 //! all three run unchanged under the parallel DP driver. The DFSM
@@ -20,238 +15,9 @@ use ofw_core::fd::{FdSet, FdSetId};
 use ofw_core::ordering::Ordering;
 use ofw_core::property::{Grouping, HeadTail, LogicalProperty};
 use ofw_core::spec::InputSpec;
-use ofw_core::ExplicitOrderings;
+use ofw_core::{ExplicitOrderings, OrderOracle};
 use std::fmt::Debug;
-use std::hash::Hash;
 use std::sync::Mutex;
-
-/// Preparation-side counters an oracle can report. Only the DFSM
-/// framework has a non-trivial preparation phase; the other arms return
-/// the default (all zero), which the stats plumbing passes through
-/// unchanged.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PrepCounters {
-    /// NFSM nodes after pruning (0 when the arm has no NFSM).
-    pub nfsm_states: usize,
-    /// Reachable DFSM states (0 when the arm has no DFSM).
-    pub dfsm_states: usize,
-    /// Preparation-cache hits that served this oracle (0 or 1 for a
-    /// single prepared framework).
-    pub interned_hits: u64,
-}
-
-/// Order/grouping-optimization ADT as seen by the plan generator.
-pub trait OrderOracle {
-    /// Per-plan-node order annotation.
-    type State: Copy + Eq + Hash + Debug;
-    /// Pre-resolved handle of an interesting property.
-    type Key: Copy + Debug;
-
-    /// Resolves an ordering to a handle once per query (cold path).
-    fn resolve(&self, o: &Ordering) -> Option<Self::Key>;
-
-    /// Resolves a grouping to a handle once per query (cold path).
-    fn resolve_grouping(&self, g: &Grouping) -> Option<Self::Key>;
-
-    /// Resolves a head/tail pair to a handle once per query (cold path).
-    fn resolve_head_tail(&self, h: &HeadTail) -> Option<Self::Key>;
-
-    /// Whether a sort/scan/hash operator may produce this property
-    /// (`O_P`).
-    fn is_producible(&self, k: Self::Key) -> bool;
-
-    /// Constructor: unordered stream.
-    fn produce_empty(&self) -> Self::State;
-
-    /// Constructor: stream physically ordered by the order behind `k`
-    /// (must be producible).
-    fn produce(&self, k: Self::Key) -> Self::State;
-
-    /// Constructor: stream physically *grouped* by the grouping behind
-    /// `k` — hash-aggregation or hash-partition output (must be
-    /// producible).
-    fn produce_grouping(&self, k: Self::Key) -> Self::State;
-
-    /// `inferNewLogicalOrderings`: one operator's FD set is applied.
-    fn infer(&self, s: Self::State, f: FdSetId) -> Self::State;
-
-    /// `contains`: does a stream in state `s` satisfy order `k`?
-    fn satisfies(&self, s: Self::State, k: Self::Key) -> bool;
-
-    /// `contains` for groupings: does a stream in state `s` satisfy the
-    /// grouping behind `k`?
-    fn satisfies_grouping(&self, s: Self::State, k: Self::Key) -> bool;
-
-    /// `contains` for head/tail pairs: is a stream in state `s` grouped
-    /// by the pair's head and sorted by its tail within each group —
-    /// the partial-sort admission and refinement probe?
-    fn satisfies_head_tail(&self, s: Self::State, k: Self::Key) -> bool;
-
-    /// Property-wise plan domination (`a` at least as ordered/grouped as
-    /// `b`).
-    ///
-    /// Contract: domination is **reflexive** — `dominates(s, s)` must be
-    /// `true` for every state. The DP's bucketed Pareto sets rely on it:
-    /// two plans carrying the *same* state handle are compared on cost
-    /// alone, without calling the oracle (counted as
-    /// `dominance_memo_hits`, not probes). All three arms short-circuit
-    /// `a == b` today; a new oracle must too.
-    fn dominates(&self, a: Self::State, b: Self::State) -> bool;
-
-    /// Bytes of order-annotation storage for `plan_nodes` plan nodes,
-    /// including shared structures.
-    fn memory_bytes(&self, plan_nodes: usize) -> usize;
-
-    /// Preparation counters. Defaults to all-zero for arms without a
-    /// preparation phase.
-    fn prep_counters(&self) -> PrepCounters {
-        PrepCounters::default()
-    }
-
-    /// Display name for experiment tables.
-    fn name(&self) -> &'static str;
-}
-
-impl OrderOracle for ofw_core::OrderingFramework {
-    type State = ofw_core::State;
-    type Key = ofw_core::OrderHandle;
-
-    fn resolve(&self, o: &Ordering) -> Option<Self::Key> {
-        self.handle(o)
-    }
-
-    fn resolve_grouping(&self, g: &Grouping) -> Option<Self::Key> {
-        self.handle_grouping(g)
-    }
-
-    fn resolve_head_tail(&self, h: &HeadTail) -> Option<Self::Key> {
-        self.handle_head_tail(h)
-    }
-
-    fn is_producible(&self, k: Self::Key) -> bool {
-        ofw_core::OrderingFramework::is_producible(self, k)
-    }
-
-    fn produce_empty(&self) -> Self::State {
-        ofw_core::OrderingFramework::produce_empty(self)
-    }
-
-    fn produce(&self, k: Self::Key) -> Self::State {
-        ofw_core::OrderingFramework::produce(self, k)
-    }
-
-    fn produce_grouping(&self, k: Self::Key) -> Self::State {
-        ofw_core::OrderingFramework::produce_grouping(self, k)
-    }
-
-    #[inline]
-    fn infer(&self, s: Self::State, f: FdSetId) -> Self::State {
-        ofw_core::OrderingFramework::infer(self, s, f)
-    }
-
-    #[inline]
-    fn satisfies(&self, s: Self::State, k: Self::Key) -> bool {
-        ofw_core::OrderingFramework::satisfies(self, s, k)
-    }
-
-    #[inline]
-    fn satisfies_grouping(&self, s: Self::State, k: Self::Key) -> bool {
-        ofw_core::OrderingFramework::satisfies_grouping(self, s, k)
-    }
-
-    #[inline]
-    fn satisfies_head_tail(&self, s: Self::State, k: Self::Key) -> bool {
-        ofw_core::OrderingFramework::satisfies_head_tail(self, s, k)
-    }
-
-    #[inline]
-    fn dominates(&self, a: Self::State, b: Self::State) -> bool {
-        ofw_core::OrderingFramework::dominates(self, a, b)
-    }
-
-    fn memory_bytes(&self, plan_nodes: usize) -> usize {
-        ofw_core::OrderingFramework::memory_bytes(self, plan_nodes)
-    }
-
-    fn prep_counters(&self) -> PrepCounters {
-        let stats = self.stats();
-        PrepCounters {
-            nfsm_states: stats.nfsm_nodes,
-            dfsm_states: stats.dfsm_states,
-            interned_hits: stats.interned_hit as u64,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "nfsm/dfsm (ours)"
-    }
-}
-
-impl OrderOracle for ofw_simmen::SimmenFramework {
-    type State = ofw_simmen::SimmenState;
-    type Key = ofw_simmen::SimmenOrderKey;
-
-    fn resolve(&self, o: &Ordering) -> Option<Self::Key> {
-        self.key(o)
-    }
-
-    fn resolve_grouping(&self, g: &Grouping) -> Option<Self::Key> {
-        self.grouping_key(g)
-    }
-
-    fn resolve_head_tail(&self, h: &HeadTail) -> Option<Self::Key> {
-        self.head_tail_key(h)
-    }
-
-    fn is_producible(&self, k: Self::Key) -> bool {
-        ofw_simmen::SimmenFramework::is_producible(self, k)
-    }
-
-    fn produce_empty(&self) -> Self::State {
-        ofw_simmen::SimmenFramework::produce_empty(self)
-    }
-
-    fn produce(&self, k: Self::Key) -> Self::State {
-        ofw_simmen::SimmenFramework::produce(self, k)
-    }
-
-    fn produce_grouping(&self, k: Self::Key) -> Self::State {
-        ofw_simmen::SimmenFramework::produce(self, k)
-    }
-
-    #[inline]
-    fn infer(&self, s: Self::State, f: FdSetId) -> Self::State {
-        ofw_simmen::SimmenFramework::infer(self, s, f)
-    }
-
-    #[inline]
-    fn satisfies(&self, s: Self::State, k: Self::Key) -> bool {
-        ofw_simmen::SimmenFramework::satisfies(self, s, k)
-    }
-
-    #[inline]
-    fn satisfies_grouping(&self, s: Self::State, k: Self::Key) -> bool {
-        ofw_simmen::SimmenFramework::satisfies(self, s, k)
-    }
-
-    #[inline]
-    fn satisfies_head_tail(&self, s: Self::State, k: Self::Key) -> bool {
-        ofw_simmen::SimmenFramework::satisfies(self, s, k)
-    }
-
-    #[inline]
-    fn dominates(&self, a: Self::State, b: Self::State) -> bool {
-        ofw_simmen::SimmenFramework::dominates(self, a, b)
-    }
-
-    fn memory_bytes(&self, plan_nodes: usize) -> usize {
-        ofw_simmen::SimmenFramework::memory_bytes(self, plan_nodes)
-    }
-
-    fn name(&self) -> &'static str {
-        "simmen"
-    }
-}
 
 /// Per-plan-node state under the explicit-set oracle: a handle into the
 /// interned set store (the sets themselves are Ω(2^n)-sized — that is
@@ -347,22 +113,8 @@ impl OrderOracle for ExplicitOracle {
     type State = ExplicitStateId;
     type Key = ExplicitKey;
 
-    fn resolve(&self, o: &Ordering) -> Option<Self::Key> {
-        self.keys
-            .get(&LogicalProperty::Ordering(o.clone()))
-            .copied()
-    }
-
-    fn resolve_grouping(&self, g: &Grouping) -> Option<Self::Key> {
-        self.keys
-            .get(&LogicalProperty::Grouping(g.clone()))
-            .copied()
-    }
-
-    fn resolve_head_tail(&self, h: &HeadTail) -> Option<Self::Key> {
-        self.keys
-            .get(&LogicalProperty::HeadTail(h.clone()))
-            .copied()
+    fn resolve(&self, p: &LogicalProperty) -> Option<Self::Key> {
+        self.keys.get(p).copied()
     }
 
     fn is_producible(&self, k: Self::Key) -> bool {
@@ -380,10 +132,6 @@ impl OrderOracle for ExplicitOracle {
             LogicalProperty::HeadTail(h) => ExplicitOrderings::from_head_tail(h),
         };
         self.intern(e)
-    }
-
-    fn produce_grouping(&self, k: Self::Key) -> Self::State {
-        self.produce(k)
     }
 
     fn infer(&self, s: Self::State, f: FdSetId) -> Self::State {
@@ -406,14 +154,6 @@ impl OrderOracle for ExplicitOracle {
             LogicalProperty::Grouping(g) => e.contains_grouping(g),
             LogicalProperty::HeadTail(h) => e.contains_head_tail(h),
         }
-    }
-
-    fn satisfies_grouping(&self, s: Self::State, k: Self::Key) -> bool {
-        self.satisfies(s, k)
-    }
-
-    fn satisfies_head_tail(&self, s: Self::State, k: Self::Key) -> bool {
-        self.satisfies(s, k)
     }
 
     fn dominates(&self, a: Self::State, b: Self::State) -> bool {
@@ -474,33 +214,63 @@ mod tests {
         Grouping::new(ids.to_vec())
     }
 
+    fn pair(head: &[AttrId], tail: &[AttrId]) -> HeadTail {
+        HeadTail::new(g(head), o(tail))
+    }
+
+    /// Orderings, hash-producible groupings and a tested head/tail pair,
+    /// under three FD sets: `b → c`, `a = b`, `a → b`.
     fn spec() -> InputSpec {
         let mut s = InputSpec::new();
         s.add_produced(o(&[A]));
         s.add_produced(o(&[A, B]));
         s.add_produced(g(&[A, B]));
+        s.add_produced(g(&[A]));
+        s.add_tested(pair(&[A], &[B]));
         s.add_fd_set(vec![Fd::functional(&[B], C)]);
         s.add_fd_set(vec![Fd::equation(A, B)]);
+        s.add_fd_set(vec![Fd::functional(&[A], B)]);
         s
     }
 
     /// All oracles must agree on satisfied interesting properties for
-    /// the same call sequence (generic over the trait).
-    fn probe<O: OrderOracle>(oracle: &O, f_eq: FdSetId) -> Vec<bool> {
-        let k_a = oracle.resolve(&o(&[A])).unwrap();
-        let k_ab = oracle.resolve(&o(&[A, B])).unwrap();
-        let kg_ab = oracle.resolve_grouping(&g(&[A, B])).unwrap();
+    /// the same call sequence (generic over the trait): one `resolve`
+    /// and one `satisfies` for every property kind, on sorted and
+    /// hash-grouped start states.
+    fn probe<O: OrderOracle>(oracle: &O) -> Vec<bool> {
+        let (f_eq, f_ab) = (FdSetId(1), FdSetId(2));
+        let key = |p: LogicalProperty| oracle.resolve(&p).unwrap();
+        let k_a = key(o(&[A]).into());
+        let k_ab = key(o(&[A, B]).into());
+        let kg_ab = key(g(&[A, B]).into());
+        let kg_a = key(g(&[A]).into());
+        let kp = key(pair(&[A], &[B]).into());
         let s0 = oracle.produce(k_a);
         let s1 = oracle.infer(s0, f_eq);
-        let sg = oracle.produce_grouping(kg_ab);
+        let s_ab = oracle.produce(k_ab);
+        let sg = oracle.produce(kg_ab);
+        let sga = oracle.produce(kg_a);
+        let sga_ab = oracle.infer(sga, f_ab);
         vec![
             oracle.satisfies(s0, k_a),
             oracle.satisfies(s0, k_ab),
             oracle.satisfies(s1, k_a),
             oracle.satisfies(s1, k_ab),
-            oracle.satisfies_grouping(s1, kg_ab),
-            oracle.satisfies_grouping(sg, kg_ab),
+            oracle.satisfies(s1, kg_ab),
+            oracle.satisfies(sg, kg_ab),
             oracle.satisfies(sg, k_a),
+            // Head/tail pair {a}(b): sorted by (a, b) holds it, sorted
+            // by (a) alone does not until a = b makes it (a, b).
+            oracle.satisfies(s_ab, kp),
+            oracle.satisfies(s0, kp),
+            oracle.satisfies(s1, kp),
+            // Hash-grouped by {a}: its grouping, no ordering, and the
+            // pair only once a → b makes b constant inside every group.
+            oracle.satisfies(sga, kg_a),
+            oracle.satisfies(sga, k_a),
+            oracle.satisfies(sga, kp),
+            oracle.satisfies(sga_ab, kp),
+            oracle.satisfies(sga_ab, kg_ab),
         ]
     }
 
@@ -510,18 +280,21 @@ mod tests {
         let ours = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
         let simmen = SimmenFramework::prepare(&spec);
         let explicit = ExplicitOracle::prepare(&spec);
-        let f_eq = FdSetId(1);
-        let expected = vec![true, false, true, true, true, true, false];
-        assert_eq!(probe(&ours, f_eq), expected, "dfsm");
-        assert_eq!(probe(&simmen, f_eq), expected, "simmen");
-        assert_eq!(probe(&explicit, f_eq), expected, "explicit");
+        let expected = vec![
+            true, false, true, true, true, true, false, // orderings, {a,b}
+            true, false, true, // the pair on sorted streams
+            true, false, false, true, true, // hash-grouped by {a}
+        ];
+        assert_eq!(probe(&ours), expected, "dfsm");
+        assert_eq!(probe(&simmen), expected, "simmen");
+        assert_eq!(probe(&explicit), expected, "explicit");
     }
 
     #[test]
     fn explicit_oracle_interns_states() {
         let spec = spec();
         let ex = ExplicitOracle::prepare(&spec);
-        let k = ex.resolve(&o(&[A])).unwrap();
+        let k = ex.resolve(&o(&[A]).into()).unwrap();
         let s1 = ex.produce(k);
         let s2 = ex.produce(k);
         assert_eq!(s1, s2, "equal sets share a state id");

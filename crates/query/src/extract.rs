@@ -39,10 +39,6 @@ pub struct ExtractOptions {
     /// Add constant/filter attributes as tested-only interesting orders
     /// (the paper's optional `O_T^I = {(r_name), (o_orderdate)}`).
     pub tested_selection_orders: bool,
-    /// Register `group by`/`distinct` attribute sets as produced
-    /// interesting groupings (hash aggregation produces them). Off
-    /// reproduces the pure ICDE'04 ordering extraction.
-    pub grouping_properties: bool,
     /// For `GROUP BY … ORDER BY` queries, register the head/tail
     /// properties the partial-sort enforcer probes: every prefix
     /// attribute *set* of the `order by` as a tested grouping, and
@@ -51,13 +47,6 @@ pub struct ExtractOptions {
     /// orders — everything else extracts byte-identically with the
     /// option on or off.
     pub head_tail_properties: bool,
-    /// Make aggregation a plan-space dimension: register schema
-    /// (key-constraint) FD sets from unique columns, and per-relation
-    /// partial-aggregation key groupings, so the DP can place eager/lazy
-    /// aggregates and group-joins below the plan root. Only does
-    /// anything for queries that actually compute aggregate functions
-    /// over a `group by` — everything else extracts byte-identically.
-    pub aggregation_placement: bool,
 }
 
 impl Default for ExtractOptions {
@@ -66,9 +55,7 @@ impl Default for ExtractOptions {
             join_orders: true,
             index_orders: true,
             tested_selection_orders: false,
-            grouping_properties: true,
             head_tail_properties: true,
-            aggregation_placement: true,
         }
     }
 }
@@ -84,9 +71,7 @@ impl ExtractOptions {
             join_orders: false,
             index_orders: false,
             tested_selection_orders: false,
-            grouping_properties: true,
             head_tail_properties: true,
-            aggregation_placement: true,
         }
     }
 }
@@ -107,8 +92,8 @@ pub struct ExtractedQuery {
     /// other query-relevant attributes. Populated only under aggregation
     /// placement; `None` for relations without unique columns.
     pub rel_fd: Vec<Option<FdSetId>>,
-    /// Whether aggregation placement is active for this query (it has
-    /// aggregate functions over a `group by` and the option is on).
+    /// Whether aggregation placement is active for this query: it has
+    /// aggregate functions over a `group by`.
     pub aggregation: bool,
     /// The raw schema FDs, tagged with their owning query relation —
     /// what [`subset_agg_key`](Self::subset_agg_key) replays.
@@ -182,7 +167,7 @@ pub fn extract(catalog: &Catalog, query: &Query, options: &ExtractOptions) -> Ex
     if !query.distinct.is_empty() {
         spec.add_produced(Ordering::new(query.distinct.clone()));
     }
-    if options.grouping_properties && !query.effective_group_by().is_empty() {
+    if !query.effective_group_by().is_empty() {
         spec.add_produced(Grouping::new(query.effective_group_by().to_vec()));
     }
     if !query.order_by.is_empty() {
@@ -196,7 +181,6 @@ pub fn extract(catalog: &Catalog, query: &Query, options: &ExtractOptions) -> Ex
     // continuation) decomposition as a tested head/tail pair; hash
     // aggregates produce the former, partial sorts consume both.
     if options.head_tail_properties
-        && options.grouping_properties
         && !query.effective_group_by().is_empty()
         && !query.order_by.is_empty()
     {
@@ -237,13 +221,13 @@ pub fn extract(catalog: &Catalog, query: &Query, options: &ExtractOptions) -> Ex
         .map(|c| spec.add_fd_set(vec![Fd::constant(c.attr)]))
         .collect();
 
-    // Aggregation placement: schema FDs from unique columns and
-    // per-relation partial-aggregation key groupings. Gated on the query
-    // actually aggregating, so everything else extracts byte-identically
-    // to the pure ordering + grouping pipeline.
-    let aggregation = options.aggregation_placement
-        && query.has_aggregates()
-        && !query.effective_group_by().is_empty();
+    // Aggregation placement — aggregation as a plan-space dimension, so
+    // the DP can place eager/lazy aggregates and group-joins below the
+    // plan root: schema FDs from unique columns and per-relation
+    // partial-aggregation key groupings. Gated on the query actually
+    // aggregating, so everything else extracts byte-identically to the
+    // pure ordering + grouping pipeline.
+    let aggregation = query.has_aggregates() && !query.effective_group_by().is_empty();
     let mut rel_fd: Vec<Option<FdSetId>> = vec![None; query.num_relations()];
     let mut schema_fds: Vec<(usize, Fd)> = Vec::new();
     if aggregation {
@@ -413,16 +397,6 @@ mod tests {
         let g = c.attr("t.g");
         assert!(ex.spec.produced().contains(&Ordering::new(vec![g]).into()));
         assert!(ex.spec.produced().contains(&Grouping::new(vec![g]).into()));
-        // With grouping extraction off, only the ordering remains.
-        let ex = extract(
-            &c,
-            &q,
-            &ExtractOptions {
-                grouping_properties: false,
-                ..ExtractOptions::default()
-            },
-        );
-        assert_eq!(ex.spec.interesting_groupings().count(), 0);
     }
 
     #[test]
@@ -550,24 +524,12 @@ mod tests {
         let all = ex.subset_agg_key(&q, &q.all_relations_set());
         assert_eq!(all, Grouping::new(vec![c.attr("dim.g")]));
 
-        // Placement off (or no aggregates): byte-identical to the plain
-        // extraction.
-        let off = extract(
-            &c,
-            &q,
-            &ExtractOptions {
-                aggregation_placement: false,
-                ..ExtractOptions::default()
-            },
-        );
-        assert!(!off.aggregation);
-        assert!(off.rel_fd.iter().all(Option::is_none));
+        // No aggregates: no placement, no schema FDs.
         let mut no_agg = q.clone();
         no_agg.aggregates.clear();
         let plain = extract(&c, &no_agg, &ExtractOptions::default());
         assert!(!plain.aggregation);
-        assert_eq!(off.spec.produced(), plain.spec.produced());
-        assert_eq!(off.spec.fd_sets().len(), plain.spec.fd_sets().len());
+        assert!(plain.rel_fd.iter().all(Option::is_none));
     }
 
     #[test]

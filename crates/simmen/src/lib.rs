@@ -31,9 +31,9 @@
 //!
 //! ## This crate as an oracle arm
 //!
-//! [`SimmenFramework`] is the baseline arm of the plan generator's
-//! `OrderOracle` seam (the others: `ofw-core`'s DFSM and `ofw-plangen`'s
-//! explicit-set oracle). Its arm invariants:
+//! [`SimmenFramework`] is the baseline arm of `ofw-core`'s
+//! [`OrderOracle`](ofw_core::OrderOracle) ADT (the others: `ofw-core`'s
+//! DFSM and `ofw-plangen`'s explicit-set oracle). Its arm invariants:
 //!
 //! * **persistent FD semantics** — a state carries its whole FD
 //!   *environment*, so `contains` may exploit dependencies applied many
@@ -53,7 +53,7 @@
 //! ## Example: `produce` / `infer` / `satisfies` on the baseline
 //!
 //! ```
-//! use ofw_core::{Fd, InputSpec, Ordering};
+//! use ofw_core::{Fd, InputSpec, OrderOracle, Ordering};
 //! use ofw_simmen::SimmenFramework;
 //! use ofw_catalog::AttrId;
 //!
@@ -66,8 +66,8 @@
 //! // "Preparation" is trivial — that is Simmen's advantage; the cost
 //! // shows up later, inside every probe.
 //! let fw = SimmenFramework::prepare(&spec);
-//! let k_a = fw.key(&Ordering::new(vec![a])).unwrap();
-//! let k_ab = fw.key(&Ordering::new(vec![a, b])).unwrap();
+//! let k_a = fw.resolve(&Ordering::new(vec![a]).into()).unwrap();
+//! let k_ab = fw.resolve(&Ordering::new(vec![a, b]).into()).unwrap();
 //!
 //! let s = fw.produce(k_a);              // stream sorted by (a)
 //! assert!(!fw.satisfies(s, k_ab));      // reduce + prefix test

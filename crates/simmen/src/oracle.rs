@@ -1,24 +1,14 @@
-//! The Simmen-style order-optimization framework, exposing the same
-//! plan-generation interface as `ofw_core::OrderingFramework` so the plan
+//! The Simmen-style order-optimization framework, implementing the same
+//! [`OrderOracle`] as `ofw_core::OrderingFramework` so the plan
 //! generator can run with either implementation (§7's experiment setup).
 //!
 //! Interior mutability hides the caches behind `&self` methods — the
 //! plan generator calls `infer`/`satisfies` through shared references
-//! millions of times, and the caches are pure memoization. The storage
-//! is **two-tier** so the baseline's *contention* cost under the
-//! parallel DP driver is separated from its *algorithmic* Ω(n) cost:
-//!
-//! * a **read-mostly shared tier** (`RwLock`) holds the id-authoritative
-//!   stores — the property interner and the FD-environment store. Ids
-//!   handed out here are what [`SimmenState`]s carry, so every worker
-//!   resolves against the same numbering; after a warm-up run the tier
-//!   is read-only and probes share the read lock.
-//! * **per-worker cache shards** (one mutex each, picked by thread id)
-//!   hold the memoization maps — reduction, grouping closure, and
-//!   environment extension. Workers never contend on each other's
-//!   memoized probes; at worst two workers recompute the same reduction
-//!   into their own shards, which costs duplicated work, never a
-//!   different answer (all values are derived from the shared tier).
+//! millions of times, and the caches are pure memoization. The
+//! id-authoritative stores (the property interner and the FD-environment
+//! store) and every memo over them sit behind one `Mutex`, taken once
+//! per probe — the layout of the explicit-set arm. The oracle is `Sync`,
+//! so the pooled DP runs it unchanged and pays for the sharing.
 //!
 //! Grouping support mirrors the combined framework: a plan node's
 //! physical property may be a grouping (hash-aggregation output), and a
@@ -34,20 +24,19 @@
 
 use crate::env::{EnvStore, FdEnvId};
 use crate::reduce::reduce;
-use ofw_common::{FxHashMap, FxHashSet, FxHasher, Interner};
+use ofw_common::{FxHashMap, FxHashSet, Interner};
 use ofw_core::derive::apply_fd_grouping;
 use ofw_core::fd::{Fd, FdSetId};
 use ofw_core::ordering::Ordering;
 use ofw_core::property::{Grouping, HeadTail, LogicalProperty};
 use ofw_core::spec::InputSpec;
-use ofw_core::ExplicitOrderings;
-use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, RwLock};
+use ofw_core::{ExplicitOrderings, OrderOracle};
+use std::sync::{Mutex, MutexGuard};
 
 /// Per-plan-node annotation under Simmen's scheme: the physical property
 /// (interned ordering or grouping) plus the FD environment. Conceptually
 /// this is Ω(n)-sized state; the handles point into shared stores whose
-/// bytes are charged to [`SimmenFramework::memory_bytes`].
+/// bytes are charged to [`OrderOracle::memory_bytes`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimmenState {
     /// Interned physical property.
@@ -66,17 +55,11 @@ impl std::fmt::Debug for SimmenState {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SimmenOrderKey(u32);
 
-/// The read-mostly shared tier: the id-authoritative stores every
-/// worker resolves against. Writes happen only when a genuinely new
-/// property or environment appears — after a warm-up run, never.
-struct SharedTier {
+/// The stores every [`SimmenState`] id points into, and the memoization
+/// maps over them.
+struct Memo {
     props: Interner<LogicalProperty>,
     envs: EnvStore,
-}
-
-/// One worker's private memoization shard.
-#[derive(Default)]
-struct ShardCaches {
     /// Reduction cache: (interned ordering, environment) → reduced
     /// interned ordering — the paper's single most important tuning.
     reduce: FxHashMap<(u32, FdEnvId), u32>,
@@ -93,22 +76,15 @@ struct ShardCaches {
     /// DFSM answers with one bit.
     head_tail: FxHashMap<(u32, FdEnvId), FxHashSet<HeadTail>>,
     /// `contains` result cache: (physical property, environment,
-    /// required key) → answer. Makes a warm probe one shard-mutex
-    /// acquisition — what keeps the sharded two-tier design no slower
-    /// than the old single-mutex layout on one thread.
+    /// required key) → answer.
     contains: FxHashMap<(u32, FdEnvId, u32), bool>,
 }
 
-/// Number of cache shards — comfortably above the work-stealing pool's
-/// worker counts, so concurrent workers hash to distinct shards.
-const CACHE_SHARDS: usize = 16;
-
 /// The prepared Simmen-style framework for one query.
 pub struct SimmenFramework {
-    shared: RwLock<SharedTier>,
-    shards: Vec<Mutex<ShardCaches>>,
-    /// Interesting properties (orderings prefix-closed, groupings
-    /// as-is), indexable by key.
+    memo: Mutex<Memo>,
+    /// Interesting properties (orderings prefix-closed, groupings and
+    /// pairs as-is), indexable by key.
     props: Vec<LogicalProperty>,
     prop_keys: FxHashMap<LogicalProperty, SimmenOrderKey>,
     producible: Vec<bool>,
@@ -122,11 +98,8 @@ impl SimmenFramework {
     /// advantage; the paper's point is that it loses during plan
     /// generation): intern the interesting properties and set up stores.
     pub fn prepare(spec: &InputSpec) -> Self {
-        let mut shared = SharedTier {
-            props: Interner::new(),
-            envs: EnvStore::new(spec.fd_sets().to_vec()),
-        };
-        shared.props.intern(Ordering::empty().into());
+        let mut interned: Interner<LogicalProperty> = Interner::new();
+        interned.intern(Ordering::empty().into());
 
         let mut props: Vec<LogicalProperty> = Vec::new();
         let mut prop_keys = FxHashMap::default();
@@ -134,13 +107,20 @@ impl SimmenFramework {
         let mut phys_of_key = Vec::new();
         for (p, prod) in spec.interesting_closure() {
             prop_keys.insert(p.clone(), SimmenOrderKey(props.len() as u32));
-            phys_of_key.push(shared.props.intern(p.clone()));
+            phys_of_key.push(interned.intern(p.clone()));
             props.push(p);
             producible.push(prod);
         }
         SimmenFramework {
-            shared: RwLock::new(shared),
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
+            memo: Mutex::new(Memo {
+                props: interned,
+                envs: EnvStore::new(spec.fd_sets().to_vec()),
+                reduce: FxHashMap::default(),
+                grouping: FxHashMap::default(),
+                extend: FxHashMap::default(),
+                head_tail: FxHashMap::default(),
+                contains: FxHashMap::default(),
+            }),
             props,
             prop_keys,
             producible,
@@ -148,250 +128,10 @@ impl SimmenFramework {
         }
     }
 
-    /// The calling worker's cache shard (hashed thread id; collisions
-    /// just share a shard — still correct, marginally more contended).
-    fn shard(&self) -> &Mutex<ShardCaches> {
-        let mut h = FxHasher::default();
-        std::thread::current().id().hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    /// Key of an interesting order (or a prefix of one).
-    pub fn key(&self, o: &Ordering) -> Option<SimmenOrderKey> {
-        self.prop_keys
-            .get(&LogicalProperty::Ordering(o.clone()))
-            .copied()
-    }
-
-    /// Key of an interesting grouping.
-    pub fn grouping_key(&self, g: &Grouping) -> Option<SimmenOrderKey> {
-        self.prop_keys
-            .get(&LogicalProperty::Grouping(g.clone()))
-            .copied()
-    }
-
-    /// Key of an interesting head/tail pair.
-    pub fn head_tail_key(&self, h: &HeadTail) -> Option<SimmenOrderKey> {
-        self.prop_keys
-            .get(&LogicalProperty::HeadTail(h.clone()))
-            .copied()
-    }
-
-    /// Whether the property behind `k` is in `O_P`.
-    pub fn is_producible(&self, k: SimmenOrderKey) -> bool {
-        self.producible[k.0 as usize]
-    }
-
-    /// State of an unordered stream with no dependencies.
-    pub fn produce_empty(&self) -> SimmenState {
-        SimmenState {
-            phys: 0,
-            env: FdEnvId(0),
-        }
-    }
-
-    /// State of a stream physically shaped like the property behind `k`
-    /// (sort / ordered-scan output for an ordering, hash-aggregation
-    /// output for a grouping) with no dependencies yet. Pure lookup —
-    /// every interesting property was interned at preparation.
-    pub fn produce(&self, k: SimmenOrderKey) -> SimmenState {
-        SimmenState {
-            phys: self.phys_of_key[k.0 as usize],
-            env: FdEnvId(0),
-        }
-    }
-
-    /// `inferNewLogicalOrderings`: extends the node's FD environment.
-    /// Fast path: the worker's own extension cache; slow path: one
-    /// write-locked extension of the shared environment store.
-    pub fn infer(&self, s: SimmenState, f: FdSetId) -> SimmenState {
-        if let Some(&env) = self.shard().lock().unwrap().extend.get(&(s.env, f)) {
-            return SimmenState { phys: s.phys, env };
-        }
-        let env = self.shared.write().unwrap().envs.extend(s.env, f);
-        self.shard().lock().unwrap().extend.insert((s.env, f), env);
-        SimmenState { phys: s.phys, env }
-    }
-
-    /// `contains`: for an ordering requirement, reduce both orderings
-    /// under the environment and prefix-test (cached); a grouped stream
-    /// satisfies no ordering. For a grouping requirement, close the
-    /// stream's implied groupings under the environment (cached) and
-    /// test membership.
-    pub fn satisfies(&self, s: SimmenState, k: SimmenOrderKey) -> bool {
-        if let Some(&hit) = self
-            .shard()
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo
             .lock()
-            .unwrap()
-            .contains
-            .get(&(s.phys, s.env, k.0))
-        {
-            return hit;
-        }
-        let result = self.satisfies_uncached(s, k);
-        self.shard()
-            .lock()
-            .unwrap()
-            .contains
-            .insert((s.phys, s.env, k.0), result);
-        result
-    }
-
-    fn satisfies_uncached(&self, s: SimmenState, k: SimmenOrderKey) -> bool {
-        match &self.props[k.0 as usize] {
-            LogicalProperty::Ordering(_) => {
-                // Grouped and head/tail-shaped streams satisfy no
-                // ordering (their group blocks are unordered).
-                if self
-                    .shared
-                    .read()
-                    .unwrap()
-                    .props
-                    .resolve(s.phys)
-                    .as_ordering()
-                    .is_none()
-                {
-                    return false;
-                }
-                let required = self.phys_of_key[k.0 as usize];
-                let rp = self.reduced(s.phys, s.env);
-                let rr = self.reduced(required, s.env);
-                let shared = self.shared.read().unwrap();
-                let rp = match shared.props.resolve(rp).as_ordering() {
-                    Some(o) => o.clone(),
-                    None => return false,
-                };
-                let rr = shared.props.resolve(rr).as_ordering().cloned();
-                drop(shared);
-                rr.is_some_and(|rr| rr.is_prefix_of(&rp))
-            }
-            LogicalProperty::Grouping(required) => self.groupings_contain(s.phys, s.env, required),
-            LogicalProperty::HeadTail(required) => self.head_tails_contain(s.phys, s.env, required),
-        }
-    }
-
-    /// Membership probe against the cached head/tail set of the stream
-    /// in physical property `phys` under `env`. Simmen's scheme has no
-    /// compact representation for "grouped and sorted within groups", so
-    /// the baseline materializes the full explicit property closure once
-    /// per (property, environment) — persistent-FD semantics, like its
-    /// grouping probe — and caches the pair set in the calling worker's
-    /// shard.
-    fn head_tails_contain(&self, phys: u32, env: FdEnvId, required: &HeadTail) -> bool {
-        let mut shard = self.shard().lock().unwrap();
-        if let Some(hit) = shard.head_tail.get(&(phys, env)) {
-            return hit.contains(required);
-        }
-        // Lock order everywhere: shard first, shared (read) second.
-        let shared = self.shared.read().unwrap();
-        let mut truth = match shared.props.resolve(phys) {
-            LogicalProperty::Ordering(o) => ExplicitOrderings::from_physical(o),
-            LogicalProperty::Grouping(g) => ExplicitOrderings::from_grouping(g),
-            LogicalProperty::HeadTail(h) => ExplicitOrderings::from_head_tail(h),
-        };
-        let fds = shared.envs.env(env).fds.to_vec();
-        drop(shared);
-        truth.close_under(&fds);
-        let set: FxHashSet<HeadTail> = truth.iter_head_tails().cloned().collect();
-        let hit = set.contains(required);
-        shard.head_tail.insert((phys, env), set);
-        hit
-    }
-
-    /// Cached reduction of the interned ordering `phys` under `env`:
-    /// shard-local memoization over the shared tier (a cold shard
-    /// recomputes, re-interning resolves to the same shared id).
-    fn reduced(&self, phys: u32, env: FdEnvId) -> u32 {
-        if let Some(&hit) = self.shard().lock().unwrap().reduce.get(&(phys, env)) {
-            return hit;
-        }
-        let (o, fds) = {
-            let shared = self.shared.read().unwrap();
-            let o = shared
-                .props
-                .resolve(phys)
-                .as_ordering()
-                .expect("reduction is only defined on orderings")
-                .clone();
-            let fds: Vec<Fd> = shared.envs.env(env).fds.to_vec();
-            (o, fds)
-        };
-        let r: LogicalProperty = reduce(&o, &fds).into();
-        // Read-first interning: warm runs never take the write lock.
-        // (The read guard must drop before the write is attempted.)
-        let existing = { self.shared.read().unwrap().props.get(&r) };
-        let id = match existing {
-            Some(id) => id,
-            None => self.shared.write().unwrap().props.intern(r),
-        };
-        self.shard().lock().unwrap().reduce.insert((phys, env), id);
-        id
-    }
-
-    /// Plan comparability (§7): same physical property, environment a
-    /// superset — Simmen's scheme cannot see that extra dependencies are
-    /// irrelevant, which is why it prunes fewer plans.
-    pub fn dominates(&self, a: SimmenState, b: SimmenState) -> bool {
-        if a.phys != b.phys {
-            return false;
-        }
-        if a.env == b.env {
-            return true;
-        }
-        self.shared.read().unwrap().envs.is_superset(a.env, b.env)
-    }
-
-    /// Bytes of order-annotation storage for a plan with
-    /// `num_plan_nodes` nodes: the per-node states plus the shared
-    /// interned environments, properties and the memoization caches
-    /// (all shards).
-    pub fn memory_bytes(&self, num_plan_nodes: usize) -> usize {
-        // Lock order everywhere: shard first, shared second — walk the
-        // shards *before* taking the shared guard (holding shared while
-        // acquiring shards would be the ABBA inversion of the probe
-        // paths, which hold a shard while taking a shared read).
-        let mut shard_bytes = 0usize;
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            shard_bytes += shard
-                .grouping
-                .values()
-                .map(|set| {
-                    std::mem::size_of::<(u32, FdEnvId)>()
-                        + set
-                            .iter()
-                            .map(|g| g.heap_bytes() + std::mem::size_of::<Grouping>())
-                            .sum::<usize>()
-                })
-                .sum::<usize>();
-            shard_bytes += shard.reduce.len()
-                * (std::mem::size_of::<(u32, FdEnvId)>() + std::mem::size_of::<u32>());
-            shard_bytes += shard.extend.len()
-                * (std::mem::size_of::<(FdEnvId, FdSetId)>() + std::mem::size_of::<FdEnvId>());
-            shard_bytes += shard.contains.len()
-                * (std::mem::size_of::<(u32, FdEnvId, u32)>() + std::mem::size_of::<bool>());
-            shard_bytes += shard
-                .head_tail
-                .values()
-                .map(|set| {
-                    std::mem::size_of::<(u32, FdEnvId)>()
-                        + set
-                            .iter()
-                            .map(|h| h.heap_bytes() + std::mem::size_of::<HeadTail>())
-                            .sum::<usize>()
-                })
-                .sum::<usize>();
-        }
-        let shared = self.shared.read().unwrap();
-        let prop_bytes: usize = shared
-            .props
-            .iter()
-            .map(|(_, p)| p.heap_bytes() + std::mem::size_of::<LogicalProperty>())
-            .sum();
-        num_plan_nodes * std::mem::size_of::<SimmenState>()
-            + shared.envs.memory_bytes()
-            + prop_bytes
-            + shard_bytes
+            .expect("a probe panicked holding the simmen memo")
     }
 
     /// All interesting *orderings* with their keys.
@@ -410,12 +150,198 @@ impl SimmenFramework {
             .filter_map(|(i, p)| p.as_grouping().map(|g| (g, SimmenOrderKey(i as u32))))
     }
 
-    /// Reduction-cache size across all shards (for diagnostics).
+    /// Reduction-cache size (for diagnostics).
     pub fn cache_entries(&self) -> usize {
-        self.shards
+        self.memo().reduce.len()
+    }
+}
+
+impl OrderOracle for SimmenFramework {
+    type State = SimmenState;
+    type Key = SimmenOrderKey;
+
+    fn resolve(&self, p: &LogicalProperty) -> Option<SimmenOrderKey> {
+        self.prop_keys.get(p).copied()
+    }
+
+    fn is_producible(&self, k: SimmenOrderKey) -> bool {
+        self.producible[k.0 as usize]
+    }
+
+    /// State of an unordered stream with no dependencies.
+    fn produce_empty(&self) -> SimmenState {
+        SimmenState {
+            phys: 0,
+            env: FdEnvId(0),
+        }
+    }
+
+    /// State of a stream physically shaped like the property behind `k`
+    /// (sort / ordered-scan output for an ordering, hash-aggregation
+    /// output for a grouping) with no dependencies yet. Pure lookup —
+    /// every interesting property was interned at preparation.
+    fn produce(&self, k: SimmenOrderKey) -> SimmenState {
+        SimmenState {
+            phys: self.phys_of_key[k.0 as usize],
+            env: FdEnvId(0),
+        }
+    }
+
+    /// `inferNewLogicalOrderings`: extends the node's FD environment
+    /// (memoized per (environment, FD set)).
+    fn infer(&self, s: SimmenState, f: FdSetId) -> SimmenState {
+        let mut memo = self.memo();
+        let env = match memo.extend.get(&(s.env, f)) {
+            Some(&env) => env,
+            None => {
+                let env = memo.envs.extend(s.env, f);
+                memo.extend.insert((s.env, f), env);
+                env
+            }
+        };
+        SimmenState { phys: s.phys, env }
+    }
+
+    /// `contains`: for an ordering requirement, reduce both orderings
+    /// under the environment and prefix-test (cached); a grouped stream
+    /// satisfies no ordering. For a grouping or head/tail requirement,
+    /// close the stream's implied properties under the environment
+    /// (cached) and test membership.
+    fn satisfies(&self, s: SimmenState, k: SimmenOrderKey) -> bool {
+        let mut memo = self.memo();
+        if let Some(&hit) = memo.contains.get(&(s.phys, s.env, k.0)) {
+            return hit;
+        }
+        let result = match &self.props[k.0 as usize] {
+            LogicalProperty::Ordering(_) => {
+                memo.orderings_contain(s.phys, s.env, self.phys_of_key[k.0 as usize])
+            }
+            LogicalProperty::Grouping(required) => memo.groupings_contain(s.phys, s.env, required),
+            LogicalProperty::HeadTail(required) => memo.head_tails_contain(s.phys, s.env, required),
+        };
+        memo.contains.insert((s.phys, s.env, k.0), result);
+        result
+    }
+
+    /// Plan comparability (§7): same physical property, environment a
+    /// superset — Simmen's scheme cannot see that extra dependencies are
+    /// irrelevant, which is why it prunes fewer plans.
+    fn dominates(&self, a: SimmenState, b: SimmenState) -> bool {
+        if a.phys != b.phys {
+            return false;
+        }
+        if a.env == b.env {
+            return true;
+        }
+        self.memo().envs.is_superset(a.env, b.env)
+    }
+
+    /// Bytes of order-annotation storage for a plan with `plan_nodes`
+    /// nodes: the per-node states plus the interned environments,
+    /// properties and the memoization caches.
+    fn memory_bytes(&self, plan_nodes: usize) -> usize {
+        let memo = self.memo();
+        let grouping_bytes: usize = memo
+            .grouping
+            .values()
+            .map(|set| {
+                std::mem::size_of::<(u32, FdEnvId)>()
+                    + set
+                        .iter()
+                        .map(|g| g.heap_bytes() + std::mem::size_of::<Grouping>())
+                        .sum::<usize>()
+            })
+            .sum();
+        let head_tail_bytes: usize = memo
+            .head_tail
+            .values()
+            .map(|set| {
+                std::mem::size_of::<(u32, FdEnvId)>()
+                    + set
+                        .iter()
+                        .map(|h| h.heap_bytes() + std::mem::size_of::<HeadTail>())
+                        .sum::<usize>()
+            })
+            .sum();
+        let prop_bytes: usize = memo
+            .props
             .iter()
-            .map(|s| s.lock().unwrap().reduce.len())
-            .sum()
+            .map(|(_, p)| p.heap_bytes() + std::mem::size_of::<LogicalProperty>())
+            .sum();
+        plan_nodes * std::mem::size_of::<SimmenState>()
+            + memo.envs.memory_bytes()
+            + prop_bytes
+            + grouping_bytes
+            + head_tail_bytes
+            + memo.reduce.len()
+                * (std::mem::size_of::<(u32, FdEnvId)>() + std::mem::size_of::<u32>())
+            + memo.extend.len()
+                * (std::mem::size_of::<(FdEnvId, FdSetId)>() + std::mem::size_of::<FdEnvId>())
+            + memo.contains.len()
+                * (std::mem::size_of::<(u32, FdEnvId, u32)>() + std::mem::size_of::<bool>())
+    }
+
+    fn name(&self) -> &'static str {
+        "simmen"
+    }
+}
+
+impl Memo {
+    /// Ordering requirement `required` (an interned ordering): reduce
+    /// both it and the stream's physical ordering under `env` and
+    /// prefix-test. Grouped and head/tail-shaped streams satisfy no
+    /// ordering (their group blocks are unordered).
+    fn orderings_contain(&mut self, phys: u32, env: FdEnvId, required: u32) -> bool {
+        if self.props.resolve(phys).as_ordering().is_none() {
+            return false;
+        }
+        let rp = self.reduced(phys, env);
+        let rr = self.reduced(required, env);
+        match (
+            self.props.resolve(rp).as_ordering(),
+            self.props.resolve(rr).as_ordering(),
+        ) {
+            (Some(rp), Some(rr)) => rr.is_prefix_of(rp),
+            _ => false,
+        }
+    }
+
+    /// Membership probe against the cached head/tail set of the stream
+    /// in physical property `phys` under `env`. Simmen's scheme has no
+    /// compact representation for "grouped and sorted within groups", so
+    /// the baseline materializes the full explicit property closure once
+    /// per (property, environment) — persistent-FD semantics, like its
+    /// grouping probe — and caches the pair set.
+    fn head_tails_contain(&mut self, phys: u32, env: FdEnvId, required: &HeadTail) -> bool {
+        if let Some(hit) = self.head_tail.get(&(phys, env)) {
+            return hit.contains(required);
+        }
+        let mut truth = match self.props.resolve(phys) {
+            LogicalProperty::Ordering(o) => ExplicitOrderings::from_physical(o),
+            LogicalProperty::Grouping(g) => ExplicitOrderings::from_grouping(g),
+            LogicalProperty::HeadTail(h) => ExplicitOrderings::from_head_tail(h),
+        };
+        truth.close_under(&self.envs.env(env).fds);
+        let set: FxHashSet<HeadTail> = truth.iter_head_tails().cloned().collect();
+        let hit = set.contains(required);
+        self.head_tail.insert((phys, env), set);
+        hit
+    }
+
+    /// Cached reduction of the interned ordering `phys` under `env`.
+    fn reduced(&mut self, phys: u32, env: FdEnvId) -> u32 {
+        if let Some(&hit) = self.reduce.get(&(phys, env)) {
+            return hit;
+        }
+        let o = self
+            .props
+            .resolve(phys)
+            .as_ordering()
+            .expect("reduction is only defined on orderings");
+        let r: LogicalProperty = reduce(o, &self.envs.env(env).fds).into();
+        let id = self.props.intern(r);
+        self.reduce.insert((phys, env), id);
+        id
     }
 
     /// Membership probe against the cached grouping set of the stream in
@@ -429,22 +355,18 @@ impl SimmenFramework {
     /// so the closure under `env` is the parent's closure (cached or
     /// computed on the way) plus the semi-naive delta of the added
     /// dependencies. Every environment on the chain gets its closure
-    /// cached — in the calling worker's own shard, so a probe on a deep
-    /// environment both reuses and seeds the shallower ones without
-    /// touching any other worker's cache.
-    fn groupings_contain(&self, phys: u32, env: FdEnvId, required: &Grouping) -> bool {
-        let mut shard = self.shard().lock().unwrap();
-        if let Some(hit) = shard.grouping.get(&(phys, env)) {
+    /// cached, so a probe on a deep environment both reuses and seeds the
+    /// shallower ones.
+    fn groupings_contain(&mut self, phys: u32, env: FdEnvId, required: &Grouping) -> bool {
+        if let Some(hit) = self.grouping.get(&(phys, env)) {
             return hit.contains(required);
         }
-        // Lock order everywhere: shard first, shared (read) second.
-        let shared = self.shared.read().unwrap();
         // Walk up the derivation chain to the nearest cached ancestor
         // (or the root environment).
         let mut chain: Vec<(FdEnvId, FdSetId)> = Vec::new();
         let mut anchor = env;
-        while !shard.grouping.contains_key(&(phys, anchor)) {
-            match shared.envs.parent(anchor) {
+        while !self.grouping.contains_key(&(phys, anchor)) {
+            match self.envs.parent(anchor) {
                 Some((parent, added)) => {
                     chain.push((anchor, added));
                     anchor = parent;
@@ -454,11 +376,11 @@ impl SimmenFramework {
         }
         // Closure at the anchor: cached, or the base set of the physical
         // property closed under the (possibly empty) anchor environment.
-        let mut set: FxHashSet<Grouping> = match shard.grouping.get(&(phys, anchor)) {
+        let mut set: FxHashSet<Grouping> = match self.grouping.get(&(phys, anchor)) {
             Some(hit) => hit.clone(),
             None => {
                 let mut base: FxHashSet<Grouping> = FxHashSet::default();
-                match shared.props.resolve(phys) {
+                match self.props.resolve(phys) {
                     LogicalProperty::Ordering(o) => {
                         for len in 1..=o.len() {
                             base.insert(Grouping::new(o.attrs()[..len].to_vec()));
@@ -473,10 +395,10 @@ impl SimmenFramework {
                         base.extend(h.absorbed_heads());
                     }
                 }
-                let fds = shared.envs.env(anchor).fds.to_vec();
+                let fds = &self.envs.env(anchor).fds;
                 let seed: Vec<Grouping> = base.iter().cloned().collect();
-                close_under(&mut base, seed, &fds, &fds);
-                shard.grouping.insert((phys, anchor), base.clone());
+                close_under(&mut base, seed, fds, fds);
+                self.grouping.insert((phys, anchor), base.clone());
                 base
             }
         };
@@ -485,11 +407,14 @@ impl SimmenFramework {
         // dependencies applied; whatever that derives is then chased
         // under the full environment.
         for &(step_env, added) in chain.iter().rev() {
-            let new_fds = shared.envs.set_fds(added).to_vec();
-            let all_fds = shared.envs.env(step_env).fds.to_vec();
             let seed: Vec<Grouping> = set.iter().cloned().collect();
-            close_under(&mut set, seed, &new_fds, &all_fds);
-            shard.grouping.insert((phys, step_env), set.clone());
+            close_under(
+                &mut set,
+                seed,
+                self.envs.set_fds(added),
+                &self.envs.env(step_env).fds,
+            );
+            self.grouping.insert((phys, step_env), set.clone());
         }
         set.contains(required)
     }
@@ -564,9 +489,9 @@ mod tests {
     fn mirrors_core_walkthrough() {
         let (spec, f_bc, _) = running_example();
         let fw = SimmenFramework::prepare(&spec);
-        let k_a = fw.key(&o(&[A])).unwrap();
-        let k_ab = fw.key(&o(&[A, B])).unwrap();
-        let k_abc = fw.key(&o(&[A, B, C])).unwrap();
+        let k_a = fw.resolve(&o(&[A]).into()).unwrap();
+        let k_ab = fw.resolve(&o(&[A, B]).into()).unwrap();
+        let k_abc = fw.resolve(&o(&[A, B, C]).into()).unwrap();
 
         let s = fw.produce(k_ab);
         assert!(fw.satisfies(s, k_a));
@@ -583,7 +508,7 @@ mod tests {
     fn domination_needs_same_ordering_and_env_superset() {
         let (spec, f_bc, f_bd) = running_example();
         let fw = SimmenFramework::prepare(&spec);
-        let k_ab = fw.key(&o(&[A, B])).unwrap();
+        let k_ab = fw.resolve(&o(&[A, B]).into()).unwrap();
         let base = fw.produce(k_ab);
         let with_bc = fw.infer(base, f_bc);
         let with_both = fw.infer(with_bc, f_bd);
@@ -595,7 +520,7 @@ mod tests {
         // otherwise identical plans stay alive.
         assert_ne!(with_both, with_bc);
         // Different physical orderings never compare.
-        let k_b = fw.key(&o(&[B])).unwrap();
+        let k_b = fw.resolve(&o(&[B]).into()).unwrap();
         assert!(!fw.dominates(fw.produce(k_b), base));
     }
 
@@ -603,10 +528,10 @@ mod tests {
     fn reduce_cache_fills_and_memory_is_accounted() {
         let (spec, f_bc, _) = running_example();
         let fw = SimmenFramework::prepare(&spec);
-        let k_ab = fw.key(&o(&[A, B])).unwrap();
+        let k_ab = fw.resolve(&o(&[A, B]).into()).unwrap();
         let m0 = fw.memory_bytes(0);
         let s = fw.infer(fw.produce(k_ab), f_bc);
-        let k_abc = fw.key(&o(&[A, B, C])).unwrap();
+        let k_abc = fw.resolve(&o(&[A, B, C]).into()).unwrap();
         assert!(fw.satisfies(s, k_abc));
         assert!(fw.satisfies(s, k_abc)); // second probe hits the cache
         assert!(fw.cache_entries() >= 2);
@@ -624,7 +549,7 @@ mod tests {
         spec.add_produced(o(&[A]));
         let f = spec.add_fd_set(vec![Fd::constant(A)]);
         let fw = SimmenFramework::prepare(&spec);
-        let k_a = fw.key(&o(&[A])).unwrap();
+        let k_a = fw.resolve(&o(&[A]).into()).unwrap();
         let s = fw.produce_empty();
         assert!(!fw.satisfies(s, k_a));
         let s2 = fw.infer(s, f);
@@ -635,10 +560,10 @@ mod tests {
     fn prefixes_of_interesting_orders_have_keys() {
         let (spec, _, _) = running_example();
         let fw = SimmenFramework::prepare(&spec);
-        assert!(fw.key(&o(&[A])).is_some());
-        assert!(fw.key(&o(&[C])).is_none());
-        assert!(fw.is_producible(fw.key(&o(&[B])).unwrap()));
-        assert!(!fw.is_producible(fw.key(&o(&[A])).unwrap()));
+        assert!(fw.resolve(&o(&[A]).into()).is_some());
+        assert!(fw.resolve(&o(&[C]).into()).is_none());
+        assert!(fw.is_producible(fw.resolve(&o(&[B]).into()).unwrap()));
+        assert!(!fw.is_producible(fw.resolve(&o(&[A]).into()).unwrap()));
     }
 
     #[test]
@@ -650,9 +575,9 @@ mod tests {
         let f_bc = spec.add_fd_set(vec![Fd::functional(&[B], C)]);
         let fw = SimmenFramework::prepare(&spec);
 
-        let k_ab = fw.key(&o(&[A, B])).unwrap();
-        let kg_ab = fw.grouping_key(&g(&[A, B])).unwrap();
-        let kg_abc = fw.grouping_key(&g(&[A, B, C])).unwrap();
+        let k_ab = fw.resolve(&o(&[A, B]).into()).unwrap();
+        let kg_ab = fw.resolve(&g(&[A, B]).into()).unwrap();
+        let kg_abc = fw.resolve(&g(&[A, B, C]).into()).unwrap();
         assert!(fw.is_producible(kg_ab));
         assert!(!fw.is_producible(kg_abc));
 
@@ -674,15 +599,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_caches_agree_across_threads() {
-        // Every worker memoizes into its own shard, but all ids come
-        // from the shared tier — so any thread's probe answers (and the
-        // states it builds) must be identical to the serial ones, warm
-        // or cold.
+    fn memo_agrees_across_threads() {
+        // Eight threads probe one shared memo after a serial warm-up:
+        // every thread's probe answers (and the states it builds) must
+        // be identical to the serial ones.
         let (spec, f_bc, f_bd) = running_example();
         let fw = SimmenFramework::prepare(&spec);
-        let k_ab = fw.key(&o(&[A, B])).unwrap();
-        let k_abc = fw.key(&o(&[A, B, C])).unwrap();
+        let k_ab = fw.resolve(&o(&[A, B]).into()).unwrap();
+        let k_abc = fw.resolve(&o(&[A, B, C]).into()).unwrap();
         let probe = |fw: &SimmenFramework| -> (SimmenState, Vec<bool>) {
             let s = fw.infer(fw.infer(fw.produce(k_ab), f_bc), f_bd);
             let answers = vec![
@@ -697,12 +621,11 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     let (s, answers) = probe(&fw);
-                    assert_eq!(s, serial_state, "shared-tier ids are authoritative");
+                    assert_eq!(s, serial_state, "memo ids are authoritative");
                     assert_eq!(answers, serial_answers);
                 });
             }
         });
-        // The per-thread shards each memoized their own reductions.
         assert!(fw.cache_entries() >= 2);
         assert!(fw.memory_bytes(0) > 0);
     }
@@ -726,14 +649,14 @@ mod tests {
         let probe_all = |fw: &SimmenFramework, s: SimmenState| -> Vec<bool> {
             [g(&[A, B]), g(&[A, B, C]), g(&[A, B, C, D])]
                 .into_iter()
-                .map(|gr| fw.satisfies(s, fw.grouping_key(&gr).unwrap()))
+                .map(|gr| fw.satisfies(s, fw.resolve(&gr.into()).unwrap()))
                 .collect()
         };
 
         // Stepwise: probe after every single infer (caches every chain
         // link as it appears).
         let fw = SimmenFramework::prepare(&spec);
-        let k_a = fw.key(&o(&[A])).unwrap();
+        let k_a = fw.resolve(&o(&[A]).into()).unwrap();
         let s0 = fw.produce(k_a);
         let s1 = fw.infer(s0, f_ab);
         assert_eq!(probe_all(&fw, s1), vec![true, false, false]);

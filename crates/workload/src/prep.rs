@@ -119,7 +119,7 @@ pub fn prep_spec(config: &PrepSpecConfig) -> InputSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofw_core::{OrderingFramework, PruneConfig};
+    use ofw_core::{OrderOracle, OrderingFramework, PruneConfig};
 
     #[test]
     fn deterministic_and_family_scaled() {
@@ -183,13 +183,13 @@ mod tests {
         let probes = interesting(&base_spec);
         let shifted_probes = interesting(&shifted_spec);
         for (p, sp) in base_spec.produced().iter().zip(shifted_spec.produced()) {
-            let mut s = base.produce(base.handle_property(p).unwrap());
-            let mut ss = shifted.produce(shifted.handle_property(sp).unwrap());
+            let mut s = base.produce(base.resolve(p).unwrap());
+            let mut ss = shifted.produce(shifted.resolve(sp).unwrap());
             for set in (0..base_spec.fd_sets().len() as u32).map(ofw_core::FdSetId) {
                 (s, ss) = (base.infer(s, set), shifted.infer(ss, set));
                 for (q, sq) in probes.iter().zip(&shifted_probes) {
-                    let h = base.handle_property(q).unwrap();
-                    let sh = shifted.handle_property(sq).unwrap();
+                    let h = base.resolve(q).unwrap();
+                    let sh = shifted.resolve(sq).unwrap();
                     assert_eq!(base.satisfies(s, h), shifted.satisfies(ss, sh), "{q:?}");
                 }
             }

@@ -8,7 +8,7 @@
 //! order by o_custkey` — with *no* useful index anywhere, so hash-based
 //! aggregation wins the `group by`. Its output is then **grouped by the
 //! 150 000-value key but unsorted**, and the head/tail machinery pays
-//! off: the plan generator's one-bit `satisfies_head_tail` probe sees
+//! off: the plan generator's one-bit `satisfies` probe sees
 //! the `order by`'s head grouping already satisfied, so the root
 //! ordering is enforced by a `PartialSort` — blocks are adjacent, only
 //! the within-block residue is compared, `O(n · log(n/groups))` —

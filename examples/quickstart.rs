@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use ofw::catalog::AttrId;
-use ofw::core::{Fd, InputSpec, Ordering, OrderingFramework, PruneConfig};
+use ofw::core::{Fd, InputSpec, OrderOracle, Ordering, OrderingFramework, PruneConfig};
 
 fn main() {
     let [a, b, c, d] = [AttrId(0), AttrId(1), AttrId(2), AttrId(3)];
@@ -60,8 +60,8 @@ fn main() {
     // ordering 2 … after an operator which induces b→c, the ordering
     // changes to 3, which also satisfies (a,b,c)".
     println!("== plan-generation walkthrough (paper §5.6) ==");
-    let h_ab = fw.handle(&Ordering::new(vec![a, b])).unwrap();
-    let h_abc = fw.handle(&Ordering::new(vec![a, b, c])).unwrap();
+    let h_ab = fw.resolve(&Ordering::new(vec![a, b]).into()).unwrap();
+    let h_abc = fw.resolve(&Ordering::new(vec![a, b, c]).into()).unwrap();
 
     let s = fw.produce(h_ab);
     println!("sort by (a,b)            -> state {s:?}");

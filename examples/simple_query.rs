@@ -12,7 +12,7 @@
 //! Run with: `cargo run --example simple_query`
 
 use ofw::catalog::Catalog;
-use ofw::core::{OrderingFramework, PruneConfig};
+use ofw::core::{OrderOracle, OrderingFramework, PruneConfig};
 use ofw::plangen::PlanGen;
 use ofw::query::extract::ExtractOptions;
 use ofw::query::QueryBuilder;
@@ -65,12 +65,13 @@ fn main() {
     println!("DFSM states: {}", fw.stats().dfsm_states);
     // The equation id = jobid merges the permutation states: when one
     // node is active all orderings over {id, jobid, name} prefixes hold.
-    let s = fw.produce(fw.handle(&ofw::core::Ordering::new(vec![jid])).unwrap());
+    let by_id = ofw::core::Ordering::new(vec![jid]).into();
+    let s = fw.produce(fw.resolve(&by_id).unwrap());
     let s = fw.infer(s, ex.join_fd[0]);
     let pjobid = catalog.attr("persons.jobid");
     let pname = catalog.attr("persons.name");
     for probe in [vec![jid], vec![pjobid], vec![jid, pname], vec![pjobid, jid]] {
-        if let Some(h) = fw.handle(&ofw::core::Ordering::new(probe.clone())) {
+        if let Some(h) = fw.resolve(&ofw::core::Ordering::new(probe.clone()).into()) {
             println!(
                 "  after id=jobid, scan(jobs.id) satisfies {}: {}",
                 catalog.render_ordering(&probe),

@@ -7,12 +7,10 @@
 //! and groupings* during query optimization with a precomputed
 //! deterministic finite state machine, so that during plan generation
 //!
-//! * testing whether a subplan satisfies a required ordering
-//!   ([`OrderingFramework::satisfies`](ofw_core::OrderingFramework::satisfies)),
-//! * testing whether it satisfies a required *grouping*
-//!   ([`OrderingFramework::satisfies_grouping`](ofw_core::OrderingFramework::satisfies_grouping)), and
+//! * testing whether a subplan satisfies a required ordering, *grouping*
+//!   or head/tail pair ([`OrderOracle::satisfies`](ofw_core::OrderOracle::satisfies)), and
 //! * inferring new logical properties when an operator adds functional
-//!   dependencies ([`OrderingFramework::infer`](ofw_core::OrderingFramework::infer))
+//!   dependencies ([`OrderOracle::infer`](ofw_core::OrderOracle::infer))
 //!
 //! all run in **O(1)**, and every plan node carries only a 4-byte state.
 //!

@@ -16,7 +16,7 @@
 //!   for it (the vectorized twin of `tests/execution.rs`).
 
 use ofw::catalog::{AttrId, Catalog};
-use ofw::core::{OrderingFramework, PruneConfig};
+use ofw::core::{OrderOracle, OrderingFramework, PruneConfig};
 use ofw::exec::{
     execute_plan, execute_serial, reference_plan, result_signature, ColTable, ExecOptions,
     ExecStats,
@@ -126,7 +126,7 @@ fn assert_tree_properties(
             }
         }
         for (grouping, handle) in fw.groupings() {
-            if covered(grouping.attrs()) && fw.satisfies_grouping(node.state, handle) {
+            if covered(grouping.attrs()) && fw.satisfies(node.state, handle) {
                 assert!(
                     out.satisfies_grouping(grouping.attrs()),
                     "{ctx} {id:?}: claimed grouping {grouping:?} violated\n{}",
@@ -135,7 +135,7 @@ fn assert_tree_properties(
             }
         }
         for (pair, handle) in fw.head_tails() {
-            if covered(pair.attrs()) && fw.satisfies_head_tail(node.state, handle) {
+            if covered(pair.attrs()) && fw.satisfies(node.state, handle) {
                 assert!(
                     out.satisfies_head_tail(pair.head_attrs(), pair.tail_attrs()),
                     "{ctx} {id:?}: claimed head/tail {pair:?} violated\n{}",

@@ -7,7 +7,7 @@
 //! proves the DFSM agrees with the formal derivation rules; this test
 //! proves the derivation rules agree with reality.
 
-use ofw::core::{OrderingFramework, PruneConfig};
+use ofw::core::{OrderOracle, OrderingFramework, PruneConfig};
 use ofw::exec::{columns_from_tables, execute_serial};
 use ofw::plangen::{execute, synthetic_data, PlanGen};
 use ofw::query::extract::ExtractOptions;
@@ -129,7 +129,7 @@ fn claimed_groupings_hold_physically() {
                     }
                 }
                 for (grouping, handle) in fw.groupings() {
-                    if covered(grouping.attrs()) && fw.satisfies_grouping(node.state, handle) {
+                    if covered(grouping.attrs()) && fw.satisfies(node.state, handle) {
                         assert!(
                             output.satisfies_grouping(grouping.attrs()),
                             "n={n} seed={seed} plan {pid:?}: grouping {grouping:?} violated\n{}",
@@ -141,7 +141,7 @@ fn claimed_groupings_hold_physically() {
                     }
                 }
                 for (pair, handle) in fw.head_tails() {
-                    if covered(pair.attrs()) && fw.satisfies_head_tail(node.state, handle) {
+                    if covered(pair.attrs()) && fw.satisfies(node.state, handle) {
                         assert!(
                             output.satisfies_head_tail(pair.head_attrs(), pair.tail_attrs()),
                             "n={n} seed={seed} plan {pid:?}: head/tail {pair:?} violated\n{}",

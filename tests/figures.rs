@@ -2,7 +2,7 @@
 //! the public-API level.
 
 use ofw::catalog::{AttrId, Catalog};
-use ofw::core::{Fd, InputSpec, Ordering, OrderingFramework, PruneConfig};
+use ofw::core::{Fd, InputSpec, OrderOracle, Ordering, OrderingFramework, PruneConfig};
 use ofw::query::extract::ExtractOptions;
 use ofw::query::QueryBuilder;
 
@@ -45,7 +45,7 @@ fn fig1_2_nfsm_and_dfsm_for_abc_with_b_to_d() {
         3,
         "empty + the two states of Fig. 2"
     );
-    let s1 = fw.produce(fw.handle(&o(&[A, B, C])).unwrap());
+    let s1 = fw.produce(fw.resolve(&o(&[A, B, C]).into()).unwrap());
     let s2 = fw.infer(s1, f_bd);
     assert_ne!(s1, s2);
     assert_eq!(fw.infer(s2, f_bd), s2, "d-state is a fixpoint");
@@ -86,7 +86,7 @@ fn fig4_to_10_running_example() {
     assert_eq!(fw.stats().dfsm_states, 4);
 
     // Fig. 9: the contains matrix.
-    let h = |ord: &Ordering| fw.handle(ord).unwrap();
+    let h = |ord: &Ordering| fw.resolve(&ord.clone().into()).unwrap();
     let (h_a, h_ab, h_abc, h_b) = (h(&o(&[A])), h(&o(&[A, B])), h(&o(&[A, B, C])), h(&o(&[B])));
     let s1 = fw.produce(h_b); // node 1 = {(b)}
     let s2 = fw.produce(h_ab); // node 2 = {(a),(a,b)}
@@ -148,13 +148,13 @@ fn fig11_12_simple_query() {
     // (salary) is interesting (testable) but not producible: no operator
     // generates it, so no artificial start edge exists ("the state for
     // salary cannot be reached").
-    let h_salary = fw.handle(&o(&[salary])).unwrap();
-    assert!(!ofw::core::OrderingFramework::is_producible(&fw, h_salary));
+    let h_salary = fw.resolve(&o(&[salary]).into()).unwrap();
+    assert!(!fw.is_producible(h_salary));
 
     // Fig. 11's id=jobid edge: a stream ordered by (jobs.id), after the
     // join applies id = jobid, satisfies (persons.jobid) as well.
-    let h_id = fw.handle(&o(&[jid])).unwrap();
-    let h_jobid = fw.handle(&o(&[pjobid])).unwrap();
+    let h_id = fw.resolve(&o(&[jid]).into()).unwrap();
+    let h_jobid = fw.resolve(&o(&[pjobid]).into()).unwrap();
     let s = fw.produce(h_id);
     assert!(fw.satisfies(s, h_id));
     assert!(!fw.satisfies(s, h_jobid), "before the equation");
@@ -166,7 +166,7 @@ fn fig11_12_simple_query() {
 
     // Fig. 12's big state: sorted by (id,name) + equation satisfies the
     // order-by and all single-attribute join orders at once.
-    let h_id_name = fw.handle(&o(&[jid, pname])).unwrap();
+    let h_id_name = fw.resolve(&o(&[jid, pname]).into()).unwrap();
     let s = fw.produce(h_id_name);
     let s = fw.infer(s, ex.join_fd[0]);
     for h in [h_id, h_jobid, h_id_name] {
@@ -190,7 +190,7 @@ fn section2_constant_example_via_dfsm() {
     let f_x = spec.add_fd_set(vec![Fd::constant(x)]);
     let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
 
-    let s = fw.produce(fw.handle(&o(&[A, B])).unwrap());
+    let s = fw.produce(fw.resolve(&o(&[A, B]).into()).unwrap());
     let s = fw.infer(s, f_x);
     for probe in [
         o(&[x, A, B]),
@@ -203,7 +203,7 @@ fn section2_constant_example_via_dfsm() {
         o(&[A]),
     ] {
         let h = fw
-            .handle(&probe)
+            .resolve(&probe.clone().into())
             .unwrap_or_else(|| panic!("{probe:?} not interesting"));
         assert!(fw.satisfies(s, h), "{probe:?} must hold");
     }

@@ -1,11 +1,11 @@
 //! Head/tail pair properties: the third `LogicalProperty` kind must
-//! answer `satisfies_head_tail` exactly like the explicit-set ground
+//! answer `satisfies` exactly like the explicit-set ground
 //! truth on realistic inputs, and it must be *pay-for-what-you-use* —
 //! queries that never register an interesting pair build byte-identical
 //! automata to the ordering + grouping pipeline.
 
 use ofw::core::{ExplicitOrderings, LogicalProperty};
-use ofw::core::{Fd, FdSet, OrderingFramework, PruneConfig};
+use ofw::core::{Fd, FdSet, OrderOracle, OrderingFramework, PruneConfig};
 use ofw::query::extract::ExtractOptions;
 use ofw::workload::{grouping_query, random_query, GroupingQueryConfig, RandomQueryConfig};
 use proptest::prelude::*;
@@ -112,7 +112,7 @@ fn pure_queries_build_byte_identical_automata() {
 }
 
 /// For random grouping workloads (the specs real queries extract),
-/// every `satisfies_head_tail` probe after every operator sequence must
+/// every head/tail `satisfies` probe after every operator sequence must
 /// agree with the explicit-set ground truth — from sorted and from
 /// hash-grouped start states.
 mod workload_agreement {
@@ -137,7 +137,7 @@ mod workload_agreement {
                 let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
                 let fd_sets: Vec<FdSet> = ex.spec.fd_sets().to_vec();
                 for p in ex.spec.produced() {
-                    let handle = fw.handle_property(p).expect("produced is interesting");
+                    let handle = fw.resolve(p).expect("produced is interesting");
                     let mut state = fw.produce(handle);
                     let mut truth = match p {
                         LogicalProperty::Ordering(o) => ExplicitOrderings::from_physical(o),
@@ -153,7 +153,7 @@ mod workload_agreement {
                     }
                     for (pair, ph) in fw.head_tails() {
                         prop_assert_eq!(
-                            fw.satisfies_head_tail(state, ph),
+                            fw.satisfies(state, ph),
                             truth.contains_head_tail(pair),
                             "seed {} pair {:?} from {:?} after {:?}",
                             seed, pair, p, &ops
@@ -166,7 +166,7 @@ mod workload_agreement {
                     }
                     for (g, gh) in fw.groupings() {
                         prop_assert_eq!(
-                            fw.satisfies_grouping(state, gh),
+                            fw.satisfies(state, gh),
                             truth.contains_grouping(g)
                         );
                     }
@@ -234,7 +234,7 @@ mod spec_agreement {
             if spec.interesting_head_tails().next().is_some() {
                 let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
                 for p in spec.produced() {
-                    let handle = fw.handle_property(p).expect("produced is interesting");
+                    let handle = fw.resolve(p).expect("produced is interesting");
                     let mut state = fw.produce(handle);
                     let mut truth = match p {
                         LogicalProperty::Ordering(o) => ExplicitOrderings::from_physical(o),
@@ -250,7 +250,7 @@ mod spec_agreement {
                     }
                     for (pair, ph) in fw.head_tails() {
                         prop_assert_eq!(
-                            fw.satisfies_head_tail(state, ph),
+                            fw.satisfies(state, ph),
                             truth.contains_head_tail(pair),
                             "pair {:?} from {:?} after {:?} under {:?}",
                             pair, p, &ops, &fds

@@ -2,7 +2,7 @@
 //! DP plan generation, across workload families.
 
 use ofw::catalog::Catalog;
-use ofw::core::{OrderingFramework, PruneConfig};
+use ofw::core::{OrderOracle, OrderingFramework, PruneConfig};
 use ofw::plangen::{ExplicitOracle, PlanGen, PlanOp};
 use ofw::query::extract::ExtractOptions;
 use ofw::query::Query;
@@ -158,7 +158,7 @@ fn q8_end_to_end() {
     // The root's order state must satisfy (o_year).
     let o_year = catalog.attr("o_year");
     let h = fw
-        .handle(&ofw::core::Ordering::new(vec![o_year]))
+        .resolve(&ofw::core::Ordering::new(vec![o_year]).into())
         .expect("(o_year) is interesting");
     assert!(fw.satisfies(root.state, h), "output is grouped by o_year");
 

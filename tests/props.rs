@@ -10,7 +10,7 @@
 
 use ofw::catalog::AttrId;
 use ofw::core::{
-    ExplicitOrderings, Fd, FdSet, InputSpec, Ordering, OrderingFramework, PruneConfig,
+    ExplicitOrderings, Fd, FdSet, InputSpec, OrderOracle, Ordering, OrderingFramework, PruneConfig,
 };
 use proptest::prelude::*;
 
@@ -99,7 +99,7 @@ proptest! {
 
         // Walk both representations in lockstep.
         let start = &sc.produced[sc.start];
-        let mut state = fw.produce(fw.handle(start).expect("produced orders are interesting"));
+        let mut state = fw.produce(fw.resolve(&start.clone().into()).expect("produced orders are interesting"));
         let mut truth = ExplicitOrderings::from_physical(start);
         for &op in &sc.ops {
             state = fw.infer(state, set_ids[op]);
@@ -133,15 +133,15 @@ proptest! {
         let pruned = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
         let raw = OrderingFramework::prepare(&spec, PruneConfig::none()).unwrap();
 
-        let start = &sc.produced[sc.start];
-        let mut sp = pruned.produce(pruned.handle(start).unwrap());
-        let mut sr = raw.produce(raw.handle(start).unwrap());
+        let start = sc.produced[sc.start].clone().into();
+        let mut sp = pruned.produce(pruned.resolve(&start).unwrap());
+        let mut sr = raw.produce(raw.resolve(&start).unwrap());
         for &op in &sc.ops {
             sp = pruned.infer(sp, set_ids[op]);
             sr = raw.infer(sr, set_ids[op]);
         }
         for (ordering, hp) in pruned.orders() {
-            let hr = raw.handle(ordering).unwrap();
+            let hr = raw.resolve(&ordering.clone().into()).unwrap();
             prop_assert_eq!(
                 pruned.satisfies(sp, hp),
                 raw.satisfies(sr, hr),
@@ -170,7 +170,7 @@ proptest! {
         let fw = ofw::simmen::SimmenFramework::prepare(&spec);
 
         let start = &sc.produced[sc.start];
-        let mut state = fw.produce(fw.key(start).unwrap());
+        let mut state = fw.produce(fw.resolve(&start.clone().into()).unwrap());
         let mut truth = ExplicitOrderings::from_physical(start);
         let mut accumulated: Vec<Fd> = Vec::new();
         for &op in &sc.ops {
@@ -205,11 +205,11 @@ proptest! {
 
         // Build two states: one via the op sequence, one plain.
         let start = &sc.produced[sc.start];
-        let mut sa = fw.produce(fw.handle(start).unwrap());
+        let mut sa = fw.produce(fw.resolve(&start.clone().into()).unwrap());
         for &op in &sc.ops {
             sa = fw.infer(sa, set_ids[op]);
         }
-        let sb = fw.produce(fw.handle(start).unwrap());
+        let sb = fw.produce(fw.resolve(&start.clone().into()).unwrap());
         if fw.dominates(sa, sb) {
             let mut fa = sa;
             let mut fb = sb;

@@ -5,7 +5,7 @@
 //! than in a downstream crate.
 
 use ofw::catalog::AttrId;
-use ofw::core::{Fd, InputSpec, Ordering, OrderingFramework, PruneConfig, State};
+use ofw::core::{Fd, InputSpec, OrderOracle, Ordering, OrderingFramework, PruneConfig, State};
 
 fn o(ids: &[AttrId]) -> Ordering {
     Ordering::new(ids.to_vec())
@@ -32,7 +32,7 @@ fn quickstart_running_example_matches_figs_9_and_10() {
     // {b→d} can never matter — pruned in step 2(b).
     assert_eq!(fw.stats().pruned_fds, 1);
 
-    let h = |ord: &Ordering| fw.handle(ord).unwrap();
+    let h = |ord: &Ordering| fw.resolve(&ord.clone().into()).unwrap();
     let (h_a, h_b, h_ab, h_abc) = (h(&o(&[a])), h(&o(&[b])), h(&o(&[a, b])), h(&o(&[a, b, c])));
 
     // Fig. 9, row by row: state 1 = sort by (b), state 2 = sort by
@@ -80,16 +80,16 @@ fn grouping_quickstart() {
     let f_bc = spec.add_fd_set(vec![Fd::functional(&[b], c)]);
     let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
 
-    let g_ab = fw.handle_grouping(&Grouping::new(vec![a, b])).unwrap();
-    let g_abc = fw.handle_grouping(&Grouping::new(vec![a, b, c])).unwrap();
+    let g_ab = fw.resolve(&Grouping::new(vec![a, b]).into()).unwrap();
+    let g_abc = fw.resolve(&Grouping::new(vec![a, b, c]).into()).unwrap();
     // Sorted ⇒ grouped; hash-grouped ⇒ grouped but unsorted.
-    let sorted = fw.produce(fw.handle(&o(&[a, b])).unwrap());
-    assert!(fw.satisfies_grouping(sorted, g_ab));
-    let grouped = fw.produce_grouping(g_ab);
-    assert!(fw.satisfies_grouping(grouped, g_ab));
-    assert!(!fw.satisfies(grouped, fw.handle(&o(&[a, b])).unwrap()));
+    let sorted = fw.produce(fw.resolve(&o(&[a, b]).into()).unwrap());
+    assert!(fw.satisfies(sorted, g_ab));
+    let grouped = fw.produce(g_ab);
+    assert!(fw.satisfies(grouped, g_ab));
+    assert!(!fw.satisfies(grouped, fw.resolve(&o(&[a, b]).into()).unwrap()));
     // FDs extend groupings by set insertion, in O(1).
-    assert!(fw.satisfies_grouping(fw.infer(grouped, f_bc), g_abc));
+    assert!(fw.satisfies(fw.infer(grouped, f_bc), g_abc));
 }
 
 /// Every facade module resolves and its headline type is usable: a
