@@ -1,119 +1,158 @@
-//! A growable bit set over `u64` blocks.
+//! The workspace's one bit set: relation sets, applied-FD masks and
+//! DFSM state subsets.
 //!
-//! Used for subsets of NFSM states during the powerset construction
-//! (Appendix A of the paper) where sets are dense and set-algebra speed
-//! dominates. All operations are word-parallel.
+//! Nearly every set the optimizer builds is small. A query's relations
+//! and FD sets fit one machine word — the DPccp/DPhyp lineage keeps
+//! relation sets in words — and so do the NFSM-node subsets of ordinary
+//! queries. [`BitSet`] therefore holds a set of members below 64 in one
+//! inline word (no heap; a clone is a copy) and spills to a boxed word
+//! slice only once a member from 64 up arrives. A 70-relation chain or a
+//! 7,000-node automaton still works, and pays for exactly the width it
+//! uses. Either way the set is 16 bytes, which matters on a plan node.
+//!
+//! There is no universe: sets of any widths combine, and equality and
+//! hashing look at members, not storage. All operations are
+//! word-parallel.
 
-/// A fixed-universe bit set (universe size chosen at construction).
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct BitSet {
-    blocks: Vec<u64>,
+use std::hash::{Hash, Hasher};
+
+/// A set of `usize`s: one inline word while every member is below 64,
+/// a boxed word slice beyond that.
+#[derive(Clone)]
+pub struct BitSet(Words);
+
+#[derive(Clone)]
+enum Words {
+    /// Members `0..64`.
+    Inline(u64),
+    /// `w[i]` holds members `64i..64(i+1)`. May end in zero words
+    /// (after a `difference_with`), which equality and hashing ignore.
+    Spill(Box<[u64]>),
+}
+
+impl Default for BitSet {
+    fn default() -> Self {
+        BitSet(Words::Inline(0))
+    }
 }
 
 impl BitSet {
-    /// Creates an empty set able to hold `universe` elements (`0..universe`).
-    pub fn new(universe: usize) -> Self {
-        BitSet {
-            blocks: vec![0; universe.div_ceil(64)],
-        }
+    /// The empty set.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Number of `u64` blocks backing the set.
-    #[inline]
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Heap bytes consumed by this set.
-    #[inline]
-    pub fn heap_bytes(&self) -> usize {
-        self.blocks.capacity() * 8
-    }
-
-    /// Inserts `i`. Panics if `i` is outside the universe.
+    /// Inserts `i`, spilling (or widening the spill) to exactly the word
+    /// `i` needs.
     #[inline]
     pub fn insert(&mut self, i: usize) {
-        self.blocks[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Removes `i` if present.
-    #[inline]
-    pub fn remove(&mut self, i: usize) {
-        if let Some(b) = self.blocks.get_mut(i / 64) {
-            *b &= !(1u64 << (i % 64));
-        }
+        let w = i / 64;
+        self.widen(w + 1)[w] |= 1 << (i % 64);
     }
 
     /// Tests membership of `i`.
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        self.blocks
-            .get(i / 64)
-            .is_some_and(|b| b & (1u64 << (i % 64)) != 0)
+        let word = self.words().get(i / 64);
+        word.is_some_and(|w| w >> (i % 64) & 1 != 0)
     }
 
-    /// True if no element is set.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.iter().all(|&b| b == 0)
-    }
-
-    /// Number of elements in the set.
+    /// Number of members.
     pub fn len(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `self |= other`. Both sets must share the same universe.
+    /// True if no member is set.
+    pub fn is_empty(&self) -> bool {
+        self.words().iter().all(|&w| w == 0)
+    }
+
+    /// Iterates the members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words().iter().enumerate().flat_map(|(wi, &w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    wi * 64 + b
+                })
+            })
+        })
+    }
+
+    /// `self ∪= other`, with at most one allocation.
     pub fn union_with(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.blocks.len(), other.blocks.len());
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a |= *b;
+        let theirs = other.significant();
+        for (a, b) in self.widen(theirs.len()).iter_mut().zip(theirs) {
+            *a |= b;
         }
     }
 
-    /// `self &= other`.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.blocks.len(), other.blocks.len());
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= *b;
-        }
-    }
-
-    /// `self -= other` (set difference).
+    /// `self −= other`. Never allocates; a spill keeps its width.
     pub fn difference_with(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.blocks.len(), other.blocks.len());
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= !*b;
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
+            *a &= !b;
         }
     }
 
     /// True if `self ⊇ other`.
     pub fn is_superset(&self, other: &BitSet) -> bool {
-        debug_assert_eq!(self.blocks.len(), other.blocks.len());
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & b == *b)
+        // `other`'s last significant word is non-zero: if `self` has no
+        // word there, it cannot hold it.
+        let (ours, theirs) = (self.words(), other.significant());
+        theirs.len() <= ours.len() && theirs.iter().zip(ours).all(|(b, a)| b & !a == 0)
     }
 
-    /// True if the sets share at least one element.
+    /// True if the sets share at least one member.
     pub fn intersects(&self, other: &BitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .any(|(a, b)| a & b != 0)
+        let mut pairs = self.words().iter().zip(other.words());
+        pairs.any(|(a, b)| a & b != 0)
     }
 
-    /// Iterates set elements in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.blocks
-            .iter()
-            .enumerate()
-            .flat_map(|(bi, &block)| BlockBits { block }.map(move |bit| bi * 64 + bit))
+    fn words(&self) -> &[u64] {
+        match &self.0 {
+            Words::Inline(w) => std::slice::from_ref(w),
+            Words::Spill(ws) => ws,
+        }
     }
 
-    /// Removes all elements, keeping the universe size.
-    pub fn clear(&mut self) {
-        self.blocks.fill(0);
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Words::Inline(w) => std::slice::from_mut(w),
+            Words::Spill(ws) => ws,
+        }
+    }
+
+    /// The words without the trailing zero ones.
+    fn significant(&self) -> &[u64] {
+        let ws = self.words();
+        &ws[..ws.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1)]
+    }
+
+    /// The words, grown to at least `len` in one allocation if needed.
+    fn widen(&mut self, len: usize) -> &mut [u64] {
+        if len > self.words().len() {
+            let mut ws = Vec::with_capacity(len);
+            ws.extend_from_slice(self.words());
+            ws.resize(len, 0);
+            self.0 = Words::Spill(ws.into_boxed_slice());
+        }
+        self.words_mut()
+    }
+}
+
+impl PartialEq for BitSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.significant() == other.significant()
+    }
+}
+
+impl Eq for BitSet {}
+
+impl Hash for BitSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.significant().hash(state);
     }
 }
 
@@ -124,33 +163,12 @@ impl std::fmt::Debug for BitSet {
 }
 
 impl FromIterator<usize> for BitSet {
-    /// Builds a set sized to the largest element.
     fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
-        let items: Vec<usize> = iter.into_iter().collect();
-        let universe = items.iter().max().map_or(0, |m| m + 1);
-        let mut s = BitSet::new(universe);
-        for i in items {
+        let mut s = BitSet::new();
+        for i in iter {
             s.insert(i);
         }
         s
-    }
-}
-
-struct BlockBits {
-    block: u64,
-}
-
-impl Iterator for BlockBits {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.block == 0 {
-            return None;
-        }
-        let bit = self.block.trailing_zeros() as usize;
-        self.block &= self.block - 1;
-        Some(bit)
     }
 }
 
@@ -159,74 +177,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_remove() {
-        let mut s = BitSet::new(200);
-        assert!(s.is_empty());
-        s.insert(0);
-        s.insert(63);
-        s.insert(64);
-        s.insert(199);
-        assert!(s.contains(0) && s.contains(63) && s.contains(64) && s.contains(199));
-        assert!(!s.contains(1) && !s.contains(100));
-        assert_eq!(s.len(), 4);
-        s.remove(63);
-        assert!(!s.contains(63));
-        assert_eq!(s.len(), 3);
-    }
-
-    #[test]
     fn iter_ascending() {
         let s: BitSet = [5usize, 1, 130, 64].into_iter().collect();
         let v: Vec<usize> = s.iter().collect();
         assert_eq!(v, vec![1, 5, 64, 130]);
+        assert_eq!(std::mem::size_of::<BitSet>(), 16);
     }
 
+    /// Operands of different widths combine member-wise: no padding to
+    /// a shared universe.
     #[test]
     fn set_algebra() {
         let a: BitSet = [1usize, 2, 3, 100].into_iter().collect();
-        let b: BitSet = [2usize, 3, 4, 100].into_iter().collect();
-        // Pad to same universe.
-        let mut a2 = BitSet::new(101);
-        for i in a.iter() {
-            a2.insert(i);
-        }
-        let mut b2 = BitSet::new(101);
-        for i in b.iter() {
-            b2.insert(i);
-        }
-        let mut u = a2.clone();
-        u.union_with(&b2);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4, 100]);
-        let mut i = a2.clone();
-        i.intersect_with(&b2);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3, 100]);
-        let mut d = a2.clone();
-        d.difference_with(&b2);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1]);
-        assert!(u.is_superset(&a2) && u.is_superset(&b2));
-        assert!(!a2.is_superset(&b2));
-        assert!(a2.intersects(&b2));
+        let b: BitSet = [2usize, 3, 4, 200].into_iter().collect();
+        let mut u = a.clone();
+        u.union_with(&b);
+        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4, 100, 200]);
+        let mut d = a.clone();
+        d.difference_with(&b);
+        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 100]);
+        let mut d = b.clone();
+        d.difference_with(&a);
+        assert_eq!(d.iter().collect::<Vec<_>>(), vec![4, 200]);
+        assert!(u.is_superset(&a) && u.is_superset(&b));
+        assert!(!a.is_superset(&b) && !b.is_superset(&a));
+        assert!(a.intersects(&b) && !d.intersects(&a));
     }
 
+    /// Trailing zero words are invisible: a set cut back below 64 equals
+    /// (and hashes like) the same members inserted into a fresh set.
     #[test]
     fn superset_and_equality_hash() {
         use std::collections::HashSet;
         let mut seen: HashSet<BitSet> = HashSet::new();
-        let a: BitSet = [1usize, 2].into_iter().collect();
-        let mut b = BitSet::new(3);
-        b.insert(1);
-        b.insert(2);
-        seen.insert(a);
+        seen.insert([1usize, 2].into_iter().collect());
+        let mut b: BitSet = [1usize, 2, 300].into_iter().collect();
+        assert!(!seen.contains(&b));
+        b.difference_with(&[300usize].into_iter().collect());
         assert!(seen.contains(&b));
-    }
-
-    #[test]
-    fn clear_keeps_universe() {
-        let mut s = BitSet::new(130);
-        s.insert(129);
-        s.clear();
-        assert!(s.is_empty());
-        s.insert(129);
-        assert!(s.contains(129));
+        assert!(b.is_superset(&BitSet::new()) && BitSet::new().is_superset(&BitSet::new()));
     }
 }

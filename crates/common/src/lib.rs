@@ -6,8 +6,8 @@
 //! * [`hash`] — an FxHash implementation and `HashMap`/`HashSet` aliases
 //!   using it (the default SipHash is too slow for the hot interning and
 //!   memoization paths; see the Rust Performance Book).
-//! * [`bitset`] — a growable `u64`-block bit set used for NFSM state
-//!   subsets during determinization.
+//! * [`bitset`] — the one bit set (relation sets, applied-FD masks,
+//!   NFSM state subsets): one inline word, spilling to the heap past 64.
 //! * [`bitmatrix`] — a dense 2-D bit matrix used for the precomputed
 //!   `contains` table (DFSM state × interesting order).
 //! * [`horn`] — incremental forward chaining over dense ids with entry
@@ -15,8 +15,6 @@
 //! * [`interner`] — a generic value interner handing out dense `u32`
 //!   handles so hot-path comparisons are integer comparisons, and an
 //!   arena-backed one for tagged slices that allocates nothing per key.
-//! * [`smallset`] — a bit set with a single inline word that spills to
-//!   the heap past 64 elements (per-plan-node applied-FD masks).
 //! * [`mem`] — a byte-accurate, thread-shareable memory meter used to
 //!   reproduce the paper's memory-consumption experiments (Fig. 14).
 //! * [`exec`] — the ordered chunk-execution seam ([`OrderedExecutor`])
@@ -36,7 +34,6 @@ pub mod hash;
 pub mod horn;
 pub mod interner;
 pub mod mem;
-pub mod smallset;
 
 pub use bitmatrix::BitMatrix;
 pub use bitset::BitSet;
@@ -44,4 +41,3 @@ pub use exec::{chunk_ranges, morsel_ranges, OrderedExecutor, SerialExecutor};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use interner::{Interner, SliceInterner};
 pub use mem::MemoryMeter;
-pub use smallset::SmallBitSet;

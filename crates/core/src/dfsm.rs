@@ -77,11 +77,7 @@ impl<'a> SubsetConstruction<'a> {
 
     /// The entry subset of a stream shaped like `node`: its ε-closure.
     fn entry(&self, node: NodeId) -> BitSet {
-        let mut set = BitSet::new(self.nfsm.num_nodes());
-        for &v in &self.eps_closure[node as usize] {
-            set.insert(v as usize);
-        }
-        set
+        set_with(&BitSet::new(), None, &self.eps_closure[node as usize])
     }
 
     /// Interns a subset, extending the transition table with a row of
@@ -110,23 +106,29 @@ impl<'a> SubsetConstruction<'a> {
     fn run_to_fixpoint(&mut self) -> Result<(), BuildError> {
         let nfsm = self.nfsm;
         let mut fired: Vec<(usize, &[NodeId])> = Vec::new();
+        let mut added: Vec<NodeId> = Vec::new();
         let mut successors: Vec<(usize, BitSet)> = Vec::new();
         let mut state = 0u32;
         while (state as usize) < self.states.len() {
             let subset = self.states.resolve(state);
+            let mut top = None; // the widest member: members come ascending
             fired.clear();
-            fired.extend(subset.iter().flat_map(|v| nfsm.runs(v as NodeId)));
+            fired.extend(subset.iter().flat_map(|v| {
+                top = Some(v);
+                nfsm.runs(v as NodeId)
+            }));
             fired.sort_by_key(|&(sym, _)| sym);
             for runs in fired.chunk_by(|a, b| a.0 == b.0) {
-                let mut succ: Option<BitSet> = None;
+                added.clear();
                 let targets = runs.iter().flat_map(|&(_, targets)| targets);
                 for &c in targets.flat_map(|&t| &self.eps_closure[t as usize]) {
-                    if !succ.as_ref().unwrap_or(subset).contains(c as usize) {
-                        succ.get_or_insert_with(|| subset.clone())
-                            .insert(c as usize);
+                    if !subset.contains(c as usize) {
+                        added.push(c);
                     }
                 }
-                successors.extend(succ.map(|succ| (runs[0].0, succ)));
+                if !added.is_empty() {
+                    successors.push((runs[0].0, set_with(subset, top, &added)));
+                }
             }
             for (sym, succ) in successors.drain(..) {
                 let target = self.intern(succ)?;
@@ -136,6 +138,21 @@ impl<'a> SubsetConstruction<'a> {
         }
         Ok(())
     }
+}
+
+/// `base ∪ extra`, in at most one allocation: the widest member
+/// (`base_top` is `base`'s) goes in first, so a spilled set is sized once
+/// instead of regrowing word by word as members land.
+fn set_with(base: &BitSet, base_top: Option<usize>, extra: &[NodeId]) -> BitSet {
+    let mut set = BitSet::new();
+    if let Some(top) = extra.iter().map(|&v| v as usize).chain(base_top).max() {
+        set.insert(top);
+    }
+    set.union_with(base);
+    for &v in extra {
+        set.insert(v as usize);
+    }
+    set
 }
 
 /// The deterministic FSM plus the §5.5 precomputed tables.

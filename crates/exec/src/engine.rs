@@ -26,7 +26,7 @@ use ofw_obs::Trace;
 use ofw_plangen::exec::CONST_VALUE;
 use ofw_plangen::plan::PlanArena;
 use ofw_plangen::{PlanId, PlanOp};
-use ofw_query::{AggFunc, Query};
+use ofw_query::{AggFunc, JoinGraph, Query};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -131,6 +131,7 @@ pub fn execute_plan<S: Copy, E: OrderedExecutor>(
         arena,
         catalog,
         query,
+        graph: JoinGraph::new(query),
         data,
         pool,
         morsel: opts.morsel_rows.max(1),
@@ -370,6 +371,8 @@ struct Engine<'a, S, E: OrderedExecutor> {
     arena: &'a PlanArena<S>,
     catalog: &'a Catalog,
     query: &'a Query,
+    /// The query's crossing-edge index, built once per run.
+    graph: JoinGraph,
     data: &'a [Vec<Vec<i64>>],
     pool: &'a E,
     morsel: usize,
@@ -637,14 +640,14 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
     ) -> Result<ColTable, ExecError> {
         let lt = self.exec(left)?;
         let rt = self.exec(right)?;
-        let lmask = self.arena.node(left).mask.clone();
-        let rmask = self.arena.node(right).mask.clone();
+        let lmask = &self.arena.node(left).mask;
+        let rmask = &self.arena.node(right).mask;
 
         // Resolve every connecting equi-join predicate's columns — the
         // planner applies them all at this operator, so the executor
         // must too.
         let mut edges: Vec<(usize, usize, usize)> = Vec::new(); // (edge, lcol, rcol)
-        for e in self.query.connecting_joins_set(&lmask, &rmask) {
+        for e in self.graph.connecting_edges(lmask, rmask) {
             let j = &self.query.joins[e];
             let (la, ra) = if lmask.contains(self.query.owner(j.left)) {
                 (j.left, j.right)

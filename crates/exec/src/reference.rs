@@ -12,10 +12,10 @@
 //! query *result* (a multiset) unchanged.
 
 use crate::batch::{ColRef, ColTable};
-use ofw_common::{BitSet, SmallBitSet};
+use ofw_common::BitSet;
 use ofw_plangen::plan::{AggMark, PlanArena};
 use ofw_plangen::{PlanId, PlanNode, PlanOp};
-use ofw_query::Query;
+use ofw_query::{JoinGraph, Query};
 
 fn push(arena: &mut PlanArena<()>, op: PlanOp, mask: BitSet) -> PlanId {
     arena.push(PlanNode {
@@ -25,7 +25,7 @@ fn push(arena: &mut PlanArena<()>, op: PlanOp, mask: BitSet) -> PlanId {
         card: 0.0,
         state: (),
         agg: AggMark::NONE,
-        applied_fds: SmallBitSet::new(),
+        applied_fds: BitSet::new(),
     })
 }
 
@@ -40,6 +40,7 @@ pub fn reference_plan(query: &Query) -> (PlanArena<()>, PlanId) {
     let n = query.num_relations();
     assert!(n > 0, "reference plan needs at least one relation");
 
+    let graph = JoinGraph::new(query);
     let mut mask = query.relation_set(0);
     let mut plan = push(&mut arena, PlanOp::Scan { qrel: 0 }, mask.clone());
     let mut remaining: Vec<usize> = (1..n).collect();
@@ -49,17 +50,12 @@ pub fn reference_plan(query: &Query) -> (PlanArena<()>, PlanId) {
         // smallest remaining relation enters via a cross product.
         let pick = remaining
             .iter()
-            .position(|&q| {
-                query
-                    .connecting_joins_set(&mask, &query.relation_set(q))
-                    .next()
-                    .is_some()
-            })
+            .position(|&q| graph.connects(&mask, &query.relation_set(q)))
             .unwrap_or(0);
         let q = remaining.remove(pick);
         let rmask = query.relation_set(q);
         let right = push(&mut arena, PlanOp::Scan { qrel: q }, rmask.clone());
-        let edge = query.connecting_joins_set(&mask, &rmask).next();
+        let edge = graph.connecting_edges(&mask, &rmask).next();
         mask.union_with(&rmask);
         let op = match edge {
             Some(edge) => PlanOp::HashJoin {

@@ -62,21 +62,6 @@ impl CsgCmp<'_> {
         i
     }
 
-    /// `{0, 1, …, i}` — the min-index forbidden prefix `Bᵢ`.
-    fn prefix(&self, i: usize) -> BitSet {
-        let mut b = BitSet::new(self.n);
-        for j in 0..=i {
-            b.insert(j);
-        }
-        b
-    }
-
-    fn singleton(&self, i: usize) -> BitSet {
-        let mut s = BitSet::new(self.n);
-        s.insert(i);
-        s
-    }
-
     /// Calls `f` with `base ∪ S'` for every non-empty subset `S'` of
     /// `members`, in counter order. A frontier no `u128` counter can
     /// walk (a hub with ≥ 128 neighbors) is the budget overflow it is
@@ -115,10 +100,9 @@ impl CsgCmp<'_> {
 
     fn run(&mut self) -> Result<(), BudgetExceeded> {
         for i in (0..self.n).rev() {
-            let s = self.singleton(i);
+            let s = singleton(i);
             self.emit_csg(&s)?;
-            let bi = self.prefix(i);
-            self.enumerate_csg_rec(&s, &bi)?;
+            self.enumerate_csg_rec(&s, &prefix(i))?;
         }
         Ok(())
     }
@@ -132,12 +116,12 @@ impl CsgCmp<'_> {
             return Err(BudgetExceeded);
         }
         let min = s1.iter().next().expect("csg is non-empty");
-        let mut x = self.prefix(min);
+        let mut x = prefix(min);
         x.union_with(s1);
         let nb = self.graph.neighborhood(s1, &x);
         let members: Vec<usize> = nb.iter().collect();
         for &i in members.iter().rev() {
-            let s2 = self.singleton(i);
+            let s2 = singleton(i);
             self.emit_pair(s1, &s2)?;
             // Forbidden for the complement expansion: everything the
             // csg side forbids, plus `s1`'s neighbors up to `i` (they
@@ -188,6 +172,15 @@ impl CsgCmp<'_> {
     }
 }
 
+/// `{0, 1, …, i}` — the min-index forbidden prefix `Bᵢ`.
+fn prefix(i: usize) -> BitSet {
+    (0..=i).collect()
+}
+
+fn singleton(i: usize) -> BitSet {
+    BitSet::from_iter([i])
+}
+
 /// Enumerates `graph`'s csg-cmp pairs and canonicalizes them into
 /// size-layered batches. `Err` iff `budget` unordered pairs (or the
 /// visit backstop) were exceeded — before any planning work happened.
@@ -205,8 +198,7 @@ pub(crate) fn schedule(graph: &JoinGraph, budget: u64) -> Result<Schedule, Budge
     // Singletons interned first: indices 0..n, matching the driver's
     // flat numbering.
     for q in 0..n {
-        let s = enumeration.singleton(q);
-        enumeration.intern(&s);
+        enumeration.intern(&singleton(q));
     }
     enumeration.run()?;
 
@@ -264,7 +256,7 @@ pub(crate) fn schedule(graph: &JoinGraph, budget: u64) -> Result<Schedule, Budge
             emitted += ordered.len() as u64;
             batch.push(UnionWork {
                 union: sets[u as usize].clone(),
-                seed: false,
+                seed: None,
                 pairs: ordered
                     .into_iter()
                     .map(|(_, (a, b))| (global[a as usize], global[b as usize]))
@@ -317,9 +309,7 @@ mod tests {
         let mut subsets: Vec<BitSet> = Vec::new();
         let mut by_size: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
         for q in 0..n {
-            let mut s = BitSet::new(n);
-            s.insert(q);
-            subsets.push(s);
+            subsets.push(singleton(q));
             by_size[1].push(q as u32);
         }
         let mut batches = Vec::new();
@@ -341,7 +331,7 @@ mod tests {
                         if at == layer.len() {
                             layer.push(UnionWork {
                                 union,
-                                seed: false,
+                                seed: None,
                                 pairs: Vec::new(),
                             });
                         }

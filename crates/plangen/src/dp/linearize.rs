@@ -18,9 +18,9 @@
 //!    decompositions; everything before the window is frozen into an
 //!    **anchor** plan that participates as a single pseudo-relation.
 //!    Overlapping windows revisit the subsets of the overlap region —
-//!    those [`UnionWork`] items carry `seed: true` so the driver merges
-//!    the new alternatives into the already-committed Pareto set
-//!    instead of starting over.
+//!    those [`UnionWork`] items carry the subset's earlier flat index as
+//!    their `seed`, so the driver merges the new alternatives into the
+//!    already-committed Pareto set instead of starting over.
 //!
 //! The result explores left-deep orders globally and all bushy-free
 //! local reorderings, with pair counts linear in `n · 2^w` where exact
@@ -139,9 +139,8 @@ fn build_windows(n: usize, order: &[usize], adj: &[Vec<(usize, f64)>], w: usize)
     let stride = (w / 2).max(1);
 
     // Committed subset → the *latest* flat global index the driver
-    // will have assigned to it (re-committed seeds get fresh
-    // indices; the plan table is keyed by the set itself, so only
-    // the set identity matters for lookup).
+    // will have assigned to it (a re-visited subset is committed again
+    // under a fresh index, seeded from the one it replaces).
     let mut known: FxHashMap<BitSet, u32> = FxHashMap::default();
     let mut next_idx = n as u32;
     let mut batches: Vec<Vec<UnionWork>> = Vec::new();
@@ -153,10 +152,7 @@ fn build_windows(n: usize, order: &[usize], adj: &[Vec<(usize, f64)>], w: usize)
         let wrels = &order[p..wend];
         let m = wrels.len();
         // The frozen prefix, contracted to one pseudo-relation.
-        let mut anchor = BitSet::new(n);
-        for &q in &order[..p] {
-            anchor.insert(q);
-        }
+        let anchor: BitSet = order[..p].iter().copied().collect();
         let anchor_idx = if p == 0 {
             u32::MAX
         } else {
@@ -196,9 +192,7 @@ fn build_windows(n: usize, order: &[usize], adj: &[Vec<(usize, f64)>], w: usize)
                     let j = mask.trailing_zeros() as usize;
                     valid[mask] = true;
                     idx_of[mask] = wrels[j] as u32;
-                    let mut s = BitSet::new(n);
-                    s.insert(wrels[j]);
-                    known.insert(s, wrels[j] as u32);
+                    known.insert(BitSet::from_iter([wrels[j]]), wrels[j] as u32);
                     continue;
                 }
                 let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -230,7 +224,7 @@ fn build_windows(n: usize, order: &[usize], adj: &[Vec<(usize, f64)>], w: usize)
                     b &= b - 1;
                     mset.insert(wrels[j]);
                 }
-                let seed = known.contains_key(&mset);
+                let seed = known.get(&mset).copied();
                 emitted += pairs.len() as u64;
                 idx_of[mask] = next_idx;
                 known.insert(mset.clone(), next_idx);

@@ -1,11 +1,11 @@
 //! Bottom-up dynamic programming over connected subgraphs (Lohman-style,
 //! the architecture the paper's §7 experiments use).
 //!
-//! Connected relation subsets are [`BitSet`]s (no 64-relation ceiling)
-//! enumerated in size order: every connected set of size `s` arises as
-//! the union of two disjoint connected sets joined by at least one
-//! predicate, so all ordered partitions of every connected set are
-//! visited exactly once. For every set the generator keeps a Pareto set
+//! Connected relation subsets are [`BitSet`]s — one machine word up to
+//! 64 relations, no ceiling beyond — enumerated in size order: every
+//! connected set of size `s` arises as the union of two disjoint
+//! connected sets joined by at least one predicate, so all ordered
+//! partitions of every connected set are visited exactly once. For every set the generator keeps a Pareto set
 //! of plans pruned on *(cost, property state)*: a plan dies iff a
 //! cheaper-or-equal plan property-dominates it. Two enforcers compete
 //! next to the native plans: the *sort* enforcer for every producible
@@ -99,7 +99,7 @@ use crate::plan::{
 };
 use crate::OrderOracle;
 use ofw_catalog::{AttrId, Catalog};
-use ofw_common::{BitSet, FxHashMap, OrderedExecutor, SerialExecutor, SmallBitSet};
+use ofw_common::{BitSet, FxHashMap, OrderedExecutor, SerialExecutor};
 use ofw_core::fd::FdSetId;
 use ofw_core::ordering::Ordering;
 use ofw_core::property::{Grouping, HeadTail, LogicalProperty};
@@ -221,11 +221,12 @@ struct PartialSortProbe<K> {
 pub(crate) struct UnionWork {
     /// The connected subset this work item builds plans for.
     union: BitSet,
-    /// Seed the Pareto set from the subset's existing plan-table entry
-    /// instead of starting empty — the linearized fallback re-visits
-    /// subsets shared between overlapping refinement windows and merges
-    /// rather than discards the earlier window's plans.
-    seed: bool,
+    /// `Some(i)`: seed the Pareto set from the plans committed at flat
+    /// index `i` — the same subset, planned earlier — instead of
+    /// starting empty. The linearized fallback re-visits subsets shared
+    /// between overlapping refinement windows and merges rather than
+    /// discards the earlier window's plans.
+    seed: Option<u32>,
     /// Ordered partitions `(left, right)`, in emission order.
     pairs: Vec<(u32, u32)>,
 }
@@ -522,7 +523,9 @@ pub struct PlanGen<'a, O: OrderOracle> {
     /// pointer check per phase, nothing in the per-plan hot path).
     trace: Trace,
     arena: PlanArena<O::State>,
-    table: FxHashMap<BitSet, Vec<PlanId>>,
+    /// The plan table: each committed subset's Pareto set, by flat
+    /// index — parallel to the driver's `subsets`.
+    table: Vec<Vec<PlanId>>,
 }
 
 impl<'a, O: OrderOracle> PlanGen<'a, O> {
@@ -547,10 +550,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 continue;
             };
             let grouping = p.is_grouping();
-            let mut rel_mask = BitSet::new(query.num_relations());
-            for &a in p.attrs() {
-                rel_mask.insert(query.owner(a));
-            }
+            let rel_mask = p.attrs().iter().map(|&a| query.owner(a)).collect();
             let psort = if grouping {
                 Vec::new()
             } else {
@@ -571,10 +571,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         targets.sort_by_key(|t| !t.grouping);
         let agg = ex.aggregation.then(|| {
             let group_by = query.effective_group_by().to_vec();
-            let mut input_owners = BitSet::new(query.num_relations());
-            for a in query.agg_input_attrs() {
-                input_owners.insert(query.owner(a));
-            }
+            let input_owners = query.agg_input_attrs().map(|a| query.owner(a)).collect();
             AggInfo {
                 order_key: oracle.resolve(&Ordering::new(group_by.clone()).into()),
                 group_key: oracle.resolve(&Grouping::new(group_by.clone()).into()),
@@ -619,7 +616,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             bound: f64::INFINITY,
             trace: Trace::disabled(),
             arena: PlanArena::new(),
-            table: FxHashMap::default(),
+            table: Vec::new(),
         }
     }
 
@@ -792,7 +789,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // export's tid lanes show the actual parallelism).
         root.label(exec.label());
         let n = self.query.num_relations();
-        let all = self.query.all_relations_set();
         let mut phases: Vec<PhaseStats> = Vec::new();
         let mut run_dc = DecisionCounters::default();
 
@@ -847,7 +843,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 self.add_enforcer_variants(&mask, &mut set, &mut view, ub, &mut dc);
                 self.add_placement_variants(&mask, &mut set, &mut view, ub, &mut dc);
                 let set = self.commit(view.into_local(), set.ids());
-                self.table.insert(mask.clone(), set);
+                self.table.push(set);
                 subsets.push(mask);
             }
             let plans = self.arena.len() as u64;
@@ -934,7 +930,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             let mut dc = DecisionCounters::default();
             for (work, (local, set, union_dc, spans)) in batch.into_iter().zip(results) {
                 let set = self.commit(local, set);
-                self.table.insert(work.union.clone(), set);
+                self.table.push(set);
                 subsets.push(work.union);
                 unions += 1;
                 dc.merge(&union_dc);
@@ -966,8 +962,14 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // state decides which plans qualify. Under aggregation
         // placement the root set also carries eagerly pre-aggregated
         // plans (which still finalize here) and fused group-join plans
-        // (which do not).
-        let mut final_set = self.table[&all].clone();
+        // (which do not). The root set is the last committed subset:
+        // every schedule ends with the full relation set.
+        assert_eq!(
+            subsets.last(),
+            Some(&self.query.all_relations_set()),
+            "the schedule must end at the full relation set"
+        );
+        let mut final_set = self.table.pop().expect("one subset per relation");
         if !self.query.effective_group_by().is_empty() {
             let mut sp = root.child("finalize_aggregates");
             let tp = Instant::now();
@@ -1054,7 +1056,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
 
     /// Builds one subset's Pareto set from its ordered partitions —
     /// the executor chunk. Reads only frozen earlier-batch state
-    /// (`table`, `subsets`, the oracle); writes only into `view`.
+    /// (`table`, `subsets`, the oracle) — both by flat index, a plain
+    /// `Vec` lookup; writes only into `view`.
     fn process_union(
         &self,
         work: &UnionWork,
@@ -1064,25 +1067,18 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     ) -> Vec<PlanId> {
         let ub = self.upper_bound(&work.union);
         let mut set = ParetoSet::new();
-        if work.seed {
+        if let Some(earlier) = work.seed {
             // Seeds are the subset's committed Pareto set — already
             // mutually non-dominated and bound-admissible, so they
             // enter unchecked (and uncounted: they were counted when
             // first kept).
-            for &p in &self.table[&work.union] {
+            for &p in &self.table[earlier as usize] {
                 let n = view.node(p);
                 set.insert_unchecked(p, n.cost, n.card, n.agg, n.state);
             }
         }
-        for &(l, r) in &work.pairs {
-            self.emit_joins(
-                &subsets[l as usize],
-                &subsets[r as usize],
-                &mut set,
-                view,
-                ub,
-                dc,
-            );
+        for &pair in &work.pairs {
+            self.emit_joins(subsets, pair, &mut set, view, ub, dc);
         }
         self.add_enforcer_variants(&work.union, &mut set, view, ub, dc);
         self.add_placement_variants(&work.union, &mut set, view, ub, dc);
@@ -1179,7 +1175,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 Some(k) => self.replay_fds(self.oracle.produce(k), &fd_bits, dc),
                 None => self.oracle.produce_empty(),
             };
-            (cost::hash_aggregate(d), state, SmallBitSet::new())
+            (cost::hash_aggregate(d), state, BitSet::new())
         };
         let cand = CandidatePlan {
             cost: c + op_cost,
@@ -1233,17 +1229,20 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         let mut view = ArenaView::new(&self.arena);
         let mut out: ParetoSet<O::State> = ParetoSet::new();
         for &p in plans {
-            let (n_agg, n_card) = {
-                let n = view.node(p);
-                (n.agg, n.card)
+            let n = view.node(p);
+            let cand = CandidatePlan {
+                cost: n.cost,
+                card: n.card,
+                state: n.state,
+                agg: n.agg,
             };
-            if n_agg.is_final() {
+            if cand.agg.is_final() {
                 // Group-join output: the aggregation already happened.
-                self.try_insert_existing(&view, &mut out, ub, p, dc);
+                self.try_admit(&mut out, ub, cand, || p, dc);
                 continue;
             }
-            let mark = n_agg.union(AggMark::FINAL);
-            let groups = self.final_group_count(n_card, &keys.attrs);
+            let mark = cand.agg.union(AggMark::FINAL);
+            let groups = self.final_group_count(cand.card, &keys.attrs);
             self.try_push_aggregate(&mut view, &mut out, ub, p, &keys, mark, groups, dc);
         }
         let local = view.into_local();
@@ -1325,7 +1324,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         let rel = self.query.relations[qrel];
         let raw_card = self.catalog.relation(rel).cardinality;
         let mut sel = 1.0;
-        let mut fd_bits = SmallBitSet::new();
+        let mut fd_bits = BitSet::new();
         let mut fds: Vec<FdSetId> = Vec::new();
         for (i, c) in self.query.constants.iter().enumerate() {
             if self.query.owner(c.attr) == qrel {
@@ -1427,7 +1426,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         }
     }
 
-    /// All join alternatives for the ordered partition (s1, s2).
+    /// All join alternatives for the ordered partition `(l, r)` of
+    /// committed subsets (flat indices into `subsets` and the table).
     ///
     /// Prune-before-build: each plan combination is first tested
     /// against the subset's cost upper bound with
@@ -1439,13 +1439,14 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// arrival-dominance checks pass.
     fn emit_joins(
         &self,
-        s1: &BitSet,
-        s2: &BitSet,
+        subsets: &[BitSet],
+        (l, r): (u32, u32),
         set: &mut ParetoSet<O::State>,
         view: &mut ArenaView<'_, O::State>,
         ub: f64,
         dc: &mut DecisionCounters,
     ) {
+        let (s1, s2) = (&subsets[l as usize], &subsets[r as usize]);
         let edges: Vec<usize> = self.graph.connecting_edges(s1, s2).collect();
         if edges.is_empty() {
             return; // would be a cross product
@@ -1462,8 +1463,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // Fused group-joins exist only at the root subset: they perform
         // the query's *final* aggregation.
         let at_root = mask.len() == self.query.num_relations();
-        let left_plans = &self.table[s1];
-        let right_plans = &self.table[s2];
+        let left_plans = &self.table[l as usize];
+        let right_plans = &self.table[r as usize];
         for &p1 in left_plans {
             for &p2 in right_plans {
                 let n1 = view.node(p1);
@@ -1681,7 +1682,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     fn replay_fds(
         &self,
         mut state: O::State,
-        bits: &SmallBitSet,
+        bits: &BitSet,
         dc: &mut DecisionCounters,
     ) -> O::State {
         for f in bits.iter() {
@@ -1921,6 +1922,22 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         build: impl FnOnce() -> PlanNode<O::State>,
         dc: &mut DecisionCounters,
     ) -> Option<PlanId> {
+        self.try_admit(set, ub, cand, || view.push(build()), dc)
+    }
+
+    /// The two gates behind [`try_insert`](Self::try_insert), for any
+    /// plan: `id` is called — pushing a new node, or returning one that
+    /// already exists (the group-join passthrough at finalization) —
+    /// only when `cand` clears both. Every pruning counter is charged
+    /// here.
+    fn try_admit(
+        &self,
+        set: &mut ParetoSet<O::State>,
+        ub: f64,
+        cand: CandidatePlan<O::State>,
+        id: impl FnOnce() -> PlanId,
+        dc: &mut DecisionCounters,
+    ) -> Option<PlanId> {
         if cand.cost > ub {
             dc.pruning.bound_pruned += 1;
             return None;
@@ -1928,41 +1945,10 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         if set.arrival_dominated(self.oracle, &cand, dc) {
             return None;
         }
-        let id = view.push(build());
+        let id = id();
         set.admit(self.oracle, id, &cand, dc);
         dc.pruning.kept[cand.agg.class_index()] += 1;
         Some(id)
-    }
-
-    /// [`try_insert`](Self::try_insert) for a plan that already exists
-    /// in the arena (group-join passthrough at finalization): same
-    /// bound and dominance gates, no build. Returns whether the plan
-    /// entered the set.
-    fn try_insert_existing(
-        &self,
-        view: &ArenaView<'_, O::State>,
-        set: &mut ParetoSet<O::State>,
-        ub: f64,
-        p: PlanId,
-        dc: &mut DecisionCounters,
-    ) -> bool {
-        let n = view.node(p);
-        let cand = CandidatePlan {
-            cost: n.cost,
-            card: n.card,
-            state: n.state,
-            agg: n.agg,
-        };
-        if cand.cost > ub {
-            dc.pruning.bound_pruned += 1;
-            return false;
-        }
-        if set.arrival_dominated(self.oracle, &cand, dc) {
-            return false;
-        }
-        set.admit(self.oracle, p, &cand, dc);
-        dc.pruning.kept[cand.agg.class_index()] += 1;
-        true
     }
 
     /// Cheapest complete plan, enforcing the required output order at

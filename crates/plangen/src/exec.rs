@@ -17,7 +17,7 @@
 use crate::plan::{PlanArena, PlanId, PlanOp};
 use ofw_catalog::{AttrId, Catalog};
 use ofw_common::{BitSet, FxHashMap};
-use ofw_query::Query;
+use ofw_query::{JoinGraph, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -201,6 +201,18 @@ pub fn try_execute<S: Copy>(
     query: &Query,
     data: &[Table],
 ) -> Result<Table, ExecError> {
+    run(arena, plan, catalog, query, &JoinGraph::new(query), data)
+}
+
+/// [`try_execute`] with the query's join graph built once.
+fn run<S: Copy>(
+    arena: &PlanArena<S>,
+    plan: PlanId,
+    catalog: &Catalog,
+    query: &Query,
+    graph: &JoinGraph,
+    data: &[Table],
+) -> Result<Table, ExecError> {
     let node = &arena.node(plan);
     let locate = |cause: MissingAttr| ExecError {
         plan,
@@ -219,7 +231,7 @@ pub fn try_execute<S: Copy>(
             apply_selections(t, query, *qrel).map_err(locate)?
         }
         PlanOp::Sort { input, key } => {
-            let mut t = try_execute(arena, *input, catalog, query, data)?;
+            let mut t = run(arena, *input, catalog, query, graph, data)?;
             sort_table(&mut t, key).map_err(locate)?;
             t
         }
@@ -227,39 +239,37 @@ pub fn try_execute<S: Copy>(
             // Physically a block-wise sort (the head groups are already
             // adjacent); the output tuple sequence equals a full stable
             // sort by the key, which is what the executor checks.
-            let mut t = try_execute(arena, *input, catalog, query, data)?;
+            let mut t = run(arena, *input, catalog, query, graph, data)?;
             sort_table(&mut t, key).map_err(locate)?;
             t
         }
         PlanOp::MergeJoin { left, right, .. }
         | PlanOp::HashJoin { left, right, .. }
         | PlanOp::NestedLoopJoin { left, right } => {
-            let lt = try_execute(arena, *left, catalog, query, data)?;
-            let rt = try_execute(arena, *right, catalog, query, data)?;
-            let lmask = arena.node(*left).mask.clone();
-            let rmask = arena.node(*right).mask.clone();
-            join(&lt, &rt, query, &lmask, &rmask).map_err(locate)?
+            let lt = run(arena, *left, catalog, query, graph, data)?;
+            let rt = run(arena, *right, catalog, query, graph, data)?;
+            let (lmask, rmask) = (&arena.node(*left).mask, &arena.node(*right).mask);
+            join(&lt, &rt, query, graph, lmask, rmask).map_err(locate)?
         }
         PlanOp::GroupJoin { left, right, .. } => {
             // Join fused with the final aggregation: the probe side's
             // groups are adjacent, so one streaming pass per group.
-            let lt = try_execute(arena, *left, catalog, query, data)?;
-            let rt = try_execute(arena, *right, catalog, query, data)?;
-            let lmask = arena.node(*left).mask.clone();
-            let rmask = arena.node(*right).mask.clone();
-            let joined = join(&lt, &rt, query, &lmask, &rmask).map_err(locate)?;
+            let lt = run(arena, *left, catalog, query, graph, data)?;
+            let rt = run(arena, *right, catalog, query, graph, data)?;
+            let (lmask, rmask) = (&arena.node(*left).mask, &arena.node(*right).mask);
+            let joined = join(&lt, &rt, query, graph, lmask, rmask).map_err(locate)?;
             aggregate(joined, query.effective_group_by(), true).map_err(locate)?
         }
         PlanOp::StreamAgg { input, key, .. } => {
-            let t = try_execute(arena, *input, catalog, query, data)?;
+            let t = run(arena, *input, catalog, query, graph, data)?;
             aggregate(t, key, true).map_err(locate)?
         }
         PlanOp::HashAgg { input, key, .. } => {
-            let t = try_execute(arena, *input, catalog, query, data)?;
+            let t = run(arena, *input, catalog, query, graph, data)?;
             aggregate(t, key, false).map_err(locate)?
         }
         PlanOp::HashGroup { input, key } => {
-            let t = try_execute(arena, *input, catalog, query, data)?;
+            let t = run(arena, *input, catalog, query, graph, data)?;
             hash_group(t, key).map_err(locate)?
         }
     };
@@ -310,13 +320,14 @@ fn join(
     lt: &Table,
     rt: &Table,
     query: &Query,
+    graph: &JoinGraph,
     lmask: &BitSet,
     rmask: &BitSet,
 ) -> Result<Table, MissingAttr> {
     // Resolve every edge's columns up front so a bad reference surfaces
     // as an error, not mid-loop.
     let mut edge_cols = Vec::new();
-    for e in query.connecting_joins_set(lmask, rmask) {
+    for e in graph.connecting_edges(lmask, rmask) {
         let j = &query.joins[e];
         let (la, ra) = if lmask.contains(query.owner(j.left)) {
             (j.left, j.right)

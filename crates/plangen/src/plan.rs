@@ -5,9 +5,9 @@
 //! about "millions of subplans" whose per-node order annotation must be
 //! tiny. The node's order state is the generic parameter `S` (4 bytes
 //! for the DFSM framework, ordering+environment handles for Simmen).
-//! Covered relation sets are [`BitSet`]s, so plans are not capped at 64
-//! relations, and applied-FD masks are [`SmallBitSet`]s, so neither are
-//! FD sets (one inline word until a query has more than 64 predicates).
+//! Covered relation sets and applied-FD masks are [`BitSet`]s: one inline
+//! word — no allocation — until a query has more than 64 relations or
+//! predicates, and no cap beyond.
 //!
 //! For the two-driver DP (serial and work-stealing parallel), plan
 //! construction is *staged*: a subset's candidate plans are built in a
@@ -19,7 +19,7 @@
 //! layer structure and not by the execution schedule, the merged arena
 //! is byte-identical however many threads built it.
 
-use ofw_common::{BitSet, SmallBitSet};
+use ofw_common::BitSet;
 
 /// Index of a plan node in the arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -265,17 +265,16 @@ pub struct PlanNode<S> {
     /// Set of FD-set handles applied beneath this node — what a sort
     /// enforcer must replay ("following the edge … and then another edge
     /// corresponding to the set of functional dependencies that
-    /// currently hold", §5.6). One inline word for ≤ 64 FD sets.
-    pub applied_fds: SmallBitSet,
+    /// currently hold", §5.6).
+    pub applied_fds: BitSet,
 }
 
 /// A candidate plan *before* materialization: the four scalars the
 /// branch-and-bound and Pareto checks need, on the stack. The DP builds
 /// one of these per alternative, runs the cost bound and the
 /// arrival-dominance test against it, and only constructs the full
-/// [`PlanNode`] (operator, mask clone, FD mask clone — the heap work)
-/// for survivors. That is what keeps `#Plans` ≈ plans kept instead of
-/// plans imagined.
+/// [`PlanNode`] (operator, mask and FD-mask copies) for survivors. That
+/// is what keeps `#Plans` ≈ plans kept instead of plans imagined.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CandidatePlan<S> {
     /// Cumulative cost estimate.
@@ -480,11 +479,7 @@ mod tests {
     use super::*;
 
     fn set(bits: &[usize]) -> BitSet {
-        let mut s = BitSet::new(8);
-        for &b in bits {
-            s.insert(b);
-        }
-        s
+        bits.iter().copied().collect()
     }
 
     fn leaf(qrel: usize) -> PlanNode<u32> {
@@ -495,7 +490,7 @@ mod tests {
             card: 10.0,
             state: 0,
             agg: AggMark::NONE,
-            applied_fds: SmallBitSet::new(),
+            applied_fds: BitSet::new(),
         }
     }
 
@@ -567,7 +562,7 @@ mod tests {
             card: 5.0,
             state: 0,
             agg: AggMark::NONE,
-            applied_fds: SmallBitSet::new(),
+            applied_fds: BitSet::new(),
         });
         assert_eq!(view.node(j).op.inputs().count(), 2);
         assert_eq!(view.node(l0).mask, set(&[1]));

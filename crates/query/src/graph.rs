@@ -1,13 +1,12 @@
 //! The select-project-join query model.
 //!
 //! Relations participating in a query are numbered `0..n` ("query
-//! relations"). Relation sets are [`BitSet`]s (the `*_set` methods), so
-//! the model scales to arbitrarily many relations; the old `u64`-bitmask
-//! convenience API (capped at 64 relations) is gone. For enumeration
-//! that walks the join graph itself — neighborhoods, connectedness,
-//! crossing edges — [`JoinGraph`] precomputes the adjacency structure
-//! once and answers those queries without rescanning the predicate
-//! list.
+//! relations"). Relation sets are [`BitSet`]s (the `*_set` methods): one
+//! machine word up to 64 relations, heap words only beyond, so the model
+//! scales to arbitrarily many relations. For enumeration that walks the
+//! join graph itself — neighborhoods, connectedness, crossing edges —
+//! [`JoinGraph`] precomputes the adjacency structure once and answers
+//! those queries without rescanning the predicate list.
 
 use ofw_catalog::{AttrId, Catalog, RelId};
 use ofw_common::{BitSet, FxHashMap};
@@ -139,7 +138,7 @@ impl Query {
 
     /// Adds a catalog relation; returns its query-relation index. There
     /// is no relation-count ceiling: the set-based API below handles any
-    /// width (only the legacy `u64` helpers are capped at 64).
+    /// width.
     pub fn add_relation(&mut self, catalog: &Catalog, rel: RelId) -> usize {
         let q = self.relations.len();
         for &a in &catalog.relation(rel).attrs {
@@ -181,36 +180,16 @@ impl Query {
         self.relations.len()
     }
 
-    /// Singleton relation set (universe = the query's relation count —
-    /// every set handed to the set-based API must share it).
+    /// The singleton relation set `{qrel}`.
     pub fn relation_set(&self, qrel: usize) -> BitSet {
-        let mut s = BitSet::new(self.relations.len());
+        let mut s = BitSet::new();
         s.insert(qrel);
         s
     }
 
     /// The set of all query relations.
     pub fn all_relations_set(&self) -> BitSet {
-        let mut s = BitSet::new(self.relations.len());
-        for q in 0..self.relations.len() {
-            s.insert(q);
-        }
-        s
-    }
-
-    /// Join edges applicable when joining relation sets `a` and `b`
-    /// (edges with one endpoint in each) as indexes into `joins`.
-    pub fn connecting_joins_set<'a>(
-        &'a self,
-        a: &'a BitSet,
-        b: &'a BitSet,
-    ) -> impl Iterator<Item = usize> + 'a {
-        self.joins.iter().enumerate().filter_map(move |(i, j)| {
-            let l = self.owner(j.left);
-            let r = self.owner(j.right);
-            let cross = (a.contains(l) && b.contains(r)) || (b.contains(l) && a.contains(r));
-            cross.then_some(i)
-        })
+        (0..self.relations.len()).collect()
     }
 
     /// True if the join graph restricted to `set` is connected.
@@ -218,7 +197,7 @@ impl Query {
         let Some(first) = set.iter().next() else {
             return false;
         };
-        let mut seen = BitSet::new(self.relations.len());
+        let mut seen = BitSet::new();
         seen.insert(first);
         loop {
             let mut grew = false;
@@ -250,14 +229,13 @@ impl Query {
 /// Precomputed adjacency view of a query's join graph — the structure
 /// neighborhood-driven join enumeration (DPccp/DPhyp-style) walks.
 ///
-/// The [`Query`] predicate-list methods answer set questions by
-/// rescanning every join edge; fine for one-off probes, ruinous inside
-/// an enumerator that asks them millions of times. `JoinGraph` resolves
+/// Built once per planner, executor run or reference plan: it resolves
 /// each edge's endpoint relations once and keeps per-relation neighbor
 /// [`BitSet`]s, so neighborhood expansion and crossing-edge tests are
-/// array reads.
+/// word operations and array reads instead of rescans of the predicate
+/// list — an enumerator asks them millions of times.
 pub struct JoinGraph {
-    /// Per-relation neighbor sets (universe = the query's relation count).
+    /// Per-relation neighbor sets.
     neighbors: Vec<BitSet>,
     /// Per-edge endpoints as query-relation indices, in `joins` order.
     endpoints: Vec<(usize, usize)>,
@@ -268,7 +246,7 @@ impl JoinGraph {
     /// Resolves `query`'s join edges into an adjacency structure.
     pub fn new(query: &Query) -> Self {
         let n = query.num_relations();
-        let mut neighbors = vec![BitSet::new(n); n];
+        let mut neighbors = vec![BitSet::new(); n];
         let mut endpoints = Vec::with_capacity(query.joins.len());
         for j in &query.joins {
             let l = query.owner(j.left);
@@ -286,7 +264,7 @@ impl JoinGraph {
         }
     }
 
-    /// Number of query relations (the universe of every set handed in).
+    /// Number of query relations.
     pub fn num_relations(&self) -> usize {
         self.n
     }
@@ -306,7 +284,7 @@ impl JoinGraph {
     /// expansion frontier of hypergraph enumeration (min-index
     /// enumeration passes the already-covered prefix as `x`).
     pub fn neighborhood(&self, s: &BitSet, x: &BitSet) -> BitSet {
-        let mut nb = BitSet::new(self.n);
+        let mut nb = BitSet::new();
         for i in s.iter() {
             nb.union_with(&self.neighbors[i]);
         }
@@ -324,9 +302,9 @@ impl JoinGraph {
             .any(|&(l, r)| (a.contains(l) && b.contains(r)) || (b.contains(l) && a.contains(r)))
     }
 
-    /// Join-edge indexes crossing between the disjoint sets `a` and `b`,
-    /// ascending — the precomputed twin of
-    /// [`Query::connecting_joins_set`].
+    /// Join-edge indexes crossing between the disjoint sets `a` and `b`
+    /// (one endpoint in each), ascending — the predicates a join of the
+    /// two sets applies.
     pub fn connecting_edges<'a>(
         &'a self,
         a: &'a BitSet,
@@ -368,19 +346,15 @@ mod tests {
     }
 
     /// Builds the subset of query relations listed in `members`.
-    fn set(n: usize, members: &[usize]) -> BitSet {
-        let mut s = BitSet::new(n);
-        for &m in members {
-            s.insert(m);
-        }
-        s
+    fn set(members: &[usize]) -> BitSet {
+        members.iter().copied().collect()
     }
 
     #[test]
     fn ownership_and_masks() {
         let (c, q) = chain(3);
         assert_eq!(q.num_relations(), 3);
-        assert_eq!(q.all_relations_set(), set(3, &[0, 1, 2]));
+        assert_eq!(q.all_relations_set(), set(&[0, 1, 2]));
         assert_eq!(q.owner(c.attr("r0.k")), 0);
         assert_eq!(q.owner(c.attr("r2.f")), 2);
     }
@@ -389,32 +363,28 @@ mod tests {
     fn connectivity_of_chain() {
         let (_, q) = chain(4);
         assert!(q.is_fully_connected());
-        assert!(q.is_connected_set(&set(4, &[0, 1])));
-        assert!(q.is_connected_set(&set(4, &[1, 2])));
+        assert!(q.is_connected_set(&set(&[0, 1])));
+        assert!(q.is_connected_set(&set(&[1, 2])));
         assert!(
-            !q.is_connected_set(&set(4, &[0, 2])),
+            !q.is_connected_set(&set(&[0, 2])),
             "r0 and r2 are not adjacent"
         );
-        assert!(q.is_connected_set(&set(4, &[0])));
-        assert!(!q.is_connected_set(&set(4, &[])));
+        assert!(q.is_connected_set(&set(&[0])));
+        assert!(!q.is_connected_set(&set(&[])));
     }
 
     #[test]
     fn connecting_joins_cross_the_cut() {
         let (_, q) = chain(3);
+        let g = JoinGraph::new(&q);
         // Edge 0 joins r0–r1, edge 1 joins r1–r2.
-        let between: Vec<usize> = q
-            .connecting_joins_set(&set(3, &[0]), &set(3, &[1]))
-            .collect();
-        assert_eq!(between, vec![0]);
-        let between: Vec<usize> = q
-            .connecting_joins_set(&set(3, &[0, 1]), &set(3, &[2]))
-            .collect();
-        assert_eq!(between, vec![1]);
-        let none: Vec<usize> = q
-            .connecting_joins_set(&set(3, &[0]), &set(3, &[2]))
-            .collect();
-        assert!(none.is_empty());
+        let between = |a: &[usize], b: &[usize]| -> Vec<usize> {
+            g.connecting_edges(&set(a), &set(b)).collect()
+        };
+        assert_eq!(between(&[0], &[1]), vec![0]);
+        assert_eq!(between(&[0, 1], &[2]), vec![1]);
+        assert_eq!(between(&[2], &[0, 1]), vec![1]);
+        assert!(between(&[0], &[2]).is_empty());
     }
 
     #[test]
@@ -422,31 +392,32 @@ mod tests {
         let (_, mut q) = chain(3);
         q.joins.pop(); // drop r1–r2
         assert!(!q.is_fully_connected());
-        assert!(q.is_connected_set(&set(3, &[0, 1])));
-        assert!(!q.is_connected_set(&set(3, &[1, 2])));
+        assert!(q.is_connected_set(&set(&[0, 1])));
+        assert!(!q.is_connected_set(&set(&[1, 2])));
     }
 
     #[test]
     fn join_graph_mirrors_the_predicate_scan() {
-        let (_, q) = chain(4);
+        let (_, mut q) = chain(4);
+        // A second r1–r2 predicate: crossing edges come back ascending.
+        q.joins.push(q.joins[1].clone());
         let g = JoinGraph::new(&q);
         assert_eq!(g.num_relations(), 4);
-        // Every subset pair: the precomputed edge iterator and the
-        // rescanning Query method must agree exactly.
+        // Every subset pair: the precomputed edge iterator must list
+        // exactly the predicates with one endpoint owner on each side.
         for a_bits in 0usize..16 {
             for b_bits in 0usize..16 {
                 if a_bits & b_bits != 0 {
                     continue;
                 }
-                let a = set(
-                    4,
-                    &(0..4).filter(|i| a_bits >> i & 1 == 1).collect::<Vec<_>>(),
-                );
-                let b = set(
-                    4,
-                    &(0..4).filter(|i| b_bits >> i & 1 == 1).collect::<Vec<_>>(),
-                );
-                let scan: Vec<usize> = q.connecting_joins_set(&a, &b).collect();
+                let a: BitSet = (0..4).filter(|i| a_bits >> i & 1 == 1).collect();
+                let b: BitSet = (0..4).filter(|i| b_bits >> i & 1 == 1).collect();
+                let scan: Vec<usize> = (0..q.joins.len())
+                    .filter(|&e| {
+                        let (l, r) = (q.owner(q.joins[e].left), q.owner(q.joins[e].right));
+                        (a.contains(l) && b.contains(r)) || (b.contains(l) && a.contains(r))
+                    })
+                    .collect();
                 let fast: Vec<usize> = g.connecting_edges(&a, &b).collect();
                 assert_eq!(scan, fast, "a={a_bits:b} b={b_bits:b}");
                 assert_eq!(g.connects(&a, &b), !scan.is_empty());
@@ -460,19 +431,16 @@ mod tests {
     fn neighborhood_excludes_the_set_and_the_forbidden() {
         let (_, q) = chain(5);
         let g = JoinGraph::new(&q);
-        assert_eq!(g.neighbors(0), &set(5, &[1]));
-        assert_eq!(g.neighbors(2), &set(5, &[1, 3]));
+        assert_eq!(g.neighbors(0), &set(&[1]));
+        assert_eq!(g.neighbors(2), &set(&[1, 3]));
         // N({1,2}, ∅) = {0, 3}; forbidding {0} leaves {3}; the set
         // itself is never its own neighbor.
-        let s = set(5, &[1, 2]);
-        assert_eq!(g.neighborhood(&s, &set(5, &[])), set(5, &[0, 3]));
-        assert_eq!(g.neighborhood(&s, &set(5, &[0])), set(5, &[3]));
-        assert_eq!(g.neighborhood(&s, &set(5, &[0, 3])), set(5, &[]));
+        let s = set(&[1, 2]);
+        assert_eq!(g.neighborhood(&s, &set(&[])), set(&[0, 3]));
+        assert_eq!(g.neighborhood(&s, &set(&[0])), set(&[3]));
+        assert_eq!(g.neighborhood(&s, &set(&[0, 3])), set(&[]));
         // A full set has an empty neighborhood.
-        assert_eq!(
-            g.neighborhood(&q.all_relations_set(), &set(5, &[])),
-            set(5, &[])
-        );
+        assert_eq!(g.neighborhood(&q.all_relations_set(), &set(&[])), set(&[]));
     }
 
     #[test]

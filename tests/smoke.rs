@@ -97,7 +97,7 @@ fn grouping_quickstart() {
 #[test]
 fn facade_reexports_are_wired() {
     // common
-    let mut bits = ofw::common::BitSet::new(8);
+    let mut bits = ofw::common::BitSet::new();
     bits.insert(3);
     assert!(bits.contains(3));
 
