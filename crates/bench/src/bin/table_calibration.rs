@@ -8,15 +8,20 @@
 //! Usage: `table_calibration [rows]` (default 500000): base rows of the
 //! single-relation micro-plans. The join micro-plans run on `rows / 2`
 //! rows per side and the nested-loop one, whose work is quadratic, on
-//! `4 √rows` rows per side.
+//! `4 √rows` rows per side. Every executor kernel has a row: the scans
+//! (`IndexScan` reads a clustered index on `r0.g` under a filter that
+//! keeps about half the rows), the full and partial sorts, both
+//! aggregates and the hash grouping, and the four joins. A row panics
+//! on any execution error, so running the binary is also a check.
 
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use ofw_catalog::Catalog;
 use ofw_exec::execute_serial;
 use ofw_plangen::plan::AggMark;
 use ofw_plangen::{cost, PlanArena, PlanId, PlanNode, PlanOp};
-use ofw_query::{AggCall, AggFunc, Query, QueryBuilder};
+use ofw_query::{AggCall, AggFunc, FilterPred, Query, QueryBuilder};
 use ofw_workload::{generate_columns, DataConfig};
 
 const USAGE: &str = "table_calibration [rows]";
@@ -56,6 +61,41 @@ fn calib_single(rows: usize, seed: u64) -> (Catalog, Query, Vec<Vec<Vec<i64>>>) 
     ];
     let data = columns(&catalog, &query, rows, seed);
     (catalog, query, data)
+}
+
+/// `r0(g, v, f)` with a clustered index on `g` (`rows / 64` distinct
+/// values) and the filter `f <= 1` over four values of `f`.
+fn calib_indexed(rows: usize, seed: u64) -> (Catalog, Query, Vec<Vec<Vec<i64>>>) {
+    let mut catalog = Catalog::new();
+    let rel = catalog.add_relation("r0", rows as f64, &["g", "v", "f"]);
+    let (g, f) = (catalog.attr("r0.g"), catalog.attr("r0.f"));
+    catalog.set_distinct_values(g, (rows as f64 / 64.0).max(2.0));
+    catalog.set_distinct_values(f, 4.0);
+    catalog.add_index(rel, vec![g], true);
+    let mut query = Query::new();
+    query.add_relation(&catalog, rel);
+    query.filters.push(FilterPred {
+        attr: f,
+        selectivity: 0.5,
+    });
+    let data = columns(&catalog, &query, rows, seed);
+    (catalog, query, data)
+}
+
+/// Distinct values of a column.
+fn distinct(col: &[i64]) -> usize {
+    col.iter().collect::<HashSet<_>>().len()
+}
+
+/// Rows of the equi-join of two key columns.
+fn equi_join_rows(left: &[i64], right: &[i64]) -> u64 {
+    let mut counts: HashMap<i64, u64> = HashMap::new();
+    for &k in right {
+        *counts.entry(k).or_default() += 1;
+    }
+    left.iter()
+        .map(|k| counts.get(k).copied().unwrap_or(0))
+        .sum()
 }
 
 /// A two-relation equi-join fixture (`r0.k = r1.k`), keys shaped so the
@@ -141,6 +181,8 @@ fn main() {
     );
     let (catalog, query, data) = calib_single(n, 7);
     let key = query.group_by.clone();
+    let sort_key = vec![key[0], catalog.attr("r0.v")];
+    let groups = distinct(&data[0][0]) as f64;
     let nf = n as f64;
     let scan: &dyn Fn(&[PlanId]) -> PlanOp = &|_| PlanOp::Scan { qrel: 0 };
     for (name, ops, units) in [
@@ -190,10 +232,41 @@ fn main() {
             ],
             Box::new(move |_out| cost::scan(nf) + cost::sort(nf) + cost::streaming_aggregate(nf)),
         ),
+        (
+            "PartialSort",
+            vec![
+                scan,
+                &|ids: &[PlanId]| PlanOp::HashGroup {
+                    input: ids[0],
+                    key: key.clone(),
+                },
+                &|ids: &[PlanId]| PlanOp::PartialSort {
+                    input: ids[1],
+                    key: sort_key.clone(),
+                    head: key.clone(),
+                },
+            ],
+            Box::new(move |_out| {
+                cost::scan(nf) + cost::hash_group(nf) + cost::partial_sort(nf, groups)
+            }),
+        ),
     ] {
         let (arena, root) = micro_plan(&query, &ops);
         calibration_row(name, &catalog, &query, &data, &arena, root, &units);
     }
+
+    let (catalog, query, data) = calib_indexed(n, 10);
+    let (arena, root) = micro_plan(&query, &[&|_| PlanOp::IndexScan { qrel: 0, index: 0 }]);
+    let index_units = move |_out: u64| cost::index_scan(nf, true);
+    calibration_row(
+        "IndexScan",
+        &catalog,
+        &query,
+        &data,
+        &arena,
+        root,
+        &index_units,
+    );
 
     let join_rows = (n / 2).max(1);
     let jn = join_rows as f64;
@@ -239,6 +312,48 @@ fn main() {
         let (arena, root) = micro_plan(&query, &ops);
         calibration_row(name, &catalog, &query, &data, &arena, root, &units);
     }
+    // The group-join: `count(*)` and `sum(r1.b)` per `r0.k` over a probe
+    // side sorted on the key; priced at the join's own cardinality.
+    let mut query = query;
+    query.group_by = join_key.clone();
+    query.aggregates = vec![
+        AggCall {
+            func: AggFunc::Count,
+            input: None,
+        },
+        AggCall {
+            func: AggFunc::Sum,
+            input: Some(catalog.attr("r1.b")),
+        },
+    ];
+    let joined = equi_join_rows(&data[0][1], &data[1][0]) as f64;
+    let (arena, root) = micro_plan(
+        &query,
+        &[
+            scan,
+            scan1,
+            &|ids: &[PlanId]| PlanOp::Sort {
+                input: ids[0],
+                key: join_key.clone(),
+            },
+            &|ids: &[PlanId]| PlanOp::GroupJoin {
+                left: ids[2],
+                right: ids[1],
+                edge: 0,
+            },
+        ],
+    );
+    let gj_units =
+        move |_out: u64| 2.0 * cost::scan(jn) + cost::sort(jn) + cost::group_join(jn, jn, joined);
+    calibration_row(
+        "GroupJoin",
+        &catalog,
+        &query,
+        &data,
+        &arena,
+        root,
+        &gj_units,
+    );
 
     let nl_rows = (4.0 * nf.sqrt()) as usize;
     let nl = nl_rows as f64;

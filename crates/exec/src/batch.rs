@@ -24,7 +24,7 @@
 //! representatives, mirroring the legacy tuple executor byte for byte;
 //! weight and accumulator columns are appended after them.
 
-use crate::hash::{hash_rows, GroupTable};
+use crate::hash::{resumed_run, run_starts};
 use ofw_catalog::AttrId;
 
 /// A column reference: what a [`ColTable`] column holds.
@@ -93,21 +93,6 @@ impl ColTable {
         self.col(ColRef::Weight).map_or(1, |w| w[r])
     }
 
-    /// Gathers rows by index into a new table (serial; the engine's
-    /// morsel-parallel gather concatenates per-morsel results of this).
-    pub fn gather(&self, idx: &[usize]) -> ColTable {
-        let cols = self
-            .cols
-            .iter()
-            .map(|c| idx.iter().map(|&i| c[i]).collect())
-            .collect();
-        ColTable {
-            schema: self.schema.clone(),
-            cols,
-            rows: idx.len(),
-        }
-    }
-
     /// Projects the attribute columns into the legacy row-major
     /// [`Table`](ofw_plangen::Table) — the shape the tuple-at-a-time
     /// oracle produces, for byte-for-byte comparison.
@@ -152,20 +137,11 @@ impl ColTable {
 
     /// Does the physical row sequence satisfy the logical *grouping*
     /// over `attrs` — all rows equal on `attrs` consecutive? The
-    /// VLDB'04 grouping-satisfaction condition.
+    /// VLDB'04 grouping-satisfaction condition, checked by hashing the
+    /// start of every equal-key run: a key seen twice resumed a group.
     pub fn satisfies_grouping(&self, attrs: &[AttrId]) -> bool {
         let cols = self.attr_cols(attrs);
-        let hashes = hash_rows(&cols, 0..self.rows);
-        let mut groups = GroupTable::with_capacity(self.rows);
-        let mut prev = None;
-        for (r, &h) in hashes.iter().enumerate() {
-            let (g, new) = groups.find_or_insert(&cols, h, r as u32);
-            if !new && prev != Some(g) {
-                return false; // the group resumed after a break
-            }
-            prev = Some(g);
-        }
-        true
+        resumed_run(&cols, &[run_starts(&cols, 0..self.rows)]).is_none()
     }
 
     /// Does the row sequence satisfy the *head/tail pair* — equal-`head`
@@ -254,15 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_attr_projection_round_trip() {
-        let mut t = table(&[[1, 5], [2, 7], [3, 9]]);
+    fn attr_projection_drops_accumulators() {
+        let mut t = table(&[[3, 9], [1, 5]]);
         t.schema.push(ColRef::Acc(1));
-        t.cols.push(vec![10, 20, 30]);
-        let g = t.gather(&[2, 0]);
-        assert_eq!(g.num_rows(), 2);
-        assert_eq!(g.cols[0], vec![3, 1]);
-        assert_eq!(g.cols[2], vec![30, 10]);
-        let legacy = g.attr_table();
+        t.cols.push(vec![30, 10]);
+        let legacy = t.attr_table();
         assert_eq!(legacy.attrs, vec![A, B]);
         assert_eq!(legacy.rows, vec![vec![3, 9], vec![1, 5]]);
     }

@@ -9,6 +9,13 @@
 //! the output is **byte-identical at 1, 2 or 8 pool threads** — the
 //! executor-level twin of the parallel DP's determinism story.
 //!
+//! Output is written once. A materializing operator allocates each
+//! output column at its final length, and every task writes its own row
+//! range of it in place; nothing is assembled from per-morsel chunks.
+//! Scans read the base columns where they lie, and the streaming
+//! aggregates fold the equal-key runs of their grouped input without
+//! hashing a row.
+//!
 //! Operator semantics replicate the legacy tuple-at-a-time oracle
 //! (`ofw_plangen::exec`) exactly on the attribute columns — including
 //! the hash aggregate's deliberate deterministic group-order scramble —
@@ -19,7 +26,7 @@
 //! reference plan.
 
 use crate::batch::{ColRef, ColTable};
-use crate::hash::{hash_rows, ChainTable, GroupTable};
+use crate::hash::{hash_rows, resumed_run, rows_eq, run_starts, ChainTable, GroupTable};
 use ofw_catalog::{AttrId, Catalog};
 use ofw_common::{morsel_ranges, OrderedExecutor, SerialExecutor};
 use ofw_obs::Trace;
@@ -27,8 +34,10 @@ use ofw_plangen::exec::CONST_VALUE;
 use ofw_plangen::plan::PlanArena;
 use ofw_plangen::{PlanId, PlanOp};
 use ofw_query::{AggFunc, JoinGraph, Query};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Default rows per morsel — the unit of parallel work. Fixed, so the
 /// morsel partition (and therefore every merge order) is independent of
@@ -192,42 +201,146 @@ fn run_morsels<R: Send, E: OrderedExecutor>(
     (out, n)
 }
 
-/// Concatenates per-morsel column chunks in morsel order.
-fn concat_columns(schema: Vec<ColRef>, total: usize, chunks: Vec<Vec<Vec<i64>>>) -> ColTable {
-    let mut cols: Vec<Vec<i64>> = schema.iter().map(|_| Vec::with_capacity(total)).collect();
-    for chunk in chunks {
-        for (i, c) in chunk.into_iter().enumerate() {
-            cols[i].extend(c);
+/// The write-once fill. `cols` are already at their final length;
+/// `ranges` cut them into adjacent pieces from row 0, and task `i` gets
+/// exclusive `&mut` access to rows `ranges[i]` of every column and
+/// writes them in place. Each task's pieces wait in a slot of their own,
+/// taken exactly once, so no lock is ever contended.
+fn fill_in_place<T: Send, E: OrderedExecutor>(
+    pool: &E,
+    cols: &mut [Vec<T>],
+    ranges: &[Range<usize>],
+    fill: &(dyn Fn(usize, &mut [&mut [T]]) + Sync),
+) {
+    let mut slots: Vec<Vec<&mut [T]>> = ranges
+        .iter()
+        .map(|_| Vec::with_capacity(cols.len()))
+        .collect();
+    for col in cols.iter_mut() {
+        debug_assert_eq!(ranges.last().map_or(0, |r| r.end), col.len());
+        let mut rest = col.as_mut_slice();
+        for (slot, r) in slots.iter_mut().zip(ranges) {
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+            slot.push(piece);
+            rest = tail;
         }
     }
-    ColTable::new(schema, cols)
+    let slots: Vec<Mutex<Vec<&mut [T]>>> = slots.into_iter().map(Mutex::new).collect();
+    pool.run_ordered(ranges.len(), &|i| {
+        let mut pieces = std::mem::take(
+            &mut *slots[i]
+                .lock()
+                .expect("a slot is locked only to take its pieces, which cannot panic"),
+        );
+        fill(i, &mut pieces);
+    });
 }
 
-/// Morsel-parallel row gather: `out[i] = t[idx[i]]`, all columns.
-fn gather_par<E: OrderedExecutor>(
+/// `ncols` output columns, allocated once at the length `ranges` cover
+/// and filled in place by `fill` ([`fill_in_place`]).
+fn fill_columns<E: OrderedExecutor>(
+    pool: &E,
+    ncols: usize,
+    ranges: &[Range<usize>],
+    fill: &(dyn Fn(usize, &mut [&mut [i64]]) + Sync),
+) -> Vec<Vec<i64>> {
+    let len = ranges.last().map_or(0, |r| r.end);
+    let mut cols: Vec<Vec<i64>> = (0..ncols).map(|_| vec![0; len]).collect();
+    fill_in_place(pool, &mut cols, ranges, fill);
+    cols
+}
+
+/// Per-morsel result lists — a join's pair lists, a selection's
+/// survivors — read as one sequence without being concatenated.
+struct Spliced<'a, T> {
+    parts: &'a [Vec<T>],
+    /// `starts[p]`: the sequence position of `parts[p][0]`; one more
+    /// entry holds the length.
+    starts: Vec<usize>,
+}
+
+impl<'a, T> Spliced<'a, T> {
+    fn new(parts: &'a [Vec<T>]) -> Self {
+        let mut starts = Vec::with_capacity(parts.len() + 1);
+        starts.push(0);
+        for p in parts {
+            starts.push(starts[starts.len() - 1] + p.len());
+        }
+        Spliced { parts, starts }
+    }
+
+    fn len(&self) -> usize {
+        self.starts[self.parts.len()]
+    }
+
+    /// Elements `range` of the sequence, as consecutive slices.
+    fn slices(&self, range: Range<usize>) -> impl Iterator<Item = &'a [T]> + '_ {
+        let first = self.starts.partition_point(|&s| s <= range.start) - 1;
+        (first..self.parts.len())
+            .take_while(move |&p| self.starts[p] < range.end)
+            .map(move |p| {
+                let at = self.starts[p];
+                &self.parts[p][range.start.max(at) - at..range.end.min(self.starts[p + 1]) - at]
+            })
+    }
+}
+
+/// The row gather every materializing operator ends with:
+/// `out[c][i] = src[c][row(idx[i])]`, one output morsel per task.
+fn gather<E: OrderedExecutor, T: Sync>(
     pool: &E,
     morsel: usize,
-    t: &ColTable,
-    idx: &[u32],
-) -> (ColTable, u64) {
-    let (chunks, batches) = run_morsels(pool, idx.len(), morsel, &|r| {
-        t.cols
-            .iter()
-            .map(|c| idx[r.clone()].iter().map(|&i| c[i as usize]).collect())
-            .collect::<Vec<Vec<i64>>>()
+    src: &[Vec<i64>],
+    idx: &Spliced<'_, T>,
+    row: impl Fn(&T) -> usize + Sync,
+) -> (Vec<Vec<i64>>, u64) {
+    let ranges = morsel_ranges(idx.len(), morsel);
+    let cols = fill_columns(pool, src.len(), &ranges, &|i, out| {
+        for (dst, col) in out.iter_mut().zip(src) {
+            let mut at = 0;
+            for s in idx.slices(ranges[i].clone()) {
+                for (d, x) in dst[at..].iter_mut().zip(s) {
+                    *d = col[row(x)];
+                }
+                at += s.len();
+            }
+        }
     });
-    (concat_columns(t.schema.clone(), idx.len(), chunks), batches)
+    (cols, ranges.len() as u64)
 }
 
 /// Compares two rows on a column list.
-fn cmp_rows(cols: &[&[i64]], a: u32, b: u32) -> std::cmp::Ordering {
+fn cmp_rows(cols: &[&[i64]], a: u32, b: u32) -> Ordering {
     for c in cols {
         match c[a as usize].cmp(&c[b as usize]) {
-            std::cmp::Ordering::Equal => continue,
+            Ordering::Equal => continue,
             other => return other,
         }
     }
-    std::cmp::Ordering::Equal
+    Ordering::Equal
+}
+
+/// A sort entry: the first key column's value, extracted, and its row.
+type Entry = (i64, u32);
+
+/// `(first key value, row)` entries for `len` ascending `rows` (an empty
+/// key extracts 0 — every row ties).
+fn extract_keys(key_cols: &[&[i64]], rows: impl Iterator<Item = u32>, len: usize) -> Vec<Entry> {
+    let mut out = Vec::with_capacity(len);
+    match key_cols.first() {
+        Some(k) => out.extend(rows.map(|r| (k[r as usize], r))),
+        None => out.extend(rows.map(|r| (0, r))),
+    }
+    out
+}
+
+/// The `(key, row)` order on entries: the extracted first key, ties
+/// broken on the `rest` of the key columns (read through the row), then
+/// on the row itself.
+fn entry_cmp(rest: &[&[i64]], a: &Entry, b: &Entry) -> Ordering {
+    a.0.cmp(&b.0)
+        .then_with(|| cmp_rows(rest, a.1, b.1))
+        .then(a.1.cmp(&b.1))
 }
 
 /// Batches consecutive `runs` into tasks of at least `morsel` rows (the
@@ -248,16 +361,57 @@ fn batch_runs(runs: &[Range<usize>], morsel: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// The one sort kernel behind `Sort`, `PartialSort` and `IndexScan`: the
+/// stable sort of `entries` (ascending rows, see [`extract_keys`]) by
+/// the key whose first column they carry and whose `rest` follows.
+/// `runs` cut the entries into adjacent runs; each is sorted in place by
+/// the [`entry_cmp`] order (tiny runs batched into one task), then
+/// [`merge_sorted_runs`] merges them.
+fn sort_entries<E: OrderedExecutor>(
+    pool: &E,
+    morsel: usize,
+    rest: &[&[i64]],
+    mut entries: Vec<Entry>,
+    runs: Vec<Range<usize>>,
+) -> Vec<Entry> {
+    let tasks = batch_runs(&runs, morsel);
+    let spans: Vec<Range<usize>> = tasks
+        .iter()
+        .map(|t| runs[t.start].start..runs[t.end - 1].end)
+        .collect();
+    fill_in_place(
+        pool,
+        std::slice::from_mut(&mut entries),
+        &spans,
+        &|i, piece| {
+            let base = spans[i].start;
+            for run in &runs[tasks[i].clone()] {
+                let run = &mut piece[0][run.start - base..run.end - base];
+                if rest.is_empty() {
+                    run.sort_unstable(); // `(key, row)` is the tuple order
+                } else {
+                    run.sort_unstable_by(|a, b| entry_cmp(rest, a, b));
+                }
+            }
+        },
+    );
+    merge_sorted_runs(rest, entries, runs)
+}
+
 /// Merges the sorted runs of `idx` into the global stable sort order.
 /// `runs` cuts `idx` into adjacent slices, run `i` holding exactly the
-/// row indices `runs[i]` sorted by `(key, index)`. Rounds of pairwise
-/// merges of *adjacent* runs: every index of the left run is below every
-/// index of the right one, so taking the left element on a key tie is
-/// the `(key, index)` order. That order is total, so the result is the
-/// one sorted sequence whatever the run partition was — fixed morsels
-/// (full sort) or head-group blocks (partial sort).
-fn merge_sorted_runs(cols: &[&[i64]], mut idx: Vec<u32>, mut runs: Vec<Range<usize>>) -> Vec<u32> {
-    let mut buf = vec![0u32; if runs.len() > 1 { idx.len() } else { 0 }];
+/// entries `runs[i]` sorted by `(key, row)`. Rounds of pairwise merges
+/// of *adjacent* runs: every row of the left run is below every row of
+/// the right one, so taking the left element on a key tie is the
+/// `(key, row)` order. That order is total, so the result is the one
+/// sorted sequence whatever the run partition was — fixed morsels (full
+/// sort) or head-group blocks (partial sort).
+fn merge_sorted_runs(
+    rest: &[&[i64]],
+    mut idx: Vec<Entry>,
+    mut runs: Vec<Range<usize>>,
+) -> Vec<Entry> {
+    let mut buf = vec![(0, 0); if runs.len() > 1 { idx.len() } else { 0 }];
     while runs.len() > 1 {
         let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
         for pair in runs.chunks(2) {
@@ -267,7 +421,7 @@ fn merge_sorted_runs(cols: &[&[i64]], mut idx: Vec<u32>, mut runs: Vec<Range<usi
             let (mut i, mut j) = (0, 0);
             for slot in &mut buf[whole.clone()] {
                 let take_right = i == left.len()
-                    || (j < right.len() && cmp_rows(cols, right[j], left[i]).is_lt());
+                    || (j < right.len() && entry_cmp(rest, &right[j], &left[i]).is_lt());
                 if take_right {
                     *slot = right[j];
                     j += 1;
@@ -287,18 +441,13 @@ fn merge_sorted_runs(cols: &[&[i64]], mut idx: Vec<u32>, mut runs: Vec<Range<usi
 /// Maximal consecutive runs of rows equal on `cols` — the blocks a
 /// partial sort moves as units.
 fn head_blocks(cols: &[&[i64]], n: usize) -> Vec<Range<usize>> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    for r in 1..n {
-        if cols.iter().any(|c| c[r] != c[r - 1]) {
-            out.push(start..r);
-            start = r;
-        }
-    }
-    if n > 0 {
-        out.push(start..n);
-    }
-    out
+    let starts = run_starts(cols, 0..n);
+    let ends = starts.iter().skip(1).copied().chain([n as u32]);
+    starts
+        .iter()
+        .zip(ends)
+        .map(|(&s, e)| s as usize..e as usize)
+        .collect()
 }
 
 /// What a join pair-list materialization writes into one output column:
@@ -314,11 +463,15 @@ enum JoinKind {
     NestedLoop,
 }
 
-/// How an aggregate emits one output accumulator column.
-enum Emit {
-    /// `count`: the group's weight sum *is* the value.
-    FromWeight,
-    /// A fold slot in the group state (`sum`/`min`/`max`).
+/// One output column of an aggregate, per group.
+#[derive(Clone, Copy)]
+enum AggCol {
+    /// Input column `c`, read at the group's first row.
+    First(usize),
+    /// The group's Σ weight: a partial's weight column, or a final
+    /// `count` (whose value *is* the weight).
+    Weight,
+    /// Fold slot `s` (`sum`/`min`/`max`).
     Fold(usize),
 }
 
@@ -329,6 +482,38 @@ struct FoldSpec {
     acc: Option<usize>,
     /// Raw input attribute column, the fallback source.
     raw: Option<usize>,
+}
+
+/// What an aggregate computes from its input: the output schema, one
+/// [`AggCol`] per output column, and the fold slots.
+struct AggSpec {
+    schema: Vec<ColRef>,
+    cols: Vec<AggCol>,
+    folds: Vec<FoldSpec>,
+    /// The input's weight column (absent: every row weighs 1).
+    weight: Option<usize>,
+}
+
+impl AggSpec {
+    /// Row `r`'s weight.
+    fn weight(&self, t: &ColTable, r: usize) -> i64 {
+        self.weight.map_or(1, |c| t.cols[c][r])
+    }
+
+    /// Row `r`'s contribution to fold slot `slot`.
+    fn contrib(&self, t: &ColTable, slot: usize, r: usize) -> i64 {
+        let s = &self.folds[slot];
+        match s.func {
+            AggFunc::Sum => match s.acc {
+                Some(c) => t.cols[c][r],
+                None => t.cols[s.raw.expect("sum without source")][r] * self.weight(t, r),
+            },
+            AggFunc::Min | AggFunc::Max => {
+                t.cols[s.acc.or(s.raw).expect("min/max without source")][r]
+            }
+            AggFunc::Count => unreachable!("count never folds"),
+        }
+    }
 }
 
 fn combine(func: AggFunc, a: i64, b: i64) -> i64 {
@@ -379,7 +564,7 @@ struct Engine<'a, S, E: OrderedExecutor> {
     stats: ExecStats,
 }
 
-impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
+impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     fn err(
         &self,
         plan: PlanId,
@@ -399,82 +584,98 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         &self,
         plan: PlanId,
         op: &'static str,
-        t: &ColTable,
+        schema: &[ColRef],
         attr: AttrId,
     ) -> Result<usize, ExecError> {
-        t.col_index(ColRef::Attr(attr)).ok_or_else(|| {
-            self.err(
-                plan,
-                op,
-                Some(attr),
-                format!(
-                    "attribute {} not in input schema {:?}",
-                    self.catalog.attr_name(attr),
-                    t.schema
-                ),
-            )
-        })
+        schema
+            .iter()
+            .position(|&c| c == ColRef::Attr(attr))
+            .ok_or_else(|| {
+                self.err(
+                    plan,
+                    op,
+                    Some(attr),
+                    format!(
+                        "attribute {} not in input schema {schema:?}",
+                        self.catalog.attr_name(attr),
+                    ),
+                )
+            })
+    }
+
+    /// The columns of `cols` (under `schema`) holding `key`.
+    fn key_cols<'t>(
+        &self,
+        plan: PlanId,
+        op: &'static str,
+        schema: &[ColRef],
+        cols: &'t [Vec<i64>],
+        key: &[AttrId],
+    ) -> Result<Vec<&'t [i64]>, ExecError> {
+        key.iter()
+            .map(|&a| Ok(&cols[self.attr_col(plan, op, schema, a)?][..]))
+            .collect()
     }
 
     fn exec(&mut self, plan: PlanId) -> Result<ColTable, ExecError> {
-        let op = self.arena.node(plan).op.clone();
-        match op {
-            PlanOp::Scan { qrel } => self.scan(plan, qrel),
-            PlanOp::IndexScan { qrel, index } => self.index_scan(plan, qrel, index),
+        let (arena, query) = (self.arena, self.query);
+        match &arena.node(plan).op {
+            PlanOp::Scan { qrel } => self.scan(plan, *qrel),
+            PlanOp::IndexScan { qrel, index } => self.index_scan(plan, *qrel, *index),
             PlanOp::Sort { input, key } => {
-                let t = self.exec(input)?;
-                self.sort(plan, "Sort", t, &key, None)
+                let t = self.exec(*input)?;
+                self.sort(plan, "Sort", t, key, None)
             }
             PlanOp::PartialSort { input, key, head } => {
-                let t = self.exec(input)?;
-                self.sort(plan, "PartialSort", t, &key, Some(&head))
+                let t = self.exec(*input)?;
+                self.sort(plan, "PartialSort", t, key, Some(head))
             }
             PlanOp::MergeJoin { left, right, edge } => {
-                self.join(plan, "MergeJoin", left, right, JoinKind::Merge(edge))
+                self.join(plan, "MergeJoin", *left, *right, JoinKind::Merge(*edge))
             }
             PlanOp::HashJoin { left, right, .. } => {
-                self.join(plan, "HashJoin", left, right, JoinKind::Hash)
+                self.join(plan, "HashJoin", *left, *right, JoinKind::Hash)
             }
             PlanOp::NestedLoopJoin { left, right } => {
-                self.join(plan, "NestedLoopJoin", left, right, JoinKind::NestedLoop)
+                self.join(plan, "NestedLoopJoin", *left, *right, JoinKind::NestedLoop)
             }
             PlanOp::GroupJoin { left, right, .. } => {
-                let joined = self.join(plan, "GroupJoin", left, right, JoinKind::Hash)?;
-                let key = self.query.effective_group_by().to_vec();
-                self.aggregate(plan, "GroupJoin", joined, &key, false, false)
+                let joined = self.join(plan, "GroupJoin", *left, *right, JoinKind::Hash)?;
+                let key = query.effective_group_by();
+                self.stream_aggregate(plan, "GroupJoin", joined, key, false)
             }
             PlanOp::StreamAgg {
                 input,
                 key,
                 partial,
             } => {
-                let t = self.exec(input)?;
-                self.aggregate(plan, "StreamAgg", t, &key, partial, false)
+                let t = self.exec(*input)?;
+                self.stream_aggregate(plan, "StreamAgg", t, key, *partial)
             }
             PlanOp::HashAgg {
                 input,
                 key,
                 partial,
             } => {
-                let t = self.exec(input)?;
-                self.aggregate(plan, "HashAgg", t, &key, partial, true)
+                let t = self.exec(*input)?;
+                self.hash_aggregate(plan, t, key, *partial)
             }
             PlanOp::HashGroup { input, key } => {
-                let t = self.exec(input)?;
-                self.hash_group(plan, t, &key)
+                let t = self.exec(*input)?;
+                self.hash_group(plan, t, key)
             }
         }
     }
 
-    /// Relation `qrel`'s base columns as a table, checked against the
-    /// catalog: base data is outside input, so a wrong shape is a located
-    /// error, not a panic in [`ColTable::new`].
-    fn base_table(
+    /// Relation `qrel`'s base columns, borrowed, and their schema,
+    /// checked against the catalog: base data is outside input, so a
+    /// wrong shape is a located error, not a panic.
+    fn base(
         &self,
         plan: PlanId,
         op: &'static str,
         qrel: usize,
-    ) -> Result<ColTable, ExecError> {
+    ) -> Result<(&'a [Vec<i64>], Vec<ColRef>), ExecError> {
         let rel = self.catalog.relation(self.query.relations[qrel]);
         let base = self
             .data
@@ -501,79 +702,108 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
                 format!("base data for relation {} has ragged columns", rel.name),
             ));
         }
-        let schema: Vec<ColRef> = rel.attrs.iter().map(|&a| ColRef::Attr(a)).collect();
-        Ok(ColTable::new(schema, base.clone()))
+        Ok((base, rel.attrs.iter().map(|&a| ColRef::Attr(a)).collect()))
     }
 
-    /// Heap scan: base columns in insertion order, then the relation's
-    /// constant (`= CONST_VALUE`) and filter (`≤ 1`) predicates, applied
-    /// vectorized per morsel.
+    /// Relation `qrel`'s selections as `(column, is_constant)`: constants
+    /// keep `== CONST_VALUE`, filters keep `<= 1` — the legacy oracle's
+    /// predicate stand-ins.
+    fn predicates(
+        &self,
+        plan: PlanId,
+        op: &'static str,
+        qrel: usize,
+        schema: &[ColRef],
+    ) -> Result<Vec<(usize, bool)>, ExecError> {
+        let q = self.query;
+        let constants = q.constants.iter().map(|c| (c.attr, true));
+        let filters = q.filters.iter().map(|f| (f.attr, false));
+        constants
+            .chain(filters)
+            .filter(|&(a, _)| q.owner(a) == qrel)
+            .map(|(a, is_const)| Ok((self.attr_col(plan, op, schema, a)?, is_const)))
+            .collect()
+    }
+
+    /// Per morsel, the base rows that pass every predicate, read in
+    /// place.
+    fn filter(&self, base: &[Vec<i64>], n: usize, preds: &[(usize, bool)]) -> (Vec<Vec<u32>>, u64) {
+        run_morsels(self.pool, n, self.morsel, &|range| {
+            range
+                .filter(|&r| {
+                    preds.iter().all(|&(c, is_const)| {
+                        let v = base[c][r];
+                        if is_const {
+                            v == CONST_VALUE
+                        } else {
+                            v <= 1
+                        }
+                    })
+                })
+                .map(|r| r as u32)
+                .collect()
+        })
+    }
+
+    /// Heap scan: the base rows in insertion order that pass the
+    /// relation's selections, gathered straight from the base columns.
+    /// Without a selection the scan is one copy of the relation.
     fn scan(&mut self, plan: PlanId, qrel: usize) -> Result<ColTable, ExecError> {
-        let t = self.base_table(plan, "Scan", qrel)?;
-        self.selections(plan, qrel, t)
+        let (base, schema) = self.base(plan, "Scan", qrel)?;
+        let preds = self.predicates(plan, "Scan", qrel, &schema)?;
+        let n = base.first().map_or(0, Vec::len);
+        if preds.is_empty() {
+            self.stats
+                .record("Scan", n.div_ceil(self.morsel) as u64, n as u64);
+            return Ok(ColTable::new(schema, base.to_vec()));
+        }
+        let (keep, fb) = self.filter(base, n, &preds);
+        let (cols, gb) = gather(self.pool, self.morsel, base, &Spliced::new(&keep), |&r| {
+            r as usize
+        });
+        let out = ColTable::new(schema, cols);
+        self.stats.record("Scan", fb + gb, out.num_rows() as u64);
+        Ok(out)
     }
 
-    /// Index scan: stable sort by the index key, then the selections —
-    /// the tuple order the planner models for an ordered scan.
+    /// Index scan — the tuple order the planner models for an ordered
+    /// scan: the relation stable-sorted by the index key, then its
+    /// selections. Filtering first and stable-sorting only the survivors
+    /// is the same sequence (a stable sort keeps the survivors' relative
+    /// order), so the scan does that, then gathers once.
     fn index_scan(
         &mut self,
         plan: PlanId,
         qrel: usize,
         index: usize,
     ) -> Result<ColTable, ExecError> {
-        let t = self.base_table(plan, "IndexScan", qrel)?;
-        let rel = self.query.relations[qrel];
-        let key = self.catalog.relation(rel).indexes[index].key.clone();
-        let sorted = self.sort(plan, "IndexScan", t, &key, None)?;
-        self.selections(plan, qrel, sorted)
-    }
-
-    fn selections(
-        &mut self,
-        plan: PlanId,
-        qrel: usize,
-        t: ColTable,
-    ) -> Result<ColTable, ExecError> {
-        // (column, is_constant): constants keep `== CONST_VALUE`,
-        // filters keep `<= 1` — the legacy oracle's predicate stand-ins.
-        let mut preds: Vec<(usize, bool)> = Vec::new();
-        for c in &self.query.constants {
-            if self.query.owner(c.attr) == qrel {
-                preds.push((self.attr_col(plan, "Scan", &t, c.attr)?, true));
-            }
-        }
-        for f in &self.query.filters {
-            if self.query.owner(f.attr) == qrel {
-                preds.push((self.attr_col(plan, "Scan", &t, f.attr)?, false));
-            }
-        }
-        let n = t.num_rows();
-        if preds.is_empty() {
-            self.stats
-                .record("Scan", morsel_ranges(n, self.morsel).len() as u64, n as u64);
-            return Ok(t);
-        }
-        let (chunks, batches) = run_morsels(self.pool, n, self.morsel, &|range| {
-            let mut keep: Vec<u32> = Vec::new();
-            for r in range {
-                let ok = preds.iter().all(|&(c, is_const)| {
-                    let v = t.cols[c][r];
-                    if is_const {
-                        v == CONST_VALUE
-                    } else {
-                        v <= 1
-                    }
-                });
-                if ok {
-                    keep.push(r as u32);
-                }
-            }
-            keep
-        });
-        let idx: Vec<u32> = chunks.concat();
-        let (out, gb) = gather_par(self.pool, self.morsel, &t, &idx);
-        self.stats
-            .record("Scan", batches + gb, out.num_rows() as u64);
+        let op = "IndexScan";
+        let (base, schema) = self.base(plan, op, qrel)?;
+        let preds = self.predicates(plan, op, qrel, &schema)?;
+        let catalog = self.catalog;
+        let key = &catalog.relation(self.query.relations[qrel]).indexes[index].key;
+        let key_cols = self.key_cols(plan, op, &schema, base, key)?;
+        let n = base.first().map_or(0, Vec::len);
+        let (entries, fb) = if preds.is_empty() {
+            (extract_keys(&key_cols, 0..n as u32, n), 0)
+        } else {
+            let (keep, fb) = self.filter(base, n, &preds);
+            let m = keep.iter().map(Vec::len).sum();
+            (extract_keys(&key_cols, keep.into_iter().flatten(), m), fb)
+        };
+        let runs = morsel_ranges(entries.len(), self.morsel);
+        let batches = fb + runs.len() as u64;
+        let rest = key_cols.get(1..).unwrap_or_default();
+        let sorted = sort_entries(self.pool, self.morsel, rest, entries, runs);
+        let (cols, gb) = gather(
+            self.pool,
+            self.morsel,
+            base,
+            &Spliced::new(std::slice::from_ref(&sorted)),
+            |e| e.1 as usize,
+        );
+        let out = ColTable::new(schema, cols);
+        self.stats.record(op, batches + gb, out.num_rows() as u64);
         Ok(out)
     }
 
@@ -581,7 +811,7 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
     /// initial runs are the input's already-adjacent head-group blocks —
     /// each block is tiny, so the per-run sort is the
     /// `O(n · log(n/groups))` work the cost model charges; without, the
-    /// runs are fixed morsels. Either way the `(key, index)` merge of
+    /// runs are fixed morsels. Either way the `(key, row)` merge of
     /// sorted runs reproduces exactly the global stable sort, which is
     /// how the partial strategy stays byte-identical with a full sort.
     fn sort(
@@ -592,11 +822,7 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         key: &[AttrId],
         head: Option<&[AttrId]>,
     ) -> Result<ColTable, ExecError> {
-        let mut key_cols: Vec<&[i64]> = Vec::with_capacity(key.len());
-        for &a in key {
-            let c = self.attr_col(plan, op, &t, a)?;
-            key_cols.push(&t.cols[c]);
-        }
+        let key_cols = self.key_cols(plan, op, &t.schema, &t.cols, key)?;
         let n = t.num_rows();
         let runs: Vec<Range<usize>> = match head {
             Some(head_attrs) => {
@@ -610,22 +836,19 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
             }
             None => morsel_ranges(n, self.morsel),
         };
-        let key_cols_ref = &key_cols;
-        let tasks = batch_runs(&runs, self.morsel);
-        let chunks: Vec<Vec<u32>> = self.pool.run_ordered(tasks.len(), &|i| {
-            let task = &runs[tasks[i].clone()];
-            let base = task[0].start;
-            let mut idx: Vec<u32> = (base as u32..task[task.len() - 1].end as u32).collect();
-            for run in task {
-                idx[run.start - base..run.end - base]
-                    .sort_unstable_by(|&a, &b| cmp_rows(key_cols_ref, a, b).then(a.cmp(&b)));
-            }
-            idx
-        });
         // A batch is a sorted run, however the runs were scheduled.
         let batches = runs.len() as u64;
-        let idx = merge_sorted_runs(&key_cols, chunks.concat(), runs);
-        let (out, gb) = gather_par(self.pool, self.morsel, &t, &idx);
+        let entries = extract_keys(&key_cols, 0..n as u32, n);
+        let rest = key_cols.get(1..).unwrap_or_default();
+        let sorted = sort_entries(self.pool, self.morsel, rest, entries, runs);
+        let (cols, gb) = gather(
+            self.pool,
+            self.morsel,
+            &t.cols,
+            &Spliced::new(std::slice::from_ref(&sorted)),
+            |e| e.1 as usize,
+        );
+        let out = ColTable::new(t.schema, cols);
         self.stats.record(op, batches + gb, out.num_rows() as u64);
         Ok(out)
     }
@@ -654,8 +877,8 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
             } else {
                 (j.right, j.left)
             };
-            let lc = self.attr_col(plan, op, &lt, la)?;
-            let rc = self.attr_col(plan, op, &rt, ra)?;
+            let lc = self.attr_col(plan, op, &lt.schema, la)?;
+            let rc = self.attr_col(plan, op, &rt.schema, ra)?;
             edges.push((e, lc, rc));
         }
 
@@ -738,8 +961,7 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
                 pairs
             }),
         };
-        let pairs: Vec<(u32, u32)> = pair_chunks.concat();
-        let (out, gb) = self.join_output(&lt, &rt, &pairs);
+        let (out, gb) = self.join_output(&lt, &rt, &Spliced::new(&pair_chunks));
         self.stats.record(op, batches + gb, out.num_rows() as u64);
         Ok(out)
     }
@@ -748,8 +970,13 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
     /// (left then right, like the legacy row concat), weights multiply,
     /// and `sum` accumulators scale by the partner side's weight — the
     /// invariant that makes eager partial aggregates compose (see
-    /// [`crate::batch`]).
-    fn join_output(&self, lt: &ColTable, rt: &ColTable, pairs: &[(u32, u32)]) -> (ColTable, u64) {
+    /// [`crate::batch`]). One output morsel per task, written in place.
+    fn join_output(
+        &self,
+        lt: &ColTable,
+        rt: &ColTable,
+        pairs: &Spliced<'_, (u32, u32)>,
+    ) -> (ColTable, u64) {
         let lw = lt.col(ColRef::Weight);
         let rw = rt.col(ColRef::Weight);
         let mut schema: Vec<ColRef> = Vec::new();
@@ -791,56 +1018,72 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
             srcs.push(src);
         }
 
-        let (chunks, batches) = run_morsels(self.pool, pairs.len(), self.morsel, &|range| {
-            let slice = &pairs[range];
-            srcs.iter()
-                .map(|&src| match src {
-                    (Some(a), None) => slice.iter().map(|&(l, _)| a[l as usize]).collect(),
-                    (None, Some(b)) => slice.iter().map(|&(_, r)| b[r as usize]).collect(),
-                    (Some(a), Some(b)) => slice
-                        .iter()
-                        .map(|&(l, r)| a[l as usize] * b[r as usize])
-                        .collect(),
-                    (None, None) => vec![1; slice.len()],
-                })
-                .collect::<Vec<Vec<i64>>>()
+        let ranges = morsel_ranges(pairs.len(), self.morsel);
+        let cols = fill_columns(self.pool, srcs.len(), &ranges, &|i, out| {
+            for (dst, &src) in out.iter_mut().zip(&srcs) {
+                let mut at = 0;
+                for s in pairs.slices(ranges[i].clone()) {
+                    let dst = &mut dst[at..at + s.len()];
+                    match src {
+                        (Some(a), None) => {
+                            for (d, &(l, _)) in dst.iter_mut().zip(s) {
+                                *d = a[l as usize];
+                            }
+                        }
+                        (None, Some(b)) => {
+                            for (d, &(_, r)) in dst.iter_mut().zip(s) {
+                                *d = b[r as usize];
+                            }
+                        }
+                        (Some(a), Some(b)) => {
+                            for (d, &(l, r)) in dst.iter_mut().zip(s) {
+                                *d = a[l as usize] * b[r as usize];
+                            }
+                        }
+                        (None, None) => dst.fill(1),
+                    }
+                    at += s.len();
+                }
+            }
         });
-        (concat_columns(schema, pairs.len(), chunks), batches)
+        (ColTable::new(schema, cols), ranges.len() as u64)
     }
 
-    /// Group-by over `key`. Per-morsel first-seen group maps are merged
-    /// serially in morsel order, which reproduces the legacy executor's
-    /// single-pass first-seen group order exactly; a hash aggregate then
-    /// applies the legacy scramble to the group order. A *partial*
-    /// aggregate keeps all attribute columns (first row per group),
-    /// materializes the weight column and one accumulator per aggregate
-    /// call whose input it carries; the *final* aggregate emits one
-    /// finalized accumulator per call and drops the weight.
-    fn aggregate(
-        &mut self,
+    /// The output shape of an aggregate over `t`. A *partial* aggregate
+    /// keeps all attribute columns (first row per group), materializes
+    /// the weight column and one accumulator per aggregate call whose
+    /// input it carries; the *final* aggregate emits one finalized
+    /// accumulator per call and drops the weight.
+    fn agg_spec(
+        &self,
         plan: PlanId,
         op: &'static str,
-        t: ColTable,
-        key: &[AttrId],
+        t: &ColTable,
         partial: bool,
-        scramble: bool,
-    ) -> Result<ColTable, ExecError> {
-        let mut key_cols: Vec<&[i64]> = Vec::with_capacity(key.len());
-        for &a in key {
-            key_cols.push(&t.cols[self.attr_col(plan, op, &t, a)?]);
+    ) -> Result<AggSpec, ExecError> {
+        let mut spec = AggSpec {
+            schema: Vec::new(),
+            cols: Vec::new(),
+            folds: Vec::new(),
+            weight: t.col_index(ColRef::Weight),
+        };
+        for (i, c) in t.schema.iter().enumerate() {
+            if let ColRef::Attr(_) = c {
+                spec.schema.push(*c);
+                spec.cols.push(AggCol::First(i));
+            }
         }
-        let w_col = t.col_index(ColRef::Weight);
-
-        // Which accumulator columns this aggregate emits, and where each
-        // row's contribution comes from.
-        let mut folds: Vec<FoldSpec> = Vec::new();
-        let mut emits: Vec<(usize, Emit)> = Vec::new();
+        if partial {
+            spec.schema.push(ColRef::Weight);
+            spec.cols.push(AggCol::Weight);
+        }
         for (call, agg) in self.query.aggregates.iter().enumerate() {
             let acc = t.col_index(ColRef::Acc(call));
             let raw = agg.input.and_then(|a| t.col_index(ColRef::Attr(a)));
             if agg.func == AggFunc::Count {
                 if !partial {
-                    emits.push((call, Emit::FromWeight));
+                    spec.schema.push(ColRef::Acc(call));
+                    spec.cols.push(AggCol::Weight);
                 }
                 // Partial counts live entirely in the weight column.
                 continue;
@@ -862,31 +1105,32 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
                     ),
                 ));
             }
-            emits.push((call, Emit::Fold(folds.len())));
-            folds.push(FoldSpec {
+            spec.schema.push(ColRef::Acc(call));
+            spec.cols.push(AggCol::Fold(spec.folds.len()));
+            spec.folds.push(FoldSpec {
                 func: agg.func,
                 acc,
                 raw,
             });
         }
+        Ok(spec)
+    }
 
-        // A row's contribution to fold slot `s`.
-        let contrib = |s: &FoldSpec, r: usize| -> i64 {
-            match s.func {
-                AggFunc::Sum => match s.acc {
-                    Some(c) => t.cols[c][r],
-                    None => {
-                        let w = w_col.map_or(1, |c| t.cols[c][r]);
-                        t.cols[s.raw.expect("sum without source")][r] * w
-                    }
-                },
-                AggFunc::Min | AggFunc::Max => {
-                    let c = s.acc.or(s.raw).expect("min/max without source");
-                    t.cols[c][r]
-                }
-                AggFunc::Count => unreachable!("count never folds"),
-            }
-        };
+    /// Hash aggregation over `key`. Per-morsel first-seen group maps are
+    /// merged serially in morsel order, which reproduces the legacy
+    /// executor's single-pass first-seen group order exactly; the legacy
+    /// scramble is then applied to the group order.
+    fn hash_aggregate(
+        &mut self,
+        plan: PlanId,
+        t: ColTable,
+        key: &[AttrId],
+        partial: bool,
+    ) -> Result<ColTable, ExecError> {
+        let op = "HashAgg";
+        let key_cols = self.key_cols(plan, op, &t.schema, &t.cols, key)?;
+        let spec = self.agg_spec(plan, op, &t, partial)?;
+        let folds = &spec.folds;
 
         // Per-morsel local aggregation, merged serially in morsel order
         // (= the global first-seen order of a single pass).
@@ -897,8 +1141,9 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
                 let mut state = GroupState::default();
                 for (r, &h) in range.zip(&hashes) {
                     let (g, new) = table.find_or_insert(&key_cols, h, r as u32);
-                    let w = w_col.map_or(1, |c| t.cols[c][r]);
-                    state.add(&folds, g as usize, new, w, |slot| contrib(&folds[slot], r));
+                    state.add(folds, g as usize, new, spec.weight(&t, r), |slot| {
+                        spec.contrib(&t, slot, r)
+                    });
                 }
                 (table, state)
             });
@@ -908,43 +1153,105 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         for (local, ls) in &chunks {
             for (lg, (hash, first)) in local.groups().enumerate() {
                 let (g, new) = table.find_or_insert(&key_cols, hash, first);
-                state.add(&folds, g as usize, new, ls.weight[lg], |slot| {
+                state.add(folds, g as usize, new, ls.weight[lg], |slot| {
                     ls.folds[lg * nf + slot]
                 });
             }
         }
 
-        let order: Vec<usize> = if scramble {
-            scramble_order(table.len())
-        } else {
-            (0..table.len()).collect()
-        };
+        let order = scramble_order(table.len());
+        let first = table.first_rows();
+        let cols: Vec<Vec<i64>> = spec
+            .cols
+            .iter()
+            .map(|&c| match c {
+                AggCol::First(col) => order
+                    .iter()
+                    .map(|&g| t.cols[col][first[g] as usize])
+                    .collect(),
+                AggCol::Weight => order.iter().map(|&g| state.weight[g]).collect(),
+                AggCol::Fold(slot) => order.iter().map(|&g| state.folds[g * nf + slot]).collect(),
+            })
+            .collect();
+        let out = ColTable::new(spec.schema, cols);
+        self.stats.record(op, batches, out.num_rows() as u64);
+        Ok(out)
+    }
 
-        // Attribute columns: the group's first row, in output order.
-        let first_rows: Vec<u32> = order.iter().map(|&g| table.first_rows()[g]).collect();
-        let attr_keep: Vec<usize> = t
-            .schema
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| matches!(c, ColRef::Attr(_)).then_some(i))
-            .collect();
-        let mut schema: Vec<ColRef> = attr_keep.iter().map(|&i| t.schema[i]).collect();
-        let mut cols: Vec<Vec<i64>> = attr_keep
-            .iter()
-            .map(|&c| first_rows.iter().map(|&r| t.cols[c][r as usize]).collect())
-            .collect();
-        if partial {
-            schema.push(ColRef::Weight);
-            cols.push(order.iter().map(|&g| state.weight[g]).collect());
+    /// Streaming aggregation — `StreamAgg`, and the aggregate half of
+    /// `GroupJoin`. The planner places it on input grouped on `key`, so
+    /// every group is one maximal run of equal keys, folded where it
+    /// lies without hashing a row: each morsel finds the runs that start
+    /// in it ([`run_starts`]), the run starts alone are hashed to verify
+    /// the grouping — a key that resumes after its run ended is a
+    /// located error, never a silently split group — and each morsel
+    /// then folds its runs straight into its rows of the preallocated
+    /// output, reading on past its end into a run that crosses it.
+    /// Groups come out in run order: on grouped input, the first-seen
+    /// order the hash kernel would produce.
+    fn stream_aggregate(
+        &mut self,
+        plan: PlanId,
+        op: &'static str,
+        t: ColTable,
+        key: &[AttrId],
+        partial: bool,
+    ) -> Result<ColTable, ExecError> {
+        let key_cols = self.key_cols(plan, op, &t.schema, &t.cols, key)?;
+        let spec = self.agg_spec(plan, op, &t, partial)?;
+        let n = t.num_rows();
+        let (starts, batches) = run_morsels(self.pool, n, self.morsel, &|range| {
+            run_starts(&key_cols, range)
+        });
+        if let Some((first, again)) = resumed_run(&key_cols, &starts) {
+            let names: Vec<&str> = key.iter().map(|&a| self.catalog.attr_name(a)).collect();
+            return Err(self.err(
+                plan,
+                op,
+                None,
+                format!(
+                    "input is not grouped on ({}): row {again} resumes the group \
+                     that row {first} started",
+                    names.join(", ")
+                ),
+            ));
         }
-        for (call, emit) in emits {
-            schema.push(ColRef::Acc(call));
-            cols.push(match emit {
-                Emit::FromWeight => order.iter().map(|&g| state.weight[g]).collect(),
-                Emit::Fold(slot) => order.iter().map(|&g| state.folds[g * nf + slot]).collect(),
-            });
-        }
-        let out = ColTable::new(schema, cols);
+        let mut at = 0;
+        let out_ranges: Vec<Range<usize>> = starts
+            .iter()
+            .map(|s| {
+                at += s.len();
+                at - s.len()..at
+            })
+            .collect();
+        let morsel = self.morsel;
+        let cols = fill_columns(self.pool, spec.cols.len(), &out_ranges, &|m, out| {
+            let local = &starts[m];
+            let morsel_end = ((m + 1) * morsel).min(n);
+            for (j, &s) in local.iter().enumerate() {
+                let end = match local.get(j + 1) {
+                    Some(&e) => e as usize,
+                    None => (morsel_end..n)
+                        .find(|&r| !rows_eq(&key_cols, s, r as u32))
+                        .unwrap_or(n),
+                };
+                let (s, run) = (s as usize, s as usize..end);
+                for (dst, &c) in out.iter_mut().zip(&spec.cols) {
+                    dst[j] = match c {
+                        AggCol::First(col) => t.cols[col][s],
+                        AggCol::Weight => run.clone().map(|r| spec.weight(&t, r)).sum(),
+                        AggCol::Fold(slot) => {
+                            let func = spec.folds[slot].func;
+                            run.clone()
+                                .map(|r| spec.contrib(&t, slot, r))
+                                .reduce(|a, b| combine(func, a, b))
+                                .expect("a run is never empty")
+                        }
+                    };
+                }
+            }
+        });
+        let out = ColTable::new(spec.schema, cols);
         self.stats.record(op, batches, out.num_rows() as u64);
         Ok(out)
     }
@@ -958,10 +1265,7 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
         t: ColTable,
         key: &[AttrId],
     ) -> Result<ColTable, ExecError> {
-        let mut key_cols: Vec<&[i64]> = Vec::with_capacity(key.len());
-        for &a in key {
-            key_cols.push(&t.cols[self.attr_col(plan, "HashGroup", &t, a)?]);
-        }
+        let key_cols = self.key_cols(plan, "HashGroup", &t.schema, &t.cols, key)?;
         // Per morsel: a local group table and every row's local group.
         let (chunks, batches) = run_morsels(self.pool, t.num_rows(), self.morsel, &|range| {
             let hashes = hash_rows(&key_cols, range.clone());
@@ -986,6 +1290,7 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
             );
             gid.extend(gids.iter().map(|&lg| global[lg as usize]));
         }
+        drop(chunks);
         // Counting sort into scrambled block order: group sizes become
         // block start offsets, then each row drops into its block's next
         // free slot — rows keep their order inside a block.
@@ -1002,7 +1307,12 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
             idx[slot[g as usize] as usize] = r as u32;
             slot[g as usize] += 1;
         }
-        let (out, gb) = gather_par(self.pool, self.morsel, &t, &idx);
+        drop(gid);
+        let idx = [idx];
+        let (cols, gb) = gather(self.pool, self.morsel, &t.cols, &Spliced::new(&idx), |&r| {
+            r as usize
+        });
+        let out = ColTable::new(t.schema, cols);
         self.stats
             .record("HashGroup", batches + gb, out.num_rows() as u64);
         Ok(out)
@@ -1012,6 +1322,9 @@ impl<S: Copy, E: OrderedExecutor> Engine<'_, S, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ofw_plangen::plan::AggMark;
+    use ofw_plangen::PlanNode;
+    use ofw_query::{AggCall, ConstPred, FilterPred};
     use proptest::prelude::*;
 
     #[test]
@@ -1024,17 +1337,21 @@ mod tests {
         assert_eq!(scramble_order(2), vec![1, 0]);
     }
 
-    /// What `Engine::sort` does with a run partition: sort each run by
-    /// `(key, index)`, then merge.
-    fn sort_by_runs(cols: &[&[i64]], runs: Vec<Range<usize>>) -> Vec<u32> {
+    /// What the engine's sorts do with a run partition: extract the
+    /// first key column, sort each run by `(key, row)`, then merge.
+    /// Returns the sorted rows.
+    fn sort_by_runs(cols: &[&[i64]], runs: Vec<Range<usize>>, morsel: usize) -> Vec<u32> {
         let n = runs.last().map_or(0, |r| r.end);
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        for run in &runs {
-            idx[run.clone()].sort_unstable_by(|&a, &b| cmp_rows(cols, a, b).then(a.cmp(&b)));
-        }
-        merge_sorted_runs(cols, idx, runs)
+        let entries = extract_keys(cols, 0..n as u32, n);
+        let rest = cols.get(1..).unwrap_or_default();
+        sort_entries(&SerialExecutor, morsel, rest, entries, runs)
+            .into_iter()
+            .map(|e| e.1)
+            .collect()
     }
 
+    /// Today's reference: the standard library's stable sort through
+    /// the indirect row comparator.
     fn stable_sort(cols: &[&[i64]], n: usize) -> Vec<u32> {
         let mut expect: Vec<u32> = (0..n as u32).collect();
         expect.sort_by(|&a, &b| cmp_rows(cols, a, b));
@@ -1047,10 +1364,13 @@ mod tests {
         let cols: Vec<&[i64]> = vec![&col];
         let expect = stable_sort(&cols, 8);
         assert_eq!(expect, vec![5, 1, 3, 7, 2, 6, 0, 4]);
-        assert_eq!(sort_by_runs(&cols, vec![0..4, 4..8]), expect);
-        assert_eq!(sort_by_runs(&cols, vec![0..3, 3..4, 4..8]), expect);
-        assert_eq!(sort_by_runs(&cols, std::iter::once(0..8).collect()), expect);
-        assert!(sort_by_runs(&cols, Vec::new()).is_empty());
+        assert_eq!(sort_by_runs(&cols, vec![0..4, 4..8], 4), expect);
+        assert_eq!(sort_by_runs(&cols, vec![0..3, 3..4, 4..8], 2), expect);
+        assert_eq!(
+            sort_by_runs(&cols, std::iter::once(0..8).collect(), 4),
+            expect
+        );
+        assert!(sort_by_runs(&cols, Vec::new(), 4).is_empty());
     }
 
     #[test]
@@ -1060,26 +1380,35 @@ mod tests {
         let b: Vec<i64> = (0..3001).map(|r| (r * 104729) % 5).collect();
         let cols: Vec<&[i64]> = vec![&a, &b];
         let runs: Vec<Range<usize>> = (0..3001).map(|r| r..r + 1).collect();
-        assert_eq!(sort_by_runs(&cols, runs), stable_sort(&cols, 3001));
+        assert_eq!(sort_by_runs(&cols, runs, 64), stable_sort(&cols, 3001));
+    }
+
+    fn key_value() -> impl Strategy<Value = i64> {
+        prop_oneof![-4i64..5, Just(i64::MIN), Just(i64::MAX)]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
-        /// Any run partition merges to the one global stable sort.
+        /// Any run partition merges to the one global stable sort: the
+        /// extracted-key kernel equals the indirect stable sort on 1–3
+        /// key columns, whatever the runs and the task batching.
         #[test]
         fn any_run_partition_merges_to_the_stable_sort(
-            col in proptest::collection::vec(prop_oneof![-4i64..5, Just(i64::MIN), Just(i64::MAX)], 0..300),
+            cols in (1usize..4, 0usize..300).prop_flat_map(|(k, n)| {
+                proptest::collection::vec(proptest::collection::vec(key_value(), n), k)
+            }),
             cuts in proptest::collection::vec(0usize..300, 0..80),
+            morsel in 1usize..64,
         ) {
-            let n = col.len();
+            let n = cols[0].len();
             let mut bounds: Vec<usize> = cuts.into_iter().filter(|&c| c > 0 && c < n).collect();
             bounds.extend([0, n]);
             bounds.sort_unstable();
             bounds.dedup();
             let runs: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
-            let cols: Vec<&[i64]> = vec![&col];
-            prop_assert_eq!(sort_by_runs(&cols, runs), stable_sort(&cols, n));
+            let cols: Vec<&[i64]> = cols.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(sort_by_runs(&cols, runs, morsel), stable_sort(&cols, n));
         }
     }
 
@@ -1093,6 +1422,60 @@ mod tests {
     }
 
     #[test]
+    fn spliced_parts_read_as_one_sequence() {
+        let parts = vec![vec![0, 1, 2], vec![], vec![3], vec![4, 5]];
+        let s = Spliced::new(&parts);
+        assert_eq!(s.len(), 6);
+        for lo in 0..=6 {
+            for hi in lo..=6 {
+                let got: Vec<i32> = s.slices(lo..hi).flatten().copied().collect();
+                assert_eq!(
+                    got,
+                    (lo as i32..hi as i32).collect::<Vec<_>>(),
+                    "{lo}..{hi}"
+                );
+            }
+        }
+        assert_eq!(Spliced::<u32>::new(&[]).slices(0..0).count(), 0);
+    }
+
+    #[test]
+    fn fill_writes_each_range_once_in_place() {
+        let ranges = [0..3, 3..3, 3..7];
+        let cols = fill_columns(&SerialExecutor, 2, &ranges, &|i, out| {
+            for (c, dst) in out.iter_mut().enumerate() {
+                assert_eq!(dst.len(), ranges[i].len());
+                for (k, d) in dst.iter_mut().enumerate() {
+                    *d = (10 * c + ranges[i].start + k) as i64;
+                }
+            }
+        });
+        assert_eq!(cols[0], vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(cols[1], vec![10, 11, 12, 13, 14, 15, 16]);
+        assert!(
+            fill_columns(&SerialExecutor, 3, &[], &|_, _| unreachable!())
+                .iter()
+                .all(Vec::is_empty)
+        );
+    }
+
+    fn node(query: &Query, qrels: &[usize], op: PlanOp) -> PlanNode<()> {
+        let mut mask = query.relation_set(qrels[0]);
+        for &q in &qrels[1..] {
+            mask.union_with(&query.relation_set(q));
+        }
+        PlanNode {
+            op,
+            mask,
+            cost: 0.0,
+            card: 0.0,
+            state: (),
+            agg: AggMark::NONE,
+            applied_fds: Default::default(),
+        }
+    }
+
+    #[test]
     fn malformed_base_data_is_a_located_error_on_both_scans() {
         let mut catalog = Catalog::new();
         let rel = catalog.add_relation("r", 3.0, &["a", "b"]);
@@ -1100,20 +1483,15 @@ mod tests {
         let mut query = Query::new();
         query.add_relation(&catalog, rel);
         let mut arena: PlanArena<()> = PlanArena::new();
-        let mut push = |op: PlanOp| {
-            arena.push(ofw_plangen::PlanNode {
-                op,
-                mask: query.relation_set(0),
-                cost: 0.0,
-                card: 0.0,
-                state: (),
-                agg: ofw_plangen::plan::AggMark::NONE,
-                applied_fds: Default::default(),
-            })
-        };
         let scans = [
-            (push(PlanOp::Scan { qrel: 0 }), "Scan"),
-            (push(PlanOp::IndexScan { qrel: 0, index: 0 }), "IndexScan"),
+            (
+                arena.push(node(&query, &[0], PlanOp::Scan { qrel: 0 })),
+                "Scan",
+            ),
+            (
+                arena.push(node(&query, &[0], PlanOp::IndexScan { qrel: 0, index: 0 })),
+                "IndexScan",
+            ),
         ];
         let good = vec![vec![vec![3, 1, 2], vec![7, 8, 9]]];
         let one_column = vec![vec![vec![3, 1, 2]]];
@@ -1135,5 +1513,281 @@ mod tests {
         let blocks = head_blocks(&[&a, &b], 6);
         assert_eq!(blocks, vec![0..2, 2..3, 3..5, 5..6]);
         assert!(head_blocks(&[&a[..0]], 0).is_empty());
+    }
+
+    /// `r(a, b, c)` with an index on `(a, b)`, `b = CONST_VALUE` when
+    /// `constant`, `c <= 1` when `filter`.
+    fn index_fixture(constant: bool, filter: bool) -> (Catalog, Query, PlanArena<()>, PlanId) {
+        let mut catalog = Catalog::new();
+        let rel = catalog.add_relation("r", 3.0, &["a", "b", "c"]);
+        let (a, b, c) = (
+            catalog.attr("r.a"),
+            catalog.attr("r.b"),
+            catalog.attr("r.c"),
+        );
+        catalog.add_index(rel, vec![a, b], true);
+        let mut query = Query::new();
+        query.add_relation(&catalog, rel);
+        if constant {
+            query.constants.push(ConstPred {
+                attr: b,
+                selectivity: 0.5,
+            });
+        }
+        if filter {
+            query.filters.push(FilterPred {
+                attr: c,
+                selectivity: 0.5,
+            });
+        }
+        let mut arena: PlanArena<()> = PlanArena::new();
+        let scan = arena.push(node(&query, &[0], PlanOp::IndexScan { qrel: 0, index: 0 }));
+        (catalog, query, arena, scan)
+    }
+
+    /// The index scan as the legacy tuple engine defines it: stable sort
+    /// of the whole relation by the index key, *then* the selections.
+    fn sort_then_filter(
+        catalog: &Catalog,
+        query: &Query,
+        arena: &PlanArena<()>,
+        scan: PlanId,
+        data: &[Vec<Vec<i64>>],
+    ) -> ofw_plangen::Table {
+        let cols = &data[0];
+        let table = ofw_plangen::Table {
+            attrs: catalog.relation(query.relations[0]).attrs.clone(),
+            rows: (0..cols[0].len())
+                .map(|r| cols.iter().map(|c| c[r]).collect())
+                .collect(),
+        };
+        ofw_plangen::exec::try_execute(arena, scan, catalog, query, &[table]).unwrap()
+    }
+
+    #[test]
+    fn index_scan_filters_first_on_empty_and_all_filtered_relations() {
+        let (catalog, query, arena, scan) = index_fixture(true, true);
+        let empty = vec![vec![Vec::new(), Vec::new(), Vec::new()]];
+        let (out, stats) = execute_serial(&arena, scan, &catalog, &query, &empty).unwrap();
+        assert_eq!(out.num_rows(), 0);
+        assert_eq!(
+            stats.ops["IndexScan"],
+            OpStat {
+                batches: 0,
+                rows: 0
+            }
+        );
+        let all_filtered = vec![vec![vec![2, 1, 2], vec![0, 0, 0], vec![2, 5, i64::MAX]]];
+        let (out, stats) = execute_serial(&arena, scan, &catalog, &query, &all_filtered).unwrap();
+        assert_eq!(out.num_rows(), 0);
+        // One filter morsel; no survivor to sort or gather.
+        assert_eq!(
+            stats.ops["IndexScan"],
+            OpStat {
+                batches: 1,
+                rows: 0
+            }
+        );
+        assert!(!stats.ops.contains_key("Scan"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(150))]
+
+        /// Filter-then-stable-sort ≡ stable-sort-then-filter: the index
+        /// scan equals the legacy engine's sort-first scan on duplicate
+        /// and extreme keys, under neither, either or both predicate
+        /// kinds, at any morsel size.
+        #[test]
+        fn index_scan_filter_then_sort_is_sort_then_filter(
+            cols in (0usize..120).prop_flat_map(|n| proptest::collection::vec(
+                proptest::collection::vec(
+                    prop_oneof![-2i64..3, Just(i64::MIN), Just(i64::MAX)], n),
+                3,
+            )),
+            preds in 0u8..4,
+            morsel in 1usize..40,
+        ) {
+            let (catalog, query, arena, scan) = index_fixture(preds & 1 != 0, preds & 2 != 0);
+            let data = vec![cols];
+            let (out, _) = execute_plan(
+                &arena, scan, &catalog, &query, &data,
+                &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
+            ).unwrap();
+            let (got, expect) = (out.attr_table(), sort_then_filter(&catalog, &query, &arena, scan, &data));
+            prop_assert_eq!((got.attrs, got.rows), (expect.attrs, expect.rows));
+        }
+    }
+
+    /// `r(g, h, v)` with `sum(v)`, `min(v)`, `max(v)`, `count(*)`.
+    fn agg_fixture() -> (Catalog, Query) {
+        let mut catalog = Catalog::new();
+        let rel = catalog.add_relation("r", 3.0, &["g", "h", "v"]);
+        let mut query = Query::new();
+        query.add_relation(&catalog, rel);
+        query.group_by = vec![catalog.attr("r.g")];
+        let v = Some(catalog.attr("r.v"));
+        query.aggregates = [AggFunc::Sum, AggFunc::Min, AggFunc::Max]
+            .into_iter()
+            .map(|func| AggCall { func, input: v })
+            .chain(std::iter::once(AggCall {
+                func: AggFunc::Count,
+                input: None,
+            }))
+            .collect();
+        (catalog, query)
+    }
+
+    /// The hash aggregate's output rows put back into first-seen group
+    /// order: output row `i` is group `scramble_order(len)[i]`.
+    fn unscramble(t: &ColTable) -> ColTable {
+        let order = scramble_order(t.num_rows());
+        let mut pos = vec![0; order.len()];
+        for (i, &g) in order.iter().enumerate() {
+            pos[g] = i;
+        }
+        let cols = t
+            .cols
+            .iter()
+            .map(|c| pos.iter().map(|&i| c[i]).collect())
+            .collect();
+        ColTable::new(t.schema.clone(), cols)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100))]
+
+        /// Streaming ≡ unscrambled hash aggregation on grouped input:
+        /// partial and final, over raw rows and over a partial
+        /// aggregate's weights and accumulators, for sum/min/max/count,
+        /// with runs crossing morsels at tiny morsel sizes.
+        #[test]
+        fn streaming_equals_unscrambled_hash_aggregation(
+            runs in proptest::collection::vec((1usize..9, 1usize..4, -50i64..50), 0..25),
+            morsel in 1usize..6,
+        ) {
+            // Group `i` holds `len` rows whose `h` climbs through `hs`
+            // values, so the input is grouped on `g` and on `(g, h)`,
+            // and the `(g, h)` partial below hands the `g` aggregates
+            // weights and accumulators.
+            let mut cols = vec![Vec::new(), Vec::new(), Vec::new()];
+            for (i, &(len, hs, v)) in runs.iter().enumerate() {
+                for k in 0..len {
+                    cols[0].push(i as i64 * 7 - 80);
+                    cols[1].push(((k * hs) / len) as i64);
+                    cols[2].push(v + (k as i64 * 13) % 29 - 14);
+                }
+            }
+            let (catalog, query) = agg_fixture();
+            let (g, h) = (catalog.attr("r.g"), catalog.attr("r.h"));
+            let data = vec![cols];
+            let opts = ExecOptions { morsel_rows: morsel };
+            let mut arena: PlanArena<()> = PlanArena::new();
+            let scan = arena.push(node(&query, &[0], PlanOp::Scan { qrel: 0 }));
+            let weighted = arena.push(node(&query, &[0], PlanOp::StreamAgg {
+                input: scan,
+                key: vec![g, h],
+                partial: true,
+            }));
+            for input in [scan, weighted] {
+                for partial in [true, false] {
+                    let key = vec![g];
+                    let stream = arena.push(node(&query, &[0], PlanOp::StreamAgg {
+                        input, key: key.clone(), partial,
+                    }));
+                    let hash = arena.push(node(&query, &[0], PlanOp::HashAgg {
+                        input, key, partial,
+                    }));
+                    let run = |plan| execute_plan(
+                        &arena, plan, &catalog, &query, &data,
+                        &SerialExecutor, &opts, &Trace::disabled(),
+                    ).unwrap();
+                    let (s, s_stats) = run(stream);
+                    let (hashed, h_stats) = run(hash);
+                    prop_assert_eq!(&s, &unscramble(&hashed));
+                    prop_assert_eq!(s.num_rows(), runs.len());
+                    prop_assert_eq!(s_stats.morsels, h_stats.morsels);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ungrouped_streaming_input_is_a_located_error() {
+        let (catalog, mut query) = agg_fixture();
+        let g = catalog.attr("r.g");
+        let mut arena: PlanArena<()> = PlanArena::new();
+        let scan = arena.push(node(&query, &[0], PlanOp::Scan { qrel: 0 }));
+        let agg = arena.push(node(
+            &query,
+            &[0],
+            PlanOp::StreamAgg {
+                input: scan,
+                key: vec![g],
+                partial: false,
+            },
+        ));
+        // `g = 1` resumes at row 3, after the `g = 2` run, in the third
+        // morsel of two rows.
+        let data = vec![vec![vec![1, 1, 2, 1], vec![0; 4], vec![5; 4]]];
+        let opts = ExecOptions { morsel_rows: 2 };
+        let run = |arena: &PlanArena<()>, plan, query: &Query, data: &[Vec<Vec<i64>>]| {
+            execute_plan(
+                arena,
+                plan,
+                &catalog,
+                query,
+                data,
+                &SerialExecutor,
+                &opts,
+                &Trace::disabled(),
+            )
+        };
+        let err = run(&arena, agg, &query, &data).unwrap_err();
+        assert_eq!(
+            (err.plan, err.op, err.attr),
+            (agg, "StreamAgg", None),
+            "{err}"
+        );
+        assert!(err.detail.contains("row 3"), "{err}");
+        let grouped = vec![vec![vec![1, 1, 1, 2], vec![0; 4], vec![5; 4]]];
+        assert_eq!(run(&arena, agg, &query, &grouped).unwrap().0.num_rows(), 2);
+
+        // The group-join's aggregate half: `s(k)` joined on `r.h = s.k`,
+        // grouped by `r.g`, which the probe side breaks.
+        let mut catalog = catalog;
+        let srel = catalog.add_relation("s", 1.0, &["k"]);
+        query.add_relation(&catalog, srel);
+        query.joins.push(ofw_query::JoinEdge {
+            left: catalog.attr("r.h"),
+            right: catalog.attr("s.k"),
+            selectivity: 1.0,
+        });
+        let mut arena: PlanArena<()> = PlanArena::new();
+        let r = arena.push(node(&query, &[0], PlanOp::Scan { qrel: 0 }));
+        let s = arena.push(node(&query, &[1], PlanOp::Scan { qrel: 1 }));
+        let gj = arena.push(node(
+            &query,
+            &[0, 1],
+            PlanOp::GroupJoin {
+                left: r,
+                right: s,
+                edge: 0,
+            },
+        ));
+        let mut data = data;
+        data.push(vec![vec![0]]);
+        let err = execute_plan(
+            &arena,
+            gj,
+            &catalog,
+            &query,
+            &data,
+            &SerialExecutor,
+            &opts,
+            &Trace::disabled(),
+        )
+        .unwrap_err();
+        assert_eq!((err.plan, err.op), (gj, "GroupJoin"), "{err}");
     }
 }

@@ -12,12 +12,18 @@
 //!   filled in reverse row order, so every chain ascends in row index
 //!   and a probe meets its matches in build-table order.
 //! * [`GroupTable`] chains **dense group ids** handed out in first-seen
-//!   order, each with a representative row and its stored hash
-//!   (aggregation, hash grouping, the grouping check).
+//!   order, each with a representative row and its stored hash (hash
+//!   aggregation, hash grouping, and the run-start check below).
 //!
 //! Both orders are functions of the data alone, so nothing an operator
 //! emits depends on the hash function or the bucket count — those only
 //! decide how long the chains are.
+//!
+//! The run finder lives here too: [`run_starts`] cuts rows into maximal
+//! equal-key runs by comparing neighbours, and [`resumed_run`] hashes
+//! only those run starts to find a key that comes back after its run
+//! ended. Streaming aggregation, partial-sort head blocks and the
+//! grouping check share it, so grouped input is never hashed per row.
 
 use ofw_common::hash::fx_mix;
 use std::ops::Range;
@@ -37,9 +43,18 @@ pub(crate) fn hash_rows(key_cols: &[&[i64]], range: Range<usize>) -> Vec<u64> {
         }
     }
     for h in &mut out {
-        *h ^= *h >> 32;
+        *h = fold_high(*h);
     }
     out
+}
+
+/// Row `r`'s entry of [`hash_rows`], for rows that are not contiguous.
+fn hash_row(key_cols: &[&[i64]], r: usize) -> u64 {
+    fold_high(key_cols.iter().fold(0, |h, c| fx_mix(h, c[r] as u64)))
+}
+
+fn fold_high(h: u64) -> u64 {
+    h ^ (h >> 32)
 }
 
 /// Are rows `a` and `b` equal on every column of `cols`?
@@ -156,6 +171,34 @@ impl GroupTable {
     pub(crate) fn groups(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.hashes.iter().copied().zip(self.first.iter().copied())
     }
+}
+
+/// The run finder: the rows of `range` that start a maximal run of rows
+/// equal on `key_cols`. Row `r` starts one iff it is row 0 or differs
+/// from row `r - 1`, so the answer for a range does not depend on how
+/// the rows around it were cut — a run that began before `range` does
+/// not restart at its first row.
+pub(crate) fn run_starts(key_cols: &[&[i64]], range: Range<usize>) -> Vec<u32> {
+    range
+        .filter(|&r| r == 0 || !rows_eq(key_cols, r as u32 - 1, r as u32))
+        .map(|r| r as u32)
+        .collect()
+}
+
+/// The first run start, in row order, whose key already started an
+/// earlier run — a group that resumed after its run ended — paired with
+/// that earlier start; `None` iff the runs form a grouping. `starts` are
+/// [`run_starts`] results in row order, possibly in per-morsel parts.
+/// Only run starts are hashed.
+pub(crate) fn resumed_run(key_cols: &[&[i64]], starts: &[Vec<u32>]) -> Option<(u32, u32)> {
+    let mut seen = GroupTable::with_capacity(starts.iter().map(Vec::len).sum());
+    for &s in starts.iter().flatten() {
+        let (g, new) = seen.find_or_insert(key_cols, hash_row(key_cols, s as usize), s);
+        if !new {
+            return Some((seen.first[g as usize], s));
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -310,6 +353,44 @@ mod tests {
         assert_eq!(hash_rows(&cols, 1..4), all[1..4]);
         assert_eq!(all[0], all[2], "equal keys hash alike");
         assert_ne!(all[0], all[1]);
+        for (r, &h) in all.iter().enumerate() {
+            assert_eq!(hash_row(&cols, r), h);
+        }
+    }
+
+    #[test]
+    fn run_starts_do_not_depend_on_the_cut() {
+        let a = vec![1i64, 1, 2, 2, 2, 1, 3];
+        let cols = slices(std::slice::from_ref(&a));
+        let whole = run_starts(&cols, 0..7);
+        assert_eq!(whole, vec![0, 2, 5, 6]);
+        for cut in 0..=7 {
+            let parts = [run_starts(&cols, 0..cut), run_starts(&cols, cut..7)];
+            assert_eq!(parts.concat(), whole, "cut at {cut}");
+            // `1` resumes at row 5; its run started at row 0.
+            assert_eq!(resumed_run(&cols, &parts), Some((0, 5)));
+        }
+        assert_eq!(resumed_run(&cols[..], &[run_starts(&cols, 0..5)]), None);
+        assert_eq!(run_starts(&[], 0..3), vec![0], "the empty key is one run");
+        assert!(run_starts(&cols, 0..0).is_empty());
+        assert_eq!(resumed_run(&cols, &[]), None);
+    }
+
+    /// The reference model of [`resumed_run`]: the first row that starts
+    /// a run of a key seen before, with that key's first row.
+    fn model_resumed(cols: &[&[i64]], rows: usize) -> Option<(u32, u32)> {
+        let mut first: HashMap<Vec<i64>, u32> = HashMap::new();
+        for r in 0..rows {
+            let k = key(cols, r);
+            if r > 0 && k == key(cols, r - 1) {
+                continue;
+            }
+            if let Some(&f) = first.get(&k) {
+                return Some((f, r as u32));
+            }
+            first.insert(k, r as u32);
+        }
+        None
     }
 
     /// Small domains (so keys repeat) salted with the extremes.
@@ -350,6 +431,33 @@ mod tests {
                 kernel_pairs(&l, &r, nl, nr, mask),
                 model_pairs(&l, &r, nl, nr)
             );
+        }
+
+        /// The run finder against the model, on random and on sorted
+        /// (so grouped) rows of key arity 0–3, cut at any point.
+        #[test]
+        fn run_finder_matches_the_model(
+            cols in (0usize..4, 0usize..60).prop_flat_map(|(arity, n)| table(arity, n)),
+            cut in 0usize..60,
+            sorted in 0u8..2,
+        ) {
+            let n = cols.first().map_or(5, Vec::len);
+            let mut cols = cols;
+            if sorted == 1 {
+                let mut rows: Vec<Vec<i64>> = (0..n).map(|r| key(&slices(&cols), r)).collect();
+                rows.sort();
+                for (c, col) in cols.iter_mut().enumerate() {
+                    *col = rows.iter().map(|row| row[c]).collect();
+                }
+            }
+            let cols = slices(&cols);
+            let cut = cut.min(n);
+            let parts = [run_starts(&cols, 0..cut), run_starts(&cols, cut..n)];
+            let expect = model_resumed(&cols, n);
+            prop_assert_eq!(resumed_run(&cols, &parts), expect);
+            if sorted == 1 {
+                prop_assert_eq!(expect, None);
+            }
         }
     }
 }

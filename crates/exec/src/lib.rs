@@ -15,8 +15,10 @@
 //!   with fixed-size morsels merged in index order, so output is
 //!   **byte-identical at any thread count**.
 //! * `hash` (private) — the flat bucket/chain hash kernels behind hash
-//!   join, group join, both aggregates, hash grouping and the grouping
-//!   check: keys are compared through the input columns, never copied.
+//!   join, the group join's join half, hash aggregation and hash
+//!   grouping (keys are compared through the input columns, never
+//!   copied), and the run finder behind streaming aggregation,
+//!   partial-sort head blocks and the grouping check.
 //! * [`mod@reference`] — the canonical left-deep, root-only-aggregation
 //!   reference plan and the multiset [`result_signature`] the
 //!   differential correctness harness compares across the DP plan, the
