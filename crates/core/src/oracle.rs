@@ -14,12 +14,11 @@
 use crate::fd::FdSetId;
 use crate::property::LogicalProperty;
 use std::fmt::Debug;
-use std::hash::Hash;
 
 /// Order/grouping-optimization ADT as seen by the plan generator.
 pub trait OrderOracle {
     /// Per-plan-node order annotation.
-    type State: Copy + Eq + Hash + Debug;
+    type State: Copy + Eq + Debug;
     /// Pre-resolved handle of an interesting property.
     type Key: Copy + Debug;
 
@@ -54,8 +53,8 @@ pub trait OrderOracle {
     /// `b`).
     ///
     /// Contract: domination is **reflexive** — `dominates(s, s)` must be
-    /// `true` for every state. The DP's bucketed Pareto sets rely on it:
-    /// two plans carrying the *same* state handle are compared on cost
+    /// `true` for every state. The DP's Pareto sets rely on it: two
+    /// plans carrying the *same* state handle are compared on cost
     /// alone, without calling the oracle (counted as
     /// `dominance_memo_hits`, not probes). All three arms short-circuit
     /// `a == b` today; a new oracle must too.

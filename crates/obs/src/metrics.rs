@@ -101,9 +101,10 @@ pub struct ProbeCounters {
     /// `dominates` calls (one per Pareto comparison that actually
     /// reached the oracle).
     pub dominates: u64,
-    /// Pareto comparisons answered *without* an oracle call: exact
-    /// state equality (dominance is reflexive) or a per-union
-    /// `(state, state) → bool` memo hit. Kept out of
+    /// Dominance checks answered *without* an oracle call because the
+    /// two states are equal (dominance is reflexive). The name is
+    /// historical; it stays because the pipeline benchmark
+    /// (`benchmark/src/ops.rs`) reads it. Kept out of
     /// [`total`](Self::total) so `oracle_probes` keeps counting real
     /// oracle work.
     pub dominance_memo_hits: u64,

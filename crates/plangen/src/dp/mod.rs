@@ -79,9 +79,11 @@
 //! against `B` minus an admissible floor on the cost still to be paid
 //! outside its subset — *before* its plan node is allocated, and
 //! usually before the oracle is probed ([`PlanGen::cost_bounding`]
-//! turns this off). Pareto sets are bucketed by `(comparability class,
-//! oracle state)` with a per-union dominance memo, so most Pareto
-//! comparisons never reach the oracle. Candidates travel as stack-only
+//! turns this off). A Pareto set is a flat list in insertion order: a
+//! candidate is compared on cost first, and only a cheaper member in its
+//! comparability class costs a dominance check — one oracle probe (one
+//! precomputed bit on the DFSM arm, §5.5), or none when the two states
+//! are equal. Candidates travel as stack-only
 //! `CandidatePlan`s and are committed into the arena only after
 //! surviving both gates. The chosen plan and its cost are identical
 //! with bounding on or off (the contract and its proof obligations are
@@ -99,7 +101,7 @@ use crate::plan::{
 };
 use crate::OrderOracle;
 use ofw_catalog::{AttrId, Catalog};
-use ofw_common::{BitSet, FxHashMap, OrderedExecutor, SerialExecutor};
+use ofw_common::{BitSet, OrderedExecutor, SerialExecutor};
 use ofw_core::fd::FdSetId;
 use ofw_core::ordering::Ordering;
 use ofw_core::property::{Grouping, HeadTail, LogicalProperty};
@@ -246,13 +248,7 @@ pub(crate) struct Schedule {
 /// Pre-resolved aggregation context: what placement enumeration needs
 /// to know at every subset (see the module docs on the aggregation
 /// dimension).
-struct AggInfo<K> {
-    /// The final aggregation key (`group by` / `distinct` attributes).
-    group_by: Vec<AttrId>,
-    /// Ordering handle of the final key (streaming-aggregate probe).
-    order_key: Option<K>,
-    /// Grouping handle of the final key.
-    group_key: Option<K>,
+struct AggInfo {
     /// Relations owning aggregate input attributes.
     input_owners: BitSet,
     /// All aggregates decomposable — eager group-by push-down is legal
@@ -278,152 +274,71 @@ struct AggKeyHandles<K> {
     producible: Option<K>,
 }
 
-/// One admitted member of a [`ParetoSet`]. Eviction tombstones the
-/// entry (`alive = false`) instead of removing it so the surviving
-/// members keep their insertion order — the order the legacy linear
-/// scan produced, which downstream consumers (enforcer scans, the
-/// committed plan table) depend on for determinism.
+/// One admitted member of a [`ParetoSet`].
 struct ParetoEntry<S> {
     id: PlanId,
-    cost: f64,
-    card: f64,
-    agg: AggMark,
-    state: S,
-    alive: bool,
+    plan: CandidatePlan<S>,
 }
 
-/// One dominance bucket of a [`ParetoSet`]: all members sharing a
-/// `(comparability class, oracle state)` pair. Dominance is a pure
-/// function of the state (and reflexive — see
-/// [`OrderOracle::dominates`]), so one probe against the bucket's
-/// state answers the property half of the Pareto test for every
-/// member at once.
-struct ParetoBucket<S> {
-    agg: AggMark,
-    state: S,
-    /// Alive member indices into [`ParetoSet::entries`], insertion
-    /// order.
-    members: Vec<usize>,
-}
-
-/// The Pareto set of one subset under construction, bucketed by
-/// `(comparability class, oracle state)`. Replaces the legacy linear
-/// `Vec<PlanId>` scan: exact-state arrivals resolve against their own
-/// bucket without any oracle call, cross-state comparisons probe one
-/// bucket representative instead of every member, and repeated state
-/// pairs are answered by a per-union `(state, state) → bool` memo.
-/// Buckets are probed in creation order (a `Vec`, not the hash map) so
-/// probe counts stay deterministic even when a memoizing oracle
-/// renumbers its state handles.
+/// The Pareto set of one subset under construction: its members in
+/// insertion order — the order downstream consumers (enforcer scans,
+/// the committed plan table) depend on for determinism. A member
+/// dominates a plan when it is [`cheaper`](CandidatePlan::cheaper) and
+/// its state dominates the plan's.
 struct ParetoSet<S> {
     entries: Vec<ParetoEntry<S>>,
-    buckets: Vec<ParetoBucket<S>>,
-    /// `(AggMark::class_index(), state)` → bucket position.
-    index: FxHashMap<(usize, S), usize>,
-    /// Per-union dominance memo: `(dominator state, subordinate state)`
-    /// → oracle verdict. Lives and dies with the subset's set — state
-    /// pairs recur heavily within one union (every candidate is
-    /// compared against the same few buckets) and union-local scope
-    /// keeps the memo out of the shared-state determinism story.
-    memo: FxHashMap<(S, S), bool>,
 }
 
-impl<S: Copy + Eq + std::hash::Hash> ParetoSet<S> {
+/// Does a stream in state `a` dominate one in state `b`? Equal states
+/// answer through reflexivity without an oracle call (counted in
+/// `dominance_memo_hits`); every other pair is one oracle probe.
+fn dominates<O: OrderOracle>(
+    oracle: &O,
+    a: O::State,
+    b: O::State,
+    dc: &mut DecisionCounters,
+) -> bool {
+    if a == b {
+        dc.probes.dominance_memo_hits += 1;
+        return true;
+    }
+    dc.probes.dominates += 1;
+    oracle.dominates(a, b)
+}
+
+impl<S: Copy + Eq> ParetoSet<S> {
     fn new() -> Self {
         ParetoSet {
             entries: Vec::new(),
-            buckets: Vec::new(),
-            index: FxHashMap::default(),
-            memo: FxHashMap::default(),
         }
     }
 
     /// Inserts a member without any dominance checks — used for seeds
-    /// (already a Pareto set) and for candidates that survived them.
-    fn insert_unchecked(&mut self, id: PlanId, cost: f64, card: f64, agg: AggMark, state: S) {
-        let e = self.entries.len();
-        self.entries.push(ParetoEntry {
-            id,
-            cost,
-            card,
-            agg,
-            state,
-            alive: true,
-        });
-        let key = (agg.class_index(), state);
-        let b = match self.index.get(&key) {
-            Some(&b) => b,
-            None => {
-                let b = self.buckets.len();
-                self.buckets.push(ParetoBucket {
-                    agg,
-                    state,
-                    members: Vec::new(),
-                });
-                self.index.insert(key, b);
-                b
-            }
-        };
-        self.buckets[b].members.push(e);
+    /// (already a Pareto set).
+    fn insert_unchecked(&mut self, id: PlanId, plan: CandidatePlan<S>) {
+        self.entries.push(ParetoEntry { id, plan });
     }
 
-    /// Memoized dominance probe: does `dom`'s state dominate `sub`'s?
-    /// Equal states short-circuit through reflexivity; repeated pairs
-    /// hit the memo. Both are charged to `dominance_memo_hits`, real
-    /// oracle calls to `dominates`.
-    fn dominates_memo<O: OrderOracle<State = S>>(
-        &mut self,
-        oracle: &O,
-        dom: S,
-        sub: S,
-        dc: &mut DecisionCounters,
-    ) -> bool {
-        if dom == sub {
-            dc.probes.dominance_memo_hits += 1;
-            return true;
-        }
-        if let Some(&v) = self.memo.get(&(dom, sub)) {
-            dc.probes.dominance_memo_hits += 1;
-            return v;
-        }
-        dc.probes.dominates += 1;
-        let v = oracle.dominates(dom, sub);
-        self.memo.insert((dom, sub), v);
-        v
-    }
-
-    /// Arrival test: is `cand` dominated by an existing member at
-    /// lower-or-equal cost (and, within aggregated classes, no larger
-    /// cardinality)? Charges the rejection to the candidate's class.
+    /// Arrival test: is `cand` dominated by an existing member? Charges
+    /// the rejection to the candidate's class.
     fn arrival_dominated<O: OrderOracle<State = S>>(
-        &mut self,
+        &self,
         oracle: &O,
         cand: &CandidatePlan<S>,
         dc: &mut DecisionCounters,
     ) -> bool {
-        let class = cand.agg.class_index();
-        for bi in 0..self.buckets.len() {
-            let (b_agg, b_state) = (self.buckets[bi].agg, self.buckets[bi].state);
-            if b_agg != cand.agg {
-                continue;
-            }
-            // Cost/cardinality prefilter first: a bucket whose members
-            // are all too expensive never needs a dominance probe.
-            let qualifies = self.buckets[bi].members.iter().any(|&e| {
-                let m = &self.entries[e];
-                m.cost <= cand.cost && (cand.agg.is_none() || m.card <= cand.card)
-            });
-            if qualifies && self.dominates_memo(oracle, b_state, cand.state, dc) {
-                dc.pruning.dominated[class] += 1;
-                return true;
-            }
+        let dominated = self
+            .entries
+            .iter()
+            .any(|m| m.plan.cheaper(cand) && dominates(oracle, m.plan.state, cand.state, dc));
+        if dominated {
+            dc.pruning.dominated[cand.agg.class_index()] += 1;
         }
-        false
+        dominated
     }
 
     /// Admits a surviving candidate (already materialized as `id`):
-    /// evicts every member it dominates at lower-or-equal cost, then
-    /// inserts it.
+    /// evicts every member it dominates, then appends it.
     fn admit<O: OrderOracle<State = S>>(
         &mut self,
         oracle: &O,
@@ -432,42 +347,18 @@ impl<S: Copy + Eq + std::hash::Hash> ParetoSet<S> {
         dc: &mut DecisionCounters,
     ) {
         let class = cand.agg.class_index();
-        for bi in 0..self.buckets.len() {
-            let (b_agg, b_state) = (self.buckets[bi].agg, self.buckets[bi].state);
-            if b_agg != cand.agg {
-                continue;
-            }
-            let qualifies = self.buckets[bi].members.iter().any(|&e| {
-                let m = &self.entries[e];
-                cand.cost <= m.cost && (cand.agg.is_none() || cand.card <= m.card)
-            });
-            if !qualifies || !self.dominates_memo(oracle, cand.state, b_state, dc) {
-                continue;
-            }
-            let entries = &mut self.entries;
-            self.buckets[bi].members.retain(|&e| {
-                let m = &mut entries[e];
-                if cand.cost <= m.cost && (cand.agg.is_none() || cand.card <= m.card) {
-                    m.alive = false;
-                    dc.pruning.dominated[class] += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.insert_unchecked(id, cand.cost, cand.card, cand.agg, cand.state);
-    }
-
-    /// Alive members in insertion order.
-    fn members(&self) -> impl Iterator<Item = &ParetoEntry<S>> + '_ {
-        self.entries.iter().filter(|e| e.alive)
+        self.entries.retain(|m| {
+            let evict = cand.cheaper(&m.plan) && dominates(oracle, cand.state, m.plan.state, dc);
+            dc.pruning.dominated[class] += u64::from(evict);
+            !evict
+        });
+        self.insert_unchecked(id, *cand);
     }
 
     /// The surviving plan ids in insertion order — what the plan table
     /// commits.
     fn ids(&self) -> Vec<PlanId> {
-        self.members().map(|e| e.id).collect()
+        self.entries.iter().map(|e| e.id).collect()
     }
 }
 
@@ -492,7 +383,12 @@ pub struct PlanGen<'a, O: OrderOracle> {
     targets: Vec<EnforcerTarget<O::Key>>,
     /// Aggregation context (`Some` iff the query computes aggregates
     /// over a group-by).
-    agg: Option<AggInfo<O::Key>>,
+    agg: Option<AggInfo>,
+    /// The final aggregation key (`group by` / `distinct` attributes),
+    /// resolved once: `Some` iff the query aggregates at the root —
+    /// with or without aggregate functions, so also when `agg` is
+    /// `None`.
+    final_key: Option<AggKeyHandles<O::Key>>,
     /// Enumerate aggregation placements (eager/eager-count partial
     /// aggregates per subset, group-joins at the root)? Off restricts
     /// aggregation to the plan root — the classic enforcer behavior and
@@ -569,21 +465,17 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // enforcer ("already satisfied"); added first, both variants
         // enter the Pareto set and the cost model decides.
         targets.sort_by_key(|t| !t.grouping);
-        let agg = ex.aggregation.then(|| {
-            let group_by = query.effective_group_by().to_vec();
-            let input_owners = query.agg_input_attrs().map(|a| query.owner(a)).collect();
-            AggInfo {
-                order_key: oracle.resolve(&Ordering::new(group_by.clone()).into()),
-                group_key: oracle.resolve(&Grouping::new(group_by.clone()).into()),
-                group_by,
-                input_owners,
-                decomposable: query.aggregates.iter().all(|a| a.func.is_decomposable()),
-                count_scalable: query
-                    .aggregates
-                    .iter()
-                    .all(|a| a.func.count_scalable() || a.func.duplicate_insensitive()),
-            }
+        let agg = ex.aggregation.then(|| AggInfo {
+            input_owners: query.agg_input_attrs().map(|a| query.owner(a)).collect(),
+            decomposable: query.aggregates.iter().all(|a| a.func.is_decomposable()),
+            count_scalable: query
+                .aggregates
+                .iter()
+                .all(|a| a.func.count_scalable() || a.func.duplicate_insensitive()),
         });
+        let group_by = query.effective_group_by();
+        let final_key =
+            (!group_by.is_empty()).then(|| Self::resolve_agg_key(oracle, group_by.to_vec()));
         // Cheapest conceivable access path per relation: the admissible
         // remaining-cost floor of the bounded search charges at least
         // this much for every relation a subplan has not joined yet.
@@ -608,6 +500,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             window: None,
             targets,
             agg,
+            final_key,
             placement: true,
             partial_sort: true,
             bounding: true,
@@ -970,12 +863,13 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             "the schedule must end at the full relation set"
         );
         let mut final_set = self.table.pop().expect("one subset per relation");
-        if !self.query.effective_group_by().is_empty() {
+        if let Some(keys) = &self.final_key {
             let mut sp = root.child("finalize_aggregates");
             let tp = Instant::now();
             let mut dc = DecisionCounters::default();
             let plans_before = self.arena.len();
-            final_set = self.finalize_aggregates(&final_set, &mut dc);
+            let (local, set) = self.finalize_aggregates(keys, &final_set, &mut dc);
+            final_set = self.commit(local, set);
             let plans = (self.arena.len() - plans_before) as u64;
             sp.count("plans", plans);
             phases.push(PhaseStats {
@@ -1073,8 +967,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             // enter unchecked (and uncounted: they were counted when
             // first kept).
             for &p in &self.table[earlier as usize] {
-                let n = view.node(p);
-                set.insert_unchecked(p, n.cost, n.card, n.agg, n.state);
+                set.insert_unchecked(p, view.node(p).candidate());
             }
         }
         for &pair in &work.pairs {
@@ -1109,16 +1002,32 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// plus the producible grouping a hash aggregate constructs its
     /// output state from (tested-only groupings may be probed but never
     /// produced).
-    fn resolve_agg_key(&self, attrs: Vec<AttrId>) -> AggKeyHandles<O::Key> {
-        let order = self.oracle.resolve(&Ordering::new(attrs.clone()).into());
-        let group = self.oracle.resolve(&Grouping::new(attrs.clone()).into());
-        let producible = group.filter(|&k| self.oracle.is_producible(k));
+    fn resolve_agg_key(oracle: &O, attrs: Vec<AttrId>) -> AggKeyHandles<O::Key> {
+        let order = oracle.resolve(&Ordering::new(attrs.clone()).into());
+        let group = oracle.resolve(&Grouping::new(attrs.clone()).into());
+        let producible = group.filter(|&k| oracle.is_producible(k));
         AggKeyHandles {
             attrs,
             order,
             group,
             producible,
         }
+    }
+
+    /// The streaming-admission test: is a stream in `state` ordered by
+    /// `keys` or, failing that, grouped by it? Either makes each group
+    /// one contiguous run. One counted probe per interesting handle
+    /// asked, ordering first.
+    fn streams_on(
+        &self,
+        state: O::State,
+        keys: &AggKeyHandles<O::Key>,
+        dc: &mut DecisionCounters,
+    ) -> bool {
+        [keys.order, keys.group].into_iter().flatten().any(|k| {
+            dc.probes.satisfies += 1;
+            self.oracle.satisfies(state, k)
+        })
     }
 
     /// Builds one aggregate candidate on `keys` over plan `p` — the
@@ -1160,13 +1069,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             (n.applied_fds.clone(), n.mask.clone())
         };
         let partial = !mark.is_final();
-        let streaming = keys.order.is_some_and(|k| {
-            dc.probes.satisfies += 1;
-            self.oracle.satisfies(st, k)
-        }) || keys.group.is_some_and(|k| {
-            dc.probes.satisfies += 1;
-            self.oracle.satisfies(st, k)
-        });
+        let streaming = self.streams_on(st, keys, dc);
         let (op_cost, state, fds_out) = if streaming {
             (cost::streaming_aggregate(d), st, fd_bits)
         } else {
@@ -1221,21 +1124,21 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// pre-aggregated plans finalize the same way — the root aggregate
     /// combines their partials — while group-join plans are already
     /// final and pass through untouched.
-    fn finalize_aggregates(&mut self, plans: &[PlanId], dc: &mut DecisionCounters) -> Vec<PlanId> {
-        let keys = self.resolve_agg_key(self.query.effective_group_by().to_vec());
+    /// Like [`process_union`](Self::process_union), the new plans stay
+    /// in a local arena for the caller to commit.
+    fn finalize_aggregates(
+        &self,
+        keys: &AggKeyHandles<O::Key>,
+        plans: &[PlanId],
+        dc: &mut DecisionCounters,
+    ) -> (PlanArena<O::State>, Vec<PlanId>) {
         // At the root nothing remains outside the mask: the bound
         // applies with a zero remainder.
         let ub = self.bound;
         let mut view = ArenaView::new(&self.arena);
         let mut out: ParetoSet<O::State> = ParetoSet::new();
         for &p in plans {
-            let n = view.node(p);
-            let cand = CandidatePlan {
-                cost: n.cost,
-                card: n.card,
-                state: n.state,
-                agg: n.agg,
-            };
+            let cand = view.node(p).candidate();
             if cand.agg.is_final() {
                 // Group-join output: the aggregation already happened.
                 self.try_admit(&mut out, ub, cand, || p, dc);
@@ -1243,10 +1146,9 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             }
             let mark = cand.agg.union(AggMark::FINAL);
             let groups = self.final_group_count(cand.card, &keys.attrs);
-            self.try_push_aggregate(&mut view, &mut out, ub, p, &keys, mark, groups, dc);
+            self.try_push_aggregate(&mut view, &mut out, ub, p, keys, mark, groups, dc);
         }
-        let local = view.into_local();
-        self.commit(local, out.ids())
+        (view.into_local(), out.ids())
     }
 
     /// Aggregation-placement variants for one subset — the tentpole of
@@ -1294,11 +1196,12 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         if key.is_empty() {
             return;
         }
-        let keys = self.resolve_agg_key(key.attrs().to_vec());
+        let keys = Self::resolve_agg_key(self.oracle, key.attrs().to_vec());
         let snapshot: Vec<(PlanId, f64)> = set
-            .members()
-            .filter(|m| m.agg.is_none())
-            .map(|m| (m.id, m.card))
+            .entries
+            .iter()
+            .filter(|m| m.plan.agg.is_none())
+            .map(|m| (m.id, m.plan.card))
             .collect();
         for (p, card) in snapshot {
             let groups = self.group_count(card, &keys.attrs);
@@ -1461,8 +1364,12 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             m
         };
         // Fused group-joins exist only at the root subset: they perform
-        // the query's *final* aggregation.
+        // the query's *final* aggregation, on its final key.
         let at_root = mask.len() == self.query.num_relations();
+        let group_join_key = self
+            .final_key
+            .as_ref()
+            .filter(|_| at_root && self.placement && self.agg.is_some());
         let left_plans = &self.table[l as usize];
         let right_plans = &self.table[r as usize];
         for &p1 in left_plans {
@@ -1571,48 +1478,37 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 // post-inference `state` answers in O(1). The bound is
                 // checked before the admission probes: a busted fused
                 // plan never reaches the oracle.
-                if at_root && self.placement && !mark.is_final() {
-                    if let Some(agg) = &self.agg {
-                        let gj_cost = c1 + c2 + cost::group_join(d1, d2, out_card);
-                        if gj_cost > ub {
-                            dc.pruning.bound_pruned += 1;
-                        } else {
-                            let streaming_ok = agg.order_key.is_some_and(|k| {
-                                dc.probes.satisfies += 1;
-                                self.oracle.satisfies(state, k)
-                            }) || agg.group_key.is_some_and(|k| {
-                                dc.probes.satisfies += 1;
-                                self.oracle.satisfies(state, k)
-                            });
-                            if streaming_ok {
-                                let gj = CandidatePlan {
-                                    cost: gj_cost,
-                                    card: self.group_count(out_card, &agg.group_by),
-                                    state,
-                                    agg: mark.union(AggMark::FINAL),
-                                };
-                                self.try_insert(
-                                    view,
-                                    set,
-                                    ub,
-                                    gj,
-                                    || PlanNode {
-                                        op: PlanOp::GroupJoin {
-                                            left: p1,
-                                            right: p2,
-                                            edge: edges[0],
-                                        },
-                                        mask: mask.clone(),
-                                        cost: gj.cost,
-                                        card: gj.card,
-                                        state,
-                                        agg: gj.agg,
-                                        applied_fds: fd_bits.clone(),
-                                    },
-                                    dc,
-                                );
-                            }
-                        }
+                if let Some(key) = group_join_key.filter(|_| !mark.is_final()) {
+                    let gj_cost = c1 + c2 + cost::group_join(d1, d2, out_card);
+                    if gj_cost > ub {
+                        dc.pruning.bound_pruned += 1;
+                    } else if self.streams_on(state, key, dc) {
+                        let gj = CandidatePlan {
+                            cost: gj_cost,
+                            card: self.group_count(out_card, &key.attrs),
+                            state,
+                            agg: mark.union(AggMark::FINAL),
+                        };
+                        self.try_insert(
+                            view,
+                            set,
+                            ub,
+                            gj,
+                            || PlanNode {
+                                op: PlanOp::GroupJoin {
+                                    left: p1,
+                                    right: p2,
+                                    edge: edges[0],
+                                },
+                                mask: mask.clone(),
+                                cost: gj.cost,
+                                card: gj.card,
+                                state,
+                                agg: gj.agg,
+                                applied_fds: fd_bits.clone(),
+                            },
+                            dc,
+                        );
                     }
                 }
                 // Merge joins: need both inputs sorted on the edge. The
@@ -1727,11 +1623,12 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // later: every enforcer variant costs strictly more than its
         // input.
         let Some(cheapest) = set
-            .members()
-            .filter(|m| m.agg.is_none())
+            .entries
+            .iter()
+            .filter(|m| m.plan.agg.is_none())
             .fold(None::<(PlanId, f64)>, |best, m| match best {
-                Some((_, bc)) if bc <= m.cost => best,
-                _ => Some((m.id, m.cost)),
+                Some((_, bc)) if bc <= m.plan.cost => best,
+                _ => Some((m.id, m.plan.cost)),
             })
             .map(|(id, _)| id)
         else {
@@ -1747,12 +1644,16 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             // target, snapshotted per target (earlier targets' variants
             // compete here, as before): (id, cost, card, state, sat).
             let members: Vec<(PlanId, f64, f64, O::State, bool)> = set
-                .members()
-                .filter(|m| m.agg.is_none())
+                .entries
+                .iter()
+                .filter(|m| m.plan.agg.is_none())
                 .map(|m| {
+                    let CandidatePlan {
+                        cost, card, state, ..
+                    } = m.plan;
                     dc.probes.satisfies += 1;
-                    let sat = self.oracle.satisfies(m.state, key);
-                    (m.id, m.cost, m.card, m.state, sat)
+                    let sat = self.oracle.satisfies(state, key);
+                    (m.id, cost, card, state, sat)
                 })
                 .collect();
             let (c, d) = {
@@ -1907,9 +1808,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// different row counts — the cheaper one is not better if it
     /// carries more rows into every operator above). Unaggregated plans
     /// of one subset all compute the same relation, so they keep the
-    /// classic cost-plus-property test. The [`ParetoSet`] buckets make
-    /// the property half of the test one memoized probe per distinct
-    /// state instead of one oracle call per member.
+    /// classic cost-plus-property test ([`CandidatePlan::cheaper`]
+    /// decides which members a dominance check is asked about).
     ///
     /// Returns the admitted plan's id, or `None` when the candidate was
     /// bound-pruned or dominated on arrival.
@@ -2634,5 +2534,142 @@ mod tests {
         let r = pg.run();
         assert!(r.stats.fallback);
         assert_eq!(r.arena.node(r.best).mask, q.all_relations_set());
+    }
+
+    /// An oracle whose only meaningful operation is `dominates`: an
+    /// arbitrary reflexive relation over `STATES` states (row-major
+    /// matrix) — not transitive, not antisymmetric.
+    struct RelationOracle(Vec<bool>);
+
+    const STATES: u8 = 5;
+
+    impl OrderOracle for RelationOracle {
+        type State = u8;
+        type Key = ();
+        fn resolve(&self, _: &LogicalProperty) -> Option<()> {
+            unreachable!("the Pareto set only asks `dominates`")
+        }
+        fn is_producible(&self, _: ()) -> bool {
+            unreachable!("the Pareto set only asks `dominates`")
+        }
+        fn produce_empty(&self) -> u8 {
+            unreachable!("the Pareto set only asks `dominates`")
+        }
+        fn produce(&self, _: ()) -> u8 {
+            unreachable!("the Pareto set only asks `dominates`")
+        }
+        fn infer(&self, _: u8, _: FdSetId) -> u8 {
+            unreachable!("the Pareto set only asks `dominates`")
+        }
+        fn satisfies(&self, _: u8, _: ()) -> bool {
+            unreachable!("the Pareto set only asks `dominates`")
+        }
+        fn dominates(&self, a: u8, b: u8) -> bool {
+            self.0[usize::from(a) * usize::from(STATES) + usize::from(b)]
+        }
+        fn memory_bytes(&self, _: usize) -> usize {
+            0
+        }
+        fn name(&self) -> &'static str {
+            "relation"
+        }
+    }
+
+    mod pareto_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The Pareto set against the quadratic filter written from
+            /// the definition: a candidate is dropped iff a survivor in
+            /// its class costs no more (and, when aggregated, carries no
+            /// more rows) and dominates its state; otherwise it evicts
+            /// every survivor it beats the same way. Survivor ids in
+            /// order, every counter, and mutual non-dominance.
+            #[test]
+            fn pareto_set_matches_a_naive_quadratic_filter(
+                bits in proptest::collection::vec(0u8..2, 25..=25),
+                stream in proptest::collection::vec((0u8..4, 0u8..3, 0usize..3, 0u8..STATES), 0..40),
+            ) {
+                let mut rel: Vec<bool> = bits.iter().map(|&b| b == 1).collect();
+                for s in 0..usize::from(STATES) {
+                    rel[s * usize::from(STATES) + s] = true;
+                }
+                let oracle = RelationOracle(rel);
+                let marks = [AggMark::NONE, AggMark::EAGER, AggMark::FINAL];
+                let cands: Vec<CandidatePlan<u8>> = stream
+                    .iter()
+                    .map(|&(cost, card, agg, state)| CandidatePlan {
+                        cost: f64::from(cost),
+                        card: f64::from(card),
+                        state,
+                        agg: marks[agg],
+                    })
+                    .collect();
+
+                let mut set = ParetoSet::new();
+                let mut dc = DecisionCounters::default();
+                for (i, cand) in cands.iter().enumerate() {
+                    if !set.arrival_dominated(&oracle, cand, &mut dc) {
+                        set.admit(&oracle, PlanId(i as u32), cand, &mut dc);
+                        dc.pruning.kept[cand.agg.class_index()] += 1;
+                    }
+                }
+
+                let mut want = DecisionCounters::default();
+                let mut beats = |a: &CandidatePlan<u8>, b: &CandidatePlan<u8>| {
+                    let no_worse = a.agg == b.agg
+                        && a.cost <= b.cost
+                        && (a.agg == AggMark::NONE || a.card <= b.card);
+                    if !no_worse {
+                        return false;
+                    }
+                    if a.state == b.state {
+                        want.probes.dominance_memo_hits += 1;
+                    } else {
+                        want.probes.dominates += 1;
+                    }
+                    oracle.dominates(a.state, b.state)
+                };
+                let mut survivors: Vec<usize> = Vec::new();
+                let mut dominated = [0u64; ofw_obs::AGG_CLASSES];
+                let mut kept = [0u64; ofw_obs::AGG_CLASSES];
+                for (i, c) in cands.iter().enumerate() {
+                    let class = c.agg.class_index();
+                    if survivors.iter().any(|&j| beats(&cands[j], c)) {
+                        dominated[class] += 1;
+                        continue;
+                    }
+                    let mut next = Vec::new();
+                    for &j in &survivors {
+                        if beats(c, &cands[j]) {
+                            dominated[class] += 1;
+                        } else {
+                            next.push(j);
+                        }
+                    }
+                    next.push(i);
+                    survivors = next;
+                    kept[class] += 1;
+                }
+                want.pruning.dominated = dominated;
+                want.pruning.kept = kept;
+
+                let ids: Vec<usize> = set.ids().iter().map(|p| p.0 as usize).collect();
+                prop_assert_eq!(&ids, &survivors);
+                prop_assert_eq!(&dc, &want);
+                for &a in &survivors {
+                    for &b in &survivors {
+                        let (x, y) = (&cands[a], &cands[b]);
+                        prop_assert!(
+                            a == b || !(x.cheaper(y) && oracle.dominates(x.state, y.state)),
+                            "survivor {} dominates survivor {}", a, b
+                        );
+                    }
+                }
+            }
+        }
     }
 }

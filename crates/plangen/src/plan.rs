@@ -287,6 +287,29 @@ pub(crate) struct CandidatePlan<S> {
     pub agg: AggMark,
 }
 
+impl<S> CandidatePlan<S> {
+    /// The cost half of the Pareto test: `self` is in `other`'s
+    /// comparability class at no higher cost and, within an aggregated
+    /// class, no larger cardinality.
+    pub fn cheaper(&self, other: &CandidatePlan<S>) -> bool {
+        self.agg == other.agg
+            && self.cost <= other.cost
+            && (self.agg.is_none() || self.card <= other.card)
+    }
+}
+
+impl<S: Copy> PlanNode<S> {
+    /// The node's Pareto scalars.
+    pub(crate) fn candidate(&self) -> CandidatePlan<S> {
+        CandidatePlan {
+            cost: self.cost,
+            card: self.card,
+            state: self.state,
+            agg: self.agg,
+        }
+    }
+}
+
 /// The arena.
 #[derive(Clone, Debug, Default)]
 pub struct PlanArena<S> {

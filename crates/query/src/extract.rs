@@ -39,14 +39,6 @@ pub struct ExtractOptions {
     /// Add constant/filter attributes as tested-only interesting orders
     /// (the paper's optional `O_T^I = {(r_name), (o_orderdate)}`).
     pub tested_selection_orders: bool,
-    /// For `GROUP BY … ORDER BY` queries, register the head/tail
-    /// properties the partial-sort enforcer probes: every prefix
-    /// attribute *set* of the `order by` as a tested grouping, and
-    /// every (prefix set, continuation) decomposition as a tested
-    /// head/tail pair. Only active when the query both groups and
-    /// orders — everything else extracts byte-identically with the
-    /// option on or off.
-    pub head_tail_properties: bool,
 }
 
 impl Default for ExtractOptions {
@@ -55,7 +47,6 @@ impl Default for ExtractOptions {
             join_orders: true,
             index_orders: true,
             tested_selection_orders: false,
-            head_tail_properties: true,
         }
     }
 }
@@ -71,7 +62,6 @@ impl ExtractOptions {
             join_orders: false,
             index_orders: false,
             tested_selection_orders: false,
-            head_tail_properties: true,
         }
     }
 }
@@ -179,11 +169,10 @@ pub fn extract(catalog: &Catalog, query: &Query, options: &ExtractOptions) -> Ex
     // those groups by a piece of the continuation?". Register every
     // prefix set as a tested grouping and every (prefix set,
     // continuation) decomposition as a tested head/tail pair; hash
-    // aggregates produce the former, partial sorts consume both.
-    if options.head_tail_properties
-        && !query.effective_group_by().is_empty()
-        && !query.order_by.is_empty()
-    {
+    // aggregates produce the former, partial sorts consume both. Every
+    // other query registers no pair and extracts exactly the ordering +
+    // grouping input.
+    if !query.effective_group_by().is_empty() && !query.order_by.is_empty() {
         for k in 1..=query.order_by.len() {
             spec.add_tested(Grouping::new(query.order_by[..k].to_vec()));
         }
@@ -422,17 +411,7 @@ mod tests {
         assert!(ex.spec.tested().contains(&Grouping::new(vec![g]).into()));
         let pair = HeadTail::new(Grouping::new(vec![g]), Ordering::new(vec![h]));
         assert!(ex.spec.tested().contains(&pair.into()));
-        // The option gates it off; a query without an order-by never
-        // registers pairs regardless of the option.
-        let off = extract(
-            &c,
-            &q,
-            &ExtractOptions {
-                head_tail_properties: false,
-                ..ExtractOptions::default()
-            },
-        );
-        assert!(!off.spec.has_head_tails());
+        // A query without an order-by never registers pairs.
         let mut no_order = q.clone();
         no_order.order_by.clear();
         let plain = extract(&c, &no_order, &ExtractOptions::default());

@@ -195,10 +195,10 @@ fn check(rows: &[Row]) {
 /// still reads; it equals `pairs_emitted` in every row.
 #[rustfmt::skip]
 const ENUMERATOR_CELLS: &[Row] = &[
-    Row { q: Large(Chain, 20, 17037), arm: Dfsm, search: Full, cost: 44986181875.60717, dp: Dp { plans: 11883, pairs_emitted: 2660, pairs_considered: 2660, unions: 190, kept: 12239, dominated: 223833, bound_pruned: 21564, probes: 330349, memo_hits: 1323969, enforcers_admitted: 70, enforcers_won: 70, spans: 214 } },
-    Row { q: Large(Cycle, 12, 17029), arm: Dfsm, search: Full, cost: 1873440.709209783, dp: Dp { plans: 4391, pairs_emitted: 1452, pairs_considered: 1452, unions: 121, kept: 4579, dominated: 38707, bound_pruned: 52402, probes: 96935, memo_hits: 167974, enforcers_admitted: 40, enforcers_won: 40, spans: 137 } },
-    Row { q: Large(Star, 10, 17027), arm: Dfsm, search: Full, cost: 243600693078.95612, dp: Dp { plans: 15309, pairs_emitted: 4608, pairs_considered: 4608, unions: 511, kept: 15599, dominated: 168372, bound_pruned: 9549, probes: 304511, memo_hits: 612473, enforcers_admitted: 40, enforcers_won: 40, spans: 525 } },
-    Row { q: Large(Clique, 8, 17025), arm: Dfsm, search: Full, cost: 96386.27620519481, dp: Dp { plans: 1253, pairs_emitted: 6050, pairs_considered: 6050, unions: 247, kept: 2052, dominated: 18386, bound_pruned: 18803, probes: 161233, memo_hits: 254892, enforcers_admitted: 266, enforcers_won: 266, spans: 259 } },
+    Row { q: Large(Chain, 20, 17037), arm: Dfsm, search: Full, cost: 44986181875.60717, dp: Dp { plans: 11883, pairs_emitted: 2660, pairs_considered: 2660, unions: 190, kept: 12239, dominated: 223833, bound_pruned: 21564, probes: 1508775, memo_hits: 204379, enforcers_admitted: 70, enforcers_won: 70, spans: 214 } },
+    Row { q: Large(Cycle, 12, 17029), arm: Dfsm, search: Full, cost: 1873440.709209783, dp: Dp { plans: 4391, pairs_emitted: 1452, pairs_considered: 1452, unions: 121, kept: 4579, dominated: 38707, bound_pruned: 52402, probes: 230687, memo_hits: 34845, enforcers_admitted: 40, enforcers_won: 40, spans: 137 } },
+    Row { q: Large(Star, 10, 17027), arm: Dfsm, search: Full, cost: 243600693078.95612, dp: Dp { plans: 15309, pairs_emitted: 4608, pairs_considered: 4608, unions: 511, kept: 15599, dominated: 168372, bound_pruned: 9549, probes: 821441, memo_hits: 140039, enforcers_admitted: 40, enforcers_won: 40, spans: 525 } },
+    Row { q: Large(Clique, 8, 17025), arm: Dfsm, search: Full, cost: 96386.27620519481, dp: Dp { plans: 1253, pairs_emitted: 6050, pairs_considered: 6050, unions: 247, kept: 2052, dominated: 18386, bound_pruned: 18803, probes: 402908, memo_hits: 18097, enforcers_admitted: 266, enforcers_won: 266, spans: 259 } },
 ];
 
 /// TPC-R Q8 (the paper's §7 query) and the paper's #Plans claim on a
@@ -206,47 +206,47 @@ const ENUMERATOR_CELLS: &[Row] = &[
 /// (seed `0x9a11e1 + 10`): same optimum, an eighth of Simmen's plans.
 #[rustfmt::skip]
 const ARM_CELLS: &[Row] = &[
-    Row { q: Q8, arm: Dfsm, search: Full, cost: 15089531.108982708, dp: Dp { plans: 392, pairs_emitted: 232, pairs_considered: 232, unions: 36, kept: 549, dominated: 3099, bound_pruned: 3165, probes: 9278, memo_hits: 10658, enforcers_admitted: 77, enforcers_won: 77, spans: 49 } },
-    Row { q: Large(Chain, 10, 10097131), arm: Dfsm, search: Full, cost: 871234.7017481327, dp: Dp { plans: 1276, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 1415, dominated: 11603, bound_pruned: 3552, probes: 23294, memo_hits: 43422, enforcers_admitted: 29, enforcers_won: 29, spans: 59 } },
-    Row { q: Large(Chain, 10, 10097131), arm: Simmen, search: Full, cost: 871234.7017481327, dp: Dp { plans: 10135, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 10401, dominated: 93304, bound_pruned: 67984, probes: 2495864, memo_hits: 7259243, enforcers_admitted: 29, enforcers_won: 29, spans: 59 } },
+    Row { q: Q8, arm: Dfsm, search: Full, cost: 15089531.108982708, dp: Dp { plans: 392, pairs_emitted: 232, pairs_considered: 232, unions: 36, kept: 549, dominated: 3099, bound_pruned: 3165, probes: 17377, memo_hits: 2798, enforcers_admitted: 77, enforcers_won: 77, spans: 49 } },
+    Row { q: Large(Chain, 10, 10097131), arm: Dfsm, search: Full, cost: 871234.7017481327, dp: Dp { plans: 1276, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 1415, dominated: 11603, bound_pruned: 3552, probes: 56613, memo_hits: 10139, enforcers_admitted: 29, enforcers_won: 29, spans: 59 } },
+    Row { q: Large(Chain, 10, 10097131), arm: Simmen, search: Full, cost: 871234.7017481327, dp: Dp { plans: 10135, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 10401, dominated: 93304, bound_pruned: 67984, probes: 9689432, memo_hits: 89091, enforcers_admitted: 29, enforcers_won: 29, spans: 59 } },
 ];
 
 /// Grouping queries (n = 4, 5 with n-1 and n edges; seeds
 /// `0x6751 + 10 n + extra`), DFSM vs Simmen.
 #[rustfmt::skip]
 const GROUPING_CELLS: &[Row] = &[
-    Row { q: Grouping(4, 0, 26489), arm: Dfsm, search: Full, cost: 29795.360777824324, dp: Dp { plans: 50, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 88, dominated: 352, bound_pruned: 171, probes: 1111, memo_hits: 833, enforcers_admitted: 16, enforcers_won: 16, spans: 15 } },
-    Row { q: Grouping(4, 0, 26489), arm: Simmen, search: Full, cost: 29795.360777824324, dp: Dp { plans: 67, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 112, dominated: 427, bound_pruned: 220, probes: 1662, memo_hits: 1481, enforcers_admitted: 16, enforcers_won: 16, spans: 15 } },
-    Row { q: Grouping(5, 0, 26499), arm: Dfsm, search: Full, cost: 2108191.291047524, dp: Dp { plans: 133, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 192, dominated: 1114, bound_pruned: 200, probes: 2367, memo_hits: 2736, enforcers_admitted: 18, enforcers_won: 18, spans: 20 } },
-    Row { q: Grouping(5, 0, 26499), arm: Simmen, search: Full, cost: 2108191.291047524, dp: Dp { plans: 254, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 360, dominated: 1678, bound_pruned: 578, probes: 6439, memo_hits: 8647, enforcers_admitted: 18, enforcers_won: 18, spans: 20 } },
-    Row { q: Grouping(4, 1, 26490), arm: Dfsm, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 100, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 156, dominated: 706, bound_pruned: 381, probes: 2522, memo_hits: 1913, enforcers_admitted: 32, enforcers_won: 32, spans: 17 } },
-    Row { q: Grouping(4, 1, 26490), arm: Simmen, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 135, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 205, dominated: 923, bound_pruned: 531, probes: 4021, memo_hits: 3497, enforcers_admitted: 32, enforcers_won: 32, spans: 17 } },
-    Row { q: Grouping(5, 1, 26500), arm: Dfsm, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 85, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 162, dominated: 828, bound_pruned: 879, probes: 2537, memo_hits: 2160, enforcers_admitted: 27, enforcers_won: 27, spans: 26 } },
-    Row { q: Grouping(5, 1, 26500), arm: Simmen, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 137, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 274, dominated: 1338, bound_pruned: 1397, probes: 5417, memo_hits: 7421, enforcers_admitted: 27, enforcers_won: 27, spans: 26 } },
+    Row { q: Grouping(4, 0, 26489), arm: Dfsm, search: Full, cost: 29795.360777824324, dp: Dp { plans: 50, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 88, dominated: 352, bound_pruned: 171, probes: 1653, memo_hits: 281, enforcers_admitted: 16, enforcers_won: 16, spans: 15 } },
+    Row { q: Grouping(4, 0, 26489), arm: Simmen, search: Full, cost: 29795.360777824324, dp: Dp { plans: 67, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 112, dominated: 427, bound_pruned: 220, probes: 2790, memo_hits: 360, enforcers_admitted: 16, enforcers_won: 16, spans: 15 } },
+    Row { q: Grouping(5, 0, 26499), arm: Dfsm, search: Full, cost: 2108191.291047524, dp: Dp { plans: 133, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 192, dominated: 1114, bound_pruned: 200, probes: 4219, memo_hits: 983, enforcers_admitted: 18, enforcers_won: 18, spans: 20 } },
+    Row { q: Grouping(5, 0, 26499), arm: Simmen, search: Full, cost: 2108191.291047524, dp: Dp { plans: 254, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 360, dominated: 1678, bound_pruned: 578, probes: 13645, memo_hits: 1493, enforcers_admitted: 18, enforcers_won: 18, spans: 20 } },
+    Row { q: Grouping(4, 1, 26490), arm: Dfsm, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 100, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 156, dominated: 706, bound_pruned: 381, probes: 3860, memo_hits: 660, enforcers_admitted: 32, enforcers_won: 32, spans: 17 } },
+    Row { q: Grouping(4, 1, 26490), arm: Simmen, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 135, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 205, dominated: 923, bound_pruned: 531, probes: 6761, memo_hits: 801, enforcers_admitted: 32, enforcers_won: 32, spans: 17 } },
+    Row { q: Grouping(5, 1, 26500), arm: Dfsm, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 85, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 162, dominated: 828, bound_pruned: 879, probes: 4093, memo_hits: 660, enforcers_admitted: 27, enforcers_won: 27, spans: 26 } },
+    Row { q: Grouping(5, 1, 26500), arm: Simmen, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 137, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 274, dominated: 1338, bound_pruned: 1397, probes: 11759, memo_hits: 1142, enforcers_admitted: 27, enforcers_won: 27, spans: 26 } },
 ];
 
 /// Star aggregation queries (1–3 dimensions; seeds `0x6A01 + 100 d`):
 /// aggregation placement vs the root-only ceiling.
 #[rustfmt::skip]
 const PLACEMENT_CELLS: &[Row] = &[
-    Row { q: StarAgg(1, 27237), arm: Dfsm, search: Full, cost: 1123611.35, dp: Dp { plans: 57, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 59, dominated: 117, bound_pruned: 0, probes: 313, memo_hits: 184, enforcers_admitted: 4, enforcers_won: 4, spans: 7 } },
-    Row { q: StarAgg(1, 27237), arm: Dfsm, search: RootOnly, cost: 1196104.8, dp: Dp { plans: 21, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 21, dominated: 32, bound_pruned: 0, probes: 128, memo_hits: 59, enforcers_admitted: 4, enforcers_won: 4, spans: 7 } },
-    Row { q: StarAgg(2, 27337), arm: Dfsm, search: Full, cost: 1246065.0550000002, dp: Dp { plans: 120, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 267, dominated: 862, bound_pruned: 357, probes: 2663, memo_hits: 2368, enforcers_admitted: 20, enforcers_won: 20, spans: 11 } },
-    Row { q: StarAgg(2, 27337), arm: Dfsm, search: RootOnly, cost: 3876668.92, dp: Dp { plans: 39, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 83, dominated: 334, bound_pruned: 24, probes: 1057, memo_hits: 885, enforcers_admitted: 21, enforcers_won: 21, spans: 11 } },
-    Row { q: StarAgg(3, 27437), arm: Dfsm, search: Full, cost: 682401.2000000001, dp: Dp { plans: 266, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 727, dominated: 3390, bound_pruned: 1280, probes: 6469, memo_hits: 10600, enforcers_admitted: 19, enforcers_won: 19, spans: 16 } },
-    Row { q: StarAgg(3, 27437), arm: Dfsm, search: RootOnly, cost: 87063131.36, dp: Dp { plans: 122, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 215, dominated: 1418, bound_pruned: 9, probes: 3040, memo_hits: 4513, enforcers_admitted: 22, enforcers_won: 22, spans: 16 } },
+    Row { q: StarAgg(1, 27237), arm: Dfsm, search: Full, cost: 1123611.35, dp: Dp { plans: 57, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 59, dominated: 117, bound_pruned: 0, probes: 403, memo_hits: 97, enforcers_admitted: 4, enforcers_won: 4, spans: 7 } },
+    Row { q: StarAgg(1, 27237), arm: Dfsm, search: RootOnly, cost: 1196104.8, dp: Dp { plans: 21, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 21, dominated: 32, bound_pruned: 0, probes: 159, memo_hits: 28, enforcers_admitted: 4, enforcers_won: 4, spans: 7 } },
+    Row { q: StarAgg(2, 27337), arm: Dfsm, search: Full, cost: 1246065.0550000002, dp: Dp { plans: 120, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 267, dominated: 862, bound_pruned: 357, probes: 4312, memo_hits: 753, enforcers_admitted: 20, enforcers_won: 20, spans: 11 } },
+    Row { q: StarAgg(2, 27337), arm: Dfsm, search: RootOnly, cost: 3876668.92, dp: Dp { plans: 39, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 83, dominated: 334, bound_pruned: 24, probes: 1638, memo_hits: 301, enforcers_admitted: 21, enforcers_won: 21, spans: 11 } },
+    Row { q: StarAgg(3, 27437), arm: Dfsm, search: Full, cost: 682401.2000000001, dp: Dp { plans: 266, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 727, dominated: 3390, bound_pruned: 1280, probes: 14870, memo_hits: 3104, enforcers_admitted: 19, enforcers_won: 19, spans: 16 } },
+    Row { q: StarAgg(3, 27437), arm: Dfsm, search: RootOnly, cost: 87063131.36, dp: Dp { plans: 122, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 215, dominated: 1418, bound_pruned: 9, probes: 6449, memo_hits: 1321, enforcers_admitted: 22, enforcers_won: 22, spans: 16 } },
 ];
 
 /// `GROUP BY k ORDER BY k` star queries (1–3 dimensions; seeds
 /// `0x9501 + 100 d`): the partial-sort enforcer vs the sort-only ceiling.
 #[rustfmt::skip]
 const PARTIAL_SORT_CELLS: &[Row] = &[
-    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: Full, cost: 1577803.21, dp: Dp { plans: 68, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 67, dominated: 159, bound_pruned: 0, probes: 548, memo_hits: 364, enforcers_admitted: 10, enforcers_won: 10, spans: 7 } },
-    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: SortOnly, cost: 1577838.3157163358, dp: Dp { plans: 65, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 64, dominated: 156, bound_pruned: 0, probes: 519, memo_hits: 353, enforcers_admitted: 7, enforcers_won: 7, spans: 7 } },
-    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: Full, cost: 431740.0, dp: Dp { plans: 56, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 208, dominated: 779, bound_pruned: 285, probes: 2287, memo_hits: 2039, enforcers_admitted: 21, enforcers_won: 21, spans: 11 } },
-    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: SortOnly, cost: 431767.053747805, dp: Dp { plans: 54, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 204, dominated: 774, bound_pruned: 284, probes: 2201, memo_hits: 2023, enforcers_admitted: 17, enforcers_won: 17, spans: 11 } },
-    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: Full, cost: 1663415.75, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 651, dominated: 3025, bound_pruned: 786, probes: 6890, memo_hits: 8887, enforcers_admitted: 27, enforcers_won: 27, spans: 16 } },
-    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: SortOnly, cost: 1663807.9114017873, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 650, dominated: 3032, bound_pruned: 778, probes: 6786, memo_hits: 8885, enforcers_admitted: 26, enforcers_won: 26, spans: 16 } },
+    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: Full, cost: 1577803.21, dp: Dp { plans: 68, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 67, dominated: 159, bound_pruned: 0, probes: 768, memo_hits: 144, enforcers_admitted: 10, enforcers_won: 10, spans: 7 } },
+    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: SortOnly, cost: 1577838.3157163358, dp: Dp { plans: 65, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 64, dominated: 156, bound_pruned: 0, probes: 731, memo_hits: 141, enforcers_admitted: 7, enforcers_won: 7, spans: 7 } },
+    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: Full, cost: 431740.0, dp: Dp { plans: 56, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 208, dominated: 779, bound_pruned: 285, probes: 3839, memo_hits: 699, enforcers_admitted: 21, enforcers_won: 21, spans: 11 } },
+    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: SortOnly, cost: 431767.053747805, dp: Dp { plans: 54, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 204, dominated: 774, bound_pruned: 284, probes: 3742, memo_hits: 694, enforcers_admitted: 17, enforcers_won: 17, spans: 11 } },
+    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: Full, cost: 1663415.75, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 651, dominated: 3025, bound_pruned: 786, probes: 13319, memo_hits: 2705, enforcers_admitted: 27, enforcers_won: 27, spans: 16 } },
+    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: SortOnly, cost: 1663807.9114017873, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 650, dominated: 3032, bound_pruned: 778, probes: 13207, memo_hits: 2711, enforcers_admitted: 26, enforcers_won: 26, spans: 16 } },
 ];
 
 #[test]
