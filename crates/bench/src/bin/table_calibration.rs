@@ -11,8 +11,11 @@
 //! `4 √rows` rows per side. Every executor kernel has a row: the scans
 //! (`IndexScan` reads a clustered index on `r0.g` under a filter that
 //! keeps about half the rows), the full and partial sorts, both
-//! aggregates and the hash grouping, and the four joins. A row panics
-//! on any execution error, so running the binary is also a check.
+//! aggregates and the hash grouping, and the four joins — plus
+//! `JoinChain`, two hash joins over three relations of `rows / 2` rows,
+//! whose inner join hands the outer one row ids, never columns. A row
+//! panics on any execution error, so running the binary is also a
+//! check.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -116,6 +119,28 @@ fn calib_join(rows: usize, seed: u64) -> (Catalog, Query, Vec<Vec<Vec<i64>>>) {
     (catalog, query, data)
 }
 
+/// Three relations chained by two equi-joins (`r0.k = r1.k2`,
+/// `r1.m = r2.m2`), keys shaped like [`calib_join`]'s.
+fn calib_chain(rows: usize, seed: u64) -> (Catalog, Query, Vec<Vec<Vec<i64>>>) {
+    let mut catalog = Catalog::new();
+    catalog.add_relation("r0", rows as f64, &["a", "k"]);
+    catalog.add_relation("r1", rows as f64, &["k2", "b", "m"]);
+    catalog.add_relation("r2", rows as f64, &["m2", "c"]);
+    let distinct = (rows as f64 / 4.0).max(2.0);
+    for attr in ["r0.k", "r1.k2", "r1.m", "r2.m2"] {
+        catalog.set_distinct_values(catalog.attr(attr), distinct);
+    }
+    let query = QueryBuilder::new(&catalog)
+        .relation("r0")
+        .relation("r1")
+        .relation("r2")
+        .join("r0.k", "r1.k2", 1.0 / distinct)
+        .join("r1.m", "r2.m2", 1.0 / distinct)
+        .build();
+    let data = columns(&catalog, &query, rows, seed);
+    (catalog, query, data)
+}
+
 /// Builds a tiny hand-rolled arena: each closure gets the ids pushed so
 /// far and returns the next operator.
 #[allow(clippy::type_complexity)]
@@ -126,6 +151,11 @@ fn micro_plan(query: &Query, ops: &[&dyn Fn(&[PlanId]) -> PlanOp]) -> (PlanArena
         let op = op(&ids);
         let mask = match &op {
             PlanOp::Scan { qrel } | PlanOp::IndexScan { qrel, .. } => query.relation_set(*qrel),
+            PlanOp::HashJoin { left, right, .. } => {
+                let mut mask = arena.node(*left).mask.clone();
+                mask.union_with(&arena.node(*right).mask);
+                mask
+            }
             _ => query.all_relations_set(),
         };
         ids.push(arena.push(PlanNode {
@@ -311,6 +341,43 @@ fn main() {
     ] {
         let (arena, root) = micro_plan(&query, &ops);
         calibration_row(name, &catalog, &query, &data, &arena, root, &units);
+    }
+    {
+        let (catalog, query, data) = calib_chain(join_rows, 11);
+        let inner = equi_join_rows(&data[0][1], &data[1][0]) as f64;
+        let scan2: &dyn Fn(&[PlanId]) -> PlanOp = &|_| PlanOp::Scan { qrel: 2 };
+        let (arena, root) = micro_plan(
+            &query,
+            &[
+                scan,
+                scan1,
+                &|ids: &[PlanId]| PlanOp::HashJoin {
+                    left: ids[0],
+                    right: ids[1],
+                    edge: 0,
+                },
+                scan2,
+                &|ids: &[PlanId]| PlanOp::HashJoin {
+                    left: ids[2],
+                    right: ids[3],
+                    edge: 1,
+                },
+            ],
+        );
+        let chain_units = move |out: u64| {
+            3.0 * cost::scan(jn)
+                + cost::hash_join(jn, jn, inner)
+                + cost::hash_join(inner, jn, out as f64)
+        };
+        calibration_row(
+            "JoinChain",
+            &catalog,
+            &query,
+            &data,
+            &arena,
+            root,
+            &chain_units,
+        );
     }
     // The group-join: `count(*)` and `sum(r1.b)` per `r0.k` over a probe
     // side sorted on the key; priced at the join's own cardinality.

@@ -12,12 +12,14 @@
 //! * Sort and a filtered IndexScan must allocate O(morsels) times — the
 //!   radix kernel's counting passes use no heap — so an allocation per
 //!   bucket (hundreds) or per equal-key run (tens of thousands) fails.
-//! * Each operator must allocate about its output column bytes once,
-//!   plus its key, pair or sort-entry buffers: each output column is
-//!   allocated at its final length and filled in place, and a sort
-//!   holds at most two 16-byte entries per input row. Assembling the
-//!   output from per-morsel chunks allocates every output value twice
-//!   and fails the byte bound.
+//! * Each plan must allocate about its root's output column bytes once,
+//!   plus its id, pair, hash or sort-entry buffers: only the root gathers
+//!   columns, each allocated at its final length and filled in place;
+//!   every operator below it hands up `u32` row ids; and a sort holds at
+//!   most two 16-byte entries per input row. An inner join that
+//!   materializes its columns (a two-join chain, a sort over a join), or
+//!   output assembled from per-morsel chunks, allocates output values
+//!   twice and fails the byte bound.
 //!
 //! One `#[test]` only: the counters are process-global, and a second
 //! test running on another harness thread would be counted too.
@@ -39,17 +41,20 @@ const GROUPS: i64 = 1_000;
 /// `r0(k, g, v) ⋈ r1(k, w)` on `k`, `group by r0.g`, `sum(v)`,
 /// `count(*)`; every join key occurs twice on either side. `r2(k, f)`,
 /// joined to nothing, has an index on `k` (20 bits of key range) and the
-/// selection `f <= 1`, which keeps half its rows.
+/// selection `f <= 1`, which keeps half its rows. `r3(w, u)` joins `r1`
+/// on `w`, one partner per `r1` row.
 fn fixture() -> (Catalog, Query, Vec<Vec<Vec<i64>>>) {
     let mut catalog = Catalog::new();
     let r0 = catalog.add_relation("r0", ROWS as f64, &["k", "g", "v"]);
     let r1 = catalog.add_relation("r1", ROWS as f64, &["k", "w"]);
     let r2 = catalog.add_relation("r2", ROWS as f64, &["k", "f"]);
+    let r3 = catalog.add_relation("r3", ROWS as f64, &["w", "u"]);
     catalog.add_index(r2, vec![catalog.attr("r2.k")], false);
     let mut query = Query::new();
     query.add_relation(&catalog, r0);
     query.add_relation(&catalog, r1);
     query.add_relation(&catalog, r2);
+    query.add_relation(&catalog, r3);
     query.filters.push(FilterPred {
         attr: catalog.attr("r2.f"),
         selectivity: 0.5,
@@ -58,6 +63,11 @@ fn fixture() -> (Catalog, Query, Vec<Vec<Vec<i64>>>) {
         left: catalog.attr("r0.k"),
         right: catalog.attr("r1.k"),
         selectivity: 1.0 / KEYS as f64,
+    });
+    query.joins.push(JoinEdge {
+        left: catalog.attr("r1.w"),
+        right: catalog.attr("r3.w"),
+        selectivity: 1.0 / ROWS as f64,
     });
     query.group_by = vec![catalog.attr("r0.g")];
     query.aggregates = vec![
@@ -83,7 +93,11 @@ fn fixture() -> (Catalog, Query, Vec<Vec<Vec<i64>>>) {
         ],
         vec![
             rows.clone().map(|r| (r * 7919) % 1_000_003).collect(),
-            rows.map(|r| r % 4).collect(),
+            rows.clone().map(|r| r % 4).collect(),
+        ],
+        vec![
+            rows.clone().map(|r| -((r * 7) % ROWS as i64)).collect(),
+            rows.collect(),
         ],
     ];
     (catalog, query, data)
@@ -111,45 +125,53 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     let mut arena: PlanArena<()> = PlanArena::new();
     let s0 = push(&mut arena, PlanOp::Scan { qrel: 0 }, query.relation_set(0));
     let s1 = push(&mut arena, PlanOp::Scan { qrel: 1 }, query.relation_set(1));
+    let s3 = push(&mut arena, PlanOp::Scan { qrel: 3 }, query.relation_set(3));
     let key = query.group_by.clone();
     let mut joined = query.relation_set(0);
     joined.union_with(&query.relation_set(1));
+    let mut chained = joined.clone();
+    chained.union_with(&query.relation_set(3));
+    let join = push(
+        &mut arena,
+        PlanOp::HashJoin {
+            left: s0,
+            right: s1,
+            edge: 0,
+        },
+        joined.clone(),
+    );
     let morsels = ROWS.div_ceil(ofw_exec::MORSEL_ROWS) as u64;
-    // Per plan: its name, its output rows, its root, the scans below
-    // it, the allocations it may make — rows / 10 for the hash
-    // operators; a few per morsel for the sort, whose 16-bit key cuts
-    // 256 radix buckets; sixteen per morsel for the index scan, whose
-    // filter grows each morsel's survivor list by doubling and whose
-    // 20-bit key cuts 1 024 buckets — and the bytes its key, pair or
-    // entry buffers may take — 16 per build and probe row (hash, chain
-    // link) and per output pair (the pair lists, grown by doubling) for
-    // the join; 36 per row (hash, three `u32` row or group ids, the
-    // per-morsel group tables) for the hash grouping; two 16-byte sort
-    // entries per input row for the sorts (the filtered index scan's
-    // survivor lists fit in what the rows it drops leave over). HashAgg's
-    // output is a thousand groups: it is held to the allocation count
-    // only. Measured on 100 000 rows: HashJoin 13.7 MB against a 16.8 MB
-    // bound for 8.0 MB of output, HashGroup 5.8 MB against 6.7 MB for
-    // 2.4 MB (chunked output then copied allocates 23.3 MB and 8.2 MB);
-    // Sort 5.6 MB against 6.3 MB for 2.4 MB in 78 allocations (bound
-    // 100), the index scan 2.8 MB against 4.2 MB for 0.8 MB in 300
-    // allocations (bound 400).
+    let (rows, pairs) = (ROWS as u64, 2 * ROWS as u64);
+    // Per plan: its name, its output rows, its root, the allocations it
+    // may make — rows / 10 for the hash operators; a few per morsel for
+    // the sort, whose 16-bit key cuts 256 radix buckets; sixteen per
+    // morsel for the index scan, whose filter grows each morsel's
+    // survivor list by doubling and whose 20-bit key cuts 1 024 buckets
+    // — and the bytes its id, pair, hash or entry buffers may take
+    // beside the output columns the root gathers: 16 per build and probe
+    // row (hash, chain link) and per output pair (the pair lists, grown
+    // by doubling) for a join, and a `u32` id per part and row of every
+    // join or sort output it composes; 36 per row (hash, three `u32` row
+    // or group ids, the per-morsel group tables) for the hash grouping;
+    // two 16-byte sort entries per input row for the sorts (the filtered
+    // index scan's survivor lists and ids fit in what the rows it drops
+    // leave over). HashAgg's output is a thousand groups: it is held to
+    // the allocation count only. A scan below an operator allocates
+    // nothing, so each plan is charged its whole allocation. Measured on
+    // 100 000 rows (bound in brackets): HashJoin 14.7 MB [16.8] for 8.0 MB
+    // of output in 137 allocations; HashGroup 6.2 MB [6.7] for 2.4 MB;
+    // Sort 6.0 MB [6.3] for 2.4 MB in 30 allocations [100]; the index
+    // scan 3.0 MB [4.2] for 0.8 MB in 274 allocations [400]; the two-join
+    // chain 26.2 MB [33.0] for 11.2 MB; the sort over the join 22.7 MB
+    // [26.4] for 8.0 MB. Materializing every join's output, as the
+    // executor once did, takes 37.1 MB and 32.2 MB for the last two.
     let plans = [
         (
             "HashJoin",
             2 * ROWS,
-            push(
-                &mut arena,
-                PlanOp::HashJoin {
-                    left: s0,
-                    right: s1,
-                    edge: 0,
-                },
-                joined,
-            ),
-            vec![s0, s1],
-            (ROWS / 10) as u64,
-            Some(2 * ROWS as u64 * 16 + 2 * ROWS as u64 * 16),
+            join,
+            rows / 10,
+            Some(2 * rows * 16 + pairs * 16),
         ),
         (
             "HashAgg",
@@ -163,8 +185,7 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                 },
                 query.relation_set(0),
             ),
-            vec![s0],
-            (ROWS / 10) as u64,
+            rows / 10,
             None,
         ),
         (
@@ -175,9 +196,8 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                 PlanOp::HashGroup { input: s0, key },
                 query.relation_set(0),
             ),
-            vec![s0],
-            (ROWS / 10) as u64,
-            Some(ROWS as u64 * 36),
+            rows / 10,
+            Some(rows * 36),
         ),
         (
             "Sort",
@@ -190,9 +210,8 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                 },
                 query.relation_set(0),
             ),
-            vec![s0],
             4 * morsels,
-            Some(2 * ROWS as u64 * 16),
+            Some(2 * rows * 16),
         ),
         (
             "IndexScan",
@@ -202,23 +221,46 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                 PlanOp::IndexScan { qrel: 2, index: 0 },
                 query.relation_set(2),
             ),
-            vec![],
             16 * morsels,
-            Some(2 * ROWS as u64 * 16),
+            Some(2 * rows * 16),
+        ),
+        // Two joins: the inner one's output is ids, never columns.
+        (
+            "HashJoin ⋈ r3",
+            2 * ROWS,
+            push(
+                &mut arena,
+                PlanOp::HashJoin {
+                    left: join,
+                    right: s3,
+                    edge: 1,
+                },
+                chained,
+            ),
+            rows / 10,
+            Some(
+                (2 * rows) * 16 + pairs * (16 + 2 * 4) + (rows + pairs) * 16 + pairs * (16 + 3 * 4),
+            ),
+        ),
+        (
+            "Sort(HashJoin)",
+            2 * ROWS,
+            push(
+                &mut arena,
+                PlanOp::Sort {
+                    input: join,
+                    key: vec![catalog.attr("r1.w")],
+                },
+                joined,
+            ),
+            rows / 10,
+            Some(2 * rows * 16 + pairs * (16 + 2 * 4) + 2 * pairs * 16 + pairs * 2 * 4),
         ),
     ];
-    let measure = |root: PlanId| {
+    for (op, rows_out, root, max_allocs, buffers) in plans {
         let (allocs, bytes) = (allocation_count(), allocated_bytes());
         let (out, stats) = execute_serial(&arena, root, &catalog, &query, &data).unwrap();
-        (
-            allocation_count() - allocs,
-            allocated_bytes() - bytes,
-            out,
-            stats,
-        )
-    };
-    for (op, rows_out, root, scans, max_allocs, buffers) in plans {
-        let (allocs, bytes, out, stats) = measure(root);
+        let (allocs, bytes) = (allocation_count() - allocs, allocated_bytes() - bytes);
         assert_eq!(out.num_rows(), rows_out, "{op} output rows");
         assert!(stats.morsels as usize >= ROWS / ofw_exec::MORSEL_ROWS);
         assert!(allocs > 0, "the counting allocator is not installed");
@@ -232,12 +274,11 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
             assert!(counts.iter().all(|&c| c == (ROWS as i64) / GROUPS));
         }
         let Some(buffers) = buffers else { continue };
-        let op_bytes = bytes - scans.iter().map(|&s| measure(s).1).sum::<u64>();
         let out_bytes = column_bytes(&out);
         let bound = out_bytes * 13 / 10 + buffers;
         assert!(
-            op_bytes <= bound,
-            "{op} allocated {op_bytes} bytes for {out_bytes} bytes of output columns \
+            bytes <= bound,
+            "{op} allocated {bytes} bytes for {out_bytes} bytes of output columns \
              (bound {bound}) — an output value is allocated twice"
         );
     }

@@ -24,7 +24,7 @@
 //! representatives, mirroring the legacy tuple executor byte for byte;
 //! weight and accumulator columns are appended after them.
 
-use crate::hash::{resumed_run, run_starts};
+use crate::hash::{resumed_run, run_starts, Col};
 use ofw_catalog::AttrId;
 
 /// A column reference: what a [`ColTable`] column holds.
@@ -140,7 +140,7 @@ impl ColTable {
     /// VLDB'04 grouping-satisfaction condition, checked by hashing the
     /// start of every equal-key run: a key seen twice resumed a group.
     pub fn satisfies_grouping(&self, attrs: &[AttrId]) -> bool {
-        let cols = self.attr_cols(attrs);
+        let cols: Vec<Col> = self.attr_cols(attrs).into_iter().map(Col::from).collect();
         resumed_run(&cols, &[run_starts(&cols, 0..self.rows)]).is_none()
     }
 

@@ -1,22 +1,29 @@
 //! The morsel-driven vectorized engine.
 //!
-//! Every operator works vector-at-a-time over [`ColTable`] batches and
-//! parallelizes by *morsel*: the input row range is cut into fixed-size
-//! morsels ([`ofw_common::morsel_ranges`] — never a function of the
-//! thread count), each morsel is processed as one task on an
+//! Every operator works vector-at-a-time and parallelizes by *morsel*:
+//! the input row range is cut into fixed-size morsels
+//! ([`ofw_common::morsel_ranges`] — never a function of the thread
+//! count), each morsel is processed as one task on an
 //! [`OrderedExecutor`], and the per-morsel results are merged in morsel
 //! index order. Scheduling freedom lives entirely below that seam, so
 //! the output is **byte-identical at 1, 2 or 8 pool threads** — the
 //! executor-level twin of the parallel DP's determinism story.
 //!
-//! Output is written once. A materializing operator allocates each
-//! output column at its final length, and every task writes its own row
-//! range of it in place; nothing is assembled from per-morsel chunks.
-//! Scans read the base columns where they lie, and the streaming
+//! Columns are materialized once, at the plan root. Below it an
+//! operator's output is an intermediate of *parts*, one per base
+//! relation it covers: the relation's borrowed base columns plus a
+//! `u32` row-id vector (absent for the identity). Scans and index scans
+//! return their surviving or sorted ids; sorts and hash grouping permute
+//! ids; joins read only their key columns, through the ids, and compose
+//! each side's ids through the pair list; aggregates emit each group's
+//! representative row. Only the weight and accumulator columns are
+//! materialized below the root. [`execute_plan`] then gathers every
+//! attribute column once, written in place by one task per output
+//! morsel. `Sort`, `PartialSort` and `IndexScan` share one stable radix
+//! sort, linear in the rows for the bits the key range needs, so a
+//! partial sort runs as the full sort it must byte-equal; the streaming
 //! aggregates fold the equal-key runs of their grouped input without
-//! hashing a row. `Sort`, `PartialSort` and `IndexScan` share one stable
-//! radix sort, linear in the rows for the bits the key range needs, so
-//! a partial sort runs as the full sort it must byte-equal.
+//! hashing a row.
 //!
 //! Operator semantics replicate the legacy tuple-at-a-time oracle
 //! (`ofw_plangen::exec`) exactly on the attribute columns — including
@@ -28,7 +35,7 @@
 //! reference plan.
 
 use crate::batch::{ColRef, ColTable};
-use crate::hash::{hash_rows, resumed_run, rows_eq, run_starts, ChainTable, GroupTable};
+use crate::hash::{hash_rows, resumed_run, rows_eq, run_starts, ChainTable, Col, GroupTable};
 use ofw_catalog::{AttrId, Catalog};
 use ofw_common::{morsel_ranges, OrderedExecutor, SerialExecutor};
 use ofw_obs::Trace;
@@ -36,6 +43,7 @@ use ofw_plangen::exec::CONST_VALUE;
 use ofw_plangen::plan::PlanArena;
 use ofw_plangen::{PlanId, PlanOp};
 use ofw_query::{AggFunc, JoinGraph, Query};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -65,7 +73,11 @@ impl Default for ExecOptions {
 /// Deterministic per-operator counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpStat {
-    /// Morsel batches the operator processed.
+    /// Tasks the operator dispatched: kernel tasks (a filter, probe,
+    /// aggregation or run-finding morsel, a sort's bucket batch),
+    /// id-composition morsels, and — at the plan root only, where the
+    /// one gather happens — root-gather morsels. A selection-free scan
+    /// dispatches none.
     pub batches: u64,
     /// Rows the operator produced.
     pub rows: u64,
@@ -75,7 +87,8 @@ pub struct OpStat {
 /// on any machine, like the plan generator's `plans`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Total morsel batches across all operators.
+    /// Total tasks across all operators: every [`OpStat::batches`],
+    /// the root's gather morsels included.
     pub morsels: u64,
     /// Rows produced by the root operator.
     pub rows_out: u64,
@@ -148,7 +161,8 @@ pub fn execute_plan<S: Copy, E: OrderedExecutor>(
         morsel: opts.morsel_rows.max(1),
         stats: ExecStats::default(),
     };
-    let out = eng.exec(plan)?;
+    let t = eng.exec(plan)?;
+    let out = eng.materialize(arena.node(plan).op.name(), t);
     eng.stats.rows_out = out.num_rows() as u64;
     span.count("rows_out", eng.stats.rows_out);
     span.count("morsels", eng.stats.morsels);
@@ -207,53 +221,56 @@ fn run_morsels<R: Send, E: OrderedExecutor>(
 /// `ranges` cut them into adjacent pieces from row 0, and task `i` gets
 /// exclusive `&mut` access to rows `ranges[i]` of every column and
 /// writes them in place. Each task's pieces wait in a slot of their own,
-/// taken exactly once, so no lock is ever contended.
+/// taken exactly once, so no lock is ever contended. The pieces of all
+/// tasks share one allocation, whatever the task count.
 fn fill_in_place<T: Send, E: OrderedExecutor>(
     pool: &E,
     cols: &mut [Vec<T>],
     ranges: &[Range<usize>],
     fill: &(dyn Fn(usize, &mut [&mut [T]]) + Sync),
 ) {
-    let mut slots: Vec<Vec<&mut [T]>> = ranges
-        .iter()
-        .map(|_| Vec::with_capacity(cols.len()))
-        .collect();
-    for col in cols.iter_mut() {
+    let n = cols.len();
+    if n == 0 {
+        return;
+    }
+    // Task-major: task `i`'s piece of column `c` at `i * n + c`.
+    let mut pieces: Vec<&mut [T]> = (0..ranges.len() * n).map(|_| Default::default()).collect();
+    for (c, col) in cols.iter_mut().enumerate() {
         debug_assert_eq!(ranges.last().map_or(0, |r| r.end), col.len());
         let mut rest = col.as_mut_slice();
-        for (slot, r) in slots.iter_mut().zip(ranges) {
+        for (i, r) in ranges.iter().enumerate() {
             let (piece, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-            slot.push(piece);
+            pieces[i * n + c] = piece;
             rest = tail;
         }
     }
-    let slots: Vec<Mutex<Vec<&mut [T]>>> = slots.into_iter().map(Mutex::new).collect();
+    let slots: Vec<Mutex<&mut [&mut [T]]>> = pieces.chunks_mut(n).map(Mutex::new).collect();
     pool.run_ordered(ranges.len(), &|i| {
-        let mut pieces = std::mem::take(
+        let pieces = std::mem::take(
             &mut *slots[i]
                 .lock()
                 .expect("a slot is locked only to take its pieces, which cannot panic"),
         );
-        fill(i, &mut pieces);
+        fill(i, pieces);
     });
 }
 
 /// `ncols` output columns, allocated once at the length `ranges` cover
 /// and filled in place by `fill` ([`fill_in_place`]).
-fn fill_columns<E: OrderedExecutor>(
+fn fill_columns<T: Copy + Default + Send, E: OrderedExecutor>(
     pool: &E,
     ncols: usize,
     ranges: &[Range<usize>],
-    fill: &(dyn Fn(usize, &mut [&mut [i64]]) + Sync),
-) -> Vec<Vec<i64>> {
+    fill: &(dyn Fn(usize, &mut [&mut [T]]) + Sync),
+) -> Vec<Vec<T>> {
     let len = ranges.last().map_or(0, |r| r.end);
-    let mut cols: Vec<Vec<i64>> = (0..ncols).map(|_| vec![0; len]).collect();
+    let mut cols: Vec<Vec<T>> = (0..ncols).map(|_| vec![T::default(); len]).collect();
     fill_in_place(pool, &mut cols, ranges, fill);
     cols
 }
 
-/// Per-morsel result lists — a join's pair lists, a selection's
-/// survivors — read as one sequence without being concatenated.
+/// Per-morsel result lists — a join's pair lists, a stream aggregate's
+/// run starts — read as one sequence without being concatenated.
 struct Spliced<'a, T> {
     parts: &'a [Vec<T>],
     /// `starts[p]`: the sequence position of `parts[p][0]`; one more
@@ -287,34 +304,10 @@ impl<'a, T> Spliced<'a, T> {
     }
 }
 
-/// The row gather every materializing operator ends with:
-/// `out[c][i] = src[c][row(idx[i])]`, one output morsel per task.
-fn gather<E: OrderedExecutor, T: Sync>(
-    pool: &E,
-    morsel: usize,
-    src: &[Vec<i64>],
-    idx: &Spliced<'_, T>,
-    row: impl Fn(&T) -> usize + Sync,
-) -> (Vec<Vec<i64>>, u64) {
-    let ranges = morsel_ranges(idx.len(), morsel);
-    let cols = fill_columns(pool, src.len(), &ranges, &|i, out| {
-        for (dst, col) in out.iter_mut().zip(src) {
-            let mut at = 0;
-            for s in idx.slices(ranges[i].clone()) {
-                for (d, x) in dst[at..].iter_mut().zip(s) {
-                    *d = col[row(x)];
-                }
-                at += s.len();
-            }
-        }
-    });
-    (cols, ranges.len() as u64)
-}
-
 /// Compares two rows on a column list.
-fn cmp_rows(cols: &[&[i64]], a: u32, b: u32) -> Ordering {
+fn cmp_rows(cols: &[Col], a: u32, b: u32) -> Ordering {
     for c in cols {
-        match c[a as usize].cmp(&c[b as usize]) {
+        match c.at(a as usize).cmp(&c.at(b as usize)) {
             Ordering::Equal => continue,
             other => return other,
         }
@@ -327,10 +320,10 @@ type Entry = (i64, u32);
 
 /// `(first key value, row)` entries for `len` ascending `rows` (an empty
 /// key extracts 0 — every row ties).
-fn extract_keys(key_cols: &[&[i64]], rows: impl Iterator<Item = u32>, len: usize) -> Vec<Entry> {
+fn extract_keys(key_cols: &[Col], rows: impl Iterator<Item = u32>, len: usize) -> Vec<Entry> {
     let mut out = Vec::with_capacity(len);
     match key_cols.first() {
-        Some(k) => out.extend(rows.map(|r| (k[r as usize], r))),
+        Some(k) => out.extend(rows.map(|r| (k.at(r as usize), r))),
         None => out.extend(rows.map(|r| (0, r))),
     }
     out
@@ -339,7 +332,7 @@ fn extract_keys(key_cols: &[&[i64]], rows: impl Iterator<Item = u32>, len: usize
 /// The `(key, row)` order on entries: the extracted first key, ties
 /// broken on the `rest` of the key columns (read through the row), then
 /// on the row itself.
-fn entry_cmp(rest: &[&[i64]], a: &Entry, b: &Entry) -> Ordering {
+fn entry_cmp(rest: &[Col], a: &Entry, b: &Entry) -> Ordering {
     a.0.cmp(&b.0)
         .then_with(|| cmp_rows(rest, a.1, b.1))
         .then(a.1.cmp(&b.1))
@@ -385,7 +378,7 @@ fn radix_pass(src: &[Entry], dst: &mut [Entry], at: &mut [usize], digit: impl Fn
 fn sort_entries<E: OrderedExecutor>(
     pool: &E,
     morsel: usize,
-    rest: &[&[i64]],
+    rest: &[Col],
     mut entries: Vec<Entry>,
 ) -> (Vec<Entry>, u64) {
     let n = entries.len();
@@ -459,12 +452,91 @@ fn sort_entries<E: OrderedExecutor>(
     (sorted, spans.len() as u64)
 }
 
-/// What a join pair-list materialization writes into one output column:
-/// the product of a left column read at the pair's left index and a
-/// right column read at its right index, an absent factor being 1. A
-/// plain gather has one factor; a weight, or a `sum` accumulator scaled
-/// by the partner side's weight, has two.
-type OutSrc<'a> = (Option<&'a [i64]>, Option<&'a [i64]>);
+/// One base relation's share of an intermediate: its columns, borrowed,
+/// and the row of them each intermediate row holds.
+struct Part<'a> {
+    /// The relation's base columns, `data[qrel]`.
+    cols: &'a [Vec<i64>],
+    /// The attribute each column holds, in catalog declaration order.
+    attrs: &'a [AttrId],
+    /// Per intermediate row, its row of `cols`; `None` is the identity.
+    ids: Option<Vec<u32>>,
+}
+
+impl Part<'_> {
+    fn col(&self, c: usize) -> Col<'_> {
+        Col {
+            vals: &self.cols[c],
+            ids: self.ids.as_deref(),
+        }
+    }
+}
+
+/// What an operator below the root hands its parent: the attribute
+/// columns as parts, read through row ids, and the weight and
+/// accumulator columns (see [`crate::batch`]) materialized. The root
+/// gathers it into the public [`ColTable`] ([`Engine::materialize`]).
+struct Inter<'a> {
+    rows: usize,
+    parts: Vec<Part<'a>>,
+    /// Logical tuples per row (`None`: every row weighs 1).
+    weight: Option<Vec<i64>>,
+    /// Accumulator columns, by ascending aggregate call.
+    accs: Vec<(usize, Vec<i64>)>,
+}
+
+impl<'a> Inter<'a> {
+    /// Relation rows `ids` (all of them, in order, for `None`).
+    fn relation(cols: &'a [Vec<i64>], attrs: &'a [AttrId], ids: Option<Vec<u32>>) -> Self {
+        let rows = ids
+            .as_ref()
+            .map_or_else(|| cols.first().map_or(0, Vec::len), Vec::len);
+        let part = Part { cols, attrs, ids };
+        Inter {
+            rows,
+            parts: vec![part],
+            weight: None,
+            accs: Vec::new(),
+        }
+    }
+
+    /// The column holding attribute `a`, if a part has it.
+    fn attr(&self, a: AttrId) -> Option<Col<'_>> {
+        self.parts
+            .iter()
+            .find_map(|p| p.attrs.iter().position(|&x| x == a).map(|c| p.col(c)))
+    }
+
+    fn acc(&self, call: usize) -> Option<&[i64]> {
+        self.accs
+            .iter()
+            .find(|&&(c, _)| c == call)
+            .map(|(_, col)| &col[..])
+    }
+
+    /// The columns the root materializes: every part's attributes, parts
+    /// in order, then the weight, then the accumulators.
+    fn schema(&self) -> Vec<ColRef> {
+        let attrs = self.parts.iter().flat_map(|p| p.attrs);
+        attrs
+            .map(|&a| ColRef::Attr(a))
+            .chain(self.weight.as_ref().map(|_| ColRef::Weight))
+            .chain(self.accs.iter().map(|&(call, _)| ColRef::Acc(call)))
+            .collect()
+    }
+
+    /// Every part, read on side `side` of a composition.
+    fn sides(&self, side: usize) -> impl Iterator<Item = (&Part<'a>, usize)> {
+        self.parts.iter().map(move |p| (p, side))
+    }
+}
+
+/// What a composed weight or accumulator column holds per output row:
+/// the product of a left column read at the row's left input row and a
+/// right column read at its right input row, an absent factor being 1.
+/// A carried column has one factor; a join's weight, or a `sum`
+/// accumulator scaled by the partner side's weight, has two.
+type OutSrc<'t> = [Option<&'t [i64]>; 2];
 
 enum JoinKind {
     Merge(usize),
@@ -472,11 +544,10 @@ enum JoinKind {
     NestedLoop,
 }
 
-/// One output column of an aggregate, per group.
+/// One output column of an aggregate besides the attribute columns, per
+/// group.
 #[derive(Clone, Copy)]
 enum AggCol {
-    /// Input column `c`, read at the group's first row.
-    First(usize),
     /// The group's Σ weight: a partial's weight column, or a final
     /// `count` (whose value *is* the weight).
     Weight,
@@ -485,43 +556,52 @@ enum AggCol {
 }
 
 /// One fold slot: function plus where a row's contribution comes from.
-struct FoldSpec {
+struct FoldSpec<'t> {
     func: AggFunc,
     /// Input accumulator column for this call, if materialized below.
-    acc: Option<usize>,
+    acc: Option<&'t [i64]>,
     /// Raw input attribute column, the fallback source.
-    raw: Option<usize>,
+    raw: Option<Col<'t>>,
 }
 
-/// What an aggregate computes from its input: the output schema, one
-/// [`AggCol`] per output column, and the fold slots.
-struct AggSpec {
-    schema: Vec<ColRef>,
-    cols: Vec<AggCol>,
-    folds: Vec<FoldSpec>,
+/// What an aggregate computes from its input: its value columns (what
+/// each holds and how it is computed) and the fold slots. Its attribute
+/// columns are the input's, at each group's representative row.
+struct AggSpec<'t> {
+    cols: Vec<(ColRef, AggCol)>,
+    folds: Vec<FoldSpec<'t>>,
     /// The input's weight column (absent: every row weighs 1).
-    weight: Option<usize>,
+    weight: Option<&'t [i64]>,
 }
 
-impl AggSpec {
+impl AggSpec<'_> {
     /// Row `r`'s weight.
-    fn weight(&self, t: &ColTable, r: usize) -> i64 {
-        self.weight.map_or(1, |c| t.cols[c][r])
+    fn weight(&self, r: usize) -> i64 {
+        self.weight.map_or(1, |w| w[r])
     }
 
     /// Row `r`'s contribution to fold slot `slot`.
-    fn contrib(&self, t: &ColTable, slot: usize, r: usize) -> i64 {
+    fn contrib(&self, slot: usize, r: usize) -> i64 {
         let s = &self.folds[slot];
-        match s.func {
-            AggFunc::Sum => match s.acc {
-                Some(c) => t.cols[c][r],
-                None => t.cols[s.raw.expect("sum without source")][r] * self.weight(t, r),
-            },
-            AggFunc::Min | AggFunc::Max => {
-                t.cols[s.acc.or(s.raw).expect("min/max without source")][r]
-            }
-            AggFunc::Count => unreachable!("count never folds"),
+        match (s.func, s.acc) {
+            (AggFunc::Sum | AggFunc::Min | AggFunc::Max, Some(c)) => c[r],
+            (AggFunc::Sum, None) => s.raw.expect("sum without source").at(r) * self.weight(r),
+            (AggFunc::Min | AggFunc::Max, None) => s.raw.expect("min/max without source").at(r),
+            (AggFunc::Count, _) => unreachable!("count never folds"),
         }
+    }
+
+    /// `out` with the value columns `cols`, computed in [`Self::cols`]
+    /// order, set as its weight and accumulators.
+    fn finish<'a>(&self, mut out: Inter<'a>, cols: Vec<Vec<i64>>) -> Inter<'a> {
+        for (&(what, _), col) in self.cols.iter().zip(cols) {
+            match what {
+                ColRef::Weight => out.weight = Some(col),
+                ColRef::Acc(call) => out.accs.push((call, col)),
+                ColRef::Attr(_) => unreachable!("aggregates compute no attribute"),
+            }
+        }
+        out
     }
 }
 
@@ -589,44 +669,40 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         }
     }
 
-    fn attr_col(
+    /// The column of `t` holding `attr`.
+    fn attr_col<'t>(
         &self,
         plan: PlanId,
         op: &'static str,
-        schema: &[ColRef],
+        t: &'t Inter<'a>,
         attr: AttrId,
-    ) -> Result<usize, ExecError> {
-        schema
-            .iter()
-            .position(|&c| c == ColRef::Attr(attr))
-            .ok_or_else(|| {
-                self.err(
-                    plan,
-                    op,
-                    Some(attr),
-                    format!(
-                        "attribute {} not in input schema {schema:?}",
-                        self.catalog.attr_name(attr),
-                    ),
-                )
-            })
+    ) -> Result<Col<'t>, ExecError> {
+        t.attr(attr).ok_or_else(|| {
+            self.err(
+                plan,
+                op,
+                Some(attr),
+                format!(
+                    "attribute {} not in input schema {:?}",
+                    self.catalog.attr_name(attr),
+                    t.schema(),
+                ),
+            )
+        })
     }
 
-    /// The columns of `cols` (under `schema`) holding `key`.
+    /// The columns of `t` holding `key`.
     fn key_cols<'t>(
         &self,
         plan: PlanId,
         op: &'static str,
-        schema: &[ColRef],
-        cols: &'t [Vec<i64>],
+        t: &'t Inter<'a>,
         key: &[AttrId],
-    ) -> Result<Vec<&'t [i64]>, ExecError> {
-        key.iter()
-            .map(|&a| Ok(&cols[self.attr_col(plan, op, schema, a)?][..]))
-            .collect()
+    ) -> Result<Vec<Col<'t>>, ExecError> {
+        key.iter().map(|&a| self.attr_col(plan, op, t, a)).collect()
     }
 
-    fn exec(&mut self, plan: PlanId) -> Result<ColTable, ExecError> {
+    fn exec(&mut self, plan: PlanId) -> Result<Inter<'a>, ExecError> {
         let (arena, query) = (self.arena, self.query);
         match &arena.node(plan).op {
             PlanOp::Scan { qrel } => self.scan(plan, *qrel),
@@ -676,15 +752,147 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         }
     }
 
-    /// Relation `qrel`'s base columns, borrowed, and their schema,
-    /// checked against the catalog: base data is outside input, so a
-    /// wrong shape is a located error, not a panic.
-    fn base(
+    /// The one gather: `t`'s attribute columns read through their ids
+    /// into the public table, one output morsel per task, written in
+    /// place; the weight and accumulator columns move in as they are.
+    /// Its morsels count as batches of the root operator `op`.
+    fn materialize(&mut self, op: &'static str, t: Inter<'a>) -> ColTable {
+        let schema = t.schema();
+        let srcs: Vec<Col> = t
+            .parts
+            .iter()
+            .flat_map(|p| (0..p.cols.len()).map(move |c| p.col(c)))
+            .collect();
+        let ranges = morsel_ranges(t.rows, self.morsel);
+        let mut cols = fill_columns(self.pool, srcs.len(), &ranges, &|i, out| {
+            let range = ranges[i].clone();
+            for (dst, src) in out.iter_mut().zip(&srcs) {
+                match src.ids {
+                    Some(ids) => {
+                        for (d, &r) in dst.iter_mut().zip(&ids[range.clone()]) {
+                            *d = src.vals[r as usize];
+                        }
+                    }
+                    None => dst.copy_from_slice(&src.vals[range.clone()]),
+                }
+            }
+        });
+        cols.extend(t.weight);
+        cols.extend(t.accs.into_iter().map(|(_, col)| col));
+        self.stats.record(op, ranges.len() as u64, 0);
+        ColTable::new(schema, cols)
+    }
+
+    /// The composition every operator that moves rows ends with. Output
+    /// row `i` stands for input row `pick(rows[i])[s]` of side `s` — a
+    /// join's left (0) or right (1) side, a unary operator's one input
+    /// (0) — so each of `parts`, read on its side, gets its ids composed
+    /// through that row, and each of the `weight` and `accs` sources is
+    /// written as its product ([`OutSrc`]). One output morsel per task,
+    /// written in place; returns the output and the morsel count.
+    fn compose<T: Sync>(
         &self,
-        plan: PlanId,
-        op: &'static str,
-        qrel: usize,
-    ) -> Result<(&'a [Vec<i64>], Vec<ColRef>), ExecError> {
+        rows: &Spliced<'_, T>,
+        pick: impl Fn(&T) -> [usize; 2] + Sync,
+        parts: &[(&Part<'a>, usize)],
+        weight: Option<OutSrc<'_>>,
+        accs: &[(usize, OutSrc<'_>)],
+    ) -> (Inter<'a>, u64) {
+        let ranges = morsel_ranges(rows.len(), self.morsel);
+        let ids = fill_columns(self.pool, parts.len(), &ranges, &|i, out| {
+            for (dst, &(part, side)) in out.iter_mut().zip(parts) {
+                let mut at = 0;
+                for s in rows.slices(ranges[i].clone()) {
+                    let dst = &mut dst[at..at + s.len()];
+                    match &part.ids {
+                        Some(ids) => {
+                            for (d, x) in dst.iter_mut().zip(s) {
+                                *d = ids[pick(x)[side]];
+                            }
+                        }
+                        None => {
+                            for (d, x) in dst.iter_mut().zip(s) {
+                                *d = pick(x)[side] as u32;
+                            }
+                        }
+                    }
+                    at += s.len();
+                }
+            }
+        });
+        let srcs: Vec<OutSrc> = weight.into_iter().chain(accs.iter().map(|a| a.1)).collect();
+        let fill = |i: usize, out: &mut [&mut [i64]]| {
+            for (dst, src) in out.iter_mut().zip(&srcs) {
+                let mut at = 0;
+                for s in rows.slices(ranges[i].clone()) {
+                    let dst = &mut dst[at..at + s.len()];
+                    match *src {
+                        [Some(a), None] => {
+                            for (d, x) in dst.iter_mut().zip(s) {
+                                *d = a[pick(x)[0]];
+                            }
+                        }
+                        [None, Some(b)] => {
+                            for (d, x) in dst.iter_mut().zip(s) {
+                                *d = b[pick(x)[1]];
+                            }
+                        }
+                        [Some(a), Some(b)] => {
+                            for (d, x) in dst.iter_mut().zip(s) {
+                                let [l, r] = pick(x);
+                                *d = a[l] * b[r];
+                            }
+                        }
+                        [None, None] => dst.fill(1),
+                    }
+                    at += s.len();
+                }
+            }
+        };
+        let mut vals = fill_columns(self.pool, srcs.len(), &ranges, &fill).into_iter();
+        let out = Inter {
+            rows: rows.len(),
+            parts: parts
+                .iter()
+                .zip(ids)
+                .map(|(&(p, _), ids)| Part {
+                    cols: p.cols,
+                    attrs: p.attrs,
+                    ids: Some(ids),
+                })
+                .collect(),
+            weight: weight.and_then(|_| vals.next()),
+            accs: accs
+                .iter()
+                .zip(vals)
+                .map(|(&(call, _), col)| (call, col))
+                .collect(),
+        };
+        (out, ranges.len() as u64)
+    }
+
+    /// `t` reordered: output row `i` is input row `row(rows[i])`, every
+    /// column carried ([`Self::compose`]).
+    fn permute<T: Sync>(
+        &self,
+        t: &Inter<'a>,
+        rows: &Spliced<'_, T>,
+        row: impl Fn(&T) -> usize + Sync,
+    ) -> (Inter<'a>, u64) {
+        let parts: Vec<_> = t.sides(0).collect();
+        let accs: Vec<(usize, OutSrc)> = t
+            .accs
+            .iter()
+            .map(|(call, col)| (*call, [Some(&col[..]), None]))
+            .collect();
+        let weight = t.weight.as_deref().map(|w| [Some(w), None]);
+        self.compose(rows, |x| [row(x), 0], &parts, weight, &accs)
+    }
+
+    /// Relation `qrel`'s base rows, all of them, checked against the
+    /// catalog: base data is outside input, so a wrong shape is a
+    /// located error, not a panic.
+    fn base(&self, plan: PlanId, op: &'static str, qrel: usize) -> Result<Inter<'a>, ExecError> {
         let rel = self.catalog.relation(self.query.relations[qrel]);
         let base = self
             .data
@@ -711,37 +919,36 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 format!("base data for relation {} has ragged columns", rel.name),
             ));
         }
-        Ok((base, rel.attrs.iter().map(|&a| ColRef::Attr(a)).collect()))
+        Ok(Inter::relation(base, &rel.attrs, None))
     }
 
-    /// Relation `qrel`'s selections as `(column, is_constant)`: constants
-    /// keep `== CONST_VALUE`, filters keep `<= 1` — the legacy oracle's
-    /// predicate stand-ins.
-    fn predicates(
+    /// Relation `qrel`'s selections over its base rows `t` as
+    /// `(column, is_constant)`: constants keep `== CONST_VALUE`, filters
+    /// keep `<= 1` — the legacy oracle's predicate stand-ins.
+    fn predicates<'t>(
         &self,
         plan: PlanId,
         op: &'static str,
         qrel: usize,
-        schema: &[ColRef],
-    ) -> Result<Vec<(usize, bool)>, ExecError> {
+        t: &'t Inter<'a>,
+    ) -> Result<Vec<(Col<'t>, bool)>, ExecError> {
         let q = self.query;
         let constants = q.constants.iter().map(|c| (c.attr, true));
         let filters = q.filters.iter().map(|f| (f.attr, false));
         constants
             .chain(filters)
             .filter(|&(a, _)| q.owner(a) == qrel)
-            .map(|(a, is_const)| Ok((self.attr_col(plan, op, schema, a)?, is_const)))
+            .map(|(a, is_const)| Ok((self.attr_col(plan, op, t, a)?, is_const)))
             .collect()
     }
 
-    /// Per morsel, the base rows that pass every predicate, read in
-    /// place.
-    fn filter(&self, base: &[Vec<i64>], n: usize, preds: &[(usize, bool)]) -> (Vec<Vec<u32>>, u64) {
+    /// Per morsel, the rows of `0..n` that pass every predicate.
+    fn filter(&self, n: usize, preds: &[(Col, bool)]) -> (Vec<Vec<u32>>, u64) {
         run_morsels(self.pool, n, self.morsel, &|range| {
             range
                 .filter(|&r| {
                     preds.iter().all(|&(c, is_const)| {
-                        let v = base[c][r];
+                        let v = c.at(r);
                         if is_const {
                             v == CONST_VALUE
                         } else {
@@ -755,23 +962,22 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     }
 
     /// Heap scan: the base rows in insertion order that pass the
-    /// relation's selections, gathered straight from the base columns.
-    /// Without a selection the scan is one copy of the relation.
-    fn scan(&mut self, plan: PlanId, qrel: usize) -> Result<ColTable, ExecError> {
-        let (base, schema) = self.base(plan, "Scan", qrel)?;
-        let preds = self.predicates(plan, "Scan", qrel, &schema)?;
-        let n = base.first().map_or(0, Vec::len);
-        if preds.is_empty() {
-            self.stats
-                .record("Scan", n.div_ceil(self.morsel) as u64, n as u64);
-            return Ok(ColTable::new(schema, base.to_vec()));
-        }
-        let (keep, fb) = self.filter(base, n, &preds);
-        let (cols, gb) = gather(self.pool, self.morsel, base, &Spliced::new(&keep), |&r| {
-            r as usize
-        });
-        let out = ColTable::new(schema, cols);
-        self.stats.record("Scan", fb + gb, out.num_rows() as u64);
+    /// relation's selections, as ids. Without a selection the scan is
+    /// the relation itself, and does nothing.
+    fn scan(&mut self, plan: PlanId, qrel: usize) -> Result<Inter<'a>, ExecError> {
+        let t = self.base(plan, "Scan", qrel)?;
+        let preds = self.predicates(plan, "Scan", qrel, &t)?;
+        let (out, batches) = if preds.is_empty() {
+            (t, 0)
+        } else {
+            let (keep, fb) = self.filter(t.rows, &preds);
+            let part = &t.parts[0];
+            (
+                Inter::relation(part.cols, part.attrs, Some(keep.concat())),
+                fb,
+            )
+        };
+        self.stats.record("Scan", batches, out.rows as u64);
         Ok(out)
     }
 
@@ -779,38 +985,33 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// scan: the relation stable-sorted by the index key, then its
     /// selections. Filtering first and stable-sorting only the survivors
     /// is the same sequence (a stable sort keeps the survivors' relative
-    /// order), so the scan does that, then gathers once.
+    /// order), so the scan does that, and returns the sorted ids.
     fn index_scan(
         &mut self,
         plan: PlanId,
         qrel: usize,
         index: usize,
-    ) -> Result<ColTable, ExecError> {
+    ) -> Result<Inter<'a>, ExecError> {
         let op = "IndexScan";
-        let (base, schema) = self.base(plan, op, qrel)?;
-        let preds = self.predicates(plan, op, qrel, &schema)?;
+        let t = self.base(plan, op, qrel)?;
+        let preds = self.predicates(plan, op, qrel, &t)?;
         let catalog = self.catalog;
         let key = &catalog.relation(self.query.relations[qrel]).indexes[index].key;
-        let key_cols = self.key_cols(plan, op, &schema, base, key)?;
-        let n = base.first().map_or(0, Vec::len);
+        let key_cols = self.key_cols(plan, op, &t, key)?;
+        let n = t.rows;
         let (entries, fb) = if preds.is_empty() {
             (extract_keys(&key_cols, 0..n as u32, n), 0)
         } else {
-            let (keep, fb) = self.filter(base, n, &preds);
+            let (keep, fb) = self.filter(n, &preds);
             let m = keep.iter().map(Vec::len).sum();
             (extract_keys(&key_cols, keep.into_iter().flatten(), m), fb)
         };
         let rest = key_cols.get(1..).unwrap_or_default();
         let (sorted, sb) = sort_entries(self.pool, self.morsel, rest, entries);
-        let (cols, gb) = gather(
-            self.pool,
-            self.morsel,
-            base,
-            &Spliced::new(std::slice::from_ref(&sorted)),
-            |e| e.1 as usize,
-        );
-        let out = ColTable::new(schema, cols);
-        self.stats.record(op, fb + sb + gb, out.num_rows() as u64);
+        let part = &t.parts[0];
+        let ids = sorted.iter().map(|e| e.1).collect();
+        let out = Inter::relation(part.cols, part.attrs, Some(ids));
+        self.stats.record(op, fb + sb, out.rows as u64);
         Ok(out)
     }
 
@@ -822,23 +1023,18 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         &mut self,
         plan: PlanId,
         op: &'static str,
-        t: ColTable,
+        t: Inter<'a>,
         key: &[AttrId],
-    ) -> Result<ColTable, ExecError> {
-        let key_cols = self.key_cols(plan, op, &t.schema, &t.cols, key)?;
-        let n = t.num_rows();
+    ) -> Result<Inter<'a>, ExecError> {
+        let key_cols = self.key_cols(plan, op, &t, key)?;
+        let n = t.rows;
         let entries = extract_keys(&key_cols, 0..n as u32, n);
         let rest = key_cols.get(1..).unwrap_or_default();
         let (sorted, sb) = sort_entries(self.pool, self.morsel, rest, entries);
-        let (cols, gb) = gather(
-            self.pool,
-            self.morsel,
-            &t.cols,
-            &Spliced::new(std::slice::from_ref(&sorted)),
-            |e| e.1 as usize,
-        );
-        let out = ColTable::new(t.schema, cols);
-        self.stats.record(op, sb + gb, out.num_rows() as u64);
+        let (out, pb) = self.permute(&t, &Spliced::new(std::slice::from_ref(&sorted)), |e| {
+            e.1 as usize
+        });
+        self.stats.record(op, sb + pb, out.rows as u64);
         Ok(out)
     }
 
@@ -849,7 +1045,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         left: PlanId,
         right: PlanId,
         kind: JoinKind,
-    ) -> Result<ColTable, ExecError> {
+    ) -> Result<Inter<'a>, ExecError> {
         let lt = self.exec(left)?;
         let rt = self.exec(right)?;
         let lmask = &self.arena.node(left).mask;
@@ -857,8 +1053,10 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
 
         // Resolve every connecting equi-join predicate's columns — the
         // planner applies them all at this operator, so the executor
-        // must too.
-        let mut edges: Vec<(usize, usize, usize)> = Vec::new(); // (edge, lcol, rcol)
+        // must too. The left key is read through its ids; the right
+        // (build) key once into a dense column, since every kernel
+        // below reads it at random.
+        let mut edges: Vec<(usize, Col, Cow<[i64]>)> = Vec::new(); // (edge, left, right)
         for e in self.graph.connecting_edges(lmask, rmask) {
             let j = &self.query.joins[e];
             let (la, ra) = if lmask.contains(self.query.owner(j.left)) {
@@ -866,44 +1064,34 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             } else {
                 (j.right, j.left)
             };
-            let lc = self.attr_col(plan, op, &lt.schema, la)?;
-            let rc = self.attr_col(plan, op, &rt.schema, ra)?;
-            edges.push((e, lc, rc));
+            let lc = self.attr_col(plan, op, &lt, la)?;
+            let rc = self.attr_col(plan, op, &rt, ra)?;
+            edges.push((e, lc, rc.dense()));
         }
 
         // Emit (left, right) row pairs in the legacy order: left rows
         // outer, matching right rows in right-table order.
         let (pair_chunks, batches) = match kind {
             JoinKind::Hash => {
-                let lkeys: Vec<&[i64]> = edges.iter().map(|e| &lt.cols[e.1][..]).collect();
-                let rkeys: Vec<&[i64]> = edges.iter().map(|e| &rt.cols[e.2][..]).collect();
-                let table = ChainTable::build(&hash_rows(&rkeys, 0..rt.num_rows()));
-                run_morsels(self.pool, lt.num_rows(), self.morsel, &|range| {
+                let lkeys: Vec<Col> = edges.iter().map(|e| e.1).collect();
+                let rkeys: Vec<&[i64]> = edges.iter().map(|e| &e.2[..]).collect();
+                let build: Vec<Col> = rkeys.iter().map(|&c| Col::from(c)).collect();
+                let table = ChainTable::build(&hash_rows(&build, 0..rt.rows));
+                run_morsels(self.pool, lt.rows, self.morsel, &|range| {
                     let hashes = hash_rows(&lkeys, range.clone());
-                    let mut pairs: Vec<(u32, u32)> = Vec::new();
-                    for (l, &h) in range.zip(&hashes) {
-                        let matches = table.candidates(h).filter(|&r| {
-                            lkeys
-                                .iter()
-                                .zip(&rkeys)
-                                .all(|(lc, rc)| lc[l] == rc[r as usize])
-                        });
-                        pairs.extend(matches.map(|r| (l as u32, r)));
-                    }
-                    pairs
+                    table.probe(&hashes, &lkeys, &rkeys, range)
                 })
             }
             JoinKind::Merge(edge) => {
-                let &(_, plc, prc) =
-                    edges.iter().find(|&&(e, _, _)| e == edge).ok_or_else(|| {
-                        self.err(
-                            plan,
-                            op,
-                            None,
-                            format!("edge #{edge} does not connect the join's inputs"),
-                        )
-                    })?;
-                let rcol: &[i64] = &rt.cols[prc];
+                let (_, plc, prc) = edges.iter().find(|e| e.0 == edge).ok_or_else(|| {
+                    self.err(
+                        plan,
+                        op,
+                        None,
+                        format!("edge #{edge} does not connect the join's inputs"),
+                    )
+                })?;
+                let (plc, rcol) = (*plc, &prc[..]);
                 if rcol.windows(2).any(|w| w[0] > w[1]) {
                     return Err(self.err(
                         plan,
@@ -912,22 +1100,19 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                         "merge join build side is not sorted on the join attribute".to_string(),
                     ));
                 }
-                let residual: Vec<(usize, usize)> = edges
+                let residual: Vec<(Col, &[i64])> = edges
                     .iter()
-                    .filter(|&&(e, _, _)| e != edge)
-                    .map(|&(_, lc, rc)| (lc, rc))
+                    .filter(|e| e.0 != edge)
+                    .map(|(_, lc, rc)| (*lc, &rc[..]))
                     .collect();
-                run_morsels(self.pool, lt.num_rows(), self.morsel, &|range| {
+                run_morsels(self.pool, lt.rows, self.morsel, &|range| {
                     let mut pairs: Vec<(u32, u32)> = Vec::new();
                     for l in range {
-                        let v = lt.cols[plc][l];
+                        let v = plc.at(l);
                         let lo = rcol.partition_point(|&x| x < v);
                         let hi = rcol.partition_point(|&x| x <= v);
                         for r in lo..hi {
-                            if residual
-                                .iter()
-                                .all(|&(lc, rc)| lt.cols[lc][l] == rt.cols[rc][r])
-                            {
+                            if residual.iter().all(|&(lc, rc)| lc.at(l) == rc[r]) {
                                 pairs.push((l as u32, r as u32));
                             }
                         }
@@ -937,19 +1122,16 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             }
             // Per left row, a scan of the first edge's right column; the
             // other edges are checked on a hit only. No edge: every pair.
-            JoinKind::NestedLoop => run_morsels(self.pool, lt.num_rows(), self.morsel, &|range| {
+            JoinKind::NestedLoop => run_morsels(self.pool, lt.rows, self.morsel, &|range| {
                 let mut pairs: Vec<(u32, u32)> = Vec::new();
                 for l in range {
-                    let Some((&(_, lc, rc), residual)) = edges.split_first() else {
-                        pairs.extend((0..rt.num_rows() as u32).map(|r| (l as u32, r)));
+                    let Some(((_, lc, rc), residual)) = edges.split_first() else {
+                        pairs.extend((0..rt.rows as u32).map(|r| (l as u32, r)));
                         continue;
                     };
-                    let v = lt.cols[lc][l];
-                    for (r, _) in rt.cols[rc].iter().enumerate().filter(|&(_, &x)| x == v) {
-                        if residual
-                            .iter()
-                            .all(|&(_, lc, rc)| lt.cols[lc][l] == rt.cols[rc][r])
-                        {
+                    let v = lc.at(l);
+                    for (r, _) in rc.iter().enumerate().filter(|&(_, &x)| x == v) {
+                        if residual.iter().all(|(_, lc, rc)| lc.at(l) == rc[r]) {
                             pairs.push((l as u32, r as u32));
                         }
                     }
@@ -957,129 +1139,73 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 pairs
             }),
         };
-        let (out, gb) = self.join_output(&lt, &rt, &Spliced::new(&pair_chunks));
-        self.stats.record(op, batches + gb, out.num_rows() as u64);
+        let (out, cb) = self.join_output(&lt, &rt, &Spliced::new(&pair_chunks));
+        self.stats.record(op, batches + cb, out.rows as u64);
         Ok(out)
     }
 
-    /// Materializes a join pair list: attribute columns concatenate
-    /// (left then right, like the legacy row concat), weights multiply,
-    /// and `sum` accumulators scale by the partner side's weight — the
+    /// A join's output from its pair list: the parts concatenate (left
+    /// then right, like the legacy row concat), each with its ids
+    /// composed through its side of the pairs; weights multiply, and
+    /// `sum` accumulators scale by the partner side's weight — the
     /// invariant that makes eager partial aggregates compose (see
-    /// [`crate::batch`]). One output morsel per task, written in place.
+    /// [`crate::batch`]).
     fn join_output(
         &self,
-        lt: &ColTable,
-        rt: &ColTable,
+        lt: &Inter<'a>,
+        rt: &Inter<'a>,
         pairs: &Spliced<'_, (u32, u32)>,
-    ) -> (ColTable, u64) {
-        let lw = lt.col(ColRef::Weight);
-        let rw = rt.col(ColRef::Weight);
-        let mut schema: Vec<ColRef> = Vec::new();
-        let mut srcs: Vec<OutSrc> = Vec::new();
-        for (c, col) in lt.schema.iter().zip(&lt.cols) {
-            if let ColRef::Attr(_) = c {
-                schema.push(*c);
-                srcs.push((Some(col), None));
-            }
-        }
-        for (c, col) in rt.schema.iter().zip(&rt.cols) {
-            if let ColRef::Attr(_) = c {
-                schema.push(*c);
-                srcs.push((None, Some(col)));
-            }
-        }
-        if lw.is_some() || rw.is_some() {
-            schema.push(ColRef::Weight);
-            srcs.push((lw, rw));
-        }
+    ) -> (Inter<'a>, u64) {
+        let parts: Vec<_> = lt.sides(0).chain(rt.sides(1)).collect();
+        let (lw, rw) = (lt.weight.as_deref(), rt.weight.as_deref());
+        let weight = (lw.is_some() || rw.is_some()).then_some([lw, rw]);
         // Accumulators, merged across sides in call order; `sum`
         // accumulators scale by the partner weight, `min`/`max` pass
         // through.
         let is_sum = |call: usize| self.query.aggregates[call].func == AggFunc::Sum;
         let mut accs: Vec<(usize, OutSrc)> = Vec::new();
-        for (c, col) in lt.schema.iter().zip(&lt.cols) {
-            if let ColRef::Acc(call) = *c {
-                accs.push((call, (Some(col), rw.filter(|_| is_sum(call)))));
-            }
+        for (call, col) in &lt.accs {
+            accs.push((*call, [Some(col), rw.filter(|_| is_sum(*call))]));
         }
-        for (c, col) in rt.schema.iter().zip(&rt.cols) {
-            if let ColRef::Acc(call) = *c {
-                accs.push((call, (lw.filter(|_| is_sum(call)), Some(col))));
-            }
+        for (call, col) in &rt.accs {
+            accs.push((*call, [lw.filter(|_| is_sum(*call)), Some(col)]));
         }
         accs.sort_by_key(|&(call, _)| call);
-        for (call, src) in accs {
-            schema.push(ColRef::Acc(call));
-            srcs.push(src);
-        }
-
-        let ranges = morsel_ranges(pairs.len(), self.morsel);
-        let cols = fill_columns(self.pool, srcs.len(), &ranges, &|i, out| {
-            for (dst, &src) in out.iter_mut().zip(&srcs) {
-                let mut at = 0;
-                for s in pairs.slices(ranges[i].clone()) {
-                    let dst = &mut dst[at..at + s.len()];
-                    match src {
-                        (Some(a), None) => {
-                            for (d, &(l, _)) in dst.iter_mut().zip(s) {
-                                *d = a[l as usize];
-                            }
-                        }
-                        (None, Some(b)) => {
-                            for (d, &(_, r)) in dst.iter_mut().zip(s) {
-                                *d = b[r as usize];
-                            }
-                        }
-                        (Some(a), Some(b)) => {
-                            for (d, &(l, r)) in dst.iter_mut().zip(s) {
-                                *d = a[l as usize] * b[r as usize];
-                            }
-                        }
-                        (None, None) => dst.fill(1),
-                    }
-                    at += s.len();
-                }
-            }
-        });
-        (ColTable::new(schema, cols), ranges.len() as u64)
+        self.compose(
+            pairs,
+            |&(l, r)| [l as usize, r as usize],
+            &parts,
+            weight,
+            &accs,
+        )
     }
 
-    /// The output shape of an aggregate over `t`. A *partial* aggregate
-    /// keeps all attribute columns (first row per group), materializes
-    /// the weight column and one accumulator per aggregate call whose
-    /// input it carries; the *final* aggregate emits one finalized
-    /// accumulator per call and drops the weight.
-    fn agg_spec(
+    /// What an aggregate over `t` computes. A *partial* aggregate keeps
+    /// all attribute columns (first row per group), materializes the
+    /// weight column and one accumulator per aggregate call whose input
+    /// it carries; the *final* aggregate emits one finalized accumulator
+    /// per call and drops the weight.
+    fn agg_spec<'t>(
         &self,
         plan: PlanId,
         op: &'static str,
-        t: &ColTable,
+        t: &'t Inter<'a>,
         partial: bool,
-    ) -> Result<AggSpec, ExecError> {
+    ) -> Result<AggSpec<'t>, ExecError> {
         let mut spec = AggSpec {
-            schema: Vec::new(),
             cols: Vec::new(),
             folds: Vec::new(),
-            weight: t.col_index(ColRef::Weight),
+            weight: t.weight.as_deref(),
         };
-        for (i, c) in t.schema.iter().enumerate() {
-            if let ColRef::Attr(_) = c {
-                spec.schema.push(*c);
-                spec.cols.push(AggCol::First(i));
-            }
-        }
         if partial {
-            spec.schema.push(ColRef::Weight);
-            spec.cols.push(AggCol::Weight);
+            spec.cols.push((ColRef::Weight, AggCol::Weight));
         }
         for (call, agg) in self.query.aggregates.iter().enumerate() {
-            let acc = t.col_index(ColRef::Acc(call));
-            let raw = agg.input.and_then(|a| t.col_index(ColRef::Attr(a)));
+            let acc = t.acc(call);
+            let raw = agg.input.and_then(|a| t.attr(a));
             if agg.func == AggFunc::Count {
                 if !partial {
-                    spec.schema.push(ColRef::Acc(call));
-                    spec.cols.push(AggCol::Weight);
+                    spec.cols.push((ColRef::Acc(call), AggCol::Weight));
                 }
                 // Partial counts live entirely in the weight column.
                 continue;
@@ -1101,8 +1227,8 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                     ),
                 ));
             }
-            spec.schema.push(ColRef::Acc(call));
-            spec.cols.push(AggCol::Fold(spec.folds.len()));
+            spec.cols
+                .push((ColRef::Acc(call), AggCol::Fold(spec.folds.len())));
             spec.folds.push(FoldSpec {
                 func: agg.func,
                 acc,
@@ -1119,26 +1245,26 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     fn hash_aggregate(
         &mut self,
         plan: PlanId,
-        t: ColTable,
+        t: Inter<'a>,
         key: &[AttrId],
         partial: bool,
-    ) -> Result<ColTable, ExecError> {
+    ) -> Result<Inter<'a>, ExecError> {
         let op = "HashAgg";
-        let key_cols = self.key_cols(plan, op, &t.schema, &t.cols, key)?;
+        let key_cols = self.key_cols(plan, op, &t, key)?;
         let spec = self.agg_spec(plan, op, &t, partial)?;
         let folds = &spec.folds;
 
         // Per-morsel local aggregation, merged serially in morsel order
         // (= the global first-seen order of a single pass).
         let (chunks, batches): (Vec<(GroupTable, GroupState)>, u64) =
-            run_morsels(self.pool, t.num_rows(), self.morsel, &|range| {
+            run_morsels(self.pool, t.rows, self.morsel, &|range| {
                 let hashes = hash_rows(&key_cols, range.clone());
                 let mut table = GroupTable::with_capacity(range.len());
                 let mut state = GroupState::default();
                 for (r, &h) in range.zip(&hashes) {
                     let (g, new) = table.find_or_insert(&key_cols, h, r as u32);
-                    state.add(folds, g as usize, new, spec.weight(&t, r), |slot| {
-                        spec.contrib(&t, slot, r)
+                    state.add(folds, g as usize, new, spec.weight(r), |slot| {
+                        spec.contrib(slot, r)
                     });
                 }
                 (table, state)
@@ -1157,20 +1283,25 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
 
         let order = scramble_order(table.len());
         let first = table.first_rows();
+        let reps: Vec<u32> = order.iter().map(|&g| first[g]).collect();
         let cols: Vec<Vec<i64>> = spec
             .cols
             .iter()
-            .map(|&c| match c {
-                AggCol::First(col) => order
-                    .iter()
-                    .map(|&g| t.cols[col][first[g] as usize])
-                    .collect(),
+            .map(|&(_, c)| match c {
                 AggCol::Weight => order.iter().map(|&g| state.weight[g]).collect(),
                 AggCol::Fold(slot) => order.iter().map(|&g| state.folds[g * nf + slot]).collect(),
             })
             .collect();
-        let out = ColTable::new(spec.schema, cols);
-        self.stats.record(op, batches, out.num_rows() as u64);
+        let parts: Vec<_> = t.sides(0).collect();
+        let (out, cb) = self.compose(
+            &Spliced::new(std::slice::from_ref(&reps)),
+            |&r| [r as usize, 0],
+            &parts,
+            None,
+            &[],
+        );
+        let out = spec.finish(out, cols);
+        self.stats.record(op, batches + cb, out.rows as u64);
         Ok(out)
     }
 
@@ -1182,20 +1313,21 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// the grouping — a key that resumes after its run ended is a
     /// located error, never a silently split group — and each morsel
     /// then folds its runs straight into its rows of the preallocated
-    /// output, reading on past its end into a run that crosses it.
-    /// Groups come out in run order: on grouped input, the first-seen
-    /// order the hash kernel would produce.
+    /// value columns, reading on past its end into a run that crosses
+    /// it. Groups come out in run order: on grouped input, the
+    /// first-seen order the hash kernel would produce. The run starts
+    /// are the groups' representative rows.
     fn stream_aggregate(
         &mut self,
         plan: PlanId,
         op: &'static str,
-        t: ColTable,
+        t: Inter<'a>,
         key: &[AttrId],
         partial: bool,
-    ) -> Result<ColTable, ExecError> {
-        let key_cols = self.key_cols(plan, op, &t.schema, &t.cols, key)?;
+    ) -> Result<Inter<'a>, ExecError> {
+        let key_cols = self.key_cols(plan, op, &t, key)?;
         let spec = self.agg_spec(plan, op, &t, partial)?;
-        let n = t.num_rows();
+        let n = t.rows;
         let (starts, batches) = run_morsels(self.pool, n, self.morsel, &|range| {
             run_starts(&key_cols, range)
         });
@@ -1231,15 +1363,14 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                         .find(|&r| !rows_eq(&key_cols, s, r as u32))
                         .unwrap_or(n),
                 };
-                let (s, run) = (s as usize, s as usize..end);
-                for (dst, &c) in out.iter_mut().zip(&spec.cols) {
+                let run = s as usize..end;
+                for (dst, &(_, c)) in out.iter_mut().zip(&spec.cols) {
                     dst[j] = match c {
-                        AggCol::First(col) => t.cols[col][s],
-                        AggCol::Weight => run.clone().map(|r| spec.weight(&t, r)).sum(),
+                        AggCol::Weight => run.clone().map(|r| spec.weight(r)).sum(),
                         AggCol::Fold(slot) => {
                             let func = spec.folds[slot].func;
                             run.clone()
-                                .map(|r| spec.contrib(&t, slot, r))
+                                .map(|r| spec.contrib(slot, r))
                                 .reduce(|a, b| combine(func, a, b))
                                 .expect("a run is never empty")
                         }
@@ -1247,8 +1378,16 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 }
             }
         });
-        let out = ColTable::new(spec.schema, cols);
-        self.stats.record(op, batches, out.num_rows() as u64);
+        let parts: Vec<_> = t.sides(0).collect();
+        let (out, cb) = self.compose(
+            &Spliced::new(&starts),
+            |&s| [s as usize, 0],
+            &parts,
+            None,
+            &[],
+        );
+        let out = spec.finish(out, cols);
+        self.stats.record(op, batches + cb, out.rows as u64);
         Ok(out)
     }
 
@@ -1258,12 +1397,12 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     fn hash_group(
         &mut self,
         plan: PlanId,
-        t: ColTable,
+        t: Inter<'a>,
         key: &[AttrId],
-    ) -> Result<ColTable, ExecError> {
-        let key_cols = self.key_cols(plan, "HashGroup", &t.schema, &t.cols, key)?;
+    ) -> Result<Inter<'a>, ExecError> {
+        let key_cols = self.key_cols(plan, "HashGroup", &t, key)?;
         // Per morsel: a local group table and every row's local group.
-        let (chunks, batches) = run_morsels(self.pool, t.num_rows(), self.morsel, &|range| {
+        let (chunks, batches) = run_morsels(self.pool, t.rows, self.morsel, &|range| {
             let hashes = hash_rows(&key_cols, range.clone());
             let mut table = GroupTable::with_capacity(range.len());
             let gids: Vec<u32> = range
@@ -1275,7 +1414,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         // Local ids renumbered in morsel order (= global first-seen
         // order): every row's global group, and the group sizes.
         let mut table = GroupTable::with_capacity(chunks.iter().map(|(l, _)| l.len()).sum());
-        let mut gid: Vec<u32> = Vec::with_capacity(t.num_rows());
+        let mut gid: Vec<u32> = Vec::with_capacity(t.rows);
         let mut global: Vec<u32> = Vec::new();
         for (local, gids) in &chunks {
             global.clear();
@@ -1304,13 +1443,9 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             slot[g as usize] += 1;
         }
         drop(gid);
-        let idx = [idx];
-        let (cols, gb) = gather(self.pool, self.morsel, &t.cols, &Spliced::new(&idx), |&r| {
-            r as usize
-        });
-        let out = ColTable::new(t.schema, cols);
+        let (out, pb) = self.permute(&t, &Spliced::new(&[idx]), |&r| r as usize);
         self.stats
-            .record("HashGroup", batches + gb, out.num_rows() as u64);
+            .record("HashGroup", batches + pb, out.rows as u64);
         Ok(out)
     }
 }
@@ -1336,7 +1471,8 @@ mod tests {
     /// The kernel's sort of the ascending `rows` by `cols`: the sorted
     /// rows and the number of tasks dispatched.
     fn kernel_sort(cols: &[&[i64]], rows: &[u32], morsel: usize) -> (Vec<u32>, u64) {
-        let entries = extract_keys(cols, rows.iter().copied(), rows.len());
+        let cols: Vec<Col> = cols.iter().map(|&c| Col::from(c)).collect();
+        let entries = extract_keys(&cols, rows.iter().copied(), rows.len());
         let rest = cols.get(1..).unwrap_or_default();
         let (sorted, tasks) = sort_entries(&SerialExecutor, morsel, rest, entries);
         (sorted.into_iter().map(|e| e.1).collect(), tasks)
@@ -1345,8 +1481,9 @@ mod tests {
     /// The reference: the standard library's stable sort of `rows`
     /// through the indirect row comparator.
     fn stable_sort(cols: &[&[i64]], rows: &[u32]) -> Vec<u32> {
+        let cols: Vec<Col> = cols.iter().map(|&c| Col::from(c)).collect();
         let mut expect = rows.to_vec();
-        expect.sort_by(|&a, &b| cmp_rows(cols, a, b));
+        expect.sort_by(|&a, &b| cmp_rows(&cols, a, b));
         expect
     }
 
@@ -1548,7 +1685,7 @@ mod tests {
     #[test]
     fn fill_writes_each_range_once_in_place() {
         let ranges = [0..3, 3..3, 3..7];
-        let cols = fill_columns(&SerialExecutor, 2, &ranges, &|i, out| {
+        let cols = fill_columns::<i64, _>(&SerialExecutor, 2, &ranges, &|i, out| {
             for (c, dst) in out.iter_mut().enumerate() {
                 assert_eq!(dst.len(), ranges[i].len());
                 for (k, d) in dst.iter_mut().enumerate() {
@@ -1559,7 +1696,7 @@ mod tests {
         assert_eq!(cols[0], vec![0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(cols[1], vec![10, 11, 12, 13, 14, 15, 16]);
         assert!(
-            fill_columns(&SerialExecutor, 3, &[], &|_, _| unreachable!())
+            fill_columns::<i64, _>(&SerialExecutor, 3, &[], &|_, _| unreachable!())
                 .iter()
                 .all(Vec::is_empty)
         );
@@ -1999,5 +2136,270 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!((err.plan, err.op), (gj, "GroupJoin"), "{err}");
+    }
+
+    /// `n` relations `r{i}(a, b, v)`, chained by `r{i}.a = r{i+1}.a` (and
+    /// `r{i}.b = r{i+1}.b` when `double`), each indexed on `(a)` and on
+    /// `(b, v)`; `preds` bit `2i` filters `r{i}.b <= 1`, bit `2i + 1`
+    /// holds `r{i}.v` constant. Aggregates: `sum(r0.v)`, `count(*)`,
+    /// `sum(r{n-1}.v)`, `max(r1.v)`.
+    fn chain_fixture(n: usize, double: bool, preds: u8) -> (Catalog, Query) {
+        let mut catalog = Catalog::new();
+        let mut query = Query::new();
+        for i in 0..n {
+            let rel = catalog.add_relation(&format!("r{i}"), 9.0, &["a", "b", "v"]);
+            let at = |c: &str| catalog.attr(&format!("r{i}.{c}"));
+            let (a, b, v) = (at("a"), at("b"), at("v"));
+            catalog.add_index(rel, vec![a], false);
+            catalog.add_index(rel, vec![b, v], false);
+            query.add_relation(&catalog, rel);
+            if preds & (1 << (2 * i)) != 0 {
+                query.filters.push(FilterPred {
+                    attr: b,
+                    selectivity: 0.5,
+                });
+            }
+            if preds & (1 << (2 * i + 1)) != 0 {
+                query.constants.push(ConstPred {
+                    attr: v,
+                    selectivity: 0.5,
+                });
+            }
+        }
+        let cols: &[&str] = if double { &["a", "b"] } else { &["a"] };
+        for i in 1..n {
+            for c in cols {
+                query.joins.push(ofw_query::JoinEdge {
+                    left: catalog.attr(&format!("r{}.{c}", i - 1)),
+                    right: catalog.attr(&format!("r{i}.{c}")),
+                    selectivity: 0.5,
+                });
+            }
+        }
+        let v = |i: usize| Some(catalog.attr(&format!("r{i}.v")));
+        let call = |func, input| AggCall { func, input };
+        query.aggregates = vec![
+            call(AggFunc::Sum, v(0)),
+            call(AggFunc::Count, None),
+            call(AggFunc::Sum, v(n - 1)),
+            call(AggFunc::Max, v(1)),
+        ];
+        (catalog, query)
+    }
+
+    /// One random plan tree over a [`chain_fixture`], built twice in
+    /// lockstep: as drawn (arena 0), and without its partial aggregates
+    /// (arena 1). Every node is the pair of its two ids.
+    struct TreeGen<'q> {
+        catalog: &'q Catalog,
+        query: &'q Query,
+        double: bool,
+        left_deep: bool,
+        choices: &'q [u8],
+        at: usize,
+        arenas: [PlanArena<()>; 2],
+        /// Every join node.
+        joins: Vec<[PlanId; 2]>,
+    }
+
+    impl TreeGen<'_> {
+        fn pick(&mut self, n: usize) -> usize {
+            let c = self.choices[self.at % self.choices.len()];
+            self.at += 1;
+            c as usize % n
+        }
+
+        fn attr(&self, i: usize, c: &str) -> AttrId {
+            self.catalog.attr(&format!("r{i}.{c}"))
+        }
+
+        /// `op(s)` pushed onto arena `s`, for both.
+        fn push(&mut self, qrels: &[usize], op: impl Fn(usize) -> PlanOp) -> [PlanId; 2] {
+            [0, 1].map(|s| self.arenas[s].push(node(self.query, qrels, op(s))))
+        }
+
+        /// A plan over relations `lo..hi`: a scan, an index scan, or a
+        /// join of two sub-ranges in either order, then wrapped.
+        fn build(&mut self, lo: usize, hi: usize) -> [PlanId; 2] {
+            let qrels: Vec<usize> = (lo..hi).collect();
+            let id = if hi - lo == 1 {
+                match self.pick(3) {
+                    0 => self.push(&qrels, |_| PlanOp::Scan { qrel: lo }),
+                    i => self.push(&qrels, |_| PlanOp::IndexScan {
+                        qrel: lo,
+                        index: i - 1,
+                    }),
+                }
+            } else {
+                let m = if self.left_deep {
+                    hi - 1
+                } else {
+                    lo + 1 + self.pick(hi - lo - 1)
+                };
+                let (mut l, mut r) = ((lo, m), (m, hi));
+                if self.pick(2) == 1 {
+                    std::mem::swap(&mut l, &mut r);
+                }
+                let left = self.build(l.0, l.1);
+                let mut right = self.build(r.0, r.1);
+                // The `a` edge between `r{m-1}` and `r{m}`.
+                let edge = (m - 1) * if self.double { 2 } else { 1 };
+                let kind = self.pick(3);
+                if kind == 0 {
+                    // A merge join reads its right side sorted on the edge.
+                    let key = vec![self.attr(if r.0 == m { m } else { m - 1 }, "a")];
+                    let rq: Vec<usize> = (r.0..r.1).collect();
+                    right = self.push(&rq, |s| PlanOp::Sort {
+                        input: right[s],
+                        key: key.clone(),
+                    });
+                }
+                let join = self.push(&qrels, |s| {
+                    let (left, right) = (left[s], right[s]);
+                    match kind {
+                        0 => PlanOp::MergeJoin { left, right, edge },
+                        1 => PlanOp::HashJoin { left, right, edge },
+                        _ => PlanOp::NestedLoopJoin { left, right },
+                    }
+                });
+                self.joins.push(join);
+                join
+            };
+            self.wrap(id, &qrels)
+        }
+
+        /// A random non-empty key over relations `qrels`.
+        fn key(&mut self, qrels: &[usize]) -> Vec<AttrId> {
+            let mut key = Vec::new();
+            for _ in 0..1 + self.pick(3) {
+                let i = qrels[self.pick(qrels.len())];
+                let c = ["a", "b", "v"][self.pick(3)];
+                let a = self.attr(i, c);
+                if !key.contains(&a) {
+                    key.push(a);
+                }
+            }
+            key
+        }
+
+        /// `id` as is, under a sort or a hash grouping, or under a partial
+        /// aggregate (hash, or streaming over a sort) in arena 0 only.
+        fn wrap(&mut self, id: [PlanId; 2], qrels: &[usize]) -> [PlanId; 2] {
+            match self.pick(6) {
+                0 => {
+                    let key = self.key(qrels);
+                    self.push(qrels, |s| PlanOp::Sort {
+                        input: id[s],
+                        key: key.clone(),
+                    })
+                }
+                1 => {
+                    let key = self.key(qrels);
+                    self.push(qrels, |s| PlanOp::HashGroup {
+                        input: id[s],
+                        key: key.clone(),
+                    })
+                }
+                k @ (2 | 3) => {
+                    // Grouped on every join attribute of the side, so the
+                    // rows of a group meet the same partners above it.
+                    let cols: &[&str] = if self.double { &["a", "b"] } else { &["a"] };
+                    let key: Vec<AttrId> = qrels
+                        .iter()
+                        .flat_map(|&i| cols.iter().map(move |&c| (i, c)))
+                        .map(|(i, c)| self.attr(i, c))
+                        .collect();
+                    let arena = &mut self.arenas[0];
+                    let op = if k == 2 {
+                        PlanOp::HashAgg {
+                            input: id[0],
+                            key,
+                            partial: true,
+                        }
+                    } else {
+                        let sort = PlanOp::Sort {
+                            input: id[0],
+                            key: key.clone(),
+                        };
+                        PlanOp::StreamAgg {
+                            input: arena.push(node(self.query, qrels, sort)),
+                            key,
+                            partial: true,
+                        }
+                    };
+                    [arena.push(node(self.query, qrels, op)), id[1]]
+                }
+                _ => id,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Id composition through random left-deep and bushy trees of
+        /// 2–4 relations over the three join kinds, with filtered scans,
+        /// index scans, sorts, hash groupings and partial aggregates on
+        /// either side of a join. Every join node, executed as the root at
+        /// morsel sizes 1–7: its attribute columns equal the legacy tuple
+        /// engine's; its Σ weight equals the row count, and each `sum`
+        /// accumulator's total the raw column total, of the same tree run
+        /// without its partial aggregates.
+        #[test]
+        fn join_trees_compose_ids_weights_and_accumulators(
+            n in 2usize..5,
+            shape in 0u8..4,
+            preds in 0u8..=255,
+            choices in proptest::collection::vec(0u8..=255, 48),
+            rows in proptest::collection::vec(0usize..8, 4),
+            vals in proptest::collection::vec(0i64..3, 4 * 3 * 8),
+        ) {
+            let (double, left_deep) = (shape & 1 != 0, shape & 2 != 0);
+            let (catalog, query) = chain_fixture(n, double, preds);
+            let data: Vec<Vec<Vec<i64>>> = (0..n)
+                .map(|i| (0..3).map(|c| vals[(i * 3 + c) * 8..][..rows[i]].to_vec()).collect())
+                .collect();
+            let tables: Vec<ofw_plangen::Table> = (0..n)
+                .map(|i| ofw_plangen::Table {
+                    attrs: catalog.relation(query.relations[i]).attrs.clone(),
+                    rows: (0..rows[i]).map(|r| data[i].iter().map(|c| c[r]).collect()).collect(),
+                })
+                .collect();
+            let mut gen = TreeGen {
+                catalog: &catalog,
+                query: &query,
+                double,
+                left_deep,
+                choices: &choices,
+                at: 0,
+                arenas: [PlanArena::new(), PlanArena::new()],
+                joins: Vec::new(),
+            };
+            gen.build(0, n);
+            let [full, bare] = &gen.arenas;
+            for &[root, bare_root] in &gen.joins {
+                let run = |arena, plan, morsel| execute_plan(
+                    arena, plan, &catalog, &query, &data,
+                    &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
+                ).unwrap().0;
+                let legacy = ofw_plangen::exec::try_execute(full, root, &catalog, &query, &tables).unwrap();
+                let plain = run(bare, bare_root, 1);
+                let out = run(full, root, 1);
+                let got = out.attr_table();
+                prop_assert_eq!((&got.attrs, &got.rows), (&legacy.attrs, &legacy.rows));
+                let weight: i64 = (0..out.num_rows()).map(|r| out.weight(r)).sum();
+                prop_assert_eq!(weight, plain.num_rows() as i64);
+                for (call, agg) in query.aggregates.iter().enumerate() {
+                    let Some(acc) = out.col(ColRef::Acc(call)) else { continue };
+                    if agg.func == AggFunc::Sum {
+                        let raw = plain.col(ColRef::Attr(agg.input.unwrap())).unwrap();
+                        prop_assert_eq!(acc.iter().sum::<i64>(), raw.iter().sum::<i64>());
+                    }
+                }
+                for morsel in 2..=7 {
+                    prop_assert_eq!(&run(full, root, morsel), &out);
+                }
+            }
+        }
     }
 }

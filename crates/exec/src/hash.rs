@@ -1,16 +1,23 @@
 //! The executor's hash kernels: one flat bucket/chain layout behind
 //! every hash operator.
 //!
-//! No key is ever materialized. A morsel's keys are hashed
+//! No key is materialized per row. A morsel's keys are hashed
 //! column-at-a-time into a `Vec<u64>` ([`hash_rows`]); a table stores
 //! row or group indices in two flat `u32` vectors — `heads` (one slot
 //! per power-of-two bucket) and `next` (one slot per entry, the bucket's
 //! chain) — and compares keys *through the input columns* it was built
-//! over. Two tables share the layout:
+//! over. An input column is a [`Col`]: values read through the
+//! intermediate's row ids, so a key is hashed and compared where it
+//! lies. Only a join's build side is read once into dense columns (by
+//! the caller), since the chain walk reads it at random. Two tables
+//! share the layout:
 //!
 //! * [`ChainTable`] chains **build rows** (hash join, group join). It is
 //!   filled in reverse row order, so every chain ascends in row index
-//!   and a probe meets its matches in build-table order.
+//!   and a probe meets its matches in build-table order. The probe walks
+//!   `heads`/`next` directly and writes every candidate into its pair
+//!   buffer, advancing the write index by the key comparison over all
+//!   key columns, so no branch depends on whether a candidate matches.
 //! * [`GroupTable`] chains **dense group ids** handed out in first-seen
 //!   order, each with a representative row and its stored hash (hash
 //!   aggregation, hash grouping, and the run-start check below).
@@ -26,20 +33,64 @@
 //! grouped input is never hashed per row.
 
 use ofw_common::hash::fx_mix;
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// End-of-chain marker.
 const NIL: u32 = u32::MAX;
 
+/// A column read through row ids: row `r` is `vals[ids[r]]`, or
+/// `vals[r]` without ids (the identity).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Col<'t> {
+    pub(crate) vals: &'t [i64],
+    pub(crate) ids: Option<&'t [u32]>,
+}
+
+impl<'t> Col<'t> {
+    /// Row `r`'s value.
+    #[inline]
+    pub(crate) fn at(self, r: usize) -> i64 {
+        match self.ids {
+            Some(ids) => self.vals[ids[r] as usize],
+            None => self.vals[r],
+        }
+    }
+
+    /// Every row's value as one slice: borrowed without ids, read once
+    /// through them otherwise.
+    pub(crate) fn dense(self) -> Cow<'t, [i64]> {
+        match self.ids {
+            Some(ids) => Cow::Owned(ids.iter().map(|&i| self.vals[i as usize]).collect()),
+            None => Cow::Borrowed(self.vals),
+        }
+    }
+}
+
+impl<'t> From<&'t [i64]> for Col<'t> {
+    fn from(vals: &'t [i64]) -> Self {
+        Col { vals, ids: None }
+    }
+}
+
 /// Hashes rows `range` of `key_cols`, one column pass at a time: the Fx
 /// mix per column, then the high bits folded down (the multiply leaves
 /// the entropy there, and buckets are picked by the low bits). The
 /// empty key hashes every row alike.
-pub(crate) fn hash_rows(key_cols: &[&[i64]], range: Range<usize>) -> Vec<u64> {
+pub(crate) fn hash_rows(key_cols: &[Col], range: Range<usize>) -> Vec<u64> {
     let mut out = vec![0u64; range.len()];
     for col in key_cols {
-        for (h, &v) in out.iter_mut().zip(&col[range.clone()]) {
-            *h = fx_mix(*h, v as u64);
+        match col.ids {
+            Some(ids) => {
+                for (h, &i) in out.iter_mut().zip(&ids[range.clone()]) {
+                    *h = fx_mix(*h, col.vals[i as usize] as u64);
+                }
+            }
+            None => {
+                for (h, &v) in out.iter_mut().zip(&col.vals[range.clone()]) {
+                    *h = fx_mix(*h, v as u64);
+                }
+            }
         }
     }
     for h in &mut out {
@@ -49,8 +100,8 @@ pub(crate) fn hash_rows(key_cols: &[&[i64]], range: Range<usize>) -> Vec<u64> {
 }
 
 /// Row `r`'s entry of [`hash_rows`], for rows that are not contiguous.
-fn hash_row(key_cols: &[&[i64]], r: usize) -> u64 {
-    fold_high(key_cols.iter().fold(0, |h, c| fx_mix(h, c[r] as u64)))
+fn hash_row(key_cols: &[Col], r: usize) -> u64 {
+    fold_high(key_cols.iter().fold(0, |h, c| fx_mix(h, c.at(r) as u64)))
 }
 
 fn fold_high(h: u64) -> u64 {
@@ -58,8 +109,8 @@ fn fold_high(h: u64) -> u64 {
 }
 
 /// Are rows `a` and `b` equal on every column of `cols`?
-pub(crate) fn rows_eq(cols: &[&[i64]], a: u32, b: u32) -> bool {
-    cols.iter().all(|c| c[a as usize] == c[b as usize])
+pub(crate) fn rows_eq(cols: &[Col], a: u32, b: u32) -> bool {
+    cols.iter().all(|c| c.at(a as usize) == c.at(b as usize))
 }
 
 /// An all-empty bucket array for about `entries` entries (load ≤ 1).
@@ -94,14 +145,48 @@ impl ChainTable {
         ChainTable { heads, next }
     }
 
-    /// The build rows in `hash`'s bucket, ascending — a superset of the
-    /// rows whose key matches; the caller compares the key columns.
-    pub(crate) fn candidates(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
-        let first = self.heads[bucket(&self.heads, hash)];
-        std::iter::successors((first != NIL).then_some(first), |&r| {
-            let n = self.next[r as usize];
-            (n != NIL).then_some(n)
-        })
+    /// A hash join's pairs for probe rows `range`, whose keys hash to
+    /// `hashes`: every `(probe row, build row)` equal on the key columns
+    /// `lkeys` / `rkeys` (the build side's read as dense columns, since
+    /// the table holds their rows), probe rows outer and build rows
+    /// ascending; the empty key pairs every row with every build row.
+    ///
+    /// One loop serves every key arity. Each probe row's key is read once
+    /// (through its ids); the loop walks `heads`/`next` directly and
+    /// writes every candidate into the next slot of a pair buffer sized
+    /// to the morsel (doubled when full), and the write index advances by
+    /// the `&` of the per-column comparisons, so no branch depends on
+    /// whether a candidate matches.
+    pub(crate) fn probe(
+        &self,
+        hashes: &[u64],
+        lkeys: &[Col],
+        rkeys: &[&[i64]],
+        range: Range<usize>,
+    ) -> Vec<(u32, u32)> {
+        let mut pairs = vec![(0, 0); range.len().max(1)];
+        let mut key = vec![0; lkeys.len()];
+        let mut w = 0;
+        for (l, &h) in range.zip(hashes) {
+            for (k, c) in key.iter_mut().zip(lkeys) {
+                *k = c.at(l);
+            }
+            let mut r = self.heads[bucket(&self.heads, h)];
+            while r != NIL {
+                if w == pairs.len() {
+                    pairs.resize(2 * w, (0, 0));
+                }
+                pairs[w] = (l as u32, r);
+                let hit = key
+                    .iter()
+                    .zip(rkeys)
+                    .fold(true, |eq, (&v, rc)| eq & (v == rc[r as usize]));
+                w += usize::from(hit);
+                r = self.next[r as usize];
+            }
+        }
+        pairs.truncate(w);
+        pairs
     }
 }
 
@@ -132,12 +217,7 @@ impl GroupTable {
     /// `key_cols` against each candidate group's representative row;
     /// `true` when the key is new and `row` became its representative.
     /// Ids count up from 0 in first-seen order.
-    pub(crate) fn find_or_insert(
-        &mut self,
-        key_cols: &[&[i64]],
-        hash: u64,
-        row: u32,
-    ) -> (u32, bool) {
+    pub(crate) fn find_or_insert(&mut self, key_cols: &[Col], hash: u64, row: u32) -> (u32, bool) {
         let b = bucket(&self.heads, hash);
         let mut g = self.heads[b];
         while g != NIL {
@@ -178,7 +258,7 @@ impl GroupTable {
 /// from row `r - 1`, so the answer for a range does not depend on how
 /// the rows around it were cut — a run that began before `range` does
 /// not restart at its first row.
-pub(crate) fn run_starts(key_cols: &[&[i64]], range: Range<usize>) -> Vec<u32> {
+pub(crate) fn run_starts(key_cols: &[Col], range: Range<usize>) -> Vec<u32> {
     range
         .filter(|&r| r == 0 || !rows_eq(key_cols, r as u32 - 1, r as u32))
         .map(|r| r as u32)
@@ -190,7 +270,7 @@ pub(crate) fn run_starts(key_cols: &[&[i64]], range: Range<usize>) -> Vec<u32> {
 /// that earlier start; `None` iff the runs form a grouping. `starts` are
 /// [`run_starts`] results in row order, possibly in per-morsel parts.
 /// Only run starts are hashed.
-pub(crate) fn resumed_run(key_cols: &[&[i64]], starts: &[Vec<u32>]) -> Option<(u32, u32)> {
+pub(crate) fn resumed_run(key_cols: &[Col], starts: &[Vec<u32>]) -> Option<(u32, u32)> {
     let mut seen = GroupTable::with_capacity(starts.iter().map(Vec::len).sum());
     for &s in starts.iter().flatten() {
         let (g, new) = seen.find_or_insert(key_cols, hash_row(key_cols, s as usize), s);
@@ -207,16 +287,16 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    fn slices(cols: &[Vec<i64>]) -> Vec<&[i64]> {
-        cols.iter().map(Vec::as_slice).collect()
+    fn slices(cols: &[Vec<i64>]) -> Vec<Col<'_>> {
+        cols.iter().map(|c| Col::from(&c[..])).collect()
     }
 
-    fn key(cols: &[&[i64]], r: usize) -> Vec<i64> {
-        cols.iter().map(|c| c[r]).collect()
+    fn key(cols: &[Col], r: usize) -> Vec<i64> {
+        cols.iter().map(|c| c.at(r)).collect()
     }
 
     /// The reference model: first-seen ids from a `Vec<i64>`-keyed map.
-    fn model_gids(cols: &[&[i64]], rows: usize) -> Vec<u32> {
+    fn model_gids(cols: &[Col], rows: usize) -> Vec<u32> {
         let mut ids: HashMap<Vec<i64>, u32> = HashMap::new();
         (0..rows)
             .map(|r| {
@@ -228,7 +308,7 @@ mod tests {
 
     /// The kernel, with `mask` and-ed onto every hash and `buckets`
     /// buckets — both only ever lengthen chains.
-    fn kernel_gids(cols: &[&[i64]], rows: usize, mask: u64, buckets: usize) -> Vec<u32> {
+    fn kernel_gids(cols: &[Col], rows: usize, mask: u64, buckets: usize) -> Vec<u32> {
         let mut table = GroupTable::with_capacity(buckets);
         let gids: Vec<u32> = hash_rows(cols, 0..rows)
             .iter()
@@ -253,7 +333,7 @@ mod tests {
 
     /// The reference model: the nested-loop pair list, filtered by key
     /// equality — left rows outer, right rows in right-table order.
-    fn model_pairs(l: &[&[i64]], r: &[&[i64]], nl: usize, nr: usize) -> Vec<(u32, u32)> {
+    fn model_pairs(l: &[Col], r: &[Col], nl: usize, nr: usize) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         for i in 0..nl {
             for j in 0..nr {
@@ -265,25 +345,28 @@ mod tests {
         out
     }
 
+    /// [`ChainTable::probe`] over probe rows `0..nl` in morsels of
+    /// `morsel` rows, with `mask` and-ed onto every hash.
     fn kernel_pairs(
-        l: &[&[i64]],
-        r: &[&[i64]],
+        l: &[Col],
+        r: &[Col],
         nl: usize,
         nr: usize,
         mask: u64,
+        morsel: usize,
     ) -> Vec<(u32, u32)> {
         let build: Vec<u64> = hash_rows(r, 0..nr).iter().map(|h| h & mask).collect();
         let table = ChainTable::build(&build);
+        let dense: Vec<Cow<[i64]>> = r.iter().map(|c| c.dense()).collect();
+        let rkeys: Vec<&[i64]> = dense.iter().map(|c| &c[..]).collect();
         let mut out = Vec::new();
-        for (i, &h) in hash_rows(l, 0..nl).iter().enumerate() {
-            let chain: Vec<u32> = table.candidates(h & mask).collect();
-            assert!(chain.windows(2).all(|w| w[0] < w[1]), "chains ascend");
-            out.extend(
-                chain
-                    .into_iter()
-                    .filter(|&j| key(l, i) == key(r, j as usize))
-                    .map(|j| (i as u32, j)),
-            );
+        for start in (0..nl).step_by(morsel) {
+            let range = start..(start + morsel).min(nl);
+            let hashes: Vec<u64> = hash_rows(l, range.clone())
+                .iter()
+                .map(|h| h & mask)
+                .collect();
+            out.extend(table.probe(&hashes, l, &rkeys, range));
         }
         out
     }
@@ -322,7 +405,42 @@ mod tests {
         let expect = model_pairs(&pcols, &cols, 200, 1500);
         assert!(!expect.is_empty());
         for mask in [u64::MAX, 0, 1] {
-            assert_eq!(kernel_pairs(&pcols, &cols, 200, 1500, mask), expect);
+            for morsel in [7, 200] {
+                assert_eq!(kernel_pairs(&pcols, &cols, 200, 1500, mask, morsel), expect);
+            }
+        }
+    }
+
+    #[test]
+    fn probe_on_extremes_duplicates_and_an_empty_build_side() {
+        let build = vec![i64::MAX, 0, i64::MIN, i64::MAX, 0, i64::MIN, -1, i64::MAX];
+        let build2 = vec![0, 0, 0, 1, 0, 0, 0, 0];
+        let probe = vec![i64::MIN, 5, i64::MAX, 0, i64::MAX, -1, i64::MIN];
+        let probe2 = vec![0, 0, 1, 0, 0, 0, 0];
+        let ids: Vec<u32> = vec![6, 0, 2, 2, 4, 1, 3, 5];
+        let (bs, ps) = ([build, build2], [probe, probe2]);
+        let (b, p) = (slices(&bs), slices(&ps));
+        // The probe side also read through row ids, as an intermediate's is.
+        let through: Vec<Col> = ps
+            .iter()
+            .map(|c| Col {
+                vals: c,
+                ids: Some(&ids),
+            })
+            .collect();
+        // One key column, then two (the second splits `i64::MAX`).
+        for (arity, pairs) in [(1, [13, 16]), (2, [10, 11])] {
+            for (l, nl, len) in [(&p[..arity], 7, pairs[0]), (&through[..arity], 8, pairs[1])] {
+                let expect = model_pairs(l, &b[..arity], nl, 8);
+                assert_eq!(expect.len(), len);
+                for mask in [u64::MAX, 0, 1] {
+                    for morsel in [1, 3, 8] {
+                        assert_eq!(kernel_pairs(l, &b[..arity], nl, 8, mask, morsel), expect);
+                    }
+                }
+                let none = vec![Col::from(&[][..]); arity];
+                assert!(kernel_pairs(l, &none, nl, 0, 0, 3).is_empty());
+            }
         }
     }
 
@@ -330,19 +448,21 @@ mod tests {
     fn the_empty_key_is_one_group_and_a_cross_product() {
         assert_eq!(hash_rows(&[], 2..5), vec![0, 0, 0]);
         assert_eq!(kernel_gids(&[], 4, u64::MAX, 4), vec![0, 0, 0, 0]);
-        let cross = kernel_pairs(&[], &[], 2, 3, u64::MAX);
-        assert_eq!(cross, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
+        for morsel in [1, 2] {
+            let cross = kernel_pairs(&[], &[], 2, 3, u64::MAX, morsel);
+            assert_eq!(cross, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
+        }
     }
 
     #[test]
     fn zero_rows_on_either_side() {
         let col = vec![1i64, 2, 3];
         let some = slices(std::slice::from_ref(&col));
-        let none: Vec<&[i64]> = vec![&[]];
+        let none: Vec<Col> = vec![Col::from(&[][..])];
         assert!(kernel_gids(&none, 0, u64::MAX, 0).is_empty());
-        assert!(kernel_pairs(&some, &none, 3, 0, u64::MAX).is_empty());
-        assert!(kernel_pairs(&none, &some, 0, 3, u64::MAX).is_empty());
-        assert!(kernel_pairs(&[], &[], 0, 0, u64::MAX).is_empty());
+        assert!(kernel_pairs(&some, &none, 3, 0, u64::MAX, 2).is_empty());
+        assert!(kernel_pairs(&none, &some, 0, 3, u64::MAX, 2).is_empty());
+        assert!(kernel_pairs(&[], &[], 0, 0, u64::MAX, 2).is_empty());
     }
 
     #[test]
@@ -378,7 +498,7 @@ mod tests {
 
     /// The reference model of [`resumed_run`]: the first row that starts
     /// a run of a key seen before, with that key's first row.
-    fn model_resumed(cols: &[&[i64]], rows: usize) -> Option<(u32, u32)> {
+    fn model_resumed(cols: &[Col], rows: usize) -> Option<(u32, u32)> {
         let mut first: HashMap<Vec<i64>, u32> = HashMap::new();
         for r in 0..rows {
             let k = key(cols, r);
@@ -421,6 +541,7 @@ mod tests {
                 .prop_flat_map(|(arity, nl, nr)| (table(arity, nl), table(arity, nr))),
             mask in prop_oneof![Just(u64::MAX), Just(0u64), Just(1u64)],
             buckets in 0usize..64,
+            morsel in 1usize..8,
         ) {
             let (left, right) = tables;
             let (l, r) = (slices(&left), slices(&right));
@@ -428,8 +549,31 @@ mod tests {
             let nr = right.first().map_or(2, Vec::len);
             prop_assert_eq!(kernel_gids(&l, nl, mask, buckets), model_gids(&l, nl));
             prop_assert_eq!(
-                kernel_pairs(&l, &r, nl, nr, mask),
+                kernel_pairs(&l, &r, nl, nr, mask, morsel),
                 model_pairs(&l, &r, nl, nr)
+            );
+        }
+
+        /// The probe with its key columns read through row ids, as an
+        /// intermediate's are: the model's pairs, in order, for key arity
+        /// 1–3, repeated and skipped probe rows, an empty build or probe
+        /// side, hashes masked to one or two buckets, at any morsel size.
+        #[test]
+        fn probe_through_row_ids_matches_the_model(
+            sides in (1usize..4, 0usize..50, 0usize..50)
+                .prop_flat_map(|(arity, nl, nr)| (table(arity, nl), table(arity, nr))),
+            ids in proptest::collection::vec(0usize..50, 0..60),
+            mask in prop_oneof![Just(u64::MAX), Just(0u64), Just(1u64)],
+            morsel in 1usize..8,
+        ) {
+            let (left, right) = sides;
+            let r = slices(&right);
+            let (nl, nr) = (left[0].len(), right[0].len());
+            let ids: Vec<u32> = ids.iter().filter(|_| nl > 0).map(|&i| (i % nl.max(1)) as u32).collect();
+            let l: Vec<Col> = left.iter().map(|c| Col { vals: c, ids: Some(&ids) }).collect();
+            prop_assert_eq!(
+                kernel_pairs(&l, &r, ids.len(), nr, mask, morsel),
+                model_pairs(&l, &r, ids.len(), nr)
             );
         }
 

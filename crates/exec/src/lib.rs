@@ -13,13 +13,16 @@
 //! * [`engine`] — one vectorized operator per [`PlanOp`] variant,
 //!   morsel-parallel on any [`OrderedExecutor`](ofw_common::OrderedExecutor)
 //!   with fixed-size morsels merged in index order, so output is
-//!   **byte-identical at any thread count**; one stable radix sort
-//!   kernel behind `Sort`, `PartialSort` and `IndexScan`.
+//!   **byte-identical at any thread count**. Operators hand each other
+//!   `u32` row ids into the base columns, and the attribute columns are
+//!   gathered once, at the plan root; one stable radix sort kernel
+//!   serves `Sort`, `PartialSort` and `IndexScan`.
 //! * `hash` (private) — the flat bucket/chain hash kernels behind hash
 //!   join, the group join's join half, hash aggregation and hash
-//!   grouping (keys are compared through the input columns, never
-//!   copied), and the run finder behind streaming aggregation and the
-//!   grouping check.
+//!   grouping (keys are compared through the input columns and their
+//!   row ids, never copied; the join probe writes every candidate and
+//!   keeps the matches without a branch), and the run finder behind
+//!   streaming aggregation and the grouping check.
 //! * [`mod@reference`] — the canonical left-deep, root-only-aggregation
 //!   reference plan and the multiset [`result_signature`] the
 //!   differential correctness harness compares across the DP plan, the
