@@ -12,10 +12,12 @@
 //! (`IndexScan` reads a clustered index on `r0.g` under a filter that
 //! keeps about half the rows), the full and partial sorts, both
 //! aggregates and the hash grouping, and the four joins — plus
-//! `JoinChain`, two hash joins over three relations of `rows / 2` rows,
-//! whose inner join hands the outer one row ids, never columns. A row
-//! panics on any execution error, so running the binary is also a
-//! check.
+//! `HashJoinSparse`, the hash join on unique build keys probed by keys
+//! from twice their domain (about half the probe rows miss, and bucket
+//! lengths are mixed), and `JoinChain`, two hash joins over three
+//! relations of `rows / 2` rows, whose inner join hands the outer one
+//! row ids, never columns. A row panics on any execution error, so
+//! running the binary is also a check.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -119,6 +121,19 @@ fn calib_join(rows: usize, seed: u64) -> (Catalog, Query, Vec<Vec<Vec<i64>>>) {
     (catalog, query, data)
 }
 
+/// [`calib_join`]'s data with unique build keys (`r1.k2`), probed by
+/// keys drawn from twice their domain: about half the probe rows miss,
+/// and the build side's buckets hold mixed numbers of rows.
+fn sparse_keys(data: &[Vec<Vec<i64>>]) -> Vec<Vec<Vec<i64>>> {
+    let mut data = data.to_vec();
+    let domain = 2 * data[1][0].len() as u64;
+    data[1][0] = (0..data[1][0].len() as i64).collect();
+    data[0][1] = (0..data[0][1].len() as u64)
+        .map(|r| ((r.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % domain) as i64)
+        .collect();
+    data
+}
+
 /// Three relations chained by two equi-joins (`r0.k = r1.k2`,
 /// `r1.m = r2.m2`), keys shaped like [`calib_join`]'s.
 fn calib_chain(rows: usize, seed: u64) -> (Catalog, Query, Vec<Vec<Vec<i64>>>) {
@@ -191,7 +206,7 @@ fn calibration_row(
     let cost_units = units(out.num_rows() as u64);
     let processed: u64 = stats.ops.values().map(|s| s.rows).sum();
     println!(
-        "{:<12} {:>9} {:>9} | {:>12.0} {:>9.2} | {:>7.1}M {:>8.1}",
+        "{:<14} {:>9} {:>9} | {:>12.0} {:>9.2} | {:>7.1}M {:>8.1}",
         op_name,
         rows_in,
         out.num_rows(),
@@ -206,7 +221,7 @@ fn main() {
     let n = ofw_bench::count_arg(1, 500_000, USAGE);
     println!("Cost-model calibration ({n} base rows):");
     println!(
-        "{:<12} {:>9} {:>9} | {:>12} {:>9} | {:>8} {:>8}",
+        "{:<14} {:>9} {:>9} | {:>12} {:>9} | {:>8} {:>8}",
         "operator", "rows in", "rows out", "cost units", "exec ms", "Mrows/s", "ns/unit"
     );
     let (catalog, query, data) = calib_single(n, 7);
@@ -303,20 +318,30 @@ fn main() {
     let (catalog, query, data) = calib_join(join_rows, 8);
     let join_key = vec![catalog.attr("r0.k")];
     let build_key = vec![catalog.attr("r1.k2")];
+    let sparse = sparse_keys(&data);
     let scan1: &dyn Fn(&[PlanId]) -> PlanOp = &|_| PlanOp::Scan { qrel: 1 };
-    for (name, ops, units) in [
+    let hash_join: &dyn Fn(&[PlanId]) -> PlanOp = &|ids| PlanOp::HashJoin {
+        left: ids[0],
+        right: ids[1],
+        edge: 0,
+    };
+    let hash_units = move |out: u64| 2.0 * cost::scan(jn) + cost::hash_join(jn, jn, out as f64);
+    for (name, data, ops, units) in [
         (
             "HashJoin",
-            vec![scan, scan1, &|ids: &[PlanId]| PlanOp::HashJoin {
-                left: ids[0],
-                right: ids[1],
-                edge: 0,
-            }],
-            Box::new(move |out: u64| 2.0 * cost::scan(jn) + cost::hash_join(jn, jn, out as f64))
-                as Box<dyn Fn(u64) -> f64>,
+            &data,
+            vec![scan, scan1, hash_join],
+            Box::new(hash_units) as Box<dyn Fn(u64) -> f64>,
+        ),
+        (
+            "HashJoinSparse",
+            &sparse,
+            vec![scan, scan1, hash_join],
+            Box::new(hash_units),
         ),
         (
             "MergeJoin",
+            &data,
             vec![
                 scan,
                 scan1,
@@ -340,7 +365,7 @@ fn main() {
         ),
     ] {
         let (arena, root) = micro_plan(&query, &ops);
-        calibration_row(name, &catalog, &query, &data, &arena, root, &units);
+        calibration_row(name, &catalog, &query, data, &arena, root, &units);
     }
     {
         let (catalog, query, data) = calib_chain(join_rows, 11);

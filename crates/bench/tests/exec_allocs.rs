@@ -142,15 +142,26 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     );
     let morsels = ROWS.div_ceil(ofw_exec::MORSEL_ROWS) as u64;
     let (rows, pairs) = (ROWS as u64, 2 * ROWS as u64);
+    // A one-key hash join's kernel buffers: per build row its hash, row
+    // id and key copy (20 bytes); per bucket (the build rows rounded up
+    // to a power of two) an offset (4); per probe row its hash, which
+    // becomes its span (8), and its dense key when the probe side has
+    // row ids (8 more); per candidate a slot and a pair (12). At load
+    // ≤ 1 a probe row meets its matches and, on average, under one other
+    // build row, so candidates are bounded by the pairs plus the probe
+    // rows.
+    let hash_join = |build: u64, probe: u64, probe_ids: bool, pairs: u64| {
+        let probe_row = if probe_ids { 16 } else { 8 };
+        build * 20 + build.next_power_of_two() * 4 + probe * probe_row + (pairs + probe) * 12
+    };
     // Per plan: its name, its output rows, its root, the allocations it
     // may make — rows / 10 for the hash operators; a few per morsel for
     // the sort, whose 16-bit key cuts 256 radix buckets; sixteen per
     // morsel for the index scan, whose filter grows each morsel's
     // survivor list by doubling and whose 20-bit key cuts 1 024 buckets
     // — and the bytes its id, pair, hash or entry buffers may take
-    // beside the output columns the root gathers: 16 per build and probe
-    // row (hash, chain link) and per output pair (the pair lists, grown
-    // by doubling) for a join, and a `u32` id per part and row of every
+    // beside the output columns the root gathers: a join's kernel
+    // buffers (`hash_join`), and a `u32` id per part and row of every
     // join or sort output it composes; 36 per row (hash, three `u32` row
     // or group ids, the per-morsel group tables) for the hash grouping;
     // two 16-byte sort entries per input row for the sorts (the filtered
@@ -158,20 +169,20 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     // leave over). HashAgg's output is a thousand groups: it is held to
     // the allocation count only. A scan below an operator allocates
     // nothing, so each plan is charged its whole allocation. Measured on
-    // 100 000 rows (bound in brackets): HashJoin 14.7 MB [16.8] for 8.0 MB
-    // of output in 137 allocations; HashGroup 6.2 MB [6.7] for 2.4 MB;
+    // 100 000 rows (bound in brackets): HashJoin 16.0 MB [17.3] for 8.0 MB
+    // of output in 187 allocations; HashGroup 6.2 MB [6.7] for 2.4 MB;
     // Sort 6.0 MB [6.3] for 2.4 MB in 30 allocations [100]; the index
     // scan 3.0 MB [4.2] for 0.8 MB in 274 allocations [400]; the two-join
-    // chain 26.2 MB [33.0] for 11.2 MB; the sort over the join 22.7 MB
-    // [26.4] for 8.0 MB. Materializing every join's output, as the
-    // executor once did, takes 37.1 MB and 32.2 MB for the last two.
+    // chain 31.2 MB [36.0] for 11.2 MB; the sort over the join 24.0 MB
+    // [26.9] for 8.0 MB. Materializing the inner join's columns, as the
+    // executor once did, takes 37.6 MB and 32.0 MB for the last two.
     let plans = [
         (
             "HashJoin",
             2 * ROWS,
             join,
             rows / 10,
-            Some(2 * rows * 16 + pairs * 16),
+            Some(hash_join(rows, rows, false, pairs)),
         ),
         (
             "HashAgg",
@@ -239,7 +250,10 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
             ),
             rows / 10,
             Some(
-                (2 * rows) * 16 + pairs * (16 + 2 * 4) + (rows + pairs) * 16 + pairs * (16 + 3 * 4),
+                hash_join(rows, rows, false, pairs)
+                    + pairs * 2 * 4
+                    + hash_join(rows, pairs, true, pairs)
+                    + pairs * 3 * 4,
             ),
         ),
         (
@@ -254,7 +268,12 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                 joined,
             ),
             rows / 10,
-            Some(2 * rows * 16 + pairs * (16 + 2 * 4) + 2 * pairs * 16 + pairs * 2 * 4),
+            Some(
+                hash_join(rows, rows, false, pairs)
+                    + pairs * 2 * 4
+                    + 2 * pairs * 16
+                    + pairs * 2 * 4,
+            ),
         ),
     ];
     for (op, rows_out, root, max_allocs, buffers) in plans {

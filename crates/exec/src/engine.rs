@@ -15,9 +15,13 @@
 //! `u32` row-id vector (absent for the identity). Scans and index scans
 //! return their surviving or sorted ids; sorts and hash grouping permute
 //! ids; joins read only their key columns, through the ids, and compose
-//! each side's ids through the pair list; aggregates emit each group's
-//! representative row. Only the weight and accumulator columns are
-//! materialized below the root. [`execute_plan`] then gathers every
+//! each side's ids through the pair list. The hash join probes a
+//! bucket-sorted build table (the `hash` module) and the nested-loop
+//! join scans the right key column; both write every candidate pair and
+//! keep the matches by advancing the write index, never by a branch on
+//! the match. Aggregates emit each group's representative row. Only the
+//! weight and accumulator columns are materialized below the root.
+//! [`execute_plan`] then gathers every
 //! attribute column once, written in place by one task per output
 //! morsel. `Sort`, `PartialSort` and `IndexScan` share one stable radix
 //! sort, linear in the rows for the bits the key range needs, so a
@@ -35,7 +39,7 @@
 //! reference plan.
 
 use crate::batch::{ColRef, ColTable};
-use crate::hash::{hash_rows, resumed_run, rows_eq, run_starts, ChainTable, Col, GroupTable};
+use crate::hash::{hash_rows, resumed_run, rows_eq, run_starts, Col, GroupTable, JoinTable};
 use ofw_catalog::{AttrId, Catalog};
 use ofw_common::{morsel_ranges, OrderedExecutor, SerialExecutor};
 use ofw_obs::Trace;
@@ -1053,10 +1057,11 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
 
         // Resolve every connecting equi-join predicate's columns — the
         // planner applies them all at this operator, so the executor
-        // must too. The left key is read through its ids; the right
-        // (build) key once into a dense column, since every kernel
-        // below reads it at random.
-        let mut edges: Vec<(usize, Col, Cow<[i64]>)> = Vec::new(); // (edge, left, right)
+        // must too. Both keys are read through their ids: the hash
+        // table reads the right (build) key into bucket order, the merge
+        // and nested-loop kernels once into a dense column, since they
+        // read it at random.
+        let mut edges: Vec<(usize, Col, Col)> = Vec::new(); // (edge, left, right)
         for e in self.graph.connecting_edges(lmask, rmask) {
             let j = &self.query.joins[e];
             let (la, ra) = if lmask.contains(self.query.owner(j.left)) {
@@ -1066,23 +1071,34 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             };
             let lc = self.attr_col(plan, op, &lt, la)?;
             let rc = self.attr_col(plan, op, &rt, ra)?;
-            edges.push((e, lc, rc.dense()));
+            edges.push((e, lc, rc));
         }
+        let dense_right = || -> Vec<(usize, Col, Cow<[i64]>)> {
+            edges
+                .iter()
+                .map(|&(e, lc, rc)| (e, lc, rc.dense(0..rt.rows)))
+                .collect()
+        };
 
         // Emit (left, right) row pairs in the legacy order: left rows
         // outer, matching right rows in right-table order.
         let (pair_chunks, batches) = match kind {
             JoinKind::Hash => {
                 let lkeys: Vec<Col> = edges.iter().map(|e| e.1).collect();
-                let rkeys: Vec<&[i64]> = edges.iter().map(|e| &e.2[..]).collect();
-                let build: Vec<Col> = rkeys.iter().map(|&c| Col::from(c)).collect();
-                let table = ChainTable::build(&hash_rows(&build, 0..rt.rows));
+                let rkeys: Vec<Col> = edges.iter().map(|e| e.2).collect();
+                let table = JoinTable::build(&hash_rows(&rkeys, 0..rt.rows), &rkeys);
                 run_morsels(self.pool, lt.rows, self.morsel, &|range| {
-                    let hashes = hash_rows(&lkeys, range.clone());
-                    table.probe(&hashes, &lkeys, &rkeys, range)
+                    // Each probe key read once, then hashed and compared
+                    // where it lies.
+                    let dense: Vec<Cow<[i64]>> =
+                        lkeys.iter().map(|c| c.dense(range.clone())).collect();
+                    let keys: Vec<&[i64]> = dense.iter().map(|k| &k[..]).collect();
+                    let cols: Vec<Col> = keys.iter().map(|&k| Col::from(k)).collect();
+                    table.probe(hash_rows(&cols, 0..range.len()), &keys, range.start)
                 })
             }
             JoinKind::Merge(edge) => {
+                let edges = dense_right();
                 let (_, plc, prc) = edges.iter().find(|e| e.0 == edge).ok_or_else(|| {
                     self.err(
                         plan,
@@ -1120,24 +1136,46 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                     pairs
                 })
             }
-            // Per left row, a scan of the first edge's right column; the
-            // other edges are checked on a hit only. No edge: every pair.
-            JoinKind::NestedLoop => run_morsels(self.pool, lt.rows, self.morsel, &|range| {
-                let mut pairs: Vec<(u32, u32)> = Vec::new();
-                for l in range {
-                    let Some(((_, lc, rc), residual)) = edges.split_first() else {
-                        pairs.extend((0..rt.rows as u32).map(|r| (l as u32, r)));
-                        continue;
+            // Per left row, a scan of the first edge's right column that
+            // writes every right row as a pair and advances the write
+            // index by the `&` of every edge's equality, so no branch
+            // depends on a match. The buffer grows to hold a whole scan
+            // past the write index, by the previous row's matches. No
+            // edge: every pair.
+            JoinKind::NestedLoop => {
+                let edges = dense_right();
+                let rkeys: Vec<&[i64]> = edges.iter().map(|e| &e.2[..]).collect();
+                run_morsels(self.pool, lt.rows, self.morsel, &|range| {
+                    let mut pairs: Vec<(u32, u32)> = Vec::new();
+                    // Slices of their own, so the loop keeps them in
+                    // registers across its stores.
+                    let Some((rc, rest)) = rkeys.split_first() else {
+                        for l in range {
+                            pairs.extend((0..rt.rows as u32).map(|r| (l as u32, r)));
+                        }
+                        return pairs;
                     };
-                    let v = lc.at(l);
-                    for (r, _) in rc.iter().enumerate().filter(|&(_, &x)| x == v) {
-                        if residual.iter().all(|(_, lc, rc)| lc.at(l) == rc[r]) {
-                            pairs.push((l as u32, r as u32));
+                    let mut key = vec![0; edges.len()];
+                    let mut w = 0;
+                    for l in range {
+                        for (k, (_, lc, _)) in key.iter_mut().zip(&edges) {
+                            *k = lc.at(l);
+                        }
+                        let (v, rest_key) = (key[0], &key[1..]);
+                        pairs.resize(w + rc.len(), (0, 0));
+                        for (r, &x) in rc.iter().enumerate() {
+                            pairs[w] = (l as u32, r as u32);
+                            let hit = rest_key
+                                .iter()
+                                .zip(rest)
+                                .fold(x == v, |eq, (&v, rc)| eq & (v == rc[r]));
+                            w += usize::from(hit);
                         }
                     }
-                }
-                pairs
-            }),
+                    pairs.truncate(w);
+                    pairs
+                })
+            }
         };
         let (out, cb) = self.join_output(&lt, &rt, &Spliced::new(&pair_chunks));
         self.stats.record(op, batches + cb, out.rows as u64);
@@ -1956,6 +1994,53 @@ mod tests {
             ).unwrap();
             let mut expect = Vec::new();
             for l in &left {
+                for r in &right {
+                    if (0..edges).all(|e| l[e] == r[e]) {
+                        expect.push([&l[..], &r[..]].concat());
+                    }
+                }
+            }
+            prop_assert_eq!(out.attr_table().rows, expect);
+        }
+
+        /// The same scan with its left keys read through row ids: the
+        /// left side is a scan filtered on `r.c <= 1`, on 1–2 join edges.
+        #[test]
+        fn nested_loop_scan_reads_a_filtered_left_side_through_its_ids(
+            edges in 1usize..3,
+            left in proptest::collection::vec(proptest::collection::vec(0i64..3, 3), 0..20),
+            right in proptest::collection::vec(proptest::collection::vec(0i64..3, 3), 0..40),
+            morsel in 1usize..8,
+        ) {
+            let mut catalog = Catalog::new();
+            let r = catalog.add_relation("r", 3.0, &["a", "b", "c"]);
+            let s = catalog.add_relation("s", 3.0, &["x", "y", "z"]);
+            let mut query = Query::new();
+            query.add_relation(&catalog, r);
+            query.add_relation(&catalog, s);
+            query.filters.push(FilterPred {
+                attr: catalog.attr("r.c"),
+                selectivity: 0.5,
+            });
+            for (l, r) in [("r.a", "s.x"), ("r.b", "s.y")].into_iter().take(edges) {
+                query.joins.push(ofw_query::JoinEdge {
+                    left: catalog.attr(l),
+                    right: catalog.attr(r),
+                    selectivity: 0.5,
+                });
+            }
+            let mut arena: PlanArena<()> = PlanArena::new();
+            let ls = arena.push(node(&query, &[0], PlanOp::Scan { qrel: 0 }));
+            let rs = arena.push(node(&query, &[1], PlanOp::Scan { qrel: 1 }));
+            let nl = arena.push(node(&query, &[0, 1], PlanOp::NestedLoopJoin { left: ls, right: rs }));
+            let columns = |rows: &[Vec<i64>]| (0..3).map(|c| rows.iter().map(|row| row[c]).collect()).collect();
+            let data = vec![columns(&left), columns(&right)];
+            let (out, _) = execute_plan(
+                &arena, nl, &catalog, &query, &data,
+                &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
+            ).unwrap();
+            let mut expect = Vec::new();
+            for l in left.iter().filter(|l| l[2] <= 1) {
                 for r in &right {
                     if (0..edges).all(|e| l[e] == r[e]) {
                         expect.push([&l[..], &r[..]].concat());

@@ -1,30 +1,31 @@
-//! The executor's hash kernels: one flat bucket/chain layout behind
-//! every hash operator.
+//! The executor's hash kernels: the join's bucket-sorted table and the
+//! aggregates' chained group table.
 //!
 //! No key is materialized per row. A morsel's keys are hashed
-//! column-at-a-time into a `Vec<u64>` ([`hash_rows`]); a table stores
-//! row or group indices in two flat `u32` vectors — `heads` (one slot
-//! per power-of-two bucket) and `next` (one slot per entry, the bucket's
-//! chain) — and compares keys *through the input columns* it was built
-//! over. An input column is a [`Col`]: values read through the
-//! intermediate's row ids, so a key is hashed and compared where it
-//! lies. Only a join's build side is read once into dense columns (by
-//! the caller), since the chain walk reads it at random. Two tables
-//! share the layout:
+//! column-at-a-time into a `Vec<u64>` ([`hash_rows`]), and a table has
+//! one power-of-two bucket array. An input column is a [`Col`]: values
+//! read through the intermediate's row ids. Two tables:
 //!
-//! * [`ChainTable`] chains **build rows** (hash join, group join). It is
-//!   filled in reverse row order, so every chain ascends in row index
-//!   and a probe meets its matches in build-table order. The probe walks
-//!   `heads`/`next` directly and writes every candidate into its pair
-//!   buffer, advancing the write index by the key comparison over all
-//!   key columns, so no branch depends on whether a candidate matches.
+//! * [`JoinTable`] holds a join's **build rows** (hash join, group
+//!   join), sorted by bucket: one counting pass places every row in its
+//!   bucket's contiguous span `offsets[b]..offsets[b + 1]`, with its key
+//!   values (read once through the row ids) side by side with it. Rows
+//!   are scattered in ascending order, so every span ascends and a probe
+//!   meets its matches in build-table order. A probe morsel lays every
+//!   probe row's span out flat as candidate slots and runs one loop over
+//!   all candidates: each writes its pair and advances the write index
+//!   by the comparison over all key columns, so no branch depends on a
+//!   span's length or on whether a candidate matches.
 //! * [`GroupTable`] chains **dense group ids** handed out in first-seen
 //!   order, each with a representative row and its stored hash (hash
-//!   aggregation, hash grouping, and the run-start check below).
+//!   aggregation, hash grouping, and the run-start check below), with
+//!   `heads` (one slot per bucket) and `next` (one per group). It
+//!   inserts as it probes, so it compares keys *through the input
+//!   columns* it was built over.
 //!
 //! Both orders are functions of the data alone, so nothing an operator
 //! emits depends on the hash function or the bucket count — those only
-//! decide how long the chains are.
+//! decide how long the spans and chains are.
 //!
 //! The run finder lives here too: [`run_starts`] cuts rows into maximal
 //! equal-key runs by comparing neighbours, and [`resumed_run`] hashes
@@ -57,12 +58,12 @@ impl<'t> Col<'t> {
         }
     }
 
-    /// Every row's value as one slice: borrowed without ids, read once
-    /// through them otherwise.
-    pub(crate) fn dense(self) -> Cow<'t, [i64]> {
+    /// The values of rows `range` as one slice: borrowed without ids,
+    /// read once through them otherwise.
+    pub(crate) fn dense(self, range: Range<usize>) -> Cow<'t, [i64]> {
         match self.ids {
-            Some(ids) => Cow::Owned(ids.iter().map(|&i| self.vals[i as usize]).collect()),
-            None => Cow::Borrowed(self.vals),
+            Some(ids) => Cow::Owned(ids[range].iter().map(|&i| self.vals[i as usize]).collect()),
+            None => Cow::Borrowed(&self.vals[range]),
         }
     }
 }
@@ -123,67 +124,115 @@ fn bucket(heads: &[u32], hash: u64) -> usize {
     hash as usize & (heads.len() - 1)
 }
 
-/// A join build side: every build row chained under its hash bucket.
-pub(crate) struct ChainTable {
-    heads: Vec<u32>,
-    next: Vec<u32>,
+/// A join build side, sorted by hash bucket: bucket `b`'s build rows
+/// hold slots `offsets[b]..offsets[b + 1]`, ascending, each beside its
+/// key values.
+pub(crate) struct JoinTable {
+    /// Per bucket, its first slot; one more entry holds the row count.
+    offsets: Vec<u32>,
+    /// Per slot, its build row.
+    rows: Vec<u32>,
+    /// Per key column, per slot: the build row's value.
+    keys: Vec<Vec<i64>>,
 }
 
-impl ChainTable {
-    /// Chains build rows `0..hashes.len()`, `hashes[r]` being row `r`'s
-    /// hash. Rows are pushed onto their chain's front in reverse order,
-    /// which leaves every chain ascending.
-    pub(crate) fn build(hashes: &[u64]) -> Self {
-        assert!(hashes.len() < NIL as usize, "build side exceeds u32 rows");
-        let mut heads = empty_heads(hashes.len());
-        let mut next = vec![NIL; hashes.len()];
-        for (r, &h) in hashes.iter().enumerate().rev() {
-            let b = bucket(&heads, h);
-            next[r] = heads[b];
-            heads[b] = r as u32;
+impl JoinTable {
+    /// Sorts build rows `0..hashes.len()` into `hashes.len()` rounded up
+    /// to a power of two buckets, `hashes[r]` being row `r`'s hash, and
+    /// reads `key_cols` through their ids into the same order. One
+    /// counting pass: count per bucket, prefix-sum, scatter the rows in
+    /// ascending order, so every bucket's rows ascend.
+    pub(crate) fn build(hashes: &[u64], key_cols: &[Col]) -> Self {
+        let n = hashes.len();
+        assert!(n < NIL as usize, "build side exceeds u32 rows");
+        let mask = n.max(1).next_power_of_two() - 1;
+        // Bucket `b` is counted at `b + 2`, so the prefix sum leaves its
+        // first slot at `b + 1`; the scatter advances that to its end,
+        // which is bucket `b + 1`'s start, and the spare last entry goes.
+        let mut offsets = vec![0u32; mask + 3];
+        for &h in hashes {
+            offsets[(h as usize & mask) + 2] += 1;
         }
-        ChainTable { heads, next }
+        let mut acc = 0;
+        for o in &mut offsets {
+            acc += *o;
+            *o = acc;
+        }
+        let mut rows = vec![0; n];
+        let mut keys = vec![vec![0; n]; key_cols.len()];
+        for (r, &h) in hashes.iter().enumerate() {
+            let at = &mut offsets[(h as usize & mask) + 1];
+            let s = *at as usize;
+            *at += 1;
+            rows[s] = r as u32;
+            for (k, c) in keys.iter_mut().zip(key_cols) {
+                k[s] = c.at(r);
+            }
+        }
+        offsets.pop();
+        JoinTable {
+            offsets,
+            rows,
+            keys,
+        }
     }
 
-    /// A hash join's pairs for probe rows `range`, whose keys hash to
-    /// `hashes`: every `(probe row, build row)` equal on the key columns
-    /// `lkeys` / `rkeys` (the build side's read as dense columns, since
-    /// the table holds their rows), probe rows outer and build rows
-    /// ascending; the empty key pairs every row with every build row.
+    /// A hash join's pairs for the probe rows from `first` on, whose
+    /// keys are `keys` (one dense column per key column, read once) and
+    /// hash to `hashes`: every `(probe row, build row)` equal on the key
+    /// columns, probe rows outer and build rows ascending; the empty key
+    /// pairs every row with every build row.
     ///
-    /// One loop serves every key arity. Each probe row's key is read once
-    /// (through its ids); the loop walks `heads`/`next` directly and
-    /// writes every candidate into the next slot of a pair buffer sized
-    /// to the morsel (doubled when full), and the write index advances by
-    /// the `&` of the per-column comparisons, so no branch depends on
-    /// whether a candidate matches.
+    /// One loop serves every key arity, with no branch on the data. Each
+    /// probe row's span is laid out from its first candidate on, a prefix
+    /// sum of the span lengths (in `usize`: a morsel meeting a bucket of
+    /// many equal keys may exceed `u32` candidates). Each candidate's
+    /// probe row is a count at every row's first candidate, then a
+    /// running sum, so a row with an empty span is passed over without a
+    /// test. The loop then writes every candidate as a pair and advances
+    /// the write index by the `&` of the per-column comparisons.
     pub(crate) fn probe(
         &self,
-        hashes: &[u64],
-        lkeys: &[Col],
-        rkeys: &[&[i64]],
-        range: Range<usize>,
+        mut hashes: Vec<u64>,
+        keys: &[&[i64]],
+        first: usize,
     ) -> Vec<(u32, u32)> {
-        let mut pairs = vec![(0, 0); range.len().max(1)];
-        let mut key = vec![0; lkeys.len()];
+        let mask = self.offsets.len() - 2;
+        // Each probe row's hash becomes its span, `start | len << 32`...
+        let mut total = 0usize;
+        for h in &mut hashes {
+            let b = *h as usize & mask;
+            let (lo, hi) = (self.offsets[b], self.offsets[b + 1]);
+            *h = u64::from(lo) | u64::from(hi - lo) << 32;
+            total += (hi - lo) as usize;
+        }
+        // ...then its span's start less its first candidate, so that
+        // candidate `c` of the row reads slot `c + shift`.
+        let mut owner = vec![0u32; total + 1];
+        let mut at = 0usize;
+        for h in &mut hashes {
+            owner[at] += 1;
+            let (lo, len) = (*h as u32 as usize, (*h >> 32) as usize);
+            *h = lo.wrapping_sub(at) as u64;
+            at += len;
+        }
+        let shifts = hashes;
+        let mut acc = 0;
+        for o in &mut owner[..total] {
+            acc += *o;
+            *o = acc - 1;
+        }
+        let mut pairs = vec![(0, 0); total];
         let mut w = 0;
-        for (l, &h) in range.zip(hashes) {
-            for (k, c) in key.iter_mut().zip(lkeys) {
-                *k = c.at(l);
-            }
-            let mut r = self.heads[bucket(&self.heads, h)];
-            while r != NIL {
-                if w == pairs.len() {
-                    pairs.resize(2 * w, (0, 0));
-                }
-                pairs[w] = (l as u32, r);
-                let hit = key
-                    .iter()
-                    .zip(rkeys)
-                    .fold(true, |eq, (&v, rc)| eq & (v == rc[r as usize]));
-                w += usize::from(hit);
-                r = self.next[r as usize];
-            }
+        for (c, &i) in owner[..total].iter().enumerate() {
+            let i = i as usize;
+            let s = c.wrapping_add(shifts[i] as usize);
+            pairs[w] = ((first + i) as u32, self.rows[s]);
+            let hit = keys
+                .iter()
+                .zip(&self.keys)
+                .fold(true, |eq, (p, b)| eq & (p[i] == b[s]));
+            w += usize::from(hit);
         }
         pairs.truncate(w);
         pairs
@@ -345,8 +394,9 @@ mod tests {
         out
     }
 
-    /// [`ChainTable::probe`] over probe rows `0..nl` in morsels of
-    /// `morsel` rows, with `mask` and-ed onto every hash.
+    /// [`JoinTable::probe`] over probe rows `0..nl` in morsels of
+    /// `morsel` rows, with `mask` and-ed onto every hash — each morsel's
+    /// keys read once into dense columns, as the engine does.
     fn kernel_pairs(
         l: &[Col],
         r: &[Col],
@@ -356,17 +406,17 @@ mod tests {
         morsel: usize,
     ) -> Vec<(u32, u32)> {
         let build: Vec<u64> = hash_rows(r, 0..nr).iter().map(|h| h & mask).collect();
-        let table = ChainTable::build(&build);
-        let dense: Vec<Cow<[i64]>> = r.iter().map(|c| c.dense()).collect();
-        let rkeys: Vec<&[i64]> = dense.iter().map(|c| &c[..]).collect();
+        let table = JoinTable::build(&build, r);
         let mut out = Vec::new();
         for start in (0..nl).step_by(morsel) {
             let range = start..(start + morsel).min(nl);
+            let dense: Vec<Cow<[i64]>> = l.iter().map(|c| c.dense(range.clone())).collect();
+            let keys: Vec<&[i64]> = dense.iter().map(|k| &k[..]).collect();
             let hashes: Vec<u64> = hash_rows(l, range.clone())
                 .iter()
                 .map(|h| h & mask)
                 .collect();
-            out.extend(table.probe(&hashes, l, &rkeys, range));
+            out.extend(table.probe(hashes, &keys, range.start));
         }
         out
     }
@@ -442,6 +492,113 @@ mod tests {
                 assert!(kernel_pairs(l, &none, nl, 0, 0, 3).is_empty());
             }
         }
+    }
+
+    /// The layout [`JoinTable::build`] promises over rows hashing to
+    /// `hashes`: one offset per bucket plus the row count, non-decreasing
+    /// from 0; every bucket's rows ascend and hash to it; and every slot
+    /// holds its row's key values.
+    fn assert_layout(table: &JoinTable, hashes: &[u64], cols: &[Col]) {
+        let (offsets, buckets) = (&table.offsets, table.offsets.len() - 1);
+        assert_eq!(buckets, hashes.len().max(1).next_power_of_two());
+        assert_eq!(offsets[0], 0);
+        assert_eq!(offsets[buckets] as usize, hashes.len());
+        assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        for b in 0..buckets {
+            let span = offsets[b] as usize..offsets[b + 1] as usize;
+            let rows = &table.rows[span.clone()];
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "bucket {b}: {rows:?}");
+            for (s, &r) in span.zip(rows) {
+                assert_eq!(hashes[r as usize] as usize & (buckets - 1), b);
+                for (k, c) in table.keys.iter().zip(cols) {
+                    assert_eq!(k[s], c.at(r as usize));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_is_sorted_by_bucket_with_ascending_rows() {
+        let a: Vec<i64> = (0..1000).map(|r| (r * 7919) % 300 - 150).collect();
+        let b: Vec<i64> = (0..1000).map(|r| r % 3).collect();
+        let ids: Vec<u32> = (0..700).map(|r| (r * 13) % 1000).collect();
+        let cols = [a, b];
+        let dense = slices(&cols);
+        let through: Vec<Col> = cols
+            .iter()
+            .map(|c| Col {
+                vals: c,
+                ids: Some(&ids),
+            })
+            .collect();
+        for (keys, n) in [
+            (&dense, 1000),
+            (&through, 700),
+            (&dense, 5),
+            (&dense, 1),
+            (&dense, 0),
+        ] {
+            for arity in 0..=2 {
+                for mask in [u64::MAX, 0, 1, 6] {
+                    let hashes: Vec<u64> = hash_rows(&keys[..arity], 0..n)
+                        .iter()
+                        .map(|h| h & mask)
+                        .collect();
+                    let table = JoinTable::build(&hashes, &keys[..arity]);
+                    assert_layout(&table, &hashes, &keys[..arity]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_skewed_build_key_meets_every_probe_row_in_model_order() {
+        // One build key 10 000 times, probed by 3 matching and 2 missing
+        // rows: 30 000 pairs, probe rows outer, build rows ascending.
+        let build = [vec![42i64; 10_000]];
+        let probe = [vec![42i64, -1, 42, 43, 42]];
+        let (b, p) = (slices(&build), slices(&probe));
+        let expect = model_pairs(&p, &b, 5, 10_000);
+        assert_eq!(expect.len(), 30_000);
+        for mask in [u64::MAX, 0] {
+            for morsel in [1, 2, 5] {
+                assert!(kernel_pairs(&p, &b, 5, 10_000, mask, morsel) == expect);
+            }
+        }
+    }
+
+    #[test]
+    fn morsels_whose_first_last_or_every_row_has_an_empty_span() {
+        // Keys hash to themselves: the build rows fill buckets 0 and 2 of
+        // 4, so an odd probe key's span is empty.
+        let build = [vec![2i64, 0, 2, 0]];
+        let b = slices(&build);
+        let identity = |col: &[i64]| -> Vec<u64> { col.iter().map(|&v| v as u64).collect() };
+        let table = JoinTable::build(&identity(&build[0]), &b);
+        assert_layout(&table, &identity(&build[0]), &b);
+        for probe in [
+            vec![1i64, 0, 2, 2],
+            vec![0, 2, 0, 3],
+            vec![1, 2, 0, 3],
+            vec![3, 1, 5, 7],
+            vec![1],
+        ] {
+            let p = [probe];
+            let expect: Vec<(u32, u32)> = model_pairs(&slices(&p), &b, p[0].len(), 4)
+                .into_iter()
+                .map(|(l, r)| (l + 10, r))
+                .collect();
+            assert_eq!(
+                table.probe(identity(&p[0]), &[&p[0]], 10),
+                expect,
+                "{:?}",
+                p[0]
+            );
+        }
+        assert_eq!(
+            table.probe(identity(&[1, 0, 3]), &[&[1, 0, 3]], 0),
+            vec![(1, 1), (1, 3)]
+        );
     }
 
     #[test]
