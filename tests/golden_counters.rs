@@ -18,17 +18,21 @@
 //! arms of their comparison, the Q8 preparation sizes and one executed
 //! plan. The pipeline benchmark's `--trace 1` ledger reports the same
 //! counters summed over its suites; two it does not carry are pinned
-//! only here: `spans` (records of a recording [`Trace`]) and
-//! `nfsm_nodes_before` (NFSM size before pruning).
+//! only here: `spans` (records of a recording [`Trace`]),
+//! `nfsm_nodes_before` (NFSM size before pruning) and `arena`, a digest
+//! of every plan node in allocation order — so the layout of the plan
+//! table, not only its size, is pinned.
 
 use ofw::catalog::Catalog;
 use ofw::core::{OrderingFramework, PruneConfig};
 use ofw::exec::{execute_serial, OpStat};
 use ofw::obs::Trace;
-use ofw::plangen::{OrderOracle, PlanGen};
+use ofw::plangen::{OrderOracle, PlanGen, PlanGenResult};
 use ofw::query::extract::ExtractOptions;
 use ofw::query::{ExtractedQuery, Query};
 use ofw::simmen::SimmenFramework;
+use std::fmt::Debug;
+
 use ofw::workload::{
     generate_columns, grouping_query, large_query, q8_query, star_agg_query,
     star_agg_query_ordered, DataConfig, GroupingQueryConfig, LargeQueryConfig, StarAggConfig,
@@ -88,6 +92,50 @@ struct Dp {
     enforcers_admitted: u64,
     enforcers_won: u64,
     spans: usize,
+    arena: u64,
+}
+
+/// FNV-1a over 64-bit words, as `golden_automata.rs` digests automata;
+/// every variable-length list is followed by its length so adjacent
+/// lists cannot alias.
+struct Digest(u64);
+
+impl Digest {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn list(&mut self, items: impl Iterator<Item = u64>) {
+        let mut len = 0u64;
+        for w in items {
+            self.word(w);
+            len += 1;
+        }
+        self.word(len);
+    }
+
+    /// A value by its `Debug` text (operators print child ids as `P{n}`).
+    fn text(&mut self, v: &dyn Debug) {
+        self.list(format!("{v:?}").bytes().map(u64::from));
+    }
+}
+
+/// Every arena node in allocation order — operator, covered relations,
+/// cost and cardinality bits, aggregation mark, applied FDs, oracle
+/// state — then the winner's id.
+fn arena_digest<S: Copy + Debug>(r: &PlanGenResult<S>) -> u64 {
+    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    for n in r.arena.nodes() {
+        d.text(&n.op);
+        d.list(n.mask.iter().map(|m| m as u64));
+        d.word(n.cost.to_bits());
+        d.word(n.card.to_bits());
+        d.text(&n.agg);
+        d.list(n.applied_fds.iter().map(|f| f as u64));
+        d.text(&n.state);
+    }
+    d.word(u64::from(r.best.0));
+    d.0
 }
 
 /// One pinned cell: what is planned, the winner's cost, the counters.
@@ -134,6 +182,7 @@ where
         enforcers_admitted: d.enforcers.admitted_total(),
         enforcers_won: d.enforcers.won_total(),
         spans: trace.records().len(),
+        arena: arena_digest(&r),
     };
     (r.cost, dp)
 }
@@ -195,10 +244,10 @@ fn check(rows: &[Row]) {
 /// still reads; it equals `pairs_emitted` in every row.
 #[rustfmt::skip]
 const ENUMERATOR_CELLS: &[Row] = &[
-    Row { q: Large(Chain, 20, 17037), arm: Dfsm, search: Full, cost: 44986181875.60717, dp: Dp { plans: 11883, pairs_emitted: 2660, pairs_considered: 2660, unions: 190, kept: 12239, dominated: 223833, bound_pruned: 21564, probes: 1508775, memo_hits: 204379, enforcers_admitted: 70, enforcers_won: 70, spans: 214 } },
-    Row { q: Large(Cycle, 12, 17029), arm: Dfsm, search: Full, cost: 1873440.709209783, dp: Dp { plans: 4391, pairs_emitted: 1452, pairs_considered: 1452, unions: 121, kept: 4579, dominated: 38707, bound_pruned: 52402, probes: 230687, memo_hits: 34845, enforcers_admitted: 40, enforcers_won: 40, spans: 137 } },
-    Row { q: Large(Star, 10, 17027), arm: Dfsm, search: Full, cost: 243600693078.95612, dp: Dp { plans: 15309, pairs_emitted: 4608, pairs_considered: 4608, unions: 511, kept: 15599, dominated: 168372, bound_pruned: 9549, probes: 821441, memo_hits: 140039, enforcers_admitted: 40, enforcers_won: 40, spans: 525 } },
-    Row { q: Large(Clique, 8, 17025), arm: Dfsm, search: Full, cost: 96386.27620519481, dp: Dp { plans: 1253, pairs_emitted: 6050, pairs_considered: 6050, unions: 247, kept: 2052, dominated: 18386, bound_pruned: 18803, probes: 402908, memo_hits: 18097, enforcers_admitted: 266, enforcers_won: 266, spans: 259 } },
+    Row { q: Large(Chain, 20, 17037), arm: Dfsm, search: Full, cost: 44986181875.60717, dp: Dp { plans: 11883, pairs_emitted: 2660, pairs_considered: 2660, unions: 190, kept: 12239, dominated: 223833, bound_pruned: 21564, probes: 1508775, memo_hits: 204379, enforcers_admitted: 70, enforcers_won: 70, spans: 214, arena: 11279144329539609960 } },
+    Row { q: Large(Cycle, 12, 17029), arm: Dfsm, search: Full, cost: 1873440.709209783, dp: Dp { plans: 4391, pairs_emitted: 1452, pairs_considered: 1452, unions: 121, kept: 4579, dominated: 38707, bound_pruned: 52402, probes: 230687, memo_hits: 34845, enforcers_admitted: 40, enforcers_won: 40, spans: 137, arena: 7570569121871172981 } },
+    Row { q: Large(Star, 10, 17027), arm: Dfsm, search: Full, cost: 243600693078.95612, dp: Dp { plans: 15309, pairs_emitted: 4608, pairs_considered: 4608, unions: 511, kept: 15599, dominated: 168372, bound_pruned: 9549, probes: 821441, memo_hits: 140039, enforcers_admitted: 40, enforcers_won: 40, spans: 525, arena: 16080460800575571328 } },
+    Row { q: Large(Clique, 8, 17025), arm: Dfsm, search: Full, cost: 96386.27620519481, dp: Dp { plans: 1253, pairs_emitted: 6050, pairs_considered: 6050, unions: 247, kept: 2052, dominated: 18386, bound_pruned: 18803, probes: 402908, memo_hits: 18097, enforcers_admitted: 266, enforcers_won: 266, spans: 259, arena: 9936935059155964478 } },
 ];
 
 /// TPC-R Q8 (the paper's §7 query) and the paper's #Plans claim on a
@@ -206,47 +255,47 @@ const ENUMERATOR_CELLS: &[Row] = &[
 /// (seed `0x9a11e1 + 10`): same optimum, an eighth of Simmen's plans.
 #[rustfmt::skip]
 const ARM_CELLS: &[Row] = &[
-    Row { q: Q8, arm: Dfsm, search: Full, cost: 15089531.108982708, dp: Dp { plans: 392, pairs_emitted: 232, pairs_considered: 232, unions: 36, kept: 549, dominated: 3099, bound_pruned: 3165, probes: 17377, memo_hits: 2798, enforcers_admitted: 77, enforcers_won: 77, spans: 49 } },
-    Row { q: Large(Chain, 10, 10097131), arm: Dfsm, search: Full, cost: 871234.7017481327, dp: Dp { plans: 1276, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 1415, dominated: 11603, bound_pruned: 3552, probes: 56613, memo_hits: 10139, enforcers_admitted: 29, enforcers_won: 29, spans: 59 } },
-    Row { q: Large(Chain, 10, 10097131), arm: Simmen, search: Full, cost: 871234.7017481327, dp: Dp { plans: 10135, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 10401, dominated: 93304, bound_pruned: 67984, probes: 9689432, memo_hits: 89091, enforcers_admitted: 29, enforcers_won: 29, spans: 59 } },
+    Row { q: Q8, arm: Dfsm, search: Full, cost: 15089531.108982708, dp: Dp { plans: 392, pairs_emitted: 232, pairs_considered: 232, unions: 36, kept: 549, dominated: 3099, bound_pruned: 3165, probes: 17377, memo_hits: 2798, enforcers_admitted: 77, enforcers_won: 77, spans: 49, arena: 12857324622766552834 } },
+    Row { q: Large(Chain, 10, 10097131), arm: Dfsm, search: Full, cost: 871234.7017481327, dp: Dp { plans: 1276, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 1415, dominated: 11603, bound_pruned: 3552, probes: 56613, memo_hits: 10139, enforcers_admitted: 29, enforcers_won: 29, spans: 59, arena: 9619680857069406672 } },
+    Row { q: Large(Chain, 10, 10097131), arm: Simmen, search: Full, cost: 871234.7017481327, dp: Dp { plans: 10135, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 10401, dominated: 93304, bound_pruned: 67984, probes: 9689432, memo_hits: 89091, enforcers_admitted: 29, enforcers_won: 29, spans: 59, arena: 171899063150773986 } },
 ];
 
 /// Grouping queries (n = 4, 5 with n-1 and n edges; seeds
 /// `0x6751 + 10 n + extra`), DFSM vs Simmen.
 #[rustfmt::skip]
 const GROUPING_CELLS: &[Row] = &[
-    Row { q: Grouping(4, 0, 26489), arm: Dfsm, search: Full, cost: 29795.360777824324, dp: Dp { plans: 50, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 88, dominated: 352, bound_pruned: 171, probes: 1653, memo_hits: 281, enforcers_admitted: 16, enforcers_won: 16, spans: 15 } },
-    Row { q: Grouping(4, 0, 26489), arm: Simmen, search: Full, cost: 29795.360777824324, dp: Dp { plans: 67, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 112, dominated: 427, bound_pruned: 220, probes: 2790, memo_hits: 360, enforcers_admitted: 16, enforcers_won: 16, spans: 15 } },
-    Row { q: Grouping(5, 0, 26499), arm: Dfsm, search: Full, cost: 2108191.291047524, dp: Dp { plans: 133, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 192, dominated: 1114, bound_pruned: 200, probes: 4219, memo_hits: 983, enforcers_admitted: 18, enforcers_won: 18, spans: 20 } },
-    Row { q: Grouping(5, 0, 26499), arm: Simmen, search: Full, cost: 2108191.291047524, dp: Dp { plans: 254, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 360, dominated: 1678, bound_pruned: 578, probes: 13645, memo_hits: 1493, enforcers_admitted: 18, enforcers_won: 18, spans: 20 } },
-    Row { q: Grouping(4, 1, 26490), arm: Dfsm, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 100, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 156, dominated: 706, bound_pruned: 381, probes: 3860, memo_hits: 660, enforcers_admitted: 32, enforcers_won: 32, spans: 17 } },
-    Row { q: Grouping(4, 1, 26490), arm: Simmen, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 135, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 205, dominated: 923, bound_pruned: 531, probes: 6761, memo_hits: 801, enforcers_admitted: 32, enforcers_won: 32, spans: 17 } },
-    Row { q: Grouping(5, 1, 26500), arm: Dfsm, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 85, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 162, dominated: 828, bound_pruned: 879, probes: 4093, memo_hits: 660, enforcers_admitted: 27, enforcers_won: 27, spans: 26 } },
-    Row { q: Grouping(5, 1, 26500), arm: Simmen, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 137, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 274, dominated: 1338, bound_pruned: 1397, probes: 11759, memo_hits: 1142, enforcers_admitted: 27, enforcers_won: 27, spans: 26 } },
+    Row { q: Grouping(4, 0, 26489), arm: Dfsm, search: Full, cost: 29795.360777824324, dp: Dp { plans: 50, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 88, dominated: 352, bound_pruned: 171, probes: 1653, memo_hits: 281, enforcers_admitted: 16, enforcers_won: 16, spans: 15, arena: 4759893125619727520 } },
+    Row { q: Grouping(4, 0, 26489), arm: Simmen, search: Full, cost: 29795.360777824324, dp: Dp { plans: 67, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 112, dominated: 427, bound_pruned: 220, probes: 2790, memo_hits: 360, enforcers_admitted: 16, enforcers_won: 16, spans: 15, arena: 8328098184320166071 } },
+    Row { q: Grouping(5, 0, 26499), arm: Dfsm, search: Full, cost: 2108191.291047524, dp: Dp { plans: 133, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 192, dominated: 1114, bound_pruned: 200, probes: 4219, memo_hits: 983, enforcers_admitted: 18, enforcers_won: 18, spans: 20, arena: 731983792944617679 } },
+    Row { q: Grouping(5, 0, 26499), arm: Simmen, search: Full, cost: 2108191.291047524, dp: Dp { plans: 254, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 360, dominated: 1678, bound_pruned: 578, probes: 13645, memo_hits: 1493, enforcers_admitted: 18, enforcers_won: 18, spans: 20, arena: 14383556113515481333 } },
+    Row { q: Grouping(4, 1, 26490), arm: Dfsm, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 100, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 156, dominated: 706, bound_pruned: 381, probes: 3860, memo_hits: 660, enforcers_admitted: 32, enforcers_won: 32, spans: 17, arena: 1417511354322524543 } },
+    Row { q: Grouping(4, 1, 26490), arm: Simmen, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 135, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 205, dominated: 923, bound_pruned: 531, probes: 6761, memo_hits: 801, enforcers_admitted: 32, enforcers_won: 32, spans: 17, arena: 16980587255714710961 } },
+    Row { q: Grouping(5, 1, 26500), arm: Dfsm, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 85, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 162, dominated: 828, bound_pruned: 879, probes: 4093, memo_hits: 660, enforcers_admitted: 27, enforcers_won: 27, spans: 26, arena: 13176170692290328103 } },
+    Row { q: Grouping(5, 1, 26500), arm: Simmen, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 137, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 274, dominated: 1338, bound_pruned: 1397, probes: 11759, memo_hits: 1142, enforcers_admitted: 27, enforcers_won: 27, spans: 26, arena: 1547387911954723932 } },
 ];
 
 /// Star aggregation queries (1–3 dimensions; seeds `0x6A01 + 100 d`):
 /// aggregation placement vs the root-only ceiling.
 #[rustfmt::skip]
 const PLACEMENT_CELLS: &[Row] = &[
-    Row { q: StarAgg(1, 27237), arm: Dfsm, search: Full, cost: 1123611.35, dp: Dp { plans: 57, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 59, dominated: 117, bound_pruned: 0, probes: 403, memo_hits: 97, enforcers_admitted: 4, enforcers_won: 4, spans: 7 } },
-    Row { q: StarAgg(1, 27237), arm: Dfsm, search: RootOnly, cost: 1196104.8, dp: Dp { plans: 21, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 21, dominated: 32, bound_pruned: 0, probes: 159, memo_hits: 28, enforcers_admitted: 4, enforcers_won: 4, spans: 7 } },
-    Row { q: StarAgg(2, 27337), arm: Dfsm, search: Full, cost: 1246065.0550000002, dp: Dp { plans: 120, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 267, dominated: 862, bound_pruned: 357, probes: 4312, memo_hits: 753, enforcers_admitted: 20, enforcers_won: 20, spans: 11 } },
-    Row { q: StarAgg(2, 27337), arm: Dfsm, search: RootOnly, cost: 3876668.92, dp: Dp { plans: 39, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 83, dominated: 334, bound_pruned: 24, probes: 1638, memo_hits: 301, enforcers_admitted: 21, enforcers_won: 21, spans: 11 } },
-    Row { q: StarAgg(3, 27437), arm: Dfsm, search: Full, cost: 682401.2000000001, dp: Dp { plans: 266, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 727, dominated: 3390, bound_pruned: 1280, probes: 14870, memo_hits: 3104, enforcers_admitted: 19, enforcers_won: 19, spans: 16 } },
-    Row { q: StarAgg(3, 27437), arm: Dfsm, search: RootOnly, cost: 87063131.36, dp: Dp { plans: 122, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 215, dominated: 1418, bound_pruned: 9, probes: 6449, memo_hits: 1321, enforcers_admitted: 22, enforcers_won: 22, spans: 16 } },
+    Row { q: StarAgg(1, 27237), arm: Dfsm, search: Full, cost: 1123611.35, dp: Dp { plans: 57, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 59, dominated: 117, bound_pruned: 0, probes: 403, memo_hits: 97, enforcers_admitted: 4, enforcers_won: 4, spans: 7, arena: 18305110981544711616 } },
+    Row { q: StarAgg(1, 27237), arm: Dfsm, search: RootOnly, cost: 1196104.8, dp: Dp { plans: 21, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 21, dominated: 32, bound_pruned: 0, probes: 159, memo_hits: 28, enforcers_admitted: 4, enforcers_won: 4, spans: 7, arena: 11131271362769873355 } },
+    Row { q: StarAgg(2, 27337), arm: Dfsm, search: Full, cost: 1246065.0550000002, dp: Dp { plans: 120, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 267, dominated: 862, bound_pruned: 357, probes: 4312, memo_hits: 753, enforcers_admitted: 20, enforcers_won: 20, spans: 11, arena: 11209975218283120763 } },
+    Row { q: StarAgg(2, 27337), arm: Dfsm, search: RootOnly, cost: 3876668.92, dp: Dp { plans: 39, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 83, dominated: 334, bound_pruned: 24, probes: 1638, memo_hits: 301, enforcers_admitted: 21, enforcers_won: 21, spans: 11, arena: 5601077628884657424 } },
+    Row { q: StarAgg(3, 27437), arm: Dfsm, search: Full, cost: 682401.2000000001, dp: Dp { plans: 266, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 727, dominated: 3390, bound_pruned: 1280, probes: 14870, memo_hits: 3104, enforcers_admitted: 19, enforcers_won: 19, spans: 16, arena: 7661567568627301375 } },
+    Row { q: StarAgg(3, 27437), arm: Dfsm, search: RootOnly, cost: 87063131.36, dp: Dp { plans: 122, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 215, dominated: 1418, bound_pruned: 9, probes: 6449, memo_hits: 1321, enforcers_admitted: 22, enforcers_won: 22, spans: 16, arena: 9429537481383595234 } },
 ];
 
 /// `GROUP BY k ORDER BY k` star queries (1–3 dimensions; seeds
 /// `0x9501 + 100 d`): the partial-sort enforcer vs the sort-only ceiling.
 #[rustfmt::skip]
 const PARTIAL_SORT_CELLS: &[Row] = &[
-    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: Full, cost: 1577803.21, dp: Dp { plans: 68, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 67, dominated: 159, bound_pruned: 0, probes: 768, memo_hits: 144, enforcers_admitted: 10, enforcers_won: 10, spans: 7 } },
-    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: SortOnly, cost: 1577838.3157163358, dp: Dp { plans: 65, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 64, dominated: 156, bound_pruned: 0, probes: 731, memo_hits: 141, enforcers_admitted: 7, enforcers_won: 7, spans: 7 } },
-    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: Full, cost: 431740.0, dp: Dp { plans: 56, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 208, dominated: 779, bound_pruned: 285, probes: 3839, memo_hits: 699, enforcers_admitted: 21, enforcers_won: 21, spans: 11 } },
-    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: SortOnly, cost: 431767.053747805, dp: Dp { plans: 54, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 204, dominated: 774, bound_pruned: 284, probes: 3742, memo_hits: 694, enforcers_admitted: 17, enforcers_won: 17, spans: 11 } },
-    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: Full, cost: 1663415.75, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 651, dominated: 3025, bound_pruned: 786, probes: 13319, memo_hits: 2705, enforcers_admitted: 27, enforcers_won: 27, spans: 16 } },
-    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: SortOnly, cost: 1663807.9114017873, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 650, dominated: 3032, bound_pruned: 778, probes: 13207, memo_hits: 2711, enforcers_admitted: 26, enforcers_won: 26, spans: 16 } },
+    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: Full, cost: 1577803.21, dp: Dp { plans: 68, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 67, dominated: 159, bound_pruned: 0, probes: 768, memo_hits: 144, enforcers_admitted: 10, enforcers_won: 10, spans: 7, arena: 4685388181823164998 } },
+    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: SortOnly, cost: 1577838.3157163358, dp: Dp { plans: 65, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 64, dominated: 156, bound_pruned: 0, probes: 731, memo_hits: 141, enforcers_admitted: 7, enforcers_won: 7, spans: 7, arena: 712792947404537916 } },
+    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: Full, cost: 431740.0, dp: Dp { plans: 56, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 208, dominated: 779, bound_pruned: 285, probes: 3839, memo_hits: 699, enforcers_admitted: 21, enforcers_won: 21, spans: 11, arena: 17005641886038208266 } },
+    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: SortOnly, cost: 431767.053747805, dp: Dp { plans: 54, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 204, dominated: 774, bound_pruned: 284, probes: 3742, memo_hits: 694, enforcers_admitted: 17, enforcers_won: 17, spans: 11, arena: 2117747200784958554 } },
+    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: Full, cost: 1663415.75, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 651, dominated: 3025, bound_pruned: 786, probes: 13319, memo_hits: 2705, enforcers_admitted: 27, enforcers_won: 27, spans: 16, arena: 241337748993650775 } },
+    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: SortOnly, cost: 1663807.9114017873, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 650, dominated: 3032, bound_pruned: 778, probes: 13207, memo_hits: 2711, enforcers_admitted: 26, enforcers_won: 26, spans: 16, arena: 2080639749781841997 } },
 ];
 
 #[test]
