@@ -1,15 +1,15 @@
-//! Ordered chunk execution — the seam between the DP drivers and the
-//! thread pool.
+//! Ordered chunk execution — the seam between the morsel-driven
+//! executor and the thread pool.
 //!
-//! The plan generator's size-layered DP hands each layer to an
+//! The executor hands each operator's morsels to an
 //! [`OrderedExecutor`]: "run `f(0), f(1), …, f(n-1)` and give me the
 //! results *in index order*". How the indices are scheduled is the
 //! executor's business — [`SerialExecutor`] runs them inline in order,
 //! the `ofw-parallel` work-stealing pool runs them on worker threads —
 //! but because results always come back in index order, the caller's
 //! behavior is independent of the schedule. That is the whole
-//! determinism story of the parallel DP: scheduling freedom below the
-//! seam, a fixed merge order above it.
+//! determinism story of parallel execution: scheduling freedom below
+//! the seam, a fixed merge order above it.
 
 use std::ops::Range;
 
@@ -19,11 +19,6 @@ pub trait OrderedExecutor {
     /// Runs `f(i)` exactly once for every `i in 0..n`; `results[i]`
     /// holds the value of `f(i)`.
     fn run_ordered<R: Send>(&self, n: usize, f: &(dyn Fn(usize) -> R + Sync)) -> Vec<R>;
-
-    /// How many OS threads the executor may use (1 for serial).
-    fn thread_count(&self) -> usize {
-        1
-    }
 
     /// Short name for traces and diagnostics (`"serial"`, `"pool"`).
     fn label(&self) -> &'static str {
@@ -89,7 +84,6 @@ mod tests {
     fn serial_executor_preserves_index_order() {
         let r = SerialExecutor.run_ordered(5, &|i| i * 10);
         assert_eq!(r, vec![0, 10, 20, 30, 40]);
-        assert_eq!(SerialExecutor.thread_count(), 1);
         assert_eq!(SerialExecutor.label(), "serial");
     }
 

@@ -18,7 +18,8 @@
 //! * [`mem`] — a byte-accurate, thread-shareable memory meter used to
 //!   reproduce the paper's memory-consumption experiments (Fig. 14).
 //! * [`exec`] — the ordered chunk-execution seam ([`OrderedExecutor`])
-//!   between the DP drivers and the `ofw-parallel` thread pool, plus the
+//!   between the morsel-driven executor and the `ofw-parallel` thread
+//!   pool, plus the
 //!   deterministic block partitioner [`chunk_ranges`] and the
 //!   thread-count-independent morsel partitioner [`morsel_ranges`].
 //! * [`alloc`] (feature `count-allocs`) — a counting global allocator

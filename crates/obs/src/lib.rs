@@ -9,8 +9,8 @@
 //!   [`SpanRecord`]s that export as a Chrome trace-event JSON
 //!   ([`Trace::chrome_json`], openable in Perfetto), a plain-text
 //!   summary tree ([`Trace::summary_tree`]), and a deterministic
-//!   skeleton ([`Trace::skeleton`]) used by cross-thread-count
-//!   stability tests.
+//!   skeleton ([`Trace::skeleton`]) of names, labels, depths and
+//!   counters.
 //! - [`metrics`] — plain-old-data counters for optimizer decisions:
 //!   Pareto pruning per comparability class ([`PruneCounters`]),
 //!   enforcer admissions/wins ([`EnforcerCounters`]), oracle probe
@@ -19,11 +19,9 @@
 //!
 //! Determinism contract: records are appended at span *start* (the
 //! index is reserved under the sink lock; duration is back-filled on
-//! drop), and per-worker buffers ([`LocalSpans`]) are absorbed by the
-//! driver in deterministic batch order — so the skeleton (names,
-//! labels, depths, counters) is identical across thread counts, while
-//! timestamps and thread lanes are wall-clock-class data excluded from
-//! it.
+//! drop), so the skeleton (names, labels, depths, counters) is
+//! identical for the same work, while timestamps and thread lanes are
+//! wall-clock-class data excluded from it.
 
 pub mod metrics;
 pub mod trace;
@@ -31,7 +29,7 @@ pub mod trace;
 pub use metrics::{
     DecisionCounters, EnforcerCounters, PhaseStats, ProbeCounters, PruneCounters, AGG_CLASSES,
 };
-pub use trace::{LocalSpans, Span, SpanRecord, Trace};
+pub use trace::{Span, SpanRecord, Trace};
 
 /// Escapes a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {

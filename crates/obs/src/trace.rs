@@ -6,14 +6,11 @@
 //! A recording [`Trace`] reserves each span's [`SpanRecord`] slot when
 //! the span **starts** (under the sink lock) and back-fills the
 //! duration, label, and counters when the span drops. On a single
-//! thread, record order is therefore exactly span-start order. Workers
-//! on the parallel pool do not touch the shared sink at all: they
-//! record into a thread-local [`LocalSpans`] buffer that the driver
-//! absorbs in deterministic batch order. The result is that the
+//! thread, record order is therefore exactly span-start order, and the
 //! *skeleton* of a trace — names, labels, depths, deterministic
-//! counters, in order — is identical across thread counts; only
+//! counters, in order — is a pure function of the work; only
 //! timestamps and thread lanes (which are wall-clock-class data)
-//! differ.
+//! vary.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -131,28 +128,6 @@ impl Trace {
         }
     }
 
-    /// A per-worker buffer whose spans nest at `depth`. Workers push
-    /// into it without touching the shared sink; the driver calls
-    /// [`Trace::absorb`] in deterministic order.
-    pub fn local(&self, depth: u16) -> LocalSpans {
-        LocalSpans {
-            epoch: self.shared.as_ref().map(|sh| sh.epoch),
-            depth,
-            records: Vec::new(),
-        }
-    }
-
-    /// Appends a worker buffer's spans to the sink. Call in
-    /// deterministic (batch) order to keep the skeleton stable across
-    /// thread counts. No-op when disabled.
-    pub fn absorb(&self, local: LocalSpans) {
-        if let Some(sh) = &self.shared {
-            if !local.records.is_empty() {
-                lock(&sh.records).extend(local.records);
-            }
-        }
-    }
-
     /// Snapshot of all records so far.
     pub fn records(&self) -> Vec<SpanRecord> {
         self.shared
@@ -216,7 +191,7 @@ impl Trace {
 
     /// The deterministic part of the trace: names, labels, depths, and
     /// counters in record order — no timestamps, no thread lanes.
-    /// Identical across thread counts for the same work.
+    /// Identical for the same work.
     pub fn skeleton(&self) -> String {
         let mut out = String::new();
         for r in self.records() {
@@ -248,11 +223,6 @@ impl<'t> Span<'t> {
     /// Opens a child span one level deeper.
     pub fn child(&self, name: &'static str) -> Span<'t> {
         self.trace.span_at(name, self.depth + 1)
-    }
-
-    /// This span's nesting depth.
-    pub fn depth(&self) -> u16 {
-        self.depth
     }
 
     /// Sets the span's free-form label.
@@ -287,52 +257,6 @@ impl Drop for Span<'_> {
     }
 }
 
-/// A per-worker span buffer. Created by [`Trace::local`]; workers push
-/// completed spans into it and the driver absorbs it in deterministic
-/// order. When the trace is disabled every method is a no-op.
-#[derive(Debug)]
-pub struct LocalSpans {
-    epoch: Option<Instant>,
-    depth: u16,
-    records: Vec<SpanRecord>,
-}
-
-impl LocalSpans {
-    /// Marks a span start. Returns `None` when the trace is disabled
-    /// (so disabled runs never call `Instant::now`).
-    pub fn start(&self) -> Option<Instant> {
-        self.epoch.map(|_| Instant::now())
-    }
-
-    /// Records a completed span started at `started` (from
-    /// [`LocalSpans::start`]).
-    pub fn push(
-        &mut self,
-        name: &'static str,
-        label: String,
-        started: Option<Instant>,
-        counters: Vec<(&'static str, u64)>,
-    ) {
-        let (Some(epoch), Some(started)) = (self.epoch, started) else {
-            return;
-        };
-        self.records.push(SpanRecord {
-            name,
-            label,
-            depth: self.depth,
-            tid: lane(),
-            start_us: duration_us(epoch, started),
-            dur_us: started.elapsed().as_micros() as u64,
-            counters,
-        });
-    }
-
-    /// Whether anything was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,10 +271,6 @@ mod tests {
             sp.count("n", 7);
             let _child = sp.child("inner");
         }
-        let mut local = t.local(1);
-        assert!(local.start().is_none());
-        local.push("union", String::new(), local.start(), vec![]);
-        t.absorb(local);
         assert!(t.records().is_empty());
         assert_eq!(t.chrome_json(), "{\"traceEvents\":[]}");
         assert!(t.summary_tree().is_empty());
@@ -382,24 +302,6 @@ mod tests {
         // Records are reserved at start: the root (opened first) comes
         // first even though it closed last.
         assert!(records[0].dur_us >= records[1].dur_us);
-    }
-
-    #[test]
-    fn local_spans_absorb_in_push_order() {
-        let t = Trace::recording();
-        let root = t.span("plangen");
-        let mut local = t.local(root.depth() + 1);
-        let s1 = local.start();
-        local.push("union", "layer 2".into(), s1, vec![("kept", 4)]);
-        let s2 = local.start();
-        local.push("union", "layer 2".into(), s2, vec![("kept", 1)]);
-        drop(root);
-        t.absorb(local);
-        let sk = t.skeleton();
-        assert_eq!(
-            sk,
-            "0|plangen|\n1|union|layer 2|kept=4\n1|union|layer 2|kept=1\n"
-        );
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //!    schedule. Which thread ran which chunk is free to vary; what comes
 //!    back is not.
 //! 2. **Spawn-once.** Workers are OS threads spawned at pool creation
-//!    and parked on a condvar between jobs — the DP driver submits one
-//!    job per subset-size layer, and layer frequency is far too high to
-//!    amortize a `thread::spawn` per layer.
+//!    and parked on a condvar between jobs — the executor submits one
+//!    job per operator pass over its morsels, far too often to amortize
+//!    a `thread::spawn` per job.
 //! 3. **Chunked queues + stealing.** Chunk indices are block-partitioned
 //!    across per-worker deques ([`ofw_common::chunk_ranges`]); a worker
 //!    pops from its own queue's front and steals from the *back* of the
 //!    next busy worker's queue when it runs dry, so neighbors collide as
-//!    little as possible. Mutexed `VecDeque`s, not lock-free deques: DP
-//!    chunks are coarse (one connected subset each), so queue traffic is
+//!    little as possible. Mutexed `VecDeque`s, not lock-free deques:
+//!    chunks are coarse (a morsel of rows each), so queue traffic is
 //!    thousands of pops per job, not millions.
 //! 4. **No dependencies.** `std` only, consistent with the offline
 //!    `vendor/` policy (no rayon / crossbeam).
@@ -26,8 +26,15 @@
 //! chunk has finished (`remaining == 0`), so the pointer is never
 //! dereferenced after `run` returns. Panics in chunks are caught,
 //! forwarded, and re-raised on the submitting thread.
+//!
+//! One job runs at a time. A chunk that calls `run` — on this pool or
+//! any other — does not submit: its job runs inline on the calling
+//! thread, in index order, which by constraint 1 returns exactly what a
+//! submitted job would. Submitting would deadlock: the chunk would wait
+//! behind the job it is part of.
 
 use ofw_common::{chunk_ranges, OrderedExecutor};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,6 +47,12 @@ use std::thread::JoinHandle;
 /// carries no hazard — and the pool must stay usable after one.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    /// Set while this thread runs a chunk: a `run` from inside one runs
+    /// its job inline (see the module docs).
+    static IN_CHUNK: Cell<bool> = const { Cell::new(false) };
 }
 
 /// A chunk task as the workers see it: lifetime-erased, side-effecting
@@ -96,8 +109,7 @@ struct Shared {
 /// The pool. See the module docs for the design.
 pub struct ThreadPool {
     shared: Arc<Shared>,
-    /// Serializes submissions (one job at a time — the DP driver is
-    /// strictly layer-by-layer anyway).
+    /// Serializes submissions (one job at a time).
     submit_gate: Mutex<()>,
     handles: Vec<JoinHandle<()>>,
     threads: usize,
@@ -149,14 +161,15 @@ impl ThreadPool {
 
     /// Runs `task(i)` exactly once for every `i in 0..chunks` across the
     /// pool and returns the results in chunk order. Blocks until the
-    /// whole job is done; panics in chunks are re-raised here. Must not
-    /// be called from inside a running chunk (single-job pool).
+    /// whole job is done; panics in chunks are re-raised here. Called
+    /// from inside a running chunk, it runs the job inline.
     pub fn run<R: Send>(&self, chunks: usize, task: &(dyn Fn(usize) -> R + Sync)) -> Vec<R> {
         if chunks == 0 {
             return Vec::new();
         }
-        if self.handles.is_empty() {
-            // Serial fast path: no queues, no locks, index order.
+        if self.handles.is_empty() || IN_CHUNK.get() {
+            // Serial fast path, and nested jobs: no queues, no locks,
+            // index order.
             return (0..chunks).map(task).collect();
         }
         let _gate = lock(&self.submit_gate);
@@ -221,10 +234,6 @@ impl ThreadPool {
 impl OrderedExecutor for ThreadPool {
     fn run_ordered<R: Send>(&self, n: usize, f: &(dyn Fn(usize) -> R + Sync)) -> Vec<R> {
         self.run(n, f)
-    }
-
-    fn thread_count(&self) -> usize {
-        self.threads
     }
 
     fn label(&self) -> &'static str {
@@ -297,7 +306,10 @@ fn work(shared: &Shared, me: usize, job: &Job) {
         // SAFETY: `remaining > 0` (this chunk is unfinished), so the
         // submitting `run` is still blocked and the closure is alive.
         let task = unsafe { &*job.task.0 };
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| task(idx))) {
+        IN_CHUNK.set(true);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| task(idx)));
+        IN_CHUNK.set(false);
+        if let Err(payload) = outcome {
             let mut st = lock(&shared.state);
             if st.panic.is_none() {
                 st.panic = Some(payload);
@@ -369,6 +381,25 @@ mod tests {
         assert!(caught.is_err());
         // The pool survives the panic and keeps working.
         assert_eq!(pool.run(3, &|i| i), vec![0, 1, 2]);
+    }
+
+    /// Every chunk of a job submits a job of its own to the same pool.
+    /// Run on a thread of its own so a deadlock fails the test instead
+    /// of hanging it.
+    #[test]
+    fn nested_runs_complete_in_chunk_order() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ThreadPool::new(2);
+            let _ = tx.send(pool.run(4, &|i| pool.run(3, &|j| 10 * i + j)));
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a nested run must not deadlock");
+        let want: Vec<Vec<usize>> = (0..4)
+            .map(|i| (0..3).map(|j| 10 * i + j).collect())
+            .collect();
+        assert_eq!(out, want);
     }
 
     #[test]

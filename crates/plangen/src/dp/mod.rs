@@ -36,7 +36,7 @@
 //! replicates the root-only search exactly, which is why enabling
 //! placement can never yield a costlier winner.
 //!
-//! # The schedule and the two-driver batch API
+//! # The schedule and the driver
 //!
 //! *Which* subsets get planned, and from *which* ordered partitions, is
 //! a pure function of the join graph, computed once before any plan is
@@ -54,23 +54,12 @@
 //! window (`linearize.rs`) — not exhaustive, but it plans 100-relation
 //! cliques — and [`PlanGenStats::fallback`] says so.
 //!
-//! The driver loop *executes* each batch — each union's Pareto set
-//! built independently in a thread-local [`ArenaView`] — and splices
-//! the results onto the global arena **in batch order** at the batch
-//! barrier. Execution is delegated to an
-//! [`ofw_common::OrderedExecutor`]: [`SerialExecutor`] for the classic
-//! single-threaded driver ([`PlanGen::run`]), the `ofw-parallel`
-//! work-stealing pool for the sharded driver ([`PlanGen::run_with`]).
-//!
-//! Because the splice order and the per-union work are both schedule-
-//! independent, the final plan table — operators, masks, costs,
-//! cardinalities, applied FDs, winner — is byte-identical for every
-//! executor and thread count. Per-node oracle *state handles* are also
-//! bit-equal when the oracle assigns them schedule-independently: the
-//! DFSM framework always does (states precomputed before the DP);
-//! the memoizing oracles intern handles first-come, so bit-equality
-//! there additionally requires a warmed instance (serial run first) —
-//! cold, their handles stay semantically equal but may renumber.
+//! The driver ([`PlanGen::run`]) is serial, as in the paper's §7
+//! generator: it plans the unions one after another in batch order, and
+//! every builder pushes the plans it admits straight into the one
+//! [`PlanArena`]. A plan's id is therefore a pure function of the query,
+//! and so is the whole plan table — operators, masks, costs,
+//! cardinalities, applied FDs, oracle states, winner.
 //!
 //! # The pruning seam
 //!
@@ -96,12 +85,10 @@ mod dphyp;
 mod linearize;
 
 use crate::cost;
-use crate::plan::{
-    AggMark, ArenaView, CandidatePlan, PlanArena, PlanId, PlanNode, PlanOp, LOCAL_PLAN_BIT,
-};
+use crate::plan::{AggMark, CandidatePlan, PlanArena, PlanId, PlanNode, PlanOp};
 use crate::OrderOracle;
 use ofw_catalog::{AttrId, Catalog};
-use ofw_common::{BitSet, OrderedExecutor, SerialExecutor};
+use ofw_common::BitSet;
 use ofw_core::fd::FdSetId;
 use ofw_core::ordering::Ordering;
 use ofw_core::property::{Grouping, HeadTail, LogicalProperty};
@@ -215,7 +202,7 @@ struct PartialSortProbe<K> {
 }
 
 /// One connected subset with its ordered partitions — the unit of work
-/// the executor schedules. Pairs reference earlier subsets by **flat
+/// the driver plans. Pairs reference earlier subsets by **flat
 /// global index**: singletons occupy `0..n` in query-relation order,
 /// and every union takes the next index in batch-emission order (the
 /// order the driver commits them).
@@ -237,8 +224,8 @@ pub(crate) struct UnionWork {
 /// graph, complete before the first plan is built. Within a batch every
 /// pair only references subsets *committed before the batch started*
 /// (singletons `0..n`, then one index per union in emission order
-/// across all earlier batches); the driver executes the batch —
-/// possibly in parallel — then commits its unions in batch order.
+/// across all earlier batches); the driver plans and commits its unions
+/// in batch order.
 pub(crate) struct Schedule {
     batches: Vec<Vec<UnionWork>>,
     /// Σ pairs over all batches.
@@ -418,7 +405,6 @@ pub struct PlanGen<'a, O: OrderOracle> {
     /// Span sink for phase-level tracing (disabled by default — one
     /// pointer check per phase, nothing in the per-plan hot path).
     trace: Trace,
-    arena: PlanArena<O::State>,
     /// The plan table: each committed subset's Pareto set, by flat
     /// index — parallel to the driver's `subsets`.
     table: Vec<Vec<PlanId>>,
@@ -508,7 +494,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             total_access,
             bound: f64::INFINITY,
             trace: Trace::disabled(),
-            arena: PlanArena::new(),
             table: Vec::new(),
         }
     }
@@ -652,38 +637,19 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         }
     }
 
-    /// Runs the DP serially and returns the cheapest complete plan that
-    /// honors the query's `order by` (adding a final sort if needed).
-    pub fn run(self) -> PlanGenResult<O::State>
-    where
-        O: Sync,
-        O::Key: Sync,
-        O::State: Send + Sync,
-    {
-        self.run_with(&SerialExecutor)
-    }
-
-    /// Runs the DP with `exec` scheduling each layer's subsets. The
-    /// result — plan table, arena layout, winner — is identical for
-    /// every executor; a parallel executor only changes how fast it
-    /// arrives. (See the module docs for the one caveat: numeric state
-    /// handles of cold memoizing oracles.)
-    pub fn run_with<E: OrderedExecutor>(mut self, exec: &E) -> PlanGenResult<O::State>
-    where
-        O: Sync,
-        O::Key: Sync,
-        O::State: Send + Sync,
-    {
+    /// Runs the DP and returns the cheapest complete plan that honors
+    /// the query's `order by` (adding a final sort if needed).
+    pub fn run(mut self) -> PlanGenResult<O::State> {
         let t0 = Instant::now();
         let trace = self.trace.clone();
         let mut root = trace.span("plangen");
-        // Executor kind only — no thread count, so the trace skeleton
-        // stays byte-identical across thread counts (the Chrome
-        // export's tid lanes show the actual parallelism).
-        root.label(exec.label());
+        root.label("serial");
         let n = self.query.num_relations();
         let mut phases: Vec<PhaseStats> = Vec::new();
         let mut run_dc = DecisionCounters::default();
+        // Every plan node of the run, in allocation order: each builder
+        // pushes the plans it admits straight into it.
+        let mut arena = PlanArena::new();
 
         // Subsets committed so far, in flat global-index order: the
         // numbering the schedule's pair references use (singletons
@@ -695,11 +661,11 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // later phase prunes against. Its plan space is a subset of
         // the outer schedule's search space, so `B` is always achievable
         // — the admissibility contract lives in ARCHITECTURE.md, "The
-        // pruning seam". Serial, and run before anything else: on
-        // memoizing oracles this also warms the state interner
-        // deterministically. Its decision counters merge into the run
-        // totals via the "bound" phase; its plan nodes live in its own
-        // discarded arena and do not count toward `#Plans`.
+        // pruning seam". Run before anything else: on memoizing oracles
+        // this also warms the state interner deterministically. Its
+        // decision counters merge into the run totals via the "bound"
+        // phase; its plan nodes live in its own discarded arena and do
+        // not count toward `#Plans`.
         if self.bounding && n >= 3 {
             let mut sp = root.child("bound");
             let tp = Instant::now();
@@ -722,7 +688,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             run_dc.merge(&provider.stats.decisions);
         }
 
-        // Base relations (cheap — built inline on the driver thread).
+        // Base relations.
         {
             let mut sp = root.child("base_plans");
             let tp = Instant::now();
@@ -730,16 +696,14 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             for qrel in 0..n {
                 let mask = self.query.relation_set(qrel);
                 let ub = self.upper_bound(&mask);
-                let mut view = ArenaView::new(&self.arena);
                 let mut set = ParetoSet::new();
-                self.base_plans(qrel, &mut set, &mut view, ub, &mut dc);
-                self.add_enforcer_variants(&mask, &mut set, &mut view, ub, &mut dc);
-                self.add_placement_variants(&mask, &mut set, &mut view, ub, &mut dc);
-                let set = self.commit(view.into_local(), set.ids());
-                self.table.push(set);
+                self.base_plans(qrel, &mut set, &mut arena, ub, &mut dc);
+                self.add_enforcer_variants(&mask, &mut set, &mut arena, ub, &mut dc);
+                self.add_placement_variants(&mask, &mut set, &mut arena, ub, &mut dc);
+                self.table.push(set.ids());
                 subsets.push(mask);
             }
-            let plans = self.arena.len() as u64;
+            let plans = arena.len() as u64;
             sp.count("plans", plans);
             sp.count("kept", dc.pruning.kept_total());
             phases.push(PhaseStats {
@@ -754,11 +718,9 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         }
 
         // The driver loop: the schedule hands over batches of union
-        // work whose pairs only reference committed subsets, so each
-        // batch's unions are independent of each other. Each union is
-        // one executor chunk; the batch barrier splices the thread-local
-        // arenas in batch order, which makes the arena independent of
-        // the parallel schedule.
+        // work whose pairs only reference subsets committed before the
+        // batch. Each union is planned in batch order and committed
+        // before the next one starts.
         let (schedule, fallback) = {
             let mut sp = root.child("enumerate");
             let tp = Instant::now();
@@ -786,55 +748,35 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 sp.label(format!("layer {layer}"));
             }
             let tp = Instant::now();
-            let plans_before = self.arena.len();
+            let plans_before = arena.len();
             let batch_len = batch.len() as u64;
             let batch_pairs: u64 = batch.iter().map(|w| w.pairs.len() as u64).sum();
-            let results = {
-                let this = &self;
-                let subsets = &subsets;
-                let batch = &batch;
-                let trace = &trace;
-                let depth = sp.depth() + 1;
-                exec.run_ordered(batch.len(), &|i| {
-                    let mut view = ArenaView::new(&this.arena);
-                    let mut dc = DecisionCounters::default();
-                    let mut spans = trace.local(depth);
-                    let started = spans.start();
-                    let set = this.process_union(&batch[i], subsets, &mut view, &mut dc);
-                    let local = view.into_local();
-                    if started.is_some() {
-                        spans.push(
-                            "union",
-                            format!("|{}| pairs={}", batch[i].union.len(), batch[i].pairs.len()),
-                            started,
-                            vec![
-                                ("plans", local.len() as u64),
-                                ("kept", dc.pruning.kept_total()),
-                                ("dominated", dc.pruning.dominated_total()),
-                            ],
-                        );
-                    }
-                    (local, set, dc, spans)
-                })
-            };
-            // Per-worker span buffers and counters merge in batch order
-            // — the same deterministic order the arenas splice in, so
-            // the trace skeleton is thread-count-independent.
             let mut dc = DecisionCounters::default();
-            for (work, (local, set, union_dc, spans)) in batch.into_iter().zip(results) {
-                let set = self.commit(local, set);
+            for work in batch {
+                let mut union_sp = sp.child("union");
+                let before = (
+                    arena.len(),
+                    dc.pruning.kept_total(),
+                    dc.pruning.dominated_total(),
+                );
+                let set = self.process_union(&work, &subsets, &mut arena, &mut dc);
+                if trace.is_enabled() {
+                    union_sp.label(format!("|{}| pairs={}", work.union.len(), work.pairs.len()));
+                    union_sp.count("plans", (arena.len() - before.0) as u64);
+                    union_sp.count("kept", dc.pruning.kept_total() - before.1);
+                    union_sp.count("dominated", dc.pruning.dominated_total() - before.2);
+                }
+                drop(union_sp);
                 self.table.push(set);
                 subsets.push(work.union);
                 unions += 1;
-                dc.merge(&union_dc);
-                trace.absorb(spans);
             }
-            let plans = (self.arena.len() - plans_before) as u64;
+            let plans = (arena.len() - plans_before) as u64;
             // Pruning work (kept/dominated) is charged once, on the
             // per-union spans — repeating the totals here would
             // double-charge the layer in the span ledger. The layer
             // span carries only what the unions cannot: batch size and
-            // the spliced plan count.
+            // the layer's plan count.
             sp.count("unions", batch_len);
             sp.count("plans", plans);
             phases.push(PhaseStats {
@@ -867,10 +809,9 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             let mut sp = root.child("finalize_aggregates");
             let tp = Instant::now();
             let mut dc = DecisionCounters::default();
-            let plans_before = self.arena.len();
-            let (local, set) = self.finalize_aggregates(keys, &final_set, &mut dc);
-            final_set = self.commit(local, set);
-            let plans = (self.arena.len() - plans_before) as u64;
+            let plans_before = arena.len();
+            final_set = self.finalize_aggregates(keys, &final_set, &mut arena, &mut dc);
+            let plans = (arena.len() - plans_before) as u64;
             sp.count("plans", plans);
             phases.push(PhaseStats {
                 name: "finalize".into(),
@@ -896,9 +837,9 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             let mut sp = root.child("pick_final");
             let tp = Instant::now();
             let mut dc = DecisionCounters::default();
-            let plans_before = self.arena.len();
-            let best = self.pick_final(&final_set, required.as_ref(), &mut dc);
-            let plans = (self.arena.len() - plans_before) as u64;
+            let plans_before = arena.len();
+            let best = self.pick_final(&final_set, required.as_ref(), &mut arena, &mut dc);
+            let plans = (arena.len() - plans_before) as u64;
             sp.count("plans", plans);
             phases.push(PhaseStats {
                 name: "pick_final".into(),
@@ -911,14 +852,14 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             run_dc.merge(&dc);
             best
         };
-        let cost = self.arena.node(best).cost;
-        root.count("plans", self.arena.len() as u64);
+        let cost = arena.node(best).cost;
+        root.count("plans", arena.len() as u64);
         root.count("unions", unions);
         drop(root);
         let stats = PlanGenStats {
-            plans: self.arena.len(),
+            plans: arena.len(),
             time: t0.elapsed(),
-            memory_bytes: self.oracle.memory_bytes(self.arena.len()),
+            memory_bytes: self.oracle.memory_bytes(arena.len()),
             pairs_considered: schedule.emitted,
             pairs_emitted: schedule.emitted,
             unions,
@@ -929,9 +870,16 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         PlanGenResult {
             best,
             cost,
-            arena: self.arena,
+            arena,
             stats,
         }
+    }
+
+    /// The same as [`run`](Self::run): the executor is ignored. Kept
+    /// only because the frozen `benchmark/src/layers.rs` still calls
+    /// it; it goes with the next change to the benchmark.
+    pub fn run_with<E>(self, _executor: &E) -> PlanGenResult<O::State> {
+        self.run()
     }
 
     /// Builds the schedule, and says whether the budget forced the
@@ -948,15 +896,14 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         }
     }
 
-    /// Builds one subset's Pareto set from its ordered partitions —
-    /// the executor chunk. Reads only frozen earlier-batch state
-    /// (`table`, `subsets`, the oracle) — both by flat index, a plain
-    /// `Vec` lookup; writes only into `view`.
+    /// Builds one subset's Pareto set from its ordered partitions. Reads
+    /// earlier subsets' plans (`table`, `subsets`) by flat index, a plain
+    /// `Vec` lookup, and pushes every admitted plan into `arena`.
     fn process_union(
         &self,
         work: &UnionWork,
         subsets: &[BitSet],
-        view: &mut ArenaView<'_, O::State>,
+        arena: &mut PlanArena<O::State>,
         dc: &mut DecisionCounters,
     ) -> Vec<PlanId> {
         let ub = self.upper_bound(&work.union);
@@ -967,34 +914,15 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             // enter unchecked (and uncounted: they were counted when
             // first kept).
             for &p in &self.table[earlier as usize] {
-                set.insert_unchecked(p, view.node(p).candidate());
+                set.insert_unchecked(p, arena.node(p).candidate());
             }
         }
         for &pair in &work.pairs {
-            self.emit_joins(subsets, pair, &mut set, view, ub, dc);
+            self.emit_joins(subsets, pair, &mut set, arena, ub, dc);
         }
-        self.add_enforcer_variants(&work.union, &mut set, view, ub, dc);
-        self.add_placement_variants(&work.union, &mut set, view, ub, dc);
+        self.add_enforcer_variants(&work.union, &mut set, arena, ub, dc);
+        self.add_placement_variants(&work.union, &mut set, arena, ub, dc);
         set.ids()
-    }
-
-    /// Splices a thread-local arena onto the global one, rewriting local
-    /// ids (the high [`LOCAL_PLAN_BIT`]) to their global positions, and
-    /// returns the remapped Pareto set.
-    fn commit(&mut self, local: PlanArena<O::State>, set: Vec<PlanId>) -> Vec<PlanId> {
-        let base = self.arena.len() as u32;
-        let remap = |p: PlanId| {
-            if p.0 & LOCAL_PLAN_BIT != 0 {
-                PlanId(base + (p.0 & !LOCAL_PLAN_BIT))
-            } else {
-                p
-            }
-        };
-        for mut node in local.into_nodes() {
-            node.op.remap_inputs(&mut |p| remap(p));
-            self.arena.push(node);
-        }
-        set.into_iter().map(remap).collect()
     }
 
     /// Resolves the oracle handles for aggregating on `attrs` — the
@@ -1047,7 +975,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     #[allow(clippy::too_many_arguments)]
     fn try_push_aggregate(
         &self,
-        view: &mut ArenaView<'_, O::State>,
+        arena: &mut PlanArena<O::State>,
         set: &mut ParetoSet<O::State>,
         ub: f64,
         p: PlanId,
@@ -1057,7 +985,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         dc: &mut DecisionCounters,
     ) -> Option<PlanId> {
         let (c, d, st) = {
-            let n = view.node(p);
+            let n = arena.node(p);
             (n.cost, n.card, n.state)
         };
         if c + cost::streaming_aggregate(d) > ub {
@@ -1065,7 +993,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             return None;
         }
         let (fd_bits, mask) = {
-            let n = view.node(p);
+            let n = arena.node(p);
             (n.applied_fds.clone(), n.mask.clone())
         };
         let partial = !mark.is_final();
@@ -1087,7 +1015,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             agg: mark,
         };
         self.try_insert(
-            view,
+            arena,
             set,
             ub,
             cand,
@@ -1124,21 +1052,19 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// pre-aggregated plans finalize the same way — the root aggregate
     /// combines their partials — while group-join plans are already
     /// final and pass through untouched.
-    /// Like [`process_union`](Self::process_union), the new plans stay
-    /// in a local arena for the caller to commit.
     fn finalize_aggregates(
         &self,
         keys: &AggKeyHandles<O::Key>,
         plans: &[PlanId],
+        arena: &mut PlanArena<O::State>,
         dc: &mut DecisionCounters,
-    ) -> (PlanArena<O::State>, Vec<PlanId>) {
+    ) -> Vec<PlanId> {
         // At the root nothing remains outside the mask: the bound
         // applies with a zero remainder.
         let ub = self.bound;
-        let mut view = ArenaView::new(&self.arena);
         let mut out: ParetoSet<O::State> = ParetoSet::new();
         for &p in plans {
-            let cand = view.node(p).candidate();
+            let cand = arena.node(p).candidate();
             if cand.agg.is_final() {
                 // Group-join output: the aggregation already happened.
                 self.try_admit(&mut out, ub, cand, || p, dc);
@@ -1146,9 +1072,9 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             }
             let mark = cand.agg.union(AggMark::FINAL);
             let groups = self.final_group_count(cand.card, &keys.attrs);
-            self.try_push_aggregate(&mut view, &mut out, ub, p, keys, mark, groups, dc);
+            self.try_push_aggregate(arena, &mut out, ub, p, keys, mark, groups, dc);
         }
-        (view.into_local(), out.ids())
+        out.ids()
     }
 
     /// Aggregation-placement variants for one subset — the tentpole of
@@ -1169,7 +1095,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         &self,
         mask: &BitSet,
         set: &mut ParetoSet<O::State>,
-        view: &mut ArenaView<'_, O::State>,
+        arena: &mut PlanArena<O::State>,
         ub: f64,
         dc: &mut DecisionCounters,
     ) {
@@ -1205,7 +1131,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             .collect();
         for (p, card) in snapshot {
             let groups = self.group_count(card, &keys.attrs);
-            self.try_push_aggregate(view, set, ub, p, &keys, mark, groups, dc);
+            self.try_push_aggregate(arena, set, ub, p, &keys, mark, groups, dc);
         }
     }
 
@@ -1220,7 +1146,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         &self,
         qrel: usize,
         set: &mut ParetoSet<O::State>,
-        view: &mut ArenaView<'_, O::State>,
+        arena: &mut PlanArena<O::State>,
         ub: f64,
         dc: &mut DecisionCounters,
     ) {
@@ -1266,7 +1192,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             agg: AggMark::NONE,
         };
         self.try_insert(
-            view,
+            arena,
             set,
             ub,
             scan,
@@ -1311,7 +1237,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 agg: AggMark::NONE,
             };
             self.try_insert(
-                view,
+                arena,
                 set,
                 ub,
                 ix,
@@ -1345,7 +1271,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         subsets: &[BitSet],
         (l, r): (u32, u32),
         set: &mut ParetoSet<O::State>,
-        view: &mut ArenaView<'_, O::State>,
+        arena: &mut PlanArena<O::State>,
         ub: f64,
         dc: &mut DecisionCounters,
     ) {
@@ -1374,9 +1300,9 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         let right_plans = &self.table[r as usize];
         for &p1 in left_plans {
             for &p2 in right_plans {
-                let n1 = view.node(p1);
+                let n1 = arena.node(p1);
                 let (c1, d1, st1, mark1) = (n1.cost, n1.card, n1.state, n1.agg);
-                let n2 = view.node(p2);
+                let n2 = arena.node(p2);
                 let (c2, d2, mark2) = (n2.cost, n2.card, n2.agg);
                 let mark = mark1.union(mark2);
                 let out_card = (d1 * d2 * sel).max(1.0);
@@ -1392,8 +1318,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 // Property state: the probe/outer (left) side's
                 // orderings and groupings survive; all connecting
                 // predicates' equations now hold.
-                let mut fd_bits = view.node(p1).applied_fds.clone();
-                fd_bits.union_with(&view.node(p2).applied_fds);
+                let mut fd_bits = arena.node(p1).applied_fds.clone();
+                fd_bits.union_with(&arena.node(p2).applied_fds);
                 let mut state = st1;
                 for &e in &edges {
                     let f = self.ex.join_fd[e];
@@ -1424,7 +1350,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                     agg: mark,
                 };
                 self.try_insert(
-                    view,
+                    arena,
                     set,
                     ub,
                     hj,
@@ -1451,7 +1377,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                     agg: mark,
                 };
                 self.try_insert(
-                    view,
+                    arena,
                     set,
                     ub,
                     nl,
@@ -1490,7 +1416,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                             agg: mark.union(AggMark::FINAL),
                         };
                         self.try_insert(
-                            view,
+                            arena,
                             set,
                             ub,
                             gj,
@@ -1531,7 +1457,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                         dc.pruning.bound_pruned += 1;
                         continue;
                     }
-                    let st2 = view.node(p2).state;
+                    let st2 = arena.node(p2).state;
                     dc.probes.satisfies += 1;
                     if !self.oracle.satisfies(st1, kl) {
                         continue;
@@ -1547,7 +1473,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                         agg: mark,
                     };
                     self.try_insert(
-                        view,
+                        arena,
                         set,
                         ub,
                         mj,
@@ -1615,7 +1541,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         &self,
         mask: &BitSet,
         set: &mut ParetoSet<O::State>,
-        view: &mut ArenaView<'_, O::State>,
+        arena: &mut PlanArena<O::State>,
         ub: f64,
         dc: &mut DecisionCounters,
     ) {
@@ -1657,7 +1583,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 })
                 .collect();
             let (c, d) = {
-                let n = view.node(cheapest);
+                let n = arena.node(cheapest);
                 (n.cost, n.card)
             };
             let op_cost = if grouping {
@@ -1672,7 +1598,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 if enforced_cost > ub {
                     dc.pruning.bound_pruned += 1;
                 } else {
-                    let fd_bits = view.node(cheapest).applied_fds.clone();
+                    let fd_bits = arena.node(cheapest).applied_fds.clone();
                     dc.probes.produce += 1;
                     let state = self.replay_fds(self.oracle.produce(key), &fd_bits, dc);
                     let cand = CandidatePlan {
@@ -1684,7 +1610,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                     let key_attrs = self.targets[t].attrs.clone();
                     let won = self
                         .try_insert(
-                            view,
+                            arena,
                             set,
                             ub,
                             cand,
@@ -1755,7 +1681,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                     dc.pruning.bound_pruned += 1;
                     continue;
                 }
-                let fd_bits = view.node(input).applied_fds.clone();
+                let fd_bits = arena.node(input).applied_fds.clone();
                 dc.probes.produce += 1;
                 let state = self.replay_fds(self.oracle.produce(key), &fd_bits, dc);
                 let cand = CandidatePlan {
@@ -1766,7 +1692,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 };
                 let won = self
                     .try_insert(
-                        view,
+                        arena,
                         set,
                         ub,
                         cand,
@@ -1815,14 +1741,14 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// bound-pruned or dominated on arrival.
     fn try_insert(
         &self,
-        view: &mut ArenaView<'_, O::State>,
+        arena: &mut PlanArena<O::State>,
         set: &mut ParetoSet<O::State>,
         ub: f64,
         cand: CandidatePlan<O::State>,
         build: impl FnOnce() -> PlanNode<O::State>,
         dc: &mut DecisionCounters,
     ) -> Option<PlanId> {
-        self.try_admit(set, ub, cand, || view.push(build()), dc)
+        self.try_admit(set, ub, cand, || arena.push(build()), dc)
     }
 
     /// The two gates behind [`try_insert`](Self::try_insert), for any
@@ -1858,9 +1784,10 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// a hash aggregate, whose grouped output makes the root sort
     /// nearly free).
     fn pick_final(
-        &mut self,
+        &self,
         set: &[PlanId],
         required: Option<&Ordering>,
+        arena: &mut PlanArena<O::State>,
         dc: &mut DecisionCounters,
     ) -> PlanId {
         let required_key = required.and_then(|o| self.oracle.resolve(&o.clone().into()));
@@ -1871,16 +1798,15 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // cheaper of full sort and (admissible) partial sort, with the
         // covered prefix length recorded for the partial sort.
         let enforcement =
-            |this: &Self, p: PlanId, dc: &mut DecisionCounters| -> Option<(f64, Option<usize>)> {
-                let n = this.arena.node(p);
+            |n: &PlanNode<O::State>, dc: &mut DecisionCounters| -> Option<(f64, Option<usize>)> {
                 let k = required_key?;
                 dc.probes.satisfies += 1;
-                if this.oracle.satisfies(n.state, k) {
+                if self.oracle.satisfies(n.state, k) {
                     return None;
                 }
                 let full = (cost::sort(n.card), None);
                 match required
-                    .and_then(|o| this.best_partial_sort(n.state, n.card, o.attrs(), &probes, dc))
+                    .and_then(|o| self.best_partial_sort(n.state, n.card, o.attrs(), &probes, dc))
                 {
                     Some((ps, covered)) if ps < full.0 => Some((ps, Some(covered))),
                     _ => Some(full),
@@ -1888,13 +1814,14 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             };
         let mut best: Option<(f64, PlanId)> = None;
         for &p in set {
-            let total = self.arena.node(p).cost + enforcement(self, p, dc).map_or(0.0, |(c, _)| c);
+            let n = arena.node(p);
+            let total = n.cost + enforcement(n, dc).map_or(0.0, |(c, _)| c);
             if best.is_none_or(|(bc, _)| total < bc) {
                 best = Some((total, p));
             }
         }
         let (total, p) = best.expect("no complete plan");
-        let Some((_, covered)) = enforcement(self, p, dc) else {
+        let Some((_, covered)) = enforcement(arena.node(p), dc) else {
             return p;
         };
         // Materialize the final (partial) sort.
@@ -1903,7 +1830,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             .expect("sort implies a requirement")
             .attrs()
             .to_vec();
-        let n = self.arena.node(p);
+        let n = arena.node(p);
         let (d, fd_bits, mask, mark) = (n.card, n.applied_fds.clone(), n.mask.clone(), n.agg);
         if covered.is_some() {
             dc.enforcers.partial_sort_admitted += 1;
@@ -1925,7 +1852,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
                 key: key_attrs,
             },
         };
-        self.arena.push(PlanNode {
+        arena.push(PlanNode {
             op,
             mask,
             cost: total,
@@ -1943,7 +1870,6 @@ mod tests {
     use crate::oracle::ExplicitOracle;
     use crate::plan::PlanOp;
     use ofw_core::{OrderingFramework, PruneConfig};
-    use ofw_parallel::ThreadPool;
     use ofw_query::extract::ExtractOptions;
     use ofw_query::QueryBuilder;
     use ofw_simmen::SimmenFramework;
@@ -2461,39 +2387,28 @@ mod tests {
 
     /// The 100-relation clique: exhaustive enumeration is out of the
     /// question, so the budget must trip and the linearized window DP
-    /// plan the query — end to end, through both drivers, with
-    /// identical output. The lowered budget keeps the debug-mode trip
+    /// plan the query end to end. The lowered budget keeps the debug-mode trip
     /// cheap (the clique exceeds the real one by orders of magnitude
     /// either way; `examples/large_join` trips that in release mode) and
     /// bounds the budget-adaptive window the same way.
     #[test]
     fn hundred_relation_clique_falls_back_and_plans() {
         let (c, q, ex, fw) = large(Topology::Clique, 100);
-        let budgeted = || {
-            let mut pg = PlanGen::new(&c, &q, &ex, &fw);
-            pg.budget = 25_000;
-            pg
-        };
-        let serial = budgeted().run();
-        assert!(serial.stats.fallback, "the budget must trip");
+        let mut pg = PlanGen::new(&c, &q, &ex, &fw);
+        pg.budget = 25_000;
+        let r = pg.run();
+        assert!(r.stats.fallback, "the budget must trip");
         assert_eq!(
-            serial.arena.node(serial.best).mask,
+            r.arena.node(r.best).mask,
             q.all_relations_set(),
             "the winner covers all 100 relations"
         );
-        assert!(serial.cost.is_finite() && serial.cost > 0.0);
+        assert!(r.cost.is_finite() && r.cost > 0.0);
         assert!(
-            serial.stats.pairs_emitted < 100_000,
+            r.stats.pairs_emitted < 100_000,
             "fallback pair counts stay linear-ish, got {}",
-            serial.stats.pairs_emitted
+            r.stats.pairs_emitted
         );
-
-        let parallel = budgeted().run_with(&ThreadPool::new(2));
-        assert_eq!(parallel.best, serial.best);
-        assert_eq!(parallel.cost.to_bits(), serial.cost.to_bits());
-        assert_eq!(parallel.stats.plans, serial.stats.plans);
-        assert_eq!(parallel.stats.pairs_emitted, serial.stats.pairs_emitted);
-        assert!(parallel.stats.fallback);
     }
 
     /// On a graph both paths can plan, the fallback's plan space is a

@@ -18,7 +18,7 @@
 //! patterns, the fairness requirement of §7. Three arms implement it:
 //!
 //! * [`ofw_core::OrderingFramework`] — the paper's DFSM, O(1) per call,
-//!   immutable after preparation (lock-free under the parallel driver);
+//!   immutable after preparation;
 //! * [`ofw_simmen::SimmenFramework`] — the Ω(n) baseline, memoized;
 //! * [`ExplicitOracle`] (this crate) — fully materialized property
 //!   sets, the §2 "intuitive approach", kept as the ground-truth arm.
@@ -27,8 +27,8 @@
 //! query, all three arms find equally cheap optimal plans** (asserted
 //! across the test suite and by the pipeline benchmark's per-operation
 //! verification), even though their
-//! probe costs differ by orders of magnitude. The DP itself is
-//! deterministic — byte-identical plan tables at any thread count.
+//! probe costs differ by orders of magnitude. The DP itself is serial
+//! and deterministic: the same query yields a byte-identical plan table.
 //!
 //! ## Example: the oracle calls a DP iteration makes
 //!

@@ -4,11 +4,10 @@
 //! (`ofw-simmen`), which implement the same trait in their own crates.
 //!
 //! All three implementations are `Sync` (statically asserted below), so
-//! all three run unchanged under the parallel DP driver. The DFSM
-//! framework is immutable after preparation — parallel probes contend on
-//! nothing, the property the paper's design buys. The baseline and the
-//! explicit oracle memoize behind a mutex and pay for the sharing,
-//! faithfully reproducing their cost profile on multicore.
+//! one prepared oracle can serve planners on several threads. The DFSM
+//! framework is immutable after preparation — concurrent probes contend
+//! on nothing, the property the paper's design buys. The baseline and
+//! the explicit oracle memoize behind a mutex and pay for the sharing.
 
 use ofw_common::FxHashMap;
 use ofw_core::fd::{FdSet, FdSetId};
@@ -303,9 +302,9 @@ mod tests {
         assert!(ex.memory_bytes(10) > 0);
     }
 
-    /// The parallel driver shares one oracle across all workers; every
-    /// arm must be `Send + Sync` (states/keys ride inside plan nodes
-    /// between threads, so they must be too). A compile-time guarantee —
+    /// One prepared oracle may serve planners on several threads; every
+    /// arm must be `Send + Sync` (states/keys ride inside plan nodes, and
+    /// a finished arena may cross threads too). A compile-time guarantee —
     /// if an oracle regresses to non-thread-safe interior mutability,
     /// this stops building.
     #[test]

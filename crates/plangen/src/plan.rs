@@ -9,15 +9,9 @@
 //! word — no allocation — until a query has more than 64 relations or
 //! predicates, and no cap beyond.
 //!
-//! For the two-driver DP (serial and work-stealing parallel), plan
-//! construction is *staged*: a subset's candidate plans are built in a
-//! thread-local arena behind an [`ArenaView`] — global ids resolve into
-//! the shared arena of earlier layers, local ids (high bit set) into the
-//! view's own arena — and the driver later splices the local arena onto
-//! the global one in a deterministic order, remapping child references
-//! ([`PlanOp::remap_inputs`]). Because the splice order is fixed by the
-//! layer structure and not by the execution schedule, the merged arena
-//! is byte-identical however many threads built it.
+//! The DP pushes every plan it admits straight into the one arena, in
+//! the order it admits them, so a node's id is its allocation rank and
+//! every child id is smaller than its parent's.
 
 use ofw_common::BitSet;
 
@@ -25,18 +19,9 @@ use ofw_common::BitSet;
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanId(pub u32);
 
-/// Tag bit of plan ids that point into an [`ArenaView`]'s local arena
-/// (not yet spliced onto the global arena). Caps both arenas at 2^31
-/// nodes — far beyond what fits in memory anyway.
-pub(crate) const LOCAL_PLAN_BIT: u32 = 1 << 31;
-
 impl std::fmt::Debug for PlanId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0 & LOCAL_PLAN_BIT != 0 {
-            write!(f, "L{}", self.0 & !LOCAL_PLAN_BIT)
-        } else {
-            write!(f, "P{}", self.0)
-        }
+        write!(f, "P{}", self.0)
     }
 }
 
@@ -224,26 +209,6 @@ impl PlanOp {
         };
         [a, b].into_iter().flatten()
     }
-
-    /// Rewrites every child reference through `f` — what the DP driver
-    /// uses to splice a local arena onto the global one.
-    pub fn remap_inputs(&mut self, f: &mut dyn FnMut(PlanId) -> PlanId) {
-        match self {
-            PlanOp::Scan { .. } | PlanOp::IndexScan { .. } => {}
-            PlanOp::Sort { input, .. }
-            | PlanOp::PartialSort { input, .. }
-            | PlanOp::StreamAgg { input, .. }
-            | PlanOp::HashAgg { input, .. }
-            | PlanOp::HashGroup { input, .. } => *input = f(*input),
-            PlanOp::MergeJoin { left, right, .. }
-            | PlanOp::HashJoin { left, right, .. }
-            | PlanOp::GroupJoin { left, right, .. }
-            | PlanOp::NestedLoopJoin { left, right } => {
-                *left = f(*left);
-                *right = f(*right);
-            }
-        }
-    }
 }
 
 /// One plan node: operator, covered relations, estimates, order state.
@@ -326,7 +291,6 @@ impl<S: Copy> PlanArena<S> {
     /// `#Plans` metric.
     pub fn push(&mut self, node: PlanNode<S>) -> PlanId {
         let id = u32::try_from(self.nodes.len()).expect("plan arena overflow");
-        assert!(id < LOCAL_PLAN_BIT, "plan arena overflow");
         self.nodes.push(node);
         PlanId(id)
     }
@@ -350,11 +314,6 @@ impl<S: Copy> PlanArena<S> {
     /// All nodes in allocation order (for fingerprinting and tests).
     pub fn nodes(&self) -> impl Iterator<Item = &PlanNode<S>> {
         self.nodes.iter()
-    }
-
-    /// Consumes the arena into its nodes (what the DP driver splices).
-    pub(crate) fn into_nodes(self) -> Vec<PlanNode<S>> {
-        self.nodes
     }
 
     /// Renders a plan tree as an indented string (for examples/tests).
@@ -455,48 +414,6 @@ impl<S: Copy> PlanArena<S> {
     }
 }
 
-/// A two-level arena: reads resolve against the shared global arena of
-/// earlier DP layers *or* this view's local arena (ids tagged with
-/// `LOCAL_PLAN_BIT`); writes always go to the local arena. One view
-/// per connected subset makes subset construction thread-local — the
-/// unit of work the parallel driver hands to the pool.
-pub struct ArenaView<'g, S> {
-    global: &'g PlanArena<S>,
-    local: PlanArena<S>,
-}
-
-impl<'g, S: Copy> ArenaView<'g, S> {
-    /// A fresh view with an empty local arena.
-    pub fn new(global: &'g PlanArena<S>) -> Self {
-        ArenaView {
-            global,
-            local: PlanArena::new(),
-        }
-    }
-
-    /// Allocates into the local arena; the returned id carries
-    /// the local-arena tag bit until the driver splices it.
-    pub fn push(&mut self, node: PlanNode<S>) -> PlanId {
-        let id = self.local.push(node);
-        PlanId(id.0 | LOCAL_PLAN_BIT)
-    }
-
-    /// Resolves an id against either level.
-    #[inline]
-    pub fn node(&self, id: PlanId) -> &PlanNode<S> {
-        if id.0 & LOCAL_PLAN_BIT != 0 {
-            self.local.node(PlanId(id.0 & !LOCAL_PLAN_BIT))
-        } else {
-            self.global.node(id)
-        }
-    }
-
-    /// Hands the local arena to the driver for splicing.
-    pub fn into_local(self) -> PlanArena<S> {
-        self.local
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,50 +481,5 @@ mod tests {
         assert!(txt.contains("MergeJoin"));
         assert!(txt.contains("Scan(r0)"));
         assert!(txt.contains("Scan(r1)"));
-    }
-
-    #[test]
-    fn arena_view_resolves_both_levels_and_remaps() {
-        let mut global: PlanArena<u32> = PlanArena::new();
-        let g0 = global.push(leaf(0));
-        let mut view = ArenaView::new(&global);
-        let l0 = view.push(leaf(1));
-        assert_ne!(l0, g0);
-        assert!(l0.0 & LOCAL_PLAN_BIT != 0);
-        let j = view.push(PlanNode {
-            op: PlanOp::HashJoin {
-                left: g0,
-                right: l0,
-                edge: 0,
-            },
-            mask: set(&[0, 1]),
-            cost: 30.0,
-            card: 5.0,
-            state: 0,
-            agg: AggMark::NONE,
-            applied_fds: BitSet::new(),
-        });
-        assert_eq!(view.node(j).op.inputs().count(), 2);
-        assert_eq!(view.node(l0).mask, set(&[1]));
-        assert_eq!(view.node(g0).mask, set(&[0]));
-
-        // Splice: local ids shift onto the global tail.
-        let base = global.len() as u32;
-        let mut spliced = global.clone();
-        for mut node in view.into_local().into_nodes() {
-            node.op.remap_inputs(&mut |p| {
-                if p.0 & LOCAL_PLAN_BIT != 0 {
-                    PlanId(base + (p.0 & !LOCAL_PLAN_BIT))
-                } else {
-                    p
-                }
-            });
-            spliced.push(node);
-        }
-        assert_eq!(spliced.len(), 3);
-        let join = spliced.node(PlanId(2));
-        let children: Vec<PlanId> = join.op.inputs().collect();
-        assert_eq!(children, vec![PlanId(0), PlanId(1)]);
-        assert_eq!(spliced.tree_size(PlanId(2)), 3);
     }
 }

@@ -2,16 +2,15 @@
 //! machine word end to end — `BitSet` relation masks (lifted in PR 2)
 //! *and* spillable applied-FD masks (a 70-relation chain carries 69 FD
 //! sets, past the legacy `u64` bitmask that used to be asserted at
-//! `PlanGen::new`) — through both the serial and the parallel driver.
+//! `PlanGen::new`).
 
 use ofw_core::{OrderingFramework, PruneConfig};
-use ofw_parallel::ThreadPool;
 use ofw_plangen::PlanGen;
 use ofw_query::extract::ExtractOptions;
 use ofw_workload::{large_query, LargeQueryConfig, Topology};
 
 #[test]
-fn seventy_relation_chain_plans_through_both_drivers() {
+fn seventy_relation_chain_plans() {
     let (catalog, query) = large_query(&LargeQueryConfig {
         topology: Topology::Chain,
         num_relations: 70,
@@ -29,20 +28,14 @@ fn seventy_relation_chain_plans_through_both_drivers() {
         ex.spec.fd_sets().len()
     );
 
-    // DFSM arm, serial vs parallel: identical winner, bitwise cost.
     let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
-    let serial = PlanGen::new(&catalog, &query, &ex, &fw).run();
+    let r = PlanGen::new(&catalog, &query, &ex, &fw).run();
     assert_eq!(
-        serial.arena.node(serial.best).mask,
+        r.arena.node(r.best).mask,
         query.all_relations_set(),
         "the winner covers all 70 relations"
     );
-    assert!(serial.cost.is_finite() && serial.cost > 0.0);
-    let pool = ThreadPool::new(2);
-    let parallel = PlanGen::new(&catalog, &query, &ex, &fw).run_with(&pool);
-    assert_eq!(parallel.best, serial.best);
-    assert_eq!(parallel.cost.to_bits(), serial.cost.to_bits());
-    assert_eq!(parallel.stats.plans, serial.stats.plans);
+    assert!(r.cost.is_finite() && r.cost > 0.0);
 
     // (Only the DFSM arm runs at this width: the Simmen baseline's
     // env-superset dominance cannot see that FDs applied on the build

@@ -1,8 +1,7 @@
 //! Interning regression: the DP must produce the same plan table
 //! whether its DFSM oracle was prepared directly or served from a
 //! [`PreparedCache`] — on the cold miss, on the warm hit, and for an
-//! attribute-shifted twin query that shares the cached automaton — at
-//! every DP thread count.
+//! attribute-shifted twin query that shares the cached automaton.
 //!
 //! A cached framework answers every probe like an uncached one but may
 //! number handles and states differently (canonical renaming can reorder
@@ -15,7 +14,6 @@ use std::fmt::Write as _;
 
 use ofw_catalog::{AttrId, Catalog, RelId};
 use ofw_core::{OrderingFramework, PrepStats, PrepareOptions, PreparedCache, PruneConfig, State};
-use ofw_parallel::ThreadPool;
 use ofw_plangen::{PlanGen, PlanGenResult};
 use ofw_query::extract::ExtractOptions;
 use ofw_query::{AggCall, ConstPred, FilterPred, JoinEdge, Query};
@@ -53,15 +51,9 @@ enum Prep<'a> {
     Cached(&'a PreparedCache),
 }
 
-/// Prepares the query's oracle and runs the DP, serially or on a pool of
-/// `threads` workers; returns the plan table and the oracle's
-/// preparation counters.
-fn run_dp(
-    catalog: &Catalog,
-    query: &Query,
-    prep: Prep<'_>,
-    threads: Option<usize>,
-) -> (PlanGenResult<State>, PrepStats) {
+/// Prepares the query's oracle and runs the DP; returns the plan table
+/// and the oracle's preparation counters.
+fn run_dp(catalog: &Catalog, query: &Query, prep: Prep<'_>) -> (PlanGenResult<State>, PrepStats) {
     let ex = ofw_query::extract(catalog, query, &ExtractOptions::default());
     let oracle = match prep {
         Prep::Uncached => OrderingFramework::prepare(&ex.spec, PruneConfig::default()),
@@ -73,11 +65,7 @@ fn run_dp(
         ),
     }
     .expect("preparation");
-    let pg = PlanGen::new(catalog, query, &ex, &oracle);
-    let result = match threads {
-        None => pg.run(),
-        Some(t) => pg.run_with(&ThreadPool::new(t)),
-    };
+    let result = PlanGen::new(catalog, query, &ex, &oracle).run();
     (result, oracle.stats().clone())
 }
 
@@ -156,53 +144,50 @@ fn shifted_twin(catalog: &Catalog, query: &Query) -> (Catalog, Query) {
     (twin_catalog, twin)
 }
 
-/// Cold miss, warm hit and shifted twin against the uncached reference,
-/// serially and at 1/2/8 pool threads.
+/// Cold miss, warm hit and shifted twin against the uncached reference.
 fn check_cache(catalog: &Catalog, query: &Query) {
     let (twin_catalog, twin) = shifted_twin(catalog, query);
-    let (reference, reference_stats) = run_dp(catalog, query, Prep::Uncached, None);
-    let twin_reference = fingerprint(&run_dp(&twin_catalog, &twin, Prep::Uncached, None).0);
+    let (reference, reference_stats) = run_dp(catalog, query, Prep::Uncached);
+    let twin_reference = fingerprint(&run_dp(&twin_catalog, &twin, Prep::Uncached).0);
     let reference_print = fingerprint(&reference);
 
-    for threads in [None, Some(1), Some(2), Some(8)] {
-        let cache = PreparedCache::new();
-        let (miss, miss_stats) = run_dp(catalog, query, Prep::Cached(&cache), threads);
-        let (hit, hit_stats) = run_dp(catalog, query, Prep::Cached(&cache), threads);
-        let (shared, shared_stats) = run_dp(&twin_catalog, &twin, Prep::Cached(&cache), threads);
-        assert_eq!(
-            (cache.misses(), cache.hits(), cache.len()),
-            (1, 2, 1),
-            "miss, hit, and a twin sharing the entry"
-        );
-        assert_eq!(
-            [
-                miss_stats.interned_hit,
-                hit_stats.interned_hit,
-                shared_stats.interned_hit
-            ],
-            [false, true, true]
-        );
-        assert_eq!(
-            fingerprint(&miss),
-            reference_print,
-            "cold cached preparation diverged at {threads:?} DP threads"
-        );
-        assert_eq!(
-            fingerprint(&hit),
-            reference_print,
-            "warm cached preparation diverged at {threads:?} DP threads"
-        );
-        assert_eq!(
-            fingerprint(&shared),
-            twin_reference,
-            "shared automaton diverged on the twin at {threads:?} DP threads"
-        );
-        // The automaton counters are a function of the spec's shape, not
-        // of who built the automaton or what was probed before.
-        for stats in [&miss_stats, &hit_stats, &shared_stats] {
-            assert_eq!(stats.nfsm_nodes, reference_stats.nfsm_nodes);
-            assert_eq!(stats.dfsm_states, reference_stats.dfsm_states);
-        }
+    let cache = PreparedCache::new();
+    let (miss, miss_stats) = run_dp(catalog, query, Prep::Cached(&cache));
+    let (hit, hit_stats) = run_dp(catalog, query, Prep::Cached(&cache));
+    let (shared, shared_stats) = run_dp(&twin_catalog, &twin, Prep::Cached(&cache));
+    assert_eq!(
+        (cache.misses(), cache.hits(), cache.len()),
+        (1, 2, 1),
+        "miss, hit, and a twin sharing the entry"
+    );
+    assert_eq!(
+        [
+            miss_stats.interned_hit,
+            hit_stats.interned_hit,
+            shared_stats.interned_hit
+        ],
+        [false, true, true]
+    );
+    assert_eq!(
+        fingerprint(&miss),
+        reference_print,
+        "cold cached preparation diverged"
+    );
+    assert_eq!(
+        fingerprint(&hit),
+        reference_print,
+        "warm cached preparation diverged"
+    );
+    assert_eq!(
+        fingerprint(&shared),
+        twin_reference,
+        "shared automaton diverged on the twin"
+    );
+    // The automaton counters are a function of the spec's shape, not
+    // of who built the automaton or what was probed before.
+    for stats in [&miss_stats, &hit_stats, &shared_stats] {
+        assert_eq!(stats.nfsm_nodes, reference_stats.nfsm_nodes);
+        assert_eq!(stats.dfsm_states, reference_stats.dfsm_states);
     }
 }
 

@@ -1,16 +1,12 @@
 //! Observability must be a pure observer: attaching a recording
 //! [`Trace`] sink to the DP must not perturb the plan table by a single
-//! byte — same arena nodes, same costs, same winner — serially and at
-//! every thread count, for every oracle arm. And the trace itself must
-//! be deterministic where it claims to be: the *skeleton* (span names,
-//! labels, depths, counters in record order) is byte-identical across
-//! thread counts; only timestamps and thread lanes may differ.
+//! byte — same arena nodes, same costs, same winner — for every oracle
+//! arm.
 //!
-//! Protocol per arm: one untraced serial run first on the shared oracle
-//! instance (this warms the memoizing oracles so their numeric state
-//! handles are bit-stable — see `determinism.rs` for the two-tier
-//! guarantee), then a traced serial run and traced pool runs at 1, 2
-//! and 8 threads, all fingerprint-checked against the untraced
+//! Protocol per arm: one untraced run first on the shared oracle
+//! instance (this warms the memoizing oracles, which intern state
+//! handles first-come, so the traced run's handles are bit-stable),
+//! then a traced run, fingerprint-checked against the untraced
 //! reference.
 
 use proptest::prelude::*;
@@ -20,7 +16,6 @@ use std::fmt::Write as _;
 use ofw_catalog::Catalog;
 use ofw_core::{OrderingFramework, PruneConfig};
 use ofw_obs::Trace;
-use ofw_parallel::ThreadPool;
 use ofw_plangen::{ExplicitOracle, OrderOracle, PlanGen, PlanGenResult};
 use ofw_query::extract::ExtractOptions;
 use ofw_query::Query;
@@ -55,59 +50,35 @@ fn fingerprint<S: Copy + Debug>(r: &PlanGenResult<S>) -> String {
     out
 }
 
-fn assert_arm_trace_inert<O>(label: &str, catalog: &Catalog, query: &Query, oracle: &O)
-where
-    O: OrderOracle + Sync,
-    O::Key: Sync,
-    O::State: Send + Sync + Debug,
-{
+fn assert_arm_trace_inert<O: OrderOracle>(
+    label: &str,
+    catalog: &Catalog,
+    query: &Query,
+    oracle: &O,
+) {
     let ex = ofw_query::extract(catalog, query, &ExtractOptions::default());
 
-    // Untraced serial reference (also the oracle warm-up run).
+    // Untraced reference (also the oracle warm-up run).
     let reference = fingerprint(&PlanGen::new(catalog, query, &ex, oracle).run());
 
-    // Traced serial run: same bytes, and the trace actually recorded.
-    let serial_trace = Trace::recording();
-    let serial = PlanGen::new(catalog, query, &ex, oracle)
-        .trace(&serial_trace)
+    // Traced run: same bytes, and the trace actually recorded.
+    let trace = Trace::recording();
+    let traced = PlanGen::new(catalog, query, &ex, oracle)
+        .trace(&trace)
         .run();
     assert_eq!(
-        fingerprint(&serial),
+        fingerprint(&traced),
         reference,
-        "{label}: recording sink changed the serial plan table"
+        "{label}: recording sink changed the plan table"
     );
-    let records = serial_trace.records();
+    let records = trace.records();
     assert!(!records.is_empty(), "{label}: recording sink saw no spans");
     assert_eq!(records[0].name, "plangen");
     assert_eq!(
-        serial_trace.chrome_json().matches("\"ph\":\"X\"").count(),
+        trace.chrome_json().matches("\"ph\":\"X\"").count(),
         records.len(),
         "{label}: the Chrome export must hold one complete event per span record"
     );
-
-    // Traced pool runs: same bytes at every thread count, and one
-    // skeleton shared by all thread counts.
-    let mut pool_skeleton: Option<String> = None;
-    for threads in [1usize, 2, 8] {
-        let pool = ThreadPool::new(threads);
-        let trace = Trace::recording();
-        let r = PlanGen::new(catalog, query, &ex, oracle)
-            .trace(&trace)
-            .run_with(&pool);
-        assert_eq!(
-            fingerprint(&r),
-            reference,
-            "{label}: recording sink changed the plan table at {threads} threads"
-        );
-        let skeleton = trace.skeleton();
-        match &pool_skeleton {
-            None => pool_skeleton = Some(skeleton),
-            Some(first) => assert_eq!(
-                &skeleton, first,
-                "{label}: trace skeleton varies with thread count ({threads} threads)"
-            ),
-        }
-    }
 }
 
 fn check_query(catalog: &Catalog, query: &Query) {
@@ -124,7 +95,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Random join queries: a recording trace is inert for all three
-    /// oracle arms at every thread count.
+    /// oracle arms.
     #[test]
     fn recording_trace_never_changes_join_plans(seed in 0u64..1000, extra in 0usize..2) {
         let (catalog, query) = random_query(&RandomQueryConfig {

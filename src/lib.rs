@@ -23,7 +23,7 @@
 //! | [`catalog`] | schema/catalog substrate (incl. a TPC-H subset) |
 //! | [`query`] | query graphs + interesting-order/FD extraction |
 //! | [`plangen`] | bottom-up DP plan generator exercising both frameworks |
-//! | [`parallel`] | deterministic work-stealing pool + parallel DP driver |
+//! | [`parallel`] | deterministic work-stealing pool behind the morsel executor |
 //! | [`exec`] | morsel-driven vectorized executor + differential reference plan |
 //! | [`workload`] | random join-graph workloads, TPC-R Query 8, large topologies |
 //! | [`obs`] | observability: phase spans, decision telemetry, trace export |

@@ -148,18 +148,13 @@ struct Row {
     dp: Dp,
 }
 
-fn plan<O>(
+fn plan<O: OrderOracle>(
     catalog: &Catalog,
     query: &Query,
     ex: &ExtractedQuery,
     oracle: &O,
     search: Search,
-) -> (f64, Dp)
-where
-    O: OrderOracle + Sync,
-    O::Key: Sync,
-    O::State: Send + Sync,
-{
+) -> (f64, Dp) {
     let trace = Trace::recording();
     let pg = PlanGen::new(catalog, query, ex, oracle).trace(&trace);
     let r = match search {
