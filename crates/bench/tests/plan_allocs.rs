@@ -8,9 +8,10 @@
 //! [`allocation_count`] around the set operations, and around one whole
 //! `PlanGen::run` per plan that entered the table: 38.6 allocations per
 //! plan while every set was a `Vec<u64>` sized to its universe, 25.2
-//! with inline words (29,789 plans either way). The rest is item 1 of
-//! the ROADMAP: merge keys resolved per pair, per-union Pareto scratch,
-//! operator key vectors.
+//! with inline words, 24.6 once plans went straight into one arena
+//! instead of a per-union one (29,789 plans each time). The rest is
+//! item 2 of the ROADMAP: merge keys resolved per pair, per-union Pareto
+//! scratch, operator key vectors.
 //!
 //! One `#[test]` only: the counter is process-global, and a second test
 //! running on another harness thread would be counted too.

@@ -6,10 +6,10 @@
 //! shared structures through a [`MemoryMeter`] instead of relying on a
 //! global allocator hook (which would also count plan-generator noise).
 //!
-//! The meter is atomic, so it is `Sync`: the parallel DP driver's
-//! workers all charge the one meter inside their shared oracle without
-//! any external locking. The counters are logical bytes, not allocator
-//! truth, so relaxed ordering is sufficient.
+//! The meter is atomic, so it is `Sync`: planners on several threads
+//! sharing one oracle all charge its one meter without any external
+//! locking. The counters are logical bytes, not allocator truth, so
+//! relaxed ordering is sufficient.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// Atomics keep the accounting callable from `&self` methods on oracles
 /// without threading `&mut` through the plan generator, and make the
-/// meter shareable across the parallel driver's worker threads.
+/// meter shareable across threads.
 #[derive(Debug, Default)]
 pub struct MemoryMeter {
     current: AtomicUsize,

@@ -39,7 +39,7 @@
 //! others live in `ofw-simmen` and `ofw-plangen`). Its arm invariants:
 //!
 //! * **immutable after preparation** — probes contend on nothing, so
-//!   the parallel DP driver runs it without locks;
+//!   planners on several threads share it without locks;
 //! * **sequential FD semantics** — `infer` applies an operator's FD set
 //!   exactly once, at the operator (§5.6); enforcers must *replay* the
 //!   FD sets holding below them onto freshly produced states;

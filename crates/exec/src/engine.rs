@@ -6,8 +6,7 @@
 //! count), each morsel is processed as one task on an
 //! [`OrderedExecutor`], and the per-morsel results are merged in morsel
 //! index order. Scheduling freedom lives entirely below that seam, so
-//! the output is **byte-identical at 1, 2 or 8 pool threads** — the
-//! executor-level twin of the parallel DP's determinism story.
+//! the output is **byte-identical at 1, 2 or 8 pool threads**.
 //!
 //! Columns are materialized once, at the plan root. Below it an
 //! operator's output is an intermediate of *parts*, one per base

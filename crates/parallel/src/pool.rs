@@ -389,13 +389,14 @@ mod tests {
     #[test]
     fn nested_runs_complete_in_chunk_order() {
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        let submitter = std::thread::spawn(move || {
             let pool = ThreadPool::new(2);
             let _ = tx.send(pool.run(4, &|i| pool.run(3, &|j| 10 * i + j)));
         });
         let out = rx
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("a nested run must not deadlock");
+        submitter.join().expect("the submitting thread finishes");
         let want: Vec<Vec<usize>> = (0..4)
             .map(|i| (0..3).map(|j| 10 * i + j).collect())
             .collect();
@@ -404,7 +405,7 @@ mod tests {
 
     #[test]
     fn identical_results_for_every_thread_count() {
-        // The determinism contract the DP driver relies on.
+        // The determinism contract the executor relies on.
         let reference: Vec<u64> = (0..200u64).map(|i| i.wrapping_mul(0x9e3779b9)).collect();
         for threads in [1, 2, 3, 5, 8] {
             let pool = ThreadPool::new(threads);

@@ -56,10 +56,10 @@
 //!
 //! The driver ([`PlanGen::run`]) is serial, as in the paper's §7
 //! generator: it plans the unions one after another in batch order, and
-//! every builder pushes the plans it admits straight into the one
-//! [`PlanArena`]. A plan's id is therefore a pure function of the query,
-//! and so is the whole plan table — operators, masks, costs,
-//! cardinalities, applied FDs, oracle states, winner.
+//! every plan a union admits goes straight into the one [`PlanArena`].
+//! A plan's id is therefore a pure function of the query, and so is the
+//! whole plan table — operators, masks, costs, cardinalities, applied
+//! FDs, oracle states, winner.
 //!
 //! # The pruning seam
 //!
@@ -157,7 +157,7 @@ pub struct PlanGenStats {
     pub phases: Vec<PhaseStats>,
     /// Whole-run decision telemetry: Pareto-pruning outcomes per
     /// comparability class, enforcer admissions/wins, oracle probe
-    /// counts. Deterministic per query at any thread count.
+    /// counts. Deterministic per query.
     pub decisions: DecisionCounters,
 }
 
@@ -647,8 +647,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         let n = self.query.num_relations();
         let mut phases: Vec<PhaseStats> = Vec::new();
         let mut run_dc = DecisionCounters::default();
-        // Every plan node of the run, in allocation order: each builder
-        // pushes the plans it admits straight into it.
+        // Every plan node of the run, in allocation order: each plan
+        // goes in the moment it is admitted.
         let mut arena = PlanArena::new();
 
         // Subsets committed so far, in flat global-index order: the

@@ -8,7 +8,7 @@
 //! id-authoritative stores (the property interner and the FD-environment
 //! store) and every memo over them sit behind one `Mutex`, taken once
 //! per probe — the layout of the explicit-set arm. The oracle is `Sync`,
-//! so the pooled DP runs it unchanged and pays for the sharing.
+//! so planners on several threads can share it, paying for the sharing.
 //!
 //! Grouping support mirrors the combined framework: a plan node's
 //! physical property may be a grouping (hash-aggregation output), and a
