@@ -5,15 +5,18 @@
 //! binary can difference [`allocation_count`] and [`allocated_bytes`]
 //! around a plan execution, over 100 000 rows:
 //!
-//! * HashJoin, HashAgg and HashGroup must allocate O(morsels × columns)
-//!   times — a few hundred — never O(rows): a per-row key `Vec` (what
-//!   the operators built before the flat `hash` kernels) is ≥ 100 000
-//!   allocations and fails this loudly.
+//! * HashJoin, HashAgg, HashGroup, StreamAgg and GroupJoin must allocate
+//!   O(morsels × columns) times — a few hundred — never O(rows): a
+//!   per-row key `Vec` (what the operators built before the flat `hash`
+//!   kernels) is ≥ 100 000 allocations and fails this loudly, and so
+//!   does a per-run one under the streaming aggregates.
 //! * Sort and a filtered IndexScan must allocate O(morsels) times — the
 //!   radix kernel's counting passes use no heap — so an allocation per
 //!   bucket (hundreds) or per equal-key run (tens of thousands) fails.
 //! * Each plan must allocate about its root's output column bytes once,
-//!   plus its id, pair, hash or sort-entry buffers: only the root gathers
+//!   plus its id, pair, hash, sort-entry or aggregation buffers (dense
+//!   key slices, run starts and their keys, contribution slices, group
+//!   tables and accumulators): only the root gathers
 //!   columns, each allocated at its final length and filled in place;
 //!   every operator below it hands up `u32` row ids; and a sort holds at
 //!   most two 16-byte entries per input row. An inner join that
@@ -37,6 +40,7 @@ use ofw_query::{AggCall, AggFunc, FilterPred, JoinEdge, Query};
 const ROWS: usize = 100_000;
 const KEYS: i64 = 50_000;
 const GROUPS: i64 = 1_000;
+const MORSEL_ROWS: u64 = ofw_exec::MORSEL_ROWS as u64;
 
 /// `r0(k, g, v) ⋈ r1(k, w)` on `k`, `group by r0.g`, `sum(v)`,
 /// `count(*)`; every join key occurs twice on either side. `r2(k, f)`,
@@ -140,8 +144,16 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
         },
         joined.clone(),
     );
-    let morsels = ROWS.div_ceil(ofw_exec::MORSEL_ROWS) as u64;
     let (rows, pairs) = (ROWS as u64, 2 * ROWS as u64);
+    let by_group = push(
+        &mut arena,
+        PlanOp::Sort {
+            input: s0,
+            key: query.group_by.clone(),
+        },
+        query.relation_set(0),
+    );
+    let morsels = rows.div_ceil(MORSEL_ROWS);
     // A one-key hash join's kernel buffers: per build row its hash, row
     // id and key copy (20 bytes); per bucket (the build rows rounded up
     // to a power of two) an offset (4); per probe row its hash, which
@@ -154,28 +166,70 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
         let probe_row = if probe_ids { 16 } else { 8 };
         build * 20 + build.next_power_of_two() * 4 + probe * probe_row + (pairs + probe) * 12
     };
+    // A hash aggregate's kernel buffers over `rows` input rows whose
+    // keys are borrowed (a scan's), meeting `local` groups a morsel and
+    // `groups` in all, with `folds` fold columns: per row its hash,
+    // local group id and bucket head (16 bytes); per local group its
+    // chain link, hash and representative row (16), twice over since
+    // they grow by doubling, its fold values (8 each), and its merged id
+    // and merge bucket head (12, the bucket count rounded up); per group
+    // the merged table's entries and fold values, twice over, and its
+    // output order and representative (16). Group counts round up to a
+    // power of two, as a doubling vector's capacity does.
+    let hash_agg = |rows: u64, local: u64, groups: u64, folds: u64| {
+        rows.div_ceil(MORSEL_ROWS) * local.next_power_of_two() * (2 * 16 + 8 * folds + 12)
+            + rows * 16
+            + groups.next_power_of_two() * (2 * (16 + 8 * folds) + 16)
+    };
+    // A stream aggregate's kernel buffers over `rows` input rows read
+    // through row ids, with `keys` key columns, `dense` contribution
+    // columns read through the ids (a raw `sum`, `min` or `max` input)
+    // and `groups` groups whose representatives carry `parts` id
+    // columns: per row its dense key values (8 each), its run-start
+    // bit (1 / 8) and its dense contributions (8 each); per morsel a
+    // look-back key row, a closing run bound and the start bits' last
+    // word (8 per key + 16); per group its start row and key values
+    // twice — per morsel, then end to end for the grouping check — its
+    // hash and check-table entry (32, the bucket rounded up), its run
+    // bound (8) and a representative id per part (4 each).
+    let stream_agg = |rows: u64, keys: u64, dense: u64, groups: u64, parts: u64| {
+        rows * (8 * keys + 8 * dense)
+            + rows / 8
+            + rows.div_ceil(MORSEL_ROWS) * (8 * keys + 16)
+            + groups * (2 * (4 + 8 * keys) + 32 + 8 + 4 * parts)
+    };
+    // The aggregates' output is a thousand groups, too small for the 30 %
+    // slack on it to cover task bookkeeping (morsel ranges, result slots,
+    // write pieces): they are allowed 1 KB per morsel of every pass.
+    let bookkeeping = |morsels: u64| morsels * 1024;
+    let pair_morsels = pairs.div_ceil(MORSEL_ROWS);
     // Per plan: its name, its output rows, its root, the allocations it
     // may make — rows / 10 for the hash operators; a few per morsel for
     // the sort, whose 16-bit key cuts 256 radix buckets; sixteen per
     // morsel for the index scan, whose filter grows each morsel's
-    // survivor list by doubling and whose 20-bit key cuts 1 024 buckets
-    // — and the bytes its id, pair, hash or entry buffers may take
+    // survivor list by doubling and whose 20-bit key cuts 1 024 buckets,
+    // and for the streaming aggregates, per morsel of every pass they
+    // make — and the bytes its id, pair, hash or entry buffers may take
     // beside the output columns the root gathers: a join's kernel
     // buffers (`hash_join`), and a `u32` id per part and row of every
     // join or sort output it composes; 36 per row (hash, three `u32` row
     // or group ids, the per-morsel group tables) for the hash grouping;
     // two 16-byte sort entries per input row for the sorts (the filtered
     // index scan's survivor lists and ids fit in what the rows it drops
-    // leave over). HashAgg's output is a thousand groups: it is held to
-    // the allocation count only. A scan below an operator allocates
-    // nothing, so each plan is charged its whole allocation. Measured on
-    // 100 000 rows (bound in brackets): HashJoin 16.0 MB [17.3] for 8.0 MB
-    // of output in 187 allocations; HashGroup 6.2 MB [6.7] for 2.4 MB;
-    // Sort 6.0 MB [6.3] for 2.4 MB in 30 allocations [100]; the index
-    // scan 3.0 MB [4.2] for 0.8 MB in 274 allocations [400]; the two-join
-    // chain 31.2 MB [36.0] for 11.2 MB; the sort over the join 24.0 MB
-    // [26.9] for 8.0 MB. Materializing the inner join's columns, as the
-    // executor once did, takes 37.6 MB and 32.0 MB for the last two.
+    // leave over); an aggregate's kernel buffers (`hash_agg`,
+    // `stream_agg`). A scan below an operator allocates nothing, so each
+    // plan is charged its whole allocation. Measured on 100 000 rows
+    // (bound in brackets): HashJoin 16.0 MB [17.3] for 8.0 MB of output
+    // in 187 allocations; HashAgg 3.08 MB [3.30] for 0.04 MB in 506
+    // allocations; HashGroup 6.2 MB [6.7] for 2.4 MB; Sort 6.0 MB [6.3]
+    // for 2.4 MB in 30 allocations [100]; the index scan 3.0 MB [4.2]
+    // for 0.8 MB in 274 allocations [400]; StreamAgg over the sort
+    // 5.32 MB [5.36] for 0.04 MB in 260 allocations [400]; the
+    // group-join over the sort 15.7 MB [16.4] for 0.06 MB in 654
+    // allocations [1 184]; the two-join chain 31.2 MB [36.0] for 11.2
+    // MB; the sort over the join 24.0 MB [26.9] for 8.0 MB.
+    // Materializing the inner join's columns, as the executor once did,
+    // takes 37.6 MB and 32.0 MB for the last two.
     let plans = [
         (
             "HashJoin",
@@ -197,7 +251,7 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                 query.relation_set(0),
             ),
             rows / 10,
-            None,
+            Some(hash_agg(rows, GROUPS as u64, GROUPS as u64, 2) + bookkeeping(morsels)),
         ),
         (
             "HashGroup",
@@ -234,6 +288,48 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
             ),
             16 * morsels,
             Some(2 * rows * 16),
+        ),
+        (
+            "StreamAgg(Sort)",
+            GROUPS as usize,
+            push(
+                &mut arena,
+                PlanOp::StreamAgg {
+                    input: by_group,
+                    key: query.group_by.clone(),
+                    partial: false,
+                },
+                query.relation_set(0),
+            ),
+            16 * morsels,
+            Some(
+                2 * rows * 16
+                    + rows * 4
+                    + stream_agg(rows, 1, 1, GROUPS as u64, 1)
+                    + bookkeeping(morsels),
+            ),
+        ),
+        (
+            "GroupJoin",
+            GROUPS as usize,
+            push(
+                &mut arena,
+                PlanOp::GroupJoin {
+                    left: by_group,
+                    right: s1,
+                    edge: 0,
+                },
+                joined.clone(),
+            ),
+            16 * (morsels + pair_morsels),
+            Some(
+                2 * rows * 16
+                    + rows * 4
+                    + hash_join(rows, rows, true, pairs)
+                    + pairs * 2 * 4
+                    + stream_agg(pairs, 1, 1, GROUPS as u64, 2)
+                    + bookkeeping(morsels + pair_morsels),
+            ),
         ),
         // Two joins: the inner one's output is ids, never columns.
         (
@@ -288,9 +384,11 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
             "{op} over {ROWS} rows made {allocs} allocations (bound {max_allocs}) — \
              a per-row or per-run allocation is back"
         );
-        // The work really happened: every group holds ROWS / GROUPS rows.
+        // The work really happened: every group holds ROWS / GROUPS rows,
+        // each joined to two `r1` rows under the group-join.
         if let Some(counts) = out.col(ColRef::Acc(1)) {
-            assert!(counts.iter().all(|&c| c == (ROWS as i64) / GROUPS));
+            let per_group = if op == "GroupJoin" { 2 } else { 1 } * (ROWS as i64) / GROUPS;
+            assert!(counts.iter().all(|&c| c == per_group), "{op}");
         }
         let Some(buffers) = buffers else { continue };
         let out_bytes = column_bytes(&out);

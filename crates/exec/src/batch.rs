@@ -137,11 +137,13 @@ impl ColTable {
 
     /// Does the physical row sequence satisfy the logical *grouping*
     /// over `attrs` — all rows equal on `attrs` consecutive? The
-    /// VLDB'04 grouping-satisfaction condition, checked by hashing the
-    /// start of every equal-key run: a key seen twice resumed a group.
+    /// VLDB'04 grouping-satisfaction condition, checked by the streaming
+    /// aggregates' run finder: neighbours compared to cut equal-key runs,
+    /// then the key of every run start hashed — a key seen twice resumed
+    /// a group.
     pub fn satisfies_grouping(&self, attrs: &[AttrId]) -> bool {
         let cols: Vec<Col> = self.attr_cols(attrs).into_iter().map(Col::from).collect();
-        resumed_run(&cols, &[run_starts(&cols, 0..self.rows)]).is_none()
+        resumed_run(&[run_starts(&cols, 0..self.rows)]).is_none()
     }
 
     /// Does the row sequence satisfy the *head/tail pair* — equal-`head`

@@ -26,7 +26,13 @@
 //! sort, linear in the rows for the bits the key range needs, so a
 //! partial sort runs as the full sort it must byte-equal; the streaming
 //! aggregates fold the equal-key runs of their grouped input without
-//! hashing a row.
+//! hashing a row. Aggregation works a column at a time: each key column
+//! is read once per morsel into a dense slice, and each fold reads one
+//! dense contribution column (an accumulator borrowed as is, a raw
+//! input read once through its ids, a `sum`'s weights multiplied in)
+//! with one loop per function — over the runs for the streaming
+//! aggregates, scattered by every row's local group id for the hash
+//! aggregate.
 //!
 //! Operator semantics replicate the legacy tuple-at-a-time oracle
 //! (`ofw_plangen::exec`) exactly on the attribute columns — including
@@ -38,14 +44,14 @@
 //! reference plan.
 
 use crate::batch::{ColRef, ColTable};
-use crate::hash::{hash_rows, resumed_run, rows_eq, run_starts, Col, GroupTable, JoinTable};
+use crate::hash::{hash_rows, local_groups, resumed_run, run_starts, Col, GroupTable, JoinTable};
 use ofw_catalog::{AttrId, Catalog};
 use ofw_common::{morsel_ranges, OrderedExecutor, SerialExecutor};
 use ofw_obs::Trace;
 use ofw_plangen::exec::CONST_VALUE;
 use ofw_plangen::plan::PlanArena;
 use ofw_plangen::{PlanId, PlanOp};
-use ofw_query::{AggFunc, JoinGraph, Query};
+use ofw_query::{AggCall, AggFunc, JoinGraph, Query};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -547,57 +553,65 @@ enum JoinKind {
     NestedLoop,
 }
 
-/// One output column of an aggregate besides the attribute columns, per
-/// group.
-#[derive(Clone, Copy)]
-enum AggCol {
-    /// The group's Σ weight: a partial's weight column, or a final
-    /// `count` (whose value *is* the weight).
-    Weight,
-    /// Fold slot `s` (`sum`/`min`/`max`).
-    Fold(usize),
+/// Where a fold reads its per-row contributions.
+enum Contrib<'t> {
+    /// One per row: the fold counts rows — a weight with no input
+    /// weight column.
+    One,
+    /// A materialized column, borrowed as is: the input's weight or
+    /// accumulator column.
+    Col(&'t [i64]),
+    /// A raw input attribute, times the input's weight column when given
+    /// (a `sum`'s, so that a row stands for all its logical tuples).
+    Raw(Col<'t>, Option<&'t [i64]>),
 }
 
-/// One fold slot: function plus where a row's contribution comes from.
-struct FoldSpec<'t> {
+impl<'t> Contrib<'t> {
+    /// The contributions of rows `range`, as one dense slice: a column
+    /// borrowed, a raw input read once through its ids, the weights
+    /// multiplied in a column at a time; `None` for [`Contrib::One`].
+    fn dense(&self, range: Range<usize>) -> Option<Cow<'t, [i64]>> {
+        match *self {
+            Contrib::One => None,
+            Contrib::Col(c) => Some(Cow::Borrowed(&c[range])),
+            Contrib::Raw(raw, None) => Some(raw.dense(range)),
+            Contrib::Raw(raw, Some(w)) => {
+                let mut vals = raw.dense(range.clone()).into_owned();
+                for (v, w) in vals.iter_mut().zip(&w[range]) {
+                    *v *= w;
+                }
+                Some(Cow::Owned(vals))
+            }
+        }
+    }
+}
+
+/// One fold: a function over a contribution column.
+struct Fold<'t> {
+    /// `Sum` for the weight (a `count`'s value *is* the weight).
     func: AggFunc,
-    /// Input accumulator column for this call, if materialized below.
-    acc: Option<&'t [i64]>,
-    /// Raw input attribute column, the fallback source.
-    raw: Option<Col<'t>>,
+    contrib: Contrib<'t>,
 }
 
 /// What an aggregate computes from its input: its value columns (what
-/// each holds and how it is computed) and the fold slots. Its attribute
+/// each holds and which fold computes it) and the folds. Its attribute
 /// columns are the input's, at each group's representative row.
 struct AggSpec<'t> {
-    cols: Vec<(ColRef, AggCol)>,
-    folds: Vec<FoldSpec<'t>>,
-    /// The input's weight column (absent: every row weighs 1).
-    weight: Option<&'t [i64]>,
+    cols: Vec<(ColRef, usize)>,
+    folds: Vec<Fold<'t>>,
 }
 
 impl AggSpec<'_> {
-    /// Row `r`'s weight.
-    fn weight(&self, r: usize) -> i64 {
-        self.weight.map_or(1, |w| w[r])
-    }
-
-    /// Row `r`'s contribution to fold slot `slot`.
-    fn contrib(&self, slot: usize, r: usize) -> i64 {
-        let s = &self.folds[slot];
-        match (s.func, s.acc) {
-            (AggFunc::Sum | AggFunc::Min | AggFunc::Max, Some(c)) => c[r],
-            (AggFunc::Sum, None) => s.raw.expect("sum without source").at(r) * self.weight(r),
-            (AggFunc::Min | AggFunc::Max, None) => s.raw.expect("min/max without source").at(r),
-            (AggFunc::Count, _) => unreachable!("count never folds"),
-        }
-    }
-
-    /// `out` with the value columns `cols`, computed in [`Self::cols`]
-    /// order, set as its weight and accumulators.
-    fn finish<'a>(&self, mut out: Inter<'a>, cols: Vec<Vec<i64>>) -> Inter<'a> {
-        for (&(what, _), col) in self.cols.iter().zip(cols) {
+    /// `out` with the value columns set as its weight and accumulators,
+    /// from `values`, each fold's column by fold index.
+    fn finish<'a>(&self, mut out: Inter<'a>, mut values: Vec<Vec<i64>>) -> Inter<'a> {
+        for (k, &(what, f)) in self.cols.iter().enumerate() {
+            // Two `count` calls read the one weight fold.
+            let col = if self.cols[k + 1..].iter().any(|c| c.1 == f) {
+                values[f].clone()
+            } else {
+                std::mem::take(&mut values[f])
+            };
             match what {
                 ColRef::Weight => out.weight = Some(col),
                 ColRef::Acc(call) => out.accs.push((call, col)),
@@ -608,39 +622,46 @@ impl AggSpec<'_> {
     }
 }
 
-fn combine(func: AggFunc, a: i64, b: i64) -> i64 {
+/// The value `func` folds from: no contribution changes under it. It
+/// never reaches an output, since every group folds at least one row.
+fn identity(func: AggFunc) -> i64 {
     match func {
-        AggFunc::Sum | AggFunc::Count => a + b,
-        AggFunc::Min => a.min(b),
-        AggFunc::Max => a.max(b),
+        AggFunc::Sum | AggFunc::Count => 0,
+        AggFunc::Min => i64::MAX,
+        AggFunc::Max => i64::MIN,
     }
 }
 
-/// Aggregation state of all groups, flat, indexed by the dense group id
-/// of a [`GroupTable`] (which holds each group's representative row).
-#[derive(Default)]
-struct GroupState {
-    /// Per group: Σ weight — the number of logical tuples in the group.
-    weight: Vec<i64>,
-    /// Fold values, `folds[g * specs.len() + slot]`.
-    folds: Vec<i64>,
+/// `acc[g] = acc[g] op v` for each row's group `g` and contribution `v`
+/// (1 for `None`, which counts), one loop per function.
+fn scatter(func: AggFunc, acc: &mut [i64], gids: &[u32], vals: Option<&[i64]>) {
+    let Some(vals) = vals else {
+        for &g in gids {
+            acc[g as usize] += 1;
+        }
+        return;
+    };
+    let rows = gids.iter().map(|&g| g as usize).zip(vals);
+    match func {
+        AggFunc::Sum | AggFunc::Count => rows.for_each(|(g, &v)| acc[g] += v),
+        AggFunc::Min => rows.for_each(|(g, &v)| acc[g] = acc[g].min(v)),
+        AggFunc::Max => rows.for_each(|(g, &v)| acc[g] = acc[g].max(v)),
+    }
 }
 
-impl GroupState {
-    /// Adds `w` logical tuples with fold values `val(slot)` to group `g`
-    /// — appended when `new` (ids are dense and first-seen, so `g` is
-    /// then the next index), combined otherwise.
-    fn add(&mut self, specs: &[FoldSpec], g: usize, new: bool, w: i64, val: impl Fn(usize) -> i64) {
-        if new {
-            self.weight.push(w);
-            self.folds.extend((0..specs.len()).map(val));
-        } else {
-            self.weight[g] += w;
-            let folds = &mut self.folds[g * specs.len()..][..specs.len()];
-            for (slot, (f, s)) in folds.iter_mut().zip(specs).enumerate() {
-                *f = combine(s.func, *f, val(slot));
-            }
-        }
+/// Each run's fold into `out`: run `j` is `vals[bounds[j]..bounds[j + 1]]`
+/// (its length for `None`, which counts), one loop per function.
+fn fold_runs(func: AggFunc, vals: Option<&[i64]>, bounds: &[usize], out: &mut [i64]) {
+    let runs = out.iter_mut().zip(bounds.windows(2));
+    let Some(vals) = vals else {
+        runs.for_each(|(o, b)| *o = (b[1] - b[0]) as i64);
+        return;
+    };
+    let runs = runs.map(|(o, b)| (o, &vals[b[0]..b[1]]));
+    match func {
+        AggFunc::Sum | AggFunc::Count => runs.for_each(|(o, run)| *o = run.iter().sum()),
+        AggFunc::Min => runs.for_each(|(o, run)| *o = run.iter().fold(i64::MAX, |a, &v| a.min(v))),
+        AggFunc::Max => runs.for_each(|(o, run)| *o = run.iter().fold(i64::MIN, |a, &v| a.max(v))),
     }
 }
 
@@ -1232,53 +1253,63 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         let mut spec = AggSpec {
             cols: Vec::new(),
             folds: Vec::new(),
-            weight: t.weight.as_deref(),
         };
+        let weight = t.weight.as_deref();
+        // Fold 0, when a column needs it: the group's Σ weight — a
+        // partial's weight column, a final `count`'s value.
+        let count = |call: &AggCall| call.func == AggFunc::Count;
+        if partial || self.query.aggregates.iter().any(count) {
+            spec.folds.push(Fold {
+                func: AggFunc::Sum,
+                contrib: weight.map_or(Contrib::One, Contrib::Col),
+            });
+        }
         if partial {
-            spec.cols.push((ColRef::Weight, AggCol::Weight));
+            spec.cols.push((ColRef::Weight, 0));
         }
         for (call, agg) in self.query.aggregates.iter().enumerate() {
-            let acc = t.acc(call);
-            let raw = agg.input.and_then(|a| t.attr(a));
-            if agg.func == AggFunc::Count {
+            if count(agg) {
                 if !partial {
-                    spec.cols.push((ColRef::Acc(call), AggCol::Weight));
+                    spec.cols.push((ColRef::Acc(call), 0));
                 }
                 // Partial counts live entirely in the weight column.
                 continue;
             }
-            if acc.is_none() && raw.is_none() {
-                if partial {
-                    // This side does not carry the call's input — an
-                    // eager-count partial contributes weight only.
-                    continue;
+            let contrib = match (t.acc(call), agg.input.and_then(|a| t.attr(a))) {
+                (Some(acc), _) => Contrib::Col(acc),
+                (None, Some(raw)) => Contrib::Raw(raw, weight.filter(|_| agg.func == AggFunc::Sum)),
+                // This side does not carry the call's input — an
+                // eager-count partial contributes weight only.
+                (None, None) if partial => continue,
+                (None, None) => {
+                    return Err(self.err(
+                        plan,
+                        op,
+                        agg.input,
+                        format!(
+                            "final aggregate has neither an accumulator nor the raw input \
+                             for {}(#{call})",
+                            agg.func.name()
+                        ),
+                    ))
                 }
-                return Err(self.err(
-                    plan,
-                    op,
-                    agg.input,
-                    format!(
-                        "final aggregate has neither an accumulator nor the raw input \
-                         for {}(#{call})",
-                        agg.func.name()
-                    ),
-                ));
-            }
-            spec.cols
-                .push((ColRef::Acc(call), AggCol::Fold(spec.folds.len())));
-            spec.folds.push(FoldSpec {
+            };
+            spec.cols.push((ColRef::Acc(call), spec.folds.len()));
+            spec.folds.push(Fold {
                 func: agg.func,
-                acc,
-                raw,
+                contrib,
             });
         }
         Ok(spec)
     }
 
-    /// Hash aggregation over `key`. Per-morsel first-seen group maps are
-    /// merged serially in morsel order, which reproduces the legacy
-    /// executor's single-pass first-seen group order exactly; the legacy
-    /// scramble is then applied to the group order.
+    /// Hash aggregation over `key`. Per morsel, every row gets its local
+    /// group first ([`local_groups`]); then the weight and each value
+    /// column fold with one scatter loop per function, from the
+    /// function's identity. The local tables merge serially in morsel
+    /// order, which reproduces the legacy executor's single-pass
+    /// first-seen group order exactly, their accumulators scattered the
+    /// same way; the legacy scramble is then applied to the group order.
     fn hash_aggregate(
         &mut self,
         plan: PlanId,
@@ -1290,44 +1321,40 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         let key_cols = self.key_cols(plan, op, &t, key)?;
         let spec = self.agg_spec(plan, op, &t, partial)?;
         let folds = &spec.folds;
-
-        // Per-morsel local aggregation, merged serially in morsel order
-        // (= the global first-seen order of a single pass).
-        let (chunks, batches): (Vec<(GroupTable, GroupState)>, u64) =
-            run_morsels(self.pool, t.rows, self.morsel, &|range| {
-                let hashes = hash_rows(&key_cols, range.clone());
-                let mut table = GroupTable::with_capacity(range.len());
-                let mut state = GroupState::default();
-                for (r, &h) in range.zip(&hashes) {
-                    let (g, new) = table.find_or_insert(&key_cols, h, r as u32);
-                    state.add(folds, g as usize, new, spec.weight(r), |slot| {
-                        spec.contrib(slot, r)
-                    });
-                }
-                (table, state)
-            });
-        let mut table = GroupTable::with_capacity(chunks.iter().map(|(l, _)| l.len()).sum());
-        let mut state = GroupState::default();
-        let nf = folds.len();
-        for (local, ls) in &chunks {
-            for (lg, (hash, first)) in local.groups().enumerate() {
-                let (g, new) = table.find_or_insert(&key_cols, hash, first);
-                state.add(folds, g as usize, new, ls.weight[lg], |slot| {
-                    ls.folds[lg * nf + slot]
-                });
+        let (chunks, batches) = run_morsels(self.pool, t.rows, self.morsel, &|range| {
+            let (table, gids) = local_groups(&key_cols, range.clone());
+            let accs: Vec<Vec<i64>> = folds
+                .iter()
+                .map(|f| {
+                    let mut acc = vec![identity(f.func); table.len()];
+                    scatter(
+                        f.func,
+                        &mut acc,
+                        &gids,
+                        f.contrib.dense(range.clone()).as_deref(),
+                    );
+                    acc
+                })
+                .collect();
+            (table, accs)
+        });
+        let mut table = GroupTable::with_capacity(chunks.iter().map(|c| c.0.len()).sum());
+        let mut accs: Vec<Vec<i64>> = folds.iter().map(|_| Vec::new()).collect();
+        let mut ids = Vec::new();
+        for (local, local_accs) in &chunks {
+            table.absorb(local, &key_cols, &mut ids);
+            for ((acc, f), local_acc) in accs.iter_mut().zip(folds).zip(local_accs) {
+                acc.resize(table.len(), identity(f.func));
+                scatter(f.func, acc, &ids, Some(local_acc));
             }
         }
+        drop(chunks);
 
         let order = scramble_order(table.len());
-        let first = table.first_rows();
-        let reps: Vec<u32> = order.iter().map(|&g| first[g]).collect();
-        let cols: Vec<Vec<i64>> = spec
-            .cols
+        let reps: Vec<u32> = order.iter().map(|&g| table.first(g)).collect();
+        let values: Vec<Vec<i64>> = accs
             .iter()
-            .map(|&(_, c)| match c {
-                AggCol::Weight => order.iter().map(|&g| state.weight[g]).collect(),
-                AggCol::Fold(slot) => order.iter().map(|&g| state.folds[g * nf + slot]).collect(),
-            })
+            .map(|acc| order.iter().map(|&g| acc[g]).collect())
             .collect();
         let parts: Vec<_> = t.sides(0).collect();
         let (out, cb) = self.compose(
@@ -1337,7 +1364,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             None,
             &[],
         );
-        let out = spec.finish(out, cols);
+        let out = spec.finish(out, values);
         self.stats.record(op, batches + cb, out.rows as u64);
         Ok(out)
     }
@@ -1345,15 +1372,17 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// Streaming aggregation — `StreamAgg`, and the aggregate half of
     /// `GroupJoin`. The planner places it on input grouped on `key`, so
     /// every group is one maximal run of equal keys, folded where it
-    /// lies without hashing a row: each morsel finds the runs that start
-    /// in it ([`run_starts`]), the run starts alone are hashed to verify
-    /// the grouping — a key that resumes after its run ended is a
-    /// located error, never a silently split group — and each morsel
-    /// then folds its runs straight into its rows of the preallocated
-    /// value columns, reading on past its end into a run that crosses
-    /// it. Groups come out in run order: on grouped input, the
-    /// first-seen order the hash kernel would produce. The run starts
-    /// are the groups' representative rows.
+    /// lies without hashing a row. Each morsel finds the runs that start
+    /// in it ([`run_starts`]: its keys read once, neighbours compared);
+    /// the run starts' keys alone are hashed to verify the grouping — a
+    /// key that resumes after its run ended is a located error, never a
+    /// silently split group. A morsel's last run ends at the next
+    /// non-empty morsel's first start. Each morsel then reads each
+    /// contribution column over its runs once, as a dense slice, and
+    /// folds it with one loop per function, straight into its rows of
+    /// the preallocated value columns. Groups come out in run order: on
+    /// grouped input, the first-seen order the hash kernel would
+    /// produce. The run starts are the groups' representative rows.
     fn stream_aggregate(
         &mut self,
         plan: PlanId,
@@ -1365,10 +1394,10 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         let key_cols = self.key_cols(plan, op, &t, key)?;
         let spec = self.agg_spec(plan, op, &t, partial)?;
         let n = t.rows;
-        let (starts, batches) = run_morsels(self.pool, n, self.morsel, &|range| {
+        let (runs, batches) = run_morsels(self.pool, n, self.morsel, &|range| {
             run_starts(&key_cols, range)
         });
-        if let Some((first, again)) = resumed_run(&key_cols, &starts) {
+        if let Some((first, again)) = resumed_run(&runs) {
             let names: Vec<&str> = key.iter().map(|&a| self.catalog.attr_name(a)).collect();
             return Err(self.err(
                 plan,
@@ -1381,6 +1410,14 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 ),
             ));
         }
+        let starts: Vec<Vec<u32>> = runs.into_iter().map(|r| r.starts).collect();
+        // Each morsel's runs end at the next run start after them.
+        let mut ends = vec![n; starts.len()];
+        let mut next = n;
+        for (end, s) in ends.iter_mut().zip(&starts).rev() {
+            *end = next;
+            next = s.first().map_or(next, |&f| f as usize);
+        }
         let mut at = 0;
         let out_ranges: Vec<Range<usize>> = starts
             .iter()
@@ -1389,30 +1426,23 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 at - s.len()..at
             })
             .collect();
-        let morsel = self.morsel;
-        let cols = fill_columns(self.pool, spec.cols.len(), &out_ranges, &|m, out| {
-            let local = &starts[m];
-            let morsel_end = ((m + 1) * morsel).min(n);
-            for (j, &s) in local.iter().enumerate() {
-                let end = match local.get(j + 1) {
-                    Some(&e) => e as usize,
-                    None => (morsel_end..n)
-                        .find(|&r| !rows_eq(&key_cols, s, r as u32))
-                        .unwrap_or(n),
-                };
-                let run = s as usize..end;
-                for (dst, &(_, c)) in out.iter_mut().zip(&spec.cols) {
-                    dst[j] = match c {
-                        AggCol::Weight => run.clone().map(|r| spec.weight(r)).sum(),
-                        AggCol::Fold(slot) => {
-                            let func = spec.folds[slot].func;
-                            run.clone()
-                                .map(|r| spec.contrib(slot, r))
-                                .reduce(|a, b| combine(func, a, b))
-                                .expect("a run is never empty")
-                        }
-                    };
-                }
+        let values = fill_columns(self.pool, spec.folds.len(), &out_ranges, &|m, out| {
+            let Some(&lo) = starts[m].first() else {
+                return;
+            };
+            let span = lo as usize..ends[m];
+            let bounds: Vec<usize> = starts[m]
+                .iter()
+                .map(|&s| s as usize - span.start)
+                .chain([span.len()])
+                .collect();
+            for (dst, f) in out.iter_mut().zip(&spec.folds) {
+                fold_runs(
+                    f.func,
+                    f.contrib.dense(span.clone()).as_deref(),
+                    &bounds,
+                    dst,
+                );
             }
         });
         let parts: Vec<_> = t.sides(0).collect();
@@ -1423,7 +1453,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             None,
             &[],
         );
-        let out = spec.finish(out, cols);
+        let out = spec.finish(out, values);
         self.stats.record(op, batches + cb, out.rows as u64);
         Ok(out)
     }
@@ -1440,13 +1470,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         let key_cols = self.key_cols(plan, "HashGroup", &t, key)?;
         // Per morsel: a local group table and every row's local group.
         let (chunks, batches) = run_morsels(self.pool, t.rows, self.morsel, &|range| {
-            let hashes = hash_rows(&key_cols, range.clone());
-            let mut table = GroupTable::with_capacity(range.len());
-            let gids: Vec<u32> = range
-                .zip(&hashes)
-                .map(|(r, &h)| table.find_or_insert(&key_cols, h, r as u32).0)
-                .collect();
-            (table, gids)
+            local_groups(&key_cols, range)
         });
         // Local ids renumbered in morsel order (= global first-seen
         // order): every row's global group, and the group sizes.
@@ -1454,12 +1478,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         let mut gid: Vec<u32> = Vec::with_capacity(t.rows);
         let mut global: Vec<u32> = Vec::new();
         for (local, gids) in &chunks {
-            global.clear();
-            global.extend(
-                local
-                    .groups()
-                    .map(|(hash, first)| table.find_or_insert(&key_cols, hash, first).0),
-            );
+            table.absorb(local, &key_cols, &mut global);
             gid.extend(gids.iter().map(|&lg| global[lg as usize]));
         }
         drop(chunks);
@@ -2088,10 +2107,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(100))]
 
-        /// Streaming ≡ unscrambled hash aggregation on grouped input:
-        /// partial and final, over raw rows and over a partial
-        /// aggregate's weights and accumulators, for sum/min/max/count,
-        /// with runs crossing morsels at tiny morsel sizes.
+        /// Streaming ≡ unscrambled hash aggregation ≡ a per-group model
+        /// on grouped input: partial and final, over raw rows and over a
+        /// partial aggregate's weights and accumulators, for
+        /// sum/min/max/count, with runs crossing morsels at tiny morsel
+        /// sizes. The model is computed from `runs` alone, so a fold bug
+        /// the two kernels share fails it.
         #[test]
         fn streaming_equals_unscrambled_hash_aggregation(
             runs in proptest::collection::vec((1usize..9, 1usize..4, -50i64..50), 0..25),
@@ -2109,6 +2130,18 @@ mod tests {
                     cols[2].push(v + (k as i64 * 13) % 29 - 14);
                 }
             }
+            // Per group: its key, then sum, min, max and count of `v` —
+            // what every aggregate below computes, whether it folds the
+            // raw rows or the `(g, h)` partial's weights and accumulators.
+            let model: Vec<[i64; 5]> = runs
+                .iter()
+                .enumerate()
+                .map(|(i, &(len, _, v))| {
+                    let vs: Vec<i64> = (0..len).map(|k| v + (k as i64 * 13) % 29 - 14).collect();
+                    let (min, max) = (vs.iter().min().unwrap(), vs.iter().max().unwrap());
+                    [i as i64 * 7 - 80, vs.iter().sum(), *min, *max, len as i64]
+                })
+                .collect();
             let (catalog, query) = agg_fixture();
             let (g, h) = (catalog.attr("r.g"), catalog.attr("r.h"));
             let data = vec![cols];
@@ -2135,6 +2168,17 @@ mod tests {
                     ).unwrap();
                     let (s, s_stats) = run(stream);
                     let (hashed, h_stats) = run(hash);
+                    // A partial's count is its weight column; a final
+                    // one's is `count(*)`'s accumulator.
+                    let count = if partial { ColRef::Weight } else { ColRef::Acc(3) };
+                    let model_cols = [ColRef::Attr(g), ColRef::Acc(0), ColRef::Acc(1),
+                        ColRef::Acc(2), count];
+                    for out in [&s, &unscramble(&hashed)] {
+                        for (c, &what) in model_cols.iter().enumerate() {
+                            let expect: Vec<i64> = model.iter().map(|m| m[c]).collect();
+                            prop_assert_eq!(out.col(what), Some(&expect[..]), "{:?}", what);
+                        }
+                    }
                     prop_assert_eq!(&s, &unscramble(&hashed));
                     prop_assert_eq!(s.num_rows(), runs.len());
                     prop_assert_eq!(s_stats.morsels, h_stats.morsels);

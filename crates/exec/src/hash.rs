@@ -17,21 +17,30 @@
 //!   by the comparison over all key columns, so no branch depends on a
 //!   span's length or on whether a candidate matches.
 //! * [`GroupTable`] chains **dense group ids** handed out in first-seen
-//!   order, each with a representative row and its stored hash (hash
-//!   aggregation, hash grouping, and the run-start check below), with
-//!   `heads` (one slot per bucket) and `next` (one per group). It
-//!   inserts as it probes, so it compares keys *through the input
-//!   columns* it was built over.
+//!   order (hash aggregation, hash grouping, and the run-start check
+//!   below), with `heads` (one slot per bucket) and one entry per group
+//!   holding what a chain walk reads together: the key's hash, the chain
+//!   link and a representative row. It inserts as it probes and holds
+//!   no key: a candidate whose hash matches is compared by the caller,
+//!   against its representative row. [`local_groups`] — one morsel of
+//!   hash aggregation or hash grouping — reads the morsel's keys once
+//!   into dense slices and hashes and compares there, then rebases the
+//!   representatives to input rows; the merge of those tables in morsel
+//!   order ([`GroupTable::absorb`]) compares *through the input
+//!   columns*; the run-start check compares the starts' dense keys.
 //!
 //! Both orders are functions of the data alone, so nothing an operator
 //! emits depends on the hash function or the bucket count — those only
 //! decide how long the spans and chains are.
 //!
-//! The run finder lives here too: [`run_starts`] cuts rows into maximal
-//! equal-key runs by comparing neighbours, and [`resumed_run`] hashes
-//! only those run starts to find a key that comes back after its run
-//! ended. Streaming aggregation and the grouping check share it, so
-//! grouped input is never hashed per row.
+//! The run finder lives here too: [`run_starts`] reads a cut of the rows
+//! once per key column into a dense slice, one row of look-back
+//! included, marks where a row differs from the one before it (64 rows
+//! to a word), and keeps each run start's key values. [`resumed_run`]
+//! lays those keys end to end and, unless they ascend (sorted input),
+//! hashes them to find a key that comes back after its run ended.
+//! Streaming aggregation and the grouping check share it, so grouped
+//! input is never hashed per row.
 
 use ofw_common::hash::fx_mix;
 use std::borrow::Cow;
@@ -100,9 +109,9 @@ pub(crate) fn hash_rows(key_cols: &[Col], range: Range<usize>) -> Vec<u64> {
     out
 }
 
-/// Row `r`'s entry of [`hash_rows`], for rows that are not contiguous.
-fn hash_row(key_cols: &[Col], r: usize) -> u64 {
-    fold_high(key_cols.iter().fold(0, |h, c| fx_mix(h, c.at(r) as u64)))
+/// Rows `range` of `key_cols`, each column read once ([`Col::dense`]).
+pub(crate) fn dense_keys<'t>(key_cols: &[Col<'t>], range: Range<usize>) -> Vec<Cow<'t, [i64]>> {
+    key_cols.iter().map(|c| c.dense(range.clone())).collect()
 }
 
 fn fold_high(h: u64) -> u64 {
@@ -110,7 +119,7 @@ fn fold_high(h: u64) -> u64 {
 }
 
 /// Are rows `a` and `b` equal on every column of `cols`?
-pub(crate) fn rows_eq(cols: &[Col], a: u32, b: u32) -> bool {
+fn rows_eq(cols: &[Col], a: u32, b: u32) -> bool {
     cols.iter().all(|c| c.at(a as usize) == c.at(b as usize))
 }
 
@@ -242,13 +251,20 @@ impl JoinTable {
 /// Dense group ids in first-seen order over the rows of one column set.
 pub(crate) struct GroupTable {
     heads: Vec<u32>,
-    /// Per group: the next group in its bucket's chain.
-    next: Vec<u32>,
-    /// Per group: the key's hash, so a merge never rehashes.
-    hashes: Vec<u64>,
-    /// Per group: the first row seen with the key — the key itself, read
-    /// through the columns.
-    first: Vec<u32>,
+    /// Per group, by id.
+    groups: Vec<Group>,
+}
+
+/// One group of a [`GroupTable`]: what a chain walk reads, side by side.
+#[derive(Clone, Copy)]
+struct Group {
+    /// The key's hash, so a merge never rehashes.
+    hash: u64,
+    /// The next group in its bucket's chain.
+    next: u32,
+    /// The first row seen with the key — the key itself, read through
+    /// the columns.
+    first: u32,
 }
 
 impl GroupTable {
@@ -256,50 +272,110 @@ impl GroupTable {
     pub(crate) fn with_capacity(groups: usize) -> Self {
         GroupTable {
             heads: empty_heads(groups),
-            next: Vec::new(),
-            hashes: Vec::new(),
-            first: Vec::new(),
+            groups: Vec::new(),
         }
     }
 
-    /// The group of `row` (whose key hashes to `hash`), compared on
-    /// `key_cols` against each candidate group's representative row;
-    /// `true` when the key is new and `row` became its representative.
-    /// Ids count up from 0 in first-seen order.
-    pub(crate) fn find_or_insert(&mut self, key_cols: &[Col], hash: u64, row: u32) -> (u32, bool) {
+    /// An empty table for keys expected all new, sized and reserved for
+    /// `groups` of them.
+    fn reserved(groups: usize) -> Self {
+        GroupTable {
+            heads: empty_heads(groups),
+            groups: Vec::with_capacity(groups),
+        }
+    }
+
+    /// The group of `row`, whose key hashes to `hash`: the first
+    /// candidate group with that hash whose representative row `first`
+    /// passes `same(first)` — the caller's comparison of `row`'s key with
+    /// `first`'s. `true` when the key is new and `row` became its
+    /// representative. Ids count up from 0 in first-seen order.
+    #[inline]
+    pub(crate) fn find_or_insert(
+        &mut self,
+        hash: u64,
+        row: u32,
+        same: impl Fn(u32) -> bool,
+    ) -> (u32, bool) {
         let b = bucket(&self.heads, hash);
         let mut g = self.heads[b];
         while g != NIL {
-            let i = g as usize;
-            if self.hashes[i] == hash && rows_eq(key_cols, self.first[i], row) {
+            let group = self.groups[g as usize];
+            if group.hash == hash && same(group.first) {
                 return (g, false);
             }
-            g = self.next[i];
+            g = group.next;
         }
-        let g = self.first.len() as u32;
+        let g = self.groups.len() as u32;
         assert!(g < NIL, "group count exceeds u32");
-        self.next.push(self.heads[b]);
-        self.hashes.push(hash);
-        self.first.push(row);
+        self.groups.push(Group {
+            hash,
+            next: self.heads[b],
+            first: row,
+        });
         self.heads[b] = g;
         (g, true)
     }
 
     /// Number of groups so far.
     pub(crate) fn len(&self) -> usize {
-        self.first.len()
+        self.groups.len()
     }
 
-    /// Each group's representative row, by group id.
-    pub(crate) fn first_rows(&self) -> &[u32] {
-        &self.first
+    /// Group `g`'s representative row.
+    pub(crate) fn first(&self, g: usize) -> u32 {
+        self.groups[g].first
     }
 
-    /// Each group's `(hash, representative row)`, by group id — what a
-    /// per-morsel table hands to the merge.
-    pub(crate) fn groups(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.hashes.iter().copied().zip(self.first.iter().copied())
+    /// Inserts every group of `local` — a per-morsel table whose
+    /// representatives are rows of `key_cols` — in its id order, and
+    /// sets `ids` to each one's id here: the merge of per-morsel tables
+    /// in morsel order, which never rehashes and compares keys through
+    /// the input columns.
+    pub(crate) fn absorb(&mut self, local: &GroupTable, key_cols: &[Col], ids: &mut Vec<u32>) {
+        ids.clear();
+        for g in &local.groups {
+            let row = g.first;
+            ids.push(
+                self.find_or_insert(g.hash, row, |f| rows_eq(key_cols, f, row))
+                    .0,
+            );
+        }
     }
+}
+
+/// Are rows `a` and `b` of the dense columns `keys` equal?
+#[inline]
+fn dense_eq(keys: &[&[i64]], a: u32, b: u32) -> bool {
+    keys.iter().all(|k| k[a as usize] == k[b as usize])
+}
+
+/// One morsel of hash aggregation or hash grouping: its keys read once
+/// into dense slices, hashed and compared there. Returns the morsel's
+/// table and every row's group in it; once the morsel is done, the
+/// representatives are rebased to input rows, so the table hands the
+/// merge ([`GroupTable::absorb`]) `(hash, input row)`.
+pub(crate) fn local_groups(key_cols: &[Col], range: Range<usize>) -> (GroupTable, Vec<u32>) {
+    let dense = dense_keys(key_cols, range.clone());
+    let keys: Vec<&[i64]> = dense.iter().map(|k| &k[..]).collect();
+    let cols: Vec<Col> = keys.iter().map(|&k| Col::from(k)).collect();
+    let hashes = hash_rows(&cols, 0..range.len());
+    let mut table = GroupTable::with_capacity(range.len());
+    let gids = (0..range.len() as u32)
+        .zip(&hashes)
+        .map(|(i, &h)| table.find_or_insert(h, i, |f| dense_eq(&keys, f, i)).0)
+        .collect();
+    for g in &mut table.groups {
+        g.first += range.start as u32;
+    }
+    (table, gids)
+}
+
+/// The runs that start in one cut of the rows: their first rows, and
+/// per key column each one's key value.
+pub(crate) struct Runs {
+    pub(crate) starts: Vec<u32>,
+    pub(crate) keys: Vec<Vec<i64>>,
 }
 
 /// The run finder: the rows of `range` that start a maximal run of rows
@@ -307,24 +383,87 @@ impl GroupTable {
 /// from row `r - 1`, so the answer for a range does not depend on how
 /// the rows around it were cut — a run that began before `range` does
 /// not restart at its first row.
-pub(crate) fn run_starts(key_cols: &[Col], range: Range<usize>) -> Vec<u32> {
-    range
-        .filter(|&r| r == 0 || !rows_eq(key_cols, r as u32 - 1, r as u32))
-        .map(|r| r as u32)
-        .collect()
+///
+/// Each key column is read once into a dense slice, one row of
+/// look-back included, and compared with itself shifted by a row: a
+/// row's start bit is the OR over the columns of `prev != cur`, 64 rows
+/// to a word. The starts are then read off the set bits, and each
+/// start's key values copied out beside it.
+pub(crate) fn run_starts(key_cols: &[Col], range: Range<usize>) -> Runs {
+    let (lo, n) = (range.start, range.len());
+    if n == 0 {
+        return Runs {
+            starts: Vec::new(),
+            keys: vec![Vec::new(); key_cols.len()],
+        };
+    }
+    let back = usize::from(lo > 0);
+    let dense = dense_keys(key_cols, lo - back..range.end);
+    // Row `r` of the range is `d[r + back]` of a dense column `d`. Row 0
+    // of the input has no row before it and always starts a run.
+    let mut bits = vec![0u64; n.div_ceil(64)];
+    bits[0] = u64::from(back == 0);
+    for d in &dense {
+        for (w, word) in bits.iter_mut().enumerate() {
+            let rows = (w * 64).max(1 - back)..(w * 64 + 64).min(n);
+            let prev = &d[rows.start + back - 1..rows.end + back - 1];
+            let cur = &d[rows.start + back..rows.end + back];
+            let mut m = 0;
+            for (j, (p, c)) in prev.iter().zip(cur).enumerate() {
+                m |= u64::from(p != c) << j;
+            }
+            *word |= m << (rows.start - w * 64);
+        }
+    }
+    let mut starts = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
+    for (w, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            starts.push((lo + w * 64 + word.trailing_zeros() as usize) as u32);
+            word &= word - 1;
+        }
+    }
+    let keys = dense
+        .iter()
+        .map(|d| starts.iter().map(|&s| d[s as usize + back - lo]).collect())
+        .collect();
+    Runs { starts, keys }
 }
 
 /// The first run start, in row order, whose key already started an
 /// earlier run — a group that resumed after its run ended — paired with
-/// that earlier start; `None` iff the runs form a grouping. `starts` are
+/// that earlier start; `None` iff the runs form a grouping. `runs` are
 /// [`run_starts`] results in row order, possibly in per-morsel parts.
-/// Only run starts are hashed.
-pub(crate) fn resumed_run(key_cols: &[Col], starts: &[Vec<u32>]) -> Option<(u32, u32)> {
-    let mut seen = GroupTable::with_capacity(starts.iter().map(Vec::len).sum());
-    for &s in starts.iter().flatten() {
-        let (g, new) = seen.find_or_insert(key_cols, hash_row(key_cols, s as usize), s);
+/// Only the run starts' keys are read, laid out dense, one start after
+/// another: when they ascend — sorted input, the common case — no key
+/// can come back; otherwise they are hashed and compared.
+pub(crate) fn resumed_run(runs: &[Runs]) -> Option<(u32, u32)> {
+    let starts: Vec<u32> = runs.iter().flat_map(|r| r.starts.iter().copied()).collect();
+    let arity = runs.first().map_or(0, |r| r.keys.len());
+    let keys: Vec<Vec<i64>> = (0..arity)
+        .map(|c| {
+            runs.iter()
+                .flat_map(|r| r.keys[c].iter().copied())
+                .collect()
+        })
+        .collect();
+    let keys: Vec<&[i64]> = keys.iter().map(|k| &k[..]).collect();
+    // Neighbouring starts differ, so the first column they differ on
+    // orders them.
+    let ascending = (1..starts.len()).all(|j| {
+        let differ = keys.iter().map(|k| k[j - 1].cmp(&k[j])).find(|o| o.is_ne());
+        differ == Some(std::cmp::Ordering::Less)
+    });
+    if ascending {
+        return None;
+    }
+    let cols: Vec<Col> = keys.iter().map(|&k| Col::from(k)).collect();
+    // On grouped input every start is a new key.
+    let mut seen = GroupTable::reserved(starts.len());
+    for (j, &h) in (0..starts.len() as u32).zip(&hash_rows(&cols, 0..starts.len())) {
+        let (g, new) = seen.find_or_insert(h, j, |f| dense_eq(&keys, f, j));
         if !new {
-            return Some((seen.first[g as usize], s));
+            return Some((starts[seen.first(g as usize) as usize], starts[j as usize]));
         }
     }
     None
@@ -364,18 +503,32 @@ mod tests {
             .enumerate()
             .map(|(r, &h)| {
                 let before = table.len();
-                let (g, new) = table.find_or_insert(cols, h & mask, r as u32);
+                let r = r as u32;
+                let (g, new) = table.find_or_insert(h & mask, r, |f| rows_eq(cols, f, r));
                 assert_eq!(new, g as usize == before, "new ids are dense");
                 assert_eq!(table.len(), before + usize::from(new));
                 g
             })
             .collect();
         // Every group's representative is its first row.
-        for (g, &first) in table.first_rows().iter().enumerate() {
+        for g in 0..table.len() {
             assert_eq!(
                 gids.iter().position(|&x| x as usize == g),
-                Some(first as usize)
+                Some(table.first(g) as usize)
             );
+        }
+        // Per-morsel tables merged in morsel order give the same ids.
+        for morsel in [1, 3, 64] {
+            let mut merged = GroupTable::with_capacity(0);
+            let (mut split, mut ids) = (Vec::new(), Vec::new());
+            for start in (0..rows).step_by(morsel) {
+                let (local, local_gids) = local_groups(cols, start..(start + morsel).min(rows));
+                merged.absorb(&local, cols, &mut ids);
+                split.extend(local_gids.iter().map(|&g| ids[g as usize]));
+            }
+            assert_eq!(split, gids, "morsels of {morsel} rows");
+            assert_eq!(merged.len(), table.len());
+            assert!((0..table.len()).all(|g| merged.first(g) == table.first(g)));
         }
         gids
     }
@@ -630,9 +783,9 @@ mod tests {
         assert_eq!(hash_rows(&cols, 1..4), all[1..4]);
         assert_eq!(all[0], all[2], "equal keys hash alike");
         assert_ne!(all[0], all[1]);
-        for (r, &h) in all.iter().enumerate() {
-            assert_eq!(hash_row(&cols, r), h);
-        }
+        let dense = dense_keys(&cols, 0..5);
+        let dense: Vec<Col> = dense.iter().map(|k| Col::from(&k[..])).collect();
+        assert_eq!(hash_rows(&dense, 0..5), all);
     }
 
     #[test]
@@ -640,17 +793,41 @@ mod tests {
         let a = vec![1i64, 1, 2, 2, 2, 1, 3];
         let cols = slices(std::slice::from_ref(&a));
         let whole = run_starts(&cols, 0..7);
-        assert_eq!(whole, vec![0, 2, 5, 6]);
+        assert_eq!(whole.starts, vec![0, 2, 5, 6]);
+        assert_eq!(whole.keys, vec![vec![1, 2, 1, 3]]);
         for cut in 0..=7 {
             let parts = [run_starts(&cols, 0..cut), run_starts(&cols, cut..7)];
-            assert_eq!(parts.concat(), whole, "cut at {cut}");
+            let starts = [&parts[0].starts[..], &parts[1].starts[..]].concat();
+            assert_eq!(starts, whole.starts, "cut at {cut}");
             // `1` resumes at row 5; its run started at row 0.
-            assert_eq!(resumed_run(&cols, &parts), Some((0, 5)));
+            assert_eq!(resumed_run(&parts), Some((0, 5)));
         }
-        assert_eq!(resumed_run(&cols[..], &[run_starts(&cols, 0..5)]), None);
-        assert_eq!(run_starts(&[], 0..3), vec![0], "the empty key is one run");
-        assert!(run_starts(&cols, 0..0).is_empty());
-        assert_eq!(resumed_run(&cols, &[]), None);
+        assert_eq!(resumed_run(&[run_starts(&cols, 0..5)]), None);
+        // Read through row ids, as an intermediate's key is: the rows
+        // read 3, 1, 1, 1, 2, 2, 2, and the look-back goes through the
+        // ids too.
+        let ids: Vec<u32> = vec![6, 0, 1, 5, 2, 3, 4];
+        let through = [Col {
+            vals: &a,
+            ids: Some(&ids),
+        }];
+        for cut in 0..=7 {
+            let parts = [run_starts(&through, 0..cut), run_starts(&through, cut..7)];
+            let starts = [&parts[0].starts[..], &parts[1].starts[..]].concat();
+            let keys = [&parts[0].keys[0][..], &parts[1].keys[0][..]].concat();
+            assert_eq!(
+                (starts, keys),
+                (vec![0, 1, 4], vec![3, 1, 2]),
+                "cut at {cut}"
+            );
+            assert_eq!(resumed_run(&parts), None);
+        }
+        let empty_key = run_starts(&[], 0..3);
+        assert_eq!(empty_key.starts, vec![0], "the empty key is one run");
+        assert!(empty_key.keys.is_empty());
+        assert!(run_starts(&[], 1..3).starts.is_empty());
+        assert!(run_starts(&cols, 0..0).starts.is_empty());
+        assert_eq!(resumed_run(&[]), None);
     }
 
     /// The reference model of [`resumed_run`]: the first row that starts
@@ -754,8 +931,14 @@ mod tests {
             let cols = slices(&cols);
             let cut = cut.min(n);
             let parts = [run_starts(&cols, 0..cut), run_starts(&cols, cut..n)];
+            for part in &parts {
+                for (j, &s) in part.starts.iter().enumerate() {
+                    let stored: Vec<i64> = part.keys.iter().map(|k| k[j]).collect();
+                    prop_assert_eq!(stored, key(&cols, s as usize));
+                }
+            }
             let expect = model_resumed(&cols, n);
-            prop_assert_eq!(resumed_run(&cols, &parts), expect);
+            prop_assert_eq!(resumed_run(&parts), expect);
             if sorted == 1 {
                 prop_assert_eq!(expect, None);
             }

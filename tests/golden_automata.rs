@@ -18,8 +18,9 @@
 //! sparse — nothing may be sized by their value), the grouping /
 //! partial-sort / group-join extractions, eight `random_query` seeds
 //! and the constant-bound grouping whose closure is factorial in `k`
-//! (ROADMAP item 5) — each with the §5.7 techniques on and, where the
-//! unpruned build finishes quickly, off.
+//! (the ROADMAP item "Preparation over a quotient") — each with the
+//! §5.7 techniques on and, where the unpruned build finishes quickly,
+//! off.
 
 use ofw::catalog::AttrId;
 use ofw::core::{

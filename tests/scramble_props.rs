@@ -22,7 +22,8 @@ use ofw::workload::{generate_columns, DataConfig};
 use proptest::prelude::*;
 
 /// One single-relation grouping fixture: catalog, query (`group by g`,
-/// `sum(v)`, `count(*)`), and base columns with ~`groups` distinct keys.
+/// `sum(v)`, `count(*)`, `min(v)`, `max(v)`), and base columns with
+/// ~`groups` distinct keys.
 fn fixture(rows: usize, groups: i64, seed: u64) -> (Catalog, Query, Vec<Vec<Vec<i64>>>) {
     let mut catalog = Catalog::new();
     let rel = catalog.add_relation("r0", rows as f64, &["g", "v"]);
@@ -39,6 +40,14 @@ fn fixture(rows: usize, groups: i64, seed: u64) -> (Catalog, Query, Vec<Vec<Vec<
         AggCall {
             func: AggFunc::Count,
             input: None,
+        },
+        AggCall {
+            func: AggFunc::Min,
+            input: Some(catalog.attr("r0.v")),
+        },
+        AggCall {
+            func: AggFunc::Max,
+            input: Some(catalog.attr("r0.v")),
         },
     ];
     let data = generate_columns(
@@ -86,7 +95,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Hash aggregation: group order equals the legacy scramble of the
-    /// global first-seen order, and sums/counts are exact — identical
+    /// global first-seen order, and sums/counts/mins/maxes are exact — identical
     /// across repeated runs, morsel-parallel at 1/2/8 threads.
     #[test]
     fn hash_agg_scramble_is_deterministic_at_morsel_scale(
@@ -111,7 +120,7 @@ proptest! {
         prop_assert!(serial.1.morsels > 2, "fixture must span several morsels");
 
         // Expected: first-seen group order, scrambled the legacy way,
-        // with exact per-group sum and count.
+        // with exact per-group sum, count, min and max.
         let mut order: Vec<i64> = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for &k in g_col {
@@ -122,18 +131,26 @@ proptest! {
         let expected_keys = legacy_scramble(&order);
         let mut sums = std::collections::HashMap::new();
         let mut counts = std::collections::HashMap::new();
+        let mut mins = std::collections::HashMap::new();
+        let mut maxs = std::collections::HashMap::new();
         for (&k, &v) in g_col.iter().zip(v_col) {
             *sums.entry(k).or_insert(0i64) += v;
             *counts.entry(k).or_insert(0i64) += 1;
+            mins.entry(k).and_modify(|m: &mut i64| *m = (*m).min(v)).or_insert(v);
+            maxs.entry(k).and_modify(|m: &mut i64| *m = (*m).max(v)).or_insert(v);
         }
         let g = catalog.attr("r0.g");
         let out_keys = serial.0.col(ofw::exec::ColRef::Attr(g)).unwrap();
         prop_assert_eq!(out_keys, &expected_keys[..], "group order must be the legacy scramble");
         let out_sums = serial.0.col(ofw::exec::ColRef::Acc(0)).unwrap();
         let out_counts = serial.0.col(ofw::exec::ColRef::Acc(1)).unwrap();
+        let out_mins = serial.0.col(ofw::exec::ColRef::Acc(2)).unwrap();
+        let out_maxs = serial.0.col(ofw::exec::ColRef::Acc(3)).unwrap();
         for (i, &k) in expected_keys.iter().enumerate() {
             prop_assert_eq!(out_sums[i], sums[&k], "sum(v) wrong for group {}", k);
             prop_assert_eq!(out_counts[i], counts[&k], "count(*) wrong for group {}", k);
+            prop_assert_eq!(out_mins[i], mins[&k], "min(v) wrong for group {}", k);
+            prop_assert_eq!(out_maxs[i], maxs[&k], "max(v) wrong for group {}", k);
         }
 
         // Stability: repeated serial run, then 2 and 8 pool threads.
