@@ -657,11 +657,11 @@ fn fold_runs(func: AggFunc, vals: Option<&[i64]>, bounds: &[usize], out: &mut [i
         runs.for_each(|(o, b)| *o = (b[1] - b[0]) as i64);
         return;
     };
-    let runs = runs.map(|(o, b)| (o, &vals[b[0]..b[1]]));
+    let (runs, from) = (runs.map(|(o, b)| (o, &vals[b[0]..b[1]])), identity(func));
     match func {
         AggFunc::Sum | AggFunc::Count => runs.for_each(|(o, run)| *o = run.iter().sum()),
-        AggFunc::Min => runs.for_each(|(o, run)| *o = run.iter().fold(i64::MAX, |a, &v| a.min(v))),
-        AggFunc::Max => runs.for_each(|(o, run)| *o = run.iter().fold(i64::MIN, |a, &v| a.max(v))),
+        AggFunc::Min => runs.for_each(|(o, run)| *o = run.iter().fold(from, |a, &v| a.min(v))),
+        AggFunc::Max => runs.for_each(|(o, run)| *o = run.iter().fold(from, |a, &v| a.max(v))),
     }
 }
 
