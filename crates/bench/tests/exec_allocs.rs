@@ -175,33 +175,39 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     // and merge bucket head (12, the bucket count rounded up); per group
     // the merged table's entries and fold values, twice over, and its
     // output order and representative (16). Group counts round up to a
-    // power of two, as a doubling vector's capacity does.
+    // power of two, as a doubling vector's capacity does. Per morsel its
+    // task's bookkeeping: its range (16), its result slot (72: a table
+    // and an accumulator list), its key lists (dense slice, slice and
+    // column: 24 + 16 + 32 for the one key) and its accumulator list (24
+    // per fold).
     let hash_agg = |rows: u64, local: u64, groups: u64, folds: u64| {
-        rows.div_ceil(MORSEL_ROWS) * local.next_power_of_two() * (2 * 16 + 8 * folds + 12)
+        rows.div_ceil(MORSEL_ROWS)
+            * (local.next_power_of_two() * (2 * 16 + 8 * folds + 12) + 16 + 72 + 72 + 24 * folds)
             + rows * 16
             + groups.next_power_of_two() * (2 * (16 + 8 * folds) + 16)
     };
     // A stream aggregate's kernel buffers over `rows` input rows read
     // through row ids, with `keys` key columns, `dense` contribution
-    // columns read through the ids (a raw `sum`, `min` or `max` input)
-    // and `groups` groups whose representatives carry `parts` id
-    // columns: per row its dense key values (8 each), its run-start
-    // bit (1 / 8) and its dense contributions (8 each); per morsel a
-    // look-back key row, a closing run bound and the start bits' last
-    // word (8 per key + 16); per group its start row and key values
-    // twice — per morsel, then end to end for the grouping check — its
-    // hash and check-table entry (32, the bucket rounded up), its run
-    // bound (8) and a representative id per part (4 each).
-    let stream_agg = |rows: u64, keys: u64, dense: u64, groups: u64, parts: u64| {
+    // columns read through the ids (a raw `sum`, `min` or `max` input),
+    // `folds` value columns and `groups` groups whose representatives
+    // carry `parts` id columns: per row its dense key values (8 each),
+    // its run-start bit (1 / 8) and its dense contributions (8 each);
+    // per morsel a look-back key row, a closing run bound and the start
+    // bits' last word (8 per key + 16); per group its start row and key
+    // values twice — per morsel, then end to end for the grouping check
+    // — its hash and check-table entry (32, the bucket rounded up), its
+    // run bound (8) and a representative id per part (4 each). Per
+    // morsel its two tasks' bookkeeping: the run finder's range (16),
+    // result slot (48: the starts and the key list) and key lists
+    // (dense slices and start keys, 24 + 24 per key); the fold's range
+    // and run end (16 + 8), its lock slot (24) and its piece of each
+    // value column (16 per fold).
+    let stream_agg = |rows: u64, keys: u64, dense: u64, folds: u64, groups: u64, parts: u64| {
         rows * (8 * keys + 8 * dense)
             + rows / 8
-            + rows.div_ceil(MORSEL_ROWS) * (8 * keys + 16)
+            + rows.div_ceil(MORSEL_ROWS) * (8 * keys + 16 + 16 + 48 + 48 * keys + 48 + 16 * folds)
             + groups * (2 * (4 + 8 * keys) + 32 + 8 + 4 * parts)
     };
-    // The aggregates' output is a thousand groups, too small for the 30 %
-    // slack on it to cover task bookkeeping (morsel ranges, result slots,
-    // write pieces): they are allowed 1 KB per morsel of every pass.
-    let bookkeeping = |morsels: u64| morsels * 1024;
     let pair_morsels = pairs.div_ceil(MORSEL_ROWS);
     // Per plan: its name, its output rows, its root, the allocations it
     // may make — rows / 10 for the hash operators; a few per morsel for
@@ -220,12 +226,12 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     // `stream_agg`). A scan below an operator allocates nothing, so each
     // plan is charged its whole allocation. Measured on 100 000 rows
     // (bound in brackets): HashJoin 16.0 MB [17.3] for 8.0 MB of output
-    // in 187 allocations; HashAgg 3.08 MB [3.30] for 0.04 MB in 506
+    // in 187 allocations; HashAgg 3.08 MB [3.28] for 0.04 MB in 506
     // allocations; HashGroup 6.2 MB [6.7] for 2.4 MB; Sort 6.0 MB [6.3]
     // for 2.4 MB in 30 allocations [100]; the index scan 3.0 MB [4.2]
     // for 0.8 MB in 274 allocations [400]; StreamAgg over the sort
-    // 5.32 MB [5.36] for 0.04 MB in 260 allocations [400]; the
-    // group-join over the sort 15.7 MB [16.4] for 0.06 MB in 654
+    // 5.33 MB [5.34] for 0.04 MB in 254 allocations [400]; the
+    // group-join over the sort 15.7 MB [16.3] for 0.06 MB in 646
     // allocations [1 184]; the two-join chain 31.2 MB [36.0] for 11.2
     // MB; the sort over the join 24.0 MB [26.9] for 8.0 MB.
     // Materializing the inner join's columns, as the executor once did,
@@ -251,7 +257,7 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                 query.relation_set(0),
             ),
             rows / 10,
-            Some(hash_agg(rows, GROUPS as u64, GROUPS as u64, 2) + bookkeeping(morsels)),
+            Some(hash_agg(rows, GROUPS as u64, GROUPS as u64, 2)),
         ),
         (
             "HashGroup",
@@ -302,12 +308,7 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                 query.relation_set(0),
             ),
             16 * morsels,
-            Some(
-                2 * rows * 16
-                    + rows * 4
-                    + stream_agg(rows, 1, 1, GROUPS as u64, 1)
-                    + bookkeeping(morsels),
-            ),
+            Some(2 * rows * 16 + rows * 4 + stream_agg(rows, 1, 1, 2, GROUPS as u64, 1)),
         ),
         (
             "GroupJoin",
@@ -327,8 +328,7 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                     + rows * 4
                     + hash_join(rows, rows, true, pairs)
                     + pairs * 2 * 4
-                    + stream_agg(pairs, 1, 1, GROUPS as u64, 2)
-                    + bookkeeping(morsels + pair_morsels),
+                    + stream_agg(pairs, 1, 1, 2, GROUPS as u64, 2),
             ),
         ),
         // Two joins: the inner one's output is ids, never columns.

@@ -37,8 +37,8 @@
 //! once per key column into a dense slice, one row of look-back
 //! included, marks where a row differs from the one before it (64 rows
 //! to a word), and keeps each run start's key values. [`resumed_run`]
-//! lays those keys end to end and, unless they ascend (sorted input),
-//! hashes them to find a key that comes back after its run ended.
+//! lays those keys end to end and hashes them to find a key that comes
+//! back after its run ended.
 //! Streaming aggregation and the grouping check share it, so grouped
 //! input is never hashed per row.
 
@@ -435,28 +435,19 @@ pub(crate) fn run_starts(key_cols: &[Col], range: Range<usize>) -> Runs {
 /// that earlier start; `None` iff the runs form a grouping. `runs` are
 /// [`run_starts`] results in row order, possibly in per-morsel parts.
 /// Only the run starts' keys are read, laid out dense, one start after
-/// another: when they ascend — sorted input, the common case — no key
-/// can come back; otherwise they are hashed and compared.
+/// another, and hashed and compared there.
 pub(crate) fn resumed_run(runs: &[Runs]) -> Option<(u32, u32)> {
-    let starts: Vec<u32> = runs.iter().flat_map(|r| r.starts.iter().copied()).collect();
+    let total = runs.iter().map(|r| r.starts.len()).sum();
     let arity = runs.first().map_or(0, |r| r.keys.len());
-    let keys: Vec<Vec<i64>> = (0..arity)
-        .map(|c| {
-            runs.iter()
-                .flat_map(|r| r.keys[c].iter().copied())
-                .collect()
-        })
-        .collect();
-    let keys: Vec<&[i64]> = keys.iter().map(|k| &k[..]).collect();
-    // Neighbouring starts differ, so the first column they differ on
-    // orders them.
-    let ascending = (1..starts.len()).all(|j| {
-        let differ = keys.iter().map(|k| k[j - 1].cmp(&k[j])).find(|o| o.is_ne());
-        differ == Some(std::cmp::Ordering::Less)
-    });
-    if ascending {
-        return None;
+    let mut starts = Vec::with_capacity(total);
+    let mut keys: Vec<Vec<i64>> = (0..arity).map(|_| Vec::with_capacity(total)).collect();
+    for r in runs {
+        starts.extend_from_slice(&r.starts);
+        for (k, part) in keys.iter_mut().zip(&r.keys) {
+            k.extend_from_slice(part);
+        }
     }
+    let keys: Vec<&[i64]> = keys.iter().map(|k| &k[..]).collect();
     let cols: Vec<Col> = keys.iter().map(|&k| Col::from(k)).collect();
     // On grouped input every start is a new key.
     let mut seen = GroupTable::reserved(starts.len());
@@ -912,11 +903,13 @@ mod tests {
         }
 
         /// The run finder against the model, on random and on sorted
-        /// (so grouped) rows of key arity 0–3, cut at any point.
+        /// (so grouped) rows of key arity 0–3, cut at any point: rows
+        /// enough for several 64-row start words on either side of the
+        /// cut, which may or may not be a multiple of 64.
         #[test]
         fn run_finder_matches_the_model(
-            cols in (0usize..4, 0usize..60).prop_flat_map(|(arity, n)| table(arity, n)),
-            cut in 0usize..60,
+            cols in (0usize..4, 0usize..200).prop_flat_map(|(arity, n)| table(arity, n)),
+            cut in prop_oneof![0usize..200, Just(64), Just(128)],
             sorted in 0u8..2,
         ) {
             let n = cols.first().map_or(5, Vec::len);
@@ -931,6 +924,11 @@ mod tests {
             let cols = slices(&cols);
             let cut = cut.min(n);
             let parts = [run_starts(&cols, 0..cut), run_starts(&cols, cut..n)];
+            let starts = [&parts[0].starts[..], &parts[1].starts[..]].concat();
+            let model: Vec<u32> = (0..n as u32)
+                .filter(|&r| r == 0 || key(&cols, r as usize) != key(&cols, r as usize - 1))
+                .collect();
+            prop_assert_eq!(starts, model);
             for part in &parts {
                 for (j, &s) in part.starts.iter().enumerate() {
                     let stored: Vec<i64> = part.keys.iter().map(|k| k[j]).collect();
