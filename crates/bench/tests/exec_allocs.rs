@@ -16,13 +16,15 @@
 //! * Each plan must allocate about its root's output column bytes once,
 //!   plus its id, pair, hash, sort-entry or aggregation buffers (dense
 //!   key slices, run starts and their keys, contribution slices, group
-//!   tables and accumulators): only the root gathers
-//!   columns, each allocated at its final length and filled in place;
-//!   every operator below it hands up `u32` row ids; and a sort holds at
-//!   most two 16-byte entries per input row. An inner join that
-//!   materializes its columns (a two-join chain, a sort over a join), or
-//!   output assembled from per-morsel chunks, allocates output values
-//!   twice and fails the byte bound.
+//!   tables and accumulators): only the root gathers columns, one after
+//!   another, each allocated at its final length as its fill begins and
+//!   filled in place, and a column that an applied join predicate makes
+//!   equal to an earlier one is one copy of it; every operator below the
+//!   root hands up `u32` row ids; and a sort holds at most two 16-byte
+//!   entries per input row. An inner join that materializes its columns
+//!   (a two-join chain, a sort over a join), output assembled from
+//!   per-morsel chunks, or a copied column allocated twice, allocates
+//!   output values twice and fails the byte bound.
 //!
 //! One `#[test]` only: the counters are process-global, and a second
 //! test running on another harness thread would be counted too.
@@ -197,15 +199,16 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     // values twice — per morsel, then end to end for the grouping check
     // — its hash and check-table entry (32, the bucket rounded up), its
     // run bound (8) and a representative id per part (4 each). Per
-    // morsel its two tasks' bookkeeping: the run finder's range (16),
+    // morsel the bookkeeping of its run-finding task: its range (16),
     // result slot (48: the starts and the key list) and key lists
-    // (dense slices and start keys, 24 + 24 per key); the fold's range
-    // and run end (16 + 8), its lock slot (24) and its piece of each
-    // value column (16 per fold).
+    // (dense slices and start keys, 24 + 24 per key); and of its fold
+    // tasks, one per value column, filled a column at a time: the
+    // morsel's output range and run end (16 + 8), and the lock slot of
+    // its piece of each value column (24 per fold).
     let stream_agg = |rows: u64, keys: u64, dense: u64, folds: u64, groups: u64, parts: u64| {
         rows * (8 * keys + 8 * dense)
             + rows / 8
-            + rows.div_ceil(MORSEL_ROWS) * (8 * keys + 16 + 16 + 48 + 48 * keys + 48 + 16 * folds)
+            + rows.div_ceil(MORSEL_ROWS) * (8 * keys + 16 + 16 + 48 + 48 * keys + 24 + 24 * folds)
             + groups * (2 * (4 + 8 * keys) + 32 + 8 + 4 * parts)
     };
     let pair_morsels = pairs.div_ceil(MORSEL_ROWS);
@@ -224,18 +227,21 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     // index scan's survivor lists and ids fit in what the rows it drops
     // leave over); an aggregate's kernel buffers (`hash_agg`,
     // `stream_agg`). A scan below an operator allocates nothing, so each
-    // plan is charged its whole allocation. Measured on 100 000 rows
-    // (bound in brackets): HashJoin 16.0 MB [17.3] for 8.0 MB of output
-    // in 187 allocations; HashAgg 3.08 MB [3.28] for 0.04 MB in 506
-    // allocations; HashGroup 6.2 MB [6.7] for 2.4 MB; Sort 6.0 MB [6.3]
-    // for 2.4 MB in 30 allocations [100]; the index scan 3.0 MB [4.2]
-    // for 0.8 MB in 274 allocations [400]; StreamAgg over the sort
-    // 5.33 MB [5.34] for 0.04 MB in 254 allocations [400]; the
-    // group-join over the sort 15.7 MB [16.3] for 0.06 MB in 646
+    // plan is charged its whole allocation. Each output column the root
+    // gathers or copies, and each id or value column an operator
+    // composes, adds its lock slots (24 bytes per morsel) and one
+    // allocation for them. Measured on 100 000 rows (bound in
+    // brackets): HashJoin 16.0 MB [17.3] for 8.0 MB of output (`r1.k`
+    // copied from `r0.k`) in 195 allocations; HashAgg 3.08 MB [3.28] for
+    // 0.04 MB in 510 allocations; HashGroup 6.2 MB [6.7] for 2.4 MB;
+    // Sort 6.0 MB [6.3] for 2.4 MB in 35 allocations [100]; the index
+    // scan 3.0 MB [4.2] for 0.8 MB in 279 allocations [400]; StreamAgg
+    // over the sort 5.33 MB [5.34] for 0.04 MB in 233 allocations [400];
+    // the group-join over the sort 15.7 MB [16.3] for 0.06 MB in 604
     // allocations [1 184]; the two-join chain 31.2 MB [36.0] for 11.2
-    // MB; the sort over the join 24.0 MB [26.9] for 8.0 MB.
-    // Materializing the inner join's columns, as the executor once did,
-    // takes 37.6 MB and 32.0 MB for the last two.
+    // MB, two of its seven columns copies; the sort over the join 24.0
+    // MB [26.9] for 8.0 MB. Materializing the inner join's columns, as
+    // the executor once did, takes 37.6 MB and 32.0 MB for the last two.
     let plans = [
         (
             "HashJoin",

@@ -20,19 +20,21 @@
 //! keep the matches by advancing the write index, never by a branch on
 //! the match. Aggregates emit each group's representative row. Only the
 //! weight and accumulator columns are materialized below the root.
-//! [`execute_plan`] then gathers every
-//! attribute column once, written in place by one task per output
-//! morsel. `Sort`, `PartialSort` and `IndexScan` share one stable radix
-//! sort, linear in the rows for the bits the key range needs, so a
-//! partial sort runs as the full sort it must byte-equal; the streaming
-//! aggregates fold the equal-key runs of their grouped input without
-//! hashing a row. Aggregation works a column at a time: each key column
-//! is read once per morsel into a dense slice, and each fold reads one
-//! dense contribution column (an accumulator borrowed as is, a raw
-//! input read once through its ids, a `sum`'s weights multiplied in)
-//! with one loop per function — over the runs for the streaming
-//! aggregates, scattered by every row's local group id for the hash
-//! aggregate.
+//! [`execute_plan`] then gathers every attribute column once, a column
+//! at a time: each column is allocated as its fill begins and written
+//! in place by one task per output morsel. A column that an applied
+//! equi-join predicate makes equal to an earlier one is copied from
+//! it instead of gathered. `Sort`, `PartialSort` and `IndexScan` share
+//! one stable radix sort, linear in the rows for the bits the key range
+//! needs, so a partial sort runs as the full sort it must byte-equal;
+//! the streaming aggregates fold the equal-key runs of their grouped
+//! input without hashing a row. Aggregation works a column at a time:
+//! each key column is read once per morsel into a dense slice, and each
+//! fold reads one dense contribution column (an accumulator borrowed as
+//! is, a raw input read once through its ids, a `sum`'s weights
+//! multiplied in) with one loop per function — over the runs for the
+//! streaming aggregates, scattered by every row's local group id for
+//! the hash aggregate.
 //!
 //! Operator semantics replicate the legacy tuple-at-a-time oracle
 //! (`ofw_plangen::exec`) exactly on the attribute columns — including
@@ -171,7 +173,7 @@ pub fn execute_plan<S: Copy, E: OrderedExecutor>(
         stats: ExecStats::default(),
     };
     let t = eng.exec(plan)?;
-    let out = eng.materialize(arena.node(plan).op.name(), t);
+    let out = eng.materialize(plan, t);
     eng.stats.rows_out = out.num_rows() as u64;
     span.count("rows_out", eng.stats.rows_out);
     span.count("morsels", eng.stats.morsels);
@@ -226,12 +228,13 @@ fn run_morsels<R: Send, E: OrderedExecutor>(
     (out, n)
 }
 
-/// The write-once fill. `cols` are already at their final length;
-/// `ranges` cut them into adjacent pieces from row 0, and task `i` gets
-/// exclusive `&mut` access to rows `ranges[i]` of every column and
-/// writes them in place. Each task's pieces wait in a slot of their own,
-/// taken exactly once, so no lock is ever contended. The pieces of all
-/// tasks share one allocation, whatever the task count.
+/// The write-once fill of buffers that one task must write together (a
+/// sort's data and scratch buffers). `cols` are already at their final
+/// length; `ranges` cut them into adjacent pieces from row 0, and task
+/// `i` gets exclusive `&mut` access to rows `ranges[i]` of every column
+/// and writes them in place. Each task's pieces wait in a slot of their
+/// own, taken exactly once, so no lock is ever contended. The pieces of
+/// all tasks share one allocation, whatever the task count.
 fn fill_in_place<T: Send, E: OrderedExecutor>(
     pool: &E,
     cols: &mut [Vec<T>],
@@ -264,17 +267,43 @@ fn fill_in_place<T: Send, E: OrderedExecutor>(
     });
 }
 
-/// `ncols` output columns, allocated once at the length `ranges` cover
-/// and filled in place by `fill` ([`fill_in_place`]).
+/// `ncols` output columns of the length `ranges` cover, filled one
+/// after another: each column is allocated as its fill begins, cut into
+/// one `&mut` piece per range, and task `i` writes rows `ranges[i]` of
+/// column `c` in place as `fill(c, i, piece)`. A column is written
+/// while its pages are still in cache, never zeroed in bulk ahead of
+/// the fill. Each piece waits in a slot of its own, taken exactly
+/// once, so no lock is ever contended.
 fn fill_columns<T: Copy + Default + Send, E: OrderedExecutor>(
     pool: &E,
     ncols: usize,
     ranges: &[Range<usize>],
-    fill: &(dyn Fn(usize, &mut [&mut [T]]) + Sync),
+    fill: &(dyn Fn(usize, usize, &mut [T]) + Sync),
 ) -> Vec<Vec<T>> {
     let len = ranges.last().map_or(0, |r| r.end);
-    let mut cols: Vec<Vec<T>> = (0..ncols).map(|_| vec![T::default(); len]).collect();
-    fill_in_place(pool, &mut cols, ranges, fill);
+    let mut cols = Vec::with_capacity(ncols);
+    for c in 0..ncols {
+        let mut col = vec![T::default(); len];
+        let mut rest = col.as_mut_slice();
+        let slots: Vec<Mutex<&mut [T]>> = ranges
+            .iter()
+            .map(|r| {
+                let (piece, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+                rest = tail;
+                Mutex::new(piece)
+            })
+            .collect();
+        pool.run_ordered(ranges.len(), &|i| {
+            let piece = std::mem::take(
+                &mut *slots[i]
+                    .lock()
+                    .expect("a slot is locked only to take its piece, which cannot panic"),
+            );
+            fill(c, i, piece);
+        });
+        drop(slots);
+        cols.push(col);
+    }
     cols
 }
 
@@ -776,35 +805,83 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         }
     }
 
-    /// The one gather: `t`'s attribute columns read through their ids
-    /// into the public table, one output morsel per task, written in
-    /// place; the weight and accumulator columns move in as they are.
-    /// Its morsels count as batches of the root operator `op`.
-    fn materialize(&mut self, op: &'static str, t: Inter<'a>) -> ColTable {
+    /// The one gather: `t`, the output of plan `plan`, into the public
+    /// table. Its attribute columns are read through their ids a column
+    /// at a time ([`fill_columns`]), one output morsel per task, except
+    /// that a column equal to an earlier one ([`Self::equal_columns`])
+    /// is a copy of it; the weight and accumulator columns move in as
+    /// they are. Its morsels count as batches of the root operator.
+    fn materialize(&mut self, plan: PlanId, t: Inter<'a>) -> ColTable {
         let schema = t.schema();
         let srcs: Vec<Col> = t
             .parts
             .iter()
             .flat_map(|p| (0..p.cols.len()).map(move |c| p.col(c)))
             .collect();
+        let first = self.equal_columns(plan, &schema[..srcs.len()]);
+        let gather: Vec<Col> = (0..srcs.len())
+            .filter(|&p| first[p] == p)
+            .map(|p| srcs[p])
+            .collect();
         let ranges = morsel_ranges(t.rows, self.morsel);
-        let mut cols = fill_columns(self.pool, srcs.len(), &ranges, &|i, out| {
-            let range = ranges[i].clone();
-            for (dst, src) in out.iter_mut().zip(&srcs) {
-                match src.ids {
-                    Some(ids) => {
-                        for (d, &r) in dst.iter_mut().zip(&ids[range.clone()]) {
-                            *d = src.vals[r as usize];
-                        }
+        let mut gathered = fill_columns(self.pool, gather.len(), &ranges, &|c, i, dst| {
+            let (src, range) = (gather[c], ranges[i].clone());
+            match src.ids {
+                Some(ids) => {
+                    for (d, &r) in dst.iter_mut().zip(&ids[range]) {
+                        *d = src.vals[r as usize];
                     }
-                    None => dst.copy_from_slice(&src.vals[range.clone()]),
                 }
+                None => dst.copy_from_slice(&src.vals[range]),
             }
-        });
+        })
+        .into_iter();
+        let mut cols: Vec<Vec<i64>> = Vec::with_capacity(schema.len());
+        for (p, &f) in first.iter().enumerate() {
+            let col = if f == p {
+                gathered.next().expect("one gathered column per class")
+            } else {
+                cols[f].clone()
+            };
+            cols.push(col);
+        }
         cols.extend(t.weight);
         cols.extend(t.accs.into_iter().map(|(_, col)| col));
+        let op = self.arena.node(plan).op.name();
         self.stats.record(op, ranges.len() as u64, 0);
         ColTable::new(schema, cols)
+    }
+
+    /// Per column of `attrs`, the attribute columns of plan `plan`'s
+    /// output: the first column it equals row for row by an applied
+    /// equi-join predicate (itself if none). Every join applies each
+    /// predicate that connects its inputs, so every row of a plan
+    /// satisfies each edge between two distinct relations under it, and
+    /// selections, permutations and representative rows keep that. An
+    /// edge within one relation (`r.a = r.b`) connects no two inputs, is
+    /// never applied, and so equates nothing.
+    fn equal_columns(&self, plan: PlanId, attrs: &[ColRef]) -> Vec<usize> {
+        let mask = &self.arena.node(plan).mask;
+        // Union-find whose root is its class's first position.
+        let mut first: Vec<usize> = (0..attrs.len()).collect();
+        let root = |first: &[usize], mut p: usize| {
+            while first[p] != p {
+                p = first[p];
+            }
+            p
+        };
+        for (e, j) in self.query.joins.iter().enumerate() {
+            let (l, r) = self.graph.edge_endpoints(e);
+            if l == r || !mask.contains(l) || !mask.contains(r) {
+                continue;
+            }
+            let at = |a: AttrId| attrs.iter().position(|&x| x == ColRef::Attr(a));
+            if let (Some(a), Some(b)) = (at(j.left), at(j.right)) {
+                let (a, b) = (root(&first, a), root(&first, b));
+                first[a.max(b)] = a.min(b);
+            }
+        }
+        (0..attrs.len()).map(|p| root(&first, p)).collect()
     }
 
     /// The composition every operator that moves rows ends with. Output
@@ -823,54 +900,51 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         accs: &[(usize, OutSrc<'_>)],
     ) -> (Inter<'a>, u64) {
         let ranges = morsel_ranges(rows.len(), self.morsel);
-        let ids = fill_columns(self.pool, parts.len(), &ranges, &|i, out| {
-            for (dst, &(part, side)) in out.iter_mut().zip(parts) {
-                let mut at = 0;
-                for s in rows.slices(ranges[i].clone()) {
-                    let dst = &mut dst[at..at + s.len()];
-                    match &part.ids {
-                        Some(ids) => {
-                            for (d, x) in dst.iter_mut().zip(s) {
-                                *d = ids[pick(x)[side]];
-                            }
-                        }
-                        None => {
-                            for (d, x) in dst.iter_mut().zip(s) {
-                                *d = pick(x)[side] as u32;
-                            }
+        let ids = fill_columns(self.pool, parts.len(), &ranges, &|c, i, dst| {
+            let (part, side) = parts[c];
+            let mut at = 0;
+            for s in rows.slices(ranges[i].clone()) {
+                let dst = &mut dst[at..at + s.len()];
+                match &part.ids {
+                    Some(ids) => {
+                        for (d, x) in dst.iter_mut().zip(s) {
+                            *d = ids[pick(x)[side]];
                         }
                     }
-                    at += s.len();
+                    None => {
+                        for (d, x) in dst.iter_mut().zip(s) {
+                            *d = pick(x)[side] as u32;
+                        }
+                    }
                 }
+                at += s.len();
             }
         });
         let srcs: Vec<OutSrc> = weight.into_iter().chain(accs.iter().map(|a| a.1)).collect();
-        let fill = |i: usize, out: &mut [&mut [i64]]| {
-            for (dst, src) in out.iter_mut().zip(&srcs) {
-                let mut at = 0;
-                for s in rows.slices(ranges[i].clone()) {
-                    let dst = &mut dst[at..at + s.len()];
-                    match *src {
-                        [Some(a), None] => {
-                            for (d, x) in dst.iter_mut().zip(s) {
-                                *d = a[pick(x)[0]];
-                            }
+        let fill = |c: usize, i: usize, dst: &mut [i64]| {
+            let mut at = 0;
+            for s in rows.slices(ranges[i].clone()) {
+                let dst = &mut dst[at..at + s.len()];
+                match srcs[c] {
+                    [Some(a), None] => {
+                        for (d, x) in dst.iter_mut().zip(s) {
+                            *d = a[pick(x)[0]];
                         }
-                        [None, Some(b)] => {
-                            for (d, x) in dst.iter_mut().zip(s) {
-                                *d = b[pick(x)[1]];
-                            }
-                        }
-                        [Some(a), Some(b)] => {
-                            for (d, x) in dst.iter_mut().zip(s) {
-                                let [l, r] = pick(x);
-                                *d = a[l] * b[r];
-                            }
-                        }
-                        [None, None] => dst.fill(1),
                     }
-                    at += s.len();
+                    [None, Some(b)] => {
+                        for (d, x) in dst.iter_mut().zip(s) {
+                            *d = b[pick(x)[1]];
+                        }
+                    }
+                    [Some(a), Some(b)] => {
+                        for (d, x) in dst.iter_mut().zip(s) {
+                            let [l, r] = pick(x);
+                            *d = a[l] * b[r];
+                        }
+                    }
+                    [None, None] => dst.fill(1),
                 }
+                at += s.len();
             }
         };
         let mut vals = fill_columns(self.pool, srcs.len(), &ranges, &fill).into_iter();
@@ -1377,12 +1451,14 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// the run starts' keys alone are hashed to verify the grouping — a
     /// key that resumes after its run ended is a located error, never a
     /// silently split group. A morsel's last run ends at the next
-    /// non-empty morsel's first start. Each morsel then reads each
-    /// contribution column over its runs once, as a dense slice, and
-    /// folds it with one loop per function, straight into its rows of
-    /// the preallocated value columns. Groups come out in run order: on
-    /// grouped input, the first-seen order the hash kernel would
-    /// produce. The run starts are the groups' representative rows.
+    /// non-empty morsel's first start; each morsel's run bounds are
+    /// built once. The value columns then fill one after another
+    /// ([`fill_columns`]), a task per morsel: it reads the column's
+    /// contribution over its runs once, as a dense slice, and folds it
+    /// with one loop per function, straight into its rows of the value
+    /// column. Groups come out in run order: on grouped input, the
+    /// first-seen order the hash kernel would produce. The run starts
+    /// are the groups' representative rows.
     fn stream_aggregate(
         &mut self,
         plan: PlanId,
@@ -1426,24 +1502,25 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 at - s.len()..at
             })
             .collect();
-        let values = fill_columns(self.pool, spec.folds.len(), &out_ranges, &|m, out| {
+        // Each morsel's run bounds, from its first start, end to end:
+        // morsel `m`'s are the `starts[m].len() + 1` from
+        // `out_ranges[m].start + m`.
+        let mut bounds = Vec::with_capacity(at + starts.len());
+        for (s, &end) in starts.iter().zip(&ends) {
+            let lo = s.first().map_or(end, |&f| f as usize);
+            bounds.extend(s.iter().map(|&s| s as usize - lo).chain([end - lo]));
+        }
+        let values = fill_columns(self.pool, spec.folds.len(), &out_ranges, &|c, m, dst| {
             let Some(&lo) = starts[m].first() else {
                 return;
             };
-            let span = lo as usize..ends[m];
-            let bounds: Vec<usize> = starts[m]
-                .iter()
-                .map(|&s| s as usize - span.start)
-                .chain([span.len()])
-                .collect();
-            for (dst, f) in out.iter_mut().zip(&spec.folds) {
-                fold_runs(
-                    f.func,
-                    f.contrib.dense(span.clone()).as_deref(),
-                    &bounds,
-                    dst,
-                );
-            }
+            let (f, b) = (&spec.folds[c], out_ranges[m].start + m);
+            fold_runs(
+                f.func,
+                f.contrib.dense(lo as usize..ends[m]).as_deref(),
+                &bounds[b..=b + starts[m].len()],
+                dst,
+            );
         });
         let parts: Vec<_> = t.sides(0).collect();
         let (out, cb) = self.compose(
@@ -1741,21 +1818,34 @@ mod tests {
     #[test]
     fn fill_writes_each_range_once_in_place() {
         let ranges = [0..3, 3..3, 3..7];
-        let cols = fill_columns::<i64, _>(&SerialExecutor, 2, &ranges, &|i, out| {
-            for (c, dst) in out.iter_mut().enumerate() {
-                assert_eq!(dst.len(), ranges[i].len());
-                for (k, d) in dst.iter_mut().enumerate() {
-                    *d = (10 * c + ranges[i].start + k) as i64;
-                }
+        let writes = Mutex::new(Vec::new());
+        let cols = fill_columns::<i64, _>(&SerialExecutor, 2, &ranges, &|c, i, dst| {
+            assert_eq!(dst.len(), ranges[i].len());
+            assert!(dst.iter().all(|&d| d == 0), "a piece is written once");
+            for (k, d) in dst.iter_mut().enumerate() {
+                *d = (10 * c + ranges[i].start + k) as i64;
             }
+            writes.lock().unwrap().push((c, i));
         });
         assert_eq!(cols[0], vec![0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(cols[1], vec![10, 11, 12, 13, 14, 15, 16]);
-        assert!(
-            fill_columns::<i64, _>(&SerialExecutor, 3, &[], &|_, _| unreachable!())
-                .iter()
-                .all(Vec::is_empty)
-        );
+        // Column after column: every piece of one before any of the next.
+        let order = vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)];
+        assert_eq!(writes.into_inner().unwrap(), order);
+        // No range: empty columns, no task.
+        let empty = fill_columns::<i64, _>(&SerialExecutor, 3, &[], &|_, _, _| unreachable!());
+        assert_eq!(empty, vec![Vec::<i64>::new(); 3]);
+        // No column: no task either.
+        let none = fill_columns::<i64, _>(&SerialExecutor, 0, &ranges, &|_, _, _| unreachable!());
+        assert!(none.is_empty());
+        // Pool threads write the same bytes.
+        let pool = ofw_parallel::ThreadPool::new(2);
+        let pooled = fill_columns::<i64, _>(&pool, 2, &ranges, &|c, i, dst| {
+            for (k, d) in dst.iter_mut().enumerate() {
+                *d = (10 * c + ranges[i].start + k) as i64;
+            }
+        });
+        assert_eq!(pooled, cols);
     }
 
     fn node(query: &Query, qrels: &[usize], op: PlanOp) -> PlanNode<()> {
@@ -1973,6 +2063,187 @@ mod tests {
         let got = serial(index_scan).0.attr_table();
         let expect = sort_then_filter(&catalog, &query, &arena, index_scan, &data);
         assert_eq!(got.rows, expect.rows);
+    }
+
+    /// For each attribute column of `plan`'s output, the column its root
+    /// copies it from (itself when it is gathered).
+    fn root_classes(
+        arena: &PlanArena<()>,
+        plan: PlanId,
+        catalog: &Catalog,
+        query: &Query,
+        data: &[Vec<Vec<i64>>],
+    ) -> Vec<usize> {
+        let mut eng = Engine {
+            arena,
+            catalog,
+            query,
+            graph: JoinGraph::new(query),
+            data,
+            pool: &SerialExecutor,
+            morsel: MORSEL_ROWS,
+            stats: ExecStats::default(),
+        };
+        let t = eng.exec(plan).unwrap();
+        let schema = t.schema();
+        let attrs = schema.iter().take_while(|c| matches!(c, ColRef::Attr(_)));
+        eng.equal_columns(plan, &schema[..attrs.count()])
+    }
+
+    #[test]
+    fn same_relation_edges_and_cross_products_equate_no_columns() {
+        // `r0(a, b) × (r1(c, e) ⋈ r2(d))` on `r1.c = r2.d`, and the
+        // same-relation edge `r0.a = r0.b`, which no operator applies.
+        let mut catalog = Catalog::new();
+        let rels = [("r0", &["a", "b"][..]), ("r1", &["c", "e"]), ("r2", &["d"])];
+        let mut query = Query::new();
+        for (name, attrs) in rels {
+            let rel = catalog.add_relation(name, 3.0, attrs);
+            query.add_relation(&catalog, rel);
+        }
+        for (l, r) in [("r0.a", "r0.b"), ("r1.c", "r2.d")] {
+            query.joins.push(ofw_query::JoinEdge {
+                left: catalog.attr(l),
+                right: catalog.attr(r),
+                selectivity: 0.5,
+            });
+        }
+        let data = vec![
+            vec![vec![1, 2, 3], vec![1, 5, 3]],
+            vec![vec![1, 2, 2], vec![7, 8, 9]],
+            vec![vec![2, 1, 2]],
+        ];
+        let tables: Vec<ofw_plangen::Table> = data
+            .iter()
+            .zip(&query.relations)
+            .map(|(cols, &rel)| ofw_plangen::Table {
+                attrs: catalog.relation(rel).attrs.clone(),
+                rows: (0..3)
+                    .map(|r| cols.iter().map(|c| c[r]).collect())
+                    .collect(),
+            })
+            .collect();
+        let mut arena: PlanArena<()> = PlanArena::new();
+        let scans: Vec<PlanId> = (0..3)
+            .map(|q| arena.push(node(&query, &[q], PlanOp::Scan { qrel: q })))
+            .collect();
+        let joined = arena.push(node(
+            &query,
+            &[1, 2],
+            PlanOp::HashJoin {
+                left: scans[1],
+                right: scans[2],
+                edge: 1,
+            },
+        ));
+        let cross = arena.push(node(
+            &query,
+            &[0, 1, 2],
+            PlanOp::NestedLoopJoin {
+                left: scans[0],
+                right: joined,
+            },
+        ));
+        // Schema `r0.a r0.b r1.c r1.e r2.d`: only `r2.d` copies `r1.c`.
+        for (plan, classes) in [
+            (scans[0], vec![0, 1]),
+            (joined, vec![0, 1, 0]),
+            (cross, vec![0, 1, 2, 3, 2]),
+        ] {
+            assert_eq!(
+                root_classes(&arena, plan, &catalog, &query, &data),
+                classes,
+                "{plan:?}"
+            );
+            let out = execute_serial(&arena, plan, &catalog, &query, &data)
+                .unwrap()
+                .0;
+            let legacy =
+                ofw_plangen::exec::try_execute(&arena, plan, &catalog, &query, &tables).unwrap();
+            let got = out.attr_table();
+            assert_eq!(
+                (got.attrs, got.rows),
+                (legacy.attrs, legacy.rows),
+                "{plan:?}"
+            );
+        }
+        let out = execute_serial(&arena, cross, &catalog, &query, &data)
+            .unwrap()
+            .0;
+        let col = |a: &str| out.col(ColRef::Attr(catalog.attr(a))).unwrap().to_vec();
+        assert_eq!(out.num_rows(), 15);
+        assert_ne!(col("r0.a"), col("r0.b"));
+        assert_eq!(col("r1.c"), col("r2.d"));
+    }
+
+    #[test]
+    fn join_roots_that_copy_columns_are_byte_identical_at_1_2_8_threads() {
+        // `r0 ⋈ r1 ⋈ r2` on `a` and `b` at each step: a hash join on both
+        // edges, then a merge join on `a` with `b` as its residual.
+        // `r0.a` repeats every 50 000 rows and meets one `r1` row, which
+        // meets one `r2` row: 100 000 output rows.
+        let (catalog, query) = chain_fixture(3, true, 0);
+        let n = 100_000i64;
+        let rel = |a: &dyn Fn(i64) -> i64, v: i64| -> Vec<Vec<i64>> {
+            let a: Vec<i64> = (0..n).map(a).collect();
+            let b = a.iter().map(|x| x % 13).collect();
+            vec![a, b, (0..n).map(|r| v * r).collect()]
+        };
+        let data = vec![
+            rel(&|r| r % 50_000, 1),
+            rel(&|r| (r * 7) % n, -1),
+            rel(&|r| (r * 3) % n, 3),
+        ];
+        let mut arena: PlanArena<()> = PlanArena::new();
+        let s0 = arena.push(node(&query, &[0], PlanOp::Scan { qrel: 0 }));
+        let s1 = arena.push(node(&query, &[1], PlanOp::Scan { qrel: 1 }));
+        let i2 = arena.push(node(&query, &[2], PlanOp::IndexScan { qrel: 2, index: 0 }));
+        let hash = arena.push(node(
+            &query,
+            &[0, 1],
+            PlanOp::HashJoin {
+                left: s0,
+                right: s1,
+                edge: 0,
+            },
+        ));
+        let merge = arena.push(node(
+            &query,
+            &[0, 1, 2],
+            PlanOp::MergeJoin {
+                left: hash,
+                right: i2,
+                edge: 2,
+            },
+        ));
+        // Each `r{i}.a` and `r{i}.b` copies `r0`'s; every `v` is gathered.
+        assert_eq!(
+            root_classes(&arena, merge, &catalog, &query, &data),
+            [0, 1, 2, 0, 1, 5, 0, 1, 8]
+        );
+        assert_eq!(
+            root_classes(&arena, hash, &catalog, &query, &data),
+            [0, 1, 2, 0, 1, 5]
+        );
+        let serial = |plan| execute_serial(&arena, plan, &catalog, &query, &data).unwrap();
+        assert_eq!(serial(merge).0.num_rows(), n as usize);
+        for threads in [1, 2, 8] {
+            let pool = ofw_parallel::ThreadPool::new(threads);
+            for plan in [hash, merge] {
+                let pooled = execute_plan(
+                    &arena,
+                    plan,
+                    &catalog,
+                    &query,
+                    &data,
+                    &pool,
+                    &ExecOptions::default(),
+                    &Trace::disabled(),
+                )
+                .unwrap();
+                assert!(pooled == serial(plan), "{plan:?} at {threads} threads");
+            }
+        }
     }
 
     proptest! {

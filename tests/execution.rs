@@ -159,29 +159,37 @@ fn claimed_groupings_hold_physically() {
 
 /// The legacy tuple-at-a-time executor as a test oracle for the
 /// vectorized engine: for every plan the DP allocated — winners and
-/// intermediates, over ordering *and* grouping workloads — both
-/// executors must produce byte-identical attribute streams (same rows,
-/// same physical order, including through the hash operators'
-/// deterministic scramble).
+/// intermediates, over ordering *and* grouping workloads, on chains and
+/// on cyclic graphs (one or two extra edges) — both executors must
+/// produce byte-identical attribute streams (same rows, same physical
+/// order, including through the hash operators' deterministic
+/// scramble). On a cyclic graph a join applies several edges (merge
+/// residuals, multi-key hash joins, multi-edge nested loops), and
+/// every plan runs as a root, so each root's copies of columns those
+/// edges equate meet the oracle.
 #[test]
 fn vectorized_executor_matches_the_legacy_oracle_on_every_plan() {
-    let mut checked = 0usize;
-    for (grouping, n, seeds) in [
-        (false, 3usize, 0..8u64),
-        (true, 3, 0..6u64),
-        (false, 4, 0..4u64),
+    let (mut checked, mut multi_edge) = (0usize, 0usize);
+    for (grouping, n, extra, seeds) in [
+        (false, 3usize, 0usize, 0..8u64),
+        (true, 3, 0, 0..6u64),
+        (false, 4, 0, 0..4u64),
+        (false, 3, 1, 0..4u64),
+        (true, 4, 1, 0..3u64),
+        (false, 4, 2, 0..3u64),
+        (true, 4, 2, 0..3u64),
     ] {
         for seed in seeds {
             let (catalog, query) = if grouping {
                 grouping_query(&GroupingQueryConfig {
                     num_relations: n,
-                    extra_edges: 0,
+                    extra_edges: extra,
                     seed,
                 })
             } else {
                 random_query(&RandomQueryConfig {
                     num_relations: n,
-                    extra_edges: 0,
+                    extra_edges: extra,
                     seed,
                 })
             };
@@ -190,24 +198,29 @@ fn vectorized_executor_matches_the_legacy_oracle_on_every_plan() {
             let result = PlanGen::new(&catalog, &query, &ex, &fw).run();
             let data = synthetic_data(&catalog, &query, 7, 3, seed.wrapping_mul(29) + 13);
             let cols = columns_from_tables(&data);
+            let at = format!("grouping={grouping} n={n} extra={extra} seed={seed}");
+            let graph = ofw::query::JoinGraph::new(&query);
 
             for id in 0..result.arena.len() as u32 {
                 let pid = ofw::plangen::PlanId(id);
+                let inputs: Vec<_> = result.arena.node(pid).op.inputs().collect();
+                if let [l, r] = inputs[..] {
+                    let (lmask, rmask) = (&result.arena.node(l).mask, &result.arena.node(r).mask);
+                    multi_edge +=
+                        usize::from(graph.connecting_edges(lmask, rmask).nth(1).is_some());
+                }
                 let legacy = execute(&result.arena, pid, &catalog, &query, &data);
                 let (vec_out, _) = execute_serial(&result.arena, pid, &catalog, &query, &cols)
-                    .unwrap_or_else(|e| {
-                        panic!("grouping={grouping} n={n} seed={seed}: vectorized failed: {e}")
-                    });
+                    .unwrap_or_else(|e| panic!("{at}: vectorized failed: {e}"));
                 let vec_table = vec_out.attr_table();
                 assert_eq!(
                     vec_table.attrs, legacy.attrs,
-                    "grouping={grouping} n={n} seed={seed} plan {pid:?}: schema diverges"
+                    "{at} plan {pid:?}: schema diverges"
                 );
                 assert_eq!(
                     vec_table.rows,
                     legacy.rows,
-                    "grouping={grouping} n={n} seed={seed} plan {pid:?}: \
-                     vectorized row stream diverges from the legacy oracle\n{}",
+                    "{at} plan {pid:?}: vectorized row stream diverges from the legacy oracle\n{}",
                     result
                         .arena
                         .render(pid, &|q| catalog.relation(query.relations[q]).name.clone()),
@@ -219,6 +232,10 @@ fn vectorized_executor_matches_the_legacy_oracle_on_every_plan() {
     assert!(
         checked > 100,
         "expected a meaningful plan sample, got {checked}"
+    );
+    assert!(
+        multi_edge > 10,
+        "expected joins that apply several edges, got {multi_edge}"
     );
 }
 
