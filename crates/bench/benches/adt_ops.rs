@@ -4,6 +4,8 @@
 //! O(1) table lookups vs Ω(n) reduction (even with Simmen's reduction
 //! cache warm, it pays hash lookups instead of array indexing).
 
+#![forbid(unsafe_code)]
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ofw_core::{OrderOracle, OrderingFramework, PruneConfig};
 use ofw_query::extract::ExtractOptions;

@@ -2,6 +2,8 @@
 //! each pruning switch is disabled in isolation (and enabled in
 //! isolation) to show where the NFSM/DFSM size reductions come from.
 
+#![forbid(unsafe_code)]
+
 use ofw_core::PruneConfig;
 
 fn main() {

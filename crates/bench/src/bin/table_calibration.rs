@@ -19,6 +19,8 @@
 //! row ids, never columns. A row panics on any execution error, so
 //! running the binary is also a check.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 

@@ -5,6 +5,8 @@
 //! Usage: `table_fig13 [queries_per_cell] [max_n]` (defaults 10 and 10;
 //! the paper averaged 100 runs for small queries, 10 for large ones).
 
+#![forbid(unsafe_code)]
+
 const USAGE: &str = "table_fig13 [queries_per_cell] [max_n]";
 
 fn main() {

@@ -4,6 +4,8 @@
 //!
 //! Usage: `table_fig14 [queries_per_cell] [max_n]` (defaults 10, 10).
 
+#![forbid(unsafe_code)]
+
 const USAGE: &str = "table_fig14 [queries_per_cell] [max_n]";
 
 fn main() {

@@ -11,6 +11,8 @@
 //! precomputed data    3040 bytes    912 bytes
 //! ```
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let (without, with) = ofw_bench::prep_q8();
     println!("TPC-R Query 8 — preparation step (paper §6.2)");

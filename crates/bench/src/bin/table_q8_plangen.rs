@@ -11,6 +11,8 @@
 //! Memory (KB)  329       136
 //! ```
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let (simmen, ours) = ofw_bench::q8_plangen();
     println!("TPC-R Query 8 — plan generation (paper §7)");

@@ -19,6 +19,8 @@
 //! `benches/adt_ops.rs` is the Criterion bench of the paper's
 //! O(1)-vs-Ω(n) ADT-operation claim.
 
+#![forbid(unsafe_code)]
+
 /// Process-global counting allocator: everything linking this crate
 /// counts allocations, which is what `tests/exec_allocs.rs` asserts on.
 #[global_allocator]

@@ -29,6 +29,8 @@
 //! One `#[test]` only: the counters are process-global, and a second
 //! test running on another harness thread would be counted too.
 
+#![forbid(unsafe_code)]
+
 extern crate ofw_bench; // links the `#[global_allocator]`
 
 use ofw_catalog::Catalog;

@@ -14,6 +14,8 @@
 //! One `#[test]` only: the counter is process-global, and a second test
 //! running on another harness thread would be counted too.
 
+#![forbid(unsafe_code)]
+
 extern crate ofw_bench; // links the `#[global_allocator]`
 
 use ofw_common::alloc::allocation_count;

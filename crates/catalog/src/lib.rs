@@ -5,6 +5,8 @@
 //! the mapping between human-readable schema objects and those ids, plus
 //! the physical metadata (cardinalities, indexes) the plan generator needs.
 
+#![forbid(unsafe_code)]
+
 pub mod attr;
 pub mod schema;
 pub mod tpch;

@@ -5,11 +5,11 @@
 //! [`OrderedExecutor`]: "run `f(0), f(1), …, f(n-1)` and give me the
 //! results *in index order*". How the indices are scheduled is the
 //! executor's business — [`SerialExecutor`] runs them inline in order,
-//! the `ofw-parallel` work-stealing pool runs them on worker threads —
-//! but because results always come back in index order, the caller's
-//! behavior is independent of the schedule. That is the whole
-//! determinism story of parallel execution: scheduling freedom below
-//! the seam, a fixed merge order above it.
+//! the `ofw-parallel` pool runs them on scoped threads — but because
+//! results always come back in index order, the caller's behavior is
+//! independent of the schedule. That is the whole determinism story of
+//! parallel execution: scheduling freedom below the seam, a fixed merge
+//! order above it.
 
 use std::ops::Range;
 
@@ -36,34 +36,12 @@ impl OrderedExecutor for SerialExecutor {
     }
 }
 
-/// Splits `0..len` into at most `parts` contiguous, balanced, non-empty
-/// ranges (fewer when `len < parts`). The first `len % parts` ranges are
-/// one element longer — the classic block partition, fully deterministic.
-pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
-    assert!(parts > 0, "cannot chunk into zero parts");
-    let parts = parts.min(len);
-    let mut out = Vec::with_capacity(parts);
-    if len == 0 {
-        return out;
-    }
-    let base = len / parts;
-    let extra = len % parts;
-    let mut start = 0;
-    for i in 0..parts {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    debug_assert_eq!(start, len);
-    out
-}
-
 /// Splits `0..len` into fixed-size morsels of `morsel` rows (the last
-/// one shorter). Unlike [`chunk_ranges`], the partition depends only on
-/// `len` — never on the thread count — which is the first half of the
-/// executor's determinism contract: identical morsel boundaries at 1, 2
-/// or 8 threads (the second half is merging morsel results in index
-/// order via [`OrderedExecutor::run_ordered`]).
+/// one shorter). The partition depends only on `len` — never on the
+/// thread count — which is the first half of the executor's determinism
+/// contract: identical morsel boundaries at 1, 2 or 8 threads (the
+/// second half is merging morsel results in index order via
+/// [`OrderedExecutor::run_ordered`]).
 pub fn morsel_ranges(len: usize, morsel: usize) -> Vec<Range<usize>> {
     assert!(morsel > 0, "morsel size must be positive");
     let mut out = Vec::with_capacity(len.div_ceil(morsel));
@@ -91,27 +69,6 @@ mod tests {
     fn empty_run_is_empty() {
         let r: Vec<usize> = SerialExecutor.run_ordered(0, &|i| i);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly_once() {
-        for len in 0..40 {
-            for parts in 1..10 {
-                let ranges = chunk_ranges(len, parts);
-                let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
-                let expect: Vec<usize> = (0..len).collect();
-                assert_eq!(flat, expect, "len={len} parts={parts}");
-                assert!(ranges.iter().all(|r| !r.is_empty()));
-                assert!(ranges.len() <= parts);
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_are_balanced() {
-        let ranges = chunk_ranges(10, 4);
-        let sizes: Vec<usize> = ranges.iter().map(std::ops::Range::len).collect();
-        assert_eq!(sizes, vec![3, 3, 2, 2]);
     }
 
     #[test]

@@ -19,14 +19,17 @@
 //!   reproduce the paper's memory-consumption experiments (Fig. 14).
 //! * [`exec`] — the ordered chunk-execution seam ([`OrderedExecutor`])
 //!   between the morsel-driven executor and the `ofw-parallel` thread
-//!   pool, plus the
-//!   deterministic block partitioner [`chunk_ranges`] and the
-//!   thread-count-independent morsel partitioner [`morsel_ranges`].
+//!   pool, plus the thread-count-independent morsel partitioner
+//!   [`morsel_ranges`].
 //! * [`alloc`] (feature `count-allocs`) — a counting global allocator
 //!   so benchmark binaries can report allocation pressure as a
-//!   deterministic, trend-gated `allocs` column.
+//!   deterministic, trend-gated `allocs` column — the one module
+//!   allowed `unsafe` code; the rest of the crate denies it.
+
+#![deny(unsafe_code)]
 
 #[cfg(feature = "count-allocs")]
+#[allow(unsafe_code)]
 pub mod alloc;
 pub mod bitmatrix;
 pub mod bitset;
@@ -38,7 +41,7 @@ pub mod mem;
 
 pub use bitmatrix::BitMatrix;
 pub use bitset::BitSet;
-pub use exec::{chunk_ranges, morsel_ranges, OrderedExecutor, SerialExecutor};
+pub use exec::{morsel_ranges, OrderedExecutor, SerialExecutor};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use interner::{Interner, SliceInterner};
 pub use mem::MemoryMeter;

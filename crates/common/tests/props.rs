@@ -2,6 +2,8 @@
 //! bit matrix and interner must behave exactly like their obvious
 //! `std::collections` models.
 
+#![forbid(unsafe_code)]
+
 use ofw_common::{BitMatrix, BitSet, FxHasher, Interner};
 use proptest::prelude::*;
 use std::collections::BTreeSet;

@@ -140,6 +140,8 @@
 //! assert!(fw.satisfies(fw.infer(grouped, f_ab), h));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod derive;
 pub mod dfsm;
 pub mod eqclass;

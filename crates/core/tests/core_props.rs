@@ -3,6 +3,8 @@
 //! these target individual invariants of orderings, derivations and the
 //! preparation pipeline.
 
+#![forbid(unsafe_code)]
+
 use ofw_catalog::AttrId;
 use ofw_core::derive::{DeriveCtx, Scratch};
 use ofw_core::eqclass::EqClasses;

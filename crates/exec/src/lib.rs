@@ -30,6 +30,8 @@
 //!
 //! [`PlanOp`]: ofw_plangen::PlanOp
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod engine;
 mod hash;

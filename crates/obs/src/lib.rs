@@ -23,6 +23,8 @@
 //! identical for the same work, while timestamps and thread lanes are
 //! wall-clock-class data excluded from it.
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod trace;
 

@@ -58,6 +58,8 @@
 //! assert_eq!(probe(&truth, f_ab), (false, true));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod dp;
 pub mod exec;

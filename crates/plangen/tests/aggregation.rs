@@ -13,6 +13,8 @@
 //! own ceiling, the sort-only search (`partial_sort(false)`), on the
 //! `GROUP BY k ORDER BY k` variant of the same workload.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 
 use ofw_catalog::Catalog;

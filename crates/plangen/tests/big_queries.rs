@@ -4,6 +4,8 @@
 //! sets, past the legacy `u64` bitmask that used to be asserted at
 //! `PlanGen::new`).
 
+#![forbid(unsafe_code)]
+
 use ofw_core::{OrderingFramework, PruneConfig};
 use ofw_plangen::PlanGen;
 use ofw_query::extract::ExtractOptions;

@@ -14,6 +14,8 @@
 //! instance (warming the memoizing oracles so state handles are
 //! stable), then the bounded run is compared against it.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use std::fmt::Debug;
 

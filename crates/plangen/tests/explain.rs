@@ -6,6 +6,8 @@
 //! pure view (identical plan table before and after) and the JSON
 //! variant parses structurally.
 
+#![forbid(unsafe_code)]
+
 use ofw_catalog::Catalog;
 use ofw_core::{OrderingFramework, PruneConfig};
 use ofw_plangen::{ExplicitOracle, PlanGen};

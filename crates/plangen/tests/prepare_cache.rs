@@ -10,6 +10,8 @@
 //! winner and the plan count must match; the 4-byte handle column is
 //! free.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 use ofw_catalog::{AttrId, Catalog, RelId};

@@ -9,6 +9,8 @@
 //! then a traced run, fingerprint-checked against the untraced
 //! reference.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use std::fmt::Debug;
 use std::fmt::Write as _;

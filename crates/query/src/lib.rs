@@ -15,6 +15,8 @@
 //!   interesting orders; join predicates become equations; constant
 //!   predicates become `∅ → a` dependencies.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod extract;
 pub mod graph;

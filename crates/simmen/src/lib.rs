@@ -75,6 +75,8 @@
 //! assert!(fw.satisfies(s, k_ab));       // (a,b) reduces to (a) under a→b
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod env;
 pub mod oracle;
 pub mod reduce;

@@ -1,5 +1,7 @@
 //! Property-based tests on Simmen's reduction algorithm.
 
+#![forbid(unsafe_code)]
+
 use ofw_catalog::AttrId;
 use ofw_core::fd::Fd;
 use ofw_core::ordering::Ordering;

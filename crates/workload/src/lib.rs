@@ -27,6 +27,8 @@
 //!   hundreds of interesting orders for the pipeline benchmark's
 //!   `prep_heavy` workload.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregation;
 pub mod data;
 pub mod grouping;

@@ -23,7 +23,7 @@
 //! | [`catalog`] | schema/catalog substrate (incl. a TPC-H subset) |
 //! | [`query`] | query graphs + interesting-order/FD extraction |
 //! | [`plangen`] | bottom-up DP plan generator exercising both frameworks |
-//! | [`parallel`] | deterministic work-stealing pool behind the morsel executor |
+//! | [`parallel`] | deterministic scoped-thread pool behind the morsel executor |
 //! | [`exec`] | morsel-driven vectorized executor + differential reference plan |
 //! | [`workload`] | random join-graph workloads, TPC-R Query 8, large topologies |
 //! | [`obs`] | observability: phase spans, decision telemetry, trace export |
@@ -33,6 +33,8 @@
 //! See `examples/quickstart.rs` for the paper's running example (§5) built
 //! end to end — from interesting orders and functional dependencies to the
 //! DFSM of Fig. 8 and the precomputed tables of Figs. 9–10.
+
+#![forbid(unsafe_code)]
 
 pub use ofw_catalog as catalog;
 pub use ofw_common as common;
