@@ -519,6 +519,43 @@ mod tests {
         assert_eq!(sets[1].len(), 1, "d=b must be kept");
     }
 
+    /// Phase 2 on a set of more than one dependency, run through the
+    /// public entry point with the equivalence classes the framework
+    /// would build.
+    fn prune_one_set(tested: &[AttrId], set: Vec<Fd>) -> (FdSet, usize) {
+        let mut spec = InputSpec::new();
+        spec.add_produced(o(&tested[..1]));
+        spec.add_tested(o(tested));
+        spec.add_fd_set(set);
+        let eq = EqClasses::from_fds(spec.fd_sets().iter().flat_map(|s| s.fds().iter()));
+        let (mut sets, removed) = prune_fds(&spec, &eq, &PruneConfig::default());
+        (sets.remove(0), removed)
+    }
+
+    #[test]
+    fn leave_one_out_drops_a_dependency_its_equation_implies() {
+        let (set, removed) = prune_one_set(
+            &[A, B],
+            vec![Fd::functional(&[A], B), Fd::equation(A, B)],
+        );
+        assert_eq!(removed, 1);
+        assert_eq!(set.fds(), &[Fd::equation(A, B)], "a→b goes, a=b stays");
+    }
+
+    #[test]
+    fn leave_one_out_drops_one_of_mutually_redundant_dependencies() {
+        // Any two of the three equations imply the third, so each is
+        // redundant given the others — but removal is sequential: once
+        // one is gone, the remaining two are both needed.
+        let (set, removed) = prune_one_set(
+            &[A, B, C],
+            vec![Fd::equation(A, B), Fd::equation(B, C), Fd::equation(A, C)],
+        );
+        assert_eq!(removed, 1);
+        // The first one tried (sets are sorted) is the one that goes.
+        assert_eq!(set.fds(), &[Fd::equation(A, C), Fd::equation(B, C)]);
+    }
+
     #[test]
     fn eps_replacement_removes_bc_node() {
         // Build the running example without the prefix filter so that
