@@ -43,9 +43,10 @@ fn preparation_allocates_in_proportion_to_the_automaton() {
     );
     // A constant number of allocations per node: the node, its ε and
     // edge lists, its share of the DFSM — not its closures' scratch.
+    // fam-10 reads 7,695 (15.7 per node) in a debug build.
     assert!(
-        a10 <= 60 * nodes10 as u64,
-        "{a10} allocations for {nodes10} NFSM nodes: more than 60 per node"
+        a10 <= 18 * nodes10 as u64,
+        "{a10} allocations for {nodes10} NFSM nodes: more than 18 per node"
     );
     // Linear in the family count: 4 × the families, 4 × the allocations
     // (plus the logarithmic regrowth of a few tables).

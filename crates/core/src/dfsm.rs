@@ -30,62 +30,49 @@
 use crate::nfsm::{BuildError, Nfsm, NodeId};
 use crate::property::LogicalProperty;
 use crate::prune::PruneConfig;
-use ofw_common::{BitMatrix, BitSet, FxHashMap, Interner};
+use ofw_common::{BitMatrix, FxHashMap, SliceInterner};
+
+/// The ε-closure of every NFSM node, ascending (transitive; pruning
+/// may relink chains).
+fn eps_closures(nfsm: &Nfsm) -> Vec<Vec<NodeId>> {
+    // visited[u] == v + 1: u was reached in v's traversal.
+    let mut visited = vec![0u32; nfsm.num_nodes()];
+    let closures = (0..nfsm.num_nodes() as NodeId).map(|v| {
+        let mut closure = vec![v];
+        visited[v as usize] = v + 1;
+        let mut next = 0;
+        while let Some(&u) = closure.get(next) {
+            for &p in &nfsm.eps[u as usize] {
+                if visited[p as usize] != v + 1 {
+                    visited[p as usize] = v + 1;
+                    closure.push(p);
+                }
+            }
+            next += 1;
+        }
+        closure.sort_unstable();
+        closure
+    });
+    closures.collect()
+}
 
 /// The in-progress subset construction behind [`Dfsm::build`].
 struct SubsetConstruction<'a> {
     nfsm: &'a Nfsm,
-    /// ε-closure per NFSM node (transitive; pruning may relink chains).
-    eps_closure: Vec<Vec<NodeId>>,
     max_states: usize,
-    states: Interner<BitSet>,
+    /// Each state's members, ascending, in one arena.
+    states: SliceInterner<NodeId>,
     /// Row-major `state × symbol`; a row starts out as all self-loops
     /// and the BFS overwrites the symbols that lead elsewhere.
     transitions: Vec<u32>,
 }
 
-impl<'a> SubsetConstruction<'a> {
-    fn new(nfsm: &'a Nfsm, config: &PruneConfig) -> Self {
-        let n = nfsm.num_nodes();
-        // visited[u] == v + 1: u was reached in v's traversal.
-        let mut visited = vec![0u32; n];
-        let eps_closure: Vec<Vec<NodeId>> = (0..n as NodeId)
-            .map(|v| {
-                let mut closure = vec![v];
-                visited[v as usize] = v + 1;
-                let mut next = 0;
-                while let Some(&u) = closure.get(next) {
-                    for &p in &nfsm.eps[u as usize] {
-                        if visited[p as usize] != v + 1 {
-                            visited[p as usize] = v + 1;
-                            closure.push(p);
-                        }
-                    }
-                    next += 1;
-                }
-                closure
-            })
-            .collect();
-        SubsetConstruction {
-            nfsm,
-            eps_closure,
-            max_states: config.max_dfsm_states,
-            states: Interner::new(),
-            transitions: Vec::new(),
-        }
-    }
-
-    /// The entry subset of a stream shaped like `node`: its ε-closure.
-    fn entry(&self, node: NodeId) -> BitSet {
-        set_with(&BitSet::new(), None, &self.eps_closure[node as usize])
-    }
-
-    /// Interns a subset, extending the transition table with a row of
-    /// self-loops when it is new.
-    fn intern(&mut self, set: BitSet) -> Result<u32, BuildError> {
-        let before = self.states.len();
-        let id = self.states.intern(set);
-        if self.states.len() > before {
+impl SubsetConstruction<'_> {
+    /// Interns a state by its ascending members, extending the
+    /// transition table with a row of self-loops when it is new.
+    fn intern(&mut self, members: &[NodeId]) -> Result<u32, BuildError> {
+        let (id, new) = self.states.intern(0, members);
+        if new {
             if self.states.len() > self.max_states {
                 return Err(BuildError::TooManyDfsmStates(self.max_states));
             }
@@ -98,41 +85,45 @@ impl<'a> SubsetConstruction<'a> {
     /// Runs the BFS to the fixpoint: each state's successors are
     /// computed and interned in symbol order, filling its transition row.
     ///
-    /// The successor of `subset` under `sym` is self-retention plus the
+    /// The successor of a state under `sym` is self-retention plus the
     /// ε-closures of all edge targets, so a symbol under which no member
     /// has an edge — nearly all of them — leads back to the state
-    /// itself: only the runs of the members are looked at, and a subset
-    /// is only copied when a target actually adds a node.
-    fn run_to_fixpoint(&mut self) -> Result<(), BuildError> {
+    /// itself: only the runs of the members are looked at, and a
+    /// successor is built, by merging the sorted added nodes into the
+    /// members, only when a target adds a node. Membership is a mark
+    /// array stamped with the state's id.
+    fn run_to_fixpoint(&mut self, eps_closure: &[Vec<NodeId>]) -> Result<(), BuildError> {
         let nfsm = self.nfsm;
+        let mut member = vec![u32::MAX; nfsm.num_nodes()];
+        let mut seen = vec![false; nfsm.num_nodes()];
         let mut fired: Vec<(usize, &[NodeId])> = Vec::new();
-        let mut added: Vec<NodeId> = Vec::new();
-        let mut successors: Vec<(usize, BitSet)> = Vec::new();
+        let (mut members, mut added, mut successor) = (Vec::new(), Vec::new(), Vec::new());
         let mut state = 0u32;
         while (state as usize) < self.states.len() {
-            let subset = self.states.resolve(state);
-            let mut top = None; // the widest member: members come ascending
+            members.clear();
+            members.extend_from_slice(self.states.resolve(state).1);
             fired.clear();
-            fired.extend(subset.iter().flat_map(|v| {
-                top = Some(v);
-                nfsm.runs(v as NodeId)
-            }));
+            for &v in &members {
+                member[v as usize] = state;
+                fired.extend(nfsm.runs(v));
+            }
             fired.sort_by_key(|&(sym, _)| sym);
             for runs in fired.chunk_by(|a, b| a.0 == b.0) {
                 added.clear();
                 let targets = runs.iter().flat_map(|&(_, targets)| targets);
-                for &c in targets.flat_map(|&t| &self.eps_closure[t as usize]) {
-                    if !subset.contains(c as usize) {
+                for &c in targets.flat_map(|&t| &eps_closure[t as usize]) {
+                    if member[c as usize] != state && !seen[c as usize] {
+                        seen[c as usize] = true;
                         added.push(c);
                     }
                 }
                 if !added.is_empty() {
-                    successors.push((runs[0].0, set_with(subset, top, &added)));
+                    added.iter().for_each(|&c| seen[c as usize] = false);
+                    added.sort_unstable();
+                    merge(&mut successor, &members, &added);
+                    let target = self.intern(&successor)?;
+                    self.transitions[state as usize * nfsm.num_symbols + runs[0].0] = target;
                 }
-            }
-            for (sym, succ) in successors.drain(..) {
-                let target = self.intern(succ)?;
-                self.transitions[state as usize * nfsm.num_symbols + sym] = target;
             }
             state += 1;
         }
@@ -140,26 +131,31 @@ impl<'a> SubsetConstruction<'a> {
     }
 }
 
-/// `base ∪ extra`, in at most one allocation: the widest member
-/// (`base_top` is `base`'s) goes in first, so a spilled set is sized once
-/// instead of regrowing word by word as members land.
-fn set_with(base: &BitSet, base_top: Option<usize>, extra: &[NodeId]) -> BitSet {
-    let mut set = BitSet::new();
-    if let Some(top) = extra.iter().map(|&v| v as usize).chain(base_top).max() {
-        set.insert(top);
-    }
-    set.union_with(base);
+/// Sets `out` to `base ∪ extra`, ascending; both inputs are ascending
+/// and disjoint.
+fn merge(out: &mut Vec<NodeId>, base: &[NodeId], extra: &[NodeId]) {
+    out.clear();
+    let mut base = base.iter().peekable();
     for &v in extra {
-        set.insert(v as usize);
+        while let Some(&u) = base.next_if(|&&u| u < v) {
+            out.push(u);
+        }
+        out.push(v);
     }
-    set
+    out.extend(base);
+}
+
+/// Whether ascending `sup` holds every member of ascending `sub`.
+fn includes(sup: &[NodeId], sub: &[NodeId]) -> bool {
+    let mut sup = sup.iter();
+    sub.len() <= sup.len() && sub.iter().all(|&v| sup.find(|&&u| u >= v) == Some(&v))
 }
 
 /// The deterministic FSM plus the §5.5 precomputed tables.
 pub struct Dfsm {
-    /// Subset of NFSM nodes per DFSM state (kept for introspection,
-    /// examples, tests and on-demand dominance).
-    pub states: Vec<BitSet>,
+    /// NFSM nodes per DFSM state, ascending (kept for introspection,
+    /// examples, tests and on-demand dominance); see [`Dfsm::members`].
+    states: SliceInterner<NodeId>,
     /// Row-major transition table: `transitions[state * num_symbols + sym]`.
     pub transitions: Vec<u32>,
     /// Number of FD-set symbols.
@@ -191,26 +187,36 @@ pub struct Dfsm {
 /// Above this state count the quadratic dominance matrix is skipped.
 const DOMINANCE_STATE_LIMIT: usize = 1 << 12;
 
-/// Pairwise subset-inclusion matrix over state subsets, when small
-/// enough to precompute. A superset of `b` contains `b`'s rarest node,
-/// so only the states holding that node are compared against `b`.
-fn dominance_matrix(state_sets: &[BitSet]) -> Option<BitMatrix> {
-    (state_sets.len() <= DOMINANCE_STATE_LIMIT).then(|| {
-        // (node, state holding it), sorted: a node's holders are a range.
-        let mut holders: Vec<(u32, u32)> = Vec::new();
-        for (state, set) in state_sets.iter().enumerate() {
-            holders.extend(set.iter().map(|v| (v as u32, state as u32)));
+/// Pairwise subset-inclusion matrix over the states' members, when
+/// small enough to precompute. A superset of `b` holds `b`'s rarest
+/// node, so only that node's holders are compared against `b`; the
+/// holders of every node come from one counting pass.
+fn dominance_matrix(states: &SliceInterner<NodeId>, num_nodes: usize) -> Option<BitMatrix> {
+    let n = states.len();
+    (n <= DOMINANCE_STATE_LIMIT).then(|| {
+        let members = |s: usize| states.resolve(s as u32).1;
+        // offsets[v]..offsets[v + 1]: the states holding node v, ascending.
+        let mut offsets = vec![0usize; num_nodes + 1];
+        (0..n)
+            .flat_map(members)
+            .for_each(|&v| offsets[v as usize + 1] += 1);
+        for v in 0..num_nodes {
+            offsets[v + 1] += offsets[v];
         }
-        holders.sort_unstable();
-        let holding = |v: usize| {
-            let from = holders.partition_point(|h| (h.0 as usize) < v);
-            &holders[from..holders.partition_point(|h| h.0 as usize <= v)]
-        };
-        let mut m = BitMatrix::new(state_sets.len(), state_sets.len());
-        for (b, sb) in state_sets.iter().enumerate() {
-            let rarest = sb.iter().min_by_key(|&v| holding(v).len());
-            for &(_, a) in holding(rarest.expect("a state holds its entry node")) {
-                if state_sets[a as usize].is_superset(sb) {
+        let mut fill = offsets.clone();
+        let mut holders = vec![0u32; offsets[num_nodes]];
+        for s in 0..n {
+            for &v in members(s) {
+                holders[fill[v as usize]] = s as u32;
+                fill[v as usize] += 1;
+            }
+        }
+        let holding = |v: NodeId| &holders[offsets[v as usize]..offsets[v as usize + 1]];
+        let mut m = BitMatrix::new(n, n);
+        for b in 0..n {
+            let rarest = members(b).iter().min_by_key(|&&v| holding(v).len());
+            for &a in holding(*rarest.expect("a state holds its entry node")) {
+                if includes(members(a as usize), members(b)) {
                     m.set(a as usize, b);
                 }
             }
@@ -224,42 +230,44 @@ impl Dfsm {
     /// [`BuildError::TooManyDfsmStates`] when the powerset grows past
     /// [`PruneConfig::max_dfsm_states`].
     pub fn build(nfsm: &Nfsm, config: &PruneConfig) -> Result<Dfsm, BuildError> {
-        let mut sc = SubsetConstruction::new(nfsm, config);
+        let eps_closure = eps_closures(nfsm);
+        let mut sc = SubsetConstruction {
+            nfsm,
+            max_states: config.max_dfsm_states,
+            states: SliceInterner::default(),
+            transitions: Vec::new(),
+        };
         // Entry states first — the empty stream, then one per produced
-        // property in `nfsm.props` insertion order. This fixed seeding
-        // order is the root of the state-numbering contract.
-        let empty_state = sc.intern(sc.entry(0))?;
+        // property in NFSM node order, each its node's ε-closure. This
+        // fixed seeding order is the root of the state-numbering contract.
+        let empty_state = sc.intern(&eps_closure[0])?;
         let mut start: FxHashMap<LogicalProperty, u32> = FxHashMap::default();
-        for (node, prop) in nfsm.props.iter() {
+        for node in 0..nfsm.num_nodes() as NodeId {
             if nfsm.info[node as usize].produced {
-                let id = sc.intern(sc.entry(node))?;
-                start.insert(prop.clone(), id);
+                start.insert(nfsm.prop(node), sc.intern(&eps_closure[node as usize])?);
             }
         }
-        sc.run_to_fixpoint()?;
+        sc.run_to_fixpoint(&eps_closure)?;
 
-        // Contains column per interesting NFSM node, in `nfsm.props`
-        // insertion order (`u32::MAX` when not interesting).
+        // Contains column per interesting NFSM node, in node order.
         let mut columns: FxHashMap<LogicalProperty, u32> = FxHashMap::default();
-        let mut col_of_node: Vec<u32> = vec![u32::MAX; nfsm.num_nodes()];
-        for (node, prop) in nfsm.props.iter() {
+        let mut col_of_node: Vec<Option<u32>> = vec![None; nfsm.num_nodes()];
+        for node in 0..nfsm.num_nodes() as NodeId {
             if nfsm.info[node as usize].interesting {
                 let col = columns.len() as u32;
-                columns.insert(prop.clone(), col);
-                col_of_node[node as usize] = col;
+                columns.insert(nfsm.prop(node), col);
+                col_of_node[node as usize] = Some(col);
             }
         }
-        let states: Vec<BitSet> = sc.states.iter().map(|(_, set)| set.clone()).collect();
+        let states = sc.states;
         let mut contains = BitMatrix::new(states.len(), columns.len());
-        for (state, set) in states.iter().enumerate() {
-            for v in set.iter() {
-                let col = col_of_node[v];
-                if col != u32::MAX {
-                    contains.set(state, col as usize);
-                }
+        for state in 0..states.len() {
+            let (_, members) = states.resolve(state as u32);
+            for col in members.iter().filter_map(|&v| col_of_node[v as usize]) {
+                contains.set(state, col as usize);
             }
         }
-        let dominance = dominance_matrix(&states);
+        let dominance = dominance_matrix(&states, nfsm.num_nodes());
         Ok(Dfsm {
             states,
             transitions: sc.transitions,
@@ -275,6 +283,11 @@ impl Dfsm {
     /// Number of DFSM states.
     pub fn num_states(&self) -> usize {
         self.states.len()
+    }
+
+    /// The NFSM nodes of `state`, ascending.
+    pub fn members(&self, state: u32) -> &[NodeId] {
+        self.states.resolve(state).1
     }
 
     /// Successor state under an FD-set symbol — one array lookup (§5.6).
@@ -302,7 +315,7 @@ impl Dfsm {
     pub fn state_dominates(&self, a: u32, b: u32) -> bool {
         match &self.dominance {
             Some(m) => m.get(a as usize, b as usize),
-            None => self.states[a as usize].is_superset(&self.states[b as usize]),
+            None => includes(self.members(a), self.members(b)),
         }
     }
 }

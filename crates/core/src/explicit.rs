@@ -245,16 +245,6 @@ impl ExplicitOrderings {
         self.set.len()
     }
 
-    /// Number of groupings currently materialized.
-    pub fn num_groupings(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Number of head/tail pairs currently materialized.
-    pub fn num_head_tails(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Always at least `()`.
     pub fn is_empty(&self) -> bool {
         false

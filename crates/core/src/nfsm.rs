@@ -53,7 +53,7 @@ use crate::property::{Grouping, HeadTail, LogicalProperty};
 use crate::prune::PruneConfig;
 use crate::spec::InputSpec;
 use ofw_catalog::AttrId;
-use ofw_common::{Interner, SliceInterner};
+use ofw_common::SliceInterner;
 
 /// Index of an NFSM node.
 pub type NodeId = u32;
@@ -70,8 +70,9 @@ pub struct NodeInfo {
 
 /// The non-deterministic FSM over logical properties.
 pub struct Nfsm {
-    /// Node id ↔ property (node 0 is the empty ordering).
-    pub props: Interner<LogicalProperty>,
+    /// Node id ↔ the `(head_len, attrs)` view of its property (node 0
+    /// is the empty ordering); see [`Nfsm::prop`].
+    nodes: SliceInterner<AttrId>,
     /// Per-node classification.
     pub info: Vec<NodeInfo>,
     /// ε-edges: ordering node → proper prefixes and prefix-set
@@ -111,35 +112,6 @@ impl std::fmt::Display for BuildError {
 }
 
 impl std::error::Error for BuildError {}
-
-/// The automaton under construction plus what only construction needs.
-struct Builder<'a> {
-    nfsm: Nfsm,
-    /// `(head_len, attrs)` view → node id. Ids coincide with
-    /// `nfsm.props` handles; a lookup allocates nothing, so only *new*
-    /// nodes are ever materialized.
-    index: SliceInterner<AttrId>,
-    config: &'a PruneConfig,
-}
-
-impl Builder<'_> {
-    /// Interns the property a view denotes as a node, growing the side
-    /// tables; errors out past the configured cap.
-    fn add_node(&mut self, head_len: usize, attrs: &[AttrId]) -> Result<NodeId, BuildError> {
-        let (id, new) = self.index.intern(head_len as u32, attrs);
-        if new {
-            if self.index.len() > self.config.max_nodes {
-                return Err(BuildError::TooManyNodes(self.config.max_nodes));
-            }
-            let handle = self.nfsm.props.intern(materialize(head_len, attrs));
-            debug_assert_eq!(handle, id);
-            self.nfsm.info.push(NodeInfo::default());
-            self.nfsm.eps.push(Vec::new());
-            self.nfsm.edges.push(Vec::new());
-        }
-        Ok(id)
-    }
-}
 
 /// The lengths of the proper prefixes that are nodes of their own: an
 /// ordering's (a view without a head), nobody else's.
@@ -231,36 +203,33 @@ impl Nfsm {
         // from it and are never tried.
         let symbols = Applicability::over_sets(fd_sets);
 
-        let mut b = Builder {
-            nfsm: Nfsm {
-                props: Interner::new(),
-                info: Vec::new(),
-                eps: Vec::new(),
-                edges: Vec::new(),
-                num_symbols: fd_sets.len(),
-            },
-            index: SliceInterner::default(),
-            config,
+        let mut nfsm = Nfsm {
+            nodes: SliceInterner::default(),
+            info: Vec::new(),
+            eps: Vec::new(),
+            edges: Vec::new(),
+            num_symbols: fd_sets.len(),
         };
+        let cap = config.max_nodes;
         // Node 0: the empty ordering.
-        let root = b.add_node(0, &[])?;
+        let root = nfsm.add_node(cap, 0, &[])?;
         debug_assert_eq!(root, 0);
 
         // Interesting nodes: prefix closure of the interesting orderings
         // plus the interesting groupings as-is.
         for p in spec.interesting() {
             let (head_len, attrs) = view(p);
-            let id = b.add_node(head_len, attrs)?;
-            b.nfsm.info[id as usize].interesting = true;
+            let id = nfsm.add_node(cap, head_len, attrs)?;
+            nfsm.info[id as usize].interesting = true;
             for len in prefix_lens(head_len, attrs.len()) {
-                let pid = b.add_node(0, &attrs[..len])?;
-                b.nfsm.info[pid as usize].interesting = true;
+                let pid = nfsm.add_node(cap, 0, &attrs[..len])?;
+                nfsm.info[pid as usize].interesting = true;
             }
         }
         for p in spec.produced() {
             let (head_len, attrs) = view(p);
-            let id = b.add_node(head_len, attrs)?;
-            b.nfsm.info[id as usize].produced = true;
+            let id = nfsm.add_node(cap, head_len, attrs)?;
+            nfsm.info[id as usize].produced = true;
         }
 
         // Worklist closure: compute FD edges, materializing new nodes
@@ -271,8 +240,8 @@ impl Nfsm {
         let (mut cur, mut implied): (Vec<AttrId>, Vec<AttrId>) = (Vec::new(), Vec::new());
         let mut targets: Vec<NodeId> = Vec::new();
         let mut node: NodeId = 0;
-        while (node as usize) < b.index.len() {
-            let (head_len, attrs) = b.index.resolve(node);
+        while (node as usize) < nfsm.nodes.len() {
+            let (head_len, attrs) = nfsm.nodes.resolve(node);
             let head_len = head_len as usize;
             cur.clear();
             cur.extend_from_slice(attrs);
@@ -294,7 +263,7 @@ impl Nfsm {
                     absorb_into(&mut implied, &[], &cur, split, end);
                     let filter = if split == end { &gfilter } else { &hfilter.0 };
                     if filter.admits_attrs(&implied) {
-                        b.add_node(split, &implied)?;
+                        nfsm.add_node(cap, split, &implied)?;
                     }
                 }
             }
@@ -318,14 +287,14 @@ impl Nfsm {
                     // Materialize the target and, for an ordering, its
                     // prefixes.
                     for len in prefix_lens(head_len, derived.len()) {
-                        b.add_node(0, &derived[..len])?;
+                        nfsm.add_node(cap, 0, &derived[..len])?;
                     }
-                    targets.push(b.add_node(head_len, derived)?);
+                    targets.push(nfsm.add_node(cap, head_len, derived)?);
                 }
                 targets.sort_unstable();
                 targets.dedup();
                 if !targets.is_empty() {
-                    b.nfsm.edges[node as usize].push((sym, targets[..].into()));
+                    nfsm.edges[node as usize].push((sym, targets[..].into()));
                 }
             }
             node += 1;
@@ -337,26 +306,53 @@ impl Nfsm {
         // prefix-set groupings and its (prefix set, continuation) pairs;
         // for a pair its sub-decompositions and absorbed heads.
         let mut eps = targets;
-        for node in 0..b.index.len() as NodeId {
-            let (head_len, attrs) = b.index.resolve(node);
+        for node in 0..nfsm.nodes.len() as NodeId {
+            let (head_len, attrs) = nfsm.nodes.resolve(node);
             let (head, tail) = attrs.split_at(head_len as usize);
             eps.clear();
             eps.extend((node != 0).then_some(0));
             let shapes = (0..=tail.len()).flat_map(|a| (a..=tail.len()).map(move |c| (a, c)));
             for (absorb, cut) in shapes.filter(|&shape| shape != (0, tail.len())) {
                 absorb_into(&mut implied, head, tail, absorb, cut);
-                eps.extend(b.index.get((head.len() + absorb) as u32, &implied));
+                eps.extend(nfsm.nodes.get((head.len() + absorb) as u32, &implied));
             }
             eps.sort_unstable();
             eps.dedup();
-            b.nfsm.eps[node as usize] = eps.clone();
+            nfsm.eps[node as usize] = eps.clone();
         }
-        Ok(b.nfsm)
+        Ok(nfsm)
+    }
+
+    /// Interns the property a view denotes as a node, growing the side
+    /// tables; errors out past `cap` nodes. A lookup allocates nothing,
+    /// and no property is materialized.
+    fn add_node(
+        &mut self,
+        cap: usize,
+        head_len: usize,
+        attrs: &[AttrId],
+    ) -> Result<NodeId, BuildError> {
+        let (id, new) = self.nodes.intern(head_len as u32, attrs);
+        if new {
+            if self.nodes.len() > cap {
+                return Err(BuildError::TooManyNodes(cap));
+            }
+            self.info.push(NodeInfo::default());
+            self.eps.push(Vec::new());
+            self.edges.push(Vec::new());
+        }
+        Ok(id)
     }
 
     /// Number of nodes, counting the implicit empty-ordering node.
     pub fn num_nodes(&self) -> usize {
-        self.props.len()
+        self.nodes.len()
+    }
+
+    /// The property of `node`, materialized.
+    pub fn prop(&self, node: NodeId) -> LogicalProperty {
+        let (head_len, attrs) = self.nodes.resolve(node);
+        materialize(head_len as usize, attrs)
     }
 
     /// Total FD-edge count (each target counted once).
@@ -383,22 +379,17 @@ impl Nfsm {
 
     /// Node lookup by ordering.
     pub fn node_of(&self, o: &Ordering) -> Option<NodeId> {
-        self.props.get(&o.clone().into())
+        self.nodes.get(0, o.attrs())
     }
 
     /// Node lookup by grouping.
     pub fn node_of_grouping(&self, g: &Grouping) -> Option<NodeId> {
-        self.props.get(&g.clone().into())
+        self.nodes.get(g.len() as u32, g.attrs())
     }
 
     /// Node lookup by head/tail pair.
     pub fn node_of_head_tail(&self, h: &HeadTail) -> Option<NodeId> {
-        self.props.get(&h.clone().into())
-    }
-
-    /// Node lookup by property.
-    pub fn node_of_prop(&self, p: &LogicalProperty) -> Option<NodeId> {
-        self.props.get(p)
+        self.nodes.get(h.head_attrs().len() as u32, h.attrs())
     }
 
     /// The ε and FD tables of `nodes` (in order; `false` = the node
@@ -437,21 +428,20 @@ impl Nfsm {
     /// already have been redirected by the caller. Node 0 must be kept.
     pub(crate) fn compact(self, keep: &[bool]) -> Nfsm {
         assert!(keep[0], "the empty-ordering node is permanent");
-        let mut remap: Vec<Option<NodeId>> = vec![None; self.props.len()];
-        let mut props = Interner::new();
+        let mut remap: Vec<Option<NodeId>> = vec![None; self.num_nodes()];
+        let mut nodes = SliceInterner::default();
         let mut info = Vec::new();
-        for (old, p) in self.props.iter() {
-            if keep[old as usize] {
-                remap[old as usize] = Some(props.intern(p.clone()));
-                info.push(self.info[old as usize]);
-            }
+        for old in (0..self.num_nodes() as NodeId).filter(|&n| keep[n as usize]) {
+            let (head_len, attrs) = self.nodes.resolve(old);
+            remap[old as usize] = Some(nodes.intern(head_len, attrs).0);
+            info.push(self.info[old as usize]);
         }
         let kept = (0..self.num_nodes() as NodeId).filter(|&n| keep[n as usize]);
         let (eps, edges) = self.mapped(kept.map(|n| (n, true)), |t, out| {
             out.extend(remap[t as usize]);
         });
         Nfsm {
-            props,
+            nodes,
             info,
             eps,
             edges,
@@ -544,7 +534,7 @@ mod tests {
         let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &PruneConfig::none()).unwrap();
         for node in 0..nfsm.num_nodes() as u32 {
             assert!(
-                nfsm.props.resolve(node).as_grouping().is_none(),
+                nfsm.prop(node).as_grouping().is_none(),
                 "pure ordering spec grew a grouping node"
             );
         }
@@ -606,7 +596,7 @@ mod tests {
             let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &config).unwrap();
             for node in 0..nfsm.num_nodes() as u32 {
                 assert!(
-                    nfsm.props.resolve(node).as_head_tail().is_none(),
+                    nfsm.prop(node).as_head_tail().is_none(),
                     "pair node materialized without interesting pairs"
                 );
             }
@@ -641,7 +631,7 @@ mod tests {
         assert!(nfsm.eps[pair as usize].contains(&ga));
         for &t in &nfsm.eps[pair as usize] {
             assert!(
-                nfsm.props.resolve(t).as_ordering().is_none() || t == 0,
+                nfsm.prop(t).as_ordering().is_none() || t == 0,
                 "a pair must not imply an ordering"
             );
         }

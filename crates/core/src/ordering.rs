@@ -108,15 +108,6 @@ impl Ordering {
         }
     }
 
-    /// Returns a copy with the attribute at `pos` removed.
-    pub fn remove_at(&self, pos: usize) -> Ordering {
-        let mut v = self.attrs.to_vec();
-        v.remove(pos);
-        Ordering {
-            attrs: v.into_boxed_slice(),
-        }
-    }
-
     /// Returns a copy truncated to at most `len` attributes.
     pub fn truncate(&self, len: usize) -> Ordering {
         if len >= self.len() {

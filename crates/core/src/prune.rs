@@ -25,7 +25,8 @@ use crate::nfsm::{Nfsm, NodeId};
 use crate::ordering::Ordering;
 use crate::property::Grouping;
 use crate::spec::InputSpec;
-use ofw_common::{FxHashMap, FxHashSet};
+use ofw_catalog::AttrId;
+use ofw_common::{FxHashMap, FxHashSet, SliceInterner};
 
 /// Switches for the §5.7 reduction techniques plus state-space caps.
 #[derive(Clone, Debug)]
@@ -124,11 +125,10 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     };
 
     // Interesting orders, prefix-closed and sorted for binary search.
-    let mut interesting: Vec<Ordering> = Vec::new();
-    for o in spec.interesting_orderings() {
-        interesting.push(o.clone());
-        interesting.extend(o.proper_prefixes());
-    }
+    let mut interesting: Vec<Ordering> = spec
+        .interesting_orderings()
+        .flat_map(|o| o.proper_prefixes().chain([o.clone()]))
+        .collect();
     interesting.sort();
     interesting.dedup();
     // Interesting pairs participate through their implied groupings
@@ -153,57 +153,39 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     // interesting-order part alone — the paper's `{b→d}` argument — is
     // not sufficient once removals exist: a constant can be inserted,
     // used as a determinant, and removed again.)
-    let mut relevant_reps: FxHashSet<ofw_catalog::AttrId> = FxHashSet::default();
-    for o in &interesting {
-        for &a in o.attrs() {
-            relevant_reps.insert(ctx.eq.find(a));
-        }
-    }
-    for g in &interesting_groupings {
-        for &a in g.attrs() {
-            relevant_reps.insert(ctx.eq.find(a));
-        }
-    }
-    for set in spec.fd_sets() {
-        for fd in set.fds() {
-            if let Fd::Functional { lhs, .. } = fd {
-                for &l in lhs.iter() {
-                    relevant_reps.insert(ctx.eq.find(l));
-                }
-            }
-        }
-    }
-    let occurs = |fd: &Fd| {
+    let lhs_attrs = all_fds.iter().flat_map(|fd| match fd {
+        Fd::Functional { lhs, .. } => &lhs[..],
+        _ => &[],
+    });
+    let relevant_reps: FxHashSet<AttrId> = interesting
+        .iter()
+        .map(Ordering::attrs)
+        .chain(interesting_groupings.iter().map(Grouping::attrs))
+        .flatten()
+        .chain(lhs_attrs)
+        .map(|&a| ctx.eq.find(a))
+        .collect();
+    let occurs = |fd: &&Fd| {
         fd.producible_attrs()
             .iter()
             .any(|&p| relevant_reps.contains(&ctx.eq.find(p)))
     };
-    let mut survivors: Vec<Fd> = spec
-        .fd_sets()
-        .iter()
-        .flat_map(|s| s.fds().iter().cloned())
-        .filter(occurs)
-        .collect();
+    let mut survivors: Vec<Fd> = all_fds.iter().filter(occurs).cloned().collect();
     survivors.sort();
     survivors.dedup();
 
-    // Orderings derivable from `w` under `fds`, as a canonical set (each
-    // dependency only tried on what it can fire on, given an index).
+    // Derives from `w` into the scratch: an ordering under the positional
+    // rules, a grouping (`w` tagged `true`) under the set rules with no
+    // admission filter; each dependency only tried on what it can fire
+    // on, given an index.
     let mut scratch = Scratch::default();
-    let reach = |s: &mut Scratch, w: &Ordering, fds: &[Fd], index: Option<&Applicability>| {
-        ctx.expand(s, w.attrs(), fds, index);
-        let derived = s.reported().map(|(_, d)| Ordering::new(d.to_vec()));
-        let mut derived: Vec<Ordering> = derived.collect();
-        derived.sort();
-        derived
-    };
-    // Groupings derivable from `w` under `fds`, unfiltered, likewise.
     let gfilter = GroupingFilter::permissive();
-    let greach = |s: &mut Scratch, w: &Grouping, fds: &[Fd], index: Option<&Applicability>| {
-        expand_sets(s, w.len(), w.attrs(), fds, index, &gfilter, None);
-        let mut derived: Vec<Grouping> = s.reported().map(|(_, d)| d.to_vec().into()).collect();
-        derived.sort();
-        derived
+    let derive = |s: &mut Scratch, (grouping, w): (bool, &[AttrId]), fds: &[Fd], index| {
+        if grouping {
+            expand_sets(s, w.len(), w, fds, index, &gfilter, None);
+        } else {
+            ctx.expand(s, w, fds, index);
+        }
     };
 
     // Reachable orderings U: interesting orders plus everything the full
@@ -212,7 +194,8 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     let by_fd = Applicability::new((0..).zip(&survivors));
     let mut universe: Vec<Ordering> = interesting.clone();
     for o in &interesting {
-        universe.extend(reach(&mut scratch, o, &survivors, Some(&by_fd)));
+        derive(&mut scratch, (false, o.attrs()), &survivors, Some(&by_fd));
+        universe.extend(scratch.reported().map(|(_, d)| Ordering::new(d.to_vec())));
     }
     universe.sort();
     universe.dedup();
@@ -223,18 +206,16 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     // spec declares no groupings — then the grouping comparison below is
     // a no-op and phase 2 behaves exactly like the ordering-only
     // framework.
-    let mut guniverse: Vec<Grouping> = Vec::new();
-    if !interesting_groupings.is_empty() {
-        guniverse.extend(interesting_groupings.iter().cloned());
+    let mut guniverse: Vec<Grouping> = interesting_groupings.clone();
+    if !guniverse.is_empty() {
         for o in &universe {
-            for len in 1..=o.len() {
-                guniverse.push(Grouping::new(o.attrs()[..len].to_vec()));
-            }
+            guniverse.extend((1..=o.len()).map(|len| Grouping::new(o.attrs()[..len].to_vec())));
         }
         guniverse.sort();
         guniverse.dedup();
         for g in &guniverse.clone() {
-            guniverse.extend(greach(&mut scratch, g, &survivors, Some(&by_fd)));
+            derive(&mut scratch, (true, g.attrs()), &survivors, Some(&by_fd));
+            guniverse.extend(scratch.reported().map(|(_, d)| d.to_vec().into()));
         }
         guniverse.sort();
         guniverse.dedup();
@@ -244,15 +225,12 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     // a universe member none of its dependencies can fire on, so the
     // leave-one-out below only re-derives the members a set can touch.
     let by_set = Applicability::over_sets(spec.fd_sets());
-    let mut touched = vec![(Vec::new(), Vec::new()); spec.fd_sets().len()];
+    let mut touched: Vec<Vec<(bool, &[AttrId])>> = vec![Vec::new(); spec.fd_sets().len()];
     let mut syms: Vec<u32> = Vec::new();
-    for w in &universe {
-        by_set.of(w.attrs(), &mut syms);
-        syms.iter().for_each(|&s| touched[s as usize].0.push(w));
-    }
-    for w in &guniverse {
-        by_set.of(w.attrs(), &mut syms);
-        syms.iter().for_each(|&s| touched[s as usize].1.push(w));
+    let orderings = universe.iter().map(|w| (false, w.attrs()));
+    for w in orderings.chain(guniverse.iter().map(|w| (true, w.attrs()))) {
+        by_set.of(w.1, &mut syms);
+        syms.iter().for_each(|&s| touched[s as usize].push(w));
     }
 
     // Phase 2: per-set sequential leave-one-out. Sequential because two
@@ -260,12 +238,21 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     // dependency must be redundant for *both* ordering and grouping
     // derivation to be dropped — the set rules are more permissive, so
     // an FD useless for orderings may still produce a grouping.
+    //
+    // A member's baseline (what the set's quick-test survivors derive
+    // from it) is interned under its slot when a removal first needs it,
+    // and stays valid: a dependency only goes when it changes no
+    // member's derivations. A removal stops at the first member it
+    // changes; derivations are duplicate-free, so the same count, every
+    // one in the baseline, is equality.
+    let mut base: SliceInterner<AttrId> = SliceInterner::default();
+    let mut base_len: Vec<Option<usize>> = Vec::new();
     let mut removed = 0usize;
     let sets = spec
         .fd_sets()
         .iter()
         .zip(&touched)
-        .map(|(set, (orderings, groupings))| {
+        .map(|(set, members)| {
             // Start from the quick-test survivors of this set.
             let mut current: Vec<Fd> = set
                 .fds()
@@ -273,26 +260,25 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
                 .filter(|fd| survivors.binary_search(fd).is_ok())
                 .cloned()
                 .collect();
-            let baseline: Vec<Vec<Ordering>> = orderings
-                .iter()
-                .map(|w| reach(&mut scratch, w, &current, None))
-                .collect();
-            let gbaseline: Vec<Vec<Grouping>> = groupings
-                .iter()
-                .map(|w| greach(&mut scratch, w, &current, None))
-                .collect();
+            base.reset();
+            base_len.clear();
+            base_len.resize(members.len(), None);
             let mut i = 0;
             while i < current.len() {
                 let mut without = current.clone();
                 without.remove(i);
-                let redundant = orderings
-                    .iter()
-                    .zip(&baseline)
-                    .all(|(w, base)| reach(&mut scratch, w, &without, None) == *base)
-                    && groupings
-                        .iter()
-                        .zip(&gbaseline)
-                        .all(|(w, base)| greach(&mut scratch, w, &without, None) == *base);
+                let redundant = (0..).zip(members).all(|(slot, &w)| {
+                    let len = *base_len[slot as usize].get_or_insert_with(|| {
+                        derive(&mut scratch, w, &current, None);
+                        scratch.reported().for_each(|(_, d)| {
+                            base.intern(slot, d);
+                        });
+                        scratch.reported().count()
+                    });
+                    derive(&mut scratch, w, &without, None);
+                    scratch.reported().count() == len
+                        && scratch.reported().all(|(_, d)| base.get(slot, d).is_some())
+                });
                 if redundant {
                     current.remove(i);
                 } else {
@@ -519,26 +505,20 @@ mod tests {
         assert_eq!(sets[1].len(), 1, "d=b must be kept");
     }
 
-    /// Phase 2 on a set of more than one dependency, run through the
-    /// public entry point with the equivalence classes the framework
-    /// would build.
-    fn prune_one_set(tested: &[AttrId], set: Vec<Fd>) -> (FdSet, usize) {
+    /// Phase 2 on one multi-dependency set, through the public entry
+    /// point with the framework's equivalence classes.
+    fn prune_one_set(tested: &[AttrId], set: Vec<Fd>) -> FdSet {
         let mut spec = InputSpec::new();
         spec.add_produced(o(&tested[..1]));
         spec.add_tested(o(tested));
         spec.add_fd_set(set);
         let eq = EqClasses::from_fds(spec.fd_sets().iter().flat_map(|s| s.fds().iter()));
-        let (mut sets, removed) = prune_fds(&spec, &eq, &PruneConfig::default());
-        (sets.remove(0), removed)
+        prune_fds(&spec, &eq, &PruneConfig::default()).0.remove(0)
     }
 
     #[test]
     fn leave_one_out_drops_a_dependency_its_equation_implies() {
-        let (set, removed) = prune_one_set(
-            &[A, B],
-            vec![Fd::functional(&[A], B), Fd::equation(A, B)],
-        );
-        assert_eq!(removed, 1);
+        let set = prune_one_set(&[A, B], vec![Fd::functional(&[A], B), Fd::equation(A, B)]);
         assert_eq!(set.fds(), &[Fd::equation(A, B)], "a→b goes, a=b stays");
     }
 
@@ -546,14 +526,11 @@ mod tests {
     fn leave_one_out_drops_one_of_mutually_redundant_dependencies() {
         // Any two of the three equations imply the third, so each is
         // redundant given the others — but removal is sequential: once
-        // one is gone, the remaining two are both needed.
-        let (set, removed) = prune_one_set(
-            &[A, B, C],
-            vec![Fd::equation(A, B), Fd::equation(B, C), Fd::equation(A, C)],
-        );
-        assert_eq!(removed, 1);
-        // The first one tried (sets are sorted) is the one that goes.
-        assert_eq!(set.fds(), &[Fd::equation(A, C), Fd::equation(B, C)]);
+        // one is gone, the remaining two are both needed. The first one
+        // tried (sets are sorted) is the one that goes.
+        let (ab, bc, ac) = (Fd::equation(A, B), Fd::equation(B, C), Fd::equation(A, C));
+        let set = prune_one_set(&[A, B, C], vec![ab, bc.clone(), ac.clone()]);
+        assert_eq!(set.fds(), &[ac, bc]);
     }
 
     #[test]

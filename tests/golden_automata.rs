@@ -7,7 +7,7 @@
 //! must reproduce every automaton bit for bit. Each row pins the
 //! preparation statistics and a digest over, in node order, every NFSM
 //! node (property, `interesting`/`produced`, ε list, every non-empty
-//! `(symbol, targets)` run) and the whole DFSM (`states` subsets,
+//! `(symbol, targets)` run) and the whole DFSM (each state's members,
 //! `transitions`, `empty_state`, `start`, `columns`, `contains`,
 //! `dominance`). Like `golden_counters.rs`: one line per row, compared
 //! exactly, the observed row printed in source form on a mismatch, and
@@ -24,7 +24,7 @@
 
 use ofw::catalog::AttrId;
 use ofw::core::{
-    Fd, Grouping, InputSpec, LogicalProperty, Ordering, OrderingFramework, PruneConfig,
+    Dfsm, Fd, Grouping, InputSpec, LogicalProperty, Ordering, OrderingFramework, PruneConfig,
 };
 use ofw::query::extract::ExtractOptions;
 use ofw::workload::{
@@ -32,6 +32,7 @@ use ofw::workload::{
     q13_style_query, q8_query, random_query, star_agg_query_ordered, GroupingQueryConfig,
     PrepSpecConfig, RandomQueryConfig, StarAggConfig,
 };
+use std::collections::HashSet;
 
 use Cfg::{Pruned, Unpruned};
 use S::{
@@ -190,7 +191,7 @@ fn digest(fw: &OrderingFramework) -> u64 {
     d.word(nfsm.num_nodes() as u64);
     d.word(nfsm.num_symbols as u64);
     for node in 0..nfsm.num_nodes() as u32 {
-        let prop = nfsm.props.resolve(node);
+        let prop = &nfsm.prop(node);
         d.prop(prop);
         let info = nfsm.info[node as usize];
         d.word(u64::from(info.interesting) | u64::from(info.produced) << 1);
@@ -212,8 +213,8 @@ fn digest(fw: &OrderingFramework) -> u64 {
     d.word(dfsm.num_states() as u64);
     d.word(dfsm.num_symbols as u64);
     d.word(u64::from(dfsm.empty_state));
-    for set in &dfsm.states {
-        d.list(set.iter().map(|v| v as u64));
+    for state in 0..dfsm.num_states() as u32 {
+        d.ids(dfsm.members(state));
     }
     d.ids(&dfsm.transitions);
     d.word(dfsm.contains.rows() as u64);
@@ -353,4 +354,72 @@ fn grouping_automata() {
 #[test]
 fn random_query_automata() {
     check(RANDOM_ROWS);
+}
+
+/// `a`'s members ⊇ `b`'s, by hash-set lookups: the relation the
+/// dominance matrix and its on-demand fallback must both answer.
+fn naive_includes(sup: &HashSet<u32>, sub: &[u32]) -> bool {
+    sub.iter().all(|v| sup.contains(v))
+}
+
+fn member_sets(dfsm: &Dfsm) -> Vec<HashSet<u32>> {
+    let states = 0..dfsm.num_states() as u32;
+    states
+        .map(|s| dfsm.members(s).iter().copied().collect())
+        .collect()
+}
+
+#[test]
+fn dominance_matrix_is_member_set_inclusion() {
+    let rows = PAPER_ROWS.iter().chain(PREP_ROWS).chain(GROUPING_ROWS);
+    for row in rows.chain(RANDOM_ROWS) {
+        let config = match row.cfg {
+            Pruned => PruneConfig::default(),
+            Unpruned => PruneConfig::none(),
+        };
+        let fw = OrderingFramework::prepare(&spec_of(row.spec), config).unwrap();
+        let dfsm = fw.dfsm();
+        let matrix = dfsm.dominance.as_ref().expect("golden automata are small");
+        let sets = member_sets(dfsm);
+        for (a, sup) in sets.iter().enumerate() {
+            for b in 0..dfsm.num_states() {
+                assert_eq!(
+                    matrix.get(a, b),
+                    naive_includes(sup, dfsm.members(b as u32)),
+                    "{:?} {:?}: dominance bit ({a}, {b})",
+                    row.spec,
+                    row.cfg
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn dominance_past_the_matrix_limit_is_member_set_inclusion() {
+    // 250 families make about 4,250 states: past the 4,096 the quadratic
+    // matrix is built for, so every answer comes from the members.
+    let spec = prep_spec(&PrepSpecConfig::with_families(250));
+    let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
+    let dfsm = fw.dfsm();
+    let n = dfsm.num_states() as u32;
+    assert!(n > 4096, "{n} states");
+    assert!(dfsm.dominance.is_none());
+    let sets = member_sets(dfsm);
+    // Every 7th state against its neighbours (a family's states are
+    // numbered close together) and against a stride across the rest.
+    let (mut pairs, mut dominated) = (0, 0);
+    for b in (0..n).step_by(7) {
+        let near = b.saturating_sub(24)..(b + 24).min(n);
+        for a in near.chain((0..n).step_by(97)) {
+            let naive = naive_includes(&sets[a as usize], dfsm.members(b));
+            assert_eq!(dfsm.state_dominates(a, b), naive, "states ({a}, {b})");
+            pairs += 1;
+            dominated += usize::from(naive && a != b);
+        }
+    }
+    assert!(
+        dominated > 0 && dominated < pairs,
+        "the sample holds both answers: {dominated} of {pairs} dominated"
+    );
 }
