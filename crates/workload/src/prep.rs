@@ -37,6 +37,10 @@ pub struct PrepSpecConfig {
     pub attrs_per_family: usize,
     /// Functional-dependency sets per family (one FD each).
     pub fds_per_family: usize,
+    /// Adds one more FD set per family, `{a0 → a2, {a0, a1} → a2}`:
+    /// its second dependency follows from its first, so FD pruning's
+    /// leave-one-out drops it.
+    pub redundant_set: bool,
     /// First attribute id — shift to rename every attribute while
     /// keeping the spec's canonical shape identical.
     pub attr_base: u32,
@@ -57,8 +61,16 @@ impl PrepSpecConfig {
             head_tails_per_family: 1,
             attrs_per_family: 4,
             fds_per_family: 3,
+            redundant_set: false,
             attr_base: 0,
         }
+    }
+
+    /// Same shape plus one redundant FD set per family (see
+    /// [`PrepSpecConfig::redundant_set`]).
+    pub fn with_redundant_set(mut self) -> Self {
+        self.redundant_set = true;
+        self
     }
 
     /// Same shape, different attribute names (for interning sweeps).
@@ -111,6 +123,12 @@ pub fn prep_spec(config: &PrepSpecConfig) -> InputSpec {
             let lhs = attrs[s % k];
             let rhs = attrs[(s + 1) % k];
             spec.add_fd_set(vec![Fd::functional(&[lhs], rhs)]);
+        }
+        if config.redundant_set && k > 2 {
+            spec.add_fd_set(vec![
+                Fd::functional(&attrs[..1], attrs[2]),
+                Fd::functional(&attrs[..2], attrs[2]),
+            ]);
         }
     }
     spec

@@ -13,9 +13,11 @@
 //! exactly, the observed row printed in source form on a mismatch, and
 //! deliberately no update mode.
 //!
-//! The specs: the paper's running example, TPC-R Q8, the benchmark's
+//! The specs: the paper's running example, TPC-R Q8 (also with an FD
+//! set one of whose equations the others imply), the benchmark's
 //! `prep_spec` at two sizes and two attribute bases (attribute ids are
-//! sparse — nothing may be sized by their value), the grouping /
+//! sparse — nothing may be sized by their value) and with one redundant
+//! FD set per family, the grouping /
 //! partial-sort / group-join extractions, eight `random_query` seeds
 //! and the constant-bound grouping whose closure is factorial in `k`
 //! (the ROADMAP item "Preparation over a quotient") — each with the
@@ -23,8 +25,10 @@
 //! off.
 
 use ofw::catalog::AttrId;
+use ofw::core::prune::prune_fds;
 use ofw::core::{
-    Dfsm, Fd, Grouping, InputSpec, LogicalProperty, Ordering, OrderingFramework, PruneConfig,
+    Dfsm, EqClasses, Fd, Grouping, InputSpec, LogicalProperty, Ordering, OrderingFramework,
+    PruneConfig,
 };
 use ofw::query::extract::ExtractOptions;
 use ofw::workload::{
@@ -36,8 +40,8 @@ use std::collections::HashSet;
 
 use Cfg::{Pruned, Unpruned};
 use S::{
-    ConstGrouping, GroupJoinShowcase, GroupingQ, PartialSortShowcase, Prep, Random, RunningExample,
-    StarAggOrdered, Q13, Q8,
+    ConstGrouping, GroupJoinShowcase, GroupingQ, PartialSortShowcase, Prep, PrepRedundant,
+    Q8SharedNation, Random, RunningExample, StarAggOrdered, Q13, Q8,
 };
 
 /// The spec of a row (generator and its parameters).
@@ -47,8 +51,14 @@ enum S {
     RunningExample,
     /// TPC-R Query 8, extracted.
     Q8,
+    /// TPC-R Query 8, extracted, plus the FD set of a join on
+    /// `c_nationkey = n1_nationkey` and `s_nationkey = n1_nationkey`
+    /// that also carries the implied `c_nationkey = s_nationkey`.
+    Q8SharedNation,
     /// `prep_spec`: families, attribute base.
     Prep(usize, u32),
+    /// `prep_spec` with one redundant FD set per family: families.
+    PrepRedundant(usize),
     /// `grouping_query`, extracted: relations, extra edges, seed.
     GroupingQ(usize, usize, u64),
     /// `partialsort_showcase_query`, extracted.
@@ -103,8 +113,23 @@ fn spec_of(s: S) -> InputSpec {
             spec
         }
         Q8 => extracted(q8_query()),
+        Q8SharedNation => {
+            let mut spec = extracted(q8_query());
+            let catalog = q8_query().0;
+            let [c, n1, s] =
+                ["c_nationkey", "n1_nationkey", "s_nationkey"].map(|a| catalog.attr(a));
+            spec.add_fd_set(vec![
+                Fd::equation(c, n1),
+                Fd::equation(s, n1),
+                Fd::equation(c, s),
+            ]);
+            spec
+        }
         Prep(families, attr_base) => {
             prep_spec(&PrepSpecConfig::with_families(families).shifted(attr_base))
+        }
+        PrepRedundant(families) => {
+            prep_spec(&PrepSpecConfig::with_families(families).with_redundant_set())
         }
         GroupingQ(num_relations, extra_edges, seed) => {
             extracted(grouping_query(&GroupingQueryConfig {
@@ -274,6 +299,8 @@ const PAPER_ROWS: &[Row] = &[
     Row { spec: RunningExample, cfg: Unpruned, nodes_before: 12, nodes: 12, edges: 32, states: 9, pruned_fds: 0, bytes: 224, digest: 9860121149522268581 },
     Row { spec: Q8, cfg: Pruned, nodes_before: 17, nodes: 17, edges: 14, states: 24, pruned_fds: 2, bytes: 1312, digest: 2448207722325703483 },
     Row { spec: Q8, cfg: Unpruned, nodes_before: 527, nodes: 527, edges: 9464, states: 96, pruned_fds: 0, bytes: 5824, digest: 17647910430271138395 },
+    Row { spec: Q8SharedNation, cfg: Pruned, nodes_before: 17, nodes: 17, edges: 20, states: 26, pruned_fds: 3, bytes: 1520, digest: 3621984959859822612 },
+    Row { spec: Q8SharedNation, cfg: Unpruned, nodes_before: 2395, nodes: 2395, edges: 321746, states: 104, pruned_fds: 0, bytes: 6720, digest: 9157789453271990267 },
 ];
 
 /// The benchmark's `prep_heavy` generator at 3 and 10 families, at
@@ -288,6 +315,10 @@ const PREP_ROWS: &[Row] = &[
     Row { spec: Prep(10, 0), cfg: Unpruned, nodes_before: 541, nodes: 541, edges: 2590, states: 171, pruned_fds: 0, bytes: 26072, digest: 11440846974510024771 },
     Row { spec: Prep(10, 65472), cfg: Pruned, nodes_before: 491, nodes: 491, edges: 2290, states: 171, pruned_fds: 0, bytes: 26072, digest: 2225807155049521033 },
     Row { spec: Prep(10, 65472), cfg: Unpruned, nodes_before: 541, nodes: 541, edges: 2590, states: 171, pruned_fds: 0, bytes: 26072, digest: 10860349392300302915 },
+    Row { spec: PrepRedundant(3), cfg: Pruned, nodes_before: 151, nodes: 151, edges: 1116, states: 70, pruned_fds: 3, bytes: 5064, digest: 3059141265950301261 },
+    Row { spec: PrepRedundant(3), cfg: Unpruned, nodes_before: 163, nodes: 163, edges: 1284, states: 67, pruned_fds: 0, bytes: 4848, digest: 296510376824970424 },
+    Row { spec: PrepRedundant(10), cfg: Pruned, nodes_before: 501, nodes: 501, edges: 3720, states: 231, pruned_fds: 10, bytes: 46280, digest: 6925443062983543435 },
+    Row { spec: PrepRedundant(10), cfg: Unpruned, nodes_before: 541, nodes: 541, edges: 4280, states: 221, pruned_fds: 0, bytes: 44280, digest: 8518767701223836333 },
 ];
 
 /// Extracted grouping, partial-sort, group-join, ordered star
@@ -422,4 +453,44 @@ fn dominance_past_the_matrix_limit_is_member_set_inclusion() {
         dominated > 0 && dominated < pairs,
         "the sample holds both answers: {dominated} of {pairs} dominated"
     );
+}
+
+/// The dependencies FD pruning drops, as `(set, dependency)`: the
+/// digests see only the automaton the kept sets build, and which of
+/// several mutually redundant dependencies goes (the first one tried) is
+/// part of the contract too.
+fn dropped(spec: S) -> Vec<(usize, String)> {
+    let spec = spec_of(spec);
+    let eq = EqClasses::from_fds(spec.fd_sets().iter().flat_map(|s| s.fds().iter()));
+    let (kept, _) = prune_fds(&spec, &eq, &PruneConfig::default());
+    let sets = spec.fd_sets().iter().zip(&kept).enumerate();
+    let gone = sets.flat_map(|(i, (set, kept))| {
+        let gone = set.fds().iter().filter(|fd| !kept.fds().contains(fd));
+        gone.map(move |fd| (i, format!("{fd:?}")))
+    });
+    gone.collect()
+}
+
+#[test]
+fn pruned_dependencies() {
+    let pinned = |pairs: &[(usize, &str)]| -> Vec<(usize, String)> {
+        pairs.iter().map(|&(i, fd)| (i, fd.to_string())).collect()
+    };
+    assert_eq!(dropped(RunningExample), pinned(&[(1, "[a1]->a3")]));
+    assert_eq!(dropped(Q8), pinned(&[(7, "a25=const"), (8, "a2=const")]));
+    // Any two of the three equations imply the third: the first goes.
+    assert_eq!(
+        dropped(Q8SharedNation),
+        pinned(&[(7, "a25=const"), (8, "a2=const"), (9, "a6=a17")])
+    );
+    // `{a0, a1} → a2` follows from `a0 → a2`, in every family.
+    assert_eq!(
+        dropped(PrepRedundant(3)),
+        pinned(&[
+            (3, "[a0, a1]->a2"),
+            (7, "[a4, a5]->a6"),
+            (11, "[a8, a9]->a10")
+        ])
+    );
+    assert!(dropped(Prep(10, 0)).is_empty());
 }
