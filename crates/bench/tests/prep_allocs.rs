@@ -2,14 +2,17 @@
 //!
 //! `ofw-bench` installs the counting global allocator, so this test
 //! binary can difference [`allocation_count`] around
-//! `OrderingFramework::prepare`. The `prep_spec` families are
-//! independent, so NFSM nodes, edges and DFSM states grow exactly
-//! linearly in the family count — and so must the work that builds
-//! them. Wall-clock cannot be asserted in tier-1; the allocation count
-//! is exact and repeats, and it tracks the same loops: a closure per
-//! node × symbol, or an admission kernel that clones a set per call,
-//! shows up here as a ratio of 11 and 658 allocations per node (what
-//! both read before preparation was indexed).
+//! `OrderingFramework::prepare` and around each of its public stages.
+//! The `prep_spec` families are independent, so NFSM nodes, edges and
+//! DFSM states grow exactly linearly in the family count — and so must
+//! the work that builds them. Wall-clock cannot be asserted in tier-1;
+//! the allocation count is exact and repeats, and it tracks the same
+//! loops: a closure per node × symbol, or an admission kernel that
+//! clones a set per call, shows up here as a ratio of 11 and 658
+//! allocations per node (what both read before preparation was
+//! indexed). Preparation allocates per table, not per node, run or
+//! property, so each stage has a ceiling of its own and a regression
+//! names its stage.
 //!
 //! One `#[test]` only: the counter is process-global, and a second test
 //! running on another harness thread would be counted too.
@@ -19,35 +22,90 @@
 extern crate ofw_bench; // links the `#[global_allocator]`
 
 use ofw_common::alloc::allocation_count;
-use ofw_core::{OrderingFramework, PruneConfig};
+use ofw_core::prune::{prune_fds, prune_nfsm};
+use ofw_core::{Dfsm, EqClasses, Nfsm, OrderingFramework, PruneConfig};
 use ofw_workload::{prep_spec, PrepSpecConfig};
 
-/// Allocations of one cold prepare, and the NFSM size before pruning.
-fn prepare_allocs(families: usize) -> (u64, usize) {
-    let spec = prep_spec(&PrepSpecConfig::with_families(families));
+/// Ceilings in allocations per unit of the automaton, checked at
+/// fam-10 (the binding size: fixed costs weigh most there). Each is the
+/// debug build's measured ratio plus at most 15 % headroom.
+const PREPARE_PER_NODE: f64 = 4.2; // 1,811 / 491 nodes = 3.69 measured
+const STAGE_CEILINGS: [(&str, &str, f64); 3] = [
+    ("prune_fds", "FD set", 19.0),             // 497 / 30 = 16.57 measured
+    ("Nfsm::build + prune_nfsm", "node", 2.2), // 950 / 491 = 1.93 measured
+    ("Dfsm::build", "state", 1.8),             // 273 / 171 = 1.60 measured
+];
+
+/// Allocations `f` makes, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = allocation_count();
-    let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-    let allocs = allocation_count() - before;
-    (allocs, fw.stats().nfsm_nodes_before_prune)
+    let out = f();
+    (allocation_count() - before, out)
+}
+
+/// One cold prepare of a `prep_spec`, then its stages one by one.
+struct Observed {
+    /// Allocations of `OrderingFramework::prepare`.
+    prepare: u64,
+    /// NFSM nodes before pruning.
+    nodes: usize,
+    /// Per stage of [`STAGE_CEILINGS`], its allocations and the size
+    /// they are charged to: FD sets, NFSM nodes before pruning, DFSM
+    /// states.
+    stages: [(u64, usize); 3],
+}
+
+fn observe(families: usize) -> Observed {
+    let spec = prep_spec(&PrepSpecConfig::with_families(families));
+    let config = PruneConfig::default();
+    let (prepare, fw) = counted(|| OrderingFramework::prepare(&spec, config.clone()).unwrap());
+    let nodes = fw.stats().nfsm_nodes_before_prune;
+    let eq = EqClasses::from_fds(spec.fd_sets().iter().flat_map(|s| s.fds().iter()));
+    let (prune, (sets, _)) = counted(|| prune_fds(&spec, &eq, &config));
+    let (build, nfsm) = counted(|| {
+        let nfsm = Nfsm::build(&spec, &sets, &eq, &config).unwrap();
+        prune_nfsm(nfsm, &config)
+    });
+    let (determinize, dfsm) = counted(|| Dfsm::build(&nfsm, &config).unwrap());
+    Observed {
+        prepare,
+        nodes,
+        stages: [
+            (prune, spec.fd_sets().len()),
+            (build, nodes),
+            (determinize, dfsm.num_states()),
+        ],
+    }
 }
 
 #[test]
 fn preparation_allocates_in_proportion_to_the_automaton() {
-    let (a10, nodes10) = prepare_allocs(10);
-    let (a20, _) = prepare_allocs(20);
-    let (a40, nodes40) = prepare_allocs(40);
+    let (o10, o20, o40) = (observe(10), observe(20), observe(40));
     assert_eq!(
-        (nodes10, nodes40),
+        (o10.nodes, o40.nodes),
         (491, 1961),
         "the automata themselves are linear"
     );
-    // A constant number of allocations per node: the node, its ε and
-    // edge lists, its share of the DFSM — not its closures' scratch.
-    // fam-10 reads 7,695 (15.7 per node) in a debug build.
+    // A constant number of allocations per node, and a small one: the
+    // tables grow by doubling, and every NFSM node, ε-list, run,
+    // closure and DFSM state is a slice of a shared table. What is left
+    // per item is per-property metadata: filter rows and the `start` /
+    // `columns` keys.
+    let per_node = o10.prepare as f64 / o10.nodes as f64;
     assert!(
-        a10 <= 18 * nodes10 as u64,
-        "{a10} allocations for {nodes10} NFSM nodes: more than 18 per node"
+        per_node <= PREPARE_PER_NODE,
+        "{} allocations for {} NFSM nodes: {per_node:.2} per node, more than {PREPARE_PER_NODE}",
+        o10.prepare,
+        o10.nodes
     );
+    for ((stage, unit, ceiling), (allocs, size)) in STAGE_CEILINGS.into_iter().zip(o10.stages) {
+        let per = allocs as f64 / size as f64;
+        assert!(
+            per <= ceiling,
+            "{stage}: {allocs} allocations for {size} × {unit}: {per:.2} per {unit}, more than {ceiling}"
+        );
+    }
+    let (a10, a20, a40) = (o10.prepare, o20.prepare, o40.prepare);
     // Linear in the family count: 4 × the families, 4 × the allocations
     // (plus the logarithmic regrowth of a few tables).
     assert!(a20 > a10 && a40 > a20, "{a10} / {a20} / {a40}");

@@ -21,6 +21,10 @@
 //! start row mapping each *produced* order to its entry state (the `*`
 //! row of Fig. 10).
 //!
+//! The construction allocates per table, not per node or state: the
+//! ε-closures of all NFSM nodes share one arena, the states' members
+//! another (a [`SliceInterner`]), and membership is one mark array.
+//!
 //! The construction interns subsets in BFS `(state, symbol)` order from
 //! a fixed seeding (the empty stream, then the produced properties in
 //! NFSM insertion order), so state ids are a pure function of the NFSM —
@@ -33,27 +37,47 @@ use crate::prune::PruneConfig;
 use ofw_common::{BitMatrix, FxHashMap, SliceInterner};
 
 /// The ε-closure of every NFSM node, ascending (transitive; pruning
-/// may relink chains).
-fn eps_closures(nfsm: &Nfsm) -> Vec<Vec<NodeId>> {
-    // visited[u] == v + 1: u was reached in v's traversal.
-    let mut visited = vec![0u32; nfsm.num_nodes()];
-    let closures = (0..nfsm.num_nodes() as NodeId).map(|v| {
-        let mut closure = vec![v];
-        visited[v as usize] = v + 1;
-        let mut next = 0;
-        while let Some(&u) = closure.get(next) {
-            for &p in &nfsm.eps[u as usize] {
-                if visited[p as usize] != v + 1 {
-                    visited[p as usize] = v + 1;
-                    closure.push(p);
+/// may relink chains), all in one arena: each closure is collected
+/// breadth-first at the end of the shared buffer, then sorted in place.
+struct Closures {
+    /// `flat[offsets[v]..offsets[v + 1]]` is node `v`'s closure.
+    offsets: Vec<u32>,
+    flat: Vec<NodeId>,
+}
+
+impl Closures {
+    fn new(nfsm: &Nfsm) -> Self {
+        let n = nfsm.num_nodes();
+        // visited[u] == v + 1: u was reached in v's traversal.
+        let mut visited = vec![0u32; n];
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut flat = Vec::new();
+        for v in 0..n as NodeId {
+            let start = flat.len();
+            flat.push(v);
+            visited[v as usize] = v + 1;
+            let mut next = start;
+            while let Some(&u) = flat.get(next) {
+                for &p in nfsm.eps(u) {
+                    if visited[p as usize] != v + 1 {
+                        visited[p as usize] = v + 1;
+                        flat.push(p);
+                    }
                 }
+                next += 1;
             }
-            next += 1;
+            flat[start..].sort_unstable();
+            offsets.push(flat.len() as u32);
         }
-        closure.sort_unstable();
-        closure
-    });
-    closures.collect()
+        Closures { offsets, flat }
+    }
+
+    /// The closure of `node`, ascending.
+    fn of(&self, node: NodeId) -> &[NodeId] {
+        let v = node as usize;
+        &self.flat[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
 }
 
 /// The in-progress subset construction behind [`Dfsm::build`].
@@ -92,7 +116,7 @@ impl SubsetConstruction<'_> {
     /// successor is built, by merging the sorted added nodes into the
     /// members, only when a target adds a node. Membership is a mark
     /// array stamped with the state's id.
-    fn run_to_fixpoint(&mut self, eps_closure: &[Vec<NodeId>]) -> Result<(), BuildError> {
+    fn run_to_fixpoint(&mut self, closures: &Closures) -> Result<(), BuildError> {
         let nfsm = self.nfsm;
         let mut member = vec![u32::MAX; nfsm.num_nodes()];
         let mut seen = vec![false; nfsm.num_nodes()];
@@ -111,7 +135,7 @@ impl SubsetConstruction<'_> {
             for runs in fired.chunk_by(|a, b| a.0 == b.0) {
                 added.clear();
                 let targets = runs.iter().flat_map(|&(_, targets)| targets);
-                for &c in targets.flat_map(|&t| &eps_closure[t as usize]) {
+                for &c in targets.flat_map(|&t| closures.of(t)) {
                     if member[c as usize] != state && !seen[c as usize] {
                         seen[c as usize] = true;
                         added.push(c);
@@ -230,7 +254,7 @@ impl Dfsm {
     /// [`BuildError::TooManyDfsmStates`] when the powerset grows past
     /// [`PruneConfig::max_dfsm_states`].
     pub fn build(nfsm: &Nfsm, config: &PruneConfig) -> Result<Dfsm, BuildError> {
-        let eps_closure = eps_closures(nfsm);
+        let closures = Closures::new(nfsm);
         let mut sc = SubsetConstruction {
             nfsm,
             max_states: config.max_dfsm_states,
@@ -240,14 +264,14 @@ impl Dfsm {
         // Entry states first — the empty stream, then one per produced
         // property in NFSM node order, each its node's ε-closure. This
         // fixed seeding order is the root of the state-numbering contract.
-        let empty_state = sc.intern(&eps_closure[0])?;
+        let empty_state = sc.intern(closures.of(0))?;
         let mut start: FxHashMap<LogicalProperty, u32> = FxHashMap::default();
         for node in 0..nfsm.num_nodes() as NodeId {
             if nfsm.info[node as usize].produced {
-                start.insert(nfsm.prop(node), sc.intern(&eps_closure[node as usize])?);
+                start.insert(nfsm.prop(node), sc.intern(closures.of(node))?);
             }
         }
-        sc.run_to_fixpoint(&eps_closure)?;
+        sc.run_to_fixpoint(&closures)?;
 
         // Contains column per interesting NFSM node, in node order.
         let mut columns: FxHashMap<LogicalProperty, u32> = FxHashMap::default();

@@ -45,11 +45,42 @@ use crate::ordering::Ordering;
 use crate::property::{Grouping, HeadTail};
 use ofw_catalog::AttrId;
 use ofw_common::horn::{Derived, HornRules, UNDERIVED};
-use ofw_common::FxHashMap;
+use ofw_common::{FxHashMap, SliceInterner};
 use std::cell::RefCell;
 
-/// An answer memo keyed by the attribute list asked about.
-type Memo<V> = FxHashMap<Box<[AttrId]>, V>;
+/// An answer memo keyed by the attribute list asked about, the keys
+/// interned in one arena: a new answer allocates nothing once the
+/// tables have grown.
+#[derive(Debug)]
+struct Memo<V> {
+    keys: SliceInterner<AttrId>,
+    /// Per key id, its answer.
+    answers: Vec<V>,
+}
+
+impl<V> Default for Memo<V> {
+    fn default() -> Self {
+        Memo {
+            keys: SliceInterner::default(),
+            answers: Vec::new(),
+        }
+    }
+}
+
+impl<V: Copy> Memo<V> {
+    fn get(&self, key: &[AttrId]) -> Option<V> {
+        let id = self.keys.get(0, key)?;
+        Some(self.answers[id as usize])
+    }
+
+    /// Records (or overwrites) the answer for `key`.
+    fn insert(&mut self, key: &[AttrId], answer: V) {
+        match self.keys.intern(0, key) {
+            (_, true) => self.answers.push(answer),
+            (id, false) => self.answers[id as usize] = answer,
+        }
+    }
+}
 
 /// The representative space of one filter: local dense ids (every
 /// attribute class the filter has seen, in first-occurrence order) and
@@ -221,7 +252,7 @@ impl PrefixFilter {
             strippable,
             reach,
         } = &mut *self.scratch.borrow_mut();
-        if let Some(&(_, len)) = memo.get(candidate).filter(|&&(c, _)| c == cap) {
+        if let Some((_, len)) = memo.get(candidate).filter(|&(c, _)| c == cap) {
             return len;
         }
         let space = &self.space;
@@ -287,7 +318,7 @@ impl PrefixFilter {
             }
         }
         avail.reset();
-        memo.insert(candidate.into(), (cap, best));
+        memo.insert(candidate, (cap, best));
         best
     }
 }
@@ -403,7 +434,7 @@ impl GroupingFilter {
             always,
             eq: eq.clone(),
             enabled,
-            scratch: RefCell::new((base, FxHashMap::default())),
+            scratch: RefCell::new((base, Memo::default())),
         }
     }
 
@@ -423,7 +454,7 @@ impl GroupingFilter {
             return true;
         }
         let (avail, memo) = &mut *self.scratch.borrow_mut();
-        if let Some(&admitted) = memo.get(attrs) {
+        if let Some(admitted) = memo.get(attrs) {
             return admitted;
         }
         for &a in attrs {
@@ -440,7 +471,7 @@ impl GroupingFilter {
         let mut added = avail.added().iter();
         let admitted = added.any(|&t| self.interesting_with[t as usize].iter().any(inside));
         avail.reset();
-        memo.insert(attrs.into(), admitted);
+        memo.insert(attrs, admitted);
         admitted
     }
 

@@ -39,10 +39,16 @@
 //! Fig. 10).
 //!
 //! FD edges are sparse — a node has edges under the few symbols that
-//! mention one of its attributes — and stored as per-node runs
-//! ([`Nfsm::runs`], [`Nfsm::targets`]). The traversal order (nodes in
-//! worklist order, symbols ascending, derivations in rule order) is the
-//! numbering contract; the tables behind it are free.
+//! mention one of its attributes — and read as per-node runs
+//! ([`Nfsm::runs`], [`Nfsm::targets`]). Both edge kinds live in flat
+//! offset tables, one allocation per table rather than per node or run:
+//! the ε-targets of every node in one array, the `(symbol, start)` runs
+//! of every node in another, over one array of FD targets. The worklist
+//! visits nodes in id order and appends each node's runs in symbol
+//! order, and the ε pass runs in node order, so the build only appends;
+//! the pruning passes rewrite whole tables. The traversal order (nodes
+//! in worklist order, symbols ascending, derivations in rule order) is
+//! the numbering contract; the tables behind it are free.
 
 use crate::derive::{expand_sets, materialize, view, Applicability, DeriveCtx, Scratch};
 use crate::eqclass::EqClasses;
@@ -75,18 +81,70 @@ pub struct Nfsm {
     nodes: SliceInterner<AttrId>,
     /// Per-node classification.
     pub info: Vec<NodeInfo>,
-    /// ε-edges: ordering node → proper prefixes and prefix-set
-    /// groupings (incl. node 0).
-    pub eps: Vec<Vec<NodeId>>,
-    /// FD edges, sparse: per node its `(symbol, targets)` runs in
-    /// ascending symbol order, every run non-empty.
-    pub(crate) edges: Vec<Vec<Run>>,
+    /// ε- and FD edges; see [`Nfsm::eps`] and [`Nfsm::runs`].
+    pub(crate) edges: Edges,
     /// Number of FD-set symbols (fixed for the query).
     pub num_symbols: usize,
 }
 
-/// The targets of one node under one symbol, ascending, duplicate-free.
-pub(crate) type Run = (u32, Box<[NodeId]>);
+/// The edges of every node as flat offset tables, filled node by node
+/// in id order.
+pub(crate) struct Edges {
+    /// `eps[eps_at[v]..eps_at[v + 1]]`: node `v`'s ε-targets, ascending.
+    eps_at: Vec<u32>,
+    eps: Vec<NodeId>,
+    /// `runs[runs_at[v]..runs_at[v + 1]]`: node `v`'s FD runs as
+    /// `(symbol, start)`, symbols ascending. A run's targets — non-empty,
+    /// ascending, duplicate-free — reach from its start to the next
+    /// run's (the last one's to the end of `targets`).
+    runs_at: Vec<u32>,
+    runs: Vec<(u32, u32)>,
+    targets: Vec<NodeId>,
+}
+
+impl Edges {
+    fn new() -> Self {
+        Edges {
+            eps_at: vec![0],
+            eps: Vec::new(),
+            runs_at: vec![0],
+            runs: Vec::new(),
+            targets: Vec::new(),
+        }
+    }
+
+    /// Appends a run to the node whose runs are open.
+    fn push_run(&mut self, sym: u32, targets: &[NodeId]) {
+        self.runs.push((sym, self.targets.len() as u32));
+        self.targets.extend_from_slice(targets);
+    }
+
+    /// Closes the open node's runs; the next run opens the next node's.
+    fn end_runs(&mut self) {
+        self.runs_at.push(self.runs.len() as u32);
+    }
+
+    /// Appends the next node's ε-targets.
+    fn push_eps(&mut self, targets: &[NodeId]) {
+        self.eps.extend_from_slice(targets);
+        self.eps_at.push(self.eps.len() as u32);
+    }
+
+    /// Run `i` of the whole table: its symbol and targets.
+    fn run(&self, i: usize) -> (usize, &[NodeId]) {
+        let (sym, start) = self.runs[i];
+        let end = self
+            .runs
+            .get(i + 1)
+            .map_or(self.targets.len(), |r| r.1 as usize);
+        (sym as usize, &self.targets[start as usize..end])
+    }
+
+    /// The indexes of `node`'s runs in the whole table.
+    fn runs_of(&self, node: NodeId) -> std::ops::Range<usize> {
+        self.runs_at[node as usize] as usize..self.runs_at[node as usize + 1] as usize
+    }
+}
 
 /// Construction failure: the state space exceeded a configured cap
 /// (only plausible with pruning disabled on adversarial inputs).
@@ -206,8 +264,7 @@ impl Nfsm {
         let mut nfsm = Nfsm {
             nodes: SliceInterner::default(),
             info: Vec::new(),
-            eps: Vec::new(),
-            edges: Vec::new(),
+            edges: Edges::new(),
             num_symbols: fd_sets.len(),
         };
         let cap = config.max_nodes;
@@ -294,9 +351,10 @@ impl Nfsm {
                 targets.sort_unstable();
                 targets.dedup();
                 if !targets.is_empty() {
-                    nfsm.edges[node as usize].push((sym, targets[..].into()));
+                    nfsm.edges.push_run(sym, &targets);
                 }
             }
+            nfsm.edges.end_runs();
             node += 1;
         }
         // ε-edges: node 0 and every existing node a view `(H, t₁..tₙ)`
@@ -318,7 +376,7 @@ impl Nfsm {
             }
             eps.sort_unstable();
             eps.dedup();
-            nfsm.eps[node as usize] = eps.clone();
+            nfsm.edges.push_eps(&eps);
         }
         Ok(nfsm)
     }
@@ -338,8 +396,6 @@ impl Nfsm {
                 return Err(BuildError::TooManyNodes(cap));
             }
             self.info.push(NodeInfo::default());
-            self.eps.push(Vec::new());
-            self.edges.push(Vec::new());
         }
         Ok(id)
     }
@@ -357,24 +413,31 @@ impl Nfsm {
 
     /// Total FD-edge count (each target counted once).
     pub fn num_edges(&self) -> usize {
-        let runs = self.edges.iter().flatten();
-        runs.map(|(_, targets)| targets.len()).sum()
+        self.edges.targets.len()
+    }
+
+    /// The ε-targets of `node`, ascending: an ordering's proper prefixes
+    /// and prefix-set groupings, a view's sub-decompositions, and node 0
+    /// (for every node but node 0 itself).
+    pub fn eps(&self, node: NodeId) -> &[NodeId] {
+        let at = &self.edges.eps_at;
+        &self.edges.eps[at[node as usize] as usize..at[node as usize + 1] as usize]
     }
 
     /// The FD edges of `node`: its `(symbol, targets)` runs in
     /// ascending symbol order; every run is non-empty, ascending and
     /// duplicate-free.
     pub fn runs(&self, node: NodeId) -> impl Iterator<Item = (usize, &[NodeId])> + Clone {
-        let runs = self.edges[node as usize].iter();
-        runs.map(|(sym, targets)| (*sym as usize, &targets[..]))
+        self.edges.runs_of(node).map(|i| self.edges.run(i))
     }
 
     /// FD-edge targets of `node` under symbol `sym`, ascending and
     /// duplicate-free (empty when the symbol derives nothing there).
     pub fn targets(&self, node: NodeId, sym: usize) -> &[NodeId] {
-        let runs = &self.edges[node as usize];
+        let range = self.edges.runs_of(node);
+        let runs = &self.edges.runs[range.clone()];
         let run = runs.binary_search_by_key(&(sym as u32), |run| run.0);
-        run.map_or(&[], |at| &runs[at].1)
+        run.map_or(&[], |at| self.edges.run(range.start + at).1)
     }
 
     /// Node lookup by ordering.
@@ -392,35 +455,35 @@ impl Nfsm {
         self.nodes.get(h.head_attrs().len() as u32, h.attrs())
     }
 
-    /// The ε and FD tables of `nodes` (in order; `false` = the node
-    /// loses its lists), every target passed through `map` — which
-    /// appends what the target becomes, nothing to drop it — and every
-    /// list re-sorted and deduplicated.
+    /// The edge tables of `nodes` (in order; `false` = the node loses
+    /// its edges), every target passed through `map` — which appends
+    /// what the target becomes, nothing to drop it — and every list
+    /// re-sorted and deduplicated; a run left empty is dropped.
     pub(crate) fn mapped(
         &self,
         nodes: impl Iterator<Item = (NodeId, bool)>,
-        map: impl Fn(NodeId, &mut Vec<NodeId>),
-    ) -> (Vec<Vec<NodeId>>, Vec<Vec<Run>>) {
+        mut map: impl FnMut(NodeId, &mut Vec<NodeId>),
+    ) -> Edges {
+        let mut edges = Edges::new();
         let mut list: Vec<NodeId> = Vec::new();
-        let mut map_list = |targets: &[NodeId]| {
+        let mut map_list = |targets: &[NodeId], list: &mut Vec<NodeId>| {
             list.clear();
-            targets.iter().for_each(|&t| map(t, &mut list));
+            targets.iter().for_each(|&t| map(t, list));
             list.sort_unstable();
             list.dedup();
-            list.clone()
         };
-        let tables = nodes.map(|(node, with_lists)| {
-            let eps: &[NodeId] = if with_lists {
-                &self.eps[node as usize]
-            } else {
-                &[]
-            };
-            let runs = self.runs(node).filter(|_| with_lists);
-            let runs = runs.map(|(sym, targets)| (sym as u32, map_list(targets).into()));
-            let runs: Vec<Run> = runs.filter(|run: &Run| !run.1.is_empty()).collect();
-            (map_list(eps), runs)
-        });
-        tables.unzip()
+        for (node, with_edges) in nodes {
+            for (sym, targets) in self.runs(node).filter(|_| with_edges) {
+                map_list(targets, &mut list);
+                if !list.is_empty() {
+                    edges.push_run(sym as u32, &list);
+                }
+            }
+            edges.end_runs();
+            map_list(if with_edges { self.eps(node) } else { &[] }, &mut list);
+            edges.push_eps(&list);
+        }
+        edges
     }
 
     /// Rebuilds the NFSM keeping only nodes with `keep[node] == true`,
@@ -437,13 +500,12 @@ impl Nfsm {
             info.push(self.info[old as usize]);
         }
         let kept = (0..self.num_nodes() as NodeId).filter(|&n| keep[n as usize]);
-        let (eps, edges) = self.mapped(kept.map(|n| (n, true)), |t, out| {
+        let edges = self.mapped(kept.map(|n| (n, true)), |t, out| {
             out.extend(remap[t as usize]);
         });
         Nfsm {
             nodes,
             info,
-            eps,
             edges,
             num_symbols: self.num_symbols,
         }
@@ -553,9 +615,9 @@ mod tests {
         assert!(nfsm.info[gid as usize].interesting);
         // The ordering (a,b) ε-steps into its full-prefix-set grouping.
         let ab = nfsm.node_of(&o(&[A, B])).unwrap();
-        assert!(nfsm.eps[ab as usize].contains(&gid));
+        assert!(nfsm.eps(ab).contains(&gid));
         // The grouping node itself only ε-steps to node 0.
-        assert_eq!(nfsm.eps[gid as usize], vec![0]);
+        assert_eq!(nfsm.eps(gid), [0]);
     }
 
     #[test]
@@ -620,16 +682,16 @@ mod tests {
         assert!(nfsm.info[pair as usize].interesting);
         // ε: (a,b) implies its decomposition {a}(b).
         let ab = nfsm.node_of(&o(&[A, B])).unwrap();
-        assert!(nfsm.eps[ab as usize].contains(&pair));
+        assert!(nfsm.eps(ab).contains(&pair));
         // FD edge: {a} --{a→b}--> {a}(b).
         let ga = nfsm.node_of_grouping(&g(&[A])).unwrap();
         assert!(nfsm.targets(ga, 0).contains(&pair));
         // The pair's own ε covers node 0 and its head grouping (plus
         // any materialized absorbed-prefix grouping) — never an
         // ordering node.
-        assert!(nfsm.eps[pair as usize].contains(&0));
-        assert!(nfsm.eps[pair as usize].contains(&ga));
-        for &t in &nfsm.eps[pair as usize] {
+        assert!(nfsm.eps(pair).contains(&0));
+        assert!(nfsm.eps(pair).contains(&ga));
+        for &t in nfsm.eps(pair) {
             assert!(
                 nfsm.prop(t).as_ordering().is_none() || t == 0,
                 "a pair must not imply an ordering"
@@ -657,7 +719,7 @@ mod tests {
             nfsm.node_of_grouping(&g(&[A, B, C])).unwrap(),
         ] {
             assert!(
-                nfsm.eps[pair as usize].contains(&implied),
+                nfsm.eps(pair).contains(&implied),
                 "missing ε to node {implied}"
             );
         }
@@ -670,8 +732,7 @@ mod tests {
         let abc = nfsm.node_of(&o(&[A, B, C])).unwrap();
         let ab = nfsm.node_of(&o(&[A, B])).unwrap();
         let a = nfsm.node_of(&o(&[A])).unwrap();
-        let mut eps = nfsm.eps[abc as usize].clone();
-        eps.sort_unstable();
+        let eps = nfsm.eps(abc).to_vec();
         let mut expect = vec![0, a, ab];
         expect.sort_unstable();
         assert_eq!(eps, expect);

@@ -22,8 +22,6 @@ use crate::eqclass::EqClasses;
 use crate::fd::{Fd, FdSet};
 use crate::filter::{GroupingFilter, PrefixFilter};
 use crate::nfsm::{Nfsm, NodeId};
-use crate::ordering::Ordering;
-use crate::property::Grouping;
 use crate::spec::InputSpec;
 use ofw_catalog::AttrId;
 use ofw_common::{FxHashMap, FxHashSet, SliceInterner};
@@ -100,7 +98,7 @@ impl PruneConfig {
 ///    exploited: the plan generator applies FD sets one operator at a
 ///    time, and a sequence may include only one of the two sets.
 pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec<FdSet>, usize) {
-    let all_fds: Vec<Fd> = spec
+    let mut all_fds: Vec<Fd> = spec
         .fd_sets()
         .iter()
         .flat_map(|s| s.fds().iter().cloned())
@@ -124,25 +122,35 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
         max_len,
     };
 
-    // Interesting orders, prefix-closed and sorted for binary search.
-    let mut interesting: Vec<Ordering> = spec
-        .interesting_orderings()
-        .flat_map(|o| o.proper_prefixes().chain([o.clone()]))
-        .collect();
-    interesting.sort();
-    interesting.dedup();
-    // Interesting pairs participate through their implied groupings
-    // (head plus any absorbed tail prefix): a dependency fires on a pair
-    // `(H, T)` exactly when it fires on one of these sets (both
+    // The universe the leave-one-out re-derives, interned as views in
+    // one arena: tag 0 an ordering, tag 1 a grouping (its sorted set).
+    // First the interesting orders, prefix-closed, then the interesting
+    // groupings. Interesting pairs participate through their implied
+    // groupings (head plus any absorbed tail prefix): a dependency fires
+    // on a pair `(H, T)` exactly when it fires on one of these sets (both
     // components draw determinants from `H ∪ T`), so redundancy w.r.t.
     // the grouping universe is redundancy w.r.t. pairs too.
-    let mut interesting_groupings: Vec<Grouping> = spec.interesting_groupings().cloned().collect();
-    interesting_groupings.extend(
-        spec.interesting_head_tails()
-            .flat_map(crate::property::HeadTail::absorbed_heads),
-    );
-    interesting_groupings.sort();
-    interesting_groupings.dedup();
+    let mut universe: SliceInterner<AttrId> = SliceInterner::default();
+    for o in spec.interesting_orderings() {
+        for len in 1..=o.len() {
+            universe.intern(0, &o.attrs()[..len]);
+        }
+    }
+    let interesting = universe.len() as u32;
+    for g in spec.interesting_groupings() {
+        universe.intern(1, g.attrs());
+    }
+    let mut set: Vec<AttrId> = Vec::new();
+    for h in spec.interesting_head_tails() {
+        for absorb in 0..=h.tail_attrs().len() {
+            set.clear();
+            set.extend_from_slice(h.head_attrs());
+            set.extend_from_slice(&h.tail_attrs()[..absorb]);
+            set.sort_unstable();
+            universe.intern(1, &set);
+        }
+    }
+    let has_groupings = universe.len() as u32 > interesting;
 
     // Phase 1: quick relevance test. A dependency whose producible
     // attributes (representatives) occur neither in any interesting
@@ -157,87 +165,100 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
         Fd::Functional { lhs, .. } => &lhs[..],
         _ => &[],
     });
-    let relevant_reps: FxHashSet<AttrId> = interesting
-        .iter()
-        .map(Ordering::attrs)
-        .chain(interesting_groupings.iter().map(Grouping::attrs))
-        .flatten()
+    let interesting_attrs = (0..universe.len() as u32).flat_map(|id| universe.resolve(id).1);
+    let relevant_reps: FxHashSet<AttrId> = interesting_attrs
         .chain(lhs_attrs)
         .map(|&a| ctx.eq.find(a))
         .collect();
-    let occurs = |fd: &&Fd| {
-        fd.producible_attrs()
-            .iter()
-            .any(|&p| relevant_reps.contains(&ctx.eq.find(p)))
-    };
-    let mut survivors: Vec<Fd> = all_fds.iter().filter(occurs).cloned().collect();
-    survivors.sort();
-    survivors.dedup();
+    let relevant = |a: &AttrId| relevant_reps.contains(&ctx.eq.find(*a));
+    all_fds.retain(|fd| match fd {
+        Fd::Functional { rhs, .. } => relevant(rhs),
+        Fd::Equation(a, b) => relevant(a) || relevant(b),
+        Fd::Constant(a) => relevant(a),
+    });
+    all_fds.sort();
+    all_fds.dedup();
+    let survivors = all_fds;
 
-    // Derives from `w` into the scratch: an ordering under the positional
-    // rules, a grouping (`w` tagged `true`) under the set rules with no
-    // admission filter; each dependency only tried on what it can fire
-    // on, given an index.
+    // Derives from view `w` into the scratch: an ordering (tag 0) under
+    // the positional rules, a grouping (tag 1) under the set rules with
+    // no admission filter; each dependency only tried on what it can
+    // fire on, given an index.
     let mut scratch = Scratch::default();
     let gfilter = GroupingFilter::permissive();
-    let derive = |s: &mut Scratch, (grouping, w): (bool, &[AttrId]), fds: &[Fd], index| {
-        if grouping {
+    let derive = |s: &mut Scratch, (tag, w): (u32, &[AttrId]), fds: &[Fd], index| {
+        if tag == 1 {
             expand_sets(s, w.len(), w, fds, index, &gfilter, None);
         } else {
             ctx.expand(s, w, fds, index);
         }
     };
 
-    // Reachable orderings U: interesting orders plus everything the full
+    // Reachable orderings: interesting orders plus everything the full
     // surviving set derives from them (a superset of anything any
     // operator sequence can reach).
     let by_fd = Applicability::new((0..).zip(&survivors));
-    let mut universe: Vec<Ordering> = interesting.clone();
-    for o in &interesting {
-        derive(&mut scratch, (false, o.attrs()), &survivors, Some(&by_fd));
-        universe.extend(scratch.reported().map(|(_, d)| Ordering::new(d.to_vec())));
+    for id in 0..interesting {
+        derive(&mut scratch, universe.resolve(id), &survivors, Some(&by_fd));
+        scratch.reported().for_each(|(_, d)| {
+            universe.intern(0, d);
+        });
     }
-    universe.sort();
-    universe.dedup();
 
     // The grouping universe: interesting groupings, the prefix sets of
-    // the ordering universe (the ordering→grouping crossover), and
+    // the reachable orderings (the ordering→grouping crossover), and
     // everything the surviving set derives from them. Empty when the
     // spec declares no groupings — then the grouping comparison below is
     // a no-op and phase 2 behaves exactly like the ordering-only
     // framework.
-    let mut guniverse: Vec<Grouping> = interesting_groupings.clone();
-    if !guniverse.is_empty() {
-        for o in &universe {
-            guniverse.extend((1..=o.len()).map(|len| Grouping::new(o.attrs()[..len].to_vec())));
+    if has_groupings {
+        let mut ordering: Vec<AttrId> = Vec::new();
+        for id in 0..universe.len() as u32 {
+            let (tag, o) = universe.resolve(id);
+            if tag != 0 {
+                continue;
+            }
+            ordering.clear();
+            ordering.extend_from_slice(o);
+            set.clear();
+            for &a in &ordering {
+                set.insert(set.partition_point(|&b| b < a), a);
+                universe.intern(1, &set);
+            }
         }
-        guniverse.sort();
-        guniverse.dedup();
-        for g in &guniverse.clone() {
-            derive(&mut scratch, (true, g.attrs()), &survivors, Some(&by_fd));
-            guniverse.extend(scratch.reported().map(|(_, d)| d.to_vec().into()));
+        for id in 0..universe.len() as u32 {
+            if universe.resolve(id).0 == 1 {
+                derive(&mut scratch, universe.resolve(id), &survivors, Some(&by_fd));
+                scratch.reported().for_each(|(_, d)| {
+                    universe.intern(1, d);
+                });
+            }
         }
-        guniverse.sort();
-        guniverse.dedup();
     }
 
     // A set derives nothing — with or without any one dependency — from
     // a universe member none of its dependencies can fire on, so the
-    // leave-one-out below only re-derives the members a set can touch.
+    // leave-one-out below only re-derives the members a set can touch:
+    // `(set, member)` pairs, grouped by set, each set's members in
+    // universe order (orderings, then groupings, each ascending).
+    let mut members: Vec<u32> = (0..universe.len() as u32).collect();
+    members.sort_unstable_by(|&a, &b| universe.resolve(a).cmp(&universe.resolve(b)));
     let by_set = Applicability::over_sets(spec.fd_sets());
-    let mut touched: Vec<Vec<(bool, &[AttrId])>> = vec![Vec::new(); spec.fd_sets().len()];
+    let mut touched: Vec<(u32, u32)> = Vec::new();
     let mut syms: Vec<u32> = Vec::new();
-    let orderings = universe.iter().map(|w| (false, w.attrs()));
-    for w in orderings.chain(guniverse.iter().map(|w| (true, w.attrs()))) {
-        by_set.of(w.1, &mut syms);
-        syms.iter().for_each(|&s| touched[s as usize].push(w));
+    for &w in &members {
+        by_set.of(universe.resolve(w).1, &mut syms);
+        touched.extend(syms.iter().map(|&sym| (sym, w)));
     }
+    touched.sort_by_key(|&(sym, _)| sym);
 
     // Phase 2: per-set sequential leave-one-out. Sequential because two
     // mutually redundant dependencies in one set must not both go. A
     // dependency must be redundant for *both* ordering and grouping
     // derivation to be dropped — the set rules are more permissive, so
-    // an FD useless for orderings may still produce a grouping.
+    // an FD useless for orderings may still produce a grouping. Each
+    // tried dependency is taken out of the set in place and put back at
+    // its index, so the sets are never copied.
     //
     // A member's baseline (what the set's quick-test survivors derive
     // from it) is interned under its slot when a removal first needs it,
@@ -248,47 +269,47 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     let mut base: SliceInterner<AttrId> = SliceInterner::default();
     let mut base_len: Vec<Option<usize>> = Vec::new();
     let mut removed = 0usize;
-    let sets = spec
-        .fd_sets()
-        .iter()
-        .zip(&touched)
-        .map(|(set, members)| {
-            // Start from the quick-test survivors of this set.
-            let mut current: Vec<Fd> = set
-                .fds()
-                .iter()
-                .filter(|fd| survivors.binary_search(fd).is_ok())
-                .cloned()
-                .collect();
-            base.reset();
-            base_len.clear();
-            base_len.resize(members.len(), None);
-            let mut i = 0;
-            while i < current.len() {
-                let mut without = current.clone();
-                without.remove(i);
-                let redundant = (0..).zip(members).all(|(slot, &w)| {
-                    let len = *base_len[slot as usize].get_or_insert_with(|| {
-                        derive(&mut scratch, w, &current, None);
-                        scratch.reported().for_each(|(_, d)| {
-                            base.intern(slot, d);
-                        });
-                        scratch.reported().count()
+    let mut rest = &touched[..];
+    let mut sets: Vec<FdSet> = Vec::with_capacity(spec.fd_sets().len());
+    for (sym, set) in (0..).zip(spec.fd_sets()) {
+        let (mine, later) = rest.split_at(rest.partition_point(|&(s, _)| s == sym));
+        rest = later;
+        // Start from the quick-test survivors of this set.
+        let mut current: Vec<Fd> = set
+            .fds()
+            .iter()
+            .filter(|fd| survivors.binary_search(fd).is_ok())
+            .cloned()
+            .collect();
+        base.reset();
+        base_len.clear();
+        base_len.resize(mine.len(), None);
+        let mut i = 0;
+        while i < current.len() {
+            let redundant = (0..).zip(mine).all(|(slot, &(_, w))| {
+                let w = universe.resolve(w);
+                let len = *base_len[slot as usize].get_or_insert_with(|| {
+                    derive(&mut scratch, w, &current, None);
+                    scratch.reported().for_each(|(_, d)| {
+                        base.intern(slot, d);
                     });
-                    derive(&mut scratch, w, &without, None);
-                    scratch.reported().count() == len
-                        && scratch.reported().all(|(_, d)| base.get(slot, d).is_some())
+                    scratch.reported().count()
                 });
-                if redundant {
-                    current.remove(i);
-                } else {
-                    i += 1;
-                }
+                let fd = current.remove(i);
+                derive(&mut scratch, w, &current, None);
+                current.insert(i, fd);
+                scratch.reported().count() == len
+                    && scratch.reported().all(|(_, d)| base.get(slot, d).is_some())
+            });
+            if redundant {
+                current.remove(i);
+            } else {
+                i += 1;
             }
-            removed += set.len() - current.len();
-            FdSet::new(current)
-        })
-        .collect();
+        }
+        removed += set.len() - current.len();
+        sets.push(FdSet::new(current));
+    }
     (sets, removed)
 }
 
@@ -322,14 +343,20 @@ fn merge_artificial_once(nfsm: &mut Nfsm) -> bool {
     // {a→b, a→c}) are behaviourally identical. Under a symbol a node
     // has no edges for, its list is the node alone, which no other node
     // can equal: only nodes with a run under every symbol can merge.
-    let mut by_sig: FxHashMap<Vec<NodeId>, NodeId> = FxHashMap::default();
-    let mut replace: FxHashMap<NodeId, NodeId> = FxHashMap::default();
+    // Signatures are interned in one arena; `first[id]` is the node
+    // that showed signature `id` first.
+    let mut sigs: SliceInterner<NodeId> = SliceInterner::default();
+    let mut first: Vec<NodeId> = Vec::new();
+    let mut replace: Vec<NodeId> = (0..nfsm.num_nodes() as NodeId).collect();
+    let mut merged = false;
+    let mut sig: Vec<NodeId> = Vec::new();
     for node in 1..nfsm.num_nodes() as NodeId {
         if nfsm.info[node as usize].interesting || nfsm.runs(node).count() < nfsm.num_symbols {
             continue;
         }
         // Lists never hold `NodeId::MAX`, so it separates them.
-        let mut sig = nfsm.eps[node as usize].clone();
+        sig.clear();
+        sig.extend_from_slice(nfsm.eps(node));
         for (_, targets) in nfsm.runs(node) {
             sig.push(NodeId::MAX);
             let at = targets.partition_point(|&t| t < node);
@@ -337,21 +364,20 @@ fn merge_artificial_once(nfsm: &mut Nfsm) -> bool {
             sig.push(node);
             sig.extend(targets[at..].iter().filter(|&&t| t != node));
         }
-        match by_sig.entry(sig) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                replace.insert(node, *e.get());
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(node);
+        match sigs.intern(0, &sig) {
+            (_, true) => first.push(node),
+            (id, false) => {
+                replace[node as usize] = first[id as usize];
+                merged = true;
             }
         }
     }
-    if replace.is_empty() {
+    if !merged {
         return false;
     }
-    let redirect = |t: NodeId, out: &mut Vec<NodeId>| out.push(*replace.get(&t).unwrap_or(&t));
+    let redirect = |t: NodeId, out: &mut Vec<NodeId>| out.push(replace[t as usize]);
     let all = (0..nfsm.num_nodes() as NodeId).map(|n| (n, true));
-    (nfsm.eps, nfsm.edges) = nfsm.mapped(all, redirect);
+    nfsm.edges = nfsm.mapped(all, redirect);
     true
 }
 
@@ -363,7 +389,7 @@ fn eps_replace_once(nfsm: &mut Nfsm) -> bool {
         if nfsm.info[node as usize].interesting {
             continue;
         }
-        let eps = &nfsm.eps[node as usize];
+        let eps = nfsm.eps(node);
         // Everything this node derives must also be derivable from
         // one of its prefixes (which travel with it in every DFSM
         // state, since ε-closure pulls them in).
@@ -384,11 +410,12 @@ fn eps_replace_once(nfsm: &mut Nfsm) -> bool {
     // Avoid cascading removals referencing each other in one pass:
     // resolve replacement lists transitively. Removed nodes are detached
     // entirely.
+    let mut work: Vec<NodeId> = Vec::new();
     let resolve = |t: NodeId, out: &mut Vec<NodeId>| {
         let Some(eps) = removed.get(&t) else {
             return out.push(t);
         };
-        let mut work = eps.to_vec();
+        work.extend_from_slice(eps);
         while let Some(p) = work.pop() {
             match removed.get(&p) {
                 Some(more) => work.extend_from_slice(more),
@@ -397,8 +424,8 @@ fn eps_replace_once(nfsm: &mut Nfsm) -> bool {
         }
     };
     let all = (0..nfsm.num_nodes() as NodeId).map(|n| (n, !removed.contains_key(&n)));
-    let tables = nfsm.mapped(all, resolve);
-    (nfsm.eps, nfsm.edges) = tables;
+    let edges = nfsm.mapped(all, resolve);
+    nfsm.edges = edges;
     true
 }
 
@@ -418,7 +445,7 @@ fn compact_unreferenced(nfsm: Nfsm) -> Nfsm {
         .collect();
     while let Some(node) = work.pop() {
         let fd_targets = nfsm.runs(node).flat_map(|(_, targets)| targets);
-        for &t in nfsm.eps[node as usize].iter().chain(fd_targets) {
+        for &t in nfsm.eps(node).iter().chain(fd_targets) {
             if !keep[t as usize] {
                 keep[t as usize] = true;
                 work.push(t);
@@ -431,7 +458,7 @@ fn compact_unreferenced(nfsm: Nfsm) -> Nfsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofw_catalog::AttrId;
+    use crate::ordering::Ordering;
 
     const A: AttrId = AttrId(0);
     const B: AttrId = AttrId(1);

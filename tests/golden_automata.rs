@@ -220,7 +220,7 @@ fn digest(fw: &OrderingFramework) -> u64 {
         d.prop(prop);
         let info = nfsm.info[node as usize];
         d.word(u64::from(info.interesting) | u64::from(info.produced) << 1);
-        d.ids(&nfsm.eps[node as usize]);
+        d.ids(nfsm.eps(node));
         for sym in 0..nfsm.num_symbols {
             let targets = nfsm.targets(node, sym);
             if !targets.is_empty() {
