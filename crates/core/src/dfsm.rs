@@ -41,7 +41,7 @@ use ofw_common::{BitMatrix, FxHashMap, SliceInterner};
 /// breadth-first at the end of the shared buffer, then sorted in place.
 struct Closures {
     /// `flat[offsets[v]..offsets[v + 1]]` is node `v`'s closure.
-    offsets: Vec<u32>,
+    offsets: Vec<usize>,
     flat: Vec<NodeId>,
 }
 
@@ -68,7 +68,7 @@ impl Closures {
                 next += 1;
             }
             flat[start..].sort_unstable();
-            offsets.push(flat.len() as u32);
+            offsets.push(flat.len());
         }
         Closures { offsets, flat }
     }
@@ -76,7 +76,7 @@ impl Closures {
     /// The closure of `node`, ascending.
     fn of(&self, node: NodeId) -> &[NodeId] {
         let v = node as usize;
-        &self.flat[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+        &self.flat[self.offsets[v]..self.offsets[v + 1]]
     }
 }
 

@@ -115,19 +115,19 @@ impl Edges {
 
     /// Appends a run to the node whose runs are open.
     fn push_run(&mut self, sym: u32, targets: &[NodeId]) {
-        self.runs.push((sym, self.targets.len() as u32));
+        self.runs.push((sym, offset(self.targets.len())));
         self.targets.extend_from_slice(targets);
     }
 
     /// Closes the open node's runs; the next run opens the next node's.
     fn end_runs(&mut self) {
-        self.runs_at.push(self.runs.len() as u32);
+        self.runs_at.push(offset(self.runs.len()));
     }
 
     /// Appends the next node's ε-targets.
     fn push_eps(&mut self, targets: &[NodeId]) {
         self.eps.extend_from_slice(targets);
-        self.eps_at.push(self.eps.len() as u32);
+        self.eps_at.push(offset(self.eps.len()));
     }
 
     /// Run `i` of the whole table: its symbol and targets.
@@ -144,6 +144,11 @@ impl Edges {
     fn runs_of(&self, node: NodeId) -> std::ops::Range<usize> {
         self.runs_at[node as usize] as usize..self.runs_at[node as usize + 1] as usize
     }
+}
+
+/// A position in an edge table as stored.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("an NFSM edge table holds fewer than 2^32 entries")
 }
 
 /// Construction failure: the state space exceeded a configured cap
