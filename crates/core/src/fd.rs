@@ -56,27 +56,25 @@ impl Fd {
         Fd::Constant(a)
     }
 
-    /// All attributes mentioned by the dependency.
-    pub fn attrs(&self) -> Vec<AttrId> {
-        match self {
-            Fd::Functional { lhs, rhs } => {
-                let mut v = lhs.to_vec();
-                v.push(*rhs);
-                v
-            }
-            Fd::Equation(a, b) => vec![*a, *b],
-            Fd::Constant(a) => vec![*a],
-        }
+    /// All attributes mentioned by the dependency: the left-hand side,
+    /// then the [`producible_attrs`](Self::producible_attrs).
+    pub fn attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
+        let lhs = match self {
+            Fd::Functional { lhs, .. } => &lhs[..],
+            _ => &[],
+        };
+        lhs.iter().copied().chain(self.producible_attrs())
     }
 
     /// Attributes that can be *introduced into* an ordering by applying
     /// this dependency (the right-hand sides).
-    pub fn producible_attrs(&self) -> Vec<AttrId> {
-        match self {
-            Fd::Functional { rhs, .. } => vec![*rhs],
-            Fd::Equation(a, b) => vec![*a, *b],
-            Fd::Constant(a) => vec![*a],
-        }
+    pub fn producible_attrs(&self) -> impl Iterator<Item = AttrId> {
+        let attrs = match *self {
+            Fd::Functional { rhs, .. } => [Some(rhs), None],
+            Fd::Equation(a, b) => [Some(a), Some(b)],
+            Fd::Constant(a) => [Some(a), None],
+        };
+        attrs.into_iter().flatten()
     }
 }
 
@@ -169,9 +167,10 @@ mod tests {
 
     #[test]
     fn producible_attrs() {
-        assert_eq!(Fd::functional(&[A], C).producible_attrs(), vec![C]);
-        assert_eq!(Fd::equation(A, B).producible_attrs(), vec![A, B]);
-        assert_eq!(Fd::constant(C).producible_attrs(), vec![C]);
+        let producible = |fd: Fd| fd.producible_attrs().collect::<Vec<_>>();
+        assert_eq!(producible(Fd::functional(&[A], C)), vec![C]);
+        assert_eq!(producible(Fd::equation(A, B)), vec![A, B]);
+        assert_eq!(producible(Fd::constant(C)), vec![C]);
     }
 
     #[test]

@@ -170,11 +170,9 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
         .chain(lhs_attrs)
         .map(|&a| ctx.eq.find(a))
         .collect();
-    let relevant = |a: &AttrId| relevant_reps.contains(&ctx.eq.find(*a));
-    all_fds.retain(|fd| match fd {
-        Fd::Functional { rhs, .. } => relevant(rhs),
-        Fd::Equation(a, b) => relevant(a) || relevant(b),
-        Fd::Constant(a) => relevant(a),
+    all_fds.retain(|fd| {
+        fd.producible_attrs()
+            .any(|p| relevant_reps.contains(&ctx.eq.find(p)))
     });
     all_fds.sort();
     all_fds.dedup();
