@@ -54,20 +54,14 @@ impl Applicability {
             }
         };
         for (item, fd) in deps {
-            let (lhs, more) = match fd {
-                Fd::Functional { lhs, .. } if lhs.is_empty() => {
-                    push(&mut index.everywhere, item);
-                    continue;
+            match fd {
+                Fd::Functional { lhs, .. } if lhs.is_empty() => push(&mut index.everywhere, item),
+                Fd::Constant(_) => push(&mut index.everywhere, item),
+                _ => {
+                    for a in fd.attrs() {
+                        push(index.by_attr.entry(a).or_default(), item);
+                    }
                 }
-                Fd::Constant(_) => {
-                    push(&mut index.everywhere, item);
-                    continue;
-                }
-                Fd::Functional { lhs, rhs } => (&lhs[..], [Some(*rhs), None]),
-                Fd::Equation(a, b) => (&[][..], [Some(*a), Some(*b)]),
-            };
-            for a in lhs.iter().copied().chain(more.into_iter().flatten()) {
-                push(index.by_attr.entry(a).or_default(), item);
             }
         }
         index
