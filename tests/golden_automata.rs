@@ -27,8 +27,8 @@
 use ofw::catalog::AttrId;
 use ofw::core::prune::prune_fds;
 use ofw::core::{
-    Dfsm, EqClasses, Fd, Grouping, InputSpec, LogicalProperty, Ordering, OrderingFramework,
-    PruneConfig,
+    Dfsm, EqClasses, Fd, FdSetId, Grouping, InputSpec, LogicalProperty, OrderOracle, Ordering,
+    OrderingFramework, PrepareOptions, PreparedCache, PruneConfig, State,
 };
 use ofw::query::extract::ExtractOptions;
 use ofw::workload::{
@@ -36,7 +36,7 @@ use ofw::workload::{
     q13_style_query, q8_query, random_query, star_agg_query_ordered, GroupingQueryConfig,
     PrepSpecConfig, RandomQueryConfig, StarAggConfig,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use Cfg::{Pruned, Unpruned};
 use S::{
@@ -493,4 +493,86 @@ fn pruned_dependencies() {
         ])
     );
     assert!(dropped(Prep(10, 0)).is_empty());
+}
+
+/// Walks the product of two frameworks over one spec from the empty
+/// stream and every produced property, under every FD set, and checks
+/// that each pair of states satisfies the same interesting properties.
+fn assert_same_answers(spec: &InputSpec, a: &OrderingFramework, b: &OrderingFramework, row: &str) {
+    let keys: Vec<_> = a
+        .properties()
+        .map(|(p, h)| (h, b.resolve(&p.clone()).expect("same key space")))
+        .collect();
+    let mut work = vec![(a.produce_empty(), b.produce_empty())];
+    for (h, hb) in &keys {
+        if a.is_producible(*h) {
+            assert!(b.is_producible(*hb), "{row}");
+            work.push((a.produce(*h), b.produce(*hb)));
+        }
+    }
+    let mut seen: HashSet<(State, State)> = HashSet::new();
+    while let Some((sa, sb)) = work.pop() {
+        if !seen.insert((sa, sb)) {
+            continue;
+        }
+        for &(h, hb) in &keys {
+            assert_eq!(
+                a.satisfies(sa, h),
+                b.satisfies(sb, hb),
+                "{row}: {sa:?} / {sb:?}"
+            );
+        }
+        for f in (0..spec.fd_sets().len() as u32).map(FdSetId) {
+            work.push((a.infer(sa, f), b.infer(sb, f)));
+        }
+    }
+}
+
+/// The framework's key space, which the digests (over the automaton's
+/// own tables) do not see: exactly the interesting closure resolves,
+/// producible exactly where the spec says; `produce` enters at the
+/// DFSM's start row; properties nobody declared (a reversed ordering,
+/// the empty grouping) resolve to nothing; and a framework prepared
+/// through the cache answers every probe like an uncached one.
+#[test]
+fn key_space_matches_the_spec() {
+    let rows = PAPER_ROWS.iter().chain(PREP_ROWS).chain(GROUPING_ROWS);
+    let cache = PreparedCache::new();
+    for row in rows.chain(RANDOM_ROWS) {
+        let name = format!("{:?} {:?}", row.spec, row.cfg);
+        let config = match row.cfg {
+            Pruned => PruneConfig::default(),
+            Unpruned => PruneConfig::none(),
+        };
+        let spec = spec_of(row.spec);
+        let fw = OrderingFramework::prepare(&spec, config.clone()).unwrap();
+        let closure: HashMap<LogicalProperty, bool> =
+            spec.interesting_closure().into_iter().collect();
+        let keys: HashMap<LogicalProperty, bool> = fw
+            .properties()
+            .map(|(p, h)| (p.clone(), fw.is_producible(h)))
+            .collect();
+        assert_eq!(keys, closure, "{name}");
+        assert_eq!(fw.properties().count(), closure.len(), "{name}");
+        let dfsm = fw.dfsm();
+        for (p, &produced) in &closure {
+            let h = fw.resolve(p).unwrap();
+            if produced {
+                let start = dfsm.start[p];
+                assert_eq!(fw.produce(h), State(start), "{name}: {p:?}");
+            }
+            if let LogicalProperty::Ordering(o) = p {
+                let reversed: LogicalProperty =
+                    Ordering::new(o.attrs().iter().rev().copied().collect()).into();
+                if o.len() > 1 && !closure.contains_key(&reversed) {
+                    assert_eq!(fw.resolve(&reversed), None, "{name}: {reversed:?}");
+                }
+            }
+        }
+        assert_eq!(fw.resolve(&Grouping::empty().into()), None, "{name}");
+        let options = PrepareOptions::default();
+        let cached = OrderingFramework::prepare_cached(&spec, config, &options, &cache).unwrap();
+        assert_same_answers(&spec, &fw, &cached, &name);
+    }
+    assert!(cache.hits() > 0, "shifted twins share an automaton");
 }
