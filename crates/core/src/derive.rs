@@ -27,7 +27,7 @@
 
 use crate::eqclass::EqClasses;
 use crate::fd::{Fd, FdSet};
-use crate::filter::{GroupingFilter, HeadTailFilter, PrefixFilter};
+use crate::filter::{GroupingFilter, PrefixFilter};
 use crate::ordering::Ordering;
 use crate::property::{Grouping, HeadTail, LogicalProperty};
 use ofw_catalog::AttrId;
@@ -559,34 +559,6 @@ pub(crate) fn materialize(head_len: usize, attrs: &[AttrId]) -> LogicalProperty 
     }
 }
 
-/// The transitive closure of *mixed* property derivation from a pair or
-/// grouping source: every property reachable by repeatedly applying any
-/// of `fds` under the pair rules ([`apply_fd_head_tail`]) and the
-/// grouping set rules ([`apply_fd_grouping`],
-/// [`apply_fd_grouping_tails`]). Each admission filter bounds its own
-/// kind; the source itself is not reported.
-///
-/// The rule set never *derives* an ordering from a pair or grouping —
-/// head removal deliberately keeps heads non-empty (see
-/// [`apply_fd_head_tail`]). An ordering *source* is accepted for
-/// totality over the public `LogicalProperty` input and chases the
-/// positional rules of `ctx`.
-pub fn mixed_closure(
-    src: &LogicalProperty,
-    fds: &[Fd],
-    ctx: &DeriveCtx,
-    gfilter: &GroupingFilter,
-    hfilter: &HeadTailFilter,
-) -> Vec<LogicalProperty> {
-    let s = &mut Scratch::default();
-    match view(src) {
-        (0, o) => ctx.expand(s, o, fds, None),
-        (head_len, attrs) => expand_sets(s, head_len, attrs, fds, None, gfilter, Some(hfilter)),
-    }
-    let reported = s.reported();
-    reported.map(|(hl, attrs)| materialize(hl, attrs)).collect()
-}
-
 /// The transitive closure of grouping derivation: every grouping
 /// reachable from `g` by repeatedly applying any of `fds`, bounded by
 /// the admission `filter` (a derived grouping no interesting grouping
@@ -598,21 +570,21 @@ pub fn grouping_closure(g: &Grouping, fds: &[Fd], filter: &GroupingFilter) -> Ve
     reported.map(|(_, d)| Grouping::new(d.to_vec())).collect()
 }
 
-/// The worklist behind [`grouping_closure`] and [`mixed_closure`]; the
-/// derived properties are left in `s` ([`Scratch::reported`]). Without
-/// `hfilter` the pure grouping pipeline runs: the set rules alone, from
-/// a grouping. With it, groupings additionally spawn pairs (all of them
-/// before the set-rule derivations, for every dependency) and pairs
-/// derive across both components. `index` as for
-/// [`DeriveCtx::expand`].
+/// The worklist behind [`grouping_closure`], from a grouping or pair
+/// view; the derived views are left in `s` ([`Scratch::reported`]).
+/// Without the `pairs` filter the pure grouping pipeline runs: the set
+/// rules alone, from a grouping. With it, groupings additionally spawn
+/// pairs (all of them before the set-rule derivations, for every
+/// dependency) and pairs derive across both components; no ordering is
+/// ever derived. `index` as for [`DeriveCtx::expand`].
 pub(crate) fn expand_sets(
     s: &mut Scratch,
     head_len: usize,
     attrs: &[AttrId],
     fds: &[Fd],
     index: Option<&Applicability>,
-    gfilter: &GroupingFilter,
-    hfilter: Option<&HeadTailFilter>,
+    groupings: &GroupingFilter,
+    pairs: Option<&GroupingFilter>,
 ) {
     s.reset();
     let (src, _) = s.seen.intern(head_len as u32, attrs);
@@ -620,9 +592,9 @@ pub(crate) fn expand_sets(
     while let Some(head_len) = s.next(fds.len(), index) {
         let (seen, work, result, buf) = (&mut s.seen, &mut s.work, &mut s.result, &mut s.buf);
         let admit = &mut |head_len: usize, d: &[AttrId]| {
-            let admitted = match hfilter {
-                Some(hfilter) if head_len < d.len() => hfilter.0.admits_attrs(d),
-                _ => gfilter.admits_attrs(d),
+            let admitted = match pairs {
+                Some(pairs) if head_len < d.len() => pairs.admits(d),
+                _ => groupings.admits(d),
             };
             if admitted {
                 let (id, new) = seen.intern(head_len as u32, d);
@@ -635,7 +607,7 @@ pub(crate) fn expand_sets(
         let view = s.cur.split_at(head_len);
         let selected = s.selected.iter().map(|&f| &fds[f as usize]);
         let is_pair = !view.1.is_empty();
-        if hfilter.is_some() && !is_pair {
+        if pairs.is_some() && !is_pair {
             selected
                 .clone()
                 .for_each(|fd| tail_rules(view, fd, buf, admit));
@@ -772,7 +744,7 @@ mod tests {
         let fds = [Fd::functional(&[B], C)];
         let eq = EqClasses::new();
         let interesting = [o(&[A, B])];
-        let filter = PrefixFilter::new(interesting.iter(), &fds, &eq, true);
+        let filter = PrefixFilter::new(interesting.iter().map(Ordering::attrs), &fds, &eq, true);
         let ctx = DeriveCtx {
             eq: &eq,
             filter: &filter,
@@ -791,7 +763,7 @@ mod tests {
         let fds = [Fd::functional(&[A], C)];
         let eq = EqClasses::new();
         let interesting = [o(&[A, B])];
-        let filter = PrefixFilter::new(interesting.iter(), &fds, &eq, true);
+        let filter = PrefixFilter::new(interesting.iter().map(Ordering::attrs), &fds, &eq, true);
         let ctx = DeriveCtx {
             eq: &eq,
             filter: &filter,
@@ -985,12 +957,10 @@ mod tests {
         // extends its tail to {a}(b,c) — transitive across kinds within
         // one symbol, exactly what the NFSM edge needs.
         let fds = [Fd::functional(&[A], B), Fd::functional(&[B], C)];
-        let eq = EqClasses::new();
-        let filter = PrefixFilter::new(std::iter::empty(), &[], &eq, false);
-        let ctx = open_ctx(&eq, &filter);
-        let gfilter = GroupingFilter::permissive();
-        let hfilter = crate::filter::HeadTailFilter::permissive();
-        let r = mixed_closure(&g(&[A]).into(), &fds, &ctx, &gfilter, &hfilter);
+        let permissive = GroupingFilter::permissive();
+        let s = &mut Scratch::default();
+        expand_sets(s, 1, &[A], &fds, None, &permissive, Some(&permissive));
+        let r: Vec<LogicalProperty> = s.reported().map(|(h, d)| materialize(h, d)).collect();
         assert!(r.contains(&ht(&[A], &[B]).into()));
         assert!(r.contains(&ht(&[A], &[B, C]).into()));
         assert!(r.contains(&g(&[A, B]).into()));
@@ -1005,13 +975,13 @@ mod tests {
         let fds = [Fd::functional(&[A], D)];
         let eq = EqClasses::new();
         let interesting = [g(&[A, B])];
-        let filter = GroupingFilter::new(interesting.iter(), &fds, &eq, true);
+        let filter = GroupingFilter::new(interesting.iter().map(Grouping::attrs), &fds, &eq, true);
         assert!(grouping_closure(&g(&[A]), &fds, &filter).is_empty());
         // With a→b in play, {a,d} stays admitted (b is still derivable
         // from it — the filter is deliberately permissive) and {a,b} is
         // reached.
         let fds = [Fd::functional(&[A], D), Fd::functional(&[A], B)];
-        let filter = GroupingFilter::new(interesting.iter(), &fds, &eq, true);
+        let filter = GroupingFilter::new(interesting.iter().map(Grouping::attrs), &fds, &eq, true);
         let mut r = grouping_closure(&g(&[A]), &fds, &filter);
         r.sort();
         assert_eq!(r, vec![g(&[A, B]), g(&[A, B, D]), g(&[A, D])]);

@@ -17,9 +17,9 @@
 //!
 //! After construction, two dense tables make the plan-generation ADT
 //! O(1): a transition table (`state × symbol → state`) and a `contains`
-//! bit matrix (`state × interesting order → bool`), together with a
-//! start row mapping each *produced* order to its entry state (the `*`
-//! row of Fig. 10).
+//! bit matrix (`state × interesting property → bool`), together with a
+//! start row giving each *produced* NFSM node its entry state (the `*`
+//! row of Fig. 10). Start row and column numbers are tables by node.
 //!
 //! The construction allocates per table, not per node or state: the
 //! ε-closures of all NFSM nodes share one arena, the states' members
@@ -32,9 +32,8 @@
 //! across thread counts.
 
 use crate::nfsm::{BuildError, Nfsm, NodeId};
-use crate::property::LogicalProperty;
 use crate::prune::PruneConfig;
-use ofw_common::{BitMatrix, FxHashMap, SliceInterner};
+use ofw_common::{BitMatrix, SliceInterner};
 
 /// The ε-closure of every NFSM node, ascending (transitive; pruning
 /// may relink chains), all in one arena: each closure is collected
@@ -186,16 +185,16 @@ pub struct Dfsm {
     pub num_symbols: usize,
     /// Entry state for a tuple stream with no ordering (`()`).
     pub empty_state: u32,
-    /// Entry states (`*` row): per *produced* interesting property
-    /// (ordering or grouping), the state for a stream physically shaped
-    /// that way (sorted, respectively hash-grouped).
-    pub start: FxHashMap<LogicalProperty, u32>,
-    /// `contains` bit matrix: rows = DFSM states, cols = interesting
-    /// properties (orderings prefix-closed, groupings as-is), indexed by
-    /// [`Dfsm::columns`] order.
+    /// Entry states (`*` row), per NFSM node: for a *produced* node, the
+    /// state of a stream physically shaped that way (sorted, hash-grouped,
+    /// …); see [`Dfsm::start_of`].
+    start: Vec<Option<u32>>,
+    /// `contains` bit matrix: rows = DFSM states, cols = the interesting
+    /// NFSM nodes (orderings prefix-closed, groupings and pairs as-is),
+    /// numbered in node order; see [`Dfsm::column_of`].
     pub contains: BitMatrix,
-    /// Column index per interesting property.
-    pub columns: FxHashMap<LogicalProperty, u32>,
+    /// Per NFSM node, its `contains` column if it is interesting.
+    columns: Vec<Option<u32>>,
     /// Plan-domination matrix: bit (a, b) set iff state `a`'s NFSM node
     /// set is a superset of `b`'s. Node-set inclusion is *future-proof*:
     /// transitions are monotone w.r.t. set inclusion, so a dominating
@@ -265,29 +264,25 @@ impl Dfsm {
         // property in NFSM node order, each its node's ε-closure. This
         // fixed seeding order is the root of the state-numbering contract.
         let empty_state = sc.intern(closures.of(0))?;
-        let mut start: FxHashMap<LogicalProperty, u32> = FxHashMap::default();
+        let mut start = vec![None; nfsm.num_nodes()];
         for node in 0..nfsm.num_nodes() as NodeId {
             if nfsm.info[node as usize].produced {
-                start.insert(nfsm.prop(node), sc.intern(closures.of(node))?);
+                start[node as usize] = Some(sc.intern(closures.of(node))?);
             }
         }
         sc.run_to_fixpoint(&closures)?;
 
         // Contains column per interesting NFSM node, in node order.
-        let mut columns: FxHashMap<LogicalProperty, u32> = FxHashMap::default();
-        let mut col_of_node: Vec<Option<u32>> = vec![None; nfsm.num_nodes()];
-        for node in 0..nfsm.num_nodes() as NodeId {
-            if nfsm.info[node as usize].interesting {
-                let col = columns.len() as u32;
-                columns.insert(nfsm.prop(node), col);
-                col_of_node[node as usize] = Some(col);
-            }
+        let mut columns = vec![None; nfsm.num_nodes()];
+        let interesting = (0..nfsm.num_nodes()).filter(|&v| nfsm.info[v].interesting);
+        for (col, node) in interesting.enumerate() {
+            columns[node] = Some(col as u32);
         }
         let states = sc.states;
-        let mut contains = BitMatrix::new(states.len(), columns.len());
+        let mut contains = BitMatrix::new(states.len(), columns.iter().flatten().count());
         for state in 0..states.len() {
             let (_, members) = states.resolve(state as u32);
-            for col in members.iter().filter_map(|&v| col_of_node[v as usize]) {
+            for col in members.iter().filter_map(|&v| columns[v as usize]) {
                 contains.set(state, col as usize);
             }
         }
@@ -314,6 +309,19 @@ impl Dfsm {
         self.states.resolve(state).1
     }
 
+    /// The entry state of a stream physically shaped as `node`'s
+    /// property, if the node is produced.
+    #[inline]
+    pub fn start_of(&self, node: NodeId) -> Option<u32> {
+        self.start[node as usize]
+    }
+
+    /// The `contains` column of `node`, if the node is interesting.
+    #[inline]
+    pub fn column_of(&self, node: NodeId) -> Option<u32> {
+        self.columns[node as usize]
+    }
+
     /// Successor state under an FD-set symbol — one array lookup (§5.6).
     #[inline]
     pub fn step(&self, state: u32, sym: usize) -> u32 {
@@ -321,13 +329,14 @@ impl Dfsm {
     }
 
     /// Bytes of the precomputed data a plan generator needs at runtime
-    /// (transition table + contains matrix + start row). The state
-    /// subsets are debugging metadata and excluded, matching the paper's
-    /// "precomputed data" accounting in §6.2.
+    /// (transition table + contains matrix + one entry state per
+    /// produced property). The state subsets are debugging metadata and
+    /// excluded, matching the paper's "precomputed data" accounting in
+    /// §6.2.
     pub fn precomputed_bytes(&self) -> usize {
         self.transitions.len() * std::mem::size_of::<u32>()
             + self.contains.heap_bytes()
-            + self.start.len() * std::mem::size_of::<u32>()
+            + self.start.iter().flatten().count() * std::mem::size_of::<u32>()
             + self.dominance.as_ref().map_or(0, BitMatrix::heap_bytes)
     }
 
@@ -350,6 +359,7 @@ mod tests {
     use crate::eqclass::EqClasses;
     use crate::fd::Fd;
     use crate::ordering::Ordering;
+    use crate::property::LogicalProperty;
     use crate::prune::{prune_fds, prune_nfsm};
     use crate::spec::InputSpec;
     use ofw_catalog::AttrId;
@@ -361,6 +371,16 @@ mod tests {
 
     fn o(ids: &[AttrId]) -> LogicalProperty {
         Ordering::new(ids.to_vec()).into()
+    }
+
+    /// The entry state of a produced property.
+    fn start(nfsm: &Nfsm, dfsm: &Dfsm, prop: &LogicalProperty) -> u32 {
+        dfsm.start_of(nfsm.node(prop).unwrap()).unwrap()
+    }
+
+    /// The contains column of an interesting property.
+    fn col(nfsm: &Nfsm, dfsm: &Dfsm, prop: &LogicalProperty) -> usize {
+        dfsm.column_of(nfsm.node(prop).unwrap()).unwrap() as usize
     }
 
     /// Full §5 pipeline for the running example.
@@ -389,14 +409,13 @@ mod tests {
         let (nfsm, dfsm) = running_example_dfsm(&PruneConfig::default());
         assert_eq!(dfsm.num_states(), 4, "3 states of Fig. 8 + empty");
 
-        let state_with = |prop: &LogicalProperty| dfsm.start[prop];
-        let s_b = state_with(&o(&[B]));
-        let s_ab = state_with(&o(&[A, B]));
+        let s_b = start(&nfsm, &dfsm, &o(&[B]));
+        let s_ab = start(&nfsm, &dfsm, &o(&[A, B]));
         assert_ne!(s_b, s_ab);
 
         // Fig. 9 contains matrix.
-        let col = |prop: &LogicalProperty| dfsm.columns[prop] as usize;
-        let probe = |s: u32, prop: &LogicalProperty| dfsm.contains.get(s as usize, col(prop));
+        let probe =
+            |s: u32, p: &LogicalProperty| dfsm.contains.get(s as usize, col(&nfsm, &dfsm, p));
         // State 1 = {(b)}.
         assert!(probe(s_b, &o(&[B])));
         assert!(!probe(s_b, &o(&[A])));
@@ -416,21 +435,20 @@ mod tests {
         for s in [s_b, s_ab, s3] {
             assert_eq!(dfsm.step(s, 1), s);
         }
-        let _ = nfsm;
     }
 
     /// Without any pruning the DFSM still behaves identically on the
     /// interesting orders (pruning is behaviour-preserving).
     #[test]
     fn unpruned_dfsm_behaves_identically() {
-        let (_, pruned) = running_example_dfsm(&PruneConfig::default());
-        let (_, raw) = running_example_dfsm(&PruneConfig::none());
+        let (pruned_nfsm, pruned) = running_example_dfsm(&PruneConfig::default());
+        let (raw_nfsm, raw) = running_example_dfsm(&PruneConfig::none());
         assert!(raw.num_states() >= pruned.num_states());
 
         for start_order in [o(&[B]), o(&[A, B])] {
             for syms in [vec![], vec![0], vec![1], vec![0, 1], vec![1, 0]] {
-                let mut sp = pruned.start[&start_order];
-                let mut sr = raw.start[&start_order];
+                let mut sp = start(&pruned_nfsm, &pruned, &start_order);
+                let mut sr = start(&raw_nfsm, &raw, &start_order);
                 for &sym in &syms {
                     sp = pruned.step(sp, sym);
                     sr = raw.step(sr, sym);
@@ -438,8 +456,8 @@ mod tests {
                 for ord in [o(&[A]), o(&[B]), o(&[A, B]), o(&[A, B, C])] {
                     let cp = pruned
                         .contains
-                        .get(sp as usize, pruned.columns[&ord] as usize);
-                    let cr = raw.contains.get(sr as usize, raw.columns[&ord] as usize);
+                        .get(sp as usize, col(&pruned_nfsm, &pruned, &ord));
+                    let cr = raw.contains.get(sr as usize, col(&raw_nfsm, &raw, &ord));
                     assert_eq!(cp, cr, "order {ord:?} after {syms:?} from {start_order:?}");
                 }
             }
@@ -458,7 +476,7 @@ mod tests {
         let nfsm = Nfsm::build(&spec, spec.fd_sets(), &eq, &config).unwrap();
         let nfsm = prune_nfsm(nfsm, &config);
         let dfsm = Dfsm::build(&nfsm, &config).unwrap();
-        let col = dfsm.columns[&o(&[A])] as usize;
+        let col = col(&nfsm, &dfsm, &o(&[A]));
         assert!(!dfsm.contains.get(dfsm.empty_state as usize, col));
         let s = dfsm.step(dfsm.empty_state, f.index());
         assert!(dfsm.contains.get(s as usize, col));

@@ -41,8 +41,7 @@
 
 use crate::eqclass::EqClasses;
 use crate::fd::Fd;
-use crate::ordering::Ordering;
-use crate::property::{Grouping, HeadTail};
+use crate::spec::InputSpec;
 use ofw_catalog::AttrId;
 use ofw_common::horn::{Derived, HornRules, UNDERIVED};
 use ofw_common::{FxHashMap, SliceInterner};
@@ -203,20 +202,22 @@ struct PrefixScratch {
 }
 
 impl PrefixFilter {
-    /// Builds the filter. `fds` must be (a superset of) the dependencies
+    /// Builds the filter over the interesting orders' attribute
+    /// sequences. `fds` must be (a superset of) the dependencies
     /// the closure will apply — they determine which gaps are fillable
     /// and which candidate attributes are removable. When `enabled` is
     /// false every query permissively allows everything (the paper's
     /// "w/o pruning" configuration).
     pub fn new<'a>(
-        interesting: impl Iterator<Item = &'a Ordering>,
+        interesting: impl IntoIterator<Item = &'a [AttrId]>,
         fds: &[Fd],
         eq: &EqClasses,
         enabled: bool,
     ) -> Self {
         let mut space = RepSpace::default();
         let orders: Vec<Vec<u32>> = interesting
-            .map(|o| o.attrs().iter().map(|&a| space.id(a, eq)).collect())
+            .into_iter()
+            .map(|o| o.iter().map(|&a| space.id(a, eq)).collect())
             .collect();
         space.add_fds(fds, eq);
         let orders_with = space.containing(&orders);
@@ -407,19 +408,20 @@ pub struct GroupingFilter {
 }
 
 impl GroupingFilter {
-    /// Builds the filter over the interesting groupings. `fds` must be
-    /// (a superset of) the dependencies the closure will apply. With
-    /// `enabled` false everything is admitted (the "w/o pruning"
-    /// configuration).
+    /// Builds the filter over the interesting attribute sets (each a
+    /// listing of its members in any order). `fds` must be (a superset
+    /// of) the dependencies the closure will apply. With `enabled` false
+    /// everything is admitted (the "w/o pruning" configuration).
     pub fn new<'a>(
-        interesting: impl Iterator<Item = &'a Grouping>,
+        interesting: impl IntoIterator<Item = &'a [AttrId]>,
         fds: &[Fd],
         eq: &EqClasses,
         enabled: bool,
     ) -> Self {
         let mut space = RepSpace::default();
         let interesting: Vec<Vec<u32>> = interesting
-            .map(|g| g.attrs().iter().map(|&a| space.id(a, eq)).collect())
+            .into_iter()
+            .map(|set| set.iter().map(|&a| space.id(a, eq)).collect())
             .collect();
         space.add_fds(fds, eq);
         let interesting_with = space.containing(&interesting);
@@ -443,13 +445,9 @@ impl GroupingFilter {
         GroupingFilter::new(std::iter::empty(), &[], &EqClasses::new(), false)
     }
 
-    /// Whether some interesting grouping is still reachable from `g`.
-    pub fn admits(&self, g: &Grouping) -> bool {
-        self.admits_attrs(g.attrs())
-    }
-
-    /// [`admits`](Self::admits) over any listing of the attribute set.
-    pub(crate) fn admits_attrs(&self, attrs: &[AttrId]) -> bool {
+    /// Whether some interesting set is still reachable from the set
+    /// `attrs` (listed in any order).
+    pub fn admits(&self, attrs: &[AttrId]) -> bool {
         if !self.enabled || self.always {
             return true;
         }
@@ -481,53 +479,59 @@ impl GroupingFilter {
     }
 }
 
-/// Admission filter for derived *head/tail pairs* — a thin wrapper
-/// delegating to [`GroupingFilter`], because the reachability argument
-/// is literally the same one over the pair's attribute *footprint*:
-/// every pair reachable from `(H, T)` (by FD derivation *or* by the
-/// ε-implications absorbing tail prefixes into the head) draws its
-/// attributes from the FD closure of `reps(H ∪ T) ∪ const_reps` —
-/// insertions only ever add closure members, removals only shrink — so
-/// a derived pair is worth keeping iff some interesting pair's full
-/// footprint lies inside that closure. Over-admission is harmless (the
-/// derivation rules decide satisfaction); under-admission would lose
-/// completeness. Tails stay naturally bounded: a tail is duplicate-free
-/// and disjoint from its head, so no pair outgrows the closure.
-#[derive(Debug)]
-pub struct HeadTailFilter(pub(crate) GroupingFilter);
+/// The admission filters of one spec, built from one pass over its
+/// views: the [`PrefixFilter`] over the interesting orderings, and two
+/// [`GroupingFilter`]s — one over the interesting groupings plus the
+/// groupings each interesting pair implies (its head with any absorbed
+/// tail prefix: a grouping that can complete into an interesting pair's
+/// head must stay alive), one over the interesting pairs' footprints.
+///
+/// The pair test is the grouping test over the footprint `H ∪ T`: every
+/// pair reachable from `(H, T)` (by FD derivation *or* by absorbing tail
+/// prefixes into the head) draws its attributes from the FD closure of
+/// `reps(H ∪ T) ∪ const_reps`, so a derived pair is worth keeping iff
+/// some interesting pair's footprint lies inside that closure. Tails
+/// stay bounded: a tail is duplicate-free and disjoint from its head.
+pub(crate) struct Admission {
+    pub(crate) orders: PrefixFilter,
+    pub(crate) groupings: GroupingFilter,
+    pub(crate) pairs: GroupingFilter,
+    /// The spec declares an interesting grouping or pair.
+    pub(crate) has_sets: bool,
+    /// The spec declares an interesting pair.
+    pub(crate) has_pairs: bool,
+}
 
-impl HeadTailFilter {
-    /// Builds the filter over the interesting pairs (each contributing
-    /// its footprint `H ∪ T` as a reachability target). `fds` must be
-    /// (a superset of) the dependencies the closure will apply. With
-    /// `enabled` false everything is admitted (the "w/o pruning"
-    /// configuration).
-    pub fn new<'a>(
-        interesting: impl Iterator<Item = &'a HeadTail>,
-        fds: &[Fd],
-        eq: &EqClasses,
-        enabled: bool,
-    ) -> Self {
-        let footprints: Vec<Grouping> = interesting
-            .map(|h| Grouping::new(h.attrs().to_vec()))
-            .collect();
-        HeadTailFilter(GroupingFilter::new(footprints.iter(), fds, eq, enabled))
-    }
-
-    /// A filter admitting everything (no interesting pairs known).
-    pub fn permissive() -> Self {
-        HeadTailFilter(GroupingFilter::permissive())
-    }
-
-    /// Whether some interesting pair is still reachable from `h`.
-    pub fn admits(&self, h: &HeadTail) -> bool {
-        self.0.admits_attrs(h.attrs())
+impl Admission {
+    /// The filters of `spec` over `fds` (see [`PrefixFilter::new`] and
+    /// [`GroupingFilter::new`]).
+    pub(crate) fn new(spec: &InputSpec, fds: &[Fd], eq: &EqClasses, enabled: bool) -> Self {
+        let (mut orders, mut groupings) = (Vec::new(), Vec::new());
+        let (mut implied, mut pairs) = (Vec::new(), Vec::new());
+        for (head_len, attrs) in spec.views() {
+            if head_len == 0 {
+                orders.push(attrs);
+            } else if head_len == attrs.len() {
+                groupings.push(attrs);
+            } else {
+                implied.extend((head_len..=attrs.len()).map(|end| &attrs[..end]));
+                pairs.push(attrs);
+            }
+        }
+        Admission {
+            has_sets: !groupings.is_empty() || !pairs.is_empty(),
+            has_pairs: !pairs.is_empty(),
+            orders: PrefixFilter::new(orders, fds, eq, enabled),
+            groupings: GroupingFilter::new(groupings.into_iter().chain(implied), fds, eq, enabled),
+            pairs: GroupingFilter::new(pairs, fds, eq, enabled),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ordering::Ordering;
 
     const A: AttrId = AttrId(0);
     const B: AttrId = AttrId(1);
@@ -540,7 +544,7 @@ mod tests {
     }
 
     fn filter(orders: &[Ordering], fds: &[Fd], eq: &EqClasses) -> PrefixFilter {
-        PrefixFilter::new(orders.iter(), fds, eq, true)
+        PrefixFilter::new(orders.iter().map(Ordering::attrs), fds, eq, true)
     }
 
     /// Shorthand: admitted length with no cap.
@@ -668,7 +672,7 @@ mod tests {
     #[test]
     fn disabled_filter_allows_everything() {
         let eq = EqClasses::new();
-        let f = PrefixFilter::new([o(&[A])].iter(), &[], &eq, false);
+        let f = PrefixFilter::new([&[A][..]], &[], &eq, false);
         assert_eq!(
             f.admitted_len(&[C, D], &eq, 7),
             7,
@@ -676,32 +680,28 @@ mod tests {
         );
     }
 
-    fn g(ids: &[AttrId]) -> Grouping {
-        Grouping::new(ids.to_vec())
-    }
-
     #[test]
     fn grouping_filter_reachability() {
         let eq = EqClasses::new();
         // Interesting {a,b}; FD c→b.
         let fds = [Fd::functional(&[C], B)];
-        let f = GroupingFilter::new([g(&[A, B])].iter(), &fds, &eq, true);
-        assert!(f.admits(&g(&[A, B])), "interesting groupings self-admit");
-        assert!(f.admits(&g(&[A, C])), "b is derivable from c");
-        assert!(f.admits(&g(&[A, B, C])), "supersets may shed attrs");
-        assert!(!f.admits(&g(&[B, C])), "nothing produces a");
+        let f = GroupingFilter::new([&[A, B][..]], &fds, &eq, true);
+        assert!(f.admits(&[A, B]), "interesting groupings self-admit");
+        assert!(f.admits(&[A, C]), "b is derivable from c");
+        assert!(f.admits(&[A, B, C]), "supersets may shed attrs");
+        assert!(!f.admits(&[B, C]), "nothing produces a");
         // Constants fill gaps.
-        let f = GroupingFilter::new([g(&[A, D])].iter(), &[Fd::constant(D)], &eq, true);
-        assert!(f.admits(&g(&[A])));
-        assert!(!f.admits(&g(&[D])));
+        let f = GroupingFilter::new([&[A, D][..]], &[Fd::constant(D)], &eq, true);
+        assert!(f.admits(&[A]));
+        assert!(!f.admits(&[D]));
     }
 
     #[test]
     fn grouping_filter_uses_equivalence_classes() {
         let mut eq = EqClasses::new();
         eq.union(A, D);
-        let f = GroupingFilter::new([g(&[A, B])].iter(), &[], &eq, true);
-        assert!(f.admits(&g(&[D, B])), "d ≡ a");
+        let f = GroupingFilter::new([&[A, B][..]], &[], &eq, true);
+        assert!(f.admits(&[D, B]), "d ≡ a");
     }
 
     #[test]
@@ -719,20 +719,20 @@ mod tests {
             eq
         };
         let fds = [Fd::equation(A, B), Fd::functional(&[B], C)];
-        let f = GroupingFilter::new([g(&[C]), g(&[A, D])].iter(), &fds, &eq, true);
-        assert!(f.admits(&g(&[A])), "the probe-side aggregation key");
-        assert!(f.admits(&g(&[A, B])), "after the join equation");
-        assert!(f.admits(&g(&[B, C])), "after the schema FD");
-        assert!(f.admits(&g(&[C])), "the group key itself");
+        let f = GroupingFilter::new([&[C][..], &[A, D]], &fds, &eq, true);
+        assert!(f.admits(&[A]), "the probe-side aggregation key");
+        assert!(f.admits(&[A, B]), "after the join equation");
+        assert!(f.admits(&[B, C]), "after the schema FD");
+        assert!(f.admits(&[C]), "the group key itself");
         // But a key that can never complete any interesting grouping
         // (nothing derives d) stays out.
-        assert!(!f.admits(&g(&[X])));
+        assert!(!f.admits(&[X]));
     }
 
     #[test]
     fn permissive_grouping_filter_admits_all() {
         let f = GroupingFilter::permissive();
-        assert!(f.admits(&g(&[C, D])));
+        assert!(f.admits(&[C, D]));
         assert!(!f.is_enabled());
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! | paper operation                    | here                          | cost |
 //! |------------------------------------|-------------------------------|------|
-//! | handle of an interesting property  | [`OrderOracle::resolve`]      | one hash lookup (cold path) |
+//! | handle of an interesting property  | [`OrderOracle::resolve`]      | one interner probe (cold path) |
 //! | constructor (scan/sort/hash group) | [`OrderOracle::produce`]      | O(1) |
 //! | `contains(p)`                      | [`OrderOracle::satisfies`]    | O(1) |
 //! | `inferNewLogicalOrderings(F)`      | [`OrderOracle::infer`]        | O(1) |
@@ -17,7 +17,8 @@
 //! ([`OrderHandle`]) and one state space: a [`State`] annotates a plan
 //! node with *everything* the stream satisfies — the orderings it is
 //! sorted by, the groupings it is grouped by, the pairs it is sorted by
-//! within groups — still in four bytes.
+//! within groups — still in four bytes. A handle is a contains column:
+//! the interesting properties' views are interned in column order.
 //!
 //! # Preparation
 //!
@@ -30,19 +31,21 @@
 //! Structurally identical specs can additionally share one prepared
 //! automaton through a [`PreparedCache`]
 //! ([`prepare_cached`](OrderingFramework::prepare_cached)): warm
-//! preparation is a canonicalization pass plus a hash lookup.
+//! preparation is a canonicalization pass plus a hash lookup, and the
+//! automaton's views are read back through the inverse renaming.
 
+use crate::derive::{materialize, view};
 use crate::dfsm::Dfsm;
 use crate::eqclass::EqClasses;
 use crate::fd::FdSetId;
-use crate::intern::{canonicalize, AttrCanonMap, CacheKey, PreparedCache};
-use crate::nfsm::{BuildError, Nfsm};
+use crate::intern::{canonical_spec, canonicalize, remap_view, AttrCanonMap, PreparedCache};
+use crate::nfsm::{BuildError, Nfsm, NodeId};
 use crate::oracle::OrderOracle;
-use crate::ordering::Ordering;
-use crate::property::{Grouping, HeadTail, LogicalProperty};
+use crate::property::LogicalProperty;
 use crate::prune::{prune_fds, prune_nfsm, PruneConfig};
 use crate::spec::InputSpec;
-use ofw_common::FxHashMap;
+use ofw_catalog::AttrId;
+use ofw_common::SliceInterner;
 use ofw_obs::Trace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -147,11 +150,13 @@ pub(crate) struct Prepared {
 /// substitution).
 pub struct OrderingFramework {
     prepared: Arc<Prepared>,
-    /// Interesting property (orderings prefix-closed, groupings as-is)
-    /// → contains-column handle, in the query's own attribute space.
-    handles: FxHashMap<LogicalProperty, OrderHandle>,
-    /// Produced property → entry state (the `*` row).
-    start_of: FxHashMap<OrderHandle, State>,
+    /// The interesting properties' views (orderings prefix-closed,
+    /// groupings and pairs as-is) in the query's own attribute space,
+    /// interned in column order: a view's id is its handle.
+    views: SliceInterner<AttrId>,
+    /// Per handle, the entry state if the property is produced (the `*`
+    /// row).
+    start: Vec<Option<State>>,
     stats: PrepStats,
 }
 
@@ -197,14 +202,12 @@ impl OrderingFramework {
     ) -> Result<Self, PrepareError> {
         let t0 = Instant::now();
         let mut sp = options.trace.span("prepare");
-        let (canon_spec, map, key) = {
+        let (key, map) = {
             let _intern = sp.child("intern");
-            let (canon_spec, map) = canonicalize(spec);
-            let key = CacheKey::new(&canon_spec, &config);
-            (canon_spec, map, key)
+            canonicalize(spec, &config)
         };
         let (prepared, hit) = cache.get_or_build(key, || {
-            Self::build_prepared(&canon_spec, &config, &options.trace)
+            Self::build_prepared(&canonical_spec(spec, &map), &config, &options.trace)
         })?;
         sp.count("interned_hit", u64::from(hit));
         Ok(Self::from_prepared(prepared, Some(&map), hit, t0))
@@ -253,29 +256,29 @@ impl OrderingFramework {
     }
 
     /// Builds the per-query view over a (possibly shared) preparation:
-    /// handles and start states, translated back into the query's own
-    /// attribute space when the spec was canonicalized.
+    /// the interesting nodes' views, read in the query's own attribute
+    /// space through `map` (the identity when the spec was not
+    /// canonicalized), and their start states.
     fn from_prepared(
         prepared: Arc<Prepared>,
         map: Option<&AttrCanonMap>,
         interned_hit: bool,
         t0: Instant,
     ) -> Self {
-        let mut handles: FxHashMap<LogicalProperty, OrderHandle> = FxHashMap::default();
-        for (p, &col) in &prepared.dfsm.columns {
-            let p = match map {
-                Some(m) => m.prop_to_original(p),
-                None => p.clone(),
+        let (nfsm, dfsm) = (&prepared.nfsm, &prepared.dfsm);
+        let original = |a| map.map_or(a, |m| m.original(a));
+        let mut views = SliceInterner::default();
+        let mut start = Vec::with_capacity(dfsm.contains.cols());
+        let mut buf = Vec::new();
+        for node in 0..nfsm.num_nodes() as NodeId {
+            let Some(col) = dfsm.column_of(node) else {
+                continue;
             };
-            handles.insert(p, OrderHandle(col));
-        }
-        let mut start_of: FxHashMap<OrderHandle, State> = FxHashMap::default();
-        for (p, &s) in &prepared.dfsm.start {
-            let p = match map {
-                Some(m) => m.prop_to_original(p),
-                None => p.clone(),
-            };
-            start_of.insert(handles[&p], State(s));
+            let (head_len, attrs) = nfsm.view(node);
+            remap_view(head_len, attrs, original, &mut buf);
+            let (id, _) = views.intern(head_len as u32, &buf);
+            debug_assert_eq!(id, col, "views are interned in column order");
+            start.push(dfsm.start_of(node).map(State));
         }
         let stats = PrepStats {
             nfsm_nodes_before_prune: prepared.nfsm_nodes_before_prune,
@@ -289,37 +292,19 @@ impl OrderingFramework {
         };
         OrderingFramework {
             prepared,
-            handles,
-            start_of,
+            views,
+            start,
             stats,
         }
     }
 
-    /// All interesting *orderings* (prefix-closed) with their handles.
-    pub fn orders(&self) -> impl Iterator<Item = (&Ordering, OrderHandle)> {
-        self.handles
-            .iter()
-            .filter_map(|(p, &h)| p.as_ordering().map(|o| (o, h)))
-    }
-
-    /// All interesting *groupings* with their handles.
-    pub fn groupings(&self) -> impl Iterator<Item = (&Grouping, OrderHandle)> {
-        self.handles
-            .iter()
-            .filter_map(|(p, &h)| p.as_grouping().map(|g| (g, h)))
-    }
-
-    /// All interesting *head/tail pairs* with their handles.
-    pub fn head_tails(&self) -> impl Iterator<Item = (&HeadTail, OrderHandle)> {
-        self.handles
-            .iter()
-            .filter_map(|(p, &h)| p.as_head_tail().map(|ht| (ht, h)))
-    }
-
-    /// All interesting properties (orderings and groupings) with their
-    /// handles.
-    pub fn properties(&self) -> impl Iterator<Item = (&LogicalProperty, OrderHandle)> {
-        self.handles.iter().map(|(p, &h)| (p, h))
+    /// All interesting properties — orderings (prefix-closed), groupings
+    /// and head/tail pairs — with their handles, in handle order.
+    pub fn properties(&self) -> impl Iterator<Item = (LogicalProperty, OrderHandle)> + '_ {
+        (0..self.views.len() as u32).map(|id| {
+            let (head_len, attrs) = self.views.resolve(id);
+            (materialize(head_len as usize, attrs), OrderHandle(id))
+        })
     }
 
     /// Preparation metrics, frozen at the end of the prepare call.
@@ -347,12 +332,13 @@ impl OrderOracle for OrderingFramework {
     /// prefix-closed — `Q_I` is). `None` if the property was never
     /// interesting, meaning no operator may ask about it.
     fn resolve(&self, p: &LogicalProperty) -> Option<OrderHandle> {
-        self.handles.get(p).copied()
+        let (head_len, attrs) = view(p);
+        self.views.get(head_len as u32, attrs).map(OrderHandle)
     }
 
     /// Whether `h` may be produced (is in `O_P`).
     fn is_producible(&self, h: OrderHandle) -> bool {
-        self.start_of.contains_key(&h)
+        self.start[h.0 as usize].is_some()
     }
 
     /// ADT constructor for an unordered tuple stream (heap scan).
@@ -368,9 +354,7 @@ impl OrderOracle for OrderingFramework {
     /// plan generators must only produce members of `O_P`.
     #[inline]
     fn produce(&self, h: OrderHandle) -> State {
-        self.start_of
-            .get(&h)
-            .copied()
+        self.start[h.0 as usize]
             .unwrap_or_else(|| panic!("{h:?} is not a produced interesting property"))
     }
 
@@ -421,7 +405,8 @@ impl OrderOracle for OrderingFramework {
 mod tests {
     use super::*;
     use crate::fd::Fd;
-    use ofw_catalog::AttrId;
+    use crate::ordering::Ordering;
+    use crate::property::{Grouping, HeadTail};
 
     const A: AttrId = AttrId(0);
     const B: AttrId = AttrId(1);
@@ -542,9 +527,11 @@ mod tests {
         // other way around.
         assert!(fw.dominates(s, sg));
         assert!(!fw.dominates(sg, s));
-        // Groupings are enumerable separately from orderings.
-        assert_eq!(fw.groupings().count(), 2);
-        assert!(fw.orders().count() >= 2);
+        // Groupings are enumerable next to orderings.
+        let groupings = fw.properties().filter(|(p, _)| p.is_grouping());
+        assert_eq!(groupings.count(), 2);
+        let orders = fw.properties().filter(|(p, _)| p.as_ordering().is_some());
+        assert!(orders.count() >= 2);
     }
 
     #[test]
@@ -585,7 +572,8 @@ mod tests {
         assert!(fw.dominates(fw.infer(s_sorted, f_ab), s2));
         assert!(!fw.dominates(s2, s_sorted));
         // Pairs are enumerable next to the other kinds.
-        assert_eq!(fw.head_tails().count(), 1);
+        let pairs = fw.properties().filter(|(p, _)| p.is_head_tail());
+        assert_eq!(pairs.count(), 1);
     }
 
     #[test]

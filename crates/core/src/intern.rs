@@ -10,23 +10,24 @@
 //! identical specs canonicalize to equal keys, and a warm
 //! [`OrderingFramework::prepare_cached`](crate::OrderingFramework::prepare_cached)
 //! is a canonicalization pass plus one hash lookup instead of a full
-//! determinization.
+//! determinization; the canonical [`InputSpec`] is built only on a miss.
 //!
 //! Canonicalization is *sound, not complete*: a renaming can reorder
 //! set-valued properties (groupings store attributes sorted by id), so
 //! some equivalent specs hash to different keys — they just miss the
 //! cache and prepare normally. A hit, on the other hand, is always
 //! exact: the canonical spec preserves property identity, FD-set ids
-//! and producibility, and the per-query handle maps are translated back
-//! through the inverse renaming.
+//! and producibility, and the framework reads the shared automaton's
+//! views back through the inverse renaming.
 
+use crate::derive::{materialize, view};
 use crate::fd::Fd;
 use crate::framework::{PrepareError, Prepared};
-use crate::property::LogicalProperty;
 use crate::prune::PruneConfig;
 use crate::spec::InputSpec;
 use ofw_catalog::AttrId;
 use ofw_common::FxHashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
@@ -57,32 +58,24 @@ impl AttrCanonMap {
         c
     }
 
-    /// Translates a canonical-space property back into the original
-    /// attribute space.
-    pub(crate) fn prop_to_original(&self, p: &LogicalProperty) -> LogicalProperty {
-        remap_prop(p, &mut |a| self.from_canon[a.0 as usize])
+    /// The original attribute of canonical `c`.
+    pub(crate) fn original(&self, c: AttrId) -> AttrId {
+        self.from_canon[c.0 as usize]
     }
 }
 
-/// Rebuilds a property with every attribute passed through `f`,
-/// re-running the type's own canonicalization (groupings re-sort,
-/// head/tail pairs re-collapse degenerate shapes — a bijective rename
-/// preserves degeneracy, so the variant never changes).
-fn remap_prop(p: &LogicalProperty, f: &mut impl FnMut(AttrId) -> AttrId) -> LogicalProperty {
-    use crate::ordering::Ordering;
-    use crate::property::Grouping;
-    match p {
-        LogicalProperty::Ordering(o) => {
-            LogicalProperty::Ordering(Ordering::new(o.attrs().iter().map(|&a| f(a)).collect()))
-        }
-        LogicalProperty::Grouping(g) => {
-            LogicalProperty::Grouping(Grouping::new(g.attrs().iter().map(|&a| f(a)).collect()))
-        }
-        LogicalProperty::HeadTail(h) => LogicalProperty::head_tail(
-            Grouping::new(h.head_attrs().iter().map(|&a| f(a)).collect()),
-            Ordering::new(h.tail_attrs().iter().map(|&a| f(a)).collect()),
-        ),
-    }
+/// Writes to `out` the view `(head_len, attrs)` with every attribute
+/// passed through `f`, the head re-sorted (it is a set). A bijective
+/// renaming keeps a view's shape, so the result has the same `head_len`.
+pub(crate) fn remap_view(
+    head_len: usize,
+    attrs: &[AttrId],
+    f: impl FnMut(AttrId) -> AttrId,
+    out: &mut Vec<AttrId>,
+) {
+    out.clear();
+    out.extend(attrs.iter().copied().map(f));
+    out[..head_len].sort_unstable();
 }
 
 /// Rebuilds an FD with every attribute passed through `f`.
@@ -97,60 +90,124 @@ fn remap_fd(fd: &Fd, f: &mut impl FnMut(AttrId) -> AttrId) -> Fd {
     }
 }
 
-/// Renames a spec's attributes to canonical first-occurrence ids.
-/// Returns the canonical spec (property and FD-set registration order,
-/// and therefore every `FdSetId`, preserved — the renaming is injective,
-/// so distinct sets stay distinct and dedup cannot merge them) plus the
-/// renaming for translating results back.
-pub(crate) fn canonicalize(spec: &InputSpec) -> (InputSpec, AttrCanonMap) {
+/// A renamed dependency's key words as the fields `Fd`'s derived order
+/// compares: the variant, then the left-hand side, then the attributes.
+fn fd_order(words: &[u32]) -> (u32, &[u32], u32, u32) {
+    match words {
+        [0, _, lhs @ .., rhs] => (0, lhs, *rhs, 0),
+        [1, a, b] => (1, &[], *a, *b),
+        [tag, a] => (*tag, &[], *a, 0),
+        _ => unreachable!("a dependency's key words"),
+    }
+}
+
+/// Renames a spec's attributes to canonical first-occurrence ids and
+/// writes the cache key straight from the spec: the canonical spec's
+/// produced and tested views (a tested property also produced is only
+/// produced there), its FD sets as words, each in the order
+/// [`FdSet::new`](crate::FdSet::new) sorts the renamed dependencies, and
+/// `config`. Equal keys ⇔ equal canonical specs.
+pub(crate) fn canonicalize(spec: &InputSpec, config: &PruneConfig) -> (CacheKey, AttrCanonMap) {
     let mut map = AttrCanonMap::new();
-    let mut canon = InputSpec::new();
-    for p in spec.produced() {
-        canon.add_produced(remap_prop(p, &mut |a| map.map(a)));
-    }
-    for p in spec.tested() {
-        canon.add_tested(remap_prop(p, &mut |a| map.map(a)));
-    }
+    let (mut words, mut buf) = (Vec::new(), Vec::new());
+    let mut push_views = |words: &mut Vec<u32>, views: &mut dyn Iterator<Item = _>| {
+        let count = words.len();
+        words.push(0);
+        for (head_len, attrs) in views {
+            remap_view(head_len, attrs, |a| map.map(a), &mut buf);
+            words.extend([head_len as u32, buf.len() as u32]);
+            words.extend(buf.iter().map(|a| a.0));
+            words[count] += 1;
+        }
+    };
+    push_views(&mut words, &mut spec.produced().iter().map(view));
+    let tested = spec.tested().iter().map(view);
+    push_views(
+        &mut words,
+        &mut tested.filter(|&(h, attrs)| !spec.is_produced(h, attrs)),
+    );
+    let (mut ranges, mut sorted) = (Vec::new(), Vec::new());
+    words.push(spec.fd_sets().len() as u32);
     for set in spec.fd_sets() {
-        let fds: Vec<Fd> = set
-            .fds()
-            .iter()
-            .map(|fd| remap_fd(fd, &mut |a| map.map(a)))
-            .collect();
-        canon.add_fd_set(fds);
+        words.push(set.len() as u32);
+        let first = words.len();
+        ranges.clear();
+        for fd in set.fds() {
+            let at = words.len();
+            match fd {
+                Fd::Functional { lhs, rhs } => {
+                    words.extend([0, lhs.len() as u32]);
+                    words.extend(lhs.iter().map(|&a| map.map(a).0));
+                    words[at + 2..].sort_unstable();
+                    words.push(map.map(*rhs).0);
+                }
+                Fd::Equation(a, b) => {
+                    let (a, b) = (map.map(*a).0, map.map(*b).0);
+                    words.extend([1, a.min(b), a.max(b)]);
+                }
+                Fd::Constant(a) => words.extend([2, map.map(*a).0]),
+            }
+            ranges.push(at..words.len());
+        }
+        ranges.sort_unstable_by_key(|r: &Range<usize>| fd_order(&words[r.clone()]));
+        sorted.clear();
+        for r in &ranges {
+            sorted.extend_from_slice(&words[r.clone()]);
+        }
+        words.truncate(first);
+        words.extend_from_slice(&sorted);
+    }
+    let config = (
+        config.prune_fds,
+        config.merge_artificial,
+        config.eps_replace,
+        config.prefix_filter,
+        config.length_cutoff,
+        config.max_nodes,
+        config.max_dfsm_states,
+    );
+    (CacheKey { words, config }, map)
+}
+
+/// The canonical spec [`canonicalize`] keyed: every attribute renamed
+/// through `map`, registration order — and therefore every `FdSetId` —
+/// preserved (the renaming is injective, so distinct sets stay distinct
+/// and dedup cannot merge them).
+pub(crate) fn canonical_spec(spec: &InputSpec, map: &AttrCanonMap) -> InputSpec {
+    let mut canonical = |a: AttrId| map.to_canon[&a];
+    let mut buf = Vec::new();
+    let mut remap = |p| {
+        let (head_len, attrs) = view(p);
+        remap_view(head_len, attrs, canonical, &mut buf);
+        materialize(head_len, &buf)
+    };
+    let mut canon = InputSpec::new();
+    spec.produced()
+        .iter()
+        .for_each(|p| canon.add_produced(remap(p)));
+    spec.tested()
+        .iter()
+        .for_each(|p| canon.add_tested(remap(p)));
+    for set in spec.fd_sets() {
+        canon.add_fd_set(
+            set.fds()
+                .iter()
+                .map(|fd| remap_fd(fd, &mut canonical))
+                .collect(),
+        );
     }
     debug_assert_eq!(canon.fd_sets().len(), spec.fd_sets().len());
-    (canon, map)
+    canon
 }
 
 /// Cache key: the canonicalized spec shape plus the pruning
 /// configuration — everything that determines the resulting automaton.
 #[derive(PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
-    produced: Vec<LogicalProperty>,
-    tested: Vec<LogicalProperty>,
-    fd_sets: Vec<crate::fd::FdSet>,
+    /// The canonical spec as words; see [`canonicalize`].
+    words: Vec<u32>,
     /// `PruneConfig` fields, flattened (the struct itself keeps no `Eq`).
     config: (bool, bool, bool, bool, bool, usize, usize),
-}
-
-impl CacheKey {
-    pub(crate) fn new(canon_spec: &InputSpec, config: &PruneConfig) -> Self {
-        CacheKey {
-            produced: canon_spec.produced().to_vec(),
-            tested: canon_spec.tested().to_vec(),
-            fd_sets: canon_spec.fd_sets().to_vec(),
-            config: (
-                config.prune_fds,
-                config.merge_artificial,
-                config.eps_replace,
-                config.prefix_filter,
-                config.length_cutoff,
-                config.max_nodes,
-                config.max_dfsm_states,
-            ),
-        }
-    }
 }
 
 /// Process-wide interning cache of prepared automata, keyed by
@@ -260,48 +317,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.misses(), 1);
-    }
-
-    /// A cached framework gives the same probe answers as an uncached
-    /// prepare of the same spec (handles may be numbered differently).
-    #[test]
-    fn cached_prepare_is_probe_equivalent_to_uncached() {
-        let cache = PreparedCache::new();
-        let spec = shifted_spec(3);
-        // Warm the cache with a different base so the second query hits.
-        let _ = OrderingFramework::prepare_cached(
-            &shifted_spec(0),
-            PruneConfig::default(),
-            &PrepareOptions::default(),
-            &cache,
-        )
-        .unwrap();
-        let cached = OrderingFramework::prepare_cached(
-            &spec,
-            PruneConfig::default(),
-            &PrepareOptions::default(),
-            &cache,
-        )
-        .unwrap();
-        assert!(cached.stats().interned_hit);
-        let plain = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
-        let f0 = crate::fd::FdSetId(0);
-        for (p, hp) in plain.properties() {
-            let hc = cached.resolve(p).expect("same handle space");
-            if !plain.is_producible(hp) {
-                assert!(!cached.is_producible(hc));
-                continue;
-            }
-            let (sp, sc) = (plain.produce(hp), cached.produce(hc));
-            for (q, hq) in plain.properties() {
-                let hqc = cached.resolve(q).unwrap();
-                assert_eq!(plain.satisfies(sp, hq), cached.satisfies(sc, hqc));
-                assert_eq!(
-                    plain.satisfies(plain.infer(sp, f0), hq),
-                    cached.satisfies(cached.infer(sc, f0), hqc)
-                );
-            }
-        }
     }
 
     /// Different shapes and configs get distinct entries.

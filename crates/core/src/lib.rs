@@ -13,9 +13,9 @@
 //!
 //! Both are answered in **O(1)** after a one-time preparation step, and a
 //! plan node's entire order/grouping annotation is a 4-byte [`State`].
-//! NFSM/DFSM states carry a generic [`LogicalProperty`] — an ordering
-//! *or* a grouping (an unordered attribute set, as produced by hash
-//! aggregation) — so grouping-aware plans cost nothing extra.
+//! Inside preparation an ordering, a grouping (an unordered attribute
+//! set, as produced by hash aggregation) or a head/tail pair is one
+//! `(head_len, attrs)` view, so grouping-aware plans cost nothing extra.
 //!
 //! ## Pipeline (paper Fig. 3)
 //!

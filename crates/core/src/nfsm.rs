@@ -53,9 +53,8 @@
 use crate::derive::{expand_sets, materialize, view, Applicability, DeriveCtx, Scratch};
 use crate::eqclass::EqClasses;
 use crate::fd::FdSet;
-use crate::filter::{GroupingFilter, HeadTailFilter, PrefixFilter};
-use crate::ordering::Ordering;
-use crate::property::{Grouping, HeadTail, LogicalProperty};
+use crate::filter::Admission;
+use crate::property::LogicalProperty;
 use crate::prune::PruneConfig;
 use crate::spec::InputSpec;
 use ofw_catalog::AttrId;
@@ -214,39 +213,13 @@ impl Nfsm {
             .iter()
             .flat_map(|s| s.fds().iter().cloned())
             .collect();
-        let filter = PrefixFilter::new(
-            spec.interesting_orderings(),
-            &all_fds,
-            eq,
-            config.prefix_filter,
-        );
         // Groupings only enter the automaton when the query declares
-        // interesting groupings — otherwise the build is identical to
-        // the pure ordering pipeline. Head/tail pairs are gated the same
-        // way one level up: without interesting pairs the build is
-        // identical to the ordering + grouping pipeline.
-        let headtail_mode = spec.has_head_tails();
-        let grouping_mode = spec.has_groupings() || headtail_mode;
-        // Interesting pairs make their implied groupings (head plus any
-        // absorbed tail prefix) reachability targets for the grouping
-        // admission too — a grouping that can complete into an
-        // interesting pair's head must stay alive.
-        let pair_groupings: Vec<Grouping> = spec
-            .interesting_head_tails()
-            .flat_map(HeadTail::absorbed_heads)
-            .collect();
-        let gfilter = GroupingFilter::new(
-            spec.interesting_groupings().chain(pair_groupings.iter()),
-            &all_fds,
-            eq,
-            config.prefix_filter,
-        );
-        let hfilter = HeadTailFilter::new(
-            spec.interesting_head_tails(),
-            &all_fds,
-            eq,
-            config.prefix_filter,
-        );
+        // interesting groupings (or pairs) — otherwise the build is
+        // identical to the pure ordering pipeline. Head/tail pairs are
+        // gated the same way one level up: without interesting pairs the
+        // build is identical to the ordering + grouping pipeline.
+        let admission = Admission::new(spec, &all_fds, eq, config.prefix_filter);
+        let headtail_mode = admission.has_pairs;
         // The blanket length cutoff only applies when the admission
         // filter is off: the filter computes a per-candidate bound that
         // generalizes it (useful orderings can exceed the longest
@@ -259,7 +232,7 @@ impl Nfsm {
         };
         let ctx = DeriveCtx {
             eq,
-            filter: &filter,
+            filter: &admission.orders,
             max_len,
         };
         // Which symbols can fire on a node: the others derive nothing
@@ -279,8 +252,7 @@ impl Nfsm {
 
         // Interesting nodes: prefix closure of the interesting orderings
         // plus the interesting groupings as-is.
-        for p in spec.interesting() {
-            let (head_len, attrs) = view(p);
+        for (head_len, attrs) in spec.views() {
             let id = nfsm.add_node(cap, head_len, attrs)?;
             nfsm.info[id as usize].interesting = true;
             for len in prefix_lens(head_len, attrs.len()) {
@@ -288,8 +260,7 @@ impl Nfsm {
                 nfsm.info[pid as usize].interesting = true;
             }
         }
-        for p in spec.produced() {
-            let (head_len, attrs) = view(p);
+        for (head_len, attrs) in spec.produced().iter().map(view) {
             let id = nfsm.add_node(cap, head_len, attrs)?;
             nfsm.info[id as usize].produced = true;
         }
@@ -319,12 +290,16 @@ impl Nfsm {
                 // the head set, `cur[split..end]` the tail: groupings
                 // first, then pairs in `HeadTail::decompositions` order.
                 let n = cur.len();
-                let sets = (1..=n).map(|l| (l, l)).filter(|_| grouping_mode);
+                let sets = (1..=n).map(|l| (l, l)).filter(|_| admission.has_sets);
                 let pairs = (1..n).flat_map(|split| (split + 1..=n).map(move |end| (split, end)));
                 for (split, end) in sets.chain(pairs.filter(|_| headtail_mode)) {
                     absorb_into(&mut implied, &[], &cur, split, end);
-                    let filter = if split == end { &gfilter } else { &hfilter.0 };
-                    if filter.admits_attrs(&implied) {
+                    let filter = if split == end {
+                        &admission.groupings
+                    } else {
+                        &admission.pairs
+                    };
+                    if filter.admits(&implied) {
                         nfsm.add_node(cap, split, &implied)?;
                     }
                 }
@@ -341,8 +316,9 @@ impl Nfsm {
                     // one-attribute tails) and pairs derive across
                     // both components — the mixed closure.
                     debug_assert!(headtail_mode || head_len == cur.len());
-                    let hfilter = headtail_mode.then_some(&hfilter);
-                    expand_sets(&mut scratch, head_len, &cur, fds, None, &gfilter, hfilter);
+                    let pairs = headtail_mode.then_some(&admission.pairs);
+                    let groupings = &admission.groupings;
+                    expand_sets(&mut scratch, head_len, &cur, fds, None, groupings, pairs);
                 }
                 targets.clear();
                 for (head_len, derived) in scratch.reported() {
@@ -410,10 +386,22 @@ impl Nfsm {
         self.nodes.len()
     }
 
+    /// The `(head_len, attrs)` view of `node`'s property.
+    pub(crate) fn view(&self, node: NodeId) -> (usize, &[AttrId]) {
+        let (head_len, attrs) = self.nodes.resolve(node);
+        (head_len as usize, attrs)
+    }
+
     /// The property of `node`, materialized.
     pub fn prop(&self, node: NodeId) -> LogicalProperty {
-        let (head_len, attrs) = self.nodes.resolve(node);
-        materialize(head_len as usize, attrs)
+        let (head_len, attrs) = self.view(node);
+        materialize(head_len, attrs)
+    }
+
+    /// The node of a property of any kind, if it has one.
+    pub fn node(&self, p: &LogicalProperty) -> Option<NodeId> {
+        let (head_len, attrs) = view(p);
+        self.nodes.get(head_len as u32, attrs)
     }
 
     /// Total FD-edge count (each target counted once).
@@ -443,21 +431,6 @@ impl Nfsm {
         let runs = &self.edges.runs[range.clone()];
         let run = runs.binary_search_by_key(&(sym as u32), |run| run.0);
         run.map_or(&[], |at| self.edges.run(range.start + at).1)
-    }
-
-    /// Node lookup by ordering.
-    pub fn node_of(&self, o: &Ordering) -> Option<NodeId> {
-        self.nodes.get(0, o.attrs())
-    }
-
-    /// Node lookup by grouping.
-    pub fn node_of_grouping(&self, g: &Grouping) -> Option<NodeId> {
-        self.nodes.get(g.len() as u32, g.attrs())
-    }
-
-    /// Node lookup by head/tail pair.
-    pub fn node_of_head_tail(&self, h: &HeadTail) -> Option<NodeId> {
-        self.nodes.get(h.head_attrs().len() as u32, h.attrs())
     }
 
     /// The edge tables of `nodes` (in order; `false` = the node loses
@@ -521,6 +494,8 @@ impl Nfsm {
 mod tests {
     use super::*;
     use crate::fd::Fd;
+    use crate::ordering::Ordering;
+    use crate::property::{Grouping, HeadTail};
 
     use ofw_catalog::AttrId;
 
@@ -566,11 +541,11 @@ mod tests {
         let expected = [o(&[A]), o(&[B]), o(&[A, B]), o(&[A, B, C])];
         assert_eq!(nfsm.num_nodes(), expected.len() + 1);
         for e in &expected {
-            assert!(nfsm.node_of(e).is_some(), "missing node {e:?}");
+            assert!(nfsm.node(&e.clone().into()).is_some(), "missing node {e:?}");
         }
         // The {b→c} edge from (a,b) to (a,b,c) of Fig. 7.
-        let ab = nfsm.node_of(&o(&[A, B])).unwrap();
-        let abc = nfsm.node_of(&o(&[A, B, C])).unwrap();
+        let ab = nfsm.node(&o(&[A, B]).into()).unwrap();
+        let abc = nfsm.node(&o(&[A, B, C]).into()).unwrap();
         assert_eq!(nfsm.targets(ab, 0), vec![abc]);
         // No {b→d} edges anywhere.
         for n in 0..nfsm.num_nodes() {
@@ -585,14 +560,14 @@ mod tests {
         // Fig. 5 draws (a), (b), (b,c), (a,b), (a,b,c) (d-orderings exist
         // too since {b→d} has not been filtered in step 2(b) yet).
         for e in [o(&[A]), o(&[B]), o(&[B, C]), o(&[A, B]), o(&[A, B, C])] {
-            assert!(nfsm.node_of(&e).is_some(), "missing node {e:?}");
+            assert!(nfsm.node(&e.clone().into()).is_some(), "missing node {e:?}");
         }
         // (b) --{b→c}--> (b,c) edge of Fig. 5.
-        let b = nfsm.node_of(&o(&[B])).unwrap();
-        let bc = nfsm.node_of(&o(&[B, C])).unwrap();
+        let b = nfsm.node(&o(&[B]).into()).unwrap();
+        let bc = nfsm.node(&o(&[B, C]).into()).unwrap();
         assert!(nfsm.targets(b, 0).contains(&bc));
         // {b→d} creates d-orderings, e.g. (a,b,d).
-        assert!(nfsm.node_of(&o(&[A, B, D])).is_some());
+        assert!(nfsm.node(&o(&[A, B, D]).into()).is_some());
     }
 
     #[test]
@@ -616,10 +591,10 @@ mod tests {
         let fd_sets = spec.fd_sets().to_vec();
         let eq = EqClasses::new();
         let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &PruneConfig::default()).unwrap();
-        let gid = nfsm.node_of_grouping(&g(&[A, B])).unwrap();
+        let gid = nfsm.node(&g(&[A, B]).into()).unwrap();
         assert!(nfsm.info[gid as usize].interesting);
         // The ordering (a,b) ε-steps into its full-prefix-set grouping.
-        let ab = nfsm.node_of(&o(&[A, B])).unwrap();
+        let ab = nfsm.node(&o(&[A, B]).into()).unwrap();
         assert!(nfsm.eps(ab).contains(&gid));
         // The grouping node itself only ε-steps to node 0.
         assert_eq!(nfsm.eps(gid), [0]);
@@ -638,8 +613,8 @@ mod tests {
         let fd_sets = spec.fd_sets().to_vec();
         let eq = EqClasses::new();
         let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &PruneConfig::default()).unwrap();
-        let ga = nfsm.node_of_grouping(&g(&[A])).expect("seeded grouping");
-        let gab = nfsm.node_of_grouping(&g(&[A, B])).unwrap();
+        let ga = nfsm.node(&g(&[A]).into()).expect("seeded grouping");
+        let gab = nfsm.node(&g(&[A, B]).into()).unwrap();
         assert!(nfsm.targets(ga, 0).contains(&gab));
     }
 
@@ -683,13 +658,13 @@ mod tests {
         let fd_sets = spec.fd_sets().to_vec();
         let eq = EqClasses::new();
         let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &PruneConfig::default()).unwrap();
-        let pair = nfsm.node_of_head_tail(&ht(&[A], &[B])).unwrap();
+        let pair = nfsm.node(&ht(&[A], &[B]).into()).unwrap();
         assert!(nfsm.info[pair as usize].interesting);
         // ε: (a,b) implies its decomposition {a}(b).
-        let ab = nfsm.node_of(&o(&[A, B])).unwrap();
+        let ab = nfsm.node(&o(&[A, B]).into()).unwrap();
         assert!(nfsm.eps(ab).contains(&pair));
         // FD edge: {a} --{a→b}--> {a}(b).
-        let ga = nfsm.node_of_grouping(&g(&[A])).unwrap();
+        let ga = nfsm.node(&g(&[A]).into()).unwrap();
         assert!(nfsm.targets(ga, 0).contains(&pair));
         // The pair's own ε covers node 0 and its head grouping (plus
         // any materialized absorbed-prefix grouping) — never an
@@ -717,11 +692,11 @@ mod tests {
         let fd_sets = spec.fd_sets().to_vec();
         let eq = EqClasses::new();
         let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &PruneConfig::default()).unwrap();
-        let pair = nfsm.node_of_head_tail(&ht(&[A], &[B, C])).unwrap();
+        let pair = nfsm.node(&ht(&[A], &[B, C]).into()).unwrap();
         for implied in [
-            nfsm.node_of_head_tail(&ht(&[A], &[B])).unwrap(),
-            nfsm.node_of_head_tail(&ht(&[A, B], &[C])).unwrap(),
-            nfsm.node_of_grouping(&g(&[A, B, C])).unwrap(),
+            nfsm.node(&ht(&[A], &[B]).into()).unwrap(),
+            nfsm.node(&ht(&[A, B], &[C]).into()).unwrap(),
+            nfsm.node(&g(&[A, B, C]).into()).unwrap(),
         ] {
             assert!(
                 nfsm.eps(pair).contains(&implied),
@@ -734,9 +709,9 @@ mod tests {
     fn eps_edges_point_to_all_prefixes() {
         let (spec, fd_sets, eq) = running_example();
         let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &PruneConfig::default()).unwrap();
-        let abc = nfsm.node_of(&o(&[A, B, C])).unwrap();
-        let ab = nfsm.node_of(&o(&[A, B])).unwrap();
-        let a = nfsm.node_of(&o(&[A])).unwrap();
+        let abc = nfsm.node(&o(&[A, B, C]).into()).unwrap();
+        let ab = nfsm.node(&o(&[A, B]).into()).unwrap();
+        let a = nfsm.node(&o(&[A]).into()).unwrap();
         let eps = nfsm.eps(abc).to_vec();
         let mut expect = vec![0, a, ab];
         expect.sort_unstable();
@@ -748,10 +723,10 @@ mod tests {
         let (spec, fd_sets, eq) = running_example();
         let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &PruneConfig::default()).unwrap();
         // (a) is interesting (prefix of (a,b)) but not produced.
-        let a = nfsm.node_of(&o(&[A])).unwrap();
+        let a = nfsm.node(&o(&[A]).into()).unwrap();
         assert!(nfsm.info[a as usize].interesting);
         assert!(!nfsm.info[a as usize].produced);
-        let b = nfsm.node_of(&o(&[B])).unwrap();
+        let b = nfsm.node(&o(&[B]).into()).unwrap();
         assert!(nfsm.info[b as usize].produced);
     }
 
@@ -780,8 +755,8 @@ mod tests {
         let fd_sets = spec.fd_sets().to_vec();
         let eq = EqClasses::new();
         let nfsm = Nfsm::build(&spec, &fd_sets, &eq, &PruneConfig::default()).unwrap();
-        let a = nfsm.node_of(&o(&[A])).unwrap();
-        let abc = nfsm.node_of(&o(&[A, B, C])).unwrap();
+        let a = nfsm.node(&o(&[A]).into()).unwrap();
+        let abc = nfsm.node(&o(&[A, B, C]).into()).unwrap();
         assert!(nfsm.targets(a, 0).contains(&abc));
     }
 }

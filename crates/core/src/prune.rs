@@ -103,8 +103,9 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
         .iter()
         .flat_map(|s| s.fds().iter().cloned())
         .collect();
+    let orderings = || spec.views().filter(|&(head_len, _)| head_len == 0);
     let filter = PrefixFilter::new(
-        spec.interesting_orderings(),
+        orderings().map(|(_, attrs)| attrs),
         &all_fds,
         eq,
         config.prefix_filter,
@@ -131,21 +132,19 @@ pub fn prune_fds(spec: &InputSpec, eq: &EqClasses, config: &PruneConfig) -> (Vec
     // components draw determinants from `H ∪ T`), so redundancy w.r.t.
     // the grouping universe is redundancy w.r.t. pairs too.
     let mut universe: SliceInterner<AttrId> = SliceInterner::default();
-    for o in spec.interesting_orderings() {
+    for (_, o) in orderings() {
         for len in 1..=o.len() {
-            universe.intern(0, &o.attrs()[..len]);
+            universe.intern(0, &o[..len]);
         }
     }
     let interesting = universe.len() as u32;
-    for g in spec.interesting_groupings() {
-        universe.intern(1, g.attrs());
-    }
+    // A grouping's set is its view; a pair's sets are its head with
+    // each tail prefix absorbed.
     let mut set: Vec<AttrId> = Vec::new();
-    for h in spec.interesting_head_tails() {
-        for absorb in 0..=h.tail_attrs().len() {
+    for (head_len, attrs) in spec.views().filter(|&(head_len, _)| head_len > 0) {
+        for end in head_len..=attrs.len() {
             set.clear();
-            set.extend_from_slice(h.head_attrs());
-            set.extend_from_slice(&h.tail_attrs()[..absorb]);
+            set.extend_from_slice(&attrs[..end]);
             set.sort_unstable();
             universe.intern(1, &set);
         }
@@ -571,9 +570,12 @@ mod tests {
         config.merge_artificial = false;
         let (sets, _) = prune_fds(&spec, &eq, &config);
         let nfsm = Nfsm::build(&spec, &sets, &eq, &config).unwrap();
-        assert!(nfsm.node_of(&o(&[B, C])).is_some(), "pre-pruning");
+        assert!(nfsm.node(&o(&[B, C]).into()).is_some(), "pre-pruning");
         let nfsm = prune_nfsm(nfsm, &config);
-        assert!(nfsm.node_of(&o(&[B, C])).is_none(), "Fig. 6: (b,c) pruned");
+        assert!(
+            nfsm.node(&o(&[B, C]).into()).is_none(),
+            "Fig. 6: (b,c) pruned"
+        );
         // Fig. 6 nodes: (a), (b), (a,b), (a,b,c) + ().
         assert_eq!(nfsm.num_nodes(), 5);
     }
@@ -605,6 +607,6 @@ mod tests {
             "both artificial pairs must merge (fixpoint iteration)"
         );
         // The produced interesting node (a) must survive.
-        assert!(nfsm.node_of(&o(&[A])).is_some());
+        assert!(nfsm.node(&o(&[A]).into()).is_some());
     }
 }

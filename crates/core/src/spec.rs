@@ -9,14 +9,15 @@
 //! operator that changes logical properties. [`InputSpec`] carries
 //! exactly this.
 //!
-//! Registration is hash-indexed, so building a spec with many
-//! interesting properties stays linear (the original `Vec::contains`
-//! scans were quadratic).
+//! Registration is indexed by each property's `(head_len, attrs)` view
+//! in one arena, so building a spec with many interesting properties
+//! stays linear and stores no second copy of any property.
 
+use crate::derive::view;
 use crate::fd::{Fd, FdSet, FdSetId};
-use crate::ordering::Ordering;
-use crate::property::{Grouping, HeadTail, LogicalProperty};
-use ofw_common::{FxHashMap, FxHashSet};
+use crate::property::LogicalProperty;
+use ofw_catalog::AttrId;
+use ofw_common::{FxHashMap, SliceInterner};
 
 /// Interesting orderings/groupings + FD sets extracted from one query.
 #[derive(Clone, Debug, Default)]
@@ -24,8 +25,10 @@ pub struct InputSpec {
     produced: Vec<LogicalProperty>,
     tested: Vec<LogicalProperty>,
     fd_sets: Vec<FdSet>,
-    produced_index: FxHashSet<LogicalProperty>,
-    tested_index: FxHashSet<LogicalProperty>,
+    /// Every registered property's view; per view id, whether it is in
+    /// `produced` and whether it is in `tested`.
+    registered: SliceInterner<AttrId>,
+    lists: Vec<(bool, bool)>,
     fd_index: FxHashMap<FdSet, FdSetId>,
 }
 
@@ -35,6 +38,17 @@ impl InputSpec {
         Self::default()
     }
 
+    /// The registration flags of `p`'s view, interning it at first sight.
+    fn lists_of(&mut self, p: &LogicalProperty) -> &mut (bool, bool) {
+        assert!(!p.is_empty(), "the empty ordering/grouping is implicit");
+        let (head_len, attrs) = view(p);
+        let (id, new) = self.registered.intern(head_len as u32, attrs);
+        if new {
+            self.lists.push((false, false));
+        }
+        &mut self.lists[id as usize]
+    }
+
     /// Registers an interesting property in `O_P`: producible by a
     /// physical operator (sort, index scan, hash aggregation, …) and
     /// therefore reachable through an artificial start edge. Produced
@@ -42,8 +56,8 @@ impl InputSpec {
     /// (O(1) hash probe).
     pub fn add_produced(&mut self, p: impl Into<LogicalProperty>) {
         let p = p.into();
-        assert!(!p.is_empty(), "the empty ordering/grouping is implicit");
-        if self.produced_index.insert(p.clone()) {
+        let (produced, _) = self.lists_of(&p);
+        if !std::mem::replace(produced, true) {
             self.produced.push(p);
         }
     }
@@ -52,11 +66,8 @@ impl InputSpec {
     /// a merge-join requirement no operator produces directly).
     pub fn add_tested(&mut self, p: impl Into<LogicalProperty>) {
         let p = p.into();
-        assert!(!p.is_empty(), "the empty ordering/grouping is implicit");
-        if self.produced_index.contains(&p) {
-            return;
-        }
-        if self.tested_index.insert(p.clone()) {
+        let (produced, tested) = self.lists_of(&p);
+        if !*produced && !std::mem::replace(tested, true) {
             self.tested.push(p);
         }
     }
@@ -91,32 +102,18 @@ impl InputSpec {
         self.produced.iter().chain(self.tested.iter())
     }
 
-    /// The interesting *orderings* only.
-    pub fn interesting_orderings(&self) -> impl Iterator<Item = &Ordering> {
-        self.interesting().filter_map(LogicalProperty::as_ordering)
+    /// The `(head_len, attrs)` views of [`interesting`](Self::interesting),
+    /// in the same order: the one form preparation reads a spec in. An
+    /// ordering has no head, a grouping no tail; anything else is a
+    /// head/tail pair.
+    pub(crate) fn views(&self) -> impl Iterator<Item = (usize, &[AttrId])> {
+        self.interesting().map(view)
     }
 
-    /// The interesting *groupings* only.
-    pub fn interesting_groupings(&self) -> impl Iterator<Item = &Grouping> {
-        self.interesting().filter_map(LogicalProperty::as_grouping)
-    }
-
-    /// The interesting *head/tail pairs* only.
-    pub fn interesting_head_tails(&self) -> impl Iterator<Item = &HeadTail> {
-        self.interesting().filter_map(LogicalProperty::as_head_tail)
-    }
-
-    /// Whether any interesting grouping was registered — when false the
-    /// pipeline behaves exactly like the pure ordering framework.
-    pub fn has_groupings(&self) -> bool {
-        self.interesting().any(LogicalProperty::is_grouping)
-    }
-
-    /// Whether any interesting head/tail pair was registered — when
-    /// false no pair node is ever materialized and the pipeline behaves
-    /// exactly like the ordering + grouping framework.
-    pub fn has_head_tails(&self) -> bool {
-        self.interesting().any(LogicalProperty::is_head_tail)
+    /// Whether the property with this view was registered as produced.
+    pub(crate) fn is_produced(&self, head_len: usize, attrs: &[AttrId]) -> bool {
+        let id = self.registered.get(head_len as u32, attrs);
+        id.is_some_and(|id| self.lists[id as usize].0)
     }
 
     /// The registered FD sets, indexable by [`FdSetId`].
@@ -159,17 +156,16 @@ impl InputSpec {
     /// used by the §5.7 heuristics (groupings are set-bounded by their
     /// own admission filter and do not participate).
     pub fn max_interesting_len(&self) -> usize {
-        self.interesting_orderings()
-            .map(Ordering::len)
-            .max()
-            .unwrap_or(0)
+        let orderings = self.views().filter(|&(head_len, _)| head_len == 0);
+        orderings.map(|(_, attrs)| attrs.len()).max().unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofw_catalog::AttrId;
+    use crate::ordering::Ordering;
+    use crate::property::Grouping;
 
     fn o(ids: &[u32]) -> Ordering {
         Ordering::new(ids.iter().map(|&i| AttrId(i)).collect())
@@ -195,9 +191,8 @@ mod tests {
         s.add_produced(g(&[1, 2]));
         s.add_produced(g(&[2, 1])); // canonical duplicate of {1,2}
         assert_eq!(s.produced().len(), 2);
-        assert_eq!(s.interesting_orderings().count(), 1);
-        assert_eq!(s.interesting_groupings().count(), 1);
-        assert!(s.has_groupings());
+        let heads: Vec<usize> = s.views().map(|(head_len, _)| head_len).collect();
+        assert_eq!(heads, [0, 2], "one ordering, one grouping");
     }
 
     #[test]

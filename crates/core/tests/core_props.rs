@@ -300,7 +300,7 @@ proptest! {
         cap in 0usize..6,
     ) {
         let eq = EqClasses::from_fds(fds.iter());
-        let filter = PrefixFilter::new(interesting.iter(), &fds, &eq, true);
+        let filter = PrefixFilter::new(interesting.iter().map(Ordering::attrs), &fds, &eq, true);
         for c in &candidates {
             // Sometimes append an attribute the filter has never seen.
             let mut cand = c.attrs().to_vec();
@@ -325,10 +325,10 @@ proptest! {
         candidates in proptest::collection::vec(arb_grouping(), 1..=6),
     ) {
         let eq = EqClasses::from_fds(fds.iter());
-        let filter = GroupingFilter::new(interesting.iter(), &fds, &eq, true);
+        let filter = GroupingFilter::new(interesting.iter().map(Grouping::attrs), &fds, &eq, true);
         for g in candidates.iter().chain(candidates.iter()) {
             prop_assert_eq!(
-                filter.admits(g),
+                filter.admits(g.attrs()),
                 naive_admits(&interesting, &fds, &eq, g),
                 "candidate {:?} interesting {:?} fds {:?}", g, interesting, fds
             );
@@ -345,7 +345,7 @@ proptest! {
     ) {
         let all: Vec<Fd> = calls.iter().flat_map(|(_, fds)| fds.iter().cloned()).collect();
         let eq = EqClasses::from_fds(all.iter());
-        let filter = PrefixFilter::new(interesting.iter(), &all, &eq, true);
+        let filter = PrefixFilter::new(interesting.iter().map(Ordering::attrs), &all, &eq, true);
         let ctx = DeriveCtx { eq: &eq, filter: &filter, max_len: usize::MAX };
         let mut scratch = Scratch::default();
         for (o, fds) in &calls {
@@ -388,7 +388,7 @@ proptest! {
         fds in arb_fds(),
     ) {
         let eq = EqClasses::from_fds(fds.iter());
-        let filter = PrefixFilter::new(interesting.iter(), &fds, &eq, true);
+        let filter = PrefixFilter::new(interesting.iter().map(Ordering::attrs), &fds, &eq, true);
         let ctx = DeriveCtx { eq: &eq, filter: &filter, max_len: usize::MAX };
         let bounded = ctx.closure(&o, &fds);
         let unbounded = unbounded_closure(&o, &fds);
@@ -427,14 +427,14 @@ proptest! {
             }
             // Monotonicity: applying operators never loses orders.
             let mut satisfied: Vec<_> =
-                fw.orders().filter(|&(_, k)| fw.satisfies(s, k)).map(|(_, k)| k).collect();
+                fw.properties().filter(|&(_, k)| fw.satisfies(s, k)).map(|(_, k)| k).collect();
             for &f in &ids {
                 s = fw.infer(s, f);
                 for &k in &satisfied {
                     prop_assert!(fw.satisfies(s, k), "inference lost an order");
                 }
                 satisfied =
-                    fw.orders().filter(|&(_, k)| fw.satisfies(s, k)).map(|(_, k)| k).collect();
+                    fw.properties().filter(|&(_, k)| fw.satisfies(s, k)).map(|(_, k)| k).collect();
             }
             // Re-applying the full symbol sequence converges (monotone
             // over a finite state space — chained dependencies may need
@@ -509,7 +509,7 @@ proptest! {
             // must agree between the O(1) DFSM path and the oracle.
             for (prop, handle) in fw.properties() {
                 let got = fw.satisfies(state, handle);
-                let want = match prop {
+                let want = match &prop {
                     LogicalProperty::Ordering(o) => truth.contains(o),
                     LogicalProperty::Grouping(g) => truth.contains_grouping(g),
                     LogicalProperty::HeadTail(h) => truth.contains_head_tail(h),
@@ -549,7 +549,7 @@ proptest! {
         for &a in &states {
             for &b in &states {
                 if fw.dominates(a, b) {
-                    for (_, k) in fw.orders() {
+                    for (_, k) in fw.properties() {
                         if fw.satisfies(b, k) {
                             prop_assert!(
                                 fw.satisfies(a, k),

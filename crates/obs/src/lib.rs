@@ -7,10 +7,8 @@
 //!   site reduces to one branch on a pointer check and the hot path
 //!   stays byte-identical in behaviour. [`Trace::recording`] buffers
 //!   [`SpanRecord`]s that export as a Chrome trace-event JSON
-//!   ([`Trace::chrome_json`], openable in Perfetto), a plain-text
-//!   summary tree ([`Trace::summary_tree`]), and a deterministic
-//!   skeleton ([`Trace::skeleton`]) of names, labels, depths and
-//!   counters.
+//!   ([`Trace::chrome_json`], openable in Perfetto) and a plain-text
+//!   summary tree ([`Trace::summary_tree`]).
 //! - [`metrics`] — plain-old-data counters for optimizer decisions:
 //!   Pareto pruning per comparability class ([`PruneCounters`]),
 //!   enforcer admissions/wins ([`EnforcerCounters`]), oracle probe
@@ -19,9 +17,9 @@
 //!
 //! Determinism contract: records are appended at span *start* (the
 //! index is reserved under the sink lock; duration is back-filled on
-//! drop), so the skeleton (names, labels, depths, counters) is
-//! identical for the same work, while timestamps and thread lanes are
-//! wall-clock-class data excluded from it.
+//! drop), so the records' names, labels, depths and counters are
+//! identical for the same work; only timestamps and thread lanes are
+//! wall-clock-class data.
 
 #![forbid(unsafe_code)]
 

@@ -188,21 +188,6 @@ impl Trace {
         }
         out
     }
-
-    /// The deterministic part of the trace: names, labels, depths, and
-    /// counters in record order — no timestamps, no thread lanes.
-    /// Identical for the same work.
-    pub fn skeleton(&self) -> String {
-        let mut out = String::new();
-        for r in self.records() {
-            out.push_str(&format!("{}|{}|{}", r.depth, r.name, r.label));
-            for (k, v) in &r.counters {
-                out.push_str(&format!("|{k}={v}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 fn duration_us(epoch: Instant, now: Instant) -> u64 {
@@ -274,7 +259,6 @@ mod tests {
         assert!(t.records().is_empty());
         assert_eq!(t.chrome_json(), "{\"traceEvents\":[]}");
         assert!(t.summary_tree().is_empty());
-        assert!(t.skeleton().is_empty());
     }
 
     #[test]

@@ -295,6 +295,7 @@ pub fn extract_traced(
 mod tests {
     use super::*;
     use crate::builder::QueryBuilder;
+    use ofw_core::LogicalProperty;
 
     fn simple() -> (Catalog, Query) {
         let mut c = Catalog::new();
@@ -341,7 +342,7 @@ mod tests {
         assert!(produced.contains(&&Ordering::new(vec![jid, pname])));
         assert_eq!(produced.len(), 3);
         assert_eq!(
-            ex.spec.interesting_groupings().count(),
+            ex.spec.interesting().filter(|p| p.is_grouping()).count(),
             0,
             "no group-by, no groupings"
         );
@@ -407,7 +408,7 @@ mod tests {
         // Every order-by prefix set is a tested grouping ({g,h} is
         // already produced via the group-by), and every decomposition a
         // tested pair.
-        assert!(ex.spec.has_head_tails());
+        assert!(ex.spec.interesting().any(LogicalProperty::is_head_tail));
         assert!(ex.spec.tested().contains(&Grouping::new(vec![g]).into()));
         let pair = HeadTail::new(Grouping::new(vec![g]), Ordering::new(vec![h]));
         assert!(ex.spec.tested().contains(&pair.into()));
@@ -415,7 +416,7 @@ mod tests {
         let mut no_order = q.clone();
         no_order.order_by.clear();
         let plain = extract(&c, &no_order, &ExtractOptions::default());
-        assert!(!plain.spec.has_head_tails());
+        assert!(!plain.spec.interesting().any(LogicalProperty::is_head_tail));
     }
 
     #[test]

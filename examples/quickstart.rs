@@ -8,7 +8,9 @@
 //! Run with: `cargo run --example quickstart`
 
 use ofw::catalog::AttrId;
-use ofw::core::{Fd, InputSpec, OrderOracle, Ordering, OrderingFramework, PruneConfig};
+use ofw::core::{
+    Fd, InputSpec, LogicalProperty, OrderOracle, Ordering, OrderingFramework, PruneConfig,
+};
 
 fn main() {
     let [a, b, c, d] = [AttrId(0), AttrId(1), AttrId(2), AttrId(3)];
@@ -41,15 +43,15 @@ fn main() {
 
     // The contains matrix (Fig. 9).
     println!("== contains matrix (Fig. 9) ==");
-    let mut orders: Vec<(&Ordering, ofw::core::OrderHandle)> = fw.orders().collect();
+    let mut orders: Vec<(LogicalProperty, ofw::core::OrderHandle)> = fw.properties().collect();
     orders.sort_by_key(|(o, _)| o.attrs().to_vec());
     for state in 0..stats.dfsm_states as u32 {
         let s = ofw::core::State(state);
         let row: Vec<String> = orders
             .iter()
-            .map(|&(o, h)| {
+            .map(|(o, h)| {
                 let names: Vec<&str> = o.attrs().iter().map(|&x| name(x)).collect();
-                format!("({})={}", names.join(","), u8::from(fw.satisfies(s, h)))
+                format!("({})={}", names.join(","), u8::from(fw.satisfies(s, *h)))
             })
             .collect();
         println!("state {state}: {}", row.join("  "));

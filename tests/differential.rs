@@ -16,7 +16,7 @@
 //!   for it (the vectorized twin of `tests/execution.rs`).
 
 use ofw::catalog::{AttrId, Catalog};
-use ofw::core::{OrderOracle, OrderingFramework, PruneConfig};
+use ofw::core::{LogicalProperty, OrderOracle, OrderingFramework, PruneConfig};
 use ofw::exec::{
     execute_plan, execute_serial, reference_plan, result_signature, ColTable, ExecOptions,
     ExecStats,
@@ -116,32 +116,22 @@ fn assert_tree_properties(
         let (out, _) = execute_serial(arena, id, catalog, query, data)
             .unwrap_or_else(|e| panic!("{ctx}: intermediate {id:?} failed: {e}"));
         let covered = |attrs: &[AttrId]| attrs.iter().all(|&a| node.mask.contains(query.owner(a)));
-        for (ordering, handle) in fw.orders() {
-            if covered(ordering.attrs()) && fw.satisfies(node.state, handle) {
-                assert!(
-                    out.satisfies_ordering(ordering.attrs()),
-                    "{ctx} {id:?}: claimed ordering {ordering:?} violated\n{}",
-                    arena.render(id, &|q| catalog.relation(query.relations[q]).name.clone()),
-                );
+        for (p, handle) in fw.properties() {
+            if !covered(p.attrs()) || !fw.satisfies(node.state, handle) {
+                continue;
             }
-        }
-        for (grouping, handle) in fw.groupings() {
-            if covered(grouping.attrs()) && fw.satisfies(node.state, handle) {
-                assert!(
-                    out.satisfies_grouping(grouping.attrs()),
-                    "{ctx} {id:?}: claimed grouping {grouping:?} violated\n{}",
-                    arena.render(id, &|q| catalog.relation(query.relations[q]).name.clone()),
-                );
-            }
-        }
-        for (pair, handle) in fw.head_tails() {
-            if covered(pair.attrs()) && fw.satisfies(node.state, handle) {
-                assert!(
-                    out.satisfies_head_tail(pair.head_attrs(), pair.tail_attrs()),
-                    "{ctx} {id:?}: claimed head/tail {pair:?} violated\n{}",
-                    arena.render(id, &|q| catalog.relation(query.relations[q]).name.clone()),
-                );
-            }
+            let holds = match &p {
+                LogicalProperty::Ordering(o) => out.satisfies_ordering(o.attrs()),
+                LogicalProperty::Grouping(g) => out.satisfies_grouping(g.attrs()),
+                LogicalProperty::HeadTail(h) => {
+                    out.satisfies_head_tail(h.head_attrs(), h.tail_attrs())
+                }
+            };
+            assert!(
+                holds,
+                "{ctx} {id:?}: claimed {p:?} violated\n{}",
+                arena.render(id, &|q| catalog.relation(query.relations[q]).name.clone()),
+            );
         }
     }
 }

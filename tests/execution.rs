@@ -7,7 +7,7 @@
 //! proves the DFSM agrees with the formal derivation rules; this test
 //! proves the derivation rules agree with reality.
 
-use ofw::core::{OrderOracle, OrderingFramework, PruneConfig};
+use ofw::core::{LogicalProperty, OrderOracle, OrderingFramework, PruneConfig};
 use ofw::exec::{columns_from_tables, execute_serial};
 use ofw::plangen::{execute, synthetic_data, PlanGen};
 use ofw::query::extract::ExtractOptions;
@@ -38,7 +38,10 @@ fn claimed_orderings_hold_physically_on_random_queries() {
                 let output = execute(&result.arena, result.best, &catalog, &query, &data);
 
                 let root_state = result.arena.node(result.best).state;
-                for (ordering, handle) in fw.orders() {
+                for (p, handle) in fw.properties() {
+                    let LogicalProperty::Ordering(ordering) = &p else {
+                        continue;
+                    };
                     if fw.satisfies(root_state, handle) {
                         assert!(
                             output.satisfies_ordering(ordering.attrs()),
@@ -78,7 +81,10 @@ fn claimed_orderings_hold_for_intermediate_plans() {
             let pid = ofw::plangen::PlanId(id);
             let node = result.arena.node(pid);
             let output = execute(&result.arena, pid, &catalog, &query, &data);
-            for (ordering, handle) in fw.orders() {
+            for (p, handle) in fw.properties() {
+                let LogicalProperty::Ordering(ordering) = &p else {
+                    continue;
+                };
                 // Only orderings over attributes the subplan covers.
                 let covered = ordering
                     .attrs()
@@ -120,37 +126,24 @@ fn claimed_groupings_hold_physically() {
                 let covered = |attrs: &[ofw::catalog::AttrId]| {
                     attrs.iter().all(|&a| node.mask.contains(query.owner(a)))
                 };
-                for (ordering, handle) in fw.orders() {
-                    if covered(ordering.attrs()) && fw.satisfies(node.state, handle) {
-                        assert!(
-                            output.satisfies_ordering(ordering.attrs()),
-                            "n={n} seed={seed} plan {pid:?}: ordering {ordering:?} violated"
-                        );
+                for (p, handle) in fw.properties() {
+                    if !covered(p.attrs()) || !fw.satisfies(node.state, handle) {
+                        continue;
                     }
-                }
-                for (grouping, handle) in fw.groupings() {
-                    if covered(grouping.attrs()) && fw.satisfies(node.state, handle) {
-                        assert!(
-                            output.satisfies_grouping(grouping.attrs()),
-                            "n={n} seed={seed} plan {pid:?}: grouping {grouping:?} violated\n{}",
-                            result.arena.render(pid, &|q| catalog
-                                .relation(query.relations[q])
-                                .name
-                                .clone()),
-                        );
-                    }
-                }
-                for (pair, handle) in fw.head_tails() {
-                    if covered(pair.attrs()) && fw.satisfies(node.state, handle) {
-                        assert!(
-                            output.satisfies_head_tail(pair.head_attrs(), pair.tail_attrs()),
-                            "n={n} seed={seed} plan {pid:?}: head/tail {pair:?} violated\n{}",
-                            result.arena.render(pid, &|q| catalog
-                                .relation(query.relations[q])
-                                .name
-                                .clone()),
-                        );
-                    }
+                    let holds = match &p {
+                        LogicalProperty::Ordering(o) => output.satisfies_ordering(o.attrs()),
+                        LogicalProperty::Grouping(g) => output.satisfies_grouping(g.attrs()),
+                        LogicalProperty::HeadTail(h) => {
+                            output.satisfies_head_tail(h.head_attrs(), h.tail_attrs())
+                        }
+                    };
+                    assert!(
+                        holds,
+                        "n={n} seed={seed} plan {pid:?}: {p:?} violated\n{}",
+                        result
+                            .arena
+                            .render(pid, &|q| catalog.relation(query.relations[q]).name.clone()),
+                    );
                 }
             }
         }

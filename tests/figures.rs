@@ -35,7 +35,7 @@ fn fig1_2_nfsm_and_dfsm_for_abc_with_b_to_d() {
         o(&[A, B, C, D]),
     ] {
         assert!(
-            fw.nfsm().node_of(&node).is_some(),
+            fw.nfsm().node(&node.clone().into()).is_some(),
             "Fig. 1 node {node:?} missing"
         );
     }
@@ -71,14 +71,14 @@ fn fig4_to_10_running_example() {
     // Fig. 7 (final NFSM): exactly (a), (b), (a,b), (a,b,c) + ().
     assert_eq!(fw.stats().nfsm_nodes, 5);
     for node in [o(&[A]), o(&[B]), o(&[A, B]), o(&[A, B, C])] {
-        assert!(fw.nfsm().node_of(&node).is_some());
+        assert!(fw.nfsm().node(&node.into()).is_some());
     }
     assert!(
-        fw.nfsm().node_of(&o(&[B, C])).is_none(),
+        fw.nfsm().node(&o(&[B, C]).into()).is_none(),
         "(b,c) pruned (Fig. 6)"
     );
     assert!(
-        fw.nfsm().node_of(&o(&[A, B, D])).is_none(),
+        fw.nfsm().node(&o(&[A, B, D]).into()).is_none(),
         "{{b→d}} pruned"
     );
 

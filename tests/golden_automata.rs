@@ -228,13 +228,12 @@ fn digest(fw: &OrderingFramework) -> u64 {
                 d.ids(targets);
             }
         }
-        // Entry state and contains column, in node order (the maps
-        // themselves iterate in hash order).
-        d.word(dfsm.start.get(prop).map_or(u64::MAX, |&s| u64::from(s)));
-        d.word(dfsm.columns.get(prop).map_or(u64::MAX, |&c| u64::from(c)));
+        // Entry state and contains column, in node order.
+        d.word(dfsm.start_of(node).map_or(u64::MAX, u64::from));
+        d.word(dfsm.column_of(node).map_or(u64::MAX, u64::from));
     }
-    d.word(dfsm.start.len() as u64);
-    d.word(dfsm.columns.len() as u64);
+    d.word(nfsm.info.iter().filter(|info| info.produced).count() as u64);
+    d.word(dfsm.contains.cols() as u64);
     d.word(dfsm.num_states() as u64);
     d.word(dfsm.num_symbols as u64);
     d.word(u64::from(dfsm.empty_state));
@@ -501,7 +500,7 @@ fn pruned_dependencies() {
 fn assert_same_answers(spec: &InputSpec, a: &OrderingFramework, b: &OrderingFramework, row: &str) {
     let keys: Vec<_> = a
         .properties()
-        .map(|(p, h)| (h, b.resolve(&p.clone()).expect("same key space")))
+        .map(|(p, h)| (h, b.resolve(&p).expect("same key space")))
         .collect();
     let mut work = vec![(a.produce_empty(), b.produce_empty())];
     for (h, hb) in &keys {
@@ -550,7 +549,7 @@ fn key_space_matches_the_spec() {
             spec.interesting_closure().into_iter().collect();
         let keys: HashMap<LogicalProperty, bool> = fw
             .properties()
-            .map(|(p, h)| (p.clone(), fw.is_producible(h)))
+            .map(|(p, h)| (p, fw.is_producible(h)))
             .collect();
         assert_eq!(keys, closure, "{name}");
         assert_eq!(fw.properties().count(), closure.len(), "{name}");
@@ -558,7 +557,7 @@ fn key_space_matches_the_spec() {
         for (p, &produced) in &closure {
             let h = fw.resolve(p).unwrap();
             if produced {
-                let start = dfsm.start[p];
+                let start = dfsm.start_of(fw.nfsm().node(p).unwrap()).unwrap();
                 assert_eq!(fw.produce(h), State(start), "{name}: {p:?}");
             }
             if let LogicalProperty::Ordering(o) = p {
@@ -572,7 +571,51 @@ fn key_space_matches_the_spec() {
         assert_eq!(fw.resolve(&Grouping::empty().into()), None, "{name}");
         let options = PrepareOptions::default();
         let cached = OrderingFramework::prepare_cached(&spec, config, &options, &cache).unwrap();
+        // A shifted `prep_spec` hits its base-0 twin's automaton.
+        if matches!(row.spec, Prep(_, base) if base > 0) {
+            assert!(cached.stats().interned_hit, "{name}");
+        }
         assert_same_answers(&spec, &fw, &cached, &name);
     }
-    assert!(cache.hits() > 0, "shifted twins share an automaton");
+}
+
+/// Two specs share a cached automaton exactly when their canonical
+/// specs are equal: a dependency set matches whatever order its renamed
+/// dependencies come in, and a tested property that is also produced
+/// counts as produced only.
+#[test]
+fn cache_hits_exactly_on_equal_canonical_specs() {
+    let o = |ids: &[u32]| Ordering::new(ids.iter().map(|&i| AttrId(i)).collect());
+    let f = |l: u32, r: u32| Fd::functional(&[AttrId(l)], AttrId(r));
+    let hit = |first: &InputSpec, second: &InputSpec| {
+        let (cache, options) = (PreparedCache::new(), PrepareOptions::default());
+        for spec in [first, second] {
+            OrderingFramework::prepare_cached(spec, PruneConfig::default(), &options, &cache)
+                .unwrap();
+        }
+        cache.hits() == 1
+    };
+    // (1, 2) and (20, 10) both rename to (0, 1); {1→3, 2→3} and
+    // {10→5, 20→5} both to {0→2, 1→2}, the second listed in the
+    // opposite order.
+    let mut a = InputSpec::new();
+    a.add_produced(o(&[1, 2]));
+    a.add_fd_set(vec![f(1, 3), f(2, 3)]);
+    let mut b = InputSpec::new();
+    b.add_produced(o(&[20, 10]));
+    b.add_fd_set(vec![f(10, 5), f(20, 5)]);
+    assert!(hit(&a, &b));
+    let mut c = InputSpec::new();
+    c.add_produced(o(&[20, 10]));
+    c.add_fd_set(vec![f(10, 5)]);
+    assert!(!hit(&a, &c));
+    // Tested, then produced: the canonical spec only produces it.
+    let mut d = InputSpec::new();
+    d.add_tested(o(&[7]));
+    d.add_produced(o(&[7]));
+    let mut e = InputSpec::new();
+    e.add_produced(o(&[3]));
+    assert!(hit(&d, &e));
+    e.add_tested(o(&[4]));
+    assert!(!hit(&d, &e));
 }

@@ -27,7 +27,7 @@ fn pure_queries_build_byte_identical_automata() {
         });
         let ex = ofw::query::extract(&catalog, &query, &options);
         assert!(
-            !ex.spec.has_head_tails(),
+            !ex.spec.interesting().any(LogicalProperty::is_head_tail),
             "seed {seed}: pure ordering query must register no pair"
         );
         checked_pure += 1;
@@ -43,7 +43,7 @@ fn pure_queries_build_byte_identical_automata() {
         let ex = ofw::query::extract(&catalog, &query, &options);
         if query.order_by.is_empty() {
             assert!(
-                !ex.spec.has_head_tails(),
+                !ex.spec.interesting().any(LogicalProperty::is_head_tail),
                 "seed {seed}: pure grouping query must register no pair"
             );
             checked_pure += 1;
@@ -51,7 +51,7 @@ fn pure_queries_build_byte_identical_automata() {
             // Multi-attribute order-by over a group-by: decompositions
             // exist, so pairs must actually have been registered.
             assert!(
-                ex.spec.has_head_tails(),
+                ex.spec.interesting().any(LogicalProperty::is_head_tail),
                 "seed {seed}: GROUP BY … ORDER BY must register pairs"
             );
             checked_pairful += 1;
@@ -83,7 +83,7 @@ mod workload_agreement {
             });
             let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::default());
             let _ = catalog;
-            if ex.spec.has_head_tails() {
+            if ex.spec.interesting().any(LogicalProperty::is_head_tail) {
                 let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
                 let fd_sets: Vec<FdSet> = ex.spec.fd_sets().to_vec();
                 for p in ex.spec.produced() {
@@ -101,7 +101,10 @@ mod workload_agreement {
                         state = fw.infer(state, ofw::core::FdSetId(op as u32));
                         truth.infer(&fd_sets[op]);
                     }
-                    for (pair, ph) in fw.head_tails() {
+                    for (p, ph) in fw.properties() {
+                        let LogicalProperty::HeadTail(pair) = &p else {
+                            continue;
+                        };
                         prop_assert_eq!(
                             fw.satisfies(state, ph),
                             truth.contains_head_tail(pair),
@@ -111,10 +114,16 @@ mod workload_agreement {
                     }
                     // The established kinds must agree too — pairs may
                     // not perturb ordering or grouping answers.
-                    for (o, oh) in fw.orders() {
+                    for (p, oh) in fw.properties() {
+                        let LogicalProperty::Ordering(o) = &p else {
+                            continue;
+                        };
                         prop_assert_eq!(fw.satisfies(state, oh), truth.contains(o));
                     }
-                    for (g, gh) in fw.groupings() {
+                    for (p, gh) in fw.properties() {
+                        let LogicalProperty::Grouping(g) = &p else {
+                            continue;
+                        };
                         prop_assert_eq!(
                             fw.satisfies(state, gh),
                             truth.contains_grouping(g)
@@ -181,7 +190,7 @@ mod spec_agreement {
                 .iter()
                 .map(|fd| spec.add_fd_set(vec![fd.clone()]))
                 .collect();
-            if spec.interesting_head_tails().next().is_some() {
+            if spec.interesting().any(LogicalProperty::is_head_tail) {
                 let fw = OrderingFramework::prepare(&spec, PruneConfig::default()).unwrap();
                 for p in spec.produced() {
                     let handle = fw.resolve(p).expect("produced is interesting");
@@ -198,7 +207,10 @@ mod spec_agreement {
                         state = fw.infer(state, set_ids[op]);
                         truth.infer(&FdSet::new(vec![fds[op].clone()]));
                     }
-                    for (pair, ph) in fw.head_tails() {
+                    for (p, ph) in fw.properties() {
+                        let LogicalProperty::HeadTail(pair) = &p else {
+                            continue;
+                        };
                         prop_assert_eq!(
                             fw.satisfies(state, ph),
                             truth.contains_head_tail(pair),

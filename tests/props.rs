@@ -10,7 +10,8 @@
 
 use ofw::catalog::AttrId;
 use ofw::core::{
-    ExplicitOrderings, Fd, FdSet, InputSpec, OrderOracle, Ordering, OrderingFramework, PruneConfig,
+    ExplicitOrderings, Fd, FdSet, InputSpec, LogicalProperty, OrderOracle, Ordering,
+    OrderingFramework, PruneConfig,
 };
 use proptest::prelude::*;
 
@@ -107,7 +108,10 @@ proptest! {
         }
 
         // Every interesting order (including prefixes) must agree.
-        for (ordering, handle) in fw.orders() {
+        for (p, handle) in fw.properties() {
+            let LogicalProperty::Ordering(ordering) = &p else {
+                continue;
+            };
             let got = fw.satisfies(state, handle);
             let want = truth.contains(ordering);
             prop_assert_eq!(
@@ -140,7 +144,10 @@ proptest! {
             sp = pruned.infer(sp, set_ids[op]);
             sr = raw.infer(sr, set_ids[op]);
         }
-        for (ordering, hp) in pruned.orders() {
+        for (p, hp) in pruned.properties() {
+            let LogicalProperty::Ordering(ordering) = &p else {
+                continue;
+            };
             let hr = raw.resolve(&ordering.clone().into()).unwrap();
             prop_assert_eq!(
                 pruned.satisfies(sp, hp),
@@ -219,7 +226,7 @@ proptest! {
                     fb = fw.infer(fb, set_ids[op]);
                 }
             }
-            for (_, h) in fw.orders() {
+            for (_, h) in fw.properties() {
                 if fw.satisfies(fb, h) {
                     prop_assert!(fw.satisfies(fa, h), "domination violated later");
                 }
