@@ -17,17 +17,19 @@
 //! grouping / aggregation-placement / partial-sort queries under both
 //! arms of their comparison, the Q8 preparation sizes and one executed
 //! plan. The pipeline benchmark's `--trace 1` ledger reports the same
-//! counters summed over its suites; two it does not carry are pinned
+//! counters summed over its suites; those it does not carry are pinned
 //! only here: `spans` (records of a recording [`Trace`]),
-//! `nfsm_nodes_before` (NFSM size before pruning) and `arena`, a digest
+//! `nfsm_nodes_before` (NFSM size before pruning), `phases`, a digest
+//! of every per-phase entry in order (so a count charged to the wrong
+//! phase fails even when the run totals hold), and `arena`, a digest
 //! of every plan node in allocation order — so the layout of the plan
 //! table, not only its size, is pinned.
 
 use ofw::catalog::Catalog;
 use ofw::core::{OrderingFramework, PruneConfig};
 use ofw::exec::{execute_serial, OpStat};
-use ofw::obs::Trace;
-use ofw::plangen::{OrderOracle, PlanGen, PlanGenResult};
+use ofw::obs::{PhaseStats, Trace};
+use ofw::plangen::{ExplicitOracle, OrderOracle, PlanGen, PlanGenResult};
 use ofw::query::extract::ExtractOptions;
 use ofw::query::{ExtractedQuery, Query};
 use ofw::simmen::SimmenFramework;
@@ -39,7 +41,7 @@ use ofw::workload::{
     Topology,
 };
 
-use Arm::{Dfsm, Simmen};
+use Arm::{Dfsm, Explicit, Simmen};
 use Search::{Full, RootOnly, SortOnly};
 use Topology::{Chain, Clique, Cycle, Star};
 use Q::{Grouping, Large, StarAgg, StarAggOrdered, Q8};
@@ -64,6 +66,9 @@ enum Q {
 enum Arm {
     Dfsm,
     Simmen,
+    /// The explicit-set ground truth: like Simmen's arm it interns
+    /// states as the DP asks, so its arena pins the probe order.
+    Explicit,
 }
 
 /// What the cell changes on a default `PlanGen`.
@@ -92,6 +97,7 @@ struct Dp {
     enforcers_admitted: u64,
     enforcers_won: u64,
     spans: usize,
+    phases: u64,
     arena: u64,
 }
 
@@ -138,6 +144,21 @@ fn arena_digest<S: Copy + Debug>(r: &PlanGenResult<S>) -> u64 {
     d.0
 }
 
+/// Every phase entry in order — name, unions, pairs, plans and every
+/// decision counter; the wall-clock `time` is left out.
+fn phases_digest(phases: &[PhaseStats]) -> u64 {
+    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    for ph in phases {
+        d.text(&ph.name);
+        d.word(ph.unions);
+        d.word(ph.pairs_emitted);
+        d.word(ph.plans);
+        d.text(&ph.decisions);
+    }
+    d.word(phases.len() as u64);
+    d.0
+}
+
 /// One pinned cell: what is planned, the winner's cost, the counters.
 #[derive(Debug)]
 struct Row {
@@ -177,6 +198,7 @@ fn plan<O: OrderOracle>(
         enforcers_admitted: d.enforcers.admitted_total(),
         enforcers_won: d.enforcers.won_total(),
         spans: trace.records().len(),
+        phases: phases_digest(&r.stats.phases),
         arena: arena_digest(&r),
     };
     (r.cost, dp)
@@ -213,6 +235,13 @@ fn observe(q: Q, arm: Arm, search: Search) -> Row {
             &SimmenFramework::prepare(&ex.spec),
             search,
         ),
+        Explicit => plan(
+            &catalog,
+            &query,
+            &ex,
+            &ExplicitOracle::prepare(&ex.spec),
+            search,
+        ),
     };
     Row {
         q,
@@ -239,10 +268,10 @@ fn check(rows: &[Row]) {
 /// still reads; it equals `pairs_emitted` in every row.
 #[rustfmt::skip]
 const ENUMERATOR_CELLS: &[Row] = &[
-    Row { q: Large(Chain, 20, 17037), arm: Dfsm, search: Full, cost: 44986181875.60717, dp: Dp { plans: 11883, pairs_emitted: 2660, pairs_considered: 2660, unions: 190, kept: 12239, dominated: 223833, bound_pruned: 21564, probes: 1508775, memo_hits: 204379, enforcers_admitted: 70, enforcers_won: 70, spans: 214, arena: 11279144329539609960 } },
-    Row { q: Large(Cycle, 12, 17029), arm: Dfsm, search: Full, cost: 1873440.709209783, dp: Dp { plans: 4391, pairs_emitted: 1452, pairs_considered: 1452, unions: 121, kept: 4579, dominated: 38707, bound_pruned: 52402, probes: 230687, memo_hits: 34845, enforcers_admitted: 40, enforcers_won: 40, spans: 137, arena: 7570569121871172981 } },
-    Row { q: Large(Star, 10, 17027), arm: Dfsm, search: Full, cost: 243600693078.95612, dp: Dp { plans: 15309, pairs_emitted: 4608, pairs_considered: 4608, unions: 511, kept: 15599, dominated: 168372, bound_pruned: 9549, probes: 821441, memo_hits: 140039, enforcers_admitted: 40, enforcers_won: 40, spans: 525, arena: 16080460800575571328 } },
-    Row { q: Large(Clique, 8, 17025), arm: Dfsm, search: Full, cost: 96386.27620519481, dp: Dp { plans: 1253, pairs_emitted: 6050, pairs_considered: 6050, unions: 247, kept: 2052, dominated: 18386, bound_pruned: 18803, probes: 402908, memo_hits: 18097, enforcers_admitted: 266, enforcers_won: 266, spans: 259, arena: 9936935059155964478 } },
+    Row { q: Large(Chain, 20, 17037), arm: Dfsm, search: Full, cost: 44986181875.60717, dp: Dp { plans: 11883, pairs_emitted: 2660, pairs_considered: 2660, unions: 190, kept: 12239, dominated: 223833, bound_pruned: 21564, probes: 1508775, memo_hits: 204379, enforcers_admitted: 70, enforcers_won: 70, spans: 214, phases: 17901384926939590120, arena: 11279144329539609960 } },
+    Row { q: Large(Cycle, 12, 17029), arm: Dfsm, search: Full, cost: 1873440.709209783, dp: Dp { plans: 4391, pairs_emitted: 1452, pairs_considered: 1452, unions: 121, kept: 4579, dominated: 38707, bound_pruned: 52402, probes: 230687, memo_hits: 34845, enforcers_admitted: 40, enforcers_won: 40, spans: 137, phases: 9757537793069741790, arena: 7570569121871172981 } },
+    Row { q: Large(Star, 10, 17027), arm: Dfsm, search: Full, cost: 243600693078.95612, dp: Dp { plans: 15309, pairs_emitted: 4608, pairs_considered: 4608, unions: 511, kept: 15599, dominated: 168372, bound_pruned: 9549, probes: 821441, memo_hits: 140039, enforcers_admitted: 40, enforcers_won: 40, spans: 525, phases: 4072271260051730313, arena: 16080460800575571328 } },
+    Row { q: Large(Clique, 8, 17025), arm: Dfsm, search: Full, cost: 96386.27620519481, dp: Dp { plans: 1253, pairs_emitted: 6050, pairs_considered: 6050, unions: 247, kept: 2052, dominated: 18386, bound_pruned: 18803, probes: 402908, memo_hits: 18097, enforcers_admitted: 266, enforcers_won: 266, spans: 259, phases: 14270757568282018795, arena: 9936935059155964478 } },
 ];
 
 /// TPC-R Q8 (the paper's §7 query) and the paper's #Plans claim on a
@@ -250,47 +279,52 @@ const ENUMERATOR_CELLS: &[Row] = &[
 /// (seed `0x9a11e1 + 10`): same optimum, an eighth of Simmen's plans.
 #[rustfmt::skip]
 const ARM_CELLS: &[Row] = &[
-    Row { q: Q8, arm: Dfsm, search: Full, cost: 15089531.108982708, dp: Dp { plans: 392, pairs_emitted: 232, pairs_considered: 232, unions: 36, kept: 549, dominated: 3099, bound_pruned: 3165, probes: 17377, memo_hits: 2798, enforcers_admitted: 77, enforcers_won: 77, spans: 49, arena: 12857324622766552834 } },
-    Row { q: Large(Chain, 10, 10097131), arm: Dfsm, search: Full, cost: 871234.7017481327, dp: Dp { plans: 1276, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 1415, dominated: 11603, bound_pruned: 3552, probes: 56613, memo_hits: 10139, enforcers_admitted: 29, enforcers_won: 29, spans: 59, arena: 9619680857069406672 } },
-    Row { q: Large(Chain, 10, 10097131), arm: Simmen, search: Full, cost: 871234.7017481327, dp: Dp { plans: 10135, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 10401, dominated: 93304, bound_pruned: 67984, probes: 9689432, memo_hits: 89091, enforcers_admitted: 29, enforcers_won: 29, spans: 59, arena: 171899063150773986 } },
+    Row { q: Q8, arm: Dfsm, search: Full, cost: 15089531.108982708, dp: Dp { plans: 392, pairs_emitted: 232, pairs_considered: 232, unions: 36, kept: 549, dominated: 3099, bound_pruned: 3165, probes: 17377, memo_hits: 2798, enforcers_admitted: 77, enforcers_won: 77, spans: 49, phases: 1076875019576259584, arena: 12857324622766552834 } },
+    Row { q: Large(Chain, 10, 10097131), arm: Dfsm, search: Full, cost: 871234.7017481327, dp: Dp { plans: 1276, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 1415, dominated: 11603, bound_pruned: 3552, probes: 56613, memo_hits: 10139, enforcers_admitted: 29, enforcers_won: 29, spans: 59, phases: 3814081042209836751, arena: 9619680857069406672 } },
+    Row { q: Large(Chain, 10, 10097131), arm: Simmen, search: Full, cost: 871234.7017481327, dp: Dp { plans: 10135, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 10401, dominated: 93304, bound_pruned: 67984, probes: 9689432, memo_hits: 89091, enforcers_admitted: 29, enforcers_won: 29, spans: 59, phases: 11713138544378113526, arena: 171899063150773986 } },
 ];
 
 /// Grouping queries (n = 4, 5 with n-1 and n edges; seeds
-/// `0x6751 + 10 n + extra`), DFSM vs Simmen.
+/// `0x6751 + 10 n + extra`), DFSM vs Simmen, and the explicit arm on
+/// the smallest: its counters equal the DFSM row's, its arena differs
+/// only in the oracle states.
 #[rustfmt::skip]
 const GROUPING_CELLS: &[Row] = &[
-    Row { q: Grouping(4, 0, 26489), arm: Dfsm, search: Full, cost: 29795.360777824324, dp: Dp { plans: 50, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 88, dominated: 352, bound_pruned: 171, probes: 1653, memo_hits: 281, enforcers_admitted: 16, enforcers_won: 16, spans: 15, arena: 4759893125619727520 } },
-    Row { q: Grouping(4, 0, 26489), arm: Simmen, search: Full, cost: 29795.360777824324, dp: Dp { plans: 67, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 112, dominated: 427, bound_pruned: 220, probes: 2790, memo_hits: 360, enforcers_admitted: 16, enforcers_won: 16, spans: 15, arena: 8328098184320166071 } },
-    Row { q: Grouping(5, 0, 26499), arm: Dfsm, search: Full, cost: 2108191.291047524, dp: Dp { plans: 133, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 192, dominated: 1114, bound_pruned: 200, probes: 4219, memo_hits: 983, enforcers_admitted: 18, enforcers_won: 18, spans: 20, arena: 731983792944617679 } },
-    Row { q: Grouping(5, 0, 26499), arm: Simmen, search: Full, cost: 2108191.291047524, dp: Dp { plans: 254, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 360, dominated: 1678, bound_pruned: 578, probes: 13645, memo_hits: 1493, enforcers_admitted: 18, enforcers_won: 18, spans: 20, arena: 14383556113515481333 } },
-    Row { q: Grouping(4, 1, 26490), arm: Dfsm, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 100, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 156, dominated: 706, bound_pruned: 381, probes: 3860, memo_hits: 660, enforcers_admitted: 32, enforcers_won: 32, spans: 17, arena: 1417511354322524543 } },
-    Row { q: Grouping(4, 1, 26490), arm: Simmen, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 135, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 205, dominated: 923, bound_pruned: 531, probes: 6761, memo_hits: 801, enforcers_admitted: 32, enforcers_won: 32, spans: 17, arena: 16980587255714710961 } },
-    Row { q: Grouping(5, 1, 26500), arm: Dfsm, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 85, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 162, dominated: 828, bound_pruned: 879, probes: 4093, memo_hits: 660, enforcers_admitted: 27, enforcers_won: 27, spans: 26, arena: 13176170692290328103 } },
-    Row { q: Grouping(5, 1, 26500), arm: Simmen, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 137, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 274, dominated: 1338, bound_pruned: 1397, probes: 11759, memo_hits: 1142, enforcers_admitted: 27, enforcers_won: 27, spans: 26, arena: 1547387911954723932 } },
+    Row { q: Grouping(4, 0, 26489), arm: Dfsm, search: Full, cost: 29795.360777824324, dp: Dp { plans: 50, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 88, dominated: 352, bound_pruned: 171, probes: 1653, memo_hits: 281, enforcers_admitted: 16, enforcers_won: 16, spans: 15, phases: 2395263479361409509, arena: 4759893125619727520 } },
+    Row { q: Grouping(4, 0, 26489), arm: Simmen, search: Full, cost: 29795.360777824324, dp: Dp { plans: 67, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 112, dominated: 427, bound_pruned: 220, probes: 2790, memo_hits: 360, enforcers_admitted: 16, enforcers_won: 16, spans: 15, phases: 2322825108106832477, arena: 8328098184320166071 } },
+    Row { q: Grouping(4, 0, 26489), arm: Explicit, search: Full, cost: 29795.360777824324, dp: Dp { plans: 50, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 88, dominated: 352, bound_pruned: 171, probes: 1653, memo_hits: 281, enforcers_admitted: 16, enforcers_won: 16, spans: 15, phases: 2395263479361409509, arena: 907136415527826065 } },
+    Row { q: Grouping(5, 0, 26499), arm: Dfsm, search: Full, cost: 2108191.291047524, dp: Dp { plans: 133, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 192, dominated: 1114, bound_pruned: 200, probes: 4219, memo_hits: 983, enforcers_admitted: 18, enforcers_won: 18, spans: 20, phases: 2808962976449582983, arena: 731983792944617679 } },
+    Row { q: Grouping(5, 0, 26499), arm: Simmen, search: Full, cost: 2108191.291047524, dp: Dp { plans: 254, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 360, dominated: 1678, bound_pruned: 578, probes: 13645, memo_hits: 1493, enforcers_admitted: 18, enforcers_won: 18, spans: 20, phases: 1835328457152813500, arena: 14383556113515481333 } },
+    Row { q: Grouping(4, 1, 26490), arm: Dfsm, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 100, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 156, dominated: 706, bound_pruned: 381, probes: 3860, memo_hits: 660, enforcers_admitted: 32, enforcers_won: 32, spans: 17, phases: 2047195047626272538, arena: 1417511354322524543 } },
+    Row { q: Grouping(4, 1, 26490), arm: Simmen, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 135, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 205, dominated: 923, bound_pruned: 531, probes: 6761, memo_hits: 801, enforcers_admitted: 32, enforcers_won: 32, spans: 17, phases: 7651753150920014660, arena: 16980587255714710961 } },
+    Row { q: Grouping(5, 1, 26500), arm: Dfsm, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 85, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 162, dominated: 828, bound_pruned: 879, probes: 4093, memo_hits: 660, enforcers_admitted: 27, enforcers_won: 27, spans: 26, phases: 18142864289964050748, arena: 13176170692290328103 } },
+    Row { q: Grouping(5, 1, 26500), arm: Simmen, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 137, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 274, dominated: 1338, bound_pruned: 1397, probes: 11759, memo_hits: 1142, enforcers_admitted: 27, enforcers_won: 27, spans: 26, phases: 15251885092357349668, arena: 1547387911954723932 } },
 ];
 
 /// Star aggregation queries (1–3 dimensions; seeds `0x6A01 + 100 d`):
-/// aggregation placement vs the root-only ceiling.
+/// aggregation placement vs the root-only ceiling, and the explicit arm
+/// on two dimensions.
 #[rustfmt::skip]
 const PLACEMENT_CELLS: &[Row] = &[
-    Row { q: StarAgg(1, 27237), arm: Dfsm, search: Full, cost: 1123611.35, dp: Dp { plans: 57, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 59, dominated: 117, bound_pruned: 0, probes: 403, memo_hits: 97, enforcers_admitted: 4, enforcers_won: 4, spans: 7, arena: 18305110981544711616 } },
-    Row { q: StarAgg(1, 27237), arm: Dfsm, search: RootOnly, cost: 1196104.8, dp: Dp { plans: 21, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 21, dominated: 32, bound_pruned: 0, probes: 159, memo_hits: 28, enforcers_admitted: 4, enforcers_won: 4, spans: 7, arena: 11131271362769873355 } },
-    Row { q: StarAgg(2, 27337), arm: Dfsm, search: Full, cost: 1246065.0550000002, dp: Dp { plans: 120, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 267, dominated: 862, bound_pruned: 357, probes: 4312, memo_hits: 753, enforcers_admitted: 20, enforcers_won: 20, spans: 11, arena: 11209975218283120763 } },
-    Row { q: StarAgg(2, 27337), arm: Dfsm, search: RootOnly, cost: 3876668.92, dp: Dp { plans: 39, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 83, dominated: 334, bound_pruned: 24, probes: 1638, memo_hits: 301, enforcers_admitted: 21, enforcers_won: 21, spans: 11, arena: 5601077628884657424 } },
-    Row { q: StarAgg(3, 27437), arm: Dfsm, search: Full, cost: 682401.2000000001, dp: Dp { plans: 266, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 727, dominated: 3390, bound_pruned: 1280, probes: 14870, memo_hits: 3104, enforcers_admitted: 19, enforcers_won: 19, spans: 16, arena: 7661567568627301375 } },
-    Row { q: StarAgg(3, 27437), arm: Dfsm, search: RootOnly, cost: 87063131.36, dp: Dp { plans: 122, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 215, dominated: 1418, bound_pruned: 9, probes: 6449, memo_hits: 1321, enforcers_admitted: 22, enforcers_won: 22, spans: 16, arena: 9429537481383595234 } },
+    Row { q: StarAgg(1, 27237), arm: Dfsm, search: Full, cost: 1123611.35, dp: Dp { plans: 57, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 59, dominated: 117, bound_pruned: 0, probes: 403, memo_hits: 97, enforcers_admitted: 4, enforcers_won: 4, spans: 7, phases: 6227775896339656766, arena: 18305110981544711616 } },
+    Row { q: StarAgg(1, 27237), arm: Dfsm, search: RootOnly, cost: 1196104.8, dp: Dp { plans: 21, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 21, dominated: 32, bound_pruned: 0, probes: 159, memo_hits: 28, enforcers_admitted: 4, enforcers_won: 4, spans: 7, phases: 13295227518376930833, arena: 11131271362769873355 } },
+    Row { q: StarAgg(2, 27337), arm: Dfsm, search: Full, cost: 1246065.0550000002, dp: Dp { plans: 120, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 267, dominated: 862, bound_pruned: 357, probes: 4312, memo_hits: 753, enforcers_admitted: 20, enforcers_won: 20, spans: 11, phases: 412895060226576342, arena: 11209975218283120763 } },
+    Row { q: StarAgg(2, 27337), arm: Dfsm, search: RootOnly, cost: 3876668.92, dp: Dp { plans: 39, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 83, dominated: 334, bound_pruned: 24, probes: 1638, memo_hits: 301, enforcers_admitted: 21, enforcers_won: 21, spans: 11, phases: 2209242543471306901, arena: 5601077628884657424 } },
+    Row { q: StarAgg(2, 27337), arm: Explicit, search: Full, cost: 1246065.0550000002, dp: Dp { plans: 120, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 267, dominated: 862, bound_pruned: 357, probes: 4312, memo_hits: 753, enforcers_admitted: 20, enforcers_won: 20, spans: 11, phases: 412895060226576342, arena: 4156492051595464360 } },
+    Row { q: StarAgg(3, 27437), arm: Dfsm, search: Full, cost: 682401.2000000001, dp: Dp { plans: 266, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 727, dominated: 3390, bound_pruned: 1280, probes: 14870, memo_hits: 3104, enforcers_admitted: 19, enforcers_won: 19, spans: 16, phases: 1694137542233309100, arena: 7661567568627301375 } },
+    Row { q: StarAgg(3, 27437), arm: Dfsm, search: RootOnly, cost: 87063131.36, dp: Dp { plans: 122, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 215, dominated: 1418, bound_pruned: 9, probes: 6449, memo_hits: 1321, enforcers_admitted: 22, enforcers_won: 22, spans: 16, phases: 10043842437796855937, arena: 9429537481383595234 } },
 ];
 
 /// `GROUP BY k ORDER BY k` star queries (1–3 dimensions; seeds
 /// `0x9501 + 100 d`): the partial-sort enforcer vs the sort-only ceiling.
 #[rustfmt::skip]
 const PARTIAL_SORT_CELLS: &[Row] = &[
-    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: Full, cost: 1577803.21, dp: Dp { plans: 68, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 67, dominated: 159, bound_pruned: 0, probes: 768, memo_hits: 144, enforcers_admitted: 10, enforcers_won: 10, spans: 7, arena: 4685388181823164998 } },
-    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: SortOnly, cost: 1577838.3157163358, dp: Dp { plans: 65, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 64, dominated: 156, bound_pruned: 0, probes: 731, memo_hits: 141, enforcers_admitted: 7, enforcers_won: 7, spans: 7, arena: 712792947404537916 } },
-    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: Full, cost: 431740.0, dp: Dp { plans: 56, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 208, dominated: 779, bound_pruned: 285, probes: 3839, memo_hits: 699, enforcers_admitted: 21, enforcers_won: 21, spans: 11, arena: 17005641886038208266 } },
-    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: SortOnly, cost: 431767.053747805, dp: Dp { plans: 54, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 204, dominated: 774, bound_pruned: 284, probes: 3742, memo_hits: 694, enforcers_admitted: 17, enforcers_won: 17, spans: 11, arena: 2117747200784958554 } },
-    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: Full, cost: 1663415.75, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 651, dominated: 3025, bound_pruned: 786, probes: 13319, memo_hits: 2705, enforcers_admitted: 27, enforcers_won: 27, spans: 16, arena: 241337748993650775 } },
-    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: SortOnly, cost: 1663807.9114017873, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 650, dominated: 3032, bound_pruned: 778, probes: 13207, memo_hits: 2711, enforcers_admitted: 26, enforcers_won: 26, spans: 16, arena: 2080639749781841997 } },
+    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: Full, cost: 1577803.21, dp: Dp { plans: 68, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 67, dominated: 159, bound_pruned: 0, probes: 768, memo_hits: 144, enforcers_admitted: 10, enforcers_won: 10, spans: 7, phases: 1680256146148236012, arena: 4685388181823164998 } },
+    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: SortOnly, cost: 1577838.3157163358, dp: Dp { plans: 65, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 64, dominated: 156, bound_pruned: 0, probes: 731, memo_hits: 141, enforcers_admitted: 7, enforcers_won: 7, spans: 7, phases: 15024369941448975195, arena: 712792947404537916 } },
+    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: Full, cost: 431740.0, dp: Dp { plans: 56, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 208, dominated: 779, bound_pruned: 285, probes: 3839, memo_hits: 699, enforcers_admitted: 21, enforcers_won: 21, spans: 11, phases: 14338318649593355885, arena: 17005641886038208266 } },
+    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: SortOnly, cost: 431767.053747805, dp: Dp { plans: 54, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 204, dominated: 774, bound_pruned: 284, probes: 3742, memo_hits: 694, enforcers_admitted: 17, enforcers_won: 17, spans: 11, phases: 17190327418299547486, arena: 2117747200784958554 } },
+    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: Full, cost: 1663415.75, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 651, dominated: 3025, bound_pruned: 786, probes: 13319, memo_hits: 2705, enforcers_admitted: 27, enforcers_won: 27, spans: 16, phases: 18298613088363691902, arena: 241337748993650775 } },
+    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: SortOnly, cost: 1663807.9114017873, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 650, dominated: 3032, bound_pruned: 778, probes: 13207, memo_hits: 2711, enforcers_admitted: 26, enforcers_won: 26, spans: 16, phases: 6771697987167257986, arena: 2080639749781841997 } },
 ];
 
 #[test]
