@@ -82,7 +82,9 @@
 //! work actually performed.
 
 mod dphyp;
+mod emit;
 mod linearize;
+mod pareto;
 
 use crate::cost;
 use crate::plan::{AggMark, CandidatePlan, PlanArena, PlanId, PlanNode, PlanOp};
@@ -94,6 +96,7 @@ use ofw_core::ordering::Ordering;
 use ofw_core::property::{Grouping, HeadTail, LogicalProperty};
 use ofw_obs::{DecisionCounters, PhaseStats, Trace};
 use ofw_query::{ExtractedQuery, JoinGraph, Query};
+use pareto::ParetoSet;
 use std::time::{Duration, Instant};
 
 /// Ceiling on enumeration work before exhaustive enumeration is
@@ -259,94 +262,6 @@ struct AggKeyHandles<K> {
     group: Option<K>,
     /// The grouping handle when it is also producible.
     producible: Option<K>,
-}
-
-/// One admitted member of a [`ParetoSet`].
-struct ParetoEntry<S> {
-    id: PlanId,
-    plan: CandidatePlan<S>,
-}
-
-/// The Pareto set of one subset under construction: its members in
-/// insertion order — the order downstream consumers (enforcer scans,
-/// the committed plan table) depend on for determinism. A member
-/// dominates a plan when it is [`cheaper`](CandidatePlan::cheaper) and
-/// its state dominates the plan's.
-struct ParetoSet<S> {
-    entries: Vec<ParetoEntry<S>>,
-}
-
-/// Does a stream in state `a` dominate one in state `b`? Equal states
-/// answer through reflexivity without an oracle call (counted in
-/// `dominance_memo_hits`); every other pair is one oracle probe.
-fn dominates<O: OrderOracle>(
-    oracle: &O,
-    a: O::State,
-    b: O::State,
-    dc: &mut DecisionCounters,
-) -> bool {
-    if a == b {
-        dc.probes.dominance_memo_hits += 1;
-        return true;
-    }
-    dc.probes.dominates += 1;
-    oracle.dominates(a, b)
-}
-
-impl<S: Copy + Eq> ParetoSet<S> {
-    fn new() -> Self {
-        ParetoSet {
-            entries: Vec::new(),
-        }
-    }
-
-    /// Inserts a member without any dominance checks — used for seeds
-    /// (already a Pareto set).
-    fn insert_unchecked(&mut self, id: PlanId, plan: CandidatePlan<S>) {
-        self.entries.push(ParetoEntry { id, plan });
-    }
-
-    /// Arrival test: is `cand` dominated by an existing member? Charges
-    /// the rejection to the candidate's class.
-    fn arrival_dominated<O: OrderOracle<State = S>>(
-        &self,
-        oracle: &O,
-        cand: &CandidatePlan<S>,
-        dc: &mut DecisionCounters,
-    ) -> bool {
-        let dominated = self
-            .entries
-            .iter()
-            .any(|m| m.plan.cheaper(cand) && dominates(oracle, m.plan.state, cand.state, dc));
-        if dominated {
-            dc.pruning.dominated[cand.agg.class_index()] += 1;
-        }
-        dominated
-    }
-
-    /// Admits a surviving candidate (already materialized as `id`):
-    /// evicts every member it dominates, then appends it.
-    fn admit<O: OrderOracle<State = S>>(
-        &mut self,
-        oracle: &O,
-        id: PlanId,
-        cand: &CandidatePlan<S>,
-        dc: &mut DecisionCounters,
-    ) {
-        let class = cand.agg.class_index();
-        self.entries.retain(|m| {
-            let evict = cand.cheaper(&m.plan) && dominates(oracle, cand.state, m.plan.state, dc);
-            dc.pruning.dominated[class] += u64::from(evict);
-            !evict
-        });
-        self.insert_unchecked(id, *cand);
-    }
-
-    /// The surviving plan ids in insertion order — what the plan table
-    /// commits.
-    fn ids(&self) -> Vec<PlanId> {
-        self.entries.iter().map(|e| e.id).collect()
-    }
 }
 
 /// The generator, parameterized by the order oracle.
@@ -532,33 +447,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             .collect();
         probes.sort_by_key(|p| std::cmp::Reverse(p.covered));
         probes
-    }
-
-    /// The cheapest admissible partial sort of a plan in `state` with
-    /// `card` rows to the ordering `attrs`: the first (deepest-coverage)
-    /// satisfied probe decides how much of the key the input's blocks
-    /// already cover, and the cost model charges only the within-block
-    /// residue. `None` when no head grouping (or pair) is satisfied —
-    /// then only the full sort can enforce the ordering.
-    fn best_partial_sort(
-        &self,
-        state: O::State,
-        card: f64,
-        attrs: &[AttrId],
-        probes: &[PartialSortProbe<O::Key>],
-        dc: &mut DecisionCounters,
-    ) -> Option<(f64, usize)> {
-        if !self.partial_sort {
-            return None;
-        }
-        for p in probes {
-            dc.probes.satisfies += 1;
-            if self.oracle.satisfies(state, p.key) {
-                let groups = self.group_count(card, &attrs[..p.covered]);
-                return Some((cost::partial_sort(card, groups), p.covered));
-            }
-        }
-        None
     }
 
     /// Enables/disables aggregation-placement enumeration (on by
@@ -940,927 +828,6 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             group,
             producible,
         }
-    }
-
-    /// The streaming-admission test: is a stream in `state` ordered by
-    /// `keys` or, failing that, grouped by it? Either makes each group
-    /// one contiguous run. One counted probe per interesting handle
-    /// asked, ordering first.
-    fn streams_on(
-        &self,
-        state: O::State,
-        keys: &AggKeyHandles<O::Key>,
-        dc: &mut DecisionCounters,
-    ) -> bool {
-        [keys.order, keys.group].into_iter().flatten().any(|k| {
-            dc.probes.satisfies += 1;
-            self.oracle.satisfies(state, k)
-        })
-    }
-
-    /// Builds one aggregate candidate on `keys` over plan `p` — the
-    /// single implementation behind final aggregates and pushed-down
-    /// partials: streaming when the input satisfies the key as an
-    /// ordering *or* a grouping (its output is a subsequence — first
-    /// row per group — so every input property and applied FD
-    /// survives), hashing otherwise (destroys all orderings but
-    /// *produces* the key's grouping). Whether the node is a partial
-    /// follows from `mark`: final marks combine partials, everything
-    /// else *is* a partial.
-    ///
-    /// Bound-checked before the admission probes with the aggregate
-    /// cost floor (a streaming aggregate, the cheapest variant), and
-    /// inserted through [`try_insert`](Self::try_insert) — a pruned
-    /// aggregate costs no allocation.
-    #[allow(clippy::too_many_arguments)]
-    fn try_push_aggregate(
-        &self,
-        arena: &mut PlanArena<O::State>,
-        set: &mut ParetoSet<O::State>,
-        ub: f64,
-        p: PlanId,
-        keys: &AggKeyHandles<O::Key>,
-        mark: AggMark,
-        groups: f64,
-        dc: &mut DecisionCounters,
-    ) -> Option<PlanId> {
-        let (c, d, st) = {
-            let n = arena.node(p);
-            (n.cost, n.card, n.state)
-        };
-        if c + cost::streaming_aggregate(d) > ub {
-            dc.pruning.bound_pruned += 1;
-            return None;
-        }
-        let (fd_bits, mask) = {
-            let n = arena.node(p);
-            (n.applied_fds.clone(), n.mask.clone())
-        };
-        let partial = !mark.is_final();
-        let streaming = self.streams_on(st, keys, dc);
-        let (op_cost, state, fds_out) = if streaming {
-            (cost::streaming_aggregate(d), st, fd_bits)
-        } else {
-            dc.probes.produce += 1;
-            let state = match keys.producible {
-                Some(k) => self.replay_fds(self.oracle.produce(k), &fd_bits, dc),
-                None => self.oracle.produce_empty(),
-            };
-            (cost::hash_aggregate(d), state, BitSet::new())
-        };
-        let cand = CandidatePlan {
-            cost: c + op_cost,
-            card: groups,
-            state,
-            agg: mark,
-        };
-        self.try_insert(
-            arena,
-            set,
-            ub,
-            cand,
-            || {
-                let op = if streaming {
-                    PlanOp::StreamAgg {
-                        input: p,
-                        key: keys.attrs.clone(),
-                        partial,
-                    }
-                } else {
-                    PlanOp::HashAgg {
-                        input: p,
-                        key: keys.attrs.clone(),
-                        partial,
-                    }
-                };
-                PlanNode {
-                    op,
-                    mask,
-                    cost: cand.cost,
-                    card: groups,
-                    state,
-                    agg: mark,
-                    applied_fds: fds_out,
-                }
-            },
-            dc,
-        )
-    }
-
-    /// Final-aggregation alternatives for every complete plan (streaming
-    /// vs hashing per [`push_aggregate`](Self::push_aggregate)). Eagerly
-    /// pre-aggregated plans finalize the same way — the root aggregate
-    /// combines their partials — while group-join plans are already
-    /// final and pass through untouched.
-    fn finalize_aggregates(
-        &self,
-        keys: &AggKeyHandles<O::Key>,
-        plans: &[PlanId],
-        arena: &mut PlanArena<O::State>,
-        dc: &mut DecisionCounters,
-    ) -> Vec<PlanId> {
-        // At the root nothing remains outside the mask: the bound
-        // applies with a zero remainder.
-        let ub = self.bound;
-        let mut out: ParetoSet<O::State> = ParetoSet::new();
-        for &p in plans {
-            let cand = arena.node(p).candidate();
-            if cand.agg.is_final() {
-                // Group-join output: the aggregation already happened.
-                self.try_admit(&mut out, ub, cand, || p, dc);
-                continue;
-            }
-            let mark = cand.agg.union(AggMark::FINAL);
-            let groups = self.final_group_count(cand.card, &keys.attrs);
-            self.try_push_aggregate(arena, &mut out, ub, p, keys, mark, groups, dc);
-        }
-        out.ids()
-    }
-
-    /// Aggregation-placement variants for one subset — the tentpole of
-    /// the aggregation plan-space dimension. For every unaggregated plan
-    /// of the subset, an *eager* partial aggregate (on the side carrying
-    /// the aggregated attributes) or an *eager-count* partial aggregate
-    /// (on the opposite side) is placed above it when the aggregate
-    /// functions' decomposability permits. The aggregation key is the
-    /// subset's canonical key — group-by attributes inside, join
-    /// attributes crossing out, minimized under the subset's
-    /// dependencies — so every later join and the final combine remain
-    /// answerable. Streaming when the plan's properties already group
-    /// the key; hashing otherwise. The resulting plans live in their own
-    /// comparability class ([`AggMark`]), never evicting (or being
-    /// evicted by) the classic join-only plans: their payoff is the
-    /// collapsed cardinality every operator above them enjoys.
-    fn add_placement_variants(
-        &self,
-        mask: &BitSet,
-        set: &mut ParetoSet<O::State>,
-        arena: &mut PlanArena<O::State>,
-        ub: f64,
-        dc: &mut DecisionCounters,
-    ) {
-        if !self.placement {
-            return;
-        }
-        let Some(agg) = &self.agg else {
-            return;
-        };
-        // Never at the root set: a partial aggregate there could only
-        // feed the final aggregate it is redundant with.
-        if mask.len() == self.query.num_relations() {
-            return;
-        }
-        let eager = agg.decomposable && agg.input_owners.iter().all(|r| mask.contains(r));
-        let mark = if eager {
-            AggMark::EAGER
-        } else if agg.count_scalable && !agg.input_owners.iter().any(|r| mask.contains(r)) {
-            AggMark::EAGER_COUNT
-        } else {
-            return; // aggregate inputs split across the cut — no legal placement
-        };
-        let key = self.ex.subset_agg_key(self.query, mask);
-        if key.is_empty() {
-            return;
-        }
-        let keys = Self::resolve_agg_key(self.oracle, key.attrs().to_vec());
-        let snapshot: Vec<(PlanId, f64)> = set
-            .entries
-            .iter()
-            .filter(|m| m.plan.agg.is_none())
-            .map(|m| (m.id, m.plan.card))
-            .collect();
-        for (p, card) in snapshot {
-            let groups = self.group_count(card, &keys.attrs);
-            self.try_push_aggregate(arena, set, ub, p, &keys, mark, groups, dc);
-        }
-    }
-
-    /// Scan and index-scan plans for one relation, with constant-
-    /// predicate FDs applied and filter selectivities folded in —
-    /// inserted straight into the singleton's Pareto set. The cheapest
-    /// access path can never bust the bound (the bound provider's plan
-    /// pays at least that much for this relation), so the set is never
-    /// left empty; pricier index scans are bound-checked before their
-    /// state is produced.
-    fn base_plans(
-        &self,
-        qrel: usize,
-        set: &mut ParetoSet<O::State>,
-        arena: &mut PlanArena<O::State>,
-        ub: f64,
-        dc: &mut DecisionCounters,
-    ) {
-        let rel = self.query.relations[qrel];
-        let raw_card = self.catalog.relation(rel).cardinality;
-        let mut sel = 1.0;
-        let mut fd_bits = BitSet::new();
-        let mut fds: Vec<FdSetId> = Vec::new();
-        for (i, c) in self.query.constants.iter().enumerate() {
-            if self.query.owner(c.attr) == qrel {
-                sel *= c.selectivity;
-                let f = self.ex.const_fd[i];
-                fds.push(f);
-                fd_bits.insert(f.index());
-            }
-        }
-        // Schema (key-constraint) FDs hold from the scan onward: a
-        // unique column determines the relation's other attributes —
-        // what lets a join key determine the aggregation group.
-        if let Some(f) = self.ex.rel_fd.get(qrel).copied().flatten() {
-            fds.push(f);
-            fd_bits.insert(f.index());
-        }
-        for f in &self.query.filters {
-            if self.query.owner(f.attr) == qrel {
-                sel *= f.selectivity;
-            }
-        }
-        let card = (raw_card * sel).max(1.0);
-        let mask = self.query.relation_set(qrel);
-
-        // Heap scan.
-        dc.probes.produce += 1;
-        let mut state = self.oracle.produce_empty();
-        for &f in &fds {
-            dc.probes.infer += 1;
-            state = self.oracle.infer(state, f);
-        }
-        let scan = CandidatePlan {
-            cost: cost::scan(raw_card),
-            card,
-            state,
-            agg: AggMark::NONE,
-        };
-        self.try_insert(
-            arena,
-            set,
-            ub,
-            scan,
-            || PlanNode {
-                op: PlanOp::Scan { qrel },
-                mask: mask.clone(),
-                cost: scan.cost,
-                card,
-                state,
-                agg: AggMark::NONE,
-                applied_fds: fd_bits.clone(),
-            },
-            dc,
-        );
-        // Index scans (only when the index order is interesting —
-        // otherwise the order information is useless for this query and
-        // the heap scan dominates). Bound-checked before the state is
-        // produced: the cost needs no oracle.
-        for (idx, index) in self.catalog.relation(rel).indexes.iter().enumerate() {
-            let ordering = Ordering::new(index.key.clone()).into();
-            let Some(key) = self.oracle.resolve(&ordering) else {
-                continue;
-            };
-            if !self.oracle.is_producible(key) {
-                continue;
-            }
-            let ix_cost = cost::index_scan(raw_card, index.clustered);
-            if ix_cost > ub {
-                dc.pruning.bound_pruned += 1;
-                continue;
-            }
-            dc.probes.produce += 1;
-            let mut state = self.oracle.produce(key);
-            for &f in &fds {
-                dc.probes.infer += 1;
-                state = self.oracle.infer(state, f);
-            }
-            let ix = CandidatePlan {
-                cost: ix_cost,
-                card,
-                state,
-                agg: AggMark::NONE,
-            };
-            self.try_insert(
-                arena,
-                set,
-                ub,
-                ix,
-                || PlanNode {
-                    op: PlanOp::IndexScan { qrel, index: idx },
-                    mask: mask.clone(),
-                    cost: ix_cost,
-                    card,
-                    state,
-                    agg: AggMark::NONE,
-                    applied_fds: fd_bits.clone(),
-                },
-                dc,
-            );
-        }
-    }
-
-    /// All join alternatives for the ordered partition `(l, r)` of
-    /// committed subsets (flat indices into `subsets` and the table).
-    ///
-    /// Prune-before-build: each plan combination is first tested
-    /// against the subset's cost upper bound with
-    /// [`cost::join_floor`] — a bust rejects every join alternative of
-    /// the combination before any oracle inference, FD-set clone or
-    /// node allocation happens. Survivors build stack-only
-    /// [`CandidatePlan`]s per alternative; [`try_insert`]
-    /// (Self::try_insert) materializes a node only after the bound and
-    /// arrival-dominance checks pass.
-    fn emit_joins(
-        &self,
-        subsets: &[BitSet],
-        (l, r): (u32, u32),
-        set: &mut ParetoSet<O::State>,
-        arena: &mut PlanArena<O::State>,
-        ub: f64,
-        dc: &mut DecisionCounters,
-    ) {
-        let (s1, s2) = (&subsets[l as usize], &subsets[r as usize]);
-        let edges: Vec<usize> = self.graph.connecting_edges(s1, s2).collect();
-        if edges.is_empty() {
-            return; // would be a cross product
-        }
-        let sel: f64 = edges
-            .iter()
-            .map(|&e| self.query.joins[e].selectivity)
-            .product();
-        let mask = {
-            let mut m = s1.clone();
-            m.union_with(s2);
-            m
-        };
-        // Fused group-joins exist only at the root subset: they perform
-        // the query's *final* aggregation, on its final key.
-        let at_root = mask.len() == self.query.num_relations();
-        let group_join_key = self
-            .final_key
-            .as_ref()
-            .filter(|_| at_root && self.placement && self.agg.is_some());
-        let left_plans = &self.table[l as usize];
-        let right_plans = &self.table[r as usize];
-        for &p1 in left_plans {
-            for &p2 in right_plans {
-                let n1 = arena.node(p1);
-                let (c1, d1, st1, mark1) = (n1.cost, n1.card, n1.state, n1.agg);
-                let n2 = arena.node(p2);
-                let (c2, d2, mark2) = (n2.cost, n2.card, n2.agg);
-                let mark = mark1.union(mark2);
-                let out_card = (d1 * d2 * sel).max(1.0);
-                // Pair-level bound check: no join operator over these
-                // two inputs can cost less than the floor, so a bust
-                // rejects the two unconditional alternatives (hash,
-                // nested-loop) at once — counted as such — and skips
-                // the conditional ones before any state is inferred.
-                if c1 + c2 + cost::join_floor(d1, d2, out_card) > ub {
-                    dc.pruning.bound_pruned += 2;
-                    continue;
-                }
-                // Property state: the probe/outer (left) side's
-                // orderings and groupings survive; all connecting
-                // predicates' equations now hold.
-                let mut fd_bits = arena.node(p1).applied_fds.clone();
-                fd_bits.union_with(&arena.node(p2).applied_fds);
-                let mut state = st1;
-                for &e in &edges {
-                    let f = self.ex.join_fd[e];
-                    dc.probes.infer += 1;
-                    state = self.oracle.infer(state, f);
-                    fd_bits.insert(f.index());
-                }
-                // Schema FDs are key constraints — they hold on the
-                // join output no matter which side carried them, but
-                // only the probe side's chain is in `state`. Re-infer
-                // the build side's (idempotent when already applied);
-                // with the edge equations this is what makes a join key
-                // determine a build-side group column.
-                if self.agg.is_some() {
-                    for r in s2.iter() {
-                        if let Some(f) = self.ex.rel_fd.get(r).copied().flatten() {
-                            dc.probes.infer += 1;
-                            state = self.oracle.infer(state, f);
-                        }
-                    }
-                }
-                // Hash join (on the first edge; the rest are residual
-                // predicates either way).
-                let hj = CandidatePlan {
-                    cost: c1 + c2 + cost::hash_join(d1, d2, out_card),
-                    card: out_card,
-                    state,
-                    agg: mark,
-                };
-                self.try_insert(
-                    arena,
-                    set,
-                    ub,
-                    hj,
-                    || PlanNode {
-                        op: PlanOp::HashJoin {
-                            left: p1,
-                            right: p2,
-                            edge: edges[0],
-                        },
-                        mask: mask.clone(),
-                        cost: hj.cost,
-                        card: hj.card,
-                        state,
-                        agg: mark,
-                        applied_fds: fd_bits.clone(),
-                    },
-                    dc,
-                );
-                // Nested-loop join.
-                let nl = CandidatePlan {
-                    cost: c1 + c2 + cost::nested_loop_join(d1, d2, out_card),
-                    card: out_card,
-                    state,
-                    agg: mark,
-                };
-                self.try_insert(
-                    arena,
-                    set,
-                    ub,
-                    nl,
-                    || PlanNode {
-                        op: PlanOp::NestedLoopJoin {
-                            left: p1,
-                            right: p2,
-                        },
-                        mask: mask.clone(),
-                        cost: nl.cost,
-                        card: nl.card,
-                        state,
-                        agg: mark,
-                        applied_fds: fd_bits.clone(),
-                    },
-                    dc,
-                );
-                // Group-join: the top join fused with the final
-                // aggregation, admissible when the probe side's groups
-                // are already adjacent — its properties, the schema FDs,
-                // and the join's own equations together make the join
-                // key (or whatever the probe is grouped by) functionally
-                // determine the group, which is exactly what the
-                // post-inference `state` answers in O(1). The bound is
-                // checked before the admission probes: a busted fused
-                // plan never reaches the oracle.
-                if let Some(key) = group_join_key.filter(|_| !mark.is_final()) {
-                    let gj_cost = c1 + c2 + cost::group_join(d1, d2, out_card);
-                    if gj_cost > ub {
-                        dc.pruning.bound_pruned += 1;
-                    } else if self.streams_on(state, key, dc) {
-                        let gj = CandidatePlan {
-                            cost: gj_cost,
-                            card: self.group_count(out_card, &key.attrs),
-                            state,
-                            agg: mark.union(AggMark::FINAL),
-                        };
-                        self.try_insert(
-                            arena,
-                            set,
-                            ub,
-                            gj,
-                            || PlanNode {
-                                op: PlanOp::GroupJoin {
-                                    left: p1,
-                                    right: p2,
-                                    edge: edges[0],
-                                },
-                                mask: mask.clone(),
-                                cost: gj.cost,
-                                card: gj.card,
-                                state,
-                                agg: gj.agg,
-                                applied_fds: fd_bits.clone(),
-                            },
-                            dc,
-                        );
-                    }
-                }
-                // Merge joins: need both inputs sorted on the edge. The
-                // bound is checked before the satisfies probes.
-                for &e in &edges {
-                    let j = &self.query.joins[e];
-                    let (la, ra) = if s1.contains(self.query.owner(j.left)) {
-                        (j.left, j.right)
-                    } else {
-                        (j.right, j.left)
-                    };
-                    let (Some(kl), Some(kr)) = (
-                        self.oracle.resolve(&Ordering::new(vec![la]).into()),
-                        self.oracle.resolve(&Ordering::new(vec![ra]).into()),
-                    ) else {
-                        continue;
-                    };
-                    let mj_cost = c1 + c2 + cost::merge_join(d1, d2, out_card);
-                    if mj_cost > ub {
-                        dc.pruning.bound_pruned += 1;
-                        continue;
-                    }
-                    let st2 = arena.node(p2).state;
-                    dc.probes.satisfies += 1;
-                    if !self.oracle.satisfies(st1, kl) {
-                        continue;
-                    }
-                    dc.probes.satisfies += 1;
-                    if !self.oracle.satisfies(st2, kr) {
-                        continue;
-                    }
-                    let mj = CandidatePlan {
-                        cost: mj_cost,
-                        card: out_card,
-                        state,
-                        agg: mark,
-                    };
-                    self.try_insert(
-                        arena,
-                        set,
-                        ub,
-                        mj,
-                        || PlanNode {
-                            op: PlanOp::MergeJoin {
-                                left: p1,
-                                right: p2,
-                                edge: e,
-                            },
-                            mask: mask.clone(),
-                            cost: mj.cost,
-                            card: mj.card,
-                            state,
-                            agg: mark,
-                            applied_fds: fd_bits.clone(),
-                        },
-                        dc,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Replays the FD sets that hold beneath a node onto a freshly
-    /// produced state (§5.6: the enforcer's state follows the `*` edge,
-    /// "and then another edge corresponding to the set of functional
-    /// dependencies that currently hold").
-    fn replay_fds(
-        &self,
-        mut state: O::State,
-        bits: &BitSet,
-        dc: &mut DecisionCounters,
-    ) -> O::State {
-        for f in bits.iter() {
-            dc.probes.infer += 1;
-            state = self.oracle.infer(state, FdSetId(f as u32));
-        }
-        state
-    }
-
-    /// Enforcer variants: for every producible interesting property
-    /// covered by `mask`, a full enforcer on the cheapest unaggregated
-    /// plan — a sort for orderings, a linear hash-group for groupings —
-    /// plus a partial-sort alternative on whichever input makes it
-    /// cheapest (grouping-aware Pareto pruning keeps whichever
-    /// combinations survive).
-    ///
-    /// A variant is suppressed when some unaggregated member already
-    /// satisfies the target at a cost no higher than the variant's own
-    /// total — the *cost-window* rule. (The legacy rule skipped the
-    /// target as soon as *any* member satisfied it; the window form is
-    /// what keeps the bounded and unbounded searches identical: every
-    /// member inside a variant's cost window is bound-admissible
-    /// exactly when the variant is, so both modes reach the same
-    /// suppression decision — see "The pruning seam" in
-    /// ARCHITECTURE.md.) Surviving variants are bound-checked before
-    /// the enforcer state is produced.
-    ///
-    /// Enforcers operate on the unaggregated ([`AggMark::NONE`]) class
-    /// only: that keeps the class an exact replica of the
-    /// root-only-aggregation search (the guarantee that placement can
-    /// never lose), and placement variants stacked on top of the
-    /// enforced plans inherit their properties anyway.
-    fn add_enforcer_variants(
-        &self,
-        mask: &BitSet,
-        set: &mut ParetoSet<O::State>,
-        arena: &mut PlanArena<O::State>,
-        ub: f64,
-        dc: &mut DecisionCounters,
-    ) {
-        // First-minimum over the unaggregated members. Never evicted
-        // later: every enforcer variant costs strictly more than its
-        // input.
-        let Some(cheapest) = set
-            .entries
-            .iter()
-            .filter(|m| m.plan.agg.is_none())
-            .fold(None::<(PlanId, f64)>, |best, m| match best {
-                Some((_, bc)) if bc <= m.plan.cost => best,
-                _ => Some((m.id, m.plan.cost)),
-            })
-            .map(|(id, _)| id)
-        else {
-            return;
-        };
-        for t in 0..self.targets.len() {
-            let key = self.targets[t].key;
-            let grouping = self.targets[t].grouping;
-            if !mask.is_superset(&self.targets[t].rel_mask) {
-                continue; // mentions relations outside this subset
-            }
-            // Alive unaggregated members and their satisfaction of the
-            // target, snapshotted per target (earlier targets' variants
-            // compete here, as before): (id, cost, card, state, sat).
-            let members: Vec<(PlanId, f64, f64, O::State, bool)> = set
-                .entries
-                .iter()
-                .filter(|m| m.plan.agg.is_none())
-                .map(|m| {
-                    let CandidatePlan {
-                        cost, card, state, ..
-                    } = m.plan;
-                    dc.probes.satisfies += 1;
-                    let sat = self.oracle.satisfies(state, key);
-                    (m.id, cost, card, state, sat)
-                })
-                .collect();
-            let (c, d) = {
-                let n = arena.node(cheapest);
-                (n.cost, n.card)
-            };
-            let op_cost = if grouping {
-                cost::hash_group(d)
-            } else {
-                cost::sort(d)
-            };
-            let enforced_cost = c + op_cost;
-            let in_window =
-                |limit: f64| members.iter().any(|&(_, mc, _, _, sat)| sat && mc <= limit);
-            if !in_window(enforced_cost) {
-                if enforced_cost > ub {
-                    dc.pruning.bound_pruned += 1;
-                } else {
-                    let fd_bits = arena.node(cheapest).applied_fds.clone();
-                    dc.probes.produce += 1;
-                    let state = self.replay_fds(self.oracle.produce(key), &fd_bits, dc);
-                    let cand = CandidatePlan {
-                        cost: enforced_cost,
-                        card: d,
-                        state,
-                        agg: AggMark::NONE,
-                    };
-                    let key_attrs = self.targets[t].attrs.clone();
-                    let won = self
-                        .try_insert(
-                            arena,
-                            set,
-                            ub,
-                            cand,
-                            || PlanNode {
-                                op: if grouping {
-                                    PlanOp::HashGroup {
-                                        input: cheapest,
-                                        key: key_attrs,
-                                    }
-                                } else {
-                                    PlanOp::Sort {
-                                        input: cheapest,
-                                        key: key_attrs,
-                                    }
-                                },
-                                mask: mask.clone(),
-                                cost: enforced_cost,
-                                card: d,
-                                state,
-                                agg: AggMark::NONE,
-                                applied_fds: fd_bits,
-                            },
-                            dc,
-                        )
-                        .is_some();
-                    if grouping {
-                        dc.enforcers.hash_group_admitted += 1;
-                        dc.enforcers.hash_group_won += u64::from(won);
-                    } else {
-                        dc.enforcers.sort_admitted += 1;
-                        dc.enforcers.sort_won += u64::from(won);
-                    }
-                }
-            }
-            // Partial-sort alternative for ordering targets: the best
-            // (input cost + partial-sort cost) over members whose state
-            // already satisfies a head grouping — typically *not* the
-            // cheapest plan (a grouped plan costs a bit more but makes
-            // the enforcement nearly free). The full sort above stays in
-            // the set; Pareto pruning keeps whichever survives.
-            if grouping {
-                continue;
-            }
-            let mut best: Option<(f64, PlanId, f64, usize)> = None;
-            for &(id, mc, mcard, mstate, sat) in &members {
-                if sat {
-                    continue;
-                }
-                let Some((ps_cost, covered)) = self.best_partial_sort(
-                    mstate,
-                    mcard,
-                    &self.targets[t].attrs,
-                    &self.targets[t].psort,
-                    dc,
-                ) else {
-                    continue;
-                };
-                let total = mc + ps_cost;
-                if best.is_none_or(|(bt, ..)| total < bt) {
-                    best = Some((total, id, mcard, covered));
-                }
-            }
-            if let Some((total, input, card, covered)) = best {
-                if in_window(total) {
-                    continue;
-                }
-                if total > ub {
-                    dc.pruning.bound_pruned += 1;
-                    continue;
-                }
-                let fd_bits = arena.node(input).applied_fds.clone();
-                dc.probes.produce += 1;
-                let state = self.replay_fds(self.oracle.produce(key), &fd_bits, dc);
-                let cand = CandidatePlan {
-                    cost: total,
-                    card,
-                    state,
-                    agg: AggMark::NONE,
-                };
-                let won = self
-                    .try_insert(
-                        arena,
-                        set,
-                        ub,
-                        cand,
-                        || PlanNode {
-                            op: PlanOp::PartialSort {
-                                input,
-                                key: self.targets[t].attrs.clone(),
-                                head: self.targets[t].attrs[..covered].to_vec(),
-                            },
-                            mask: mask.clone(),
-                            cost: total,
-                            card,
-                            state,
-                            agg: AggMark::NONE,
-                            applied_fds: fd_bits,
-                        },
-                        dc,
-                    )
-                    .is_some();
-                dc.enforcers.partial_sort_admitted += 1;
-                dc.enforcers.partial_sort_won += u64::from(won);
-            }
-        }
-    }
-
-    /// Pareto insertion, prune-before-build: the candidate arrives as a
-    /// stack-only [`CandidatePlan`] and is materialized (via `build`)
-    /// only after it clears the cost bound and the arrival-dominance
-    /// test. Pruned candidates therefore cost no arena allocation —
-    /// `#Plans` counts plans that entered the table (including ones a
-    /// later candidate evicts), which is still "the time to introduce
-    /// one plan operator" for the work actually performed.
-    ///
-    /// Aggregation placement adds a comparability dimension: plans with
-    /// different [`AggMark`]s compute different intermediate relations
-    /// and never prune each other, and plans *inside* an aggregated
-    /// class additionally compare output cardinality (two eager plans
-    /// with partial aggregates at different subsets produce genuinely
-    /// different row counts — the cheaper one is not better if it
-    /// carries more rows into every operator above). Unaggregated plans
-    /// of one subset all compute the same relation, so they keep the
-    /// classic cost-plus-property test ([`CandidatePlan::cheaper`]
-    /// decides which members a dominance check is asked about).
-    ///
-    /// Returns the admitted plan's id, or `None` when the candidate was
-    /// bound-pruned or dominated on arrival.
-    fn try_insert(
-        &self,
-        arena: &mut PlanArena<O::State>,
-        set: &mut ParetoSet<O::State>,
-        ub: f64,
-        cand: CandidatePlan<O::State>,
-        build: impl FnOnce() -> PlanNode<O::State>,
-        dc: &mut DecisionCounters,
-    ) -> Option<PlanId> {
-        self.try_admit(set, ub, cand, || arena.push(build()), dc)
-    }
-
-    /// The two gates behind [`try_insert`](Self::try_insert), for any
-    /// plan: `id` is called — pushing a new node, or returning one that
-    /// already exists (the group-join passthrough at finalization) —
-    /// only when `cand` clears both. Every pruning counter is charged
-    /// here.
-    fn try_admit(
-        &self,
-        set: &mut ParetoSet<O::State>,
-        ub: f64,
-        cand: CandidatePlan<O::State>,
-        id: impl FnOnce() -> PlanId,
-        dc: &mut DecisionCounters,
-    ) -> Option<PlanId> {
-        if cand.cost > ub {
-            dc.pruning.bound_pruned += 1;
-            return None;
-        }
-        if set.arrival_dominated(self.oracle, &cand, dc) {
-            return None;
-        }
-        let id = id();
-        set.admit(self.oracle, id, &cand, dc);
-        dc.pruning.kept[cand.agg.class_index()] += 1;
-        Some(id)
-    }
-
-    /// Cheapest complete plan, enforcing the required output order at
-    /// the top if it is not satisfied — with a full sort, or with a
-    /// partial sort when the plan's output already satisfies a head
-    /// grouping of the requirement (the `ORDER BY group-key` case above
-    /// a hash aggregate, whose grouped output makes the root sort
-    /// nearly free).
-    fn pick_final(
-        &self,
-        set: &[PlanId],
-        required: Option<&Ordering>,
-        arena: &mut PlanArena<O::State>,
-        dc: &mut DecisionCounters,
-    ) -> PlanId {
-        let required_key = required.and_then(|o| self.oracle.resolve(&o.clone().into()));
-        let probes = required
-            .map(|o| Self::partial_sort_probes(self.oracle, o.attrs()))
-            .unwrap_or_default();
-        // Enforcement cost of plan p: None when satisfied, otherwise the
-        // cheaper of full sort and (admissible) partial sort, with the
-        // covered prefix length recorded for the partial sort.
-        let enforcement =
-            |n: &PlanNode<O::State>, dc: &mut DecisionCounters| -> Option<(f64, Option<usize>)> {
-                let k = required_key?;
-                dc.probes.satisfies += 1;
-                if self.oracle.satisfies(n.state, k) {
-                    return None;
-                }
-                let full = (cost::sort(n.card), None);
-                match required
-                    .and_then(|o| self.best_partial_sort(n.state, n.card, o.attrs(), &probes, dc))
-                {
-                    Some((ps, covered)) if ps < full.0 => Some((ps, Some(covered))),
-                    _ => Some(full),
-                }
-            };
-        let mut best: Option<(f64, PlanId)> = None;
-        for &p in set {
-            let n = arena.node(p);
-            let total = n.cost + enforcement(n, dc).map_or(0.0, |(c, _)| c);
-            if best.is_none_or(|(bc, _)| total < bc) {
-                best = Some((total, p));
-            }
-        }
-        let (total, p) = best.expect("no complete plan");
-        let Some((_, covered)) = enforcement(arena.node(p), dc) else {
-            return p;
-        };
-        // Materialize the final (partial) sort.
-        let key = required_key.expect("unsatisfied requires a key");
-        let key_attrs = required
-            .expect("sort implies a requirement")
-            .attrs()
-            .to_vec();
-        let n = arena.node(p);
-        let (d, fd_bits, mask, mark) = (n.card, n.applied_fds.clone(), n.mask.clone(), n.agg);
-        if covered.is_some() {
-            dc.enforcers.partial_sort_admitted += 1;
-            dc.enforcers.partial_sort_won += 1;
-        } else {
-            dc.enforcers.sort_admitted += 1;
-            dc.enforcers.sort_won += 1;
-        }
-        dc.probes.produce += 1;
-        let state = self.replay_fds(self.oracle.produce(key), &fd_bits, dc);
-        let op = match covered {
-            Some(covered) => PlanOp::PartialSort {
-                input: p,
-                head: key_attrs[..covered].to_vec(),
-                key: key_attrs,
-            },
-            None => PlanOp::Sort {
-                input: p,
-                key: key_attrs,
-            },
-        };
-        arena.push(PlanNode {
-            op,
-            mask,
-            cost: total,
-            card: d,
-            state,
-            agg: mark,
-            applied_fds: fd_bits,
-        })
     }
 }
 
@@ -2449,142 +1416,5 @@ mod tests {
         let r = pg.run();
         assert!(r.stats.fallback);
         assert_eq!(r.arena.node(r.best).mask, q.all_relations_set());
-    }
-
-    /// An oracle whose only meaningful operation is `dominates`: an
-    /// arbitrary reflexive relation over `STATES` states (row-major
-    /// matrix) — not transitive, not antisymmetric.
-    struct RelationOracle(Vec<bool>);
-
-    const STATES: u8 = 5;
-
-    impl OrderOracle for RelationOracle {
-        type State = u8;
-        type Key = ();
-        fn resolve(&self, _: &LogicalProperty) -> Option<()> {
-            unreachable!("the Pareto set only asks `dominates`")
-        }
-        fn is_producible(&self, _: ()) -> bool {
-            unreachable!("the Pareto set only asks `dominates`")
-        }
-        fn produce_empty(&self) -> u8 {
-            unreachable!("the Pareto set only asks `dominates`")
-        }
-        fn produce(&self, _: ()) -> u8 {
-            unreachable!("the Pareto set only asks `dominates`")
-        }
-        fn infer(&self, _: u8, _: FdSetId) -> u8 {
-            unreachable!("the Pareto set only asks `dominates`")
-        }
-        fn satisfies(&self, _: u8, _: ()) -> bool {
-            unreachable!("the Pareto set only asks `dominates`")
-        }
-        fn dominates(&self, a: u8, b: u8) -> bool {
-            self.0[usize::from(a) * usize::from(STATES) + usize::from(b)]
-        }
-        fn memory_bytes(&self, _: usize) -> usize {
-            0
-        }
-        fn name(&self) -> &'static str {
-            "relation"
-        }
-    }
-
-    mod pareto_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
-
-            /// The Pareto set against the quadratic filter written from
-            /// the definition: a candidate is dropped iff a survivor in
-            /// its class costs no more (and, when aggregated, carries no
-            /// more rows) and dominates its state; otherwise it evicts
-            /// every survivor it beats the same way. Survivor ids in
-            /// order, every counter, and mutual non-dominance.
-            #[test]
-            fn pareto_set_matches_a_naive_quadratic_filter(
-                bits in proptest::collection::vec(0u8..2, 25..=25),
-                stream in proptest::collection::vec((0u8..4, 0u8..3, 0usize..3, 0u8..STATES), 0..40),
-            ) {
-                let mut rel: Vec<bool> = bits.iter().map(|&b| b == 1).collect();
-                for s in 0..usize::from(STATES) {
-                    rel[s * usize::from(STATES) + s] = true;
-                }
-                let oracle = RelationOracle(rel);
-                let marks = [AggMark::NONE, AggMark::EAGER, AggMark::FINAL];
-                let cands: Vec<CandidatePlan<u8>> = stream
-                    .iter()
-                    .map(|&(cost, card, agg, state)| CandidatePlan {
-                        cost: f64::from(cost),
-                        card: f64::from(card),
-                        state,
-                        agg: marks[agg],
-                    })
-                    .collect();
-
-                let mut set = ParetoSet::new();
-                let mut dc = DecisionCounters::default();
-                for (i, cand) in cands.iter().enumerate() {
-                    if !set.arrival_dominated(&oracle, cand, &mut dc) {
-                        set.admit(&oracle, PlanId(i as u32), cand, &mut dc);
-                        dc.pruning.kept[cand.agg.class_index()] += 1;
-                    }
-                }
-
-                let mut want = DecisionCounters::default();
-                let mut beats = |a: &CandidatePlan<u8>, b: &CandidatePlan<u8>| {
-                    let no_worse = a.agg == b.agg
-                        && a.cost <= b.cost
-                        && (a.agg == AggMark::NONE || a.card <= b.card);
-                    if !no_worse {
-                        return false;
-                    }
-                    if a.state == b.state {
-                        want.probes.dominance_memo_hits += 1;
-                    } else {
-                        want.probes.dominates += 1;
-                    }
-                    oracle.dominates(a.state, b.state)
-                };
-                let mut survivors: Vec<usize> = Vec::new();
-                let mut dominated = [0u64; ofw_obs::AGG_CLASSES];
-                let mut kept = [0u64; ofw_obs::AGG_CLASSES];
-                for (i, c) in cands.iter().enumerate() {
-                    let class = c.agg.class_index();
-                    if survivors.iter().any(|&j| beats(&cands[j], c)) {
-                        dominated[class] += 1;
-                        continue;
-                    }
-                    let mut next = Vec::new();
-                    for &j in &survivors {
-                        if beats(c, &cands[j]) {
-                            dominated[class] += 1;
-                        } else {
-                            next.push(j);
-                        }
-                    }
-                    next.push(i);
-                    survivors = next;
-                    kept[class] += 1;
-                }
-                want.pruning.dominated = dominated;
-                want.pruning.kept = kept;
-
-                let ids: Vec<usize> = set.ids().iter().map(|p| p.0 as usize).collect();
-                prop_assert_eq!(&ids, &survivors);
-                prop_assert_eq!(&dc, &want);
-                for &a in &survivors {
-                    for &b in &survivors {
-                        let (x, y) = (&cands[a], &cands[b]);
-                        prop_assert!(
-                            a == b || !(x.cheaper(y) && oracle.dominates(x.state, y.state)),
-                            "survivor {} dominates survivor {}", a, b
-                        );
-                    }
-                }
-            }
-        }
     }
 }
