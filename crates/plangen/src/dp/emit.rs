@@ -1,29 +1,31 @@
-//! The emitters: base plans, joins, aggregates and enforcers.
+//! The emitters: base plans, joins, aggregates and enforcers. Each one
+//! builds stack-only candidates and offers them to the subset's
+//! [`Gate`], which decides their fate.
 
+use super::pareto::Gate;
 use super::*;
 
 impl<O: OrderOracle> PlanGen<'_, O> {
-    /// The cheapest admissible partial sort of a plan in `state` with
-    /// `card` rows to the ordering `attrs`: the first (deepest-coverage)
-    /// satisfied probe decides how much of the key the input's blocks
-    /// already cover, and the cost model charges only the within-block
-    /// residue. `None` when no head grouping (or pair) is satisfied —
-    /// then only the full sort can enforce the ordering.
+    /// The cheapest admissible partial sort to the ordering target `t`
+    /// of a plan in `state` with `card` rows: the first
+    /// (deepest-coverage) satisfied probe decides how much of the key
+    /// the input's blocks already cover, and the cost model charges only
+    /// the within-block residue. `None` when no head grouping (or pair)
+    /// is satisfied — then only the full sort can enforce the ordering.
     fn best_partial_sort(
         &self,
+        t: &EnforcerTarget<O::Key>,
         state: O::State,
         card: f64,
-        attrs: &[AttrId],
-        probes: &[PartialSortProbe<O::Key>],
         dc: &mut DecisionCounters,
     ) -> Option<(f64, usize)> {
         if !self.partial_sort {
             return None;
         }
-        for p in probes {
+        for p in &t.psort {
             dc.probes.satisfies += 1;
             if self.oracle.satisfies(state, p.key) {
-                let groups = self.group_count(card, &attrs[..p.covered]);
+                let groups = self.group_count(card, &t.attrs[..p.covered]);
                 return Some((cost::partial_sort(card, groups), p.covered));
             }
         }
@@ -46,7 +48,7 @@ impl<O: OrderOracle> PlanGen<'_, O> {
         })
     }
 
-    /// Builds one aggregate candidate on `keys` over plan `p` — the
+    /// Offers one aggregate candidate on `keys` over plan `p` — the
     /// single implementation behind final aggregates and pushed-down
     /// partials: streaming when the input satisfies the key as an
     /// ordering *or* a grouping (its output is a subsequence — first
@@ -57,41 +59,33 @@ impl<O: OrderOracle> PlanGen<'_, O> {
     /// else *is* a partial.
     ///
     /// Bound-checked before the admission probes with the aggregate
-    /// cost floor (a streaming aggregate, the cheapest variant), and
-    /// inserted through [`try_insert`](Self::try_insert) — a pruned
-    /// aggregate costs no allocation.
-    #[allow(clippy::too_many_arguments)]
-    fn try_push_aggregate(
+    /// cost floor (a streaming aggregate, the cheapest variant) — a
+    /// pruned aggregate costs no allocation.
+    fn offer_aggregate(
         &self,
-        arena: &mut PlanArena<O::State>,
-        set: &mut ParetoSet<O::State>,
-        ub: f64,
+        g: &mut Gate<'_, O>,
         p: PlanId,
         keys: &AggKeyHandles<O::Key>,
         mark: AggMark,
         groups: f64,
-        dc: &mut DecisionCounters,
-    ) -> Option<PlanId> {
+    ) {
         let (c, d, st) = {
-            let n = arena.node(p);
+            let n = g.node(p);
             (n.cost, n.card, n.state)
         };
-        if c + cost::streaming_aggregate(d) > ub {
-            dc.pruning.bound_pruned += 1;
-            return None;
+        if c + cost::streaming_aggregate(d) > g.ub {
+            g.dc.pruning.bound_pruned += 1;
+            return;
         }
-        let (fd_bits, mask) = {
-            let n = arena.node(p);
-            (n.applied_fds.clone(), n.mask.clone())
-        };
+        let fd_bits = g.node(p).applied_fds.clone();
         let partial = !mark.is_final();
-        let streaming = self.streams_on(st, keys, dc);
+        let streaming = self.streams_on(st, keys, g.dc);
         let (op_cost, state, fds_out) = if streaming {
             (cost::streaming_aggregate(d), st, fd_bits)
         } else {
-            dc.probes.produce += 1;
+            g.dc.probes.produce += 1;
             let state = match keys.producible {
-                Some(k) => self.replay_fds(self.oracle.produce(k), &fd_bits, dc),
+                Some(k) => self.replay_fds(self.oracle.produce(k), &fd_bits, g.dc),
                 None => self.oracle.produce_empty(),
             };
             (cost::hash_aggregate(d), state, BitSet::new())
@@ -102,67 +96,46 @@ impl<O: OrderOracle> PlanGen<'_, O> {
             state,
             agg: mark,
         };
-        self.try_insert(
-            arena,
-            set,
-            ub,
-            cand,
-            || {
-                let op = if streaming {
-                    PlanOp::StreamAgg {
-                        input: p,
-                        key: keys.attrs.clone(),
-                        partial,
-                    }
-                } else {
-                    PlanOp::HashAgg {
-                        input: p,
-                        key: keys.attrs.clone(),
-                        partial,
-                    }
-                };
-                PlanNode {
-                    op,
-                    mask,
-                    cost: cand.cost,
-                    card: groups,
-                    state,
-                    agg: mark,
-                    applied_fds: fds_out,
+        g.offer(cand, || {
+            let (input, key) = (p, keys.attrs.clone());
+            let op = if streaming {
+                PlanOp::StreamAgg {
+                    input,
+                    key,
+                    partial,
                 }
-            },
-            dc,
-        )
+            } else {
+                PlanOp::HashAgg {
+                    input,
+                    key,
+                    partial,
+                }
+            };
+            (op, fds_out)
+        });
     }
 
     /// Final-aggregation alternatives for every complete plan (streaming
-    /// vs hashing per [`push_aggregate`](Self::push_aggregate)). Eagerly
-    /// pre-aggregated plans finalize the same way — the root aggregate
-    /// combines their partials — while group-join plans are already
-    /// final and pass through untouched.
+    /// vs hashing per [`offer_aggregate`](Self::offer_aggregate)).
+    /// Eagerly pre-aggregated plans finalize the same way — the root
+    /// aggregate combines their partials — while group-join plans are
+    /// already final and pass through untouched.
     pub(super) fn finalize_aggregates(
         &self,
         keys: &AggKeyHandles<O::Key>,
         plans: &[PlanId],
-        arena: &mut PlanArena<O::State>,
-        dc: &mut DecisionCounters,
-    ) -> Vec<PlanId> {
-        // At the root nothing remains outside the mask: the bound
-        // applies with a zero remainder.
-        let ub = self.bound;
-        let mut out: ParetoSet<O::State> = ParetoSet::new();
+        g: &mut Gate<'_, O>,
+    ) {
         for &p in plans {
-            let cand = arena.node(p).candidate();
-            if cand.agg.is_final() {
+            let agg = g.node(p).agg;
+            if agg.is_final() {
                 // Group-join output: the aggregation already happened.
-                self.try_admit(&mut out, ub, cand, || p, dc);
+                g.offer_existing(p);
                 continue;
             }
-            let mark = cand.agg.union(AggMark::FINAL);
-            let groups = self.final_group_count(cand.card, &keys.attrs);
-            self.try_push_aggregate(arena, &mut out, ub, p, keys, mark, groups, dc);
+            let groups = self.final_group_count(g.node(p).card, &keys.attrs);
+            self.offer_aggregate(g, p, keys, agg.union(AggMark::FINAL), groups);
         }
-        out.ids()
     }
 
     /// Aggregation-placement variants for one subset — the tentpole of
@@ -179,20 +152,14 @@ impl<O: OrderOracle> PlanGen<'_, O> {
     /// comparability class ([`AggMark`]), never evicting (or being
     /// evicted by) the classic join-only plans: their payoff is the
     /// collapsed cardinality every operator above them enjoys.
-    pub(super) fn add_placement_variants(
-        &self,
-        mask: &BitSet,
-        set: &mut ParetoSet<O::State>,
-        arena: &mut PlanArena<O::State>,
-        ub: f64,
-        dc: &mut DecisionCounters,
-    ) {
+    pub(super) fn add_placement_variants(&self, g: &mut Gate<'_, O>) {
         if !self.placement {
             return;
         }
         let Some(agg) = &self.agg else {
             return;
         };
+        let mask = g.mask;
         // Never at the root set: a partial aggregate there could only
         // feed the final aggregate it is redundant with.
         if mask.len() == self.query.num_relations() {
@@ -211,7 +178,8 @@ impl<O: OrderOracle> PlanGen<'_, O> {
             return;
         }
         let keys = Self::resolve_agg_key(self.oracle, key.attrs().to_vec());
-        let snapshot: Vec<(PlanId, f64)> = set
+        let snapshot: Vec<(PlanId, f64)> = g
+            .set
             .entries
             .iter()
             .filter(|m| m.plan.agg.is_none())
@@ -219,25 +187,18 @@ impl<O: OrderOracle> PlanGen<'_, O> {
             .collect();
         for (p, card) in snapshot {
             let groups = self.group_count(card, &keys.attrs);
-            self.try_push_aggregate(arena, set, ub, p, &keys, mark, groups, dc);
+            self.offer_aggregate(g, p, &keys, mark, groups);
         }
     }
 
     /// Scan and index-scan plans for one relation, with constant-
     /// predicate FDs applied and filter selectivities folded in —
-    /// inserted straight into the singleton's Pareto set. The cheapest
-    /// access path can never bust the bound (the bound provider's plan
-    /// pays at least that much for this relation), so the set is never
-    /// left empty; pricier index scans are bound-checked before their
-    /// state is produced.
-    pub(super) fn base_plans(
-        &self,
-        qrel: usize,
-        set: &mut ParetoSet<O::State>,
-        arena: &mut PlanArena<O::State>,
-        ub: f64,
-        dc: &mut DecisionCounters,
-    ) {
+    /// offered to the singleton's gate. The cheapest access path can
+    /// never bust the bound (the bound provider's plan pays at least
+    /// that much for this relation), so the set is never left empty;
+    /// pricier index scans are bound-checked before their state is
+    /// produced.
+    pub(super) fn base_plans(&self, qrel: usize, g: &mut Gate<'_, O>) {
         let rel = self.query.relations[qrel];
         let raw_card = self.catalog.relation(rel).cardinality;
         let mut sel = 1.0;
@@ -264,37 +225,25 @@ impl<O: OrderOracle> PlanGen<'_, O> {
             }
         }
         let card = (raw_card * sel).max(1.0);
-        let mask = self.query.relation_set(qrel);
-
-        // Heap scan.
-        dc.probes.produce += 1;
-        let mut state = self.oracle.produce_empty();
-        for &f in &fds {
-            dc.probes.infer += 1;
-            state = self.oracle.infer(state, f);
-        }
-        let scan = CandidatePlan {
-            cost: cost::scan(raw_card),
-            card,
-            state,
-            agg: AggMark::NONE,
-        };
-        self.try_insert(
-            arena,
-            set,
-            ub,
-            scan,
-            || PlanNode {
-                op: PlanOp::Scan { qrel },
-                mask: mask.clone(),
-                cost: scan.cost,
+        // The access path's state: `start` with the relation's FDs
+        // applied in order.
+        let access = |g: &mut Gate<'_, O>, start: O::State, cost: f64| {
+            let mut state = start;
+            for &f in &fds {
+                g.dc.probes.infer += 1;
+                state = self.oracle.infer(state, f);
+            }
+            CandidatePlan {
+                cost,
                 card,
                 state,
                 agg: AggMark::NONE,
-                applied_fds: fd_bits.clone(),
-            },
-            dc,
-        );
+            }
+        };
+        // Heap scan.
+        g.dc.probes.produce += 1;
+        let scan = access(g, self.oracle.produce_empty(), cost::scan(raw_card));
+        g.offer(scan, || (PlanOp::Scan { qrel }, fd_bits.clone()));
         // Index scans (only when the index order is interesting —
         // otherwise the order information is useless for this query and
         // the heap scan dominates). Bound-checked before the state is
@@ -308,60 +257,35 @@ impl<O: OrderOracle> PlanGen<'_, O> {
                 continue;
             }
             let ix_cost = cost::index_scan(raw_card, index.clustered);
-            if ix_cost > ub {
-                dc.pruning.bound_pruned += 1;
+            if ix_cost > g.ub {
+                g.dc.pruning.bound_pruned += 1;
                 continue;
             }
-            dc.probes.produce += 1;
-            let mut state = self.oracle.produce(key);
-            for &f in &fds {
-                dc.probes.infer += 1;
-                state = self.oracle.infer(state, f);
-            }
-            let ix = CandidatePlan {
-                cost: ix_cost,
-                card,
-                state,
-                agg: AggMark::NONE,
-            };
-            self.try_insert(
-                arena,
-                set,
-                ub,
-                ix,
-                || PlanNode {
-                    op: PlanOp::IndexScan { qrel, index: idx },
-                    mask: mask.clone(),
-                    cost: ix_cost,
-                    card,
-                    state,
-                    agg: AggMark::NONE,
-                    applied_fds: fd_bits.clone(),
-                },
-                dc,
-            );
+            g.dc.probes.produce += 1;
+            let ix = access(g, self.oracle.produce(key), ix_cost);
+            g.offer(ix, || {
+                (PlanOp::IndexScan { qrel, index: idx }, fd_bits.clone())
+            });
         }
     }
 
     /// All join alternatives for the ordered partition `(l, r)` of
-    /// committed subsets (flat indices into `subsets` and the table).
+    /// committed subsets (flat indices into `subsets` and `table`).
     ///
     /// Prune-before-build: each plan combination is first tested
     /// against the subset's cost upper bound with
     /// [`cost::join_floor`] — a bust rejects every join alternative of
     /// the combination before any oracle inference, FD-set clone or
-    /// node allocation happens. Survivors build stack-only
-    /// [`CandidatePlan`]s per alternative; [`try_insert`]
-    /// (Self::try_insert) materializes a node only after the bound and
-    /// arrival-dominance checks pass.
+    /// node allocation happens. Survivors offer stack-only
+    /// [`CandidatePlan`]s per alternative to the [`Gate`], which
+    /// materializes a node only after the bound and arrival-dominance
+    /// checks pass.
     pub(super) fn emit_joins(
         &self,
         subsets: &[BitSet],
+        table: &[Vec<PlanId>],
         (l, r): (u32, u32),
-        set: &mut ParetoSet<O::State>,
-        arena: &mut PlanArena<O::State>,
-        ub: f64,
-        dc: &mut DecisionCounters,
+        g: &mut Gate<'_, O>,
     ) {
         let (s1, s2) = (&subsets[l as usize], &subsets[r as usize]);
         let edges: Vec<usize> = self.graph.connecting_edges(s1, s2).collect();
@@ -372,25 +296,18 @@ impl<O: OrderOracle> PlanGen<'_, O> {
             .iter()
             .map(|&e| self.query.joins[e].selectivity)
             .product();
-        let mask = {
-            let mut m = s1.clone();
-            m.union_with(s2);
-            m
-        };
         // Fused group-joins exist only at the root subset: they perform
         // the query's *final* aggregation, on its final key.
-        let at_root = mask.len() == self.query.num_relations();
+        let at_root = g.mask.len() == self.query.num_relations();
         let group_join_key = self
             .final_key
             .as_ref()
             .filter(|_| at_root && self.placement && self.agg.is_some());
-        let left_plans = &self.table[l as usize];
-        let right_plans = &self.table[r as usize];
-        for &p1 in left_plans {
-            for &p2 in right_plans {
-                let n1 = arena.node(p1);
+        for &p1 in &table[l as usize] {
+            for &p2 in &table[r as usize] {
+                let n1 = g.node(p1);
                 let (c1, d1, st1, mark1) = (n1.cost, n1.card, n1.state, n1.agg);
-                let n2 = arena.node(p2);
+                let n2 = g.node(p2);
                 let (c2, d2, mark2) = (n2.cost, n2.card, n2.agg);
                 let mark = mark1.union(mark2);
                 let out_card = (d1 * d2 * sel).max(1.0);
@@ -399,19 +316,19 @@ impl<O: OrderOracle> PlanGen<'_, O> {
                 // rejects the two unconditional alternatives (hash,
                 // nested-loop) at once — counted as such — and skips
                 // the conditional ones before any state is inferred.
-                if c1 + c2 + cost::join_floor(d1, d2, out_card) > ub {
-                    dc.pruning.bound_pruned += 2;
+                if c1 + c2 + cost::join_floor(d1, d2, out_card) > g.ub {
+                    g.dc.pruning.bound_pruned += 2;
                     continue;
                 }
                 // Property state: the probe/outer (left) side's
                 // orderings and groupings survive; all connecting
                 // predicates' equations now hold.
-                let mut fd_bits = arena.node(p1).applied_fds.clone();
-                fd_bits.union_with(&arena.node(p2).applied_fds);
+                let mut fd_bits = g.node(p1).applied_fds.clone();
+                fd_bits.union_with(&g.node(p2).applied_fds);
                 let mut state = st1;
                 for &e in &edges {
                     let f = self.ex.join_fd[e];
-                    dc.probes.infer += 1;
+                    g.dc.probes.infer += 1;
                     state = self.oracle.infer(state, f);
                     fd_bits.insert(f.index());
                 }
@@ -424,65 +341,29 @@ impl<O: OrderOracle> PlanGen<'_, O> {
                 if self.agg.is_some() {
                     for r in s2.iter() {
                         if let Some(f) = self.ex.rel_fd.get(r).copied().flatten() {
-                            dc.probes.infer += 1;
+                            g.dc.probes.infer += 1;
                             state = self.oracle.infer(state, f);
                         }
                     }
                 }
+                let join = |cost: f64| CandidatePlan {
+                    cost,
+                    card: out_card,
+                    state,
+                    agg: mark,
+                };
                 // Hash join (on the first edge; the rest are residual
                 // predicates either way).
-                let hj = CandidatePlan {
-                    cost: c1 + c2 + cost::hash_join(d1, d2, out_card),
-                    card: out_card,
-                    state,
-                    agg: mark,
-                };
-                self.try_insert(
-                    arena,
-                    set,
-                    ub,
-                    hj,
-                    || PlanNode {
-                        op: PlanOp::HashJoin {
-                            left: p1,
-                            right: p2,
-                            edge: edges[0],
-                        },
-                        mask: mask.clone(),
-                        cost: hj.cost,
-                        card: hj.card,
-                        state,
-                        agg: mark,
-                        applied_fds: fd_bits.clone(),
-                    },
-                    dc,
-                );
+                let (left, right, edge) = (p1, p2, edges[0]);
+                let hj = join(c1 + c2 + cost::hash_join(d1, d2, out_card));
+                g.offer(hj, || {
+                    (PlanOp::HashJoin { left, right, edge }, fd_bits.clone())
+                });
                 // Nested-loop join.
-                let nl = CandidatePlan {
-                    cost: c1 + c2 + cost::nested_loop_join(d1, d2, out_card),
-                    card: out_card,
-                    state,
-                    agg: mark,
-                };
-                self.try_insert(
-                    arena,
-                    set,
-                    ub,
-                    nl,
-                    || PlanNode {
-                        op: PlanOp::NestedLoopJoin {
-                            left: p1,
-                            right: p2,
-                        },
-                        mask: mask.clone(),
-                        cost: nl.cost,
-                        card: nl.card,
-                        state,
-                        agg: mark,
-                        applied_fds: fd_bits.clone(),
-                    },
-                    dc,
-                );
+                let nl = join(c1 + c2 + cost::nested_loop_join(d1, d2, out_card));
+                g.offer(nl, || {
+                    (PlanOp::NestedLoopJoin { left, right }, fd_bits.clone())
+                });
                 // Group-join: the top join fused with the final
                 // aggregation, admissible when the probe side's groups
                 // are already adjacent — its properties, the schema FDs,
@@ -494,41 +375,23 @@ impl<O: OrderOracle> PlanGen<'_, O> {
                 // plan never reaches the oracle.
                 if let Some(key) = group_join_key.filter(|_| !mark.is_final()) {
                     let gj_cost = c1 + c2 + cost::group_join(d1, d2, out_card);
-                    if gj_cost > ub {
-                        dc.pruning.bound_pruned += 1;
-                    } else if self.streams_on(state, key, dc) {
+                    if gj_cost > g.ub {
+                        g.dc.pruning.bound_pruned += 1;
+                    } else if self.streams_on(state, key, g.dc) {
                         let gj = CandidatePlan {
-                            cost: gj_cost,
                             card: self.group_count(out_card, &key.attrs),
-                            state,
                             agg: mark.union(AggMark::FINAL),
+                            ..join(gj_cost)
                         };
-                        self.try_insert(
-                            arena,
-                            set,
-                            ub,
-                            gj,
-                            || PlanNode {
-                                op: PlanOp::GroupJoin {
-                                    left: p1,
-                                    right: p2,
-                                    edge: edges[0],
-                                },
-                                mask: mask.clone(),
-                                cost: gj.cost,
-                                card: gj.card,
-                                state,
-                                agg: gj.agg,
-                                applied_fds: fd_bits.clone(),
-                            },
-                            dc,
-                        );
+                        g.offer(gj, || {
+                            (PlanOp::GroupJoin { left, right, edge }, fd_bits.clone())
+                        });
                     }
                 }
                 // Merge joins: need both inputs sorted on the edge. The
                 // bound is checked before the satisfies probes.
-                for &e in &edges {
-                    let j = &self.query.joins[e];
+                for &edge in &edges {
+                    let j = &self.query.joins[edge];
                     let (la, ra) = if s1.contains(self.query.owner(j.left)) {
                         (j.left, j.right)
                     } else {
@@ -541,45 +404,23 @@ impl<O: OrderOracle> PlanGen<'_, O> {
                         continue;
                     };
                     let mj_cost = c1 + c2 + cost::merge_join(d1, d2, out_card);
-                    if mj_cost > ub {
-                        dc.pruning.bound_pruned += 1;
+                    if mj_cost > g.ub {
+                        g.dc.pruning.bound_pruned += 1;
                         continue;
                     }
-                    let st2 = arena.node(p2).state;
-                    dc.probes.satisfies += 1;
+                    let st2 = g.node(p2).state;
+                    g.dc.probes.satisfies += 1;
                     if !self.oracle.satisfies(st1, kl) {
                         continue;
                     }
-                    dc.probes.satisfies += 1;
+                    g.dc.probes.satisfies += 1;
                     if !self.oracle.satisfies(st2, kr) {
                         continue;
                     }
-                    let mj = CandidatePlan {
-                        cost: mj_cost,
-                        card: out_card,
-                        state,
-                        agg: mark,
-                    };
-                    self.try_insert(
-                        arena,
-                        set,
-                        ub,
-                        mj,
-                        || PlanNode {
-                            op: PlanOp::MergeJoin {
-                                left: p1,
-                                right: p2,
-                                edge: e,
-                            },
-                            mask: mask.clone(),
-                            cost: mj.cost,
-                            card: mj.card,
-                            state,
-                            agg: mark,
-                            applied_fds: fd_bits.clone(),
-                        },
-                        dc,
-                    );
+                    let mj = join(mj_cost);
+                    g.offer(mj, || {
+                        (PlanOp::MergeJoin { left, right, edge }, fd_bits.clone())
+                    });
                 }
             }
         }
@@ -602,11 +443,65 @@ impl<O: OrderOracle> PlanGen<'_, O> {
         state
     }
 
+    /// The one enforcer: establishes target `t` on plan `input` at total
+    /// cost `cost` with a partial sort over the first `covered` key
+    /// attributes, or else a hash group for a grouping and a full sort
+    /// for an ordering. Bound-checked before the enforcer state is
+    /// produced; that state follows `*` from the target and replays the
+    /// input's FDs. A subset's enforcer is offered to its gate (`commit`
+    /// off); the root `ORDER BY` enforcer is committed outright. Either
+    /// way the enforcer counters are charged here.
+    fn enforce(
+        &self,
+        g: &mut Gate<'_, O>,
+        t: &EnforcerTarget<O::Key>,
+        input: PlanId,
+        cost: f64,
+        covered: Option<usize>,
+        commit: bool,
+    ) -> Option<PlanId> {
+        if cost > g.ub {
+            g.dc.pruning.bound_pruned += 1;
+            return None;
+        }
+        let mut cand = g.node(input).candidate();
+        let fd_bits = g.node(input).applied_fds.clone();
+        g.dc.probes.produce += 1;
+        cand.state = self.replay_fds(self.oracle.produce(t.key), &fd_bits, g.dc);
+        cand.cost = cost;
+        let op = || {
+            let key = t.attrs.clone();
+            match covered {
+                Some(c) => PlanOp::PartialSort {
+                    input,
+                    head: key[..c].to_vec(),
+                    key,
+                },
+                None if t.grouping => PlanOp::HashGroup { input, key },
+                None => PlanOp::Sort { input, key },
+            }
+        };
+        let id = if commit {
+            Some(g.push(cand, op(), fd_bits))
+        } else {
+            g.offer(cand, || (op(), fd_bits))
+        };
+        let e = &mut g.dc.enforcers;
+        let (admitted, won) = match covered {
+            Some(_) => (&mut e.partial_sort_admitted, &mut e.partial_sort_won),
+            None if t.grouping => (&mut e.hash_group_admitted, &mut e.hash_group_won),
+            None => (&mut e.sort_admitted, &mut e.sort_won),
+        };
+        *admitted += 1;
+        *won += u64::from(id.is_some());
+        id
+    }
+
     /// Enforcer variants: for every producible interesting property
-    /// covered by `mask`, a full enforcer on the cheapest unaggregated
-    /// plan — a sort for orderings, a linear hash-group for groupings —
-    /// plus a partial-sort alternative on whichever input makes it
-    /// cheapest (grouping-aware Pareto pruning keeps whichever
+    /// covered by the subset, a full enforcer on the cheapest
+    /// unaggregated plan — a sort for orderings, a linear hash-group for
+    /// groupings — plus a partial-sort alternative on whichever input
+    /// makes it cheapest (grouping-aware Pareto pruning keeps whichever
     /// combinations survive).
     ///
     /// A variant is suppressed when some unaggregated member already
@@ -625,18 +520,12 @@ impl<O: OrderOracle> PlanGen<'_, O> {
     /// root-only-aggregation search (the guarantee that placement can
     /// never lose), and placement variants stacked on top of the
     /// enforced plans inherit their properties anyway.
-    pub(super) fn add_enforcer_variants(
-        &self,
-        mask: &BitSet,
-        set: &mut ParetoSet<O::State>,
-        arena: &mut PlanArena<O::State>,
-        ub: f64,
-        dc: &mut DecisionCounters,
-    ) {
+    pub(super) fn add_enforcer_variants(&self, g: &mut Gate<'_, O>) {
         // First-minimum over the unaggregated members. Never evicted
         // later: every enforcer variant costs strictly more than its
         // input.
-        let Some(cheapest) = set
+        let Some(cheapest) = g
+            .set
             .entries
             .iter()
             .filter(|m| m.plan.agg.is_none())
@@ -648,16 +537,15 @@ impl<O: OrderOracle> PlanGen<'_, O> {
         else {
             return;
         };
-        for t in 0..self.targets.len() {
-            let key = self.targets[t].key;
-            let grouping = self.targets[t].grouping;
-            if !mask.is_superset(&self.targets[t].rel_mask) {
+        for t in &self.targets {
+            if !g.mask.is_superset(&t.rel_mask) {
                 continue; // mentions relations outside this subset
             }
             // Alive unaggregated members and their satisfaction of the
             // target, snapshotted per target (earlier targets' variants
             // compete here, as before): (id, cost, card, state, sat).
-            let members: Vec<(PlanId, f64, f64, O::State, bool)> = set
+            let members: Vec<(PlanId, f64, f64, O::State, bool)> = g
+                .set
                 .entries
                 .iter()
                 .filter(|m| m.plan.agg.is_none())
@@ -665,73 +553,19 @@ impl<O: OrderOracle> PlanGen<'_, O> {
                     let CandidatePlan {
                         cost, card, state, ..
                     } = m.plan;
-                    dc.probes.satisfies += 1;
-                    let sat = self.oracle.satisfies(state, key);
+                    g.dc.probes.satisfies += 1;
+                    let sat = self.oracle.satisfies(state, t.key);
                     (m.id, cost, card, state, sat)
                 })
                 .collect();
-            let (c, d) = {
-                let n = arena.node(cheapest);
-                (n.cost, n.card)
-            };
-            let op_cost = if grouping {
-                cost::hash_group(d)
-            } else {
-                cost::sort(d)
-            };
-            let enforced_cost = c + op_cost;
             let in_window =
                 |limit: f64| members.iter().any(|&(_, mc, _, _, sat)| sat && mc <= limit);
+            let enforced_cost = {
+                let n = g.node(cheapest);
+                n.cost + t.full_cost(n.card)
+            };
             if !in_window(enforced_cost) {
-                if enforced_cost > ub {
-                    dc.pruning.bound_pruned += 1;
-                } else {
-                    let fd_bits = arena.node(cheapest).applied_fds.clone();
-                    dc.probes.produce += 1;
-                    let state = self.replay_fds(self.oracle.produce(key), &fd_bits, dc);
-                    let cand = CandidatePlan {
-                        cost: enforced_cost,
-                        card: d,
-                        state,
-                        agg: AggMark::NONE,
-                    };
-                    let key_attrs = self.targets[t].attrs.clone();
-                    let won = self
-                        .try_insert(
-                            arena,
-                            set,
-                            ub,
-                            cand,
-                            || PlanNode {
-                                op: if grouping {
-                                    PlanOp::HashGroup {
-                                        input: cheapest,
-                                        key: key_attrs,
-                                    }
-                                } else {
-                                    PlanOp::Sort {
-                                        input: cheapest,
-                                        key: key_attrs,
-                                    }
-                                },
-                                mask: mask.clone(),
-                                cost: enforced_cost,
-                                card: d,
-                                state,
-                                agg: AggMark::NONE,
-                                applied_fds: fd_bits,
-                            },
-                            dc,
-                        )
-                        .is_some();
-                    if grouping {
-                        dc.enforcers.hash_group_admitted += 1;
-                        dc.enforcers.hash_group_won += u64::from(won);
-                    } else {
-                        dc.enforcers.sort_admitted += 1;
-                        dc.enforcers.sort_won += u64::from(won);
-                    }
-                }
+                self.enforce(g, t, cheapest, enforced_cost, None, false);
             }
             // Partial-sort alternative for ordering targets: the best
             // (input cost + partial-sort cost) over members whose state
@@ -739,156 +573,64 @@ impl<O: OrderOracle> PlanGen<'_, O> {
             // cheapest plan (a grouped plan costs a bit more but makes
             // the enforcement nearly free). The full sort above stays in
             // the set; Pareto pruning keeps whichever survives.
-            if grouping {
+            if t.grouping {
                 continue;
             }
-            let mut best: Option<(f64, PlanId, f64, usize)> = None;
+            let mut best: Option<(f64, PlanId, usize)> = None;
             for &(id, mc, mcard, mstate, sat) in &members {
                 if sat {
                     continue;
                 }
-                let Some((ps_cost, covered)) = self.best_partial_sort(
-                    mstate,
-                    mcard,
-                    &self.targets[t].attrs,
-                    &self.targets[t].psort,
-                    dc,
-                ) else {
+                let Some((ps_cost, covered)) = self.best_partial_sort(t, mstate, mcard, g.dc)
+                else {
                     continue;
                 };
                 let total = mc + ps_cost;
                 if best.is_none_or(|(bt, ..)| total < bt) {
-                    best = Some((total, id, mcard, covered));
+                    best = Some((total, id, covered));
                 }
             }
-            if let Some((total, input, card, covered)) = best {
-                if in_window(total) {
-                    continue;
-                }
-                if total > ub {
-                    dc.pruning.bound_pruned += 1;
-                    continue;
-                }
-                let fd_bits = arena.node(input).applied_fds.clone();
-                dc.probes.produce += 1;
-                let state = self.replay_fds(self.oracle.produce(key), &fd_bits, dc);
-                let cand = CandidatePlan {
-                    cost: total,
-                    card,
-                    state,
-                    agg: AggMark::NONE,
-                };
-                let won = self
-                    .try_insert(
-                        arena,
-                        set,
-                        ub,
-                        cand,
-                        || PlanNode {
-                            op: PlanOp::PartialSort {
-                                input,
-                                key: self.targets[t].attrs.clone(),
-                                head: self.targets[t].attrs[..covered].to_vec(),
-                            },
-                            mask: mask.clone(),
-                            cost: total,
-                            card,
-                            state,
-                            agg: AggMark::NONE,
-                            applied_fds: fd_bits,
-                        },
-                        dc,
-                    )
-                    .is_some();
-                dc.enforcers.partial_sort_admitted += 1;
-                dc.enforcers.partial_sort_won += u64::from(won);
+            if let Some((total, input, covered)) = best.filter(|&(total, ..)| !in_window(total)) {
+                self.enforce(g, t, input, total, Some(covered), false);
             }
         }
     }
 
-    /// Cheapest complete plan, enforcing the required output order at
-    /// the top if it is not satisfied — with a full sort, or with a
-    /// partial sort when the plan's output already satisfies a head
-    /// grouping of the requirement (the `ORDER BY group-key` case above
-    /// a hash aggregate, whose grouped output makes the root sort
-    /// nearly free).
-    pub(super) fn pick_final(
-        &self,
-        set: &[PlanId],
-        required: Option<&Ordering>,
-        arena: &mut PlanArena<O::State>,
-        dc: &mut DecisionCounters,
-    ) -> PlanId {
-        let required_key = required.and_then(|o| self.oracle.resolve(&o.clone().into()));
-        let probes = required
-            .map(|o| Self::partial_sort_probes(self.oracle, o.attrs()))
-            .unwrap_or_default();
-        // Enforcement cost of plan p: None when satisfied, otherwise the
+    /// Cheapest complete plan, enforcing the query's `ORDER BY` at the
+    /// top if it is not satisfied — with a full sort, or with a partial
+    /// sort when the plan's output already satisfies a head grouping of
+    /// the requirement (the `ORDER BY group-key` case above a hash
+    /// aggregate, whose grouped output makes the root sort nearly free).
+    pub(super) fn pick_final(&self, set: &[PlanId], g: &mut Gate<'_, O>) -> PlanId {
+        // Enforcement cost of a plan: None when satisfied, otherwise the
         // cheaper of full sort and (admissible) partial sort, with the
         // covered prefix length recorded for the partial sort.
-        let enforcement =
-            |n: &PlanNode<O::State>, dc: &mut DecisionCounters| -> Option<(f64, Option<usize>)> {
-                let k = required_key?;
-                dc.probes.satisfies += 1;
-                if self.oracle.satisfies(n.state, k) {
-                    return None;
-                }
-                let full = (cost::sort(n.card), None);
-                match required
-                    .and_then(|o| self.best_partial_sort(n.state, n.card, o.attrs(), &probes, dc))
-                {
-                    Some((ps, covered)) if ps < full.0 => Some((ps, Some(covered))),
-                    _ => Some(full),
-                }
-            };
+        let enforcement = |n: &PlanNode<O::State>, dc: &mut DecisionCounters| {
+            let t = self.order_by.as_ref()?;
+            dc.probes.satisfies += 1;
+            if self.oracle.satisfies(n.state, t.key) {
+                return None;
+            }
+            let full = (t.full_cost(n.card), None);
+            match self.best_partial_sort(t, n.state, n.card, dc) {
+                Some((ps, covered)) if ps < full.0 => Some((ps, Some(covered))),
+                _ => Some(full),
+            }
+        };
         let mut best: Option<(f64, PlanId)> = None;
         for &p in set {
-            let n = arena.node(p);
-            let total = n.cost + enforcement(n, dc).map_or(0.0, |(c, _)| c);
+            let n = g.arena.node(p);
+            let total = n.cost + enforcement(n, g.dc).map_or(0.0, |(c, _)| c);
             if best.is_none_or(|(bc, _)| total < bc) {
                 best = Some((total, p));
             }
         }
         let (total, p) = best.expect("no complete plan");
-        let Some((_, covered)) = enforcement(arena.node(p), dc) else {
+        let Some((_, covered)) = enforcement(g.arena.node(p), g.dc) else {
             return p;
         };
-        // Materialize the final (partial) sort.
-        let key = required_key.expect("unsatisfied requires a key");
-        let key_attrs = required
-            .expect("sort implies a requirement")
-            .attrs()
-            .to_vec();
-        let n = arena.node(p);
-        let (d, fd_bits, mask, mark) = (n.card, n.applied_fds.clone(), n.mask.clone(), n.agg);
-        if covered.is_some() {
-            dc.enforcers.partial_sort_admitted += 1;
-            dc.enforcers.partial_sort_won += 1;
-        } else {
-            dc.enforcers.sort_admitted += 1;
-            dc.enforcers.sort_won += 1;
-        }
-        dc.probes.produce += 1;
-        let state = self.replay_fds(self.oracle.produce(key), &fd_bits, dc);
-        let op = match covered {
-            Some(covered) => PlanOp::PartialSort {
-                input: p,
-                head: key_attrs[..covered].to_vec(),
-                key: key_attrs,
-            },
-            None => PlanOp::Sort {
-                input: p,
-                key: key_attrs,
-            },
-        };
-        arena.push(PlanNode {
-            op,
-            mask,
-            cost: total,
-            card: d,
-            state,
-            agg: mark,
-            applied_fds: fd_bits,
-        })
+        let t = self.order_by.as_ref().expect("a sort implies ORDER BY");
+        self.enforce(g, t, p, total, covered, true)
+            .expect("the root enforcer is committed")
     }
 }

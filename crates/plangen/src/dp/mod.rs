@@ -54,17 +54,19 @@
 //! window (`linearize.rs`) — not exhaustive, but it plans 100-relation
 //! cliques — and [`PlanGenStats::fallback`] says so.
 //!
-//! The driver ([`PlanGen::run`]) is serial, as in the paper's §7
-//! generator: it plans the unions one after another in batch order, and
-//! every plan a union admits goes straight into the one [`PlanArena`].
-//! A plan's id is therefore a pure function of the query, and so is the
-//! whole plan table — operators, masks, costs, cardinalities, applied
-//! FDs, oracle states, winner.
+//! The driver is serial, as in the paper's §7 generator: it plans the
+//! unions one after another in batch order, and every plan a union
+//! admits goes straight into the pass's one [`PlanArena`]. A plan's id
+//! is therefore a pure function of the query, and so is the whole plan
+//! table — operators, masks, costs, cardinalities, applied FDs, oracle
+//! states, winner. [`PlanGen::run`] drives two passes through the same
+//! code: the bound provider's window-2 linearized schedule, unbounded
+//! and untraced into a discarded arena, then the real schedule.
 //!
 //! # The pruning seam
 //!
-//! The inner loop prunes before it builds. A cheap greedy linearized
-//! run seeds a global cost upper bound `B`; every candidate is tested
+//! The inner loop prunes before it builds. The bound provider's pass
+//! seeds a global cost upper bound `B`; every candidate is tested
 //! against `B` minus an admissible floor on the cost still to be paid
 //! outside its subset — *before* its plan node is allocated, and
 //! usually before the oracle is probed ([`PlanGen::cost_bounding`]
@@ -72,14 +74,14 @@
 //! candidate is compared on cost first, and only a cheaper member in its
 //! comparability class costs a dominance check — one oracle probe (one
 //! precomputed bit on the DFSM arm, §5.5), or none when the two states
-//! are equal. Candidates travel as stack-only
-//! `CandidatePlan`s and are committed into the arena only after
-//! surviving both gates. The chosen plan and its cost are identical
-//! with bounding on or off (the contract and its proof obligations are
-//! written down in ARCHITECTURE.md, "The pruning seam"); every
-//! [`PlanNode`] that enters the table is counted — the paper's
-//! `#Plans` metric ("the time to introduce one plan operator") for the
-//! work actually performed.
+//! are equal. The emitters (`emit.rs`) offer stack-only
+//! `CandidatePlan`s to their subset's gate (`pareto.rs`), the one place
+//! a candidate's fate is decided and its [`PlanNode`] built. The chosen
+//! plan and its cost are identical with bounding on or off (the
+//! contract and its proof obligations are written down in
+//! ARCHITECTURE.md, "The pruning seam"); every node that enters the
+//! table is counted — the paper's `#Plans` metric ("the time to
+//! introduce one plan operator") for the work actually performed.
 
 mod dphyp;
 mod emit;
@@ -94,9 +96,9 @@ use ofw_common::BitSet;
 use ofw_core::fd::FdSetId;
 use ofw_core::ordering::Ordering;
 use ofw_core::property::{Grouping, HeadTail, LogicalProperty};
-use ofw_obs::{DecisionCounters, PhaseStats, Trace};
+use ofw_obs::{DecisionCounters, PhaseStats, Span, Trace};
 use ofw_query::{ExtractedQuery, JoinGraph, Query};
-use pareto::ParetoSet;
+use pareto::Gate;
 use std::time::{Duration, Instant};
 
 /// Ceiling on enumeration work before exhaustive enumeration is
@@ -176,8 +178,10 @@ pub struct PlanGenResult<S> {
     pub stats: PlanGenStats,
 }
 
-/// One producible interesting property, pre-resolved: the target of a
-/// sort enforcer (ordering) or a hash-group enforcer (grouping).
+/// One interesting property, pre-resolved: the target of a sort
+/// enforcer (ordering) or a hash-group enforcer (grouping) — every
+/// producible one at every subset that covers it, and the `ORDER BY`
+/// requirement at the root.
 struct EnforcerTarget<K> {
     key: K,
     /// The attribute list (for the executor and plan rendering).
@@ -190,6 +194,18 @@ struct EnforcerTarget<K> {
     /// Partial-sort probes for ordering targets (see
     /// [`PlanGen::partial_sort_probes`]); empty for grouping targets.
     psort: Vec<PartialSortProbe<K>>,
+}
+
+impl<K> EnforcerTarget<K> {
+    /// The full enforcer's own cost over `card` rows: a linear hash
+    /// group for a grouping, a sort for an ordering.
+    fn full_cost(&self, card: f64) -> f64 {
+        if self.grouping {
+            cost::hash_group(card)
+        } else {
+            cost::sort(card)
+        }
+    }
 }
 
 /// One pre-resolved partial-sort admission probe: if a plan's state
@@ -235,6 +251,66 @@ pub(crate) struct Schedule {
     emitted: u64,
 }
 
+/// What one pass of the driver leaves: the winner, the arena holding
+/// it, and the pass's work counters.
+struct Pass<S> {
+    best: PlanId,
+    cost: f64,
+    arena: PlanArena<S>,
+    unions: u64,
+    /// Ordered pairs the schedule emitted.
+    pairs: u64,
+    fallback: bool,
+    log: PhaseLog,
+}
+
+/// One phase in flight: its span, its clock, the arena size it started
+/// at, and its entry — whose decisions the phase charges.
+struct Phase<'t> {
+    span: Span<'t>,
+    start: Instant,
+    plans_before: usize,
+    stats: PhaseStats,
+}
+
+impl<'t> Phase<'t> {
+    /// Opens phase `name` with `arena` plans made so far, its span one
+    /// level below the `plangen` root.
+    fn open(trace: &'t Trace, span: &'static str, name: impl Into<String>, arena: usize) -> Self {
+        Phase {
+            span: trace.span_at(span, 1),
+            start: Instant::now(),
+            plans_before: arena,
+            stats: PhaseStats {
+                name: name.into(),
+                ..PhaseStats::default()
+            },
+        }
+    }
+
+    /// Charges the phase the plans materialized since it opened, the
+    /// arena now holding `arena_len`, in its entry and on its span.
+    fn count_plans(&mut self, arena_len: usize) {
+        self.stats.plans = (arena_len - self.plans_before) as u64;
+        self.span.count("plans", self.stats.plans);
+    }
+
+    /// Ends the phase and its span: the entry joins `log`, its
+    /// decisions the run's.
+    fn close(mut self, log: &mut PhaseLog) {
+        self.stats.time = self.start.elapsed();
+        log.decisions.merge(&self.stats.decisions);
+        log.phases.push(self.stats);
+    }
+}
+
+/// The phases of one pass, in order, and the decisions they add up to.
+#[derive(Default)]
+struct PhaseLog {
+    phases: Vec<PhaseStats>,
+    decisions: DecisionCounters,
+}
+
 /// Pre-resolved aggregation context: what placement enumeration needs
 /// to know at every subset (see the module docs on the aggregation
 /// dimension).
@@ -277,12 +353,10 @@ pub struct PlanGen<'a, O: OrderOracle> {
     /// Enumeration budget ([`ENUMERATION_BUDGET`]; in-crate tests lower
     /// it to make the fallback trip cheaply).
     budget: u64,
-    /// `Some(w)` pins the schedule to the linearized window DP at width
-    /// `w` — only the bound provider's nested run does, at the cheapest
-    /// width. `None` is the normal path: exhaustive within the budget,
-    /// the budget-adaptive window beyond it.
-    window: Option<usize>,
     targets: Vec<EnforcerTarget<O::Key>>,
+    /// The `ORDER BY` requirement, resolved once: `Some` iff the query
+    /// orders its output by an interesting ordering.
+    order_by: Option<EnforcerTarget<O::Key>>,
     /// Aggregation context (`Some` iff the query computes aggregates
     /// over a group-by).
     agg: Option<AggInfo>,
@@ -314,15 +388,9 @@ pub struct PlanGen<'a, O: OrderOracle> {
     min_access: Vec<f64>,
     /// Σ [`min_access`](Self::min_access).
     total_access: f64,
-    /// The global cost upper bound `B` (∞ until the bound provider has
-    /// run, and always ∞ with bounding off).
-    bound: f64,
     /// Span sink for phase-level tracing (disabled by default — one
     /// pointer check per phase, nothing in the per-plan hot path).
     trace: Trace,
-    /// The plan table: each committed subset's Pareto set, by flat
-    /// index — parallel to the driver's `subsets`.
-    table: Vec<Vec<PlanId>>,
 }
 
 impl<'a, O: OrderOracle> PlanGen<'a, O> {
@@ -338,34 +406,41 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // Head/tail pairs are tested-only (a partial sort *consumes*
         // them and produces a full ordering), so they never become
         // enforcer targets themselves.
-        let mut targets = Vec::new();
-        for p in ex.spec.produced() {
-            if p.is_head_tail() {
-                continue;
-            }
-            let Some(key) = oracle.resolve(p).filter(|&k| oracle.is_producible(k)) else {
-                continue;
-            };
+        let target = |p: &LogicalProperty, key| {
             let grouping = p.is_grouping();
-            let rel_mask = p.attrs().iter().map(|&a| query.owner(a)).collect();
-            let psort = if grouping {
-                Vec::new()
-            } else {
-                Self::partial_sort_probes(oracle, p.attrs())
-            };
-            targets.push(EnforcerTarget {
+            EnforcerTarget {
                 key,
                 attrs: p.attrs().to_vec(),
-                rel_mask,
+                rel_mask: p.attrs().iter().map(|&a| query.owner(a)).collect(),
                 grouping,
-                psort,
-            });
-        }
+                psort: if grouping {
+                    Vec::new()
+                } else {
+                    Self::partial_sort_probes(oracle, p.attrs())
+                },
+            }
+        };
+        let mut targets: Vec<_> = ex
+            .spec
+            .produced()
+            .iter()
+            .filter(|p| !p.is_head_tail())
+            .filter_map(|p| {
+                let key = oracle.resolve(p).filter(|&k| oracle.is_producible(k))?;
+                Some(target(p, key))
+            })
+            .collect();
         // Grouping targets first: a sort satisfies the grouping too, so
         // adding the sort first would mask the cheaper hash-group
         // enforcer ("already satisfied"); added first, both variants
         // enter the Pareto set and the cost model decides.
         targets.sort_by_key(|t| !t.grouping);
+        // Final: honor the output order. A bare group-by/distinct needs
+        // no output *ordering* — one row per group is a grouping-shaped
+        // requirement the aggregate itself guarantees.
+        let order_by = (!query.order_by.is_empty())
+            .then(|| Ordering::new(query.order_by.clone()).into())
+            .and_then(|p| Some(target(&p, oracle.resolve(&p)?)));
         let agg = ex.aggregation.then(|| AggInfo {
             input_owners: query.agg_input_attrs().map(|a| query.owner(a)).collect(),
             decomposable: query.aggregates.iter().all(|a| a.func.is_decomposable()),
@@ -398,8 +473,8 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             oracle,
             graph: JoinGraph::new(query),
             budget: ENUMERATION_BUDGET,
-            window: None,
             targets,
+            order_by,
             agg,
             final_key,
             placement: true,
@@ -407,9 +482,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
             bounding: true,
             min_access,
             total_access,
-            bound: f64::INFINITY,
             trace: Trace::disabled(),
-            table: Vec::new(),
         }
     }
 
@@ -488,15 +561,15 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
     /// plan still has to pay outside `mask` (the cheapest access path
     /// of every relation not yet joined — joins, enforcers and
     /// aggregates only ever add on top). ∞ when no bound is active.
-    fn upper_bound(&self, mask: &BitSet) -> f64 {
-        if self.bound.is_infinite() {
+    fn upper_bound(&self, bound: f64, mask: &BitSet) -> f64 {
+        if bound.is_infinite() {
             return f64::INFINITY;
         }
         let mut inside = 0.0;
         for r in mask.iter() {
             inside += self.min_access[r];
         }
-        self.bound - (self.total_access - inside)
+        bound - (self.total_access - inside)
     }
 
     /// Estimated group count of aggregating `card` rows on `attrs`:
@@ -527,24 +600,13 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
 
     /// Runs the DP and returns the cheapest complete plan that honors
     /// the query's `order by` (adding a final sort if needed).
-    pub fn run(mut self) -> PlanGenResult<O::State> {
+    pub fn run(self) -> PlanGenResult<O::State> {
         let t0 = Instant::now();
-        let trace = self.trace.clone();
-        let mut root = trace.span("plangen");
+        let mut root = self.trace.span("plangen");
         root.label("serial");
-        let n = self.query.num_relations();
-        let mut phases: Vec<PhaseStats> = Vec::new();
-        let mut run_dc = DecisionCounters::default();
-        // Every plan node of the run, in allocation order: each plan
-        // goes in the moment it is admitted.
-        let mut arena = PlanArena::new();
+        let mut log = PhaseLog::default();
 
-        // Subsets committed so far, in flat global-index order: the
-        // numbering the schedule's pair references use (singletons
-        // `0..n` first, then unions in batch-emission order).
-        let mut subsets: Vec<BitSet> = Vec::with_capacity(n);
-
-        // Bound provider: one cheap greedy linearized run (window 2,
+        // Bound provider: one cheap greedy linearized pass (window 2,
         // itself unbounded) seeds the global upper bound `B` every
         // later phase prunes against. Its plan space is a subset of
         // the outer schedule's search space, so `B` is always achievable
@@ -554,211 +616,37 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // decision counters merge into the run totals via the "bound"
         // phase; its plan nodes live in its own discarded arena and do
         // not count toward `#Plans`.
-        if self.bounding && n >= 3 {
-            let mut sp = root.child("bound");
-            let tp = Instant::now();
-            let mut provider = PlanGen::new(self.catalog, self.query, self.ex, self.oracle)
-                .cost_bounding(false)
-                .aggregation_placement(self.placement)
-                .partial_sort(self.partial_sort);
-            provider.window = Some(2);
-            let provider = provider.run();
-            self.bound = provider.cost * (1.0 + BOUND_SLACK);
-            sp.count("plans", provider.stats.plans as u64);
-            phases.push(PhaseStats {
-                name: "bound".into(),
-                time: tp.elapsed(),
-                unions: provider.stats.unions,
-                pairs_emitted: provider.stats.pairs_emitted,
-                plans: provider.stats.plans as u64,
-                decisions: provider.stats.decisions.clone(),
-            });
-            run_dc.merge(&provider.stats.decisions);
+        let mut bound = f64::INFINITY;
+        if self.bounding && self.query.num_relations() >= 3 {
+            let mut phase = Phase::open(&self.trace, "bound", "bound", 0);
+            let provider = self.bound_pass();
+            bound = provider.cost * (1.0 + BOUND_SLACK);
+            phase.count_plans(provider.arena.len());
+            phase.stats.unions = provider.unions;
+            phase.stats.pairs_emitted = provider.pairs;
+            phase.stats.decisions = provider.log.decisions;
+            phase.close(&mut log);
         }
-
-        // Base relations.
-        {
-            let mut sp = root.child("base_plans");
-            let tp = Instant::now();
-            let mut dc = DecisionCounters::default();
-            for qrel in 0..n {
-                let mask = self.query.relation_set(qrel);
-                let ub = self.upper_bound(&mask);
-                let mut set = ParetoSet::new();
-                self.base_plans(qrel, &mut set, &mut arena, ub, &mut dc);
-                self.add_enforcer_variants(&mask, &mut set, &mut arena, ub, &mut dc);
-                self.add_placement_variants(&mask, &mut set, &mut arena, ub, &mut dc);
-                self.table.push(set.ids());
-                subsets.push(mask);
-            }
-            let plans = arena.len() as u64;
-            sp.count("plans", plans);
-            sp.count("kept", dc.pruning.kept_total());
-            phases.push(PhaseStats {
-                name: "base".into(),
-                time: tp.elapsed(),
-                unions: n as u64,
-                pairs_emitted: 0,
-                plans,
-                decisions: dc.clone(),
-            });
-            run_dc.merge(&dc);
-        }
-
-        // The driver loop: the schedule hands over batches of union
-        // work whose pairs only reference subsets committed before the
-        // batch. Each union is planned in batch order and committed
-        // before the next one starts.
-        let (schedule, fallback) = {
-            let mut sp = root.child("enumerate");
-            let tp = Instant::now();
-            let (schedule, fallback) = self.schedule();
-            if fallback {
-                sp.label("fallback");
-            }
-            sp.count("pairs_emitted", schedule.emitted);
-            phases.push(PhaseStats {
-                name: "enumerate".into(),
-                time: tp.elapsed(),
-                unions: 0,
-                pairs_emitted: 0,
-                plans: 0,
-                decisions: DecisionCounters::default(),
-            });
-            (schedule, fallback)
-        };
-        let mut unions = 0u64;
-        let mut layer = 0usize;
-        for batch in schedule.batches {
-            layer += 1;
-            let mut sp = root.child("dp_layer");
-            if trace.is_enabled() {
-                sp.label(format!("layer {layer}"));
-            }
-            let tp = Instant::now();
-            let plans_before = arena.len();
-            let batch_len = batch.len() as u64;
-            let batch_pairs: u64 = batch.iter().map(|w| w.pairs.len() as u64).sum();
-            let mut dc = DecisionCounters::default();
-            for work in batch {
-                let mut union_sp = sp.child("union");
-                let before = (
-                    arena.len(),
-                    dc.pruning.kept_total(),
-                    dc.pruning.dominated_total(),
-                );
-                let set = self.process_union(&work, &subsets, &mut arena, &mut dc);
-                if trace.is_enabled() {
-                    union_sp.label(format!("|{}| pairs={}", work.union.len(), work.pairs.len()));
-                    union_sp.count("plans", (arena.len() - before.0) as u64);
-                    union_sp.count("kept", dc.pruning.kept_total() - before.1);
-                    union_sp.count("dominated", dc.pruning.dominated_total() - before.2);
-                }
-                drop(union_sp);
-                self.table.push(set);
-                subsets.push(work.union);
-                unions += 1;
-            }
-            let plans = (arena.len() - plans_before) as u64;
-            // Pruning work (kept/dominated) is charged once, on the
-            // per-union spans — repeating the totals here would
-            // double-charge the layer in the span ledger. The layer
-            // span carries only what the unions cannot: batch size and
-            // the layer's plan count.
-            sp.count("unions", batch_len);
-            sp.count("plans", plans);
-            phases.push(PhaseStats {
-                name: format!("layer {layer}"),
-                time: tp.elapsed(),
-                unions: batch_len,
-                pairs_emitted: batch_pairs,
-                plans,
-                decisions: dc.clone(),
-            });
-            run_dc.merge(&dc);
-        }
-
-        // Aggregation: a streaming aggregate exploits an input ordered
-        // *or grouped* by the grouping attributes; otherwise hash
-        // aggregation (or sort/hash-group + stream, via the enforcer
-        // variants already in the set) competes on cost. The property
-        // state decides which plans qualify. Under aggregation
-        // placement the root set also carries eagerly pre-aggregated
-        // plans (which still finalize here) and fused group-join plans
-        // (which do not). The root set is the last committed subset:
-        // every schedule ends with the full relation set.
-        assert_eq!(
-            subsets.last(),
-            Some(&self.query.all_relations_set()),
-            "the schedule must end at the full relation set"
-        );
-        let mut final_set = self.table.pop().expect("one subset per relation");
-        if let Some(keys) = &self.final_key {
-            let mut sp = root.child("finalize_aggregates");
-            let tp = Instant::now();
-            let mut dc = DecisionCounters::default();
-            let plans_before = arena.len();
-            final_set = self.finalize_aggregates(keys, &final_set, &mut arena, &mut dc);
-            let plans = (arena.len() - plans_before) as u64;
-            sp.count("plans", plans);
-            phases.push(PhaseStats {
-                name: "finalize".into(),
-                time: tp.elapsed(),
-                unions: 0,
-                pairs_emitted: 0,
-                plans,
-                decisions: dc.clone(),
-            });
-            run_dc.merge(&dc);
-        }
-        let final_set = final_set;
-
-        // Final: honor the output order. A bare group-by/distinct needs
-        // no output *ordering* — one row per group is a grouping-shaped
-        // requirement the aggregate itself guarantees.
-        let required = if !self.query.order_by.is_empty() {
-            Some(Ordering::new(self.query.order_by.clone()))
-        } else {
-            None
-        };
-        let best = {
-            let mut sp = root.child("pick_final");
-            let tp = Instant::now();
-            let mut dc = DecisionCounters::default();
-            let plans_before = arena.len();
-            let best = self.pick_final(&final_set, required.as_ref(), &mut arena, &mut dc);
-            let plans = (arena.len() - plans_before) as u64;
-            sp.count("plans", plans);
-            phases.push(PhaseStats {
-                name: "pick_final".into(),
-                time: tp.elapsed(),
-                unions: 0,
-                pairs_emitted: 0,
-                plans,
-                decisions: dc.clone(),
-            });
-            run_dc.merge(&dc);
-            best
-        };
-        let cost = arena.node(best).cost;
-        root.count("plans", arena.len() as u64);
-        root.count("unions", unions);
+        let pass = self.drive(|| self.schedule(), bound, &self.trace, log);
+        let plans = pass.arena.len();
+        root.count("plans", plans as u64);
+        root.count("unions", pass.unions);
         drop(root);
         let stats = PlanGenStats {
-            plans: arena.len(),
+            plans,
             time: t0.elapsed(),
-            memory_bytes: self.oracle.memory_bytes(arena.len()),
-            pairs_considered: schedule.emitted,
-            pairs_emitted: schedule.emitted,
-            unions,
-            fallback,
-            phases,
-            decisions: run_dc,
+            memory_bytes: self.oracle.memory_bytes(plans),
+            pairs_considered: pass.pairs,
+            pairs_emitted: pass.pairs,
+            unions: pass.unions,
+            fallback: pass.fallback,
+            phases: pass.log.phases,
+            decisions: pass.log.decisions,
         };
         PlanGenResult {
-            best,
-            cost,
-            arena,
+            best: pass.best,
+            cost: pass.cost,
+            arena: pass.arena,
             stats,
         }
     }
@@ -770,47 +658,187 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         self.run()
     }
 
+    /// The bound provider's pass: the linearized schedule at the
+    /// cheapest window, planned by the same driver as the real search,
+    /// unbounded, into a throwaway arena, untraced.
+    fn bound_pass(&self) -> Pass<O::State> {
+        let linearized = linearize::schedule(self.catalog, self.query, Some(2), self.budget);
+        let (untraced, log) = (Trace::disabled(), PhaseLog::default());
+        self.drive(|| (linearized, false), f64::INFINITY, &untraced, log)
+    }
+
     /// Builds the schedule, and says whether the budget forced the
     /// linearized fallback. Enumeration needs only the join graph, so
     /// the budget trips before any planning work is spent.
     fn schedule(&self) -> (Schedule, bool) {
-        let linearized = || linearize::schedule(self.catalog, self.query, self.window, self.budget);
-        if self.window.is_some() {
-            return (linearized(), false);
-        }
         match dphyp::schedule(&self.graph, self.budget) {
             Ok(exact) => (exact, false),
-            Err(dphyp::BudgetExceeded) => (linearized(), true),
+            Err(dphyp::BudgetExceeded) => (
+                linearize::schedule(self.catalog, self.query, None, self.budget),
+                true,
+            ),
         }
     }
 
-    /// Builds one subset's Pareto set from its ordered partitions. Reads
-    /// earlier subsets' plans (`table`, `subsets`) by flat index, a plain
-    /// `Vec` lookup, and pushes every admitted plan into `arena`.
-    fn process_union(
+    /// The driver: one pass over the schedule `schedule` builds, every
+    /// candidate pruned against the global bound `bound`, each phase
+    /// appended to `log` with its span one level below `trace`'s
+    /// `plangen` root. The plan table is local: each committed subset's
+    /// Pareto set by flat index, parallel to `subsets`.
+    fn drive(
         &self,
-        work: &UnionWork,
-        subsets: &[BitSet],
-        arena: &mut PlanArena<O::State>,
-        dc: &mut DecisionCounters,
-    ) -> Vec<PlanId> {
-        let ub = self.upper_bound(&work.union);
-        let mut set = ParetoSet::new();
-        if let Some(earlier) = work.seed {
-            // Seeds are the subset's committed Pareto set — already
-            // mutually non-dominated and bound-admissible, so they
-            // enter unchecked (and uncounted: they were counted when
-            // first kept).
-            for &p in &self.table[earlier as usize] {
-                set.insert_unchecked(p, arena.node(p).candidate());
+        schedule: impl FnOnce() -> (Schedule, bool),
+        bound: f64,
+        trace: &Trace,
+        mut log: PhaseLog,
+    ) -> Pass<O::State> {
+        let n = self.query.num_relations();
+        // Every plan node of the pass, in allocation order: each plan
+        // goes in the moment it is admitted.
+        let mut arena = PlanArena::new();
+        let mut table: Vec<Vec<PlanId>> = Vec::with_capacity(n);
+        // Subsets committed so far, in flat global-index order: the
+        // numbering the schedule's pair references use (singletons
+        // `0..n` first, then unions in batch-emission order).
+        let mut subsets: Vec<BitSet> = Vec::with_capacity(n);
+
+        // Base relations.
+        let mut phase = Phase::open(trace, "base_plans", "base", 0);
+        for qrel in 0..n {
+            let mask = self.query.relation_set(qrel);
+            let dc = &mut phase.stats.decisions;
+            table.push(self.plan_union(&mut arena, &mask, bound, dc, |g| self.base_plans(qrel, g)));
+            subsets.push(mask);
+        }
+        phase.stats.unions = n as u64;
+        phase.count_plans(arena.len());
+        let kept = phase.stats.decisions.pruning.kept_total();
+        phase.span.count("kept", kept);
+        phase.close(&mut log);
+
+        // The driver loop: the schedule hands over batches of union
+        // work whose pairs only reference subsets committed before the
+        // batch. Each union is planned in batch order and committed
+        // before the next one starts.
+        let mut phase = Phase::open(trace, "enumerate", "enumerate", 0);
+        let (schedule, fallback) = schedule();
+        if fallback {
+            phase.span.label("fallback");
+        }
+        phase.span.count("pairs_emitted", schedule.emitted);
+        phase.close(&mut log);
+        let mut unions = 0u64;
+        for (layer, batch) in (1..).zip(schedule.batches) {
+            let mut phase = Phase::open(trace, "dp_layer", format!("layer {layer}"), arena.len());
+            if trace.is_enabled() {
+                phase.span.label(phase.stats.name.clone());
             }
+            phase.stats.unions = batch.len() as u64;
+            phase.stats.pairs_emitted = batch.iter().map(|w| w.pairs.len() as u64).sum();
+            for work in batch {
+                let mut union_sp = phase.span.child("union");
+                let dc = &mut phase.stats.decisions;
+                let pruning = &dc.pruning;
+                let before = (arena.len(), pruning.kept_total(), pruning.dominated_total());
+                let set = self.plan_union(&mut arena, &work.union, bound, dc, |g| {
+                    if let Some(earlier) = work.seed {
+                        // Seeds are the subset's committed Pareto set —
+                        // already mutually non-dominated and
+                        // bound-admissible, so they enter unchecked (and
+                        // uncounted: they were counted when first kept).
+                        for &p in &table[earlier as usize] {
+                            g.set.insert_unchecked(p, g.arena.node(p).candidate());
+                        }
+                    }
+                    for &pair in &work.pairs {
+                        self.emit_joins(&subsets, &table, pair, g);
+                    }
+                });
+                if trace.is_enabled() {
+                    let pruning = &phase.stats.decisions.pruning;
+                    union_sp.label(format!("|{}| pairs={}", work.union.len(), work.pairs.len()));
+                    union_sp.count("plans", (arena.len() - before.0) as u64);
+                    union_sp.count("kept", pruning.kept_total() - before.1);
+                    union_sp.count("dominated", pruning.dominated_total() - before.2);
+                }
+                drop(union_sp);
+                table.push(set);
+                subsets.push(work.union);
+                unions += 1;
+            }
+            // Pruning work (kept/dominated) is charged once, on the
+            // per-union spans — repeating the totals here would
+            // double-charge the layer in the span ledger. The layer
+            // span carries only what the unions cannot: batch size and
+            // the layer's plan count.
+            phase.span.count("unions", phase.stats.unions);
+            phase.count_plans(arena.len());
+            phase.close(&mut log);
         }
-        for &pair in &work.pairs {
-            self.emit_joins(subsets, pair, &mut set, arena, ub, dc);
+
+        // Aggregation: a streaming aggregate exploits an input ordered
+        // *or grouped* by the grouping attributes; otherwise hash
+        // aggregation (or sort/hash-group + stream, via the enforcer
+        // variants already in the set) competes on cost. The property
+        // state decides which plans qualify. Under aggregation
+        // placement the root set also carries eagerly pre-aggregated
+        // plans (which still finalize here) and fused group-join plans
+        // (which do not). The root set is the last committed subset:
+        // every schedule ends with the full relation set.
+        let all = self.query.all_relations_set();
+        assert_eq!(
+            subsets.last(),
+            Some(&all),
+            "the schedule must end at the full relation set"
+        );
+        let mut final_set = table.pop().expect("one subset per relation");
+        if let Some(keys) = &self.final_key {
+            let mut phase = Phase::open(trace, "finalize_aggregates", "finalize", arena.len());
+            // At the root nothing remains outside the mask: the bound
+            // applies with a zero remainder.
+            let dc = &mut phase.stats.decisions;
+            let mut g = Gate::new(self.oracle, &mut arena, &all, bound, dc);
+            self.finalize_aggregates(keys, &final_set, &mut g);
+            final_set = g.set.ids();
+            phase.count_plans(arena.len());
+            phase.close(&mut log);
         }
-        self.add_enforcer_variants(&work.union, &mut set, arena, ub, dc);
-        self.add_placement_variants(&work.union, &mut set, arena, ub, dc);
-        set.ids()
+
+        let mut phase = Phase::open(trace, "pick_final", "pick_final", arena.len());
+        let dc = &mut phase.stats.decisions;
+        let mut g = Gate::new(self.oracle, &mut arena, &all, f64::INFINITY, dc);
+        let best = self.pick_final(&final_set, &mut g);
+        phase.count_plans(arena.len());
+        phase.close(&mut log);
+        Pass {
+            best,
+            cost: arena.node(best).cost,
+            arena,
+            unions,
+            pairs: schedule.emitted,
+            fallback,
+            log,
+        }
+    }
+
+    /// Plans one subset through its gate: `native` offers the subset's
+    /// own plans (access paths or joins), then the enforcer and
+    /// placement variants compete with them. Returns the Pareto set in
+    /// insertion order — the subset's row of the plan table.
+    fn plan_union(
+        &self,
+        arena: &mut PlanArena<O::State>,
+        mask: &BitSet,
+        bound: f64,
+        dc: &mut DecisionCounters,
+        native: impl FnOnce(&mut Gate<'_, O>),
+    ) -> Vec<PlanId> {
+        let ub = self.upper_bound(bound, mask);
+        let mut g = Gate::new(self.oracle, arena, mask, ub, dc);
+        native(&mut g);
+        self.add_enforcer_variants(&mut g);
+        self.add_placement_variants(&mut g);
+        g.set.ids()
     }
 
     /// Resolves the oracle handles for aggregating on `attrs` — the
@@ -1397,9 +1425,8 @@ mod tests {
         );
         assert!(fallback.cost >= exact.cost);
 
-        let mut provider = PlanGen::new(&c, &q, &ex, &fw).cost_bounding(false);
-        provider.window = Some(2);
-        assert!(provider.run().cost >= exact.cost);
+        let provider = PlanGen::new(&c, &q, &ex, &fw).bound_pass();
+        assert!(provider.cost >= exact.cost);
     }
 
     /// A hub with 129 neighbors: no `u128` counter can walk that csg

@@ -90,64 +90,123 @@ impl<S: Copy + Eq> ParetoSet<S> {
     }
 }
 
-impl<O: OrderOracle> PlanGen<'_, O> {
-    /// Pareto insertion, prune-before-build: the candidate arrives as a
-    /// stack-only [`CandidatePlan`] and is materialized (via `build`)
-    /// only after it clears the cost bound and the arrival-dominance
-    /// test. Pruned candidates therefore cost no arena allocation —
-    /// `#Plans` counts plans that entered the table (including ones a
-    /// later candidate evicts), which is still "the time to introduce
-    /// one plan operator" for the work actually performed.
-    ///
-    /// Aggregation placement adds a comparability dimension: plans with
-    /// different [`AggMark`]s compute different intermediate relations
-    /// and never prune each other, and plans *inside* an aggregated
-    /// class additionally compare output cardinality (two eager plans
-    /// with partial aggregates at different subsets produce genuinely
-    /// different row counts — the cheaper one is not better if it
-    /// carries more rows into every operator above). Unaggregated plans
-    /// of one subset all compute the same relation, so they keep the
-    /// classic cost-plus-property test ([`CandidatePlan::cheaper`]
-    /// decides which members a dominance check is asked about).
-    ///
-    /// Returns the admitted plan's id, or `None` when the candidate was
-    /// bound-pruned or dominated on arrival.
-    pub(super) fn try_insert(
-        &self,
-        arena: &mut PlanArena<O::State>,
-        set: &mut ParetoSet<O::State>,
+/// One subset under construction and the gate every one of its
+/// candidates passes: the arena, the subset's Pareto set, its cost
+/// upper bound `ub`, its relation mask and the phase's counters.
+///
+/// Prune-before-build: an emitter offers a candidate as a stack-only
+/// [`CandidatePlan`] plus a closure for its operator and applied FDs,
+/// and the node is materialized only after the candidate clears the
+/// cost bound and the arrival-dominance test. Pruned candidates
+/// therefore cost no arena allocation — `#Plans` counts plans that
+/// entered the table (including ones a later candidate evicts), which
+/// is still "the time to introduce one plan operator" for the work
+/// actually performed. Every pruning counter is charged here.
+///
+/// Aggregation placement adds a comparability dimension: plans with
+/// different [`AggMark`]s compute different intermediate relations
+/// and never prune each other, and plans *inside* an aggregated
+/// class additionally compare output cardinality (two eager plans
+/// with partial aggregates at different subsets produce genuinely
+/// different row counts — the cheaper one is not better if it
+/// carries more rows into every operator above). Unaggregated plans
+/// of one subset all compute the same relation, so they keep the
+/// classic cost-plus-property test ([`CandidatePlan::cheaper`]
+/// decides which members a dominance check is asked about).
+pub(super) struct Gate<'g, O: OrderOracle> {
+    oracle: &'g O,
+    pub(super) arena: &'g mut PlanArena<O::State>,
+    pub(super) set: ParetoSet<O::State>,
+    pub(super) ub: f64,
+    /// The relations every plan of the subset covers.
+    pub(super) mask: &'g BitSet,
+    pub(super) dc: &'g mut DecisionCounters,
+}
+
+impl<'g, O: OrderOracle> Gate<'g, O> {
+    /// An empty subset under `ub`.
+    pub(super) fn new(
+        oracle: &'g O,
+        arena: &'g mut PlanArena<O::State>,
+        mask: &'g BitSet,
         ub: f64,
-        cand: CandidatePlan<O::State>,
-        build: impl FnOnce() -> PlanNode<O::State>,
-        dc: &mut DecisionCounters,
-    ) -> Option<PlanId> {
-        self.try_admit(set, ub, cand, || arena.push(build()), dc)
+        dc: &'g mut DecisionCounters,
+    ) -> Self {
+        Gate {
+            oracle,
+            arena,
+            set: ParetoSet::new(),
+            ub,
+            mask,
+            dc,
+        }
     }
 
-    /// The two gates behind [`try_insert`](Self::try_insert), for any
-    /// plan: `id` is called — pushing a new node, or returning one that
-    /// already exists (the group-join passthrough at finalization) —
-    /// only when `cand` clears both. Every pruning counter is charged
-    /// here.
-    pub(super) fn try_admit(
-        &self,
-        set: &mut ParetoSet<O::State>,
-        ub: f64,
+    /// Node lookup.
+    pub(super) fn node(&self, id: PlanId) -> &PlanNode<O::State> {
+        self.arena.node(id)
+    }
+
+    /// Offers a new plan: `node` builds its operator and applied FDs
+    /// only if `cand` is admitted. Returns the admitted plan's id, or
+    /// `None` when the candidate was bound-pruned or dominated on
+    /// arrival.
+    pub(super) fn offer(
+        &mut self,
         cand: CandidatePlan<O::State>,
-        id: impl FnOnce() -> PlanId,
-        dc: &mut DecisionCounters,
+        node: impl FnOnce() -> (PlanOp, BitSet),
     ) -> Option<PlanId> {
-        if cand.cost > ub {
-            dc.pruning.bound_pruned += 1;
+        self.admit(cand, |g| {
+            let (op, applied_fds) = node();
+            g.push(cand, op, applied_fds)
+        })
+    }
+
+    /// Offers a plan that is already in the arena (the group-join
+    /// passthrough at finalization).
+    pub(super) fn offer_existing(&mut self, id: PlanId) {
+        let cand = self.arena.node(id).candidate();
+        self.admit(cand, |_| id);
+    }
+
+    /// The two tests and the admission: `id` is called only when `cand`
+    /// clears both.
+    fn admit(
+        &mut self,
+        cand: CandidatePlan<O::State>,
+        id: impl FnOnce(&mut Self) -> PlanId,
+    ) -> Option<PlanId> {
+        if cand.cost > self.ub {
+            self.dc.pruning.bound_pruned += 1;
             return None;
         }
-        if set.arrival_dominated(self.oracle, &cand, dc) {
+        if self.set.arrival_dominated(self.oracle, &cand, self.dc) {
             return None;
         }
-        let id = id();
-        set.admit(self.oracle, id, &cand, dc);
-        dc.pruning.kept[cand.agg.class_index()] += 1;
+        let id = id(self);
+        self.set.admit(self.oracle, id, &cand, self.dc);
+        self.dc.pruning.kept[cand.agg.class_index()] += 1;
         Some(id)
+    }
+
+    /// Materializes a plan of this subset outright, past both tests —
+    /// the admitted ones above, and the root `ORDER BY` enforcer, which
+    /// tops the one plan already chosen.
+    pub(super) fn push(
+        &mut self,
+        cand: CandidatePlan<O::State>,
+        op: PlanOp,
+        applied_fds: BitSet,
+    ) -> PlanId {
+        self.arena.push(PlanNode {
+            op,
+            mask: self.mask.clone(),
+            cost: cand.cost,
+            card: cand.card,
+            state: cand.state,
+            agg: cand.agg,
+            applied_fds,
+        })
     }
 }
 
