@@ -703,7 +703,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         let mut subsets: Vec<BitSet> = Vec::with_capacity(n);
 
         // Base relations.
-        let mut phase = Phase::open(trace, "base_plans", "base", 0);
+        let mut phase = Phase::open(trace, "base_plans", "base", arena.len());
         for qrel in 0..n {
             let mask = self.query.relation_set(qrel);
             let dc = &mut phase.stats.decisions;
@@ -720,7 +720,7 @@ impl<'a, O: OrderOracle> PlanGen<'a, O> {
         // work whose pairs only reference subsets committed before the
         // batch. Each union is planned in batch order and committed
         // before the next one starts.
-        let mut phase = Phase::open(trace, "enumerate", "enumerate", 0);
+        let mut phase = Phase::open(trace, "enumerate", "enumerate", arena.len());
         let (schedule, fallback) = schedule();
         if fallback {
             phase.span.label("fallback");
