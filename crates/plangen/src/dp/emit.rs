@@ -617,16 +617,17 @@ impl<O: OrderOracle> PlanGen<'_, O> {
                 _ => Some(full),
             }
         };
-        let mut best: Option<(f64, PlanId)> = None;
+        let mut best = None;
         for &p in set {
             let n = g.arena.node(p);
-            let total = n.cost + enforcement(n, g.dc).map_or(0.0, |(c, _)| c);
-            if best.is_none_or(|(bc, _)| total < bc) {
-                best = Some((total, p));
+            let sort = enforcement(n, g.dc);
+            let total = n.cost + sort.map_or(0.0, |(c, _)| c);
+            if best.is_none_or(|(bc, _, _)| total < bc) {
+                best = Some((total, p, sort));
             }
         }
-        let (total, p) = best.expect("no complete plan");
-        let Some((_, covered)) = enforcement(g.arena.node(p), g.dc) else {
+        let (total, p, sort) = best.expect("no complete plan");
+        let Some((_, covered)) = sort else {
             return p;
         };
         let t = self.order_by.as_ref().expect("a sort implies ORDER BY");

@@ -268,10 +268,10 @@ fn check(rows: &[Row]) {
 /// still reads; it equals `pairs_emitted` in every row.
 #[rustfmt::skip]
 const ENUMERATOR_CELLS: &[Row] = &[
-    Row { q: Large(Chain, 20, 17037), arm: Dfsm, search: Full, cost: 44986181875.60717, dp: Dp { plans: 11883, pairs_emitted: 2660, pairs_considered: 2660, unions: 190, kept: 12239, dominated: 223833, bound_pruned: 21564, probes: 1508775, memo_hits: 204379, enforcers_admitted: 70, enforcers_won: 70, spans: 214, phases: 17901384926939590120, arena: 11279144329539609960 } },
-    Row { q: Large(Cycle, 12, 17029), arm: Dfsm, search: Full, cost: 1873440.709209783, dp: Dp { plans: 4391, pairs_emitted: 1452, pairs_considered: 1452, unions: 121, kept: 4579, dominated: 38707, bound_pruned: 52402, probes: 230687, memo_hits: 34845, enforcers_admitted: 40, enforcers_won: 40, spans: 137, phases: 9757537793069741790, arena: 7570569121871172981 } },
-    Row { q: Large(Star, 10, 17027), arm: Dfsm, search: Full, cost: 243600693078.95612, dp: Dp { plans: 15309, pairs_emitted: 4608, pairs_considered: 4608, unions: 511, kept: 15599, dominated: 168372, bound_pruned: 9549, probes: 821441, memo_hits: 140039, enforcers_admitted: 40, enforcers_won: 40, spans: 525, phases: 4072271260051730313, arena: 16080460800575571328 } },
-    Row { q: Large(Clique, 8, 17025), arm: Dfsm, search: Full, cost: 96386.27620519481, dp: Dp { plans: 1253, pairs_emitted: 6050, pairs_considered: 6050, unions: 247, kept: 2052, dominated: 18386, bound_pruned: 18803, probes: 402908, memo_hits: 18097, enforcers_admitted: 266, enforcers_won: 266, spans: 259, phases: 14270757568282018795, arena: 9936935059155964478 } },
+    Row { q: Large(Chain, 20, 17037), arm: Dfsm, search: Full, cost: 44986181875.60717, dp: Dp { plans: 11883, pairs_emitted: 2660, pairs_considered: 2660, unions: 190, kept: 12239, dominated: 223833, bound_pruned: 21564, probes: 1508773, memo_hits: 204379, enforcers_admitted: 70, enforcers_won: 70, spans: 214, phases: 11127654679081775525, arena: 11279144329539609960 } },
+    Row { q: Large(Cycle, 12, 17029), arm: Dfsm, search: Full, cost: 1873440.709209783, dp: Dp { plans: 4391, pairs_emitted: 1452, pairs_considered: 1452, unions: 121, kept: 4579, dominated: 38707, bound_pruned: 52402, probes: 230685, memo_hits: 34845, enforcers_admitted: 40, enforcers_won: 40, spans: 137, phases: 13035481004653870030, arena: 7570569121871172981 } },
+    Row { q: Large(Star, 10, 17027), arm: Dfsm, search: Full, cost: 243600693078.95612, dp: Dp { plans: 15309, pairs_emitted: 4608, pairs_considered: 4608, unions: 511, kept: 15599, dominated: 168372, bound_pruned: 9549, probes: 821439, memo_hits: 140039, enforcers_admitted: 40, enforcers_won: 40, spans: 525, phases: 4934788274996206119, arena: 16080460800575571328 } },
+    Row { q: Large(Clique, 8, 17025), arm: Dfsm, search: Full, cost: 96386.27620519481, dp: Dp { plans: 1253, pairs_emitted: 6050, pairs_considered: 6050, unions: 247, kept: 2052, dominated: 18386, bound_pruned: 18803, probes: 402906, memo_hits: 18097, enforcers_admitted: 266, enforcers_won: 266, spans: 259, phases: 14932741382936476126, arena: 9936935059155964478 } },
 ];
 
 /// TPC-R Q8 (the paper's §7 query) and the paper's #Plans claim on a
@@ -279,9 +279,9 @@ const ENUMERATOR_CELLS: &[Row] = &[
 /// (seed `0x9a11e1 + 10`): same optimum, an eighth of Simmen's plans.
 #[rustfmt::skip]
 const ARM_CELLS: &[Row] = &[
-    Row { q: Q8, arm: Dfsm, search: Full, cost: 15089531.108982708, dp: Dp { plans: 392, pairs_emitted: 232, pairs_considered: 232, unions: 36, kept: 549, dominated: 3099, bound_pruned: 3165, probes: 17377, memo_hits: 2798, enforcers_admitted: 77, enforcers_won: 77, spans: 49, phases: 1076875019576259584, arena: 12857324622766552834 } },
-    Row { q: Large(Chain, 10, 10097131), arm: Dfsm, search: Full, cost: 871234.7017481327, dp: Dp { plans: 1276, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 1415, dominated: 11603, bound_pruned: 3552, probes: 56613, memo_hits: 10139, enforcers_admitted: 29, enforcers_won: 29, spans: 59, phases: 3814081042209836751, arena: 9619680857069406672 } },
-    Row { q: Large(Chain, 10, 10097131), arm: Simmen, search: Full, cost: 871234.7017481327, dp: Dp { plans: 10135, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 10401, dominated: 93304, bound_pruned: 67984, probes: 9689432, memo_hits: 89091, enforcers_admitted: 29, enforcers_won: 29, spans: 59, phases: 11713138544378113526, arena: 171899063150773986 } },
+    Row { q: Q8, arm: Dfsm, search: Full, cost: 15089531.108982708, dp: Dp { plans: 392, pairs_emitted: 232, pairs_considered: 232, unions: 36, kept: 549, dominated: 3099, bound_pruned: 3165, probes: 17373, memo_hits: 2798, enforcers_admitted: 77, enforcers_won: 77, spans: 49, phases: 11632423965066021508, arena: 12857324622766552834 } },
+    Row { q: Large(Chain, 10, 10097131), arm: Dfsm, search: Full, cost: 871234.7017481327, dp: Dp { plans: 1276, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 1415, dominated: 11603, bound_pruned: 3552, probes: 56611, memo_hits: 10139, enforcers_admitted: 29, enforcers_won: 29, spans: 59, phases: 11318695052939363713, arena: 9619680857069406672 } },
+    Row { q: Large(Chain, 10, 10097131), arm: Simmen, search: Full, cost: 871234.7017481327, dp: Dp { plans: 10135, pairs_emitted: 330, pairs_considered: 330, unions: 45, kept: 10401, dominated: 93304, bound_pruned: 67984, probes: 9689430, memo_hits: 89091, enforcers_admitted: 29, enforcers_won: 29, spans: 59, phases: 8501119076099611106, arena: 171899063150773986 } },
 ];
 
 /// Grouping queries (n = 4, 5 with n-1 and n edges; seeds
@@ -295,8 +295,8 @@ const GROUPING_CELLS: &[Row] = &[
     Row { q: Grouping(4, 0, 26489), arm: Explicit, search: Full, cost: 29795.360777824324, dp: Dp { plans: 50, pairs_emitted: 20, pairs_considered: 20, unions: 6, kept: 88, dominated: 352, bound_pruned: 171, probes: 1653, memo_hits: 281, enforcers_admitted: 16, enforcers_won: 16, spans: 15, phases: 2395263479361409509, arena: 907136415527826065 } },
     Row { q: Grouping(5, 0, 26499), arm: Dfsm, search: Full, cost: 2108191.291047524, dp: Dp { plans: 133, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 192, dominated: 1114, bound_pruned: 200, probes: 4219, memo_hits: 983, enforcers_admitted: 18, enforcers_won: 18, spans: 20, phases: 2808962976449582983, arena: 731983792944617679 } },
     Row { q: Grouping(5, 0, 26499), arm: Simmen, search: Full, cost: 2108191.291047524, dp: Dp { plans: 254, pairs_emitted: 40, pairs_considered: 40, unions: 10, kept: 360, dominated: 1678, bound_pruned: 578, probes: 13645, memo_hits: 1493, enforcers_admitted: 18, enforcers_won: 18, spans: 20, phases: 1835328457152813500, arena: 14383556113515481333 } },
-    Row { q: Grouping(4, 1, 26490), arm: Dfsm, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 100, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 156, dominated: 706, bound_pruned: 381, probes: 3860, memo_hits: 660, enforcers_admitted: 32, enforcers_won: 32, spans: 17, phases: 2047195047626272538, arena: 1417511354322524543 } },
-    Row { q: Grouping(4, 1, 26490), arm: Simmen, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 135, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 205, dominated: 923, bound_pruned: 531, probes: 6761, memo_hits: 801, enforcers_admitted: 32, enforcers_won: 32, spans: 17, phases: 7651753150920014660, arena: 16980587255714710961 } },
+    Row { q: Grouping(4, 1, 26490), arm: Dfsm, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 100, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 156, dominated: 706, bound_pruned: 381, probes: 3856, memo_hits: 660, enforcers_admitted: 32, enforcers_won: 32, spans: 17, phases: 6277459434672169750, arena: 1417511354322524543 } },
+    Row { q: Grouping(4, 1, 26490), arm: Simmen, search: Full, cost: 2617684.6193579114, dp: Dp { plans: 135, pairs_emitted: 30, pairs_considered: 30, unions: 8, kept: 205, dominated: 923, bound_pruned: 531, probes: 6757, memo_hits: 801, enforcers_admitted: 32, enforcers_won: 32, spans: 17, phases: 6498561997341516979, arena: 16980587255714710961 } },
     Row { q: Grouping(5, 1, 26500), arm: Dfsm, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 85, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 162, dominated: 828, bound_pruned: 879, probes: 4093, memo_hits: 660, enforcers_admitted: 27, enforcers_won: 27, spans: 26, phases: 18142864289964050748, arena: 13176170692290328103 } },
     Row { q: Grouping(5, 1, 26500), arm: Simmen, search: Full, cost: 3116845.1030921037, dp: Dp { plans: 137, pairs_emitted: 80, pairs_considered: 80, unions: 16, kept: 274, dominated: 1338, bound_pruned: 1397, probes: 11759, memo_hits: 1142, enforcers_admitted: 27, enforcers_won: 27, spans: 26, phases: 15251885092357349668, arena: 1547387911954723932 } },
 ];
@@ -319,12 +319,12 @@ const PLACEMENT_CELLS: &[Row] = &[
 /// `0x9501 + 100 d`): the partial-sort enforcer vs the sort-only ceiling.
 #[rustfmt::skip]
 const PARTIAL_SORT_CELLS: &[Row] = &[
-    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: Full, cost: 1577803.21, dp: Dp { plans: 68, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 67, dominated: 159, bound_pruned: 0, probes: 768, memo_hits: 144, enforcers_admitted: 10, enforcers_won: 10, spans: 7, phases: 1680256146148236012, arena: 4685388181823164998 } },
-    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: SortOnly, cost: 1577838.3157163358, dp: Dp { plans: 65, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 64, dominated: 156, bound_pruned: 0, probes: 731, memo_hits: 141, enforcers_admitted: 7, enforcers_won: 7, spans: 7, phases: 15024369941448975195, arena: 712792947404537916 } },
-    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: Full, cost: 431740.0, dp: Dp { plans: 56, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 208, dominated: 779, bound_pruned: 285, probes: 3839, memo_hits: 699, enforcers_admitted: 21, enforcers_won: 21, spans: 11, phases: 14338318649593355885, arena: 17005641886038208266 } },
-    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: SortOnly, cost: 431767.053747805, dp: Dp { plans: 54, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 204, dominated: 774, bound_pruned: 284, probes: 3742, memo_hits: 694, enforcers_admitted: 17, enforcers_won: 17, spans: 11, phases: 17190327418299547486, arena: 2117747200784958554 } },
-    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: Full, cost: 1663415.75, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 651, dominated: 3025, bound_pruned: 786, probes: 13319, memo_hits: 2705, enforcers_admitted: 27, enforcers_won: 27, spans: 16, phases: 18298613088363691902, arena: 241337748993650775 } },
-    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: SortOnly, cost: 1663807.9114017873, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 650, dominated: 3032, bound_pruned: 778, probes: 13207, memo_hits: 2711, enforcers_admitted: 26, enforcers_won: 26, spans: 16, phases: 6771697987167257986, arena: 2080639749781841997 } },
+    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: Full, cost: 1577803.21, dp: Dp { plans: 68, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 67, dominated: 159, bound_pruned: 0, probes: 766, memo_hits: 144, enforcers_admitted: 10, enforcers_won: 10, spans: 7, phases: 14635364284655860270, arena: 4685388181823164998 } },
+    Row { q: StarAggOrdered(1, 38245), arm: Dfsm, search: SortOnly, cost: 1577838.3157163358, dp: Dp { plans: 65, pairs_emitted: 2, pairs_considered: 2, unions: 1, kept: 64, dominated: 156, bound_pruned: 0, probes: 730, memo_hits: 141, enforcers_admitted: 7, enforcers_won: 7, spans: 7, phases: 11435344976429926520, arena: 712792947404537916 } },
+    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: Full, cost: 431740.0, dp: Dp { plans: 56, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 208, dominated: 779, bound_pruned: 285, probes: 3835, memo_hits: 699, enforcers_admitted: 21, enforcers_won: 21, spans: 11, phases: 8169673096582014753, arena: 17005641886038208266 } },
+    Row { q: StarAggOrdered(2, 38345), arm: Dfsm, search: SortOnly, cost: 431767.053747805, dp: Dp { plans: 54, pairs_emitted: 8, pairs_considered: 8, unions: 3, kept: 204, dominated: 774, bound_pruned: 284, probes: 3740, memo_hits: 694, enforcers_admitted: 17, enforcers_won: 17, spans: 11, phases: 12714124454124555552, arena: 2117747200784958554 } },
+    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: Full, cost: 1663415.75, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 651, dominated: 3025, bound_pruned: 786, probes: 13315, memo_hits: 2705, enforcers_admitted: 27, enforcers_won: 27, spans: 16, phases: 16988388276188165334, arena: 241337748993650775 } },
+    Row { q: StarAggOrdered(3, 38445), arm: Dfsm, search: SortOnly, cost: 1663807.9114017873, dp: Dp { plans: 275, pairs_emitted: 24, pairs_considered: 24, unions: 7, kept: 650, dominated: 3032, bound_pruned: 778, probes: 13205, memo_hits: 2711, enforcers_admitted: 26, enforcers_won: 26, spans: 16, phases: 16221871448171880732, arena: 2080639749781841997 } },
 ];
 
 #[test]
