@@ -220,7 +220,7 @@ fn calibration_row(
 }
 
 fn main() {
-    let n = ofw_bench::count_arg(1, 500_000, USAGE);
+    let n = ofw_bench::count_arg(1, 500_000, 1, USAGE);
     println!("Cost-model calibration ({n} base rows):");
     println!(
         "{:<14} {:>9} {:>9} | {:>12} {:>9} | {:>8} {:>8}",

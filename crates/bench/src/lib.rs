@@ -1,23 +1,22 @@
 //! # ofw-bench — the paper's experiments
 //!
-//! One reusable function per paper experiment; the `src/bin` binaries
-//! print the corresponding table to stdout. Performance claims are not
-//! made from these tables: the pipeline benchmark (`benchmark/run.sh`,
+//! One reusable function per paper experiment; the `paper` binary
+//! prints them all in one pass, and `table_calibration` prints the
+//! cost-model calibration. Performance claims are not made from these
+//! tables: the pipeline benchmark (`benchmark/run.sh`,
 //! `BENCHMARK.json`) is the one accepted evidence for those, and the
 //! deterministic work counters are pinned by the root crate's
 //! `tests/golden_counters.rs`.
 //!
 //! | id | paper artifact | binary | function |
 //! |----|----------------|--------|----------|
-//! | E5 | §6.2 preparation table | `table_prep_q8` | [`prep_q8`] |
-//! | E6 | §7 Q8 plan-generation table | `table_q8_plangen` | [`q8_plangen`] |
-//! | E7 | Fig. 13 join-graph sweep | `table_fig13` | [`sweep_cell`] |
-//! | E8 | Fig. 14 memory table | `table_fig14` | [`sweep_cell`] |
-//! | A1 | pruning ablation | `table_ablation_pruning` | [`prep_q8_with`] |
+//! | E5 | §6.2 preparation table | `paper` | [`pruning_ablation`] (its `none` and `all` rows) |
+//! | A1 | §5.7 pruning ablation | `paper` | [`pruning_ablation`] |
+//! | E6 | §7 Q8 plan-generation table | `paper` | [`q8_plangen`] |
+//! | A2 | O(1)-vs-Ω(n) ADT operations | `paper` | [`adt_ops`] |
+//! | E7 | Fig. 13 join-graph sweep | `paper` | [`sweep`] |
+//! | E8 | Fig. 14 memory table | `paper` | [`sweep`] |
 //! | C1 | cost-model calibration (ns per cost unit per operator) | `table_calibration` | — |
-//!
-//! `benches/adt_ops.rs` is the Criterion bench of the paper's
-//! O(1)-vs-Ω(n) ADT-operation claim.
 
 #![forbid(unsafe_code)]
 
@@ -27,18 +26,19 @@
 static ALLOC: ofw_common::alloc::CountingAlloc = ofw_common::alloc::CountingAlloc;
 
 use ofw_catalog::Catalog;
-use ofw_core::{OrderingFramework, PrepStats, PruneConfig};
-use ofw_plangen::{OrderOracle, PlanGen, PlanGenStats};
+use ofw_core::{FdSetId, InputSpec, OrderingFramework, PruneConfig};
+use ofw_plangen::{OrderOracle, PlanGen, PlanGenResult};
 use ofw_query::extract::ExtractOptions;
 use ofw_query::{ExtractedQuery, Query};
 use ofw_simmen::SimmenFramework;
 use ofw_workload::{q8_query, random_query, RandomQueryConfig};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// One row of the §6.2 preparation table.
+/// One row of the §6.2 preparation table and its ablation.
 #[derive(Clone, Debug)]
 pub struct PrepRow {
-    /// Label ("w/o pruning" / "with pruning" / ablation variant).
+    /// Pruning configuration ("none", "only merge", ..., "all").
     pub label: String,
     /// NFSM nodes before step 2(d).
     pub nfsm_nodes_before: usize,
@@ -52,14 +52,14 @@ pub struct PrepRow {
     pub precomputed_bytes: usize,
 }
 
-/// Runs the Q8 preparation step under `config` (E5/A1).
-pub fn prep_q8_with(label: &str, config: PruneConfig) -> PrepRow {
+/// Runs the Q8 preparation step under `config`.
+fn prep_q8_with(label: String, config: PruneConfig) -> PrepRow {
     let (catalog, query) = q8_query();
     let ex = ofw_query::extract(&catalog, &query, &ExtractOptions::default());
     let fw = OrderingFramework::prepare(&ex.spec, config).expect("Q8 preparation");
-    let s: &PrepStats = fw.stats();
+    let s = fw.stats();
     PrepRow {
-        label: label.to_string(),
+        label,
         nfsm_nodes_before: s.nfsm_nodes_before_prune,
         nfsm_nodes: s.nfsm_nodes,
         dfsm_nodes: s.dfsm_states,
@@ -68,12 +68,36 @@ pub fn prep_q8_with(label: &str, config: PruneConfig) -> PrepRow {
     }
 }
 
-/// The §6.2 table: preparation with and without pruning (E5).
-pub fn prep_q8() -> (PrepRow, PrepRow) {
-    (
-        prep_q8_with("w/o pruning", PruneConfig::none()),
-        prep_q8_with("with pruning", PruneConfig::default()),
-    )
+/// One §5.7 reduction technique's switch in a [`PruneConfig`].
+type Switch = fn(&mut PruneConfig) -> &mut bool;
+
+/// The five §5.7 reduction techniques, by name and switch.
+const PRUNE_SWITCHES: [(&str, Switch); 5] = [
+    ("fd-pruning", |c| &mut c.prune_fds),
+    ("merge", |c| &mut c.merge_artificial),
+    ("eps-replace", |c| &mut c.eps_replace),
+    ("prefix-filter", |c| &mut c.prefix_filter),
+    ("length-cutoff", |c| &mut c.length_cutoff),
+];
+
+/// A1: the Q8 preparation with every §5.7 switch off (`none`), each
+/// switch on alone, each switch off alone, and every switch on (`all`).
+/// The first and last rows are the §6.2 table's "w/o pruning" and
+/// "with pruning" columns (E5).
+pub fn pruning_ablation() -> Vec<PrepRow> {
+    let mut rows = vec![prep_q8_with("none".into(), PruneConfig::none())];
+    for (prefix, base, on) in [
+        ("only", PruneConfig::none(), true),
+        ("all minus", PruneConfig::default(), false),
+    ] {
+        for (name, switch) in PRUNE_SWITCHES {
+            let mut config = base.clone();
+            *switch(&mut config) = on;
+            rows.push(prep_q8_with(format!("{prefix} {name}"), config));
+        }
+    }
+    rows.push(prep_q8_with("all".into(), PruneConfig::default()));
+    rows
 }
 
 /// One measured plan-generation run.
@@ -89,56 +113,75 @@ pub struct PlanRow {
     pub time_per_plan: Duration,
     /// Order-annotation memory bytes.
     pub memory_bytes: usize,
+    /// The prepared oracle's precomputed table bytes (the DFSM's; 0 for
+    /// Simmen, which precomputes nothing).
+    pub precomputed_bytes: usize,
     /// Cost of the winning plan (for cross-checking both arms agree).
     pub best_cost: f64,
 }
 
 /// Runs plan generation for a query with the DFSM framework,
-/// preparation time included (as the paper does).
-pub fn run_ours(catalog: &Catalog, query: &Query, ex: &ExtractedQuery) -> PlanRow {
+/// preparation time included (as the paper does). Returns the row and
+/// the run, whose arena holds the winning plan.
+fn run_ours(
+    catalog: &Catalog,
+    query: &Query,
+    ex: &ExtractedQuery,
+) -> (PlanRow, PlanGenResult<ofw_core::State>) {
     let t0 = Instant::now();
     let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).expect("prepare");
     let result = PlanGen::new(catalog, query, ex, &fw).run();
-    finish_row(&fw, t0, result.stats, result.cost)
+    let row = finish_row(&fw, t0, &result, fw.stats().precomputed_bytes);
+    (row, result)
 }
 
 /// Runs plan generation with the Simmen baseline.
-pub fn run_simmen(catalog: &Catalog, query: &Query, ex: &ExtractedQuery) -> PlanRow {
+fn run_simmen(catalog: &Catalog, query: &Query, ex: &ExtractedQuery) -> PlanRow {
     let t0 = Instant::now();
     let fw = SimmenFramework::prepare(&ex.spec);
     let result = PlanGen::new(catalog, query, ex, &fw).run();
-    finish_row(&fw, t0, result.stats, result.cost)
+    finish_row(&fw, t0, &result, 0)
 }
 
-fn finish_row<O: OrderOracle>(fw: &O, t0: Instant, stats: PlanGenStats, best_cost: f64) -> PlanRow {
+fn finish_row<O: OrderOracle>(
+    fw: &O,
+    t0: Instant,
+    result: &PlanGenResult<O::State>,
+    precomputed_bytes: usize,
+) -> PlanRow {
     let time = t0.elapsed();
+    let plans = result.stats.plans;
     PlanRow {
         framework: fw.name(),
         time,
-        plans: stats.plans,
-        time_per_plan: if stats.plans > 0 {
-            time / stats.plans as u32
-        } else {
-            Duration::ZERO
-        },
-        memory_bytes: stats.memory_bytes,
-        best_cost,
+        plans,
+        time_per_plan: per_plan(time, plans),
+        memory_bytes: result.stats.memory_bytes,
+        precomputed_bytes,
+        best_cost: result.cost,
     }
 }
 
-/// E6: the §7 Q8 comparison (Simmen vs ours).
-pub fn q8_plangen() -> (PlanRow, PlanRow) {
+/// `time` spread over `plans` (zero when there are none).
+fn per_plan(time: Duration, plans: usize) -> Duration {
+    time.checked_div(plans as u32).unwrap_or_default()
+}
+
+/// E6: the §7 Q8 comparison (Simmen vs ours) and our winning plan,
+/// rendered.
+pub fn q8_plangen() -> (PlanRow, PlanRow, String) {
     let (catalog, query) = q8_query();
     let ex = ofw_query::extract(&catalog, &query, &ExtractOptions::default());
     let simmen = run_simmen(&catalog, &query, &ex);
-    let ours = run_ours(&catalog, &query, &ex);
+    let (ours, result) = run_ours(&catalog, &query, &ex);
     assert_costs_agree(&simmen, &ours);
-    (simmen, ours)
+    let names = |q: usize| catalog.relation(query.relations[q]).name.clone();
+    (simmen, ours, result.arena.render(result.best, &names))
 }
 
 /// Verifies both arms picked equally cheap plans (§7: "both order
 /// optimization algorithms produced the same optimal plan").
-pub fn assert_costs_agree(a: &PlanRow, b: &PlanRow) {
+fn assert_costs_agree(a: &PlanRow, b: &PlanRow) {
     let rel = (a.best_cost - b.best_cost).abs() / a.best_cost.max(1.0);
     assert!(
         rel < 1e-9,
@@ -148,8 +191,116 @@ pub fn assert_costs_agree(a: &PlanRow, b: &PlanRow) {
     );
 }
 
+/// One ADT operation timed on one arm.
+#[derive(Clone, Debug)]
+pub struct AdtRow {
+    /// `"<arm>/<operation>"`: `dfsm` or `simmen`, then `infer`,
+    /// `contains` or `produce`.
+    pub id: String,
+    /// Operation calls per timed iteration.
+    pub calls: usize,
+    /// Nanoseconds per call, from the fastest batch.
+    pub ns_per_call: f64,
+}
+
+/// Wall-clock budget of one [`AdtRow`]'s timed batches.
+const ADT_BUDGET: Duration = Duration::from_millis(50);
+
+/// A2: the paper's O(1)-vs-Ω(n) claim on the Q8 input, for both arms:
+/// `infer` folds every FD set into a produced state, `contains` asks
+/// every interesting property of the fully inferred state, `produce`
+/// enters every producible property. Table lookups against reduction
+/// (even with Simmen's reduction cache warm, it pays hash lookups
+/// instead of array indexing).
+pub fn adt_ops() -> Vec<AdtRow> {
+    let (catalog, query) = q8_query();
+    let ex = ofw_query::extract(&catalog, &query, &ExtractOptions::default());
+    let ours = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).expect("prepare");
+    let mut rows = adt_rows("dfsm", &ours, &ex.spec);
+    rows.extend(adt_rows(
+        "simmen",
+        &SimmenFramework::prepare(&ex.spec),
+        &ex.spec,
+    ));
+    rows
+}
+
+fn adt_rows<O: OrderOracle>(arm: &str, fw: &O, spec: &InputSpec) -> Vec<AdtRow> {
+    let keys: Vec<O::Key> = spec
+        .produced()
+        .iter()
+        .filter_map(|p| fw.resolve(p))
+        .collect();
+    let producible: Vec<O::Key> = keys
+        .iter()
+        .copied()
+        .filter(|&k| fw.is_producible(k))
+        .collect();
+    let fds: Vec<FdSetId> = (0..spec.fd_sets().len())
+        .map(|f| FdSetId(f as u32))
+        .collect();
+    let infer_all = |s: O::State| fds.iter().fold(s, |s, &f| fw.infer(s, f));
+    let produced = fw.produce(producible[0]);
+    let inferred = infer_all(produced);
+    let row = |op: &str, calls: usize, ns: f64| AdtRow {
+        id: format!("{arm}/{op}"),
+        calls,
+        ns_per_call: ns / calls as f64,
+    };
+    vec![
+        row(
+            "infer",
+            fds.len(),
+            time_min(|| infer_all(black_box(produced))),
+        ),
+        row(
+            "contains",
+            keys.len(),
+            time_min(|| {
+                let s = black_box(inferred);
+                keys.iter().filter(|&&k| fw.satisfies(s, k)).count()
+            }),
+        ),
+        row(
+            "produce",
+            producible.len(),
+            time_min(|| {
+                for &k in &producible {
+                    black_box(fw.produce(black_box(k)));
+                }
+            }),
+        ),
+    ]
+}
+
+/// Nanoseconds per call of `routine`: batches sized to take at least a
+/// hundredth of [`ADT_BUDGET`] run until the budget is spent, and the
+/// fastest batch counts.
+fn time_min<R>(mut routine: impl FnMut() -> R) -> f64 {
+    let mut batch = |n: u32| {
+        let t0 = Instant::now();
+        for _ in 0..n {
+            black_box(routine());
+        }
+        t0.elapsed()
+    };
+    let mut n = 1;
+    while batch(n) < ADT_BUDGET / 100 {
+        n *= 2;
+    }
+    let deadline = Instant::now() + ADT_BUDGET;
+    let mut best = Duration::MAX;
+    while Instant::now() < deadline {
+        best = best.min(batch(n));
+    }
+    best.as_nanos() as f64 / f64::from(n)
+}
+
+/// The smallest relation count of the Fig. 13 / Fig. 14 sweep.
+pub const SWEEP_MIN_N: usize = 5;
+
 /// One averaged cell of Fig. 13 / Fig. 14: `n` relations, `n-1+extra`
-/// edges, `queries` random queries starting at `seed0`.
+/// edges.
 #[derive(Clone, Debug)]
 pub struct SweepCell {
     /// Relation count.
@@ -158,17 +309,27 @@ pub struct SweepCell {
     pub extra: usize,
     /// Averaged Simmen row.
     pub simmen: PlanRow,
-    /// Averaged DFSM row.
+    /// Averaged DFSM row; its `precomputed_bytes` is Fig. 14's DFSM
+    /// column.
     pub ours: PlanRow,
-    /// Average DFSM precomputed bytes (Fig. 14's last column).
-    pub dfsm_bytes: usize,
 }
 
-/// Runs and averages one sweep cell (E7/E8).
-pub fn sweep_cell(n: usize, extra: usize, queries: usize, seed0: u64) -> SweepCell {
-    let mut acc_s = ZeroRow::new("simmen");
-    let mut acc_o = ZeroRow::new("nfsm/dfsm (ours)");
-    let mut dfsm_bytes = 0usize;
+/// E7/E8: the Fig. 13 / Fig. 14 sweep, `queries` per cell — n-1, n and
+/// n+1 edges (in that order), each over n = [`SWEEP_MIN_N`]..=`max_n`.
+/// Cell `(n, extra)` draws its queries from seed `0xF13 + 10 n + extra`.
+pub fn sweep(queries: usize, max_n: usize) -> Vec<SweepCell> {
+    (0..=2)
+        .flat_map(|extra| {
+            (SWEEP_MIN_N..=max_n)
+                .map(move |n| sweep_cell(n, extra, queries, 0xF13 + (n * 10 + extra) as u64))
+        })
+        .collect()
+}
+
+/// Runs and averages one sweep cell: `queries` random queries with
+/// `n` relations and `n-1+extra` edges, starting at `seed0`.
+fn sweep_cell(n: usize, extra: usize, queries: usize, seed0: u64) -> SweepCell {
+    let (mut simmen, mut ours) = (Vec::new(), Vec::new());
     for q in 0..queries {
         let config = RandomQueryConfig {
             num_relations: n,
@@ -177,101 +338,54 @@ pub fn sweep_cell(n: usize, extra: usize, queries: usize, seed0: u64) -> SweepCe
         };
         let (catalog, query) = random_query(&config);
         let ex = ofw_query::extract(&catalog, &query, &ExtractOptions::default());
-        let simmen = run_simmen(&catalog, &query, &ex);
-        let ours = run_ours(&catalog, &query, &ex);
-        assert_costs_agree(&simmen, &ours);
-        acc_s.add(&simmen);
-        acc_o.add(&ours);
-        let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
-        dfsm_bytes += fw.stats().precomputed_bytes;
+        simmen.push(run_simmen(&catalog, &query, &ex));
+        ours.push(run_ours(&catalog, &query, &ex).0);
+        assert_costs_agree(&simmen[q], &ours[q]);
     }
     SweepCell {
         n,
         extra,
-        simmen: acc_s.avg(queries),
-        ours: acc_o.avg(queries),
-        dfsm_bytes: dfsm_bytes / queries,
+        simmen: average(&simmen),
+        ours: average(&ours),
     }
 }
 
-struct ZeroRow {
-    framework: &'static str,
-    time: Duration,
-    plans: usize,
-    memory: usize,
-    cost: f64,
-}
-
-impl ZeroRow {
-    fn new(framework: &'static str) -> Self {
-        ZeroRow {
-            framework,
-            time: Duration::ZERO,
-            plans: 0,
-            memory: 0,
-            cost: 0.0,
-        }
-    }
-
-    fn add(&mut self, row: &PlanRow) {
-        self.time += row.time;
-        self.plans += row.plans;
-        self.memory += row.memory_bytes;
-        self.cost += row.best_cost;
-    }
-
-    fn avg(&self, k: usize) -> PlanRow {
-        let plans = self.plans / k;
-        let time = self.time / k as u32;
-        PlanRow {
-            framework: self.framework,
-            time,
-            plans,
-            time_per_plan: if plans > 0 {
-                time / plans as u32
-            } else {
-                Duration::ZERO
-            },
-            memory_bytes: self.memory / k,
-            best_cost: self.cost / k as f64,
-        }
+/// The mean of one arm's rows; counts and bytes round down.
+fn average(rows: &[PlanRow]) -> PlanRow {
+    let k = rows.len();
+    let mean = |field: fn(&PlanRow) -> usize| rows.iter().map(field).sum::<usize>() / k;
+    let time = rows.iter().map(|r| r.time).sum::<Duration>() / k as u32;
+    let plans = mean(|r| r.plans);
+    PlanRow {
+        framework: rows[0].framework,
+        time,
+        plans,
+        time_per_plan: per_plan(time, plans),
+        memory_bytes: mean(|r| r.memory_bytes),
+        precomputed_bytes: mean(|r| r.precomputed_bytes),
+        best_cost: rows.iter().map(|r| r.best_cost).sum::<f64>() / k as f64,
     }
 }
 
-/// Formats a duration as fractional milliseconds.
-pub fn ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
-/// Formats a duration as fractional microseconds.
-pub fn us(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e6)
-}
-
-/// Formats bytes as KB with one decimal.
-pub fn kb(bytes: usize) -> String {
-    format!("{:.1}", bytes as f64 / 1024.0)
-}
-
-/// A positional count argument: `default` when absent, otherwise a
-/// positive integer — anything else is an error quoting it.
-fn parse_count(arg: Option<&str>, default: usize) -> Result<usize, String> {
+/// A positional count argument: `default` when absent, otherwise an
+/// integer of at least `min` — anything else is an error quoting it.
+fn parse_count(arg: Option<&str>, default: usize, min: usize) -> Result<usize, String> {
     match arg {
         None => Ok(default),
         Some(s) => match s.parse() {
-            Ok(0) | Err(_) => Err(format!("expected a positive integer, got `{s}`")),
-            Ok(n) => Ok(n),
+            Ok(n) if n >= min => Ok(n),
+            _ => Err(format!("expected an integer of at least {min}, got `{s}`")),
         },
     }
 }
 
 /// The table binaries' one way to read the positional count argument
-/// at `index`: `default` when absent, a positive integer otherwise. On
-/// anything else, prints the error and the `usage` line to stderr and
-/// exits with code 2.
-pub fn count_arg(index: usize, default: usize, usage: &str) -> usize {
+/// at `index`: `default` when absent, an integer of at least `min`
+/// otherwise. On anything else, prints the error and the `usage` line
+/// to stderr and exits with code 2.
+pub fn count_arg(index: usize, default: usize, min: usize, usage: &str) -> usize {
     let arg = std::env::args().nth(index);
-    parse_count(arg.as_deref(), default).unwrap_or_else(|e| {
+    parse_count(arg.as_deref(), default, min).unwrap_or_else(|e| {
         eprintln!("argument {index}: {e}\nusage: {usage}");
         std::process::exit(2)
     })
@@ -283,15 +397,29 @@ mod tests {
 
     #[test]
     fn count_arguments_are_parsed_strictly() {
-        assert_eq!(parse_count(None, 10), Ok(10));
-        assert_eq!(parse_count(Some("3"), 10), Ok(3));
-        assert!(parse_count(Some("x"), 10).is_err());
-        assert!(parse_count(Some("0"), 10).is_err());
+        assert_eq!(parse_count(None, 10, 1), Ok(10));
+        assert_eq!(parse_count(Some("3"), 10, 1), Ok(3));
+        assert!(parse_count(Some("x"), 10, 1).is_err());
+        assert!(parse_count(Some("0"), 10, 1).is_err());
+    }
+
+    #[test]
+    fn a_sweep_without_cells_is_rejected() {
+        // `paper 2 3` would print the figure headers and no rows.
+        assert!(parse_count(Some("4"), 10, SWEEP_MIN_N).is_err());
+        assert_eq!(parse_count(Some("5"), 10, SWEEP_MIN_N), Ok(5));
+        assert_eq!(parse_count(None, 10, SWEEP_MIN_N), Ok(10));
     }
 
     #[test]
     fn q8_preparation_shapes_match_the_paper() {
-        let (without, with) = prep_q8();
+        let rows = pruning_ablation();
+        assert_eq!(rows.len(), 12);
+        let (without, with) = (&rows[0], &rows[11]);
+        assert_eq!(
+            (without.label.as_str(), with.label.as_str()),
+            ("none", "all")
+        );
         // §6.2: pruning shrinks the NFSM (376 → 38) and the DFSM
         // (80 → 24) by large factors; exact counts depend on modeling
         // details, but the direction and rough magnitude must hold.
@@ -312,7 +440,7 @@ mod tests {
 
     #[test]
     fn q8_plangen_shape_matches_the_paper() {
-        let (simmen, ours) = q8_plangen();
+        let (simmen, ours, plan) = q8_plangen();
         // §7 Q8 table: ours generates fewer plans and is faster per plan.
         assert!(
             ours.plans <= simmen.plans,
@@ -321,13 +449,29 @@ mod tests {
             simmen.plans
         );
         assert!(ours.plans > 100, "Q8 must be a non-trivial search");
+        assert!(!plan.is_empty());
     }
 
     #[test]
     fn small_sweep_cell_runs() {
-        let cell = sweep_cell(5, 0, 2, 1000);
-        assert!(cell.simmen.plans > 0 && cell.ours.plans > 0);
-        assert!(cell.ours.plans <= cell.simmen.plans);
+        // Figs. 13-14's shape on every cell with n = 5..7, at the
+        // figures' seeds: deterministic counts only, never times.
+        let cells = sweep(1, 7);
+        assert_eq!(cells.len(), 9);
+        for c in &cells {
+            assert_costs_agree(&c.simmen, &c.ours);
+            assert!(c.ours.plans > 0);
+            assert!(
+                c.ours.plans <= c.simmen.plans && c.ours.memory_bytes <= c.simmen.memory_bytes,
+                "n={} extra={}: ours {} plans / {} bytes, simmen {} / {}",
+                c.n,
+                c.extra,
+                c.ours.plans,
+                c.ours.memory_bytes,
+                c.simmen.plans,
+                c.simmen.memory_bytes
+            );
+        }
     }
 
     #[test]
@@ -357,7 +501,7 @@ mod tests {
         );
         // Simmen finds the same optimum through the same DP.
         let s = run_simmen(&catalog, &query, &ex);
-        let o = run_ours(&catalog, &query, &ex);
+        let (o, _) = run_ours(&catalog, &query, &ex);
         assert_costs_agree(&s, &o);
     }
 }

@@ -6,9 +6,8 @@
 //!   is a `None` behind an `Option<Arc<..>>`, so every instrumentation
 //!   site reduces to one branch on a pointer check and the hot path
 //!   stays byte-identical in behaviour. [`Trace::recording`] buffers
-//!   [`SpanRecord`]s that export as a Chrome trace-event JSON
-//!   ([`Trace::chrome_json`], openable in Perfetto) and a plain-text
-//!   summary tree ([`Trace::summary_tree`]).
+//!   [`SpanRecord`]s, read back by [`Trace::records`] and printed as a
+//!   plain-text summary tree ([`Trace::summary_tree`]).
 //! - [`metrics`] — plain-old-data counters for optimizer decisions:
 //!   Pareto pruning per comparability class ([`PruneCounters`]),
 //!   enforcer admissions/wins ([`EnforcerCounters`]), oracle probe
@@ -18,8 +17,8 @@
 //! Determinism contract: records are appended at span *start* (the
 //! index is reserved under the sink lock; duration is back-filled on
 //! drop), so the records' names, labels, depths and counters are
-//! identical for the same work; only timestamps and thread lanes are
-//! wall-clock-class data.
+//! identical for the same work; only durations are wall-clock-class
+//! data.
 
 #![forbid(unsafe_code)]
 

@@ -9,10 +9,8 @@
 //! thread, record order is therefore exactly span-start order, and the
 //! *skeleton* of a trace — names, labels, depths, deterministic
 //! counters, in order — is a pure function of the work; only
-//! timestamps and thread lanes (which are wall-clock-class data)
-//! vary.
+//! durations (which are wall-clock-class data) vary.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -28,10 +26,6 @@ pub struct SpanRecord {
     pub label: String,
     /// Nesting depth (0 = root).
     pub depth: u16,
-    /// Thread lane the span ran on (stable per thread, not across runs).
-    pub tid: u32,
-    /// Start offset from the trace epoch, microseconds.
-    pub start_us: u64,
     /// Duration, microseconds.
     pub dur_us: u64,
     /// Deterministic counters attached to the span, in attach order.
@@ -39,22 +33,11 @@ pub struct SpanRecord {
 }
 
 struct Shared {
-    epoch: Instant,
     records: Mutex<Vec<SpanRecord>>,
 }
 
 fn lock(m: &Mutex<Vec<SpanRecord>>) -> MutexGuard<'_, Vec<SpanRecord>> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-static NEXT_LANE: AtomicU32 = AtomicU32::new(0);
-
-thread_local! {
-    static LANE: u32 = NEXT_LANE.fetch_add(1, Ordering::Relaxed);
-}
-
-fn lane() -> u32 {
-    LANE.with(|l| *l)
 }
 
 /// A cloneable span sink. Cloning is cheap (an `Arc` bump) and all
@@ -79,11 +62,10 @@ impl Trace {
         Self { shared: None }
     }
 
-    /// A recording sink buffering [`SpanRecord`]s for export.
+    /// A recording sink buffering [`SpanRecord`]s.
     pub fn recording() -> Self {
         Self {
             shared: Some(Arc::new(Shared {
-                epoch: Instant::now(),
                 records: Mutex::new(Vec::new()),
             })),
         }
@@ -112,8 +94,6 @@ impl Trace {
                 name,
                 label: String::new(),
                 depth,
-                tid: lane(),
-                start_us: duration_us(sh.epoch, Instant::now()),
                 dur_us: 0,
                 counters: Vec::new(),
             });
@@ -136,40 +116,6 @@ impl Trace {
             .unwrap_or_default()
     }
 
-    /// The trace as Chrome trace-event JSON (complete "X" events),
-    /// openable in Perfetto / `chrome://tracing`.
-    pub fn chrome_json(&self) -> String {
-        let records = self.records();
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, r) in records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"ofw\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{",
-                crate::json_escape(r.name),
-                r.start_us,
-                r.dur_us,
-                r.tid,
-            ));
-            let mut first = true;
-            if !r.label.is_empty() {
-                out.push_str(&format!("\"label\":\"{}\"", crate::json_escape(&r.label)));
-                first = false;
-            }
-            for (k, v) in &r.counters {
-                if !first {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", crate::json_escape(k), v));
-                first = false;
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// A plain-text summary tree: one line per span, indented by
     /// depth, with duration and counters.
     pub fn summary_tree(&self) -> String {
@@ -188,10 +134,6 @@ impl Trace {
         }
         out
     }
-}
-
-fn duration_us(epoch: Instant, now: Instant) -> u64 {
-    now.saturating_duration_since(epoch).as_micros() as u64
 }
 
 /// A live span handle. Dropping it closes the span and back-fills its
@@ -257,7 +199,6 @@ mod tests {
             let _child = sp.child("inner");
         }
         assert!(t.records().is_empty());
-        assert_eq!(t.chrome_json(), "{\"traceEvents\":[]}");
         assert!(t.summary_tree().is_empty());
     }
 
@@ -286,21 +227,5 @@ mod tests {
         // Records are reserved at start: the root (opened first) comes
         // first even though it closed last.
         assert!(records[0].dur_us >= records[1].dur_us);
-    }
-
-    #[test]
-    fn chrome_json_is_wellformed_shape() {
-        let t = Trace::recording();
-        {
-            let mut sp = t.span("prepare");
-            sp.label("q\"8");
-            sp.count("nfsm_nodes", 12);
-        }
-        let json = t.chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"label\":\"q\\\"8\""));
-        assert!(json.contains("\"nfsm_nodes\":12"));
     }
 }

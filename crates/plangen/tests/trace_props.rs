@@ -76,11 +76,6 @@ fn assert_arm_trace_inert<O: OrderOracle>(
     let records = trace.records();
     assert!(!records.is_empty(), "{label}: recording sink saw no spans");
     assert_eq!(records[0].name, "plangen");
-    assert_eq!(
-        trace.chrome_json().matches("\"ph\":\"X\"").count(),
-        records.len(),
-        "{label}: the Chrome export must hold one complete event per span record"
-    );
 }
 
 fn check_query(catalog: &Catalog, query: &Query) {
