@@ -20,11 +20,13 @@
 //!   another, each allocated at its final length as its fill begins and
 //!   filled in place, and a column that an applied join predicate makes
 //!   equal to an earlier one is one copy of it; every operator below the
-//!   root hands up `u32` row ids; and a sort holds at most two 16-byte
+//!   root hands up `u32` row ids, a join its pair list, which an
+//!   aggregate reads where it lies; and a sort holds at most two 16-byte
 //!   entries per input row. An inner join that materializes its columns
 //!   (a two-join chain, a sort over a join), output assembled from
 //!   per-morsel chunks, or a copied column allocated twice, allocates
-//!   output values twice and fails the byte bound.
+//!   output values twice and fails the byte bound; so does an aggregate
+//!   over a join that composes the join's ids before it folds them away.
 //!
 //! One `#[test]` only: the counters are process-global, and a second
 //! test running on another harness thread would be counted too.
@@ -157,6 +159,16 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
         },
         query.relation_set(0),
     );
+    // The join the group-join makes: grouped on `r0.g`, its probe side.
+    let grouped_join = push(
+        &mut arena,
+        PlanOp::HashJoin {
+            left: by_group,
+            right: s1,
+            edge: 0,
+        },
+        joined.clone(),
+    );
     let morsels = rows.div_ceil(MORSEL_ROWS);
     // A one-key hash join's kernel buffers: per build row its hash, row
     // id and key copy (20 bytes); per bucket (the build rows rounded up
@@ -214,6 +226,17 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
             + groups * (2 * (4 + 8 * keys) + 32 + 8 + 4 * parts)
     };
     let pair_morsels = pairs.div_ceil(MORSEL_ROWS);
+    // A streaming aggregate over the join of the sorted `r0` with `r1`
+    // (the group-join, or a `StreamAgg` over a `HashJoin`): the sort's
+    // entries and ids, the join's kernel buffers, and the aggregate's over
+    // the pairs, which it reads where they lie, composing ids for its
+    // representatives alone, each looked up in the pairs once (8 bytes).
+    // Composing the join's two id columns first (1.6 MB) fails.
+    let agg_over_join = 2 * rows * 16
+        + rows * 4
+        + hash_join(rows, rows, true, pairs)
+        + stream_agg(pairs, 1, 1, 2, GROUPS as u64, 2)
+        + GROUPS as u64 * 8;
     // Per plan: its name, its output rows, its root, the allocations it
     // may make — rows / 10 for the hash operators; a few per morsel for
     // the sort, whose 16-bit key cuts 256 radix buckets; sixteen per
@@ -238,11 +261,12 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     // 0.04 MB in 510 allocations; HashGroup 6.2 MB [6.7] for 2.4 MB;
     // Sort 6.0 MB [6.3] for 2.4 MB in 35 allocations [100]; the index
     // scan 3.0 MB [4.2] for 0.8 MB in 279 allocations [400]; StreamAgg
-    // over the sort 5.33 MB [5.34] for 0.04 MB in 233 allocations [400];
-    // the group-join over the sort 15.7 MB [16.3] for 0.06 MB in 604
-    // allocations [1 184]; the two-join chain 31.2 MB [36.0] for 11.2
-    // MB, two of its seven columns copies; the sort over the join 24.0
-    // MB [26.9] for 8.0 MB. Materializing the inner join's columns, as
+    // over the sort 5.33 MB [5.34] for 0.04 MB in 283 allocations [400];
+    // the group-join over the sort, and a StreamAgg over the same join,
+    // each 14.1 MB [14.7] for 0.06 MB in 743 allocations [1 184] (15.7
+    // MB when the join composed its ids); the two-join chain 31.2 MB
+    // [36.0] for 11.2 MB, two of its seven columns copies; the sort over
+    // the join 24.0 MB [26.9] for 8.0 MB. Materializing the inner join's columns, as
     // the executor once did, takes 37.6 MB and 32.0 MB for the last two.
     let plans = [
         (
@@ -331,13 +355,22 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                 joined.clone(),
             ),
             16 * (morsels + pair_morsels),
-            Some(
-                2 * rows * 16
-                    + rows * 4
-                    + hash_join(rows, rows, true, pairs)
-                    + pairs * 2 * 4
-                    + stream_agg(pairs, 1, 1, 2, GROUPS as u64, 2),
+            Some(agg_over_join),
+        ),
+        (
+            "StreamAgg(HashJoin)",
+            GROUPS as usize,
+            push(
+                &mut arena,
+                PlanOp::StreamAgg {
+                    input: grouped_join,
+                    key: query.group_by.clone(),
+                    partial: false,
+                },
+                joined.clone(),
             ),
+            16 * (morsels + pair_morsels),
+            Some(agg_over_join),
         ),
         // Two joins: the inner one's output is ids, never columns.
         (
@@ -395,7 +428,8 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
         // The work really happened: every group holds ROWS / GROUPS rows,
         // each joined to two `r1` rows under the group-join.
         if let Some(counts) = out.col(ColRef::Acc(1)) {
-            let per_group = if op == "GroupJoin" { 2 } else { 1 } * (ROWS as i64) / GROUPS;
+            let joins = matches!(op, "GroupJoin" | "StreamAgg(HashJoin)");
+            let per_group = if joins { 2 } else { 1 } * (ROWS as i64) / GROUPS;
             assert!(counts.iter().all(|&c| c == per_group), "{op}");
         }
         let Some(buffers) = buffers else { continue };

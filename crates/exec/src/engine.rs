@@ -12,14 +12,16 @@
 //! operator's output is an intermediate of *parts*, one per base
 //! relation it covers: the relation's borrowed base columns plus a
 //! `u32` row-id vector (absent for the identity). Scans and index scans
-//! return their surviving or sorted ids; sorts and hash grouping permute
-//! ids; joins read only their key columns, through the ids, and compose
-//! each side's ids through the pair list. The hash join probes a
-//! bucket-sorted build table (the `hash` module) and the nested-loop
-//! join scans the right key column; both write every candidate pair and
-//! keep the matches by advancing the write index, never by a branch on
-//! the match. Aggregates emit each group's representative row. Only the
-//! weight and accumulator columns are materialized below the root.
+//! return their surviving or sorted ids; sorts and hash grouping
+//! permute ids; joins read only their key columns, through the ids, and
+//! hand on their inputs and pair list, pending: an aggregate reads
+//! through the pairs, any other parent composes each side's ids. The
+//! hash join probes a bucket-sorted build table (the `hash` module) and
+//! the nested-loop join scans the right key column; both write every
+//! candidate pair and keep the matches by advancing the write index,
+//! never by a branch on the match. Aggregates emit each group's
+//! representative row, composed for it alone. Only weight and
+//! accumulator columns are materialized below the root.
 //! [`execute_plan`] then gathers every attribute column once, a column
 //! at a time: each column is allocated as its fill begins and written
 //! in place by one task per output morsel. A column that an applied
@@ -30,8 +32,8 @@
 //! the streaming aggregates fold the equal-key runs of their grouped
 //! input without hashing a row. Aggregation works a column at a time:
 //! each key column is read once per morsel into a dense slice, and each
-//! fold reads one dense contribution column (an accumulator borrowed as
-//! is, a raw input read once through its ids, a `sum`'s weights
+//! fold reads one dense contribution column (an accumulator borrowed or
+//! read through the pairs, a raw input read once, a `sum`'s weights
 //! multiplied in) with one loop per function — over the runs for the
 //! streaming aggregates, scattered by every row's local group id for
 //! the hash aggregate.
@@ -46,7 +48,9 @@
 //! reference plan.
 
 use crate::batch::{ColRef, ColTable};
-use crate::hash::{hash_rows, local_groups, resumed_run, run_starts, Col, GroupTable, JoinTable};
+use crate::hash::{
+    dense_keys, hash_rows, local_groups, resumed_run, runs_of, Col, Column, GroupTable, JoinTable,
+};
 use ofw_catalog::{AttrId, Catalog};
 use ofw_common::{morsel_ranges, OrderedExecutor, SerialExecutor};
 use ofw_obs::Trace;
@@ -86,8 +90,9 @@ impl Default for ExecOptions {
 pub struct OpStat {
     /// Tasks the operator dispatched: kernel tasks (a filter, probe,
     /// aggregation or run-finding morsel, a sort's bucket batch),
-    /// id-composition morsels, and — at the plan root only, where the
-    /// one gather happens — root-gather morsels. A selection-free scan
+    /// id-composition morsels (a join's only when a parent that is not an
+    /// aggregate composes its output), and — at the plan root only, where
+    /// the one gather happens — root-gather morsels. A selection-free scan
     /// dispatches none.
     pub batches: u64,
     /// Rows the operator produced.
@@ -330,6 +335,15 @@ impl<'a, T> Spliced<'a, T> {
         self.starts[self.parts.len()]
     }
 
+    /// Element `i`, searched for only when it lies outside part `*p`,
+    /// which is left at its part: an ascending walk rarely searches.
+    fn get(&self, i: usize, p: &mut usize) -> &'a T {
+        if !(self.starts[*p]..self.starts[*p + 1]).contains(&i) {
+            *p = self.starts.partition_point(|&s| s <= i) - 1;
+        }
+        &self.parts[*p][i - self.starts[*p]]
+    }
+
     /// Elements `range` of the sequence, as consecutive slices.
     fn slices(&self, range: Range<usize>) -> impl Iterator<Item = &'a [T]> + '_ {
         let first = self.starts.partition_point(|&s| s <= range.start) - 1;
@@ -510,10 +524,11 @@ impl Part<'_> {
     }
 }
 
-/// What an operator below the root hands its parent: the attribute
-/// columns as parts, read through row ids, and the weight and
-/// accumulator columns (see [`crate::batch`]) materialized. The root
-/// gathers it into the public [`ColTable`] ([`Engine::materialize`]).
+/// An operator's rows below the root: the attribute columns as parts,
+/// read through row ids, and the weight and accumulator columns (see
+/// [`crate::batch`]) materialized. A join hands on its inputs and pairs
+/// instead ([`Out`]). The root gathers it into the public [`ColTable`]
+/// ([`Engine::materialize`]).
 struct Inter<'a> {
     rows: usize,
     parts: Vec<Part<'a>>,
@@ -545,13 +560,6 @@ impl<'a> Inter<'a> {
             .find_map(|p| p.attrs.iter().position(|&x| x == a).map(|c| p.col(c)))
     }
 
-    fn acc(&self, call: usize) -> Option<&[i64]> {
-        self.accs
-            .iter()
-            .find(|&&(c, _)| c == call)
-            .map(|(_, col)| &col[..])
-    }
-
     /// The columns the root materializes: every part's attributes, parts
     /// in order, then the weight, then the accumulators.
     fn schema(&self) -> Vec<ColRef> {
@@ -562,10 +570,98 @@ impl<'a> Inter<'a> {
             .chain(self.accs.iter().map(|&(call, _)| ColRef::Acc(call)))
             .collect()
     }
+}
 
-    /// Every part, read on side `side` of a composition.
-    fn sides(&self, side: usize) -> impl Iterator<Item = (&Part<'a>, usize)> {
-        self.parts.iter().map(move |p| (p, side))
+/// Every part of `sides` (one input, or a join's left and right), each
+/// with its side.
+fn side_parts<'s, 'a>(sides: &'s [Inter<'a>]) -> Vec<(&'s Part<'a>, usize)> {
+    let mut parts = Vec::with_capacity(sides.iter().map(|t| t.parts.len()).sum());
+    for (s, t) in sides.iter().enumerate() {
+        parts.extend(t.parts.iter().map(|p| (p, s)));
+    }
+    parts
+}
+
+/// What an operator below the root hands its parent.
+enum Out<'a> {
+    Rows(Inter<'a>),
+    /// A join's output, left pending: its two inputs and its pair list,
+    /// one list per probe morsel. An aggregate reads through the pairs
+    /// ([`AggIn`]); any other parent composes them ([`Engine::exec`]),
+    /// charging the morsels to the join, `op`.
+    Joined {
+        op: &'static str,
+        sides: [Inter<'a>; 2],
+        pairs: Vec<Vec<(u32, u32)>>,
+    },
+}
+
+/// An aggregate's input where its rows lie: one intermediate, or a
+/// pending join's two inputs read through its pair list, so that no id
+/// of a join row the aggregate folds away is composed.
+struct AggIn<'t, 'a> {
+    rows: usize,
+    sides: &'t [Inter<'a>],
+    /// The join's pairs; `None`: row `r` is row `r` of the one input.
+    pairs: Option<Spliced<'t, (u32, u32)>>,
+    /// The weight and accumulators, as factors ([`Engine::values`]).
+    weight: Option<OutSrc<'t>>,
+    accs: Vec<(usize, OutSrc<'t>)>,
+}
+
+impl AggIn<'_, '_> {
+    /// Column `col` of side `side`, read at each row's row there.
+    fn on<'v>(&'v self, col: Col<'v>, side: usize) -> AggCol<'v> {
+        let pairs = self.pairs.as_ref().map(|p| (p, side));
+        AggCol { col, pairs }
+    }
+
+    /// The column holding attribute `a`, if a side has it.
+    fn attr(&self, a: AttrId) -> Option<AggCol<'_>> {
+        let mut sides = self.sides.iter().enumerate();
+        sides.find_map(|(s, t)| Some(self.on(t.attr(a)?, s)))
+    }
+
+    /// A weight or accumulator column, as the factors of its product.
+    fn factors<'v>(&'v self, src: OutSrc<'v>) -> Vec<AggCol<'v>> {
+        let src = src.into_iter().zip(0..);
+        src.filter_map(|(f, s)| Some(self.on(f?.into(), s)))
+            .collect()
+    }
+}
+
+/// A column of an aggregate's input ([`AggIn`]): a [`Col`] of one side,
+/// read pair → side row → id → value, the pairs never copied.
+#[derive(Clone, Copy)]
+struct AggCol<'t> {
+    col: Col<'t>,
+    /// The join's pairs and the side `col` is on.
+    pairs: Option<(&'t Spliced<'t, (u32, u32)>, usize)>,
+}
+
+impl<'t> Column<'t> for AggCol<'t> {
+    fn at(self, r: usize) -> i64 {
+        let side_row = |(p, side): (&Spliced<(u32, u32)>, usize)| {
+            let &(left, right) = p.get(r, &mut 0);
+            [left, right][side] as usize
+        };
+        self.col.at(self.pairs.map_or(r, side_row))
+    }
+
+    fn dense(self, range: Range<usize>) -> Cow<'t, [i64]> {
+        let Some((pairs, side)) = self.pairs else {
+            return self.col.dense(range);
+        };
+        let (vals, mut out) = (self.col.vals, Vec::with_capacity(range.len()));
+        for s in pairs.slices(range) {
+            match (self.col.ids, side) {
+                (Some(ids), 0) => out.extend(s.iter().map(|p| vals[ids[p.0 as usize] as usize])),
+                (Some(ids), _) => out.extend(s.iter().map(|p| vals[ids[p.1 as usize] as usize])),
+                (None, 0) => out.extend(s.iter().map(|p| vals[p.0 as usize])),
+                (None, _) => out.extend(s.iter().map(|p| vals[p.1 as usize])),
+            }
+        }
+        Cow::Owned(out)
     }
 }
 
@@ -582,44 +678,27 @@ enum JoinKind {
     NestedLoop,
 }
 
-/// Where a fold reads its per-row contributions.
-enum Contrib<'t> {
-    /// One per row: the fold counts rows — a weight with no input
-    /// weight column.
-    One,
-    /// A materialized column, borrowed as is: the input's weight or
-    /// accumulator column.
-    Col(&'t [i64]),
-    /// A raw input attribute, times the input's weight column when given
-    /// (a `sum`'s, so that a row stands for all its logical tuples).
-    Raw(Col<'t>, Option<&'t [i64]>),
-}
-
-impl<'t> Contrib<'t> {
-    /// The contributions of rows `range`, as one dense slice: a column
-    /// borrowed, a raw input read once through its ids, the weights
-    /// multiplied in a column at a time; `None` for [`Contrib::One`].
-    fn dense(&self, range: Range<usize>) -> Option<Cow<'t, [i64]>> {
-        match *self {
-            Contrib::One => None,
-            Contrib::Col(c) => Some(Cow::Borrowed(&c[range])),
-            Contrib::Raw(raw, None) => Some(raw.dense(range)),
-            Contrib::Raw(raw, Some(w)) => {
-                let mut vals = raw.dense(range.clone()).into_owned();
-                for (v, w) in vals.iter_mut().zip(&w[range]) {
-                    *v *= w;
-                }
-                Some(Cow::Owned(vals))
-            }
+/// The contributions of rows `range` to a fold, as one dense slice: the
+/// product of the `factors`, each read once; `None` (no factor) counts.
+fn contributions<'t>(factors: &[AggCol<'t>], range: Range<usize>) -> Option<Cow<'t, [i64]>> {
+    let (first, rest) = factors.split_first()?;
+    let mut vals = first.dense(range.clone());
+    for f in rest {
+        for (v, x) in vals.to_mut().iter_mut().zip(&*f.dense(range.clone())) {
+            *v *= x;
         }
     }
+    Some(vals)
 }
 
 /// One fold: a function over a contribution column.
 struct Fold<'t> {
     /// `Sum` for the weight (a `count`'s value *is* the weight).
     func: AggFunc,
-    contrib: Contrib<'t>,
+    /// The factors of each row's contribution ([`contributions`]): the
+    /// input's weight or accumulator, or a raw input attribute times a
+    /// `sum`'s weights, so that a row stands for all its logical tuples.
+    contrib: Vec<AggCol<'t>>,
 }
 
 /// What an aggregate computes from its input: its value columns (what
@@ -730,18 +809,17 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         t: &'t Inter<'a>,
         attr: AttrId,
     ) -> Result<Col<'t>, ExecError> {
-        t.attr(attr).ok_or_else(|| {
-            self.err(
-                plan,
-                op,
-                Some(attr),
-                format!(
-                    "attribute {} not in input schema {:?}",
-                    self.catalog.attr_name(attr),
-                    t.schema(),
-                ),
-            )
-        })
+        t.attr(attr)
+            .ok_or_else(|| self.missing(plan, op, attr, t.schema()))
+    }
+
+    /// The located error for `a`, absent from an input holding `schema`.
+    fn missing(&self, plan: PlanId, op: &'static str, a: AttrId, schema: Vec<ColRef>) -> ExecError {
+        let detail = format!(
+            "attribute {} not in input schema {schema:?}",
+            self.catalog.attr_name(a)
+        );
+        self.err(plan, op, Some(a), detail)
     }
 
     /// The columns of `t` holding `key`.
@@ -755,9 +833,39 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         key.iter().map(|&a| self.attr_col(plan, op, t, a)).collect()
     }
 
+    /// The columns of an aggregate's input `t` holding `key`.
+    fn agg_key_cols<'t>(
+        &self,
+        plan: PlanId,
+        op: &'static str,
+        t: &'t AggIn<'_, 'a>,
+        key: &[AttrId],
+    ) -> Result<Vec<AggCol<'t>>, ExecError> {
+        let schema = || t.sides.iter().flat_map(Inter::schema).collect();
+        let col = |a| t.attr(a).ok_or_else(|| self.missing(plan, op, a, schema()));
+        key.iter().map(|&a| col(a)).collect()
+    }
+
+    /// Plan `plan`'s output as rows: a join's, left pending, is composed
+    /// first, its morsels charged to the join.
     fn exec(&mut self, plan: PlanId) -> Result<Inter<'a>, ExecError> {
+        let (op, sides, pairs) = match self.output(plan)? {
+            Out::Rows(t) => return Ok(t),
+            Out::Joined { op, sides, pairs } => (op, sides, pairs),
+        };
+        let (weight, accs) = self.values(&sides);
+        let pick = |&(l, r): &(u32, u32)| [l as usize, r as usize];
+        let parts = side_parts(&sides);
+        let (t, cb) = self.compose(&Spliced::new(&pairs), pick, &parts, weight, &accs);
+        self.stats.record(op, cb, 0);
+        Ok(t)
+    }
+
+    /// Plan `plan`'s output: a join's is left pending, for an aggregate
+    /// to read through or [`Self::exec`] to compose.
+    fn output(&mut self, plan: PlanId) -> Result<Out<'a>, ExecError> {
         let (arena, query) = (self.arena, self.query);
-        match &arena.node(plan).op {
+        let rows = match &arena.node(plan).op {
             PlanOp::Scan { qrel } => self.scan(plan, *qrel),
             PlanOp::IndexScan { qrel, index } => self.index_scan(plan, *qrel, *index),
             PlanOp::Sort { input, key } => {
@@ -769,13 +877,13 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 self.sort(plan, "PartialSort", t, key)
             }
             PlanOp::MergeJoin { left, right, edge } => {
-                self.join(plan, "MergeJoin", *left, *right, JoinKind::Merge(*edge))
+                return self.join(plan, "MergeJoin", *left, *right, JoinKind::Merge(*edge));
             }
             PlanOp::HashJoin { left, right, .. } => {
-                self.join(plan, "HashJoin", *left, *right, JoinKind::Hash)
+                return self.join(plan, "HashJoin", *left, *right, JoinKind::Hash);
             }
             PlanOp::NestedLoopJoin { left, right } => {
-                self.join(plan, "NestedLoopJoin", *left, *right, JoinKind::NestedLoop)
+                return self.join(plan, "NestedLoopJoin", *left, *right, JoinKind::NestedLoop);
             }
             PlanOp::GroupJoin { left, right, .. } => {
                 let joined = self.join(plan, "GroupJoin", *left, *right, JoinKind::Hash)?;
@@ -787,7 +895,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 key,
                 partial,
             } => {
-                let t = self.exec(*input)?;
+                let t = self.output(*input)?;
                 self.stream_aggregate(plan, "StreamAgg", t, key, *partial)
             }
             PlanOp::HashAgg {
@@ -795,14 +903,15 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 key,
                 partial,
             } => {
-                let t = self.exec(*input)?;
+                let t = self.output(*input)?;
                 self.hash_aggregate(plan, t, key, *partial)
             }
             PlanOp::HashGroup { input, key } => {
                 let t = self.exec(*input)?;
                 self.hash_group(plan, t, key)
             }
-        }
+        };
+        rows.map(Out::Rows)
     }
 
     /// The one gather: `t`, the output of plan `plan`, into the public
@@ -977,14 +1086,65 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         rows: &Spliced<'_, T>,
         row: impl Fn(&T) -> usize + Sync,
     ) -> (Inter<'a>, u64) {
-        let parts: Vec<_> = t.sides(0).collect();
-        let accs: Vec<(usize, OutSrc)> = t
-            .accs
-            .iter()
-            .map(|(call, col)| (*call, [Some(&col[..]), None]))
-            .collect();
-        let weight = t.weight.as_deref().map(|w| [Some(w), None]);
-        self.compose(rows, |x| [row(x), 0], &parts, weight, &accs)
+        let sides = std::slice::from_ref(t);
+        let (weight, accs) = self.values(sides);
+        self.compose(rows, |x| [row(x), 0], &side_parts(sides), weight, &accs)
+    }
+
+    /// The weight and accumulators (in call order) of rows drawn from
+    /// `sides` — one input, or a join's left and right — as [`OutSrc`]s.
+    /// A join's weights multiply, and `sum` accumulators scale by the
+    /// partner side's weight, the invariant that makes eager partial
+    /// aggregates compose (see [`crate::batch`]).
+    fn values<'t>(&self, sides: &'t [Inter<'a>]) -> (Option<OutSrc<'t>>, Vec<(usize, OutSrc<'t>)>) {
+        let w = |s: usize| sides.get(s).and_then(|t| t.weight.as_deref());
+        let weight = (w(0).is_some() || w(1).is_some()).then_some([w(0), w(1)]);
+        let mut accs: Vec<(usize, OutSrc)> = Vec::new();
+        for (s, t) in sides.iter().enumerate() {
+            for (call, col) in &t.accs {
+                let mut src = [None; 2];
+                src[s] = Some(&col[..]);
+                if self.query.aggregates[*call].func == AggFunc::Sum {
+                    src[1 - s] = w(1 - s);
+                }
+                accs.push((*call, src));
+            }
+        }
+        accs.sort_by_key(|&(call, _)| call);
+        (weight, accs)
+    }
+
+    /// An aggregate's output rows: its groups' representatives `reps`,
+    /// rows of its input `t`, every part's ids composed through them — a
+    /// pending join's pairs looked up once per representative.
+    fn representatives(&self, t: &AggIn<'_, 'a>, reps: &[Vec<u32>]) -> (Inter<'a>, u64) {
+        let parts = side_parts(t.sides);
+        let Some(pairs) = &t.pairs else {
+            return self.compose(&Spliced::new(reps), |&r| [r as usize, 0], &parts, None, &[]);
+        };
+        let get = |m: &Vec<u32>| {
+            let mut p = 0;
+            m.iter().map(|&r| *pairs.get(r as usize, &mut p)).collect()
+        };
+        let reps: Vec<Vec<(u32, u32)>> = reps.iter().map(get).collect();
+        let pick = |&(l, r): &(u32, u32)| [l as usize, r as usize];
+        self.compose(&Spliced::new(&reps), pick, &parts, None, &[])
+    }
+
+    /// An aggregate's view of `out` ([`AggIn`]).
+    fn agg_input<'t>(&self, out: &'t Out<'a>) -> AggIn<'t, 'a> {
+        let (sides, pairs) = match out {
+            Out::Rows(t) => (std::slice::from_ref(t), None),
+            Out::Joined { sides, pairs, .. } => (&sides[..], Some(Spliced::new(pairs))),
+        };
+        let (weight, accs) = self.values(sides);
+        AggIn {
+            rows: pairs.as_ref().map_or(sides[0].rows, Spliced::len),
+            sides,
+            pairs,
+            weight,
+            accs,
+        }
     }
 
     /// Relation `qrel`'s base rows, all of them, checked against the
@@ -1143,7 +1303,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         left: PlanId,
         right: PlanId,
         kind: JoinKind,
-    ) -> Result<Inter<'a>, ExecError> {
+    ) -> Result<Out<'a>, ExecError> {
         let lt = self.exec(left)?;
         let rt = self.exec(right)?;
         let lmask = &self.arena.node(left).mask;
@@ -1271,45 +1431,12 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 })
             }
         };
-        let (out, cb) = self.join_output(&lt, &rt, &Spliced::new(&pair_chunks));
-        self.stats.record(op, batches + cb, out.rows as u64);
-        Ok(out)
-    }
-
-    /// A join's output from its pair list: the parts concatenate (left
-    /// then right, like the legacy row concat), each with its ids
-    /// composed through its side of the pairs; weights multiply, and
-    /// `sum` accumulators scale by the partner side's weight — the
-    /// invariant that makes eager partial aggregates compose (see
-    /// [`crate::batch`]).
-    fn join_output(
-        &self,
-        lt: &Inter<'a>,
-        rt: &Inter<'a>,
-        pairs: &Spliced<'_, (u32, u32)>,
-    ) -> (Inter<'a>, u64) {
-        let parts: Vec<_> = lt.sides(0).chain(rt.sides(1)).collect();
-        let (lw, rw) = (lt.weight.as_deref(), rt.weight.as_deref());
-        let weight = (lw.is_some() || rw.is_some()).then_some([lw, rw]);
-        // Accumulators, merged across sides in call order; `sum`
-        // accumulators scale by the partner weight, `min`/`max` pass
-        // through.
-        let is_sum = |call: usize| self.query.aggregates[call].func == AggFunc::Sum;
-        let mut accs: Vec<(usize, OutSrc)> = Vec::new();
-        for (call, col) in &lt.accs {
-            accs.push((*call, [Some(col), rw.filter(|_| is_sum(*call))]));
-        }
-        for (call, col) in &rt.accs {
-            accs.push((*call, [lw.filter(|_| is_sum(*call)), Some(col)]));
-        }
-        accs.sort_by_key(|&(call, _)| call);
-        self.compose(
-            pairs,
-            |&(l, r)| [l as usize, r as usize],
-            &parts,
-            weight,
-            &accs,
-        )
+        // The output, left pending: the parts concatenate (left then
+        // right, like the legacy row concat) when it is composed.
+        let rows = pair_chunks.iter().map(Vec::len).sum::<usize>();
+        self.stats.record(op, batches, rows as u64);
+        let (sides, pairs) = ([lt, rt], pair_chunks);
+        Ok(Out::Joined { op, sides, pairs })
     }
 
     /// What an aggregate over `t` computes. A *partial* aggregate keeps
@@ -1321,21 +1448,21 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         &self,
         plan: PlanId,
         op: &'static str,
-        t: &'t Inter<'a>,
+        t: &'t AggIn<'_, 'a>,
         partial: bool,
     ) -> Result<AggSpec<'t>, ExecError> {
         let mut spec = AggSpec {
             cols: Vec::new(),
             folds: Vec::new(),
         };
-        let weight = t.weight.as_deref();
+        let weight = t.weight.map_or_else(Vec::new, |w| t.factors(w));
         // Fold 0, when a column needs it: the group's Σ weight — a
         // partial's weight column, a final `count`'s value.
         let count = |call: &AggCall| call.func == AggFunc::Count;
         if partial || self.query.aggregates.iter().any(count) {
             spec.folds.push(Fold {
                 func: AggFunc::Sum,
-                contrib: weight.map_or(Contrib::One, Contrib::Col),
+                contrib: weight.clone(),
             });
         }
         if partial {
@@ -1349,9 +1476,11 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 // Partial counts live entirely in the weight column.
                 continue;
             }
-            let contrib = match (t.acc(call), agg.input.and_then(|a| t.attr(a))) {
-                (Some(acc), _) => Contrib::Col(acc),
-                (None, Some(raw)) => Contrib::Raw(raw, weight.filter(|_| agg.func == AggFunc::Sum)),
+            let acc = t.accs.iter().find(|a| a.0 == call);
+            let contrib = match (acc, agg.input.and_then(|a| t.attr(a))) {
+                (Some(&(_, acc)), _) => t.factors(acc),
+                (None, Some(raw)) if agg.func == AggFunc::Sum => [&[raw][..], &weight].concat(),
+                (None, Some(raw)) => vec![raw],
                 // This side does not carry the call's input — an
                 // eager-count partial contributes weight only.
                 (None, None) if partial => continue,
@@ -1387,12 +1516,13 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     fn hash_aggregate(
         &mut self,
         plan: PlanId,
-        t: Inter<'a>,
+        t: Out<'a>,
         key: &[AttrId],
         partial: bool,
     ) -> Result<Inter<'a>, ExecError> {
         let op = "HashAgg";
-        let key_cols = self.key_cols(plan, op, &t, key)?;
+        let t = self.agg_input(&t);
+        let key_cols = self.agg_key_cols(plan, op, &t, key)?;
         let spec = self.agg_spec(plan, op, &t, partial)?;
         let folds = &spec.folds;
         let (chunks, batches) = run_morsels(self.pool, t.rows, self.morsel, &|range| {
@@ -1405,7 +1535,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                         f.func,
                         &mut acc,
                         &gids,
-                        f.contrib.dense(range.clone()).as_deref(),
+                        contributions(&f.contrib, range.clone()).as_deref(),
                     );
                     acc
                 })
@@ -1430,14 +1560,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             .iter()
             .map(|acc| order.iter().map(|&g| acc[g]).collect())
             .collect();
-        let parts: Vec<_> = t.sides(0).collect();
-        let (out, cb) = self.compose(
-            &Spliced::new(std::slice::from_ref(&reps)),
-            |&r| [r as usize, 0],
-            &parts,
-            None,
-            &[],
-        );
+        let (out, cb) = self.representatives(&t, std::slice::from_ref(&reps));
         let out = spec.finish(out, values);
         self.stats.record(op, batches + cb, out.rows as u64);
         Ok(out)
@@ -1447,7 +1570,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// `GroupJoin`. The planner places it on input grouped on `key`, so
     /// every group is one maximal run of equal keys, folded where it
     /// lies without hashing a row. Each morsel finds the runs that start
-    /// in it ([`run_starts`]: its keys read once, neighbours compared);
+    /// in it ([`runs_of`]: its keys read once, neighbours compared);
     /// the run starts' keys alone are hashed to verify the grouping — a
     /// key that resumes after its run ended is a located error, never a
     /// silently split group. A morsel's last run ends at the next
@@ -1458,20 +1581,26 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// with one loop per function, straight into its rows of the value
     /// column. Groups come out in run order: on grouped input, the
     /// first-seen order the hash kernel would produce. The run starts
-    /// are the groups' representative rows.
+    /// are the groups' representative rows. Over a join's output the
+    /// keys and contributions are read through its pair list ([`AggIn`]).
     fn stream_aggregate(
         &mut self,
         plan: PlanId,
         op: &'static str,
-        t: Inter<'a>,
+        t: Out<'a>,
         key: &[AttrId],
         partial: bool,
     ) -> Result<Inter<'a>, ExecError> {
-        let key_cols = self.key_cols(plan, op, &t, key)?;
+        let t = self.agg_input(&t);
+        let key_cols = self.agg_key_cols(plan, op, &t, key)?;
         let spec = self.agg_spec(plan, op, &t, partial)?;
         let n = t.rows;
         let (runs, batches) = run_morsels(self.pool, n, self.morsel, &|range| {
-            run_starts(&key_cols, range)
+            // The keys read once, the row before the morsel included.
+            runs_of(
+                &dense_keys(&key_cols, range.start.saturating_sub(1)..range.end),
+                range,
+            )
         });
         if let Some((first, again)) = resumed_run(&runs) {
             let names: Vec<&str> = key.iter().map(|&a| self.catalog.attr_name(a)).collect();
@@ -1517,19 +1646,12 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             let (f, b) = (&spec.folds[c], out_ranges[m].start + m);
             fold_runs(
                 f.func,
-                f.contrib.dense(lo as usize..ends[m]).as_deref(),
+                contributions(&f.contrib, lo as usize..ends[m]).as_deref(),
                 &bounds[b..=b + starts[m].len()],
                 dst,
             );
         });
-        let parts: Vec<_> = t.sides(0).collect();
-        let (out, cb) = self.compose(
-            &Spliced::new(&starts),
-            |&s| [s as usize, 0],
-            &parts,
-            None,
-            &[],
-        );
+        let (out, cb) = self.representatives(&t, &starts);
         let out = spec.finish(out, values);
         self.stats.record(op, batches + cb, out.rows as u64);
         Ok(out)

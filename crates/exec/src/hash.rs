@@ -4,7 +4,9 @@
 //! No key is materialized per row. A morsel's keys are hashed
 //! column-at-a-time into a `Vec<u64>` ([`hash_rows`]), and a table has
 //! one power-of-two bucket array. An input column is a [`Col`]: values
-//! read through the intermediate's row ids. Two tables:
+//! read through the intermediate's row ids. The group kernels read any
+//! [`Column`], so an aggregate reads a pending join's output through its
+//! pair list. Two tables:
 //!
 //! * [`JoinTable`] holds a join's **build rows** (hash join, group
 //!   join), sorted by bucket: one counting pass places every row in its
@@ -57,19 +59,26 @@ pub(crate) struct Col<'t> {
     pub(crate) ids: Option<&'t [u32]>,
 }
 
-impl<'t> Col<'t> {
+/// A column as a kernel reads it: a [`Col`], or the engine's column of a
+/// join whose output is left pending, read through its pair list first.
+pub(crate) trait Column<'t>: Copy + Sync {
     /// Row `r`'s value.
+    fn at(self, r: usize) -> i64;
+    /// The values of rows `range` as one slice.
+    fn dense(self, range: Range<usize>) -> Cow<'t, [i64]>;
+}
+
+impl<'t> Column<'t> for Col<'t> {
     #[inline]
-    pub(crate) fn at(self, r: usize) -> i64 {
+    fn at(self, r: usize) -> i64 {
         match self.ids {
             Some(ids) => self.vals[ids[r] as usize],
             None => self.vals[r],
         }
     }
 
-    /// The values of rows `range` as one slice: borrowed without ids,
-    /// read once through them otherwise.
-    pub(crate) fn dense(self, range: Range<usize>) -> Cow<'t, [i64]> {
+    /// Borrowed without ids, read once through them otherwise.
+    fn dense(self, range: Range<usize>) -> Cow<'t, [i64]> {
         match self.ids {
             Some(ids) => Cow::Owned(ids[range].iter().map(|&i| self.vals[i as usize]).collect()),
             None => Cow::Borrowed(&self.vals[range]),
@@ -109,8 +118,11 @@ pub(crate) fn hash_rows(key_cols: &[Col], range: Range<usize>) -> Vec<u64> {
     out
 }
 
-/// Rows `range` of `key_cols`, each column read once ([`Col::dense`]).
-pub(crate) fn dense_keys<'t>(key_cols: &[Col<'t>], range: Range<usize>) -> Vec<Cow<'t, [i64]>> {
+/// Rows `range` of `key_cols`, each column read once ([`Column::dense`]).
+pub(crate) fn dense_keys<'t, C: Column<'t>>(
+    key_cols: &[C],
+    range: Range<usize>,
+) -> Vec<Cow<'t, [i64]>> {
     key_cols.iter().map(|c| c.dense(range.clone())).collect()
 }
 
@@ -119,7 +131,7 @@ fn fold_high(h: u64) -> u64 {
 }
 
 /// Are rows `a` and `b` equal on every column of `cols`?
-fn rows_eq(cols: &[Col], a: u32, b: u32) -> bool {
+fn rows_eq<'t, C: Column<'t>>(cols: &[C], a: u32, b: u32) -> bool {
     cols.iter().all(|c| c.at(a as usize) == c.at(b as usize))
 }
 
@@ -332,7 +344,12 @@ impl GroupTable {
     /// sets `ids` to each one's id here: the merge of per-morsel tables
     /// in morsel order, which never rehashes and compares keys through
     /// the input columns.
-    pub(crate) fn absorb(&mut self, local: &GroupTable, key_cols: &[Col], ids: &mut Vec<u32>) {
+    pub(crate) fn absorb<'t, C: Column<'t>>(
+        &mut self,
+        local: &GroupTable,
+        key_cols: &[C],
+        ids: &mut Vec<u32>,
+    ) {
         ids.clear();
         for g in &local.groups {
             let row = g.first;
@@ -355,7 +372,10 @@ fn dense_eq(keys: &[&[i64]], a: u32, b: u32) -> bool {
 /// table and every row's group in it; once the morsel is done, the
 /// representatives are rebased to input rows, so the table hands the
 /// merge ([`GroupTable::absorb`]) `(hash, input row)`.
-pub(crate) fn local_groups(key_cols: &[Col], range: Range<usize>) -> (GroupTable, Vec<u32>) {
+pub(crate) fn local_groups<'t, C: Column<'t>>(
+    key_cols: &[C],
+    range: Range<usize>,
+) -> (GroupTable, Vec<u32>) {
     let dense = dense_keys(key_cols, range.clone());
     let keys: Vec<&[i64]> = dense.iter().map(|k| &k[..]).collect();
     let cols: Vec<Col> = keys.iter().map(|&k| Col::from(k)).collect();
@@ -390,20 +410,26 @@ pub(crate) struct Runs {
 /// to a word. The starts are then read off the set bits, and each
 /// start's key values copied out beside it.
 pub(crate) fn run_starts(key_cols: &[Col], range: Range<usize>) -> Runs {
+    let from = range.start.saturating_sub(1);
+    runs_of(&dense_keys(key_cols, from..range.end), range)
+}
+
+/// [`run_starts`] over `dense`: the key columns read at the rows of
+/// `range` and, unless it starts at row 0, the row before it.
+pub(crate) fn runs_of(dense: &[Cow<[i64]>], range: Range<usize>) -> Runs {
     let (lo, n) = (range.start, range.len());
     if n == 0 {
         return Runs {
             starts: Vec::new(),
-            keys: vec![Vec::new(); key_cols.len()],
+            keys: vec![Vec::new(); dense.len()],
         };
     }
     let back = usize::from(lo > 0);
-    let dense = dense_keys(key_cols, lo - back..range.end);
     // Row `r` of the range is `d[r + back]` of a dense column `d`. Row 0
     // of the input has no row before it and always starts a run.
     let mut bits = vec![0u64; n.div_ceil(64)];
     bits[0] = u64::from(back == 0);
-    for d in &dense {
+    for d in dense {
         for (w, word) in bits.iter_mut().enumerate() {
             let rows = (w * 64).max(1 - back)..(w * 64 + 64).min(n);
             let prev = &d[rows.start + back - 1..rows.end + back - 1];

@@ -18,8 +18,8 @@
 use ofw::catalog::{AttrId, Catalog};
 use ofw::core::{LogicalProperty, OrderOracle, OrderingFramework, PruneConfig};
 use ofw::exec::{
-    execute_plan, execute_serial, reference_plan, result_signature, ColTable, ExecOptions,
-    ExecStats,
+    columns_from_tables, execute_plan, execute_serial, reference_plan, result_signature, ColTable,
+    ExecOptions, ExecStats,
 };
 use ofw::obs::Trace;
 use ofw::parallel::ThreadPool;
@@ -29,7 +29,7 @@ use ofw::query::Query;
 use ofw::simmen::SimmenFramework;
 use ofw::workload::{
     generate_columns, grouping_query, groupjoin_showcase_query, partialsort_showcase_query,
-    q8_query, random_query, star_agg_query, star_agg_query_ordered, DataConfig,
+    q13_style_query, q8_query, random_query, star_agg_query, star_agg_query_ordered, DataConfig,
     GroupingQueryConfig, RandomQueryConfig, StarAggConfig,
 };
 
@@ -288,61 +288,194 @@ fn showcase_and_q8_queries_agree_across_arms_and_threads() {
 
 /// Morsel-scale determinism: thousands of rows across many morsels,
 /// with a deliberately small morsel size so the order-preserving merge
-/// is exercised hard — still byte-identical at 1/2/8 threads.
+/// is exercised hard — still byte-identical at 1/2/8 threads. The
+/// q13-style winner streams its aggregate straight over a hash join, so
+/// the aggregate reads the join's pair list, left pending, across
+/// several probe morsels.
 #[test]
 fn morsel_scale_execution_is_thread_invariant() {
-    let (catalog, query) = star_agg_query(&StarAggConfig {
-        dimensions: 3,
-        seed: 9,
-    });
-    let data = generate_columns(
-        &catalog,
-        &query,
-        &DataConfig {
-            scale: 1.0,
-            min_rows: 3_000,
-            max_rows: 9_000,
-            domain_cap: Some(64),
-            seed: 77,
-        },
-    );
-    let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::default());
-    let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
-    let r = PlanGen::new(&catalog, &query, &ex, &fw).run();
-    let opts = ExecOptions { morsel_rows: 512 };
-    let serial = execute_plan(
-        &r.arena,
-        r.best,
-        &catalog,
-        &query,
-        &data,
-        &ofw::common::SerialExecutor,
-        &opts,
-        &Trace::disabled(),
-    )
-    .unwrap();
-    assert!(
-        serial.1.morsels > 8,
-        "expected a genuinely multi-morsel execution, got {} morsels",
-        serial.1.morsels
-    );
-    assert_thread_invariant(
-        &r.arena,
-        r.best,
-        &catalog,
-        &query,
-        &data,
-        &serial,
-        &opts,
-        "morsel-scale star-agg",
-    );
+    let shapes = [
+        (
+            "star-agg",
+            star_agg_query(&StarAggConfig {
+                dimensions: 3,
+                seed: 9,
+            }),
+        ),
+        ("q13-style", q13_style_query()),
+    ];
+    for (label, (catalog, query)) in shapes {
+        let data = generate_columns(
+            &catalog,
+            &query,
+            &DataConfig {
+                scale: 1.0,
+                min_rows: 3_000,
+                max_rows: 9_000,
+                domain_cap: Some(64),
+                seed: 77,
+            },
+        );
+        let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::default());
+        let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
+        let r = PlanGen::new(&catalog, &query, &ex, &fw).run();
+        let opts = ExecOptions { morsel_rows: 512 };
+        let serial = execute_plan(
+            &r.arena,
+            r.best,
+            &catalog,
+            &query,
+            &data,
+            &ofw::common::SerialExecutor,
+            &opts,
+            &Trace::disabled(),
+        )
+        .unwrap();
+        assert!(
+            serial.1.morsels > 8,
+            "{label}: expected a genuinely multi-morsel execution, got {} morsels",
+            serial.1.morsels
+        );
+        let ctx = format!("morsel-scale {label}");
+        assert_thread_invariant(
+            &r.arena, r.best, &catalog, &query, &data, &serial, &opts, &ctx,
+        );
 
-    // The reference arm at the same scale, and the differential answer.
-    let (ref_arena, ref_root) = reference_plan(&query);
-    let (ref_out, _) = execute_serial(&ref_arena, ref_root, &catalog, &query, &data).unwrap();
-    assert_eq!(
-        result_signature(&query, &serial.0),
-        result_signature(&query, &ref_out),
-        "morsel-scale star-agg: DP plan diverges from reference"
+        // The reference arm at the same scale, and the differential answer.
+        let (ref_arena, ref_root) = reference_plan(&query);
+        let (ref_out, _) = execute_serial(&ref_arena, ref_root, &catalog, &query, &data).unwrap();
+        assert_eq!(
+            result_signature(&query, &serial.0),
+            result_signature(&query, &ref_out),
+            "{ctx}: DP plan diverges from reference"
+        );
+        if label == "q13-style" {
+            let root = &r.arena.node(r.best).op;
+            let input = r.arena.node(root.inputs().next().unwrap()).op.name();
+            assert_eq!((root.name(), input), ("StreamAgg", "HashJoin"), "{ctx}");
+            let pairs = serial.1.ops["HashJoin"].rows;
+            assert!(pairs > 4 * 512, "{ctx}: {pairs} pairs");
+        }
+    }
+}
+
+/// Zero pairs into every aggregate that reads a join's output: an empty
+/// probe side, an empty build side, and two non-empty sides whose keys
+/// never meet (each probe morsel then hands on an empty pair list). Each
+/// aggregate — streaming, hashed, final and partial, and the group-join —
+/// emits no row, with the schema the legacy oracle gives, byte-identical
+/// at 1/2/8 threads.
+#[test]
+fn aggregates_over_joins_with_no_pairs() {
+    use ofw::plangen::plan::AggMark;
+    use ofw::plangen::{execute, PlanNode, PlanOp, Table};
+    use ofw::query::{AggCall, AggFunc, JoinEdge};
+    let mut catalog = Catalog::new();
+    let r = catalog.add_relation("r", 8.0, &["k", "g", "v"]);
+    let s = catalog.add_relation("s", 8.0, &["k", "w"]);
+    let mut query = Query::new();
+    query.add_relation(&catalog, r);
+    query.add_relation(&catalog, s);
+    query.joins.push(JoinEdge {
+        left: catalog.attr("r.k"),
+        right: catalog.attr("s.k"),
+        selectivity: 0.1,
+    });
+    query.group_by = vec![catalog.attr("r.g")];
+    let call = |func, input: Option<&str>| AggCall {
+        func,
+        input: input.map(|a| catalog.attr(a)),
+    };
+    query.aggregates = vec![
+        call(AggFunc::Sum, Some("r.v")),
+        call(AggFunc::Count, None),
+        call(AggFunc::Min, Some("s.w")),
+    ];
+    let mut arena: PlanArena<()> = PlanArena::new();
+    let mut push = |op, qrels: &[usize]| {
+        let mut mask = query.relation_set(qrels[0]);
+        for &q in &qrels[1..] {
+            mask.union_with(&query.relation_set(q));
+        }
+        arena.push(PlanNode {
+            op,
+            mask,
+            cost: 0.0,
+            card: 0.0,
+            state: (),
+            agg: AggMark::NONE,
+            applied_fds: Default::default(),
+        })
+    };
+    let (scan_r, scan_s) = (
+        push(PlanOp::Scan { qrel: 0 }, &[0]),
+        push(PlanOp::Scan { qrel: 1 }, &[1]),
     );
+    let (left, right, edge) = (scan_r, scan_s, 0);
+    let join = push(PlanOp::HashJoin { left, right, edge }, &[0, 1]);
+    let mut roots = vec![push(PlanOp::GroupJoin { left, right, edge }, &[0, 1])];
+    for partial in [false, true] {
+        let (input, key) = (join, query.group_by.clone());
+        let stream = PlanOp::StreamAgg {
+            input,
+            key: key.clone(),
+            partial,
+        };
+        roots.push(push(stream, &[0, 1]));
+        roots.push(push(
+            PlanOp::HashAgg {
+                input,
+                key,
+                partial,
+            },
+            &[0, 1],
+        ));
+    }
+    // Per key `k`, the row `(k, k % 3 + 1, k % 3 + 2, ..)`.
+    let rows = |keys: &[i64], width: usize| -> Vec<Vec<i64>> {
+        let row = |k: i64| {
+            (0..width as i64)
+                .map(|c| if c == 0 { k } else { k % 3 + c })
+                .collect()
+        };
+        keys.iter().map(|&k| row(k)).collect()
+    };
+    let some: Vec<i64> = (0..9).collect();
+    let far: Vec<i64> = (100..107).collect();
+    for (case, r_keys, s_keys) in [
+        ("empty probe side", &[][..], &some[..]),
+        ("empty build side", &some[..], &[][..]),
+        ("no key meets", &some[..], &far[..]),
+    ] {
+        let tables = [(r, r_keys, 3), (s, s_keys, 2)].map(|(rel, keys, width)| Table {
+            attrs: catalog.relation(rel).attrs.clone(),
+            rows: rows(keys, width),
+        });
+        let data = columns_from_tables(&tables);
+        for &root in &roots {
+            let ctx = format!("{case}, {}", arena.node(root).op.name());
+            let opts = ExecOptions { morsel_rows: 2 };
+            let serial = execute_plan(
+                &arena,
+                root,
+                &catalog,
+                &query,
+                &data,
+                &ofw::common::SerialExecutor,
+                &opts,
+                &Trace::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(serial.0.num_rows(), 0, "{ctx}");
+            assert_eq!(serial.1.rows_out, 0, "{ctx}");
+            let legacy = execute(&arena, root, &catalog, &query, &tables);
+            assert_eq!(serial.0.attr_ids(), legacy.attrs, "{ctx}");
+            assert!(
+                serial.0.schema.len() > legacy.attrs.len(),
+                "{ctx}: no value column"
+            );
+            assert!(legacy.rows.is_empty(), "{ctx}");
+            assert_thread_invariant(&arena, root, &catalog, &query, &data, &serial, &opts, &ctx);
+        }
+    }
 }

@@ -8,11 +8,12 @@
 //! proves the derivation rules agree with reality.
 
 use ofw::core::{LogicalProperty, OrderOracle, OrderingFramework, PruneConfig};
-use ofw::exec::{columns_from_tables, execute_serial};
+use ofw::exec::{columns_from_tables, execute_serial, reference_plan, result_signature};
 use ofw::plangen::{execute, synthetic_data, PlanGen};
 use ofw::query::extract::ExtractOptions;
 use ofw::workload::{
-    grouping_query, q8_query, random_query, GroupingQueryConfig, RandomQueryConfig,
+    grouping_query, q8_query, random_query, star_agg_query, GroupingQueryConfig, RandomQueryConfig,
+    StarAggConfig,
 };
 
 /// For the winning plan of each random query: every interesting order
@@ -159,39 +160,56 @@ fn claimed_groupings_hold_physically() {
 /// scramble). On a cyclic graph a join applies several edges (merge
 /// residuals, multi-key hash joins, multi-edge nested loops), and
 /// every plan runs as a root, so each root's copies of columns those
-/// edges equate meet the oracle.
+/// edges equate meet the oracle. Star aggregation queries (`n`
+/// dimensions) add eager partial aggregates below joins, whose weights
+/// and `sum` accumulators an aggregate above a join reads through the
+/// join's pair list; there the winner's aggregate values must also equal
+/// the reference plan's.
 #[test]
 fn vectorized_executor_matches_the_legacy_oracle_on_every_plan() {
-    let (mut checked, mut multi_edge) = (0usize, 0usize);
-    for (grouping, n, extra, seeds) in [
-        (false, 3usize, 0usize, 0..8u64),
-        (true, 3, 0, 0..6u64),
-        (false, 4, 0, 0..4u64),
-        (false, 3, 1, 0..4u64),
-        (true, 4, 1, 0..3u64),
-        (false, 4, 2, 0..3u64),
-        (true, 4, 2, 0..3u64),
+    let (mut checked, mut multi_edge, mut star_winners) = (0usize, 0usize, 0usize);
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Random,
+        Grouping,
+        StarAgg,
+    }
+    use Shape::*;
+    for (shape, n, extra, seeds) in [
+        (Random, 3usize, 0usize, 0..8u64),
+        (Grouping, 3, 0, 0..6u64),
+        (Random, 4, 0, 0..4u64),
+        (Random, 3, 1, 0..4u64),
+        (Grouping, 4, 1, 0..3u64),
+        (Random, 4, 2, 0..3u64),
+        (Grouping, 4, 2, 0..3u64),
+        (StarAgg, 2, 0, 0..6u64),
+        (StarAgg, 3, 0, 0..4u64),
+        (StarAgg, 4, 0, 0..2u64),
     ] {
         for seed in seeds {
-            let (catalog, query) = if grouping {
-                grouping_query(&GroupingQueryConfig {
+            let (catalog, query) = match shape {
+                Grouping => grouping_query(&GroupingQueryConfig {
                     num_relations: n,
                     extra_edges: extra,
                     seed,
-                })
-            } else {
-                random_query(&RandomQueryConfig {
+                }),
+                Random => random_query(&RandomQueryConfig {
                     num_relations: n,
                     extra_edges: extra,
                     seed,
-                })
+                }),
+                StarAgg => star_agg_query(&StarAggConfig {
+                    dimensions: n,
+                    seed,
+                }),
             };
             let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::default());
             let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
             let result = PlanGen::new(&catalog, &query, &ex, &fw).run();
             let data = synthetic_data(&catalog, &query, 7, 3, seed.wrapping_mul(29) + 13);
             let cols = columns_from_tables(&data);
-            let at = format!("grouping={grouping} n={n} extra={extra} seed={seed}");
+            let at = format!("{shape:?} n={n} extra={extra} seed={seed}");
             let graph = ofw::query::JoinGraph::new(&query);
 
             for id in 0..result.arena.len() as u32 {
@@ -220,12 +238,26 @@ fn vectorized_executor_matches_the_legacy_oracle_on_every_plan() {
                 );
                 checked += 1;
             }
+            if shape == StarAgg {
+                let (ref_arena, ref_root) = reference_plan(&query);
+                let (want, _) = execute_serial(&ref_arena, ref_root, &catalog, &query, &cols)
+                    .unwrap_or_else(|e| panic!("{at}: reference plan failed: {e}"));
+                let (got, _) = execute_serial(&result.arena, result.best, &catalog, &query, &cols)
+                    .unwrap_or_else(|e| panic!("{at}: winner failed: {e}"));
+                assert_eq!(
+                    result_signature(&query, &got),
+                    result_signature(&query, &want),
+                    "{at}: the winner's aggregates diverge from the reference plan's"
+                );
+                star_winners += 1;
+            }
         }
     }
     assert!(
         checked > 100,
         "expected a meaningful plan sample, got {checked}"
     );
+    assert_eq!(star_winners, 12);
     assert!(
         multi_edge > 10,
         "expected joins that apply several edges, got {multi_edge}"
