@@ -12,31 +12,35 @@
 //! operator's output is an intermediate of *parts*, one per base
 //! relation it covers: the relation's borrowed base columns plus a
 //! `u32` row-id vector (absent for the identity). Scans and index scans
-//! return their surviving or sorted ids; sorts and hash grouping
-//! permute ids; joins read only their key columns, through the ids, and
-//! hand on their inputs and pair list, pending: an aggregate reads
-//! through the pairs, any other parent composes each side's ids. The
-//! hash join probes a bucket-sorted build table (the `hash` module) and
-//! the nested-loop join scans the right key column; both write every
+//! return their surviving or sorted ids; joins read only their key
+//! columns, through the ids, and hand on their inputs and pair list,
+//! pending. Every consumer reads its input through one view: a column
+//! is read through a part's ids and, over a pending join, through the
+//! pairs first. Ids are composed by one routine, only for the rows an
+//! operator keeps — a sort's sorted rows, hash grouping's permutation,
+//! an aggregate's group representatives — and a join composes a pending
+//! input in full, since its own pairs index flat rows. The hash join
+//! probes a bucket-sorted build table (the `hash` module) and the
+//! nested-loop join scans the right key column; both write every
 //! candidate pair and keep the matches by advancing the write index,
-//! never by a branch on the match. Aggregates emit each group's
-//! representative row, composed for it alone. Only weight and
-//! accumulator columns are materialized below the root.
-//! [`execute_plan`] then gathers every attribute column once, a column
-//! at a time: each column is allocated as its fill begins and written
-//! in place by one task per output morsel. A column that an applied
-//! equi-join predicate makes equal to an earlier one is copied from
-//! it instead of gathered. `Sort`, `PartialSort` and `IndexScan` share
-//! one stable radix sort, linear in the rows for the bits the key range
-//! needs, so a partial sort runs as the full sort it must byte-equal;
-//! the streaming aggregates fold the equal-key runs of their grouped
-//! input without hashing a row. Aggregation works a column at a time:
-//! each key column is read once per morsel into a dense slice, and each
-//! fold reads one dense contribution column (an accumulator borrowed or
-//! read through the pairs, a raw input read once, a `sum`'s weights
-//! multiplied in) with one loop per function — over the runs for the
-//! streaming aggregates, scattered by every row's local group id for
-//! the hash aggregate.
+//! never by a branch on the match. Only weight and accumulator columns
+//! are materialized below the root. [`execute_plan`] then gathers every
+//! attribute column once, a column at a time, through the view: each
+//! column is allocated as its fill begins and written in place by one
+//! task per output morsel, so a root join's columns are read pair →
+//! side row → id → value and no id column is composed for them. A
+//! column that an applied equi-join predicate makes equal to an earlier
+//! one is copied from it instead of gathered. `Sort`, `PartialSort` and
+//! `IndexScan` share one stable radix sort, linear in the rows for the
+//! bits the key range needs, so a partial sort runs as the full sort it
+//! must byte-equal; the streaming aggregates fold the equal-key runs of
+//! their grouped input without hashing a row. Aggregation works a
+//! column at a time: each key column is read once per morsel into a
+//! dense slice, and each fold reads one dense contribution column (an
+//! accumulator borrowed or read through the pairs, a raw input read
+//! once, a `sum`'s weights multiplied in) with one loop per function —
+//! over the runs for the streaming aggregates, scattered by every row's
+//! local group id for the hash aggregate.
 //!
 //! Operator semantics replicate the legacy tuple-at-a-time oracle
 //! (`ofw_plangen::exec`) exactly on the attribute columns — including
@@ -49,7 +53,7 @@
 
 use crate::batch::{ColRef, ColTable};
 use crate::hash::{
-    dense_keys, hash_rows, local_groups, resumed_run, runs_of, Col, Column, GroupTable, JoinTable,
+    hash_rows, local_groups, resumed_run, run_starts, Col, GroupTable, JoinTable, Spliced,
 };
 use ofw_catalog::{AttrId, Catalog};
 use ofw_common::{morsel_ranges, OrderedExecutor, SerialExecutor};
@@ -89,10 +93,11 @@ impl Default for ExecOptions {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpStat {
     /// Tasks the operator dispatched: kernel tasks (a filter, probe,
-    /// aggregation or run-finding morsel, a sort's bucket batch),
-    /// id-composition morsels (a join's only when a parent that is not an
-    /// aggregate composes its output), and — at the plan root only, where
-    /// the one gather happens — root-gather morsels. A selection-free scan
+    /// aggregation or run-finding morsel, a sort's bucket batch), the
+    /// morsels of the ids it composes for the rows it keeps — a join's
+    /// for a pending join input it composes in full; a join never
+    /// composes its own output — and, at the plan root only, where the
+    /// one gather happens, root-gather morsels. A selection-free scan
     /// dispatches none.
     pub batches: u64,
     /// Rows the operator produced.
@@ -234,7 +239,8 @@ fn run_morsels<R: Send, E: OrderedExecutor>(
 }
 
 /// The write-once fill of buffers that one task must write together (a
-/// sort's data and scratch buffers). `cols` are already at their final
+/// sort's data and scratch buffers, the ids of every part [`Engine::take`]
+/// composes from one lookup). `cols` are already at their final
 /// length; `ranges` cut them into adjacent pieces from row 0, and task
 /// `i` gets exclusive `&mut` access to rows `ranges[i]` of every column
 /// and writes them in place. Each task's pieces wait in a slot of their
@@ -310,50 +316,6 @@ fn fill_columns<T: Copy + Default + Send, E: OrderedExecutor>(
         cols.push(col);
     }
     cols
-}
-
-/// Per-morsel result lists — a join's pair lists, a stream aggregate's
-/// run starts — read as one sequence without being concatenated.
-struct Spliced<'a, T> {
-    parts: &'a [Vec<T>],
-    /// `starts[p]`: the sequence position of `parts[p][0]`; one more
-    /// entry holds the length.
-    starts: Vec<usize>,
-}
-
-impl<'a, T> Spliced<'a, T> {
-    fn new(parts: &'a [Vec<T>]) -> Self {
-        let mut starts = Vec::with_capacity(parts.len() + 1);
-        starts.push(0);
-        for p in parts {
-            starts.push(starts[starts.len() - 1] + p.len());
-        }
-        Spliced { parts, starts }
-    }
-
-    fn len(&self) -> usize {
-        self.starts[self.parts.len()]
-    }
-
-    /// Element `i`, searched for only when it lies outside part `*p`,
-    /// which is left at its part: an ascending walk rarely searches.
-    fn get(&self, i: usize, p: &mut usize) -> &'a T {
-        if !(self.starts[*p]..self.starts[*p + 1]).contains(&i) {
-            *p = self.starts.partition_point(|&s| s <= i) - 1;
-        }
-        &self.parts[*p][i - self.starts[*p]]
-    }
-
-    /// Elements `range` of the sequence, as consecutive slices.
-    fn slices(&self, range: Range<usize>) -> impl Iterator<Item = &'a [T]> + '_ {
-        let first = self.starts.partition_point(|&s| s <= range.start) - 1;
-        (first..self.parts.len())
-            .take_while(move |&p| self.starts[p] < range.end)
-            .map(move |p| {
-                let at = self.starts[p];
-                &self.parts[p][range.start.max(at) - at..range.end.min(self.starts[p + 1]) - at]
-            })
-    }
 }
 
 /// Compares two rows on a column list.
@@ -515,20 +477,10 @@ struct Part<'a> {
     ids: Option<Vec<u32>>,
 }
 
-impl Part<'_> {
-    fn col(&self, c: usize) -> Col<'_> {
-        Col {
-            vals: &self.cols[c],
-            ids: self.ids.as_deref(),
-        }
-    }
-}
-
-/// An operator's rows below the root: the attribute columns as parts,
-/// read through row ids, and the weight and accumulator columns (see
+/// Rows an operator composed: the attribute columns as parts, read
+/// through row ids, and the weight and accumulator columns (see
 /// [`crate::batch`]) materialized. A join hands on its inputs and pairs
-/// instead ([`Out`]). The root gathers it into the public [`ColTable`]
-/// ([`Engine::materialize`]).
+/// instead ([`Out`]); every consumer reads either through a [`View`].
 struct Inter<'a> {
     rows: usize,
     parts: Vec<Part<'a>>,
@@ -552,54 +504,57 @@ impl<'a> Inter<'a> {
             accs: Vec::new(),
         }
     }
-
-    /// The column holding attribute `a`, if a part has it.
-    fn attr(&self, a: AttrId) -> Option<Col<'_>> {
-        self.parts
-            .iter()
-            .find_map(|p| p.attrs.iter().position(|&x| x == a).map(|c| p.col(c)))
-    }
-
-    /// The columns the root materializes: every part's attributes, parts
-    /// in order, then the weight, then the accumulators.
-    fn schema(&self) -> Vec<ColRef> {
-        let attrs = self.parts.iter().flat_map(|p| p.attrs);
-        attrs
-            .map(|&a| ColRef::Attr(a))
-            .chain(self.weight.as_ref().map(|_| ColRef::Weight))
-            .chain(self.accs.iter().map(|&(call, _)| ColRef::Acc(call)))
-            .collect()
-    }
-}
-
-/// Every part of `sides` (one input, or a join's left and right), each
-/// with its side.
-fn side_parts<'s, 'a>(sides: &'s [Inter<'a>]) -> Vec<(&'s Part<'a>, usize)> {
-    let mut parts = Vec::with_capacity(sides.iter().map(|t| t.parts.len()).sum());
-    for (s, t) in sides.iter().enumerate() {
-        parts.extend(t.parts.iter().map(|p| (p, s)));
-    }
-    parts
 }
 
 /// What an operator below the root hands its parent.
 enum Out<'a> {
     Rows(Inter<'a>),
     /// A join's output, left pending: its two inputs and its pair list,
-    /// one list per probe morsel. An aggregate reads through the pairs
-    /// ([`AggIn`]); any other parent composes them ([`Engine::exec`]),
-    /// charging the morsels to the join, `op`.
+    /// one list per probe morsel.
     Joined {
-        op: &'static str,
         sides: [Inter<'a>; 2],
         pairs: Vec<Vec<(u32, u32)>>,
     },
 }
 
-/// An aggregate's input where its rows lie: one intermediate, or a
-/// pending join's two inputs read through its pair list, so that no id
-/// of a join row the aggregate folds away is composed.
-struct AggIn<'t, 'a> {
+/// A join's `(left row, right row)` pairs, one list per probe morsel.
+type Pairs = [Vec<(u32, u32)>];
+
+impl<'a> Out<'a> {
+    /// Its inputs, and a pending join's pairs.
+    fn sides(&self) -> (&[Inter<'a>], Option<&Pairs>) {
+        match self {
+            Out::Rows(t) => (std::slice::from_ref(t), None),
+            Out::Joined { sides, pairs } => (sides, Some(pairs)),
+        }
+    }
+
+    /// The columns the root materializes ([`schema`]).
+    fn schema(&self) -> Vec<ColRef> {
+        schema(self.sides().0)
+    }
+}
+
+/// The columns of rows drawn from `sides` — one input, or a join's two —
+/// as the root materializes them: every part's attributes, parts in
+/// order, then the weight if a side has one, then the accumulators by
+/// call.
+fn schema(sides: &[Inter]) -> Vec<ColRef> {
+    let accs = sides.iter().flat_map(|t| &t.accs);
+    let mut calls: Vec<usize> = accs.map(|a| a.0).collect();
+    calls.sort_unstable();
+    let attrs = sides.iter().flat_map(|t| &t.parts);
+    let attrs = attrs.flat_map(|p| p.attrs).map(|&a| ColRef::Attr(a));
+    let weight = sides.iter().any(|t| t.weight.is_some());
+    let (weight, accs) = (weight.then_some(ColRef::Weight), calls.into_iter());
+    attrs.chain(weight).chain(accs.map(ColRef::Acc)).collect()
+}
+
+/// An operator's input as every consumer reads it ([`Engine::view`]):
+/// one intermediate, or a pending join's two inputs read through its
+/// pair list, so that ids are composed only for the rows a consumer
+/// keeps ([`Engine::take`]) and the root gathers through the pairs.
+struct View<'t, 'a> {
     rows: usize,
     sides: &'t [Inter<'a>],
     /// The join's pairs; `None`: row `r` is row `r` of the one input.
@@ -609,61 +564,52 @@ struct AggIn<'t, 'a> {
     accs: Vec<(usize, OutSrc<'t>)>,
 }
 
-impl AggIn<'_, '_> {
-    /// Column `col` of side `side`, read at each row's row there.
-    fn on<'v>(&'v self, col: Col<'v>, side: usize) -> AggCol<'v> {
+impl<'a> View<'_, 'a> {
+    /// Values `vals` of side `side`, read through `ids` at each row's row
+    /// there.
+    fn on<'v>(&'v self, vals: &'v [i64], ids: Option<&'v [u32]>, side: usize) -> Col<'v> {
         let pairs = self.pairs.as_ref().map(|p| (p, side));
-        AggCol { col, pairs }
+        Col { vals, ids, pairs }
     }
 
-    /// The column holding attribute `a`, if a side has it.
-    fn attr(&self, a: AttrId) -> Option<AggCol<'_>> {
-        let mut sides = self.sides.iter().enumerate();
-        sides.find_map(|(s, t)| Some(self.on(t.attr(a)?, s)))
+    /// Every part with its side, in schema order.
+    fn parts(&self) -> impl Iterator<Item = (&Part<'a>, usize)> + '_ {
+        let sides = self.sides.iter().zip(0..);
+        sides.flat_map(|(t, s)| t.parts.iter().map(move |p| (p, s)))
+    }
+
+    /// The column holding attribute `a`, if a part has it.
+    fn attr(&self, a: AttrId) -> Option<Col<'_>> {
+        self.parts().find_map(|(p, s)| {
+            let c = p.attrs.iter().position(|&x| x == a)?;
+            Some(self.on(&p.cols[c], p.ids.as_deref(), s))
+        })
     }
 
     /// A weight or accumulator column, as the factors of its product.
-    fn factors<'v>(&'v self, src: OutSrc<'v>) -> Vec<AggCol<'v>> {
+    fn factors<'v>(&'v self, src: OutSrc<'v>) -> Vec<Col<'v>> {
         let src = src.into_iter().zip(0..);
-        src.filter_map(|(f, s)| Some(self.on(f?.into(), s)))
+        src.filter_map(|(f, s)| Some(self.on(f?, None, s)))
             .collect()
     }
-}
 
-/// A column of an aggregate's input ([`AggIn`]): a [`Col`] of one side,
-/// read pair → side row → id → value, the pairs never copied.
-#[derive(Clone, Copy)]
-struct AggCol<'t> {
-    col: Col<'t>,
-    /// The join's pairs and the side `col` is on.
-    pairs: Option<(&'t Spliced<'t, (u32, u32)>, usize)>,
-}
-
-impl<'t> Column<'t> for AggCol<'t> {
-    fn at(self, r: usize) -> i64 {
-        let side_row = |(p, side): (&Spliced<(u32, u32)>, usize)| {
-            let &(left, right) = p.get(r, &mut 0);
-            [left, right][side] as usize
-        };
-        self.col.at(self.pairs.map_or(r, side_row))
-    }
-
-    fn dense(self, range: Range<usize>) -> Cow<'t, [i64]> {
-        let Some((pairs, side)) = self.pairs else {
-            return self.col.dense(range);
-        };
-        let (vals, mut out) = (self.col.vals, Vec::with_capacity(range.len()));
-        for s in pairs.slices(range) {
-            match (self.col.ids, side) {
-                (Some(ids), 0) => out.extend(s.iter().map(|p| vals[ids[p.0 as usize] as usize])),
-                (Some(ids), _) => out.extend(s.iter().map(|p| vals[ids[p.1 as usize] as usize])),
-                (None, 0) => out.extend(s.iter().map(|p| vals[p.0 as usize])),
-                (None, _) => out.extend(s.iter().map(|p| vals[p.1 as usize])),
+    /// View row `r`'s rows on its sides: a pending join's pair, found
+    /// from list `*p` on ([`Spliced::get`]), or the one input's row.
+    #[inline]
+    fn side_rows(&self, r: usize, p: &mut usize) -> [usize; 2] {
+        match &self.pairs {
+            Some(pairs) => {
+                let &(left, right) = pairs.get(r, p);
+                [left as usize, right as usize]
             }
+            None => [r, r],
         }
-        Cow::Owned(out)
     }
 }
+
+/// Rows [`Engine::take`] and the root gather look up at a time, into a
+/// buffer on the stack, before they read what they found.
+const CHUNK: usize = 256;
 
 /// What a composed weight or accumulator column holds per output row:
 /// the product of a left column read at the row's left input row and a
@@ -680,13 +626,11 @@ enum JoinKind {
 
 /// The contributions of rows `range` to a fold, as one dense slice: the
 /// product of the `factors`, each read once; `None` (no factor) counts.
-fn contributions<'t>(factors: &[AggCol<'t>], range: Range<usize>) -> Option<Cow<'t, [i64]>> {
+fn contributions<'t>(factors: &[Col<'t>], range: Range<usize>) -> Option<Cow<'t, [i64]>> {
     let (first, rest) = factors.split_first()?;
     let mut vals = first.dense(range.clone());
     for f in rest {
-        for (v, x) in vals.to_mut().iter_mut().zip(&*f.dense(range.clone())) {
-            *v *= x;
-        }
+        f.write(range.clone(), vals.to_mut(), |v, x| *v *= x);
     }
     Some(vals)
 }
@@ -698,7 +642,7 @@ struct Fold<'t> {
     /// The factors of each row's contribution ([`contributions`]): the
     /// input's weight or accumulator, or a raw input attribute times a
     /// `sum`'s weights, so that a row stands for all its logical tuples.
-    contrib: Vec<AggCol<'t>>,
+    contrib: Vec<Col<'t>>,
 }
 
 /// What an aggregate computes from its input: its value columns (what
@@ -801,69 +745,42 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         }
     }
 
-    /// The column of `t` holding `attr`.
-    fn attr_col<'t>(
+    /// The columns of `t` holding `attrs`; a missing one is a located
+    /// error.
+    fn cols<'t>(
         &self,
         plan: PlanId,
         op: &'static str,
-        t: &'t Inter<'a>,
-        attr: AttrId,
-    ) -> Result<Col<'t>, ExecError> {
-        t.attr(attr)
-            .ok_or_else(|| self.missing(plan, op, attr, t.schema()))
-    }
-
-    /// The located error for `a`, absent from an input holding `schema`.
-    fn missing(&self, plan: PlanId, op: &'static str, a: AttrId, schema: Vec<ColRef>) -> ExecError {
-        let detail = format!(
-            "attribute {} not in input schema {schema:?}",
-            self.catalog.attr_name(a)
-        );
-        self.err(plan, op, Some(a), detail)
-    }
-
-    /// The columns of `t` holding `key`.
-    fn key_cols<'t>(
-        &self,
-        plan: PlanId,
-        op: &'static str,
-        t: &'t Inter<'a>,
-        key: &[AttrId],
+        t: &'t View<'_, 'a>,
+        attrs: &[AttrId],
     ) -> Result<Vec<Col<'t>>, ExecError> {
-        key.iter().map(|&a| self.attr_col(plan, op, t, a)).collect()
-    }
-
-    /// The columns of an aggregate's input `t` holding `key`.
-    fn agg_key_cols<'t>(
-        &self,
-        plan: PlanId,
-        op: &'static str,
-        t: &'t AggIn<'_, 'a>,
-        key: &[AttrId],
-    ) -> Result<Vec<AggCol<'t>>, ExecError> {
-        let schema = || t.sides.iter().flat_map(Inter::schema).collect();
-        let col = |a| t.attr(a).ok_or_else(|| self.missing(plan, op, a, schema()));
-        key.iter().map(|&a| col(a)).collect()
-    }
-
-    /// Plan `plan`'s output as rows: a join's, left pending, is composed
-    /// first, its morsels charged to the join.
-    fn exec(&mut self, plan: PlanId) -> Result<Inter<'a>, ExecError> {
-        let (op, sides, pairs) = match self.output(plan)? {
-            Out::Rows(t) => return Ok(t),
-            Out::Joined { op, sides, pairs } => (op, sides, pairs),
+        let col = |a| {
+            t.attr(a).ok_or_else(|| {
+                let name = self.catalog.attr_name(a);
+                let detail = format!("attribute {name} not in input schema {:?}", schema(t.sides));
+                self.err(plan, op, Some(a), detail)
+            })
         };
-        let (weight, accs) = self.values(&sides);
-        let pick = |&(l, r): &(u32, u32)| [l as usize, r as usize];
-        let parts = side_parts(&sides);
-        let (t, cb) = self.compose(&Spliced::new(&pairs), pick, &parts, weight, &accs);
-        self.stats.record(op, cb, 0);
-        Ok(t)
+        attrs.iter().map(|&a| col(a)).collect()
     }
 
-    /// Plan `plan`'s output: a join's is left pending, for an aggregate
-    /// to read through or [`Self::exec`] to compose.
-    fn output(&mut self, plan: PlanId) -> Result<Out<'a>, ExecError> {
+    /// Plan `plan`'s output as one intermediate, for join `op` to read: a
+    /// pending join's is composed in full, its morsels counted as `op`'s.
+    fn input(&mut self, op: &'static str, plan: PlanId) -> Result<Inter<'a>, ExecError> {
+        let out = match self.exec(plan)? {
+            Out::Rows(t) => return Ok(t),
+            joined => joined,
+        };
+        let t = self.view(out.sides());
+        let all = t.pairs.as_ref().expect("a pending join has pairs");
+        let (rows, batches) = self.take(&t, all, |&(l, r), _| [l as usize, r as usize], true);
+        self.stats.record(op, batches, 0);
+        Ok(rows)
+    }
+
+    /// Plan `plan`'s output: a join's is left pending, for its consumer to
+    /// read through a [`View`].
+    fn exec(&mut self, plan: PlanId) -> Result<Out<'a>, ExecError> {
         let (arena, query) = (self.arena, self.query);
         let rows = match &arena.node(plan).op {
             PlanOp::Scan { qrel } => self.scan(plan, *qrel),
@@ -895,7 +812,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 key,
                 partial,
             } => {
-                let t = self.output(*input)?;
+                let t = self.exec(*input)?;
                 self.stream_aggregate(plan, "StreamAgg", t, key, *partial)
             }
             PlanOp::HashAgg {
@@ -903,7 +820,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 key,
                 partial,
             } => {
-                let t = self.output(*input)?;
+                let t = self.exec(*input)?;
                 self.hash_aggregate(plan, t, key, *partial)
             }
             PlanOp::HashGroup { input, key } => {
@@ -914,37 +831,44 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         rows.map(Out::Rows)
     }
 
-    /// The one gather: `t`, the output of plan `plan`, into the public
-    /// table. Its attribute columns are read through their ids a column
-    /// at a time ([`fill_columns`]), one output morsel per task, except
-    /// that a column equal to an earlier one ([`Self::equal_columns`])
-    /// is a copy of it; the weight and accumulator columns move in as
-    /// they are. Its morsels count as batches of the root operator.
-    fn materialize(&mut self, plan: PlanId, t: Inter<'a>) -> ColTable {
-        let schema = t.schema();
+    /// The one gather: `out`, the output of plan `plan`, into the public
+    /// table. Its attribute columns are read through their ids — and a
+    /// join's through its pairs first — a column at a time
+    /// ([`fill_columns`]), one output morsel per task, except that a
+    /// column equal to an earlier one ([`Self::equal_columns`]) is a copy
+    /// of it. The weight and accumulator columns move in as they are, or
+    /// at a join are written as their products the same way. Its morsels
+    /// count as batches of the root operator.
+    fn materialize(&mut self, plan: PlanId, out: Out<'a>) -> ColTable {
+        let schema = out.schema();
+        let t = self.view(out.sides());
+        let attrs = t.parts().map(|(p, _)| p.cols.len()).sum();
+        let first = self.equal_columns(plan, &schema[..attrs]);
+        let ranges = morsel_ranges(t.rows, self.morsel);
+        // A column at a time, one task per output morsel, a chunk
+        // ([`CHUNK`]) at a time: the chunk's rows of the column are found
+        // through pairs and ids first, then read.
         let srcs: Vec<Col> = t
-            .parts
-            .iter()
-            .flat_map(|p| (0..p.cols.len()).map(move |c| p.col(c)))
+            .parts()
+            .flat_map(|(p, s)| p.cols.iter().map(move |c| (c, p.ids.as_deref(), s)))
+            .map(|(c, ids, s)| t.on(c, ids, s))
             .collect();
-        let first = self.equal_columns(plan, &schema[..srcs.len()]);
-        let gather: Vec<Col> = (0..srcs.len())
+        let gather: Vec<Col> = (0..attrs)
             .filter(|&p| first[p] == p)
             .map(|p| srcs[p])
             .collect();
-        let ranges = morsel_ranges(t.rows, self.morsel);
-        let mut gathered = fill_columns(self.pool, gather.len(), &ranges, &|c, i, dst| {
-            let (src, range) = (gather[c], ranges[i].clone());
-            match src.ids {
-                Some(ids) => {
-                    for (d, &r) in dst.iter_mut().zip(&ids[range]) {
-                        *d = src.vals[r as usize];
-                    }
+        let gathered = fill_columns(self.pool, gather.len(), &ranges, &|c, i, dst| {
+            let (range, col, mut rows) = (ranges[i].clone(), gather[c], [0; CHUNK]);
+            for lo in range.clone().step_by(CHUNK) {
+                let rows = &mut rows[..range.end.min(lo + CHUNK) - lo];
+                col.each_row(lo..lo + rows.len(), rows, |d, r| *d = r as u32);
+                let at = lo - range.start;
+                for (d, &r) in dst[at..at + rows.len()].iter_mut().zip(&*rows) {
+                    *d = col.vals[r as usize];
                 }
-                None => dst.copy_from_slice(&src.vals[range]),
             }
-        })
-        .into_iter();
+        });
+        let mut gathered = gathered.into_iter();
         let mut cols: Vec<Vec<i64>> = Vec::with_capacity(schema.len());
         for (p, &f) in first.iter().enumerate() {
             let col = if f == p {
@@ -954,8 +878,24 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             };
             cols.push(col);
         }
-        cols.extend(t.weight);
-        cols.extend(t.accs.into_iter().map(|(_, col)| col));
+        let srcs = t.weight.iter().chain(t.accs.iter().map(|a| &a.1));
+        let products: Vec<Vec<Col>> = srcs
+            .filter(|_| t.pairs.is_some())
+            .map(|&src| t.factors(src))
+            .collect();
+        let values = fill_columns(self.pool, products.len(), &ranges, &|c, i, dst| {
+            dst.fill(1);
+            for f in &products[c] {
+                f.write(ranges[i].clone(), dst, |d, v| *d *= v);
+            }
+        });
+        match out {
+            Out::Rows(t) => {
+                cols.extend(t.weight);
+                cols.extend(t.accs.into_iter().map(|(_, col)| col));
+            }
+            Out::Joined { .. } => cols.extend(values),
+        }
         let op = self.arena.node(plan).op.name();
         self.stats.record(op, ranges.len() as u64, 0);
         ColTable::new(schema, cols)
@@ -993,102 +933,74 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         (0..attrs.len()).map(|p| root(&first, p)).collect()
     }
 
-    /// The composition every operator that moves rows ends with. Output
-    /// row `i` stands for input row `pick(rows[i])[s]` of side `s` — a
-    /// join's left (0) or right (1) side, a unary operator's one input
-    /// (0) — so each of `parts`, read on its side, gets its ids composed
-    /// through that row, and each of the `weight` and `accs` sources is
-    /// written as its product ([`OutSrc`]). One output morsel per task,
-    /// written in place; returns the output and the morsel count.
-    fn compose<T: Sync>(
+    /// The one composition, of the rows an operator keeps of its input
+    /// `t`: output row `i` stands for the rows on `t`'s sides that `pick`
+    /// finds for `rows[i]` ([`View::side_rows`]), found once per row, a
+    /// chunk ([`CHUNK`]) at a time. Every part's ids are composed through
+    /// them, all parts in one task per output morsel; with `values`, the
+    /// weight and accumulators too, as their products ([`OutSrc`]).
+    /// Written in place; returns the output and the morsel count, which
+    /// the caller counts as its own.
+    fn take<T: Sync>(
         &self,
+        t: &View<'_, 'a>,
         rows: &Spliced<'_, T>,
-        pick: impl Fn(&T) -> [usize; 2] + Sync,
-        parts: &[(&Part<'a>, usize)],
-        weight: Option<OutSrc<'_>>,
-        accs: &[(usize, OutSrc<'_>)],
+        pick: impl Fn(&T, &mut usize) -> [usize; 2] + Sync,
+        values: bool,
     ) -> (Inter<'a>, u64) {
-        let ranges = morsel_ranges(rows.len(), self.morsel);
-        let ids = fill_columns(self.pool, parts.len(), &ranges, &|c, i, dst| {
-            let (part, side) = parts[c];
-            let mut at = 0;
-            for s in rows.slices(ranges[i].clone()) {
-                let dst = &mut dst[at..at + s.len()];
-                match &part.ids {
-                    Some(ids) => {
-                        for (d, x) in dst.iter_mut().zip(s) {
-                            *d = ids[pick(x)[side]];
-                        }
+        let n = rows.len();
+        let ranges = morsel_ranges(n, self.morsel);
+        // `f(offset, side rows)` per chunk of morsel `m`'s output rows.
+        let chunks = |m: usize, f: &mut dyn FnMut(usize, &[[usize; 2]])| {
+            let (mut buf, mut at, mut p) = ([[0; 2]; CHUNK], 0, 0);
+            for s in rows.slices(ranges[m].clone()) {
+                for s in s.chunks(CHUNK) {
+                    for (b, x) in buf.iter_mut().zip(s) {
+                        *b = pick(x, &mut p);
                     }
-                    None => {
-                        for (d, x) in dst.iter_mut().zip(s) {
-                            *d = pick(x)[side] as u32;
-                        }
-                    }
+                    f(at, &buf[..s.len()]);
+                    at += s.len();
                 }
-                at += s.len();
-            }
-        });
-        let srcs: Vec<OutSrc> = weight.into_iter().chain(accs.iter().map(|a| a.1)).collect();
-        let fill = |c: usize, i: usize, dst: &mut [i64]| {
-            let mut at = 0;
-            for s in rows.slices(ranges[i].clone()) {
-                let dst = &mut dst[at..at + s.len()];
-                match srcs[c] {
-                    [Some(a), None] => {
-                        for (d, x) in dst.iter_mut().zip(s) {
-                            *d = a[pick(x)[0]];
-                        }
-                    }
-                    [None, Some(b)] => {
-                        for (d, x) in dst.iter_mut().zip(s) {
-                            *d = b[pick(x)[1]];
-                        }
-                    }
-                    [Some(a), Some(b)] => {
-                        for (d, x) in dst.iter_mut().zip(s) {
-                            let [l, r] = pick(x);
-                            *d = a[l] * b[r];
-                        }
-                    }
-                    [None, None] => dst.fill(1),
-                }
-                at += s.len();
             }
         };
-        let mut vals = fill_columns(self.pool, srcs.len(), &ranges, &fill).into_iter();
+        let parts: Vec<(&Part<'a>, usize)> = t.parts().collect();
+        let mut ids: Vec<Vec<u32>> = parts.iter().map(|_| vec![0; n]).collect();
+        fill_in_place(self.pool, &mut ids, &ranges, &|m, dst| {
+            chunks(m, &mut |at, sides| {
+                for (d, &(p, side)) in dst.iter_mut().zip(&parts) {
+                    let d = d[at..at + sides.len()].iter_mut().zip(sides);
+                    match &p.ids {
+                        Some(ids) => d.for_each(|(d, s)| *d = ids[s[side]]),
+                        None => d.for_each(|(d, s)| *d = s[side] as u32),
+                    }
+                }
+            });
+        });
+        let srcs = t.weight.iter().chain(t.accs.iter().map(|a| &a.1));
+        let srcs: Vec<OutSrc> = srcs.filter(|_| values).copied().collect();
+        let mut vals: Vec<Vec<i64>> = srcs.iter().map(|_| vec![0; n]).collect();
+        fill_in_place(self.pool, &mut vals, &ranges, &|m, dst| {
+            chunks(m, &mut |at, sides| {
+                for (d, src) in dst.iter_mut().zip(&srcs) {
+                    for (d, &[l, r]) in d[at..at + sides.len()].iter_mut().zip(sides) {
+                        *d = src[0].map_or(1, |a| a[l]) * src[1].map_or(1, |b| b[r]);
+                    }
+                }
+            });
+        });
+        let mut vals = vals.into_iter();
+        let parts = parts.iter().zip(ids).map(|(&(p, _), ids)| Part {
+            cols: p.cols,
+            attrs: p.attrs,
+            ids: Some(ids),
+        });
         let out = Inter {
-            rows: rows.len(),
-            parts: parts
-                .iter()
-                .zip(ids)
-                .map(|(&(p, _), ids)| Part {
-                    cols: p.cols,
-                    attrs: p.attrs,
-                    ids: Some(ids),
-                })
-                .collect(),
-            weight: weight.and_then(|_| vals.next()),
-            accs: accs
-                .iter()
-                .zip(vals)
-                .map(|(&(call, _), col)| (call, col))
-                .collect(),
+            rows: n,
+            parts: parts.collect(),
+            weight: t.weight.and_then(|_| vals.next()),
+            accs: t.accs.iter().zip(vals).map(|(a, col)| (a.0, col)).collect(),
         };
         (out, ranges.len() as u64)
-    }
-
-    /// `t` reordered: output row `i` is input row `row(rows[i])`, every
-    /// column carried ([`Self::compose`]).
-    fn permute<T: Sync>(
-        &self,
-        t: &Inter<'a>,
-        rows: &Spliced<'_, T>,
-        row: impl Fn(&T) -> usize + Sync,
-    ) -> (Inter<'a>, u64) {
-        let sides = std::slice::from_ref(t);
-        let (weight, accs) = self.values(sides);
-        self.compose(rows, |x| [row(x), 0], &side_parts(sides), weight, &accs)
     }
 
     /// The weight and accumulators (in call order) of rows drawn from
@@ -1114,31 +1026,12 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         (weight, accs)
     }
 
-    /// An aggregate's output rows: its groups' representatives `reps`,
-    /// rows of its input `t`, every part's ids composed through them — a
-    /// pending join's pairs looked up once per representative.
-    fn representatives(&self, t: &AggIn<'_, 'a>, reps: &[Vec<u32>]) -> (Inter<'a>, u64) {
-        let parts = side_parts(t.sides);
-        let Some(pairs) = &t.pairs else {
-            return self.compose(&Spliced::new(reps), |&r| [r as usize, 0], &parts, None, &[]);
-        };
-        let get = |m: &Vec<u32>| {
-            let mut p = 0;
-            m.iter().map(|&r| *pairs.get(r as usize, &mut p)).collect()
-        };
-        let reps: Vec<Vec<(u32, u32)>> = reps.iter().map(get).collect();
-        let pick = |&(l, r): &(u32, u32)| [l as usize, r as usize];
-        self.compose(&Spliced::new(&reps), pick, &parts, None, &[])
-    }
-
-    /// An aggregate's view of `out` ([`AggIn`]).
-    fn agg_input<'t>(&self, out: &'t Out<'a>) -> AggIn<'t, 'a> {
-        let (sides, pairs) = match out {
-            Out::Rows(t) => (std::slice::from_ref(t), None),
-            Out::Joined { sides, pairs, .. } => (&sides[..], Some(Spliced::new(pairs))),
-        };
+    /// The view ([`View`]) of `sides` — one input, or a join's two — and,
+    /// for a join left pending, its pair lists.
+    fn view<'t>(&self, (sides, pairs): (&'t [Inter<'a>], Option<&'t Pairs>)) -> View<'t, 'a> {
+        let pairs = pairs.map(Spliced::new);
         let (weight, accs) = self.values(sides);
-        AggIn {
+        View {
             rows: pairs.as_ref().map_or(sides[0].rows, Spliced::len),
             sides,
             pairs,
@@ -1188,7 +1081,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         plan: PlanId,
         op: &'static str,
         qrel: usize,
-        t: &'t Inter<'a>,
+        t: &'t View<'_, 'a>,
     ) -> Result<Vec<(Col<'t>, bool)>, ExecError> {
         let q = self.query;
         let constants = q.constants.iter().map(|c| (c.attr, true));
@@ -1196,7 +1089,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         constants
             .chain(filters)
             .filter(|&(a, _)| q.owner(a) == qrel)
-            .map(|(a, is_const)| Ok((self.attr_col(plan, op, t, a)?, is_const)))
+            .map(|(a, is_const)| Ok((self.cols(plan, op, t, &[a])?[0], is_const)))
             .collect()
     }
 
@@ -1223,13 +1116,14 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// relation's selections, as ids. Without a selection the scan is
     /// the relation itself, and does nothing.
     fn scan(&mut self, plan: PlanId, qrel: usize) -> Result<Inter<'a>, ExecError> {
-        let t = self.base(plan, "Scan", qrel)?;
+        let base = self.base(plan, "Scan", qrel)?;
+        let t = self.view((std::slice::from_ref(&base), None));
         let preds = self.predicates(plan, "Scan", qrel, &t)?;
         let (out, batches) = if preds.is_empty() {
-            (t, 0)
+            (base, 0)
         } else {
             let (keep, fb) = self.filter(t.rows, &preds);
-            let part = &t.parts[0];
+            let part = &base.parts[0];
             (
                 Inter::relation(part.cols, part.attrs, Some(keep.concat())),
                 fb,
@@ -1251,11 +1145,12 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         index: usize,
     ) -> Result<Inter<'a>, ExecError> {
         let op = "IndexScan";
-        let t = self.base(plan, op, qrel)?;
+        let base = self.base(plan, op, qrel)?;
+        let t = self.view((std::slice::from_ref(&base), None));
         let preds = self.predicates(plan, op, qrel, &t)?;
         let catalog = self.catalog;
         let key = &catalog.relation(self.query.relations[qrel]).indexes[index].key;
-        let key_cols = self.key_cols(plan, op, &t, key)?;
+        let key_cols = self.cols(plan, op, &t, key)?;
         let n = t.rows;
         let (entries, fb) = if preds.is_empty() {
             (extract_keys(&key_cols, 0..n as u32, n), 0)
@@ -1266,7 +1161,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         };
         let rest = key_cols.get(1..).unwrap_or_default();
         let (sorted, sb) = sort_entries(self.pool, self.morsel, rest, entries);
-        let part = &t.parts[0];
+        let part = &base.parts[0];
         let ids = sorted.iter().map(|e| e.1).collect();
         let out = Inter::relation(part.cols, part.attrs, Some(ids));
         self.stats.record(op, fb + sb, out.rows as u64);
@@ -1276,23 +1171,29 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// Stable sort by `key` — `Sort`, and `PartialSort`, whose input is
     /// already grouped on a key prefix: the radix kernel is linear
     /// either way, so the partial sort runs as the full sort it must
-    /// byte-equal.
+    /// byte-equal. The first key is read in one pass; the tie-break reads
+    /// the rest at random, so they are read dense first. Ids are composed
+    /// for the sorted rows alone.
     fn sort(
         &mut self,
         plan: PlanId,
         op: &'static str,
-        t: Inter<'a>,
+        out: Out<'a>,
         key: &[AttrId],
     ) -> Result<Inter<'a>, ExecError> {
-        let key_cols = self.key_cols(plan, op, &t, key)?;
+        let t = self.view(out.sides());
+        let key_cols = self.cols(plan, op, &t, key)?;
         let n = t.rows;
-        let entries = extract_keys(&key_cols, 0..n as u32, n);
-        let rest = key_cols.get(1..).unwrap_or_default();
-        let (sorted, sb) = sort_entries(self.pool, self.morsel, rest, entries);
-        let (out, pb) = self.permute(&t, &Spliced::new(std::slice::from_ref(&sorted)), |e| {
-            e.1 as usize
-        });
-        self.stats.record(op, sb + pb, out.rows as u64);
+        let mut entries: Vec<Entry> = (0..n as u32).map(|r| (0, r)).collect();
+        if let Some(k) = key_cols.first() {
+            k.write(0..n, &mut entries, |e, v| e.0 = v);
+        }
+        let dense: Vec<Cow<[i64]>> = key_cols.iter().skip(1).map(|c| c.dense(0..n)).collect();
+        let rest: Vec<Col> = dense.iter().map(|d| Col::from(&d[..])).collect();
+        let (sorted, sb) = sort_entries(self.pool, self.morsel, &rest, entries);
+        let sorted = Spliced::new(std::slice::from_ref(&sorted));
+        let (out, tb) = self.take(&t, &sorted, |e, p| t.side_rows(e.1 as usize, p), true);
+        self.stats.record(op, sb + tb, out.rows as u64);
         Ok(out)
     }
 
@@ -1304,8 +1205,11 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         right: PlanId,
         kind: JoinKind,
     ) -> Result<Out<'a>, ExecError> {
-        let lt = self.exec(left)?;
-        let rt = self.exec(right)?;
+        // Its own pairs index flat rows, so a pending input is composed.
+        let sides = [self.input(op, left)?, self.input(op, right)?];
+        let (lt, rt) = (&sides[0], &sides[1]);
+        let lv = self.view((&sides[..1], None));
+        let rv = self.view((&sides[1..], None));
         let lmask = &self.arena.node(left).mask;
         let rmask = &self.arena.node(right).mask;
 
@@ -1323,8 +1227,8 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             } else {
                 (j.right, j.left)
             };
-            let lc = self.attr_col(plan, op, &lt, la)?;
-            let rc = self.attr_col(plan, op, &rt, ra)?;
+            let lc = self.cols(plan, op, &lv, &[la])?[0];
+            let rc = self.cols(plan, op, &rv, &[ra])?[0];
             edges.push((e, lc, rc));
         }
         let dense_right = || -> Vec<(usize, Col, Cow<[i64]>)> {
@@ -1432,11 +1336,13 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             }
         };
         // The output, left pending: the parts concatenate (left then
-        // right, like the legacy row concat) when it is composed.
+        // right, like the legacy row concat) where it is read.
         let rows = pair_chunks.iter().map(Vec::len).sum::<usize>();
         self.stats.record(op, batches, rows as u64);
-        let (sides, pairs) = ([lt, rt], pair_chunks);
-        Ok(Out::Joined { op, sides, pairs })
+        Ok(Out::Joined {
+            sides,
+            pairs: pair_chunks,
+        })
     }
 
     /// What an aggregate over `t` computes. A *partial* aggregate keeps
@@ -1448,7 +1354,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         &self,
         plan: PlanId,
         op: &'static str,
-        t: &'t AggIn<'_, 'a>,
+        t: &'t View<'_, 'a>,
         partial: bool,
     ) -> Result<AggSpec<'t>, ExecError> {
         let mut spec = AggSpec {
@@ -1521,8 +1427,8 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         partial: bool,
     ) -> Result<Inter<'a>, ExecError> {
         let op = "HashAgg";
-        let t = self.agg_input(&t);
-        let key_cols = self.agg_key_cols(plan, op, &t, key)?;
+        let t = self.view(t.sides());
+        let key_cols = self.cols(plan, op, &t, key)?;
         let spec = self.agg_spec(plan, op, &t, partial)?;
         let folds = &spec.folds;
         let (chunks, batches) = run_morsels(self.pool, t.rows, self.morsel, &|range| {
@@ -1531,12 +1437,8 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 .iter()
                 .map(|f| {
                     let mut acc = vec![identity(f.func); table.len()];
-                    scatter(
-                        f.func,
-                        &mut acc,
-                        &gids,
-                        contributions(&f.contrib, range.clone()).as_deref(),
-                    );
+                    let vals = contributions(&f.contrib, range.clone());
+                    scatter(f.func, &mut acc, &gids, vals.as_deref());
                     acc
                 })
                 .collect();
@@ -1560,7 +1462,8 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             .iter()
             .map(|acc| order.iter().map(|&g| acc[g]).collect())
             .collect();
-        let (out, cb) = self.representatives(&t, std::slice::from_ref(&reps));
+        let reps = Spliced::new(std::slice::from_ref(&reps));
+        let (out, cb) = self.take(&t, &reps, |&r, p| t.side_rows(r as usize, p), false);
         let out = spec.finish(out, values);
         self.stats.record(op, batches + cb, out.rows as u64);
         Ok(out)
@@ -1570,7 +1473,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// `GroupJoin`. The planner places it on input grouped on `key`, so
     /// every group is one maximal run of equal keys, folded where it
     /// lies without hashing a row. Each morsel finds the runs that start
-    /// in it ([`runs_of`]: its keys read once, neighbours compared);
+    /// in it ([`run_starts`]: its keys read once, neighbours compared);
     /// the run starts' keys alone are hashed to verify the grouping — a
     /// key that resumes after its run ended is a located error, never a
     /// silently split group. A morsel's last run ends at the next
@@ -1582,7 +1485,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// column. Groups come out in run order: on grouped input, the
     /// first-seen order the hash kernel would produce. The run starts
     /// are the groups' representative rows. Over a join's output the
-    /// keys and contributions are read through its pair list ([`AggIn`]).
+    /// keys and contributions are read through its pair list ([`View`]).
     fn stream_aggregate(
         &mut self,
         plan: PlanId,
@@ -1591,16 +1494,12 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         key: &[AttrId],
         partial: bool,
     ) -> Result<Inter<'a>, ExecError> {
-        let t = self.agg_input(&t);
-        let key_cols = self.agg_key_cols(plan, op, &t, key)?;
+        let t = self.view(t.sides());
+        let key_cols = self.cols(plan, op, &t, key)?;
         let spec = self.agg_spec(plan, op, &t, partial)?;
         let n = t.rows;
         let (runs, batches) = run_morsels(self.pool, n, self.morsel, &|range| {
-            // The keys read once, the row before the morsel included.
-            runs_of(
-                &dense_keys(&key_cols, range.start.saturating_sub(1)..range.end),
-                range,
-            )
+            run_starts(&key_cols, range)
         });
         if let Some((first, again)) = resumed_run(&runs) {
             let names: Vec<&str> = key.iter().map(|&a| self.catalog.attr_name(a)).collect();
@@ -1651,7 +1550,8 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 dst,
             );
         });
-        let (out, cb) = self.representatives(&t, &starts);
+        let starts = Spliced::new(&starts);
+        let (out, cb) = self.take(&t, &starts, |&r, p| t.side_rows(r as usize, p), false);
         let out = spec.finish(out, values);
         self.stats.record(op, batches + cb, out.rows as u64);
         Ok(out)
@@ -1663,10 +1563,11 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     fn hash_group(
         &mut self,
         plan: PlanId,
-        t: Inter<'a>,
+        t: Out<'a>,
         key: &[AttrId],
     ) -> Result<Inter<'a>, ExecError> {
-        let key_cols = self.key_cols(plan, "HashGroup", &t, key)?;
+        let t = self.view(t.sides());
+        let key_cols = self.cols(plan, "HashGroup", &t, key)?;
         // Per morsel: a local group table and every row's local group.
         let (chunks, batches) = run_morsels(self.pool, t.rows, self.morsel, &|range| {
             local_groups(&key_cols, range)
@@ -1698,9 +1599,15 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             slot[g as usize] += 1;
         }
         drop(gid);
-        let (out, pb) = self.permute(&t, &Spliced::new(&[idx]), |&r| r as usize);
+        let idx = [idx];
+        let (out, tb) = self.take(
+            &t,
+            &Spliced::new(&idx),
+            |&r, p| t.side_rows(r as usize, p),
+            true,
+        );
         self.stats
-            .record("HashGroup", batches + pb, out.rows as u64);
+            .record("HashGroup", batches + tb, out.rows as u64);
         Ok(out)
     }
 }

@@ -3,10 +3,11 @@
 //!
 //! No key is materialized per row. A morsel's keys are hashed
 //! column-at-a-time into a `Vec<u64>` ([`hash_rows`]), and a table has
-//! one power-of-two bucket array. An input column is a [`Col`]: values
-//! read through the intermediate's row ids. The group kernels read any
-//! [`Column`], so an aggregate reads a pending join's output through its
-//! pair list. Two tables:
+//! one power-of-two bucket array. Every kernel reads its input as
+//! [`Col`]s: values read through the intermediate's row ids and, over a
+//! join's output left pending, through its pair list ([`Spliced`]) first
+//! — a row loop one slice at a time ([`Col::each_row`]), a read at
+//! random through a search for the pair's list ([`Col::at`]). Two tables:
 //!
 //! * [`JoinTable`] holds a join's **build rows** (hash join, group
 //!   join), sorted by bucket: one counting pass places every row in its
@@ -51,44 +52,153 @@ use std::ops::Range;
 /// End-of-chain marker.
 const NIL: u32 = u32::MAX;
 
-/// A column read through row ids: row `r` is `vals[ids[r]]`, or
-/// `vals[r]` without ids (the identity).
-#[derive(Clone, Copy, Debug)]
+/// Per-morsel result lists — a join's pair lists, a stream aggregate's
+/// run starts — read as one sequence without being concatenated.
+pub(crate) struct Spliced<'a, T> {
+    parts: &'a [Vec<T>],
+    /// `starts[p]`: the sequence position of `parts[p][0]`; one more
+    /// entry holds the length.
+    starts: Vec<usize>,
+}
+
+impl<'a, T> Spliced<'a, T> {
+    pub(crate) fn new(parts: &'a [Vec<T>]) -> Self {
+        let mut starts = Vec::with_capacity(parts.len() + 1);
+        starts.push(0);
+        for p in parts {
+            starts.push(starts[starts.len() - 1] + p.len());
+        }
+        Spliced { parts, starts }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.starts[self.parts.len()]
+    }
+
+    /// Element `i`, searched for only when it lies outside part `*p`,
+    /// which is left at its part: an ascending walk rarely searches. A
+    /// read at random first tries the part an even spread would put `i`
+    /// in, which per-morsel lists of like lengths mostly confirm.
+    #[inline]
+    pub(crate) fn get(&self, i: usize, p: &mut usize) -> &'a T {
+        let holds = |p: usize| (self.starts[p]..self.starts[p + 1]).contains(&i);
+        if !holds(*p) {
+            let n = self.parts.len();
+            *p = (i * n / self.len()).min(n - 1);
+            if !holds(*p) {
+                *p = self.starts.partition_point(|&s| s <= i) - 1;
+            }
+        }
+        &self.parts[*p][i - self.starts[*p]]
+    }
+
+    /// Elements `range` of the sequence, as consecutive slices.
+    pub(crate) fn slices(&self, range: Range<usize>) -> impl Iterator<Item = &'a [T]> + '_ {
+        let first = self.starts.partition_point(|&s| s <= range.start) - 1;
+        (first..self.parts.len())
+            .take_while(move |&p| self.starts[p] < range.end)
+            .map(move |p| {
+                let at = self.starts[p];
+                &self.parts[p][range.start.max(at) - at..range.end.min(self.starts[p + 1]) - at]
+            })
+    }
+}
+
+/// An input column: row `r` is `vals[ids[r]]`, or `vals[r]` without ids
+/// (the identity). Over a join's output left pending, `r` is first the
+/// row its pair holds on the column's side.
+#[derive(Clone, Copy)]
 pub(crate) struct Col<'t> {
     pub(crate) vals: &'t [i64],
     pub(crate) ids: Option<&'t [u32]>,
+    /// The join's pairs and the side `vals` is on.
+    pub(crate) pairs: Option<(&'t Spliced<'t, (u32, u32)>, usize)>,
 }
 
-/// A column as a kernel reads it: a [`Col`], or the engine's column of a
-/// join whose output is left pending, read through its pair list first.
-pub(crate) trait Column<'t>: Copy + Sync {
-    /// Row `r`'s value.
-    fn at(self, r: usize) -> i64;
-    /// The values of rows `range` as one slice.
-    fn dense(self, range: Range<usize>) -> Cow<'t, [i64]>;
-}
-
-impl<'t> Column<'t> for Col<'t> {
+impl<'t> Col<'t> {
+    /// Row `r`'s value, for reads at random; through pairs, each read
+    /// searches for its pair's list, so a row loop reads [`Col::write`].
     #[inline]
-    fn at(self, r: usize) -> i64 {
-        match self.ids {
-            Some(ids) => self.vals[ids[r] as usize],
-            None => self.vals[r],
+    pub(crate) fn at(self, r: usize) -> i64 {
+        let r = self.pairs.map_or(r, |(pairs, side)| {
+            let &(left, right) = pairs.get(r, &mut 0);
+            [left, right][side] as usize
+        });
+        self.vals[self.ids.map_or(r, |ids| ids[r] as usize)]
+    }
+
+    /// `f(slot, row)` for each of rows `span` and its slot of `dst`,
+    /// `row` being the row of `vals` it reads: the one sequential walk, a
+    /// pending join's pair lists slice by slice.
+    #[inline]
+    pub(crate) fn each_row<T>(self, span: Range<usize>, dst: &mut [T], f: impl Fn(&mut T, usize)) {
+        debug_assert_eq!(span.len(), dst.len());
+        let ids = self.ids;
+        let Some((pairs, side)) = self.pairs else {
+            match ids {
+                Some(ids) => {
+                    for (d, &i) in dst.iter_mut().zip(&ids[span]) {
+                        f(d, i as usize);
+                    }
+                }
+                None => dst.iter_mut().zip(span).for_each(|(d, r)| f(d, r)),
+            }
+            return;
+        };
+        let mut at = 0;
+        for s in pairs.slices(span) {
+            let (dst, rows) = (&mut dst[at..at + s.len()], s.iter());
+            at += s.len();
+            let rows = rows.map(|&(left, right)| [left, right][side] as usize);
+            match ids {
+                Some(ids) => {
+                    for (d, r) in dst.iter_mut().zip(rows) {
+                        f(d, ids[r] as usize);
+                    }
+                }
+                None => dst.iter_mut().zip(rows).for_each(|(d, r)| f(d, r)),
+            }
         }
     }
 
-    /// Borrowed without ids, read once through them otherwise.
-    fn dense(self, range: Range<usize>) -> Cow<'t, [i64]> {
-        match self.ids {
-            Some(ids) => Cow::Owned(ids[range].iter().map(|&i| self.vals[i as usize]).collect()),
-            None => Cow::Borrowed(&self.vals[range]),
+    /// Rows `range` into `dst`, one slot per row, each value stored by
+    /// `put` ([`Col::each_row`]).
+    #[inline]
+    pub(crate) fn write<T>(self, range: Range<usize>, dst: &mut [T], put: impl Fn(&mut T, i64)) {
+        let vals = self.vals;
+        self.each_row(range, dst, |d, r| put(d, vals[r]));
+    }
+
+    /// The values of rows `range` as one slice: borrowed for the
+    /// identity, read once otherwise, the pairs slice by slice: collected,
+    /// not written through [`Col::write`], so no buffer is zeroed first.
+    pub(crate) fn dense(self, range: Range<usize>) -> Cow<'t, [i64]> {
+        let (vals, ids) = (self.vals, self.ids);
+        let Some((pairs, side)) = self.pairs else {
+            return match ids {
+                Some(ids) => Cow::Owned(ids[range].iter().map(|&i| vals[i as usize]).collect()),
+                None => Cow::Borrowed(&vals[range]),
+            };
+        };
+        let mut out = Vec::with_capacity(range.len());
+        for s in pairs.slices(range) {
+            let rows = s.iter().map(|&(left, right)| [left, right][side] as usize);
+            match ids {
+                Some(ids) => out.extend(rows.map(|r| vals[ids[r] as usize])),
+                None => out.extend(rows.map(|r| vals[r])),
+            }
         }
+        Cow::Owned(out)
     }
 }
 
 impl<'t> From<&'t [i64]> for Col<'t> {
     fn from(vals: &'t [i64]) -> Self {
-        Col { vals, ids: None }
+        Col {
+            vals,
+            ids: None,
+            pairs: None,
+        }
     }
 }
 
@@ -99,18 +209,7 @@ impl<'t> From<&'t [i64]> for Col<'t> {
 pub(crate) fn hash_rows(key_cols: &[Col], range: Range<usize>) -> Vec<u64> {
     let mut out = vec![0u64; range.len()];
     for col in key_cols {
-        match col.ids {
-            Some(ids) => {
-                for (h, &i) in out.iter_mut().zip(&ids[range.clone()]) {
-                    *h = fx_mix(*h, col.vals[i as usize] as u64);
-                }
-            }
-            None => {
-                for (h, &v) in out.iter_mut().zip(&col.vals[range.clone()]) {
-                    *h = fx_mix(*h, v as u64);
-                }
-            }
-        }
+        col.write(range.clone(), &mut out, |h, v| *h = fx_mix(*h, v as u64));
     }
     for h in &mut out {
         *h = fold_high(*h);
@@ -118,11 +217,8 @@ pub(crate) fn hash_rows(key_cols: &[Col], range: Range<usize>) -> Vec<u64> {
     out
 }
 
-/// Rows `range` of `key_cols`, each column read once ([`Column::dense`]).
-pub(crate) fn dense_keys<'t, C: Column<'t>>(
-    key_cols: &[C],
-    range: Range<usize>,
-) -> Vec<Cow<'t, [i64]>> {
+/// Rows `range` of `key_cols`, each column read once ([`Col::dense`]).
+pub(crate) fn dense_keys<'t>(key_cols: &[Col<'t>], range: Range<usize>) -> Vec<Cow<'t, [i64]>> {
     key_cols.iter().map(|c| c.dense(range.clone())).collect()
 }
 
@@ -131,7 +227,7 @@ fn fold_high(h: u64) -> u64 {
 }
 
 /// Are rows `a` and `b` equal on every column of `cols`?
-fn rows_eq<'t, C: Column<'t>>(cols: &[C], a: u32, b: u32) -> bool {
+fn rows_eq(cols: &[Col], a: u32, b: u32) -> bool {
     cols.iter().all(|c| c.at(a as usize) == c.at(b as usize))
 }
 
@@ -344,12 +440,7 @@ impl GroupTable {
     /// sets `ids` to each one's id here: the merge of per-morsel tables
     /// in morsel order, which never rehashes and compares keys through
     /// the input columns.
-    pub(crate) fn absorb<'t, C: Column<'t>>(
-        &mut self,
-        local: &GroupTable,
-        key_cols: &[C],
-        ids: &mut Vec<u32>,
-    ) {
+    pub(crate) fn absorb(&mut self, local: &GroupTable, key_cols: &[Col], ids: &mut Vec<u32>) {
         ids.clear();
         for g in &local.groups {
             let row = g.first;
@@ -372,10 +463,7 @@ fn dense_eq(keys: &[&[i64]], a: u32, b: u32) -> bool {
 /// table and every row's group in it; once the morsel is done, the
 /// representatives are rebased to input rows, so the table hands the
 /// merge ([`GroupTable::absorb`]) `(hash, input row)`.
-pub(crate) fn local_groups<'t, C: Column<'t>>(
-    key_cols: &[C],
-    range: Range<usize>,
-) -> (GroupTable, Vec<u32>) {
+pub(crate) fn local_groups(key_cols: &[Col], range: Range<usize>) -> (GroupTable, Vec<u32>) {
     let dense = dense_keys(key_cols, range.clone());
     let keys: Vec<&[i64]> = dense.iter().map(|k| &k[..]).collect();
     let cols: Vec<Col> = keys.iter().map(|&k| Col::from(k)).collect();
@@ -410,13 +498,7 @@ pub(crate) struct Runs {
 /// to a word. The starts are then read off the set bits, and each
 /// start's key values copied out beside it.
 pub(crate) fn run_starts(key_cols: &[Col], range: Range<usize>) -> Runs {
-    let from = range.start.saturating_sub(1);
-    runs_of(&dense_keys(key_cols, from..range.end), range)
-}
-
-/// [`run_starts`] over `dense`: the key columns read at the rows of
-/// `range` and, unless it starts at row 0, the row before it.
-pub(crate) fn runs_of(dense: &[Cow<[i64]>], range: Range<usize>) -> Runs {
+    let dense = dense_keys(key_cols, range.start.saturating_sub(1)..range.end);
     let (lo, n) = (range.start, range.len());
     if n == 0 {
         return Runs {
@@ -429,7 +511,7 @@ pub(crate) fn runs_of(dense: &[Cow<[i64]>], range: Range<usize>) -> Runs {
     // of the input has no row before it and always starts a run.
     let mut bits = vec![0u64; n.div_ceil(64)];
     bits[0] = u64::from(back == 0);
-    for d in dense {
+    for d in &dense {
         for (w, word) in bits.iter_mut().enumerate() {
             let rows = (w * 64).max(1 - back)..(w * 64 + 64).min(n);
             let prev = &d[rows.start + back - 1..rows.end + back - 1];
@@ -646,6 +728,7 @@ mod tests {
             .map(|c| Col {
                 vals: c,
                 ids: Some(&ids),
+                pairs: None,
             })
             .collect();
         // One key column, then two (the second splits `i64::MAX`).
@@ -699,6 +782,7 @@ mod tests {
             .map(|c| Col {
                 vals: c,
                 ids: Some(&ids),
+                pairs: None,
             })
             .collect();
         for (keys, n) in [
@@ -827,6 +911,7 @@ mod tests {
         let through = [Col {
             vals: &a,
             ids: Some(&ids),
+            pairs: None,
         }];
         for cut in 0..=7 {
             let parts = [run_starts(&through, 0..cut), run_starts(&through, cut..7)];
@@ -921,7 +1006,7 @@ mod tests {
             let r = slices(&right);
             let (nl, nr) = (left[0].len(), right[0].len());
             let ids: Vec<u32> = ids.iter().filter(|_| nl > 0).map(|&i| (i % nl.max(1)) as u32).collect();
-            let l: Vec<Col> = left.iter().map(|c| Col { vals: c, ids: Some(&ids) }).collect();
+            let l: Vec<Col> = left.iter().map(|c| Col { vals: c, ids: Some(&ids), pairs: None }).collect();
             prop_assert_eq!(
                 kernel_pairs(&l, &r, ids.len(), nr, mask, morsel),
                 model_pairs(&l, &r, ids.len(), nr)

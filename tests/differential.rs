@@ -18,8 +18,8 @@
 use ofw::catalog::{AttrId, Catalog};
 use ofw::core::{LogicalProperty, OrderOracle, OrderingFramework, PruneConfig};
 use ofw::exec::{
-    columns_from_tables, execute_plan, execute_serial, reference_plan, result_signature, ColTable,
-    ExecOptions, ExecStats,
+    columns_from_tables, execute_plan, execute_serial, reference_plan, result_signature, ColRef,
+    ColTable, ExecOptions, ExecStats,
 };
 use ofw::obs::Trace;
 use ofw::parallel::ThreadPool;
@@ -478,4 +478,264 @@ fn aggregates_over_joins_with_no_pairs() {
             assert_thread_invariant(&arena, root, &catalog, &query, &data, &serial, &opts, &ctx);
         }
     }
+}
+
+/// `r(k, g, v) ⋈ s(k, w)` on `k`, and `u(w, x)` joined to `s` on `w`,
+/// grouped by `r.g` with `sum(r.v)`, `count(*)` and `min(s.w)`.
+fn three_relation_join_query() -> (Catalog, Query) {
+    use ofw::query::{AggCall, AggFunc, JoinEdge};
+    let mut catalog = Catalog::new();
+    let r = catalog.add_relation("r", 8.0, &["k", "g", "v"]);
+    let s = catalog.add_relation("s", 8.0, &["k", "w"]);
+    let u = catalog.add_relation("u", 8.0, &["w", "x"]);
+    let mut query = Query::new();
+    for rel in [r, s, u] {
+        query.add_relation(&catalog, rel);
+    }
+    for (left, right) in [("r.k", "s.k"), ("s.w", "u.w")] {
+        query.joins.push(JoinEdge {
+            left: catalog.attr(left),
+            right: catalog.attr(right),
+            selectivity: 0.1,
+        });
+    }
+    query.group_by = vec![catalog.attr("r.g")];
+    let call = |func, input: Option<&str>| AggCall {
+        func,
+        input: input.map(|a| catalog.attr(a)),
+    };
+    query.aggregates = vec![
+        call(AggFunc::Sum, Some("r.v")),
+        call(AggFunc::Count, None),
+        call(AggFunc::Min, Some("s.w")),
+    ];
+    (catalog, query)
+}
+
+/// Pushes `op` onto `arena`, its mask the relations `qrels` of `query`.
+fn push_op(
+    arena: &mut PlanArena<()>,
+    query: &Query,
+    op: ofw::plangen::PlanOp,
+    qrels: &[usize],
+) -> PlanId {
+    let mut mask = query.relation_set(qrels[0]);
+    for &q in &qrels[1..] {
+        mask.union_with(&query.relation_set(q));
+    }
+    arena.push(ofw::plangen::PlanNode {
+        op,
+        mask,
+        cost: 0.0,
+        card: 0.0,
+        state: (),
+        agg: ofw::plangen::plan::AggMark::NONE,
+        applied_fds: Default::default(),
+    })
+}
+
+/// Zero pairs into every consumer of a join's output that is not an
+/// aggregate: `Sort`, `PartialSort`, `HashGroup`, a parent `HashJoin`, and
+/// the join itself as the root, which gathers through its pairs. An empty
+/// probe side, an empty build side, and keys that never meet each give no
+/// row, with the legacy oracle's schema, byte-identical at 1/2/8 threads.
+#[test]
+fn other_consumers_of_joins_with_no_pairs() {
+    use ofw::plangen::{execute, PlanOp, Table};
+    let (catalog, query) = three_relation_join_query();
+    let mut arena: PlanArena<()> = PlanArena::new();
+    let mut push = |op, qrels: &[usize]| push_op(&mut arena, &query, op, qrels);
+    let scans = [0, 1, 2].map(|qrel| push(PlanOp::Scan { qrel }, &[qrel]));
+    let join = push(
+        PlanOp::HashJoin {
+            left: scans[0],
+            right: scans[1],
+            edge: 0,
+        },
+        &[0, 1],
+    );
+    let (g, w) = (catalog.attr("r.g"), catalog.attr("s.w"));
+    let roots = [
+        join,
+        push(
+            PlanOp::Sort {
+                input: join,
+                key: vec![g, w],
+            },
+            &[0, 1],
+        ),
+        push(
+            PlanOp::PartialSort {
+                input: join,
+                key: vec![g, w],
+                head: vec![g],
+            },
+            &[0, 1],
+        ),
+        push(
+            PlanOp::HashGroup {
+                input: join,
+                key: vec![g],
+            },
+            &[0, 1],
+        ),
+        push(
+            PlanOp::HashJoin {
+                left: join,
+                right: scans[2],
+                edge: 1,
+            },
+            &[0, 1, 2],
+        ),
+    ];
+    // Per key `k`, the row `(k, k % 3 + 1, k % 3 + 2, ..)`.
+    let rows = |keys: &[i64], width: usize| -> Vec<Vec<i64>> {
+        let row = |k: i64| {
+            (0..width as i64)
+                .map(|c| if c == 0 { k } else { k % 3 + c })
+                .collect()
+        };
+        keys.iter().map(|&k| row(k)).collect()
+    };
+    let some: Vec<i64> = (0..9).collect();
+    let far: Vec<i64> = (100..107).collect();
+    let rels = [0, 1, 2].map(|q| query.relations[q]);
+    for (case, r_keys, s_keys) in [
+        ("empty probe side", &[][..], &some[..]),
+        ("empty build side", &some[..], &[][..]),
+        ("no key meets", &some[..], &far[..]),
+    ] {
+        let keys = [r_keys, s_keys, &some[..]];
+        let tables: Vec<Table> = (0..3)
+            .map(|q| Table {
+                attrs: catalog.relation(rels[q]).attrs.clone(),
+                rows: rows(keys[q], catalog.relation(rels[q]).attrs.len()),
+            })
+            .collect();
+        let data = columns_from_tables(&tables);
+        for root in roots {
+            let ctx = format!("{case}, {}", arena.node(root).op.name());
+            let opts = ExecOptions { morsel_rows: 2 };
+            let serial = execute_plan(
+                &arena,
+                root,
+                &catalog,
+                &query,
+                &data,
+                &ofw::common::SerialExecutor,
+                &opts,
+                &Trace::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(serial.0.num_rows(), 0, "{ctx}");
+            assert_eq!(serial.1.rows_out, 0, "{ctx}");
+            let legacy = execute(&arena, root, &catalog, &query, &tables);
+            assert_eq!(serial.0.attr_ids(), legacy.attrs, "{ctx}");
+            assert_eq!(serial.0.schema.len(), legacy.attrs.len(), "{ctx}");
+            assert!(legacy.rows.is_empty(), "{ctx}");
+            assert_thread_invariant(&arena, root, &catalog, &query, &data, &serial, &opts, &ctx);
+        }
+    }
+}
+
+/// A join's pair list over several 512-row probe morsels, read by `Sort`,
+/// `HashGroup` and the root gather, with eager partial aggregates below
+/// the join on both sides, so that weights and `sum` and `min`
+/// accumulators pass through the ids each one composes. Every output is
+/// byte-identical at 1/2/8 threads and equals the legacy executor's rows;
+/// the sort and the hash grouping hold the join's rows, values included,
+/// in their own order.
+#[test]
+fn consumers_read_a_pair_list_across_probe_morsels() {
+    use ofw::plangen::{execute, PlanOp, Table};
+    let (catalog, query) = three_relation_join_query();
+    let mut arena: PlanArena<()> = PlanArena::new();
+    let mut push = |op, qrels: &[usize]| push_op(&mut arena, &query, op, qrels);
+    let (k, g) = (catalog.attr("r.k"), catalog.attr("r.g"));
+    let (sk, w) = (catalog.attr("s.k"), catalog.attr("s.w"));
+    let scans = [0, 1].map(|qrel| push(PlanOp::Scan { qrel }, &[qrel]));
+    let partial = |input: PlanId, key: Vec<AttrId>| PlanOp::HashAgg {
+        input,
+        key,
+        partial: true,
+    };
+    let left = push(partial(scans[0], vec![k, g]), &[0]);
+    let right = push(partial(scans[1], vec![sk, w]), &[1]);
+    let join = push(
+        PlanOp::HashJoin {
+            left,
+            right,
+            edge: 0,
+        },
+        &[0, 1],
+    );
+    let sort = push(
+        PlanOp::Sort {
+            input: join,
+            key: vec![g, w],
+        },
+        &[0, 1],
+    );
+    let group = push(
+        PlanOp::HashGroup {
+            input: join,
+            key: vec![g],
+        },
+        &[0, 1],
+    );
+    // 3 000 `(k, g)` groups of two rows on `r`, 2 000 `(k, w)` groups of
+    // two on `s`: 6 000 pairs from six probe morsels.
+    let r_rows = (0..6_000i64).map(|i| vec![i % 1_000, i / 1_000 % 3, i]);
+    let s_rows = (0..4_000i64).map(|i| vec![i % 1_000, i / 1_000 % 2]);
+    let rows: [Vec<Vec<i64>>; 3] = [r_rows.collect(), s_rows.collect(), Vec::new()];
+    let tables: Vec<Table> = rows
+        .into_iter()
+        .zip(0..3)
+        .map(|(rows, q)| Table {
+            attrs: catalog.relation(query.relations[q]).attrs.clone(),
+            rows,
+        })
+        .collect();
+    let data = columns_from_tables(&tables);
+    let opts = ExecOptions { morsel_rows: 512 };
+    let mut all_rows = Vec::new();
+    for root in [join, sort, group] {
+        let ctx = format!("morsel-scale {}", arena.node(root).op.name());
+        let serial = execute_plan(
+            &arena,
+            root,
+            &catalog,
+            &query,
+            &data,
+            &ofw::common::SerialExecutor,
+            &opts,
+            &Trace::disabled(),
+        )
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_thread_invariant(&arena, root, &catalog, &query, &data, &serial, &opts, &ctx);
+        let (out, stats) = &serial;
+        assert_eq!(stats.ops["HashJoin"].rows, 6_000, "{ctx}");
+        let legacy = execute(&arena, root, &catalog, &query, &tables);
+        let attrs = out.attr_table();
+        assert_eq!(
+            (attrs.attrs, attrs.rows),
+            (legacy.attrs, legacy.rows),
+            "{ctx}"
+        );
+        let values = [ColRef::Weight, ColRef::Acc(0), ColRef::Acc(2)];
+        assert!(
+            values.iter().all(|&c| out.col(c).is_some()),
+            "{ctx}: {:?}",
+            out.schema
+        );
+        let mut rows: Vec<Vec<i64>> = (0..out.num_rows())
+            .map(|r| out.cols.iter().map(|c| c[r]).collect())
+            .collect();
+        rows.sort_unstable();
+        all_rows.push((out.schema.clone(), rows));
+    }
+    assert!(
+        all_rows.iter().all(|r| *r == all_rows[0]),
+        "a consumer changed the join's rows"
+    );
 }

@@ -386,11 +386,13 @@ fn q8_preparation() {
 
 /// `(rows_out, morsels, per-operator (batches, rows))` of the DP winner
 /// of a 4-relation grouping query executed on 2 000-row base tables.
-/// `batches` counts kernel tasks and id-composition morsels, plus, for
-/// the root `PartialSort` alone, the gather morsels; the selection-free
-/// scans dispatch none. A join's output is composed, and charged to the
-/// join, only where its consumer is not an aggregate: the `StreamAgg`
-/// reads the top join's pairs, so that join dispatches none.
+/// `batches` counts kernel tasks and the morsels of the ids an operator
+/// composes for the rows it keeps, plus, for the root `PartialSort`
+/// alone, the gather morsels; the selection-free scans dispatch none. A
+/// join never composes its own output: a join over a pending join
+/// composes that input in full and counts the morsels as its own, and
+/// the `StreamAgg` reads the top join's pairs and composes its
+/// representatives alone.
 #[rustfmt::skip]
 const EXECUTED_GROUPING_4: (u64, u64, [(&str, OpStat); 5]) = (804, 12, [("HashGroup", OpStat { batches: 2, rows: 2000 }), ("HashJoin", OpStat { batches: 5, rows: 6191 }), ("PartialSort", OpStat { batches: 3, rows: 804 }), ("Scan", OpStat { batches: 0, rows: 8000 }), ("StreamAgg", OpStat { batches: 2, rows: 804 })]);
 
