@@ -7,7 +7,8 @@
 //!   preparations; §6.2's columns are the ablation's `none` and `all`.
 //! - E6, the §7 Query 8 plan-generation table (total time, subplans,
 //!   time per subplan and memory, Simmen's algorithm vs the DFSM
-//!   framework), and the winning plan.
+//!   framework), and the winning plan, explained with the properties
+//!   the DFSM reports each node holding.
 //! - A2, the O(1)-vs-Ω(n) ADT operations (`infer`, `contains`,
 //!   `produce`) on both arms, in nanoseconds per call.
 //! - E7 and E8, Fig. 13 (plan generation for random join graphs with
@@ -52,7 +53,7 @@ fn main() {
     let (simmen, ours, plan) = ofw_bench::q8_plangen();
     print_q8_plangen(&simmen, &ours);
     println!();
-    println!("== winning plan ==");
+    println!("== winning plan (DFSM arm; held properties in brackets) ==");
     print!("{plan}");
     println!();
     print_adt_ops(&ofw_bench::adt_ops());

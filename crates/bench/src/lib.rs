@@ -121,18 +121,18 @@ pub struct PlanRow {
 }
 
 /// Runs plan generation for a query with the DFSM framework,
-/// preparation time included (as the paper does). Returns the row and
-/// the run, whose arena holds the winning plan.
+/// preparation time included (as the paper does). Returns the row, the
+/// run, whose arena holds the winning plan, and the framework it ran on.
 fn run_ours(
     catalog: &Catalog,
     query: &Query,
     ex: &ExtractedQuery,
-) -> (PlanRow, PlanGenResult<ofw_core::State>) {
+) -> (PlanRow, PlanGenResult<ofw_core::State>, OrderingFramework) {
     let t0 = Instant::now();
     let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).expect("prepare");
     let result = PlanGen::new(catalog, query, ex, &fw).run();
     let row = finish_row(&fw, t0, &result, fw.stats().precomputed_bytes);
-    (row, result)
+    (row, result, fw)
 }
 
 /// Runs plan generation with the Simmen baseline.
@@ -168,15 +168,15 @@ fn per_plan(time: Duration, plans: usize) -> Duration {
 }
 
 /// E6: the §7 Q8 comparison (Simmen vs ours) and our winning plan,
-/// rendered.
+/// explained with the properties the DFSM reports it holding.
 pub fn q8_plangen() -> (PlanRow, PlanRow, String) {
     let (catalog, query) = q8_query();
     let ex = ofw_query::extract(&catalog, &query, &ExtractOptions::default());
     let simmen = run_simmen(&catalog, &query, &ex);
-    let (ours, result) = run_ours(&catalog, &query, &ex);
+    let (ours, result, fw) = run_ours(&catalog, &query, &ex);
     assert_costs_agree(&simmen, &ours);
-    let names = |q: usize| catalog.relation(query.relations[q]).name.clone();
-    (simmen, ours, result.arena.render(result.best, &names))
+    let plan = result.explain(&catalog, &query, &ex, &fw).text();
+    (simmen, ours, plan)
 }
 
 /// Verifies both arms picked equally cheap plans (§7: "both order
@@ -449,7 +449,17 @@ mod tests {
             simmen.plans
         );
         assert!(ours.plans > 100, "Q8 must be a non-trivial search");
-        assert!(!plan.is_empty());
+        // The root line lists the ORDER BY ordering among the
+        // properties the winner holds: `op  cost=… rows=…  [p, …]`.
+        let (catalog, query) = q8_query();
+        let order_by = catalog.render_ordering(&query.order_by);
+        let root = plan.lines().next().expect("an explained plan");
+        let held = root.split_once("  [").map_or("", |(_, h)| h);
+        assert!(
+            held.strip_suffix(']')
+                .is_some_and(|h| h.split(", ").any(|p| p == order_by)),
+            "{order_by} not held at the root: {root}"
+        );
     }
 
     #[test]
@@ -494,14 +504,11 @@ mod tests {
         assert!(
             found_hash_group && found_streaming,
             "expected hash-group + streaming aggregate:\n{}",
-            r.arena.render(r.best, &|i| catalog
-                .relation(query.relations[i])
-                .name
-                .clone())
+            r.arena.explain(r.best, &catalog, &query).text()
         );
         // Simmen finds the same optimum through the same DP.
         let s = run_simmen(&catalog, &query, &ex);
-        let (o, _) = run_ours(&catalog, &query, &ex);
+        let (o, ..) = run_ours(&catalog, &query, &ex);
         assert_costs_agree(&s, &o);
     }
 }

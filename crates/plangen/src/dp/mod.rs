@@ -957,7 +957,7 @@ mod tests {
         assert!(
             found_merge,
             "expected a merge join:\n{}",
-            r.arena.render(r.best, &|i| format!("r{i}"))
+            r.arena.explain(r.best, &c, &q).text()
         );
     }
 
@@ -1036,7 +1036,7 @@ mod tests {
         assert!(
             found_streaming,
             "expected a streaming aggregate:\n{}",
-            r.arena.render(r.best, &|i| format!("r{i}"))
+            r.arena.explain(r.best, &c, &q).text()
         );
         // Simmen agrees on the optimum.
         let s = run_simmen(&c, &q);
@@ -1102,7 +1102,7 @@ mod tests {
         assert!(
             found_hash_group && found_streaming,
             "expected hash-group + streaming aggregate:\n{}",
-            r.arena.render(r.best, &|i| format!("r{i}"))
+            r.arena.explain(r.best, &c, &q).text()
         );
         // All three oracles agree on the optimum.
         let s = run_simmen(&c, &q);
@@ -1136,7 +1136,7 @@ mod tests {
         let PlanOp::PartialSort { input, key, head } = &root.op else {
             panic!(
                 "expected a root partial sort:\n{}",
-                r.arena.render(r.best, &|i| format!("r{i}"))
+                r.arena.explain(r.best, &c, &q).text()
             );
         };
         assert_eq!(key, &vec![c.attr("f.g")]);
@@ -1147,7 +1147,7 @@ mod tests {
                 PlanOp::HashAgg { partial: false, .. }
             ),
             "the partial sort must sit directly on the hash aggregate:\n{}",
-            r.arena.render(r.best, &|i| format!("r{i}"))
+            r.arena.explain(r.best, &c, &q).text()
         );
         // The sort-only ceiling is strictly costlier, and never cheaper.
         let full = PlanGen::new(&c, &q, &ex, &fw).partial_sort(false).run();
@@ -1206,7 +1206,7 @@ mod tests {
         assert!(
             found_partial_sort,
             "expected a partial sort:\n{}",
-            r.arena.render(r.best, &|i| format!("r{i}"))
+            r.arena.explain(r.best, &c, &q).text()
         );
         let s = run_simmen(&c, &q);
         assert!((r.cost - s.cost).abs() < 1e-6, "{} vs {}", r.cost, s.cost);
@@ -1261,7 +1261,7 @@ mod tests {
         assert!(
             contains_op(&placed, &|op| matches!(op, PlanOp::GroupJoin { .. })),
             "expected a group-join:\n{}",
-            placed.arena.render(placed.best, &|i| format!("r{i}"))
+            placed.arena.explain(placed.best, &c, &q).text()
         );
         // Root-only aggregation is strictly costlier.
         let root_only = PlanGen::new(&c, &q, &ex, &fw)
@@ -1315,7 +1315,7 @@ mod tests {
                             | PlanOp::GroupJoin { .. }
                     )),
                     "seed {seed}: a winning placed plan must aggregate below the root:\n{}",
-                    placed.arena.render(placed.best, &|i| format!("r{i}"))
+                    placed.arena.explain(placed.best, &c, &q).text()
                 );
             }
             best_ratio = best_ratio.max(root_only.cost / placed.cost);

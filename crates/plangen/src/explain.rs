@@ -1,5 +1,5 @@
-//! EXPLAIN: a rendered view of the winning plan, annotated with what
-//! the order oracle *knows* at every node.
+//! EXPLAIN: the one view of a plan tree, annotated with what the order
+//! oracle *knows* at every node.
 //!
 //! The DP stores one opaque order state per plan node (4 bytes for the
 //! DFSM arm). [`PlanGenResult::explain`] re-probes that state against
@@ -9,14 +9,15 @@
 //! properties. That makes the framework's bookkeeping visible: you can
 //! watch an ordering appear at an index scan, survive a merge join,
 //! get widened by an FD inference, and satisfy the root `order by`
-//! without a sort.
+//! without a sort. [`PlanArena::explain`] builds the same tree from any
+//! arena node without an oracle: every node's property list is empty.
 //!
 //! Two renderings: [`Explain::text`] (indented tree, one node per
 //! line) and [`Explain::json`] (machine-readable, same shape). Both
 //! are pure views — building an `Explain` never mutates the plan table
 //! or the oracle.
 
-use crate::plan::{PlanId, PlanOp};
+use crate::plan::{PlanArena, PlanId, PlanOp};
 use crate::OrderOracle;
 use crate::PlanGenResult;
 use ofw_catalog::{AttrId, Catalog};
@@ -53,6 +54,13 @@ pub struct Explain {
 }
 
 impl Explain {
+    fn new(root: ExplainNode) -> Explain {
+        Explain {
+            cost: root.cost,
+            root,
+        }
+    }
+
     /// Plain-text rendering: one operator per line, two-space
     /// indentation, `[properties]` trailing each node that holds any.
     pub fn text(&self) -> String {
@@ -124,16 +132,76 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// One interesting property, pre-resolved to an oracle key with its
-/// rendering.
-struct ProbedProp<K> {
-    key: K,
-    rendered: String,
-}
-
 fn render_grouping(catalog: &Catalog, attrs: &[AttrId]) -> String {
     let names: Vec<&str> = attrs.iter().map(|&a| catalog.attr_name(a)).collect();
     format!("{{{}}}", names.join(", "))
+}
+
+/// The operator's label, its name and what it works on — e.g.
+/// `MergeJoin(persons.jobid = jobs.id)`: the one display table of
+/// [`PlanOp`].
+fn label(op: &PlanOp, catalog: &Catalog, query: &Query) -> String {
+    let rel = |qrel: usize| catalog.relation(query.relations[qrel]);
+    let detail = match op {
+        PlanOp::Scan { qrel } => format!("({})", rel(*qrel).name),
+        PlanOp::IndexScan { qrel, index } => {
+            let r = rel(*qrel);
+            let key = catalog.render_ordering(&r.indexes[*index].key);
+            format!("({} on {key})", r.name)
+        }
+        PlanOp::Sort { key, .. } => format!(" {}", catalog.render_ordering(key)),
+        PlanOp::PartialSort { key, head, .. } => format!(
+            " {} head={}",
+            catalog.render_ordering(key),
+            render_grouping(catalog, head)
+        ),
+        PlanOp::MergeJoin { edge, .. }
+        | PlanOp::HashJoin { edge, .. }
+        | PlanOp::GroupJoin { edge, .. } => {
+            let e = &query.joins[*edge];
+            let (l, r) = (catalog.attr_name(e.left), catalog.attr_name(e.right));
+            format!("({l} = {r})")
+        }
+        PlanOp::NestedLoopJoin { .. } => String::new(),
+        PlanOp::StreamAgg { key, partial, .. } | PlanOp::HashAgg { key, partial, .. } => {
+            let stage = if *partial { "[partial]" } else { "" };
+            format!("{stage} {}", render_grouping(catalog, key))
+        }
+        PlanOp::HashGroup { key, .. } => format!(" {}", render_grouping(catalog, key)),
+    };
+    format!("{}{detail}", op.name())
+}
+
+/// The one tree builder: the tree under `id`, each node's held
+/// properties listed by `held`.
+fn tree<S: Copy>(
+    arena: &PlanArena<S>,
+    id: PlanId,
+    catalog: &Catalog,
+    query: &Query,
+    held: &dyn Fn(S) -> Vec<String>,
+) -> ExplainNode {
+    let n = arena.node(id);
+    ExplainNode {
+        op: label(&n.op, catalog, query),
+        cost: n.cost,
+        card: n.card,
+        properties: held(n.state),
+        children: n
+            .op
+            .inputs()
+            .map(|c| tree(arena, c, catalog, query, held))
+            .collect(),
+    }
+}
+
+impl<S: Copy> PlanArena<S> {
+    /// Explains the tree rooted at `root` without an oracle: operators,
+    /// costs and cardinalities, no held properties — the view of any
+    /// arena node, winner or not.
+    pub fn explain(&self, root: PlanId, catalog: &Catalog, query: &Query) -> Explain {
+        Explain::new(tree(self, root, catalog, query, &|_| Vec::new()))
+    }
 }
 
 impl<S: Copy> PlanGenResult<S> {
@@ -150,22 +218,7 @@ impl<S: Copy> PlanGenResult<S> {
     where
         O: OrderOracle<State = S>,
     {
-        self.explain_node(self.best, catalog, query, ex, oracle)
-    }
-
-    /// [`Self::explain`] rooted at an arbitrary arena node.
-    pub fn explain_node<O>(
-        &self,
-        root: PlanId,
-        catalog: &Catalog,
-        query: &Query,
-        ex: &ExtractedQuery,
-        oracle: &O,
-    ) -> Explain
-    where
-        O: OrderOracle<State = S>,
-    {
-        let probes: Vec<ProbedProp<O::Key>> = ex
+        let probes: Vec<(O::Key, String)> = ex
             .spec
             .interesting()
             .filter_map(|p| {
@@ -179,86 +232,16 @@ impl<S: Copy> PlanGenResult<S> {
                         catalog.render_ordering(h.tail_attrs())
                     ),
                 };
-                Some(ProbedProp { key, rendered })
+                Some((key, rendered))
             })
             .collect();
-        let node = self.build_node(root, catalog, query, oracle, &probes);
-        Explain {
-            cost: node.cost,
-            root: node,
-        }
-    }
-
-    fn build_node<O>(
-        &self,
-        id: PlanId,
-        catalog: &Catalog,
-        query: &Query,
-        oracle: &O,
-        probes: &[ProbedProp<O::Key>],
-    ) -> ExplainNode
-    where
-        O: OrderOracle<State = S>,
-    {
-        let n = self.arena.node(id);
-        let rel = |qrel: usize| catalog.relation(query.relations[qrel]).name.as_str();
-        let edge_pred = |edge: usize| {
-            let e = &query.joins[edge];
-            format!(
-                "{} = {}",
-                catalog.attr_name(e.left),
-                catalog.attr_name(e.right)
-            )
+        let held = |state| {
+            probes
+                .iter()
+                .filter(|p| oracle.satisfies(state, p.0))
+                .map(|p| p.1.clone())
+                .collect()
         };
-        let op = match &n.op {
-            PlanOp::Scan { qrel } => format!("Scan({})", rel(*qrel)),
-            PlanOp::IndexScan { qrel, index } => {
-                let key = &catalog.relation(query.relations[*qrel]).indexes[*index].key;
-                format!(
-                    "IndexScan({} on {})",
-                    rel(*qrel),
-                    catalog.render_ordering(key)
-                )
-            }
-            PlanOp::Sort { key, .. } => format!("Sort {}", catalog.render_ordering(key)),
-            PlanOp::PartialSort { key, head, .. } => format!(
-                "PartialSort {} head={}",
-                catalog.render_ordering(key),
-                render_grouping(catalog, head)
-            ),
-            PlanOp::MergeJoin { edge, .. } => format!("MergeJoin({})", edge_pred(*edge)),
-            PlanOp::HashJoin { edge, .. } => format!("HashJoin({})", edge_pred(*edge)),
-            PlanOp::NestedLoopJoin { .. } => "NestedLoopJoin".to_string(),
-            PlanOp::StreamAgg { key, partial, .. } => format!(
-                "StreamAgg{} {}",
-                if *partial { "[partial]" } else { "" },
-                render_grouping(catalog, key)
-            ),
-            PlanOp::HashAgg { key, partial, .. } => format!(
-                "HashAgg{} {}",
-                if *partial { "[partial]" } else { "" },
-                render_grouping(catalog, key)
-            ),
-            PlanOp::GroupJoin { edge, .. } => format!("GroupJoin({})", edge_pred(*edge)),
-            PlanOp::HashGroup { key, .. } => {
-                format!("HashGroup {}", render_grouping(catalog, key))
-            }
-        };
-        let properties = probes
-            .iter()
-            .filter(|p| oracle.satisfies(n.state, p.key))
-            .map(|p| p.rendered.clone())
-            .collect();
-        let children =
-            n.op.inputs()
-                .map(|c| self.build_node(c, catalog, query, oracle, probes))
-                .collect();
-        ExplainNode {
-            op,
-            cost: n.cost,
-            card: n.card,
-            properties,
-            children,
-        }
+        Explain::new(tree(&self.arena, self.best, catalog, query, &held))
     }
 }

@@ -115,7 +115,7 @@ fn partial_sort_is_sound_deterministic_and_used() {
                 seed,
             });
             let winner = check_query(&catalog, &query, Ceiling::SortOnly);
-            let plan = winner.arena.render(winner.best, &|qrel| qrel.to_string());
+            let plan = winner.arena.explain(winner.best, &catalog, &query).text();
             winners_with_partial_sort += usize::from(plan.contains("PartialSort"));
         }
     }

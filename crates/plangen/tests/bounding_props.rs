@@ -1,8 +1,9 @@
 //! Cost-bounded pruning must be invisible in the answer: for every
 //! workload shape and oracle arm, the bounded search picks a
-//! winner with the **same rendered plan tree and bit-identical cost**
-//! as the unbounded search. Only the amount of work (plans
-//! materialized, oracle probes, candidates bound-pruned) may differ.
+//! winner with the **same explained plan tree (operators, rows and
+//! held properties) and bit-identical cost** as the unbounded search.
+//! Only the amount of work (plans materialized, oracle probes,
+//! candidates bound-pruned) may differ.
 //!
 //! This is the black-box pin behind the mode-stability argument in
 //! `dp/mod.rs`: the Pareto table under bounding is exactly the
@@ -17,28 +18,32 @@
 #![forbid(unsafe_code)]
 
 use proptest::prelude::*;
-use std::fmt::Debug;
 
 use ofw_catalog::Catalog;
 use ofw_core::{OrderingFramework, PruneConfig};
 use ofw_plangen::{ExplicitOracle, OrderOracle, PlanGen, PlanGenResult};
 use ofw_query::extract::ExtractOptions;
-use ofw_query::Query;
+use ofw_query::{ExtractedQuery, Query};
 use ofw_workload::{
     grouping_query, large_query, random_query, GroupingQueryConfig, LargeQueryConfig,
     RandomQueryConfig, Topology,
 };
 
-/// The observable answer: the winner's rendered operator tree plus the
-/// exact cost bits. Deliberately *not* the full arena — bounding exists
-/// to materialize fewer plans, so plan tables legitimately differ.
-fn winner<S: Copy + Debug>(catalog: &Catalog, query: &Query, r: &PlanGenResult<S>) -> String {
+/// The observable answer: the winner's explained tree — operators,
+/// rounded costs and rows, and every node's held properties as the
+/// arm's own oracle reports them — plus the exact cost bits.
+/// Deliberately *not* the full arena — bounding exists to materialize
+/// fewer plans, so plan tables legitimately differ.
+fn winner<O: OrderOracle>(
+    catalog: &Catalog,
+    query: &Query,
+    ex: &ExtractedQuery,
+    oracle: &O,
+    r: &PlanGenResult<O::State>,
+) -> String {
     format!(
         "{}\ncost={:016x}",
-        r.arena.render(r.best, &|i| catalog
-            .relation(query.relations[i])
-            .name
-            .clone()),
+        r.explain(catalog, query, ex, oracle).text(),
         r.cost.to_bits()
     )
 }
@@ -55,12 +60,12 @@ fn assert_arm_bounding_invisible<O: OrderOracle>(
     let unbounded = PlanGen::new(catalog, query, &ex, oracle)
         .cost_bounding(false)
         .run();
-    let reference = winner(catalog, query, &unbounded);
+    let reference = winner(catalog, query, &ex, oracle, &unbounded);
     assert_eq!(unbounded.stats.decisions.pruning.bound_pruned, 0, "{label}");
 
     let bounded = PlanGen::new(catalog, query, &ex, oracle).run();
     assert_eq!(
-        winner(catalog, query, &bounded),
+        winner(catalog, query, &ex, oracle, &bounded),
         reference,
         "{label}: bounding changed the winner"
     );
@@ -145,8 +150,8 @@ fn chain_20_bound_fires_and_winner_is_identical() {
 
     assert_eq!(unbounded.cost.to_bits(), bounded.cost.to_bits());
     assert_eq!(
-        winner(&catalog, &query, &bounded),
-        winner(&catalog, &query, &unbounded)
+        winner(&catalog, &query, &ex, &fw, &bounded),
+        winner(&catalog, &query, &ex, &fw, &unbounded)
     );
     assert!(
         bounded.stats.decisions.pruning.bound_pruned > 1000,

@@ -29,7 +29,6 @@ fn side_by_side(title: &str, catalog: &ofw::catalog::Catalog, query: &ofw::query
     let root_only = PlanGen::new(catalog, query, &ex, &fw)
         .aggregation_placement(false)
         .run();
-    let name = |i: usize| catalog.relation(query.relations[i]).name.clone();
 
     println!("== {title} ==");
     println!();
@@ -37,13 +36,13 @@ fn side_by_side(title: &str, catalog: &ofw::catalog::Catalog, query: &ofw::query
         "root-only aggregation (cost {:.0}, {} subplans):",
         root_only.cost, root_only.stats.plans
     );
-    print!("{}", root_only.arena.render(root_only.best, &name));
+    print!("{}", root_only.explain(catalog, query, &ex, &fw).text());
     println!();
     println!(
         "with aggregation placement (cost {:.0}, {} subplans):",
         placed.cost, placed.stats.plans
     );
-    print!("{}", placed.arena.render(placed.best, &name));
+    print!("{}", placed.explain(catalog, query, &ex, &fw).text());
     println!();
     println!("placement wins by {:.2}x", root_only.cost / placed.cost);
     println!();

@@ -25,7 +25,6 @@ fn main() {
     let (catalog, query) = partialsort_showcase_query();
     let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::default());
     let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
-    let name = |i: usize| catalog.relation(query.relations[i]).name.clone();
 
     let partial = PlanGen::new(&catalog, &query, &ex, &fw).run();
     let sort_only = PlanGen::new(&catalog, &query, &ex, &fw)
@@ -38,13 +37,13 @@ fn main() {
         "sort-only enforcement (cost {:.0}, {} subplans):",
         sort_only.cost, sort_only.stats.plans
     );
-    print!("{}", sort_only.arena.render(sort_only.best, &name));
+    print!("{}", sort_only.explain(&catalog, &query, &ex, &fw).text());
     println!();
     println!(
         "with the partial-sort enforcer (cost {:.0}, {} subplans):",
         partial.cost, partial.stats.plans
     );
-    print!("{}", partial.arena.render(partial.best, &name));
+    print!("{}", partial.explain(&catalog, &query, &ex, &fw).text());
     println!();
     println!(
         "the partial sort wins by {:.2}x",

@@ -52,7 +52,7 @@ fn run_arm<S: Copy>(
         result_signature(query, &out),
         want,
         "{ctx} [{arm}]: DP plan result diverges from the reference plan\nplan:\n{}",
-        arena.render(best, &|q| catalog.relation(query.relations[q]).name.clone()),
+        arena.explain(best, catalog, query).text(),
     );
     (out, stats)
 }
@@ -130,7 +130,7 @@ fn assert_tree_properties(
             assert!(
                 holds,
                 "{ctx} {id:?}: claimed {p:?} violated\n{}",
-                arena.render(id, &|q| catalog.relation(query.relations[q]).name.clone()),
+                arena.explain(id, catalog, query).text(),
             );
         }
     }

@@ -49,10 +49,7 @@ fn claimed_orderings_hold_physically_on_random_queries() {
                             "n={n} extra={extra} seed={seed}: framework claims {:?} \
                              but the physical stream violates it\nplan:\n{}",
                             ordering,
-                            result.arena.render(result.best, &|q| catalog
-                                .relation(query.relations[q])
-                                .name
-                                .clone()),
+                            result.arena.explain(result.best, &catalog, &query).text(),
                         );
                     }
                 }
@@ -141,9 +138,7 @@ fn claimed_groupings_hold_physically() {
                     assert!(
                         holds,
                         "n={n} seed={seed} plan {pid:?}: {p:?} violated\n{}",
-                        result
-                            .arena
-                            .render(pid, &|q| catalog.relation(query.relations[q]).name.clone()),
+                        result.arena.explain(pid, &catalog, &query).text(),
                     );
                 }
             }
@@ -232,9 +227,7 @@ fn vectorized_executor_matches_the_legacy_oracle_on_every_plan() {
                     vec_table.rows,
                     legacy.rows,
                     "{at} plan {pid:?}: vectorized row stream diverges from the legacy oracle\n{}",
-                    result
-                        .arena
-                        .render(pid, &|q| catalog.relation(query.relations[q]).name.clone()),
+                    result.arena.explain(pid, &catalog, &query).text(),
                 );
                 checked += 1;
             }
