@@ -21,11 +21,12 @@
 //! accumulator at all — its value *is* the weight).
 //!
 //! Attribute columns always survive an aggregate as first-row-per-group
-//! representatives, mirroring the legacy tuple executor byte for byte;
+//! representatives, mirroring the tuple-at-a-time reference executor
+//! ([`execute_reference`](crate::execute_reference)) byte for byte;
 //! weight and accumulator columns are appended after them.
 
-use crate::hash::{resumed_run, run_starts, Col};
 use ofw_catalog::AttrId;
+use ofw_common::FxHashSet;
 
 /// A column reference: what a [`ColTable`] column holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -93,23 +94,6 @@ impl ColTable {
         self.col(ColRef::Weight).map_or(1, |w| w[r])
     }
 
-    /// Projects the attribute columns into the legacy row-major
-    /// [`Table`](ofw_plangen::Table) — the shape the tuple-at-a-time
-    /// oracle produces, for byte-for-byte comparison.
-    pub fn attr_table(&self) -> ofw_plangen::Table {
-        let keep: Vec<usize> = self
-            .schema
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| matches!(c, ColRef::Attr(_)).then_some(i))
-            .collect();
-        let attrs = self.attr_ids();
-        let rows = (0..self.rows)
-            .map(|r| keep.iter().map(|&c| self.cols[c][r]).collect())
-            .collect();
-        ofw_plangen::Table { attrs, rows }
-    }
-
     fn attr_cols(&self, attrs: &[AttrId]) -> Vec<&[i64]> {
         attrs
             .iter()
@@ -137,13 +121,16 @@ impl ColTable {
 
     /// Does the physical row sequence satisfy the logical *grouping*
     /// over `attrs` — all rows equal on `attrs` consecutive? The
-    /// VLDB'04 grouping-satisfaction condition, checked by the streaming
-    /// aggregates' run finder: neighbours compared to cut equal-key runs,
-    /// then the key of every run start hashed — a key seen twice resumed
-    /// a group.
+    /// VLDB'04 grouping-satisfaction condition, evaluated directly: a
+    /// row that differs from its predecessor starts a run, and a run
+    /// whose key an earlier run had resumes a group.
     pub fn satisfies_grouping(&self, attrs: &[AttrId]) -> bool {
-        let cols: Vec<Col> = self.attr_cols(attrs).into_iter().map(Col::from).collect();
-        resumed_run(&[run_starts(&cols, 0..self.rows)]).is_none()
+        let cols = self.attr_cols(attrs);
+        let mut seen = FxHashSet::default();
+        (0..self.rows).all(|r| {
+            let continues = r > 0 && cols.iter().all(|c| c[r - 1] == c[r]);
+            continues || seen.insert(cols.iter().map(|c| c[r]).collect::<Vec<i64>>())
+        })
     }
 
     /// Does the row sequence satisfy the *head/tail pair* — equal-`head`
@@ -169,21 +156,6 @@ impl ColTable {
     }
 }
 
-/// Converts legacy row-major [`Table`](ofw_plangen::Table)s (as produced
-/// by [`synthetic_data`](ofw_plangen::synthetic_data)) into the
-/// column-major base data the engine scans, one `Vec` of columns per
-/// query relation in the relation's catalog attribute order.
-pub fn columns_from_tables(tables: &[ofw_plangen::Table]) -> Vec<Vec<Vec<i64>>> {
-    tables
-        .iter()
-        .map(|t| {
-            (0..t.attrs.len())
-                .map(|c| t.rows.iter().map(|r| r[c]).collect())
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,21 +175,36 @@ mod tests {
 
     #[test]
     fn property_checks_match_the_legacy_semantics() {
+        // Orderings are lexicographic; the empty ordering always holds.
         let t = table(&[[1, 5], [1, 7], [2, 0]]);
         assert!(t.satisfies_ordering(&[A]));
         assert!(t.satisfies_ordering(&[A, B]));
         assert!(!t.satisfies_ordering(&[B]));
         assert!(t.satisfies_ordering(&[]));
+        // Ties do not break an ordering.
+        let ties = table(&[[1, 1], [1, 1], [1, 2]]);
+        assert!(ties.satisfies_ordering(&[A, B]));
+        assert!(ties.satisfies_ordering(&[B, A]));
 
+        // Groupings ask for adjacency, not order; a group that resumes
+        // after another breaks it; the empty key groups any stream.
         let grouped = table(&[[2, 0], [2, 1], [1, 0], [3, 0]]);
         assert!(grouped.satisfies_grouping(&[A]));
         assert!(!grouped.satisfies_ordering(&[A]), "grouped ≠ sorted");
+        assert!(grouped.satisfies_grouping(&[]));
         let broken = table(&[[2, 0], [1, 0], [2, 1]]);
         assert!(!broken.satisfies_grouping(&[A]));
+        assert!(broken.satisfies_grouping(&[]));
+        assert!(!table(&[[2, 0], [2, 1], [1, 0], [2, 0]]).satisfies_grouping(&[A, B]));
+        assert!(table(&[[2, 0], [2, 1], [1, 0], [2, 2]]).satisfies_grouping(&[A, B]));
+        assert!(table(&[]).satisfies_grouping(&[A]));
 
+        // Head/tail pairs: grouped on the head, ordered by the tail
+        // within each group, in any order across groups.
         let ht = table(&[[2, 0], [2, 1], [1, 3], [1, 9]]);
         assert!(ht.satisfies_head_tail(&[A], &[B]));
         assert!(!table(&[[2, 1], [2, 0]]).satisfies_head_tail(&[A], &[B]));
+        assert!(!broken.satisfies_head_tail(&[A], &[]));
     }
 
     #[test]
@@ -229,25 +216,5 @@ mod tests {
         assert_eq!(t.weight(1), 4);
         assert_eq!(t.col(ColRef::Weight), Some(&[3i64, 4][..]));
         assert_eq!(t.col(ColRef::Acc(0)), None);
-    }
-
-    #[test]
-    fn attr_projection_drops_accumulators() {
-        let mut t = table(&[[3, 9], [1, 5]]);
-        t.schema.push(ColRef::Acc(1));
-        t.cols.push(vec![30, 10]);
-        let legacy = t.attr_table();
-        assert_eq!(legacy.attrs, vec![A, B]);
-        assert_eq!(legacy.rows, vec![vec![3, 9], vec![1, 5]]);
-    }
-
-    #[test]
-    fn columns_from_tables_transposes() {
-        let t = ofw_plangen::Table {
-            attrs: vec![A, B],
-            rows: vec![vec![1, 2], vec![3, 4]],
-        };
-        let cols = columns_from_tables(&[t]);
-        assert_eq!(cols, vec![vec![vec![1, 3], vec![2, 4]]]);
     }
 }

@@ -42,8 +42,9 @@
 //! over the runs for the streaming aggregates, scattered by every row's
 //! local group id for the hash aggregate.
 //!
-//! Operator semantics replicate the legacy tuple-at-a-time oracle
-//! (`ofw_plangen::exec`) exactly on the attribute columns — including
+//! Operator semantics replicate the tuple-at-a-time reference executor
+//! ([`execute_reference`](crate::execute_reference)) exactly on the
+//! attribute columns — including
 //! the hash aggregate's deliberate deterministic group-order scramble —
 //! and extend it with real aggregate *values*: weight and accumulator
 //! columns (see [`crate::batch`]) implement Yan/Larson eager aggregation
@@ -58,10 +59,9 @@ use crate::hash::{
 use ofw_catalog::{AttrId, Catalog};
 use ofw_common::{morsel_ranges, OrderedExecutor, SerialExecutor};
 use ofw_obs::Trace;
-use ofw_plangen::exec::CONST_VALUE;
 use ofw_plangen::plan::PlanArena;
 use ofw_plangen::{PlanId, PlanOp};
-use ofw_query::{AggCall, AggFunc, JoinGraph, Query};
+use ofw_query::{AggCall, AggFunc, JoinGraph, Query, CONST_VALUE, FILTER_BOUND};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -155,6 +155,47 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// Query relation `qrel`'s base columns in `data` and their catalog
+/// attributes, checked against the catalog: base data is outside input,
+/// so a missing relation, a column count the catalog does not declare or
+/// ragged columns are an error located at scan `plan` (operator `op`)
+/// and naming the relation, not a panic. Both executors read their base
+/// data through this check.
+pub(crate) fn base_columns<'a>(
+    catalog: &'a Catalog,
+    query: &Query,
+    data: &'a [Vec<Vec<i64>>],
+    plan: PlanId,
+    op: &'static str,
+    qrel: usize,
+) -> Result<(&'a [Vec<i64>], &'a [AttrId]), ExecError> {
+    let rel = catalog.relation(query.relations[qrel]);
+    let fail = |detail: String| ExecError {
+        plan,
+        op,
+        attr: None,
+        detail,
+    };
+    let cols = data
+        .get(qrel)
+        .ok_or_else(|| fail(format!("no base data for {}", rel.name)))?;
+    if cols.len() != rel.attrs.len() {
+        return Err(fail(format!(
+            "base data for relation {} has {} columns, catalog declares {}",
+            rel.name,
+            cols.len(),
+            rel.attrs.len()
+        )));
+    }
+    if cols.iter().any(|c| c.len() != cols[0].len()) {
+        return Err(fail(format!(
+            "base data for relation {} has ragged columns",
+            rel.name
+        )));
+    }
+    Ok((cols, &rel.attrs))
+}
+
 /// Executes the plan rooted at `plan` over per-relation base columns
 /// (`data[qrel][attr][row]`, attributes in catalog declaration order),
 /// morsel-parallel on `pool`. Returns the output batch and the
@@ -211,11 +252,11 @@ pub fn execute_serial<S: Copy>(
     )
 }
 
-/// The legacy hash-aggregate / hash-group scramble: reverse the list,
-/// then interleave even and odd positions. Deterministic, order-
-/// destroying — so no ordering claim can survive a hash operator by
-/// luck — and replicated here exactly so vectorized output stays
-/// byte-identical with the tuple-at-a-time oracle.
+/// The hash-aggregate / hash-group scramble: reverse the list, then
+/// interleave even and odd positions. Deterministic, order-destroying —
+/// so no ordering claim can survive a hash operator by luck — and the
+/// reference executor's exactly, so vectorized output stays
+/// byte-identical with it.
 fn scramble_order(n: usize) -> Vec<usize> {
     let rev: Vec<usize> = (0..n).rev().collect();
     let mut out = Vec::with_capacity(n);
@@ -1040,42 +1081,16 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         }
     }
 
-    /// Relation `qrel`'s base rows, all of them, checked against the
-    /// catalog: base data is outside input, so a wrong shape is a
-    /// located error, not a panic.
+    /// Relation `qrel`'s base rows, all of them, as [`base_columns`]
+    /// checks them.
     fn base(&self, plan: PlanId, op: &'static str, qrel: usize) -> Result<Inter<'a>, ExecError> {
-        let rel = self.catalog.relation(self.query.relations[qrel]);
-        let base = self
-            .data
-            .get(qrel)
-            .ok_or_else(|| self.err(plan, op, None, format!("no base data for {}", rel.name)))?;
-        if base.len() != rel.attrs.len() {
-            return Err(self.err(
-                plan,
-                op,
-                None,
-                format!(
-                    "base data for relation {} has {} columns, catalog declares {}",
-                    rel.name,
-                    base.len(),
-                    rel.attrs.len()
-                ),
-            ));
-        }
-        if base.iter().any(|c| c.len() != base[0].len()) {
-            return Err(self.err(
-                plan,
-                op,
-                None,
-                format!("base data for relation {} has ragged columns", rel.name),
-            ));
-        }
-        Ok(Inter::relation(base, &rel.attrs, None))
+        let (cols, attrs) = base_columns(self.catalog, self.query, self.data, plan, op, qrel)?;
+        Ok(Inter::relation(cols, attrs, None))
     }
 
     /// Relation `qrel`'s selections over its base rows `t` as
     /// `(column, is_constant)`: constants keep `== CONST_VALUE`, filters
-    /// keep `<= 1` — the legacy oracle's predicate stand-ins.
+    /// keep `<= FILTER_BOUND` — the query model's predicate stand-ins.
     fn predicates<'t>(
         &self,
         plan: PlanId,
@@ -1103,7 +1118,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                         if is_const {
                             v == CONST_VALUE
                         } else {
-                            v <= 1
+                            v <= FILTER_BOUND
                         }
                     })
                 })
@@ -1238,7 +1253,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 .collect()
         };
 
-        // Emit (left, right) row pairs in the legacy order: left rows
+        // Emit (left, right) row pairs in the reference order: left rows
         // outer, matching right rows in right-table order.
         let (pair_chunks, batches) = match kind {
             JoinKind::Hash => {
@@ -1336,7 +1351,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             }
         };
         // The output, left pending: the parts concatenate (left then
-        // right, like the legacy row concat) where it is read.
+        // right, like the reference executor's columns) where it is read.
         let rows = pair_chunks.iter().map(Vec::len).sum::<usize>();
         self.stats.record(op, batches, rows as u64);
         Ok(Out::Joined {
@@ -1416,9 +1431,9 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// group first ([`local_groups`]); then the weight and each value
     /// column fold with one scatter loop per function, from the
     /// function's identity. The local tables merge serially in morsel
-    /// order, which reproduces the legacy executor's single-pass
+    /// order, which reproduces the reference executor's single-pass
     /// first-seen group order exactly, their accumulators scattered the
-    /// same way; the legacy scramble is then applied to the group order.
+    /// same way; the scramble is then applied to the group order.
     fn hash_aggregate(
         &mut self,
         plan: PlanId,
@@ -1559,7 +1574,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
 
     /// The hash-grouping enforcer: rows equal on `key` become adjacent.
     /// Blocks keep row order, block order is deterministically scrambled
-    /// — byte-identical with the legacy operator.
+    /// — byte-identical with the reference executor's.
     fn hash_group(
         &mut self,
         plan: PlanId,
@@ -1615,10 +1630,18 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute_reference;
     use ofw_plangen::plan::AggMark;
     use ofw_plangen::PlanNode;
     use ofw_query::{AggCall, ConstPred, FilterPred};
     use proptest::prelude::*;
+
+    /// `t`'s attribute columns: its leading ones, ahead of any weight or
+    /// accumulator column — what the reference executor returns.
+    fn attrs(t: &ColTable) -> ColTable {
+        let n = t.attr_ids().len();
+        ColTable::new(t.schema[..n].to_vec(), t.cols[..n].to_vec())
+    }
 
     #[test]
     fn scramble_matches_the_legacy_reverse_interleave() {
@@ -1895,37 +1918,46 @@ mod tests {
 
     #[test]
     fn malformed_base_data_is_a_located_error_on_both_scans() {
+        // A missing relation, a column count the catalog does not
+        // declare and ragged columns: each an error from both executors,
+        // naming the scan (also below a sort), its operator and the
+        // relation.
         let mut catalog = Catalog::new();
-        let rel = catalog.add_relation("r", 3.0, &["a", "b"]);
-        catalog.add_index(rel, vec![catalog.attr("r.a")], false);
+        let rel = catalog.add_relation("orders", 3.0, &["a", "b"]);
+        catalog.add_index(rel, vec![catalog.attr("orders.a")], false);
         let mut query = Query::new();
         query.add_relation(&catalog, rel);
         let mut arena: PlanArena<()> = PlanArena::new();
-        let scans = [
-            (
-                arena.push(node(&query, &[0], PlanOp::Scan { qrel: 0 })),
-                "Scan",
-            ),
-            (
-                arena.push(node(&query, &[0], PlanOp::IndexScan { qrel: 0, index: 0 })),
-                "IndexScan",
-            ),
-        ];
+        let scan = arena.push(node(&query, &[0], PlanOp::Scan { qrel: 0 }));
+        let index_scan = arena.push(node(&query, &[0], PlanOp::IndexScan { qrel: 0, index: 0 }));
+        let key = vec![catalog.attr("orders.b")];
+        let sort = arena.push(node(&query, &[0], PlanOp::Sort { input: scan, key }));
         let good = vec![vec![vec![3, 1, 2], vec![7, 8, 9]]];
         let one_column = vec![vec![vec![3, 1, 2]]];
         let ragged = vec![vec![vec![3, 1, 2], vec![7, 8]]];
-        for (plan, op) in scans {
+        for (plan, at, op) in [
+            (scan, scan, "Scan"),
+            (index_scan, index_scan, "IndexScan"),
+            (sort, scan, "Scan"),
+        ] {
             let (out, _) = execute_serial(&arena, plan, &catalog, &query, &good).unwrap();
             assert_eq!(out.num_rows(), 3);
+            assert_eq!(
+                execute_reference(&arena, plan, &catalog, &query, &good),
+                Ok(out)
+            );
             for bad in [&one_column, &ragged, &Vec::new()] {
                 let err = execute_serial(&arena, plan, &catalog, &query, bad).unwrap_err();
-                assert_eq!((err.plan, err.op), (plan, op), "{err}");
+                assert_eq!((err.plan, err.op), (at, op), "{err}");
+                assert!(err.detail.contains("orders"), "{err}");
+                let reference = execute_reference(&arena, plan, &catalog, &query, bad);
+                assert_eq!(reference, Err(err));
             }
         }
     }
 
     /// `r(a, b, c)` with an index on `(a, b)`, `b = CONST_VALUE` when
-    /// `constant`, `c <= 1` when `filter`.
+    /// `constant`, `c <= FILTER_BOUND` when `filter`.
     fn index_fixture(constant: bool, filter: bool) -> (Catalog, Query, PlanArena<()>, PlanId) {
         let mut catalog = Catalog::new();
         let rel = catalog.add_relation("r", 3.0, &["a", "b", "c"]);
@@ -1952,25 +1984,6 @@ mod tests {
         let mut arena: PlanArena<()> = PlanArena::new();
         let scan = arena.push(node(&query, &[0], PlanOp::IndexScan { qrel: 0, index: 0 }));
         (catalog, query, arena, scan)
-    }
-
-    /// The index scan as the legacy tuple engine defines it: stable sort
-    /// of the whole relation by the index key, *then* the selections.
-    fn sort_then_filter(
-        catalog: &Catalog,
-        query: &Query,
-        arena: &PlanArena<()>,
-        scan: PlanId,
-        data: &[Vec<Vec<i64>>],
-    ) -> ofw_plangen::Table {
-        let cols = &data[0];
-        let table = ofw_plangen::Table {
-            attrs: catalog.relation(query.relations[0]).attrs.clone(),
-            rows: (0..cols[0].len())
-                .map(|r| cols.iter().map(|c| c[r]).collect())
-                .collect(),
-        };
-        ofw_plangen::exec::try_execute(arena, scan, catalog, query, &[table]).unwrap()
     }
 
     #[test]
@@ -2004,7 +2017,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(150))]
 
         /// Filter-then-stable-sort ≡ stable-sort-then-filter: the index
-        /// scan equals the legacy engine's sort-first scan on duplicate
+        /// scan equals the reference executor's sort-first scan on duplicate
         /// and extreme keys, under neither, either or both predicate
         /// kinds, at any morsel size.
         #[test]
@@ -2023,8 +2036,7 @@ mod tests {
                 &arena, scan, &catalog, &query, &data,
                 &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
             ).unwrap();
-            let (got, expect) = (out.attr_table(), sort_then_filter(&catalog, &query, &arena, scan, &data));
-            prop_assert_eq!((got.attrs, got.rows), (expect.attrs, expect.rows));
+            prop_assert_eq!(attrs(&out), execute_reference(&arena, scan, &catalog, &query, &data).unwrap());
         }
     }
 
@@ -2089,9 +2101,8 @@ mod tests {
             }
         }
         assert_eq!(serial(partial).0, serial(sort_grouped).0);
-        let got = serial(index_scan).0.attr_table();
-        let expect = sort_then_filter(&catalog, &query, &arena, index_scan, &data);
-        assert_eq!(got.rows, expect.rows);
+        let expect = execute_reference(&arena, index_scan, &catalog, &query, &data).unwrap();
+        assert_eq!(attrs(&serial(index_scan).0), expect);
     }
 
     /// For each attribute column of `plan`'s output, the column its root
@@ -2142,16 +2153,6 @@ mod tests {
             vec![vec![1, 2, 2], vec![7, 8, 9]],
             vec![vec![2, 1, 2]],
         ];
-        let tables: Vec<ofw_plangen::Table> = data
-            .iter()
-            .zip(&query.relations)
-            .map(|(cols, &rel)| ofw_plangen::Table {
-                attrs: catalog.relation(rel).attrs.clone(),
-                rows: (0..3)
-                    .map(|r| cols.iter().map(|c| c[r]).collect())
-                    .collect(),
-            })
-            .collect();
         let mut arena: PlanArena<()> = PlanArena::new();
         let scans: Vec<PlanId> = (0..3)
             .map(|q| arena.push(node(&query, &[q], PlanOp::Scan { qrel: q })))
@@ -2187,14 +2188,8 @@ mod tests {
             let out = execute_serial(&arena, plan, &catalog, &query, &data)
                 .unwrap()
                 .0;
-            let legacy =
-                ofw_plangen::exec::try_execute(&arena, plan, &catalog, &query, &tables).unwrap();
-            let got = out.attr_table();
-            assert_eq!(
-                (got.attrs, got.rows),
-                (legacy.attrs, legacy.rows),
-                "{plan:?}"
-            );
+            let reference = execute_reference(&arena, plan, &catalog, &query, &data).unwrap();
+            assert_eq!(attrs(&out), reference, "{plan:?}");
         }
         let out = execute_serial(&arena, cross, &catalog, &query, &data)
             .unwrap()
@@ -2310,15 +2305,15 @@ mod tests {
                 &arena, nl, &catalog, &query, &data,
                 &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
             ).unwrap();
-            let mut expect = Vec::new();
+            let mut expect = vec![Vec::new(); 6];
             for l in &left {
                 for r in &right {
                     if (0..edges).all(|e| l[e] == r[e]) {
-                        expect.push([&l[..], &r[..]].concat());
+                        expect.iter_mut().zip(l.iter().chain(r)).for_each(|(c, &v)| c.push(v));
                     }
                 }
             }
-            prop_assert_eq!(out.attr_table().rows, expect);
+            prop_assert_eq!(out.cols, expect);
         }
 
         /// The same scan with its left keys read through row ids: the
@@ -2357,15 +2352,15 @@ mod tests {
                 &arena, nl, &catalog, &query, &data,
                 &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
             ).unwrap();
-            let mut expect = Vec::new();
+            let mut expect = vec![Vec::new(); 6];
             for l in left.iter().filter(|l| l[2] <= 1) {
                 for r in &right {
                     if (0..edges).all(|e| l[e] == r[e]) {
-                        expect.push([&l[..], &r[..]].concat());
+                        expect.iter_mut().zip(l.iter().chain(r)).for_each(|(c, &v)| c.push(v));
                     }
                 }
             }
-            prop_assert_eq!(out.attr_table().rows, expect);
+            prop_assert_eq!(out.cols, expect);
         }
     }
 
@@ -2769,8 +2764,8 @@ mod tests {
         /// 2–4 relations over the three join kinds, with filtered scans,
         /// index scans, sorts, hash groupings and partial aggregates on
         /// either side of a join. Every join node, executed as the root at
-        /// morsel sizes 1–7: its attribute columns equal the legacy tuple
-        /// engine's; its Σ weight equals the row count, and each `sum`
+        /// morsel sizes 1–7: its attribute columns equal the reference
+        /// executor's; its Σ weight equals the row count, and each `sum`
         /// accumulator's total the raw column total, of the same tree run
         /// without its partial aggregates.
         #[test]
@@ -2786,12 +2781,6 @@ mod tests {
             let (catalog, query) = chain_fixture(n, double, preds);
             let data: Vec<Vec<Vec<i64>>> = (0..n)
                 .map(|i| (0..3).map(|c| vals[(i * 3 + c) * 8..][..rows[i]].to_vec()).collect())
-                .collect();
-            let tables: Vec<ofw_plangen::Table> = (0..n)
-                .map(|i| ofw_plangen::Table {
-                    attrs: catalog.relation(query.relations[i]).attrs.clone(),
-                    rows: (0..rows[i]).map(|r| data[i].iter().map(|c| c[r]).collect()).collect(),
-                })
                 .collect();
             let mut gen = TreeGen {
                 catalog: &catalog,
@@ -2810,11 +2799,10 @@ mod tests {
                     arena, plan, &catalog, &query, &data,
                     &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
                 ).unwrap().0;
-                let legacy = ofw_plangen::exec::try_execute(full, root, &catalog, &query, &tables).unwrap();
+                let reference = execute_reference(full, root, &catalog, &query, &data).unwrap();
                 let plain = run(bare, bare_root, 1);
                 let out = run(full, root, 1);
-                let got = out.attr_table();
-                prop_assert_eq!((&got.attrs, &got.rows), (&legacy.attrs, &legacy.rows));
+                prop_assert_eq!(attrs(&out), reference);
                 let weight: i64 = (0..out.num_rows()).map(|r| out.weight(r)).sum();
                 prop_assert_eq!(weight, plain.num_rows() as i64);
                 for (call, agg) in query.aggregates.iter().enumerate() {

@@ -42,8 +42,8 @@
 //! to a word), and keeps each run start's key values. [`resumed_run`]
 //! lays those keys end to end and hashes them to find a key that comes
 //! back after its run ended.
-//! Streaming aggregation and the grouping check share it, so grouped
-//! input is never hashed per row.
+//! Streaming aggregation reads its runs through it, so grouped input is
+//! never hashed per row.
 
 use ofw_common::hash::fx_mix;
 use std::borrow::Cow;

@@ -8,8 +8,8 @@
 //! * [`batch`] — the columnar [`ColTable`] representation, including
 //!   the weight/accumulator columns that make eager partial aggregation
 //!   compose through joins, and the physical property checks
-//!   (`satisfies_ordering`/`grouping`/`head_tail`) the harness asserts
-//!   on every intermediate.
+//!   (`satisfies_ordering`/`grouping`/`head_tail`, evaluated from their
+//!   definitions) the harness asserts on every intermediate.
 //! * [`engine`] — one vectorized operator per [`PlanOp`] variant,
 //!   morsel-parallel on any [`OrderedExecutor`](ofw_common::OrderedExecutor)
 //!   with fixed-size morsels merged in index order, so output is
@@ -22,11 +22,13 @@
 //!   grouping (keys are compared through the input columns and their
 //!   row ids, never copied; the join probe writes every candidate and
 //!   keeps the matches without a branch), and the run finder behind
-//!   streaming aggregation and the grouping check.
-//! * [`mod@reference`] — the canonical left-deep, root-only-aggregation
-//!   reference plan and the multiset [`result_signature`] the
-//!   differential correctness harness compares across the DP plan, the
-//!   reference plan and all three order-oracle arms.
+//!   streaming aggregation.
+//! * [`mod@reference`] — the tuple-at-a-time [`execute_reference`],
+//!   whose row streams the engine's must equal byte for byte, the
+//!   canonical left-deep, root-only-aggregation reference plan and the
+//!   multiset [`result_signature`] the differential correctness harness
+//!   compares across the DP plan, the reference plan and all three
+//!   order-oracle arms.
 //!
 //! [`PlanOp`]: ofw_plangen::PlanOp
 
@@ -37,8 +39,8 @@ pub mod engine;
 mod hash;
 pub mod reference;
 
-pub use batch::{columns_from_tables, ColRef, ColTable};
+pub use batch::{ColRef, ColTable};
 pub use engine::{
     execute_plan, execute_serial, ExecError, ExecOptions, ExecStats, OpStat, MORSEL_ROWS,
 };
-pub use reference::{reference_plan, result_signature};
+pub use reference::{execute_reference, reference_plan, result_signature};

@@ -27,15 +27,14 @@ use ofw_obs::Trace;
 /// Extraction tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ExtractOptions {
-    /// Register every equi-join attribute as a produced interesting
-    /// order (what merge joins test for and sorts produce). On by
-    /// default — §6.2's `O_P^I`. Off shrinks the interesting-order set
-    /// to indexes/group-by/order-by, which keeps Pareto sets narrow on
-    /// very wide queries (the 40–100-relation scaling sweeps) where
-    /// per-join orders would otherwise multiply plans far past memory.
-    pub join_orders: bool,
-    /// Register index key prefixes as produced interesting orders.
-    pub index_orders: bool,
+    /// Register the access-path orders as produced interesting orders:
+    /// every equi-join attribute (what merge joins test for and sorts
+    /// produce — §6.2's `O_P^I`) and every index key. On by default.
+    /// Off shrinks the interesting-order set to group-by/order-by, which
+    /// keeps Pareto sets narrow on very wide queries (the 40–100-relation
+    /// scaling sweeps) where per-join orders would otherwise multiply
+    /// plans far past memory.
+    pub access_path_orders: bool,
     /// Add constant/filter attributes as tested-only interesting orders
     /// (the paper's optional `O_T^I = {(r_name), (o_orderdate)}`).
     pub tested_selection_orders: bool,
@@ -44,8 +43,7 @@ pub struct ExtractOptions {
 impl Default for ExtractOptions {
     fn default() -> Self {
         ExtractOptions {
-            join_orders: true,
-            index_orders: true,
+            access_path_orders: true,
             tested_selection_orders: false,
         }
     }
@@ -59,8 +57,7 @@ impl ExtractOptions {
     /// kept in full.
     pub fn lean() -> Self {
         ExtractOptions {
-            join_orders: false,
-            index_orders: false,
+            access_path_orders: false,
             tested_selection_orders: false,
         }
     }
@@ -142,7 +139,7 @@ pub fn extract(catalog: &Catalog, query: &Query, options: &ExtractOptions) -> Ex
 
     // Join attributes: single-attribute produced orders (what a merge
     // join tests for and a sort can produce) — §6.2's O_P^I.
-    if options.join_orders {
+    if options.access_path_orders {
         for j in &query.joins {
             spec.add_produced(Ordering::new(vec![j.left]));
             spec.add_produced(Ordering::new(vec![j.right]));
@@ -181,7 +178,7 @@ pub fn extract(catalog: &Catalog, query: &Query, options: &ExtractOptions) -> Ex
         }
     }
     // Index scan outputs.
-    if options.index_orders {
+    if options.access_path_orders {
         for &rel in &query.relations {
             for index in &catalog.relation(rel).indexes {
                 spec.add_produced(Ordering::new(index.key.clone()));

@@ -22,6 +22,17 @@ pub struct JoinEdge {
     pub selectivity: f64,
 }
 
+/// The value an executed `attr = const` predicate ([`ConstPred`])
+/// compares against: the query model carries no literal, and executors
+/// run on small synthetic value domains, where this constant always
+/// matches some rows.
+pub const CONST_VALUE: i64 = 0;
+
+/// The bound an executed [`FilterPred`] keeps values up to
+/// (`attr <= FILTER_BOUND`): the executors' stand-in for a range
+/// predicate, keeping the low end of a small value domain.
+pub const FILTER_BOUND: i64 = 1;
+
 /// An equality-with-constant predicate `attr = const`.
 #[derive(Clone, Debug)]
 pub struct ConstPred {

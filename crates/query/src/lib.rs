@@ -23,4 +23,6 @@ pub mod graph;
 
 pub use builder::QueryBuilder;
 pub use extract::{extract, extract_traced, ExtractedQuery};
-pub use graph::{AggCall, AggFunc, ConstPred, FilterPred, JoinEdge, JoinGraph, Query};
+pub use graph::{
+    AggCall, AggFunc, ConstPred, FilterPred, JoinEdge, JoinGraph, Query, CONST_VALUE, FILTER_BOUND,
+};

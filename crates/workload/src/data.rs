@@ -9,7 +9,9 @@
 //! value domain tracks the catalog's *distinct-value* estimate, so
 //! selective group keys really produce few groups and key-like join
 //! attributes really join sparsely. Fully deterministic per seed, and
-//! independent of morsel size or thread count.
+//! independent of morsel size or thread count. [`synthetic_data`] is
+//! the statistics-blind variant: a fixed row count and one small value
+//! domain for every attribute.
 
 use ofw_catalog::Catalog;
 use ofw_query::Query;
@@ -26,7 +28,8 @@ pub struct DataConfig {
     /// Upper row clamp (keeps debug-mode differential tests fast).
     pub max_rows: usize,
     /// Cap on every attribute's value domain. Tests pass a small cap so
-    /// that the legacy constant predicates (`= 0`) and filters (`≤ 1`)
+    /// that the executed constant predicates (`= CONST_VALUE`) and
+    /// filters (`<= FILTER_BOUND`, both defined in `ofw-query`)
     /// keep a useful fraction of rows; benches pass `None`.
     pub domain_cap: Option<i64>,
     /// RNG seed — same seed, same data.
@@ -93,6 +96,34 @@ pub fn generate_columns(
                     (0..rows).map(|_| rng.gen_range(0..domain)).collect()
                 })
                 .collect()
+        })
+        .collect()
+}
+
+/// Generates uniform base data for unit-scale tests: per query relation,
+/// `rows` rows with every value drawn from `0..domain` (small, so
+/// duplicates and ties exercise the ordering semantics), in
+/// [`generate_columns`]' column-major shape. Values are drawn row by row
+/// (every column of row 0, then of row 1, …), relation after relation.
+pub fn synthetic_data(
+    catalog: &Catalog,
+    query: &Query,
+    rows: usize,
+    domain: i64,
+    seed: u64,
+) -> Vec<Vec<Vec<i64>>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    query
+        .relations
+        .iter()
+        .map(|&rel| {
+            let mut cols = vec![Vec::with_capacity(rows); catalog.relation(rel).attrs.len()];
+            for _ in 0..rows {
+                for col in &mut cols {
+                    col.push(rng.gen_range(0..domain));
+                }
+            }
+            cols
         })
         .collect()
 }

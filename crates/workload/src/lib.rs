@@ -41,7 +41,7 @@ pub use aggregation::{
     groupjoin_showcase_query, partialsort_showcase_query, star_agg_query, star_agg_query_ordered,
     StarAggConfig,
 };
-pub use data::{generate_columns, DataConfig};
+pub use data::{generate_columns, synthetic_data, DataConfig};
 pub use grouping::{grouping_query, q13_style_query, GroupingQueryConfig};
 pub use large::{large_query, LargeQueryConfig, Topology};
 pub use prep::{prep_spec, PrepSpecConfig};

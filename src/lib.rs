@@ -24,7 +24,7 @@
 //! | [`query`] | query graphs + interesting-order/FD extraction |
 //! | [`plangen`] | bottom-up DP plan generator exercising both frameworks |
 //! | [`parallel`] | deterministic scoped-thread pool behind the morsel executor |
-//! | [`exec`] | morsel-driven vectorized executor + differential reference plan |
+//! | [`exec`] | morsel-driven vectorized executor + its tuple-at-a-time reference executor and reference plan |
 //! | [`workload`] | random join-graph workloads, TPC-R Query 8, large topologies |
 //! | [`obs`] | observability: phase spans, decision telemetry, trace export |
 //!

@@ -18,7 +18,7 @@
 use ofw::catalog::{AttrId, Catalog};
 use ofw::core::{LogicalProperty, OrderOracle, OrderingFramework, PruneConfig};
 use ofw::exec::{
-    columns_from_tables, execute_plan, execute_serial, reference_plan, result_signature, ColRef,
+    execute_plan, execute_reference, execute_serial, reference_plan, result_signature, ColRef,
     ColTable, ExecOptions, ExecStats,
 };
 use ofw::obs::Trace;
@@ -363,12 +363,12 @@ fn morsel_scale_execution_is_thread_invariant() {
 /// probe side, an empty build side, and two non-empty sides whose keys
 /// never meet (each probe morsel then hands on an empty pair list). Each
 /// aggregate — streaming, hashed, final and partial, and the group-join —
-/// emits no row, with the schema the legacy oracle gives, byte-identical
-/// at 1/2/8 threads.
+/// emits no row, with the reference executor's attribute schema,
+/// byte-identical at 1/2/8 threads.
 #[test]
 fn aggregates_over_joins_with_no_pairs() {
     use ofw::plangen::plan::AggMark;
-    use ofw::plangen::{execute, PlanNode, PlanOp, Table};
+    use ofw::plangen::{PlanNode, PlanOp};
     use ofw::query::{AggCall, AggFunc, JoinEdge};
     let mut catalog = Catalog::new();
     let r = catalog.add_relation("r", 8.0, &["k", "g", "v"]);
@@ -431,15 +431,6 @@ fn aggregates_over_joins_with_no_pairs() {
             &[0, 1],
         ));
     }
-    // Per key `k`, the row `(k, k % 3 + 1, k % 3 + 2, ..)`.
-    let rows = |keys: &[i64], width: usize| -> Vec<Vec<i64>> {
-        let row = |k: i64| {
-            (0..width as i64)
-                .map(|c| if c == 0 { k } else { k % 3 + c })
-                .collect()
-        };
-        keys.iter().map(|&k| row(k)).collect()
-    };
     let some: Vec<i64> = (0..9).collect();
     let far: Vec<i64> = (100..107).collect();
     for (case, r_keys, s_keys) in [
@@ -447,11 +438,7 @@ fn aggregates_over_joins_with_no_pairs() {
         ("empty build side", &some[..], &[][..]),
         ("no key meets", &some[..], &far[..]),
     ] {
-        let tables = [(r, r_keys, 3), (s, s_keys, 2)].map(|(rel, keys, width)| Table {
-            attrs: catalog.relation(rel).attrs.clone(),
-            rows: rows(keys, width),
-        });
-        let data = columns_from_tables(&tables);
+        let data = vec![key_columns(r_keys, 3), key_columns(s_keys, 2)];
         for &root in &roots {
             let ctx = format!("{case}, {}", arena.node(root).op.name());
             let opts = ExecOptions { morsel_rows: 2 };
@@ -468,16 +455,26 @@ fn aggregates_over_joins_with_no_pairs() {
             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(serial.0.num_rows(), 0, "{ctx}");
             assert_eq!(serial.1.rows_out, 0, "{ctx}");
-            let legacy = execute(&arena, root, &catalog, &query, &tables);
-            assert_eq!(serial.0.attr_ids(), legacy.attrs, "{ctx}");
+            let reference = execute_reference(&arena, root, &catalog, &query, &data)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(serial.0.attr_ids(), reference.attr_ids(), "{ctx}");
             assert!(
-                serial.0.schema.len() > legacy.attrs.len(),
+                serial.0.schema.len() > reference.schema.len(),
                 "{ctx}: no value column"
             );
-            assert!(legacy.rows.is_empty(), "{ctx}");
+            assert_eq!(reference.num_rows(), 0, "{ctx}");
             assert_thread_invariant(&arena, root, &catalog, &query, &data, &serial, &opts, &ctx);
         }
     }
+}
+
+/// Per key `k`, the row `(k, k % 3 + 1, k % 3 + 2, ..)` of `width`
+/// columns, column-major.
+fn key_columns(keys: &[i64], width: usize) -> Vec<Vec<i64>> {
+    let value = |k: i64, c: i64| if c == 0 { k } else { k % 3 + c };
+    (0..width as i64)
+        .map(|c| keys.iter().map(|&k| value(k, c)).collect())
+        .collect()
 }
 
 /// `r(k, g, v) ⋈ s(k, w)` on `k`, and `u(w, x)` joined to `s` on `w`,
@@ -538,10 +535,11 @@ fn push_op(
 /// aggregate: `Sort`, `PartialSort`, `HashGroup`, a parent `HashJoin`, and
 /// the join itself as the root, which gathers through its pairs. An empty
 /// probe side, an empty build side, and keys that never meet each give no
-/// row, with the legacy oracle's schema, byte-identical at 1/2/8 threads.
+/// row, with the reference executor's schema, byte-identical at 1/2/8
+/// threads.
 #[test]
 fn other_consumers_of_joins_with_no_pairs() {
-    use ofw::plangen::{execute, PlanOp, Table};
+    use ofw::plangen::PlanOp;
     let (catalog, query) = three_relation_join_query();
     let mut arena: PlanArena<()> = PlanArena::new();
     let mut push = |op, qrels: &[usize]| push_op(&mut arena, &query, op, qrels);
@@ -588,15 +586,6 @@ fn other_consumers_of_joins_with_no_pairs() {
             &[0, 1, 2],
         ),
     ];
-    // Per key `k`, the row `(k, k % 3 + 1, k % 3 + 2, ..)`.
-    let rows = |keys: &[i64], width: usize| -> Vec<Vec<i64>> {
-        let row = |k: i64| {
-            (0..width as i64)
-                .map(|c| if c == 0 { k } else { k % 3 + c })
-                .collect()
-        };
-        keys.iter().map(|&k| row(k)).collect()
-    };
     let some: Vec<i64> = (0..9).collect();
     let far: Vec<i64> = (100..107).collect();
     let rels = [0, 1, 2].map(|q| query.relations[q]);
@@ -606,13 +595,9 @@ fn other_consumers_of_joins_with_no_pairs() {
         ("no key meets", &some[..], &far[..]),
     ] {
         let keys = [r_keys, s_keys, &some[..]];
-        let tables: Vec<Table> = (0..3)
-            .map(|q| Table {
-                attrs: catalog.relation(rels[q]).attrs.clone(),
-                rows: rows(keys[q], catalog.relation(rels[q]).attrs.len()),
-            })
+        let data: Vec<Vec<Vec<i64>>> = (0..3)
+            .map(|q| key_columns(keys[q], catalog.relation(rels[q]).attrs.len()))
             .collect();
-        let data = columns_from_tables(&tables);
         for root in roots {
             let ctx = format!("{case}, {}", arena.node(root).op.name());
             let opts = ExecOptions { morsel_rows: 2 };
@@ -629,10 +614,11 @@ fn other_consumers_of_joins_with_no_pairs() {
             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(serial.0.num_rows(), 0, "{ctx}");
             assert_eq!(serial.1.rows_out, 0, "{ctx}");
-            let legacy = execute(&arena, root, &catalog, &query, &tables);
-            assert_eq!(serial.0.attr_ids(), legacy.attrs, "{ctx}");
-            assert_eq!(serial.0.schema.len(), legacy.attrs.len(), "{ctx}");
-            assert!(legacy.rows.is_empty(), "{ctx}");
+            let reference = execute_reference(&arena, root, &catalog, &query, &data)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(serial.0.attr_ids(), reference.attr_ids(), "{ctx}");
+            assert_eq!(serial.0.schema.len(), reference.schema.len(), "{ctx}");
+            assert_eq!(reference.num_rows(), 0, "{ctx}");
             assert_thread_invariant(&arena, root, &catalog, &query, &data, &serial, &opts, &ctx);
         }
     }
@@ -642,12 +628,12 @@ fn other_consumers_of_joins_with_no_pairs() {
 /// `HashGroup` and the root gather, with eager partial aggregates below
 /// the join on both sides, so that weights and `sum` and `min`
 /// accumulators pass through the ids each one composes. Every output is
-/// byte-identical at 1/2/8 threads and equals the legacy executor's rows;
+/// byte-identical at 1/2/8 threads and equals the reference executor's rows;
 /// the sort and the hash grouping hold the join's rows, values included,
 /// in their own order.
 #[test]
 fn consumers_read_a_pair_list_across_probe_morsels() {
-    use ofw::plangen::{execute, PlanOp, Table};
+    use ofw::plangen::PlanOp;
     let (catalog, query) = three_relation_join_query();
     let mut arena: PlanArena<()> = PlanArena::new();
     let mut push = |op, qrels: &[usize]| push_op(&mut arena, &query, op, qrels);
@@ -685,18 +671,19 @@ fn consumers_read_a_pair_list_across_probe_morsels() {
     );
     // 3 000 `(k, g)` groups of two rows on `r`, 2 000 `(k, w)` groups of
     // two on `s`: 6 000 pairs from six probe morsels.
-    let r_rows = (0..6_000i64).map(|i| vec![i % 1_000, i / 1_000 % 3, i]);
-    let s_rows = (0..4_000i64).map(|i| vec![i % 1_000, i / 1_000 % 2]);
-    let rows: [Vec<Vec<i64>>; 3] = [r_rows.collect(), s_rows.collect(), Vec::new()];
-    let tables: Vec<Table> = rows
-        .into_iter()
-        .zip(0..3)
-        .map(|(rows, q)| Table {
-            attrs: catalog.relation(query.relations[q]).attrs.clone(),
-            rows,
-        })
-        .collect();
-    let data = columns_from_tables(&tables);
+    let (r, s) = (0..6_000i64, 0..4_000i64);
+    let data = vec![
+        vec![
+            r.clone().map(|i| i % 1_000).collect(),
+            r.clone().map(|i| i / 1_000 % 3).collect(),
+            r.collect(),
+        ],
+        vec![
+            s.clone().map(|i| i % 1_000).collect(),
+            s.map(|i| i / 1_000 % 2).collect(),
+        ],
+        vec![Vec::new(), Vec::new()],
+    ];
     let opts = ExecOptions { morsel_rows: 512 };
     let mut all_rows = Vec::new();
     for root in [join, sort, group] {
@@ -715,13 +702,10 @@ fn consumers_read_a_pair_list_across_probe_morsels() {
         assert_thread_invariant(&arena, root, &catalog, &query, &data, &serial, &opts, &ctx);
         let (out, stats) = &serial;
         assert_eq!(stats.ops["HashJoin"].rows, 6_000, "{ctx}");
-        let legacy = execute(&arena, root, &catalog, &query, &tables);
-        let attrs = out.attr_table();
-        assert_eq!(
-            (attrs.attrs, attrs.rows),
-            (legacy.attrs, legacy.rows),
-            "{ctx}"
-        );
+        let reference = execute_reference(&arena, root, &catalog, &query, &data)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(out.attr_ids(), reference.attr_ids(), "{ctx}");
+        assert_eq!(out.cols[..reference.cols.len()], reference.cols, "{ctx}");
         let values = [ColRef::Weight, ColRef::Acc(0), ColRef::Acc(2)];
         assert!(
             values.iter().all(|&c| out.col(c).is_some()),

@@ -1,7 +1,7 @@
 //! Property tests for the hash operators' *scrambled-but-deterministic*
 //! output order at morsel scale.
 //!
-//! The legacy tuple executor deliberately emits hash-aggregate groups
+//! The reference tuple executor deliberately emits hash-aggregate groups
 //! and hash-group blocks in a scrambled deterministic order (reverse +
 //! even/odd interleave of first-seen order), so no ordering claim can
 //! survive a hash operator by accident. The vectorized engine must
