@@ -44,3 +44,54 @@ pub use engine::{
     execute_plan, execute_serial, ExecError, ExecOptions, ExecStats, OpStat, MORSEL_ROWS,
 };
 pub use reference::{execute_reference, reference_plan, result_signature};
+
+/// The satisfaction checks, one test per condition, on the cases that
+/// first pinned them when they were methods of the row-major executor's
+/// table; `batch`'s property-check test adds the grouping edge cases
+/// and head/tail pairs.
+#[cfg(test)]
+mod exec {
+    mod tests {
+        use crate::{ColRef, ColTable};
+        use ofw_catalog::AttrId;
+
+        const A: AttrId = AttrId(0);
+        const B: AttrId = AttrId(1);
+
+        fn table(rows: &[[i64; 2]]) -> ColTable {
+            ColTable::new(
+                vec![ColRef::Attr(A), ColRef::Attr(B)],
+                vec![
+                    rows.iter().map(|r| r[0]).collect(),
+                    rows.iter().map(|r| r[1]).collect(),
+                ],
+            )
+        }
+
+        #[test]
+        fn satisfies_ordering_is_lexicographic() {
+            let t = table(&[[1, 5], [1, 7], [2, 0]]);
+            assert!(t.satisfies_ordering(&[A]));
+            assert!(t.satisfies_ordering(&[A, B]));
+            assert!(!t.satisfies_ordering(&[B]));
+            assert!(t.satisfies_ordering(&[]));
+        }
+
+        #[test]
+        fn ties_do_not_break_ordering() {
+            let t = table(&[[1, 1], [1, 1], [1, 2]]);
+            assert!(t.satisfies_ordering(&[A, B]));
+            assert!(t.satisfies_ordering(&[B, A]));
+        }
+
+        #[test]
+        fn satisfies_grouping_checks_adjacency() {
+            let grouped = table(&[[2, 0], [2, 1], [1, 0], [3, 0]]);
+            assert!(grouped.satisfies_grouping(&[A]));
+            assert!(!grouped.satisfies_ordering(&[A]), "grouped ≠ sorted");
+            let broken = table(&[[2, 0], [1, 0], [2, 1]]);
+            assert!(!broken.satisfies_grouping(&[A]));
+            assert!(grouped.satisfies_grouping(&[]));
+        }
+    }
+}
