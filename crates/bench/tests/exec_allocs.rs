@@ -204,9 +204,9 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     };
     // A stream aggregate's kernel buffers over `rows` input rows read
     // through row ids, with `keys` key columns, `dense` contribution
-    // columns read through the ids (a raw `sum`, `min` or `max` input),
-    // `folds` value columns and `groups` groups whose representatives
-    // carry `parts` id columns: per row its dense key values (8 each),
+    // columns read through the ids (a raw `sum`, `min` or `max` input)
+    // and `groups` groups whose representatives carry `parts` id
+    // columns: per row its dense key values (8 each),
     // its run-start bit (1 / 8) and its dense contributions (8 each);
     // per morsel a look-back key row, a closing run bound and the start
     // bits' last word (8 per key + 16); per group its start row and key
@@ -217,12 +217,11 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     // result slot (48: the starts and the key list) and key lists
     // (dense slices and start keys, 24 + 24 per key); and of its fold
     // tasks, one per value column, filled a column at a time: the
-    // morsel's output range and run end (16 + 8), and the lock slot of
-    // its piece of each value column (24 per fold).
-    let stream_agg = |rows: u64, keys: u64, dense: u64, folds: u64, groups: u64, parts: u64| {
+    // morsel's output range and run end (16 + 8).
+    let stream_agg = |rows: u64, keys: u64, dense: u64, groups: u64, parts: u64| {
         rows * (8 * keys + 8 * dense)
             + rows / 8
-            + rows.div_ceil(MORSEL_ROWS) * (8 * keys + 16 + 16 + 48 + 48 * keys + 24 + 24 * folds)
+            + rows.div_ceil(MORSEL_ROWS) * (8 * keys + 16 + 16 + 48 + 48 * keys + 24)
             + groups * (2 * (4 + 8 * keys) + 32 + 8 + 4 * parts)
     };
     let pair_morsels = pairs.div_ceil(MORSEL_ROWS);
@@ -235,7 +234,7 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     let agg_over_join = 2 * rows * 16
         + rows * 4
         + hash_join(rows, rows, true, pairs)
-        + stream_agg(pairs, 1, 1, 2, GROUPS as u64, 2)
+        + stream_agg(pairs, 1, 1, GROUPS as u64, 2)
         + GROUPS as u64 * 8;
     // Per plan: its name, its output rows, its root, the allocations it
     // may make — rows / 10 for the hash operators; a few per morsel for
@@ -253,10 +252,8 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
     // (the filtered index scan's survivor lists and ids fit in what the
     // rows it drops leave over); an aggregate's kernel buffers
     // (`hash_agg`, `stream_agg`). A scan below an operator allocates
-    // nothing, so each plan is charged its whole allocation. Each output
-    // column the root gathers or copies, and each id or value column an
-    // operator composes, adds its lock slots (24 bytes per morsel) and
-    // one allocation for them. A join hands on its pairs and every
+    // nothing, so each plan is charged its whole allocation. A join hands
+    // on its pairs and every
     // consumer reads through them: the root gathers a join's columns
     // with no id column composed, a sort or hash grouping composes the
     // ids of the rows it keeps, in its output order, and a parent join
@@ -348,7 +345,7 @@ fn hash_operators_allocate_per_morsel_not_per_row() {
                 query.relation_set(0),
             ),
             16 * morsels,
-            Some(2 * rows * 16 + rows * 4 + stream_agg(rows, 1, 1, 2, GROUPS as u64, 1)),
+            Some(2 * rows * 16 + rows * 4 + stream_agg(rows, 1, 1, GROUPS as u64, 1)),
         ),
         (
             "GroupJoin",

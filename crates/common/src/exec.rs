@@ -1,15 +1,17 @@
-//! Ordered chunk execution — the seam between the morsel-driven
-//! executor and the thread pool.
+//! Ordered chunk execution, and the morsel partitioner.
 //!
-//! The executor hands each operator's morsels to an
-//! [`OrderedExecutor`]: "run `f(0), f(1), …, f(n-1)` and give me the
-//! results *in index order*". How the indices are scheduled is the
-//! executor's business — [`SerialExecutor`] runs them inline in order,
-//! the `ofw-parallel` pool runs them on scoped threads — but because
-//! results always come back in index order, the caller's behavior is
-//! independent of the schedule. That is the whole determinism story of
-//! parallel execution: scheduling freedom below the seam, a fixed merge
-//! order above it.
+//! [`morsel_ranges`] cuts a row range into the fixed-size morsels that
+//! `ofw-exec` works through, one task each, in morsel order on the
+//! calling thread.
+//!
+//! [`OrderedExecutor`] — "run `f(0), f(1), …, f(n-1)` and give me the
+//! results *in index order*", inline ([`SerialExecutor`]) or on the
+//! `ofw-parallel` pool's scoped threads — no longer schedules any
+//! executor or planner work. It is kept only because the frozen
+//! pipeline benchmark still passes executors to
+//! `ofw_exec::execute_plan` and `PlanGen::run_with`, which both ignore
+//! them, and times the pool on its own; it goes with the next change
+//! to the benchmark.
 
 use std::ops::Range;
 
@@ -19,11 +21,6 @@ pub trait OrderedExecutor {
     /// Runs `f(i)` exactly once for every `i in 0..n`; `results[i]`
     /// holds the value of `f(i)`.
     fn run_ordered<R: Send>(&self, n: usize, f: &(dyn Fn(usize) -> R + Sync)) -> Vec<R>;
-
-    /// Short name for traces and diagnostics (`"serial"`, `"pool"`).
-    fn label(&self) -> &'static str {
-        "serial"
-    }
 }
 
 /// The trivial executor: runs every task inline, in index order.
@@ -37,11 +34,10 @@ impl OrderedExecutor for SerialExecutor {
 }
 
 /// Splits `0..len` into fixed-size morsels of `morsel` rows (the last
-/// one shorter). The partition depends only on `len` — never on the
-/// thread count — which is the first half of the executor's determinism
-/// contract: identical morsel boundaries at 1, 2 or 8 threads (the
-/// second half is merging morsel results in index order via
-/// [`OrderedExecutor::run_ordered`]).
+/// one shorter). The partition depends only on `len` and `morsel`,
+/// which is the first half of the executor's determinism contract (the
+/// second half is writing each morsel's results in place, in morsel
+/// order).
 pub fn morsel_ranges(len: usize, morsel: usize) -> Vec<Range<usize>> {
     assert!(morsel > 0, "morsel size must be positive");
     let mut out = Vec::with_capacity(len.div_ceil(morsel));
@@ -62,7 +58,6 @@ mod tests {
     fn serial_executor_preserves_index_order() {
         let r = SerialExecutor.run_ordered(5, &|i| i * 10);
         assert_eq!(r, vec![0, 10, 20, 30, 40]);
-        assert_eq!(SerialExecutor.label(), "serial");
     }
 
     #[test]
@@ -79,8 +74,7 @@ mod tests {
                 let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
                 let expect: Vec<usize> = (0..len).collect();
                 assert_eq!(flat, expect, "len={len} morsel={morsel}");
-                // Every morsel but the last is exactly `morsel` rows —
-                // the partition never depends on a thread count.
+                // Every morsel but the last is exactly `morsel` rows.
                 for r in ranges.iter().take(ranges.len().saturating_sub(1)) {
                     assert_eq!(r.len(), morsel);
                 }

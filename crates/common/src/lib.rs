@@ -17,10 +17,10 @@
 //!   arena-backed one for tagged slices that allocates nothing per key.
 //! * [`mem`] — a byte-accurate, thread-shareable memory meter used to
 //!   reproduce the paper's memory-consumption experiments (Fig. 14).
-//! * [`exec`] — the ordered chunk-execution seam ([`OrderedExecutor`])
-//!   between the morsel-driven executor and the `ofw-parallel` thread
-//!   pool, plus the thread-count-independent morsel partitioner
-//!   [`morsel_ranges`].
+//! * [`exec`] — the morsel partitioner [`morsel_ranges`] behind the
+//!   serial morsel-driven executor, and the ordered chunk-execution
+//!   trait ([`OrderedExecutor`]), kept only for the frozen benchmark's
+//!   pooled runs and `PlanGen::run_with`.
 //! * [`alloc`] (feature `count-allocs`) — a counting global allocator
 //!   so benchmark binaries can report allocation pressure as a
 //!   deterministic, trend-gated `allocs` column — the one module

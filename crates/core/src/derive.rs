@@ -426,7 +426,7 @@ fn head_rules(
 /// functionally determined by `seed`. Equations count in both
 /// directions; constants are determined by anything (including the
 /// empty set).
-pub fn attr_closure(seed: &[AttrId], fds: &[Fd]) -> FxHashSet<AttrId> {
+fn attr_closure(seed: &[AttrId], fds: &[Fd]) -> FxHashSet<AttrId> {
     let mut set: FxHashSet<AttrId> = seed.iter().copied().collect();
     loop {
         let mut grew = false;
@@ -462,7 +462,7 @@ pub fn attr_closure(seed: &[AttrId], fds: &[Fd]) -> FxHashSet<AttrId> {
 /// Whether `key` functionally determines every attribute of `targets`
 /// under `fds` — the admission test behind group-join ("the join key
 /// functionally determines the group") and eager aggregation keys.
-pub fn determines(key: &[AttrId], targets: &[AttrId], fds: &[Fd]) -> bool {
+fn determines(key: &[AttrId], targets: &[AttrId], fds: &[Fd]) -> bool {
     let closure = attr_closure(key, fds);
     targets.iter().all(|t| closure.contains(t))
 }
@@ -559,19 +559,12 @@ pub(crate) fn materialize(head_len: usize, attrs: &[AttrId]) -> LogicalProperty 
     }
 }
 
-/// The transitive closure of grouping derivation: every grouping
-/// reachable from `g` by repeatedly applying any of `fds`, bounded by
-/// the admission `filter` (a derived grouping no interesting grouping
-/// can ever be completed from is dropped). `g` itself is not reported.
-pub fn grouping_closure(g: &Grouping, fds: &[Fd], filter: &GroupingFilter) -> Vec<Grouping> {
-    let s = &mut Scratch::default();
-    expand_sets(s, g.len(), g.attrs(), fds, None, filter, None);
-    let reported = s.reported();
-    reported.map(|(_, d)| Grouping::new(d.to_vec())).collect()
-}
-
-/// The worklist behind [`grouping_closure`], from a grouping or pair
-/// view; the derived views are left in `s` ([`Scratch::reported`]).
+/// The transitive closure of grouping and pair derivation, from a
+/// grouping or pair view: every view reachable by repeatedly applying
+/// any of `fds`, bounded by the admission filters (a derived grouping
+/// no interesting grouping can ever be completed from is dropped). The
+/// derived views are left in `s` ([`Scratch::reported`]); the source
+/// itself is not reported.
 /// Without the `pairs` filter the pure grouping pipeline runs: the set
 /// rules alone, from a grouping. With it, groupings additionally spawn
 /// pairs (all of them before the set-rule derivations, for every
@@ -785,11 +778,18 @@ mod tests {
         Grouping::new(ids.to_vec())
     }
 
-    fn unbounded_groups(src: &Grouping, fds: &[Fd]) -> Vec<Grouping> {
-        let filter = GroupingFilter::permissive();
-        let mut r = grouping_closure(src, fds, &filter);
+    /// Every grouping [`expand_sets`] derives from `src` under `fds`
+    /// within `filter` (the pure grouping pipeline), sorted.
+    fn groups(src: &Grouping, fds: &[Fd], filter: &GroupingFilter) -> Vec<Grouping> {
+        let s = &mut Scratch::default();
+        expand_sets(s, src.len(), src.attrs(), fds, None, filter, None);
+        let mut r: Vec<Grouping> = s.reported().map(|(_, d)| g(d)).collect();
         r.sort();
         r
+    }
+
+    fn unbounded_groups(src: &Grouping, fds: &[Fd]) -> Vec<Grouping> {
+        groups(src, fds, &GroupingFilter::permissive())
     }
 
     #[test]
@@ -976,14 +976,13 @@ mod tests {
         let eq = EqClasses::new();
         let interesting = [g(&[A, B])];
         let filter = GroupingFilter::new(interesting.iter().map(Grouping::attrs), &fds, &eq, true);
-        assert!(grouping_closure(&g(&[A]), &fds, &filter).is_empty());
+        assert!(groups(&g(&[A]), &fds, &filter).is_empty());
         // With a→b in play, {a,d} stays admitted (b is still derivable
         // from it — the filter is deliberately permissive) and {a,b} is
         // reached.
         let fds = [Fd::functional(&[A], D), Fd::functional(&[A], B)];
         let filter = GroupingFilter::new(interesting.iter().map(Grouping::attrs), &fds, &eq, true);
-        let mut r = grouping_closure(&g(&[A]), &fds, &filter);
-        r.sort();
+        let r = groups(&g(&[A]), &fds, &filter);
         assert_eq!(r, vec![g(&[A, B]), g(&[A, B, D]), g(&[A, D])]);
     }
 }

@@ -472,11 +472,6 @@ impl GroupingFilter {
         memo.insert(attrs, admitted);
         admitted
     }
-
-    /// Whether the filter is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
 }
 
 /// The admission filters of one spec, built from one pass over its
@@ -733,6 +728,5 @@ mod tests {
     fn permissive_grouping_filter_admits_all() {
         let f = GroupingFilter::permissive();
         assert!(f.admits(&[C, D]));
-        assert!(!f.is_enabled());
     }
 }

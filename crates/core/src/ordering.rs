@@ -98,16 +98,6 @@ impl Ordering {
         }
     }
 
-    /// Returns a copy with the attribute at `pos` replaced by `attr`.
-    pub fn replace_at(&self, pos: usize, attr: AttrId) -> Ordering {
-        debug_assert!(!self.contains_attr(attr));
-        let mut v = self.attrs.to_vec();
-        v[pos] = attr;
-        Ordering {
-            attrs: v.into_boxed_slice(),
-        }
-    }
-
     /// Returns a copy truncated to at most `len` attributes.
     pub fn truncate(&self, len: usize) -> Ordering {
         if len >= self.len() {
@@ -171,7 +161,6 @@ mod tests {
         assert_eq!(base.insert_at(1, AttrId(2)), o(&[1, 2, 3]));
         assert_eq!(base.insert_at(0, AttrId(0)), o(&[0, 1, 3]));
         assert_eq!(base.insert_at(2, AttrId(9)), o(&[1, 3, 9]));
-        assert_eq!(base.replace_at(1, AttrId(7)), o(&[1, 7]));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub enum ColRef {
 
 /// A columnar table: schema plus parallel column vectors. `PartialEq`
 /// compares schema and columns — *byte identity*, the relation the
-/// cross-thread determinism tests assert.
+/// morsel-size determinism tests assert.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ColTable {
     /// What each column holds, in column order.
@@ -68,14 +68,10 @@ impl ColTable {
         self.rows
     }
 
-    /// Column index of `what`, if present.
-    pub fn col_index(&self, what: ColRef) -> Option<usize> {
-        self.schema.iter().position(|&c| c == what)
-    }
-
     /// The column holding `what`, if present.
     pub fn col(&self, what: ColRef) -> Option<&[i64]> {
-        self.col_index(what).map(|i| self.cols[i].as_slice())
+        let i = self.schema.iter().position(|&c| c == what)?;
+        Some(&self.cols[i])
     }
 
     /// The attribute ids of the attribute columns, in column order.

@@ -1,12 +1,12 @@
 //! The morsel-driven vectorized engine.
 //!
-//! Every operator works vector-at-a-time and parallelizes by *morsel*:
-//! the input row range is cut into fixed-size morsels
-//! ([`ofw_common::morsel_ranges`] — never a function of the thread
-//! count), each morsel is processed as one task on an
-//! [`OrderedExecutor`], and the per-morsel results are merged in morsel
-//! index order. Scheduling freedom lives entirely below that seam, so
-//! the output is **byte-identical at 1, 2 or 8 pool threads**.
+//! Every operator works vector-at-a-time, a *morsel* at a time: the
+//! input row range is cut into fixed-size morsels
+//! ([`ofw_common::morsel_ranges`], a function of the row count and the
+//! morsel size alone), each morsel is one task, and the tasks run in
+//! morsel order on the calling thread, each writing its results in
+//! place at its own offset. The output does not depend on the morsel
+//! size: every operator's result is the same at any size.
 //!
 //! Columns are materialized once, at the plan root. Below it an
 //! operator's output is an intermediate of *parts*, one per base
@@ -57,7 +57,7 @@ use crate::hash::{
     hash_rows, local_groups, resumed_run, run_starts, Col, GroupTable, JoinTable, Spliced,
 };
 use ofw_catalog::{AttrId, Catalog};
-use ofw_common::{morsel_ranges, OrderedExecutor, SerialExecutor};
+use ofw_common::morsel_ranges;
 use ofw_obs::Trace;
 use ofw_plangen::plan::PlanArena;
 use ofw_plangen::{PlanId, PlanOp};
@@ -66,18 +66,16 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Mutex;
 
-/// Default rows per morsel — the unit of parallel work. Fixed, so the
-/// morsel partition (and therefore every merge order) is independent of
-/// the thread count.
+/// Default rows per morsel — the unit of work: one filter, probe,
+/// aggregation or gather task covers one morsel.
 pub const MORSEL_ROWS: usize = 4096;
 
 /// Execution tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
-    /// Rows per morsel. Must not be derived from the thread count —
-    /// that would break the byte-identical-across-threads contract.
+    /// Rows per morsel. It sets how work is cut into tasks, and with
+    /// that the batch and morsel counters, but never the output.
     pub morsel_rows: usize,
 }
 
@@ -92,20 +90,21 @@ impl Default for ExecOptions {
 /// Deterministic per-operator counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpStat {
-    /// Tasks the operator dispatched: kernel tasks (a filter, probe,
+    /// Tasks the operator ran: kernel tasks (a filter, probe,
     /// aggregation or run-finding morsel, a sort's bucket batch), the
     /// morsels of the ids it composes for the rows it keeps — a join's
     /// for a pending join input it composes in full; a join never
     /// composes its own output — and, at the plan root only, where the
     /// one gather happens, root-gather morsels. A selection-free scan
-    /// dispatches none.
+    /// runs none. The count moves with the morsel size; the output
+    /// does not.
     pub batches: u64,
     /// Rows the operator produced.
     pub rows: u64,
 }
 
-/// Deterministic execution counters: identical at any thread count and
-/// on any machine, like the plan generator's `plans`.
+/// Deterministic execution counters: identical on any machine at a
+/// given morsel size, like the plan generator's `plans`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Total tasks across all operators: every [`OpStat::batches`],
@@ -198,28 +197,31 @@ pub(crate) fn base_columns<'a>(
 
 /// Executes the plan rooted at `plan` over per-relation base columns
 /// (`data[qrel][attr][row]`, attributes in catalog declaration order),
-/// morsel-parallel on `pool`. Returns the output batch and the
-/// deterministic execution counters.
+/// a morsel at a time on the calling thread. Returns the output batch
+/// and the deterministic execution counters.
+///
+/// `_pool` is ignored: execution is serial. It is kept only because the
+/// frozen `benchmark/` calls this function with a `SerialExecutor` and a
+/// `ThreadPool`; it goes with the next change to the benchmark.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_plan<S: Copy, E: OrderedExecutor>(
+pub fn execute_plan<S: Copy, E>(
     arena: &PlanArena<S>,
     plan: PlanId,
     catalog: &Catalog,
     query: &Query,
     data: &[Vec<Vec<i64>>],
-    pool: &E,
+    _pool: &E,
     opts: &ExecOptions,
     trace: &Trace,
 ) -> Result<(ColTable, ExecStats), ExecError> {
     let mut span = trace.span("execute");
-    span.label(pool.label());
+    span.label("serial");
     let mut eng = Engine {
         arena,
         catalog,
         query,
         graph: JoinGraph::new(query),
         data,
-        pool,
         morsel: opts.morsel_rows.max(1),
         stats: ExecStats::default(),
     };
@@ -231,8 +233,8 @@ pub fn execute_plan<S: Copy, E: OrderedExecutor>(
     Ok((out, eng.stats))
 }
 
-/// [`execute_plan`] on the inline serial executor with default options
-/// and no tracing — the convenience entry tests reach for.
+/// [`execute_plan`] with default options and no tracing — the
+/// convenience entry tests reach for.
 pub fn execute_serial<S: Copy>(
     arena: &PlanArena<S>,
     plan: PlanId,
@@ -246,7 +248,7 @@ pub fn execute_serial<S: Copy>(
         catalog,
         query,
         data,
-        &SerialExecutor,
+        &(),
         &ExecOptions::default(),
         &Trace::disabled(),
     )
@@ -265,17 +267,11 @@ fn scramble_order(n: usize) -> Vec<usize> {
     out
 }
 
-/// Cuts `0..len` into fixed-size morsels and runs `f` per morsel on the
-/// pool; results come back in morsel index order (the determinism seam).
-fn run_morsels<R: Send, E: OrderedExecutor>(
-    pool: &E,
-    len: usize,
-    morsel: usize,
-    f: &(dyn Fn(Range<usize>) -> R + Sync),
-) -> (Vec<R>, u64) {
-    let ranges = morsel_ranges(len, morsel);
-    let n = ranges.len() as u64;
-    let out = pool.run_ordered(ranges.len(), &|i| f(ranges[i].clone()));
+/// Cuts `0..len` into fixed-size morsels and runs `f` on each, in morsel
+/// order; returns the results in that order and the morsel count.
+fn run_morsels<R>(len: usize, morsel: usize, f: impl FnMut(Range<usize>) -> R) -> (Vec<R>, u64) {
+    let out: Vec<R> = morsel_ranges(len, morsel).into_iter().map(f).collect();
+    let n = out.len() as u64;
     (out, n)
 }
 
@@ -283,80 +279,54 @@ fn run_morsels<R: Send, E: OrderedExecutor>(
 /// sort's data and scratch buffers, the ids of every part [`Engine::take`]
 /// composes from one lookup). `cols` are already at their final
 /// length; `ranges` cut them into adjacent pieces from row 0, and task
-/// `i` gets exclusive `&mut` access to rows `ranges[i]` of every column
-/// and writes them in place. Each task's pieces wait in a slot of their
-/// own, taken exactly once, so no lock is ever contended. The pieces of
-/// all tasks share one allocation, whatever the task count.
-fn fill_in_place<T: Send, E: OrderedExecutor>(
-    pool: &E,
+/// `i` gets `&mut` access to rows `ranges[i]` of every column and
+/// writes them in place. Tasks run in order; none runs without a column.
+fn fill_in_place<T>(
     cols: &mut [Vec<T>],
     ranges: &[Range<usize>],
-    fill: &(dyn Fn(usize, &mut [&mut [T]]) + Sync),
+    mut fill: impl FnMut(usize, &mut [&mut [T]]),
 ) {
-    let n = cols.len();
-    if n == 0 {
+    if cols.is_empty() {
         return;
     }
-    // Task-major: task `i`'s piece of column `c` at `i * n + c`.
-    let mut pieces: Vec<&mut [T]> = (0..ranges.len() * n).map(|_| Default::default()).collect();
-    for (c, col) in cols.iter_mut().enumerate() {
-        debug_assert_eq!(ranges.last().map_or(0, |r| r.end), col.len());
-        let mut rest = col.as_mut_slice();
-        for (i, r) in ranges.iter().enumerate() {
-            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-            pieces[i * n + c] = piece;
-            rest = tail;
+    // Each column's rows after the last task's piece.
+    let mut rest: Vec<&mut [T]> = cols.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut pieces = Vec::with_capacity(rest.len());
+    for (i, r) in ranges.iter().enumerate() {
+        pieces.clear();
+        for col in &mut rest {
+            let (piece, tail) = std::mem::take(col).split_at_mut(r.len());
+            *col = tail;
+            pieces.push(piece);
         }
+        fill(i, &mut pieces);
     }
-    let slots: Vec<Mutex<&mut [&mut [T]]>> = pieces.chunks_mut(n).map(Mutex::new).collect();
-    pool.run_ordered(ranges.len(), &|i| {
-        let pieces = std::mem::take(
-            &mut *slots[i]
-                .lock()
-                .expect("a slot is locked only to take its pieces, which cannot panic"),
-        );
-        fill(i, pieces);
-    });
+    debug_assert!(
+        rest.iter().all(|r| r.is_empty()),
+        "the ranges cover every row"
+    );
 }
 
 /// `ncols` output columns of the length `ranges` cover, filled one
-/// after another: each column is allocated as its fill begins, cut into
-/// one `&mut` piece per range, and task `i` writes rows `ranges[i]` of
-/// column `c` in place as `fill(c, i, piece)`. A column is written
-/// while its pages are still in cache, never zeroed in bulk ahead of
-/// the fill. Each piece waits in a slot of its own, taken exactly
-/// once, so no lock is ever contended.
-fn fill_columns<T: Copy + Default + Send, E: OrderedExecutor>(
-    pool: &E,
+/// after another: each column is allocated as its fill begins and task
+/// `i` writes rows `ranges[i]` of column `c` in place as
+/// `fill(c, i, piece)`, so a column is written while its pages are still
+/// in cache.
+fn fill_columns<T: Copy + Default>(
     ncols: usize,
     ranges: &[Range<usize>],
-    fill: &(dyn Fn(usize, usize, &mut [T]) + Sync),
+    mut fill: impl FnMut(usize, usize, &mut [T]),
 ) -> Vec<Vec<T>> {
     let len = ranges.last().map_or(0, |r| r.end);
-    let mut cols = Vec::with_capacity(ncols);
-    for c in 0..ncols {
-        let mut col = vec![T::default(); len];
-        let mut rest = col.as_mut_slice();
-        let slots: Vec<Mutex<&mut [T]>> = ranges
-            .iter()
-            .map(|r| {
-                let (piece, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-                rest = tail;
-                Mutex::new(piece)
-            })
-            .collect();
-        pool.run_ordered(ranges.len(), &|i| {
-            let piece = std::mem::take(
-                &mut *slots[i]
-                    .lock()
-                    .expect("a slot is locked only to take its piece, which cannot panic"),
-            );
-            fill(c, i, piece);
-        });
-        drop(slots);
-        cols.push(col);
-    }
-    cols
+    (0..ncols)
+        .map(|c| {
+            let mut col = vec![T::default(); len];
+            for (i, r) in ranges.iter().enumerate() {
+                fill(c, i, &mut col[r.clone()]);
+            }
+            col
+        })
+        .collect()
 }
 
 /// Compares two rows on a column list.
@@ -424,18 +394,13 @@ fn radix_pass(src: &[Entry], dst: &mut [Entry], at: &mut [usize], digit: impl Fn
 /// the [`entry_cmp`] order, by a radix sort on the first key. A key
 /// maps to `u64` as its offset from the minimum, so only the `bits` the
 /// key range needs are sorted on, in ⌈bits / 11⌉ stable counting
-/// passes. The top digit partitions the entries serially into buckets;
+/// passes. The top digit partitions the entries into buckets;
 /// tasks of whole buckets, at least `morsel` entries each, then finish
 /// them in place — the lower digits least significant first, then each
 /// equal-key run by `rest` and row. Entries ascend by row and every pass
 /// is stable, so ties keep row order without comparing rows. Returns the
-/// sorted entries and the number of tasks dispatched.
-fn sort_entries<E: OrderedExecutor>(
-    pool: &E,
-    morsel: usize,
-    rest: &[Col],
-    mut entries: Vec<Entry>,
-) -> (Vec<Entry>, u64) {
+/// sorted entries and the number of tasks run.
+fn sort_entries(morsel: usize, rest: &[Col], mut entries: Vec<Entry>) -> (Vec<Entry>, u64) {
     let n = entries.len();
     if n <= SMALL_SORT {
         entries.sort_unstable_by(|x, y| entry_cmp(rest, x, y));
@@ -471,7 +436,7 @@ fn sort_entries<E: OrderedExecutor>(
             spans.push(start..end);
         }
     }
-    fill_in_place(pool, &mut bufs, &spans, &|_, pieces| {
+    fill_in_place(&mut bufs, &spans, |_, pieces| {
         let [data, scratch] = pieces else {
             unreachable!("two buffers")
         };
@@ -758,19 +723,18 @@ fn fold_runs(func: AggFunc, vals: Option<&[i64]>, bounds: &[usize], out: &mut [i
     }
 }
 
-struct Engine<'a, S, E: OrderedExecutor> {
+struct Engine<'a, S> {
     arena: &'a PlanArena<S>,
     catalog: &'a Catalog,
     query: &'a Query,
     /// The query's crossing-edge index, built once per run.
     graph: JoinGraph,
     data: &'a [Vec<Vec<i64>>],
-    pool: &'a E,
     morsel: usize,
     stats: ExecStats,
 }
 
-impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
+impl<'a, S: Copy> Engine<'a, S> {
     fn err(
         &self,
         plan: PlanId,
@@ -898,7 +862,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             .filter(|&p| first[p] == p)
             .map(|p| srcs[p])
             .collect();
-        let gathered = fill_columns(self.pool, gather.len(), &ranges, &|c, i, dst| {
+        let gathered = fill_columns(gather.len(), &ranges, |c, i, dst| {
             let (range, col, mut rows) = (ranges[i].clone(), gather[c], [0; CHUNK]);
             for lo in range.clone().step_by(CHUNK) {
                 let rows = &mut rows[..range.end.min(lo + CHUNK) - lo];
@@ -924,7 +888,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             .filter(|_| t.pairs.is_some())
             .map(|&src| t.factors(src))
             .collect();
-        let values = fill_columns(self.pool, products.len(), &ranges, &|c, i, dst| {
+        let values = fill_columns(products.len(), &ranges, |c, i, dst| {
             dst.fill(1);
             for f in &products[c] {
                 f.write(ranges[i].clone(), dst, |d, v| *d *= v);
@@ -982,11 +946,11 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
     /// weight and accumulators too, as their products ([`OutSrc`]).
     /// Written in place; returns the output and the morsel count, which
     /// the caller counts as its own.
-    fn take<T: Sync>(
+    fn take<T>(
         &self,
         t: &View<'_, 'a>,
         rows: &Spliced<'_, T>,
-        pick: impl Fn(&T, &mut usize) -> [usize; 2] + Sync,
+        pick: impl Fn(&T, &mut usize) -> [usize; 2],
         values: bool,
     ) -> (Inter<'a>, u64) {
         let n = rows.len();
@@ -1006,7 +970,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         };
         let parts: Vec<(&Part<'a>, usize)> = t.parts().collect();
         let mut ids: Vec<Vec<u32>> = parts.iter().map(|_| vec![0; n]).collect();
-        fill_in_place(self.pool, &mut ids, &ranges, &|m, dst| {
+        fill_in_place(&mut ids, &ranges, |m, dst| {
             chunks(m, &mut |at, sides| {
                 for (d, &(p, side)) in dst.iter_mut().zip(&parts) {
                     let d = d[at..at + sides.len()].iter_mut().zip(sides);
@@ -1020,7 +984,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         let srcs = t.weight.iter().chain(t.accs.iter().map(|a| &a.1));
         let srcs: Vec<OutSrc> = srcs.filter(|_| values).copied().collect();
         let mut vals: Vec<Vec<i64>> = srcs.iter().map(|_| vec![0; n]).collect();
-        fill_in_place(self.pool, &mut vals, &ranges, &|m, dst| {
+        fill_in_place(&mut vals, &ranges, |m, dst| {
             chunks(m, &mut |at, sides| {
                 for (d, src) in dst.iter_mut().zip(&srcs) {
                     for (d, &[l, r]) in d[at..at + sides.len()].iter_mut().zip(sides) {
@@ -1110,7 +1074,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
 
     /// Per morsel, the rows of `0..n` that pass every predicate.
     fn filter(&self, n: usize, preds: &[(Col, bool)]) -> (Vec<Vec<u32>>, u64) {
-        run_morsels(self.pool, n, self.morsel, &|range| {
+        run_morsels(n, self.morsel, |range| {
             range
                 .filter(|&r| {
                     preds.iter().all(|&(c, is_const)| {
@@ -1175,7 +1139,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             (extract_keys(&key_cols, keep.into_iter().flatten(), m), fb)
         };
         let rest = key_cols.get(1..).unwrap_or_default();
-        let (sorted, sb) = sort_entries(self.pool, self.morsel, rest, entries);
+        let (sorted, sb) = sort_entries(self.morsel, rest, entries);
         let part = &base.parts[0];
         let ids = sorted.iter().map(|e| e.1).collect();
         let out = Inter::relation(part.cols, part.attrs, Some(ids));
@@ -1205,7 +1169,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         }
         let dense: Vec<Cow<[i64]>> = key_cols.iter().skip(1).map(|c| c.dense(0..n)).collect();
         let rest: Vec<Col> = dense.iter().map(|d| Col::from(&d[..])).collect();
-        let (sorted, sb) = sort_entries(self.pool, self.morsel, &rest, entries);
+        let (sorted, sb) = sort_entries(self.morsel, &rest, entries);
         let sorted = Spliced::new(std::slice::from_ref(&sorted));
         let (out, tb) = self.take(&t, &sorted, |e, p| t.side_rows(e.1 as usize, p), true);
         self.stats.record(op, sb + tb, out.rows as u64);
@@ -1260,7 +1224,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                 let lkeys: Vec<Col> = edges.iter().map(|e| e.1).collect();
                 let rkeys: Vec<Col> = edges.iter().map(|e| e.2).collect();
                 let table = JoinTable::build(&hash_rows(&rkeys, 0..rt.rows), &rkeys);
-                run_morsels(self.pool, lt.rows, self.morsel, &|range| {
+                run_morsels(lt.rows, self.morsel, |range| {
                     // Each probe key read once, then hashed and compared
                     // where it lies.
                     let dense: Vec<Cow<[i64]>> =
@@ -1294,7 +1258,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
                     .filter(|e| e.0 != edge)
                     .map(|(_, lc, rc)| (*lc, &rc[..]))
                     .collect();
-                run_morsels(self.pool, lt.rows, self.morsel, &|range| {
+                run_morsels(lt.rows, self.morsel, |range| {
                     let mut pairs: Vec<(u32, u32)> = Vec::new();
                     for l in range {
                         let v = plc.at(l);
@@ -1318,7 +1282,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             JoinKind::NestedLoop => {
                 let edges = dense_right();
                 let rkeys: Vec<&[i64]> = edges.iter().map(|e| &e.2[..]).collect();
-                run_morsels(self.pool, lt.rows, self.morsel, &|range| {
+                run_morsels(lt.rows, self.morsel, |range| {
                     let mut pairs: Vec<(u32, u32)> = Vec::new();
                     // Slices of their own, so the loop keeps them in
                     // registers across its stores.
@@ -1446,7 +1410,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         let key_cols = self.cols(plan, op, &t, key)?;
         let spec = self.agg_spec(plan, op, &t, partial)?;
         let folds = &spec.folds;
-        let (chunks, batches) = run_morsels(self.pool, t.rows, self.morsel, &|range| {
+        let (chunks, batches) = run_morsels(t.rows, self.morsel, |range| {
             let (table, gids) = local_groups(&key_cols, range.clone());
             let accs: Vec<Vec<i64>> = folds
                 .iter()
@@ -1513,9 +1477,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         let key_cols = self.cols(plan, op, &t, key)?;
         let spec = self.agg_spec(plan, op, &t, partial)?;
         let n = t.rows;
-        let (runs, batches) = run_morsels(self.pool, n, self.morsel, &|range| {
-            run_starts(&key_cols, range)
-        });
+        let (runs, batches) = run_morsels(n, self.morsel, |range| run_starts(&key_cols, range));
         if let Some((first, again)) = resumed_run(&runs) {
             let names: Vec<&str> = key.iter().map(|&a| self.catalog.attr_name(a)).collect();
             return Err(self.err(
@@ -1553,7 +1515,7 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
             let lo = s.first().map_or(end, |&f| f as usize);
             bounds.extend(s.iter().map(|&s| s as usize - lo).chain([end - lo]));
         }
-        let values = fill_columns(self.pool, spec.folds.len(), &out_ranges, &|c, m, dst| {
+        let values = fill_columns(spec.folds.len(), &out_ranges, |c, m, dst| {
             let Some(&lo) = starts[m].first() else {
                 return;
             };
@@ -1584,9 +1546,8 @@ impl<'a, S: Copy, E: OrderedExecutor> Engine<'a, S, E> {
         let t = self.view(t.sides());
         let key_cols = self.cols(plan, "HashGroup", &t, key)?;
         // Per morsel: a local group table and every row's local group.
-        let (chunks, batches) = run_morsels(self.pool, t.rows, self.morsel, &|range| {
-            local_groups(&key_cols, range)
-        });
+        let (chunks, batches) =
+            run_morsels(t.rows, self.morsel, |range| local_groups(&key_cols, range));
         // Local ids renumbered in morsel order (= global first-seen
         // order): every row's global group, and the group sizes.
         let mut table = GroupTable::with_capacity(chunks.iter().map(|(l, _)| l.len()).sum());
@@ -1643,6 +1604,30 @@ mod tests {
         ColTable::new(t.schema[..n].to_vec(), t.cols[..n].to_vec())
     }
 
+    /// `plan` executed at `morsel` rows per morsel, untraced.
+    fn execute_at<S: Copy>(
+        arena: &PlanArena<S>,
+        plan: PlanId,
+        catalog: &Catalog,
+        query: &Query,
+        data: &[Vec<Vec<i64>>],
+        morsel: usize,
+    ) -> Result<(ColTable, ExecStats), ExecError> {
+        let opts = ExecOptions {
+            morsel_rows: morsel,
+        };
+        execute_plan(
+            arena,
+            plan,
+            catalog,
+            query,
+            data,
+            &(),
+            &opts,
+            &Trace::disabled(),
+        )
+    }
+
     #[test]
     fn scramble_matches_the_legacy_reverse_interleave() {
         // Legacy: reverse [0..5] = [4,3,2,1,0]; evens then odds of the
@@ -1654,12 +1639,12 @@ mod tests {
     }
 
     /// The kernel's sort of the ascending `rows` by `cols`: the sorted
-    /// rows and the number of tasks dispatched.
+    /// rows and the number of tasks run.
     fn kernel_sort(cols: &[&[i64]], rows: &[u32], morsel: usize) -> (Vec<u32>, u64) {
         let cols: Vec<Col> = cols.iter().map(|&c| Col::from(c)).collect();
         let entries = extract_keys(&cols, rows.iter().copied(), rows.len());
         let rest = cols.get(1..).unwrap_or_default();
-        let (sorted, tasks) = sort_entries(&SerialExecutor, morsel, rest, entries);
+        let (sorted, tasks) = sort_entries(morsel, rest, entries);
         (sorted.into_iter().map(|e| e.1).collect(), tasks)
     }
 
@@ -1870,34 +1855,25 @@ mod tests {
     #[test]
     fn fill_writes_each_range_once_in_place() {
         let ranges = [0..3, 3..3, 3..7];
-        let writes = Mutex::new(Vec::new());
-        let cols = fill_columns::<i64, _>(&SerialExecutor, 2, &ranges, &|c, i, dst| {
+        let mut writes = Vec::new();
+        let cols = fill_columns::<i64>(2, &ranges, |c, i, dst| {
             assert_eq!(dst.len(), ranges[i].len());
             assert!(dst.iter().all(|&d| d == 0), "a piece is written once");
             for (k, d) in dst.iter_mut().enumerate() {
                 *d = (10 * c + ranges[i].start + k) as i64;
             }
-            writes.lock().unwrap().push((c, i));
+            writes.push((c, i));
         });
         assert_eq!(cols[0], vec![0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(cols[1], vec![10, 11, 12, 13, 14, 15, 16]);
         // Column after column: every piece of one before any of the next.
-        let order = vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)];
-        assert_eq!(writes.into_inner().unwrap(), order);
+        assert_eq!(writes, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
         // No range: empty columns, no task.
-        let empty = fill_columns::<i64, _>(&SerialExecutor, 3, &[], &|_, _, _| unreachable!());
+        let empty = fill_columns::<i64>(3, &[], |_, _, _| unreachable!());
         assert_eq!(empty, vec![Vec::<i64>::new(); 3]);
         // No column: no task either.
-        let none = fill_columns::<i64, _>(&SerialExecutor, 0, &ranges, &|_, _, _| unreachable!());
+        let none = fill_columns::<i64>(0, &ranges, |_, _, _| unreachable!());
         assert!(none.is_empty());
-        // Pool threads write the same bytes.
-        let pool = ofw_parallel::ThreadPool::new(2);
-        let pooled = fill_columns::<i64, _>(&pool, 2, &ranges, &|c, i, dst| {
-            for (k, d) in dst.iter_mut().enumerate() {
-                *d = (10 * c + ranges[i].start + k) as i64;
-            }
-        });
-        assert_eq!(pooled, cols);
     }
 
     fn node(query: &Query, qrels: &[usize], op: PlanOp) -> PlanNode<()> {
@@ -2032,16 +2008,13 @@ mod tests {
         ) {
             let (catalog, query, arena, scan) = index_fixture(preds & 1 != 0, preds & 2 != 0);
             let data = vec![cols];
-            let (out, _) = execute_plan(
-                &arena, scan, &catalog, &query, &data,
-                &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
-            ).unwrap();
+            let (out, _) = execute_at(&arena, scan, &catalog, &query, &data, morsel).unwrap();
             prop_assert_eq!(attrs(&out), execute_reference(&arena, scan, &catalog, &query, &data).unwrap());
         }
     }
 
     #[test]
-    fn sorts_over_100k_rows_are_byte_identical_at_1_2_8_threads() {
+    fn sorts_over_100k_rows_are_byte_identical_at_two_morsel_sizes() {
         // `r(a, b, c)`: `a` spans 16 bits, so the kernel partitions on a
         // top digit and finishes buckets with a counting pass; `b` breaks
         // ties; the filtered index scan sorts every other row.
@@ -2083,22 +2056,9 @@ mod tests {
             },
         ));
         let serial = |plan| execute_serial(&arena, plan, &catalog, &query, &data).unwrap();
-        for threads in [1, 2, 8] {
-            let pool = ofw_parallel::ThreadPool::new(threads);
-            for plan in [index_scan, sort_scan, partial] {
-                let pooled = execute_plan(
-                    &arena,
-                    plan,
-                    &catalog,
-                    &query,
-                    &data,
-                    &pool,
-                    &ExecOptions::default(),
-                    &Trace::disabled(),
-                )
-                .unwrap();
-                assert!(pooled == serial(plan), "{plan:?} at {threads} threads");
-            }
+        for plan in [index_scan, sort_scan, partial] {
+            let small = execute_at(&arena, plan, &catalog, &query, &data, 64).unwrap();
+            assert!(small.0 == serial(plan).0, "{plan:?} at 64 rows a morsel");
         }
         assert_eq!(serial(partial).0, serial(sort_grouped).0);
         let expect = execute_reference(&arena, index_scan, &catalog, &query, &data).unwrap();
@@ -2120,7 +2080,6 @@ mod tests {
             query,
             graph: JoinGraph::new(query),
             data,
-            pool: &SerialExecutor,
             morsel: MORSEL_ROWS,
             stats: ExecStats::default(),
         };
@@ -2201,7 +2160,7 @@ mod tests {
     }
 
     #[test]
-    fn join_roots_that_copy_columns_are_byte_identical_at_1_2_8_threads() {
+    fn join_roots_that_copy_columns_are_byte_identical_at_two_morsel_sizes() {
         // `r0 ⋈ r1 ⋈ r2` on `a` and `b` at each step: a hash join on both
         // edges, then a merge join on `a` with `b` as its residual.
         // `r0.a` repeats every 50 000 rows and meets one `r1` row, which
@@ -2251,22 +2210,9 @@ mod tests {
         );
         let serial = |plan| execute_serial(&arena, plan, &catalog, &query, &data).unwrap();
         assert_eq!(serial(merge).0.num_rows(), n as usize);
-        for threads in [1, 2, 8] {
-            let pool = ofw_parallel::ThreadPool::new(threads);
-            for plan in [hash, merge] {
-                let pooled = execute_plan(
-                    &arena,
-                    plan,
-                    &catalog,
-                    &query,
-                    &data,
-                    &pool,
-                    &ExecOptions::default(),
-                    &Trace::disabled(),
-                )
-                .unwrap();
-                assert!(pooled == serial(plan), "{plan:?} at {threads} threads");
-            }
+        for plan in [hash, merge] {
+            let small = execute_at(&arena, plan, &catalog, &query, &data, 64).unwrap();
+            assert!(small.0 == serial(plan).0, "{plan:?} at 64 rows a morsel");
         }
     }
 
@@ -2301,10 +2247,7 @@ mod tests {
             let nl = arena.push(node(&query, &[0, 1], PlanOp::NestedLoopJoin { left: ls, right: rs }));
             let columns = |rows: &[Vec<i64>]| (0..3).map(|c| rows.iter().map(|row| row[c]).collect()).collect();
             let data = vec![columns(&left), columns(&right)];
-            let (out, _) = execute_plan(
-                &arena, nl, &catalog, &query, &data,
-                &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
-            ).unwrap();
+            let (out, _) = execute_at(&arena, nl, &catalog, &query, &data, morsel).unwrap();
             let mut expect = vec![Vec::new(); 6];
             for l in &left {
                 for r in &right {
@@ -2348,10 +2291,7 @@ mod tests {
             let nl = arena.push(node(&query, &[0, 1], PlanOp::NestedLoopJoin { left: ls, right: rs }));
             let columns = |rows: &[Vec<i64>]| (0..3).map(|c| rows.iter().map(|row| row[c]).collect()).collect();
             let data = vec![columns(&left), columns(&right)];
-            let (out, _) = execute_plan(
-                &arena, nl, &catalog, &query, &data,
-                &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
-            ).unwrap();
+            let (out, _) = execute_at(&arena, nl, &catalog, &query, &data, morsel).unwrap();
             let mut expect = vec![Vec::new(); 6];
             for l in left.iter().filter(|l| l[2] <= 1) {
                 for r in &right {
@@ -2440,7 +2380,6 @@ mod tests {
             let (catalog, query) = agg_fixture();
             let (g, h) = (catalog.attr("r.g"), catalog.attr("r.h"));
             let data = vec![cols];
-            let opts = ExecOptions { morsel_rows: morsel };
             let mut arena: PlanArena<()> = PlanArena::new();
             let scan = arena.push(node(&query, &[0], PlanOp::Scan { qrel: 0 }));
             let weighted = arena.push(node(&query, &[0], PlanOp::StreamAgg {
@@ -2457,10 +2396,7 @@ mod tests {
                     let hash = arena.push(node(&query, &[0], PlanOp::HashAgg {
                         input, key, partial,
                     }));
-                    let run = |plan| execute_plan(
-                        &arena, plan, &catalog, &query, &data,
-                        &SerialExecutor, &opts, &Trace::disabled(),
-                    ).unwrap();
+                    let run = |plan| execute_at(&arena, plan, &catalog, &query, &data, morsel).unwrap();
                     let (s, s_stats) = run(stream);
                     let (hashed, h_stats) = run(hash);
                     // A partial's count is its weight column; a final
@@ -2500,20 +2436,7 @@ mod tests {
         // `g = 1` resumes at row 3, after the `g = 2` run, in the third
         // morsel of two rows.
         let data = vec![vec![vec![1, 1, 2, 1], vec![0; 4], vec![5; 4]]];
-        let opts = ExecOptions { morsel_rows: 2 };
-        let run = |arena: &PlanArena<()>, plan, query: &Query, data: &[Vec<Vec<i64>>]| {
-            execute_plan(
-                arena,
-                plan,
-                &catalog,
-                query,
-                data,
-                &SerialExecutor,
-                &opts,
-                &Trace::disabled(),
-            )
-        };
-        let err = run(&arena, agg, &query, &data).unwrap_err();
+        let err = execute_at(&arena, agg, &catalog, &query, &data, 2).unwrap_err();
         assert_eq!(
             (err.plan, err.op, err.attr),
             (agg, "StreamAgg", None),
@@ -2521,7 +2444,8 @@ mod tests {
         );
         assert!(err.detail.contains("row 3"), "{err}");
         let grouped = vec![vec![vec![1, 1, 1, 2], vec![0; 4], vec![5; 4]]];
-        assert_eq!(run(&arena, agg, &query, &grouped).unwrap().0.num_rows(), 2);
+        let out = execute_at(&arena, agg, &catalog, &query, &grouped, 2).unwrap();
+        assert_eq!(out.0.num_rows(), 2);
 
         // The group-join's aggregate half: `s(k)` joined on `r.h = s.k`,
         // grouped by `r.g`, which the probe side breaks.
@@ -2547,17 +2471,7 @@ mod tests {
         ));
         let mut data = data;
         data.push(vec![vec![0]]);
-        let err = execute_plan(
-            &arena,
-            gj,
-            &catalog,
-            &query,
-            &data,
-            &SerialExecutor,
-            &opts,
-            &Trace::disabled(),
-        )
-        .unwrap_err();
+        let err = execute_at(&arena, gj, &catalog, &query, &data, 2).unwrap_err();
         assert_eq!((err.plan, err.op), (gj, "GroupJoin"), "{err}");
     }
 
@@ -2795,10 +2709,9 @@ mod tests {
             gen.build(0, n);
             let [full, bare] = &gen.arenas;
             for &[root, bare_root] in &gen.joins {
-                let run = |arena, plan, morsel| execute_plan(
-                    arena, plan, &catalog, &query, &data,
-                    &SerialExecutor, &ExecOptions { morsel_rows: morsel }, &Trace::disabled(),
-                ).unwrap().0;
+                let run = |arena, plan, morsel| {
+                    execute_at(arena, plan, &catalog, &query, &data, morsel).unwrap().0
+                };
                 let reference = execute_reference(full, root, &catalog, &query, &data).unwrap();
                 let plain = run(bare, bare_root, 1);
                 let out = run(full, root, 1);

@@ -11,9 +11,9 @@
 //!   (`satisfies_ordering`/`grouping`/`head_tail`, evaluated from their
 //!   definitions) the harness asserts on every intermediate.
 //! * [`engine`] — one vectorized operator per [`PlanOp`] variant,
-//!   morsel-parallel on any [`OrderedExecutor`](ofw_common::OrderedExecutor)
-//!   with fixed-size morsels merged in index order, so output is
-//!   **byte-identical at any thread count**. Operators hand each other
+//!   run serially a fixed-size morsel at a time, each morsel's results
+//!   written in place in morsel order, so output is **byte-identical at
+//!   any morsel size**. Operators hand each other
 //!   `u32` row ids into the base columns, and the attribute columns are
 //!   gathered once, at the plan root; one stable radix sort kernel
 //!   serves `Sort`, `PartialSort` and `IndexScan`.

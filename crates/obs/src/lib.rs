@@ -3,7 +3,7 @@
 //! A dependency-free observability layer for the optimizer stack:
 //!
 //! - [`Trace`] — a cloneable span sink. The default ([`Trace::disabled`])
-//!   is a `None` behind an `Option<Arc<..>>`, so every instrumentation
+//!   is a `None` behind an `Option<Rc<..>>`, so every instrumentation
 //!   site reduces to one branch on a pointer check and the hot path
 //!   stays byte-identical in behaviour. [`Trace::recording`] buffers
 //!   [`SpanRecord`]s, read back by [`Trace::records`] and printed as a
@@ -15,10 +15,9 @@
 //!   and aggregated per phase in [`PhaseStats`].
 //!
 //! Determinism contract: records are appended at span *start* (the
-//! index is reserved under the sink lock; duration is back-filled on
-//! drop), so the records' names, labels, depths and counters are
-//! identical for the same work; only durations are wall-clock-class
-//! data.
+//! index is reserved then; duration is back-filled on drop), so the
+//! records' names, labels, depths and counters are identical for the
+//! same work; only durations are wall-clock-class data.
 
 #![forbid(unsafe_code)]
 

@@ -4,14 +4,16 @@
 //! ## Determinism
 //!
 //! A recording [`Trace`] reserves each span's [`SpanRecord`] slot when
-//! the span **starts** (under the sink lock) and back-fills the
-//! duration, label, and counters when the span drops. On a single
-//! thread, record order is therefore exactly span-start order, and the
-//! *skeleton* of a trace — names, labels, depths, deterministic
-//! counters, in order — is a pure function of the work; only
-//! durations (which are wall-clock-class data) vary.
+//! the span **starts** and back-fills the duration, label, and counters
+//! when the span drops. Record order is therefore exactly span-start
+//! order, and the *skeleton* of a trace — names, labels, depths,
+//! deterministic counters, in order — is a pure function of the work;
+//! only durations (which are wall-clock-class data) vary. A sink and
+//! its clones stay on the thread that made them: nothing the stack
+//! traces runs off the calling thread.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// One recorded span: a named, labelled interval with counters.
@@ -32,19 +34,11 @@ pub struct SpanRecord {
     pub counters: Vec<(&'static str, u64)>,
 }
 
-struct Shared {
-    records: Mutex<Vec<SpanRecord>>,
-}
-
-fn lock(m: &Mutex<Vec<SpanRecord>>) -> MutexGuard<'_, Vec<SpanRecord>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A cloneable span sink. Cloning is cheap (an `Arc` bump) and all
+/// A cloneable span sink. Cloning is cheap (an `Rc` bump) and all
 /// clones feed the same buffer. The [`Default`] is disabled.
 #[derive(Clone, Default)]
 pub struct Trace {
-    shared: Option<Arc<Shared>>,
+    records: Option<Rc<RefCell<Vec<SpanRecord>>>>,
 }
 
 impl std::fmt::Debug for Trace {
@@ -59,21 +53,19 @@ impl Trace {
     /// The no-op sink: spans and counters compile down to a pointer
     /// check and recording never happens.
     pub fn disabled() -> Self {
-        Self { shared: None }
+        Self { records: None }
     }
 
     /// A recording sink buffering [`SpanRecord`]s.
     pub fn recording() -> Self {
         Self {
-            shared: Some(Arc::new(Shared {
-                records: Mutex::new(Vec::new()),
-            })),
+            records: Some(Rc::default()),
         }
     }
 
     /// Whether this sink records anything.
     pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
+        self.records.is_some()
     }
 
     /// Opens a root-depth span. No-op (and allocation-free) when
@@ -87,8 +79,8 @@ impl Trace {
     /// point exists for call sites that only know their depth (e.g.
     /// instrumented callees receiving a `&Trace`).
     pub fn span_at(&self, name: &'static str, depth: u16) -> Span<'_> {
-        let live = self.shared.as_ref().map(|sh| {
-            let mut records = lock(&sh.records);
+        let live = self.records.as_ref().map(|records| {
+            let mut records = records.borrow_mut();
             let idx = records.len();
             records.push(SpanRecord {
                 name,
@@ -110,9 +102,9 @@ impl Trace {
 
     /// Snapshot of all records so far.
     pub fn records(&self) -> Vec<SpanRecord> {
-        self.shared
+        self.records
             .as_ref()
-            .map(|sh| lock(&sh.records).clone())
+            .map(|records| records.borrow().clone())
             .unwrap_or_default()
     }
 
@@ -169,12 +161,12 @@ impl<'t> Span<'t> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let (Some((idx, started)), Some(sh)) = (self.live.take(), self.trace.shared.as_ref())
+        let (Some((idx, started)), Some(records)) = (self.live.take(), self.trace.records.as_ref())
         else {
             return;
         };
         let dur = started.elapsed().as_micros() as u64;
-        let mut records = lock(&sh.records);
+        let mut records = records.borrow_mut();
         let r = &mut records[idx];
         r.dur_us = dur;
         if let Some(label) = self.label.take() {

@@ -81,10 +81,6 @@ impl OrderedExecutor for ThreadPool {
     fn run_ordered<R: Send>(&self, n: usize, f: &(dyn Fn(usize) -> R + Sync)) -> Vec<R> {
         self.run(n, f)
     }
-
-    fn label(&self) -> &'static str {
-        "pool"
-    }
 }
 
 #[cfg(test)]

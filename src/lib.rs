@@ -23,7 +23,7 @@
 //! | [`catalog`] | schema/catalog substrate (incl. a TPC-H subset) |
 //! | [`query`] | query graphs + interesting-order/FD extraction |
 //! | [`plangen`] | bottom-up DP plan generator exercising both frameworks |
-//! | [`parallel`] | deterministic scoped-thread pool behind the morsel executor |
+//! | [`parallel`] | deterministic scoped-thread pool, kept for the frozen benchmark's pooled runs |
 //! | [`exec`] | morsel-driven vectorized executor + its tuple-at-a-time reference executor and reference plan |
 //! | [`workload`] | random join-graph workloads, TPC-R Query 8, large topologies |
 //! | [`obs`] | observability: phase spans, decision telemetry, trace export |

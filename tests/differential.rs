@@ -9,8 +9,9 @@
 //! trick or eager aggregate the optimizer picked, the *answer* must not
 //! change. On top:
 //!
-//! * vectorized execution must be **byte-identical** at 1, 2 and 8 pool
-//!   threads — output columns *and* deterministic counters;
+//! * vectorized execution must be **byte-identical** at two morsel
+//!   sizes — output columns; the counters count tasks, so they move
+//!   with the morsel size;
 //! * every intermediate plan of the winning tree must physically
 //!   satisfy every ordering/grouping/head-tail property the DFSM claims
 //!   for it (the vectorized twin of `tests/execution.rs`).
@@ -22,7 +23,6 @@ use ofw::exec::{
     ColTable, ExecOptions, ExecStats,
 };
 use ofw::obs::Trace;
-use ofw::parallel::ThreadPool;
 use ofw::plangen::{ExplicitOracle, PlanArena, PlanGen, PlanId};
 use ofw::query::extract::ExtractOptions;
 use ofw::query::Query;
@@ -57,41 +57,48 @@ fn run_arm<S: Copy>(
     (out, stats)
 }
 
-/// Re-executes a plan at several pool widths and asserts byte identity
-/// with the serial result — columns and counters.
-#[allow(clippy::too_many_arguments)]
-fn assert_thread_invariant<S: Copy>(
+/// `plan` executed at `morsel` rows per morsel, untraced.
+fn execute_at<S: Copy>(
+    arena: &PlanArena<S>,
+    plan: PlanId,
+    catalog: &Catalog,
+    query: &Query,
+    data: &[Vec<Vec<i64>>],
+    morsel: usize,
+) -> Result<(ColTable, ExecStats), ofw::exec::ExecError> {
+    let opts = ExecOptions {
+        morsel_rows: morsel,
+    };
+    execute_plan(
+        arena,
+        plan,
+        catalog,
+        query,
+        data,
+        &(),
+        &opts,
+        &Trace::disabled(),
+    )
+}
+
+/// Re-executes a plan at 64 rows per morsel and asserts its output is
+/// byte-identical with `out`, the output at another morsel size. The
+/// counters count tasks, so they differ and are not compared.
+fn assert_morsel_invariant<S: Copy>(
     arena: &PlanArena<S>,
     best: PlanId,
     catalog: &Catalog,
     query: &Query,
     data: &[Vec<Vec<i64>>],
-    serial: &(ColTable, ExecStats),
-    opts: &ExecOptions,
+    out: &ColTable,
     ctx: &str,
 ) {
-    for threads in [2usize, 8] {
-        let pool = ThreadPool::new(threads);
-        let (out, stats) = execute_plan(
-            arena,
-            best,
-            catalog,
-            query,
-            data,
-            &pool,
-            opts,
-            &Trace::disabled(),
-        )
-        .unwrap_or_else(|e| panic!("{ctx}: pooled execution ({threads} threads) failed: {e}"));
-        assert_eq!(
-            out, serial.0,
-            "{ctx}: output not byte-identical at {threads} threads"
-        );
-        assert_eq!(
-            stats, serial.1,
-            "{ctx}: counters not deterministic at {threads} threads"
-        );
-    }
+    let (again, _) = execute_at(arena, best, catalog, query, data, 64)
+        .unwrap_or_else(|e| panic!("{ctx}: execution at 64 rows a morsel failed: {e}"));
+    assert!(
+        again == *out,
+        "{ctx}: output not byte-identical at 64 rows a morsel"
+    );
 }
 
 /// Executes every plan in the winning tree and asserts each claimed
@@ -137,8 +144,8 @@ fn assert_tree_properties(
 }
 
 /// The full differential check for one query: reference execution, all
-/// three oracle arms, cross-thread byte identity, intermediate property
-/// checks.
+/// three oracle arms, byte identity across morsel sizes, intermediate
+/// property checks.
 fn differential_check(catalog: &Catalog, query: &Query, data_seed: u64, ctx: &str) {
     let ex = ofw::query::extract(catalog, query, &ExtractOptions::default());
     let data = generate_columns(catalog, query, &DataConfig::small(data_seed));
@@ -147,33 +154,18 @@ fn differential_check(catalog: &Catalog, query: &Query, data_seed: u64, ctx: &st
     let (ref_out, _) = execute_serial(&ref_arena, ref_root, catalog, query, &data)
         .unwrap_or_else(|e| panic!("{ctx}: reference plan failed: {e}"));
     let want = result_signature(query, &ref_out);
-    // The reference arm must be thread-invariant too.
-    let ref_serial = execute_serial(&ref_arena, ref_root, catalog, query, &data).unwrap();
-    assert_thread_invariant(
-        &ref_arena,
-        ref_root,
-        catalog,
-        query,
-        &data,
-        &ref_serial,
-        &ExecOptions::default(),
-        &format!("{ctx} [reference]"),
+    // The reference arm must be morsel-size-invariant too.
+    let ctx_ref = format!("{ctx} [reference]");
+    assert_morsel_invariant(
+        &ref_arena, ref_root, catalog, query, &data, &ref_out, &ctx_ref,
     );
 
     // Arm 1: the paper's DFSM — plus determinism and property checks.
     let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
     let r = PlanGen::new(catalog, query, &ex, &fw).run();
-    let serial = run_arm(&r.arena, r.best, catalog, query, &data, &want, ctx, "dfsm");
-    assert_thread_invariant(
-        &r.arena,
-        r.best,
-        catalog,
-        query,
-        &data,
-        &serial,
-        &ExecOptions::default(),
-        &format!("{ctx} [dfsm]"),
-    );
+    let (out, _) = run_arm(&r.arena, r.best, catalog, query, &data, &want, ctx, "dfsm");
+    let ctx_dfsm = format!("{ctx} [dfsm]");
+    assert_morsel_invariant(&r.arena, r.best, catalog, query, &data, &out, &ctx_dfsm);
     assert_tree_properties(&r.arena, r.best, catalog, query, &fw, &data, ctx);
 
     // Arm 2: the Simmen baseline.
@@ -287,13 +279,13 @@ fn showcase_and_q8_queries_agree_across_arms_and_threads() {
 }
 
 /// Morsel-scale determinism: thousands of rows across many morsels,
-/// with a deliberately small morsel size so the order-preserving merge
-/// is exercised hard — still byte-identical at 1/2/8 threads. The
+/// with a deliberately small morsel size so the in-order reassembly is
+/// exercised hard — byte-identical at 512 and 64 rows a morsel. The
 /// q13-style winner streams its aggregate straight over a hash join, so
 /// the aggregate reads the join's pair list, left pending, across
 /// several probe morsels.
 #[test]
-fn morsel_scale_execution_is_thread_invariant() {
+fn morsel_scale_execution_is_morsel_size_invariant() {
     let shapes = [
         (
             "star-agg",
@@ -319,27 +311,14 @@ fn morsel_scale_execution_is_thread_invariant() {
         let ex = ofw::query::extract(&catalog, &query, &ExtractOptions::default());
         let fw = OrderingFramework::prepare(&ex.spec, PruneConfig::default()).unwrap();
         let r = PlanGen::new(&catalog, &query, &ex, &fw).run();
-        let opts = ExecOptions { morsel_rows: 512 };
-        let serial = execute_plan(
-            &r.arena,
-            r.best,
-            &catalog,
-            &query,
-            &data,
-            &ofw::common::SerialExecutor,
-            &opts,
-            &Trace::disabled(),
-        )
-        .unwrap();
+        let serial = execute_at(&r.arena, r.best, &catalog, &query, &data, 512).unwrap();
         assert!(
             serial.1.morsels > 8,
             "{label}: expected a genuinely multi-morsel execution, got {} morsels",
             serial.1.morsels
         );
         let ctx = format!("morsel-scale {label}");
-        assert_thread_invariant(
-            &r.arena, r.best, &catalog, &query, &data, &serial, &opts, &ctx,
-        );
+        assert_morsel_invariant(&r.arena, r.best, &catalog, &query, &data, &serial.0, &ctx);
 
         // The reference arm at the same scale, and the differential answer.
         let (ref_arena, ref_root) = reference_plan(&query);
@@ -364,7 +343,7 @@ fn morsel_scale_execution_is_thread_invariant() {
 /// never meet (each probe morsel then hands on an empty pair list). Each
 /// aggregate — streaming, hashed, final and partial, and the group-join —
 /// emits no row, with the reference executor's attribute schema,
-/// byte-identical at 1/2/8 threads.
+/// byte-identical at 2 and 64 rows a morsel.
 #[test]
 fn aggregates_over_joins_with_no_pairs() {
     use ofw::plangen::plan::AggMark;
@@ -441,18 +420,8 @@ fn aggregates_over_joins_with_no_pairs() {
         let data = vec![key_columns(r_keys, 3), key_columns(s_keys, 2)];
         for &root in &roots {
             let ctx = format!("{case}, {}", arena.node(root).op.name());
-            let opts = ExecOptions { morsel_rows: 2 };
-            let serial = execute_plan(
-                &arena,
-                root,
-                &catalog,
-                &query,
-                &data,
-                &ofw::common::SerialExecutor,
-                &opts,
-                &Trace::disabled(),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let serial = execute_at(&arena, root, &catalog, &query, &data, 2)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(serial.0.num_rows(), 0, "{ctx}");
             assert_eq!(serial.1.rows_out, 0, "{ctx}");
             let reference = execute_reference(&arena, root, &catalog, &query, &data)
@@ -463,7 +432,7 @@ fn aggregates_over_joins_with_no_pairs() {
                 "{ctx}: no value column"
             );
             assert_eq!(reference.num_rows(), 0, "{ctx}");
-            assert_thread_invariant(&arena, root, &catalog, &query, &data, &serial, &opts, &ctx);
+            assert_morsel_invariant(&arena, root, &catalog, &query, &data, &serial.0, &ctx);
         }
     }
 }
@@ -535,8 +504,8 @@ fn push_op(
 /// aggregate: `Sort`, `PartialSort`, `HashGroup`, a parent `HashJoin`, and
 /// the join itself as the root, which gathers through its pairs. An empty
 /// probe side, an empty build side, and keys that never meet each give no
-/// row, with the reference executor's schema, byte-identical at 1/2/8
-/// threads.
+/// row, with the reference executor's schema, byte-identical at 2 and
+/// 64 rows a morsel.
 #[test]
 fn other_consumers_of_joins_with_no_pairs() {
     use ofw::plangen::PlanOp;
@@ -600,18 +569,8 @@ fn other_consumers_of_joins_with_no_pairs() {
             .collect();
         for root in roots {
             let ctx = format!("{case}, {}", arena.node(root).op.name());
-            let opts = ExecOptions { morsel_rows: 2 };
-            let serial = execute_plan(
-                &arena,
-                root,
-                &catalog,
-                &query,
-                &data,
-                &ofw::common::SerialExecutor,
-                &opts,
-                &Trace::disabled(),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let serial = execute_at(&arena, root, &catalog, &query, &data, 2)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(serial.0.num_rows(), 0, "{ctx}");
             assert_eq!(serial.1.rows_out, 0, "{ctx}");
             let reference = execute_reference(&arena, root, &catalog, &query, &data)
@@ -619,7 +578,7 @@ fn other_consumers_of_joins_with_no_pairs() {
             assert_eq!(serial.0.attr_ids(), reference.attr_ids(), "{ctx}");
             assert_eq!(serial.0.schema.len(), reference.schema.len(), "{ctx}");
             assert_eq!(reference.num_rows(), 0, "{ctx}");
-            assert_thread_invariant(&arena, root, &catalog, &query, &data, &serial, &opts, &ctx);
+            assert_morsel_invariant(&arena, root, &catalog, &query, &data, &serial.0, &ctx);
         }
     }
 }
@@ -628,7 +587,8 @@ fn other_consumers_of_joins_with_no_pairs() {
 /// `HashGroup` and the root gather, with eager partial aggregates below
 /// the join on both sides, so that weights and `sum` and `min`
 /// accumulators pass through the ids each one composes. Every output is
-/// byte-identical at 1/2/8 threads and equals the reference executor's rows;
+/// byte-identical at 512 and 64 rows a morsel and equals the reference
+/// executor's rows;
 /// the sort and the hash grouping hold the join's rows, values included,
 /// in their own order.
 #[test]
@@ -684,22 +644,12 @@ fn consumers_read_a_pair_list_across_probe_morsels() {
         ],
         vec![Vec::new(), Vec::new()],
     ];
-    let opts = ExecOptions { morsel_rows: 512 };
     let mut all_rows = Vec::new();
     for root in [join, sort, group] {
         let ctx = format!("morsel-scale {}", arena.node(root).op.name());
-        let serial = execute_plan(
-            &arena,
-            root,
-            &catalog,
-            &query,
-            &data,
-            &ofw::common::SerialExecutor,
-            &opts,
-            &Trace::disabled(),
-        )
-        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        assert_thread_invariant(&arena, root, &catalog, &query, &data, &serial, &opts, &ctx);
+        let serial = execute_at(&arena, root, &catalog, &query, &data, 512)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_morsel_invariant(&arena, root, &catalog, &query, &data, &serial.0, &ctx);
         let (out, stats) = &serial;
         assert_eq!(stats.ops["HashJoin"].rows, 6_000, "{ctx}");
         let reference = execute_reference(&arena, root, &catalog, &query, &data)
